@@ -126,7 +126,7 @@ impl Algorithm for IncBfs {
 /// propagating it skips neighbours whose cached level already proves they
 /// cannot improve (they are at most `new_level + 1`... i.e. their cached
 /// value is `<= new_level + 1`). This is the optimization the per-edge
-/// neighbour cache of Algorithm 3 enables; `ablate_store` measures it.
+/// neighbour cache of Algorithm 3 enables.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IncBfsSuppressed;
 

@@ -44,10 +44,8 @@ impl Algorithm for DegreeCount {
         });
     }
 
-    /// Degree never emits `Update` envelopes on its own, but under
-    /// [`remo_core::Pair`] its counter rides along in the composed state.
-    /// The counter is monotone increasing, so two snapshots merge to the
-    /// larger — letting the *pair* coalesce when the partner can.
+    /// Degree never emits `Update` envelopes on its own. The counter is
+    /// monotone increasing, so two snapshots merge to the larger.
     fn join(into: &mut u64, from: &u64) -> bool {
         if *from > *into {
             *into = *from;

@@ -28,6 +28,10 @@ fn weighted_csr(edges: &[(u64, u64, u64)], n: usize) -> Csr {
     Csr::from_weighted_edges(n, &oracle::construct::symmetrize_weighted(edges))
 }
 
+// Grid: edge list (the graph) × shuffle seed (the arrival order — the
+// claim is order-independence) × 1–4 shards (the claim is also
+// interleaving-independence; 1 = no cross-shard traffic). No engine knob
+// is an axis here: this suite pins the default engine to the oracles.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

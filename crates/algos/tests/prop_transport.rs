@@ -1,6 +1,5 @@
 //! Differential property tests for the data-plane transports: for every
-//! algorithm, seeded RMAT stream, shard count, and storage layout, the
-//! SPSC lane-mesh transport must be observationally identical to the
+//! algorithm, seeded RMAT stream, and shard count, the SPSC lane-mesh transport must be observationally identical to the
 //! seed's channel transport — byte-identical fixpoints, identical
 //! mid-stream snapshot views, and the same set of trigger firings. The
 //! transport is a physical choice; nothing the engine computes may depend
@@ -9,8 +8,7 @@
 
 use proptest::prelude::*;
 use remo_core::{
-    Engine, EngineBuilder, EngineConfig, PlacementPolicy, StorageLayout, TransportMode, VertexId,
-    Weight,
+    Engine, EngineBuilder, EngineConfig, PlacementPolicy, TransportMode, VertexId, Weight,
 };
 use remo_gen::RmatConfig;
 use remo_store::hash::mix64;
@@ -52,16 +50,13 @@ struct Observed<S> {
 /// parked shards), ingest the rest, and harvest fixpoint + trigger fires.
 /// The mid-run quiescence pins the snapshot boundary so both transports
 /// observe the same prefix.
-#[allow(clippy::too_many_arguments)]
 fn observe<A, F>(
     make: F,
     transport: TransportMode,
-    layout: StorageLayout,
     edges: &[(VertexId, VertexId)],
     weights: Option<&[(VertexId, VertexId, Weight)]>,
     init: Option<VertexId>,
     shards: usize,
-    adaptive: bool,
     placement: PlacementPolicy,
 ) -> Observed<A::State>
 where
@@ -69,14 +64,10 @@ where
     A::State: PartialEq + std::fmt::Debug,
     F: Fn() -> A,
 {
-    let mut config = EngineConfig::undirected(shards)
+    let config = EngineConfig::undirected(shards)
         .with_transport(transport)
-        .with_storage(layout)
-        .with_expected_vertices(64);
-    if adaptive {
-        config = config.with_adaptive();
-    }
-    config = config.with_placement(placement);
+        .with_expected_vertices(64)
+        .with_placement(placement);
     let mut builder = EngineBuilder::new(make(), config);
     builder.trigger("nonbottom", |_v, s: &A::State| *s != A::State::default());
     let mut engine = builder.build();
@@ -117,15 +108,13 @@ where
     }
 }
 
-/// Asserts the two transports observe the same world, under `layout`.
+/// Asserts the two transports observe the same world.
 fn assert_transports_agree<A, F>(
     make: F,
-    layout: StorageLayout,
     edges: &[(VertexId, VertexId)],
     weights: Option<&[(VertexId, VertexId, Weight)]>,
     init: Option<VertexId>,
     shards: usize,
-    adaptive: bool,
 ) -> Result<(), TestCaseError>
 where
     A: remo_core::Algorithm,
@@ -135,23 +124,19 @@ where
     let lanes = observe::<A, F>(
         make,
         TransportMode::Lanes,
-        layout,
         edges,
         weights,
         init,
         shards,
-        adaptive,
         PlacementPolicy::None,
     );
     let channel = observe::<A, F>(
         make,
         TransportMode::Channel,
-        layout,
         edges,
         weights,
         init,
         shards,
-        adaptive,
         PlacementPolicy::None,
     );
     prop_assert_eq!(
@@ -177,6 +162,12 @@ where
     Ok(())
 }
 
+// Grid: transport (lanes is the default data plane, the channel stays as
+// its control plane and lane-full fallback, so both must compute the same
+// thing) × algorithm (BFS/SSSP/CC differ in source, weights and lattice
+// direction) × 1–4 shards (1 = self-routing only, no lane ever used), plus
+// one lattice-on case because coalesced and dominated envelopes must never
+// reach a lane unbalanced.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -185,7 +176,7 @@ proptest! {
         let edges = rmat_edges(seed);
         let source = edges[0].0;
         assert_transports_agree::<remo_algos::IncBfs, _>(
-            || remo_algos::IncBfs, StorageLayout::DenseArena, &edges, None, Some(source), shards, false)?;
+            || remo_algos::IncBfs, &edges, None, Some(source), shards)?;
     }
 
     #[test]
@@ -194,16 +185,14 @@ proptest! {
         let w = weighted(&edges);
         let source = edges[0].0;
         assert_transports_agree::<remo_algos::IncSssp, _>(
-            || remo_algos::IncSssp, StorageLayout::DenseArena, &edges, Some(&w), Some(source), shards, false)?;
+            || remo_algos::IncSssp, &edges, Some(&w), Some(source), shards)?;
     }
 
-    /// The transport choice composes with the storage layout choice: lanes
-    /// over the legacy rhh-record layout still matches the channel path.
     #[test]
-    fn cc_transports_agree_on_legacy_layout(seed in any::<u64>(), shards in 1usize..5) {
+    fn cc_transports_agree(seed in any::<u64>(), shards in 1usize..5) {
         let edges = rmat_edges(seed);
         assert_transports_agree::<remo_algos::IncCc, _>(
-            || remo_algos::IncCc, StorageLayout::RhhRecord, &edges, None, None, shards, false)?;
+            || remo_algos::IncCc, &edges, None, None, shards)?;
     }
 
     /// The lattice messaging layers compose with the lane transport: all
@@ -238,46 +227,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// The adaptive controller is a performance policy, not a semantic
-    /// one: with adaptation flipping coalescing and batch sizes mid-run,
-    /// both transports must still observe byte-identical snapshots,
-    /// fixpoints, and trigger fires vs each other.
-    #[test]
-    fn bfs_adaptive_transports_agree(seed in any::<u64>(), shards in 1usize..5) {
-        let edges = rmat_edges(seed);
-        let source = edges[0].0;
-        assert_transports_agree::<remo_algos::IncBfs, _>(
-            || remo_algos::IncBfs, StorageLayout::DenseArena, &edges, None, Some(source), shards, true)?;
-    }
-
-    /// Adaptive-on vs all-static must be observationally identical on the
-    /// SAME transport too — the controller's decisions may change how
-    /// envelopes travel, never what they compute.
-    #[test]
-    fn adaptive_is_observationally_identity(seed in any::<u64>(), shards in 1usize..5) {
-        let edges = rmat_edges(seed);
-        let w = weighted(&edges);
-        let source = edges[0].0;
-        for transport in [TransportMode::Lanes, TransportMode::Channel] {
-            let on = observe::<remo_algos::IncSssp, _>(
-                || remo_algos::IncSssp, transport, StorageLayout::DenseArena,
-                &edges, Some(&w), Some(source), shards, true, PlacementPolicy::None);
-            let off = observe::<remo_algos::IncSssp, _>(
-                || remo_algos::IncSssp, transport, StorageLayout::DenseArena,
-                &edges, Some(&w), Some(source), shards, false, PlacementPolicy::None);
-            prop_assert_eq!(&on.fixpoint, &off.fixpoint,
-                "adaptive changed the fixpoint ({:?}, P={})", transport, shards);
-            prop_assert_eq!(&on.snapshot, &off.snapshot,
-                "adaptive changed the snapshot view ({:?}, P={})", transport, shards);
-            prop_assert_eq!(&on.fires, &off.fires,
-                "adaptive changed trigger fires ({:?}, P={})", transport, shards);
-        }
-    }
-}
-
 /// The lane mesh is no longer capped at 64 shards: at 96 shards the
 /// multi-word pending-senders bitmaps must carry the mesh and the
 /// fixpoint must stay identical to the channel transport. (Plain test,
@@ -286,7 +235,7 @@ proptest! {
 /// Pinning is a physical choice exactly like the transport: Compact and
 /// Scatter placement must be observationally identical to an unpinned run
 /// — byte-identical fixpoints, snapshot views, and trigger fire sets —
-/// across transports, storage layouts, and 1–4 shards. Shard counts the
+/// across transports and 1–4 shards. Shard counts the
 /// host cannot seat on distinct cores are skipped with a note: pinning
 /// two shards to one core is legal but proves nothing extra here.
 /// (Plain test, one deterministic stream — the combo grid already runs
@@ -305,35 +254,27 @@ fn pinned_placement_is_observationally_identity() {
             );
             continue;
         }
-        for (transport, layout) in [
-            (TransportMode::Lanes, StorageLayout::DenseArena),
-            (TransportMode::Lanes, StorageLayout::RhhRecord),
-            (TransportMode::Channel, StorageLayout::DenseArena),
-        ] {
+        for transport in [TransportMode::Lanes, TransportMode::Channel] {
             let base = observe::<remo_algos::IncBfs, _>(
                 || remo_algos::IncBfs,
                 transport,
-                layout,
                 &edges,
                 None,
                 Some(source),
                 shards,
-                false,
                 PlacementPolicy::None,
             );
             for policy in [PlacementPolicy::Compact, PlacementPolicy::Scatter] {
                 let pinned = observe::<remo_algos::IncBfs, _>(
                     || remo_algos::IncBfs,
                     transport,
-                    layout,
                     &edges,
                     None,
                     Some(source),
                     shards,
-                    false,
                     policy.clone(),
                 );
-                let ctx = format!("{policy} vs none ({transport:?}, {layout:?}, P={shards})");
+                let ctx = format!("{policy} vs none ({transport:?}, P={shards})");
                 assert_eq!(pinned.fixpoint, base.fixpoint, "fixpoint diverged: {ctx}");
                 assert_eq!(pinned.snapshot, base.snapshot, "snapshot diverged: {ctx}");
                 assert_eq!(pinned.fires, base.fires, "trigger fires diverged: {ctx}");
@@ -343,23 +284,19 @@ fn pinned_placement_is_observationally_identity() {
         let base = observe::<remo_algos::IncSssp, _>(
             || remo_algos::IncSssp,
             TransportMode::Lanes,
-            StorageLayout::DenseArena,
             &edges,
             Some(&w),
             Some(source),
             shards,
-            false,
             PlacementPolicy::None,
         );
         let pinned = observe::<remo_algos::IncSssp, _>(
             || remo_algos::IncSssp,
             TransportMode::Lanes,
-            StorageLayout::DenseArena,
             &edges,
             Some(&w),
             Some(source),
             shards,
-            false,
             PlacementPolicy::Compact,
         );
         assert_eq!(
@@ -395,12 +332,10 @@ fn lanes_beyond_64_shards_match_channel() {
     let source = edges[0].0;
     assert_transports_agree::<remo_algos::IncBfs, _>(
         || remo_algos::IncBfs,
-        StorageLayout::DenseArena,
         &edges,
         None,
         Some(source),
         96,
-        false,
     )
     .unwrap();
 }

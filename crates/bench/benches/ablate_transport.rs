@@ -20,13 +20,10 @@
 //! flight recorder, the engine default) must stay within 2% wall clock of
 //! an identical run with telemetry off.
 //!
-//! The grid also carries two adaptive-controller cells (`lanes-adapt`,
-//! `channel-adapt`) whose fixpoints must stay byte-identical to the static
-//! cells, plus two raw-speed gates (with a core per shard, or
+//! The grid also carries a raw-speed gate (with a core per shard, or
 //! `REMO_BENCH_STRICT_LANES=1`): lanes must hold wall-clock parity with
 //! the channel transport per algorithm — BFS's short waves are what the
-//! engine's flush hysteresis exists for — and the all-on adaptive cell
-//! must not lose to the best static cell.
+//! engine's flush hysteresis exists for.
 //!
 //! Run: `cargo bench -p remo-bench --bench ablate_transport`
 
@@ -44,13 +41,11 @@ const SHARDS: usize = 8;
 /// asserted at `scale >= 1.0`.
 const TELEMETRY_OVERHEAD_CEILING: f64 = 1.02;
 
-/// Grid cell: display name, transport, telemetry, adaptive controller,
-/// shard placement.
+/// Grid cell: display name, transport, telemetry, shard placement.
 type GridCell = (
     &'static str,
     TransportMode,
     TelemetryConfig,
-    bool,
     PlacementPolicy,
 );
 
@@ -60,35 +55,18 @@ fn transport_grid() -> Vec<GridCell> {
             "channel",
             TransportMode::Channel,
             TelemetryConfig::default(),
-            false,
             PlacementPolicy::None,
         ),
         (
             "lanes",
             TransportMode::Lanes,
             TelemetryConfig::default(),
-            false,
             PlacementPolicy::None,
         ),
         (
             "lanes-notel",
             TransportMode::Lanes,
             TelemetryConfig::off(),
-            false,
-            PlacementPolicy::None,
-        ),
-        (
-            "lanes-adapt",
-            TransportMode::Lanes,
-            TelemetryConfig::default(),
-            true,
-            PlacementPolicy::None,
-        ),
-        (
-            "channel-adapt",
-            TransportMode::Channel,
-            TelemetryConfig::default(),
-            true,
             PlacementPolicy::None,
         ),
         // Placement cells ride at the end so the gate indices above stay
@@ -97,14 +75,12 @@ fn transport_grid() -> Vec<GridCell> {
             "lanes-compact",
             TransportMode::Lanes,
             TelemetryConfig::default(),
-            false,
             PlacementPolicy::Compact,
         ),
         (
             "lanes-scatter",
             TransportMode::Lanes,
             TelemetryConfig::default(),
-            false,
             PlacementPolicy::Scatter,
         ),
     ]
@@ -113,20 +89,14 @@ fn transport_grid() -> Vec<GridCell> {
 fn config(
     transport: TransportMode,
     telemetry: TelemetryConfig,
-    adaptive: bool,
     placement: PlacementPolicy,
     expected_vertices: usize,
 ) -> EngineConfig {
-    let cfg = EngineConfig::undirected(SHARDS)
+    EngineConfig::undirected(SHARDS)
         .with_transport(transport)
         .with_telemetry(telemetry)
         .with_placement(placement)
-        .with_expected_vertices(expected_vertices);
-    if adaptive {
-        cfg.with_adaptive()
-    } else {
-        cfg
-    }
+        .with_expected_vertices(expected_vertices)
 }
 
 /// Weight derived from the endpoints only (symmetric), so duplicate and
@@ -142,7 +112,6 @@ struct Cell {
     batches_recycled: u64,
     lane_full_fallbacks: u64,
     unparks: u64,
-    adaptive_decisions: u64,
     states: Vec<(VertexId, u64)>,
 }
 
@@ -151,14 +120,13 @@ fn run_once(
     algo_name: &str,
     transport: TransportMode,
     telemetry: TelemetryConfig,
-    adaptive: bool,
     placement: PlacementPolicy,
     expected_vertices: usize,
     edges: &[(VertexId, VertexId)],
     weighted: &[(VertexId, VertexId, Weight)],
     source: VertexId,
 ) -> Cell {
-    let cfg = config(transport, telemetry, adaptive, placement, expected_vertices);
+    let cfg = config(transport, telemetry, placement, expected_vertices);
     let run = match algo_name {
         "BFS" => timed_run_with(IncBfs, cfg, edges, &[source]),
         _ => timed_run_weighted_with(IncSssp, cfg, weighted, &[source]),
@@ -171,7 +139,6 @@ fn run_once(
         batches_recycled: total.batches_recycled,
         lane_full_fallbacks: total.lane_full_fallbacks,
         unparks: total.unparks,
-        adaptive_decisions: total.adaptive_decisions,
         states: run.result.states.into_vec(),
     }
 }
@@ -189,12 +156,11 @@ fn measure_grid(
 ) -> Vec<Cell> {
     let mut cells: Vec<Option<Cell>> = grid.iter().map(|_| None).collect();
     for _ in 0..bench_reps() {
-        for (slot, (_, transport, telemetry, adaptive, placement)) in cells.iter_mut().zip(grid) {
+        for (slot, (_, transport, telemetry, placement)) in cells.iter_mut().zip(grid) {
             let mut cell = run_once(
                 algo_name,
                 *transport,
                 telemetry.clone(),
-                *adaptive,
                 placement.clone(),
                 expected_vertices,
                 edges,
@@ -259,7 +225,7 @@ fn main() {
                  shards; wall deltas would measure the scheduler)"
             );
         }
-        // Raw-speed gates, same scheduler caveat as the telemetry gate:
+        // Raw-speed gate, same scheduler caveat as the telemetry gate:
         // only meaningful with a core per shard (force with
         // `REMO_BENCH_STRICT_LANES=1`).
         let strict_lanes = std::env::var("REMO_BENCH_STRICT_LANES").as_deref() == Ok("1");
@@ -275,24 +241,10 @@ fn main() {
                 "{algo}: lanes {:.1}% slower than channel (parity gate)",
                 100.0 * (ratio - 1.0)
             );
-            // The all-on adaptive cell must not lose to the best static
-            // cell: adaptation has to pay for itself per algorithm.
-            let adapt = &cells[3];
-            let best_static = cells[..3]
-                .iter()
-                .map(|c| c.elapsed)
-                .min()
-                .expect("static cells");
-            let ratio = adapt.elapsed.as_secs_f64() / best_static.as_secs_f64().max(1e-9);
-            assert!(
-                ratio <= 1.03,
-                "{algo}: adaptive cell {:.1}% slower than best static cell",
-                100.0 * (ratio - 1.0)
-            );
             // Placement gate: with a core per shard, pinning shards to
             // cores (compact) must hold parity with the unpinned lanes
             // cell — placement has to pay for its affinity claim.
-            let compact = &cells[5];
+            let compact = &cells[3];
             let ratio = compact.elapsed.as_secs_f64() / lanes.elapsed.as_secs_f64().max(1e-9);
             assert!(
                 ratio <= 1.02,
@@ -300,7 +252,7 @@ fn main() {
                 100.0 * (ratio - 1.0)
             );
         }
-        for ((transport, mode, telemetry, adaptive, placement), cell) in grid.iter().zip(&cells) {
+        for ((transport, mode, telemetry, placement), cell) in grid.iter().zip(&cells) {
             assert_eq!(
                 base.states, cell.states,
                 "{algo}/{transport}: fixpoint diverged across transports"
@@ -347,7 +299,6 @@ fn main() {
                 algo.to_string(),
                 transport.to_string(),
                 if telemetry.counters { "on" } else { "off" }.to_string(),
-                if *adaptive { "on" } else { "off" }.to_string(),
                 placement.to_string(),
                 fmt_dur(cell.elapsed),
                 wall_delta,
@@ -356,7 +307,6 @@ fn main() {
                 recycle_rate,
                 cell.lane_full_fallbacks.to_string(),
                 cell.unparks.to_string(),
-                cell.adaptive_decisions.to_string(),
             ]);
         }
     }
@@ -371,7 +321,6 @@ fn main() {
             "Algo",
             "Transport",
             "Telemetry",
-            "Adapt",
             "Placement",
             "Wall",
             "dWall",
@@ -380,7 +329,6 @@ fn main() {
             "Recycle",
             "Fallb",
             "Unparks",
-            "Decisions",
         ],
         &rows,
     );

@@ -121,7 +121,6 @@ fn row<S>(
         format!("{p50:.0}"),
         format!("{p99:.0}"),
         format!("{p999:.0}"),
-        t.adaptive_decisions.to_string(),
         t.lane_cross_node_batches.to_string(),
     ]
 }
@@ -162,9 +161,7 @@ fn main() {
         ($label:expr, $make:expr, $init:expr, $weighted:expr) => {{
             let mut reference: Option<Vec<(Vid, _)>> = None;
             for placement in &placements {
-                let config = EngineConfig::undirected(shards)
-                    .with_adaptive()
-                    .with_placement(placement.clone());
+                let config = EngineConfig::undirected(shards).with_placement(placement.clone());
                 let engine = Engine::new($make, config);
                 if let Some(v) = $init {
                     engine.try_init_vertex(v).unwrap();
@@ -191,7 +188,7 @@ fn main() {
 
     report(
         "sustained_ingest",
-        "Sustained ingest: RMAT delta waves to fixpoint (adaptive on)",
+        "Sustained ingest: RMAT delta waves to fixpoint",
         &[
             "algo",
             "placement",
@@ -204,7 +201,6 @@ fn main() {
             "fixpoint_p50_us",
             "fixpoint_p99_us",
             "fixpoint_p999_us",
-            "adaptive_decisions",
             "cross_node_batches",
         ],
         &rows,

@@ -36,44 +36,28 @@ pub fn note_service(h: &LatencyHistogram) {
         .merge(h);
 }
 
-/// Process-wide ingest + adaptive-controller totals across every timed run
-/// of a bench invocation. `json_table` derives the sustained
-/// `updates_per_sec` (topology updates / timed wall-clock) and surfaces the
-/// adaptive decision counters, so a committed artifact shows both how fast
-/// the stream went in and what the controller did while it ran.
+/// Process-wide ingest totals across every timed run of a bench
+/// invocation. `json_table` derives the sustained `updates_per_sec`
+/// (topology updates / timed wall-clock), so a committed artifact shows
+/// how fast the stream went in.
 #[derive(Debug, Default, Clone, Copy)]
 struct IngestTotals {
     updates: u64,
     wall_secs: f64,
-    adaptive_decisions: u64,
-    adaptive_coalesce_on: u64,
-    adaptive_coalesce_off: u64,
-    adaptive_batch_grow: u64,
-    adaptive_batch_shrink: u64,
 }
 
 static INGEST_TOTALS: Mutex<IngestTotals> = Mutex::new(IngestTotals {
     updates: 0,
     wall_secs: 0.0,
-    adaptive_decisions: 0,
-    adaptive_coalesce_on: 0,
-    adaptive_coalesce_off: 0,
-    adaptive_batch_grow: 0,
-    adaptive_batch_shrink: 0,
 });
 
-/// Folds one run's ingest volume and adaptive counters into the
+/// Folds one run's ingest volume into the
 /// process-wide accumulator. Called by every `timed_run*` helper; benches
 /// driving engines by hand can call it themselves.
 pub fn note_ingest(elapsed: Duration, totals: &remo_core::ShardMetrics) {
     let mut t = INGEST_TOTALS.lock().unwrap_or_else(|p| p.into_inner());
     t.updates += totals.topo_ingested;
     t.wall_secs += elapsed.as_secs_f64();
-    t.adaptive_decisions += totals.adaptive_decisions;
-    t.adaptive_coalesce_on += totals.adaptive_coalesce_on;
-    t.adaptive_coalesce_off += totals.adaptive_coalesce_off;
-    t.adaptive_batch_grow += totals.adaptive_batch_grow;
-    t.adaptive_batch_shrink += totals.adaptive_batch_shrink;
 }
 
 /// The accumulated service-time histogram so far.
@@ -419,8 +403,7 @@ pub fn json_table(name: &str, header: &[&str], rows: &[Vec<String>]) -> String {
         service.count, p50, p99, p999
     ));
     // Sustained topology-update rate over every timed run of this bench
-    // process, plus what the adaptive controller decided along the way
-    // (all zeros when no timed runs happened or adaptation was off).
+    // process (zero when no timed runs happened).
     let t = *INGEST_TOTALS.lock().unwrap_or_else(|p| p.into_inner());
     let ups = if t.wall_secs > 1e-9 {
         t.updates as f64 / t.wall_secs
@@ -428,14 +411,6 @@ pub fn json_table(name: &str, header: &[&str], rows: &[Vec<String>]) -> String {
         0.0
     };
     out.push_str(&format!("  \"updates_per_sec\": {ups:.3},\n"));
-    out.push_str(&format!(
-        "  \"adaptive\": {{\"decisions\": {}, \"coalesce_on\": {}, \"coalesce_off\": {}, \"batch_grow\": {}, \"batch_shrink\": {}}},\n",
-        t.adaptive_decisions,
-        t.adaptive_coalesce_on,
-        t.adaptive_coalesce_off,
-        t.adaptive_batch_grow,
-        t.adaptive_batch_shrink
-    ));
     out.push_str("  \"rows\": [\n");
     for (r, row) in rows.iter().enumerate() {
         out.push_str("    {");
@@ -538,19 +513,14 @@ mod tests {
     }
 
     #[test]
-    fn json_table_carries_updates_rate_and_adaptive_counters() {
+    fn json_table_carries_updates_rate() {
         let totals = remo_core::ShardMetrics {
             topo_ingested: 100,
-            adaptive_decisions: 4,
-            adaptive_coalesce_on: 1,
             ..Default::default()
         };
         note_ingest(Duration::from_millis(50), &totals);
         let j = json_table("t", &["a"], &[vec!["1".to_string()]]);
         assert!(j.contains("\"updates_per_sec\": "));
-        assert!(j.contains("\"adaptive\": {\"decisions\": "));
-        assert!(j.contains("\"coalesce_on\": "));
-        assert!(j.contains("\"batch_shrink\": "));
     }
 
     #[test]

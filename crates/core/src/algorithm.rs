@@ -10,7 +10,7 @@
 //! hidden by the supporting framework."
 //!
 //! The context is a trait (rather than the concrete [`EventCtx`]) so that
-//! algorithms compose: [`crate::compose::Pair`] runs two algorithms
+//! algorithms compose: [`crate::registry::QueryRegistry`] runs N algorithms
 //! simultaneously over one topology by projecting the context — the paper's
 //! "multiple algorithms can be executed simultaneously on the same
 //! underlying dynamic data structure" vision (§I), which its prototype left
@@ -35,13 +35,6 @@ pub trait Algorithm: Send + Sync + 'static {
     /// Vertex-local state (`this.value`). `Default` must be the lattice
     /// bottom: the state of a vertex that has seen no events.
     type State: Clone + Default + Send + PartialEq + std::fmt::Debug + 'static;
-
-    /// How many [`Pair`](crate::compose::Pair) levels wrap this algorithm
-    /// (0 for a leaf). `Pair` uses it to warn once when tuple nesting gets
-    /// deep enough that the [`registry`](crate::registry) is the better
-    /// tool.
-    #[doc(hidden)]
-    const COMPOSE_DEPTH: usize = 0;
 
     /// Called when an `Init` event reaches a vertex (e.g. the BFS source).
     fn init(&self, _ctx: &mut impl AlgoCtx<Self::State>) {}
@@ -223,7 +216,7 @@ pub mod codec {
 
 /// Callback context: the visited vertex's state, adjacency, and propagation
 /// primitives. Implemented by the engine's [`EventCtx`] and by the
-/// projections of [`crate::compose::Pair`].
+/// projections of [`crate::registry::QueryRegistry`].
 pub trait AlgoCtx<S: Clone> {
     /// The vertex being visited.
     fn vertex(&self) -> VertexId;

@@ -36,9 +36,8 @@ use crate::event::{ControlAck, ControlOp, Envelope, EventKind, TopoEvent};
 use crate::metrics::RunMetrics;
 use crate::partition::Partitioner;
 use crate::placement::{self, PlacementPlan};
-use crate::shard::{EngineConfig, Message, ShardReport, ShardWorker, StorageLayout};
+use crate::shard::{EngineConfig, Message, ShardReport, ShardWorker};
 use crate::snapshot::Snapshot;
-use crate::storage::{DenseStore, LegacyStore, ShardStore};
 use crate::supervision::{EngineError, FailureBoard, ShardFailure};
 use crate::telemetry::{TelemetryHub, TelemetryShared};
 use crate::termination::{Backoff, Deadline, DetectionTimer, SharedCounters};
@@ -172,41 +171,25 @@ impl<A: Algorithm> EngineBuilder<A> {
 
         let mut handles = Vec::with_capacity(shards);
         for (id, (_, rx)) in channels.into_iter().enumerate() {
-            // The storage layout is a per-engine choice; each arm
-            // monomorphizes the whole shard loop for its store, so the
-            // hot path carries no dynamic dispatch.
-            let handle = match config.storage {
-                StorageLayout::DenseArena => spawn_shard::<A, DenseStore<A::State>>(
-                    id,
-                    Arc::clone(&algo),
-                    config.clone(),
-                    rx,
-                    senders.clone(),
-                    Arc::clone(&shared),
-                    Arc::clone(&board),
-                    Arc::clone(&triggers),
-                    trigger_tx.clone(),
-                    quiesce_tx.clone(),
-                    lanes.clone(),
-                    Arc::clone(&plan),
-                    Arc::clone(&tele),
-                ),
-                StorageLayout::RhhRecord => spawn_shard::<A, LegacyStore<A::State>>(
-                    id,
-                    Arc::clone(&algo),
-                    config.clone(),
-                    rx,
-                    senders.clone(),
-                    Arc::clone(&shared),
-                    Arc::clone(&board),
-                    Arc::clone(&triggers),
-                    trigger_tx.clone(),
-                    quiesce_tx.clone(),
-                    lanes.clone(),
-                    Arc::clone(&plan),
-                    Arc::clone(&tele),
-                ),
-            };
+            let worker = ShardWorker::new(
+                id,
+                Arc::clone(&algo),
+                config.clone(),
+                rx,
+                senders.clone(),
+                Arc::clone(&shared),
+                Arc::clone(&board),
+                Arc::clone(&triggers),
+                trigger_tx.clone(),
+                quiesce_tx.clone(),
+                lanes.clone(),
+                Arc::clone(&plan),
+                Arc::clone(&tele),
+            );
+            let handle = std::thread::Builder::new()
+                .name(format!("remo-shard-{id}"))
+                .spawn(move || worker.run_supervised())
+                .expect("failed to spawn shard thread");
             handles.push(handle);
         }
 
@@ -223,41 +206,6 @@ impl<A: Algorithm> EngineBuilder<A> {
             config,
         }
     }
-}
-
-/// Spawns one shard thread monomorphized over its storage layout. The
-/// join handle type is layout-independent (`ShardReport` carries a plain
-/// [`remo_store::VertexTable`]), which is what lets [`Engine`] stay
-/// non-generic over storage.
-// Thread-spawn failure is unrecoverable resource exhaustion at startup.
-#[allow(clippy::too_many_arguments, clippy::expect_used)]
-fn spawn_shard<A, St>(
-    id: usize,
-    algo: Arc<A>,
-    config: EngineConfig,
-    rx: Receiver<Message<A::State>>,
-    senders: Vec<Sender<Message<A::State>>>,
-    shared: Arc<SharedCounters>,
-    board: Arc<FailureBoard>,
-    triggers: Arc<Vec<TriggerDef<A::State>>>,
-    trigger_tx: Sender<TriggerFire>,
-    quiesce_tx: Sender<()>,
-    lanes: Option<LaneHandles<A::State>>,
-    plan: Arc<PlacementPlan>,
-    tele: Arc<TelemetryShared>,
-) -> JoinHandle<Option<ShardReport<A::State>>>
-where
-    A: Algorithm,
-    St: ShardStore<A::State>,
-{
-    let worker: ShardWorker<A, St> = ShardWorker::new(
-        id, algo, config, rx, senders, shared, board, triggers, trigger_tx, quiesce_tx, lanes,
-        plan, tele,
-    );
-    std::thread::Builder::new()
-        .name(format!("remo-shard-{id}"))
-        .spawn(move || worker.run_supervised())
-        .expect("failed to spawn shard thread")
 }
 
 /// Final results of a run.

@@ -17,10 +17,9 @@
 //!   lane mesh moves batches over lock-free SPSC rings with pooled buffer
 //!   recycling and event-driven parking; the seed's MPMC channel path
 //!   remains selectable for differential testing.
-//! - Shard-local vertex storage is pluggable ([`storage`]): the default
-//!   dense arena interns vertex ids once per event and direct-indexes
-//!   structure-of-arrays slabs thereafter; the seed's record-per-slot
-//!   Robin Hood map remains selectable for differential testing.
+//! - Shard-local vertex storage ([`storage`]) is a dense arena: it
+//!   interns vertex ids once per event and direct-indexes a record slab
+//!   thereafter.
 //! - Topology events (`[src, dst]` pairs) arrive over per-shard in-order
 //!   streams; events on different streams are concurrent ([`event`]).
 //! - Algorithms are sets of callbacks over events ([`algorithm`]:
@@ -83,9 +82,7 @@
 //! assert_eq!(result.states.get(1), Some(&2)); // vertex 1 has degree 2
 //! ```
 
-pub mod adaptive;
 pub mod algorithm;
-pub mod compose;
 pub mod engine;
 pub mod event;
 pub mod metrics;
@@ -105,9 +102,7 @@ pub mod trigger;
 pub mod vertex_state;
 pub mod wal;
 
-pub use adaptive::AdaptiveConfig;
 pub use algorithm::{AlgoCtx, Algorithm, EventCtx, Outgoing};
-pub use compose::Pair;
 pub use engine::{Engine, EngineBuilder, RunResult};
 pub use event::{
     events_from_pairs, events_from_weighted, ControlAck, ControlKind, ControlOp, Envelope, Epoch,
@@ -120,7 +115,6 @@ pub use registry::{Cell, QueryId, QueryRegistry, QueryStats, RegPayload, MAX_QUE
 pub use sequential::SequentialEngine;
 pub use shard::{EngineConfig, LatticeConfig};
 pub use snapshot::Snapshot;
-pub use storage::StorageLayout;
 pub use supervision::{EngineError, FailureBoard, FaultPlan, ShardFailure, CHAOS_PANIC_MARKER};
 pub use telemetry::{
     EngineGauges, FlightEntry, FlightTag, QueryStatsRow, QueryStatsSource, TelemetryConfig,

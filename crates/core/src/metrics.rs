@@ -154,21 +154,6 @@ shard_metrics! {
     /// this never delays quiescence — buffered envelopes are already
     /// counted sent.
     flush_deferrals,
-    /// Decision windows the adaptive data-path controller evaluated
-    /// (including windows that changed nothing). 0 when adaptation is off.
-    adaptive_decisions,
-    /// Adaptive decisions that switched sender-side coalescing ON for this
-    /// shard (observed redundancy crossed the enable threshold).
-    adaptive_coalesce_on,
-    /// Adaptive decisions that switched sender-side coalescing OFF (the
-    /// measured coalesce hit-rate no longer paid for the staging cost).
-    adaptive_coalesce_off,
-    /// Adaptive decisions that grew this shard's effective envelope batch
-    /// (batches were shipping full — amortize more per flush/wake).
-    adaptive_batch_grow,
-    /// Adaptive decisions that shrank this shard's effective envelope
-    /// batch (batches shipped mostly empty at idle — flush sooner).
-    adaptive_batch_shrink,
     /// Lane batches this shard shipped to a shard seated on a *different*
     /// NUMA node (placement telemetry: compact placement should drive
     /// this toward 0, scatter toward `(nodes-1)/nodes` of
@@ -193,8 +178,8 @@ shard_metrics! {
     /// Nanoseconds spent servicing envelopes and ingesting topology
     /// (callback dispatch, routing, dominance filtering).
     phase_process_ns,
-    /// Nanoseconds spent flushing outgoing batches, running the adaptive
-    /// controller tick, and publishing telemetry.
+    /// Nanoseconds spent flushing outgoing batches and publishing
+    /// telemetry.
     phase_flush_ns,
     /// Nanoseconds a pinned shard spent in its bounded pre-park spin and
     /// in flush-hysteresis yields.

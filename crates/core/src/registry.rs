@@ -1,16 +1,16 @@
 //! Multi-query registry: N live algorithms over one topology for ~1× cost.
 //!
 //! The paper's §I vision — "multiple algorithms can be executed
-//! simultaneously on the same underlying dynamic data structure" — is
-//! realised statically by [`crate::compose::Pair`]: two algorithms fused at
-//! compile time into one tuple state. Pair has two structural costs that
-//! grow with the number of co-resident queries:
+//! simultaneously on the same underlying dynamic data structure" — could
+//! be realised statically, by fusing the algorithms at compile time into
+//! one tuple state. A tuple has two structural costs that grow with the
+//! number of co-resident queries:
 //!
 //! 1. **Tuple fan-out.** Every `update_nbrs` of *either* component sends
 //!    the *whole* tuple, so a change in one query ships (and re-applies)
 //!    every other query's unchanged state — O(total state) per envelope.
 //! 2. **Static shape.** Adding or removing a query means a different
-//!    `Pair<..>` type: stop the engine, rebuild, re-ingest the stream.
+//!    tuple type: stop the engine, rebuild, re-ingest the stream.
 //!
 //! A [`QueryRegistry`] replaces the tuple with a *column store*: each
 //! vertex's state is a `Vec` of per-query cells ([`RegPayload::Columns`]),
@@ -115,7 +115,7 @@ impl Cell for u64 {
 /// lazily grown). Propagation envelopes are `Delta`s: the one changed cell,
 /// tagged with its slot and attach generation, carrying the owning query's
 /// join/priority functions so the engine's lattice machinery composes per
-/// query. This is the structural win over [`crate::compose::Pair`], whose
+/// query. This is the structural win over a fused tuple state, whose
 /// envelopes carry the whole tuple.
 #[derive(Clone, Debug)]
 pub enum RegPayload<C: Cell> {
@@ -829,7 +829,7 @@ impl<C: Cell> QueryRegistry<C> {
         } = value
         {
             // A delta feeds exactly its own query — the structural win
-            // over Pair's whole-tuple fan-out.
+            // over a fused tuple's whole-state fan-out.
             debug_assert!(matches!(which, TopoCb::Update), "deltas only travel as updates");
             let idx = *slot as usize;
             if primed & (1u64 << idx) == 0 {

@@ -27,13 +27,12 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use remo_store::{Adjacency, EdgeMeta, VertexId, VertexTable};
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveController};
 use crate::algorithm::{AlgoCtx, Algorithm, EventCtx, Outgoing};
 use crate::event::{ControlAck, ControlKind, ControlOp, Envelope, Epoch, EventKind, TopoEvent};
 use crate::metrics::ShardMetrics;
 use crate::partition::Partitioner;
 use crate::placement::{self, PlacementPlan, PlacementPolicy, ShardSeat};
-use crate::storage::ShardStore;
+use crate::storage::DenseStore;
 use crate::supervision::{
     panic_payload_string, FailureBoard, FaultPlan, ShardFailure, CHAOS_PANIC_MARKER,
 };
@@ -45,7 +44,6 @@ use crate::trigger::{TriggerDef, TriggerFire};
 use crate::vertex_state::{VertexMeta, VertexState};
 use crate::wal::{self, DurabilityConfig, RawRecord, ShardWal};
 
-pub use crate::storage::StorageLayout;
 pub use crate::transport::TransportMode;
 
 /// Coalescing identity of a pending `Update`: merging is only sound between
@@ -269,21 +267,11 @@ pub struct EngineConfig {
     pub flush_hysteresis: u32,
     /// Lattice-aware messaging layers (all off = exact FIFO behaviour).
     pub lattice: LatticeConfig,
-    /// Adaptive data-path controller ([`crate::adaptive`]): per-shard
-    /// feedback over the telemetry counters that auto-enables/disables
-    /// sender-side coalescing and adapts the effective envelope batch at
-    /// epoch/idle boundaries. Off by default (the static knobs rule);
-    /// never changes results, only wall time.
-    pub adaptive: AdaptiveConfig,
     /// Capacity hint: expected total vertex count across the whole graph
     /// (0 = unknown, start empty). Each shard pre-sizes its vertex store
     /// for its share, so large ingests stop paying rehash storms from
     /// empty tables. Benches set this from the known RMAT scale.
     pub expected_vertices: usize,
-    /// Physical vertex-storage layout per shard (dense slabs by default;
-    /// the seed's record map remains selectable for differential testing
-    /// and the store ablation).
-    pub storage: StorageLayout,
     /// Data-plane transport between shards: the SPSC lane mesh with
     /// pooled batch buffers and event-driven parking (default), or the
     /// seed's per-shard MPMC channel, kept selectable for differential
@@ -335,9 +323,7 @@ impl EngineConfig {
             envelope_batch: 256,
             flush_hysteresis: 32,
             lattice: LatticeConfig::default(),
-            adaptive: AdaptiveConfig::default(),
             expected_vertices: 0,
-            storage: StorageLayout::default(),
             transport: TransportMode::default(),
             telemetry: TelemetryConfig::default(),
             trace: TraceConfig::off(),
@@ -360,23 +346,10 @@ impl EngineConfig {
         self
     }
 
-    /// Same config with the adaptive data-path controller enabled at its
-    /// default tuning (see [`AdaptiveConfig`]).
-    pub fn with_adaptive(mut self) -> Self {
-        self.adaptive = AdaptiveConfig::on();
-        self
-    }
-
     /// Same config with a different lane flush hysteresis (0 = flush
     /// partial batches immediately at idle, the pre-hysteresis behaviour).
     pub fn with_flush_hysteresis(mut self, passes: u32) -> Self {
         self.flush_hysteresis = passes;
-        self
-    }
-
-    /// Same config with a different vertex-storage layout.
-    pub fn with_storage(mut self, layout: StorageLayout) -> Self {
-        self.storage = layout;
         self
     }
 
@@ -440,15 +413,15 @@ pub(crate) struct ShardReport<S> {
     pub num_edges: u64,
     pub adjacency_bytes: usize,
     /// Approximate total heap footprint of the shard's vertex store
-    /// (index + state/meta slabs or records + adjacency + forks).
+    /// (index + state/meta slab + adjacency + forks).
     pub store_bytes: usize,
     /// The shard's vertex table (dynamic store), for post-run static
     /// algorithms over the dynamic structure (paper Fig. 3 centre bar).
-    /// The dense layout converts into this record form at report time.
+    /// The dense store converts into this record form at report time.
     pub table: VertexTable<VertexState<S>>,
 }
 
-pub(crate) struct ShardWorker<A: Algorithm, St: ShardStore<A::State>> {
+pub(crate) struct ShardWorker<A: Algorithm> {
     id: usize,
     algo: Arc<A>,
     config: EngineConfig,
@@ -464,7 +437,7 @@ pub(crate) struct ShardWorker<A: Algorithm, St: ShardStore<A::State>> {
     /// True iff `config.fault_plan` targets this shard — precomputed so the
     /// fault-free data path pays one predictable branch, not a plan scan.
     fault_armed: bool,
-    store: St,
+    store: DenseStore<A::State>,
     /// Envelopes this shard sent to itself: bypass the channel, preserve
     /// FIFO (a local queue is trivially in-order per sender).
     local_q: VecDeque<Envelope<A::State>>,
@@ -530,13 +503,6 @@ pub(crate) struct ShardWorker<A: Algorithm, St: ShardStore<A::State>> {
     /// idle episode (bounded by `config.flush_hysteresis`; reset whenever
     /// work arrives or the flush finally happens).
     idle_spins: u32,
-    /// Effective per-destination batch threshold: starts at
-    /// `config.envelope_batch`; the adaptive controller halves/doubles it
-    /// within its configured bounds.
-    eff_batch: usize,
-    /// Adaptive data-path controller (`None` when `config.adaptive` is
-    /// disabled — the static-knob path pays one predictable branch).
-    adaptive: Option<AdaptiveController>,
     /// Local monotone counters, published to this shard's [`ShardSlots`].
     sent_local: [u64; 2],
     processed_local: [u64; 2],
@@ -652,7 +618,7 @@ struct PhaseWindow {
     run: PhaseLabel,
 }
 
-impl<A: Algorithm, St: ShardStore<A::State>> ShardWorker<A, St> {
+impl<A: Algorithm> ShardWorker<A> {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: usize,
@@ -688,11 +654,6 @@ impl<A: Algorithm, St: ShardStore<A::State>> ShardWorker<A, St> {
         let lattice = config.lattice;
         let lattice_on = lattice.coalesce || lattice.priority;
         let durable = config.durability.is_some();
-        let eff_batch = config.envelope_batch;
-        let adaptive = config
-            .adaptive
-            .enabled
-            .then(|| AdaptiveController::new(config.adaptive.clone()));
         // Per-shard share of the capacity hint, with 1/8 headroom for the
         // hash partitioner's imbalance (0 stays 0: start empty).
         let shard_cap = config.expected_vertices.div_ceil(num_shards);
@@ -710,7 +671,7 @@ impl<A: Algorithm, St: ShardStore<A::State>> ShardWorker<A, St> {
             trigger_tx,
             quiesce_tx,
             fault_armed,
-            store: St::with_capacity(shard_cap),
+            store: DenseStore::with_capacity(shard_cap),
             local_q: VecDeque::new(),
             streams: VecDeque::new(),
             out: Vec::new(),
@@ -736,8 +697,6 @@ impl<A: Algorithm, St: ShardStore<A::State>> ShardWorker<A, St> {
             fallback_sent: vec![0; num_shards],
             claim_buf: Vec::new(),
             idle_spins: 0,
-            eff_batch,
-            adaptive,
             sent_local: [0; 2],
             processed_local: [0; 2],
             ingested_local: 0,
@@ -1057,10 +1016,6 @@ impl<A: Algorithm, St: ShardStore<A::State>> ShardWorker<A, St> {
                     );
                 }
                 self.cur_epoch = epoch;
-                // Epoch boundaries are decision boundaries: the local
-                // backlog is drained (phase 1 just came up empty), so a
-                // knob flip cannot split one wave across two policies.
-                self.adaptive_tick();
             }
 
             // Phase 3: pull one topology event, if any.
@@ -1141,7 +1096,6 @@ impl<A: Algorithm, St: ShardStore<A::State>> ShardWorker<A, St> {
             // transport, timeout poll otherwise).
             self.phase_mark(&mut seg, PhaseLabel::Flush);
             self.flush_all();
-            self.adaptive_tick();
             if self.tele_counters {
                 self.publish_telemetry();
             }
@@ -2152,46 +2106,8 @@ impl<A: Algorithm, St: ShardStore<A::State>> ShardWorker<A, St> {
             self.outbox_index[owner].insert(key, self.outboxes[owner].len());
         }
         self.outboxes[owner].push(env);
-        if self.outboxes[owner].len() >= self.eff_batch {
+        if self.outboxes[owner].len() >= self.config.envelope_batch {
             self.flush(owner);
-        }
-    }
-
-    /// One adaptive decision boundary (no-op without a controller). The
-    /// controller judges the window since its last decision from this
-    /// shard's own counters and may flip sender-side coalescing or resize
-    /// the effective batch — both identity-preserving (see
-    /// [`crate::adaptive`]); envelopes already staged under the old policy
-    /// drain normally. Every decision moves the `adaptive_*` counters, so
-    /// the exporters and the bench JSON can show what the controller did.
-    fn adaptive_tick(&mut self) {
-        let Some(mut ctl) = self.adaptive.take() else {
-            return;
-        };
-        let decision = ctl.decide(&self.metrics, self.lattice.coalesce, self.eff_batch);
-        self.adaptive = Some(ctl);
-        let Some(d) = decision else {
-            return;
-        };
-        self.metrics.adaptive_decisions += 1;
-        if let Some(on) = d.coalesce {
-            if on != self.lattice.coalesce {
-                self.lattice.coalesce = on;
-                self.lattice_on = self.lattice.coalesce || self.lattice.priority;
-                if on {
-                    self.metrics.adaptive_coalesce_on += 1;
-                } else {
-                    self.metrics.adaptive_coalesce_off += 1;
-                }
-            }
-        }
-        if let Some(batch) = d.batch {
-            if batch > self.eff_batch {
-                self.metrics.adaptive_batch_grow += 1;
-            } else if batch < self.eff_batch {
-                self.metrics.adaptive_batch_shrink += 1;
-            }
-            self.eff_batch = batch.max(1);
         }
     }
 
@@ -2510,8 +2426,8 @@ impl<A: Algorithm, St: ShardStore<A::State>> ShardWorker<A, St> {
         self.write_checkpoint();
     }
 
-    /// Serializes the store (both layouts stream through
-    /// [`ShardStore::export_records`]) plus the small scalar tail.
+    /// Serializes the store (streamed through
+    /// [`DenseStore::export_records`]) plus the small scalar tail.
     fn encode_checkpoint(&self) -> Vec<u8> {
         use crate::wal::{put_bytes, put_u32, put_u64};
         let mut body = Vec::with_capacity(64 + self.store.num_vertices() * 48);
@@ -2640,7 +2556,7 @@ impl<A: Algorithm, St: ShardStore<A::State>> ShardWorker<A, St> {
             .expected_vertices
             .div_ceil(self.config.num_shards);
         let shard_cap = shard_cap + shard_cap / 8;
-        self.store = St::with_capacity(shard_cap);
+        self.store = DenseStore::with_capacity(shard_cap);
         self.edges = 0;
         let body = match wal::read_checkpoint(root, self.id) {
             Ok(b) => b,
@@ -2960,7 +2876,6 @@ impl<A: Algorithm, St: ShardStore<A::State>> ShardWorker<A, St> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::DenseStore;
     use crate::transport::LaneHandles;
     use crossbeam::channel::unbounded;
 
@@ -2971,7 +2886,7 @@ mod tests {
     }
 
     struct Fixture {
-        worker: ShardWorker<Noop, DenseStore<u64>>,
+        worker: ShardWorker<Noop>,
         shared: Arc<SharedCounters>,
         board: Arc<FailureBoard>,
         /// Shard 1's inbound channel: dropping it simulates the receiver

@@ -1,29 +1,17 @@
-//! Shard storage layouts: how a shard physically holds its vertices.
+//! Shard storage: how a shard physically holds its vertices.
 //!
-//! The shard event loop is written against `ShardStore`, a minimal
-//! interface with two implementations:
+//! `DenseStore` is an interning table (`RhhMap<VertexId, u32>`, one probe
+//! per event) in front of a record slab — each entry a packed
+//! `(state, meta-word)` pair (`HotVertex`) contiguous with its
+//! `Adjacency` — plus a **cold side map** `LocalIdx -> S` for snapshot
+//! forks. Forks exist only while a snapshot is draining, so `Option<S>`
+//! does not pad every hot record; the hot working set per event is one
+//! contiguous `size_of::<S>() + 8 + 40`-byte slab record.
 //!
-//! - `DenseStore` (the default, [`StorageLayout::DenseArena`]): an
-//!   interning table (`RhhMap<VertexId, u32>`, one probe per event) in
-//!   front of a record slab — each entry a packed `(state, meta-word)`
-//!   pair (`HotVertex`) contiguous with its `Adjacency` — plus a
-//!   **cold side map** `LocalIdx -> S` for snapshot forks. Forks exist
-//!   only while a snapshot is draining, so `Option<S>` no longer pads
-//!   every hot record; the hot working set per event is one contiguous
-//!   `size_of::<S>() + 8 + 40`-byte slab record.
-//! - `LegacyStore` ([`StorageLayout::RhhRecord`]): the seed layout — one
-//!   `RhhMap<VertexId, VertexRecord<VertexState<S>>>` with state, fork,
-//!   meta, and adjacency interleaved per record. Kept as a runtime-
-//!   selectable layout (not a cfg) so differential tests and the
-//!   `ablate_store` bench can run both layouts in one process and assert
-//!   byte-identical fixpoints.
-//!
-//! A `ShardStore::Handle` is the layout's name for a vertex *within one
-//! event*: the dense layout's handle is the stable [`LocalIdx`]; the
-//! legacy layout's is the transient Robin Hood slot index, valid only
-//! until the next vertex-set mutation. The shard loop interns once per
-//! envelope and performs every subsequent access through the handle, which
-//! is what makes the dense layout's single-probe discipline real.
+//! A vertex is named *within the shard* by its stable [`LocalIdx`]. The
+//! shard loop interns once per envelope and performs every subsequent
+//! access through that index, which is what makes the single-probe
+//! discipline real.
 
 use crate::event::Epoch;
 use crate::vertex_state::{VertexMeta, VertexState};
@@ -31,21 +19,11 @@ use remo_store::{
     Adjacency, DenseVertexTable, LocalIdx, RhhMap, VertexId, VertexRecord, VertexTable,
 };
 
-/// Which physical layout each shard uses for its vertex storage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum StorageLayout {
-    /// Interning table + dense record slab + cold fork side map.
-    #[default]
-    DenseArena,
-    /// The seed layout: one Robin Hood map of fat records.
-    RhhRecord,
-}
-
 /// Split mutable borrows of one vertex's storage, assembled per event.
 ///
 /// `prev` is `Some` exactly when the event being processed must dual-apply
 /// to the snapshot fork (its epoch predates the vertex's fork point) — the
-/// layout resolves `applies_to_prev` once, here, instead of every consumer
+/// store resolves `applies_to_prev` once, here, instead of every consumer
 /// re-deriving it.
 pub struct VertexParts<'a, S> {
     /// Live algorithm state.
@@ -58,14 +36,14 @@ pub struct VertexParts<'a, S> {
     pub adj: &'a mut Adjacency,
 }
 
-/// Visitor handed to [`ShardStore::export_records`]: receives each
+/// Visitor handed to [`DenseStore::export_records`]: receives each
 /// vertex's `(id, live state, snapshot fork, meta word, adjacency)`.
 pub(crate) type RecordVisitor<'a, S> =
     dyn FnMut(VertexId, &S, Option<&S>, VertexMeta, &Adjacency) + 'a;
 
 impl<'a, S> VertexParts<'a, S> {
-    /// Assembles parts from a record-style vertex (legacy layout and the
-    /// sequential reference engine) for an event of `epoch`.
+    /// Assembles parts from a record-style vertex (the sequential
+    /// reference engine) for an event of `epoch`.
     pub fn from_record(rec: &'a mut VertexRecord<VertexState<S>>, epoch: Epoch) -> Self {
         let st = &mut rec.state;
         let prev = if epoch < st.meta.forked_epoch {
@@ -82,210 +60,14 @@ impl<'a, S> VertexParts<'a, S> {
     }
 }
 
-/// What the shard event loop needs from a storage layout.
-///
-/// The handle discipline: `intern`/`lookup` perform the (single) probe;
-/// every other accessor is direct indexing off the handle. Handles are
-/// valid until the next `intern` — the shard loop never holds one across
-/// envelopes.
-pub(crate) trait ShardStore<S>: Send + 'static
-where
-    S: Clone + Default + PartialEq + Send + 'static,
-{
-    /// Per-event vertex handle (dense index or transient slot index).
-    type Handle: Copy;
-
-    /// A store pre-sized for `vertices` entries (0 = start empty).
-    fn with_capacity(vertices: usize) -> Self;
-
-    /// Handle for `v`, creating default state/meta/adjacency if absent.
-    fn intern(&mut self, v: VertexId) -> Self::Handle;
-
-    /// Handle for `v` if it has a record.
-    fn lookup(&self, v: VertexId) -> Option<Self::Handle>;
-
-    /// Live state at `h`.
-    fn live(&self, h: Self::Handle) -> &S;
-
-    /// True when an event of `epoch` at `h` must dual-apply to the fork.
-    fn applies_to_prev(&self, h: Self::Handle, epoch: Epoch) -> bool;
-
-    /// Forks `h` for `epoch` if this is the first event of a newer epoch
-    /// (capturing the previous state), then hands out split borrows of
-    /// `h`'s state/fork/meta/adjacency. One fused call — the shard loop
-    /// needs both on every envelope, and fusing touches the vertex's meta
-    /// word once instead of twice. Returns `(forked, parts)`.
-    fn fork_and_parts(&mut self, h: Self::Handle, epoch: Epoch) -> (bool, VertexParts<'_, S>);
-
-    /// Number of vertices present.
-    fn num_vertices(&self) -> usize;
-
-    /// Snapshot of every vertex id present, in iteration order. Cold path:
-    /// the control-sweep driver (see [`crate::registry`]) materializes the
-    /// id list once, then interns per id — handles must not be held across
-    /// the mutations a sweep performs.
-    fn vertex_ids(&self) -> Vec<VertexId>;
-
-    /// Approximate heap footprint of adjacency storage, in bytes.
-    fn adjacency_heap_bytes(&self) -> usize;
-
-    /// Approximate total heap footprint of the store (index + state +
-    /// meta + adjacency + forks), in bytes.
-    fn heap_bytes(&self) -> usize;
-
-    /// Collects `(vertex, state)` pairs: the live view, or the snapshot
-    /// view at `old_epoch` (omitting still-default states and clearing
-    /// forks, matching the snapshot protocol's drain step).
-    fn collect(&mut self, old_epoch: Epoch, live: bool) -> Vec<(VertexId, S)>;
-
-    /// Converts into the record-style table handed to callers via
-    /// `RunResult::tables` (one-time shutdown cost for the dense layout).
-    fn into_table(self) -> VertexTable<VertexState<S>>;
-
-    /// Streams every vertex record — live state, outstanding snapshot
-    /// fork, meta word, adjacency — to `f`. The checkpoint serializer's
-    /// walk (cold path; only durability-enabled shards call it).
-    fn export_records(&self, f: &mut RecordVisitor<S>);
-
-    /// Reinstates one checkpointed vertex record. The store must be
-    /// freshly constructed — restore never merges into existing records.
-    fn restore_record(
-        &mut self,
-        v: VertexId,
-        live: S,
-        prev: Option<S>,
-        meta: VertexMeta,
-        adj: Adjacency,
-    );
-}
-
-/// The seed layout: one Robin Hood map of fat `VertexRecord`s.
-pub(crate) struct LegacyStore<S> {
-    table: VertexTable<VertexState<S>>,
-}
-
-impl<S> ShardStore<S> for LegacyStore<S>
-where
-    S: Clone + Default + PartialEq + Send + 'static,
-{
-    /// Transient Robin Hood slot index: valid until the next vertex-set
-    /// mutation (adjacency mutations are fine — they touch record values,
-    /// not the map structure).
-    type Handle = usize;
-
-    fn with_capacity(vertices: usize) -> Self {
-        LegacyStore {
-            table: if vertices > 0 {
-                VertexTable::with_capacity(vertices)
-            } else {
-                VertexTable::new()
-            },
-        }
-    }
-
-    #[inline]
-    fn intern(&mut self, v: VertexId) -> usize {
-        self.table.ensure_index(v).0
-    }
-
-    #[inline]
-    fn lookup(&self, v: VertexId) -> Option<usize> {
-        self.table.index_of(v)
-    }
-
-    #[inline]
-    fn live(&self, h: usize) -> &S {
-        &self.table.record_at(h).state.live
-    }
-
-    #[inline]
-    fn applies_to_prev(&self, h: usize, epoch: Epoch) -> bool {
-        self.table.record_at(h).state.applies_to_prev(epoch)
-    }
-
-    #[inline]
-    fn fork_and_parts(&mut self, h: usize, epoch: Epoch) -> (bool, VertexParts<'_, S>) {
-        let rec = self.table.record_at_mut(h);
-        let forked = rec.state.fork_for(epoch);
-        (forked, VertexParts::from_record(rec, epoch))
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.table.num_vertices()
-    }
-
-    fn vertex_ids(&self) -> Vec<VertexId> {
-        self.table.iter().map(|(v, _)| v).collect()
-    }
-
-    fn adjacency_heap_bytes(&self) -> usize {
-        self.table.adjacency_heap_bytes()
-    }
-
-    fn heap_bytes(&self) -> usize {
-        // The slot array holds the fat records inline; adjacency spill
-        // storage is on the heap behind it.
-        self.table.record_heap_bytes() + self.table.adjacency_heap_bytes()
-    }
-
-    fn collect(&mut self, old_epoch: Epoch, live: bool) -> Vec<(VertexId, S)> {
-        let default = S::default();
-        let mut states = Vec::with_capacity(self.table.num_vertices());
-        for (v, rec) in self.table.iter_mut() {
-            if live {
-                states.push((v, rec.state.live.clone()));
-            } else {
-                let view = rec.state.snapshot_view(old_epoch);
-                // A vertex still at bottom did not exist (algorithmically)
-                // at the snapshot point; omit it, matching what a static
-                // run over the stream prefix would produce.
-                if *view != default {
-                    states.push((v, view.clone()));
-                }
-                rec.state.clear_fork();
-            }
-        }
-        states
-    }
-
-    fn into_table(self) -> VertexTable<VertexState<S>> {
-        self.table
-    }
-
-    fn export_records(&self, f: &mut RecordVisitor<S>) {
-        for (v, rec) in self.table.iter() {
-            f(
-                v,
-                &rec.state.live,
-                rec.state.prev.as_ref(),
-                rec.state.meta,
-                &rec.adj,
-            );
-        }
-    }
-
-    fn restore_record(
-        &mut self,
-        v: VertexId,
-        live: S,
-        prev: Option<S>,
-        meta: VertexMeta,
-        adj: Adjacency,
-    ) {
-        self.table
-            .insert_record(v, VertexState { live, prev, meta }, adj);
-    }
-}
-
 /// Per-vertex hot payload of the dense layout: the live state packed with
 /// the 8-byte meta word. Every envelope reads both (the fork check is on
 /// the meta, the callback is on the state), so splitting them into two
 /// slabs costs a second dependent cache line per event for nothing —
-/// measured on the `ablate_store` workload, packing them (and packing the
-/// pair contiguously with the adjacency, see
-/// [`remo_store::DenseVertexTable`]) recovers the record layout's locality
-/// while keeping the slab record at `size_of::<S>() + 8 + 40` bytes
-/// instead of the legacy hash slot's ~88.
+/// packing them (and packing the pair contiguously with the adjacency,
+/// see [`remo_store::DenseVertexTable`]) keeps a fat record's locality
+/// with the slab record at `size_of::<S>() + 8 + 40` bytes instead of a
+/// fat hash slot's ~88.
 #[derive(Clone, Default)]
 pub(crate) struct HotVertex<S> {
     live: S,
@@ -301,20 +83,19 @@ pub(crate) struct DenseStore<S> {
     forks: RhhMap<LocalIdx, S>,
     /// One-entry intern memo: cascades and hub traffic often deliver
     /// consecutive envelopes to the same vertex, and a compare beats a
-    /// probe. Only the dense layout can memoize across envelopes — its
-    /// handles are stable for the table's lifetime, whereas the legacy
-    /// layout's slot indices are invalidated by any rehash.
+    /// probe. Sound across envelopes because dense indices are stable
+    /// for the table's lifetime (vertices are never evicted).
     last: Option<(VertexId, LocalIdx)>,
 }
 
-impl<S> ShardStore<S> for DenseStore<S>
+/// The index discipline: `intern`/`lookup` perform the (single) probe;
+/// every other accessor is direct indexing off the [`LocalIdx`].
+impl<S> DenseStore<S>
 where
-    S: Clone + Default + PartialEq + Send + 'static,
+    S: Clone + Default + PartialEq,
 {
-    /// Stable dense index (vertices are never evicted).
-    type Handle = LocalIdx;
-
-    fn with_capacity(vertices: usize) -> Self {
+    /// A store pre-sized for `vertices` entries (0 = start empty).
+    pub(crate) fn with_capacity(vertices: usize) -> Self {
         DenseStore {
             table: if vertices > 0 {
                 DenseVertexTable::with_capacity(vertices)
@@ -326,8 +107,9 @@ where
         }
     }
 
+    /// Index for `v`, creating default state/meta/adjacency if absent.
     #[inline]
-    fn intern(&mut self, v: VertexId) -> LocalIdx {
+    pub(crate) fn intern(&mut self, v: VertexId) -> LocalIdx {
         if let Some((id, h)) = self.last {
             if id == v {
                 return h;
@@ -338,25 +120,37 @@ where
         h
     }
 
+    /// Index for `v` if it has a record.
     #[inline]
-    fn lookup(&self, v: VertexId) -> Option<LocalIdx> {
+    pub(crate) fn lookup(&self, v: VertexId) -> Option<LocalIdx> {
         self.table.lookup(v)
     }
 
+    /// Live state at `h`.
     #[inline]
-    fn live(&self, h: LocalIdx) -> &S {
+    pub(crate) fn live(&self, h: LocalIdx) -> &S {
         &self.table.state(h).live
     }
 
+    /// True when an event of `epoch` at `h` must dual-apply to the fork.
     #[inline]
-    fn applies_to_prev(&self, h: LocalIdx, epoch: Epoch) -> bool {
+    pub(crate) fn applies_to_prev(&self, h: LocalIdx, epoch: Epoch) -> bool {
         // The meta read answers "no" without touching the cold map in the
         // common (no snapshot draining) case.
         epoch < self.table.state(h).meta.forked_epoch && self.forks.contains(h)
     }
 
+    /// Forks `h` for `epoch` if this is the first event of a newer epoch
+    /// (capturing the previous state), then hands out split borrows of
+    /// `h`'s state/fork/meta/adjacency. One fused call — the shard loop
+    /// needs both on every envelope, and fusing touches the vertex's meta
+    /// word once instead of twice. Returns `(forked, parts)`.
     #[inline]
-    fn fork_and_parts(&mut self, h: LocalIdx, epoch: Epoch) -> (bool, VertexParts<'_, S>) {
+    pub(crate) fn fork_and_parts(
+        &mut self,
+        h: LocalIdx,
+        epoch: Epoch,
+    ) -> (bool, VertexParts<'_, S>) {
         let (hot, adj) = self.table.state_adj_mut(h);
         let HotVertex { live, meta } = hot;
         let forked = epoch > meta.forked_epoch;
@@ -380,23 +174,33 @@ where
         )
     }
 
-    fn num_vertices(&self) -> usize {
+    /// Number of vertices present.
+    pub(crate) fn num_vertices(&self) -> usize {
         self.table.num_vertices()
     }
 
-    fn vertex_ids(&self) -> Vec<VertexId> {
+    /// Snapshot of every vertex id present, in iteration order. Cold path:
+    /// the control-sweep driver (see [`crate::registry`]) materializes the
+    /// id list once, then interns per id.
+    pub(crate) fn vertex_ids(&self) -> Vec<VertexId> {
         self.table.ids().to_vec()
     }
 
-    fn adjacency_heap_bytes(&self) -> usize {
+    /// Approximate heap footprint of adjacency storage, in bytes.
+    pub(crate) fn adjacency_heap_bytes(&self) -> usize {
         self.table.adjacency_heap_bytes()
     }
 
-    fn heap_bytes(&self) -> usize {
+    /// Approximate total heap footprint of the store (index + state +
+    /// meta + adjacency + forks), in bytes.
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.table.heap_bytes() + self.forks.heap_bytes()
     }
 
-    fn collect(&mut self, old_epoch: Epoch, live: bool) -> Vec<(VertexId, S)> {
+    /// Collects `(vertex, state)` pairs: the live view, or the snapshot
+    /// view at `old_epoch` (omitting still-default states and clearing
+    /// forks, matching the snapshot protocol's drain step).
+    pub(crate) fn collect(&mut self, old_epoch: Epoch, live: bool) -> Vec<(VertexId, S)> {
         let default = S::default();
         let mut states = Vec::with_capacity(self.table.num_vertices());
         if live {
@@ -422,7 +226,9 @@ where
         states
     }
 
-    fn into_table(mut self) -> VertexTable<VertexState<S>> {
+    /// Converts into the record-style table handed to callers via
+    /// `RunResult::tables` (one-time shutdown cost).
+    pub(crate) fn into_table(mut self) -> VertexTable<VertexState<S>> {
         let (ids, hots, adjs) = self.table.into_parts();
         let mut table = VertexTable::with_capacity(ids.len());
         for (i, ((v, hot), adj)) in ids.into_iter().zip(hots).zip(adjs).enumerate() {
@@ -437,13 +243,18 @@ where
         table
     }
 
-    fn export_records(&self, f: &mut RecordVisitor<S>) {
+    /// Streams every vertex record — live state, outstanding snapshot
+    /// fork, meta word, adjacency — to `f`. The checkpoint serializer's
+    /// walk (cold path; only durability-enabled shards call it).
+    pub(crate) fn export_records(&self, f: &mut RecordVisitor<S>) {
         for (i, (v, hot, adj)) in self.table.iter().enumerate() {
             f(v, &hot.live, self.forks.get(i as LocalIdx), hot.meta, adj);
         }
     }
 
-    fn restore_record(
+    /// Reinstates one checkpointed vertex record. The store must be
+    /// freshly constructed — restore never merges into existing records.
+    pub(crate) fn restore_record(
         &mut self,
         v: VertexId,
         live: S,
@@ -464,8 +275,8 @@ where
 mod tests {
     use super::*;
 
-    fn exercise<St: ShardStore<u64>>() {
-        let mut st = St::with_capacity(8);
+    fn exercise() {
+        let mut st: DenseStore<u64> = DenseStore::with_capacity(8);
         let h = st.intern(42);
         assert_eq!(st.num_vertices(), 1);
         assert_eq!(*st.live(h), 0);
@@ -522,8 +333,8 @@ mod tests {
         assert_eq!(rec.state.meta.fired, 1);
     }
 
-    fn exercise_fused<St: ShardStore<u64>>() {
-        let mut st = St::with_capacity(0);
+    fn exercise_fused() {
+        let mut st: DenseStore<u64> = DenseStore::with_capacity(0);
         let h = st.intern(7);
         {
             let (forked, parts) = st.fork_and_parts(h, 0);
@@ -544,9 +355,9 @@ mod tests {
         );
     }
 
-    fn exercise_export_restore<St: ShardStore<u64>>() {
+    fn exercise_export_restore() {
         use remo_store::EdgeMeta;
-        let mut st = St::with_capacity(0);
+        let mut st: DenseStore<u64> = DenseStore::with_capacity(0);
         let h = st.intern(1);
         {
             let (_, parts) = st.fork_and_parts(h, 0);
@@ -558,7 +369,7 @@ mod tests {
         let _ = st.fork_and_parts(h, 1);
         let _ = st.intern(9);
 
-        let mut restored = St::with_capacity(0);
+        let mut restored: DenseStore<u64> = DenseStore::with_capacity(0);
         st.export_records(&mut |v, live, prev, meta, adj| {
             restored.restore_record(v, *live, prev.copied(), meta, adj.clone());
         });
@@ -577,16 +388,9 @@ mod tests {
 
     #[test]
     fn dense_store_semantics() {
-        exercise::<DenseStore<u64>>();
-        exercise_fused::<DenseStore<u64>>();
-        exercise_export_restore::<DenseStore<u64>>();
-    }
-
-    #[test]
-    fn legacy_store_semantics() {
-        exercise::<LegacyStore<u64>>();
-        exercise_fused::<LegacyStore<u64>>();
-        exercise_export_restore::<LegacyStore<u64>>();
+        exercise();
+        exercise_fused();
+        exercise_export_restore();
     }
 
     #[test]

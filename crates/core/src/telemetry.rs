@@ -1512,7 +1512,6 @@ mod tests {
         assert!(prom.contains("remo_quiesce_latency_seconds_count 1"));
         assert!(prom.contains("remo_events_per_sec"));
         assert!(prom.contains("remo_updates_per_sec"));
-        assert!(prom.contains("# TYPE remo_adaptive_decisions_total counter"));
         assert!(prom.contains("remo_traces_observed 1"));
         assert!(prom.contains("# TYPE remo_trace_fixpoint_seconds summary"));
         assert!(prom.contains("remo_trace_hops_count 1"));
@@ -1524,7 +1523,6 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"add_events\":3"));
         assert!(json.contains("\"updates_per_sec\""));
-        assert!(json.contains("\"adaptive_decisions\""));
         assert!(json.contains("\"histograms\""));
         assert!(json.contains("\"traces\":{\"observed\":1"));
         assert!(json.contains("\"phase_process_ns\""));

@@ -89,7 +89,7 @@ pub(crate) fn child(tag: TraceTag) -> TraceTag {
 /// [`EngineConfig`](crate::EngineConfig). Off by default; when off no
 /// envelope is ever tagged and every observation point reduces to one
 /// predictable branch — the same zero-cost-when-off discipline as
-/// telemetry, WAL, and the adaptive controller.
+/// telemetry and the WAL.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Master switch.

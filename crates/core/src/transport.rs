@@ -26,7 +26,7 @@
 //! crossbeam channel in both modes — it is rare, and the channel's
 //! blocking-receive semantics are exactly right for it.
 //!
-//! Like `StorageLayout`, the transport is a runtime choice so differential
+//! The transport is a runtime choice so differential
 //! tests (`prop_transport`) and the `ablate_transport` bench can run both
 //! transports in one process and assert byte-identical fixpoints.
 

@@ -898,23 +898,6 @@ fn durability_off_keeps_seed_behavior_and_zero_counters() {
     assert_eq!(total.envelopes_recovered, 0);
 }
 
-/// The legacy rhh-record storage layout remains selectable and behaves
-/// identically to the default dense arena through the supervised API.
-#[test]
-fn legacy_rhh_record_layout_still_works() {
-    use remo_core::StorageLayout;
-    let config = EngineConfig::undirected(2)
-        .with_storage(StorageLayout::RhhRecord)
-        .with_transport(transport_mode());
-    let engine = Engine::new(Degree, config);
-    engine.try_ingest_pairs(&[(0, 1), (1, 2)]).unwrap();
-    engine.try_await_quiescence().unwrap();
-    assert_eq!(engine.try_local_state(1).unwrap(), Some(2));
-    let result = engine.try_finish().unwrap();
-    assert_eq!(result.states.get(1), Some(&2));
-    assert!(result.store_bytes > 0);
-}
-
 // ---- registry: multi-query columns across respawn --------------------
 
 /// Min-label propagation (components by min id, labels offset by one so

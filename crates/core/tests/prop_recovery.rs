@@ -1,5 +1,5 @@
 //! Randomised recovery-equivalence suite: for a spread of generated
-//! graphs, shard counts, storage layouts, transports, checkpoint
+//! graphs, shard counts, transports, checkpoint
 //! intervals, and mid-stream panic points, a durable run that loses a
 //! shard and recovers it (checkpoint restore + WAL replay) must be
 //! indistinguishable from an uninterrupted run — byte-identical vertex
@@ -7,9 +7,14 @@
 //! books.
 //!
 //! Deterministic by construction: a fixed-seed xorshift generator drives
-//! every random draw, and the 16 case indices enumerate the full
-//! (shards × layout × transport) grid, so failures reproduce by case
+//! every random draw, and the 8 case indices enumerate the full
+//! (shards × transport) grid, so failures reproduce by case
 //! number with no shrinking machinery needed.
+//!
+//! Grid: 1–4 shards (1 = the recovering shard is the whole engine, so no
+//! peer holds custody of anything; 4 = replay races live peers) ×
+//! transport (a respawned shard must re-attach to its lanes, and the
+//! channel is the fallback those lanes divert to mid-recovery).
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -20,7 +25,7 @@ type RunOutputs = (Vec<(VertexId, u64)>, BTreeSet<(usize, VertexId)>, u64);
 
 use remo_core::{
     algorithm::codec, AlgoCtx, Algorithm, DurabilityConfig, EngineBuilder, EngineConfig, FaultPlan,
-    Snapshot, StorageLayout, TransportMode, VertexId,
+    Snapshot, TransportMode, VertexId,
 };
 
 /// Max-label propagation (see `tests/chaos.rs`): the max join is
@@ -101,12 +106,11 @@ impl Rng {
     }
 }
 
-/// One generated scenario. The grid axes (shards, layout, transport) are
-/// derived from the case index so all 16 combinations are always
+/// One generated scenario. The grid axes (shards, transport) are
+/// derived from the case index so all 8 combinations are always
 /// covered; everything else is drawn from the seeded generator.
 struct Case {
     shards: usize,
-    layout: StorageLayout,
     transport: TransportMode,
     pairs: Vec<(VertexId, VertexId)>,
     vertices: u64,
@@ -117,12 +121,7 @@ struct Case {
 
 fn gen_case(idx: usize, rng: &mut Rng) -> Case {
     let shards = 1 + (idx % 4);
-    let layout = if (idx / 4).is_multiple_of(2) {
-        StorageLayout::DenseArena
-    } else {
-        StorageLayout::RhhRecord
-    };
-    let transport = if (idx / 8).is_multiple_of(2) {
+    let transport = if (idx / 4).is_multiple_of(2) {
         TransportMode::Lanes
     } else {
         TransportMode::Channel
@@ -139,7 +138,6 @@ fn gen_case(idx: usize, rng: &mut Rng) -> Case {
     }
     Case {
         shards,
-        layout,
         transport,
         pairs,
         vertices,
@@ -155,7 +153,6 @@ fn base_config(case: &Case) -> EngineConfig {
         query_deadline: Some(Duration::from_secs(10)),
         ..EngineConfig::undirected(case.shards)
     }
-    .with_storage(case.layout)
     .with_transport(case.transport)
 }
 
@@ -211,12 +208,11 @@ fn run_engine(case: &Case, config: EngineConfig, expect_clean: bool) -> RunOutpu
 #[test]
 fn recovered_runs_match_uninterrupted_runs() {
     let mut rng = Rng::new(0xD15EA5E);
-    for idx in 0..16 {
+    for idx in 0..8 {
         let case = gen_case(idx, &mut rng);
         eprintln!(
-            "case {idx}: shards={} layout={:?} transport={:?} edges={} panic=({},{}) ckpt={}",
+            "case {idx}: shards={} transport={:?} edges={} panic=({},{}) ckpt={}",
             case.shards,
-            case.layout,
             case.transport,
             case.pairs.len(),
             case.panic_shard,
@@ -242,8 +238,8 @@ fn recovered_runs_match_uninterrupted_runs() {
 
         assert_eq!(
             got_states, want_states,
-            "case {idx} ({} shards, {:?}, {:?}, ckpt {}): recovered fixpoint diverged",
-            case.shards, case.layout, case.transport, case.checkpoint_every
+            "case {idx} ({} shards, {:?}, ckpt {}): recovered fixpoint diverged",
+            case.shards, case.transport, case.checkpoint_every
         );
         assert_eq!(
             got_fires, want_fires,

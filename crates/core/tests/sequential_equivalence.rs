@@ -57,6 +57,9 @@ fn random_edges(n: u64, m: usize, seed: u64) -> Vec<(u64, u64)> {
         .collect()
 }
 
+// Grid: three seeds (three different streams) × shards 1/4 (1 = the
+// concurrent engine with no cross-shard traffic, the closest twin of the
+// sequential machine; 4 = real interleavings).
 #[test]
 fn sequential_and_concurrent_agree() {
     for seed in [1u64, 2, 3] {

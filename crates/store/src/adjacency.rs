@@ -11,7 +11,7 @@
 //! Each directed edge stores an [`EdgeMeta`]: its weight plus the *cached
 //! neighbour value* the paper's programming model maintains (`nbrs.set(...)`
 //! in Algorithm 3). Algorithms use the cache to suppress redundant update
-//! messages; the ablation bench `ablate_store` measures what that buys.
+//! messages.
 
 use crate::rhh::RhhMap;
 use crate::VertexId;
@@ -193,8 +193,8 @@ impl Adjacency {
         }
     }
 
-    /// Approximate heap footprint in bytes (for the Table I stand-in report
-    /// and the spill tier's eviction policy).
+    /// Approximate heap footprint in bytes (for the Table I stand-in
+    /// report).
     pub fn heap_bytes(&self) -> usize {
         match self {
             Adjacency::Compact(v) => v.capacity() * std::mem::size_of::<(VertexId, EdgeMeta)>(),

@@ -12,7 +12,6 @@
 //!   shard hot-path layout (one probe per event, direct indexing after).
 //! - [`csr`]: the static Compressed Sparse Row graph the paper's baselines
 //!   run on (§V-B).
-//! - [`spill`]: the cold tier standing in for NVRAM spill.
 //! - [`bitset`]: growable bitsets for multi S-T connectivity state.
 //! - [`hash`]: deterministic 64-bit mixing shared with the partitioner.
 //!
@@ -25,7 +24,6 @@ pub mod csr;
 pub mod dense;
 pub mod hash;
 pub mod rhh;
-pub mod spill;
 pub mod vertex_table;
 
 /// Vertex identifier. The paper uses opaque integer ids; `u64` covers every
@@ -41,5 +39,4 @@ pub use bitset::BitSet;
 pub use csr::Csr;
 pub use dense::{DenseVertexTable, InternTable, LocalIdx};
 pub use rhh::RhhMap;
-pub use spill::{SpillStore, TieredAdjacency};
 pub use vertex_table::{VertexRecord, VertexTable};

@@ -170,56 +170,6 @@ impl<K: Key64, V> RhhMap<K, V> {
         }
     }
 
-    /// Slot index of `key`, if present, for use with [`Self::value_at`] /
-    /// [`Self::value_at_mut`]. The index is **transient**: any insert,
-    /// remove, or growth may relocate entries, after which indices obtained
-    /// earlier are stale (they will still be in-bounds, but may address a
-    /// different key's value). Callers must re-probe after mutation of the
-    /// key set.
-    #[inline]
-    pub fn find_index(&self, key: K) -> Option<usize> {
-        self.find(key)
-    }
-
-    /// Slot index for `key`, inserting the result of `default()` first if
-    /// absent. Returns `(index, was_new)`. Single probe sequence on either
-    /// path; the same transient-validity rule as [`Self::find_index`]
-    /// applies.
-    pub fn entry_index_or_insert_with(
-        &mut self,
-        key: K,
-        default: impl FnOnce() -> V,
-    ) -> (usize, bool) {
-        if let Some(idx) = self.find(key) {
-            return (idx, false);
-        }
-        self.reserve_one();
-        let idx = match self.insert_inner(key, default()) {
-            InsertOutcome::Inserted(idx) => idx,
-            InsertOutcome::Replaced(_) => unreachable!("find() said absent"),
-        };
-        self.len += 1;
-        (idx, true)
-    }
-
-    /// Value stored in occupied slot `idx` (from [`Self::find_index`] or
-    /// [`Self::entry_index_or_insert_with`], with no intervening insert or
-    /// remove). Panics if the slot is empty.
-    #[inline]
-    pub fn value_at(&self, idx: usize) -> &V {
-        let slot = &self.slots[idx];
-        assert!(!slot.is_empty(), "value_at on empty slot");
-        unsafe { slot.value.assume_init_ref() }
-    }
-
-    /// Mutable form of [`Self::value_at`].
-    #[inline]
-    pub fn value_at_mut(&mut self, idx: usize) -> &mut V {
-        let slot = &mut self.slots[idx];
-        assert!(!slot.is_empty(), "value_at_mut on empty slot");
-        unsafe { slot.value.assume_init_mut() }
-    }
-
     /// Inserts `key -> value`, returning the previous value if the key was
     /// already present.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
@@ -585,21 +535,6 @@ mod tests {
             assert_eq!(c.get(i), Some(&(i + 1)));
         }
         assert_eq!(c.len(), m.len());
-    }
-
-    #[test]
-    fn slot_index_roundtrip() {
-        let mut m: RhhMap<u64, u64> = RhhMap::with_capacity(100);
-        let (idx, new) = m.entry_index_or_insert_with(7, || 70);
-        assert!(new);
-        assert_eq!(*m.value_at(idx), 70);
-        *m.value_at_mut(idx) += 1;
-        assert_eq!(m.find_index(7), Some(idx));
-        assert_eq!(m.get(7), Some(&71));
-        let (idx2, new) = m.entry_index_or_insert_with(7, || 0);
-        assert!(!new);
-        assert_eq!(idx2, idx);
-        assert_eq!(m.find_index(8), None);
     }
 
     #[test]

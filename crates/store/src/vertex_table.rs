@@ -86,36 +86,6 @@ impl<S: Default> VertexTable<S> {
         (rec, was_new)
     }
 
-    /// Slot index of `v`'s record, if present. Transient validity: stale
-    /// after any vertex insertion or removal (see
-    /// [`crate::RhhMap::find_index`]).
-    #[inline]
-    pub fn index_of(&self, v: VertexId) -> Option<usize> {
-        self.map.find_index(v)
-    }
-
-    /// Slot index of `v`'s record, creating a default record if absent.
-    /// Returns `(index, was_new)`. Same transient validity as
-    /// [`Self::index_of`].
-    #[inline]
-    pub fn ensure_index(&mut self, v: VertexId) -> (usize, bool) {
-        self.map
-            .entry_index_or_insert_with(v, VertexRecord::default)
-    }
-
-    /// Record at a slot index obtained from [`Self::index_of`] /
-    /// [`Self::ensure_index`] with no intervening vertex insert/remove.
-    #[inline]
-    pub fn record_at(&self, idx: usize) -> &VertexRecord<S> {
-        self.map.value_at(idx)
-    }
-
-    /// Mutable form of [`Self::record_at`].
-    #[inline]
-    pub fn record_at_mut(&mut self, idx: usize) -> &mut VertexRecord<S> {
-        self.map.value_at_mut(idx)
-    }
-
     /// Inserts a fully-formed record for `v`, adding its adjacency degree to
     /// the edge count. Used when rebuilding a table from another layout's
     /// slabs; `v` must not already be present.
@@ -162,13 +132,6 @@ impl<S: Default> VertexTable<S> {
     /// Approximate heap footprint of adjacency storage, in bytes.
     pub fn adjacency_heap_bytes(&self) -> usize {
         self.iter().map(|(_, r)| r.adj.heap_bytes()).sum()
-    }
-
-    /// Actual heap footprint of the record slot array (records are stored
-    /// inline in the hash slots; excludes adjacency heap storage), in
-    /// bytes.
-    pub fn record_heap_bytes(&self) -> usize {
-        self.map.heap_bytes()
     }
 }
 
@@ -223,18 +186,6 @@ mod tests {
         let mut ids: Vec<VertexId> = t.iter().map(|(v, _)| v).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0u64..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn index_access_roundtrip() {
-        let mut t: VertexTable<u64> = VertexTable::with_capacity(16);
-        let (idx, new) = t.ensure_index(9);
-        assert!(new);
-        t.record_at_mut(idx).state = 5;
-        assert_eq!(t.index_of(9), Some(idx));
-        assert_eq!(t.record_at(idx).state, 5);
-        assert_eq!(t.get(9).unwrap().state, 5);
-        assert_eq!(t.index_of(10), None);
     }
 
     #[test]

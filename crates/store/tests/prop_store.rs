@@ -126,23 +126,4 @@ proptest! {
         let total: usize = (0..64).map(|v| g.degree(v)).sum();
         prop_assert_eq!(total, edges.len());
     }
-
-    /// Spill serialization is lossless for arbitrary adjacencies.
-    #[test]
-    fn spill_roundtrips(
-        edges in proptest::collection::btree_map(0u64..1000, (1u64..100, 0u64..100), 0..80)
-    ) {
-        let mut adj = Adjacency::new();
-        for (&n, &(w, c)) in &edges {
-            adj.insert(n, EdgeMeta { weight: w, cached: c });
-        }
-        let mut store = remo_store::SpillStore::new_temp().unwrap();
-        let h = store.spill(&adj).unwrap();
-        let back = store.restore(&h).unwrap();
-        prop_assert_eq!(back.degree(), edges.len());
-        for (&n, &(w, c)) in &edges {
-            let m = back.get(n).expect("edge lost in spill");
-            prop_assert_eq!((m.weight, m.cached), (w, c));
-        }
-    }
 }

@@ -5,9 +5,7 @@
 //! [`TelemetryHub`] for derived gauges — events/sec and ingested
 //! updates/sec over sliding windows, per-shard queue depth, park ratio,
 //! in-flight envelopes — the numbers an operator's dashboard would chart.
-//! The engine runs with the adaptive data-path controller on, so the
-//! final report also shows what it decided (coalescing toggles, batch
-//! resizes) while the stream was live. After quiescence it
+//! After quiescence it
 //! performs one Prometheus text-exposition scrape and one JSON scrape
 //! against the same hub, exactly what a `/metrics` endpoint would serve.
 //! The CI smoke job runs this bounded and asserts the scrape parses.
@@ -71,7 +69,7 @@ fn main() {
         edges.len()
     );
 
-    let mut config = EngineConfig::undirected(shards).with_adaptive();
+    let mut config = EngineConfig::undirected(shards);
     if let Ok(dir) = std::env::var("REMO_DASH_WAL") {
         println!("durability: WAL + checkpoints under {dir}");
         config = config.with_durability(DurabilityConfig::new(dir).fsync(false));
@@ -272,16 +270,7 @@ fn drive<A: Algorithm>(engine: Engine<A>, edges: &[(u64, u64)], ticks: usize, pi
         m.service.count
     );
     let t = m.total();
-    println!(
-        "adaptive: {} decisions (coalesce +{}/-{}, batch x2 {} / half {}), \
-         {} deferred flushes",
-        t.adaptive_decisions,
-        t.adaptive_coalesce_on,
-        t.adaptive_coalesce_off,
-        t.adaptive_batch_grow,
-        t.adaptive_batch_shrink,
-        t.flush_deferrals
-    );
+    println!("lanes: {} deferred flushes", t.flush_deferrals);
     if t.wal_records_appended > 0 {
         let (c50, c99, _) = m.checkpoint.quantiles_us();
         println!(

@@ -11,8 +11,8 @@
 //! - [`core`]: the engine — shards, visitor events, consistent-hash
 //!   partitioning, quiescence detection (counter + Safra), continuous
 //!   snapshots, local-state triggers.
-//! - [`store`]: storage — Robin Hood hashing, degree-aware adjacency, CSR,
-//!   NVRAM-stand-in spill tier.
+//! - [`store`]: storage — Robin Hood hashing, degree-aware adjacency,
+//!   dense vertex interning, CSR.
 //! - [`algos`]: the REMO algorithms — BFS, SSSP, CC, multi S-T, degree
 //!   tracking, generational (delete-capable) BFS.
 //! - [`baseline`]: static comparators and correctness oracles.
@@ -48,10 +48,10 @@ pub mod prelude {
         IncSssp, IncStCon, IncStConWide, IncTemporal, IncWidest, OutDegreeCount,
     };
     pub use remo_core::{
-        AdaptiveConfig, AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineBuilder, EngineConfig,
-        EventCtx, Pair, PlacementPolicy, QueryId, QueryRegistry, RegPayload, SequentialEngine,
-        Snapshot, StorageLayout, TelemetryConfig, TelemetryHub, TerminationMode, TopoEvent,
-        TraceConfig, TransportMode, TriggerFire, VertexId, Weight,
+        AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineBuilder, EngineConfig, EventCtx,
+        PlacementPolicy, QueryId, QueryRegistry, RegPayload, SequentialEngine, Snapshot,
+        TelemetryConfig, TelemetryHub, TerminationMode, TopoEvent, TraceConfig, TransportMode,
+        TriggerFire, VertexId, Weight,
     };
     pub use remo_gen::{Dataset, RmatConfig};
 }

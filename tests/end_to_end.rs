@@ -251,36 +251,6 @@ fn generational_delete_matches_recompute() {
     }
 }
 
-/// The store's spill tier holds the same adjacency data the engine computed
-/// — exercise evict/restore round-trips against the live engine topology.
-#[test]
-fn spill_tier_preserves_engine_topology() {
-    use remo::store::{EdgeMeta, TieredAdjacency};
-    let edges = dataset_edges(Dataset::Sk2005Like, 0.01, 13);
-
-    let mut tiered = TieredAdjacency::new().unwrap();
-    let mut model: std::collections::HashMap<u64, std::collections::HashSet<u64>> =
-        Default::default();
-    for &(s, d) in &edges {
-        tiered.insert_edge(s, d, EdgeMeta::unweighted()).unwrap();
-        model.entry(s).or_default().insert(d);
-    }
-    // Evict everything small, then verify every vertex faults in correctly.
-    tiered.evict_small(usize::MAX).unwrap();
-    assert_eq!(tiered.hot_count(), 0);
-    for (&v, nbrs) in &model {
-        let got: std::collections::HashSet<u64> = tiered
-            .neighbors(v)
-            .unwrap()
-            .into_iter()
-            .map(|(n, _)| n)
-            .collect();
-        assert_eq!(&got, nbrs, "vertex {v} after spill round-trip");
-    }
-    let (spills, restores) = tiered.io_counters();
-    assert!(spills > 0 && restores > 0);
-}
-
 /// Metrics sanity on a full run: every ingested topology event became an
 /// add (+ reverse-add when undirected), and envelope accounting balances.
 #[test]
@@ -301,24 +271,27 @@ fn metrics_account_for_every_event() {
 }
 
 /// The multi-query vision (§I): BFS and CC maintained simultaneously on one
-/// dynamic graph must each equal their solo fixpoints — and the static
-/// oracles.
+/// dynamic graph (two registry columns over one adjacency) must each equal
+/// the static oracles.
 #[test]
-fn paired_bfs_and_cc_match_solo_and_oracles() {
-    use remo::core::Pair;
+fn registry_bfs_and_cc_match_oracles() {
     let edges = dataset_edges(Dataset::TwitterLike, 0.02, 77);
     let source = edges[0].0;
 
-    let engine = Engine::new(Pair::new(IncBfs, IncCc), EngineConfig::undirected(4));
-    engine.try_init_vertex(source).unwrap();
+    let reg = QueryRegistry::<u64>::new();
+    let engine = Engine::new(reg.clone(), EngineConfig::undirected(4));
+    let bfs = reg.attach(&engine, IncBfs, &[source], "bfs").unwrap();
+    let cc = reg.attach(&engine, IncCc, &[], "cc").unwrap();
     engine.try_ingest_pairs(&edges).unwrap();
     let both = engine.try_finish().unwrap().states;
 
     let csr = undirected_csr(&edges);
     let bfs_want = oracle::bfs_levels(&csr, source);
     let cc_want = oracle::components_dominator_label(&csr, cc_label);
-    for (v, (level, label)) in both.iter() {
-        assert_eq!(*level, bfs_want[v as usize], "BFS component, vertex {v}");
-        assert_eq!(*label, cc_want[v as usize], "CC component, vertex {v}");
+    for (v, level) in reg.project(&both, bfs).iter() {
+        assert_eq!(*level, bfs_want[v as usize], "BFS column, vertex {v}");
+    }
+    for (v, label) in reg.project(&both, cc).iter() {
+        assert_eq!(*label, cc_want[v as usize], "CC column, vertex {v}");
     }
 }
