@@ -1,7 +1,5 @@
 //! Ablation: engine design choices (criterion).
 //!
-//! - Termination detection: global-counter vs Safra token ring — the cost
-//!   of being faithfully shared-nothing.
 //! - Snapshot machinery: ingestion with periodic on-the-fly snapshots vs
 //!   none — the price of continuous global state collection (§III-D).
 //! - Shard count on a fixed workload — the engine's strong-scaling knee at
@@ -16,39 +14,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use remo_algos::{IncBfs, IncCc};
 use remo_bench::{timed_run, ConstructionOnly};
-use remo_core::{Engine, EngineConfig, SequentialEngine, TerminationMode};
+use remo_core::{Engine, EngineConfig, SequentialEngine};
 use remo_gen::{stream, Dataset};
 
 fn workload() -> Vec<(u64, u64)> {
     let mut edges = Dataset::ErdosRenyi.generate(0.05, 21);
     stream::shuffle(&mut edges, 2);
     edges
-}
-
-fn bench_termination(c: &mut Criterion) {
-    let edges = workload();
-    let source = edges[0].0;
-    let mut g = c.benchmark_group("termination_mode");
-    g.sample_size(10);
-    for (name, mode) in [
-        ("counter", TerminationMode::Counter),
-        ("safra", TerminationMode::Safra),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let config = EngineConfig {
-                    termination: mode,
-                    ..EngineConfig::undirected(4)
-                };
-                let engine = Engine::new(IncBfs, config);
-                engine.try_init_vertex(source).unwrap();
-                engine.try_ingest_pairs(&edges).unwrap();
-                engine.try_await_quiescence().unwrap();
-                engine.try_finish().unwrap().num_edges
-            })
-        });
-    }
-    g.finish();
 }
 
 fn bench_snapshot_overhead(c: &mut Criterion) {
@@ -151,7 +123,6 @@ fn bench_supervision_overhead(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_termination,
     bench_snapshot_overhead,
     bench_shard_scaling,
     bench_sequential_vs_concurrent,

@@ -1,17 +1,15 @@
-//! Ablation — data-plane transport: MPMC channel vs SPSC lane mesh.
+//! Ablation — the lane-mesh data plane: telemetry and placement cells.
 //!
-//! Every cross-shard envelope batch rides the transport. The seed path
-//! pays an MPMC dequeue on a channel contended by P−1 senders plus the
-//! controller, allocates a fresh `Vec<Envelope>` per `flush()`, and idles
-//! on a fixed `recv_timeout` poll. The lane mesh gives each shard pair a
-//! bounded lock-free SPSC ring (receive = uncontended per-lane poll),
-//! recycles drained batch buffers back to their sender over per-pair
-//! recycle lanes (steady-state `flush()` is allocation-free), and parks
-//! idle shards until a sender unparks them. This harness prices that
-//! choice end-to-end on RMAT BFS and SSSP, asserts the fixpoint is
-//! byte-identical across transports in every cell, and reports the lane
-//! counters (batches shipped, pool hit rate, full-lane fallbacks, wakeups)
-//! alongside wall clock.
+//! Every cross-shard envelope batch rides a bounded lock-free SPSC ring
+//! per shard pair (receive = uncontended per-lane poll); drained batch
+//! buffers recycle back to their sender over per-pair recycle lanes
+//! (steady-state `flush()` is allocation-free), and idle shards park
+//! until a sender unparks them. This harness prices the lanes cell
+//! end-to-end on RMAT BFS and SSSP against the same run with telemetry
+//! off and with shards pinned to cores, asserts the fixpoint is
+//! byte-identical in every cell, and reports the lane counters (batches
+//! shipped, pool hit rate, full-lane fallbacks, wakeups) alongside wall
+//! clock.
 //!
 //! At full scale the harness also asserts the steady-state recycle
 //! invariant `batches_recycled / lane_batches >= 0.9` — the pool, not the
@@ -20,10 +18,9 @@
 //! flight recorder, the engine default) must stay within 2% wall clock of
 //! an identical run with telemetry off.
 //!
-//! The grid also carries a raw-speed gate (with a core per shard, or
-//! `REMO_BENCH_STRICT_LANES=1`): lanes must hold wall-clock parity with
-//! the channel transport per algorithm — BFS's short waves are what the
-//! engine's flush hysteresis exists for.
+//! The grid also carries a placement gate (with a core per shard, or
+//! `REMO_BENCH_STRICT_LANES=1`): pinning shards to cores (compact) must
+//! hold wall-clock parity with the unpinned lanes cell.
 //!
 //! Run: `cargo bench -p remo-bench --bench ablate_transport`
 
@@ -31,7 +28,7 @@ use std::time::Duration;
 
 use remo_algos::{IncBfs, IncSssp};
 use remo_bench::*;
-use remo_core::{EngineConfig, PlacementPolicy, TelemetryConfig, TransportMode, VertexId, Weight};
+use remo_core::{EngineConfig, PlacementPolicy, TelemetryConfig, VertexId, Weight};
 use remo_gen::{stream, RmatConfig};
 use remo_store::hash::mix64;
 
@@ -41,45 +38,22 @@ const SHARDS: usize = 8;
 /// asserted at `scale >= 1.0`.
 const TELEMETRY_OVERHEAD_CEILING: f64 = 1.02;
 
-/// Grid cell: display name, transport, telemetry, shard placement.
-type GridCell = (
-    &'static str,
-    TransportMode,
-    TelemetryConfig,
-    PlacementPolicy,
-);
+/// Grid cell: display name, telemetry, shard placement.
+type GridCell = (&'static str, TelemetryConfig, PlacementPolicy);
 
 fn transport_grid() -> Vec<GridCell> {
     vec![
-        (
-            "channel",
-            TransportMode::Channel,
-            TelemetryConfig::default(),
-            PlacementPolicy::None,
-        ),
-        (
-            "lanes",
-            TransportMode::Lanes,
-            TelemetryConfig::default(),
-            PlacementPolicy::None,
-        ),
-        (
-            "lanes-notel",
-            TransportMode::Lanes,
-            TelemetryConfig::off(),
-            PlacementPolicy::None,
-        ),
+        ("lanes", TelemetryConfig::default(), PlacementPolicy::None),
+        ("lanes-notel", TelemetryConfig::off(), PlacementPolicy::None),
         // Placement cells ride at the end so the gate indices above stay
         // stable: same lanes data plane, shards pinned to cores.
         (
             "lanes-compact",
-            TransportMode::Lanes,
             TelemetryConfig::default(),
             PlacementPolicy::Compact,
         ),
         (
             "lanes-scatter",
-            TransportMode::Lanes,
             TelemetryConfig::default(),
             PlacementPolicy::Scatter,
         ),
@@ -87,13 +61,11 @@ fn transport_grid() -> Vec<GridCell> {
 }
 
 fn config(
-    transport: TransportMode,
     telemetry: TelemetryConfig,
     placement: PlacementPolicy,
     expected_vertices: usize,
 ) -> EngineConfig {
     EngineConfig::undirected(SHARDS)
-        .with_transport(transport)
         .with_telemetry(telemetry)
         .with_placement(placement)
         .with_expected_vertices(expected_vertices)
@@ -115,10 +87,8 @@ struct Cell {
     states: Vec<(VertexId, u64)>,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_once(
     algo_name: &str,
-    transport: TransportMode,
     telemetry: TelemetryConfig,
     placement: PlacementPolicy,
     expected_vertices: usize,
@@ -126,7 +96,7 @@ fn run_once(
     weighted: &[(VertexId, VertexId, Weight)],
     source: VertexId,
 ) -> Cell {
-    let cfg = config(transport, telemetry, placement, expected_vertices);
+    let cfg = config(telemetry, placement, expected_vertices);
     let run = match algo_name {
         "BFS" => timed_run_with(IncBfs, cfg, edges, &[source]),
         _ => timed_run_weighted_with(IncSssp, cfg, weighted, &[source]),
@@ -156,10 +126,9 @@ fn measure_grid(
 ) -> Vec<Cell> {
     let mut cells: Vec<Option<Cell>> = grid.iter().map(|_| None).collect();
     for _ in 0..bench_reps() {
-        for (slot, (_, transport, telemetry, placement)) in cells.iter_mut().zip(grid) {
+        for (slot, (_, telemetry, placement)) in cells.iter_mut().zip(grid) {
             let mut cell = run_once(
                 algo_name,
-                *transport,
                 telemetry.clone(),
                 placement.clone(),
                 expected_vertices,
@@ -209,8 +178,8 @@ fn main() {
             .unwrap_or(1);
         let strict = std::env::var("REMO_BENCH_STRICT_TELEMETRY").as_deref() == Ok("1");
         if scale >= 1.0 && (cores >= SHARDS || strict) {
-            let on = &cells[1];
-            let off = &cells[2];
+            let on = &cells[0];
+            let off = &cells[1];
             let ratio = on.elapsed.as_secs_f64() / off.elapsed.as_secs_f64().max(1e-9);
             assert!(
                 ratio <= TELEMETRY_OVERHEAD_CEILING,
@@ -225,58 +194,38 @@ fn main() {
                  shards; wall deltas would measure the scheduler)"
             );
         }
-        // Raw-speed gate, same scheduler caveat as the telemetry gate:
+        // Placement gate, same scheduler caveat as the telemetry gate:
         // only meaningful with a core per shard (force with
-        // `REMO_BENCH_STRICT_LANES=1`).
+        // `REMO_BENCH_STRICT_LANES=1`). Pinning shards to cores (compact)
+        // must hold parity with the unpinned lanes cell — placement has
+        // to pay for its affinity claim.
         let strict_lanes = std::env::var("REMO_BENCH_STRICT_LANES").as_deref() == Ok("1");
         if scale >= 1.0 && (cores >= SHARDS || strict_lanes) {
-            // Lanes must be at least at parity with the channel transport
-            // per algorithm — the BFS short-wave regression this gate was
-            // added for is what the flush hysteresis fixes.
-            let channel = &cells[0];
-            let lanes = &cells[1];
-            let ratio = lanes.elapsed.as_secs_f64() / channel.elapsed.as_secs_f64().max(1e-9);
-            assert!(
-                ratio <= 1.02,
-                "{algo}: lanes {:.1}% slower than channel (parity gate)",
-                100.0 * (ratio - 1.0)
-            );
-            // Placement gate: with a core per shard, pinning shards to
-            // cores (compact) must hold parity with the unpinned lanes
-            // cell — placement has to pay for its affinity claim.
-            let compact = &cells[3];
-            let ratio = compact.elapsed.as_secs_f64() / lanes.elapsed.as_secs_f64().max(1e-9);
+            let compact = &cells[2];
+            let ratio = compact.elapsed.as_secs_f64() / base.elapsed.as_secs_f64().max(1e-9);
             assert!(
                 ratio <= 1.02,
                 "{algo}: compact placement {:.1}% slower than unpinned lanes",
                 100.0 * (ratio - 1.0)
             );
         }
-        for ((transport, mode, telemetry, placement), cell) in grid.iter().zip(&cells) {
+        for ((transport, telemetry, placement), cell) in grid.iter().zip(&cells) {
             assert_eq!(
                 base.states, cell.states,
-                "{algo}/{transport}: fixpoint diverged across transports"
+                "{algo}/{transport}: fixpoint diverged across cells"
             );
-            match mode {
-                TransportMode::Channel => assert_eq!(
-                    cell.lane_batches, 0,
-                    "{algo}/{transport}: channel mode must not touch lanes"
-                ),
-                TransportMode::Lanes => {
-                    assert!(
-                        cell.lane_batches > 0,
-                        "{algo}/{transport}: lane mode shipped no lane batches"
-                    );
-                    let ratio = cell.batches_recycled as f64 / cell.lane_batches as f64;
-                    // At smoke scale a run is over before the pool warms up;
-                    // only the committed full-scale artifact asserts it.
-                    if scale >= 1.0 {
-                        assert!(
-                            ratio >= 0.9,
-                            "{algo}/{transport}: pool hit rate {ratio:.3} below steady-state floor"
-                        );
-                    }
-                }
+            assert!(
+                cell.lane_batches > 0,
+                "{algo}/{transport}: shipped no lane batches"
+            );
+            let ratio = cell.batches_recycled as f64 / cell.lane_batches as f64;
+            // At smoke scale a run is over before the pool warms up;
+            // only the committed full-scale artifact asserts it.
+            if scale >= 1.0 {
+                assert!(
+                    ratio >= 0.9,
+                    "{algo}/{transport}: pool hit rate {ratio:.3} below steady-state floor"
+                );
             }
             let wall_delta = if std::ptr::eq(base, cell) {
                 "base".to_string()
@@ -287,14 +236,7 @@ fn main() {
                         / base.elapsed.as_secs_f64().max(1e-9)
                 )
             };
-            let recycle_rate = if cell.lane_batches == 0 {
-                "-".to_string()
-            } else {
-                format!(
-                    "{:.1}%",
-                    100.0 * cell.batches_recycled as f64 / cell.lane_batches as f64
-                )
-            };
+            let recycle_rate = format!("{:.1}%", 100.0 * ratio);
             rows.push(vec![
                 algo.to_string(),
                 transport.to_string(),

@@ -41,7 +41,7 @@ use crate::snapshot::Snapshot;
 use crate::supervision::{EngineError, FailureBoard, ShardFailure};
 use crate::telemetry::{TelemetryHub, TelemetryShared};
 use crate::termination::{Backoff, Deadline, DetectionTimer, SharedCounters};
-use crate::transport::{LaneHandles, ParkBoard, TransportMode, MAX_LANE_SHARDS};
+use crate::transport::{LaneHandles, ParkBoard, MAX_LANE_SHARDS};
 use crate::trigger::{TriggerDef, TriggerFire, MAX_TRIGGERS};
 use crate::wal;
 
@@ -89,6 +89,10 @@ impl<A: Algorithm> EngineBuilder<A> {
         let config = self.config;
         let shards = config.num_shards;
         assert!(shards > 0, "need at least one shard");
+        assert!(
+            shards <= MAX_LANE_SHARDS,
+            "{shards} shards exceeds the {MAX_LANE_SHARDS}-shard lane mesh"
+        );
 
         // Durable engines stamp their shape into the root directory so a
         // later cold restart ([`Engine::open`]) can refuse a mismatched
@@ -138,7 +142,6 @@ impl<A: Algorithm> EngineBuilder<A> {
         let algo = Arc::new(self.algo);
         let triggers = Arc::new(self.triggers);
         let (trigger_tx, trigger_rx) = unbounded();
-        let (quiesce_tx, quiesce_rx) = unbounded();
 
         let channels: Vec<_> = (0..shards)
             .map(|_| unbounded::<Message<A::State>>())
@@ -146,28 +149,10 @@ impl<A: Algorithm> EngineBuilder<A> {
         let senders: Vec<Sender<Message<A::State>>> =
             channels.iter().map(|(tx, _)| tx.clone()).collect();
 
-        // The lane mesh + park board exist only under the lane transport;
-        // `None` keeps every channel-mode branch in the shard loop free.
-        // The multi-word pending bitmap carries the mesh to 4096 shards;
-        // past even that the engine runs the channel transport — same
-        // results, no mesh — and says so instead of degrading silently.
-        // `for_engine`: lane columns are left unallocated here — each
-        // shard first-touch allocates its own at startup (so ring pages
-        // land on its pinned core's node), and the park board carries the
-        // configured `idle_park` heartbeat.
-        let lanes: Option<LaneHandles<A::State>> = match config.transport {
-            TransportMode::Lanes if shards <= MAX_LANE_SHARDS => {
-                Some(LaneHandles::for_engine(shards, config.idle_park))
-            }
-            TransportMode::Lanes => {
-                eprintln!(
-                    "remo: {shards} shards exceeds the {MAX_LANE_SHARDS}-shard lane mesh; \
-                     falling back to the channel transport (results identical, no lanes)"
-                );
-                None
-            }
-            TransportMode::Channel => None,
-        };
+        // Lane columns are left unallocated here — each shard first-touch
+        // allocates its own at startup, so ring pages land on its pinned
+        // core's node.
+        let lanes = LaneHandles::for_engine(shards);
 
         let mut handles = Vec::with_capacity(shards);
         for (id, (_, rx)) in channels.into_iter().enumerate() {
@@ -181,7 +166,6 @@ impl<A: Algorithm> EngineBuilder<A> {
                 Arc::clone(&board),
                 Arc::clone(&triggers),
                 trigger_tx.clone(),
-                quiesce_tx.clone(),
                 lanes.clone(),
                 Arc::clone(&plan),
                 Arc::clone(&tele),
@@ -199,9 +183,8 @@ impl<A: Algorithm> EngineBuilder<A> {
             senders,
             handles,
             trigger_rx,
-            quiesce_rx,
             part: Partitioner::new(shards),
-            parks: lanes.map(|l| l.parks),
+            parks: lanes.parks,
             tele,
             config,
         }
@@ -252,12 +235,11 @@ pub struct Engine<A: Algorithm> {
     senders: Vec<Sender<Message<A::State>>>,
     handles: Vec<JoinHandle<Option<ShardReport<A::State>>>>,
     trigger_rx: Receiver<TriggerFire>,
-    quiesce_rx: Receiver<()>,
     /// Cached owner map (construction hashes nothing, but per-call
     /// rebuilding was pure waste on the query paths).
     part: Partitioner,
-    /// Lane transport only: unpark targets after controller sends.
-    parks: Option<Arc<ParkBoard>>,
+    /// Unpark targets after controller sends.
+    parks: Arc<ParkBoard>,
     /// Shared telemetry surface (snapshot cells, histograms, recorders).
     tele: Arc<TelemetryShared>,
     config: EngineConfig,
@@ -382,12 +364,10 @@ impl<A: Algorithm> Engine<A> {
         let sent = self.senders[shard]
             .send(msg)
             .map_err(|_| self.send_error(shard));
-        // Lane transport: the shard may be parked — control traffic must
-        // wake it or wait out a heartbeat.
+        // The shard may be parked — control traffic must wake it or wait
+        // out a heartbeat.
         if sent.is_ok() {
-            if let Some(parks) = &self.parks {
-                parks.wake(shard);
-            }
+            self.parks.wake(shard);
         }
         sent
     }
@@ -395,10 +375,8 @@ impl<A: Algorithm> Engine<A> {
     /// Unparks every shard (after a broadcast such as a snapshot's epoch
     /// open or the shutdown fan-out).
     fn wake_all(&self) {
-        if let Some(parks) = &self.parks {
-            for id in 0..self.config.num_shards {
-                parks.wake(id);
-            }
+        for id in 0..self.config.num_shards {
+            self.parks.wake(id);
         }
     }
 
@@ -590,25 +568,12 @@ impl<A: Algorithm> Engine<A> {
         loop {
             self.check_liveness(&deadline)?;
             if self.shared.quiescent_probe() {
-                // Drain any stale announcements for this quiet period.
-                while self.quiesce_rx.try_recv().is_ok() {}
                 self.tele.record_quiesce(timer.elapsed_ns());
                 self.tele.settle_ingest();
                 return Ok(());
             }
-            // Sleep with ears open: a Safra announcement lands on
-            // `quiesce_rx` and cuts the wait short; in counter mode no
-            // shard ever sends here, so this degrades to a plain
-            // capped-exponential-backoff sleep instead of the old
-            // fixed-interval spin.
-            let _ = self.quiesce_rx.recv_timeout(backoff.next_wait());
+            std::thread::sleep(backoff.next_wait());
         }
-    }
-
-    /// Receiver of the Safra detector's quiescence announcements (for tests
-    /// and the termination ablation).
-    pub fn quiescence_announcements(&self) -> &Receiver<()> {
-        &self.quiesce_rx
     }
 
     /// One four-counter reading: true when every sent envelope has been

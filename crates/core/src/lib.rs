@@ -13,10 +13,10 @@
 //! - Vertices are partitioned over shard threads by consistent hashing
 //!   ([`partition`]); each shard owns its vertex table exclusively and
 //!   communicates only via per-sender FIFO batches of visitor messages
-//!   ([`shard`]). The data plane is pluggable ([`transport`]): the default
-//!   lane mesh moves batches over lock-free SPSC rings with pooled buffer
-//!   recycling and event-driven parking; the seed's MPMC channel path
-//!   remains selectable for differential testing.
+//!   ([`shard`]). The data plane ([`transport`]) is a lane mesh: batches
+//!   move over lock-free SPSC rings with pooled buffer recycling and
+//!   event-driven parking; each shard's channel carries control traffic
+//!   and the overflow of a full lane.
 //! - Shard-local vertex storage ([`storage`]) is a dense arena: it
 //!   interns vertex ids once per event and direct-indexes a record slab
 //!   thereafter.
@@ -25,8 +25,8 @@
 //! - Algorithms are sets of callbacks over events ([`algorithm`]:
 //!   `init`/`on_add`/`on_reverse_add`/`on_update`), with the recursive step
 //!   expressed through `update_nbrs`/`update_single_nbr`.
-//! - Quiescence is detected by a global counter or by Safra's token-ring
-//!   algorithm ([`termination`]).
+//! - Quiescence is detected by a two-wave four-counter probe over
+//!   per-shard published counters ([`termination`]).
 //! - Global state is collected *without pausing ingestion* via epoch-tagged
 //!   events and per-vertex state forks ([`snapshot`], [`vertex_state`]) — the
 //!   paper's Chandy–Lamport variant (§III-D).
@@ -120,11 +120,10 @@ pub use telemetry::{
     EngineGauges, FlightEntry, FlightTag, QueryStatsRow, QueryStatsSource, TelemetryConfig,
     TelemetryHub, PUBLISH_EVERY,
 };
-pub use termination::{Backoff, Deadline, DetectionTimer, TerminationMode};
+pub use termination::{Backoff, Deadline, DetectionTimer};
 pub use trace::{
     HopStats, PropagationTrace, SpanKind, TraceConfig, TraceSpan, TraceSummary, TraceTag,
 };
-pub use transport::TransportMode;
 pub use trigger::{TriggerFire, MAX_TRIGGERS};
 pub use vertex_state::{VertexMeta, VertexState};
 pub use wal::DurabilityConfig;

@@ -74,7 +74,7 @@ shard_metrics! {
     update_events,
     /// Decremental events processed (§VI-B extension).
     remove_events,
-    /// Envelopes sent to other shards (or self) through channels.
+    /// Envelopes sent to other shards (or self).
     envelopes_sent,
     /// New edges inserted into this shard's tables.
     edges_inserted,
@@ -86,15 +86,13 @@ shard_metrics! {
     triggers_fired,
     /// Vertex state forks performed for snapshot epochs.
     snapshot_forks,
-    /// Safra tokens forwarded (0 in counter mode).
-    safra_tokens,
     /// Faults injected on this shard by the configured
     /// [`FaultPlan`](crate::FaultPlan) (0 outside chaos runs).
     faults_injected,
     /// Outbound envelopes deliberately lost by fault injection.
     envelopes_dropped,
-    /// Envelopes retired because their destination channel was already
-    /// closed (engine teardown, or the destination shard died).
+    /// Envelopes retired because their destination was already gone
+    /// (engine teardown, or the destination shard died).
     envelopes_undeliverable,
     /// `Update` envelopes absorbed into an already-pending envelope for the
     /// same (target, visitor, weight, epoch) via [`Algorithm::join`]
@@ -114,8 +112,7 @@ shard_metrics! {
     /// Pending `Update` envelopes the priority heap drained ahead of an
     /// earlier-staged envelope — how often best-first actually reordered.
     heap_reorders,
-    /// Envelope batches shipped over an SPSC data lane (Lanes transport;
-    /// 0 under the channel transport).
+    /// Envelope batches shipped over an SPSC data lane.
     lane_batches,
     /// `flush()` calls that reused a pooled batch buffer from a recycle
     /// lane instead of allocating — `batches_recycled / lane_batches` is
@@ -129,8 +126,7 @@ shard_metrics! {
     /// publishing work for it (event-driven wakeups that fired).
     unparks,
     /// Times this shard went to sleep in its idle loop (parked on the
-    /// `ParkBoard` or timed out on the
-    /// channel receive). `idle_parks / (idle_parks + events_processed)`
+    /// `ParkBoard`). `idle_parks / (idle_parks + events_processed)`
     /// is the park-ratio gauge.
     idle_parks,
     /// WAL records appended (accepted external envelopes + pulled topology
@@ -149,8 +145,8 @@ shard_metrics! {
     /// termination books stay balanced; replay re-derives their effects.
     envelopes_recovered,
     /// Idle passes where the shard deferred a partial-batch flush and
-    /// re-drained its inbound paths instead (lane flush hysteresis; see
-    /// `EngineConfig::flush_hysteresis`). Bounded per idle episode, so
+    /// re-drained its inbound paths instead (lane flush hysteresis).
+    /// Bounded per idle episode, so
     /// this never delays quiescence — buffered envelopes are already
     /// counted sent.
     flush_deferrals,
@@ -184,8 +180,7 @@ shard_metrics! {
     /// Nanoseconds a pinned shard spent in its bounded pre-park spin and
     /// in flush-hysteresis yields.
     phase_spin_ns,
-    /// Nanoseconds spent parked (or blocked on the channel receive)
-    /// waiting for work.
+    /// Nanoseconds spent parked waiting for work.
     phase_park_ns,
     /// Nanoseconds spent staging and publishing durable checkpoints.
     phase_checkpoint_ns,
@@ -368,8 +363,7 @@ pub struct RunMetrics {
     /// Event service time: callback dispatch through outgoing routing, per
     /// processed envelope (sampled; see `TelemetryConfig::sample_shift`).
     pub service: LatencyHistogram,
-    /// Lane flush latency: one `flush()` of an outgoing batch (Lanes
-    /// transport; empty under the channel transport).
+    /// Lane flush latency: one `flush()` of an outgoing batch.
     pub flush: LatencyHistogram,
     /// Quiescence-detection latency: entry into
     /// `Engine::try_await_quiescence` until the counters balanced.

@@ -2,8 +2,8 @@
 //!
 //! Each shard owns a partition of the vertices (consistent hashing,
 //! §III-C), a [`VertexTable`] holding their adjacency and live algorithm
-//! state, and an inbound FIFO channel of visitor messages (HavoqGT's visitor
-//! queue, Figure 2). The worker loop:
+//! state, and one inbound FIFO lane of visitor messages per peer (HavoqGT's
+//! visitor queue, Figure 2) beside a control channel. The worker loop:
 //!
 //! 1. drains and processes all queued algorithmic events (events that
 //!    "impact the same vertex are ordered in the infrastructure layer by the
@@ -12,19 +12,19 @@
 //!    its assigned input stream — the paper's saturation-test semantics,
 //!    "each rank pulling a topology event as soon as local work is
 //!    completed" (§V-A);
-//! 3. when fully idle, participates in termination detection and parks
-//!    briefly on its channel.
+//! 3. when fully idle, flushes its partial batches and parks until a peer
+//!    or the controller wakes it.
 //!
 //! Undirected edge serialization follows §III-C exactly: the `[a, b]` event
 //! is routed to `owner(a)`, which inserts `a -> b` and then sends the
-//! reverse-add for `[b, a]` to `owner(b)` over the FIFO channel, ensuring
+//! reverse-add for `[b, a]` to `owner(b)` over the pair's FIFO lane, ensuring
 //! the edge exists before either side uses it.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use remo_store::{Adjacency, EdgeMeta, VertexId, VertexTable};
 
 use crate::algorithm::{AlgoCtx, Algorithm, EventCtx, Outgoing};
@@ -37,14 +37,12 @@ use crate::supervision::{
     panic_payload_string, FailureBoard, FaultPlan, ShardFailure, CHAOS_PANIC_MARKER,
 };
 use crate::telemetry::{FlightTag, TelemetryConfig, TelemetryShared, PUBLISH_EVERY};
-use crate::termination::{SafraState, SharedCounters, TerminationMode, Token, TokenAction};
+use crate::termination::SharedCounters;
 use crate::trace::{self, SpanKind, TraceConfig, TraceTag};
 use crate::transport::{LaneHandles, LaneMesh};
 use crate::trigger::{TriggerDef, TriggerFire};
 use crate::vertex_state::{VertexMeta, VertexState};
 use crate::wal::{self, DurabilityConfig, RawRecord, ShardWal};
-
-pub use crate::transport::TransportMode;
 
 /// Coalescing identity of a pending `Update`: merging is only sound between
 /// envelopes that would invoke the same callback with the same visitor and
@@ -86,14 +84,6 @@ impl std::hash::Hasher for MixHasher {
 
 type PendMap<V> = HashMap<PendKey, V, std::hash::BuildHasherDefault<MixHasher>>;
 
-/// A staged `Update` envelope awaiting local processing.
-struct Pending<S> {
-    env: Envelope<S>,
-    /// Self-sent envelopes still owe the Safra receive at drain time;
-    /// remote ones were receive-accounted when their batch arrived.
-    from_self: bool,
-}
-
 /// Outcome of one coalescing attempt against an already-staged envelope.
 enum Coalesce {
     /// Merged: the staged envelope now carries both values.
@@ -113,7 +103,7 @@ enum Coalesce {
 /// entirely on the receive hot path.
 enum DrainItem<S> {
     Key(PendKey),
-    Env(Pending<S>),
+    Env(Envelope<S>),
 }
 
 /// Bucket count for the priority drain (Dial-style bucket queue). Priorities
@@ -123,6 +113,19 @@ enum DrainItem<S> {
 /// clamp is rarely hit — and drain order is a work-saving heuristic, never a
 /// correctness requirement (§II-B monotonicity).
 const PRIO_BUCKETS: usize = 1024;
+
+/// Flush hysteresis: how many idle passes a shard with buffered partial
+/// batches re-drains its inbound paths (yielding the core between passes)
+/// before flushing them and parking. Short algorithm waves — BFS frontiers
+/// especially — otherwise degenerate into storms of near-empty lane
+/// batches and peer wakes: every shard goes briefly idle between waves,
+/// flushes a handful of envelopes, and unparks its peers for them.
+/// Deferring the partial flush for a bounded beat lets the next inbound
+/// batch refill the outbox first. Safe at any value: buffered envelopes
+/// are already counted as sent, so quiescence cannot falsely fire, and the
+/// flush always happens before the shard parks. 0 is the immediate flush
+/// that produced the BFS short-wave regression (DESIGN.md §15.1).
+const FLUSH_HYSTERESIS: u32 = 32;
 
 /// Which lattice-aware messaging layers are active — §II-B monotonicity put
 /// to work in the transport. All off (the default) keeps the engine's exact
@@ -164,12 +167,8 @@ impl LatticeConfig {
 pub(crate) enum Message<S> {
     /// An algorithmic event (counted by termination detection).
     Event(Envelope<S>),
-    /// A batch of algorithmic events (each counted individually).
-    Batch(Vec<Envelope<S>>),
     /// A batch of topology events for this shard's input stream.
     Stream(Vec<TopoEvent>),
-    /// Safra termination token.
-    Token(Token),
     /// Collect states: the snapshot view at `old_epoch` (or live states).
     Collect {
         old_epoch: Epoch,
@@ -182,13 +181,13 @@ pub(crate) enum Message<S> {
         vertex: VertexId,
         reply: Sender<Option<S>>,
     },
-    /// Lanes transport only: a data batch diverted to the channel because
-    /// the pair's data lane was full (or the pair was already mid-
-    /// fallback). The receiver must drain data lane `(from, self)` before
-    /// admitting `batch` — every batch in the lane predates this one — and
-    /// acknowledge via `LaneMesh::note_fallback_consumed` afterwards so
-    /// the sender may resume the lane. That discipline is what keeps the
-    /// pair's FIFO intact across the lane→channel→lane round trip.
+    /// A data batch diverted to the channel because the pair's data lane
+    /// was full (or the pair was already mid-fallback). The receiver must
+    /// drain data lane `(from, self)` before admitting `batch` — every
+    /// batch in the lane predates this one — and acknowledge via
+    /// `LaneMesh::note_fallback_consumed` afterwards so the sender may
+    /// resume the lane. That discipline is what keeps the pair's FIFO
+    /// intact across the lane→channel→lane round trip.
     LaneFallback {
         from: usize,
         batch: Vec<Envelope<S>>,
@@ -208,7 +207,7 @@ pub(crate) enum Message<S> {
 
 /// How one idle wait ended (see [`ShardWorker::idle_wait`]).
 enum IdleWait<S> {
-    /// A control/data message arrived on the channel.
+    /// A message arrived on the channel.
     Message(Message<S>),
     /// Woken (or timed out) with nothing on the channel: loop around and
     /// re-drain the lanes.
@@ -224,10 +223,6 @@ pub struct EngineConfig {
     pub num_shards: usize,
     /// Undirected mode: every `Add` spawns the `ReverseAdd` (§III-A).
     pub undirected: bool,
-    /// Which quiescence detector runs.
-    pub termination: TerminationMode,
-    /// How long an idle shard parks on its channel per wait.
-    pub idle_park: Duration,
     /// Maximum time a supervised call waits for quiescence or for a
     /// snapshot barrier before returning
     /// [`EngineError::QuiescenceTimeout`](crate::EngineError). `None`
@@ -252,19 +247,6 @@ pub struct EngineConfig {
     /// batch. A batch from one sender preserves its internal order, so
     /// per-pair FIFO is unaffected. Default 256.
     pub envelope_batch: usize,
-    /// Lane-transport flush hysteresis: how many idle passes a shard with
-    /// buffered partial batches re-drains its inbound paths (yielding the
-    /// core between passes) before flushing them and parking. Short
-    /// algorithm waves — BFS frontiers especially — otherwise degenerate
-    /// into storms of near-empty lane batches and peer wakes: every shard
-    /// goes briefly idle between waves, flushes a handful of envelopes,
-    /// and unparks its peers for them. Deferring the partial flush for a
-    /// bounded beat lets the next inbound batch refill the outbox first.
-    /// Safe at any value: buffered envelopes are already counted as sent,
-    /// so quiescence cannot falsely fire, and the flush always happens
-    /// before the shard parks. 0 restores the immediate-flush seed
-    /// behaviour; ignored under the channel transport. Default 32.
-    pub flush_hysteresis: u32,
     /// Lattice-aware messaging layers (all off = exact FIFO behaviour).
     pub lattice: LatticeConfig,
     /// Capacity hint: expected total vertex count across the whole graph
@@ -272,13 +254,6 @@ pub struct EngineConfig {
     /// for its share, so large ingests stop paying rehash storms from
     /// empty tables. Benches set this from the known RMAT scale.
     pub expected_vertices: usize,
-    /// Data-plane transport between shards: the SPSC lane mesh with
-    /// pooled batch buffers and event-driven parking (default), or the
-    /// seed's per-shard MPMC channel, kept selectable for differential
-    /// testing and the transport ablation. Control traffic
-    /// (Stream/Collect/Query/Token/Shutdown) rides the channel either
-    /// way.
-    pub transport: TransportMode,
     /// Live-telemetry configuration ([`crate::telemetry`]): seqlock
     /// counter cells, sampled latency histograms, and the per-shard
     /// flight recorder. Counters default on (their publish cost is one
@@ -309,22 +284,18 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// `shards` shard threads, undirected, counter-based termination.
+    /// `shards` shard threads, undirected.
     pub fn undirected(shards: usize) -> Self {
         EngineConfig {
             num_shards: shards,
             undirected: true,
-            termination: TerminationMode::Counter,
-            idle_park: Duration::from_micros(200),
             quiescence_deadline: None,
             query_deadline: None,
             shutdown_deadline: Duration::from_secs(2),
             fault_plan: FaultPlan::default(),
             envelope_batch: 256,
-            flush_hysteresis: 32,
             lattice: LatticeConfig::default(),
             expected_vertices: 0,
-            transport: TransportMode::default(),
             telemetry: TelemetryConfig::default(),
             trace: TraceConfig::off(),
             durability: None,
@@ -343,19 +314,6 @@ impl EngineConfig {
     /// Same config with every lattice messaging layer enabled.
     pub fn with_lattice(mut self) -> Self {
         self.lattice = LatticeConfig::all();
-        self
-    }
-
-    /// Same config with a different lane flush hysteresis (0 = flush
-    /// partial batches immediately at idle, the pre-hysteresis behaviour).
-    pub fn with_flush_hysteresis(mut self, passes: u32) -> Self {
-        self.flush_hysteresis = passes;
-        self
-    }
-
-    /// Same config with a different data-plane transport.
-    pub fn with_transport(mut self, mode: TransportMode) -> Self {
-        self.transport = mode;
         self
     }
 
@@ -432,7 +390,6 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     board: Arc<FailureBoard>,
     triggers: Arc<Vec<TriggerDef<A::State>>>,
     trigger_tx: Sender<TriggerFire>,
-    quiesce_tx: Sender<()>,
 
     /// True iff `config.fault_plan` targets this shard — precomputed so the
     /// fault-free data path pays one predictable branch, not a plan scan.
@@ -458,7 +415,7 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     /// buckets; key-based drain entries use lazy deletion, with this map
     /// as the single source of truth. Received envelopes never enter this
     /// map — see [`DrainItem`].
-    pending: PendMap<Pending<A::State>>,
+    pending: PendMap<Envelope<A::State>>,
     pend_fifo: VecDeque<PendKey>,
     /// Priority mode: Dial-style bucket queue — `pend_buckets[p]` holds the
     /// `(seq, item)` entries staged at (clamped) priority `p`. Push and pop
@@ -478,9 +435,8 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     /// Per-destination index into `outboxes` for sender-side coalescing
     /// (cleared on every flush; empty when coalescing is off).
     outbox_index: Vec<PendMap<usize>>,
-    /// Lanes transport: the shared SPSC mesh + park board (`None` under
-    /// the channel transport — every lane branch keys off this).
-    lanes: Option<LaneHandles<A::State>>,
+    /// The shared SPSC lane mesh + park board.
+    lanes: LaneHandles<A::State>,
     /// The engine-wide placement plan (resolved from `config.placement`
     /// at build): this shard's seat plus every peer's NUMA node, for the
     /// cross-node lane-traffic counter.
@@ -500,7 +456,7 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     /// each `drain_lanes` pass (allocation-free steady state).
     claim_buf: Vec<usize>,
     /// Idle passes spent deferring a partial-batch flush in the current
-    /// idle episode (bounded by `config.flush_hysteresis`; reset whenever
+    /// idle episode (bounded by [`FLUSH_HYSTERESIS`]; reset whenever
     /// work arrives or the flush finally happens).
     idle_spins: u32,
     /// Local monotone counters, published to this shard's [`ShardSlots`].
@@ -509,7 +465,6 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     ingested_local: u64,
     pending_fires: Vec<TriggerFire>,
     metrics: ShardMetrics,
-    safra: SafraState,
     edges: u64,
     seq: u64,
 
@@ -630,8 +585,7 @@ impl<A: Algorithm> ShardWorker<A> {
         board: Arc<FailureBoard>,
         triggers: Arc<Vec<TriggerDef<A::State>>>,
         trigger_tx: Sender<TriggerFire>,
-        quiesce_tx: Sender<()>,
-        lanes: Option<LaneHandles<A::State>>,
+        lanes: LaneHandles<A::State>,
         plan: Arc<PlacementPlan>,
         tele: Arc<TelemetryShared>,
     ) -> Self {
@@ -669,7 +623,6 @@ impl<A: Algorithm> ShardWorker<A> {
             board,
             triggers,
             trigger_tx,
-            quiesce_tx,
             fault_armed,
             store: DenseStore::with_capacity(shard_cap),
             local_q: VecDeque::new(),
@@ -702,7 +655,6 @@ impl<A: Algorithm> ShardWorker<A> {
             ingested_local: 0,
             pending_fires: Vec::new(),
             metrics: ShardMetrics::default(),
-            safra: SafraState::default(),
             edges: 0,
             seq: 0,
             tele,
@@ -933,14 +885,12 @@ impl<A: Algorithm> ShardWorker<A> {
     /// gone); the caller then consumes `self` into the final report.
     pub(crate) fn run_loop(&mut self) {
         use std::sync::atomic::Ordering;
-        if let Some(lanes) = &self.lanes {
-            lanes.parks.register(self.id);
-            // First-touch: allocate this shard's inbound lane column on
-            // its own (possibly just-pinned) core. Under the engine's
-            // deferred mesh this is the first touch of those ring pages;
-            // under an eager test mesh it is a no-op.
-            lanes.mesh.init_column(self.id);
-        }
+        self.lanes.parks.register(self.id);
+        // First-touch: allocate this shard's inbound lane column on its
+        // own (possibly just-pinned) core. Under the engine's deferred
+        // mesh this is the first touch of those ring pages; under an
+        // eager test mesh it is a no-op.
+        self.lanes.mesh.init_column(self.id);
         // Run-merged phase accounting (nothing at all when
         // `phase_accounting` is off): one window per run of same-labeled
         // segments, a clock read only at label transitions — see
@@ -971,15 +921,11 @@ impl<A: Algorithm> ShardWorker<A> {
                 }
                 while let Some(env) = self.local_q.pop_front() {
                     round = true;
-                    self.safra.on_receive();
                     self.process(env);
                 }
-                while let Some(p) = self.pop_pending() {
+                while let Some(env) = self.pop_pending() {
                     round = true;
-                    if p.from_self {
-                        self.safra.on_receive();
-                    }
-                    self.process(p.env);
+                    self.process(env);
                 }
                 if !round {
                     break;
@@ -1075,10 +1021,7 @@ impl<A: Algorithm> ShardWorker<A> {
             // Deadlock-free: buffered envelopes are already counted sent,
             // so quiescence cannot fire under them, and the spin budget
             // guarantees the flush below runs before any park.
-            if self.idle_spins < self.config.flush_hysteresis
-                && self.lanes.is_some()
-                && self.outboxes.iter().any(|b| !b.is_empty())
-            {
+            if self.idle_spins < FLUSH_HYSTERESIS && self.outboxes.iter().any(|b| !b.is_empty()) {
                 self.idle_spins += 1;
                 self.metrics.flush_deferrals += 1;
                 // Marked before the yield so the yield itself accrues to
@@ -1091,9 +1034,7 @@ impl<A: Algorithm> ShardWorker<A> {
 
             // Phase 4: fully idle — flush buffered envelopes, publish the
             // counter cell (an idle shard's snapshot is otherwise up to
-            // PUBLISH_EVERY-1 events stale), then termination detection,
-            // then wait for work (event-driven park under the lane
-            // transport, timeout poll otherwise).
+            // PUBLISH_EVERY-1 events stale), then park until woken.
             self.phase_mark(&mut seg, PhaseLabel::Flush);
             self.flush_all();
             if self.tele_counters {
@@ -1108,7 +1049,6 @@ impl<A: Algorithm> ShardWorker<A> {
             // is parked time: the clearest "this shard had nothing to do"
             // signal in the utilization breakdown.
             self.phase_mark(&mut seg, PhaseLabel::Park);
-            self.idle_step();
             let waited = self.idle_wait();
             // Waking is the processing guess: a message wake goes straight
             // into dispatch and a lane wake into the next drain pass; a
@@ -1134,24 +1074,13 @@ impl<A: Algorithm> ShardWorker<A> {
         }
     }
 
-    /// One idle wait. Under the channel transport this is the seed's
-    /// `recv_timeout` poll. Under the lane transport the shard announces
-    /// sleep, re-checks both inbound paths (the Dekker pairing with
-    /// senders' post-publish [`crate::transport::ParkBoard::wake`]), and
-    /// parks; `idle_park` degrades from the wake latency to a fallback
-    /// heartbeat that keeps Safra tokens circulating and insures against
-    /// the (latency-only) missed-wake window.
+    /// One idle wait: the shard announces sleep, re-checks both inbound
+    /// paths (the Dekker pairing with senders' post-publish
+    /// [`crate::transport::ParkBoard::wake`]), and parks. The board's
+    /// heartbeat only insures against the (latency-only) missed-wake
+    /// window.
     fn idle_wait(&mut self) -> IdleWait<A::State> {
-        let Some(lanes) = self.lanes.clone() else {
-            return match self.rx.recv_timeout(self.config.idle_park) {
-                Ok(msg) => IdleWait::Message(msg),
-                Err(RecvTimeoutError::Timeout) => {
-                    self.metrics.idle_parks += 1;
-                    IdleWait::Heartbeat
-                }
-                Err(RecvTimeoutError::Disconnected) => IdleWait::Disconnected,
-            };
-        };
+        let lanes = &self.lanes;
         // Pinned shards spin briefly before the park machinery: the core
         // is theirs either way (nobody else is scheduled onto it by
         // design), so burning a bounded probe loop converts the common
@@ -1184,8 +1113,6 @@ impl<A: Algorithm> ShardWorker<A> {
                     self.tele
                         .record_flight(self.id, FlightTag::Park, self.cur_epoch, 0, 0);
                 }
-                // The board carries the configured heartbeat
-                // (`EngineConfig::idle_park` threaded through at build).
                 lanes.parks.park_current();
                 lanes.parks.clear_sleep(self.id);
                 IdleWait::Heartbeat
@@ -1201,32 +1128,12 @@ impl<A: Algorithm> ShardWorker<A> {
     fn dispatch(&mut self, msg: Message<A::State>) -> bool {
         match msg {
             Message::Event(env) => {
-                self.safra.on_receive();
                 if self.durable {
                     self.log_custody(&env);
                     self.inbox.push_back(env);
                     self.commit_and_admit_inbox();
                 } else {
                     self.admit(env);
-                }
-                false
-            }
-            Message::Batch(batch) => {
-                if self.durable {
-                    // Memory-only first pass (panic-free), then one WAL
-                    // commit for the whole batch, *then* processing: a
-                    // record is durable before any effect escapes.
-                    for env in batch {
-                        self.safra.on_receive();
-                        self.log_custody(&env);
-                        self.inbox.push_back(env);
-                    }
-                    self.commit_and_admit_inbox();
-                } else {
-                    for env in batch {
-                        self.safra.on_receive();
-                        self.admit(env);
-                    }
                 }
                 false
             }
@@ -1241,10 +1148,6 @@ impl<A: Algorithm> ShardWorker<A> {
                     );
                 }
                 self.streams.push_back(events.into_iter());
-                false
-            }
-            Message::Token(tok) => {
-                self.safra.held = Some(tok);
                 false
             }
             Message::Collect {
@@ -1292,21 +1195,17 @@ impl<A: Algorithm> ShardWorker<A> {
                 self.drain_lane_from(from);
                 if self.durable {
                     for env in batch.drain(..) {
-                        self.safra.on_receive();
                         self.log_custody(&env);
                         self.inbox.push_back(env);
                     }
                     self.commit_and_admit_inbox();
                 } else {
                     for env in batch.drain(..) {
-                        self.safra.on_receive();
                         self.admit(env);
                     }
                 }
-                if let Some(lanes) = &self.lanes {
-                    lanes.mesh.give_recycled(from, self.id, batch);
-                    lanes.mesh.note_fallback_consumed(from, self.id);
-                }
+                self.lanes.mesh.give_recycled(from, self.id, batch);
+                self.lanes.mesh.note_fallback_consumed(from, self.id);
                 false
             }
             Message::Control { op, ack } => {
@@ -1421,15 +1320,11 @@ impl<A: Algorithm> ShardWorker<A> {
         swept
     }
 
-    /// Drains every flagged inbound data lane (no-op under the channel
-    /// transport). One bitmap probe covers the empty case — the hot loop
-    /// never scans P lanes to find nothing. Returns whether anything was
-    /// admitted.
+    /// Drains every flagged inbound data lane. One bitmap probe covers the
+    /// empty case — the hot loop never scans P lanes to find nothing.
+    /// Returns whether anything was admitted.
     fn drain_lanes(&mut self) -> bool {
-        let mesh = match &self.lanes {
-            Some(lanes) => Arc::clone(&lanes.mesh),
-            None => return false,
-        };
+        let mesh = Arc::clone(&self.lanes.mesh);
         // The scratch is taken out of `self` for the drain calls below
         // (which need `&mut self`); its allocation is reused every pass.
         let mut claimed = std::mem::take(&mut self.claim_buf);
@@ -1451,10 +1346,7 @@ impl<A: Algorithm> ShardWorker<A> {
     /// Drains the data lane from one peer, returning each emptied batch
     /// buffer to the sender's pool.
     fn drain_lane_from(&mut self, from: usize) -> bool {
-        let mesh = match &self.lanes {
-            Some(lanes) => Arc::clone(&lanes.mesh),
-            None => return false,
-        };
+        let mesh = Arc::clone(&self.lanes.mesh);
         self.drain_one_lane(&mesh, from)
     }
 
@@ -1463,8 +1355,10 @@ impl<A: Algorithm> ShardWorker<A> {
         while let Some(mut batch) = mesh.recv(from, self.id) {
             any = true;
             if self.durable {
+                // Memory-only first pass (panic-free), then one WAL
+                // commit for the whole batch, *then* processing: a
+                // record is durable before any effect escapes.
                 for env in batch.drain(..) {
-                    self.safra.on_receive();
                     self.log_custody(&env);
                     self.inbox.push_back(env);
                 }
@@ -1472,7 +1366,6 @@ impl<A: Algorithm> ShardWorker<A> {
                 self.commit_and_admit_inbox();
             } else {
                 for env in batch.drain(..) {
-                    self.safra.on_receive();
                     self.admit(env);
                 }
                 mesh.give_recycled(from, self.id, batch);
@@ -1511,13 +1404,7 @@ impl<A: Algorithm> ShardWorker<A> {
                 // Only worse-than-best arrivals get parked.
                 if self.pend_staged > 0 && (prio as usize).min(PRIO_BUCKETS - 1) > self.pend_cursor
                 {
-                    self.stage_item(
-                        prio,
-                        DrainItem::Env(Pending {
-                            env,
-                            from_self: false,
-                        }),
-                    );
+                    self.stage_item(prio, DrainItem::Env(env));
                     return;
                 }
             }
@@ -1556,18 +1443,18 @@ impl<A: Algorithm> ShardWorker<A> {
         let Some(p) = self.pending.get_mut(&key) else {
             return Coalesce::NoEntry;
         };
-        if !A::join(&mut p.env.value, &env.value) {
+        if !A::join(&mut p.value, &env.value) {
             return Coalesce::Declined;
         }
         // Tag inheritance across the merge: an untagged absorber adopts
         // the absorbed envelope's tag so the trace keeps a carrier; a
         // tagged absorber keeps its own (one carrier, one count).
-        if env.tag != 0 && p.env.tag == 0 {
-            p.env.tag = env.tag;
+        if env.tag != 0 && p.tag == 0 {
+            p.tag = env.tag;
         }
-        let absorber = p.env.tag;
+        let absorber = p.tag;
         if self.lattice.priority {
-            let prio = A::priority(&p.env.value).unwrap_or(0);
+            let prio = A::priority(&p.value).unwrap_or(0);
             self.stage_item(prio, DrainItem::Key(key));
         }
         if env.tag != 0 {
@@ -1593,12 +1480,12 @@ impl<A: Algorithm> ShardWorker<A> {
     /// Stages a self-routed `Update` envelope into the lattice backlog.
     /// Callers must have resolved coalescing first (the key slot is known
     /// free when coalescing is on).
-    fn stage_pending(&mut self, env: Envelope<A::State>, from_self: bool) {
+    fn stage_pending(&mut self, env: Envelope<A::State>) {
         if !self.lattice.coalesce {
             // Priority-only: nothing ever merges, so carry the envelope
             // inline and skip the map.
             let prio = A::priority(&env.value).unwrap_or(0);
-            self.stage_item(prio, DrainItem::Env(Pending { env, from_self }));
+            self.stage_item(prio, DrainItem::Env(env));
             return;
         }
         let key = (env.target, env.visitor, env.weight, env.epoch);
@@ -1611,12 +1498,12 @@ impl<A: Algorithm> ShardWorker<A> {
             self.pend_seq += 1;
             self.pend_fifo.push_back(key);
         }
-        self.pending.insert(key, Pending { env, from_self });
+        self.pending.insert(key, env);
     }
 
     /// Next staged envelope in drain order (best-first under priority,
     /// insertion order otherwise), skipping lazily-deleted key entries.
-    fn pop_pending(&mut self) -> Option<Pending<A::State>> {
+    fn pop_pending(&mut self) -> Option<Envelope<A::State>> {
         if self.lattice.priority {
             while self.pend_staged > 0 {
                 // The cursor invariant (every bucket below it is empty)
@@ -1631,12 +1518,12 @@ impl<A: Algorithm> ShardWorker<A> {
                     continue;
                 };
                 self.pend_staged -= 1;
-                let p = match item {
-                    DrainItem::Env(p) => p,
+                let env = match item {
+                    DrainItem::Env(env) => env,
                     // Stale key entries (from re-prioritized merges) fail
                     // the map removal and are skipped.
                     DrainItem::Key(key) => match self.pending.remove(&key) {
-                        Some(p) => p,
+                        Some(env) => env,
                         None => continue,
                     },
                 };
@@ -1644,13 +1531,13 @@ impl<A: Algorithm> ShardWorker<A> {
                     self.metrics.heap_reorders += 1;
                 }
                 self.pend_max_popped = self.pend_max_popped.max(seq);
-                return Some(p);
+                return Some(env);
             }
             return None;
         }
         while let Some(key) = self.pend_fifo.pop_front() {
-            if let Some(p) = self.pending.remove(&key) {
-                return Some(p);
+            if let Some(env) = self.pending.remove(&key) {
+                return Some(env);
             }
         }
         None
@@ -1961,10 +1848,7 @@ impl<A: Algorithm> ShardWorker<A> {
         self.pub_ticker = 0;
         let queue_depth =
             (self.rx.len() + self.local_q.len() + self.pend_staged + self.pend_fifo.len()) as u64;
-        let lane_occupancy = match &self.lanes {
-            Some(lanes) => lanes.mesh.inbound_occupancy(self.id) as u64,
-            None => 0,
-        };
+        let lane_occupancy = self.lanes.mesh.inbound_occupancy(self.id) as u64;
         self.tele.publish_counters(
             self.id,
             &self.metrics,
@@ -2063,7 +1947,6 @@ impl<A: Algorithm> ShardWorker<A> {
             }
         }
         self.note_sent(env.epoch);
-        self.safra.on_send();
         self.metrics.envelopes_sent += 1;
         // A tagged envelope is counted sent here exactly once, so the
         // Send span is the amplification unit (cross-checkable against
@@ -2095,7 +1978,7 @@ impl<A: Algorithm> ShardWorker<A> {
         }
         if owner == self.id {
             if self.lattice_on && env.kind == EventKind::Update && !key_occupied {
-                self.stage_pending(env, true);
+                self.stage_pending(env);
             } else {
                 self.local_q.push_back(env);
             }
@@ -2139,19 +2022,7 @@ impl<A: Algorithm> ShardWorker<A> {
     fn do_flush(&mut self, owner: usize) {
         self.outbox_index[owner].clear();
         let batch = std::mem::take(&mut self.outboxes[owner]);
-        let Some(lanes) = &self.lanes else {
-            // Channel transport: one MPMC send. A closed channel means the
-            // receiver shut down mid-run (engine teardown, or the
-            // destination shard died): retire the envelopes so counters
-            // stay balanced, and account for the loss.
-            if let Err(e) = self.senders[owner].send(Message::Batch(batch)) {
-                if let Message::Batch(batch) = e.into_inner() {
-                    self.retire_batch(batch);
-                }
-            }
-            return;
-        };
-        let mesh = Arc::clone(&lanes.mesh);
+        let mesh = Arc::clone(&self.lanes.mesh);
         if self.board.is_failed(owner) {
             // A dead receiver can never pop its lanes: retire this batch
             // and whatever is still parked in the lane (quiescence over
@@ -2195,9 +2066,9 @@ impl<A: Algorithm> ShardWorker<A> {
         }
     }
 
-    /// Lanes transport: ships a batch over the channel because the pair's
-    /// data lane is full (or the pair is mid-handshake). Never blocks,
-    /// never reorders: the receiver drains the lane before admitting it.
+    /// Ships a batch over the channel because the pair's data lane is full
+    /// (or the pair is mid-handshake). Never blocks, never reorders: the
+    /// receiver drains the lane before admitting it.
     fn send_fallback(&mut self, owner: usize, batch: Vec<Envelope<A::State>>) {
         self.fallback_sent[owner] += 1;
         let msg = Message::LaneFallback {
@@ -2206,6 +2077,10 @@ impl<A: Algorithm> ShardWorker<A> {
         };
         match self.senders[owner].send(msg) {
             Ok(()) => self.wake(owner),
+            // A closed channel means the receiver shut down mid-run
+            // (engine teardown, or the destination shard died): retire
+            // the envelopes so counters stay balanced, and account for
+            // the loss.
             Err(e) => {
                 if let Message::LaneFallback { batch, .. } = e.into_inner() {
                     self.retire_batch(batch);
@@ -2220,7 +2095,6 @@ impl<A: Algorithm> ShardWorker<A> {
     fn retire_batch(&mut self, batch: Vec<Envelope<A::State>>) {
         self.metrics.envelopes_undeliverable += batch.len() as u64;
         for env in batch {
-            self.safra.count -= 1;
             self.note_processed(env.epoch);
         }
     }
@@ -2231,22 +2105,17 @@ impl<A: Algorithm> ShardWorker<A> {
     /// provably gone (channel disconnect or failure-board record, both
     /// published strictly after its last pop).
     fn reclaim_lane(&mut self, owner: usize) {
-        let mesh = match &self.lanes {
-            Some(lanes) => Arc::clone(&lanes.mesh),
-            None => return,
-        };
+        let mesh = Arc::clone(&self.lanes.mesh);
         for batch in mesh.reclaim(self.id, owner) {
             self.retire_batch(batch);
         }
     }
 
-    /// Unparks `owner` if it announced sleep (lane transport only); the
-    /// caller must have already published the work being signalled.
+    /// Unparks `owner` if it announced sleep; the caller must have
+    /// already published the work being signalled.
     fn wake(&mut self, owner: usize) {
-        if let Some(lanes) = &self.lanes {
-            if lanes.parks.wake(owner) {
-                self.metrics.unparks += 1;
-            }
+        if self.lanes.parks.wake(owner) {
+            self.metrics.unparks += 1;
         }
     }
 
@@ -2255,12 +2124,12 @@ impl<A: Algorithm> ShardWorker<A> {
         for owner in 0..self.outboxes.len() {
             self.flush(owner);
         }
-        // Lanes: a dead destination never drains its inbound lanes, and
-        // `flush` only notices on the next send — sweep here too, so a
-        // panicked shard's lanes drain into the undeliverable accounting
-        // even when nothing more is addressed to it and degraded runs can
-        // settle their counters.
-        if self.lanes.is_some() && self.board.any_failed() {
+        // A dead destination never drains its inbound lanes, and `flush`
+        // only notices on the next send — sweep here too, so a panicked
+        // shard's lanes drain into the undeliverable accounting even when
+        // nothing more is addressed to it and degraded runs can settle
+        // their counters.
+        if self.board.any_failed() {
             for owner in 0..self.senders.len() {
                 if owner != self.id && self.board.is_failed(owner) {
                     self.reclaim_lane(owner);
@@ -2280,38 +2149,6 @@ impl<A: Algorithm> ShardWorker<A> {
                 }
             }
         }
-    }
-
-    /// Safra participation while idle (counter mode: no-op; the controller
-    /// reads the shared counters directly).
-    fn idle_step(&mut self) {
-        if self.config.termination != TerminationMode::Safra {
-            return;
-        }
-        // Passive: no local stream work (inbound known empty at this point).
-        if !self.streams.is_empty() {
-            return;
-        }
-        if let Some(tok) = self.safra.held.take() {
-            self.metrics.safra_tokens += 1;
-            match self.safra.process_token(tok, self.id == 0) {
-                TokenAction::Forward(t) | TokenAction::Restart(t) => self.send_token(t),
-                TokenAction::Quiescent => {
-                    let _ = self.quiesce_tx.send(());
-                }
-            }
-        } else if self.id == 0 && !self.safra.round_active && !self.safra.announced {
-            let t = self.safra.start_round();
-            self.send_token(t);
-        }
-    }
-
-    fn send_token(&mut self, t: Token) {
-        let next = (self.id + 1) % self.config.num_shards;
-        let _ = self.senders[next].send(Message::Token(t));
-        // A parked successor must see the token promptly or the ring
-        // stalls for a heartbeat per hop.
-        self.wake(next);
     }
 
     /// Collects this shard's contribution to a snapshot (or the live view).
@@ -2737,15 +2574,11 @@ impl<A: Algorithm> ShardWorker<A> {
             let mut round = false;
             while let Some(env) = self.local_q.pop_front() {
                 round = true;
-                self.safra.on_receive();
                 self.process(env);
             }
-            while let Some(p) = self.pop_pending() {
+            while let Some(env) = self.pop_pending() {
                 round = true;
-                if p.from_self {
-                    self.safra.on_receive();
-                }
-                self.process(p.env);
+                self.process(env);
             }
             if !round {
                 break;
@@ -2757,12 +2590,11 @@ impl<A: Algorithm> ShardWorker<A> {
     /// must be panic-free (queue drains, counter stores, no IO, no user
     /// code). Every envelope still held by this worker is retired against
     /// the termination books exactly once, mirroring
-    /// [`ShardWorker::retire_batch`]'s counter motion: envelopes this
-    /// shard *sent* but never received (outboxes, local queue, self-staged
-    /// pending) cancel their Safra count and owe a processed mark;
-    /// envelopes already receive-accounted at custody (inbox, staged
-    /// received, the half-processed one) owe only the processed mark.
-    /// Replay re-derives all of their effects from the WAL.
+    /// [`ShardWorker::retire_batch`]'s counter motion: whether this shard
+    /// *sent* it and never received it (outboxes, local queue, self-staged
+    /// pending) or took custody of it from a peer (inbox, staged received,
+    /// the half-processed one), it was counted sent and owes a processed
+    /// mark. Replay re-derives all of their effects from the WAL.
     fn prepare_recovery(&mut self) {
         use std::sync::atomic::Ordering;
         // Gate termination detection BEFORE the first retirement below:
@@ -2775,7 +2607,7 @@ impl<A: Algorithm> ShardWorker<A> {
         }
         self.metrics.shard_respawns += 1;
         if let Some(epoch) = self.mid_process.take() {
-            self.retire_recovered(epoch, false);
+            self.retire_recovered(epoch);
         }
         // Un-routed callback output and un-sent trigger fires: never
         // entered any book, just dropped (replay regenerates them).
@@ -2784,35 +2616,35 @@ impl<A: Algorithm> ShardWorker<A> {
         for owner in 0..self.outboxes.len() {
             self.outbox_index[owner].clear();
             for env in std::mem::take(&mut self.outboxes[owner]) {
-                self.retire_recovered(env.epoch, true);
+                self.retire_recovered(env.epoch);
             }
         }
         while let Some(env) = self.local_q.pop_front() {
-            self.retire_recovered(env.epoch, true);
+            self.retire_recovered(env.epoch);
         }
         while let Some(env) = self.inbox.pop_front() {
-            self.retire_recovered(env.epoch, false);
+            self.retire_recovered(env.epoch);
         }
         // The priority buckets carry received envelopes inline (plus
         // lazily-deleted keys); the pending map holds every self-staged
         // one. Collect first — the drains borrow the queues.
-        let mut swept: Vec<(Epoch, bool)> = Vec::new();
+        let mut swept: Vec<Epoch> = Vec::new();
         for bucket in &mut self.pend_buckets {
             for (_, item) in bucket.drain(..) {
-                if let DrainItem::Env(p) = item {
-                    swept.push((p.env.epoch, p.from_self));
+                if let DrainItem::Env(env) = item {
+                    swept.push(env.epoch);
                 }
             }
         }
-        for (_, p) in self.pending.drain() {
-            swept.push((p.env.epoch, p.from_self));
+        for (_, env) in self.pending.drain() {
+            swept.push(env.epoch);
         }
         self.pend_fifo.clear();
         self.pend_cursor = PRIO_BUCKETS;
         self.pend_staged = 0;
         self.pend_max_popped = 0;
-        for (epoch, in_flight) in swept {
-            self.retire_recovered(epoch, in_flight);
+        for epoch in swept {
+            self.retire_recovered(epoch);
         }
         // WAL frames buffered but not committed belong to envelopes just
         // swept: discard them, replay must not see them.
@@ -2826,21 +2658,13 @@ impl<A: Algorithm> ShardWorker<A> {
             .slot(self.id)
             .ingested
             .store(self.ingested_local, Ordering::Release);
-        // Invalidate any in-progress Safra round: counters moved while
-        // the token was circulating.
-        self.safra.black = true;
         if self.tele_counters {
             self.publish_telemetry();
         }
     }
 
-    /// One swept envelope. `in_flight` marks sender-side custody (counted
-    /// sent, the receive still owed) — those also cancel the Safra count,
-    /// exactly as in [`ShardWorker::retire_batch`].
-    fn retire_recovered(&mut self, epoch: Epoch, in_flight: bool) {
-        if in_flight {
-            self.safra.count -= 1;
-        }
+    /// One swept envelope.
+    fn retire_recovered(&mut self, epoch: Epoch) {
         self.metrics.envelopes_recovered += 1;
         self.note_processed(epoch);
     }
@@ -2892,27 +2716,21 @@ mod tests {
         /// Shard 1's inbound channel: dropping it simulates the receiver
         /// shutting down.
         peer_rx: Option<Receiver<Message<u64>>>,
-        /// Keep the trigger/quiesce receivers alive for the fixture's
-        /// lifetime (the worker ignores send failures, but a live channel
-        /// matches the engine's wiring).
+        /// Keep the trigger receiver alive for the fixture's lifetime
+        /// (the worker ignores send failures, but a live channel matches
+        /// the engine's wiring).
         _trigger_rx: Receiver<TriggerFire>,
-        _quiesce_rx: Receiver<()>,
     }
 
     /// A two-shard world with shard 0 driven by hand and shard 1 absent
     /// (only its channel endpoint exists).
-    fn fixture(mode: TransportMode) -> Fixture {
-        let config = EngineConfig::undirected(2).with_transport(mode);
+    fn fixture() -> Fixture {
+        let config = EngineConfig::undirected(2);
         let shared = Arc::new(SharedCounters::new(2));
         let board = Arc::new(FailureBoard::new());
         let (tx0, rx0) = unbounded();
         let (tx1, rx1) = unbounded();
         let (trigger_tx, trigger_rx) = unbounded();
-        let (quiesce_tx, quiesce_rx) = unbounded();
-        let lanes = match mode {
-            TransportMode::Lanes => Some(LaneHandles::new(2)),
-            TransportMode::Channel => None,
-        };
         let tele = Arc::new(TelemetryShared::new(
             config.telemetry.clone(),
             config.trace.clone(),
@@ -2930,8 +2748,7 @@ mod tests {
             Arc::clone(&board),
             Arc::new(Vec::new()),
             trigger_tx,
-            quiesce_tx,
-            lanes,
+            LaneHandles::new(2),
             Arc::new(PlacementPlan::unpinned(2)),
             tele,
         );
@@ -2941,7 +2758,6 @@ mod tests {
             board,
             peer_rx: Some(rx1),
             _trigger_rx: trigger_rx,
-            _quiesce_rx: quiesce_rx,
         }
     }
 
@@ -2965,19 +2781,20 @@ mod tests {
 
     #[test]
     fn undeliverable_batch_retires_and_balances() {
-        let mut f = fixture(TransportMode::Channel);
-        drop(f.peer_rx.take()); // receiver already shut down
+        let mut f = fixture();
+        // A full lane diverts the flush to the channel, whose receiver
+        // has already shut down.
+        let mesh = Arc::clone(&f.worker.lanes.mesh);
+        while mesh.send(0, 1, Vec::new()).is_ok() {}
+        drop(f.peer_rx.take());
         for v in peer_targets(10) {
             f.worker.send_envelope(env(v));
         }
         assert_eq!(f.worker.metrics.envelopes_sent, 10);
         assert!(!f.shared.quiescent_probe(), "buffered envelopes in flight");
         f.worker.flush_all();
+        assert_eq!(f.worker.metrics.lane_full_fallbacks, 1);
         assert_eq!(f.worker.metrics.envelopes_undeliverable, 10);
-        assert_eq!(
-            f.worker.safra.count, 0,
-            "Safra count cancelled per envelope"
-        );
         assert_eq!(f.worker.sent_local[0], f.worker.processed_local[0]);
         assert!(
             f.shared.quiescent_probe(),
@@ -2987,7 +2804,7 @@ mod tests {
 
     #[test]
     fn dead_receiver_lane_reclaims_into_undeliverable() {
-        let mut f = fixture(TransportMode::Lanes);
+        let mut f = fixture();
         let targets = peer_targets(6);
         for &v in &targets[..3] {
             f.worker.send_envelope(env(v));
@@ -3017,17 +2834,13 @@ mod tests {
         }
         f.worker.flush_all();
         assert_eq!(f.worker.metrics.envelopes_undeliverable, 6);
-        assert_eq!(f.worker.safra.count, 0);
         assert!(f.shared.quiescent_probe());
     }
 
     #[test]
     fn full_lane_falls_back_and_handshake_resumes() {
-        let mut f = fixture(TransportMode::Lanes);
-        let mesh = match &f.worker.lanes {
-            Some(lanes) => Arc::clone(&lanes.mesh),
-            None => unreachable!(),
-        };
+        let mut f = fixture();
+        let mesh = Arc::clone(&f.worker.lanes.mesh);
         while mesh.send(0, 1, Vec::new()).is_ok() {} // fill the pair's lane
         let targets = peer_targets(2);
         f.worker.send_envelope(env(targets[0]));
@@ -3064,11 +2877,8 @@ mod tests {
 
     #[test]
     fn flush_reuses_recycled_buffers() {
-        let mut f = fixture(TransportMode::Lanes);
-        let mesh = match &f.worker.lanes {
-            Some(lanes) => Arc::clone(&lanes.mesh),
-            None => unreachable!(),
-        };
+        let mut f = fixture();
+        let mesh = Arc::clone(&f.worker.lanes.mesh);
         let targets = peer_targets(2);
         f.worker.send_envelope(env(targets[0]));
         f.worker.flush_all();

@@ -466,8 +466,8 @@ pub struct EngineGauges {
     /// Per-shard pending-work depth (inbox channel + staged local work),
     /// as of each shard's last snapshot publication.
     pub queue_depth: Vec<u64>,
-    /// Per-shard inbound lane occupancy (batches parked in SPSC rings;
-    /// 0 under the channel transport), as of the last publication.
+    /// Per-shard inbound lane occupancy (batches parked in SPSC rings),
+    /// as of the last publication.
     pub lane_occupancy: Vec<u64>,
     /// Per-shard pinned CPU (−1 = unpinned / placement off / the shard
     /// has not published yet), as of the last publication.

@@ -2,24 +2,19 @@
 //!
 //! "Processing completes when all visitors have completed, which is
 //! determined by a distributed quiescence detection algorithm" (§III-F,
-//! citing Pearce et al. \[24\]). Two detectors are provided:
-//!
-//! - **Counter** (default): Mattern's *four-counter method*. Every shard
-//!   owns monotone `sent` / `processed` counters (per snapshot-epoch
-//!   parity) on its own padded cache line, published with plain atomic
-//!   stores — there is **no shared read-modify-write on the data path**.
-//!   The controller probes in two waves: first it sums `processed` (R),
-//!   then `sent` (S); because a shard publishes `sent` *before* an envelope
-//!   becomes receivable, published S ≥ published R always, and `S == R`
-//!   proves no envelope is in flight or buffered. Stream ingestion is
-//!   covered by a third monotone counter pair (`injected` by the
-//!   controller, `ingested` by shards).
-//! - **Safra**: the classic Dijkstra–Feijen–van Gasteren/Safra token-ring
-//!   algorithm — per-shard message counts and colours, a token circulating
-//!   `0 → 1 → … → P-1 → 0`, termination when a white token returns to a
-//!   white shard 0 with a zero global count. Fully decentralized; the
-//!   detector a distributed deployment would run. The `ablate_termination`
-//!   bench measures the cost difference.
+//! citing Pearce et al. \[24\]). The engine runs one detector, Mattern's
+//! *four-counter method*: every shard owns monotone `sent` / `processed`
+//! counters (per snapshot-epoch parity) on its own padded cache line,
+//! published with plain atomic stores — there is **no shared
+//! read-modify-write on the data path**. The controller probes in two
+//! waves: first it sums `processed` (R), then `sent` (S); because a shard
+//! publishes `sent` *before* an envelope becomes receivable, published
+//! S ≥ published R always, and `S == R` proves no envelope is in flight or
+//! buffered. Stream ingestion is covered by a third monotone counter pair
+//! (`injected` by the controller, `ingested` by shards). Two counting
+//! waves over per-rank counters is also the shape of the detector the
+//! paper cites (HavoqGT's), with the controller's reads standing in for
+//! its all-reduce.
 //!
 //! The per-parity split is what the snapshot protocol (§III-D) uses to know
 //! when all events of the *previous* epoch have drained without pausing the
@@ -94,7 +89,7 @@ impl Backoff {
 
 /// Wall-clock meter for quiescence-detection latency: started when the
 /// controller enters a detection wait, read when the probe first succeeds.
-/// Lives here so the latency definition sits next to the detectors it
+/// Lives here so the latency definition sits next to the detector it
 /// measures; samples land in the telemetry `quiesce` histogram and surface
 /// as p50/p99/p999 in [`RunMetrics`](crate::RunMetrics).
 #[derive(Debug, Clone, Copy)]
@@ -114,16 +109,6 @@ impl DetectionTimer {
     pub fn elapsed_ns(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
-}
-
-/// Which detector the engine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TerminationMode {
-    /// Four-counter probing over per-shard published counters (fast path).
-    #[default]
-    Counter,
-    /// Safra's token-ring algorithm (fully decentralized).
-    Safra,
 }
 
 /// One participant's published monotone counters. Each lives on its own
@@ -265,88 +250,6 @@ impl SharedCounters {
     }
 }
 
-/// The circulating Safra token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Token {
-    /// Accumulated message-count sum of the shards visited this round.
-    pub q: i64,
-    /// True if any visited shard was black.
-    pub black: bool,
-}
-
-/// What a shard should do with a token it processed while passive.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenAction {
-    /// Forward this token to the next shard in the ring.
-    Forward(Token),
-    /// Ring 0 determined global quiescence.
-    Quiescent,
-    /// Ring 0 must start a fresh probe round.
-    Restart(Token),
-}
-
-/// Per-shard Safra bookkeeping.
-#[derive(Debug, Default)]
-pub struct SafraState {
-    /// Messages sent minus messages received (data envelopes only).
-    pub count: i64,
-    /// Black after receiving any data message since last token pass.
-    pub black: bool,
-    /// A token received while the shard was still active, parked until the
-    /// shard goes passive.
-    pub held: Option<Token>,
-    /// Shard 0 only: a probe round is in flight.
-    pub round_active: bool,
-    /// Shard 0 only: quiescence was announced and no activity has occurred
-    /// since (suppresses redundant probe rounds).
-    pub announced: bool,
-}
-
-impl SafraState {
-    /// Bookkeeping for sending one data message.
-    #[inline]
-    pub fn on_send(&mut self) {
-        self.count += 1;
-    }
-
-    /// Bookkeeping for receiving one data message (Safra: receipt blackens).
-    #[inline]
-    pub fn on_receive(&mut self) {
-        self.count -= 1;
-        self.black = true;
-        self.announced = false;
-    }
-
-    /// Shard 0 starts a probe: emits a fresh white token and whitens itself.
-    pub fn start_round(&mut self) -> Token {
-        self.round_active = true;
-        self.black = false;
-        Token { q: 0, black: false }
-    }
-
-    /// Processes a held token at a **passive** shard. `is_ring_zero`
-    /// selects the evaluation rule.
-    pub fn process_token(&mut self, token: Token, is_ring_zero: bool) -> TokenAction {
-        if is_ring_zero {
-            // Round complete: evaluate Safra's termination condition.
-            if !token.black && !self.black && token.q + self.count == 0 {
-                self.round_active = false;
-                self.announced = true;
-                TokenAction::Quiescent
-            } else {
-                TokenAction::Restart(self.start_round())
-            }
-        } else {
-            let fwd = Token {
-                q: token.q + self.count,
-                black: token.black || self.black,
-            };
-            self.black = false;
-            TokenAction::Forward(fwd)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,85 +358,5 @@ mod tests {
         let mut s1 = Sim::new(&c, 1);
         s1.process(0); // the shard that received the init retires it
         assert!(c.quiescent_probe());
-    }
-
-    /// Simulates a 3-shard ring with no outstanding messages: the first
-    /// probe round must conclude quiescence.
-    #[test]
-    fn safra_clean_ring_terminates_first_round() {
-        let mut shards: Vec<SafraState> = (0..3).map(|_| SafraState::default()).collect();
-        let mut token = shards[0].start_round();
-        for shard in shards.iter_mut().skip(1) {
-            match shard.process_token(token, false) {
-                TokenAction::Forward(t) => token = t,
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert_eq!(shards[0].process_token(token, true), TokenAction::Quiescent);
-    }
-
-    /// A message in flight (sent but not yet received) makes the count sum
-    /// nonzero: the round must restart, and must succeed after delivery and
-    /// one extra (whitening) round.
-    #[test]
-    fn safra_detects_in_flight_message() {
-        let mut shards: Vec<SafraState> = (0..2).map(|_| SafraState::default()).collect();
-        shards[0].on_send(); // 0 sent to 1; not yet received
-
-        let mut token = shards[0].start_round();
-        match shards[1].process_token(token, false) {
-            TokenAction::Forward(t) => token = t,
-            other => panic!("unexpected {other:?}"),
-        }
-        // q = 0 (shard1 count 0), shard0 count = +1 -> sum 1 != 0: restart.
-        let t2 = match shards[0].process_token(token, true) {
-            TokenAction::Restart(t) => t,
-            other => panic!("expected restart, got {other:?}"),
-        };
-
-        // Message now delivered: shard 1 receives and turns black.
-        shards[1].on_receive();
-        let mut token = t2;
-        match shards[1].process_token(token, false) {
-            TokenAction::Forward(t) => token = t,
-            other => panic!("unexpected {other:?}"),
-        }
-        // Counts now sum to zero but shard 1 was black: restart again.
-        let t3 = match shards[0].process_token(token, true) {
-            TokenAction::Restart(t) => t,
-            other => panic!("expected restart (black), got {other:?}"),
-        };
-
-        // Clean round: terminates.
-        let mut token = t3;
-        match shards[1].process_token(token, false) {
-            TokenAction::Forward(t) => token = t,
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(shards[0].process_token(token, true), TokenAction::Quiescent);
-    }
-
-    #[test]
-    fn safra_self_ring_single_shard() {
-        // P = 1: shard 0 sends itself a message, receives it, then probes.
-        let mut s = SafraState::default();
-        s.on_send();
-        s.on_receive();
-        let token = s.start_round();
-        // Token returns immediately (ring of one): start_round whitened the
-        // shard, so the round is clean and counts cancel.
-        assert_eq!(s.process_token(token, true), TokenAction::Quiescent);
-        assert!(s.announced);
-    }
-
-    #[test]
-    fn safra_announcement_resets_on_activity() {
-        let mut s = SafraState::default();
-        let token = s.start_round();
-        assert_eq!(s.process_token(token, true), TokenAction::Quiescent);
-        assert!(s.announced);
-        s.on_send();
-        s.on_receive();
-        assert!(!s.announced, "new activity must re-arm the announcer");
     }
 }

@@ -1,12 +1,8 @@
-//! Data-plane transports: how visitor-message batches move between shards.
+//! The data plane: how visitor-message batches move between shards.
 //!
-//! The seed transport is one unbounded crossbeam MPMC channel per shard —
-//! every inbound batch, from any of the P−1 peers plus the controller,
-//! funnels through the same contended queue, every `flush()` ships a
-//! freshly allocated `Vec<Envelope>` that the receiver drops, and an idle
-//! shard burns a fixed `recv_timeout` poll. [`TransportMode::Lanes`]
-//! replaces the *data* path with a P×P mesh of bounded lock-free SPSC
-//! rings (`LaneMesh`):
+//! A P×P mesh of bounded lock-free SPSC rings (`LaneMesh`), so that no
+//! batch crosses a queue contended by the other P−1 peers and the
+//! controller:
 //!
 //! - **Data lanes** carry `Vec<Envelope>` batches from one sender to one
 //!   receiver, so the receive path is an uncontended per-lane poll — no
@@ -15,20 +11,16 @@
 //!   steady-state batch shipping is allocation-free: `flush()` pulls the
 //!   next buffer from the pool instead of `Vec::new`.
 //! - A **full** data lane never blocks the sender: the batch falls back to
-//!   the existing channel path (see `Message::LaneFallback` and the
-//!   per-pair FIFO handshake documented on `LaneMesh::fallback_consumed`).
+//!   the shard's channel (see `Message::LaneFallback` and the per-pair
+//!   FIFO handshake documented on `LaneMesh::fallback_consumed`).
 //! - Idle shards **park** (`ParkBoard`) instead of timeout-polling:
 //!   senders unpark the receiver after publishing into its lane, and
-//!   `EngineConfig::idle_park` degrades to a fallback heartbeat rather
-//!   than the wake latency.
+//!   `IDLE_PARK` is a fallback heartbeat rather than the wake latency.
 //!
-//! Control traffic (Stream/Collect/Query/Token/Shutdown) stays on the
-//! crossbeam channel in both modes — it is rare, and the channel's
-//! blocking-receive semantics are exactly right for it.
-//!
-//! The transport is a runtime choice so differential
-//! tests (`prop_transport`) and the `ablate_transport` bench can run both
-//! transports in one process and assert byte-identical fixpoints.
+//! Control traffic (Stream/Collect/Query/Control/Shutdown, and the
+//! controller's `Init` events) stays on the per-shard crossbeam channel —
+//! it is rare, and the channel's blocking-receive semantics are exactly
+//! right for it.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -39,17 +31,6 @@ use std::time::Duration;
 use crossbeam::utils::CachePadded;
 
 use crate::event::Envelope;
-
-/// Which data-plane transport moves envelope batches between shards.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum TransportMode {
-    /// P×P mesh of bounded SPSC ring lanes with pooled batch buffers and
-    /// event-driven parking (the default).
-    #[default]
-    Lanes,
-    /// The seed transport: every batch through the receiver's MPMC channel.
-    Channel,
-}
 
 /// Batches a data lane can hold before the sender falls back to the
 /// channel path. Bounded so a stalled receiver exerts backpressure-by-
@@ -65,9 +46,8 @@ const PENDING_WORD_BITS: usize = 64;
 /// The pending-senders set is a multi-word bitmap with one hierarchical
 /// `u64` summary word (bit `w` of the summary covers word `w`), so the
 /// lane mesh scales to `64 × 64 = 4096` shards — far past any engine this
-/// crate will ever spawn as threads. Engines configured beyond even that
-/// fall back to the channel transport at build time, with a visible
-/// warning (see `EngineBuilder::build`); they no longer do so silently.
+/// crate will ever spawn as threads. A config beyond even that is
+/// rejected at engine build (see `EngineBuilder::build`).
 pub(crate) const MAX_LANE_SHARDS: usize = PENDING_WORD_BITS * PENDING_WORD_BITS;
 
 /// A multi-word pending-senders bitmap with a hierarchical summary word.
@@ -553,13 +533,11 @@ impl<S> LaneMesh<S> {
 /// no park), or the receiver's `asleep` store precedes the sender's swap
 /// (the sender unparks). `std::thread::park` carries a wake token, so an
 /// unpark landing before the park is not lost — and even a missed wake
-/// only costs one `idle_park` heartbeat, never a stall: parking is always
+/// only costs one [`IDLE_PARK`] heartbeat, never a stall: parking is always
 /// `park_timeout`.
 pub(crate) struct ParkBoard {
     slots: Vec<CachePadded<ParkSlot>>,
-    /// Fallback park timeout — `EngineConfig::idle_park` threaded through
-    /// at engine build ([`LaneHandles::for_engine`]) rather than a magic
-    /// constant at each park site.
+    /// Fallback park timeout ([`IDLE_PARK`] outside tests).
     heartbeat: Duration,
     /// How many spin iterations a *pinned* shard burns re-probing its
     /// inbound work before announcing sleep and parking. A pinned shard
@@ -570,6 +548,11 @@ pub(crate) struct ParkBoard {
     /// can use their core).
     spin_budget: u32,
 }
+
+/// How long a parked shard sleeps before re-probing on its own. Wakes are
+/// event-driven, so this only bounds the (latency-only) missed-wake
+/// window of the Dekker handshake.
+pub(crate) const IDLE_PARK: Duration = Duration::from_micros(200);
 
 /// Spin iterations before park for pinned shards (see
 /// [`ParkBoard::spin_budget`]). Each iteration is a couple of atomic
@@ -585,13 +568,11 @@ struct ParkSlot {
 }
 
 impl ParkBoard {
-    #[cfg_attr(not(test), allow(dead_code))] // test fixtures
     pub(crate) fn new(shards: usize) -> Self {
-        Self::with_timing(shards, Duration::from_micros(200), DEFAULT_SPIN_BUDGET)
+        Self::with_timing(shards, IDLE_PARK, DEFAULT_SPIN_BUDGET)
     }
 
-    /// Board with an explicit fallback heartbeat (the engine passes
-    /// `EngineConfig::idle_park`) and spin budget.
+    /// Board with an explicit fallback heartbeat and spin budget.
     pub(crate) fn with_timing(shards: usize, heartbeat: Duration, spin_budget: u32) -> Self {
         ParkBoard {
             slots: (0..shards)
@@ -657,8 +638,8 @@ impl ParkBoard {
     }
 }
 
-/// The per-shard bundle a Lanes-mode worker carries: the shared mesh and
-/// park board (`None` of this exists under [`TransportMode::Channel`]).
+/// The per-shard bundle every worker carries: the shared mesh and park
+/// board.
 pub(crate) struct LaneHandles<S> {
     pub mesh: Arc<LaneMesh<S>>,
     pub parks: Arc<ParkBoard>,
@@ -685,16 +666,11 @@ impl<S> LaneHandles<S> {
     }
 
     /// Handles as the engine builds them: columns deferred so each shard
-    /// first-touch allocates its own at startup, park heartbeat taken
-    /// from `EngineConfig::idle_park`.
-    pub(crate) fn for_engine(shards: usize, heartbeat: Duration) -> Self {
+    /// first-touch allocates its own at startup.
+    pub(crate) fn for_engine(shards: usize) -> Self {
         LaneHandles {
             mesh: Arc::new(LaneMesh::new_deferred(shards)),
-            parks: Arc::new(ParkBoard::with_timing(
-                shards,
-                heartbeat,
-                DEFAULT_SPIN_BUDGET,
-            )),
+            parks: Arc::new(ParkBoard::new(shards)),
         }
     }
 }
@@ -1064,7 +1040,7 @@ mod tests {
     #[test]
     fn park_board_timing_defaults() {
         let board = ParkBoard::new(1);
-        assert_eq!(board.heartbeat(), Duration::from_micros(200));
+        assert_eq!(board.heartbeat(), IDLE_PARK);
         assert_eq!(board.spin_budget(), DEFAULT_SPIN_BUDGET);
     }
 

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use remo_core::{
     algorithm::codec, AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineConfig, EngineError,
     FaultPlan, LatticeConfig, Partitioner, PlacementPolicy, QueryRegistry, Snapshot,
-    TelemetryConfig, TraceConfig, TransportMode, VertexId, CHAOS_PANIC_MARKER,
+    TelemetryConfig, TraceConfig, VertexId, CHAOS_PANIC_MARKER,
 };
 
 /// The paper's §II-A example: count each vertex's degree. Enough to make
@@ -55,18 +55,6 @@ fn lattice_mode() -> LatticeConfig {
     match std::env::var("REMO_CHAOS_LATTICE").as_deref() {
         Ok("1") => LatticeConfig::all(),
         _ => LatticeConfig::default(),
-    }
-}
-
-/// `REMO_CHAOS_TRANSPORT=channel` pins the suite to the plain channel
-/// data plane (CI runs both): fault containment must hold whether
-/// envelopes travel over SPSC lanes — where a panicked shard's inbound
-/// lanes must drain into the undeliverable accounting — or the seed's
-/// MPMC channel. The default exercises the lane mesh.
-fn transport_mode() -> TransportMode {
-    match std::env::var("REMO_CHAOS_TRANSPORT").as_deref() {
-        Ok("channel") => TransportMode::Channel,
-        _ => TransportMode::Lanes,
     }
 }
 
@@ -146,7 +134,6 @@ fn chaos_config(plan: FaultPlan) -> EngineConfig {
         query_deadline: Some(Duration::from_secs(5)),
         fault_plan: plan,
         lattice: lattice_mode(),
-        transport: transport_mode(),
         telemetry: telemetry_mode(),
         placement: placement_mode(),
         trace: trace_mode(),
@@ -312,7 +299,6 @@ fn dropped_envelopes_hit_quiescence_deadline() {
         quiescence_deadline: Some(deadline),
         fault_plan: FaultPlan::drop_on_shard(0, 1.0),
         lattice: lattice_mode(),
-        transport: transport_mode(),
         ..EngineConfig::undirected(2)
     };
     let engine = Engine::new(Degree, config);
@@ -345,7 +331,6 @@ fn delayed_shard_completes_and_reports_fault_metrics() {
     let config = EngineConfig {
         fault_plan: FaultPlan::delay_shard(1, Duration::from_millis(1)),
         lattice: lattice_mode(),
-        transport: transport_mode(),
         ..EngineConfig::undirected(2)
     };
     let engine = Engine::new(Degree, config);
@@ -408,7 +393,6 @@ fn failures_accessor_matches_finish_report() {
 fn fault_free_run_is_clean_under_supervised_api() {
     let config = EngineConfig {
         lattice: lattice_mode(),
-        transport: transport_mode(),
         ..EngineConfig::undirected(2)
     };
     let engine = Engine::new(Degree, config);
@@ -535,7 +519,6 @@ fn fixpoint(states: &Snapshot<u64>) -> Vec<(VertexId, u64)> {
 fn baseline_fixpoint(pairs: &[(VertexId, VertexId)]) -> Vec<(VertexId, u64)> {
     let config = EngineConfig {
         lattice: lattice_mode(),
-        transport: transport_mode(),
         ..EngineConfig::undirected(2)
     };
     let engine = Engine::new(MaxLabel, config);
@@ -820,7 +803,6 @@ fn cold_restart_resumes_and_matches_uninterrupted_run() {
     let config = || {
         EngineConfig {
             lattice: lattice_mode(),
-            transport: transport_mode(),
             telemetry: telemetry_mode(),
             ..EngineConfig::undirected(2)
         }
@@ -855,16 +837,14 @@ fn cold_restart_resumes_and_matches_uninterrupted_run() {
 fn open_rejects_mismatched_or_missing_durability() {
     let dir = durable_dir("manifest");
     {
-        let config = EngineConfig::undirected(2)
-            .with_transport(transport_mode())
-            .with_durability(DurabilityConfig::new(&dir).fsync(false));
+        let config =
+            EngineConfig::undirected(2).with_durability(DurabilityConfig::new(&dir).fsync(false));
         let engine = Engine::new(MaxLabel, config);
         engine.try_ingest_pairs(&[(0, 1)]).unwrap();
         engine.try_finish().unwrap();
     }
-    let mismatched = EngineConfig::undirected(3)
-        .with_transport(transport_mode())
-        .with_durability(DurabilityConfig::new(&dir).fsync(false));
+    let mismatched =
+        EngineConfig::undirected(3).with_durability(DurabilityConfig::new(&dir).fsync(false));
     let err = match Engine::open(MaxLabel, mismatched) {
         Err(e) => e,
         Ok(_) => panic!("a 3-shard open over a 2-shard directory must fail"),
@@ -979,7 +959,6 @@ fn respawned_shard_recovers_all_query_columns() {
     let want_min = {
         let config = EngineConfig {
             lattice: lattice_mode(),
-            transport: transport_mode(),
             ..EngineConfig::undirected(2)
         };
         let engine = Engine::new(MinLabel, config);

@@ -2,8 +2,12 @@
 //! avoid (self-loops, duplicates, empty streams), teardown paths, and
 //! snapshot corner cases.
 
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
+
 use remo_core::{
-    AlgoCtx, Algorithm, Engine, EngineConfig, TerminationMode, TopoEvent, VertexId, Weight,
+    AlgoCtx, Algorithm, Engine, EngineConfig, Partitioner, SequentialEngine, TopoEvent, VertexId,
+    Weight,
 };
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -97,33 +101,6 @@ fn collect_live_mid_session_then_more_work() {
 }
 
 #[test]
-fn single_shard_safra_detects() {
-    let config = EngineConfig {
-        termination: TerminationMode::Safra,
-        ..EngineConfig::undirected(1)
-    };
-    let engine = Engine::new(Touch, config);
-    engine.try_ingest_pairs(&[(0, 1), (1, 2)]).unwrap();
-    engine.try_await_quiescence().unwrap();
-    let r = engine.try_finish().unwrap();
-    assert_eq!(r.states.get(1), Some(&2));
-}
-
-#[test]
-fn safra_mode_snapshot_works() {
-    let config = EngineConfig {
-        termination: TerminationMode::Safra,
-        ..EngineConfig::undirected(3)
-    };
-    let mut engine = Engine::new(Touch, config);
-    engine.try_ingest_pairs(&[(0, 1), (1, 2), (2, 3)]).unwrap();
-    engine.try_await_quiescence().unwrap();
-    let snap = engine.try_snapshot().unwrap();
-    assert_eq!(snap.get(1), Some(&2));
-    let _ = engine.try_finish().unwrap();
-}
-
-#[test]
 fn huge_vertex_ids_are_fine() {
     // Ids are hashed, never used as indices.
     let engine = Engine::new(Touch, EngineConfig::undirected(2));
@@ -201,4 +178,78 @@ fn envelope_batch_of_one_streams_eagerly() {
     assert_eq!(r.states.get(0), Some(&2));
     assert_eq!(r.states.get(1), Some(&2));
     assert_eq!(r.states.get(2), Some(&2));
+}
+
+/// `Touch`, except that `init` holds its shard inside the callback — that
+/// is, inside the dispatch of a channel message — from the first barrier
+/// to the second.
+struct Gated(Arc<[Barrier; 2]>);
+
+impl Algorithm for Gated {
+    type State = u64;
+    fn init(&self, _ctx: &mut impl AlgoCtx<u64>) {
+        self.0[0].wait();
+        self.0[1].wait();
+    }
+    fn on_add(&self, ctx: &mut impl AlgoCtx<u64>, v: VertexId, val: &u64, w: Weight) {
+        Touch.on_add(ctx, v, val, w);
+    }
+    fn on_reverse_add(&self, ctx: &mut impl AlgoCtx<u64>, v: VertexId, val: &u64, w: Weight) {
+        Touch.on_reverse_add(ctx, v, val, w);
+    }
+}
+
+/// A full data lane diverts batches onto the receiver's channel, and the
+/// receiver must admit what the lane still holds before a diverted batch
+/// or the pair's FIFO breaks. Shard 1 is held inside a channel dispatch
+/// while a hub on shard 0 adds and then removes an edge to each of 64
+/// leaves on shard 1, one envelope per batch: the first reverse-adds fill
+/// the lane, the rest — and every reverse-remove — queue on the channel
+/// behind the held message. Once released, shard 1 meets the diverted
+/// batches first; admitting one ahead of the lane would apply a leaf's
+/// reverse-remove before its reverse-add and leave that edge standing.
+#[test]
+fn full_lane_diverts_to_the_channel_in_order() {
+    let part = Partitioner::new(2);
+    let hub = (0u64..).find(|&v| part.owner(v) == 0).unwrap();
+    let mut on_shard_1 = (0u64..).filter(|&v| part.owner(v) == 1);
+    let held = on_shard_1.next().unwrap();
+    let leaves: Vec<VertexId> = on_shard_1.take(64).collect();
+    let burst: Vec<TopoEvent> = leaves
+        .iter()
+        .map(|&leaf| TopoEvent::new(hub, leaf))
+        .chain(leaves.iter().map(|&leaf| TopoEvent::removal(hub, leaf)))
+        .collect();
+
+    let gate = Arc::new([Barrier::new(2), Barrier::new(2)]);
+    let config = EngineConfig {
+        envelope_batch: 1,
+        quiescence_deadline: Some(Duration::from_secs(10)),
+        ..EngineConfig::undirected(2)
+    };
+    let engine = Engine::new(Gated(Arc::clone(&gate)), config);
+    engine.try_init_vertex(held).unwrap();
+    gate[0].wait();
+    engine.try_ingest(vec![burst.clone(), Vec::new()]).unwrap();
+    // Shard 0 publishes its counters when it goes idle, the burst shipped.
+    let patience = Instant::now() + Duration::from_secs(10);
+    while engine.metrics_now().per_shard[0].topo_ingested < burst.len() as u64 {
+        assert!(Instant::now() < patience, "shard 0 never drained the burst");
+        std::thread::yield_now();
+    }
+    gate[1].wait();
+
+    engine.try_await_quiescence().unwrap();
+    assert!(engine.counters_balanced());
+    let r = engine.try_finish().unwrap();
+    r.metrics.verify_balance().unwrap();
+    assert!(r.metrics.total().lane_full_fallbacks > 0);
+
+    let mut seq = SequentialEngine::undirected(Touch);
+    seq.init_vertex(held);
+    for &ev in &burst {
+        seq.apply(ev);
+    }
+    assert_eq!(r.num_edges, seq.num_edges());
+    assert_eq!(r.states.into_vec(), seq.states());
 }

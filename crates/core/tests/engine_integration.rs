@@ -1,11 +1,10 @@
 //! Engine-level integration tests: the infrastructure guarantees of
-//! §III (event routing, undirected serialization, quiescence detection in
-//! both modes, continuous snapshots, triggers) exercised through small
+//! §III (event routing, undirected serialization, quiescence detection,
+//! continuous snapshots, triggers) exercised through small
 //! purpose-built algorithms, independent of the paper's headline algorithms.
 
 use remo_core::{
-    AlgoCtx, Algorithm, Engine, EngineBuilder, EngineConfig, TerminationMode, TopoEvent, VertexId,
-    Weight,
+    AlgoCtx, Algorithm, Engine, EngineBuilder, EngineConfig, TopoEvent, VertexId, Weight,
 };
 
 /// Counts add/reverse-add events per vertex (monotone counter).
@@ -132,26 +131,6 @@ fn multi_stream_splits_converge_identically() {
     engine_b.try_ingest(streams).unwrap();
     let b = engine_b.try_finish().unwrap().states.into_vec();
     assert_eq!(a, b);
-}
-
-#[test]
-fn safra_mode_reaches_same_fixpoint_and_announces() {
-    let edges = ring_edges(40);
-    let config = EngineConfig {
-        termination: TerminationMode::Safra,
-        ..EngineConfig::undirected(3)
-    };
-    let engine = Engine::new(MinLabel, config);
-    engine.try_ingest_pairs(&edges).unwrap();
-    engine.try_await_quiescence().unwrap();
-    let r = engine.try_finish().unwrap();
-    for (_, label) in r.states.iter() {
-        assert_eq!(*label, 1);
-    }
-    assert!(
-        r.metrics.total().safra_tokens > 0,
-        "Safra detector never circulated a token"
-    );
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Randomised recovery-equivalence suite: for a spread of generated
-//! graphs, shard counts, transports, checkpoint
+//! graphs, shard counts, checkpoint
 //! intervals, and mid-stream panic points, a durable run that loses a
 //! shard and recovers it (checkpoint restore + WAL replay) must be
 //! indistinguishable from an uninterrupted run — byte-identical vertex
@@ -7,14 +7,14 @@
 //! books.
 //!
 //! Deterministic by construction: a fixed-seed xorshift generator drives
-//! every random draw, and the 8 case indices enumerate the full
-//! (shards × transport) grid, so failures reproduce by case
-//! number with no shrinking machinery needed.
+//! every random draw, and the 8 case indices visit every shard count
+//! twice, so failures reproduce by case number with no shrinking
+//! machinery needed.
 //!
 //! Grid: 1–4 shards (1 = the recovering shard is the whole engine, so no
-//! peer holds custody of anything; 4 = replay races live peers) ×
-//! transport (a respawned shard must re-attach to its lanes, and the
-//! channel is the fallback those lanes divert to mid-recovery).
+//! peer holds custody of anything; 4 = replay races live peers, and the
+//! respawned shard must re-attach to its lanes) × two drawn scenarios
+//! (graph, panic point, checkpoint interval) per shard count.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -25,7 +25,7 @@ type RunOutputs = (Vec<(VertexId, u64)>, BTreeSet<(usize, VertexId)>, u64);
 
 use remo_core::{
     algorithm::codec, AlgoCtx, Algorithm, DurabilityConfig, EngineBuilder, EngineConfig, FaultPlan,
-    Snapshot, TransportMode, VertexId,
+    Snapshot, VertexId,
 };
 
 /// Max-label propagation (see `tests/chaos.rs`): the max join is
@@ -106,12 +106,11 @@ impl Rng {
     }
 }
 
-/// One generated scenario. The grid axes (shards, transport) are
-/// derived from the case index so all 8 combinations are always
-/// covered; everything else is drawn from the seeded generator.
+/// One generated scenario. The shard count is derived from the case
+/// index so every count is always covered; everything else is drawn from
+/// the seeded generator.
 struct Case {
     shards: usize,
-    transport: TransportMode,
     pairs: Vec<(VertexId, VertexId)>,
     vertices: u64,
     panic_shard: usize,
@@ -121,11 +120,6 @@ struct Case {
 
 fn gen_case(idx: usize, rng: &mut Rng) -> Case {
     let shards = 1 + (idx % 4);
-    let transport = if (idx / 4).is_multiple_of(2) {
-        TransportMode::Lanes
-    } else {
-        TransportMode::Channel
-    };
     let vertices = 6 + rng.below(20);
     let edges = vertices + rng.below(vertices + 1);
     let mut pairs = Vec::with_capacity(edges as usize);
@@ -138,7 +132,6 @@ fn gen_case(idx: usize, rng: &mut Rng) -> Case {
     }
     Case {
         shards,
-        transport,
         pairs,
         vertices,
         panic_shard: rng.below(shards as u64) as usize,
@@ -153,7 +146,6 @@ fn base_config(case: &Case) -> EngineConfig {
         query_deadline: Some(Duration::from_secs(10)),
         ..EngineConfig::undirected(case.shards)
     }
-    .with_transport(case.transport)
 }
 
 fn durable_dir(case: usize) -> PathBuf {
@@ -211,9 +203,8 @@ fn recovered_runs_match_uninterrupted_runs() {
     for idx in 0..8 {
         let case = gen_case(idx, &mut rng);
         eprintln!(
-            "case {idx}: shards={} transport={:?} edges={} panic=({},{}) ckpt={}",
+            "case {idx}: shards={} edges={} panic=({},{}) ckpt={}",
             case.shards,
-            case.transport,
             case.pairs.len(),
             case.panic_shard,
             case.panic_at,
@@ -238,8 +229,8 @@ fn recovered_runs_match_uninterrupted_runs() {
 
         assert_eq!(
             got_states, want_states,
-            "case {idx} ({} shards, {:?}, ckpt {}): recovered fixpoint diverged",
-            case.shards, case.transport, case.checkpoint_every
+            "case {idx} ({} shards, ckpt {}): recovered fixpoint diverged",
+            case.shards, case.checkpoint_every
         );
         assert_eq!(
             got_fires, want_fires,
@@ -287,7 +278,7 @@ fn durable_fault_free_runs_match_plain_runs() {
 /// used to strand delivered batches in the rings — invisible to the bit
 /// probe, wedging quiescence (~1 in 4 runs of this exact scenario before
 /// the full-mesh sweep in `recover`). The case is the sparse 4-shard
-/// lanes graph that originally exposed it; iterate to give the race room.
+/// graph that originally exposed it; iterate to give the race room.
 #[test]
 fn lane_claim_unwind_does_not_strand_batches() {
     let mut rng = Rng::new(0xD15EA5E);

@@ -1,6 +1,6 @@
 //! Integration suite for the live telemetry subsystem: `metrics_now`
-//! monotonicity and coherence under concurrent ingest (1–4 shards, both
-//! transports), the zero-overhead-when-off contract, envelope-balance
+//! monotonicity and coherence under concurrent ingest (1–4 shards),
+//! the zero-overhead-when-off contract, envelope-balance
 //! verification on clean runs, and the Prometheus/JSON exporter surface.
 //!
 //! The seqlock snapshot cells promise two things these tests pin down:
@@ -12,8 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use remo_core::{
-    AlgoCtx, Algorithm, Engine, EngineConfig, ShardMetrics, TelemetryConfig, TransportMode,
-    VertexId,
+    AlgoCtx, Algorithm, Engine, EngineConfig, ShardMetrics, TelemetryConfig, VertexId,
 };
 
 /// §II-A degree counting — every topology event fans an envelope to each
@@ -93,71 +92,68 @@ fn assert_snapshots_monotone(snaps: &[remo_core::RunMetrics], ctx: &str) {
 }
 
 /// Polls `metrics_now` from a dedicated thread while the controller
-/// ingests and quiesces, across 1–4 shards and both transports: every
+/// ingests and quiesces, across 1–4 shards: every
 /// observed snapshot must be coherent (monotone per shard) and the final
 /// snapshot must agree with the harvested report.
 #[test]
 fn metrics_now_is_monotone_under_concurrent_ingest() {
     let edges = edge_stream(4_000, 0x5eed);
-    for transport in [TransportMode::Lanes, TransportMode::Channel] {
-        for shards in 1..=4usize {
-            let config = EngineConfig::undirected(shards).with_transport(transport);
-            let engine = Engine::new(Degree, config);
-            let hub = engine.telemetry();
-            let stop = Arc::new(AtomicBool::new(false));
-            let reader = {
-                let hub = hub.clone();
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut snaps = Vec::new();
-                    while !stop.load(Ordering::Relaxed) {
-                        snaps.push(hub.metrics_now());
-                        std::thread::yield_now();
-                    }
+    for shards in 1..=4usize {
+        let engine = Engine::new(Degree, EngineConfig::undirected(shards));
+        let hub = engine.telemetry();
+        let stop = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let hub = hub.clone();
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut snaps = Vec::new();
+                while !stop.load(Ordering::Relaxed) {
                     snaps.push(hub.metrics_now());
-                    snaps
-                })
-            };
-            for chunk in edges.chunks(1_000) {
-                engine.try_ingest_pairs(chunk).unwrap();
-                engine.try_await_quiescence().unwrap();
-                // Mid-run probe from the controller side too: must agree
-                // with itself (total == sum of shards) at every poll.
-                let m = engine.metrics_now();
-                let total = m.total().events_processed();
-                let by_shard: u64 = m.per_shard.iter().map(|s| s.events_processed()).sum();
-                assert_eq!(total, by_shard);
-            }
-            stop.store(true, Ordering::Relaxed);
-            let snaps = reader.join().unwrap();
-            let ctx = format!("{transport:?} P={shards}");
-            assert_snapshots_monotone(&snaps, &ctx);
-
-            let result = engine.try_finish().unwrap();
-            assert!(result.failures.is_empty());
-            result.metrics.verify_balance().unwrap();
-            // The hub outlives the engine, frozen at each shard's final
-            // report-time publication: processed counts match the harvest
-            // exactly, and no cell counter exceeds its harvested value.
-            let last = hub.metrics_now();
-            for (shard, (cell, harvested)) in last
-                .per_shard
-                .iter()
-                .zip(&result.metrics.per_shard)
-                .enumerate()
-            {
-                assert_eq!(
-                    cell.events_processed(),
-                    harvested.events_processed(),
-                    "{ctx}: shard {shard} final cell trails the harvest"
-                );
-                let (cw, hw) = (counter_words(cell), counter_words(harvested));
-                for (i, name) in ShardMetrics::COUNTER_NAMES.iter().enumerate() {
-                    assert!(
-                        cw[i] <= hw[i],
-                        "{ctx}: shard {shard} cell `{name}` exceeds harvest"
-                    );
+                    std::thread::yield_now();
                 }
+                snaps.push(hub.metrics_now());
+                snaps
+            })
+        };
+        for chunk in edges.chunks(1_000) {
+            engine.try_ingest_pairs(chunk).unwrap();
+            engine.try_await_quiescence().unwrap();
+            // Mid-run probe from the controller side too: must agree
+            // with itself (total == sum of shards) at every poll.
+            let m = engine.metrics_now();
+            let total = m.total().events_processed();
+            let by_shard: u64 = m.per_shard.iter().map(|s| s.events_processed()).sum();
+            assert_eq!(total, by_shard);
+        }
+        stop.store(true, Ordering::Relaxed);
+        let snaps = reader.join().unwrap();
+        let ctx = format!("P={shards}");
+        assert_snapshots_monotone(&snaps, &ctx);
+
+        let result = engine.try_finish().unwrap();
+        assert!(result.failures.is_empty());
+        result.metrics.verify_balance().unwrap();
+        // The hub outlives the engine, frozen at each shard's final
+        // report-time publication: processed counts match the harvest
+        // exactly, and no cell counter exceeds its harvested value.
+        let last = hub.metrics_now();
+        for (shard, (cell, harvested)) in last
+            .per_shard
+            .iter()
+            .zip(&result.metrics.per_shard)
+            .enumerate()
+        {
+            assert_eq!(
+                cell.events_processed(),
+                harvested.events_processed(),
+                "{ctx}: shard {shard} final cell trails the harvest"
+            );
+            let (cw, hw) = (counter_words(cell), counter_words(harvested));
+            for (i, name) in ShardMetrics::COUNTER_NAMES.iter().enumerate() {
+                assert!(
+                    cw[i] <= hw[i],
+                    "{ctx}: shard {shard} cell `{name}` exceeds harvest"
+                );
             }
         }
     }

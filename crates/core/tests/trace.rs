@@ -3,7 +3,7 @@
 //!
 //! - **Fixpoint identity**: a tracing-on run (sampling every ingest) is
 //!   byte-identical to a tracing-off run over the same stream, across the
-//!   shards × transport × lattice grid — tags are cargo, never
+//!   shards × lattice grid — tags are cargo, never
 //!   consulted by the computation.
 //! - **Tree sanity**: every reconstructed propagation tree is anchored at
 //!   a genuinely ingested topology event, its hop depths are strictly
@@ -15,9 +15,7 @@
 
 use std::collections::BTreeSet;
 
-use remo_core::{
-    AlgoCtx, Algorithm, Engine, EngineConfig, QueryRegistry, TraceConfig, TransportMode, VertexId,
-};
+use remo_core::{AlgoCtx, Algorithm, Engine, EngineConfig, QueryRegistry, TraceConfig, VertexId};
 
 /// Max-label propagation (see `tests/prop_recovery.rs`): the monotone max
 /// join makes the fixpoint interleaving-independent — `on_add` always
@@ -107,35 +105,32 @@ fn run_fixpoint(config: EngineConfig, edges: &[(VertexId, VertexId)]) -> Vec<(Ve
 
 /// Tracing-on runs (sampling *every* ingest — the most invasive setting)
 /// reach byte-identical fixpoints to tracing-off runs over the full
-/// shards × transport × lattice grid.
+/// shards × lattice grid.
 ///
-/// Grid: shards 1/2/4 (1 = no Send span ever crosses a shard) × transport
-/// (the tag rides a lane batch or a channel message — two different
-/// carriers) × lattice (coalescing, dominance and suppression each adopt,
-/// retire or drop a tag; FIFO does none of that).
+/// Grid: shards 1/2/4 (1 = no Send span ever crosses a shard) × lattice
+/// (coalescing, dominance and suppression each adopt, retire or drop a
+/// tag; FIFO does none of that).
 #[test]
 fn tracing_is_invisible_to_the_fixpoint() {
     let edges = edge_stream(220, 61, 0x7ace);
     for (i, shards) in [1usize, 2, 4].iter().enumerate() {
-        for transport in [TransportMode::Lanes, TransportMode::Channel] {
-            for lattice in [false, true] {
-                let base = || {
-                    let mut c = EngineConfig::undirected(*shards).with_transport(transport);
-                    if lattice {
-                        c = c.with_lattice();
-                    }
-                    c
-                };
-                let ctx = format!("case {i}: P={shards} {transport:?} lattice={lattice}");
-                let want = run_fixpoint(base(), &edges);
-                let traced = base().with_tracing(
-                    TraceConfig::on()
-                        .with_sample_shift(0)
-                        .with_ring_capacity(1 << 16),
-                );
-                let got = run_fixpoint(traced, &edges);
-                assert_eq!(got, want, "{ctx}: tracing perturbed the fixpoint");
-            }
+        for lattice in [false, true] {
+            let base = || {
+                let mut c = EngineConfig::undirected(*shards);
+                if lattice {
+                    c = c.with_lattice();
+                }
+                c
+            };
+            let ctx = format!("case {i}: P={shards} lattice={lattice}");
+            let want = run_fixpoint(base(), &edges);
+            let traced = base().with_tracing(
+                TraceConfig::on()
+                    .with_sample_shift(0)
+                    .with_ring_capacity(1 << 16),
+            );
+            let got = run_fixpoint(traced, &edges);
+            assert_eq!(got, want, "{ctx}: tracing perturbed the fixpoint");
         }
     }
 }

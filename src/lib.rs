@@ -9,8 +9,8 @@
 //! This facade crate re-exports the workspace:
 //!
 //! - [`core`]: the engine — shards, visitor events, consistent-hash
-//!   partitioning, quiescence detection (counter + Safra), continuous
-//!   snapshots, local-state triggers.
+//!   partitioning, quiescence detection, continuous snapshots,
+//!   local-state triggers.
 //! - [`store`]: storage — Robin Hood hashing, degree-aware adjacency,
 //!   dense vertex interning, CSR.
 //! - [`algos`]: the REMO algorithms — BFS, SSSP, CC, multi S-T, degree
@@ -50,8 +50,7 @@ pub mod prelude {
     pub use remo_core::{
         AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineBuilder, EngineConfig, EventCtx,
         PlacementPolicy, QueryId, QueryRegistry, RegPayload, SequentialEngine, Snapshot,
-        TelemetryConfig, TelemetryHub, TerminationMode, TopoEvent, TraceConfig, TransportMode,
-        TriggerFire, VertexId, Weight,
+        TelemetryConfig, TelemetryHub, TopoEvent, TraceConfig, TriggerFire, VertexId, Weight,
     };
     pub use remo_gen::{Dataset, RmatConfig};
 }

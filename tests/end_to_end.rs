@@ -1,6 +1,6 @@
 //! Workspace end-to-end tests: the full pipeline (generator → engine →
 //! algorithms → snapshot/triggers) checked against the static baseline on
-//! realistic workloads, across both termination detectors and several shard
+//! realistic workloads, across several shard
 //! counts. These are the "does the reproduced system actually behave like
 //! the paper says" tests.
 
@@ -98,29 +98,6 @@ fn snapshot_equals_static_run_on_prefix() {
             "vertex {v} is from the future"
         );
     }
-}
-
-/// Counter and Safra detectors must agree on the fixpoint (and Safra must
-/// actually run its token protocol).
-#[test]
-fn termination_detectors_agree() {
-    let edges = dataset_edges(Dataset::ErdosRenyi, 0.02, 9);
-    let source = edges[0].0;
-
-    let run = |mode: TerminationMode| {
-        let config = EngineConfig {
-            termination: mode,
-            ..EngineConfig::undirected(3)
-        };
-        let engine = Engine::new(IncBfs, config);
-        engine.try_init_vertex(source).unwrap();
-        engine.try_ingest_pairs(&edges).unwrap();
-        engine.try_finish().unwrap()
-    };
-    let counter = run(TerminationMode::Counter);
-    let safra = run(TerminationMode::Safra);
-    assert_eq!(counter.states.into_vec(), safra.states.into_vec());
-    assert!(safra.metrics.total().safra_tokens > 0);
 }
 
 /// SSSP against Dijkstra on a weighted workload, multiple shard counts.

@@ -1,7 +1,7 @@
 //! Multi-query registry differential tests: every query attached to a
 //! [`QueryRegistry`] must reach the **same fixpoint a solo run** of that
-//! algorithm over the same stream reaches — across shard counts and
-//! transports; whether the query was attached before the
+//! algorithm over the same stream reaches — across shard counts;
+//! whether the query was attached before the
 //! first edge or live in the middle of the stream; and across
 //! detach/reattach cycles that reuse a slot (DESIGN.md §17).
 
@@ -51,37 +51,32 @@ fn projected(
 }
 
 /// Tentpole identity: BFS + CC + degree attached from the start, projected
-/// columns byte-identical to solo runs — over the full shard × transport
-/// grid.
+/// columns byte-identical to solo runs — at every shard count.
 ///
-/// Grid: shards 1/2/4 (1 = every delta self-routed, 4 = mostly remote) ×
-/// transport (a `Delta` payload rides a lane batch or a channel message,
-/// and the control plane that attaches queries always rides the channel).
+/// Grid: shards 1/2/4 (1 = every delta self-routed, 4 = mostly remote).
 #[test]
 fn registry_matches_solo_across_grid() {
     let edges = dedup(&dataset_edges(Dataset::SmallWorld, 0.02, 41));
     let source = edges[0].0;
     for shards in [1usize, 2, 4] {
-        for transport in [TransportMode::Channel, TransportMode::Lanes] {
-            let config = || EngineConfig::undirected(shards).with_transport(transport);
-            let want_bfs = solo_run(IncBfs, config(), &[source], &edges);
-            let want_cc = solo_run(IncCc, config(), &[], &edges);
-            let want_deg = solo_run(DegreeCount, config(), &[], &edges);
+        let config = || EngineConfig::undirected(shards);
+        let want_bfs = solo_run(IncBfs, config(), &[source], &edges);
+        let want_cc = solo_run(IncCc, config(), &[], &edges);
+        let want_deg = solo_run(DegreeCount, config(), &[], &edges);
 
-            let reg = QueryRegistry::<u64>::new();
-            let engine = Engine::new(reg.clone(), config());
-            let bfs = reg.attach(&engine, IncBfs, &[source], "bfs").unwrap();
-            let cc = reg.attach(&engine, IncCc, &[], "cc").unwrap();
-            let deg = reg.attach(&engine, DegreeCount, &[], "degree").unwrap();
-            assert_eq!(reg.attached(), 3);
-            engine.try_ingest_pairs(&edges).unwrap();
-            let states = engine.try_finish().unwrap().states;
+        let reg = QueryRegistry::<u64>::new();
+        let engine = Engine::new(reg.clone(), config());
+        let bfs = reg.attach(&engine, IncBfs, &[source], "bfs").unwrap();
+        let cc = reg.attach(&engine, IncCc, &[], "cc").unwrap();
+        let deg = reg.attach(&engine, DegreeCount, &[], "degree").unwrap();
+        assert_eq!(reg.attached(), 3);
+        engine.try_ingest_pairs(&edges).unwrap();
+        let states = engine.try_finish().unwrap().states;
 
-            let tag = format!("P={shards} {transport:?}");
-            assert_eq!(projected(&reg, &states, bfs), want_bfs, "bfs {tag}");
-            assert_eq!(projected(&reg, &states, cc), want_cc, "cc {tag}");
-            assert_eq!(projected(&reg, &states, deg), want_deg, "degree {tag}");
-        }
+        let tag = format!("P={shards}");
+        assert_eq!(projected(&reg, &states, bfs), want_bfs, "bfs {tag}");
+        assert_eq!(projected(&reg, &states, cc), want_cc, "cc {tag}");
+        assert_eq!(projected(&reg, &states, deg), want_deg, "degree {tag}");
     }
 }
 
