@@ -8,15 +8,12 @@
 //! Incremental ≡ from-scratch `f(x ⊕ δ)` is the one invariant; this is the
 //! only proptest that checks it across a snapshot cut.
 //!
-//! The same drive also pins the physical choices that must not change what
-//! the engine computes: the multi-word lane bitmaps past 64 shards, and
-//! core-pinned shard placement.
+//! The same drive also pins the physical choice that must not change what
+//! the engine computes: the multi-word lane bitmaps past 64 shards.
 
 use proptest::prelude::*;
 use remo_baseline as oracle;
-use remo_core::{
-    Algorithm, Engine, EngineBuilder, EngineConfig, PlacementPolicy, VertexId, Weight,
-};
+use remo_core::{Algorithm, Engine, EngineBuilder, EngineConfig, VertexId, Weight};
 use remo_gen::RmatConfig;
 use remo_store::hash::mix64;
 use remo_store::Csr;
@@ -63,15 +60,12 @@ fn observe<A, F>(
     weights: Option<&[(VertexId, VertexId, Weight)]>,
     init: Option<VertexId>,
     shards: usize,
-    placement: PlacementPolicy,
 ) -> Observed
 where
     A: Algorithm<State = u64>,
     F: Fn() -> A,
 {
-    let mut config = EngineConfig::undirected(shards)
-        .with_expected_vertices(64)
-        .with_placement(placement);
+    let mut config = EngineConfig::undirected(shards).with_expected_vertices(64);
     if lattice {
         config = config.with_lattice();
     }
@@ -153,15 +147,7 @@ where
     A: Algorithm<State = u64>,
     F: Fn() -> A,
 {
-    let got = observe::<A, F>(
-        make,
-        lattice,
-        edges,
-        weights,
-        init,
-        shards,
-        PlacementPolicy::None,
-    );
+    let got = observe::<A, F>(make, lattice, edges, weights, init, shards);
     let (_, prefix) = static_states(&solve, edges, weights, edges.len() / 2);
     let (csr, whole) = static_states(&solve, edges, weights, edges.len());
     prop_assert_eq!(
@@ -264,85 +250,14 @@ fn lanes_beyond_64_shards_match_static() {
     .unwrap();
 }
 
-/// Pinning is a physical choice: Compact and Scatter placement must be
-/// observationally identical to an unpinned run — byte-identical
-/// fixpoints, snapshot views, and trigger fire sets — across 1–4 shards.
-/// Shard counts the host cannot seat on distinct cores are skipped with a
-/// note: pinning two shards to one core is legal but proves nothing extra
-/// here. (Plain test, one deterministic stream — the combo grid already
-/// runs dozens of engines per invocation.)
-#[test]
-fn pinned_placement_is_observationally_identity() {
-    let edges = rmat_edges(0x919_5eed);
-    let w = weighted(&edges);
-    let source = edges[0].0;
-    let cores = remo_core::placement::host().num_cpus();
-    for shards in 1usize..=4 {
-        if cores < shards {
-            eprintln!(
-                "note: skipping placement identity at P={shards} \
-                 (host has {cores} cores)"
-            );
-            continue;
-        }
-        let bfs = |policy| {
-            observe::<remo_algos::IncBfs, _>(
-                || remo_algos::IncBfs,
-                false,
-                &edges,
-                None,
-                Some(source),
-                shards,
-                policy,
-            )
-        };
-        let base = bfs(PlacementPolicy::None);
-        for policy in [PlacementPolicy::Compact, PlacementPolicy::Scatter] {
-            let pinned = bfs(policy.clone());
-            let ctx = format!("{policy} vs none (P={shards})");
-            assert_eq!(pinned.fixpoint, base.fixpoint, "fixpoint diverged: {ctx}");
-            assert_eq!(pinned.snapshot, base.snapshot, "snapshot diverged: {ctx}");
-            assert_eq!(pinned.fires, base.fires, "trigger fires diverged: {ctx}");
-        }
-        // One weighted pass so the min-plus lattice rides pinned lanes too.
-        let sssp = |policy| {
-            observe::<remo_algos::IncSssp, _>(
-                || remo_algos::IncSssp,
-                false,
-                &edges,
-                Some(&w),
-                Some(source),
-                shards,
-                policy,
-            )
-        };
-        assert_eq!(
-            sssp(PlacementPolicy::Compact).fixpoint,
-            sssp(PlacementPolicy::None).fixpoint,
-            "weighted fixpoint diverged under compact (P={shards})"
-        );
-    }
-}
-
 /// A config the engine cannot honour is an error at build, never a silent
-/// downgrade: a [`PlacementPolicy::Explicit`] seating that names a CPU the
-/// host does not have (or the wrong number of CPUs), and a shard count
-/// past the lane mesh's 4096-shard bitmap.
+/// downgrade: a shard count past the lane mesh's 4096-shard bitmap.
 #[test]
 fn misconfiguration_fails_engine_build() {
-    let bogus = remo_core::placement::host().num_cpus() + 4096;
-    let explicit = |cpus: Vec<usize>| {
-        EngineConfig::undirected(1).with_placement(PlacementPolicy::Explicit(cpus))
-    };
-    for config in [
-        explicit(vec![bogus]),
-        explicit(vec![0, 0]),
-        EngineConfig::undirected(4097),
-    ] {
-        let ctx = format!("{config:?}");
-        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Engine::new(remo_algos::IncCc, config)
-        }));
-        assert!(built.is_err(), "engine build accepted {ctx}");
-    }
+    let config = EngineConfig::undirected(4097);
+    let ctx = format!("{config:?}");
+    let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        Engine::new(remo_algos::IncCc, config)
+    }));
+    assert!(built.is_err(), "engine build accepted {ctx}");
 }

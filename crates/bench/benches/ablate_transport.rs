@@ -1,4 +1,4 @@
-//! Ablation — the lane-mesh data plane: telemetry and placement cells.
+//! Ablation — the lane-mesh data plane, with telemetry on and off.
 //!
 //! Every cross-shard envelope batch rides a bounded lock-free SPSC ring
 //! per shard pair (receive = uncontended per-lane poll); drained batch
@@ -6,10 +6,9 @@
 //! (steady-state `flush()` is allocation-free), and idle shards park
 //! until a sender unparks them. This harness prices the lanes cell
 //! end-to-end on RMAT BFS and SSSP against the same run with telemetry
-//! off and with shards pinned to cores, asserts the fixpoint is
-//! byte-identical in every cell, and reports the lane counters (batches
-//! shipped, pool hit rate, full-lane fallbacks, wakeups) alongside wall
-//! clock.
+//! off, asserts the fixpoint is byte-identical in both cells, and reports
+//! the lane counters (batches shipped, pool hit rate, full-lane
+//! fallbacks, wakeups) alongside wall clock.
 //!
 //! At full scale the harness also asserts the steady-state recycle
 //! invariant `batches_recycled / lane_batches >= 0.9` — the pool, not the
@@ -18,17 +17,13 @@
 //! flight recorder, the engine default) must stay within 2% wall clock of
 //! an identical run with telemetry off.
 //!
-//! The grid also carries a placement gate (with a core per shard, or
-//! `REMO_BENCH_STRICT_LANES=1`): pinning shards to cores (compact) must
-//! hold wall-clock parity with the unpinned lanes cell.
-//!
 //! Run: `cargo bench -p remo-bench --bench ablate_transport`
 
 use std::time::Duration;
 
 use remo_algos::{IncBfs, IncSssp};
 use remo_bench::*;
-use remo_core::{EngineConfig, PlacementPolicy, TelemetryConfig, VertexId, Weight};
+use remo_core::{EngineConfig, TelemetryConfig, VertexId, Weight};
 use remo_gen::{stream, RmatConfig};
 use remo_store::hash::mix64;
 
@@ -38,36 +33,19 @@ const SHARDS: usize = 8;
 /// asserted at `scale >= 1.0`.
 const TELEMETRY_OVERHEAD_CEILING: f64 = 1.02;
 
-/// Grid cell: display name, telemetry, shard placement.
-type GridCell = (&'static str, TelemetryConfig, PlacementPolicy);
+/// Grid cell: display name, telemetry.
+type GridCell = (&'static str, TelemetryConfig);
 
 fn transport_grid() -> Vec<GridCell> {
     vec![
-        ("lanes", TelemetryConfig::default(), PlacementPolicy::None),
-        ("lanes-notel", TelemetryConfig::off(), PlacementPolicy::None),
-        // Placement cells ride at the end so the gate indices above stay
-        // stable: same lanes data plane, shards pinned to cores.
-        (
-            "lanes-compact",
-            TelemetryConfig::default(),
-            PlacementPolicy::Compact,
-        ),
-        (
-            "lanes-scatter",
-            TelemetryConfig::default(),
-            PlacementPolicy::Scatter,
-        ),
+        ("lanes", TelemetryConfig::default()),
+        ("lanes-notel", TelemetryConfig::off()),
     ]
 }
 
-fn config(
-    telemetry: TelemetryConfig,
-    placement: PlacementPolicy,
-    expected_vertices: usize,
-) -> EngineConfig {
+fn config(telemetry: TelemetryConfig, expected_vertices: usize) -> EngineConfig {
     EngineConfig::undirected(SHARDS)
         .with_telemetry(telemetry)
-        .with_placement(placement)
         .with_expected_vertices(expected_vertices)
 }
 
@@ -90,13 +68,12 @@ struct Cell {
 fn run_once(
     algo_name: &str,
     telemetry: TelemetryConfig,
-    placement: PlacementPolicy,
     expected_vertices: usize,
     edges: &[(VertexId, VertexId)],
     weighted: &[(VertexId, VertexId, Weight)],
     source: VertexId,
 ) -> Cell {
-    let cfg = config(telemetry, placement, expected_vertices);
+    let cfg = config(telemetry, expected_vertices);
     let run = match algo_name {
         "BFS" => timed_run_with(IncBfs, cfg, edges, &[source]),
         _ => timed_run_weighted_with(IncSssp, cfg, weighted, &[source]),
@@ -126,11 +103,10 @@ fn measure_grid(
 ) -> Vec<Cell> {
     let mut cells: Vec<Option<Cell>> = grid.iter().map(|_| None).collect();
     for _ in 0..bench_reps() {
-        for (slot, (_, telemetry, placement)) in cells.iter_mut().zip(grid) {
+        for (slot, (_, telemetry)) in cells.iter_mut().zip(grid) {
             let mut cell = run_once(
                 algo_name,
                 telemetry.clone(),
-                placement.clone(),
                 expected_vertices,
                 edges,
                 weighted,
@@ -194,22 +170,7 @@ fn main() {
                  shards; wall deltas would measure the scheduler)"
             );
         }
-        // Placement gate, same scheduler caveat as the telemetry gate:
-        // only meaningful with a core per shard (force with
-        // `REMO_BENCH_STRICT_LANES=1`). Pinning shards to cores (compact)
-        // must hold parity with the unpinned lanes cell — placement has
-        // to pay for its affinity claim.
-        let strict_lanes = std::env::var("REMO_BENCH_STRICT_LANES").as_deref() == Ok("1");
-        if scale >= 1.0 && (cores >= SHARDS || strict_lanes) {
-            let compact = &cells[2];
-            let ratio = compact.elapsed.as_secs_f64() / base.elapsed.as_secs_f64().max(1e-9);
-            assert!(
-                ratio <= 1.02,
-                "{algo}: compact placement {:.1}% slower than unpinned lanes",
-                100.0 * (ratio - 1.0)
-            );
-        }
-        for ((transport, telemetry, placement), cell) in grid.iter().zip(&cells) {
+        for ((transport, telemetry), cell) in grid.iter().zip(&cells) {
             assert_eq!(
                 base.states, cell.states,
                 "{algo}/{transport}: fixpoint diverged across cells"
@@ -241,7 +202,6 @@ fn main() {
                 algo.to_string(),
                 transport.to_string(),
                 if telemetry.counters { "on" } else { "off" }.to_string(),
-                placement.to_string(),
                 fmt_dur(cell.elapsed),
                 wall_delta,
                 cell.events.to_string(),
@@ -263,7 +223,6 @@ fn main() {
             "Algo",
             "Transport",
             "Telemetry",
-            "Placement",
             "Wall",
             "dWall",
             "Events",

@@ -36,9 +36,7 @@ use std::time::{Duration, Instant};
 
 use remo_algos::{DegreeCount, IncBfs, IncCc, IncSssp};
 use remo_bench::*;
-use remo_core::{
-    Algorithm, Engine, EngineConfig, QueryId, QueryRegistry, VertexId as Vid, Weight,
-};
+use remo_core::{Algorithm, Engine, EngineConfig, QueryId, QueryRegistry, VertexId as Vid, Weight};
 use remo_gen::rmat::{self, RmatConfig};
 use remo_gen::stream;
 
@@ -110,7 +108,11 @@ fn run_solo<A: Algorithm<State = u64>>(
     (wall, engine.try_finish().unwrap().states.into_vec())
 }
 
-fn solo_spec(spec: Spec, shards: usize, edges: &[(Vid, Vid, Weight)]) -> (Duration, Vec<(Vid, u64)>) {
+fn solo_spec(
+    spec: Spec,
+    shards: usize,
+    edges: &[(Vid, Vid, Weight)],
+) -> (Duration, Vec<(Vid, u64)>) {
     match spec {
         Spec::Bfs(s) => run_solo(IncBfs, &[s], shards, edges),
         Spec::Cc => run_solo(IncCc, &[], shards, edges),

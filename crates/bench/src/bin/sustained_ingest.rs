@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use remo_algos::{IncBfs, IncSssp};
 use remo_bench::*;
-use remo_core::{Algorithm, Engine, EngineConfig, PlacementPolicy, RunResult, VertexId as Vid};
+use remo_core::{Algorithm, Engine, EngineConfig, RunResult};
 use remo_gen::rmat::{self, RmatConfig};
 use remo_gen::VertexId;
 
@@ -38,10 +38,6 @@ struct WaveRun<S> {
     result: RunResult<S>,
     elapsed: Duration,
     updates: u64,
-    /// Per-shard pinned core from the telemetry gauges just before
-    /// harvest (−1 = unpinned), so the committed artifact records where
-    /// each shard actually sat.
-    pinned_cores: Vec<i64>,
 }
 
 /// Drives `engine` through `waves` ingest→fixpoint bursts over `edges`.
@@ -67,7 +63,6 @@ fn drive<A: Algorithm>(
         engine.try_await_quiescence().unwrap();
     }
     let elapsed = start.elapsed();
-    let pinned_cores = engine.telemetry().gauges().pinned_core;
     let result = engine.try_finish().unwrap();
     note_service(&result.metrics.service);
     note_ingest(elapsed, &result.metrics.total());
@@ -75,44 +70,15 @@ fn drive<A: Algorithm>(
         updates: result.metrics.total().topo_ingested,
         result,
         elapsed,
-        pinned_cores,
     }
 }
 
-/// The harvested fixpoint in comparable form: placement cells of the same
-/// algorithm must agree byte for byte (pinning is a physical choice).
-fn fixvec<S: Clone>(run: &WaveRun<S>) -> Vec<(Vid, S)> {
-    run.result.states.iter().map(|(v, s)| (v, s.clone())).collect()
-}
-
-/// Render the pinned-core gauge vector: "unpinned" when no shard has a
-/// seat, else the comma-joined core list.
-fn fmt_pins(pins: &[i64]) -> String {
-    if pins.iter().all(|&c| c < 0) {
-        "unpinned".to_string()
-    } else {
-        pins.iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-}
-
-fn row<S>(
-    algo: &str,
-    placement: &PlacementPolicy,
-    shards: usize,
-    waves: usize,
-    run: &WaveRun<S>,
-) -> Vec<String> {
+fn row<S>(algo: &str, shards: usize, waves: usize, run: &WaveRun<S>) -> Vec<String> {
     let ups = run.updates as f64 / run.elapsed.as_secs_f64().max(1e-9);
     let fx = &run.result.metrics.ingest_fixpoint;
     let (p50, p99, p999) = fx.quantiles_us();
-    let t = run.result.metrics.total();
     vec![
         algo.to_string(),
-        placement.to_string(),
-        fmt_pins(&run.pinned_cores),
         shards.to_string(),
         waves.to_string(),
         run.updates.to_string(),
@@ -121,8 +87,24 @@ fn row<S>(
         format!("{p50:.0}"),
         format!("{p99:.0}"),
         format!("{p999:.0}"),
-        t.lane_cross_node_batches.to_string(),
     ]
+}
+
+/// One algorithm's cell: a default engine driven through the waves.
+fn cell<A: Algorithm>(
+    label: &str,
+    algo: A,
+    init: Option<VertexId>,
+    weighted: bool,
+    edges: &[(VertexId, VertexId)],
+    shards: usize,
+    waves: usize,
+) -> Vec<String> {
+    let engine = Engine::new(algo, EngineConfig::undirected(shards));
+    if let Some(v) = init {
+        engine.try_init_vertex(v).unwrap();
+    }
+    row(label, shards, waves, &drive(engine, edges, waves, weighted))
 }
 
 fn main() {
@@ -140,59 +122,17 @@ fn main() {
     );
 
     let source = edges[0].0;
-    let topo = remo_core::placement::host();
-    println!(
-        "host: {} cpu(s), {} numa node(s){}",
-        topo.num_cpus(),
-        topo.nodes,
-        if topo.from_sysfs { "" } else { " (fallback topology)" }
-    );
-    let placements = [
-        PlacementPolicy::None,
-        PlacementPolicy::Compact,
-        PlacementPolicy::Scatter,
+    let rows = vec![
+        cell("con", ConstructionOnly, None, false, &edges, shards, waves),
+        cell("bfs", IncBfs, Some(source), false, &edges, shards, waves),
+        cell("sssp", IncSssp, Some(source), true, &edges, shards, waves),
     ];
-    let mut rows = Vec::new();
-
-    // Each algorithm runs one cell per placement policy; the unpinned cell
-    // is the semantic reference — every pinned cell must land on the
-    // byte-identical fixpoint (placement is a physical choice only).
-    macro_rules! cells {
-        ($label:expr, $make:expr, $init:expr, $weighted:expr) => {{
-            let mut reference: Option<Vec<(Vid, _)>> = None;
-            for placement in &placements {
-                let config = EngineConfig::undirected(shards).with_placement(placement.clone());
-                let engine = Engine::new($make, config);
-                if let Some(v) = $init {
-                    engine.try_init_vertex(v).unwrap();
-                }
-                let run = drive(engine, &edges, waves, $weighted);
-                let fix = fixvec(&run);
-                match &reference {
-                    None => reference = Some(fix),
-                    Some(want) => assert_eq!(
-                        want,
-                        &fix,
-                        "{} fixpoint diverged under {placement} placement",
-                        $label
-                    ),
-                }
-                rows.push(row($label, placement, shards, waves, &run));
-            }
-        }};
-    }
-
-    cells!("con", ConstructionOnly, None::<Vid>, false);
-    cells!("bfs", IncBfs, Some(source), false);
-    cells!("sssp", IncSssp, Some(source), true);
 
     report(
         "sustained_ingest",
         "Sustained ingest: RMAT delta waves to fixpoint",
         &[
             "algo",
-            "placement",
-            "pinned_cores",
             "shards",
             "waves",
             "updates",
@@ -201,7 +141,6 @@ fn main() {
             "fixpoint_p50_us",
             "fixpoint_p99_us",
             "fixpoint_p999_us",
-            "cross_node_batches",
         ],
         &rows,
     );

@@ -32,11 +32,11 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender}
 use remo_store::{VertexId, Weight};
 
 use crate::algorithm::Algorithm;
+use crate::config::EngineConfig;
 use crate::event::{ControlAck, ControlOp, Envelope, EventKind, TopoEvent};
 use crate::metrics::RunMetrics;
 use crate::partition::Partitioner;
-use crate::placement::{self, PlacementPlan};
-use crate::shard::{EngineConfig, Message, ShardReport, ShardWorker};
+use crate::shard::{Message, ShardReport, ShardWorker};
 use crate::snapshot::Snapshot;
 use crate::supervision::{EngineError, FailureBoard, ShardFailure};
 use crate::telemetry::{TelemetryHub, TelemetryShared};
@@ -121,15 +121,6 @@ impl<A: Algorithm> EngineBuilder<A> {
             }
         }
 
-        // Resolve placement against the discovered host topology before
-        // anything spawns. An invalid `Explicit` list is a configuration
-        // error on par with a durability-manifest mismatch: panic with
-        // the rendered PlacementError rather than silently unpinning.
-        let plan = match PlacementPlan::resolve(&config.placement, shards, placement::host()) {
-            Ok(plan) => Arc::new(plan),
-            Err(e) => panic!("placement: {e}"),
-        };
-
         let shared = Arc::new(SharedCounters::new(shards));
         let board = Arc::new(FailureBoard::new());
         let tele = Arc::new(TelemetryShared::new(
@@ -149,10 +140,7 @@ impl<A: Algorithm> EngineBuilder<A> {
         let senders: Vec<Sender<Message<A::State>>> =
             channels.iter().map(|(tx, _)| tx.clone()).collect();
 
-        // Lane columns are left unallocated here — each shard first-touch
-        // allocates its own at startup, so ring pages land on its pinned
-        // core's node.
-        let lanes = LaneHandles::for_engine(shards);
+        let lanes = LaneHandles::new(shards);
 
         let mut handles = Vec::with_capacity(shards);
         for (id, (_, rx)) in channels.into_iter().enumerate() {
@@ -167,7 +155,6 @@ impl<A: Algorithm> EngineBuilder<A> {
                 Arc::clone(&triggers),
                 trigger_tx.clone(),
                 lanes.clone(),
-                Arc::clone(&plan),
                 Arc::clone(&tele),
             );
             let handle = std::thread::Builder::new()
@@ -329,7 +316,7 @@ impl<A: Algorithm> Engine<A> {
     }
 
     /// Aggregate statistics over [`Engine::traces_now`]: fixpoint-latency,
-    /// hops, and amplification quantiles plus cross-shard / cross-NUMA
+    /// hops, and amplification quantiles plus cross-shard hop
     /// totals — the same families both exporters render.
     pub fn trace_summary(&self) -> crate::trace::TraceSummary {
         crate::trace::summarize(&self.traces_now())
@@ -494,7 +481,15 @@ impl<A: Algorithm> Engine<A> {
             // A send that fails because the shard died mid-broadcast is
             // fine (it will be marked failed below); any other closure is
             // a real error.
-            if self.send_to(shard, Message::Control { op, ack: tx.clone() }).is_err()
+            if self
+                .send_to(
+                    shard,
+                    Message::Control {
+                        op,
+                        ack: tx.clone(),
+                    },
+                )
+                .is_err()
                 && !self.board.is_failed(shard)
             {
                 return Err(EngineError::ChannelClosed { shard });
@@ -524,7 +519,13 @@ impl<A: Algorithm> Engine<A> {
                             *shard_acked = true;
                             continue;
                         }
-                        let _ = self.send_to(shard, Message::Control { op, ack: tx.clone() });
+                        let _ = self.send_to(
+                            shard,
+                            Message::Control {
+                                op,
+                                ack: tx.clone(),
+                            },
+                        );
                     }
                     if deadline.expired() {
                         return Err(EngineError::QuiescenceTimeout {

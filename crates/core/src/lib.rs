@@ -1,4 +1,5 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![deny(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 //! # remo-core — event-centric engine for incremental graph analytics
 //!
@@ -16,7 +17,10 @@
 //!   ([`shard`]). The data plane ([`transport`]) is a lane mesh: batches
 //!   move over lock-free SPSC rings with pooled buffer recycling and
 //!   event-driven parking; each shard's channel carries control traffic
-//!   and the overflow of a full lane.
+//!   and the overflow of a full lane. Where a shard thread runs is the
+//!   operating system's business; the engine places work by
+//!   `hash(V) mod P` and nothing else (§III-A). Configuration lives in
+//!   [`config`].
 //! - Shard-local vertex storage ([`storage`]) is a dense arena: it
 //!   interns vertex ids once per event and direct-indexes a record slab
 //!   thereafter.
@@ -53,7 +57,7 @@
 //!   external ingests and stamps the resulting envelopes with a compact
 //!   trace tag that survives coalescing, dominance, registry fan-out, and
 //!   WAL replay; `Engine::traces_now` reconstructs per-update propagation
-//!   trees (hops to fixpoint, amplification, cross-shard/NUMA hops), and
+//!   trees (hops to fixpoint, amplification, cross-shard hops), and
 //!   per-shard phase accounting attributes every busy nanosecond to
 //!   drain/process/flush/spin/park/checkpoint/replay.
 //!
@@ -83,11 +87,11 @@
 //! ```
 
 pub mod algorithm;
+pub mod config;
 pub mod engine;
 pub mod event;
 pub mod metrics;
 pub mod partition;
-pub mod placement;
 pub mod registry;
 pub mod sequential;
 pub mod shard;
@@ -103,6 +107,7 @@ pub mod vertex_state;
 pub mod wal;
 
 pub use algorithm::{AlgoCtx, Algorithm, EventCtx, Outgoing};
+pub use config::{EngineConfig, LatticeConfig};
 pub use engine::{Engine, EngineBuilder, RunResult};
 pub use event::{
     events_from_pairs, events_from_weighted, ControlAck, ControlKind, ControlOp, Envelope, Epoch,
@@ -110,10 +115,8 @@ pub use event::{
 };
 pub use metrics::{LatencyHistogram, RunMetrics, ShardMetrics, HIST_BUCKETS};
 pub use partition::Partitioner;
-pub use placement::{HostTopology, PlacementError, PlacementPlan, PlacementPolicy, ShardSeat};
 pub use registry::{Cell, QueryId, QueryRegistry, QueryStats, RegPayload, MAX_QUERIES};
 pub use sequential::SequentialEngine;
-pub use shard::{EngineConfig, LatticeConfig};
 pub use snapshot::Snapshot;
 pub use supervision::{EngineError, FailureBoard, FaultPlan, ShardFailure, CHAOS_PANIC_MARKER};
 pub use telemetry::{

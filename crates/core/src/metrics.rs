@@ -150,17 +150,6 @@ shard_metrics! {
     /// this never delays quiescence — buffered envelopes are already
     /// counted sent.
     flush_deferrals,
-    /// Lane batches this shard shipped to a shard seated on a *different*
-    /// NUMA node (placement telemetry: compact placement should drive
-    /// this toward 0, scatter toward `(nodes-1)/nodes` of
-    /// `lane_batches`). Purely informational — batches, not envelopes,
-    /// and only counted when both ends are pinned — so it stays outside
-    /// [`RunMetrics::verify_balance`]. 0 when placement is off.
-    lane_cross_node_batches,
-    /// Idle waits a *pinned* shard resolved inside its bounded pre-park
-    /// spin (work arrived within the spin budget — no park/unpark round
-    /// trip). 0 for unpinned shards, which never spin.
-    spin_wakes,
     /// Control-plane sweeps executed (registry attach backfill, flood,
     /// and detach clears). 0 outside multi-query runs.
     control_sweeps,
@@ -177,8 +166,10 @@ shard_metrics! {
     /// Nanoseconds spent flushing outgoing batches and publishing
     /// telemetry.
     phase_flush_ns,
-    /// Nanoseconds a pinned shard spent in its bounded pre-park spin and
-    /// in flush-hysteresis yields.
+    /// Nanoseconds spent in flush-hysteresis yields: idle passes that
+    /// deferred a partial-batch flush (`flush_deferrals`) and yielded the
+    /// core before re-draining. The wait that follows the flush is
+    /// `phase_park_ns`, not this.
     phase_spin_ns,
     /// Nanoseconds spent parked waiting for work.
     phase_park_ns,

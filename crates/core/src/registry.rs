@@ -83,9 +83,7 @@ fn stub_prio<C>(_cell: &C) -> Option<u64> {
 /// column store. `Default` must be the lattice bottom, exactly as for
 /// [`Algorithm::State`]. The codec hooks mirror
 /// [`Algorithm::encode_state`]: required only under durability.
-pub trait Cell:
-    Clone + Default + Send + Sync + PartialEq + fmt::Debug + 'static
-{
+pub trait Cell: Clone + Default + Send + Sync + PartialEq + fmt::Debug + 'static {
     /// Serializes one cell (durability only; default panics).
     fn encode(_cell: &Self, _out: &mut Vec<u8>) {
         panic!("Cell::encode is required when durability is enabled");
@@ -312,7 +310,8 @@ impl<C: Cell, A: Algorithm<State = C>> DynQuery<C> for QueryAdapter<A> {
         value: &C,
         weight: Weight,
     ) {
-        self.0.on_reverse_add(&mut ShimCtx(ctx), visitor, value, weight);
+        self.0
+            .on_reverse_add(&mut ShimCtx(ctx), visitor, value, weight);
     }
 
     fn on_update(&self, ctx: &mut dyn CellCtx<C>, visitor: VertexId, value: &C, weight: Weight) {
@@ -330,7 +329,8 @@ impl<C: Cell, A: Algorithm<State = C>> DynQuery<C> for QueryAdapter<A> {
         value: &C,
         weight: Weight,
     ) {
-        self.0.on_reverse_remove(&mut ShimCtx(ctx), visitor, value, weight);
+        self.0
+            .on_reverse_remove(&mut ShimCtx(ctx), visitor, value, weight);
     }
 
     fn join_ptr(&self) -> CellJoin<C> {
@@ -830,7 +830,10 @@ impl<C: Cell> QueryRegistry<C> {
         {
             // A delta feeds exactly its own query — the structural win
             // over a fused tuple's whole-state fan-out.
-            debug_assert!(matches!(which, TopoCb::Update), "deltas only travel as updates");
+            debug_assert!(
+                matches!(which, TopoCb::Update),
+                "deltas only travel as updates"
+            );
             let idx = *slot as usize;
             if primed & (1u64 << idx) == 0 {
                 return;
@@ -857,9 +860,7 @@ impl<C: Cell> QueryRegistry<C> {
                 TopoCb::Add => q.query.on_add(&mut sc, visitor, cell, weight),
                 TopoCb::ReverseAdd => q.query.on_reverse_add(&mut sc, visitor, cell, weight),
                 TopoCb::Remove => q.query.on_remove(&mut sc, visitor, cell, weight),
-                TopoCb::ReverseRemove => {
-                    q.query.on_reverse_remove(&mut sc, visitor, cell, weight)
-                }
+                TopoCb::ReverseRemove => q.query.on_reverse_remove(&mut sc, visitor, cell, weight),
                 TopoCb::Update => q.query.on_update(&mut sc, visitor, cell, weight),
             }
         }
@@ -891,10 +892,7 @@ impl<C: Cell> QueryRegistry<C> {
             }
             if compact {
                 let bottom = C::default();
-                let keep = cols
-                    .iter()
-                    .rposition(|c| *c != bottom)
-                    .map_or(0, |i| i + 1);
+                let keep = cols.iter().rposition(|c| *c != bottom).map_or(0, |i| i + 1);
                 if keep < cols.len() {
                     cols.truncate(keep);
                     changed = true;
@@ -917,9 +915,7 @@ impl<C: Cell> QueryRegistry<C> {
             return;
         };
         let bytes = match ctx.state() {
-            RegPayload::Columns(cols) => {
-                (cols.capacity() * std::mem::size_of::<C>()) as u64
-            }
+            RegPayload::Columns(cols) => (cols.capacity() * std::mem::size_of::<C>()) as u64,
             RegPayload::Delta { .. } => 0,
         };
         acc.fetch_add(bytes, Ordering::Relaxed);
@@ -1253,10 +1249,7 @@ impl<C: Cell> QueryStatsSource for QueryRegistry<C> {
     /// grow outside sweeps).
     fn column_bytes(&self) -> u64 {
         self.shared.masks.get().map_or(0, |m| {
-            m.col_bytes
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .sum()
+            m.col_bytes.iter().map(|b| b.load(Ordering::Relaxed)).sum()
         })
     }
 }
@@ -1397,12 +1390,7 @@ mod tests {
         };
         rec.adj.insert(9, EdgeMeta::weighted(4));
         let mut out = Vec::new();
-        let mut ctx = EventCtx::new(
-            1,
-            VertexParts::from_record(&mut rec, 0),
-            &mut out,
-            0,
-        );
+        let mut ctx = EventCtx::new(1, VertexParts::from_record(&mut rec, 0), &mut out, 0);
         let q = slot_record(6);
         {
             let mut sc = SlotCtx::new(&mut ctx, 2, &q, false);
@@ -1436,12 +1424,7 @@ mod tests {
         };
         rec.adj.insert(3, EdgeMeta::unweighted());
         let mut out = Vec::new();
-        let mut ctx = EventCtx::new(
-            1,
-            VertexParts::from_record(&mut rec, 0),
-            &mut out,
-            0,
-        );
+        let mut ctx = EventCtx::new(1, VertexParts::from_record(&mut rec, 0), &mut out, 0);
         let q = slot_record(1);
         {
             let mut sc = SlotCtx::new(&mut ctx, 0, &q, true);
@@ -1460,12 +1443,7 @@ mod tests {
         };
         rec.state.live = RegPayload::Columns(vec![0, 5, 0, 7, 0, 0]);
         let mut out = Vec::new();
-        let mut ctx = EventCtx::new(
-            1,
-            VertexParts::from_record(&mut rec, 0),
-            &mut out,
-            0,
-        );
+        let mut ctx = EventCtx::new(1, VertexParts::from_record(&mut rec, 0), &mut out, 0);
         // Clearing slot 3 zeroes it and truncates the trailing bottom run.
         QueryRegistry::<u64>::reset_cells(&mut ctx, 1 << 3, true);
         assert_eq!(
@@ -1476,12 +1454,7 @@ mod tests {
         // Without compaction the length is preserved (prime's clean slate).
         rec.state.live = RegPayload::Columns(vec![0, 0, 9]);
         let mut out = Vec::new();
-        let mut ctx = EventCtx::new(
-            1,
-            VertexParts::from_record(&mut rec, 0),
-            &mut out,
-            0,
-        );
+        let mut ctx = EventCtx::new(1, VertexParts::from_record(&mut rec, 0), &mut out, 0);
         QueryRegistry::<u64>::reset_cells(&mut ctx, 1 << 2, false);
         assert_eq!(rec.state.live, RegPayload::Columns(vec![0, 0, 0]));
     }

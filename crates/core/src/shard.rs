@@ -22,27 +22,25 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use remo_store::{Adjacency, EdgeMeta, VertexId, VertexTable};
 
 use crate::algorithm::{AlgoCtx, Algorithm, EventCtx, Outgoing};
+use crate::config::{EngineConfig, LatticeConfig};
 use crate::event::{ControlAck, ControlKind, ControlOp, Envelope, Epoch, EventKind, TopoEvent};
 use crate::metrics::ShardMetrics;
 use crate::partition::Partitioner;
-use crate::placement::{self, PlacementPlan, PlacementPolicy, ShardSeat};
 use crate::storage::DenseStore;
-use crate::supervision::{
-    panic_payload_string, FailureBoard, FaultPlan, ShardFailure, CHAOS_PANIC_MARKER,
-};
-use crate::telemetry::{FlightTag, TelemetryConfig, TelemetryShared, PUBLISH_EVERY};
+use crate::supervision::{panic_payload_string, FailureBoard, ShardFailure, CHAOS_PANIC_MARKER};
+use crate::telemetry::{FlightTag, TelemetryShared, PUBLISH_EVERY};
 use crate::termination::SharedCounters;
-use crate::trace::{self, SpanKind, TraceConfig, TraceTag};
+use crate::trace::{self, SpanKind, TraceTag};
 use crate::transport::{LaneHandles, LaneMesh};
 use crate::trigger::{TriggerDef, TriggerFire};
 use crate::vertex_state::{VertexMeta, VertexState};
-use crate::wal::{self, DurabilityConfig, RawRecord, ShardWal};
+use crate::wal::{self, RawRecord, ShardWal};
 
 /// Coalescing identity of a pending `Update`: merging is only sound between
 /// envelopes that would invoke the same callback with the same visitor and
@@ -127,42 +125,6 @@ const PRIO_BUCKETS: usize = 1024;
 /// that produced the BFS short-wave regression (DESIGN.md §15.1).
 const FLUSH_HYSTERESIS: u32 = 32;
 
-/// Which lattice-aware messaging layers are active — §II-B monotonicity put
-/// to work in the transport. All off (the default) keeps the engine's exact
-/// FIFO seed behaviour. The layers are independently switchable so the
-/// `ablate_coalescing` bench can price each one separately; they only ever
-/// act on `Update` envelopes of algorithms that implement
-/// [`Algorithm::join`] / [`Algorithm::priority`] — `Add`/`ReverseAdd` and
-/// topology events always keep their §III-C FIFO ordering.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatticeConfig {
-    /// Sender-side coalescing: a burst of corrections for one target merges
-    /// into a single envelope (in the per-destination outbox, or in the
-    /// local pending backlog) via [`Algorithm::join`] before it is counted
-    /// as sent.
-    pub coalesce: bool,
-    /// Receiver-side dominance filtering: an incoming `Update` whose value
-    /// cannot improve the target's live state is retired with a cheap
-    /// `note_processed` instead of running callbacks, snapshot forks, and
-    /// trigger evaluation.
-    pub dominance: bool,
-    /// Priority-aware draining: the local backlog of `Update` envelopes is
-    /// processed best-first (bucket queue keyed by [`Algorithm::priority`]),
-    /// so downstream work is seeded with values already near the bound.
-    pub priority: bool,
-}
-
-impl LatticeConfig {
-    /// All three layers on.
-    pub fn all() -> Self {
-        LatticeConfig {
-            coalesce: true,
-            dominance: true,
-            priority: true,
-        }
-    }
-}
-
 /// Messages a shard can receive: data envelopes plus control traffic.
 pub(crate) enum Message<S> {
     /// An algorithmic event (counted by termination detection).
@@ -214,152 +176,6 @@ enum IdleWait<S> {
     Heartbeat,
     /// Every sender is gone: shut down.
     Disconnected,
-}
-
-/// Immutable engine configuration shared with every shard.
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// Number of shard threads (the paper's "processes"/"nodes").
-    pub num_shards: usize,
-    /// Undirected mode: every `Add` spawns the `ReverseAdd` (§III-A).
-    pub undirected: bool,
-    /// Maximum time a supervised call waits for quiescence or for a
-    /// snapshot barrier before returning
-    /// [`EngineError::QuiescenceTimeout`](crate::EngineError). `None`
-    /// (the default) waits indefinitely — but even then supervised calls
-    /// still return promptly if a shard *panics*, because every wait loop
-    /// also polls the failure board.
-    pub quiescence_deadline: Option<Duration>,
-    /// Maximum time a supervised call waits for one shard's reply to a
-    /// point query or a state collection. `None` (the default) waits until
-    /// the reply channel disconnects.
-    pub query_deadline: Option<Duration>,
-    /// Best-effort budget for joining shard threads during `Drop` and at
-    /// the end of `try_finish`; threads still running afterwards are
-    /// detached rather than blocking teardown.
-    pub shutdown_deadline: Duration,
-    /// Chaos-injection hook for the fault-tolerance test-suite. The
-    /// default plan injects nothing and costs one cached branch per shard.
-    pub fault_plan: FaultPlan,
-    /// Envelopes buffered per destination shard before a batch ships
-    /// (HavoqGT batches visitor messages the same way); partial batches
-    /// flush whenever the shard goes idle, so no envelope waits for a full
-    /// batch. A batch from one sender preserves its internal order, so
-    /// per-pair FIFO is unaffected. Default 256.
-    pub envelope_batch: usize,
-    /// Lattice-aware messaging layers (all off = exact FIFO behaviour).
-    pub lattice: LatticeConfig,
-    /// Capacity hint: expected total vertex count across the whole graph
-    /// (0 = unknown, start empty). Each shard pre-sizes its vertex store
-    /// for its share, so large ingests stop paying rehash storms from
-    /// empty tables. Benches set this from the known RMAT scale.
-    pub expected_vertices: usize,
-    /// Live-telemetry configuration ([`crate::telemetry`]): seqlock
-    /// counter cells, sampled latency histograms, and the per-shard
-    /// flight recorder. Counters default on (their publish cost is one
-    /// batched cell write per [`PUBLISH_EVERY`] events); histograms
-    /// default to 1-in-64 sampling; [`TelemetryConfig::off`] removes
-    /// every observation from the hot path for ablation baselines.
-    pub telemetry: TelemetryConfig,
-    /// Sampled causal tracing ([`crate::trace`]): every `2^sample_shift`-th
-    /// external topology ingest mints a trace id, and the envelopes it
-    /// causes carry a compact tag through coalescing, dominance
-    /// filtering, registry fan-out, and WAL replay; each shard records
-    /// bounded span rings that `Engine::traces_now` reconstructs into
-    /// propagation trees. Off by default — when off no envelope is ever
-    /// tagged and every observation point is one predictable branch.
-    pub trace: TraceConfig,
-    /// Per-shard durability (WAL + checkpoints + in-place respawn of
-    /// panicked shards). `None` (the default) takes no code path through
-    /// [`crate::wal`] — the data path is byte-identical to a
-    /// durability-free build. See DESIGN.md §14.
-    pub durability: Option<DurabilityConfig>,
-    /// Shard-thread placement ([`crate::placement`]): pin each shard to a
-    /// core chosen by topology (`Compact` packs a NUMA node before
-    /// spilling, `Scatter` round-robins across nodes, `Explicit` gives
-    /// the exact CPU list). The default `None` leaves scheduling to the
-    /// OS — byte-identical to the pre-placement engine, zero cost. See
-    /// DESIGN.md §16.
-    pub placement: PlacementPolicy,
-}
-
-impl EngineConfig {
-    /// `shards` shard threads, undirected.
-    pub fn undirected(shards: usize) -> Self {
-        EngineConfig {
-            num_shards: shards,
-            undirected: true,
-            quiescence_deadline: None,
-            query_deadline: None,
-            shutdown_deadline: Duration::from_secs(2),
-            fault_plan: FaultPlan::default(),
-            envelope_batch: 256,
-            lattice: LatticeConfig::default(),
-            expected_vertices: 0,
-            telemetry: TelemetryConfig::default(),
-            trace: TraceConfig::off(),
-            durability: None,
-            placement: PlacementPolicy::None,
-        }
-    }
-
-    /// `shards` shard threads, directed edges.
-    pub fn directed(shards: usize) -> Self {
-        EngineConfig {
-            undirected: false,
-            ..Self::undirected(shards)
-        }
-    }
-
-    /// Same config with every lattice messaging layer enabled.
-    pub fn with_lattice(mut self) -> Self {
-        self.lattice = LatticeConfig::all();
-        self
-    }
-
-    /// Same config expecting roughly `vertices` vertices in total.
-    pub fn with_expected_vertices(mut self, vertices: usize) -> Self {
-        self.expected_vertices = vertices;
-        self
-    }
-
-    /// Same config with a different telemetry configuration.
-    pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Same config with a different tracing configuration (see
-    /// [`TraceConfig::on`] for the default-sampled preset).
-    pub fn with_tracing(mut self, trace: TraceConfig) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Same config with durability enabled (WAL + checkpoints + in-place
-    /// shard respawn). Requires the algorithm to implement
-    /// [`Algorithm::encode_state`] / [`Algorithm::decode_state`].
-    ///
-    /// [`Algorithm::encode_state`]: crate::Algorithm::encode_state
-    /// [`Algorithm::decode_state`]: crate::Algorithm::decode_state
-    pub fn with_durability(mut self, durability: DurabilityConfig) -> Self {
-        self.durability = Some(durability);
-        self
-    }
-
-    /// Same config with a chaos-injection plan (tests and fault drills).
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
-    /// Same config with a different shard-placement policy. `Explicit`
-    /// lists are validated at engine build against the discovered host
-    /// topology; build panics on an unknown CPU or a length mismatch.
-    pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
-        self.placement = placement;
-        self
-    }
 }
 
 /// What a shard hands back when it stops.
@@ -437,17 +253,6 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     outbox_index: Vec<PendMap<usize>>,
     /// The shared SPSC lane mesh + park board.
     lanes: LaneHandles<A::State>,
-    /// The engine-wide placement plan (resolved from `config.placement`
-    /// at build): this shard's seat plus every peer's NUMA node, for the
-    /// cross-node lane-traffic counter.
-    plan: Arc<PlacementPlan>,
-    /// This shard's seat under the plan (`None` = unpinned). The pin
-    /// itself happens at the top of the supervised region so a respawned
-    /// shard re-pins on re-entry.
-    seat: Option<ShardSeat>,
-    /// Pinned to a core no other shard shares: only then does the
-    /// bounded pre-park spin run (see [`PlacementPlan::oversubscribed`]).
-    spin_eligible: bool,
     /// Per-destination count of batches this shard diverted to the
     /// channel path; compared against the mesh's `fallback_consumed` to
     /// decide when the pair may resume its data lane (FIFO handshake).
@@ -586,15 +391,8 @@ impl<A: Algorithm> ShardWorker<A> {
         triggers: Arc<Vec<TriggerDef<A::State>>>,
         trigger_tx: Sender<TriggerFire>,
         lanes: LaneHandles<A::State>,
-        plan: Arc<PlacementPlan>,
         tele: Arc<TelemetryShared>,
     ) -> Self {
-        let seat = plan.seat_of(id);
-        // Pre-park spinning only pays when this shard *owns* its core: on
-        // an oversubscribed plan (shards time-slicing a seat) the spin
-        // burns exactly the cycles a co-resident shard needs to produce
-        // the work being waited for.
-        let spin_eligible = seat.is_some() && !plan.oversubscribed();
         let part = Partitioner::new(config.num_shards);
         let num_shards = config.num_shards;
         let fault_armed = config.fault_plan.targets(id);
@@ -644,9 +442,6 @@ impl<A: Algorithm> ShardWorker<A> {
             pend_max_popped: 0,
             outbox_index: (0..num_shards).map(|_| PendMap::default()).collect(),
             lanes,
-            plan,
-            seat,
-            spin_eligible,
             fallback_sent: vec![0; num_shards],
             claim_buf: Vec::new(),
             idle_spins: 0,
@@ -721,18 +516,6 @@ impl<A: Algorithm> ShardWorker<A> {
             // AssertUnwindSafe. On a recoverable panic the same `self`
             // re-enters here with `needs_recovery` set.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                // Pin first, before any allocation the supervised region
-                // performs (lane columns, WAL buffers, the vertex store's
-                // growth) — first-touch pages then land on the seat's
-                // node. Idempotent, and deliberately *inside* the respawn
-                // loop: a recovered shard re-pins on re-entry. A refused
-                // mask (non-Linux, or a CPU hot-unplugged since
-                // discovery) degrades to unpinned.
-                if let Some(seat) = self.seat {
-                    if !placement::pin_current_thread(seat.cpu) {
-                        self.seat = None;
-                    }
-                }
                 if self.durable && self.wal.is_none() {
                     self.open_wal();
                 }
@@ -886,11 +669,6 @@ impl<A: Algorithm> ShardWorker<A> {
     pub(crate) fn run_loop(&mut self) {
         use std::sync::atomic::Ordering;
         self.lanes.parks.register(self.id);
-        // First-touch: allocate this shard's inbound lane column on its
-        // own (possibly just-pinned) core. Under the engine's deferred
-        // mesh this is the first touch of those ring pages; under an
-        // eager test mesh it is a no-op.
-        self.lanes.mesh.init_column(self.id);
         // Run-merged phase accounting (nothing at all when
         // `phase_accounting` is off): one window per run of same-labeled
         // segments, a clock read only at label transitions — see
@@ -1045,9 +823,9 @@ impl<A: Algorithm> ShardWorker<A> {
             // here if the WAL has grown past the configured interval.
             self.phase_mark(&mut seg, PhaseLabel::Checkpoint);
             self.maybe_checkpoint(false);
-            // The whole wait — pre-park spin, park, heartbeat timeout —
-            // is parked time: the clearest "this shard had nothing to do"
-            // signal in the utilization breakdown.
+            // The whole wait — park, heartbeat timeout — is parked time:
+            // the clearest "this shard had nothing to do" signal in the
+            // utilization breakdown.
             self.phase_mark(&mut seg, PhaseLabel::Park);
             let waited = self.idle_wait();
             // Waking is the processing guess: a message wake goes straight
@@ -1081,21 +859,6 @@ impl<A: Algorithm> ShardWorker<A> {
     /// window.
     fn idle_wait(&mut self) -> IdleWait<A::State> {
         let lanes = &self.lanes;
-        // Pinned shards spin briefly before the park machinery: the core
-        // is theirs either way (nobody else is scheduled onto it by
-        // design), so burning a bounded probe loop converts the common
-        // work-arrives-immediately case into a cache-hit wake with no
-        // park/unpark syscall round trip. Unpinned shards skip straight
-        // to the park so the OS can reuse their core.
-        if self.spin_eligible && self.seat.is_some() {
-            for _ in 0..lanes.parks.spin_budget() {
-                if lanes.mesh.has_inbound(self.id) || !self.rx.is_empty() {
-                    self.metrics.spin_wakes += 1;
-                    return IdleWait::Heartbeat;
-                }
-                std::hint::spin_loop();
-            }
-        }
         lanes.parks.announce_sleep(self.id);
         std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
         if lanes.mesh.has_inbound(self.id) {
@@ -1849,13 +1612,8 @@ impl<A: Algorithm> ShardWorker<A> {
         let queue_depth =
             (self.rx.len() + self.local_q.len() + self.pend_staged + self.pend_fifo.len()) as u64;
         let lane_occupancy = self.lanes.mesh.inbound_occupancy(self.id) as u64;
-        self.tele.publish_counters(
-            self.id,
-            &self.metrics,
-            queue_depth,
-            lane_occupancy,
-            self.seat.map(|s| (s.cpu, s.node)),
-        );
+        self.tele
+            .publish_counters(self.id, &self.metrics, queue_depth, lane_occupancy);
     }
 
     /// Publishes one created envelope of `epoch`'s parity. Must happen
@@ -1950,18 +1708,9 @@ impl<A: Algorithm> ShardWorker<A> {
         self.metrics.envelopes_sent += 1;
         // A tagged envelope is counted sent here exactly once, so the
         // Send span is the amplification unit (cross-checkable against
-        // `envelopes_sent`). Destination shard in the low word, cross-NUMA
-        // flag in bit 32 (both ends pinned, different nodes).
+        // `envelopes_sent`). `b` is the destination shard.
         if env.tag != 0 {
-            let cross = match self.seat {
-                Some(seat) => self
-                    .plan
-                    .node_of_shard(owner)
-                    .is_some_and(|n| n != seat.node),
-                None => false,
-            };
-            let b = owner as u64 | (u64::from(cross) << 32);
-            self.trace_span(SpanKind::Send, env.tag, env.target, b);
+            self.trace_span(SpanKind::Send, env.tag, env.target, owner as u64);
         }
         // Chaos: lose this envelope "in transit" — after the sent counter
         // was published, exactly like a message a real network ate. The
@@ -2043,14 +1792,6 @@ impl<A: Algorithm> ShardWorker<A> {
         match mesh.send(self.id, owner, batch) {
             Ok(()) => {
                 self.metrics.lane_batches += 1;
-                // Placement telemetry: a batch that crossed NUMA nodes
-                // (both ends pinned, different seats). Informational —
-                // stays outside verify_balance.
-                if let Some(seat) = self.seat {
-                    if self.plan.node_of_shard(owner).is_some_and(|n| n != seat.node) {
-                        self.metrics.lane_cross_node_batches += 1;
-                    }
-                }
                 // Pool a drained buffer for the next fill — steady-state
                 // flushes allocate nothing.
                 if let Some(buf) = mesh.take_recycled(self.id, owner) {
@@ -2749,7 +2490,6 @@ mod tests {
             Arc::new(Vec::new()),
             trigger_tx,
             LaneHandles::new(2),
-            Arc::new(PlacementPlan::unpinned(2)),
             tele,
         );
         Fixture {

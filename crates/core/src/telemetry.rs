@@ -61,10 +61,8 @@ use crate::trace::{self, PropagationTrace, SpanKind, SpanRing, TraceConfig, Trac
 pub const PUBLISH_EVERY: u32 = 256;
 
 /// Gauge words appended to each shard's counter payload in its snapshot
-/// cell: `[queue_depth, lane_occupancy, pinned_core + 1, numa_node + 1]`
-/// (the placement words are biased by one so 0 reads "unpinned" — the
-/// cells start zeroed and the words are unsigned).
-pub(crate) const GAUGE_WORDS: usize = 4;
+/// cell: `[queue_depth, lane_occupancy]`.
+pub(crate) const GAUGE_WORDS: usize = 2;
 
 /// Total words in one shard's snapshot cell.
 pub(crate) const CELL_WORDS: usize = ShardMetrics::COUNTER_WORDS + GAUGE_WORDS;
@@ -469,11 +467,6 @@ pub struct EngineGauges {
     /// Per-shard inbound lane occupancy (batches parked in SPSC rings),
     /// as of the last publication.
     pub lane_occupancy: Vec<u64>,
-    /// Per-shard pinned CPU (−1 = unpinned / placement off / the shard
-    /// has not published yet), as of the last publication.
-    pub pinned_core: Vec<i64>,
-    /// Per-shard NUMA node of the pinned CPU (−1 = unpinned).
-    pub numa_node: Vec<i64>,
     /// `idle_parks / (idle_parks + events_processed)` — how often shards
     /// slept vs worked.
     pub park_ratio: f64,
@@ -576,7 +569,9 @@ impl TelemetryShared {
         // `spans` is empty when tracing is off — every trace-plane entry
         // point no-ops on the missing ring, which is the zero-cost gate.
         let spans = if trace.enabled {
-            (0..shards).map(|_| SpanRing::new(trace.ring_capacity)).collect()
+            (0..shards)
+                .map(|_| SpanRing::new(trace.ring_capacity))
+                .collect()
         } else {
             Vec::new()
         };
@@ -609,7 +604,6 @@ impl TelemetryShared {
         m: &ShardMetrics,
         queue_depth: u64,
         lane_occupancy: u64,
-        seat: Option<(usize, usize)>,
     ) {
         let mut payload = [0u64; CELL_WORDS];
         let (head, _) = payload.split_at_mut(ShardMetrics::COUNTER_WORDS);
@@ -618,11 +612,6 @@ impl TelemetryShared {
         }
         payload[ShardMetrics::COUNTER_WORDS] = queue_depth;
         payload[ShardMetrics::COUNTER_WORDS + 1] = lane_occupancy;
-        // Placement seat `(cpu, node)`, biased +1 so zeroed cells (and
-        // unpinned shards) read as "no seat".
-        let (cpu1, node1) = seat.map_or((0, 0), |(c, n)| (c as u64 + 1, n as u64 + 1));
-        payload[ShardMetrics::COUNTER_WORDS + 2] = cpu1;
-        payload[ShardMetrics::COUNTER_WORDS + 3] = node1;
         self.cells[shard].publish(&payload);
     }
 
@@ -749,8 +738,6 @@ impl TelemetryShared {
         let gauges = [
             payload[ShardMetrics::COUNTER_WORDS],
             payload[ShardMetrics::COUNTER_WORDS + 1],
-            payload[ShardMetrics::COUNTER_WORDS + 2],
-            payload[ShardMetrics::COUNTER_WORDS + 3],
         ];
         (ShardMetrics::from_words(&counters), gauges)
     }
@@ -912,16 +899,11 @@ impl TelemetryHub {
         let shards = self.shared.cells.len();
         let mut queue_depth = Vec::with_capacity(shards);
         let mut lane_occupancy = Vec::with_capacity(shards);
-        let mut pinned_core = Vec::with_capacity(shards);
-        let mut numa_node = Vec::with_capacity(shards);
         let mut totals = ShardMetrics::default();
         for s in 0..shards {
             let (m, g) = self.shared.shard_snapshot(s);
             queue_depth.push(g[0]);
             lane_occupancy.push(g[1]);
-            // Biased +1 in the cell (0 = unpinned); surface as -1.
-            pinned_core.push(g[2] as i64 - 1);
-            numa_node.push(g[3] as i64 - 1);
             totals.merge(&m);
         }
         let processed = totals.events_processed();
@@ -955,8 +937,6 @@ impl TelemetryHub {
             events_processed: processed,
             queue_depth,
             lane_occupancy,
-            pinned_core,
-            numa_node,
             park_ratio,
             in_flight: sent.saturating_sub(proc),
             ingest_backlog: injected.saturating_sub(ingested),
@@ -1053,24 +1033,6 @@ impl TelemetryHub {
             "Inbound SPSC lane occupancy (batches) per shard at its last snapshot.",
             lane_lines,
         );
-        let mut core_lines = String::new();
-        for (s, c) in g.pinned_core.iter().enumerate() {
-            core_lines.push_str(&format!("remo_pinned_core{{shard=\"{s}\"}} {c}\n"));
-        }
-        gauge(
-            "pinned_core",
-            "CPU the shard thread is pinned to (-1 = unpinned).",
-            core_lines,
-        );
-        let mut node_lines = String::new();
-        for (s, n) in g.numa_node.iter().enumerate() {
-            node_lines.push_str(&format!("remo_numa_node{{shard=\"{s}\"}} {n}\n"));
-        }
-        gauge(
-            "numa_node",
-            "NUMA node of the shard's pinned CPU (-1 = unpinned).",
-            node_lines,
-        );
         let summary = |out: &mut String, name: &str, help: &str, h: &LatencyHistogram| {
             out.push_str(&format!(
                 "# HELP remo_{name} {help}\n# TYPE remo_{name} summary\n"
@@ -1157,10 +1119,6 @@ impl TelemetryHub {
         out.push_str(&format!(
             "# HELP remo_trace_cross_shard_hops_total Cross-shard sends over all reconstructed traces.\n# TYPE remo_trace_cross_shard_hops_total counter\nremo_trace_cross_shard_hops_total {}\n",
             ts.cross_shard_hops
-        ));
-        out.push_str(&format!(
-            "# HELP remo_trace_cross_numa_hops_total Cross-NUMA sends over all reconstructed traces.\n# TYPE remo_trace_cross_numa_hops_total counter\nremo_trace_cross_numa_hops_total {}\n",
-            ts.cross_numa_hops
         ));
         if let Some(src) = self.query_source() {
             out.push_str(&format!(
@@ -1249,12 +1207,10 @@ impl TelemetryHub {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{{},\"queue_depth\":{},\"lane_occupancy\":{},\"pinned_core\":{},\"numa_node\":{}}}",
+                "{{{},\"queue_depth\":{},\"lane_occupancy\":{}}}",
                 counters_json(sm),
                 g.queue_depth.get(s).copied().unwrap_or(0),
                 g.lane_occupancy.get(s).copied().unwrap_or(0),
-                g.pinned_core.get(s).copied().unwrap_or(-1),
-                g.numa_node.get(s).copied().unwrap_or(-1),
             ));
         }
         out.push_str("],");
@@ -1279,7 +1235,7 @@ impl TelemetryHub {
         ));
         let ts = self.trace_summary();
         out.push_str(&format!(
-            ",\"traces\":{{\"observed\":{},\"fixpoint\":{},\"hops\":{{\"p50\":{:.1},\"p99\":{:.1}}},\"amplification\":{{\"p50\":{:.1},\"p99\":{:.1}}},\"cross_shard_hops\":{},\"cross_numa_hops\":{}}}",
+            ",\"traces\":{{\"observed\":{},\"fixpoint\":{},\"hops\":{{\"p50\":{:.1},\"p99\":{:.1}}},\"amplification\":{{\"p50\":{:.1},\"p99\":{:.1}}},\"cross_shard_hops\":{}}}",
             ts.observed,
             hist_json(&ts.fixpoint),
             ts.hops.quantile_ns(0.5),
@@ -1287,7 +1243,6 @@ impl TelemetryHub {
             ts.amplification.quantile_ns(0.5),
             ts.amplification.quantile_ns(0.99),
             ts.cross_shard_hops,
-            ts.cross_numa_hops,
         ));
         if let Some(src) = self.query_source() {
             let rows = src.query_rows();
@@ -1326,9 +1281,11 @@ mod tests {
         let off = TelemetryConfig::off();
         assert!(!off.counters && !off.histograms && !off.flight_recorder);
         assert!(!off.phase_accounting);
-        assert!(!TelemetryConfig::default()
-            .with_phase_accounting(false)
-            .phase_accounting);
+        assert!(
+            !TelemetryConfig::default()
+                .with_phase_accounting(false)
+                .phase_accounting
+        );
         assert_eq!(TelemetryConfig::full(), TelemetryConfig::default());
         assert_eq!(
             TelemetryConfig::default()
@@ -1439,7 +1396,7 @@ mod tests {
             envelopes_sent: 9,
             ..Default::default()
         };
-        tele.publish_counters(0, &m, 5, 2, Some((3, 1)));
+        tele.publish_counters(0, &m, 5, 2);
         tele.record_service(0, 1500);
         let snap = tele.snapshot_metrics();
         assert_eq!(snap.per_shard.len(), 2);
@@ -1448,35 +1405,7 @@ mod tests {
         assert_eq!(snap.service.count, 1);
         let (got, gauges) = tele.shard_snapshot(0);
         assert_eq!(got, m);
-        // Placement words carry the +1 bias (cpu 3 -> 4, node 1 -> 2).
-        assert_eq!(gauges, [5, 2, 4, 2]);
-    }
-
-    #[test]
-    fn unpinned_publish_reads_as_no_seat() {
-        let counters = Arc::new(SharedCounters::new(1));
-        let board = Arc::new(FailureBoard::new());
-        let tele = Arc::new(TelemetryShared::new(
-            TelemetryConfig::default(),
-            TraceConfig::off(),
-            1,
-            counters,
-            board,
-        ));
-        tele.publish_counters(0, &ShardMetrics::default(), 0, 0, None);
-        let (_, gauges) = tele.shard_snapshot(0);
-        assert_eq!(gauges[2], 0);
-        assert_eq!(gauges[3], 0);
-        let hub = TelemetryHub::new(tele);
-        let g = hub.gauges();
-        assert_eq!(g.pinned_core, vec![-1]);
-        assert_eq!(g.numa_node, vec![-1]);
-        let prom = hub.render_prometheus();
-        assert!(prom.contains("remo_pinned_core{shard=\"0\"} -1"));
-        assert!(prom.contains("remo_numa_node{shard=\"0\"} -1"));
-        let json = hub.render_json();
-        assert!(json.contains("\"pinned_core\":-1"));
-        assert!(json.contains("\"numa_node\":-1"));
+        assert_eq!(gauges, [5, 2]);
     }
 
     #[test]
@@ -1495,7 +1424,7 @@ mod tests {
             topo_ingested: 2,
             ..Default::default()
         };
-        tele.publish_counters(0, &m, 0, 0, None);
+        tele.publish_counters(0, &m, 0, 0);
         tele.record_quiesce(10_000);
         // One complete traced cascade so the trace families render
         // non-trivially.
@@ -1517,7 +1446,6 @@ mod tests {
         assert!(prom.contains("remo_trace_hops_count 1"));
         assert!(prom.contains("remo_trace_amplification_count 1"));
         assert!(prom.contains("remo_trace_cross_shard_hops_total"));
-        assert!(prom.contains("remo_trace_cross_numa_hops_total"));
         assert!(prom.contains("# TYPE remo_phase_process_ns_total counter"));
         let json = hub.render_json();
         assert!(json.starts_with('{') && json.ends_with('}'));

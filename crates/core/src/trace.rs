@@ -8,7 +8,7 @@
 //! (id + hop depth), and each shard appends bounded span records to a
 //! per-shard ring as tagged envelopes move through it. Harvest
 //! reconstructs per-update **propagation trees** — hops to fixpoint,
-//! per-hop latency, amplification, cross-shard / cross-NUMA hop counts —
+//! per-hop latency, amplification, cross-shard hop counts —
 //! exposed via `Engine::traces_now()` and both telemetry exporters.
 //!
 //! ## Tag discipline (soundness)
@@ -156,7 +156,7 @@ pub enum SpanKind {
     /// of the topology event). Hop 0 by construction.
     Root = 1,
     /// A tagged envelope was counted sent (`a` = target vertex, `b` =
-    /// destination shard in the low word, cross-NUMA flag in bit 32).
+    /// destination shard).
     Send = 2,
     /// A tagged envelope was processed (`a` = target, `b` = children
     /// emitted by the callback, pre-coalescing).
@@ -348,8 +348,6 @@ pub struct PropagationTrace {
     pub replayed: u64,
     /// Sends whose destination was a different shard.
     pub cross_shard_hops: u64,
-    /// Sends that crossed NUMA nodes (both ends pinned).
-    pub cross_numa_hops: u64,
     /// Root ingest → last observed span (ns): the update's propagation
     /// wall time.
     pub fixpoint_ns: u64,
@@ -385,7 +383,6 @@ pub(crate) fn reconstruct(spans: &[TraceSpan]) -> Vec<PropagationTrace> {
             suppressed: 0,
             replayed: 0,
             cross_shard_hops: 0,
-            cross_numa_hops: 0,
             fixpoint_ns: 0,
         };
         let mut hops: HashMap<u8, HopStats> = HashMap::new();
@@ -408,12 +405,8 @@ pub(crate) fn reconstruct(spans: &[TraceSpan]) -> Vec<PropagationTrace> {
                     if h.first_send_ns == 0 || s.t_ns < h.first_send_ns {
                         h.first_send_ns = s.t_ns;
                     }
-                    let dest = (s.b & 0xFFFF_FFFF) as usize;
-                    if dest != s.shard {
+                    if s.b as usize != s.shard {
                         t.cross_shard_hops += 1;
-                    }
-                    if s.b & (1 << 32) != 0 {
-                        t.cross_numa_hops += 1;
                     }
                 }
                 SpanKind::Process => {
@@ -476,8 +469,6 @@ pub struct TraceSummary {
     pub amplification: LatencyHistogram,
     /// Cross-shard sends, totalled over all traces.
     pub cross_shard_hops: u64,
-    /// Cross-NUMA sends, totalled over all traces.
-    pub cross_numa_hops: u64,
 }
 
 /// Summarizes reconstructed traces.
@@ -489,7 +480,6 @@ pub fn summarize(traces: &[PropagationTrace]) -> TraceSummary {
         s.hops.record(u64::from(t.depth));
         s.amplification.record(t.amplification);
         s.cross_shard_hops += t.cross_shard_hops;
-        s.cross_numa_hops += t.cross_numa_hops;
     }
     s
 }
@@ -529,7 +519,10 @@ mod tests {
         for i in 0..64u64 {
             assert!(!r.record(SpanKind::Send, pack(1, 1), i, 0, 0));
         }
-        assert!(r.record(SpanKind::Send, pack(1, 1), 64, 0, 0), "65th evicts");
+        assert!(
+            r.record(SpanKind::Send, pack(1, 1), 64, 0, 0),
+            "65th evicts"
+        );
         let dump = r.dump(0);
         assert_eq!(dump.len(), 64);
         assert_eq!(dump[0].t_ns, 1, "oldest surviving span");
@@ -569,7 +562,7 @@ mod tests {
                 tag: pack(5, 2),
                 t_ns: 160,
                 a: 9,
-                b: 1 | (1 << 32), // self-shard but cross-NUMA flagged
+                b: 1, // self-shard: not a cross-shard hop
             },
             TraceSpan {
                 shard: 1,
@@ -600,7 +593,6 @@ mod tests {
         assert_eq!(t.processed, 1);
         assert_eq!(t.dominated, 1);
         assert_eq!(t.cross_shard_hops, 1);
-        assert_eq!(t.cross_numa_hops, 1);
         assert_eq!(t.fixpoint_ns, 70);
         assert_eq!(t.hops.len(), 2);
         assert_eq!(t.hops[0].hop, 1);

@@ -22,9 +22,7 @@
 //! it is rare, and the channel's blocking-receive semantics are exactly
 //! right for it.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -154,123 +152,124 @@ impl PendingSet {
     }
 }
 
-/// A bounded single-producer single-consumer ring.
-///
-/// Monotone head/tail indices over a power-of-two slot array: `tail` is
-/// written only by the producer, `head` only by the consumer, each on its
-/// own cache line. `push`/`pop` are lock-free and wait-free — one Acquire
-/// load of the opposite index, one slot access, one Release store.
-///
-/// The single-producer/single-consumer discipline is enforced by
-/// convention, not by types: within [`LaneMesh`], lane `(s, r)` is pushed
-/// only by shard thread `s` and popped only by shard thread `r` (see
-/// [`LaneMesh::reclaim`] for the one documented exception). Violating the
-/// discipline is a data race on the slot array.
-pub(crate) struct SpscRing<T> {
-    mask: usize,
-    buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    /// Next slot to pop (consumer-owned; producer reads to detect full).
-    head: CachePadded<AtomicUsize>,
-    /// Next slot to push (producer-owned; consumer reads to detect empty).
-    tail: CachePadded<AtomicUsize>,
-}
+/// The crate's whole `unsafe` surface: the SPSC ring's two `unsafe impl`s,
+/// one slot write and one slot read. `#![deny(unsafe_code)]` at the crate
+/// root makes this `allow` the only place it can grow.
+#[allow(unsafe_code)]
+mod ring {
+    use std::cell::UnsafeCell;
+    use std::mem::MaybeUninit;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-// SAFETY: the ring moves `T` values across threads (producer writes a
-// slot, consumer takes it), which is exactly the `T: Send` contract; the
-// head/tail protocol guarantees a slot is never accessed by both sides at
-// once, so no `&T` is ever shared.
-unsafe impl<T: Send> Send for SpscRing<T> {}
-unsafe impl<T: Send> Sync for SpscRing<T> {}
+    use crossbeam::utils::CachePadded;
 
-impl<T> SpscRing<T> {
-    /// `cap` must be a power of two (the index mask depends on it).
-    pub(crate) fn with_capacity(cap: usize) -> Self {
-        assert!(
-            cap.is_power_of_two(),
-            "ring capacity must be a power of two"
-        );
-        SpscRing {
-            mask: cap - 1,
-            buf: (0..cap)
-                .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-                .collect(),
-            head: CachePadded::new(AtomicUsize::new(0)),
-            tail: CachePadded::new(AtomicUsize::new(0)),
+    /// A bounded single-producer single-consumer ring.
+    ///
+    /// Monotone head/tail indices over a power-of-two slot array: `tail` is
+    /// written only by the producer, `head` only by the consumer, each on its
+    /// own cache line. `push`/`pop` are lock-free and wait-free — one Acquire
+    /// load of the opposite index, one slot access, one Release store.
+    ///
+    /// The single-producer/single-consumer discipline is enforced by
+    /// convention, not by types: within [`super::LaneMesh`], lane `(s, r)` is pushed
+    /// only by shard thread `s` and popped only by shard thread `r` (see
+    /// [`super::LaneMesh::reclaim`] for the one documented exception). Violating the
+    /// discipline is a data race on the slot array.
+    pub(crate) struct SpscRing<T> {
+        mask: usize,
+        buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
+        /// Next slot to pop (consumer-owned; producer reads to detect full).
+        head: CachePadded<AtomicUsize>,
+        /// Next slot to push (producer-owned; consumer reads to detect empty).
+        tail: CachePadded<AtomicUsize>,
+    }
+
+    // SAFETY: the ring moves `T` values across threads (producer writes a
+    // slot, consumer takes it), which is exactly the `T: Send` contract; the
+    // head/tail protocol guarantees a slot is never accessed by both sides at
+    // once, so no `&T` is ever shared.
+    unsafe impl<T: Send> Send for SpscRing<T> {}
+    unsafe impl<T: Send> Sync for SpscRing<T> {}
+
+    impl<T> SpscRing<T> {
+        /// `cap` must be a power of two (the index mask depends on it).
+        pub(crate) fn with_capacity(cap: usize) -> Self {
+            assert!(
+                cap.is_power_of_two(),
+                "ring capacity must be a power of two"
+            );
+            SpscRing {
+                mask: cap - 1,
+                buf: (0..cap)
+                    .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
+                    .collect(),
+                head: CachePadded::new(AtomicUsize::new(0)),
+                tail: CachePadded::new(AtomicUsize::new(0)),
+            }
+        }
+
+        /// Producer side: appends `value`, or returns it when the ring is full.
+        pub(crate) fn push(&self, value: T) -> Result<(), T> {
+            let tail = self.tail.load(Ordering::Relaxed);
+            // Acquire pairs with the consumer's Release in `pop`: a freed slot
+            // must be observed freed before we overwrite it.
+            let head = self.head.load(Ordering::Acquire);
+            if tail.wrapping_sub(head) > self.mask {
+                return Err(value);
+            }
+            // SAFETY: `tail - head <= mask` means slot `tail & mask` is not
+            // occupied, and only this (sole) producer writes slots at `tail`.
+            unsafe { (*self.buf[tail & self.mask].get()).write(value) };
+            // Release publishes the slot write before the index advance.
+            self.tail.store(tail.wrapping_add(1), Ordering::Release);
+            Ok(())
+        }
+
+        /// Consumer side: takes the oldest value, if any.
+        pub(crate) fn pop(&self) -> Option<T> {
+            let head = self.head.load(Ordering::Relaxed);
+            // Acquire pairs with the producer's Release in `push`.
+            let tail = self.tail.load(Ordering::Acquire);
+            if head == tail {
+                return None;
+            }
+            // SAFETY: `head != tail` means slot `head & mask` holds an
+            // initialized value the producer published (Acquire above), and
+            // only this (sole) consumer reads slots at `head`.
+            let value = unsafe { (*self.buf[head & self.mask].get()).assume_init_read() };
+            // Release frees the slot for the producer's full-check.
+            self.head.store(head.wrapping_add(1), Ordering::Release);
+            Some(value)
+        }
+
+        /// True when nothing is buffered (either side may probe).
+        #[cfg(test)]
+        pub(crate) fn is_empty(&self) -> bool {
+            self.head.load(Ordering::Acquire) == self.tail.load(Ordering::Acquire)
+        }
+
+        /// Approximate occupancy (either side or an observer may probe; the
+        /// two independent loads make it momentarily stale, never unsafe).
+        /// Feeds the telemetry lane-occupancy gauge.
+        pub(crate) fn len(&self) -> usize {
+            let head = self.head.load(Ordering::Acquire);
+            let tail = self.tail.load(Ordering::Acquire);
+            tail.wrapping_sub(head)
         }
     }
 
-    /// Producer side: appends `value`, or returns it when the ring is full.
-    pub(crate) fn push(&self, value: T) -> Result<(), T> {
-        let tail = self.tail.load(Ordering::Relaxed);
-        // Acquire pairs with the consumer's Release in `pop`: a freed slot
-        // must be observed freed before we overwrite it.
-        let head = self.head.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) > self.mask {
-            return Err(value);
+    impl<T> Drop for SpscRing<T> {
+        fn drop(&mut self) {
+            // `&mut self`: both roles are ours now; release leftover values.
+            while self.pop().is_some() {}
         }
-        // SAFETY: `tail - head <= mask` means slot `tail & mask` is not
-        // occupied, and only this (sole) producer writes slots at `tail`.
-        unsafe { (*self.buf[tail & self.mask].get()).write(value) };
-        // Release publishes the slot write before the index advance.
-        self.tail.store(tail.wrapping_add(1), Ordering::Release);
-        Ok(())
-    }
-
-    /// Consumer side: takes the oldest value, if any.
-    pub(crate) fn pop(&self) -> Option<T> {
-        let head = self.head.load(Ordering::Relaxed);
-        // Acquire pairs with the producer's Release in `push`.
-        let tail = self.tail.load(Ordering::Acquire);
-        if head == tail {
-            return None;
-        }
-        // SAFETY: `head != tail` means slot `head & mask` holds an
-        // initialized value the producer published (Acquire above), and
-        // only this (sole) consumer reads slots at `head`.
-        let value = unsafe { (*self.buf[head & self.mask].get()).assume_init_read() };
-        // Release frees the slot for the producer's full-check.
-        self.head.store(head.wrapping_add(1), Ordering::Release);
-        Some(value)
-    }
-
-    /// True when nothing is buffered (either side may probe).
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.head.load(Ordering::Acquire) == self.tail.load(Ordering::Acquire)
-    }
-
-    /// Approximate occupancy (either side or an observer may probe; the
-    /// two independent loads make it momentarily stale, never unsafe).
-    /// Feeds the telemetry lane-occupancy gauge.
-    pub(crate) fn len(&self) -> usize {
-        let head = self.head.load(Ordering::Acquire);
-        let tail = self.tail.load(Ordering::Acquire);
-        tail.wrapping_sub(head)
     }
 }
 
-impl<T> Drop for SpscRing<T> {
-    fn drop(&mut self) {
-        // `&mut self`: both roles are ours now; release leftover values.
-        while self.pop().is_some() {}
-    }
-}
+use ring::SpscRing;
 
 /// One receiver's inbound lane column: its data and recycle rings for
-/// every potential sender, allocated as a unit.
-///
-/// Lazily initialized ([`LaneMesh::init_column`]) by the **owning shard
-/// thread at its startup** so the ring slot arrays are first-touch
-/// allocated on the receiver's core/NUMA node (pages land on the node of
-/// the first-writing thread). The `OnceLock` gives senders an
-/// acquire-load view of the fully built rings, makes a respawned shard's
-/// re-init a no-op, and keeps the eager constructor
-/// ([`LaneMesh::new`] — unit tests, single-threaded fixtures) on the
-/// same code path.
-struct LaneColumn<S> {
-    rings: OnceLock<ColumnRings<S>>,
-}
-
+/// every potential sender.
 struct ColumnRings<S> {
     /// `data[from]`: envelope batches in flight from `from` to the
     /// column's owner.
@@ -312,18 +311,13 @@ impl<S> ColumnRings<S> {
 /// (produced by `to`, consumed by `from`) carrying drained batch buffers
 /// home for reuse.
 ///
-/// Rings are grouped into per-receiver [`LaneColumn`]s. Under the engine
-/// ([`LaneMesh::new_deferred`]) a column is allocated by its owning shard
-/// thread at startup — first-touch placement — and until then every send
-/// to it reports "full", diverting batches onto the existing channel
-/// fallback. That is sound by construction: "column not yet allocated"
-/// is indistinguishable from "lane full" to a sender, and the fallback
-/// handshake already preserves per-pair FIFO across any lane-unavailable
-/// window (see [`LaneMesh::fallback_consumed`]).
+/// Every ring is allocated up front by whoever builds the mesh (the
+/// controller thread, in `Engine::build`), so a lane exists before any
+/// shard can send on it: `send` fails only when the lane is full.
 pub(crate) struct LaneMesh<S> {
     shards: usize,
     /// `columns[to]`: receiver `to`'s inbound data + recycle rings.
-    columns: Vec<LaneColumn<S>>,
+    columns: Vec<ColumnRings<S>>,
     /// `fallback_consumed[from * shards + to]`: how many of the pair's
     /// channel-fallback batches the receiver has fully admitted.
     ///
@@ -351,24 +345,9 @@ pub(crate) struct LaneMesh<S> {
 }
 
 impl<S> LaneMesh<S> {
-    /// Eager mesh: every column allocated by the calling thread. Unit
-    /// tests and single-threaded fixtures drive workers by hand without a
-    /// startup phase, so their lanes must exist up front; the engine uses
-    /// [`Self::new_deferred`] for first-touch placement instead.
-    #[cfg_attr(not(test), allow(dead_code))] // test fixtures
+    /// Mesh with every column (data rings + primed recycle pools)
+    /// allocated by the calling thread.
     pub(crate) fn new(shards: usize) -> Self {
-        let mesh = Self::new_deferred(shards);
-        for to in 0..shards {
-            mesh.init_column(to);
-        }
-        mesh
-    }
-
-    /// Mesh with no columns allocated yet: each receiver calls
-    /// [`Self::init_column`] for its own id at shard startup, so its ring
-    /// memory is first-touch allocated on its pinned core/node. Until
-    /// then, sends to it divert to the channel fallback.
-    pub(crate) fn new_deferred(shards: usize) -> Self {
         assert!(
             shards <= MAX_LANE_SHARDS,
             "lane mesh is capped at {MAX_LANE_SHARDS} shards"
@@ -376,11 +355,7 @@ impl<S> LaneMesh<S> {
         let n = shards * shards;
         LaneMesh {
             shards,
-            columns: (0..shards)
-                .map(|_| LaneColumn {
-                    rings: OnceLock::new(),
-                })
-                .collect(),
+            columns: (0..shards).map(|_| ColumnRings::build(shards)).collect(),
             fallback_consumed: (0..n)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
@@ -388,19 +363,10 @@ impl<S> LaneMesh<S> {
         }
     }
 
-    /// Allocates receiver `to`'s inbound column (data rings + primed
-    /// recycle pools). Idempotent — a respawned shard re-running its
-    /// startup is a no-op — and the `OnceLock` publish gives senders an
-    /// acquire view of the fully built rings.
-    pub(crate) fn init_column(&self, to: usize) {
-        let shards = self.shards;
-        let _ = self.columns[to].rings.get_or_init(|| ColumnRings::build(shards));
-    }
-
     #[inline]
-    fn column(&self, to: usize) -> Option<&ColumnRings<S>> {
+    fn column(&self, to: usize) -> &ColumnRings<S> {
         debug_assert!(to < self.shards);
-        self.columns[to].rings.get()
+        &self.columns[to]
     }
 
     #[inline]
@@ -410,11 +376,9 @@ impl<S> LaneMesh<S> {
     }
 
     /// Sender `from`: ships a batch to `to`, or hands it back when the
-    /// lane is full — or not yet allocated by its receiver (caller falls
-    /// back to the channel either way; the two cases are deliberately
-    /// indistinguishable). On success the sender's bit in the receiver's
-    /// pending bitmap is set *after* the push, so a receiver that
-    /// observes the bit will find the batch.
+    /// lane is full (caller falls back to the channel). On success the
+    /// sender's bit in the receiver's pending bitmap is set *after* the
+    /// push, so a receiver that observes the bit will find the batch.
     #[inline]
     pub(crate) fn send(
         &self,
@@ -422,10 +386,7 @@ impl<S> LaneMesh<S> {
         to: usize,
         batch: Vec<Envelope<S>>,
     ) -> Result<(), Vec<Envelope<S>>> {
-        let Some(col) = self.column(to) else {
-            return Err(batch);
-        };
-        col.data[from].push(batch)?;
+        self.column(to).data[from].push(batch)?;
         self.inbound[to].set(from);
         Ok(())
     }
@@ -433,14 +394,14 @@ impl<S> LaneMesh<S> {
     /// Receiver `to`: next in-flight batch from `from`, if any.
     #[inline]
     pub(crate) fn recv(&self, from: usize, to: usize) -> Option<Vec<Envelope<S>>> {
-        self.column(to)?.data[from].pop()
+        self.column(to).data[from].pop()
     }
 
     /// Sender `from`: pulls one pooled buffer home from the pair's recycle
     /// lane (allocation-free steady state for `flush`).
     #[inline]
     pub(crate) fn take_recycled(&self, from: usize, to: usize) -> Option<Vec<Envelope<S>>> {
-        self.column(to)?.recycle[from].pop()
+        self.column(to).recycle[from].pop()
     }
 
     /// Receiver `to`: returns a drained (cleared) batch buffer to `from`'s
@@ -449,9 +410,7 @@ impl<S> LaneMesh<S> {
     #[inline]
     pub(crate) fn give_recycled(&self, from: usize, to: usize, buf: Vec<Envelope<S>>) {
         debug_assert!(buf.is_empty());
-        if let Some(col) = self.column(to) {
-            let _ = col.recycle[from].push(buf);
-        }
+        let _ = self.column(to).recycle[from].push(buf);
     }
 
     /// Sender `from`: the pair's admitted-fallback count (Acquire — see
@@ -491,10 +450,7 @@ impl<S> LaneMesh<S> {
     /// lane's occupancy is an independent racy probe; the sum is a
     /// point-in-time estimate, which is all a gauge needs.
     pub(crate) fn inbound_occupancy(&self, to: usize) -> usize {
-        let Some(col) = self.column(to) else {
-            return 0;
-        };
-        (0..self.shards).map(|from| col.data[from].len()).sum()
+        self.column(to).data.iter().map(SpscRing::len).sum()
     }
 
     /// Sender `from`: drains its own data lane to a **dead** receiver so
@@ -509,10 +465,8 @@ impl<S> LaneMesh<S> {
     /// consumer thread's last pop.
     pub(crate) fn reclaim(&self, from: usize, to: usize) -> Vec<Vec<Envelope<S>>> {
         let mut batches = Vec::new();
-        if let Some(col) = self.column(to) {
-            while let Some(b) = col.data[from].pop() {
-                batches.push(b);
-            }
+        while let Some(b) = self.column(to).data[from].pop() {
+            batches.push(b);
         }
         self.inbound[to].clear(from);
         batches
@@ -539,26 +493,12 @@ pub(crate) struct ParkBoard {
     slots: Vec<CachePadded<ParkSlot>>,
     /// Fallback park timeout ([`IDLE_PARK`] outside tests).
     heartbeat: Duration,
-    /// How many spin iterations a *pinned* shard burns re-probing its
-    /// inbound work before announcing sleep and parking. A pinned shard
-    /// that parks instantly donates its core to nobody — it owns the core
-    /// either way — so a short bounded spin converts the common
-    /// work-arrives-immediately case from a park/unpark round trip into a
-    /// cache-hit probe. Unpinned shards skip the spin entirely (the OS
-    /// can use their core).
-    spin_budget: u32,
 }
 
 /// How long a parked shard sleeps before re-probing on its own. Wakes are
 /// event-driven, so this only bounds the (latency-only) missed-wake
 /// window of the Dekker handshake.
 pub(crate) const IDLE_PARK: Duration = Duration::from_micros(200);
-
-/// Spin iterations before park for pinned shards (see
-/// [`ParkBoard::spin_budget`]). Each iteration is a couple of atomic
-/// loads plus `spin_loop`; 512 keeps the worst-case pre-park burn in the
-/// low microseconds.
-const DEFAULT_SPIN_BUDGET: u32 = 512;
 
 struct ParkSlot {
     asleep: AtomicBool,
@@ -569,11 +509,11 @@ struct ParkSlot {
 
 impl ParkBoard {
     pub(crate) fn new(shards: usize) -> Self {
-        Self::with_timing(shards, IDLE_PARK, DEFAULT_SPIN_BUDGET)
+        Self::with_timing(shards, IDLE_PARK)
     }
 
-    /// Board with an explicit fallback heartbeat and spin budget.
-    pub(crate) fn with_timing(shards: usize, heartbeat: Duration, spin_budget: u32) -> Self {
+    /// Board with an explicit fallback heartbeat.
+    pub(crate) fn with_timing(shards: usize, heartbeat: Duration) -> Self {
         ParkBoard {
             slots: (0..shards)
                 .map(|_| {
@@ -584,7 +524,6 @@ impl ParkBoard {
                 })
                 .collect(),
             heartbeat,
-            spin_budget,
         }
     }
 
@@ -592,11 +531,6 @@ impl ParkBoard {
     #[cfg_attr(not(test), allow(dead_code))] // test fixtures
     pub(crate) fn heartbeat(&self) -> Duration {
         self.heartbeat
-    }
-
-    /// Spin iterations a pinned shard burns before parking.
-    pub(crate) fn spin_budget(&self) -> u32 {
-        self.spin_budget
     }
 
     /// Parks the calling thread for at most the configured heartbeat.
@@ -655,21 +589,10 @@ impl<S> Clone for LaneHandles<S> {
 }
 
 impl<S> LaneHandles<S> {
-    /// Eager handles for tests/fixtures that drive workers by hand:
-    /// every lane column exists up front, default park timing.
-    #[cfg_attr(not(test), allow(dead_code))] // test fixtures
+    /// A fully allocated mesh and a park board with default timing.
     pub(crate) fn new(shards: usize) -> Self {
         LaneHandles {
             mesh: Arc::new(LaneMesh::new(shards)),
-            parks: Arc::new(ParkBoard::new(shards)),
-        }
-    }
-
-    /// Handles as the engine builds them: columns deferred so each shard
-    /// first-touch allocates its own at startup.
-    pub(crate) fn for_engine(shards: usize) -> Self {
-        LaneHandles {
-            mesh: Arc::new(LaneMesh::new_deferred(shards)),
             parks: Arc::new(ParkBoard::new(shards)),
         }
     }
@@ -1012,7 +935,7 @@ mod tests {
         // wake below (the test would otherwise take the full timeout and
         // still pass — the assert is on elapsed time).
         let heartbeat = std::time::Duration::from_secs(5);
-        let board = Arc::new(ParkBoard::with_timing(1, heartbeat, 0));
+        let board = Arc::new(ParkBoard::with_timing(1, heartbeat));
         assert_eq!(board.heartbeat(), heartbeat);
         let b = Arc::clone(&board);
         let t = std::thread::spawn(move || {
@@ -1041,39 +964,23 @@ mod tests {
     fn park_board_timing_defaults() {
         let board = ParkBoard::new(1);
         assert_eq!(board.heartbeat(), IDLE_PARK);
-        assert_eq!(board.spin_budget(), DEFAULT_SPIN_BUDGET);
     }
 
     #[test]
-    fn deferred_column_diverts_sends_until_init() {
-        let mesh: LaneMesh<u64> = LaneMesh::new_deferred(2);
-        // Receiver 1 hasn't started: a send to it is handed back exactly
-        // like a full lane, and the observer probes read as empty.
-        let back = mesh.send(0, 1, vec![env(9)]).unwrap_err();
-        assert_eq!(back.len(), 1);
-        assert!(!mesh.has_inbound(1));
-        assert!(mesh.recv(0, 1).is_none());
-        assert!(mesh.take_recycled(0, 1).is_none());
-        assert_eq!(mesh.inbound_occupancy(1), 0);
-        mesh.give_recycled(0, 1, Vec::new()); // dropped, not a panic
-        assert!(mesh.reclaim(0, 1).is_empty());
-
-        // After the receiver's startup init, the column behaves exactly
-        // like an eager mesh — including the primed recycle pool.
-        mesh.init_column(1);
-        mesh.send(0, 1, vec![env(9)]).unwrap();
-        assert!(mesh.has_inbound(1));
-        assert_eq!(mesh.recv(0, 1).map(|b| b.len()), Some(1));
-        assert!(mesh.take_recycled(0, 1).is_some(), "pool primed at init");
-        // Re-init (a respawned shard re-running startup) is a no-op: the
-        // pool state above survives.
-        mesh.init_column(1);
-        for _ in 0..LANE_CAP - 1 {
-            assert!(mesh.take_recycled(0, 1).is_some());
-        }
+    fn engine_handles_carry_batches_before_any_shard_runs() {
+        // Built exactly as `Engine::build` builds them. No shard thread
+        // exists, so nothing but construction can have allocated lane
+        // (0, 1): the send must land in the ring, not be handed back for
+        // the channel fallback.
+        let lanes: LaneHandles<u64> = LaneHandles::new(2);
+        assert!(lanes.mesh.send(0, 1, vec![env(9)]).is_ok());
+        assert!(lanes.mesh.has_inbound(1));
+        let got = lanes.mesh.recv(0, 1).expect("batch is in the lane");
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].target, 9);
         assert!(
-            mesh.take_recycled(0, 1).is_none(),
-            "re-init did not rebuild the column"
+            lanes.mesh.take_recycled(0, 1).is_some(),
+            "pool primed at build"
         );
     }
 }

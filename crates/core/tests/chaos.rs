@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 
 use remo_core::{
     algorithm::codec, AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineConfig, EngineError,
-    FaultPlan, LatticeConfig, Partitioner, PlacementPolicy, QueryRegistry, Snapshot,
-    TelemetryConfig, TraceConfig, VertexId, CHAOS_PANIC_MARKER,
+    FaultPlan, LatticeConfig, Partitioner, QueryRegistry, Snapshot, TelemetryConfig, TraceConfig,
+    VertexId, CHAOS_PANIC_MARKER,
 };
 
 /// The paper's §II-A example: count each vertex's degree. Enough to make
@@ -55,18 +55,6 @@ fn lattice_mode() -> LatticeConfig {
     match std::env::var("REMO_CHAOS_LATTICE").as_deref() {
         Ok("1") => LatticeConfig::all(),
         _ => LatticeConfig::default(),
-    }
-}
-
-/// `REMO_CHAOS_PLACEMENT=compact` (or `scatter`) reruns the whole suite
-/// with shard threads pinned to cores: fault containment, deadlines, and
-/// respawn-in-place recovery must hold identically when every shard owns
-/// a seat — and a respawned shard must come back *on* that seat.
-fn placement_mode() -> PlacementPolicy {
-    match std::env::var("REMO_CHAOS_PLACEMENT").as_deref() {
-        Ok("compact") => PlacementPolicy::Compact,
-        Ok("scatter") => PlacementPolicy::Scatter,
-        _ => PlacementPolicy::None,
     }
 }
 
@@ -135,7 +123,6 @@ fn chaos_config(plan: FaultPlan) -> EngineConfig {
         fault_plan: plan,
         lattice: lattice_mode(),
         telemetry: telemetry_mode(),
-        placement: placement_mode(),
         trace: trace_mode(),
         ..EngineConfig::undirected(2)
     }
@@ -637,7 +624,10 @@ fn respawned_shard_resumes_tracing_and_marks_replays() {
         result.metrics.per_shard[1].trace_spans > 0,
         "the respawned shard must have resumed span recording"
     );
-    assert!(!traces.is_empty(), "the trace plane must survive the respawn");
+    assert!(
+        !traces.is_empty(),
+        "the trace plane must survive the respawn"
+    );
     let replayed: u64 = traces.iter().map(|t| t.replayed).sum();
     assert!(
         replayed >= 1,
@@ -651,39 +641,6 @@ fn respawned_shard_resumes_tracing_and_marks_replays() {
         total.envelopes_sent
     );
     result.metrics.verify_balance().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Chaos × placement: a pinned shard that panics mid-run and is respawned
-/// in place must come back *on its seat* — the supervisor re-pins at the
-/// top of every (re)spawn, so recovery never silently sheds a core. The
-/// telemetry gauges are the witness: after the respawned run quiesces,
-/// every shard still reports a pinned core. Runs under Compact placement
-/// unconditionally (one core is enough to seat everything).
-#[test]
-fn respawned_shard_comes_back_pinned() {
-    let pairs = chain_pairs(24);
-    let dir = durable_dir("pinned-respawn");
-    let config = durable_chaos_config(FaultPlan::panic_shard_at(1, 5), &dir, 8)
-        .with_placement(PlacementPolicy::Compact);
-    let engine = Engine::new(MaxLabel, config);
-    engine.try_ingest_pairs(&pairs).unwrap();
-    engine
-        .try_await_quiescence()
-        .expect("respawned run must quiesce clean");
-    let gauges = engine.telemetry().gauges();
-    for (shard, core) in gauges.pinned_core.iter().enumerate() {
-        assert!(
-            *core >= 0,
-            "shard {shard} must still report a pinned core after recovery, got {core}"
-        );
-    }
-    let result = engine.try_finish().unwrap();
-    assert!(!result.is_degraded(), "failures: {:?}", result.failures);
-    assert!(
-        result.metrics.total().shard_respawns >= 1,
-        "the chaos panic must have forced a respawn"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -993,8 +950,14 @@ fn respawned_shard_recovers_all_query_columns() {
         result.failures
     );
     let total = result.metrics.total();
-    assert!(total.faults_injected >= 1, "the chaos panic must have fired");
-    assert!(total.shard_respawns >= 1, "shard 1 must have been respawned");
+    assert!(
+        total.faults_injected >= 1,
+        "the chaos panic must have fired"
+    );
+    assert!(
+        total.shard_respawns >= 1,
+        "shard 1 must have been respawned"
+    );
     assert_eq!(
         fixpoint(&reg.project(&result.states, q_max)),
         want_max,

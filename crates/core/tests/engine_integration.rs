@@ -143,6 +143,10 @@ fn quiescence_then_more_work_then_quiescence() {
     let r = engine.try_finish().unwrap();
     assert_eq!(r.states.get(0), Some(&2));
     assert_eq!(r.states.get(3), Some(&1));
+    // Far fewer batches per pair than a lane holds, and every lane exists
+    // before the first shard thread starts: nothing may take the channel
+    // fallback.
+    assert_eq!(r.metrics.total().lane_full_fallbacks, 0);
 }
 
 #[test]

@@ -394,7 +394,10 @@ fn phase_breakdown_decomposes_busy_wall_and_exports() {
             prom.contains(&format!("remo_{name}_total{{shard=\"0\"}}")),
             "missing Prometheus sample for {name}"
         );
-        assert!(json.contains(&format!("\"{name}\":")), "missing JSON key {name}");
+        assert!(
+            json.contains(&format!("\"{name}\":")),
+            "missing JSON key {name}"
+        );
     }
 }
 
@@ -413,7 +416,15 @@ fn phase_accounting_off_charges_nothing() {
     let t = result.metrics.total();
     assert!(t.events_processed() > 0);
     assert_eq!(t.phase_busy_ns, 0);
-    assert_eq!(result.metrics.per_shard.iter().map(ShardMetrics::phase_sum_ns).sum::<u64>(), 0);
+    assert_eq!(
+        result
+            .metrics
+            .per_shard
+            .iter()
+            .map(ShardMetrics::phase_sum_ns)
+            .sum::<u64>(),
+        0
+    );
 }
 
 /// Derived gauges stay self-consistent with the snapshot cells and the

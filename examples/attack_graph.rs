@@ -64,14 +64,22 @@ fn main() {
     let mut builder = EngineBuilder::new(reg.clone(), EngineConfig::undirected(4));
     // Slot 0 = exposure mask, slot 1 = gateway hop count (attach order
     // below): page when a host is attacker-reachable AND shallow.
-    builder.trigger("attacker-reachable within 3 hops of gateway", |_, s: &RegPayload<u64>| {
-        let exposed = s.cell(0).copied().unwrap_or(0) != 0;
-        let hops = s.cell(1).copied().unwrap_or(0);
-        exposed && hops > 0 && hops <= 3
-    });
+    builder.trigger(
+        "attacker-reachable within 3 hops of gateway",
+        |_, s: &RegPayload<u64>| {
+            let exposed = s.cell(0).copied().unwrap_or(0) != 0;
+            let hops = s.cell(1).copied().unwrap_or(0);
+            exposed && hops > 0 && hops <= 3
+        },
+    );
     let engine = builder.build();
     let exposure = reg
-        .attach(&engine, IncStCon::new(entries.clone()), &entries, "exposure")
+        .attach(
+            &engine,
+            IncStCon::new(entries.clone()),
+            &entries,
+            "exposure",
+        )
         .unwrap();
     let blast = reg.attach(&engine, IncBfs, &[gateway], "blast").unwrap();
     let pivot = reg.attach(&engine, DegreeCount, &[], "pivot").unwrap();
@@ -132,11 +140,19 @@ fn main() {
         .unwrap_or((0, 0));
     let cve_reach = cve_states.iter().filter(|(_, m)| **m != 0).count();
 
-    println!("exposure: {exposed}/{hosts} hosts reachable from some entry point ({fully} from all {})", entries.len());
+    println!(
+        "exposure: {exposed}/{hosts} hosts reachable from some entry point ({fully} from all {})",
+        entries.len()
+    );
     println!("blast:    deepest reachable host is {deep} hops behind the gateway");
     println!("pivot:    host {hub} is the biggest pivot risk ({hub_deg} links)");
     println!("cve:      the mid-scan compromise reaches {cve_reach}/{hosts} hosts");
-    for (id, name) in [(exposure, "exposure"), (blast, "blast"), (pivot, "pivot"), (cve, "cve")] {
+    for (id, name) in [
+        (exposure, "exposure"),
+        (blast, "blast"),
+        (pivot, "pivot"),
+        (cve, "cve"),
+    ] {
         if let Some((envs, upds)) = reg.query_counters(id) {
             println!("  [{name:<8}] {envs:>9} envelopes sent, {upds:>9} updates applied");
         }

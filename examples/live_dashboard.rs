@@ -24,9 +24,6 @@
 //!   every event is write-ahead logged and checkpointed, and the WAL /
 //!   checkpoint / replay counters show up in both scrapes and the final
 //!   report (default: off)
-//! - `REMO_DASH_PLACEMENT` — `compact` or `scatter` pins shard threads to
-//!   cores (NUMA-aware, see DESIGN.md §16); the per-shard seats show up in
-//!   the dashboard header and both scrapes (default: unpinned)
 //! - `REMO_DASH_TRACE` — `1` turns on causal update tracing
 //!   ([`TraceConfig::on`]: 1-in-64 ingest sampling, DESIGN.md §18). The
 //!   report gains a propagation-trace section — summary quantiles plus the
@@ -78,19 +75,6 @@ fn main() {
         println!("tracing: causal update tracing on (1-in-64 sampling)");
         config = config.with_tracing(TraceConfig::on());
     }
-    let mut pinned = false;
-    match std::env::var("REMO_DASH_PLACEMENT").as_deref() {
-        Ok("compact") => {
-            config = config.with_placement(PlacementPolicy::Compact);
-            pinned = true;
-        }
-        Ok("scatter") => {
-            config = config.with_placement(PlacementPolicy::Scatter);
-            pinned = true;
-        }
-        Ok(other) => eprintln!("ignoring REMO_DASH_PLACEMENT={other} (want compact|scatter)"),
-        Err(_) => {}
-    }
 
     if queries > 0 {
         // Multi-query mode: one shared topology, `queries` live columns.
@@ -107,46 +91,18 @@ fn main() {
             .expect("attach");
         }
         println!("registry: {} live queries on one topology", reg.attached());
-        drive(engine, &edges, ticks, pinned);
+        drive(engine, &edges, ticks);
     } else {
-        drive(Engine::new(DegreeCount, config), &edges, ticks, pinned);
+        drive(Engine::new(DegreeCount, config), &edges, ticks);
     }
 }
 
 /// The dashboard loop itself is algorithm-agnostic: it only talks to the
 /// engine's supervised API and its telemetry hub.
-fn drive<A: Algorithm>(engine: Engine<A>, edges: &[(u64, u64)], ticks: usize, pinned: bool) {
+fn drive<A: Algorithm>(engine: Engine<A>, edges: &[(u64, u64)], ticks: usize) {
     // The hub is a cheap clone-able handle: hand it to a dashboard thread,
     // an HTTP endpoint, or (here) poll it inline between ingest chunks.
     let hub = engine.telemetry();
-
-    // Where did each shard land? −1 = unpinned (the default policy).
-    // Seats reach the gauges via each shard's first idle publish, so give
-    // freshly-spawned shards a bounded beat to report in.
-    {
-        let mut g = hub.gauges();
-        let deadline = std::time::Instant::now() + Duration::from_millis(500);
-        while pinned
-            && g.pinned_core.iter().any(|&c| c < 0)
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(10));
-            g = hub.gauges();
-        }
-        let seats: Vec<String> = g
-            .pinned_core
-            .iter()
-            .zip(&g.numa_node)
-            .map(|(c, n)| {
-                if *c < 0 {
-                    "-".to_string()
-                } else {
-                    format!("cpu{c}/node{n}")
-                }
-            })
-            .collect();
-        println!("placement: [{}]", seats.join(" "));
-    }
 
     println!(
         "{:>4}  {:>12}  {:>10}  {:>10}  {:>9}  {:>10}  {:>7}  queue depths",
@@ -177,7 +133,10 @@ fn drive<A: Algorithm>(engine: Engine<A>, edges: &[(u64, u64)], ticks: usize, pi
     // The per-query section, present whenever a registry is live: the
     // same rows the exporters serialize, straight off the hub.
     if let Some(src) = hub.query_source() {
-        println!("\n--- live queries ({} attached) ---", src.queries_attached());
+        println!(
+            "\n--- live queries ({} attached) ---",
+            src.queries_attached()
+        );
         println!(
             "{:>4}  {:<12}  {:>14}  {:>14}",
             "slot", "query", "envelopes", "updates"
@@ -200,15 +159,14 @@ fn drive<A: Algorithm>(engine: Engine<A>, edges: &[(u64, u64)], ticks: usize, pi
         println!("\n--- propagation traces ({} observed) ---", ts.observed);
         println!(
             "fixpoint p50/p99: {:.1}/{:.1} us  hops p50/p99: {:.0}/{:.0}  \
-             amplification p50/p99: {:.0}/{:.0}  cross-shard {}  cross-numa {}",
+             amplification p50/p99: {:.0}/{:.0}  cross-shard {}",
             ts.fixpoint.quantile_ns(0.50) / 1_000.0,
             ts.fixpoint.quantile_ns(0.99) / 1_000.0,
             ts.hops.quantile_ns(0.50),
             ts.hops.quantile_ns(0.99),
             ts.amplification.quantile_ns(0.50),
             ts.amplification.quantile_ns(0.99),
-            ts.cross_shard_hops,
-            ts.cross_numa_hops
+            ts.cross_shard_hops
         );
         if let Some(t) = traces
             .iter()

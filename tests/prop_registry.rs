@@ -105,9 +105,17 @@ fn attach_mid_stream_matches_solo() {
         engine.try_ingest_pairs(&edges[cut..]).unwrap();
         let states = engine.try_finish().unwrap().states;
 
-        assert_eq!(projected(&reg, &states, bfs), want_bfs, "late bfs P={shards}");
+        assert_eq!(
+            projected(&reg, &states, bfs),
+            want_bfs,
+            "late bfs P={shards}"
+        );
         assert_eq!(projected(&reg, &states, cc), want_cc, "cc P={shards}");
-        assert_eq!(projected(&reg, &states, deg), want_deg, "late deg P={shards}");
+        assert_eq!(
+            projected(&reg, &states, deg),
+            want_deg,
+            "late deg P={shards}"
+        );
     }
 }
 
@@ -125,7 +133,9 @@ fn attach_against_in_flight_ingest_matches_solo() {
     let engine = Engine::new(reg.clone(), config);
     engine.try_ingest_pairs(&edges[..cut]).unwrap();
     // No quiescence wait: the attach handshake races live topology events.
-    let bfs = reg.attach(&engine, IncBfs, &[source], "bfs-racing").unwrap();
+    let bfs = reg
+        .attach(&engine, IncBfs, &[source], "bfs-racing")
+        .unwrap();
     engine.try_ingest_pairs(&edges[cut..]).unwrap();
     let states = engine.try_finish().unwrap().states;
     assert_eq!(projected(&reg, &states, bfs), want);
