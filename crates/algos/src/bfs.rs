@@ -105,20 +105,11 @@ impl Algorithm for IncBfs {
         *state
     }
 
-    /// Levels form a min-lattice under `effective`: two pending updates
-    /// for the same target merge to the lower (better) level. Always
-    /// mergeable, so a burst of corrections ships as one envelope.
-    fn join(into: &mut u64, from: &u64) -> bool {
-        if effective(*from) < effective(*into) {
-            *into = *from;
-        }
-        true
-    }
-
-    /// Lower level = closer to the lower bound: drain best-first, which is
-    /// the incremental analogue of Dijkstra's priority queue.
-    fn priority(state: &u64) -> Option<u64> {
-        Some(effective(*state))
+    /// Levels form a min-lattice under `effective`: a visitor no lower
+    /// than we are cannot lower us, and whatever we could tell it went
+    /// out when we took our level (or rides the edge's reverse-add).
+    fn absorbs(live: &u64, incoming: &u64) -> bool {
+        effective(*incoming) >= effective(*live)
     }
 }
 
@@ -292,7 +283,7 @@ impl Algorithm for IncBfsDeterministic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use remo_core::{Engine, EngineConfig};
+    use remo_core::{Engine, EngineConfig, SequentialEngine};
 
     fn run_bfs(edges: &[(u64, u64)], source: u64, shards: usize) -> Vec<(u64, u64)> {
         let engine = Engine::new(IncBfs, EngineConfig::undirected(shards));
@@ -389,16 +380,14 @@ mod tests {
     }
 
     #[test]
-    fn lattice_run_matches_fifo() {
-        // Coalescing + dominance + priority draining must not change the
-        // fixpoint — only how much work it takes to get there.
+    fn filtered_run_matches_sequential_fifo() {
+        // Dominance filtering must not change the fixpoint — only how much
+        // work it takes to get there. The sequential engine never filters.
         let edges: Vec<(u64, u64)> = (0..80).map(|i| (i, (i * 13 + 3) % 80)).collect();
-        let fifo = run_bfs(&edges, 0, 4);
-        let engine = Engine::new(IncBfs, EngineConfig::undirected(4).with_lattice());
-        engine.try_init_vertex(0).unwrap();
-        engine.try_ingest_pairs(&edges).unwrap();
-        let result = engine.try_finish().unwrap();
-        assert_eq!(fifo, result.states.into_vec());
+        let mut fifo = SequentialEngine::undirected(IncBfs);
+        fifo.init_vertex(0);
+        fifo.apply_pairs(&edges);
+        assert_eq!(fifo.states(), run_bfs(&edges, 0, 4));
     }
 
     #[test]

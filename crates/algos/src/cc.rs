@@ -94,25 +94,16 @@ impl Algorithm for IncCc {
     }
 
     /// Labels form a max-lattice (smaller adopts larger, 0 = unlabelled):
-    /// pending updates for the same target merge to the dominating label.
-    fn join(into: &mut u64, from: &u64) -> bool {
-        if *from > *into {
-            *into = *from;
-        }
-        true
-    }
-
-    /// Larger label = closer to the component's fixpoint (the upper bound),
-    /// so invert for the min-heap.
-    fn priority(state: &u64) -> Option<u64> {
-        Some(u64::MAX - *state)
+    /// a label no larger than ours cannot raise us.
+    fn absorbs(live: &u64, incoming: &u64) -> bool {
+        incoming <= live
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use remo_core::{Engine, EngineConfig};
+    use remo_core::{Engine, EngineConfig, SequentialEngine};
 
     fn run(edges: &[(u64, u64)], shards: usize) -> Vec<(u64, u64)> {
         let engine = Engine::new(IncCc, EngineConfig::undirected(shards));
@@ -180,13 +171,11 @@ mod tests {
     }
 
     #[test]
-    fn lattice_run_matches_fifo() {
+    fn filtered_run_matches_sequential_fifo() {
         let edges: Vec<(u64, u64)> = (0..100).map(|i| (i % 40, (i * 7 + 1) % 40)).collect();
-        let fifo = run(&edges, 4);
-        let engine = Engine::new(IncCc, EngineConfig::undirected(4).with_lattice());
-        engine.try_ingest_pairs(&edges).unwrap();
-        let result = engine.try_finish().unwrap();
-        assert_eq!(fifo, result.states.into_vec());
+        let mut fifo = SequentialEngine::undirected(IncCc);
+        fifo.apply_pairs(&edges);
+        assert_eq!(fifo.states(), run(&edges, 4));
     }
 
     #[test]

@@ -43,15 +43,6 @@ impl Algorithm for DegreeCount {
             true
         });
     }
-
-    /// Degree never emits `Update` envelopes on its own. The counter is
-    /// monotone increasing, so two snapshots merge to the larger.
-    fn join(into: &mut u64, from: &u64) -> bool {
-        if *from > *into {
-            *into = *from;
-        }
-        true
-    }
 }
 
 /// Tracks only out-degree (add events), for directed graphs.

@@ -99,25 +99,17 @@ impl Algorithm for IncSssp {
         *state
     }
 
-    /// Costs form a min-lattice under `effective`: pending updates for
-    /// the same target over the same edge merge to the cheaper cost.
-    fn join(into: &mut u64, from: &u64) -> bool {
-        if effective(*from) < effective(*into) {
-            *into = *from;
-        }
-        true
-    }
-
-    /// Cheaper cost = closer to the lower bound: drain best-first.
-    fn priority(state: &u64) -> Option<u64> {
-        Some(effective(*state))
+    /// Costs form a min-lattice under `effective`: a visitor no cheaper
+    /// than we are cannot lower us over any edge weight.
+    fn absorbs(live: &u64, incoming: &u64) -> bool {
+        effective(*incoming) >= effective(*live)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use remo_core::{Engine, EngineConfig};
+    use remo_core::{Engine, EngineConfig, SequentialEngine};
 
     fn run(edges: &[(u64, u64, u64)], source: u64, shards: usize) -> Vec<(u64, u64)> {
         let engine = Engine::new(IncSssp, EngineConfig::undirected(shards));
@@ -174,16 +166,14 @@ mod tests {
     }
 
     #[test]
-    fn lattice_run_matches_fifo() {
+    fn filtered_run_matches_sequential_fifo() {
         let edges: Vec<(u64, u64, u64)> = (0..80u64)
             .map(|i| (i, (i * 13 + 3) % 80, (i % 9) + 1))
             .collect();
-        let fifo = run(&edges, 0, 4);
-        let engine = Engine::new(IncSssp, EngineConfig::undirected(4).with_lattice());
-        engine.try_init_vertex(0).unwrap();
-        engine.try_ingest_weighted(&edges).unwrap();
-        let result = engine.try_finish().unwrap();
-        assert_eq!(fifo, result.states.into_vec());
+        let mut fifo = SequentialEngine::undirected(IncSssp);
+        fifo.init_vertex(0);
+        fifo.apply_weighted(&edges);
+        assert_eq!(fifo.states(), run(&edges, 0, 4));
     }
 
     #[test]

@@ -86,25 +86,17 @@ impl Algorithm for IncWidest {
         *state
     }
 
-    /// Bottlenecks form a max-lattice (0 = unreached bottom): pending
-    /// updates for the same target merge to the wider bandwidth.
-    fn join(into: &mut u64, from: &u64) -> bool {
-        if *from > *into {
-            *into = *from;
-        }
-        true
-    }
-
-    /// Wider bottleneck = closer to the upper bound, so invert.
-    fn priority(state: &u64) -> Option<u64> {
-        Some(u64::MAX - *state)
+    /// Bottlenecks form a max-lattice (0 = unreached bottom): a visitor
+    /// no wider than we are cannot widen us over any edge.
+    fn absorbs(live: &u64, incoming: &u64) -> bool {
+        incoming <= live
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use remo_core::{Engine, EngineConfig};
+    use remo_core::{Engine, EngineConfig, SequentialEngine};
 
     fn run(edges: &[(u64, u64, u64)], source: u64, shards: usize) -> Vec<(u64, u64)> {
         let engine = Engine::new(IncWidest, EngineConfig::undirected(shards));
@@ -154,20 +146,18 @@ mod tests {
     }
 
     #[test]
-    fn lattice_run_matches_fifo() {
+    fn filtered_run_matches_sequential_fifo() {
         // Weight depends only on the endpoints so duplicate edges in the
         // stream agree — differing weights would make the fixpoint
-        // order-dependent regardless of coalescing.
+        // order-dependent regardless of filtering.
         let edges: Vec<(u64, u64, u64)> = (0..80u64)
             .map(|i| (i % 30, (i * 11 + 2) % 30))
             .map(|(a, b)| (a, b, ((a + b) % 13) + 1))
             .collect();
-        let fifo = run(&edges, 0, 4);
-        let engine = Engine::new(IncWidest, EngineConfig::undirected(4).with_lattice());
-        engine.try_init_vertex(0).unwrap();
-        engine.try_ingest_weighted(&edges).unwrap();
-        let result = engine.try_finish().unwrap();
-        assert_eq!(fifo, result.states.into_vec());
+        let mut fifo = SequentialEngine::undirected(IncWidest);
+        fifo.init_vertex(0);
+        fifo.apply_weighted(&edges);
+        assert_eq!(fifo.states(), run(&edges, 0, 4));
     }
 
     #[test]

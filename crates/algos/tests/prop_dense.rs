@@ -55,7 +55,6 @@ struct Observed {
 /// snapshot boundary to the prefix the baseline solves.
 fn observe<A, F>(
     make: F,
-    lattice: bool,
     edges: &[(VertexId, VertexId)],
     weights: Option<&[(VertexId, VertexId, Weight)]>,
     init: Option<VertexId>,
@@ -65,10 +64,7 @@ where
     A: Algorithm<State = u64>,
     F: Fn() -> A,
 {
-    let mut config = EngineConfig::undirected(shards).with_expected_vertices(64);
-    if lattice {
-        config = config.with_lattice();
-    }
+    let config = EngineConfig::undirected(shards).with_expected_vertices(64);
     let mut builder = EngineBuilder::new(make(), config);
     // Fire-once trigger over a state the algorithms all eventually leave
     // bottom on.
@@ -137,7 +133,6 @@ fn static_states(
 fn assert_matches_static<A, F>(
     make: F,
     solve: impl Fn(&Csr) -> Vec<u64>,
-    lattice: bool,
     edges: &[(VertexId, VertexId)],
     weights: Option<&[(VertexId, VertexId, Weight)]>,
     init: Option<VertexId>,
@@ -147,7 +142,7 @@ where
     A: Algorithm<State = u64>,
     F: Fn() -> A,
 {
-    let got = observe::<A, F>(make, lattice, edges, weights, init, shards);
+    let got = observe::<A, F>(make, edges, weights, init, shards);
     let (_, prefix) = static_states(&solve, edges, weights, edges.len() / 2);
     let (csr, whole) = static_states(&solve, edges, weights, edges.len());
     prop_assert_eq!(
@@ -185,8 +180,8 @@ where
 // Grid: algorithm (BFS, SSSP and CC are the three the ledger's workloads
 // run, and differ in source, weights and lattice direction) × 1–4 shards
 // (1 = no cross-shard traffic, 4 = every vertex's neighbours mostly
-// remote), plus one lattice-on case because priority draining reorders the
-// events that fork a vertex.
+// remote). All three implement `absorbs`, so the dominance filter's
+// snapshot-fork exemption is exercised on every case.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -196,7 +191,7 @@ proptest! {
         let source = edges[0].0;
         assert_matches_static::<remo_algos::IncBfs, _>(
             || remo_algos::IncBfs, |g| oracle::bfs_levels(g, source),
-            false, &edges, None, Some(source), shards)?;
+            &edges, None, Some(source), shards)?;
     }
 
     #[test]
@@ -206,7 +201,7 @@ proptest! {
         let source = edges[0].0;
         assert_matches_static::<remo_algos::IncSssp, _>(
             || remo_algos::IncSssp, |g| oracle::sssp_costs(g, source),
-            false, &edges, Some(&w), Some(source), shards)?;
+            &edges, Some(&w), Some(source), shards)?;
     }
 
     #[test]
@@ -215,18 +210,7 @@ proptest! {
         assert_matches_static::<remo_algos::IncCc, _>(
             || remo_algos::IncCc,
             |g| oracle::components_dominator_label(g, remo_algos::cc_label),
-            false, &edges, None, None, shards)?;
-    }
-
-    /// The lattice layers compose with the dense store: all three layers
-    /// on, same snapshot, fixpoint and fire set.
-    #[test]
-    fn lattice_on_matches_static_across_snapshot(seed in any::<u64>(), shards in 1usize..5) {
-        let edges = rmat_edges(seed);
-        let source = edges[0].0;
-        assert_matches_static::<remo_algos::IncBfs, _>(
-            || remo_algos::IncBfs, |g| oracle::bfs_levels(g, source),
-            true, &edges, None, Some(source), shards)?;
+            &edges, None, None, shards)?;
     }
 }
 
@@ -241,7 +225,6 @@ fn lanes_beyond_64_shards_match_static() {
     assert_matches_static::<remo_algos::IncBfs, _>(
         || remo_algos::IncBfs,
         |g| oracle::bfs_levels(g, source),
-        false,
         &edges,
         None,
         Some(source),

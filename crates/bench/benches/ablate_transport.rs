@@ -90,8 +90,8 @@ fn run_once(
     }
 }
 
-/// Rep-major sweep keeping each cell's minimum wall-clock (see
-/// ablate_coalescing: interleaving beats rep count against load drift).
+/// Rep-major sweep keeping each cell's minimum wall-clock (interleaving
+/// beats rep count against load drift).
 /// Counters and states come from the final rep.
 fn measure_grid(
     algo_name: &str,

@@ -115,9 +115,8 @@ fn main() {
         ("wal-fsync", Durability::Wal { fsync: true }),
     ];
 
-    // Rep-major sweep keeping each cell's minimum wall-clock (see
-    // ablate_coalescing: interleaving beats rep count against load
-    // drift). Counters and states come from the final rep.
+    // Rep-major sweep keeping each cell's minimum wall-clock
+    // (interleaving beats rep count against load drift). Counters and states come from the final rep.
     let mut cells: Vec<Option<Cell>> = grid.iter().map(|_| None).collect();
     for _ in 0..bench_reps() {
         for (slot, (tag, mode)) in cells.iter_mut().zip(&grid) {

@@ -20,11 +20,11 @@
 //!    with all 8 queries attached (the `reg-8` cell).
 //!
 //! All wall cells run rep-major interleaved, keeping each cell's minimum
-//! (see ablate_coalescing: interleaving beats rep count against load
-//! drift). The two wall gates are guarded like ablate_wal's: they need
-//! full scale and at least as many cores as shards — on a loaded or
-//! 1-core box the deltas measure the kernel scheduler, not the registry —
-//! and `REMO_BENCH_STRICT_QUERY=1` forces them on.
+//! (interleaving beats rep count against load drift). The two wall gates
+//! are guarded like ablate_wal's: they need full scale and at least as
+//! many cores as shards — on a loaded or 1-core box the deltas measure
+//! the kernel scheduler, not the registry — and
+//! `REMO_BENCH_STRICT_QUERY=1` forces them on.
 //!
 //! Usage: `cargo run --release -p remo-bench --bin marginal_query`.
 //! `REMO_BENCH_SCALE` scales the stream (CI smokes at 0.1),

@@ -107,34 +107,28 @@ pub trait Algorithm: Send + Sync + 'static {
         0
     }
 
-    /// Monotone lattice merge of two pending `Update` values bound for the
-    /// same target over the same edge: fold `from` into `into` so that one
-    /// envelope carries the information of both, and return `true`. The
-    /// default returns `false` ("no merge performed"), which keeps the
-    /// engine's exact FIFO behaviour for this algorithm.
+    /// The lattice filter's one question: does `live` — the target's
+    /// current state — already hold everything an `Update` carrying
+    /// `incoming` could tell it? When it does, the engine retires the
+    /// envelope without running [`Algorithm::on_update`]: never sent when
+    /// it is self-routed (`updates_suppressed`), counted processed on
+    /// arrival otherwise (`updates_dominated`). The default returns
+    /// `false`, which keeps exact §III-C FIFO processing for this
+    /// algorithm; implementing the hook is what switches the filter on.
+    /// `Add`/`ReverseAdd`/`Remove` carry topology and are never asked.
     ///
-    /// Soundness contract: processing the merged value must drive the
-    /// target's state at least as far toward its bound as processing both
-    /// originals would — which holds exactly when `join` is the lattice
-    /// join of the REMO state (§II-B) and the `on_update` callback is
-    /// monotone in `value` (all the core algorithms are).
-    fn join(_into: &mut Self::State, _from: &Self::State) -> bool
+    /// Soundness contract: return `true` only when `on_update` with
+    /// `incoming` — over any edge weight — could not change `live` and
+    /// would send nothing the fixpoint depends on. Monotone states only
+    /// advance toward their bound (§II-B), so an update absorbed now stays
+    /// absorbed however long it waits; when in doubt, return `false`.
+    /// Keep it cheap: it runs at every check point an `Update` envelope
+    /// passes (self-send, admit, process).
+    fn absorbs(_live: &Self::State, _incoming: &Self::State) -> bool
     where
         Self: Sized,
     {
         false
-    }
-
-    /// Priority of a pending `Update` value: lower = closer to the bound,
-    /// i.e. more likely to dominate downstream work when processed first.
-    /// `None` (the default) keeps FIFO draining for this algorithm. Safe to
-    /// reorder on only because REMO convergence is order-independent for
-    /// `Update` events; the engine never reorders `Add`/`ReverseAdd`.
-    fn priority(_state: &Self::State) -> Option<u64>
-    where
-        Self: Sized,
-    {
-        None
     }
 
     /// Serializes one vertex state for the durability layer (WAL envelope

@@ -1,5 +1,6 @@
-//! Engine configuration: the immutable [`EngineConfig`] every shard shares
-//! and the [`LatticeConfig`] switches for the lattice messaging layers.
+//! Engine configuration: the immutable [`EngineConfig`] every shard shares.
+//! The lattice filter has no entry here: it runs for every algorithm that
+//! implements [`Algorithm::absorbs`] and for none that does not.
 
 use std::time::Duration;
 
@@ -11,42 +12,6 @@ use crate::wal::DurabilityConfig;
 // Named only by the doc comments below.
 #[cfg(doc)]
 use crate::{algorithm::Algorithm, telemetry::PUBLISH_EVERY};
-
-/// Which lattice-aware messaging layers are active — §II-B monotonicity put
-/// to work in the transport. All off (the default) keeps the engine's exact
-/// FIFO seed behaviour. The layers are independently switchable so the
-/// `ablate_coalescing` bench can price each one separately; they only ever
-/// act on `Update` envelopes of algorithms that implement
-/// [`Algorithm::join`] / [`Algorithm::priority`] — `Add`/`ReverseAdd` and
-/// topology events always keep their §III-C FIFO ordering.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatticeConfig {
-    /// Sender-side coalescing: a burst of corrections for one target merges
-    /// into a single envelope (in the per-destination outbox, or in the
-    /// local pending backlog) via [`Algorithm::join`] before it is counted
-    /// as sent.
-    pub coalesce: bool,
-    /// Receiver-side dominance filtering: an incoming `Update` whose value
-    /// cannot improve the target's live state is retired with a cheap
-    /// `note_processed` instead of running callbacks, snapshot forks, and
-    /// trigger evaluation.
-    pub dominance: bool,
-    /// Priority-aware draining: the local backlog of `Update` envelopes is
-    /// processed best-first (bucket queue keyed by [`Algorithm::priority`]),
-    /// so downstream work is seeded with values already near the bound.
-    pub priority: bool,
-}
-
-impl LatticeConfig {
-    /// All three layers on.
-    pub fn all() -> Self {
-        LatticeConfig {
-            coalesce: true,
-            dominance: true,
-            priority: true,
-        }
-    }
-}
 
 /// Immutable engine configuration shared with every shard.
 #[derive(Debug, Clone)]
@@ -79,8 +44,6 @@ pub struct EngineConfig {
     /// batch. A batch from one sender preserves its internal order, so
     /// per-pair FIFO is unaffected. Default 256.
     pub envelope_batch: usize,
-    /// Lattice-aware messaging layers (all off = exact FIFO behaviour).
-    pub lattice: LatticeConfig,
     /// Capacity hint: expected total vertex count across the whole graph
     /// (0 = unknown, start empty). Each shard pre-sizes its vertex store
     /// for its share, so large ingests stop paying rehash storms from
@@ -95,8 +58,8 @@ pub struct EngineConfig {
     pub telemetry: TelemetryConfig,
     /// Sampled causal tracing ([`crate::trace`]): every `2^sample_shift`-th
     /// external topology ingest mints a trace id, and the envelopes it
-    /// causes carry a compact tag through coalescing, dominance
-    /// filtering, registry fan-out, and WAL replay; each shard records
+    /// causes carry a compact tag through dominance filtering, registry
+    /// fan-out, and WAL replay; each shard records
     /// bounded span rings that `Engine::traces_now` reconstructs into
     /// propagation trees. Off by default — when off no envelope is ever
     /// tagged and every observation point is one predictable branch.
@@ -119,7 +82,6 @@ impl EngineConfig {
             shutdown_deadline: Duration::from_secs(2),
             fault_plan: FaultPlan::default(),
             envelope_batch: 256,
-            lattice: LatticeConfig::default(),
             expected_vertices: 0,
             telemetry: TelemetryConfig::default(),
             trace: TraceConfig::off(),
@@ -133,12 +95,6 @@ impl EngineConfig {
             undirected: false,
             ..Self::undirected(shards)
         }
-    }
-
-    /// Same config with every lattice messaging layer enabled.
-    pub fn with_lattice(mut self) -> Self {
-        self.lattice = LatticeConfig::all();
-        self
     }
 
     /// Same config expecting roughly `vertices` vertices in total.

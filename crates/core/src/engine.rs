@@ -580,8 +580,8 @@ impl<A: Algorithm> Engine<A> {
     /// One four-counter reading: true when every sent envelope has been
     /// processed and every injected stream event ingested. Exposed so tests
     /// can assert the termination books balance once a run has quiesced —
-    /// in particular that lattice coalescing absorbed envelopes without
-    /// leaking `sent` or `processed` counts.
+    /// in particular that suppressed and dominated envelopes retired
+    /// without leaking `sent` or `processed` counts.
     pub fn counters_balanced(&self) -> bool {
         self.shared.quiescent_probe()
     }

@@ -55,7 +55,7 @@
 //!   renders Prometheus text format and JSON for live dashboards.
 //! - Sampled causal tracing ([`trace`]): a [`TraceConfig`] samples
 //!   external ingests and stamps the resulting envelopes with a compact
-//!   trace tag that survives coalescing, dominance, registry fan-out, and
+//!   trace tag that survives dominance filtering, registry fan-out, and
 //!   WAL replay; `Engine::traces_now` reconstructs per-update propagation
 //!   trees (hops to fixpoint, amplification, cross-shard hops), and
 //!   per-shard phase accounting attributes every busy nanosecond to
@@ -107,7 +107,7 @@ pub mod vertex_state;
 pub mod wal;
 
 pub use algorithm::{AlgoCtx, Algorithm, EventCtx, Outgoing};
-pub use config::{EngineConfig, LatticeConfig};
+pub use config::EngineConfig;
 pub use engine::{Engine, EngineBuilder, RunResult};
 pub use event::{
     events_from_pairs, events_from_weighted, ControlAck, ControlKind, ControlOp, Envelope, Epoch,

@@ -94,24 +94,18 @@ shard_metrics! {
     /// Envelopes retired because their destination was already gone
     /// (engine teardown, or the destination shard died).
     envelopes_undeliverable,
-    /// `Update` envelopes absorbed into an already-pending envelope for the
-    /// same (target, visitor, weight, epoch) via [`Algorithm::join`]
-    /// (lattice coalescing; never counted as sent).
+    /// `Update` envelopes retired on arrival (or when their turn in the
+    /// local queue came) without running the callback, because
+    /// [`Algorithm::absorbs`] said the target's live state already held
+    /// their value. These envelopes were sent and count toward
+    /// [`RunMetrics::verify_balance`]. 0 for an algorithm without the hook.
     ///
-    /// [`Algorithm::join`]: crate::Algorithm::join
-    envelopes_coalesced,
-    /// Incoming `Update` envelopes retired without running the callback
-    /// because their value could not improve the target's live state
-    /// (lattice dominance filtering). These envelopes were sent and count
-    /// toward [`RunMetrics::verify_balance`].
+    /// [`Algorithm::absorbs`]: crate::Algorithm::absorbs
     updates_dominated,
-    /// Self-routed `Update` envelopes suppressed *before* sending because
-    /// the local live state already dominated them. Unlike
-    /// `updates_dominated` these are never counted as sent.
+    /// Self-routed `Update` envelopes dropped *before* sending for the
+    /// same reason. Unlike `updates_dominated` these are never counted as
+    /// sent, so they appear on neither side of the balance equation.
     updates_suppressed,
-    /// Pending `Update` envelopes the priority heap drained ahead of an
-    /// earlier-staged envelope — how often best-first actually reordered.
-    heap_reorders,
     /// Envelope batches shipped over an SPSC data lane.
     lane_batches,
     /// `flush()` calls that reused a pooled batch buffer from a recycle
@@ -187,7 +181,7 @@ shard_metrics! {
     /// tracing is off.
     trace_roots,
     /// Span records appended to this shard's trace ring (root, send,
-    /// process, absorb, dominate, suppress, replay).
+    /// process, dominate, suppress, replay).
     trace_spans,
     /// Span records that evicted an older span because the bounded trace
     /// ring wrapped (see the ring-overflow policy in [`crate::trace`]).
@@ -398,12 +392,11 @@ impl RunMetrics {
     ///    + envelopes_recovered
     /// ```
     ///
-    /// Coalesced envelopes are absorbed *before* sending and never counted
-    /// as sent (the surviving carrier envelope is counted once); likewise
-    /// `updates_suppressed` never enter the sent side. Dominance-retired
-    /// envelopes were sent, so they appear on the right. Envelopes swept
-    /// out of a panicked shard's queues before an in-place respawn were
-    /// sent but never serviced; the custody sweep retires them under
+    /// `updates_suppressed` are dropped *before* sending and never enter
+    /// the sent side. Dominance-retired envelopes were sent, so they
+    /// appear on the right. Envelopes swept out of a panicked shard's
+    /// queues before an in-place respawn were sent but never serviced;
+    /// the custody sweep retires them under
     /// `envelopes_recovered` (their effects are re-derived from the WAL,
     /// and replay-generated traffic is fresh-counted on both sides).
     ///
@@ -500,16 +493,14 @@ mod tests {
     #[test]
     fn merge_adds_lattice_counters() {
         let mut a = ShardMetrics {
-            envelopes_coalesced: 2,
             updates_dominated: 3,
-            heap_reorders: 5,
+            updates_suppressed: 5,
             ..Default::default()
         };
         let b = a.clone();
         a.merge(&b);
-        assert_eq!(a.envelopes_coalesced, 4);
         assert_eq!(a.updates_dominated, 6);
-        assert_eq!(a.heap_reorders, 10);
+        assert_eq!(a.updates_suppressed, 10);
     }
 
     #[test]
@@ -604,8 +595,7 @@ mod tests {
                 add_events: 6,
                 update_events: 2,
                 updates_dominated: 2,
-                envelopes_coalesced: 3, // absorbed pre-send: not in equation
-                updates_suppressed: 4,  // suppressed pre-send: not in equation
+                updates_suppressed: 4, // suppressed pre-send: not in equation
                 ..Default::default()
             }],
             controller_sent: 0,

@@ -17,9 +17,9 @@
 //! topology events are applied once to the shared adjacency and fanned out
 //! to every attached query, and propagation envelopes carry a
 //! [`RegPayload::Delta`] tagged with the one query whose cell changed.
-//! Deltas compose with the lattice layers per query: the tag carries the
-//! query's own `join`/`priority` functions, so coalescing and dominance
-//! filtering work exactly as they do for a solo run of that algorithm.
+//! Deltas compose with the lattice filter per query: the tag carries the
+//! query's own `absorbs` function, so dominance filtering works exactly as
+//! it does for a solo run of that algorithm.
 //!
 //! ## Live attach / detach
 //!
@@ -63,20 +63,13 @@ use crate::telemetry::{QueryStatsRow, QueryStatsSource};
 /// Slot capacity of one registry: the progress masks are single `u64`s.
 pub const MAX_QUERIES: usize = 64;
 
-/// Monotone join of one query's cell: fold `from` into `into`, return
-/// whether `into` changed. Carried by [`RegPayload::Delta`] so the engine's
-/// lattice layers (coalescing, dominance, priority) act per query.
-pub type CellJoin<C> = fn(&mut C, &C) -> bool;
+/// One query's [`Algorithm::absorbs`] over its own cell type: `(live,
+/// incoming)`. Carried by [`RegPayload::Delta`] so the engine's dominance
+/// filter acts per query.
+pub type CellAbsorbs<C> = fn(&C, &C) -> bool;
 
-/// Drain priority of one query's cell (`None` = FIFO).
-pub type CellPriority<C> = fn(&C) -> Option<u64>;
-
-fn stub_join<C>(_into: &mut C, _from: &C) -> bool {
+fn stub_absorbs<C>(_live: &C, _incoming: &C) -> bool {
     false
-}
-
-fn stub_prio<C>(_cell: &C) -> Option<u64> {
-    None
 }
 
 /// One query's per-vertex state inside a registry — the element type of the
@@ -112,7 +105,7 @@ impl Cell for u64 {
 /// Stored vertex states are always `Columns` (one cell per attached query,
 /// lazily grown). Propagation envelopes are `Delta`s: the one changed cell,
 /// tagged with its slot and attach generation, carrying the owning query's
-/// join/priority functions so the engine's lattice machinery composes per
+/// `absorbs` function so the engine's dominance filter composes per
 /// query. This is the structural win over a fused tuple state, whose
 /// envelopes carry the whole tuple.
 #[derive(Clone, Debug)]
@@ -129,10 +122,8 @@ pub enum RegPayload<C: Cell> {
         gen: u32,
         /// The changed cell value.
         cell: C,
-        /// The owning query's lattice join (drives coalescing/dominance).
-        join: CellJoin<C>,
-        /// The owning query's drain priority.
-        prio: CellPriority<C>,
+        /// The owning query's [`Algorithm::absorbs`] (drives dominance).
+        absorbs: CellAbsorbs<C>,
     },
 }
 
@@ -144,7 +135,7 @@ impl<C: Cell> Default for RegPayload<C> {
 
 /// Manual equality over the *data* fields only: two deltas for the same
 /// (slot, gen, cell) are the same delta regardless of which codegen unit's
-/// copy of the join/priority fn their pointers name (fn addresses are not
+/// copy of the `absorbs` fn their pointer names (fn addresses are not
 /// unique across codegen units, so deriving `PartialEq` would be
 /// unsound-ish flakiness, not semantics).
 impl<C: Cell> PartialEq for RegPayload<C> {
@@ -287,8 +278,7 @@ trait DynQuery<C: Cell>: Send + Sync {
         value: &C,
         weight: Weight,
     );
-    fn join_ptr(&self) -> CellJoin<C>;
-    fn prio_ptr(&self) -> CellPriority<C>;
+    fn absorbs_ptr(&self) -> CellAbsorbs<C>;
 }
 
 /// Adapts any `Algorithm<State = C>` into a [`DynQuery`].
@@ -333,12 +323,8 @@ impl<C: Cell, A: Algorithm<State = C>> DynQuery<C> for QueryAdapter<A> {
             .on_reverse_remove(&mut ShimCtx(ctx), visitor, value, weight);
     }
 
-    fn join_ptr(&self) -> CellJoin<C> {
-        A::join
-    }
-
-    fn prio_ptr(&self) -> CellPriority<C> {
-        A::priority
+    fn absorbs_ptr(&self) -> CellAbsorbs<C> {
+        A::absorbs
     }
 }
 
@@ -359,8 +345,7 @@ struct SlotCtx<'a, C: Cell, X: AlgoCtx<RegPayload<C>>> {
     inner: &'a mut X,
     slot: usize,
     gen: u32,
-    join: CellJoin<C>,
-    prio: CellPriority<C>,
+    absorbs: CellAbsorbs<C>,
     muted: bool,
     bottom: C,
     stats: &'a QueryStats,
@@ -372,8 +357,7 @@ impl<'a, C: Cell, X: AlgoCtx<RegPayload<C>>> SlotCtx<'a, C, X> {
             inner,
             slot,
             gen: q.gen,
-            join: q.query.join_ptr(),
-            prio: q.query.prio_ptr(),
+            absorbs: q.query.absorbs_ptr(),
             muted,
             bottom: C::default(),
             stats: &q.stats,
@@ -385,8 +369,7 @@ impl<'a, C: Cell, X: AlgoCtx<RegPayload<C>>> SlotCtx<'a, C, X> {
             slot: self.slot as u32,
             gen: self.gen,
             cell: value.clone(),
-            join: self.join,
-            prio: self.prio,
+            absorbs: self.absorbs,
         }
     }
 }
@@ -1036,47 +1019,26 @@ impl<C: Cell> Algorithm for QueryRegistry<C> {
         self.dispatch(ctx, visitor, value, weight, TopoCb::ReverseRemove);
     }
 
-    /// Per-slot lattice join, keyed by the delta's tag. `Columns ⊔ Delta`
-    /// (the receiver-dominance probe) grows the column vector and applies
-    /// the carried join; `Delta ⊔ Delta` (sender coalescing) merges only
-    /// same-slot same-generation values.
-    fn join(into: &mut Self::State, from: &Self::State) -> bool {
-        match (into, from) {
-            (
-                RegPayload::Delta {
-                    slot: s1,
-                    gen: g1,
-                    cell: c1,
-                    join,
-                    ..
-                },
-                RegPayload::Delta {
-                    slot: s2,
-                    gen: g2,
-                    cell: c2,
-                    ..
-                },
-            ) if s1 == s2 && g1 == g2 => join(c1, c2),
+    /// The dominance probe, keyed by the delta's tag: a stored `Columns`
+    /// state absorbs a `Delta` when the carried query's `absorbs` says so
+    /// of the slot's cell — bottom where the column was never grown. Any
+    /// other pairing (whole-`Columns` updates, a `Delta` as live state)
+    /// is never filtered.
+    fn absorbs(live: &Self::State, incoming: &Self::State) -> bool {
+        match (live, incoming) {
             (
                 RegPayload::Columns(cols),
                 RegPayload::Delta {
-                    slot, cell, join, ..
+                    slot,
+                    cell,
+                    absorbs,
+                    ..
                 },
-            ) => {
-                let idx = *slot as usize;
-                if cols.len() <= idx {
-                    cols.resize_with(idx + 1, C::default);
-                }
-                join(&mut cols[idx], cell)
-            }
+            ) => match cols.get(*slot as usize) {
+                Some(mine) => absorbs(mine, cell),
+                None => absorbs(&C::default(), cell),
+            },
             _ => false,
-        }
-    }
-
-    fn priority(state: &Self::State) -> Option<u64> {
-        match state {
-            RegPayload::Delta { cell, prio, .. } => prio(cell),
-            RegPayload::Columns(_) => None,
         }
     }
 
@@ -1107,9 +1069,9 @@ impl<C: Cell> Algorithm for QueryRegistry<C> {
     }
 
     /// Inverse of [`QueryRegistry::encode_state`][Algorithm::encode_state].
-    /// Replayed deltas carry stub join/priority hooks — they lose the
-    /// coalescing/priority *hints*, never information: the monotone
-    /// fixpoint is unaffected (the hooks only merge or reorder work).
+    /// Replayed deltas carry a stub `absorbs` that never filters — they
+    /// lose the work-saving *hint*, never information: the monotone
+    /// fixpoint is unaffected (the hook only skips redundant work).
     fn decode_state(bytes: &[u8]) -> Self::State {
         let tag = bytes[0];
         let mut off = 1usize;
@@ -1137,8 +1099,7 @@ impl<C: Cell> Algorithm for QueryRegistry<C> {
                     slot,
                     gen,
                     cell: C::decode(&bytes[off..off + len]),
-                    join: stub_join::<C>,
-                    prio: stub_prio::<C>,
+                    absorbs: stub_absorbs::<C>,
                 }
             }
             t => panic!("registry: unknown durable payload tag {t}"),
@@ -1290,17 +1251,8 @@ mod tests {
             }
         }
 
-        fn join(into: &mut u64, from: &u64) -> bool {
-            if *from > *into {
-                *into = *from;
-                true
-            } else {
-                false
-            }
-        }
-
-        fn priority(state: &u64) -> Option<u64> {
-            Some(u64::MAX - *state)
+        fn absorbs(live: &u64, incoming: &u64) -> bool {
+            incoming <= live
         }
     }
 
@@ -1319,46 +1271,29 @@ mod tests {
             slot,
             gen,
             cell,
-            join: MaxAlgo::join,
-            prio: MaxAlgo::priority,
+            absorbs: MaxAlgo::absorbs,
         }
     }
 
     #[test]
-    fn join_merges_same_slot_same_gen_deltas() {
-        let mut a = delta(2, 7, 5);
-        assert!(QueryRegistry::<u64>::join(&mut a, &delta(2, 7, 9)));
-        assert_eq!(a, delta(2, 7, 9));
-        // Different slot or generation: no merge.
-        assert!(!QueryRegistry::<u64>::join(&mut a, &delta(3, 7, 11)));
-        assert!(!QueryRegistry::<u64>::join(&mut a, &delta(2, 8, 11)));
-        assert_eq!(a, delta(2, 7, 9));
-    }
-
-    #[test]
-    fn join_grows_columns_and_applies_slot_join() {
-        let mut cols = RegPayload::Columns(vec![1u64]);
-        assert!(QueryRegistry::<u64>::join(&mut cols, &delta(2, 1, 9)));
+    fn columns_absorb_deltas_through_the_slot_hook() {
+        type Reg = QueryRegistry<u64>;
+        let cols = RegPayload::Columns(vec![1u64, 0, 9]);
+        assert!(Reg::absorbs(&cols, &delta(2, 1, 4)));
+        assert!(Reg::absorbs(&cols, &delta(2, 1, 9)));
+        assert!(!Reg::absorbs(&cols, &delta(2, 1, 10)));
+        // A slot beyond the grown columns reads as bottom, and the probe
+        // leaves the columns as they were.
+        assert!(Reg::absorbs(&cols, &delta(5, 1, 0)));
+        assert!(!Reg::absorbs(&cols, &delta(5, 1, 1)));
         assert_eq!(cols, RegPayload::Columns(vec![1, 0, 9]));
-        // Dominated delta: join declines — the dominance filter retires it.
-        assert!(!QueryRegistry::<u64>::join(&mut cols, &delta(2, 1, 4)));
-        // Columns ⊔ Columns never merges (only updates coalesce).
-        assert!(!QueryRegistry::<u64>::join(
-            &mut cols,
-            &RegPayload::Columns(vec![100])
-        ));
-    }
-
-    #[test]
-    fn priority_follows_the_tagged_query() {
-        assert_eq!(
-            QueryRegistry::<u64>::priority(&delta(0, 1, 10)),
-            Some(u64::MAX - 10)
-        );
-        assert_eq!(
-            QueryRegistry::<u64>::priority(&RegPayload::Columns(vec![])),
-            None
-        );
+        // Only `Columns` vs `Delta` is ever filtered.
+        assert!(!Reg::absorbs(&cols, &RegPayload::Columns(vec![0])));
+        assert!(!Reg::absorbs(&delta(2, 1, 9), &delta(2, 1, 4)));
+        // Replayed deltas decode with the stub hook: never filtered.
+        let mut bytes = Vec::new();
+        Reg::encode_state(&delta(2, 1, 4), &mut bytes);
+        assert!(!Reg::absorbs(&cols, &Reg::decode_state(&bytes)));
     }
 
     #[test]

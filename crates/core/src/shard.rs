@@ -20,7 +20,7 @@
 //! reverse-add for `[b, a]` to `owner(b)` over the pair's FIFO lane, ensuring
 //! the edge exists before either side uses it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -28,7 +28,7 @@ use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use remo_store::{Adjacency, EdgeMeta, VertexId, VertexTable};
 
 use crate::algorithm::{AlgoCtx, Algorithm, EventCtx, Outgoing};
-use crate::config::{EngineConfig, LatticeConfig};
+use crate::config::EngineConfig;
 use crate::event::{ControlAck, ControlKind, ControlOp, Envelope, Epoch, EventKind, TopoEvent};
 use crate::metrics::ShardMetrics;
 use crate::partition::Partitioner;
@@ -41,76 +41,6 @@ use crate::transport::{LaneHandles, LaneMesh};
 use crate::trigger::{TriggerDef, TriggerFire};
 use crate::vertex_state::{VertexMeta, VertexState};
 use crate::wal::{self, RawRecord, ShardWal};
-
-/// Coalescing identity of a pending `Update`: merging is only sound between
-/// envelopes that would invoke the same callback with the same visitor and
-/// edge weight in the same epoch (an SSSP candidate is `value + weight`, so
-/// folding values across different weights could manufacture a path that
-/// does not exist; folding across epochs would corrupt parity accounting
-/// and the snapshot dual-apply).
-type PendKey = (VertexId, VertexId, remo_store::Weight, Epoch);
-
-/// Integer hasher for the staging maps: accumulate written words with a
-/// rotate-multiply and finalize with the store's `mix64` avalanche. The
-/// keys are engine-internal (no untrusted input), and SipHash otherwise
-/// dominates the per-envelope cost of the lattice layers.
-#[derive(Default)]
-struct MixHasher(u64);
-
-impl std::hash::Hasher for MixHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        remo_store::hash::mix64(self.0)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-    #[inline]
-    fn write_u32(&mut self, x: u32) {
-        self.write_u64(u64::from(x));
-    }
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        self.0 = self
-            .0
-            .rotate_left(29)
-            .wrapping_add(x.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    }
-}
-
-type PendMap<V> = HashMap<PendKey, V, std::hash::BuildHasherDefault<MixHasher>>;
-
-/// Outcome of one coalescing attempt against an already-staged envelope.
-enum Coalesce {
-    /// Merged: the staged envelope now carries both values.
-    Absorbed,
-    /// An envelope with this key exists but [`Algorithm::join`] declined
-    /// (algorithm without the hook): the caller must keep both.
-    Declined,
-    /// Nothing staged under this key.
-    NoEntry,
-}
-
-/// One entry in the priority drain order. Self-routed envelopes live in the
-/// `pending` map (so later local sends can coalesce into them) and are
-/// referenced by key; received envelopes can never merge at the receiver —
-/// the coalescing key contains the sending visitor and edge weight, which
-/// differ per sender — so they are carried inline, skipping the map
-/// entirely on the receive hot path.
-enum DrainItem<S> {
-    Key(PendKey),
-    Env(Envelope<S>),
-}
-
-/// Bucket count for the priority drain (Dial-style bucket queue). Priorities
-/// are clamped into `0..PRIO_BUCKETS`; everything at or beyond the last
-/// bucket shares it unordered. Algorithm priorities are small bound
-/// distances (BFS depth, SSSP distance, inverted widest capacity), so the
-/// clamp is rarely hit — and drain order is a work-saving heuristic, never a
-/// correctness requirement (§II-B monotonicity).
-const PRIO_BUCKETS: usize = 1024;
 
 /// Flush hysteresis: how many idle passes a shard with buffered partial
 /// batches re-drains its inbound paths (yielding the core between passes)
@@ -211,46 +141,14 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     /// fault-free data path pays one predictable branch, not a plan scan.
     fault_armed: bool,
     store: DenseStore<A::State>,
-    /// Envelopes this shard sent to itself: bypass the channel, preserve
-    /// FIFO (a local queue is trivially in-order per sender).
+    /// Envelopes this shard sent to itself — the shard's one local queue:
+    /// bypass the channel, preserve FIFO (a local queue is trivially
+    /// in-order per sender).
     local_q: VecDeque<Envelope<A::State>>,
     streams: VecDeque<std::vec::IntoIter<TopoEvent>>,
     out: Vec<Outgoing<A::State>>,
     /// Per-destination-shard buffers of unsent envelopes.
     outboxes: Vec<Vec<Envelope<A::State>>>,
-    /// Copy of `config.lattice` (hot-path convenience).
-    lattice: LatticeConfig,
-    /// True when self-routed `Update` envelopes route through the pending
-    /// backlog instead of `local_q` (received ones stage only under
-    /// priority draining — see [`ShardWorker::admit`]).
-    lattice_on: bool,
-    /// Self-routed `Update` envelopes staged for sender-side local-backlog
-    /// coalescing: a later local send to the same key folds in via
-    /// [`Algorithm::join`] instead of existing separately. Drained by
-    /// `pop_pending` via `pend_fifo` (insertion order) or the priority
-    /// buckets; key-based drain entries use lazy deletion, with this map
-    /// as the single source of truth. Received envelopes never enter this
-    /// map — see [`DrainItem`].
-    pending: PendMap<Envelope<A::State>>,
-    pend_fifo: VecDeque<PendKey>,
-    /// Priority mode: Dial-style bucket queue — `pend_buckets[p]` holds the
-    /// `(seq, item)` entries staged at (clamped) priority `p`. Push and pop
-    /// are O(1); a comparison heap gives a globally strict order, but its
-    /// per-entry sift costs more than strictness buys — update drain order
-    /// is a heuristic, never a correctness requirement (§II-B
-    /// monotonicity). Empty when priority draining is off.
-    pend_buckets: Vec<Vec<(u64, DrainItem<A::State>)>>,
-    /// Lowest possibly-non-empty bucket; every bucket below it is empty.
-    /// Pushes pull it back down, pops advance it past drained buckets.
-    pend_cursor: usize,
-    /// Entries currently staged across `pend_buckets` (stale lazily-deleted
-    /// key entries included — `pop_pending` consumes those too).
-    pend_staged: usize,
-    pend_seq: u64,
-    pend_max_popped: u64,
-    /// Per-destination index into `outboxes` for sender-side coalescing
-    /// (cleared on every flush; empty when coalescing is off).
-    outbox_index: Vec<PendMap<usize>>,
     /// The shared SPSC lane mesh + park board.
     lanes: LaneHandles<A::State>,
     /// Per-destination count of batches this shard diverted to the
@@ -403,8 +301,6 @@ impl<A: Algorithm> ShardWorker<A> {
         let trace_on = config.trace.enabled;
         let trace_mask = config.trace.sample_mask();
         let phase_on = config.telemetry.phase_accounting;
-        let lattice = config.lattice;
-        let lattice_on = lattice.coalesce || lattice.priority;
         let durable = config.durability.is_some();
         // Per-shard share of the capacity hint, with 1/8 headroom for the
         // hash partitioner's imbalance (0 stays 0: start empty).
@@ -427,20 +323,6 @@ impl<A: Algorithm> ShardWorker<A> {
             streams: VecDeque::new(),
             out: Vec::new(),
             outboxes: (0..num_shards).map(|_| Vec::new()).collect(),
-            lattice,
-            lattice_on,
-            pending: PendMap::default(),
-            pend_fifo: VecDeque::new(),
-            pend_buckets: if lattice.priority {
-                (0..PRIO_BUCKETS).map(|_| Vec::new()).collect()
-            } else {
-                Vec::new()
-            },
-            pend_cursor: PRIO_BUCKETS,
-            pend_staged: 0,
-            pend_seq: 0,
-            pend_max_popped: 0,
-            outbox_index: (0..num_shards).map(|_| PendMap::default()).collect(),
             lanes,
             fallback_sent: vec![0; num_shards],
             claim_buf: Vec::new(),
@@ -698,10 +580,6 @@ impl<A: Algorithm> ShardWorker<A> {
                     }
                 }
                 while let Some(env) = self.local_q.pop_front() {
-                    round = true;
-                    self.process(env);
-                }
-                while let Some(env) = self.pop_pending() {
                     round = true;
                     self.process(env);
                 }
@@ -1137,173 +1015,37 @@ impl<A: Algorithm> ShardWorker<A> {
         any
     }
 
-    /// Routes one *received* envelope: under dominance filtering, `Update`s
-    /// that cannot improve their target are retired on the spot; under
-    /// priority draining they are staged (inline — see [`DrainItem`]) into
-    /// the best-first backlog. Everything else — and every envelope when
-    /// the lattice layers are off — is processed immediately in arrival
-    /// order, exactly as the seed engine did.
+    /// Routes one *received* envelope: an `Update` that cannot improve its
+    /// target is retired on the spot; everything else is processed
+    /// immediately, in arrival order.
     fn admit(&mut self, env: Envelope<A::State>) {
-        if env.kind == EventKind::Update {
-            if self.is_dominated(env.target, env.epoch, &env.value) {
-                // Retiring on arrival skips the staging churn entirely;
-                // monotone states only advance, so dominated-now stays
-                // dominated.
-                self.metrics.updates_dominated += 1;
-                self.note_processed(env.epoch);
-                if env.tag != 0 {
-                    // A closed branch, not silence: the trace sees where
-                    // its cascade was cut off.
-                    self.trace_span(SpanKind::Dominate, env.tag, env.target, 0);
-                }
-                return;
+        if env.kind == EventKind::Update && self.is_dominated(env.target, env.epoch, &env.value) {
+            // Monotone states only advance, so dominated-now stays
+            // dominated.
+            self.metrics.updates_dominated += 1;
+            self.note_processed(env.epoch);
+            if env.tag != 0 {
+                // A closed branch, not silence: the trace sees where
+                // its cascade was cut off.
+                self.trace_span(SpanKind::Dominate, env.tag, env.target, 0);
             }
-            if self.lattice.priority {
-                let prio = A::priority(&env.value).unwrap_or(0);
-                // Pass-through fast path: an arrival at least as good as
-                // everything staged is what best-first draining would pick
-                // next anyway — process it without the backlog round-trip
-                // (deferring costs an envelope copy and a cold re-read).
-                // Only worse-than-best arrivals get parked.
-                if self.pend_staged > 0 && (prio as usize).min(PRIO_BUCKETS - 1) > self.pend_cursor
-                {
-                    self.stage_item(prio, DrainItem::Env(env));
-                    return;
-                }
-            }
+            return;
         }
         self.process(env);
     }
 
     /// True when an `Update` carrying `value` cannot change `target`'s live
-    /// state (the join is a no-op — the value is information the target
-    /// already holds). Skipped when the event predates the vertex's
-    /// snapshot fork: those must still dual-apply to the forked previous
-    /// state. Algorithms without [`Algorithm::join`] are never filtered.
+    /// state — the value is information the target already holds
+    /// ([`Algorithm::absorbs`]). Skipped when the event predates the
+    /// vertex's snapshot fork: those must still dual-apply to the forked
+    /// previous state. Algorithms without the hook are never filtered.
     /// Monotone states only advance, so a dominated update stays dominated
     /// no matter how long it waits.
     fn is_dominated(&self, target: VertexId, epoch: Epoch, value: &A::State) -> bool {
-        if !self.lattice.dominance {
-            return false;
-        }
         let Some(h) = self.store.lookup(target) else {
             return false;
         };
-        if self.store.applies_to_prev(h, epoch) {
-            return false;
-        }
-        let live = self.store.live(h);
-        let mut probe = live.clone();
-        A::join(&mut probe, value) && probe == *live
-    }
-
-    /// Attempts to fold `env` into the self-routed envelope staged under
-    /// the same coalescing key. On a merge under priority draining, the
-    /// drain entry is re-pushed at the merged value's (possibly better)
-    /// priority; the stale entry is lazily skipped on pop.
-    fn try_absorb_pending(&mut self, env: &Envelope<A::State>) -> Coalesce {
-        let key = (env.target, env.visitor, env.weight, env.epoch);
-        let Some(p) = self.pending.get_mut(&key) else {
-            return Coalesce::NoEntry;
-        };
-        if !A::join(&mut p.value, &env.value) {
-            return Coalesce::Declined;
-        }
-        // Tag inheritance across the merge: an untagged absorber adopts
-        // the absorbed envelope's tag so the trace keeps a carrier; a
-        // tagged absorber keeps its own (one carrier, one count).
-        if env.tag != 0 && p.tag == 0 {
-            p.tag = env.tag;
-        }
-        let absorber = p.tag;
-        if self.lattice.priority {
-            let prio = A::priority(&p.value).unwrap_or(0);
-            self.stage_item(prio, DrainItem::Key(key));
-        }
-        if env.tag != 0 {
-            self.trace_span(
-                SpanKind::Absorb,
-                env.tag,
-                env.target,
-                trace::trace_id(absorber),
-            );
-        }
-        Coalesce::Absorbed
-    }
-
-    /// Pushes one drain entry into the priority bucket queue.
-    fn stage_item(&mut self, prio: u64, item: DrainItem<A::State>) {
-        let bucket = (prio as usize).min(PRIO_BUCKETS - 1);
-        self.pend_seq += 1;
-        self.pend_cursor = self.pend_cursor.min(bucket);
-        self.pend_staged += 1;
-        self.pend_buckets[bucket].push((self.pend_seq, item));
-    }
-
-    /// Stages a self-routed `Update` envelope into the lattice backlog.
-    /// Callers must have resolved coalescing first (the key slot is known
-    /// free when coalescing is on).
-    fn stage_pending(&mut self, env: Envelope<A::State>) {
-        if !self.lattice.coalesce {
-            // Priority-only: nothing ever merges, so carry the envelope
-            // inline and skip the map.
-            let prio = A::priority(&env.value).unwrap_or(0);
-            self.stage_item(prio, DrainItem::Env(env));
-            return;
-        }
-        let key = (env.target, env.visitor, env.weight, env.epoch);
-        if self.lattice.priority {
-            // Algorithms without `priority` fall back to a constant key,
-            // which makes the bucket queue a plain stack of one bucket.
-            let prio = A::priority(&env.value).unwrap_or(0);
-            self.stage_item(prio, DrainItem::Key(key));
-        } else {
-            self.pend_seq += 1;
-            self.pend_fifo.push_back(key);
-        }
-        self.pending.insert(key, env);
-    }
-
-    /// Next staged envelope in drain order (best-first under priority,
-    /// insertion order otherwise), skipping lazily-deleted key entries.
-    fn pop_pending(&mut self) -> Option<Envelope<A::State>> {
-        if self.lattice.priority {
-            while self.pend_staged > 0 {
-                // The cursor invariant (every bucket below it is empty)
-                // plus staged > 0 guarantees this scan lands on an entry.
-                while self.pend_buckets[self.pend_cursor].is_empty() {
-                    self.pend_cursor += 1;
-                }
-                // The cursor scan above stopped on a non-empty bucket, so
-                // this pop always yields; the else arm is unreachable but
-                // keeps the loop panic-free.
-                let Some((seq, item)) = self.pend_buckets[self.pend_cursor].pop() else {
-                    continue;
-                };
-                self.pend_staged -= 1;
-                let env = match item {
-                    DrainItem::Env(env) => env,
-                    // Stale key entries (from re-prioritized merges) fail
-                    // the map removal and are skipped.
-                    DrainItem::Key(key) => match self.pending.remove(&key) {
-                        Some(env) => env,
-                        None => continue,
-                    },
-                };
-                if seq < self.pend_max_popped {
-                    self.metrics.heap_reorders += 1;
-                }
-                self.pend_max_popped = self.pend_max_popped.max(seq);
-                return Some(env);
-            }
-            return None;
-        }
-        while let Some(key) = self.pend_fifo.pop_front() {
-            if let Some(env) = self.pending.remove(&key) {
-                return Some(env);
-            }
-        }
-        None
+        !self.store.applies_to_prev(h, epoch) && A::absorbs(self.store.live(h), value)
     }
 
     /// Processes one algorithmic envelope (live path: full accounting).
@@ -1351,14 +1093,11 @@ impl<A: Algorithm> ShardWorker<A> {
         };
         let target = env.target;
         // Receiver-side dominance filter: an `Update` whose value the live
-        // state already absorbs (join is a no-op) cannot change anything —
-        // retire it without the callback/fork/trigger machinery. Skipped
-        // when the event predates the vertex's snapshot fork: those must
-        // still dual-apply to the forked previous state. Algorithms
-        // without `join` are never filtered (join returns false). The
-        // neighbour-cache write (`set_cached`) is skipped too; that is
-        // sound because a dominated value is information the target
-        // already holds.
+        // state already absorbs cannot change anything — retire it without
+        // the callback/fork/trigger machinery (see `is_dominated` for the
+        // snapshot-fork exemption). The neighbour-cache write
+        // (`set_cached`) is skipped too; that is sound because a dominated
+        // value is information the target already holds.
         if env.kind == EventKind::Update && self.is_dominated(target, env.epoch, &env.value) {
             if count_input {
                 self.metrics.updates_dominated += 1;
@@ -1502,10 +1241,10 @@ impl<A: Algorithm> ShardWorker<A> {
         }
 
         // Tracing: one Process (live) / Replay (recovery) span per tagged
-        // envelope, with the callback's fan-out before any coalescing or
-        // suppression trims it. Every generated envelope below inherits
-        // the tag at hop+1 — the registry's Delta fan-out rides the same
-        // outgoing path, so multi-query traces come for free.
+        // envelope, with the callback's fan-out before suppression trims
+        // it. Every generated envelope below inherits the tag at hop+1 —
+        // the registry's Delta fan-out rides the same outgoing path, so
+        // multi-query traces come for free.
         let ctag = trace::child(env.tag);
         if env.tag != 0 {
             let fanout = u64::from(reverse_value.is_some()) + self.out.len() as u64;
@@ -1609,8 +1348,7 @@ impl<A: Algorithm> ShardWorker<A> {
     /// [`PUBLISH_EVERY`] events on the hot path).
     fn publish_telemetry(&mut self) {
         self.pub_ticker = 0;
-        let queue_depth =
-            (self.rx.len() + self.local_q.len() + self.pend_staged + self.pend_fifo.len()) as u64;
+        let queue_depth = (self.rx.len() + self.local_q.len()) as u64;
         let lane_occupancy = self.lanes.mesh.inbound_occupancy(self.id) as u64;
         self.tele
             .publish_counters(self.id, &self.metrics, queue_depth, lane_occupancy);
@@ -1652,8 +1390,7 @@ impl<A: Algorithm> ShardWorker<A> {
         let owner = self.part.owner(env.target);
         // Self-routed `Update`s whose value the target's live state already
         // absorbs are dropped before any accounting: the envelope never
-        // exists as far as termination detection is concerned, and it skips
-        // the staging machinery entirely.
+        // exists as far as termination detection is concerned.
         if owner == self.id
             && env.kind == EventKind::Update
             && self.is_dominated(env.target, env.epoch, &env.value)
@@ -1666,43 +1403,6 @@ impl<A: Algorithm> ShardWorker<A> {
                 self.trace_span(SpanKind::Suppress, env.tag, env.target, 0);
             }
             return;
-        }
-        // Sender-side coalescing: fold this `Update` into an envelope
-        // already staged locally (self-route) or buffered in the outbox
-        // (remote) for the same (target, visitor, weight, epoch). This
-        // happens *before* any accounting, so an absorbed envelope never
-        // exists as far as termination detection or the chaos plan are
-        // concerned — the staged original remains counted exactly once.
-        let mut key_occupied = false;
-        if self.lattice.coalesce && env.kind == EventKind::Update {
-            if owner == self.id {
-                match self.try_absorb_pending(&env) {
-                    Coalesce::Absorbed => {
-                        self.metrics.envelopes_coalesced += 1;
-                        return;
-                    }
-                    Coalesce::Declined => key_occupied = true,
-                    Coalesce::NoEntry => {}
-                }
-            } else {
-                let key = (env.target, env.visitor, env.weight, env.epoch);
-                if let Some(&i) = self.outbox_index[owner].get(&key) {
-                    if A::join(&mut self.outboxes[owner][i].value, &env.value) {
-                        self.metrics.envelopes_coalesced += 1;
-                        // Same tag-inheritance rule as the local backlog:
-                        // the trace must survive outbox coalescing too.
-                        if env.tag != 0 {
-                            if self.outboxes[owner][i].tag == 0 {
-                                self.outboxes[owner][i].tag = env.tag;
-                            }
-                            let absorber = trace::trace_id(self.outboxes[owner][i].tag);
-                            self.trace_span(SpanKind::Absorb, env.tag, env.target, absorber);
-                        }
-                        return;
-                    }
-                    key_occupied = true;
-                }
-            }
         }
         self.note_sent(env.epoch);
         self.metrics.envelopes_sent += 1;
@@ -1726,16 +1426,8 @@ impl<A: Algorithm> ShardWorker<A> {
             return;
         }
         if owner == self.id {
-            if self.lattice_on && env.kind == EventKind::Update && !key_occupied {
-                self.stage_pending(env);
-            } else {
-                self.local_q.push_back(env);
-            }
+            self.local_q.push_back(env);
             return;
-        }
-        if self.lattice.coalesce && env.kind == EventKind::Update && !key_occupied {
-            let key = (env.target, env.visitor, env.weight, env.epoch);
-            self.outbox_index[owner].insert(key, self.outboxes[owner].len());
         }
         self.outboxes[owner].push(env);
         if self.outboxes[owner].len() >= self.config.envelope_batch {
@@ -1769,7 +1461,6 @@ impl<A: Algorithm> ShardWorker<A> {
     }
 
     fn do_flush(&mut self, owner: usize) {
-        self.outbox_index[owner].clear();
         let batch = std::mem::take(&mut self.outboxes[owner]);
         let mesh = Arc::clone(&self.lanes.mesh);
         if self.board.is_failed(owner) {
@@ -1979,9 +1670,6 @@ impl<A: Algorithm> ShardWorker<A> {
     fn custody_clear(&self) -> bool {
         self.local_q.is_empty()
             && self.inbox.is_empty()
-            && self.pending.is_empty()
-            && self.pend_staged == 0
-            && self.pend_fifo.is_empty()
             && self.out.is_empty()
             && self.outboxes.iter().all(|b| b.is_empty())
     }
@@ -2311,19 +1999,8 @@ impl<A: Algorithm> ShardWorker<A> {
     /// Drains self-routed work generated by replay (full accounting —
     /// this is live traffic, merely born during recovery).
     fn drain_replay_backlog(&mut self) {
-        loop {
-            let mut round = false;
-            while let Some(env) = self.local_q.pop_front() {
-                round = true;
-                self.process(env);
-            }
-            while let Some(env) = self.pop_pending() {
-                round = true;
-                self.process(env);
-            }
-            if !round {
-                break;
-            }
+        while let Some(env) = self.local_q.pop_front() {
+            self.process(env);
         }
     }
 
@@ -2332,10 +2009,10 @@ impl<A: Algorithm> ShardWorker<A> {
     /// code). Every envelope still held by this worker is retired against
     /// the termination books exactly once, mirroring
     /// [`ShardWorker::retire_batch`]'s counter motion: whether this shard
-    /// *sent* it and never received it (outboxes, local queue, self-staged
-    /// pending) or took custody of it from a peer (inbox, staged received,
-    /// the half-processed one), it was counted sent and owes a processed
-    /// mark. Replay re-derives all of their effects from the WAL.
+    /// *sent* it and never received it (outboxes, local queue) or took
+    /// custody of it from a peer (inbox, the half-processed one), it was
+    /// counted sent and owes a processed mark. Replay re-derives all of
+    /// their effects from the WAL.
     fn prepare_recovery(&mut self) {
         use std::sync::atomic::Ordering;
         // Gate termination detection BEFORE the first retirement below:
@@ -2355,7 +2032,6 @@ impl<A: Algorithm> ShardWorker<A> {
         self.out.clear();
         self.pending_fires.clear();
         for owner in 0..self.outboxes.len() {
-            self.outbox_index[owner].clear();
             for env in std::mem::take(&mut self.outboxes[owner]) {
                 self.retire_recovered(env.epoch);
             }
@@ -2365,27 +2041,6 @@ impl<A: Algorithm> ShardWorker<A> {
         }
         while let Some(env) = self.inbox.pop_front() {
             self.retire_recovered(env.epoch);
-        }
-        // The priority buckets carry received envelopes inline (plus
-        // lazily-deleted keys); the pending map holds every self-staged
-        // one. Collect first — the drains borrow the queues.
-        let mut swept: Vec<Epoch> = Vec::new();
-        for bucket in &mut self.pend_buckets {
-            for (_, item) in bucket.drain(..) {
-                if let DrainItem::Env(env) = item {
-                    swept.push(env.epoch);
-                }
-            }
-        }
-        for (_, env) in self.pending.drain() {
-            swept.push(env.epoch);
-        }
-        self.pend_fifo.clear();
-        self.pend_cursor = PRIO_BUCKETS;
-        self.pend_staged = 0;
-        self.pend_max_popped = 0;
-        for epoch in swept {
-            self.retire_recovered(epoch);
         }
         // WAL frames buffered but not committed belong to envelopes just
         // swept: discard them, replay must not see them.

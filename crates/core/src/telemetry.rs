@@ -129,11 +129,6 @@ impl TelemetryConfig {
         }
     }
 
-    /// The default full set, spelled out for symmetry with [`Self::off`].
-    pub fn full() -> Self {
-        Self::default()
-    }
-
     /// Sets the sampling shift (see [`TelemetryConfig::sample_shift`]).
     pub fn with_sample_shift(mut self, shift: u32) -> Self {
         self.sample_shift = shift.min(62);
@@ -1286,7 +1281,6 @@ mod tests {
                 .with_phase_accounting(false)
                 .phase_accounting
         );
-        assert_eq!(TelemetryConfig::full(), TelemetryConfig::default());
         assert_eq!(
             TelemetryConfig::default()
                 .with_sample_shift(0)

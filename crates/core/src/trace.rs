@@ -20,11 +20,6 @@
 //! - Every envelope generated while processing a tagged envelope inherits
 //!   `(id, hop + 1)` — registry `Delta` fan-out included, since deltas are
 //!   routed through the same outgoing path.
-//! - Sender-side coalescing: when a tagged envelope is absorbed into a
-//!   staged one, the absorber *inherits* the tag if it was untagged
-//!   (the trace is not lost), and an `Absorb` span records the merge
-//!   either way. When both are tagged the staged tag wins — one carrier,
-//!   one count.
 //! - Dominance retirement and sender-side suppression close a branch
 //!   with a `Dominate` / `Suppress` span instead of silence.
 //! - WAL envelope records carry the tag, so replay after a shard respawn
@@ -159,20 +154,17 @@ pub enum SpanKind {
     /// destination shard).
     Send = 2,
     /// A tagged envelope was processed (`a` = target, `b` = children
-    /// emitted by the callback, pre-coalescing).
+    /// emitted by the callback, before suppression).
     Process = 3,
-    /// A tagged envelope was absorbed into an already-staged envelope by
-    /// sender-side coalescing (`a` = target, `b` = absorbing trace id).
-    Absorb = 4,
     /// A tagged envelope was retired by receiver-side dominance
     /// filtering (`a` = target).
-    Dominate = 5,
+    Dominate = 4,
     /// A tagged self-routed envelope was suppressed before sending
     /// (`a` = target).
-    Suppress = 6,
+    Suppress = 5,
     /// A tagged envelope was re-processed during WAL replay
     /// (`a` = target, `b` = children emitted).
-    Replay = 7,
+    Replay = 6,
 }
 
 impl SpanKind {
@@ -181,10 +173,9 @@ impl SpanKind {
             1 => SpanKind::Root,
             2 => SpanKind::Send,
             3 => SpanKind::Process,
-            4 => SpanKind::Absorb,
-            5 => SpanKind::Dominate,
-            6 => SpanKind::Suppress,
-            7 => SpanKind::Replay,
+            4 => SpanKind::Dominate,
+            5 => SpanKind::Suppress,
+            6 => SpanKind::Replay,
             _ => return None,
         })
     }
@@ -297,8 +288,6 @@ pub struct HopStats {
     pub sent: u64,
     /// Tagged envelopes processed at this depth.
     pub processed: u64,
-    /// Tagged envelopes absorbed by sender-side coalescing.
-    pub absorbed: u64,
     /// Tagged envelopes retired by dominance filtering.
     pub dominated: u64,
     /// Tagged envelopes suppressed before sending.
@@ -337,8 +326,6 @@ pub struct PropagationTrace {
     pub amplification: u64,
     /// Envelopes processed on behalf of this trace.
     pub processed: u64,
-    /// Branches closed by coalescing absorption.
-    pub absorbed: u64,
     /// Branches closed by dominance retirement.
     pub dominated: u64,
     /// Branches closed by sender-side suppression.
@@ -378,7 +365,6 @@ pub(crate) fn reconstruct(spans: &[TraceSpan]) -> Vec<PropagationTrace> {
             depth: 0,
             amplification: 0,
             processed: 0,
-            absorbed: 0,
             dominated: 0,
             suppressed: 0,
             replayed: 0,
@@ -415,10 +401,6 @@ pub(crate) fn reconstruct(spans: &[TraceSpan]) -> Vec<PropagationTrace> {
                     if h.first_process_ns == 0 || s.t_ns < h.first_process_ns {
                         h.first_process_ns = s.t_ns;
                     }
-                }
-                SpanKind::Absorb => {
-                    t.absorbed += 1;
-                    h.absorbed += 1;
                 }
                 SpanKind::Dominate => {
                     t.dominated += 1;

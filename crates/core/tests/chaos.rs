@@ -12,15 +12,14 @@ use std::time::{Duration, Instant};
 
 use remo_core::{
     algorithm::codec, AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineConfig, EngineError,
-    FaultPlan, LatticeConfig, Partitioner, QueryRegistry, Snapshot, TelemetryConfig, TraceConfig,
-    VertexId, CHAOS_PANIC_MARKER,
+    FaultPlan, Partitioner, QueryRegistry, Snapshot, TelemetryConfig, TraceConfig, VertexId,
+    CHAOS_PANIC_MARKER,
 };
 
 /// The paper's §II-A example: count each vertex's degree. Enough to make
-/// every topology event fan out an envelope per endpoint. `join` is max —
-/// degree counts only grow, so the larger count subsumes the smaller —
-/// which makes the lattice messaging layers genuinely active when the
-/// suite runs with `REMO_CHAOS_LATTICE=1`.
+/// every topology event fan out an envelope per endpoint. It sends no
+/// `Update`s, so the lattice filter has nothing to ask it; the label
+/// algorithms below are the ones that filter.
 struct Degree;
 
 impl Algorithm for Degree {
@@ -36,25 +35,6 @@ impl Algorithm for Degree {
             *d += 1;
             true
         });
-    }
-    fn join(into: &mut u64, from: &u64) -> bool {
-        if *from > *into {
-            *into = *from;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// `REMO_CHAOS_LATTICE=1` reruns the whole suite with every lattice
-/// messaging layer enabled (CI does both): fault containment, deadlines,
-/// and degraded collection must hold identically when envelopes coalesce,
-/// get dominance-retired, or drain best-first.
-fn lattice_mode() -> LatticeConfig {
-    match std::env::var("REMO_CHAOS_LATTICE").as_deref() {
-        Ok("1") => LatticeConfig::all(),
-        _ => LatticeConfig::default(),
     }
 }
 
@@ -121,7 +101,6 @@ fn chaos_config(plan: FaultPlan) -> EngineConfig {
         quiescence_deadline: Some(Duration::from_secs(5)),
         query_deadline: Some(Duration::from_secs(5)),
         fault_plan: plan,
-        lattice: lattice_mode(),
         telemetry: telemetry_mode(),
         trace: trace_mode(),
         ..EngineConfig::undirected(2)
@@ -285,7 +264,6 @@ fn dropped_envelopes_hit_quiescence_deadline() {
     let config = EngineConfig {
         quiescence_deadline: Some(deadline),
         fault_plan: FaultPlan::drop_on_shard(0, 1.0),
-        lattice: lattice_mode(),
         ..EngineConfig::undirected(2)
     };
     let engine = Engine::new(Degree, config);
@@ -317,7 +295,6 @@ fn dropped_envelopes_hit_quiescence_deadline() {
 fn delayed_shard_completes_and_reports_fault_metrics() {
     let config = EngineConfig {
         fault_plan: FaultPlan::delay_shard(1, Duration::from_millis(1)),
-        lattice: lattice_mode(),
         ..EngineConfig::undirected(2)
     };
     let engine = Engine::new(Degree, config);
@@ -378,11 +355,7 @@ fn failures_accessor_matches_finish_report() {
 /// legacy path: clean quiescence, full harvest, empty failure report.
 #[test]
 fn fault_free_run_is_clean_under_supervised_api() {
-    let config = EngineConfig {
-        lattice: lattice_mode(),
-        ..EngineConfig::undirected(2)
-    };
-    let engine = Engine::new(Degree, config);
+    let engine = Engine::new(Degree, EngineConfig::undirected(2));
     engine.try_ingest_pairs(&[(0, 1), (1, 2)]).unwrap();
     engine.try_await_quiescence().unwrap();
     assert!(!engine.is_degraded());
@@ -469,13 +442,8 @@ impl Algorithm for MaxLabel {
     fn on_update(&self, ctx: &mut impl AlgoCtx<u64>, _visitor: VertexId, value: &u64, _w: u64) {
         Self::absorb(ctx, *value);
     }
-    fn join(into: &mut u64, from: &u64) -> bool {
-        if *from > *into {
-            *into = *from;
-            true
-        } else {
-            false
-        }
+    fn absorbs(live: &u64, incoming: &u64) -> bool {
+        incoming <= live
     }
     fn encode_state(state: &u64, out: &mut Vec<u8>) {
         codec::put_u64(*state, out);
@@ -504,14 +472,18 @@ fn fixpoint(states: &Snapshot<u64>) -> Vec<(VertexId, u64)> {
 
 /// The uninterrupted, durability-free reference run.
 fn baseline_fixpoint(pairs: &[(VertexId, VertexId)]) -> Vec<(VertexId, u64)> {
-    let config = EngineConfig {
-        lattice: lattice_mode(),
-        ..EngineConfig::undirected(2)
-    };
-    let engine = Engine::new(MaxLabel, config);
+    let engine = Engine::new(MaxLabel, EngineConfig::undirected(2));
     engine.try_ingest_pairs(pairs).unwrap();
     let result = engine.try_finish().unwrap();
     assert!(!result.is_degraded());
+    // `MaxLabel` implements `absorbs`, so every run in this suite retires
+    // envelopes unprocessed: containment, respawn and the balance
+    // equation are exercised with the filter doing real work.
+    let total = result.metrics.total();
+    assert!(
+        total.updates_dominated + total.updates_suppressed > 0,
+        "the reference run never filtered: {total:?}"
+    );
     fixpoint(&result.states)
 }
 
@@ -759,7 +731,6 @@ fn cold_restart_resumes_and_matches_uninterrupted_run() {
     let dir = durable_dir("cold");
     let config = || {
         EngineConfig {
-            lattice: lattice_mode(),
             telemetry: telemetry_mode(),
             ..EngineConfig::undirected(2)
         }
@@ -885,13 +856,8 @@ impl Algorithm for MinLabel {
             Self::absorb(ctx, *value);
         }
     }
-    fn join(into: &mut u64, from: &u64) -> bool {
-        if *from != 0 && (*into == 0 || *from < *into) {
-            *into = *from;
-            true
-        } else {
-            false
-        }
+    fn absorbs(live: &u64, incoming: &u64) -> bool {
+        *incoming == 0 || (*live != 0 && incoming >= live)
     }
     fn encode_state(state: &u64, out: &mut Vec<u8>) {
         codec::put_u64(*state, out);
@@ -914,11 +880,7 @@ fn respawned_shard_recovers_all_query_columns() {
     // Fault-free solo references, one per lattice.
     let want_max = baseline_fixpoint(&pairs);
     let want_min = {
-        let config = EngineConfig {
-            lattice: lattice_mode(),
-            ..EngineConfig::undirected(2)
-        };
-        let engine = Engine::new(MinLabel, config);
+        let engine = Engine::new(MinLabel, EngineConfig::undirected(2));
         engine.try_ingest_pairs(&pairs).unwrap();
         let result = engine.try_finish().unwrap();
         assert!(!result.is_degraded());

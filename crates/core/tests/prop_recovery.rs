@@ -69,13 +69,8 @@ impl Algorithm for MaxLabel {
     fn on_update(&self, ctx: &mut impl AlgoCtx<u64>, _visitor: VertexId, value: &u64, _w: u64) {
         Self::absorb(ctx, *value);
     }
-    fn join(into: &mut u64, from: &u64) -> bool {
-        if *from > *into {
-            *into = *from;
-            true
-        } else {
-            false
-        }
+    fn absorbs(live: &u64, incoming: &u64) -> bool {
+        incoming <= live
     }
     fn encode_state(state: &u64, out: &mut Vec<u8>) {
         codec::put_u64(*state, out);

@@ -34,14 +34,6 @@ impl Algorithm for Degree {
             true
         });
     }
-    fn join(into: &mut u64, from: &u64) -> bool {
-        if *from > *into {
-            *into = *from;
-            true
-        } else {
-            false
-        }
-    }
 }
 
 /// Deterministic pseudo-random edge stream (xorshift) over a small vertex

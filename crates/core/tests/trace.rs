@@ -2,9 +2,8 @@
 //! pure observation. The pinned contracts:
 //!
 //! - **Fixpoint identity**: a tracing-on run (sampling every ingest) is
-//!   byte-identical to a tracing-off run over the same stream, across the
-//!   shards × lattice grid — tags are cargo, never
-//!   consulted by the computation.
+//!   byte-identical to a tracing-off run over the same stream at every
+//!   shard count — tags are cargo, never consulted by the computation.
 //! - **Tree sanity**: every reconstructed propagation tree is anchored at
 //!   a genuinely ingested topology event, its hop depths are strictly
 //!   ascending, its per-trace tallies equal the per-hop sums, and the
@@ -21,7 +20,7 @@ use remo_core::{AlgoCtx, Algorithm, Engine, EngineConfig, QueryRegistry, TraceCo
 /// join makes the fixpoint interleaving-independent — `on_add` always
 /// pushes the local label across the new edge, so no cascade depends on
 /// adjacency-at-processing-time. Multi-hop cascades with real fan-out
-/// exercise coalescing, dominance, and suppression — every span kind.
+/// exercise dominance and suppression — every span kind.
 struct MaxLabel;
 
 impl MaxLabel {
@@ -58,16 +57,8 @@ impl Algorithm for MaxLabel {
     fn on_update(&self, ctx: &mut impl AlgoCtx<u64>, _visitor: VertexId, value: &u64, _w: u64) {
         Self::absorb(ctx, *value);
     }
-    fn join(into: &mut u64, from: &u64) -> bool {
-        if *from > *into {
-            *into = *from;
-            true
-        } else {
-            false
-        }
-    }
-    fn priority(state: &u64) -> Option<u64> {
-        Some(u64::MAX - *state)
+    fn absorbs(live: &u64, incoming: &u64) -> bool {
+        incoming <= live
     }
 }
 
@@ -104,34 +95,23 @@ fn run_fixpoint(config: EngineConfig, edges: &[(VertexId, VertexId)]) -> Vec<(Ve
 }
 
 /// Tracing-on runs (sampling *every* ingest — the most invasive setting)
-/// reach byte-identical fixpoints to tracing-off runs over the full
-/// shards × lattice grid.
+/// reach byte-identical fixpoints to tracing-off runs.
 ///
-/// Grid: shards 1/2/4 (1 = no Send span ever crosses a shard) × lattice
-/// (coalescing, dominance and suppression each adopt, retire or drop a
-/// tag; FIFO does none of that).
+/// Grid: shards 1/2/4 (1 = no Send span ever crosses a shard, and only
+/// suppression closes a branch; 2 and 4 add dominance retirement).
 #[test]
 fn tracing_is_invisible_to_the_fixpoint() {
     let edges = edge_stream(220, 61, 0x7ace);
-    for (i, shards) in [1usize, 2, 4].iter().enumerate() {
-        for lattice in [false, true] {
-            let base = || {
-                let mut c = EngineConfig::undirected(*shards);
-                if lattice {
-                    c = c.with_lattice();
-                }
-                c
-            };
-            let ctx = format!("case {i}: P={shards} lattice={lattice}");
-            let want = run_fixpoint(base(), &edges);
-            let traced = base().with_tracing(
-                TraceConfig::on()
-                    .with_sample_shift(0)
-                    .with_ring_capacity(1 << 16),
-            );
-            let got = run_fixpoint(traced, &edges);
-            assert_eq!(got, want, "{ctx}: tracing perturbed the fixpoint");
-        }
+    for (i, shards) in [1usize, 2, 4].into_iter().enumerate() {
+        let ctx = format!("case {i}: P={shards}");
+        let want = run_fixpoint(EngineConfig::undirected(shards), &edges);
+        let traced = EngineConfig::undirected(shards).with_tracing(
+            TraceConfig::on()
+                .with_sample_shift(0)
+                .with_ring_capacity(1 << 16),
+        );
+        let got = run_fixpoint(traced, &edges);
+        assert_eq!(got, want, "{ctx}: tracing perturbed the fixpoint");
     }
 }
 
@@ -160,7 +140,7 @@ fn tracing_off_records_nothing() {
 #[test]
 fn propagation_trees_are_sane() {
     let edges = edge_stream(250, 47, 0x5a9e);
-    let config = EngineConfig::undirected(2).with_lattice().with_tracing(
+    let config = EngineConfig::undirected(2).with_tracing(
         TraceConfig::on()
             .with_sample_shift(0)
             .with_ring_capacity(1 << 16),
@@ -203,6 +183,11 @@ fn propagation_trees_are_sane() {
             t.id
         );
         assert_eq!(t.processed, t.hops.iter().map(|h| h.processed).sum::<u64>());
+        assert_eq!(t.dominated, t.hops.iter().map(|h| h.dominated).sum::<u64>());
+        assert_eq!(
+            t.suppressed,
+            t.hops.iter().map(|h| h.suppressed).sum::<u64>()
+        );
         assert_eq!(t.replayed, 0, "no shard died, nothing may be replayed");
         assert!(
             t.cross_shard_hops <= t.amplification,
@@ -218,6 +203,11 @@ fn propagation_trees_are_sane() {
     assert!(
         traces.iter().any(|t| t.depth >= 2),
         "max-label cascades must reach depth >= 2"
+    );
+    assert!(
+        traces.iter().any(|t| t.dominated + t.suppressed >= 1),
+        "max-label implements `absorbs`: some branch must close on a \
+         Dominate or Suppress span"
     );
 
     let summary = hub.trace_summary();
@@ -323,13 +313,8 @@ fn registry_column_bytes_tracks_attach_and_detach_compaction() {
                 true
             });
         }
-        fn join(into: &mut u64, from: &u64) -> bool {
-            if *from > *into {
-                *into = *from;
-                true
-            } else {
-                false
-            }
+        fn absorbs(live: &u64, incoming: &u64) -> bool {
+            incoming <= live
         }
     }
 

@@ -186,12 +186,11 @@ fn drive<A: Algorithm>(engine: Engine<A>, edges: &[(u64, u64)], ticks: usize) {
             );
             for h in &t.hops {
                 println!(
-                    "  hop {:>2}: sent {:>4}  processed {:>4}  absorbed {:>3}  \
-                     dominated {:>3}  suppressed {:>3}  replayed {:>3}  transit {:.1} us",
+                    "  hop {:>2}: sent {:>4}  processed {:>4}  dominated {:>3}  \
+                     suppressed {:>3}  replayed {:>3}  transit {:.1} us",
                     h.hop,
                     h.sent,
                     h.processed,
-                    h.absorbed,
                     h.dominated,
                     h.suppressed,
                     h.replayed,
