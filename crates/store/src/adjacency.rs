@@ -1,27 +1,44 @@
-//! Degree-aware adjacency storage.
+//! Degree-aware adjacency storage: indexed flat adjacency lists.
 //!
 //! DegAwareRHH (§III-B) is "degree aware, and uses a separate, compact data
-//! structure for low-degree vertices" while high-degree vertices get a Robin
-//! Hood hash table with good locality. Scale-free graphs make this split pay
-//! off: the overwhelming majority of vertices have a handful of edges (a
-//! compact array beats any hash table there — insertion is an append, lookup
-//! is a short linear scan entirely within one or two cache lines), while the
-//! few heavy hitters need O(1) duplicate detection and neighbour lookup.
+//! structure for low-degree vertices" while high-degree vertices get hashed
+//! duplicate detection. Scale-free graphs make the split pay off: the
+//! overwhelming majority of vertices have a handful of edges (insertion is
+//! an append, lookup is a short linear scan within one or two cache lines),
+//! while the few heavy hitters need O(1) duplicate detection and neighbour
+//! lookup.
+//!
+//! Both kinds of vertex keep their edges the same way — one dense slab of
+//! `(neighbour, metadata)` entries in insertion order — and differ only in
+//! whether a *position index* sits beside it: past [`PROMOTE_DEGREE`]
+//! entries a vertex gains an open-addressing table of 4-byte slots, each
+//! naming a position in the slab (RisGraph's "indexed adjacency lists").
+//! The index holds no keys and no values, so a hub costs 24 bytes per edge
+//! plus 5–11 bytes of index instead of a 32-byte hash slot at 7/16–7/8
+//! load, and a neighbour scan is a slice walk at every degree.
 //!
 //! Each directed edge stores an [`EdgeMeta`]: its weight plus the *cached
 //! neighbour value* the paper's programming model maintains (`nbrs.set(...)`
 //! in Algorithm 3). Algorithms use the cache to suppress redundant update
 //! messages.
 
-use crate::rhh::RhhMap;
+use crate::hash::mix64;
 use crate::VertexId;
 
-/// Degree at which a compact array promotes to a Robin Hood table.
+/// Degree past which a vertex gains a position index.
 ///
 /// 32 entries of 24 bytes each stay within a few cache lines and keep the
 /// linear scan cheaper than hashing; beyond that the O(d) duplicate check on
 /// insert starts to lose.
 pub const PROMOTE_DEGREE: usize = 32;
+
+/// Slots of a vertex's first index; each later one doubles it. 33 entries
+/// in 64 slots is a load of about 1/2.
+const FIRST_INDEX_SLOTS: usize = 64;
+
+/// Slab capacity from which growth is by half instead of `Vec`'s doubling,
+/// so a hub's unused tail stays under a third of its slab.
+const GENTLE_GROWTH_FROM: usize = 64;
 
 /// Per-edge metadata: the edge weight and the last value the neighbour
 /// reported (used by algorithms as a local cache of remote state).
@@ -49,64 +66,56 @@ impl EdgeMeta {
     }
 }
 
-/// Adjacency list of a single vertex, automatically switching representation
-/// by degree.
-#[derive(Debug, Clone)]
-pub enum Adjacency {
-    /// Compact unordered array for low-degree vertices.
-    Compact(Vec<(VertexId, EdgeMeta)>),
-    /// Robin Hood table for high-degree vertices.
-    Table(RhhMap<VertexId, EdgeMeta>),
-}
-
-impl Default for Adjacency {
-    fn default() -> Self {
-        Adjacency::Compact(Vec::new())
-    }
+/// Adjacency list of a single vertex: an edge slab in insertion order and,
+/// past [`PROMOTE_DEGREE`] entries, a hash index of positions into it.
+///
+/// The index is a power-of-two linear-probing table kept at a load of at
+/// most 3/4. A slot is `0` when empty; otherwise its low `log2(len)` bits
+/// hold `position + 1` and the bits above them a tag cut from the key's
+/// hash, so a probe that passes over another key's slot — every step of an
+/// absent-key probe — is decided without reading the slab.
+#[derive(Debug, Clone, Default)]
+pub struct Adjacency {
+    entries: Vec<(VertexId, EdgeMeta)>,
+    index: Box<[u32]>,
 }
 
 impl Adjacency {
-    /// Creates an empty adjacency list (compact representation).
+    /// Creates an empty adjacency list (no allocation).
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Number of out-edges.
     pub fn degree(&self) -> usize {
-        match self {
-            Adjacency::Compact(v) => v.len(),
-            Adjacency::Table(t) => t.len(),
-        }
+        self.entries.len()
     }
 
     /// True when this vertex has no out-edges.
     pub fn is_empty(&self) -> bool {
-        self.degree() == 0
+        self.entries.is_empty()
     }
 
-    /// True when the high-degree (table) representation is active. Exposed
-    /// for tests and benches.
+    /// True when the position index exists, i.e. the degree has exceeded
+    /// [`PROMOTE_DEGREE`] at some point (removals never drop the index).
+    /// Exposed for tests and benches.
     pub fn is_promoted(&self) -> bool {
-        matches!(self, Adjacency::Table(_))
+        !self.index.is_empty()
     }
 
     /// Inserts the edge `-> nbr` with `meta`. Returns `true` when the edge is
     /// new, `false` when it already existed (its metadata is then updated in
     /// place, matching the paper's attribute-update semantics).
     pub fn insert(&mut self, nbr: VertexId, meta: EdgeMeta) -> bool {
-        match self {
-            Adjacency::Compact(v) => {
-                if let Some(slot) = v.iter_mut().find(|(n, _)| *n == nbr) {
-                    slot.1 = meta;
-                    return false;
-                }
-                v.push((nbr, meta));
-                if v.len() > PROMOTE_DEGREE {
-                    self.promote();
-                }
+        match self.locate(nbr) {
+            Ok(pos) => {
+                self.entries[pos].1 = meta;
+                false
+            }
+            Err(vacancy) => {
+                self.push(nbr, meta, vacancy);
                 true
             }
-            Adjacency::Table(t) => t.insert(nbr, meta).is_none(),
         }
     }
 
@@ -122,60 +131,49 @@ impl Adjacency {
     /// shards' streams (plain last-wins [`Adjacency::insert`] would leave
     /// whichever arrived last — an arrival-order artifact).
     pub fn insert_weight_min(&mut self, nbr: VertexId, meta: EdgeMeta) -> bool {
-        match self {
-            Adjacency::Compact(v) => {
-                if let Some(slot) = v.iter_mut().find(|(n, _)| *n == nbr) {
-                    slot.1 = EdgeMeta {
-                        weight: slot.1.weight.min(meta.weight),
-                        cached: meta.cached,
-                    };
-                    return false;
-                }
-                v.push((nbr, meta));
-                if v.len() > PROMOTE_DEGREE {
-                    self.promote();
-                }
-                true
+        match self.locate(nbr) {
+            Ok(pos) => {
+                let slot = &mut self.entries[pos].1;
+                slot.weight = slot.weight.min(meta.weight);
+                slot.cached = meta.cached;
+                false
             }
-            Adjacency::Table(t) => {
-                if let Some(slot) = t.get_mut(nbr) {
-                    slot.weight = slot.weight.min(meta.weight);
-                    slot.cached = meta.cached;
-                    false
-                } else {
-                    t.insert(nbr, meta);
-                    true
-                }
+            Err(vacancy) => {
+                self.push(nbr, meta, vacancy);
+                true
             }
         }
     }
 
-    /// Removes the edge `-> nbr`, returning its metadata if it existed.
+    /// Removes the edge `-> nbr`, returning its metadata if it existed. The
+    /// last entry of the slab takes the removed one's position.
     /// (Used by the decremental extension; the core paper is add-only.)
     pub fn remove(&mut self, nbr: VertexId) -> Option<EdgeMeta> {
-        match self {
-            Adjacency::Compact(v) => {
-                let pos = v.iter().position(|(n, _)| *n == nbr)?;
-                Some(v.swap_remove(pos).1)
-            }
-            Adjacency::Table(t) => t.remove(nbr),
+        let pos = self.locate(nbr).ok()?;
+        if self.index.is_empty() {
+            return Some(self.entries.swap_remove(pos).1);
         }
+        let mask = self.mask();
+        let hole = self.slot_of(pos);
+        // Re-point the last entry's slot at its new position (a rewrite of
+        // `hole` itself when the removed entry is the last).
+        let moved = self.slot_of(self.entries.len() - 1);
+        self.index[moved] = (self.index[moved] & !mask) | (pos as u32 + 1);
+        let meta = self.entries.swap_remove(pos).1;
+        self.close_hole(hole);
+        Some(meta)
     }
 
     /// Metadata of the edge `-> nbr`, if present.
     pub fn get(&self, nbr: VertexId) -> Option<&EdgeMeta> {
-        match self {
-            Adjacency::Compact(v) => v.iter().find(|(n, _)| *n == nbr).map(|(_, m)| m),
-            Adjacency::Table(t) => t.get(nbr),
-        }
+        let pos = self.locate(nbr).ok()?;
+        Some(&self.entries[pos].1)
     }
 
     /// Mutable metadata of the edge `-> nbr`, if present.
     pub fn get_mut(&mut self, nbr: VertexId) -> Option<&mut EdgeMeta> {
-        match self {
-            Adjacency::Compact(v) => v.iter_mut().find(|(n, _)| *n == nbr).map(|(_, m)| m),
-            Adjacency::Table(t) => t.get_mut(nbr),
-        }
+        let pos = self.locate(nbr).ok()?;
+        Some(&mut self.entries[pos].1)
     }
 
     /// Updates the cached neighbour value on the edge `-> nbr`, if the edge
@@ -185,51 +183,122 @@ impl Adjacency {
         Some(std::mem::replace(&mut meta.cached, value))
     }
 
-    /// Iterates `(neighbour, metadata)` in unspecified order.
-    pub fn iter(&self) -> AdjIter<'_> {
-        match self {
-            Adjacency::Compact(v) => AdjIter::Compact(v.iter()),
-            Adjacency::Table(t) => AdjIter::Table(Box::new(t.iter())),
-        }
+    /// Iterates `(neighbour, metadata)` in insertion order (a removal moves
+    /// the then-last edge into the removed one's place).
+    pub fn iter(&self) -> std::iter::Copied<std::slice::Iter<'_, (VertexId, EdgeMeta)>> {
+        self.entries.iter().copied()
     }
 
-    /// Approximate heap footprint in bytes (for the Table I stand-in
-    /// report).
+    /// Heap footprint in bytes: the edge slab's capacity plus the index.
     pub fn heap_bytes(&self) -> usize {
-        match self {
-            Adjacency::Compact(v) => v.capacity() * std::mem::size_of::<(VertexId, EdgeMeta)>(),
-            Adjacency::Table(t) => {
-                // dist(u16) + key(u64) + value(EdgeMeta) per slot, padded.
-                t.capacity_slots() * 32
+        self.entries.capacity() * std::mem::size_of::<(VertexId, EdgeMeta)>()
+            + self.index.len() * std::mem::size_of::<u32>()
+    }
+
+    /// Position mask of a non-empty index; its complement selects the tag.
+    #[inline]
+    fn mask(&self) -> u32 {
+        self.index.len() as u32 - 1
+    }
+
+    /// Finds `nbr`: `Ok(position in the slab)`, or `Err((slot, tag))` — the
+    /// empty index slot that ended the probe and the tag to write there
+    /// (both meaningless while there is no index).
+    #[inline]
+    fn locate(&self, nbr: VertexId) -> Result<usize, (usize, u32)> {
+        if self.index.is_empty() {
+            return self
+                .entries
+                .iter()
+                .position(|&(n, _)| n == nbr)
+                .ok_or((0, 0));
+        }
+        let mask = self.mask();
+        let hash = mix64(nbr);
+        let tag = (hash >> 32) as u32 & !mask;
+        let mut i = hash as u32 & mask;
+        // Load stays at or below 3/4, so an empty slot ends every probe.
+        loop {
+            let slot = self.index[i as usize];
+            if slot == 0 {
+                return Err((i as usize, tag));
             }
+            if slot & !mask == tag {
+                let pos = (slot & mask) as usize - 1;
+                if self.entries[pos].0 == nbr {
+                    return Ok(pos);
+                }
+            }
+            i = (i + 1) & mask;
         }
     }
 
-    fn promote(&mut self) {
-        if let Adjacency::Compact(v) = self {
-            let mut table = RhhMap::with_capacity(v.len() * 2);
-            for (n, m) in v.drain(..) {
-                table.insert(n, m);
+    /// Appends a new edge whose absence [`Self::locate`] just established,
+    /// indexing it in the `vacancy` that probe ended on.
+    fn push(&mut self, nbr: VertexId, meta: EdgeMeta, (slot, tag): (usize, u32)) {
+        let cap = self.entries.capacity();
+        if self.entries.len() == cap && cap >= GENTLE_GROWTH_FROM {
+            self.entries.reserve_exact(cap / 2);
+        }
+        self.entries.push((nbr, meta));
+        let degree = self.entries.len();
+        if degree * 4 > self.index.len() * 3 {
+            if degree > PROMOTE_DEGREE {
+                self.grow_index();
             }
-            *self = Adjacency::Table(table);
+        } else {
+            self.index[slot] = tag | degree as u32;
         }
     }
-}
 
-/// Iterator over a vertex's out-edges.
-pub enum AdjIter<'a> {
-    Compact(std::slice::Iter<'a, (VertexId, EdgeMeta)>),
-    Table(Box<dyn Iterator<Item = (VertexId, &'a EdgeMeta)> + 'a>),
-}
-
-impl<'a> Iterator for AdjIter<'a> {
-    type Item = (VertexId, EdgeMeta);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            AdjIter::Compact(it) => it.next().map(|(n, m)| (*n, *m)),
-            AdjIter::Table(it) => it.next().map(|(n, m)| (n, *m)),
+    /// Replaces the index with one of twice the slots (the first has
+    /// [`FIRST_INDEX_SLOTS`]), re-deriving every slot from the slab.
+    fn grow_index(&mut self) {
+        let slots = (self.index.len() * 2).max(FIRST_INDEX_SLOTS);
+        // `position + 1` of any entry must fit below the tag.
+        assert!(slots <= 1 << 31, "adjacency index overflows its u32 slots");
+        self.index = vec![0; slots].into_boxed_slice();
+        let mask = self.mask();
+        for (pos, &(nbr, _)) in self.entries.iter().enumerate() {
+            let hash = mix64(nbr);
+            let mut i = hash as u32 & mask;
+            while self.index[i as usize] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.index[i as usize] = ((hash >> 32) as u32 & !mask) | (pos as u32 + 1);
         }
+    }
+
+    /// Index slot that names slab position `pos`.
+    fn slot_of(&self, pos: usize) -> usize {
+        let mask = self.mask();
+        let mut i = mix64(self.entries[pos].0) as u32 & mask;
+        while self.index[i as usize] & mask != pos as u32 + 1 {
+            i = (i + 1) & mask;
+        }
+        i as usize
+    }
+
+    /// Empties index slot `hole` by backward-shift deletion: each later slot
+    /// of the cluster whose probe path runs through the hole moves into it,
+    /// so no tombstone is left and every remaining probe still ends at the
+    /// first empty slot. The slab must already be in its final state.
+    fn close_hole(&mut self, mut hole: usize) {
+        let mask = self.mask() as usize;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let slot = self.index[j];
+            if slot == 0 {
+                break;
+            }
+            let home = mix64(self.entries[(slot as usize & mask) - 1].0) as usize & mask;
+            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
+                self.index[hole] = slot;
+                hole = j;
+            }
+        }
+        self.index[hole] = 0;
     }
 }
 
@@ -238,7 +307,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn starts_compact_and_empty() {
+    fn starts_empty_and_unindexed() {
         let a = Adjacency::new();
         assert_eq!(a.degree(), 0);
         assert!(a.is_empty());
@@ -275,7 +344,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_weight_min_in_table_representation() {
+    fn insert_weight_min_through_the_index() {
         let mut a = Adjacency::new();
         for n in 0..(PROMOTE_DEGREE as u64 + 4) {
             a.insert_weight_min(n, EdgeMeta::weighted(n + 10));
@@ -313,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn set_cached_roundtrip_in_both_representations() {
+    fn set_cached_roundtrip_below_and_above_threshold() {
         let mut a = Adjacency::new();
         a.insert(1, EdgeMeta::unweighted());
         assert_eq!(a.set_cached(1, 42), Some(0));
@@ -329,18 +398,76 @@ mod tests {
     }
 
     #[test]
-    fn iter_covers_all_edges() {
+    fn iter_is_insertion_order() {
         let mut a = Adjacency::new();
-        for i in 0..100u64 {
+        for i in (0..100u64).rev() {
             a.insert(i, EdgeMeta::weighted(i));
         }
-        let mut seen: Vec<VertexId> = a.iter().map(|(n, _)| n).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0u64..100).collect::<Vec<_>>());
+        let seen: Vec<VertexId> = a.iter().map(|(n, _)| n).collect();
+        assert_eq!(seen, (0u64..100).rev().collect::<Vec<_>>());
     }
 
     #[test]
-    fn remove_in_both_representations() {
+    fn indexed_remove_keeps_every_other_edge_reachable() {
+        // Removing each edge in turn from an index at its 3/4 ceiling
+        // (48 of 64 slots) runs the backward shift over clusters of every
+        // shape, wrap-around included.
+        let n = 48u64;
+        for victim in 0..n {
+            let mut a = Adjacency::new();
+            for i in 0..n {
+                a.insert(i * 7919, EdgeMeta::weighted(i));
+            }
+            assert!(a.is_promoted());
+            assert_eq!(a.remove(victim * 7919).map(|m| m.weight), Some(victim));
+            assert_eq!(a.remove(victim * 7919), None);
+            for i in (0..n).filter(|&i| i != victim) {
+                assert_eq!(a.get(i * 7919).map(|m| m.weight), Some(i), "lost {i}");
+            }
+            assert_eq!(a.degree(), n as usize - 1);
+        }
+    }
+
+    #[test]
+    fn drains_below_threshold_and_regrows() {
+        let mut a = Adjacency::new();
+        for i in 0..500u64 {
+            a.insert(i, EdgeMeta::weighted(i));
+        }
+        for i in 0..495u64 {
+            assert_eq!(a.remove(i).map(|m| m.weight), Some(i));
+        }
+        assert_eq!(a.degree(), 5);
+        assert!(a.is_promoted(), "the index is kept once built");
+        for i in 0..2000u64 {
+            let survivor = (495..500).contains(&i);
+            assert_eq!(a.insert(i, EdgeMeta::weighted(i + 1)), !survivor);
+        }
+        assert_eq!(a.degree(), 2000);
+        for i in 0..2000u64 {
+            assert_eq!(a.get(i).unwrap().weight, i + 1);
+        }
+    }
+
+    #[test]
+    fn footprint_is_the_two_allocations() {
+        assert_eq!(std::mem::size_of::<Adjacency>(), 40);
+        let mut a = Adjacency::new();
+        assert_eq!(a.heap_bytes(), 0);
+        for i in 0..=(PROMOTE_DEGREE as u64) {
+            a.insert(i, EdgeMeta::unweighted());
+        }
+        assert_eq!(a.heap_bytes(), 64 * 24 + FIRST_INDEX_SLOTS * 4);
+        // Past 64 entries the slab grows by half, not by doubling.
+        for i in 0..1000u64 {
+            a.insert(i, EdgeMeta::unweighted());
+        }
+        let slab = a.heap_bytes() - 2048 * 4;
+        assert!(slab <= 1000 * 24 * 3 / 2, "slab {slab} B for 1000 edges");
+    }
+
+    #[test]
+    fn remove_below_and_above_threshold() {
         let mut a = Adjacency::new();
         a.insert(1, EdgeMeta::weighted(5));
         assert_eq!(a.remove(1).unwrap().weight, 5);
