@@ -14,11 +14,10 @@
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use remo_core::storage::DenseStore;
 use remo_core::{
-    AlgoCtx, Algorithm, Engine, EngineConfig, LatencyHistogram, RunResult, VertexId, VertexState,
-    Weight,
+    AlgoCtx, Algorithm, Engine, EngineConfig, LatencyHistogram, RunResult, VertexId, Weight,
 };
-use remo_store::VertexTable;
 
 /// Process-wide accumulator of sampled event-service-time measurements
 /// across every timed run of a bench invocation. `json_table` surfaces its
@@ -178,11 +177,11 @@ pub fn timed_run_weighted<A: Algorithm>(
 
 /// Static top-down BFS **over the dynamic store** (the paper's Fig. 3
 /// centre bar: "running the static algorithm run-time on top of ... the
-/// graph constructed dynamically"). Every state read/write goes through the
-/// sharded Robin Hood tables instead of a flat CSR array — exactly the
-/// locality disadvantage §V-B discusses.
-pub fn static_bfs_on_dynamic<S: Clone + Default + Send + PartialEq + std::fmt::Debug + 'static>(
-    tables: &[VertexTable<VertexState<S>>],
+/// graph constructed dynamically"). Every neighbour read goes through the
+/// shards' intern tables and per-vertex edge slabs instead of a flat CSR
+/// array — exactly the locality disadvantage §V-B discusses.
+pub fn static_bfs_on_dynamic<S: Clone + Default + PartialEq>(
+    tables: &[DenseStore<S>],
     source: VertexId,
 ) -> Vec<(VertexId, u64)> {
     use remo_core::Partitioner;
@@ -197,8 +196,8 @@ pub fn static_bfs_on_dynamic<S: Clone + Default + Send + PartialEq + std::fmt::D
         let mut next = Vec::new();
         for &v in &frontier {
             let table = &tables[part.owner(v)];
-            if let Some(rec) = table.get(v) {
-                for (nbr, _) in rec.adj.iter() {
+            if let Some((_, adj)) = table.get(v) {
+                for (nbr, _) in adj.iter() {
                     if !levels.contains(nbr) {
                         levels.insert(nbr, level);
                         next.push(nbr);

@@ -196,11 +196,12 @@ pub struct RunResult<S> {
     /// (interning tables, state/meta slabs, adjacency, fork side maps) —
     /// the numerator of the bytes-per-edge metric in the store ablation.
     pub store_bytes: usize,
-    /// The per-shard dynamic stores (vertex tables), indexed by shard id.
-    /// Lets callers run *static* algorithms over the dynamically built
+    /// The per-shard dynamic stores, indexed by shard id, exactly as the
+    /// shards left them (read-only: `get`, `iter`, `num_vertices`). Lets
+    /// callers run *static* algorithms over the dynamically built
     /// structure — the paper's Fig. 3 centre bar — or inspect topology.
-    /// A failed shard's slot holds an empty table.
-    pub tables: Vec<remo_store::VertexTable<crate::vertex_state::VertexState<S>>>,
+    /// A failed shard's slot holds an empty store.
+    pub tables: Vec<crate::storage::DenseStore<S>>,
     /// Failure report: one entry per shard that died during the run.
     /// Empty on a clean run. Monotone REMO states harvested from surviving
     /// shards remain valid bounds (§IV) even when this is non-empty.
@@ -814,7 +815,7 @@ impl<A: Algorithm> Engine<A> {
         let mut num_edges = 0;
         let mut adjacency_bytes = 0;
         let mut store_bytes = 0;
-        let mut tables: Vec<Option<remo_store::VertexTable<_>>> =
+        let mut tables: Vec<Option<crate::storage::DenseStore<_>>> =
             (0..shards).map(|_| None).collect();
 
         // Join with a deadline: a healthy shard exits promptly after
@@ -900,7 +901,10 @@ impl<A: Algorithm> Engine<A> {
             num_edges,
             adjacency_bytes,
             store_bytes,
-            tables: tables.into_iter().map(|t| t.unwrap_or_default()).collect(),
+            tables: tables
+                .into_iter()
+                .map(|t| t.unwrap_or_else(|| crate::storage::DenseStore::with_capacity(0)))
+                .collect(),
             failures,
         })
     }

@@ -1,7 +1,7 @@
 //! The shard worker: one shared-nothing "process" of the engine.
 //!
 //! Each shard owns a partition of the vertices (consistent hashing,
-//! §III-C), a [`VertexTable`] holding their adjacency and live algorithm
+//! §III-C), a [`DenseStore`] holding their adjacency and live algorithm
 //! state, and one inbound FIFO lane of visitor messages per peer (HavoqGT's
 //! visitor queue, Figure 2) beside a control channel. The worker loop:
 //!
@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
-use remo_store::{Adjacency, EdgeMeta, VertexId, VertexTable};
+use remo_store::{Adjacency, EdgeMeta, VertexId};
 
 use crate::algorithm::{AlgoCtx, Algorithm, EventCtx, Outgoing};
 use crate::config::EngineConfig;
@@ -39,7 +39,7 @@ use crate::termination::SharedCounters;
 use crate::trace::{self, SpanKind, TraceTag};
 use crate::transport::{LaneHandles, LaneMesh};
 use crate::trigger::{TriggerDef, TriggerFire};
-use crate::vertex_state::{VertexMeta, VertexState};
+use crate::vertex_state::VertexMeta;
 use crate::wal::{self, RawRecord, ShardWal};
 
 /// Flush hysteresis: how many idle passes a shard with buffered partial
@@ -119,10 +119,9 @@ pub(crate) struct ShardReport<S> {
     /// Approximate total heap footprint of the shard's vertex store
     /// (index + state/meta slab + adjacency + forks).
     pub store_bytes: usize,
-    /// The shard's vertex table (dynamic store), for post-run static
+    /// The shard's store, handed over as is, for post-run static
     /// algorithms over the dynamic structure (paper Fig. 3 centre bar).
-    /// The dense store converts into this record form at report time.
-    pub table: VertexTable<VertexState<S>>,
+    pub table: DenseStore<S>,
 }
 
 pub(crate) struct ShardWorker<A: Algorithm> {
@@ -2083,7 +2082,7 @@ impl<A: Algorithm> ShardWorker<A> {
             num_edges: self.edges,
             adjacency_bytes,
             store_bytes,
-            table: self.store.into_table(),
+            table: self.store,
         }
     }
 }

@@ -15,9 +15,7 @@
 
 use crate::event::Epoch;
 use crate::vertex_state::{VertexMeta, VertexState};
-use remo_store::{
-    Adjacency, DenseVertexTable, LocalIdx, RhhMap, VertexId, VertexRecord, VertexTable,
-};
+use remo_store::{Adjacency, DenseVertexTable, LocalIdx, RhhMap, VertexId, VertexRecord};
 
 /// Split mutable borrows of one vertex's storage, assembled per event.
 ///
@@ -75,7 +73,13 @@ pub(crate) struct HotVertex<S> {
 }
 
 /// The dense layout: interning + record slab + cold fork side map.
-pub(crate) struct DenseStore<S> {
+///
+/// A shard owns one while it runs and hands it over untouched when it
+/// stops: `RunResult::tables` holds each shard's store, and the read-only
+/// [`DenseStore::get`], [`DenseStore::iter`] and
+/// [`DenseStore::num_vertices`] are the whole surface callers outside the
+/// engine see.
+pub struct DenseStore<S> {
     table: DenseVertexTable<HotVertex<S>>,
     /// Snapshot forks, keyed by dense index. Populated only between a
     /// fork and the snapshot drain that clears it — keeping `Option<S>`
@@ -175,8 +179,19 @@ where
     }
 
     /// Number of vertices present.
-    pub(crate) fn num_vertices(&self) -> usize {
+    pub fn num_vertices(&self) -> usize {
         self.table.num_vertices()
+    }
+
+    /// Live state and out-edges of `v`, if it has a record.
+    pub fn get(&self, v: VertexId) -> Option<(&S, &Adjacency)> {
+        let h = self.table.lookup(v)?;
+        Some((&self.table.state(h).live, self.table.adj(h)))
+    }
+
+    /// Iterates `(vertex, live state, out-edges)` in intern order.
+    pub fn iter(&self) -> impl Iterator<Item = (VertexId, &S, &Adjacency)> + '_ {
+        self.table.iter().map(|(v, hot, adj)| (v, &hot.live, adj))
     }
 
     /// Snapshot of every vertex id present, in iteration order. Cold path:
@@ -224,23 +239,6 @@ where
             self.forks.clear();
         }
         states
-    }
-
-    /// Converts into the record-style table handed to callers via
-    /// `RunResult::tables` (one-time shutdown cost).
-    pub(crate) fn into_table(mut self) -> VertexTable<VertexState<S>> {
-        let (ids, hots, adjs) = self.table.into_parts();
-        let mut table = VertexTable::with_capacity(ids.len());
-        for (i, ((v, hot), adj)) in ids.into_iter().zip(hots).zip(adjs).enumerate() {
-            let prev = self.forks.remove(i as LocalIdx);
-            let rec = VertexState {
-                live: hot.live,
-                prev,
-                meta: hot.meta,
-            };
-            table.insert_record(v, rec, adj);
-        }
-        table
     }
 
     /// Streams every vertex record — live state, outstanding snapshot
@@ -318,7 +316,7 @@ mod tests {
         assert_eq!(live, vec![(42, 9)]);
 
         // Default-state vertices are omitted from snapshots but present in
-        // the live collection and the converted table.
+        // the live collection and the read-only view.
         let h2 = st.intern(100);
         let _ = h2;
         let snap = st.collect(5, false);
@@ -326,11 +324,11 @@ mod tests {
         let mut ids = st.vertex_ids();
         ids.sort_unstable();
         assert_eq!(ids, vec![42, 100]);
-        let table = st.into_table();
-        assert_eq!(table.num_vertices(), 2);
-        let rec = table.get(42).unwrap_or_else(|| unreachable!());
-        assert_eq!(rec.state.live, 9);
-        assert_eq!(rec.state.meta.fired, 1);
+        // The read-only view handed to `RunResult::tables`.
+        assert_eq!(st.get(42).map(|(s, a)| (*s, a.degree())), Some((9, 0)));
+        assert!(st.get(7).is_none());
+        let seen: Vec<(VertexId, u64)> = st.iter().map(|(v, s, _)| (v, *s)).collect();
+        assert_eq!(seen, vec![(42, 9), (100, 0)]);
     }
 
     fn exercise_fused() {
@@ -403,19 +401,6 @@ mod tests {
         assert_eq!(st.intern(5), a, "probe after memo miss");
         assert_eq!(st.intern(9), b);
         assert_eq!(st.num_vertices(), 2);
-    }
-
-    #[test]
-    fn dense_into_table_preserves_outstanding_fork() {
-        let mut st: DenseStore<u64> = DenseStore::with_capacity(0);
-        let h = st.intern(5);
-        *st.fork_and_parts(h, 0).1.live = 3;
-        *st.fork_and_parts(h, 1).1.live = 4;
-        let table = st.into_table();
-        let rec = table.get(5).unwrap_or_else(|| unreachable!());
-        assert_eq!(rec.state.live, 4);
-        assert_eq!(rec.state.prev, Some(3));
-        assert_eq!(rec.state.meta.forked_epoch, 1);
     }
 
     #[test]

@@ -296,13 +296,6 @@ impl<S: Default> DenseVertexTable<S> {
             + self.recs.capacity() * std::mem::size_of::<DenseRecord<S>>()
             + self.adjacency_heap_bytes()
     }
-
-    /// Decomposes the table into `(ids, states, adjs)` slabs, aligned by
-    /// dense index (for converting into other record layouts at shutdown).
-    pub fn into_parts(self) -> (Vec<VertexId>, Vec<S>, Vec<Adjacency>) {
-        let (states, adjs) = self.recs.into_iter().map(|r| (r.state, r.adj)).unzip();
-        (self.intern.ids, states, adjs)
-    }
 }
 
 #[cfg(test)]
@@ -416,24 +409,5 @@ mod tests {
             t.insert_edge(v, v + 1, EdgeMeta::unweighted());
         }
         assert!(t.heap_bytes() > empty);
-    }
-
-    #[test]
-    fn into_parts_round_trip() {
-        let mut t: DenseVertexTable<u64> = DenseVertexTable::new();
-        for v in 0..10u64 {
-            let (i, _) = t.intern(v * 3);
-            *t.state_mut(i) = v;
-            t.insert_edge(v * 3, v, EdgeMeta::unweighted());
-        }
-        let (ids, states, adjs) = t.into_parts();
-        assert_eq!(ids.len(), 10);
-        assert_eq!(states.len(), 10);
-        assert_eq!(adjs.len(), 10);
-        for (i, &v) in ids.iter().enumerate() {
-            assert_eq!(v, i as u64 * 3);
-            assert_eq!(states[i], i as u64);
-            assert_eq!(adjs[i].degree(), 1);
-        }
     }
 }

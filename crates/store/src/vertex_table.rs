@@ -86,15 +86,6 @@ impl<S: Default> VertexTable<S> {
         (rec, was_new)
     }
 
-    /// Inserts a fully-formed record for `v`, adding its adjacency degree to
-    /// the edge count. Used when rebuilding a table from another layout's
-    /// slabs; `v` must not already be present.
-    pub fn insert_record(&mut self, v: VertexId, state: S, adj: Adjacency) {
-        self.edges += adj.degree();
-        let prev = self.map.insert(v, VertexRecord { state, adj });
-        debug_assert!(prev.is_none(), "insert_record over existing vertex");
-    }
-
     /// Inserts the directed edge `src -> dst` (where `src` is owned by this
     /// shard) with `meta`. Creates the `src` record if needed. Returns `true`
     /// when the edge is new.
@@ -186,19 +177,6 @@ mod tests {
         let mut ids: Vec<VertexId> = t.iter().map(|(v, _)| v).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0u64..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn insert_record_counts_edges() {
-        let mut t: VertexTable<u64> = VertexTable::new();
-        let mut adj = Adjacency::new();
-        adj.insert(2, EdgeMeta::unweighted());
-        adj.insert(3, EdgeMeta::unweighted());
-        t.insert_record(1, 7, adj);
-        assert_eq!(t.num_vertices(), 1);
-        assert_eq!(t.num_edges(), 2);
-        assert_eq!(t.get(1).unwrap().state, 7);
-        assert_eq!(t.degree(1), 2);
     }
 
     #[test]
