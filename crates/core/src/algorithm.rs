@@ -123,7 +123,7 @@ pub trait Algorithm: Send + Sync + 'static {
     /// advance toward their bound (§II-B), so an update absorbed now stays
     /// absorbed however long it waits; when in doubt, return `false`.
     /// Keep it cheap: it runs at every check point an `Update` envelope
-    /// passes (self-send, admit, process).
+    /// passes (self-send, process).
     fn absorbs(_live: &Self::State, _incoming: &Self::State) -> bool
     where
         Self: Sized,

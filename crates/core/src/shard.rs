@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
-use remo_store::{Adjacency, EdgeMeta, VertexId};
+use remo_store::{Adjacency, EdgeMeta, LocalIdx, VertexId};
 
 use crate::algorithm::{AlgoCtx, Algorithm, EventCtx, Outgoing};
 use crate::config::EngineConfig;
@@ -773,7 +773,7 @@ impl<A: Algorithm> ShardWorker<A> {
                     self.inbox.push_back(env);
                     self.commit_and_admit_inbox();
                 } else {
-                    self.admit(env);
+                    self.process(env);
                 }
                 false
             }
@@ -841,7 +841,7 @@ impl<A: Algorithm> ShardWorker<A> {
                     self.commit_and_admit_inbox();
                 } else {
                     for env in batch.drain(..) {
-                        self.admit(env);
+                        self.process(env);
                     }
                 }
                 self.lanes.mesh.give_recycled(from, self.id, batch);
@@ -1006,7 +1006,7 @@ impl<A: Algorithm> ShardWorker<A> {
                 self.commit_and_admit_inbox();
             } else {
                 for env in batch.drain(..) {
-                    self.admit(env);
+                    self.process(env);
                 }
                 mesh.give_recycled(from, self.id, batch);
             }
@@ -1014,36 +1014,15 @@ impl<A: Algorithm> ShardWorker<A> {
         any
     }
 
-    /// Routes one *received* envelope: an `Update` that cannot improve its
-    /// target is retired on the spot; everything else is processed
-    /// immediately, in arrival order.
-    fn admit(&mut self, env: Envelope<A::State>) {
-        if env.kind == EventKind::Update && self.is_dominated(env.target, env.epoch, &env.value) {
-            // Monotone states only advance, so dominated-now stays
-            // dominated.
-            self.metrics.updates_dominated += 1;
-            self.note_processed(env.epoch);
-            if env.tag != 0 {
-                // A closed branch, not silence: the trace sees where
-                // its cascade was cut off.
-                self.trace_span(SpanKind::Dominate, env.tag, env.target, 0);
-            }
-            return;
-        }
-        self.process(env);
-    }
-
-    /// True when an `Update` carrying `value` cannot change `target`'s live
-    /// state — the value is information the target already holds
-    /// ([`Algorithm::absorbs`]). Skipped when the event predates the
+    /// True when an `Update` carrying `value` cannot change the live state
+    /// of the vertex at `h` — the value is information the target already
+    /// holds ([`Algorithm::absorbs`]). Skipped when the event predates the
     /// vertex's snapshot fork: those must still dual-apply to the forked
     /// previous state. Algorithms without the hook are never filtered.
     /// Monotone states only advance, so a dominated update stays dominated
     /// no matter how long it waits.
-    fn is_dominated(&self, target: VertexId, epoch: Epoch, value: &A::State) -> bool {
-        let Some(h) = self.store.lookup(target) else {
-            return false;
-        };
+    #[inline]
+    fn is_dominated(&self, h: LocalIdx, epoch: Epoch, value: &A::State) -> bool {
         !self.store.applies_to_prev(h, epoch) && A::absorbs(self.store.live(h), value)
     }
 
@@ -1091,27 +1070,39 @@ impl<A: Algorithm> ShardWorker<A> {
             None
         };
         let target = env.target;
+        // The storage probe of the hot path: one per envelope; every
+        // access below is direct indexing off the handle. Only an `Update`
+        // can be dominated, and only at a vertex that already has a record,
+        // so its probe is a lookup whose handle serves both the filter and
+        // everything after it.
+        let known = match env.kind {
+            EventKind::Update => self.store.lookup(target),
+            _ => None,
+        };
         // Receiver-side dominance filter: an `Update` whose value the live
         // state already absorbs cannot change anything — retire it without
         // the callback/fork/trigger machinery (see `is_dominated` for the
         // snapshot-fork exemption). The neighbour-cache write
         // (`set_cached`) is skipped too; that is sound because a dominated
         // value is information the target already holds.
-        if env.kind == EventKind::Update && self.is_dominated(target, env.epoch, &env.value) {
+        if known.is_some_and(|h| self.is_dominated(h, env.epoch, &env.value)) {
             if count_input {
                 self.metrics.updates_dominated += 1;
                 self.note_processed(env.epoch);
             }
             if env.tag != 0 {
+                // A closed branch, not silence: the trace sees where its
+                // cascade was cut off.
                 self.trace_span(SpanKind::Dominate, env.tag, target, 0);
             }
             self.mid_process = None;
             self.finish_service(t0);
             return;
         }
-        // The storage probe of the hot path: intern once per envelope;
-        // every access below is direct indexing off the handle.
-        let h = self.store.intern(target);
+        let h = match known {
+            Some(h) => h,
+            None => self.store.intern(target),
+        };
         let (forked, parts) = self.store.fork_and_parts(h, env.epoch);
         if forked {
             self.metrics.snapshot_forks += 1;
@@ -1392,7 +1383,10 @@ impl<A: Algorithm> ShardWorker<A> {
         // exists as far as termination detection is concerned.
         if owner == self.id
             && env.kind == EventKind::Update
-            && self.is_dominated(env.target, env.epoch, &env.value)
+            && self
+                .store
+                .lookup(env.target)
+                .is_some_and(|h| self.is_dominated(h, env.epoch, &env.value))
         {
             // Suppressed, not dominated: the envelope was never counted
             // as sent, so it must not enter the balance equation's
@@ -1659,7 +1653,7 @@ impl<A: Algorithm> ShardWorker<A> {
     fn commit_and_admit_inbox(&mut self) {
         self.wal_commit();
         while let Some(env) = self.inbox.pop_front() {
-            self.admit(env);
+            self.process(env);
         }
     }
 
