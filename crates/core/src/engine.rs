@@ -38,6 +38,7 @@ use crate::metrics::RunMetrics;
 use crate::partition::Partitioner;
 use crate::shard::{Message, ShardReport, ShardWorker};
 use crate::snapshot::Snapshot;
+use crate::storage::DenseStore;
 use crate::supervision::{EngineError, FailureBoard, ShardFailure};
 use crate::telemetry::{TelemetryHub, TelemetryShared};
 use crate::termination::{Backoff, Deadline, DetectionTimer, SharedCounters};
@@ -201,7 +202,7 @@ pub struct RunResult<S> {
     /// callers run *static* algorithms over the dynamically built
     /// structure — the paper's Fig. 3 centre bar — or inspect topology.
     /// A failed shard's slot holds an empty store.
-    pub tables: Vec<crate::storage::DenseStore<S>>,
+    pub tables: Vec<DenseStore<S>>,
     /// Failure report: one entry per shard that died during the run.
     /// Empty on a clean run. Monotone REMO states harvested from surviving
     /// shards remain valid bounds (§IV) even when this is non-empty.
@@ -815,8 +816,7 @@ impl<A: Algorithm> Engine<A> {
         let mut num_edges = 0;
         let mut adjacency_bytes = 0;
         let mut store_bytes = 0;
-        let mut tables: Vec<Option<crate::storage::DenseStore<_>>> =
-            (0..shards).map(|_| None).collect();
+        let mut tables: Vec<Option<DenseStore<_>>> = (0..shards).map(|_| None).collect();
 
         // Join with a deadline: a healthy shard exits promptly after
         // Shutdown, a panicked shard's thread is already gone, and a wedged
@@ -903,7 +903,7 @@ impl<A: Algorithm> Engine<A> {
             store_bytes,
             tables: tables
                 .into_iter()
-                .map(|t| t.unwrap_or_else(|| crate::storage::DenseStore::with_capacity(0)))
+                .map(|t| t.unwrap_or_else(|| DenseStore::with_capacity(0)))
                 .collect(),
             failures,
         })

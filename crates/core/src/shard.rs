@@ -771,7 +771,7 @@ impl<A: Algorithm> ShardWorker<A> {
                 if self.durable {
                     self.log_custody(&env);
                     self.inbox.push_back(env);
-                    self.commit_and_admit_inbox();
+                    self.commit_and_process_inbox();
                 } else {
                     self.process(env);
                 }
@@ -838,7 +838,7 @@ impl<A: Algorithm> ShardWorker<A> {
                         self.log_custody(&env);
                         self.inbox.push_back(env);
                     }
-                    self.commit_and_admit_inbox();
+                    self.commit_and_process_inbox();
                 } else {
                     for env in batch.drain(..) {
                         self.process(env);
@@ -1003,7 +1003,7 @@ impl<A: Algorithm> ShardWorker<A> {
                     self.inbox.push_back(env);
                 }
                 mesh.give_recycled(from, self.id, batch);
-                self.commit_and_admit_inbox();
+                self.commit_and_process_inbox();
             } else {
                 for env in batch.drain(..) {
                     self.process(env);
@@ -1099,10 +1099,7 @@ impl<A: Algorithm> ShardWorker<A> {
             self.finish_service(t0);
             return;
         }
-        let h = match known {
-            Some(h) => h,
-            None => self.store.intern(target),
-        };
+        let h = known.unwrap_or_else(|| self.store.intern(target));
         let (forked, parts) = self.store.fork_and_parts(h, env.epoch);
         if forked {
             self.metrics.snapshot_forks += 1;
@@ -1647,10 +1644,10 @@ impl<A: Algorithm> ShardWorker<A> {
         }
     }
 
-    /// Durable receive tail: commit the batch's WAL frames, then admit the
+    /// Durable receive tail: commit the batch's WAL frames, then process the
     /// staged envelopes. Ordering is the whole point — a record is on disk
     /// before any of its effects can escape this shard.
-    fn commit_and_admit_inbox(&mut self) {
+    fn commit_and_process_inbox(&mut self) {
         self.wal_commit();
         while let Some(env) = self.inbox.pop_front() {
             self.process(env);

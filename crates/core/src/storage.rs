@@ -384,6 +384,61 @@ mod tests {
         assert_eq!(parts.adj.get(2).map(|m| m.weight), Some(3));
     }
 
+    /// A checkpoint round trip through a vertex past `PROMOTE_DEGREE`:
+    /// the decoder re-inserts the exported edges one by one (as
+    /// `restore_checkpoint` does), so the restored slab and its position
+    /// index are rebuilt, not copied.
+    #[test]
+    fn export_restore_round_trips_a_promoted_vertex() {
+        use remo_store::{EdgeMeta, PROMOTE_DEGREE};
+        let degree = 4 * PROMOTE_DEGREE as u64;
+        let mut st: DenseStore<u64> = DenseStore::with_capacity(0);
+        let h = st.intern(1);
+        {
+            let (_, parts) = st.fork_and_parts(h, 0);
+            for n in 0..degree + 8 {
+                parts
+                    .adj
+                    .insert_weight_min(n * 31, EdgeMeta::weighted(n + 1));
+            }
+            // Removals before the checkpoint: the exported order is no
+            // longer plain arrival order, and the index has closed holes.
+            for n in 0..8 {
+                assert!(parts.adj.remove(n * 31 * 5).is_some());
+            }
+            parts.adj.set_cached(31, 77);
+            assert!(parts.adj.is_promoted());
+        }
+
+        let mut restored: DenseStore<u64> = DenseStore::with_capacity(0);
+        st.export_records(&mut |v, live, prev, meta, adj| {
+            let mut rebuilt = Adjacency::new();
+            for (nbr, edge) in adj.iter() {
+                assert!(rebuilt.insert(nbr, edge), "edge exported twice");
+            }
+            restored.restore_record(v, *live, prev.copied(), meta, rebuilt);
+        });
+        let (_, before) = st.get(1).unwrap_or_else(|| unreachable!());
+        let (_, after) = restored.get(1).unwrap_or_else(|| unreachable!());
+        assert!(after.is_promoted());
+        assert_eq!(after.degree(), degree as usize);
+        assert!(
+            after.iter().eq(before.iter()),
+            "edge order survives the trip"
+        );
+        assert_eq!(after.get(31).map(|m| (m.weight, m.cached)), Some((2, 77)));
+        assert!(after.get(0).is_none(), "a removed edge stays removed");
+        // The rebuilt index still finds every edge, and still dedupes.
+        let h = restored.lookup(1).unwrap_or_else(|| unreachable!());
+        let (_, parts) = restored.fork_and_parts(h, 0);
+        for (nbr, _) in before.iter() {
+            assert!(!parts
+                .adj
+                .insert_weight_min(nbr, EdgeMeta::weighted(u64::MAX)));
+        }
+        assert!(parts.adj.insert_weight_min(0, EdgeMeta::weighted(9)));
+    }
+
     #[test]
     fn dense_store_semantics() {
         exercise();

@@ -14,8 +14,9 @@
 //! entries a vertex gains an open-addressing table of 4-byte slots, each
 //! naming a position in the slab (RisGraph's "indexed adjacency lists").
 //! The index holds no keys and no values, so a hub costs 24 bytes per edge
-//! plus 5–11 bytes of index instead of a 32-byte hash slot at 7/16–7/8
-//! load, and a neighbour scan is a slice walk at every degree.
+//! plus 5–11 bytes of index, and a neighbour scan is a slice walk at every
+//! degree. (DESIGN.md §11 "Adjacency layout" has the measurements against
+//! the per-hub Robin Hood table this layout replaced in PR 17.)
 //!
 //! Each directed edge stores an [`EdgeMeta`]: its weight plus the *cached
 //! neighbour value* the paper's programming model maintains (`nbrs.set(...)`
@@ -36,8 +37,7 @@ pub const PROMOTE_DEGREE: usize = 32;
 /// in 64 slots is a load of about 1/2.
 const FIRST_INDEX_SLOTS: usize = 64;
 
-/// Slab capacity from which growth is by half instead of `Vec`'s doubling,
-/// so a hub's unused tail stays under a third of its slab.
+/// Slab capacity from which growth is by half instead of doubling.
 const GENTLE_GROWTH_FROM: usize = 64;
 
 /// Per-edge metadata: the edge weight and the last value the neighbour
@@ -73,7 +73,8 @@ impl EdgeMeta {
 /// most 3/4. A slot is `0` when empty; otherwise its low `log2(len)` bits
 /// hold `position + 1` and the bits above them a tag cut from the key's
 /// hash, so a probe that passes over another key's slot — every step of an
-/// absent-key probe — is decided without reading the slab.
+/// absent-key probe — is decided without reading the slab unless the tags
+/// happen to collide.
 #[derive(Debug, Clone, Default)]
 pub struct Adjacency {
     entries: Vec<(VertexId, EdgeMeta)>,
@@ -107,16 +108,7 @@ impl Adjacency {
     /// new, `false` when it already existed (its metadata is then updated in
     /// place, matching the paper's attribute-update semantics).
     pub fn insert(&mut self, nbr: VertexId, meta: EdgeMeta) -> bool {
-        match self.locate(nbr) {
-            Ok(pos) => {
-                self.entries[pos].1 = meta;
-                false
-            }
-            Err(vacancy) => {
-                self.push(nbr, meta, vacancy);
-                true
-            }
-        }
+        self.upsert(nbr, meta, |old| *old = meta)
     }
 
     /// Inserts the edge `-> nbr`, keeping the **minimum** weight across
@@ -131,18 +123,10 @@ impl Adjacency {
     /// shards' streams (plain last-wins [`Adjacency::insert`] would leave
     /// whichever arrived last — an arrival-order artifact).
     pub fn insert_weight_min(&mut self, nbr: VertexId, meta: EdgeMeta) -> bool {
-        match self.locate(nbr) {
-            Ok(pos) => {
-                let slot = &mut self.entries[pos].1;
-                slot.weight = slot.weight.min(meta.weight);
-                slot.cached = meta.cached;
-                false
-            }
-            Err(vacancy) => {
-                self.push(nbr, meta, vacancy);
-                true
-            }
-        }
+        self.upsert(nbr, meta, |old| {
+            old.weight = old.weight.min(meta.weight);
+            old.cached = meta.cached;
+        })
     }
 
     /// Removes the edge `-> nbr`, returning its metadata if it existed. The
@@ -195,10 +179,34 @@ impl Adjacency {
             + self.index.len() * std::mem::size_of::<u32>()
     }
 
+    /// Adds the edge `-> nbr` with `meta` if absent (`true`), else lets
+    /// `merge` update the metadata it already has (`false`).
+    #[inline]
+    fn upsert(&mut self, nbr: VertexId, meta: EdgeMeta, merge: impl FnOnce(&mut EdgeMeta)) -> bool {
+        match self.locate(nbr) {
+            Ok(pos) => {
+                merge(&mut self.entries[pos].1);
+                false
+            }
+            Err(vacancy) => {
+                self.push(nbr, meta, vacancy);
+                true
+            }
+        }
+    }
+
     /// Position mask of a non-empty index; its complement selects the tag.
     #[inline]
     fn mask(&self) -> u32 {
         self.index.len() as u32 - 1
+    }
+
+    /// Where `nbr`'s probe starts in an index of `mask + 1` slots, and the
+    /// tag its slot carries: the low and the high half of one hash.
+    #[inline]
+    fn home_and_tag(nbr: VertexId, mask: u32) -> (u32, u32) {
+        let hash = mix64(nbr);
+        (hash as u32 & mask, (hash >> 32) as u32 & !mask)
     }
 
     /// Finds `nbr`: `Ok(position in the slab)`, or `Err((slot, tag))` — the
@@ -214,9 +222,7 @@ impl Adjacency {
                 .ok_or((0, 0));
         }
         let mask = self.mask();
-        let hash = mix64(nbr);
-        let tag = (hash >> 32) as u32 & !mask;
-        let mut i = hash as u32 & mask;
+        let (mut i, tag) = Self::home_and_tag(nbr, mask);
         // Load stays at or below 3/4, so an empty slot ends every probe.
         loop {
             let slot = self.index[i as usize];
@@ -235,10 +241,10 @@ impl Adjacency {
 
     /// Appends a new edge whose absence [`Self::locate`] just established,
     /// indexing it in the `vacancy` that probe ended on.
+    #[inline]
     fn push(&mut self, nbr: VertexId, meta: EdgeMeta, (slot, tag): (usize, u32)) {
-        let cap = self.entries.capacity();
-        if self.entries.len() == cap && cap >= GENTLE_GROWTH_FROM {
-            self.entries.reserve_exact(cap / 2);
+        if self.entries.len() == self.entries.capacity() {
+            self.grow_slab();
         }
         self.entries.push((nbr, meta));
         let degree = self.entries.len();
@@ -251,8 +257,21 @@ impl Adjacency {
         }
     }
 
+    /// Makes room in a full slab: doubled while small (4, 8, ... 64 entries),
+    /// then grown by half so a hub's unused tail stays under a third of it.
+    #[cold]
+    fn grow_slab(&mut self) {
+        let cap = self.entries.capacity();
+        self.entries.reserve_exact(if cap < GENTLE_GROWTH_FROM {
+            cap.max(4)
+        } else {
+            cap / 2
+        });
+    }
+
     /// Replaces the index with one of twice the slots (the first has
     /// [`FIRST_INDEX_SLOTS`]), re-deriving every slot from the slab.
+    #[cold]
     fn grow_index(&mut self) {
         let slots = (self.index.len() * 2).max(FIRST_INDEX_SLOTS);
         // `position + 1` of any entry must fit below the tag.
@@ -260,19 +279,18 @@ impl Adjacency {
         self.index = vec![0; slots].into_boxed_slice();
         let mask = self.mask();
         for (pos, &(nbr, _)) in self.entries.iter().enumerate() {
-            let hash = mix64(nbr);
-            let mut i = hash as u32 & mask;
+            let (mut i, tag) = Self::home_and_tag(nbr, mask);
             while self.index[i as usize] != 0 {
                 i = (i + 1) & mask;
             }
-            self.index[i as usize] = ((hash >> 32) as u32 & !mask) | (pos as u32 + 1);
+            self.index[i as usize] = tag | (pos as u32 + 1);
         }
     }
 
     /// Index slot that names slab position `pos`.
     fn slot_of(&self, pos: usize) -> usize {
         let mask = self.mask();
-        let mut i = mix64(self.entries[pos].0) as u32 & mask;
+        let (mut i, _) = Self::home_and_tag(self.entries[pos].0, mask);
         while self.index[i as usize] & mask != pos as u32 + 1 {
             i = (i + 1) & mask;
         }
@@ -283,22 +301,23 @@ impl Adjacency {
     /// of the cluster whose probe path runs through the hole moves into it,
     /// so no tombstone is left and every remaining probe still ends at the
     /// first empty slot. The slab must already be in its final state.
-    fn close_hole(&mut self, mut hole: usize) {
-        let mask = self.mask() as usize;
+    fn close_hole(&mut self, hole: usize) {
+        let mask = self.mask();
+        let mut hole = hole as u32;
         let mut j = hole;
         loop {
             j = (j + 1) & mask;
-            let slot = self.index[j];
+            let slot = self.index[j as usize];
             if slot == 0 {
                 break;
             }
-            let home = mix64(self.entries[(slot as usize & mask) - 1].0) as usize & mask;
+            let (home, _) = Self::home_and_tag(self.entries[(slot & mask) as usize - 1].0, mask);
             if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
-                self.index[hole] = slot;
+                self.index[hole as usize] = slot;
                 hole = j;
             }
         }
-        self.index[hole] = 0;
+        self.index[hole as usize] = 0;
     }
 }
 
@@ -462,6 +481,7 @@ mod tests {
         for i in 0..1000u64 {
             a.insert(i, EdgeMeta::unweighted());
         }
+        // (1000 edges: the index has doubled five times, to 2048 slots.)
         let slab = a.heap_bytes() - 2048 * 4;
         assert!(slab <= 1000 * 24 * 3 / 2, "slab {slab} B for 1000 edges");
     }

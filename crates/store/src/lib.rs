@@ -3,11 +3,13 @@
 //! Storage substrate for the REMO reproduction, built from scratch:
 //!
 //! - [`rhh`]: an open-addressing hash map with Robin Hood hashing and
-//!   backward-shift deletion, the engine behind everything else (the paper's
-//!   DegAwareRHH store, §III-B).
-//! - [`adjacency`]: degree-aware adjacency lists — compact arrays for the
-//!   low-degree majority, Robin Hood tables for heavy hitters.
-//! - [`vertex_table`]: per-shard vertex records (algorithm state + edges).
+//!   backward-shift deletion, the engine behind every vertex-keyed table
+//!   (the paper's DegAwareRHH store, §III-B).
+//! - [`adjacency`]: degree-aware adjacency lists — one edge slab per vertex
+//!   in insertion order, plus a hash index of 4-byte positions into it for
+//!   heavy hitters.
+//! - [`vertex_table`]: vertex records (algorithm state + edges) in one map,
+//!   the sequential reference engine's store.
 //! - [`dense`]: dense vertex interning plus structure-of-arrays slabs, the
 //!   shard hot-path layout (one probe per event, direct indexing after).
 //! - [`csr`]: the static Compressed Sparse Row graph the paper's baselines

@@ -8,8 +8,13 @@
 //! distances by letting an inserting entry steal the slot of any resident
 //! entry that is closer to its ideal bucket ("take from the rich"). Combined
 //! with backward-shift deletion this keeps probe sequences short and scan
-//! behaviour cache-friendly, which is what the graph workload needs: the
-//! dominant operation is "iterate all neighbours of a vertex".
+//! behaviour cache-friendly.
+//!
+//! The map keys *vertices*: the shard's intern table, its snapshot-fork side
+//! map and the sequential engine's [`crate::VertexTable`]. A vertex's
+//! neighbours are not in one of these — "iterate all neighbours of a vertex",
+//! the workload's dominant operation, is a slice walk over
+//! [`crate::Adjacency`]'s edge slab.
 //!
 //! The table is specialized for the integer-like keys used throughout the
 //! storage layer via [`Key64`]; values are arbitrary.

@@ -1,15 +1,16 @@
-//! Per-shard vertex table: algorithm state plus adjacency for every vertex a
-//! shard owns.
+//! Record-style vertex table: algorithm state plus adjacency for every
+//! vertex, in one map.
 //!
 //! In the paper each process stores, for its partition of the vertices, the
 //! dynamic adjacency structure and the live algorithm state (Figure 2's
 //! "compute and storage layers of a process"). This table is that storage
-//! layer: a Robin Hood map from vertex id to a [`VertexRecord`] combining
-//! the algorithm's vertex-local state `S` with a degree-aware [`Adjacency`].
+//! layer in its plainest form: a Robin Hood map from vertex id to a
+//! [`VertexRecord`] combining the algorithm's vertex-local state `S` with a
+//! degree-aware [`Adjacency`]. The sequential reference engine runs on it;
+//! shards use [`crate::DenseVertexTable`].
 //!
-//! The table is deliberately *not* thread-safe: a shard owns its table
-//! exclusively (shared-nothing design, §II-A reason (ii)). Cross-shard access
-//! happens only via events.
+//! The table is deliberately *not* thread-safe: its engine owns it
+//! exclusively (shared-nothing design, §II-A reason (ii)).
 
 use crate::adjacency::{Adjacency, EdgeMeta};
 use crate::rhh::RhhMap;

@@ -1,9 +1,9 @@
 //! Property-based tests for the storage layer: the Robin Hood map and the
-//! degree-aware adjacency must behave exactly like their obvious model
+//! indexed adjacency must behave exactly like their obvious model
 //! implementations under arbitrary operation sequences.
 
 use proptest::prelude::*;
-use remo_store::adjacency::{Adjacency, EdgeMeta};
+use remo_store::adjacency::{Adjacency, EdgeMeta, PROMOTE_DEGREE};
 use remo_store::bitset::BitSet;
 use remo_store::csr::Csr;
 use remo_store::rhh::RhhMap;
@@ -58,33 +58,109 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// Adjacency (with its compact->table promotion) agrees with a BTreeMap
-    /// model, including the promotion boundary.
+    /// Adjacency (edge slab + position index) agrees with a BTreeMap model
+    /// through every entry point, across index growths, a drain back below
+    /// the promotion threshold and the regrowth after it.
+    ///
+    /// A run is a few phases, each biased one way so the degree actually
+    /// travels: *grow* draws keys from the whole 4 096-id domain (mostly
+    /// fresh, so inserts append and the index doubles 64 -> 128 -> ... as the
+    /// degree passes 48, 96, 192, 384, ...), *drain* aims every op at a live
+    /// key and makes most of them removals, *mixed* does half of each.
     #[test]
     fn adjacency_matches_model(
-        ops in proptest::collection::vec(
-            prop_oneof![
-                4 => (0u64..128, 1u64..100).prop_map(|(n, w)| (0u8, n, w)),
-                1 => (0u64..128, 0u64..1).prop_map(|(n, _)| (1u8, n, 0)),
-            ],
-            0..300,
+        phases in proptest::collection::vec(
+            (
+                0u8..3,
+                proptest::collection::vec(
+                    (0u8..100, any::<u64>(), 1u64..1000, any::<u64>()),
+                    0..700,
+                ),
+            ),
+            1..8,
         )
     ) {
+        const DOMAIN: u64 = 4096;
+        const GROW: u8 = 0;
+        const DRAIN: u8 = 1;
+        // Cumulative percentages per phase: insert, insert_weight_min,
+        // remove, set_cached, get (the rest is get_mut).
+        const MIX: [[u8; 5]; 3] = [
+            [40, 80, 84, 90, 95],
+            [3, 6, 86, 91, 96],
+            [20, 40, 60, 75, 90],
+        ];
         let mut adj = Adjacency::new();
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        for (kind, nbr, w) in ops {
-            if kind == 0 {
-                let new = adj.insert(nbr, EdgeMeta::weighted(w));
-                prop_assert_eq!(new, model.insert(nbr, w).is_none());
-            } else {
-                let removed = adj.remove(nbr);
-                prop_assert_eq!(removed.map(|m| m.weight), model.remove(&nbr));
+        // neighbour -> (weight, cached)
+        let mut model: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        let mut peak = 0usize;
+        // Stamp of the last check that saw each neighbour in `iter()`.
+        let mut seen = vec![0u32; DOMAIN as usize];
+        let mut stamp = 0u32;
+        for (bias, ops) in phases {
+            for (sel, pick, weight, cached) in ops {
+                let live = match bias {
+                    GROW => false,
+                    DRAIN => true,
+                    _ => pick & 1 == 1,
+                };
+                let nbr = if live && !model.is_empty() {
+                    let k = (pick >> 1) as usize % model.len();
+                    *model.keys().nth(k).unwrap()
+                } else {
+                    (pick >> 1) % DOMAIN
+                };
+                let mix = MIX[bias as usize];
+                let meta = EdgeMeta { weight, cached };
+                if sel < mix[0] {
+                    let new = adj.insert(nbr, meta);
+                    prop_assert_eq!(new, model.insert(nbr, (weight, cached)).is_none());
+                } else if sel < mix[1] {
+                    let new = adj.insert_weight_min(nbr, meta);
+                    let kept = model.get(&nbr).map_or(weight, |&(w, _)| w.min(weight));
+                    prop_assert_eq!(new, model.insert(nbr, (kept, cached)).is_none());
+                } else if sel < mix[2] {
+                    let removed = adj.remove(nbr).map(|m| (m.weight, m.cached));
+                    prop_assert_eq!(removed, model.remove(&nbr));
+                } else if sel < mix[3] {
+                    let before = adj.set_cached(nbr, cached);
+                    let slot = model.get_mut(&nbr);
+                    prop_assert_eq!(before, slot.as_ref().map(|s| s.1));
+                    if let Some(s) = slot {
+                        s.1 = cached;
+                    }
+                } else if sel < mix[4] {
+                    let got = adj.get(nbr).map(|m| (m.weight, m.cached));
+                    prop_assert_eq!(got, model.get(&nbr).copied());
+                } else {
+                    let slot = adj.get_mut(nbr);
+                    prop_assert_eq!(slot.is_some(), model.contains_key(&nbr));
+                    if let Some(m) = slot {
+                        m.weight = weight;
+                        model.insert(nbr, (weight, m.cached));
+                    }
+                }
+
+                prop_assert_eq!(adj.degree(), model.len());
+                peak = peak.max(adj.degree());
+                prop_assert_eq!(adj.is_promoted(), peak > PROMOTE_DEGREE);
+                // `iter()` yields each live neighbour exactly once: as many
+                // items as the model has keys, each one in the model with
+                // its metadata, none of them twice.
+                stamp += 1;
+                let mut yielded = 0usize;
+                for (n, m) in adj.iter() {
+                    prop_assert_eq!(Some(&(m.weight, m.cached)), model.get(&n), "neighbour {}", n);
+                    prop_assert!(seen[n as usize] != stamp, "neighbour {} yielded twice", n);
+                    seen[n as usize] = stamp;
+                    yielded += 1;
+                }
+                prop_assert_eq!(yielded, model.len());
             }
-            prop_assert_eq!(adj.degree(), model.len());
         }
-        let got: BTreeMap<u64, u64> =
-            adj.iter().map(|(n, m)| (n, m.weight)).collect();
-        prop_assert_eq!(got, model);
+        for (&n, &(w, c)) in &model {
+            prop_assert_eq!(adj.get(n), Some(&EdgeMeta { weight: w, cached: c }));
+        }
     }
 
     /// BitSet agrees with a BTreeSet model, and union is the lattice join.
