@@ -373,12 +373,17 @@ impl<A: Algorithm> Engine<A> {
     /// `i % P`'s in-order input. Streams may be injected at any time,
     /// including while previous streams are still draining. Fails fast if
     /// a destination shard is dead; streams before the dead one were
-    /// delivered.
+    /// delivered. An empty stream is skipped outright — no message, no
+    /// wake — so an ingest of fewer items than shards disturbs only the
+    /// shards it has work for.
     pub fn try_ingest(&self, streams: Vec<Vec<TopoEvent>>) -> Result<(), EngineError> {
         // Arm the ingest→fixpoint clock (no-op while already armed, so a
         // burst of ingests measures burst-start → quiescence).
         self.tele.mark_ingest();
         for (i, stream) in streams.into_iter().enumerate() {
+            if stream.is_empty() {
+                continue;
+            }
             let shard = i % self.config.num_shards;
             let n = stream.len() as u64;
             // Count *before* sending so quiescence cannot be observed

@@ -8,10 +8,12 @@
 //! 1. drains and processes all queued algorithmic events (events that
 //!    "impact the same vertex are ordered in the infrastructure layer by the
 //!    built-in visitor queue in FIFO ordering", §IV);
-//! 2. when no algorithmic work remains, pulls **one** topology event from
-//!    its assigned input stream — the paper's saturation-test semantics,
-//!    "each rank pulling a topology event as soon as local work is
-//!    completed" (§V-A);
+//! 2. when no algorithmic work remains, pulls a **bounded run** of topology
+//!    events (at most `PULL_RUN`, 64) from its assigned input stream — the
+//!    paper's saturation-test semantics, "each rank pulling a topology
+//!    event as soon as local work is completed" (§V-A), with the loop's
+//!    fixed costs (lane and channel probes, epoch ack, phase mark, the
+//!    `ingested` publish) paid once per run instead of once per event;
 //! 3. when fully idle, flushes its partial batches and parks until a peer
 //!    or the controller wakes it.
 //!
@@ -37,7 +39,7 @@ use crate::supervision::{panic_payload_string, FailureBoard, ShardFailure, CHAOS
 use crate::telemetry::{FlightTag, TelemetryShared, PUBLISH_EVERY};
 use crate::termination::SharedCounters;
 use crate::trace::{self, SpanKind, TraceTag};
-use crate::transport::{LaneHandles, LaneMesh};
+use crate::transport::LaneHandles;
 use crate::trigger::{TriggerDef, TriggerFire};
 use crate::vertex_state::VertexMeta;
 use crate::wal::{self, RawRecord, ShardWal};
@@ -54,6 +56,18 @@ use crate::wal::{self, RawRecord, ShardWal};
 /// flush always happens before the shard parks. 0 is the immediate flush
 /// that produced the BFS short-wave regression (DESIGN.md §15.1).
 const FLUSH_HYSTERESIS: u32 = 32;
+
+/// Pull run: how many topology events a shard with no algorithmic work
+/// pulls back to back before it looks up again — re-probes its lanes and
+/// control channel, re-reads the epoch, publishes `ingested`. Everything
+/// that defines an update stays per event (routing, epoch tag, trace and
+/// flight sampling, fault injection); only the pass's fixed costs are
+/// amortised. The bound is what a point read or control sweep can wait
+/// behind (a pull is a route, not a cascade: the run's envelopes queue
+/// and are processed by the next pass), and a run holds at most this many
+/// extra envelopes. 64 sits on the flat of the 1/8/64/512 sweep (DESIGN.md
+/// §12.1); 1 pays every fixed cost once per event.
+const PULL_RUN: usize = 64;
 
 /// Messages a shard can receive: data envelopes plus control traffic.
 pub(crate) enum Message<S> {
@@ -145,6 +159,10 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     /// in-order per sender).
     local_q: VecDeque<Envelope<A::State>>,
     streams: VecDeque<std::vec::IntoIter<TopoEvent>>,
+    /// Reusable scratch of a durable pull run: pulls logged but not yet
+    /// committed, with their trace tags (empty between runs, and always
+    /// when `durable` is false).
+    topo_staged: Vec<(TopoEvent, TraceTag)>,
     out: Vec<Outgoing<A::State>>,
     /// Per-destination-shard buffers of unsent envelopes.
     outboxes: Vec<Vec<Envelope<A::State>>>,
@@ -320,6 +338,7 @@ impl<A: Algorithm> ShardWorker<A> {
             store: DenseStore::with_capacity(shard_cap),
             local_q: VecDeque::new(),
             streams: VecDeque::new(),
+            topo_staged: Vec::new(),
             out: Vec::new(),
             outboxes: (0..num_shards).map(|_| Vec::new()).collect(),
             lanes,
@@ -560,9 +579,12 @@ impl<A: Algorithm> ShardWorker<A> {
             run: PhaseLabel::Drain,
         });
         loop {
-            // Phase 1: drain all queued messages (algorithm events first):
-            // alternate between the inbound lanes, the inbound channel,
-            // and the local queue until all are empty.
+            // Phase 1 — inbound: drain all queued messages (algorithm
+            // events first): alternate between the inbound lanes, the
+            // inbound channel, and the local queue until all are empty.
+            // This is also where the previous pass's pull run is
+            // processed, and the one place a pass looks at the control
+            // channel — so a point read waits for at most one run.
             let mut did_work = false;
             loop {
                 let mut round = false;
@@ -599,14 +621,19 @@ impl<A: Algorithm> ShardWorker<A> {
                 },
             );
 
-            // Phase 2: publish the epoch this iteration will tag pulls with
-            // (the snapshot barrier ack — see Engine::snapshot).
+            // Phase 2 — epoch: read the epoch this pass's whole pull run
+            // is tagged with, and ack it when it moved (the snapshot
+            // barrier — see Engine::try_snapshot). `epoch_ack` always
+            // equals `cur_epoch`, so an unchanged epoch needs no store.
+            // One read per run keeps the barrier's promise: the ack of a
+            // new epoch is stored only after the last run tagged with the
+            // old one has published every `sent` count it owes.
             let epoch = self.shared.epoch.load(Ordering::SeqCst);
-            self.shared
-                .slot(self.id)
-                .epoch_ack
-                .store(epoch, Ordering::SeqCst);
             if epoch != self.cur_epoch {
+                self.shared
+                    .slot(self.id)
+                    .epoch_ack
+                    .store(epoch, Ordering::SeqCst);
                 if self.tele_rec {
                     self.tele.record_flight(
                         self.id,
@@ -619,48 +646,12 @@ impl<A: Algorithm> ShardWorker<A> {
                 self.cur_epoch = epoch;
             }
 
-            // Phase 3: pull one topology event, if any.
-            if let Some(ev) = self.next_topo() {
-                // The pull is processing time from here on; the empty
-                // probes before it stay with the previous run.
+            // Phase 3 — pull run: up to PULL_RUN topology events, if any.
+            if let Some(first) = self.next_topo() {
+                // The run is processing time from here on; the empty
+                // probes before it stay with the previous phase run.
                 self.phase_mark(&mut seg, PhaseLabel::Process);
-                self.metrics.topo_ingested += 1;
-                self.ingested_local += 1;
-                if self.tele_rec && self.metrics.topo_ingested & self.sample_mask == 0 {
-                    self.tele
-                        .record_flight(self.id, FlightTag::TopoIngest, epoch, ev.src, ev.dst);
-                }
-                // Sampled causal tracing: every 2^shift-th external ingest
-                // mints a trace. The ingest itself is hop 0 (the Root
-                // span); the envelope it spawns carries hop 1 and every
-                // descendant inherits hop+1 — see crate::trace.
-                let mut tag: TraceTag = 0;
-                if self.trace_on && self.metrics.topo_ingested & self.trace_mask == 0 {
-                    self.trace_seq += 1;
-                    let id = ((self.id as u64 + 1) << 40) | self.trace_seq;
-                    self.metrics.trace_roots += 1;
-                    self.trace_span(SpanKind::Root, trace::pack(id, 0), ev.src, ev.dst);
-                    tag = trace::pack(id, 1);
-                }
-                if self.durable {
-                    // Log the pull (with its ingestion epoch) before any
-                    // envelope it spawns can leave the shard.
-                    self.log_topo(&ev, epoch);
-                    self.wal_commit();
-                }
-                self.route_topo(ev, epoch, tag);
-                // Publish the pull only after `route_topo` published the
-                // spawned envelope's `sent` count. The reverse order opens
-                // a false-quiescence window: with `ingested == injected`
-                // satisfied and the envelope not yet counted, a probe
-                // between the two stores reads balanced books while work
-                // is still materialising — and the WAL write above makes
-                // that window syscall-wide. Publishing late only delays
-                // the probe (a benign false negative).
-                self.shared
-                    .slot(self.id)
-                    .ingested
-                    .store(self.ingested_local, Ordering::Release);
+                self.pull_run(first, epoch);
                 self.idle_spins = 0;
                 continue;
             }
@@ -687,7 +678,7 @@ impl<A: Algorithm> ShardWorker<A> {
             }
             self.idle_spins = 0;
 
-            // Phase 4: fully idle — flush buffered envelopes, publish the
+            // Phase 4 — idle: flush buffered envelopes, publish the
             // counter cell (an idle shard's snapshot is otherwise up to
             // PUBLISH_EVERY-1 events stale), then park until woken.
             self.phase_mark(&mut seg, PhaseLabel::Flush);
@@ -961,21 +952,23 @@ impl<A: Algorithm> ShardWorker<A> {
     }
 
     /// Drains every flagged inbound data lane. One bitmap probe covers the
-    /// empty case — the hot loop never scans P lanes to find nothing.
-    /// Returns whether anything was admitted.
+    /// empty case — the hot loop never scans P lanes to find nothing. Mesh
+    /// calls here and below go through the `self.lanes` borrow (each ends
+    /// before the `&mut self` work after it): cloning the `Arc` instead
+    /// would put two locked RMWs on a line every shard shares into every
+    /// pass. Returns whether anything was admitted.
     fn drain_lanes(&mut self) -> bool {
-        let mesh = Arc::clone(&self.lanes.mesh);
+        if !self.lanes.mesh.has_inbound(self.id) {
+            return false;
+        }
         // The scratch is taken out of `self` for the drain calls below
         // (which need `&mut self`); its allocation is reused every pass.
         let mut claimed = std::mem::take(&mut self.claim_buf);
         claimed.clear();
-        if mesh.claim_pending_into(self.id, &mut claimed) == 0 {
-            self.claim_buf = claimed;
-            return false;
-        }
+        self.lanes.mesh.claim_pending_into(self.id, &mut claimed);
         let mut any = false;
         for &from in &claimed {
-            if self.drain_one_lane(&mesh, from) {
+            if self.drain_lane_from(from) {
                 any = true;
             }
         }
@@ -986,13 +979,8 @@ impl<A: Algorithm> ShardWorker<A> {
     /// Drains the data lane from one peer, returning each emptied batch
     /// buffer to the sender's pool.
     fn drain_lane_from(&mut self, from: usize) -> bool {
-        let mesh = Arc::clone(&self.lanes.mesh);
-        self.drain_one_lane(&mesh, from)
-    }
-
-    fn drain_one_lane(&mut self, mesh: &LaneMesh<A::State>, from: usize) -> bool {
         let mut any = false;
-        while let Some(mut batch) = mesh.recv(from, self.id) {
+        while let Some(mut batch) = self.lanes.mesh.recv(from, self.id) {
             any = true;
             if self.durable {
                 // Memory-only first pass (panic-free), then one WAL
@@ -1002,13 +990,13 @@ impl<A: Algorithm> ShardWorker<A> {
                     self.log_custody(&env);
                     self.inbox.push_back(env);
                 }
-                mesh.give_recycled(from, self.id, batch);
+                self.lanes.mesh.give_recycled(from, self.id, batch);
                 self.commit_and_process_inbox();
             } else {
                 for env in batch.drain(..) {
                     self.process(env);
                 }
-                mesh.give_recycled(from, self.id, batch);
+                self.lanes.mesh.give_recycled(from, self.id, batch);
             }
         }
         any
@@ -1452,7 +1440,6 @@ impl<A: Algorithm> ShardWorker<A> {
 
     fn do_flush(&mut self, owner: usize) {
         let batch = std::mem::take(&mut self.outboxes[owner]);
-        let mesh = Arc::clone(&self.lanes.mesh);
         if self.board.is_failed(owner) {
             // A dead receiver can never pop its lanes: retire this batch
             // and whatever is still parked in the lane (quiescence over
@@ -1465,17 +1452,17 @@ impl<A: Algorithm> ShardWorker<A> {
         // FIFO handshake tail: while any fallback batch is unacknowledged,
         // the pair stays on the channel path — a lane push now could
         // overtake the fallback still queued in the receiver's channel.
-        if self.fallback_sent[owner] != mesh.fallback_consumed(self.id, owner) {
+        if self.fallback_sent[owner] != self.lanes.mesh.fallback_consumed(self.id, owner) {
             self.metrics.lane_full_fallbacks += 1;
             self.send_fallback(owner, batch);
             return;
         }
-        match mesh.send(self.id, owner, batch) {
+        match self.lanes.mesh.send(self.id, owner, batch) {
             Ok(()) => {
                 self.metrics.lane_batches += 1;
                 // Pool a drained buffer for the next fill — steady-state
                 // flushes allocate nothing.
-                if let Some(buf) = mesh.take_recycled(self.id, owner) {
+                if let Some(buf) = self.lanes.mesh.take_recycled(self.id, owner) {
                     self.metrics.batches_recycled += 1;
                     self.outboxes[owner] = buf;
                 }
@@ -1527,8 +1514,7 @@ impl<A: Algorithm> ShardWorker<A> {
     /// provably gone (channel disconnect or failure-board record, both
     /// published strictly after its last pop).
     fn reclaim_lane(&mut self, owner: usize) {
-        let mesh = Arc::clone(&self.lanes.mesh);
-        for batch in mesh.reclaim(self.id, owner) {
+        for batch in self.lanes.mesh.reclaim(self.id, owner) {
             self.retire_batch(batch);
         }
     }
@@ -1558,6 +1544,74 @@ impl<A: Algorithm> ShardWorker<A> {
                 }
             }
         }
+    }
+
+    /// One pull run: `first` plus up to `PULL_RUN - 1` more topology events,
+    /// each counted, sampled, tagged and routed exactly as a lone pull —
+    /// per-stream order in, per-pair lane order out. Only the pass's fixed
+    /// costs are shared by the run.
+    fn pull_run(&mut self, first: TopoEvent, epoch: Epoch) {
+        use std::sync::atomic::Ordering;
+        // Durable runs stage their pulls here until the group commit; the
+        // scratch is taken out of `self` so an unwinding commit failure
+        // drops it with the frame (the pulls' WAL frames are discarded by
+        // the custody sweep, so they must not be routed afterwards).
+        let mut staged = std::mem::take(&mut self.topo_staged);
+        let mut first = Some(first);
+        for _ in 0..PULL_RUN {
+            let Some(ev) = first.take().or_else(|| self.next_topo()) else {
+                break;
+            };
+            self.metrics.topo_ingested += 1;
+            self.ingested_local += 1;
+            if self.tele_rec && self.metrics.topo_ingested & self.sample_mask == 0 {
+                self.tele
+                    .record_flight(self.id, FlightTag::TopoIngest, epoch, ev.src, ev.dst);
+            }
+            // Sampled causal tracing: every 2^shift-th external ingest
+            // mints a trace. The ingest itself is hop 0 (the Root
+            // span); the envelope it spawns carries hop 1 and every
+            // descendant inherits hop+1 — see crate::trace.
+            let mut tag: TraceTag = 0;
+            if self.trace_on && self.metrics.topo_ingested & self.trace_mask == 0 {
+                self.trace_seq += 1;
+                let id = ((self.id as u64 + 1) << 40) | self.trace_seq;
+                self.metrics.trace_roots += 1;
+                self.trace_span(SpanKind::Root, trace::pack(id, 0), ev.src, ev.dst);
+                tag = trace::pack(id, 1);
+            }
+            if self.durable {
+                // Log the pull (with its ingestion epoch) now; route it
+                // after the run's one commit, below.
+                self.log_topo(&ev, epoch);
+                staged.push((ev, tag));
+            } else {
+                self.route_topo(ev, epoch, tag);
+            }
+        }
+        if self.durable {
+            // One group commit per run: every pull of the run is on disk
+            // before the first envelope any of them spawns can leave the
+            // shard.
+            self.wal_commit();
+            for (ev, tag) in staged.drain(..) {
+                self.route_topo(ev, epoch, tag);
+            }
+        }
+        self.topo_staged = staged;
+        // Publish the run only after its last `route_topo` published the
+        // spawned envelope's `sent` count. The reverse order opens a
+        // false-quiescence window: with `ingested == injected` satisfied
+        // and an envelope of the run not yet counted, a probe between the
+        // two stores reads balanced books while work is still
+        // materialising — and the WAL write above makes that window
+        // syscall-wide. Publishing late, by up to a run, only delays the
+        // probe: `ingested` lags `injected` for as long as any pull of
+        // the run is uncounted, a benign false negative.
+        self.shared
+            .slot(self.id)
+            .ingested
+            .store(self.ingested_local, Ordering::Release);
     }
 
     /// Next topology event from the shard's pending streams.
@@ -2037,9 +2091,9 @@ impl<A: Algorithm> ShardWorker<A> {
         if let Some(w) = self.wal.as_mut() {
             w.discard_pending();
         }
-        // A panic between a topo pull's local increment and its slot store
-        // (the WAL write sits in that region) would otherwise leave the
-        // published `ingested` permanently one behind — re-publish it.
+        // A panic between a pull run's local increments and its slot store
+        // (the run's WAL commit sits in that region) would otherwise leave
+        // the published `ingested` permanently a run behind — re-publish it.
         self.shared
             .slot(self.id)
             .ingested
@@ -2162,6 +2216,37 @@ mod tests {
             epoch: 0,
             tag: 0,
         }
+    }
+
+    #[test]
+    fn pull_run_is_bounded_ordered_and_published_once() {
+        use std::sync::atomic::Ordering;
+        let mut f = fixture();
+        let stream: Vec<TopoEvent> = (0..100).map(|v| TopoEvent::new(v, v + 1000)).collect();
+        f.worker.streams.push_back(stream.into_iter());
+        let first = f.worker.next_topo().expect("the stream is not empty");
+        f.worker.pull_run(first, 0);
+        // The bound a point read waits behind: one run, not the stream.
+        assert_eq!(f.worker.metrics.topo_ingested, PULL_RUN as u64);
+        assert_eq!(
+            f.shared.slot(0).ingested.load(Ordering::Acquire),
+            PULL_RUN as u64,
+            "one publish, after the run's last route"
+        );
+        // Each pull became one `Add` at `owner(src)`, queued in stream
+        // order on its path (local queue, or the peer's outbox).
+        let local: Vec<VertexId> = f.worker.local_q.iter().map(|e| e.target).collect();
+        let remote: Vec<VertexId> = f.worker.outboxes[1].iter().map(|e| e.target).collect();
+        assert!(local.is_sorted() && remote.is_sorted());
+        let mut routed = [local, remote].concat();
+        routed.sort_unstable();
+        assert_eq!(routed, (0..PULL_RUN as u64).collect::<Vec<_>>());
+        assert_eq!(f.worker.sent_local[0], PULL_RUN as u64);
+        // The next run takes what is left and stops at the stream's end.
+        let first = f.worker.next_topo().expect("36 events remain");
+        f.worker.pull_run(first, 0);
+        assert_eq!(f.worker.metrics.topo_ingested, 100);
+        assert!(f.worker.next_topo().is_none());
     }
 
     #[test]

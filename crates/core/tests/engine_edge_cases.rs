@@ -2,9 +2,12 @@
 //! avoid (self-loops, duplicates, empty streams), teardown paths, and
 //! snapshot corner cases.
 
+use std::collections::BTreeSet;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use remo_core::{
     AlgoCtx, Algorithm, Engine, EngineConfig, Partitioner, SequentialEngine, TopoEvent, VertexId,
     Weight,
@@ -178,6 +181,108 @@ fn envelope_batch_of_one_streams_eagerly() {
     assert_eq!(r.states.get(0), Some(&2));
     assert_eq!(r.states.get(1), Some(&2));
     assert_eq!(r.states.get(2), Some(&2));
+}
+
+/// An ingest of fewer items than shards leaves the other shards' streams
+/// empty, and an empty stream is not sent: no message, no wake, nothing
+/// counted injected. One pair whose endpoints both live on shard 0 keeps
+/// the other three shards out of the run altogether.
+#[test]
+fn ingest_of_fewer_items_than_shards_wakes_only_the_streams_it_fills() {
+    let part = Partitioner::new(4);
+    let mut on_shard_0 = (0u64..).filter(|&v| part.owner(v) == 0);
+    let (a, b) = (on_shard_0.next().unwrap(), on_shard_0.next().unwrap());
+    let config = EngineConfig {
+        quiescence_deadline: Some(Duration::from_secs(10)),
+        ..EngineConfig::undirected(4)
+    };
+    let engine = Engine::new(Touch, config);
+    engine.try_ingest_pairs(&[(a, b)]).unwrap();
+    engine.try_await_quiescence().unwrap();
+    assert!(engine.counters_balanced());
+    let r = engine.try_finish().unwrap();
+    r.metrics.verify_balance().unwrap();
+    assert_eq!(r.states.into_vec(), vec![(a, 1), (b, 1)]);
+    assert_eq!(r.num_edges, 2);
+    assert_eq!(r.metrics.per_shard[0].topo_ingested, 1);
+    for idle in &r.metrics.per_shard[1..] {
+        assert_eq!(idle.topo_ingested, 0);
+        assert_eq!(idle.events_processed(), 0);
+    }
+}
+
+/// A stream of `len` toggles over `edges`: each step picks an edge and
+/// adds it if the model lacks it, removes it otherwise — so the same
+/// edges are added, removed and re-added many times, always with the
+/// orientation given (an edge's events must share one owner to be
+/// ordered). `model` receives both directions, as the undirected engine
+/// stores them.
+fn toggle_stream(
+    edges: &[(VertexId, VertexId)],
+    len: usize,
+    seed: u64,
+    model: &mut BTreeSet<(VertexId, VertexId)>,
+) -> Vec<TopoEvent> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..len)
+        .map(|_| {
+            let (a, b) = edges[rng.gen_range(0..edges.len())];
+            if model.insert((a, b)) {
+                model.insert((b, a));
+                TopoEvent::new(a, b)
+            } else {
+                model.remove(&(a, b));
+                model.remove(&(b, a));
+                TopoEvent::removal(a, b)
+            }
+        })
+        .collect()
+}
+
+/// Per-stream FIFO across pull-run boundaries: a shard pulls its stream
+/// in bounded runs (64 events), and a remove must never overtake the add
+/// it undoes, within a run or across two. Two pre-split streams, each
+/// more than six runs long, toggle disjoint edge sets over the same 25
+/// vertices; the adjacency the shards end with must be the set model
+/// applied in stream order, at every batch size and with and without
+/// cross-shard lanes.
+#[test]
+fn stream_order_survives_pull_run_boundaries() {
+    let path: Vec<(VertexId, VertexId)> = (0..24).map(|k| (k, k + 1)).collect();
+    let skip: Vec<(VertexId, VertexId)> = (0..23).map(|k| (k, k + 2)).collect();
+    let mut model = BTreeSet::new();
+    let streams = vec![
+        toggle_stream(&path, 400, 18, &mut model),
+        toggle_stream(&skip, 400, 81, &mut model),
+    ];
+    let injected: usize = streams.iter().map(Vec::len).sum();
+    assert!(!model.is_empty(), "the streams must leave edges standing");
+
+    for shards in [1, 3] {
+        for envelope_batch in [1, EngineConfig::undirected(1).envelope_batch] {
+            let config = EngineConfig {
+                envelope_batch,
+                quiescence_deadline: Some(Duration::from_secs(30)),
+                ..EngineConfig::undirected(shards)
+            };
+            let ctx = format!("P={shards} batch={envelope_batch}");
+            let engine = Engine::new(Touch, config);
+            engine.try_ingest(streams.clone()).unwrap();
+            engine.try_await_quiescence().unwrap();
+            assert!(engine.counters_balanced(), "{ctx}");
+            let r = engine.try_finish().unwrap();
+            r.metrics.verify_balance().unwrap();
+            assert_eq!(r.metrics.total().topo_ingested, injected as u64, "{ctx}");
+            let stored: BTreeSet<(VertexId, VertexId)> = r
+                .tables
+                .iter()
+                .flat_map(|t| t.iter())
+                .flat_map(|(v, _, adj)| adj.iter().map(move |(nbr, _)| (v, nbr)))
+                .collect();
+            assert_eq!(stored, model, "{ctx}");
+            assert_eq!(r.num_edges, model.len() as u64, "{ctx}");
+        }
+    }
 }
 
 /// `Touch`, except that `init` holds its shard inside the callback — that
