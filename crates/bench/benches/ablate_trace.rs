@@ -1,5 +1,5 @@
-//! Ablation — the trace plane: causal update tracing + phase accounting
-//! off / default sampling / full sampling.
+//! Ablation — the trace plane: causal update tracing off / default
+//! sampling / full sampling.
 //!
 //! The trace plane is runtime-selectable (`EngineConfig::with_tracing`)
 //! and off by default, so the data path must not pay for observability
@@ -8,13 +8,10 @@
 //! This harness prices the whole spectrum on RMAT-14 SSSP (shard width
 //! from `REMO_BENCH_SHARDS`, default 8):
 //!
-//! - `plain`   — tracing off AND phase accounting off: the engine as it
-//!   was before the trace plane existed; the reference every gate and
-//!   dWall column compares against, interleaved rep-by-rep.
-//! - `off`     — the shipping default: tracing off, phase accounting on
-//!   (`TelemetryConfig::default`). Gated at ≤1% wall over `plain`.
+//! - `off`     — the shipping default: tracing off; the reference the
+//!   gate and the dWall column compare against, interleaved rep-by-rep.
 //! - `sampled` — [`TraceConfig::on`]: 1-in-64 ingest sampling, 4096-span
-//!   rings. Gated at ≤3% wall over `plain`.
+//!   rings. Gated at ≤3% wall over `off`.
 //! - `full`    — every ingest minted a trace (`sample_shift 0`, 64Ki
 //!   rings): the diagnostic ceiling, reported but not gated.
 //!
@@ -26,7 +23,7 @@
 //! trace plane measures the cascade the engine actually ran rather than
 //! inventing one. Wall gates are skipped below full scale or when the
 //! box has fewer cores than shards (`REMO_BENCH_STRICT_TRACE=1`
-//! overrides), same policy as `ablate_wal` / `ablate_transport`.
+//! overrides), same policy as `ablate_wal`.
 //!
 //! Run: `cargo bench -p remo-bench --bench ablate_trace`
 
@@ -34,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use remo_algos::IncSssp;
 use remo_bench::*;
-use remo_core::{Engine, EngineConfig, TelemetryConfig, TraceConfig, VertexId, Weight};
+use remo_core::{Engine, EngineConfig, TraceConfig, VertexId, Weight};
 use remo_gen::{stream, RmatConfig};
 use remo_store::hash::mix64;
 
@@ -46,24 +43,13 @@ fn shards() -> usize {
     shard_counts().last().copied().unwrap_or(8)
 }
 
-/// Trace-off acceptance ceiling vs the plain reference cell.
-const OFF_OVERHEAD_CEILING: f64 = 1.01;
-/// Default-sampling acceptance ceiling vs the plain reference cell.
+/// Default-sampling acceptance ceiling vs the trace-off reference cell.
 const SAMPLED_OVERHEAD_CEILING: f64 = 1.03;
 
 /// Weight derived from the endpoints only (symmetric), so duplicate and
 /// reversed edges in the stream agree on the undirected edge's weight.
 fn edge_weight(s: VertexId, d: VertexId) -> Weight {
     (mix64(s ^ d) % 15) + 1
-}
-
-enum Mode {
-    /// Pre-trace-plane engine: no tracing, no phase accounting.
-    Plain,
-    /// Shipping default: no tracing, phase accounting on.
-    Off,
-    /// Tracing at `shift` (0 = every ingest) with `ring` spans per shard.
-    Traced { shift: u32, ring: usize },
 }
 
 struct Cell {
@@ -82,26 +68,15 @@ struct Cell {
 }
 
 fn run_once(
-    mode: &Mode,
+    trace: &TraceConfig,
     shards: usize,
     expected_vertices: usize,
     weighted: &[(VertexId, VertexId, Weight)],
     source: VertexId,
 ) -> Cell {
-    let mut cfg = EngineConfig::undirected(shards).with_expected_vertices(expected_vertices);
-    match mode {
-        Mode::Plain => {
-            cfg = cfg.with_telemetry(TelemetryConfig::default().with_phase_accounting(false));
-        }
-        Mode::Off => {}
-        Mode::Traced { shift, ring } => {
-            cfg = cfg.with_tracing(
-                TraceConfig::on()
-                    .with_sample_shift(*shift)
-                    .with_ring_capacity(*ring),
-            );
-        }
-    }
+    let cfg = EngineConfig::undirected(shards)
+        .with_expected_vertices(expected_vertices)
+        .with_tracing(trace.clone());
     let engine = Engine::new(IncSssp, cfg);
     engine.try_init_vertex(source).unwrap();
     let start = Instant::now();
@@ -147,22 +122,14 @@ fn main() {
     let expected_vertices = 1usize << rmat_scale;
     let shards = shards();
 
-    let grid: Vec<(&str, Mode)> = vec![
-        ("plain", Mode::Plain),
-        ("off", Mode::Off),
-        (
-            "sampled",
-            Mode::Traced {
-                shift: 6,
-                ring: 4096,
-            },
-        ),
+    let grid: Vec<(&str, TraceConfig)> = vec![
+        ("off", TraceConfig::off()),
+        ("sampled", TraceConfig::on()),
         (
             "full",
-            Mode::Traced {
-                shift: 0,
-                ring: 1 << 16,
-            },
+            TraceConfig::on()
+                .with_sample_shift(0)
+                .with_ring_capacity(1 << 16),
         ),
     ];
 
@@ -170,8 +137,8 @@ fn main() {
     // (interleaving beats rep count against load drift). Counters, trees, and states come from the final rep.
     let mut cells: Vec<Option<Cell>> = grid.iter().map(|_| None).collect();
     for _ in 0..bench_reps() {
-        for (slot, (_, mode)) in cells.iter_mut().zip(&grid) {
-            let mut cell = run_once(mode, shards, expected_vertices, &weighted, source);
+        for (slot, (_, trace)) in cells.iter_mut().zip(&grid) {
+            let mut cell = run_once(trace, shards, expected_vertices, &weighted, source);
             if let Some(prev) = slot.take() {
                 cell.elapsed = cell.elapsed.min(prev.elapsed);
             }
@@ -179,82 +146,75 @@ fn main() {
         }
     }
     let cells: Vec<Cell> = cells.into_iter().map(|c| c.expect("reps >= 1")).collect();
-    let plain = &cells[0];
+    let base = &cells[0];
 
-    for ((tag, mode), cell) in grid.iter().zip(&cells) {
+    for ((tag, trace), cell) in grid.iter().zip(&cells) {
         assert_eq!(
-            plain.states, cell.states,
+            base.states, cell.states,
             "{tag}: SSSP fixpoint diverged across trace modes"
         );
-        match mode {
-            Mode::Plain | Mode::Off => assert_eq!(
+        if !trace.enabled {
+            assert_eq!(
                 (cell.trace_roots, cell.trees),
                 (0, 0),
                 "{tag}: tracing off must mint no roots and reconstruct no trees"
-            ),
-            Mode::Traced { .. } => {
-                assert!(
-                    cell.trees >= 1,
-                    "{tag}: a traced run must reconstruct at least one tree"
-                );
-                assert!(
-                    cell.amp_total >= 1 && cell.fix_p99_us > 0.0,
-                    "{tag}: traced trees must carry non-zero amplification \
-                     and hop latency (amp {}, fixpoint p99 {:.1}us)",
-                    cell.amp_total,
-                    cell.fix_p99_us
-                );
-                // The cross-check: traced sends are a sampled subset of
-                // what the engine counted sent, never more.
-                assert!(
-                    cell.amp_total <= cell.envelopes_sent,
-                    "{tag}: traced amplification ({}) exceeds the engine's \
-                     envelopes_sent ({})",
-                    cell.amp_total,
-                    cell.envelopes_sent
-                );
-            }
+            );
+            continue;
         }
+        assert!(
+            cell.trees >= 1,
+            "{tag}: a traced run must reconstruct at least one tree"
+        );
+        assert!(
+            cell.amp_total >= 1 && cell.fix_p99_us > 0.0,
+            "{tag}: traced trees must carry non-zero amplification \
+             and hop latency (amp {}, fixpoint p99 {:.1}us)",
+            cell.amp_total,
+            cell.fix_p99_us
+        );
+        // The cross-check: traced sends are a sampled subset of what the
+        // engine counted sent, never more.
+        assert!(
+            cell.amp_total <= cell.envelopes_sent,
+            "{tag}: traced amplification ({}) exceeds the engine's \
+             envelopes_sent ({})",
+            cell.amp_total,
+            cell.envelopes_sent
+        );
     }
 
-    // Acceptance gates: observability nobody asked for costs nothing, and
-    // default sampling stays inside the telemetry budget. Guarded like
-    // ablate_wal's gate — at smoke scales the runs are too short to
-    // resolve 1%, and with fewer cores than shards the wall delta
-    // measures the kernel scheduler, not the trace plane.
+    // Acceptance gate: default sampling stays within 3% of tracing off.
+    // Guarded like ablate_wal's gate — at smoke scales the runs are too
+    // short to resolve it, and with fewer cores than shards the wall
+    // delta measures the kernel scheduler, not the trace plane.
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
     let strict = std::env::var("REMO_BENCH_STRICT_TRACE").as_deref() == Ok("1");
     if scale >= 1.0 && (cores >= shards || strict) {
-        for (tag, idx, ceiling) in [
-            ("trace-off", 1, OFF_OVERHEAD_CEILING),
-            ("trace-sampled", 2, SAMPLED_OVERHEAD_CEILING),
-        ] {
-            let ratio = cells[idx].elapsed.as_secs_f64() / plain.elapsed.as_secs_f64().max(1e-9);
-            assert!(
-                ratio <= ceiling,
-                "{tag} costs {:.2}% wall over the plain reference (ceiling {:.0}%)",
-                100.0 * (ratio - 1.0),
-                100.0 * (ceiling - 1.0)
-            );
-        }
+        let ratio = cells[1].elapsed.as_secs_f64() / base.elapsed.as_secs_f64().max(1e-9);
+        assert!(
+            ratio <= SAMPLED_OVERHEAD_CEILING,
+            "trace-sampled costs {:.2}% wall over the trace-off reference (ceiling {:.0}%)",
+            100.0 * (ratio - 1.0),
+            100.0 * (SAMPLED_OVERHEAD_CEILING - 1.0)
+        );
     } else if scale >= 1.0 {
         eprintln!(
-            "note: trace overhead gates skipped ({cores} cores < {shards} \
+            "note: trace overhead gate skipped ({cores} cores < {shards} \
              shards; wall deltas would measure the scheduler)"
         );
     }
 
     let mut rows = Vec::new();
     for ((tag, _), cell) in grid.iter().zip(&cells) {
-        let wall_delta = if std::ptr::eq(plain, cell) {
+        let wall_delta = if std::ptr::eq(base, cell) {
             "base".to_string()
         } else {
             format!(
                 "{:+.1}%",
-                100.0 * (cell.elapsed.as_secs_f64() - plain.elapsed.as_secs_f64())
-                    / plain.elapsed.as_secs_f64().max(1e-9)
+                100.0 * (cell.elapsed.as_secs_f64() - base.elapsed.as_secs_f64())
+                    / base.elapsed.as_secs_f64().max(1e-9)
             )
         };
         let eps = cell.events as f64 / cell.elapsed.as_secs_f64().max(1e-9);
@@ -276,7 +236,7 @@ fn main() {
     report(
         "ablate_trace",
         &format!(
-            "Ablation: causal update tracing + phase accounting on RMAT{rmat_scale} \
+            "Ablation: causal update tracing on RMAT{rmat_scale} \
              SSSP ({shards} shards, identical fixpoints verified per cell)"
         ),
         &[

@@ -152,9 +152,9 @@ fn main() {
     }
 
     // Acceptance gate: the durability-off data path costs nothing. Guarded
-    // like ablate_transport's telemetry gate — at smoke scales the runs are
-    // too short to resolve 1%, and with fewer cores than shards the wall
-    // delta measures the kernel scheduler, not the branch.
+    // — at smoke scales the runs are too short to resolve 1%, and with
+    // fewer cores than shards the wall delta measures the kernel
+    // scheduler, not the branch.
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);

@@ -388,8 +388,7 @@ pub fn json_table(name: &str, header: &[&str], rows: &[Vec<String>]) -> String {
         peak_rss_bytes().unwrap_or(0)
     ));
     // Sampled event-service-time quantiles accumulated over every timed
-    // run of this bench process (zeros if nothing sampled — e.g. a
-    // telemetry-off ablation cell ran alone).
+    // run of this bench process (zeros if no timed run reported in).
     let service = service_hist();
     let (p50, p99, p999) = service.quantiles_us();
     out.push_str(&format!(

@@ -1,17 +1,18 @@
 //! Engine configuration: the immutable [`EngineConfig`] every shard shares.
 //! The lattice filter has no entry here: it runs for every algorithm that
-//! implements [`Algorithm::absorbs`] and for none that does not.
+//! implements [`Algorithm::absorbs`] and for none that does not. Neither
+//! does telemetry ([`crate::telemetry`]): counters, histograms, the flight
+//! recorder and phase accounting run in every engine.
 
 use std::time::Duration;
 
 use crate::supervision::FaultPlan;
-use crate::telemetry::TelemetryConfig;
 use crate::trace::TraceConfig;
 use crate::wal::DurabilityConfig;
 
 // Named only by the doc comments below.
 #[cfg(doc)]
-use crate::{algorithm::Algorithm, telemetry::PUBLISH_EVERY};
+use crate::algorithm::Algorithm;
 
 /// Immutable engine configuration shared with every shard.
 #[derive(Debug, Clone)]
@@ -49,13 +50,6 @@ pub struct EngineConfig {
     /// for its share, so large ingests stop paying rehash storms from
     /// empty tables. Benches set this from the known RMAT scale.
     pub expected_vertices: usize,
-    /// Live-telemetry configuration ([`crate::telemetry`]): seqlock
-    /// counter cells, sampled latency histograms, and the per-shard
-    /// flight recorder. Counters default on (their publish cost is one
-    /// batched cell write per [`PUBLISH_EVERY`] events); histograms
-    /// default to 1-in-64 sampling; [`TelemetryConfig::off`] removes
-    /// every observation from the hot path for ablation baselines.
-    pub telemetry: TelemetryConfig,
     /// Sampled causal tracing ([`crate::trace`]): every `2^sample_shift`-th
     /// external topology ingest mints a trace id, and the envelopes it
     /// causes carry a compact tag through dominance filtering, registry
@@ -83,7 +77,6 @@ impl EngineConfig {
             fault_plan: FaultPlan::default(),
             envelope_batch: 256,
             expected_vertices: 0,
-            telemetry: TelemetryConfig::default(),
             trace: TraceConfig::off(),
             durability: None,
         }
@@ -100,12 +93,6 @@ impl EngineConfig {
     /// Same config expecting roughly `vertices` vertices in total.
     pub fn with_expected_vertices(mut self, vertices: usize) -> Self {
         self.expected_vertices = vertices;
-        self
-    }
-
-    /// Same config with a different telemetry configuration.
-    pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
-        self.telemetry = telemetry;
         self
     }
 

@@ -125,7 +125,6 @@ impl<A: Algorithm> EngineBuilder<A> {
         let shared = Arc::new(SharedCounters::new(shards));
         let board = Arc::new(FailureBoard::new());
         let tele = Arc::new(TelemetryShared::new(
-            config.telemetry.clone(),
             config.trace.clone(),
             shards,
             Arc::clone(&shared),
@@ -300,9 +299,9 @@ impl<A: Algorithm> Engine<A> {
     /// A coherent cross-shard [`RunMetrics`] reading **right now**, without
     /// pausing or contending with the shards: each shard's last seqlock
     /// snapshot-cell publish (at most [`crate::PUBLISH_EVERY`] events
-    /// stale, and exact whenever the shard is idle or finished). Zeros
-    /// when `telemetry.counters` is off. Latency histograms reflect every
-    /// sample recorded so far; `lost_shards` lists shards already dead.
+    /// stale, and exact whenever the shard is idle or finished). Latency
+    /// histograms reflect every sample recorded so far; `lost_shards`
+    /// lists shards already dead.
     pub fn metrics_now(&self) -> RunMetrics {
         self.tele.snapshot_metrics()
     }
@@ -873,8 +872,7 @@ impl<A: Algorithm> Engine<A> {
         // snapshot-cell publish survives — fold that in (at most
         // PUBLISH_EVERY events stale, and a chaos panic publishes a final
         // cell on its way down) instead of under-reporting the shard as
-        // all zeros. With telemetry counters off the cell reads as zeros,
-        // which is the seed's old behaviour.
+        // all zeros.
         for &id in &metrics.lost_shards {
             if id < shards {
                 metrics.per_shard[id] = self.tele.shard_snapshot(id).0;

@@ -120,8 +120,8 @@ pub use sequential::SequentialEngine;
 pub use snapshot::Snapshot;
 pub use supervision::{EngineError, FailureBoard, FaultPlan, ShardFailure, CHAOS_PANIC_MARKER};
 pub use telemetry::{
-    EngineGauges, FlightEntry, FlightTag, QueryStatsRow, QueryStatsSource, TelemetryConfig,
-    TelemetryHub, PUBLISH_EVERY,
+    EngineGauges, FlightEntry, FlightTag, QueryStatsRow, QueryStatsSource, TelemetryHub,
+    FLIGHT_CAPACITY, PUBLISH_EVERY, SAMPLE_SHIFT,
 };
 pub use termination::{Backoff, Deadline, DetectionTimer};
 pub use trace::{

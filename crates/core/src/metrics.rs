@@ -151,8 +151,7 @@ shard_metrics! {
     /// shard's whole resident vertex set once).
     sweep_vertices,
     /// Nanoseconds spent draining inbound envelope paths that yielded no
-    /// work (empty polls). Phase counters are 0 when
-    /// `TelemetryConfig::phase_accounting` is off.
+    /// work (empty polls).
     phase_drain_ns,
     /// Nanoseconds spent servicing envelopes and ingesting topology
     /// (callback dispatch, routing, dominance filtering).
@@ -331,9 +330,8 @@ impl LatencyHistogram {
 pub struct RunMetrics {
     /// Per-shard breakdown, indexed by shard id. Shards listed in
     /// `lost_shards` hold the counters recovered from their last telemetry
-    /// snapshot cell (zeros when telemetry counters were off): a panicked
-    /// shard's work up to the batch boundary before its death still counts
-    /// toward degraded-run throughput.
+    /// snapshot cell: a panicked shard's work up to the batch boundary
+    /// before its death still counts toward degraded-run throughput.
     pub per_shard: Vec<ShardMetrics>,
     /// Shards whose final counters could not be harvested directly because
     /// the shard failed before shutdown (failure accounting for degraded
@@ -346,7 +344,7 @@ pub struct RunMetrics {
     /// conservation equation in [`RunMetrics::verify_balance`].
     pub controller_sent: u64,
     /// Event service time: callback dispatch through outgoing routing, per
-    /// processed envelope (sampled; see `TelemetryConfig::sample_shift`).
+    /// processed envelope (sampled; see [`crate::SAMPLE_SHIFT`]).
     pub service: LatencyHistogram,
     /// Lane flush latency: one `flush()` of an outgoing batch.
     pub flush: LatencyHistogram,

@@ -36,7 +36,7 @@ use crate::metrics::ShardMetrics;
 use crate::partition::Partitioner;
 use crate::storage::DenseStore;
 use crate::supervision::{panic_payload_string, FailureBoard, ShardFailure, CHAOS_PANIC_MARKER};
-use crate::telemetry::{FlightTag, TelemetryShared, PUBLISH_EVERY};
+use crate::telemetry::{FlightTag, TelemetryShared, PUBLISH_EVERY, SAMPLE_SHIFT};
 use crate::termination::SharedCounters;
 use crate::trace::{self, SpanKind, TraceTag};
 use crate::transport::LaneHandles;
@@ -68,6 +68,9 @@ const FLUSH_HYSTERESIS: u32 = 32;
 /// extra envelopes. 64 sits on the flat of the 1/8/64/512 sweep (DESIGN.md
 /// §12.1); 1 pays every fixed cost once per event.
 const PULL_RUN: usize = 64;
+
+/// `count & SAMPLE_MASK == 0` selects the events that are sampled.
+const SAMPLE_MASK: u64 = (1 << SAMPLE_SHIFT) - 1;
 
 /// Messages a shard can receive: data envelopes plus control traffic.
 pub(crate) enum Message<S> {
@@ -190,14 +193,6 @@ pub(crate) struct ShardWorker<A: Algorithm> {
 
     /// Shared telemetry surface (seqlock cells, histograms, recorders).
     tele: Arc<TelemetryShared>,
-    /// Cached `config.telemetry` toggles — the fault-free, telemetry-off
-    /// data path pays one predictable branch per observation point, not
-    /// a config deref.
-    tele_counters: bool,
-    tele_hist: bool,
-    tele_rec: bool,
-    /// `(seq & sample_mask) == 0` selects the histogram/recorder samples.
-    sample_mask: u64,
     /// Events processed since the last snapshot-cell publish.
     pub_ticker: u32,
     /// Epoch last acked in phase 2 (flight-recorder epoch context and the
@@ -214,9 +209,8 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     /// Trace ids minted by this shard so far (combined with the shard id
     /// into a run-unique trace id).
     trace_seq: u64,
-    /// Cached `config.telemetry.phase_accounting`: when false the worker
-    /// loop takes zero clock reads for attribution.
-    phase_on: bool,
+    /// The open phase-accounting window (see [`ShardWorker::phase_mark`]).
+    phase: PhaseWindow,
 
     // ---- durability (every field inert when `durable` is false) ----
     /// Cached `config.durability.is_some()` — the durability-off data path
@@ -259,21 +253,6 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     ckpt_fault_fired: bool,
 }
 
-/// One phase-accounting lap: nanoseconds since `t0`, re-arming `t0` at
-/// the current instant for the next segment. `None` (phase accounting
-/// off) stays `None` and costs no clock read. Used for the wholesale
-/// replay attribution; the worker loop proper uses the run-merged
-/// [`PhaseWindow`] scheme instead.
-#[inline]
-fn lap(t0: &mut Option<Instant>) -> Option<u64> {
-    t0.as_mut().map(|t| {
-        let now = Instant::now();
-        let ns = now.duration_since(*t).as_nanos() as u64;
-        *t = now;
-        ns
-    })
-}
-
 /// Which `phase_*_ns` counter a loop segment belongs to.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum PhaseLabel {
@@ -283,6 +262,7 @@ enum PhaseLabel {
     Spin,
     Park,
     Checkpoint,
+    Replay,
 }
 
 /// The open window of run-merged phase accounting: `t0` is when the
@@ -311,13 +291,8 @@ impl<A: Algorithm> ShardWorker<A> {
         let part = Partitioner::new(config.num_shards);
         let num_shards = config.num_shards;
         let fault_armed = config.fault_plan.targets(id);
-        let tele_counters = config.telemetry.counters;
-        let tele_hist = config.telemetry.histograms;
-        let tele_rec = config.telemetry.flight_recorder;
-        let sample_mask = config.telemetry.sample_mask();
         let trace_on = config.trace.enabled;
         let trace_mask = config.trace.sample_mask();
-        let phase_on = config.telemetry.phase_accounting;
         let durable = config.durability.is_some();
         // Per-shard share of the capacity hint, with 1/8 headroom for the
         // hash partitioner's imbalance (0 stays 0: start empty).
@@ -353,16 +328,15 @@ impl<A: Algorithm> ShardWorker<A> {
             edges: 0,
             seq: 0,
             tele,
-            tele_counters,
-            tele_hist,
-            tele_rec,
-            sample_mask,
             pub_ticker: 0,
             cur_epoch: 0,
             trace_on,
             trace_mask,
             trace_seq: 0,
-            phase_on,
+            phase: PhaseWindow {
+                t0: Instant::now(),
+                run: PhaseLabel::Drain,
+            },
             durable,
             wal: None,
             wal_scratch: Vec::new(),
@@ -421,13 +395,10 @@ impl<A: Algorithm> ShardWorker<A> {
                 }
                 if self.needs_recovery {
                     // Replay is attributed wholesale: restore + WAL replay
-                    // + the backlog it spawns, one phase, one clock pair.
-                    let mut t0 = self.phase_on.then(Instant::now);
+                    // + the backlog it spawns, one window that the loop's
+                    // first mark closes.
+                    self.phase_mark(PhaseLabel::Replay);
                     self.recover();
-                    if let Some(ns) = lap(&mut t0) {
-                        self.metrics.phase_replay_ns += ns;
-                        self.metrics.phase_busy_ns += ns;
-                    }
                 }
                 self.run_loop()
             }));
@@ -479,10 +450,8 @@ impl<A: Algorithm> ShardWorker<A> {
         if let Some((shard, delay)) = plan.delay {
             if shard == self.id {
                 self.metrics.faults_injected += 1;
-                if self.tele_rec {
-                    self.tele
-                        .record_flight(self.id, FlightTag::Fault, epoch, 2, self.seq);
-                }
+                self.tele
+                    .record_flight(self.id, FlightTag::Fault, epoch, 2, self.seq);
                 std::thread::sleep(delay);
             }
         }
@@ -499,13 +468,9 @@ impl<A: Algorithm> ShardWorker<A> {
                 // even at the widest sampling, and the final cell publish
                 // lets the engine fold this shard's counters into the
                 // aggregate instead of losing them with the thread.
-                if self.tele_rec {
-                    self.tele
-                        .record_flight(self.id, FlightTag::Fault, epoch, 1, self.seq);
-                }
-                if self.tele_counters {
-                    self.publish_telemetry();
-                }
+                self.tele
+                    .record_flight(self.id, FlightTag::Fault, epoch, 1, self.seq);
+                self.publish_telemetry();
                 panic!(
                     "{CHAOS_PANIC_MARKER}: shard {} at event {}",
                     self.id, self.seq
@@ -528,38 +493,28 @@ impl<A: Algorithm> ShardWorker<A> {
     /// attributed wall by construction (`RunMetrics::verify_balance`
     /// checks the identity).
     #[inline]
-    fn phase_mark(&mut self, seg: &mut Option<PhaseWindow>, label: PhaseLabel) {
-        if let Some(w) = seg.as_mut() {
-            if w.run != label {
-                let now = Instant::now();
-                let ns = now.duration_since(w.t0).as_nanos() as u64;
-                w.t0 = now;
-                let ended = w.run;
-                w.run = label;
-                self.charge_phase(ended, ns);
-            }
+    fn phase_mark(&mut self, label: PhaseLabel) {
+        if self.phase.run != label {
+            self.phase_close();
+            self.phase.run = label;
         }
     }
 
-    /// Closes the open window at a loop exit so the tail of the final
-    /// run is attributed rather than dropped.
-    #[cold]
-    fn phase_close(&mut self, seg: &mut Option<PhaseWindow>) {
-        if let Some(w) = seg.take() {
-            let ns = Instant::now().duration_since(w.t0).as_nanos() as u64;
-            self.charge_phase(w.run, ns);
-        }
-    }
-
-    #[inline]
-    fn charge_phase(&mut self, label: PhaseLabel, ns: u64) {
-        *match label {
+    /// Charges the open window to its phase and re-opens it at the current
+    /// instant — at a label change, and at a loop exit so the tail of the
+    /// final run is attributed rather than dropped.
+    fn phase_close(&mut self) {
+        let now = Instant::now();
+        let ns = now.duration_since(self.phase.t0).as_nanos() as u64;
+        self.phase.t0 = now;
+        *match self.phase.run {
             PhaseLabel::Drain => &mut self.metrics.phase_drain_ns,
             PhaseLabel::Process => &mut self.metrics.phase_process_ns,
             PhaseLabel::Flush => &mut self.metrics.phase_flush_ns,
             PhaseLabel::Spin => &mut self.metrics.phase_spin_ns,
             PhaseLabel::Park => &mut self.metrics.phase_park_ns,
             PhaseLabel::Checkpoint => &mut self.metrics.phase_checkpoint_ns,
+            PhaseLabel::Replay => &mut self.metrics.phase_replay_ns,
         } += ns;
         self.metrics.phase_busy_ns += ns;
     }
@@ -569,15 +524,12 @@ impl<A: Algorithm> ShardWorker<A> {
     pub(crate) fn run_loop(&mut self) {
         use std::sync::atomic::Ordering;
         self.lanes.parks.register(self.id);
-        // Run-merged phase accounting (nothing at all when
-        // `phase_accounting` is off): one window per run of same-labeled
+        // Run-merged phase accounting: one window per run of same-labeled
         // segments, a clock read only at label transitions — see
         // `phase_mark`. The hot ingest cascade, whose every segment is
-        // processing, therefore costs zero clock reads.
-        let mut seg = self.phase_on.then(|| PhaseWindow {
-            t0: Instant::now(),
-            run: PhaseLabel::Drain,
-        });
+        // processing, therefore costs zero clock reads. Entering the loop
+        // is a transition only after a replay.
+        self.phase_mark(PhaseLabel::Drain);
         loop {
             // Phase 1 — inbound: drain all queued messages (algorithm
             // events first): alternate between the inbound lanes, the
@@ -594,9 +546,9 @@ impl<A: Algorithm> ShardWorker<A> {
                 while let Ok(msg) = self.rx.try_recv() {
                     round = true;
                     if self.dispatch(msg) {
-                        self.phase_mark(&mut seg, PhaseLabel::Checkpoint);
+                        self.phase_mark(PhaseLabel::Checkpoint);
                         self.maybe_checkpoint(true);
-                        self.phase_close(&mut seg);
+                        self.phase_close();
                         return;
                     }
                 }
@@ -612,14 +564,11 @@ impl<A: Algorithm> ShardWorker<A> {
             // A pass that admitted or processed anything is processing
             // time; a pass that merely probed empty queues is drain
             // overhead — the "looking for work" tax.
-            self.phase_mark(
-                &mut seg,
-                if did_work {
-                    PhaseLabel::Process
-                } else {
-                    PhaseLabel::Drain
-                },
-            );
+            self.phase_mark(if did_work {
+                PhaseLabel::Process
+            } else {
+                PhaseLabel::Drain
+            });
 
             // Phase 2 — epoch: read the epoch this pass's whole pull run
             // is tagged with, and ack it when it moved (the snapshot
@@ -634,15 +583,8 @@ impl<A: Algorithm> ShardWorker<A> {
                     .slot(self.id)
                     .epoch_ack
                     .store(epoch, Ordering::SeqCst);
-                if self.tele_rec {
-                    self.tele.record_flight(
-                        self.id,
-                        FlightTag::EpochAck,
-                        epoch,
-                        u64::from(epoch),
-                        0,
-                    );
-                }
+                self.tele
+                    .record_flight(self.id, FlightTag::EpochAck, epoch, u64::from(epoch), 0);
                 self.cur_epoch = epoch;
             }
 
@@ -650,7 +592,7 @@ impl<A: Algorithm> ShardWorker<A> {
             if let Some(first) = self.next_topo() {
                 // The run is processing time from here on; the empty
                 // probes before it stay with the previous phase run.
-                self.phase_mark(&mut seg, PhaseLabel::Process);
+                self.phase_mark(PhaseLabel::Process);
                 self.pull_run(first, epoch);
                 self.idle_spins = 0;
                 continue;
@@ -672,7 +614,7 @@ impl<A: Algorithm> ShardWorker<A> {
                 self.metrics.flush_deferrals += 1;
                 // Marked before the yield so the yield itself accrues to
                 // the spin window.
-                self.phase_mark(&mut seg, PhaseLabel::Spin);
+                self.phase_mark(PhaseLabel::Spin);
                 std::thread::yield_now();
                 continue;
             }
@@ -681,39 +623,37 @@ impl<A: Algorithm> ShardWorker<A> {
             // Phase 4 — idle: flush buffered envelopes, publish the
             // counter cell (an idle shard's snapshot is otherwise up to
             // PUBLISH_EVERY-1 events stale), then park until woken.
-            self.phase_mark(&mut seg, PhaseLabel::Flush);
+            self.phase_mark(PhaseLabel::Flush);
             self.flush_all();
-            if self.tele_counters {
-                self.publish_telemetry();
-            }
+            self.publish_telemetry();
             // Durability: idle with every queue drained is the one moment
             // the store is a complete, self-consistent image — checkpoint
             // here if the WAL has grown past the configured interval.
-            self.phase_mark(&mut seg, PhaseLabel::Checkpoint);
+            self.phase_mark(PhaseLabel::Checkpoint);
             self.maybe_checkpoint(false);
             // The whole wait — park, heartbeat timeout — is parked time:
             // the clearest "this shard had nothing to do" signal in the
             // utilization breakdown.
-            self.phase_mark(&mut seg, PhaseLabel::Park);
+            self.phase_mark(PhaseLabel::Park);
             let waited = self.idle_wait();
             // Waking is the processing guess: a message wake goes straight
             // into dispatch and a lane wake into the next drain pass; a
             // bare heartbeat mislabels only the empty probe that follows.
-            self.phase_mark(&mut seg, PhaseLabel::Process);
+            self.phase_mark(PhaseLabel::Process);
             match waited {
                 IdleWait::Message(msg) => {
                     if self.dispatch(msg) {
-                        self.phase_mark(&mut seg, PhaseLabel::Checkpoint);
+                        self.phase_mark(PhaseLabel::Checkpoint);
                         self.maybe_checkpoint(true);
-                        self.phase_close(&mut seg);
+                        self.phase_close();
                         return;
                     }
                 }
                 IdleWait::Heartbeat => {}
                 IdleWait::Disconnected => {
-                    self.phase_mark(&mut seg, PhaseLabel::Checkpoint);
+                    self.phase_mark(PhaseLabel::Checkpoint);
                     self.maybe_checkpoint(true);
-                    self.phase_close(&mut seg);
+                    self.phase_close();
                     return;
                 }
             }
@@ -740,10 +680,8 @@ impl<A: Algorithm> ShardWorker<A> {
             }
             Err(TryRecvError::Empty) => {
                 self.metrics.idle_parks += 1;
-                if self.tele_rec {
-                    self.tele
-                        .record_flight(self.id, FlightTag::Park, self.cur_epoch, 0, 0);
-                }
+                self.tele
+                    .record_flight(self.id, FlightTag::Park, self.cur_epoch, 0, 0);
                 lanes.parks.park_current();
                 lanes.parks.clear_sleep(self.id);
                 IdleWait::Heartbeat
@@ -769,15 +707,13 @@ impl<A: Algorithm> ShardWorker<A> {
                 false
             }
             Message::Stream(events) => {
-                if self.tele_rec {
-                    self.tele.record_flight(
-                        self.id,
-                        FlightTag::Stream,
-                        self.cur_epoch,
-                        events.len() as u64,
-                        self.streams.len() as u64,
-                    );
-                }
+                self.tele.record_flight(
+                    self.id,
+                    FlightTag::Stream,
+                    self.cur_epoch,
+                    events.len() as u64,
+                    self.streams.len() as u64,
+                );
                 self.streams.push_back(events.into_iter());
                 false
             }
@@ -786,15 +722,13 @@ impl<A: Algorithm> ShardWorker<A> {
                 live,
                 reply,
             } => {
-                if self.tele_rec {
-                    self.tele.record_flight(
-                        self.id,
-                        FlightTag::Collect,
-                        old_epoch,
-                        u64::from(old_epoch),
-                        u64::from(live),
-                    );
-                }
+                self.tele.record_flight(
+                    self.id,
+                    FlightTag::Collect,
+                    old_epoch,
+                    u64::from(old_epoch),
+                    u64::from(live),
+                );
                 let states = self.collect(old_epoch, live);
                 let _ = reply.send(states);
                 false
@@ -808,15 +742,13 @@ impl<A: Algorithm> ShardWorker<A> {
                 false
             }
             Message::LaneFallback { from, mut batch } => {
-                if self.tele_rec {
-                    self.tele.record_flight(
-                        self.id,
-                        FlightTag::Fallback,
-                        self.cur_epoch,
-                        from as u64,
-                        batch.len() as u64,
-                    );
-                }
+                self.tele.record_flight(
+                    self.id,
+                    FlightTag::Fallback,
+                    self.cur_epoch,
+                    from as u64,
+                    batch.len() as u64,
+                );
                 // Per-pair FIFO across the fallback: everything already in
                 // the data lane predates this batch — admit the lane
                 // first, then this batch, then acknowledge so the sender
@@ -844,10 +776,8 @@ impl<A: Algorithm> ShardWorker<A> {
                 false
             }
             Message::Shutdown => {
-                if self.tele_rec {
-                    self.tele
-                        .record_flight(self.id, FlightTag::Shutdown, self.cur_epoch, 0, 0);
-                }
+                self.tele
+                    .record_flight(self.id, FlightTag::Shutdown, self.cur_epoch, 0, 0);
                 true
             }
         }
@@ -1039,11 +969,11 @@ impl<A: Algorithm> ShardWorker<A> {
         if self.fault_armed && count_input {
             self.inject_faults(env.epoch);
         }
-        // Telemetry sampling: 1-in-2^shift events pay two clock reads and
-        // one flight-recorder slot; fault-armed shards record every event
-        // so a chaos panic always has a dense trace behind it.
-        let sampled = self.seq & self.sample_mask == 0;
-        if self.tele_rec && (sampled || self.fault_armed) {
+        // Telemetry sampling: 1-in-2^SAMPLE_SHIFT events pay two clock
+        // reads and one flight-recorder slot; fault-armed shards record
+        // every event so a chaos panic always has a dense trace behind it.
+        let sampled = self.seq & SAMPLE_MASK == 0;
+        if sampled || self.fault_armed {
             self.tele.record_flight(
                 self.id,
                 FlightTag::Process,
@@ -1052,11 +982,7 @@ impl<A: Algorithm> ShardWorker<A> {
                 env.kind as u64,
             );
         }
-        let t0 = if self.tele_hist && sampled {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let t0 = sampled.then(Instant::now);
         let target = env.target;
         // The storage probe of the hot path: one per envelope; every
         // access below is direct indexing off the handle. Only an `Update`
@@ -1229,15 +1155,13 @@ impl<A: Algorithm> ShardWorker<A> {
                 SpanKind::Replay
             };
             self.trace_span(kind, env.tag, target, fanout);
-            if self.tele_rec {
-                self.tele.record_flight(
-                    self.id,
-                    FlightTag::Trace,
-                    env.epoch,
-                    trace::trace_id(env.tag),
-                    u64::from(trace::hop_of(env.tag)),
-                );
-            }
+            self.tele.record_flight(
+                self.id,
+                FlightTag::Trace,
+                env.epoch,
+                trace::trace_id(env.tag),
+                u64::from(trace::hop_of(env.tag)),
+            );
         }
 
         if let Some(value) = reverse_value {
@@ -1310,11 +1234,9 @@ impl<A: Algorithm> ShardWorker<A> {
         let p = (epoch & 1) as usize;
         self.processed_local[p] += 1;
         self.shared.slot(self.id).processed[p].store(self.processed_local[p], Ordering::Release);
-        if self.tele_counters {
-            self.pub_ticker += 1;
-            if self.pub_ticker >= PUBLISH_EVERY {
-                self.publish_telemetry();
-            }
+        self.pub_ticker += 1;
+        if self.pub_ticker >= PUBLISH_EVERY {
+            self.publish_telemetry();
         }
     }
 
@@ -1401,6 +1323,8 @@ impl<A: Algorithm> ShardWorker<A> {
         {
             self.metrics.faults_injected += 1;
             self.metrics.envelopes_dropped += 1;
+            self.tele
+                .record_flight(self.id, FlightTag::Fault, env.epoch, 3, self.seq);
             return;
         }
         if owner == self.id {
@@ -1414,24 +1338,18 @@ impl<A: Algorithm> ShardWorker<A> {
     }
 
     /// Ships one destination's buffered envelopes, timing the shipment
-    /// when latency histograms are on (empty outboxes cost one branch).
+    /// (empty outboxes cost one branch).
     fn flush(&mut self, owner: usize) {
         if self.outboxes[owner].is_empty() {
             return;
         }
-        if self.tele_rec {
-            self.tele.record_flight(
-                self.id,
-                FlightTag::Flush,
-                self.cur_epoch,
-                owner as u64,
-                self.outboxes[owner].len() as u64,
-            );
-        }
-        if !self.tele_hist {
-            self.do_flush(owner);
-            return;
-        }
+        self.tele.record_flight(
+            self.id,
+            FlightTag::Flush,
+            self.cur_epoch,
+            owner as u64,
+            self.outboxes[owner].len() as u64,
+        );
         let t0 = Instant::now();
         self.do_flush(owner);
         self.tele
@@ -1524,6 +1442,8 @@ impl<A: Algorithm> ShardWorker<A> {
     fn wake(&mut self, owner: usize) {
         if self.lanes.parks.wake(owner) {
             self.metrics.unparks += 1;
+            self.tele
+                .record_flight(self.id, FlightTag::Unpark, self.cur_epoch, owner as u64, 0);
         }
     }
 
@@ -1564,7 +1484,7 @@ impl<A: Algorithm> ShardWorker<A> {
             };
             self.metrics.topo_ingested += 1;
             self.ingested_local += 1;
-            if self.tele_rec && self.metrics.topo_ingested & self.sample_mask == 0 {
+            if self.metrics.topo_ingested & SAMPLE_MASK == 0 {
                 self.tele
                     .record_flight(self.id, FlightTag::TopoIngest, epoch, ev.src, ev.dst);
             }
@@ -1808,15 +1728,13 @@ impl<A: Algorithm> ShardWorker<A> {
         self.events_since_ckpt = 0;
         self.metrics.checkpoints_written += 1;
         self.tele.record_checkpoint(t0.elapsed().as_nanos() as u64);
-        if self.tele_rec {
-            self.tele.record_flight(
-                self.id,
-                FlightTag::Flush,
-                self.cur_epoch,
-                u64::MAX,
-                body.len() as u64,
-            );
-        }
+        self.tele.record_flight(
+            self.id,
+            FlightTag::Checkpoint,
+            self.cur_epoch,
+            body.len() as u64,
+            0,
+        );
     }
 
     /// Chaos: die between checkpoint staging and publish (fires once).
@@ -1826,9 +1744,7 @@ impl<A: Algorithm> ShardWorker<A> {
             if shard == self.id && self.ckpt_attempts >= nth && !self.ckpt_fault_fired {
                 self.ckpt_fault_fired = true;
                 self.metrics.faults_injected += 1;
-                if self.tele_counters {
-                    self.publish_telemetry();
-                }
+                self.publish_telemetry();
                 panic!(
                     "{CHAOS_PANIC_MARKER}: shard {} during checkpoint {}",
                     self.id, self.ckpt_attempts
@@ -1844,9 +1760,7 @@ impl<A: Algorithm> ShardWorker<A> {
             if shard == self.id && nth >= at && !self.replay_fault_fired {
                 self.replay_fault_fired = true;
                 self.metrics.faults_injected += 1;
-                if self.tele_counters {
-                    self.publish_telemetry();
-                }
+                self.publish_telemetry();
                 panic!(
                     "{CHAOS_PANIC_MARKER}: shard {} during replay record {nth}",
                     self.id
@@ -2025,19 +1939,15 @@ impl<A: Algorithm> ShardWorker<A> {
                 self.drain_lane_from(from);
             }
         }
-        if self.tele_rec {
-            self.tele.record_flight(
-                self.id,
-                FlightTag::Respawn,
-                self.cur_epoch,
-                u64::from(self.respawns_done),
-                replayed,
-            );
-        }
+        self.tele.record_flight(
+            self.id,
+            FlightTag::Respawn,
+            self.cur_epoch,
+            u64::from(self.respawns_done),
+            replayed,
+        );
         self.flush_all();
-        if self.tele_counters {
-            self.publish_telemetry();
-        }
+        self.publish_telemetry();
     }
 
     /// Drains self-routed work generated by replay (full accounting —
@@ -2098,9 +2008,7 @@ impl<A: Algorithm> ShardWorker<A> {
             .slot(self.id)
             .ingested
             .store(self.ingested_local, Ordering::Release);
-        if self.tele_counters {
-            self.publish_telemetry();
-        }
+        self.publish_telemetry();
     }
 
     /// One swept envelope.
@@ -2112,9 +2020,7 @@ impl<A: Algorithm> ShardWorker<A> {
     fn report(mut self) -> ShardReport<A::State> {
         // Final cell publish: metrics_now observers see the exact counters
         // this report carries, even after the thread is gone.
-        if self.tele_counters {
-            self.publish_telemetry();
-        }
+        self.publish_telemetry();
         let states = self.collect(u32::MAX, true);
         let num_vertices = self.store.num_vertices();
         let adjacency_bytes = self.store.adjacency_heap_bytes();
@@ -2172,7 +2078,6 @@ mod tests {
         let (tx1, rx1) = unbounded();
         let (trigger_tx, trigger_rx) = unbounded();
         let tele = Arc::new(TelemetryShared::new(
-            config.telemetry.clone(),
             config.trace.clone(),
             2,
             Arc::clone(&shared),

@@ -33,8 +33,7 @@ pub struct ShardFailure {
     /// Flight-recorder dump: the shard's most recent structured events
     /// (rendered, oldest first), captured by the `catch_unwind` wrapper on
     /// the dying shard's own thread — or by the harvest path for shards
-    /// that stopped answering. Empty when the flight recorder is off
-    /// (see [`TelemetryConfig`](crate::TelemetryConfig)).
+    /// that stopped answering.
     pub trace: Vec<String>,
 }
 

@@ -19,11 +19,11 @@
 //!   latency histograms (see [`LatencyHistogram`] for the bucket scheme)
 //!   for event service time and lane-flush latency (shard-owned) plus
 //!   quiescence-detection and ingest→fixpoint latency (controller-owned).
-//!   Service-time sampling is gated by [`TelemetryConfig::sample_shift`]
-//!   so the `Instant::now()` pair stays off the common path.
-//! - **Flight recorder** (`FlightRecorder`): a bounded per-shard ring of
-//!   recent structured events (processed envelopes, topology ingests,
-//!   flushes, park/wake, fault injections, epoch acks). `supervision`
+//!   Service time is sampled one event in `2^`[`SAMPLE_SHIFT`] so the
+//!   `Instant::now()` pair stays off the common path.
+//! - **Flight recorder** (`Ring`): a bounded per-shard ring of recent
+//!   structured events (processed envelopes, topology ingests, flushes,
+//!   park/wake, fault injections, epoch acks). `supervision`
 //!   dumps it into [`ShardFailure`](crate::ShardFailure) when a shard
 //!   panics, turning chaos postmortems into replayable traces.
 //! - **Exporters** ([`TelemetryHub`]): a cloneable, thread-safe handle
@@ -53,12 +53,21 @@ use crate::event::Epoch;
 use crate::metrics::{LatencyHistogram, RunMetrics, ShardMetrics, HIST_BUCKETS};
 use crate::supervision::FailureBoard;
 use crate::termination::SharedCounters;
-use crate::trace::{self, PropagationTrace, SpanKind, SpanRing, TraceConfig, TraceSpan, TraceTag};
+use crate::trace::{self, PropagationTrace, SpanKind, TraceConfig, TraceSpan, TraceTag};
 
 /// How many retired envelopes between two snapshot-cell publications on
 /// the hot path (shards also publish at every idle transition, so a
 /// quiescent engine's cells are always current).
 pub const PUBLISH_EVERY: u32 = 256;
+
+/// Per-event sampling shift: every `2^SAMPLE_SHIFT`-th processed envelope
+/// gets a service-time measurement and a flight-recorder entry, and every
+/// `2^SAMPLE_SHIFT`-th topology pull a recorder entry (fault-armed shards
+/// record every processed envelope).
+pub const SAMPLE_SHIFT: u32 = 6;
+
+/// Flight-recorder entries retained per shard.
+pub const FLIGHT_CAPACITY: usize = 128;
 
 /// Gauge words appended to each shard's counter payload in its snapshot
 /// cell: `[queue_depth, lane_occupancy]`.
@@ -66,88 +75,6 @@ pub(crate) const GAUGE_WORDS: usize = 2;
 
 /// Total words in one shard's snapshot cell.
 pub(crate) const CELL_WORDS: usize = ShardMetrics::COUNTER_WORDS + GAUGE_WORDS;
-
-/// Runtime telemetry selection, carried by
-/// [`EngineConfig`](crate::EngineConfig). The default enables everything
-/// the ≤ 2% overhead budget affords: counters (a seqlock publish every
-/// [`PUBLISH_EVERY`] events), sampled histograms, and the flight recorder
-/// (control-plane events always; data-plane events sampled).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Publish per-shard counters to snapshot cells at batch boundaries
-    /// (powers `Engine::metrics_now` and the exporters). Off: the cells
-    /// are never written and mid-run snapshots read as zero.
-    pub counters: bool,
-    /// Record latency histograms (service time sampled per
-    /// `sample_shift`; flush/quiescence/ingest→fixpoint are rare enough
-    /// to record unconditionally).
-    pub histograms: bool,
-    /// Sampling shift for per-event instrumentation: every `2^shift`-th
-    /// processed envelope gets a service-time measurement and (when the
-    /// recorder is on) a flight-recorder entry. `0` samples every event —
-    /// chaos-forensics mode, not for benchmarking.
-    pub sample_shift: u32,
-    /// Keep a bounded ring of recent structured events per shard, dumped
-    /// into [`ShardFailure`](crate::ShardFailure) on panic and on
-    /// degraded harvests.
-    pub flight_recorder: bool,
-    /// Flight-recorder ring capacity per shard (rounded up to a power of
-    /// two, minimum 16).
-    pub flight_capacity: usize,
-    /// Attribute each shard's busy wall to phases
-    /// (drain/process/flush/spin/park/checkpoint/replay ns counters —
-    /// see the `phase_*_ns` fields of [`ShardMetrics`]). Two `Instant`
-    /// reads per run-loop iteration, not per event, so it rides inside
-    /// the ≤ 2% telemetry budget and stays on by default.
-    pub phase_accounting: bool,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            counters: true,
-            histograms: true,
-            sample_shift: 6,
-            flight_recorder: true,
-            flight_capacity: 128,
-            phase_accounting: true,
-        }
-    }
-}
-
-impl TelemetryConfig {
-    /// Everything off — the seed's black-box behaviour, for overhead
-    /// ablations (`metrics_now` returns zeros; failures carry no trace).
-    pub fn off() -> Self {
-        TelemetryConfig {
-            counters: false,
-            histograms: false,
-            sample_shift: 6,
-            flight_recorder: false,
-            flight_capacity: 0,
-            phase_accounting: false,
-        }
-    }
-
-    /// Sets the sampling shift (see [`TelemetryConfig::sample_shift`]).
-    pub fn with_sample_shift(mut self, shift: u32) -> Self {
-        self.sample_shift = shift.min(62);
-        self
-    }
-
-    /// Enables or disables per-shard phase accounting (see
-    /// [`TelemetryConfig::phase_accounting`]).
-    pub fn with_phase_accounting(mut self, on: bool) -> Self {
-        self.phase_accounting = on;
-        self
-    }
-
-    /// Bitmask such that `seq & mask == 0` selects sampled events.
-    #[inline]
-    pub(crate) fn sample_mask(&self) -> u64 {
-        (1u64 << self.sample_shift.min(62)) - 1
-    }
-}
 
 /// One shard's seqlock-protected snapshot cell: an even/odd version word
 /// guarding [`CELL_WORDS`] payload words (counters then gauges).
@@ -245,10 +172,30 @@ impl AtomicHistogram {
     }
 }
 
-/// Kinds of structured events a shard's `FlightRecorder` captures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum FlightTag {
+/// Declares [`FlightTag`] together with its decoder, so a tag cannot be
+/// added without becoming decodable (and the tag-table test, which walks
+/// the decoder, cannot miss it).
+macro_rules! flight_tags {
+    ($($(#[$doc:meta])* $name:ident = $v:literal,)+) => {
+        /// Kinds of structured events a shard's flight recorder captures.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum FlightTag {
+            $($(#[$doc])* $name = $v,)+
+        }
+
+        impl FlightTag {
+            fn from_u8(v: u8) -> Option<FlightTag> {
+                match v {
+                    $($v => Some(FlightTag::$name),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+flight_tags! {
     /// An envelope was processed (`a` = target vertex, `b` = event kind).
     Process = 1,
     /// A topology event was pulled from a stream (`a` = src, `b` = dst).
@@ -265,9 +212,11 @@ pub enum FlightTag {
     EpochAck = 7,
     /// A topology stream segment arrived (`a` = events in segment).
     Stream = 8,
-    /// The shard answered a state collection (`a` = live vertices sent).
+    /// The shard answered a state collection (`a` = the epoch collected,
+    /// `b` = 1 for the live view).
     Collect = 9,
-    /// A batch was diverted to the channel fallback (`a` = dest, `b` = len).
+    /// A batch diverted to the channel fallback arrived (`a` = sending
+    /// shard, `b` = len).
     Fallback = 10,
     /// The shard observed shutdown and is draining.
     Shutdown = 11,
@@ -278,27 +227,8 @@ pub enum FlightTag {
     /// `b` = hop depth) — lets a chaos postmortem name exactly which
     /// in-flight traced updates died with the shard. See [`crate::trace`].
     Trace = 13,
-}
-
-impl FlightTag {
-    fn from_u8(v: u8) -> Option<FlightTag> {
-        Some(match v {
-            1 => FlightTag::Process,
-            2 => FlightTag::TopoIngest,
-            3 => FlightTag::Flush,
-            4 => FlightTag::Park,
-            5 => FlightTag::Unpark,
-            6 => FlightTag::Fault,
-            7 => FlightTag::EpochAck,
-            8 => FlightTag::Stream,
-            9 => FlightTag::Collect,
-            10 => FlightTag::Fallback,
-            11 => FlightTag::Shutdown,
-            12 => FlightTag::Respawn,
-            13 => FlightTag::Trace,
-            _ => return None,
-        })
-    }
+    /// A durable checkpoint was published (`a` = bytes written).
+    Checkpoint = 14,
 }
 
 /// One decoded flight-recorder entry.
@@ -317,6 +247,23 @@ pub struct FlightEntry {
 }
 
 impl FlightEntry {
+    /// The entry's ring words (the fourth is unused).
+    #[inline]
+    fn words(tag: FlightTag, epoch: Epoch, a: u64, b: u64) -> [u64; 4] {
+        [((epoch as u64) << 8) | tag as u64, a, b, 0]
+    }
+
+    /// Decodes one ring slot (`None` for a slot that was never written).
+    fn from_words(seq: u64, w: [u64; 4]) -> Option<FlightEntry> {
+        Some(FlightEntry {
+            seq,
+            tag: FlightTag::from_u8((w[0] & 0xFF) as u8)?,
+            epoch: (w[0] >> 8) as Epoch,
+            a: w[1],
+            b: w[2],
+        })
+    }
+
     /// Renders the entry as one trace line (the format stored in
     /// [`ShardFailure::trace`](crate::ShardFailure)).
     pub fn render(&self) -> String {
@@ -348,35 +295,39 @@ impl FlightEntry {
             }
             FlightTag::EpochAck => "epoch-ack".to_string(),
             FlightTag::Stream => format!("stream len={}", self.a),
-            FlightTag::Collect => format!("collect live={}", self.a),
-            FlightTag::Fallback => format!("lane-fallback dest={} len={}", self.a, self.b),
+            FlightTag::Collect => format!("collect epoch={} live={}", self.a, self.b),
+            FlightTag::Fallback => format!("lane-fallback from={} len={}", self.a, self.b),
             FlightTag::Shutdown => "shutdown".to_string(),
             FlightTag::Respawn => {
                 format!("respawn attempt={} replayed={}", self.a, self.b)
             }
             FlightTag::Trace => format!("trace id={} hop={}", self.a, self.b),
+            FlightTag::Checkpoint => format!("checkpoint bytes={}", self.a),
         };
         format!("#{} e{} {body}", self.seq, self.epoch)
     }
 }
 
-/// Bounded lock-free ring of recent structured events, single writer (the
-/// owning shard). Entries are three relaxed word stores plus one release
-/// store of the written count; the reader re-checks the count to discard
-/// windows that were overwritten mid-read. On the panic path the dump is
-/// taken by the dying shard's own thread inside `catch_unwind`, so the
-/// trace attached to a [`ShardFailure`](crate::ShardFailure) is exact.
+/// Bounded lock-free overwrite-oldest ring of fixed-width records, single
+/// writer (the owning shard). The flight recorder and the span plane
+/// ([`crate::trace`]) are its two users; each only encodes and decodes its
+/// words. An append is four relaxed word stores plus one release store of
+/// the written count; the reader re-checks the count to discard windows
+/// that were overwritten mid-read. On the panic path the dump is taken by
+/// the dying shard's own thread inside `catch_unwind`, so the trace
+/// attached to a [`ShardFailure`](crate::ShardFailure) is exact.
 #[derive(Debug)]
-pub(crate) struct FlightRecorder {
+pub(crate) struct Ring {
     mask: u64,
     written: AtomicU64,
-    slots: Box<[[AtomicU64; 3]]>,
+    slots: Box<[[AtomicU64; 4]]>,
 }
 
-impl FlightRecorder {
+impl Ring {
+    /// A ring of `capacity` slots, rounded up to a power of two.
     fn new(capacity: usize) -> Self {
-        let cap = capacity.max(16).next_power_of_two();
-        FlightRecorder {
+        let cap = capacity.next_power_of_two();
+        Ring {
             mask: cap as u64 - 1,
             written: AtomicU64::new(0),
             slots: (0..cap)
@@ -386,55 +337,47 @@ impl FlightRecorder {
         }
     }
 
-    /// Appends one entry (single writer).
+    /// Appends one record (single writer). Returns `true` when the append
+    /// evicted an older record (ring overflow).
     #[inline]
-    pub(crate) fn record(&self, tag: FlightTag, epoch: Epoch, a: u64, b: u64) {
+    fn record(&self, words: [u64; 4]) -> bool {
         let n = self.written.load(Ordering::Relaxed);
         let slot = &self.slots[(n & self.mask) as usize];
-        slot[0].store(((epoch as u64) << 8) | tag as u64, Ordering::Relaxed);
-        slot[1].store(a, Ordering::Relaxed);
-        slot[2].store(b, Ordering::Relaxed);
+        for (cell, w) in slot.iter().zip(words) {
+            cell.store(w, Ordering::Relaxed);
+        }
         self.written.store(n.wrapping_add(1), Ordering::Release);
+        n > self.mask
     }
 
-    /// Decodes the retained window, oldest first. Lossy under concurrent
-    /// writes (entries overwritten mid-read are dropped), exact when the
-    /// writer has stopped — the panic-dump and harvest cases.
-    pub(crate) fn dump(&self) -> Vec<FlightEntry> {
+    /// The retained window as `(sequence number, words)`, oldest first.
+    /// Lossy under concurrent writes (records overwritten mid-read are
+    /// dropped), exact when the writer has stopped — the panic-dump and
+    /// harvest cases.
+    fn dump(&self) -> Vec<(u64, [u64; 4])> {
         let cap = self.mask + 1;
         for _ in 0..4 {
             let n1 = self.written.load(Ordering::Acquire);
             let start = n1.saturating_sub(cap);
-            let mut out = Vec::with_capacity((n1 - start) as usize);
-            for seq in start..n1 {
-                let slot = &self.slots[(seq & self.mask) as usize];
-                let w0 = slot[0].load(Ordering::Relaxed);
-                let a = slot[1].load(Ordering::Relaxed);
-                let b = slot[2].load(Ordering::Relaxed);
-                if let Some(tag) = FlightTag::from_u8((w0 & 0xFF) as u8) {
-                    out.push(FlightEntry {
+            let mut out: Vec<_> = (start..n1)
+                .map(|seq| {
+                    let slot = &self.slots[(seq & self.mask) as usize];
+                    (
                         seq,
-                        tag,
-                        epoch: (w0 >> 8) as Epoch,
-                        a,
-                        b,
-                    });
-                }
-            }
+                        std::array::from_fn(|i| slot[i].load(Ordering::Relaxed)),
+                    )
+                })
+                .collect();
             fence(Ordering::Acquire);
             let n2 = self.written.load(Ordering::Acquire);
             if n2 == n1 {
                 return out;
             }
-            // Writer advanced mid-read: the oldest (n2 - n1) decoded
-            // entries may be torn — drop them and retry for a clean pass.
+            // Writer advanced mid-read: the oldest (n2 - n1) records may
+            // be torn — drop them and retry for a clean pass.
             let advanced = (n2 - n1) as usize;
             if advanced < out.len() {
                 out.drain(..advanced);
-            } else {
-                out.clear();
-            }
-            if !out.is_empty() {
                 return out;
             }
         }
@@ -517,13 +460,12 @@ const WINDOW_SAMPLES: usize = 256;
 /// and exporter handles. One instance per engine, behind an `Arc`.
 #[derive(Debug)]
 pub(crate) struct TelemetryShared {
-    pub(crate) config: TelemetryConfig,
     started: Instant,
     cells: Vec<CachePadded<MetricsCell>>,
     service: Vec<AtomicHistogram>,
     flush: Vec<AtomicHistogram>,
-    recorders: Vec<FlightRecorder>,
-    spans: Vec<SpanRing>,
+    recorders: Vec<Ring>,
+    spans: Vec<Ring>,
     quiesce: AtomicHistogram,
     ingest_fixpoint: AtomicHistogram,
     checkpoint: AtomicHistogram,
@@ -541,7 +483,6 @@ pub(crate) struct TelemetryShared {
 
 impl TelemetryShared {
     pub(crate) fn new(
-        config: TelemetryConfig,
         trace: TraceConfig,
         shards: usize,
         counters: Arc<SharedCounters>,
@@ -552,26 +493,17 @@ impl TelemetryShared {
             .collect();
         let service = (0..shards).map(|_| AtomicHistogram::new()).collect();
         let flush = (0..shards).map(|_| AtomicHistogram::new()).collect();
-        let recorders = (0..shards)
-            .map(|_| {
-                FlightRecorder::new(if config.flight_recorder {
-                    config.flight_capacity
-                } else {
-                    0
-                })
-            })
-            .collect();
+        let recorders = (0..shards).map(|_| Ring::new(FLIGHT_CAPACITY)).collect();
         // `spans` is empty when tracing is off — every trace-plane entry
         // point no-ops on the missing ring, which is the zero-cost gate.
         let spans = if trace.enabled {
             (0..shards)
-                .map(|_| SpanRing::new(trace.ring_capacity))
+                .map(|_| Ring::new(trace.ring_capacity.max(64)))
                 .collect()
         } else {
             Vec::new()
         };
         TelemetryShared {
-            config,
             started: Instant::now(),
             cells,
             service,
@@ -625,7 +557,7 @@ impl TelemetryShared {
     /// Appends one flight-recorder entry for `shard`.
     #[inline]
     pub(crate) fn record_flight(&self, shard: usize, tag: FlightTag, epoch: Epoch, a: u64, b: u64) {
-        self.recorders[shard].record(tag, epoch, a, b);
+        self.recorders[shard].record(FlightEntry::words(tag, epoch, a, b));
     }
 
     /// Nanoseconds since the engine was built — the trace plane's clock.
@@ -646,10 +578,9 @@ impl TelemetryShared {
         a: u64,
         b: u64,
     ) -> bool {
-        match self.spans.get(shard) {
-            Some(ring) => ring.record(kind, tag, self.now_ns(), a, b),
-            None => false,
-        }
+        self.spans
+            .get(shard)
+            .is_some_and(|ring| ring.record(TraceSpan::words(kind, tag, self.now_ns(), a, b)))
     }
 
     /// Dumps every shard's span-ring window (lossy for shards still
@@ -657,7 +588,11 @@ impl TelemetryShared {
     pub(crate) fn dump_spans(&self) -> Vec<TraceSpan> {
         let mut out = Vec::new();
         for (shard, ring) in self.spans.iter().enumerate() {
-            out.extend(ring.dump(shard));
+            out.extend(
+                ring.dump()
+                    .into_iter()
+                    .filter_map(|(_, w)| TraceSpan::from_words(shard, w)),
+            );
         }
         out
     }
@@ -670,13 +605,11 @@ impl TelemetryShared {
 
     /// Dumps `shard`'s flight-recorder window as rendered trace lines.
     pub(crate) fn dump_flight(&self, shard: usize) -> Vec<String> {
-        if !self.config.flight_recorder {
-            return Vec::new();
-        }
         self.recorders[shard]
             .dump()
-            .iter()
-            .map(FlightEntry::render)
+            .into_iter()
+            .filter_map(|(seq, w)| FlightEntry::from_words(seq, w))
+            .map(|e| e.render())
             .collect()
     }
 
@@ -684,25 +617,18 @@ impl TelemetryShared {
 
     /// Records one quiescence-detection latency sample.
     pub(crate) fn record_quiesce(&self, ns: u64) {
-        if self.config.histograms {
-            self.quiesce.record(ns);
-        }
+        self.quiesce.record(ns);
     }
 
     /// Records one checkpoint duration sample (shard-written; staging
     /// through publish of one durable checkpoint).
     pub(crate) fn record_checkpoint(&self, ns: u64) {
-        if self.config.histograms {
-            self.checkpoint.record(ns);
-        }
+        self.checkpoint.record(ns);
     }
 
     /// Arms the ingest→fixpoint clock at the first ingest after a
     /// quiescent point (no-op while already armed).
     pub(crate) fn mark_ingest(&self) {
-        if !self.config.histograms {
-            return;
-        }
         if self.ingest_mark.load(Ordering::Relaxed) == 0 {
             let ns = self.started.elapsed().as_nanos() as u64;
             self.ingest_mark
@@ -712,9 +638,6 @@ impl TelemetryShared {
 
     /// Closes the ingest→fixpoint interval at a detected quiescence.
     pub(crate) fn settle_ingest(&self) {
-        if !self.config.histograms {
-            return;
-        }
         let mark = self.ingest_mark.swap(0, Ordering::Relaxed);
         if mark != 0 {
             let now = self.started.elapsed().as_nanos() as u64;
@@ -842,13 +765,8 @@ impl TelemetryHub {
         TelemetryHub { shared }
     }
 
-    /// The telemetry configuration this engine was built with.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.shared.config
-    }
-
     /// Coherent cross-shard metrics as of the shards' last snapshot
-    /// publications (zeros when telemetry counters are off).
+    /// publications.
     pub fn metrics_now(&self) -> RunMetrics {
         self.shared.snapshot_metrics()
     }
@@ -908,8 +826,7 @@ impl TelemetryHub {
         } else {
             totals.idle_parks as f64 / (totals.idle_parks + processed) as f64
         };
-        // Exact in-flight/backlog from the termination counters (always
-        // live, even with telemetry counters off).
+        // Exact in-flight/backlog from the termination counters.
         let c = &self.shared.counters;
         let mut sent = 0u64;
         let mut proc = 0u64;
@@ -1269,27 +1186,6 @@ mod tests {
     use std::sync::atomic::AtomicBool;
 
     #[test]
-    fn config_defaults_and_off() {
-        let d = TelemetryConfig::default();
-        assert!(d.counters && d.histograms && d.flight_recorder && d.phase_accounting);
-        assert_eq!(d.sample_mask(), 63);
-        let off = TelemetryConfig::off();
-        assert!(!off.counters && !off.histograms && !off.flight_recorder);
-        assert!(!off.phase_accounting);
-        assert!(
-            !TelemetryConfig::default()
-                .with_phase_accounting(false)
-                .phase_accounting
-        );
-        assert_eq!(
-            TelemetryConfig::default()
-                .with_sample_shift(0)
-                .sample_mask(),
-            0
-        );
-    }
-
-    #[test]
     fn cell_roundtrips_payload() {
         let cell = MetricsCell::new();
         let mut payload = [0u64; CELL_WORDS];
@@ -1345,33 +1241,67 @@ mod tests {
 
     #[test]
     fn recorder_wraps_and_dumps_in_order() {
-        let r = FlightRecorder::new(16);
+        let r = Ring::new(16);
         for i in 0..40u64 {
-            r.record(FlightTag::Process, 2, i, 1);
+            let evicted = r.record(FlightEntry::words(FlightTag::Process, 2, i, 1));
+            assert_eq!(evicted, i >= 16, "append {i}");
         }
-        let dump = r.dump();
+        let dump: Vec<FlightEntry> = r
+            .dump()
+            .into_iter()
+            .filter_map(|(seq, w)| FlightEntry::from_words(seq, w))
+            .collect();
         assert_eq!(dump.len(), 16, "bounded to capacity");
         let seqs: Vec<u64> = dump.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (24..40).collect::<Vec<u64>>(), "oldest-first window");
         assert!(dump
             .iter()
             .all(|e| e.tag == FlightTag::Process && e.epoch == 2));
-        let line = dump[0].render();
-        assert!(line.contains("process"), "{line}");
-        assert!(line.contains("kind=Add"), "{line}");
+        assert_eq!(dump[0].a, 24, "operands ride with their sequence number");
     }
 
+    /// One row per [`FlightTag`]: the operands as the shard records them,
+    /// through the ring and back, against the exact rendered line. The
+    /// `match` is exhaustive and the loop walks the decoder, so a new tag
+    /// cannot be added without a row here.
     #[test]
-    fn recorder_entry_rendering_covers_tags() {
-        let r = FlightRecorder::new(16);
-        r.record(FlightTag::Fault, 0, 1, 0);
-        r.record(FlightTag::Flush, 1, 3, 17);
-        r.record(FlightTag::Park, 1, 0, 0);
+    fn every_flight_tag_round_trips_and_renders() {
+        let row = |tag: FlightTag| -> (u64, u64, &'static str) {
+            match tag {
+                FlightTag::Process => (42, 3, "process target=42 kind=Update"),
+                FlightTag::TopoIngest => (5, 9, "topo src=5 dst=9"),
+                FlightTag::Flush => (3, 17, "flush dest=3 len=17"),
+                FlightTag::Park => (0, 0, "park"),
+                FlightTag::Unpark => (2, 0, "unpark peer=2"),
+                FlightTag::Fault => (3, 88, "fault kind=drop"),
+                FlightTag::EpochAck => (7, 0, "epoch-ack"),
+                FlightTag::Stream => (4096, 1, "stream len=4096"),
+                FlightTag::Collect => (6, 1, "collect epoch=6 live=1"),
+                FlightTag::Fallback => (1, 256, "lane-fallback from=1 len=256"),
+                FlightTag::Shutdown => (0, 0, "shutdown"),
+                FlightTag::Respawn => (2, 31, "respawn attempt=2 replayed=31"),
+                FlightTag::Trace => (1 << 40, 4, "trace id=1099511627776 hop=4"),
+                FlightTag::Checkpoint => (65536, 0, "checkpoint bytes=65536"),
+            }
+        };
+        let tags: Vec<FlightTag> = (0..=u8::MAX).filter_map(FlightTag::from_u8).collect();
+        let r = Ring::new(tags.len());
+        for &tag in &tags {
+            let (a, b, _) = row(tag);
+            r.record(FlightEntry::words(tag, 7, a, b));
+        }
         let dump = r.dump();
-        assert_eq!(dump.len(), 3);
-        assert!(dump[0].render().contains("fault kind=panic"));
-        assert!(dump[1].render().contains("flush dest=3 len=17"));
-        assert!(dump[2].render().contains("park"));
+        assert_eq!(dump.len(), tags.len());
+        for (&tag, (seq, w)) in tags.iter().zip(dump) {
+            let e = FlightEntry::from_words(seq, w).expect("a written slot decodes");
+            let (a, b, line) = row(tag);
+            assert_eq!((e.tag, e.epoch, e.a, e.b), (tag, 7, a, b));
+            assert_eq!(e.render(), format!("#{seq} e7 {line}"));
+        }
+        assert!(
+            FlightEntry::from_words(0, [0; 4]).is_none(),
+            "unwritten slot"
+        );
     }
 
     #[test]
@@ -1379,7 +1309,6 @@ mod tests {
         let counters = Arc::new(SharedCounters::new(2));
         let board = Arc::new(FailureBoard::new());
         let tele = TelemetryShared::new(
-            TelemetryConfig::default(),
             TraceConfig::off(),
             2,
             Arc::clone(&counters),
@@ -1406,13 +1335,7 @@ mod tests {
     fn hub_renders_prometheus_and_json() {
         let counters = Arc::new(SharedCounters::new(1));
         let board = Arc::new(FailureBoard::new());
-        let tele = Arc::new(TelemetryShared::new(
-            TelemetryConfig::default(),
-            TraceConfig::on(),
-            1,
-            counters,
-            board,
-        ));
+        let tele = Arc::new(TelemetryShared::new(TraceConfig::on(), 1, counters, board));
         let m = ShardMetrics {
             add_events: 3,
             topo_ingested: 2,

@@ -31,13 +31,12 @@
 //!
 //! ## Ring-overflow policy
 //!
-//! Span rings are bounded and overwrite oldest-first (same discipline as
-//! the flight recorder); `trace_spans_dropped` counts evictions. A trace
+//! Span rings are bounded and overwrite oldest-first (the same ring type
+//! as the flight recorder, in [`crate::telemetry`]); `trace_spans_dropped`
+//! counts evictions. A trace
 //! whose `Root` span was evicted is dropped whole at reconstruction —
 //! partial trees without an anchor would report garbage latencies.
 //! Tracing is sampled precisely so rings don't wrap in practice.
-
-use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use remo_store::VertexId;
 
@@ -83,8 +82,8 @@ pub(crate) fn child(tag: TraceTag) -> TraceTag {
 /// Runtime tracing selection, carried by
 /// [`EngineConfig`](crate::EngineConfig). Off by default; when off no
 /// envelope is ever tagged and every observation point reduces to one
-/// predictable branch — the same zero-cost-when-off discipline as
-/// telemetry and the WAL.
+/// predictable branch — the same zero-cost-when-off discipline as the
+/// WAL.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Master switch.
@@ -197,85 +196,24 @@ pub struct TraceSpan {
     pub b: u64,
 }
 
-/// Bounded lock-free ring of span records, single writer (the owning
-/// shard) — the same benign-race seqlock-lite protocol as the flight
-/// recorder: the reader re-checks the written count and discards windows
-/// overwritten mid-read. Exact once the writer has stopped (harvest).
-#[derive(Debug)]
-pub(crate) struct SpanRing {
-    mask: u64,
-    written: AtomicU64,
-    slots: Box<[[AtomicU64; 4]]>,
-}
-
-impl SpanRing {
-    pub(crate) fn new(capacity: usize) -> Self {
-        let cap = capacity.max(64).next_power_of_two();
-        SpanRing {
-            mask: cap as u64 - 1,
-            written: AtomicU64::new(0),
-            slots: (0..cap)
-                .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-        }
-    }
-
-    /// Appends one span (single writer). Returns `true` when the append
-    /// evicted an older span (ring overflow).
+impl TraceSpan {
+    /// The span's ring words.
     #[inline]
-    pub(crate) fn record(&self, kind: SpanKind, tag: TraceTag, t_ns: u64, a: u64, b: u64) -> bool {
-        let n = self.written.load(Ordering::Relaxed);
-        let slot = &self.slots[(n & self.mask) as usize];
-        slot[0].store((t_ns << 8) | kind as u64, Ordering::Relaxed);
-        slot[1].store(tag, Ordering::Relaxed);
-        slot[2].store(a, Ordering::Relaxed);
-        slot[3].store(b, Ordering::Relaxed);
-        self.written.store(n.wrapping_add(1), Ordering::Release);
-        n > self.mask
+    pub(crate) fn words(kind: SpanKind, tag: TraceTag, t_ns: u64, a: u64, b: u64) -> [u64; 4] {
+        [(t_ns << 8) | kind as u64, tag, a, b]
     }
 
-    /// Decodes the retained window, oldest first. Lossy under concurrent
-    /// writes, exact when the writer has stopped.
-    pub(crate) fn dump(&self, shard: usize) -> Vec<TraceSpan> {
-        let cap = self.mask + 1;
-        for _ in 0..4 {
-            let n1 = self.written.load(Ordering::Acquire);
-            let start = n1.saturating_sub(cap);
-            let mut out = Vec::with_capacity((n1 - start) as usize);
-            for seq in start..n1 {
-                let slot = &self.slots[(seq & self.mask) as usize];
-                let w0 = slot[0].load(Ordering::Relaxed);
-                let tag = slot[1].load(Ordering::Relaxed);
-                let a = slot[2].load(Ordering::Relaxed);
-                let b = slot[3].load(Ordering::Relaxed);
-                if let Some(kind) = SpanKind::from_u8((w0 & 0xFF) as u8) {
-                    out.push(TraceSpan {
-                        shard,
-                        kind,
-                        tag,
-                        t_ns: w0 >> 8,
-                        a,
-                        b,
-                    });
-                }
-            }
-            fence(Ordering::Acquire);
-            let n2 = self.written.load(Ordering::Acquire);
-            if n2 == n1 {
-                return out;
-            }
-            let advanced = (n2 - n1) as usize;
-            if advanced < out.len() {
-                out.drain(..advanced);
-            } else {
-                out.clear();
-            }
-            if !out.is_empty() {
-                return out;
-            }
-        }
-        Vec::new()
+    /// Decodes one slot of `shard`'s ring (`None` for a slot that was
+    /// never written).
+    pub(crate) fn from_words(shard: usize, w: [u64; 4]) -> Option<TraceSpan> {
+        Some(TraceSpan {
+            shard,
+            kind: SpanKind::from_u8((w[0] & 0xFF) as u8)?,
+            tag: w[1],
+            t_ns: w[0] >> 8,
+            a: w[2],
+            b: w[3],
+        })
     }
 }
 
@@ -496,19 +434,20 @@ mod tests {
     }
 
     #[test]
-    fn ring_wraps_and_reports_drops() {
-        let r = SpanRing::new(64);
-        for i in 0..64u64 {
-            assert!(!r.record(SpanKind::Send, pack(1, 1), i, 0, 0));
-        }
-        assert!(
-            r.record(SpanKind::Send, pack(1, 1), 64, 0, 0),
-            "65th evicts"
+    fn span_words_round_trip() {
+        let w = TraceSpan::words(SpanKind::Send, pack(9, 2), 1_000_000, 7, 3);
+        assert_eq!(
+            TraceSpan::from_words(5, w),
+            Some(TraceSpan {
+                shard: 5,
+                kind: SpanKind::Send,
+                tag: pack(9, 2),
+                t_ns: 1_000_000,
+                a: 7,
+                b: 3,
+            })
         );
-        let dump = r.dump(0);
-        assert_eq!(dump.len(), 64);
-        assert_eq!(dump[0].t_ns, 1, "oldest surviving span");
-        assert_eq!(dump[63].t_ns, 64);
+        assert_eq!(TraceSpan::from_words(0, [0; 4]), None, "unwritten slot");
     }
 
     #[test]

@@ -12,8 +12,7 @@ use std::time::{Duration, Instant};
 
 use remo_core::{
     algorithm::codec, AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineConfig, EngineError,
-    FaultPlan, Partitioner, QueryRegistry, Snapshot, TelemetryConfig, TraceConfig, VertexId,
-    CHAOS_PANIC_MARKER,
+    FaultPlan, Partitioner, QueryRegistry, Snapshot, TraceConfig, VertexId, CHAOS_PANIC_MARKER,
 };
 
 /// The paper's §II-A example: count each vertex's degree. Enough to make
@@ -35,16 +34,6 @@ impl Algorithm for Degree {
             *d += 1;
             true
         });
-    }
-}
-
-/// `REMO_CHAOS_VERBOSE_RECORDER=1` drops the flight-recorder sampling
-/// shift to 0 (every event recorded) — chaos-forensics mode, exercised by
-/// one CI variant so the densest recording path stays covered.
-fn telemetry_mode() -> TelemetryConfig {
-    match std::env::var("REMO_CHAOS_VERBOSE_RECORDER").as_deref() {
-        Ok("1") => TelemetryConfig::default().with_sample_shift(0),
-        _ => TelemetryConfig::default(),
     }
 }
 
@@ -101,7 +90,6 @@ fn chaos_config(plan: FaultPlan) -> EngineConfig {
         quiescence_deadline: Some(Duration::from_secs(5)),
         query_deadline: Some(Duration::from_secs(5)),
         fault_plan: plan,
-        telemetry: telemetry_mode(),
         trace: trace_mode(),
         ..EngineConfig::undirected(2)
     }
@@ -730,11 +718,8 @@ fn cold_restart_resumes_and_matches_uninterrupted_run() {
     let want = baseline_fixpoint(&all);
     let dir = durable_dir("cold");
     let config = || {
-        EngineConfig {
-            telemetry: telemetry_mode(),
-            ..EngineConfig::undirected(2)
-        }
-        .with_durability(DurabilityConfig::new(&dir).checkpoint_every(6).fsync(false))
+        EngineConfig::undirected(2)
+            .with_durability(DurabilityConfig::new(&dir).checkpoint_every(6).fsync(false))
     };
     {
         let engine = Engine::new(MaxLabel, config());

@@ -262,6 +262,35 @@ fn heavy_fanout_stress_with_many_shards() {
     assert_eq!(r.num_vertices as u64, n + 1);
 }
 
+/// The transport's steady state end to end: drained batch buffers come
+/// back over the recycle lanes fast enough that at least nine flushes in
+/// ten refill from the pool rather than the allocator. (No bound on
+/// `lane_full_fallbacks`: it tracks the host's scheduling.)
+#[test]
+fn steady_state_flushes_recycle_their_buffers() {
+    let mut x = 0x5eed_u64;
+    let pairs: Vec<(u64, u64)> = (0..60_000)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % 4096, (x >> 32) % 4096)
+        })
+        .collect();
+    let engine = Engine::new(MinLabel, EngineConfig::undirected(4));
+    engine.try_ingest_pairs(&pairs).unwrap();
+    let r = engine.try_finish().unwrap();
+    r.metrics.verify_balance().unwrap();
+    let t = r.metrics.total();
+    assert!(t.lane_batches >= 100, "{} lane batches", t.lane_batches);
+    assert!(
+        t.batches_recycled * 10 >= t.lane_batches * 9,
+        "{} of {} lane batches refilled from the pool",
+        t.batches_recycled,
+        t.lane_batches
+    );
+}
+
 #[test]
 fn init_routes_to_owning_shard() {
     #[derive(Debug, Default)]

@@ -49,8 +49,8 @@ pub mod prelude {
     };
     pub use remo_core::{
         AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineBuilder, EngineConfig, EventCtx,
-        QueryId, QueryRegistry, RegPayload, SequentialEngine, Snapshot, TelemetryConfig,
-        TelemetryHub, TopoEvent, TraceConfig, TriggerFire, VertexId, Weight,
+        QueryId, QueryRegistry, RegPayload, SequentialEngine, Snapshot, TelemetryHub, TopoEvent,
+        TraceConfig, TriggerFire, VertexId, Weight,
     };
     pub use remo_gen::{Dataset, RmatConfig};
 }
