@@ -22,6 +22,7 @@
 
 use crate::event::{ControlKind, ControlOp, Epoch};
 use crate::storage::VertexParts;
+use crate::trigger::{TriggerDef, TriggerFire};
 use remo_store::{EdgeMeta, VertexId, Weight};
 
 /// A REMO algorithm: user callbacks over the engine's events.
@@ -285,8 +286,8 @@ pub struct Outgoing<S> {
 /// The engine's concrete callback context.
 ///
 /// Holds split borrows of the visited vertex's storage
-/// ([`VertexParts`]) rather than a fat record reference, so it works
-/// identically over the dense slab layout and the legacy record layout.
+/// ([`VertexParts`]): live state, fork, meta word and adjacency, each
+/// reached without going back through the store.
 pub struct EventCtx<'a, S> {
     vertex: VertexId,
     parts: VertexParts<'a, S>,
@@ -327,15 +328,33 @@ impl<'a, S: Clone> EventCtx<'a, S> {
         self.shard = shard;
     }
 
-    /// Trigger bookkeeping (engine-internal).
+    /// Trigger evaluation on state change (§III-E), run by the engine once
+    /// the callback is done: every registered predicate that has not fired
+    /// for this vertex yet is tested against its state, and each one that
+    /// holds is marked fired (at most once per `(trigger, vertex)`) and
+    /// queued on `fires`, stamped with the observing shard and its `seq`.
     #[inline]
-    pub(crate) fn fired_bits(&self) -> u32 {
-        self.parts.meta.fired
-    }
-
-    #[inline]
-    pub(crate) fn mark_fired(&mut self, bit: u32) {
-        self.parts.meta.fired |= bit;
+    pub(crate) fn fire_triggers(
+        &mut self,
+        triggers: &[TriggerDef<S>],
+        seq: u64,
+        fires: &mut Vec<TriggerFire>,
+    ) {
+        if !self.state_changed {
+            return;
+        }
+        for (i, t) in triggers.iter().enumerate() {
+            let bit = 1u32 << i;
+            if self.parts.meta.fired & bit == 0 && (t.predicate)(self.vertex, self.parts.live) {
+                self.parts.meta.fired |= bit;
+                fires.push(TriggerFire {
+                    trigger: i,
+                    vertex: self.vertex,
+                    shard: self.shard,
+                    seq,
+                });
+            }
+        }
     }
 
     /// Iterates `(neighbour, edge metadata)` pairs (inherent convenience).
@@ -425,36 +444,53 @@ impl<'a, S: Clone> AlgoCtx<S> for EventCtx<'a, S> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::vertex_state::VertexState;
-    use remo_store::{Adjacency, VertexRecord};
+    use crate::storage::DenseStore;
 
-    fn make_rec(state: u64) -> VertexRecord<VertexState<u64>> {
-        VertexRecord {
-            state: VertexState {
-                live: state,
-                ..Default::default()
-            },
-            adj: Adjacency::new(),
+    /// A store holding vertex 1 in `state`, with `nbrs` as its out-edges
+    /// (shared with the registry's context tests).
+    pub(crate) fn store<S>(state: S, nbrs: &[(VertexId, EdgeMeta)]) -> DenseStore<S>
+    where
+        S: Clone + Default + PartialEq,
+    {
+        let mut st = DenseStore::with_capacity(0);
+        let h = st.intern(1);
+        let (_, parts) = st.fork_and_parts(h, 0);
+        *parts.live = state;
+        for &(n, meta) in nbrs {
+            parts.adj.insert(n, meta);
         }
+        st
     }
 
-    /// Context over a record, mirroring what the legacy layout's `parts`
-    /// hands the shard loop.
-    fn ctx<'a>(
-        rec: &'a mut VertexRecord<VertexState<u64>>,
-        out: &'a mut Vec<Outgoing<u64>>,
+    /// Context over vertex 1 for an event of `epoch`, built the way the
+    /// shard loop builds it.
+    pub(crate) fn ctx<'a, S>(
+        st: &'a mut DenseStore<S>,
+        out: &'a mut Vec<Outgoing<S>>,
         epoch: Epoch,
-    ) -> EventCtx<'a, u64> {
-        EventCtx::new(1, VertexParts::from_record(rec, epoch), out, epoch)
+    ) -> EventCtx<'a, S>
+    where
+        S: Clone + Default + PartialEq,
+    {
+        let h = st.intern(1);
+        EventCtx::new(1, st.fork_and_parts(h, epoch).1, out, epoch)
+    }
+
+    /// Vertex 1's live state and, if an event of epoch 0 would reach it,
+    /// its fork.
+    fn live_and_fork(st: &mut DenseStore<u64>) -> (u64, Option<u64>) {
+        let h = st.intern(1);
+        let (_, parts) = st.fork_and_parts(h, 0);
+        (*parts.live, parts.prev.as_deref().copied())
     }
 
     #[test]
     fn apply_tracks_changes() {
-        let mut rec = make_rec(10);
+        let mut st = store(10, &[]);
         let mut out = Vec::new();
-        let mut ctx = ctx(&mut rec, &mut out, 0);
+        let mut ctx = ctx(&mut st, &mut out, 0);
         assert!(!ctx.apply(|s| {
             if *s > 20 {
                 *s = 20;
@@ -478,11 +514,12 @@ mod tests {
 
     #[test]
     fn apply_dual_applies_to_fork_for_old_events() {
-        let mut rec = make_rec(10);
-        rec.state.fork_for(1); // vertex has advanced to epoch 1
+        let mut st = store(10, &[]);
         let mut out = Vec::new();
-        // Event of epoch 0: predates the fork.
-        let mut ctx = ctx(&mut rec, &mut out, 0);
+        // The vertex's first event of epoch 1 forks it; the event of epoch 0
+        // that follows predates the fork.
+        let _ = ctx(&mut st, &mut out, 1);
+        let mut ctx = ctx(&mut st, &mut out, 0);
         ctx.apply(|s| {
             if *s > 3 {
                 *s = 3;
@@ -491,35 +528,34 @@ mod tests {
                 false
             }
         });
-        assert_eq!(rec.state.live, 3);
-        assert_eq!(rec.state.prev, Some(3), "old event must reach the fork");
+        assert_eq!(
+            live_and_fork(&mut st),
+            (3, Some(3)),
+            "old event must reach the fork"
+        );
     }
 
     #[test]
     fn apply_new_epoch_spares_fork() {
-        let mut rec = make_rec(10);
-        rec.state.fork_for(1);
+        let mut st = store(10, &[]);
         let mut out = Vec::new();
-        let mut ctx = ctx(&mut rec, &mut out, 1);
+        let mut ctx = ctx(&mut st, &mut out, 1);
         ctx.apply(|s| {
             *s = 2;
             true
         });
-        assert_eq!(rec.state.live, 2);
         assert_eq!(
-            rec.state.prev,
-            Some(10),
+            live_and_fork(&mut st),
+            (2, Some(10)),
             "new event must not touch the fork"
         );
     }
 
     #[test]
     fn update_nbrs_fans_out_with_edge_weights() {
-        let mut rec = make_rec(0);
-        rec.adj.insert(2, EdgeMeta::weighted(5));
-        rec.adj.insert(3, EdgeMeta::weighted(7));
+        let mut st = store(0, &[(2, EdgeMeta::weighted(5)), (3, EdgeMeta::weighted(7))]);
         let mut out = Vec::new();
-        let mut ctx = ctx(&mut rec, &mut out, 0);
+        let mut ctx = ctx(&mut st, &mut out, 0);
         ctx.update_nbrs(&42);
         assert_eq!(out.len(), 2);
         let mut got: Vec<(VertexId, u64, Weight)> =
@@ -530,10 +566,9 @@ mod tests {
 
     #[test]
     fn update_single_nbr_uses_stored_weight() {
-        let mut rec = make_rec(0);
-        rec.adj.insert(9, EdgeMeta::weighted(3));
+        let mut st = store(0, &[(9, EdgeMeta::weighted(3))]);
         let mut out = Vec::new();
-        let mut ctx = ctx(&mut rec, &mut out, 0);
+        let mut ctx = ctx(&mut st, &mut out, 0);
         ctx.update_single_nbr(9, &1);
         ctx.update_single_nbr(100, &1); // no edge: weight defaults to 1
         assert_eq!(out[0].weight, 3);
@@ -542,12 +577,10 @@ mod tests {
 
     #[test]
     fn filtered_fanout_respects_predicate() {
-        let mut rec = make_rec(0);
-        for n in 0..10u64 {
-            rec.adj.insert(n, EdgeMeta::unweighted());
-        }
+        let nbrs: Vec<_> = (0..10u64).map(|n| (n, EdgeMeta::unweighted())).collect();
+        let mut st = store(0, &nbrs);
         let mut out = Vec::new();
-        let mut ctx = ctx(&mut rec, &mut out, 0);
+        let mut ctx = ctx(&mut st, &mut out, 0);
         ctx.update_nbrs_filtered(&7, |n, _| n % 2 == 0);
         assert_eq!(out.len(), 5);
         assert!(out.iter().all(|o| o.target % 2 == 0));
@@ -555,12 +588,10 @@ mod tests {
 
     #[test]
     fn for_each_nbr_visits_all() {
-        let mut rec = make_rec(0);
-        for n in 0..5u64 {
-            rec.adj.insert(n, EdgeMeta::unweighted());
-        }
+        let nbrs: Vec<_> = (0..5u64).map(|n| (n, EdgeMeta::unweighted())).collect();
+        let mut st = store(0, &nbrs);
         let mut out = Vec::new();
-        let ctx = ctx(&mut rec, &mut out, 0);
+        let ctx = ctx(&mut st, &mut out, 0);
         let mut count = 0;
         ctx.for_each_nbr(&mut |_, _| count += 1);
         assert_eq!(count, 5);

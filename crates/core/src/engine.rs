@@ -134,22 +134,20 @@ impl<A: Algorithm> EngineBuilder<A> {
         let triggers = Arc::new(self.triggers);
         let (trigger_tx, trigger_rx) = unbounded();
 
-        let channels: Vec<_> = (0..shards)
-            .map(|_| unbounded::<Message<A::State>>())
-            .collect();
-        let senders: Vec<Sender<Message<A::State>>> =
-            channels.iter().map(|(tx, _)| tx.clone()).collect();
+        // One channel per shard, and the engine keeps its only sender:
+        // shards talk to each other over the lanes alone.
+        let (senders, receivers): (Vec<Sender<Message<A::State>>>, Vec<_>) =
+            (0..shards).map(|_| unbounded()).unzip();
 
         let lanes = LaneHandles::new(shards);
 
         let mut handles = Vec::with_capacity(shards);
-        for (id, (_, rx)) in channels.into_iter().enumerate() {
+        for (id, rx) in receivers.into_iter().enumerate() {
             let worker = ShardWorker::new(
                 id,
                 Arc::clone(&algo),
                 config.clone(),
                 rx,
-                senders.clone(),
                 Arc::clone(&shared),
                 Arc::clone(&board),
                 Arc::clone(&triggers),

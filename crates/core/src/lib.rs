@@ -16,8 +16,9 @@
 //!   communicates only via per-sender FIFO batches of visitor messages
 //!   ([`shard`]). The data plane ([`transport`]) is a lane mesh: batches
 //!   move over lock-free SPSC rings with pooled buffer recycling and
-//!   event-driven parking; each shard's channel carries control traffic
-//!   and the overflow of a full lane. Where a shard thread runs is the
+//!   event-driven parking, and a batch a full lane has no room for waits
+//!   at its sender; each shard's channel carries the controller's traffic
+//!   and nothing else. Where a shard thread runs is the
 //!   operating system's business; the engine places work by
 //!   `hash(V) mod P` and nothing else (§III-A). Configuration lives in
 //!   [`config`].
@@ -128,7 +129,7 @@ pub use trace::{
     HopStats, PropagationTrace, SpanKind, TraceConfig, TraceSpan, TraceSummary, TraceTag,
 };
 pub use trigger::{TriggerFire, MAX_TRIGGERS};
-pub use vertex_state::{VertexMeta, VertexState};
+pub use vertex_state::VertexMeta;
 pub use wal::DurabilityConfig;
 
 /// Re-exports of the storage layer's core identifiers.

@@ -110,11 +110,13 @@ shard_metrics! {
     lane_batches,
     /// `flush()` calls that reused a pooled batch buffer from a recycle
     /// lane instead of allocating — `batches_recycled / lane_batches` is
-    /// the pool hit rate the transport ablation asserts on.
+    /// the pool hit rate (a held batch finds the pool empty: every pooled
+    /// buffer is in the full lane ahead of it).
     batches_recycled,
-    /// Batches diverted to the channel path because their pair's data
-    /// lane was full (plus the pair's FIFO-handshake tail — see
-    /// `LaneMesh::fallback_consumed`).
+    /// Flushes that found their pair's data lane full: the batch stayed
+    /// in its sender's backlog and shipped, in order, once the lane had
+    /// room. `lane_full_fallbacks / lane_batches` is the share of batches
+    /// that met a full lane.
     lane_full_fallbacks,
     /// Times this shard actually unparked a sleeping peer after
     /// publishing work for it (event-driven wakeups that fired).

@@ -1219,10 +1219,8 @@ impl<C: Cell> QueryStatsSource for QueryRegistry<C> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::algorithm::EventCtx;
-    use crate::storage::VertexParts;
-    use crate::vertex_state::VertexState;
-    use remo_store::VertexRecord;
+    use crate::algorithm::tests::{ctx, store};
+    use crate::storage::DenseStore;
 
     /// Max-lattice test algorithm over u64 cells.
     struct MaxAlgo;
@@ -1275,6 +1273,10 @@ mod tests {
         }
     }
 
+    fn live(st: &DenseStore<RegPayload<u64>>) -> &RegPayload<u64> {
+        st.get(1).unwrap().0
+    }
+
     #[test]
     fn columns_absorb_deltas_through_the_slot_hook() {
         type Reg = QueryRegistry<u64>;
@@ -1319,13 +1321,9 @@ mod tests {
 
     #[test]
     fn slot_ctx_writes_its_column_and_tags_sends() {
-        let mut rec: VertexRecord<VertexState<RegPayload<u64>>> = VertexRecord {
-            state: VertexState::default(),
-            adj: remo_store::Adjacency::new(),
-        };
-        rec.adj.insert(9, EdgeMeta::weighted(4));
+        let mut st = store(RegPayload::default(), &[(9, EdgeMeta::weighted(4))]);
         let mut out = Vec::new();
-        let mut ctx = EventCtx::new(1, VertexParts::from_record(&mut rec, 0), &mut out, 0);
+        let mut ctx = ctx(&mut st, &mut out, 0);
         let q = slot_record(6);
         {
             let mut sc = SlotCtx::new(&mut ctx, 2, &q, false);
@@ -1333,7 +1331,7 @@ mod tests {
         }
         // Column 2 materialized (0 and 1 back-filled with bottom).
         assert_eq!(
-            rec.state.live,
+            *live(&st),
             RegPayload::Columns(vec![0, 0, 50]),
             "slot 2 cell must hold the joined value"
         );
@@ -1353,45 +1351,34 @@ mod tests {
 
     #[test]
     fn muted_slot_ctx_applies_but_never_sends() {
-        let mut rec: VertexRecord<VertexState<RegPayload<u64>>> = VertexRecord {
-            state: VertexState::default(),
-            adj: remo_store::Adjacency::new(),
-        };
-        rec.adj.insert(3, EdgeMeta::unweighted());
+        let mut st = store(RegPayload::default(), &[(3, EdgeMeta::unweighted())]);
         let mut out = Vec::new();
-        let mut ctx = EventCtx::new(1, VertexParts::from_record(&mut rec, 0), &mut out, 0);
+        let mut ctx = ctx(&mut st, &mut out, 0);
         let q = slot_record(1);
         {
             let mut sc = SlotCtx::new(&mut ctx, 0, &q, true);
             q.query.on_update(&mut sc, 3, &8, 1);
         }
-        assert_eq!(rec.state.live, RegPayload::Columns(vec![8]));
+        assert_eq!(*live(&st), RegPayload::Columns(vec![8]));
         assert!(out.is_empty(), "muted context must drop sends");
         assert_eq!(q.stats.envelopes_sent.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn clear_compacts_trailing_bottom_columns() {
-        let mut rec: VertexRecord<VertexState<RegPayload<u64>>> = VertexRecord {
-            state: VertexState::default(),
-            adj: remo_store::Adjacency::new(),
-        };
-        rec.state.live = RegPayload::Columns(vec![0, 5, 0, 7, 0, 0]);
+        let mut st = store(RegPayload::Columns(vec![0, 5, 0, 7, 0, 0]), &[]);
         let mut out = Vec::new();
-        let mut ctx = EventCtx::new(1, VertexParts::from_record(&mut rec, 0), &mut out, 0);
         // Clearing slot 3 zeroes it and truncates the trailing bottom run.
-        QueryRegistry::<u64>::reset_cells(&mut ctx, 1 << 3, true);
+        QueryRegistry::<u64>::reset_cells(&mut ctx(&mut st, &mut out, 0), 1 << 3, true);
         assert_eq!(
-            rec.state.live,
+            *live(&st),
             RegPayload::Columns(vec![0, 5]),
             "detach must reclaim the trailing bottom cells"
         );
         // Without compaction the length is preserved (prime's clean slate).
-        rec.state.live = RegPayload::Columns(vec![0, 0, 9]);
-        let mut out = Vec::new();
-        let mut ctx = EventCtx::new(1, VertexParts::from_record(&mut rec, 0), &mut out, 0);
-        QueryRegistry::<u64>::reset_cells(&mut ctx, 1 << 2, false);
-        assert_eq!(rec.state.live, RegPayload::Columns(vec![0, 0, 0]));
+        let mut st = store(RegPayload::Columns(vec![0, 0, 9]), &[]);
+        QueryRegistry::<u64>::reset_cells(&mut ctx(&mut st, &mut out, 0), 1 << 2, false);
+        assert_eq!(*live(&st), RegPayload::Columns(vec![0, 0, 0]));
     }
 
     #[test]

@@ -25,18 +25,21 @@
 
 use std::collections::VecDeque;
 
-use remo_store::{EdgeMeta, VertexId, VertexTable};
+use remo_store::{EdgeMeta, VertexId};
 
 use crate::algorithm::{AlgoCtx, Algorithm, EventCtx};
 use crate::event::{EventKind, TopoEvent, TopoOp};
 use crate::metrics::ShardMetrics;
-use crate::vertex_state::VertexState;
+use crate::storage::DenseStore;
 
 /// A single-threaded, event-at-a-time dynamic graph engine.
 pub struct SequentialEngine<A: Algorithm> {
     algo: A,
     undirected: bool,
-    table: VertexTable<VertexState<A::State>>,
+    /// The shards' store, reached the way they reach it (`intern`, then
+    /// `fork_and_parts` off the handle) and always at epoch 0: with one
+    /// event in flight there is nothing to fork.
+    store: DenseStore<A::State>,
     queue: VecDeque<(VertexId, VertexId, A::State, u64, EventKind)>,
     out: Vec<crate::algorithm::Outgoing<A::State>>,
     metrics: ShardMetrics,
@@ -58,7 +61,7 @@ impl<A: Algorithm> SequentialEngine<A> {
         SequentialEngine {
             algo,
             undirected,
-            table: VertexTable::new(),
+            store: DenseStore::with_capacity(0),
             queue: VecDeque::new(),
             out: Vec::new(),
             metrics: ShardMetrics::default(),
@@ -101,15 +104,15 @@ impl<A: Algorithm> SequentialEngine<A> {
 
     /// Live state of `v` (always globally consistent between `apply`s).
     pub fn state(&self, v: VertexId) -> Option<&A::State> {
-        self.table.get(v).map(|r| &r.state.live)
+        self.store.get(v).map(|(state, _)| state)
     }
 
     /// All states, sorted by vertex id.
     pub fn states(&self) -> Vec<(VertexId, A::State)> {
         let mut v: Vec<(VertexId, A::State)> = self
-            .table
+            .store
             .iter()
-            .map(|(id, r)| (id, r.state.live.clone()))
+            .map(|(id, state, _)| (id, state.clone()))
             .collect();
         v.sort_unstable_by_key(|&(id, _)| id);
         v
@@ -151,7 +154,8 @@ impl<A: Algorithm> SequentialEngine<A> {
         weight: u64,
         kind: EventKind,
     ) {
-        let (rec, _) = self.table.ensure(target);
+        let h = self.store.intern(target);
+        let (_, parts) = self.store.fork_and_parts(h, 0);
         match kind {
             EventKind::Add | EventKind::ReverseAdd => {
                 let cached = if kind == EventKind::ReverseAdd {
@@ -159,7 +163,7 @@ impl<A: Algorithm> SequentialEngine<A> {
                 } else {
                     0
                 };
-                if rec
+                if parts
                     .adj
                     .insert_weight_min(visitor, EdgeMeta { weight, cached })
                 {
@@ -170,10 +174,10 @@ impl<A: Algorithm> SequentialEngine<A> {
                 }
             }
             EventKind::Update => {
-                rec.adj.set_cached(visitor, A::encode_cache(&value));
+                parts.adj.set_cached(visitor, A::encode_cache(&value));
             }
             EventKind::Remove | EventKind::ReverseRemove => {
-                if rec.adj.remove(visitor).is_some() {
+                if parts.adj.remove(visitor).is_some() {
                     self.edges -= 1;
                     self.metrics.edges_removed += 1;
                 }
@@ -183,12 +187,7 @@ impl<A: Algorithm> SequentialEngine<A> {
 
         let mut reverse_value = None;
         {
-            let mut ctx = EventCtx::new(
-                target,
-                crate::storage::VertexParts::from_record(rec, 0),
-                &mut self.out,
-                0,
-            );
+            let mut ctx = EventCtx::new(target, parts, &mut self.out, 0);
             match kind {
                 EventKind::Init => {
                     self.metrics.init_events += 1;

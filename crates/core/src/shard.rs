@@ -3,7 +3,7 @@
 //! Each shard owns a partition of the vertices (consistent hashing,
 //! §III-C), a [`DenseStore`] holding their adjacency and live algorithm
 //! state, and one inbound FIFO lane of visitor messages per peer (HavoqGT's
-//! visitor queue, Figure 2) beside a control channel. The worker loop:
+//! visitor queue, Figure 2) beside the controller's channel. The worker loop:
 //!
 //! 1. drains and processes all queued algorithmic events (events that
 //!    "impact the same vertex are ordered in the infrastructure layer by the
@@ -72,7 +72,8 @@ const PULL_RUN: usize = 64;
 /// `count & SAMPLE_MASK == 0` selects the events that are sampled.
 const SAMPLE_MASK: u64 = (1 << SAMPLE_SHIFT) - 1;
 
-/// Messages a shard can receive: data envelopes plus control traffic.
+/// Messages the controller sends a shard. Shards never send these: what
+/// one shard has for another travels the pair's lane and nothing else.
 pub(crate) enum Message<S> {
     /// An algorithmic event (counted by termination detection).
     Event(Envelope<S>),
@@ -89,17 +90,6 @@ pub(crate) enum Message<S> {
     Query {
         vertex: VertexId,
         reply: Sender<Option<S>>,
-    },
-    /// A data batch diverted to the channel because the pair's data lane
-    /// was full (or the pair was already mid-fallback). The receiver must
-    /// drain data lane `(from, self)` before admitting `batch` — every
-    /// batch in the lane predates this one — and acknowledge via
-    /// `LaneMesh::note_fallback_consumed` afterwards so the sender may
-    /// resume the lane. That discipline is what keeps the pair's FIFO
-    /// intact across the lane→channel→lane round trip.
-    LaneFallback {
-        from: usize,
-        batch: Vec<Envelope<S>>,
     },
     /// Control-plane operation (multi-query attach/detach): the shard
     /// claims the sub-mask it has not yet applied via
@@ -121,7 +111,8 @@ enum IdleWait<S> {
     /// Woken (or timed out) with nothing on the channel: loop around and
     /// re-drain the lanes.
     Heartbeat,
-    /// Every sender is gone: shut down.
+    /// The controller dropped every sender without a `Shutdown`: stop and
+    /// report all the same.
     Disconnected,
 }
 
@@ -147,7 +138,6 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     config: EngineConfig,
     part: Partitioner,
     rx: Receiver<Message<A::State>>,
-    senders: Vec<Sender<Message<A::State>>>,
     shared: Arc<SharedCounters>,
     board: Arc<FailureBoard>,
     triggers: Arc<Vec<TriggerDef<A::State>>>,
@@ -171,12 +161,12 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     outboxes: Vec<Vec<Envelope<A::State>>>,
     /// The shared SPSC lane mesh + park board.
     lanes: LaneHandles<A::State>,
-    /// Per-destination count of batches this shard diverted to the
-    /// channel path; compared against the mesh's `fallback_consumed` to
-    /// decide when the pair may resume its data lane (FIFO handshake).
-    fallback_sent: Vec<u64>,
-    /// Reusable scratch for the sender ids claimed from the pending set
-    /// each `drain_lanes` pass (allocation-free steady state).
+    /// Per-destination backlog: batches whose flush found the lane full,
+    /// oldest first (see [`ShardWorker::do_flush`]).
+    held: Vec<VecDeque<Vec<Envelope<A::State>>>>,
+    /// Sender ids claimed from the pending set and not yet drained: empty
+    /// between passes, and what survives of a pass that panicked (see
+    /// [`ShardWorker::drain_lanes`]).
     claim_buf: Vec<usize>,
     /// Idle passes spent deferring a partial-batch flush in the current
     /// idle episode (bounded by [`FLUSH_HYSTERESIS`]; reset whenever
@@ -280,7 +270,6 @@ impl<A: Algorithm> ShardWorker<A> {
         algo: Arc<A>,
         config: EngineConfig,
         rx: Receiver<Message<A::State>>,
-        senders: Vec<Sender<Message<A::State>>>,
         shared: Arc<SharedCounters>,
         board: Arc<FailureBoard>,
         triggers: Arc<Vec<TriggerDef<A::State>>>,
@@ -304,7 +293,6 @@ impl<A: Algorithm> ShardWorker<A> {
             config,
             part,
             rx,
-            senders,
             shared,
             board,
             triggers,
@@ -317,7 +305,7 @@ impl<A: Algorithm> ShardWorker<A> {
             out: Vec::new(),
             outboxes: (0..num_shards).map(|_| Vec::new()).collect(),
             lanes,
-            fallback_sent: vec![0; num_shards],
+            held: (0..num_shards).map(|_| VecDeque::new()).collect(),
             claim_buf: Vec::new(),
             idle_spins: 0,
             sent_local: [0; 2],
@@ -519,8 +507,9 @@ impl<A: Algorithm> ShardWorker<A> {
         self.metrics.phase_busy_ns += ns;
     }
 
-    /// The worker loop. Returns on shutdown (or when every sender is
-    /// gone); the caller then consumes `self` into the final report.
+    /// The worker loop. Returns on shutdown (or when the controller's
+    /// senders are all gone); the caller then consumes `self` into the
+    /// final report.
     pub(crate) fn run_loop(&mut self) {
         use std::sync::atomic::Ordering;
         self.lanes.parks.register(self.id);
@@ -530,7 +519,7 @@ impl<A: Algorithm> ShardWorker<A> {
         // processing, therefore costs zero clock reads. Entering the loop
         // is a transition only after a replay.
         self.phase_mark(PhaseLabel::Drain);
-        loop {
+        'run: loop {
             // Phase 1 — inbound: drain all queued messages (algorithm
             // events first): alternate between the inbound lanes, the
             // inbound channel, and the local queue until all are empty.
@@ -546,10 +535,7 @@ impl<A: Algorithm> ShardWorker<A> {
                 while let Ok(msg) = self.rx.try_recv() {
                     round = true;
                     if self.dispatch(msg) {
-                        self.phase_mark(PhaseLabel::Checkpoint);
-                        self.maybe_checkpoint(true);
-                        self.phase_close();
-                        return;
+                        break 'run;
                     }
                 }
                 while let Some(env) = self.local_q.pop_front() {
@@ -622,7 +608,11 @@ impl<A: Algorithm> ShardWorker<A> {
 
             // Phase 4 — idle: flush buffered envelopes, publish the
             // counter cell (an idle shard's snapshot is otherwise up to
-            // PUBLISH_EVERY-1 events stale), then park until woken.
+            // PUBLISH_EVERY-1 events stale), then park until woken. A
+            // backlog a full lane left behind is retried by this flush, so
+            // a shard idling on one retries at least every `IDLE_PARK`:
+            // nobody wakes a sender when its lane drains, the park's
+            // heartbeat does.
             self.phase_mark(PhaseLabel::Flush);
             self.flush_all();
             self.publish_telemetry();
@@ -643,21 +633,18 @@ impl<A: Algorithm> ShardWorker<A> {
             match waited {
                 IdleWait::Message(msg) => {
                     if self.dispatch(msg) {
-                        self.phase_mark(PhaseLabel::Checkpoint);
-                        self.maybe_checkpoint(true);
-                        self.phase_close();
-                        return;
+                        break 'run;
                     }
                 }
                 IdleWait::Heartbeat => {}
-                IdleWait::Disconnected => {
-                    self.phase_mark(PhaseLabel::Checkpoint);
-                    self.maybe_checkpoint(true);
-                    self.phase_close();
-                    return;
-                }
+                IdleWait::Disconnected => break 'run,
             }
         }
+        // Stopping: one last checkpoint if the WAL holds anything, and the
+        // tail of the final phase run attributed rather than dropped.
+        self.phase_mark(PhaseLabel::Checkpoint);
+        self.maybe_checkpoint(true);
+        self.phase_close();
     }
 
     /// One idle wait: the shard announces sleep, re-checks both inbound
@@ -697,13 +684,7 @@ impl<A: Algorithm> ShardWorker<A> {
     fn dispatch(&mut self, msg: Message<A::State>) -> bool {
         match msg {
             Message::Event(env) => {
-                if self.durable {
-                    self.log_custody(&env);
-                    self.inbox.push_back(env);
-                    self.commit_and_process_inbox();
-                } else {
-                    self.process(env);
-                }
+                self.admit([env]);
                 false
             }
             Message::Stream(events) => {
@@ -739,36 +720,6 @@ impl<A: Algorithm> ShardWorker<A> {
                     .lookup(vertex)
                     .map(|h| self.store.live(h).clone());
                 let _ = reply.send(state);
-                false
-            }
-            Message::LaneFallback { from, mut batch } => {
-                self.tele.record_flight(
-                    self.id,
-                    FlightTag::Fallback,
-                    self.cur_epoch,
-                    from as u64,
-                    batch.len() as u64,
-                );
-                // Per-pair FIFO across the fallback: everything already in
-                // the data lane predates this batch — admit the lane
-                // first, then this batch, then acknowledge so the sender
-                // may resume the lane (the ack's Release pairs with the
-                // sender's Acquire read, ordering its next lane pushes
-                // strictly after this admission).
-                self.drain_lane_from(from);
-                if self.durable {
-                    for env in batch.drain(..) {
-                        self.log_custody(&env);
-                        self.inbox.push_back(env);
-                    }
-                    self.commit_and_process_inbox();
-                } else {
-                    for env in batch.drain(..) {
-                        self.process(env);
-                    }
-                }
-                self.lanes.mesh.give_recycled(from, self.id, batch);
-                self.lanes.mesh.note_fallback_consumed(from, self.id);
                 false
             }
             Message::Control { op, ack } => {
@@ -834,46 +785,13 @@ impl<A: Algorithm> ShardWorker<A> {
                 let mut ctx = EventCtx::new(v, parts, &mut self.out, self.cur_epoch);
                 ctx.set_shard(self.id);
                 self.algo.on_sweep(&mut ctx, kind, mask);
-                // Trigger evaluation mirrors `process_inner`: a sweep that
-                // changes state (attach backfill reaching a watched vertex)
-                // fires triggers exactly like an envelope would.
-                if ctx.state_changed && !self.triggers.is_empty() {
-                    let seq = self.seq;
-                    let shard = self.id;
-                    for (i, t) in self.triggers.iter().enumerate() {
-                        let bit = 1u32 << i;
-                        if ctx.fired_bits() & bit == 0 && (t.predicate)(v, ctx.state()) {
-                            ctx.mark_fired(bit);
-                            self.pending_fires.push(TriggerFire {
-                                trigger: i,
-                                vertex: v,
-                                shard,
-                                seq,
-                            });
-                        }
-                    }
-                }
+                // A sweep that changes state (attach backfill reaching a
+                // watched vertex) fires triggers exactly like an envelope.
+                ctx.fire_triggers(&self.triggers, self.seq, &mut self.pending_fires);
             }
-            for fire in self.pending_fires.drain(..) {
-                self.metrics.triggers_fired += 1;
-                let _ = self.trigger_tx.send(fire);
-            }
-            // Route the sweep's generated updates as ordinary fresh sends.
-            let mut outgoing = std::mem::take(&mut self.out);
-            for o in outgoing.drain(..) {
-                self.send_envelope(Envelope {
-                    target: o.target,
-                    visitor: v,
-                    value: o.value,
-                    weight: o.weight,
-                    kind: EventKind::Update,
-                    epoch: self.cur_epoch,
-                    // Control sweeps are engine-initiated, not caused by
-                    // any one external update: never traced.
-                    tag: 0,
-                });
-            }
-            self.out = outgoing;
+            // Control sweeps are engine-initiated, not caused by any one
+            // external update: never traced.
+            self.route_generated(v, self.cur_epoch, 0);
             swept += 1;
         }
         self.metrics.sweep_vertices += swept;
@@ -881,55 +799,59 @@ impl<A: Algorithm> ShardWorker<A> {
         swept
     }
 
-    /// Drains every flagged inbound data lane. One bitmap probe covers the
-    /// empty case — the hot loop never scans P lanes to find nothing. Mesh
-    /// calls here and below go through the `self.lanes` borrow (each ends
-    /// before the `&mut self` work after it): cloning the `Arc` instead
-    /// would put two locked RMWs on a line every shard shares into every
-    /// pass. Returns whether anything was admitted.
+    /// Drains every flagged inbound data lane, returning each emptied batch
+    /// buffer to its sender's pool. One bitmap probe covers the empty case
+    /// — the hot loop never scans P lanes to find nothing. Mesh calls here
+    /// and below go through the `self.lanes` borrow (each ends before the
+    /// `&mut self` work after it): cloning the `Arc` instead would put two
+    /// locked RMWs on a line every shard shares into every pass. Returns
+    /// whether anything was admitted.
+    ///
+    /// The claim clears the pending bits, so until the pass ends
+    /// `claim_buf` alone says which lanes hold delivered batches. A panic
+    /// unwinding out of the pass leaves it intact and the respawned
+    /// worker's first pass drains those lanes again (an already emptied one
+    /// yields nothing) — otherwise batches nobody pushes behind would sit
+    /// in their rings unflagged and their senders' books stay open.
     fn drain_lanes(&mut self) -> bool {
-        if !self.lanes.mesh.has_inbound(self.id) {
+        if self.claim_buf.is_empty() && !self.lanes.mesh.has_inbound(self.id) {
             return false;
         }
-        // The scratch is taken out of `self` for the drain calls below
-        // (which need `&mut self`); its allocation is reused every pass.
-        let mut claimed = std::mem::take(&mut self.claim_buf);
-        claimed.clear();
-        self.lanes.mesh.claim_pending_into(self.id, &mut claimed);
+        self.lanes
+            .mesh
+            .claim_pending_into(self.id, &mut self.claim_buf);
         let mut any = false;
-        for &from in &claimed {
-            if self.drain_lane_from(from) {
+        for i in 0..self.claim_buf.len() {
+            let from = self.claim_buf[i];
+            while let Some(mut batch) = self.lanes.mesh.recv(from, self.id) {
                 any = true;
+                self.admit(batch.drain(..));
+                self.lanes.mesh.give_recycled(from, self.id, batch);
             }
         }
-        self.claim_buf = claimed;
+        self.claim_buf.clear();
         any
     }
 
-    /// Drains the data lane from one peer, returning each emptied batch
-    /// buffer to the sender's pool.
-    fn drain_lane_from(&mut self, from: usize) -> bool {
-        let mut any = false;
-        while let Some(mut batch) = self.lanes.mesh.recv(from, self.id) {
-            any = true;
-            if self.durable {
-                // Memory-only first pass (panic-free), then one WAL
-                // commit for the whole batch, *then* processing: a
-                // record is durable before any effect escapes.
-                for env in batch.drain(..) {
-                    self.log_custody(&env);
-                    self.inbox.push_back(env);
-                }
-                self.lanes.mesh.give_recycled(from, self.id, batch);
-                self.commit_and_process_inbox();
-            } else {
-                for env in batch.drain(..) {
-                    self.process(env);
-                }
-                self.lanes.mesh.give_recycled(from, self.id, batch);
+    /// Takes custody of received envelopes and processes them. Under
+    /// durability the whole run is logged first (memory only, panic-free),
+    /// committed once, and only *then* processed: a record is on disk
+    /// before any of its effects can escape this shard.
+    fn admit(&mut self, envs: impl IntoIterator<Item = Envelope<A::State>>) {
+        if self.durable {
+            for env in envs {
+                self.log_custody(&env);
+                self.inbox.push_back(env);
+            }
+            self.wal_commit();
+            while let Some(env) = self.inbox.pop_front() {
+                self.process(env);
+            }
+        } else {
+            for env in envs {
+                self.process(env);
             }
         }
-        any
     }
 
     /// True when an `Update` carrying `value` cannot change the live state
@@ -1117,28 +1039,7 @@ impl<A: Algorithm> ShardWorker<A> {
                 reverse_value = Some(ctx.state().clone());
             }
 
-            // Trigger evaluation on state change (§III-E): fire-once per
-            // (trigger, vertex), observed on the owning shard.
-            if ctx.state_changed && !self.triggers.is_empty() {
-                let seq = self.seq;
-                let shard = self.id;
-                for (i, t) in self.triggers.iter().enumerate() {
-                    let bit = 1u32 << i;
-                    if ctx.fired_bits() & bit == 0 && (t.predicate)(target, ctx.state()) {
-                        ctx.mark_fired(bit);
-                        self.pending_fires.push(TriggerFire {
-                            trigger: i,
-                            vertex: target,
-                            shard,
-                            seq,
-                        });
-                    }
-                }
-            }
-        }
-        for fire in self.pending_fires.drain(..) {
-            self.metrics.triggers_fired += 1;
-            let _ = self.trigger_tx.send(fire);
+            ctx.fire_triggers(&self.triggers, self.seq, &mut self.pending_fires);
         }
 
         // Tracing: one Process (live) / Replay (recovery) span per tagged
@@ -1181,21 +1082,7 @@ impl<A: Algorithm> ShardWorker<A> {
             });
         }
 
-        // Route the callback's generated updates, keeping the buffer's
-        // allocation for the next event.
-        let mut outgoing = std::mem::take(&mut self.out);
-        for o in outgoing.drain(..) {
-            self.send_envelope(Envelope {
-                target: o.target,
-                visitor: target,
-                value: o.value,
-                weight: o.weight,
-                kind: EventKind::Update,
-                epoch: env.epoch,
-                tag: ctag,
-            });
-        }
-        self.out = outgoing;
+        self.route_generated(target, env.epoch, ctag);
 
         // Retire the envelope only after its children's sends were
         // published (four-counter soundness).
@@ -1204,6 +1091,32 @@ impl<A: Algorithm> ShardWorker<A> {
         }
         self.mid_process = None;
         self.finish_service(t0);
+    }
+
+    /// Tail of every callback: hands the trigger fires it raised to the
+    /// controller and routes the updates it generated as ordinary `Update`
+    /// envelopes from `visitor` (fully accounted by termination detection),
+    /// keeping the buffer's allocation for the next event. Runs once per
+    /// envelope: kept in `process_inner`'s body, not behind a call.
+    #[inline(always)]
+    fn route_generated(&mut self, visitor: VertexId, epoch: Epoch, tag: TraceTag) {
+        for fire in self.pending_fires.drain(..) {
+            self.metrics.triggers_fired += 1;
+            let _ = self.trigger_tx.send(fire);
+        }
+        let mut outgoing = std::mem::take(&mut self.out);
+        for o in outgoing.drain(..) {
+            self.send_envelope(Envelope {
+                target: o.target,
+                visitor,
+                value: o.value,
+                weight: o.weight,
+                kind: EventKind::Update,
+                epoch,
+                tag,
+            });
+        }
+        self.out = outgoing;
     }
 
     /// Appends one span to this shard's ring, moving the span counters
@@ -1337,10 +1250,11 @@ impl<A: Algorithm> ShardWorker<A> {
         }
     }
 
-    /// Ships one destination's buffered envelopes, timing the shipment
-    /// (empty outboxes cost one branch).
+    /// Ships what this shard has for one destination — its backlog, then
+    /// its outbox — timing the shipment (nothing to ship costs two
+    /// branches).
     fn flush(&mut self, owner: usize) {
-        if self.outboxes[owner].is_empty() {
+        if self.outboxes[owner].is_empty() && self.held[owner].is_empty() {
             return;
         }
         self.tele.record_flight(
@@ -1356,64 +1270,47 @@ impl<A: Algorithm> ShardWorker<A> {
             .record_flush(self.id, t0.elapsed().as_nanos() as u64);
     }
 
+    /// The full-lane policy, all of it: a batch the lane has no room for
+    /// waits here, at its sender, behind the batches already waiting and
+    /// ahead of everything newer. One queue per pair, drained from the
+    /// front, is the pair's FIFO; the receiver never learns a lane was
+    /// full, and a slow receiver's backlog sits where its sender counts it
+    /// (`custody_clear`, the custody sweeps; held envelopes are sent and
+    /// not yet processed, so quiescence cannot fire over them).
+    ///
+    /// A held batch keeps the length it left the outbox with, so the
+    /// buffers circulating through the recycle pool stay ordinary sized
+    /// however long the receiver stalls. The lane is tried again when the
+    /// outbox has filled once more and at every `flush_all`, not per
+    /// envelope: until then a held batch waits as a partial outbox does,
+    /// for its sender to fill a batch or go idle.
     fn do_flush(&mut self, owner: usize) {
-        let batch = std::mem::take(&mut self.outboxes[owner]);
+        let fresh = !self.outboxes[owner].is_empty();
+        if fresh {
+            // Pool a drained buffer for the next fill — steady-state
+            // flushes allocate nothing.
+            let next = self.lanes.mesh.take_recycled(self.id, owner);
+            self.metrics.batches_recycled += u64::from(next.is_some());
+            let batch = std::mem::replace(&mut self.outboxes[owner], next.unwrap_or_default());
+            self.held[owner].push_back(batch);
+        }
         if self.board.is_failed(owner) {
-            // A dead receiver can never pop its lanes: retire this batch
-            // and whatever is still parked in the lane (quiescence over
-            // the survivors is unreachable while either counts as in
-            // flight).
-            self.retire_batch(batch);
-            self.reclaim_lane(owner);
-            return;
+            return self.retire_dead(owner);
         }
-        // FIFO handshake tail: while any fallback batch is unacknowledged,
-        // the pair stays on the channel path — a lane push now could
-        // overtake the fallback still queued in the receiver's channel.
-        if self.fallback_sent[owner] != self.lanes.mesh.fallback_consumed(self.id, owner) {
+        let mut shipped = 0;
+        while let Some(batch) = self.held[owner].pop_front() {
+            if let Err(batch) = self.lanes.mesh.send(self.id, owner, batch) {
+                self.held[owner].push_front(batch);
+                break;
+            }
+            shipped += 1;
+        }
+        if shipped > 0 {
+            self.metrics.lane_batches += shipped;
+            self.wake(owner);
+        }
+        if fresh && !self.held[owner].is_empty() {
             self.metrics.lane_full_fallbacks += 1;
-            self.send_fallback(owner, batch);
-            return;
-        }
-        match self.lanes.mesh.send(self.id, owner, batch) {
-            Ok(()) => {
-                self.metrics.lane_batches += 1;
-                // Pool a drained buffer for the next fill — steady-state
-                // flushes allocate nothing.
-                if let Some(buf) = self.lanes.mesh.take_recycled(self.id, owner) {
-                    self.metrics.batches_recycled += 1;
-                    self.outboxes[owner] = buf;
-                }
-                self.wake(owner);
-            }
-            Err(batch) => {
-                self.metrics.lane_full_fallbacks += 1;
-                self.send_fallback(owner, batch);
-            }
-        }
-    }
-
-    /// Ships a batch over the channel because the pair's data lane is full
-    /// (or the pair is mid-handshake). Never blocks, never reorders: the
-    /// receiver drains the lane before admitting it.
-    fn send_fallback(&mut self, owner: usize, batch: Vec<Envelope<A::State>>) {
-        self.fallback_sent[owner] += 1;
-        let msg = Message::LaneFallback {
-            from: self.id,
-            batch,
-        };
-        match self.senders[owner].send(msg) {
-            Ok(()) => self.wake(owner),
-            // A closed channel means the receiver shut down mid-run
-            // (engine teardown, or the destination shard died): retire
-            // the envelopes so counters stay balanced, and account for
-            // the loss.
-            Err(e) => {
-                if let Message::LaneFallback { batch, .. } = e.into_inner() {
-                    self.retire_batch(batch);
-                }
-                self.reclaim_lane(owner);
-            }
         }
     }
 
@@ -1426,12 +1323,17 @@ impl<A: Algorithm> ShardWorker<A> {
         }
     }
 
-    /// Drains this shard's own data lane to a dead `owner`, retiring the
-    /// in-flight envelopes. See [`crate::transport::LaneMesh::reclaim`]
-    /// for why popping our own lane is sound only once the consumer is
-    /// provably gone (channel disconnect or failure-board record, both
-    /// published strictly after its last pop).
-    fn reclaim_lane(&mut self, owner: usize) {
+    /// A dead receiver can never pop its lanes: retires the backlog held
+    /// for `owner` and whatever is still parked in the lane (quiescence
+    /// over the survivors is unreachable while either counts as in
+    /// flight). See [`crate::transport::LaneMesh::reclaim`] for why
+    /// popping our own lane is sound only once the consumer is provably
+    /// gone (its failure-board record is published strictly after its last
+    /// pop).
+    fn retire_dead(&mut self, owner: usize) {
+        while let Some(batch) = self.held[owner].pop_front() {
+            self.retire_batch(batch);
+        }
         for batch in self.lanes.mesh.reclaim(self.id, owner) {
             self.retire_batch(batch);
         }
@@ -1458,9 +1360,9 @@ impl<A: Algorithm> ShardWorker<A> {
         // nothing more is addressed to it and degraded runs can settle
         // their counters.
         if self.board.any_failed() {
-            for owner in 0..self.senders.len() {
+            for owner in 0..self.outboxes.len() {
                 if owner != self.id && self.board.is_failed(owner) {
-                    self.reclaim_lane(owner);
+                    self.retire_dead(owner);
                 }
             }
         }
@@ -1618,16 +1520,6 @@ impl<A: Algorithm> ShardWorker<A> {
         }
     }
 
-    /// Durable receive tail: commit the batch's WAL frames, then process the
-    /// staged envelopes. Ordering is the whole point — a record is on disk
-    /// before any of its effects can escape this shard.
-    fn commit_and_process_inbox(&mut self) {
-        self.wal_commit();
-        while let Some(env) = self.inbox.pop_front() {
-            self.process(env);
-        }
-    }
-
     /// All custody drained? (The checkpoint-at-idle precondition: with
     /// every queue empty the store is a complete description of this
     /// shard, so checkpoint + empty WAL ≡ current state.)
@@ -1636,6 +1528,7 @@ impl<A: Algorithm> ShardWorker<A> {
             && self.inbox.is_empty()
             && self.out.is_empty()
             && self.outboxes.iter().all(|b| b.is_empty())
+            && self.held.iter().all(|q| q.is_empty())
     }
 
     /// Checkpoints if the WAL has grown past the configured interval (or
@@ -1927,18 +1820,6 @@ impl<A: Algorithm> ShardWorker<A> {
         // Replay is complete: every swept envelope's effects are
         // re-derived and re-counted, so lift the termination gate.
         self.shared.recovery_end();
-        // Rejoin the transport mesh. `drain_lanes` claims (clears) the
-        // pending bitmap before draining, so a panic that unwound between
-        // the claim and the drain left delivered batches in the rings
-        // with no bit to flag them — if no peer pushes on that lane
-        // again, the bit-probe never finds them and their senders' books
-        // stay open forever. One unconditional full-mesh sweep re-admits
-        // them as ordinary live input.
-        for from in 0..self.config.num_shards {
-            if from != self.id {
-                self.drain_lane_from(from);
-            }
-        }
         self.tele.record_flight(
             self.id,
             FlightTag::Respawn,
@@ -1963,7 +1844,7 @@ impl<A: Algorithm> ShardWorker<A> {
     /// code). Every envelope still held by this worker is retired against
     /// the termination books exactly once, mirroring
     /// [`ShardWorker::retire_batch`]'s counter motion: whether this shard
-    /// *sent* it and never received it (outboxes, local queue) or took
+    /// *sent* it and never received it (backlogs, outboxes, local queue) or took
     /// custody of it from a peer (inbox, the half-processed one), it was
     /// counted sent and owes a processed mark. Replay re-derives all of
     /// their effects from the WAL.
@@ -1986,7 +1867,9 @@ impl<A: Algorithm> ShardWorker<A> {
         self.out.clear();
         self.pending_fires.clear();
         for owner in 0..self.outboxes.len() {
-            for env in std::mem::take(&mut self.outboxes[owner]) {
+            let held = std::mem::take(&mut self.held[owner]);
+            let outbox = std::mem::take(&mut self.outboxes[owner]);
+            for env in held.into_iter().flatten().chain(outbox) {
                 self.retire_recovered(env.epoch);
             }
         }
@@ -2059,23 +1942,21 @@ mod tests {
         worker: ShardWorker<Noop>,
         shared: Arc<SharedCounters>,
         board: Arc<FailureBoard>,
-        /// Shard 1's inbound channel: dropping it simulates the receiver
-        /// shutting down.
-        peer_rx: Option<Receiver<Message<u64>>>,
+        /// The controller's end of shard 0's channel — the only sender.
+        controller: Sender<Message<u64>>,
         /// Keep the trigger receiver alive for the fixture's lifetime
         /// (the worker ignores send failures, but a live channel matches
         /// the engine's wiring).
         _trigger_rx: Receiver<TriggerFire>,
     }
 
-    /// A two-shard world with shard 0 driven by hand and shard 1 absent
-    /// (only its channel endpoint exists).
+    /// A two-shard world with shard 0 driven by hand and shard 1 absent:
+    /// the test plays its part on the mesh.
     fn fixture() -> Fixture {
         let config = EngineConfig::undirected(2);
         let shared = Arc::new(SharedCounters::new(2));
         let board = Arc::new(FailureBoard::new());
-        let (tx0, rx0) = unbounded();
-        let (tx1, rx1) = unbounded();
+        let (controller, rx) = unbounded();
         let (trigger_tx, trigger_rx) = unbounded();
         let tele = Arc::new(TelemetryShared::new(
             config.trace.clone(),
@@ -2087,8 +1968,7 @@ mod tests {
             0,
             Arc::new(Noop),
             config,
-            rx0,
-            vec![tx0, tx1],
+            rx,
             Arc::clone(&shared),
             Arc::clone(&board),
             Arc::new(Vec::new()),
@@ -2100,8 +1980,25 @@ mod tests {
             worker,
             shared,
             board,
-            peer_rx: Some(rx1),
+            controller,
             _trigger_rx: trigger_rx,
+        }
+    }
+
+    impl Fixture {
+        /// Fills lane (0, 1) to the brim with empty batches.
+        fn fill_lane(&self) {
+            while self.worker.lanes.mesh.send(0, 1, Vec::new()).is_ok() {}
+        }
+
+        /// Shard 1 dies: the failure board says so.
+        fn kill_peer(&self) {
+            self.board.record(ShardFailure {
+                id: 1,
+                payload: "test kill".into(),
+                last_epoch: 0,
+                trace: Vec::new(),
+            });
         }
     }
 
@@ -2157,19 +2054,21 @@ mod tests {
     #[test]
     fn undeliverable_batch_retires_and_balances() {
         let mut f = fixture();
-        // A full lane diverts the flush to the channel, whose receiver
-        // has already shut down.
-        let mesh = Arc::clone(&f.worker.lanes.mesh);
-        while mesh.send(0, 1, Vec::new()).is_ok() {}
-        drop(f.peer_rx.take());
+        // A full lane keeps the flushed batch at the sender; then the
+        // receiver dies with it still held.
+        f.fill_lane();
         for v in peer_targets(10) {
             f.worker.send_envelope(env(v));
         }
         assert_eq!(f.worker.metrics.envelopes_sent, 10);
-        assert!(!f.shared.quiescent_probe(), "buffered envelopes in flight");
         f.worker.flush_all();
         assert_eq!(f.worker.metrics.lane_full_fallbacks, 1);
+        assert_eq!(f.worker.held[1].len(), 1);
+        assert!(!f.shared.quiescent_probe(), "held envelopes are in flight");
+        f.kill_peer();
+        f.worker.flush_all();
         assert_eq!(f.worker.metrics.envelopes_undeliverable, 10);
+        assert!(f.worker.custody_clear());
         assert_eq!(f.worker.sent_local[0], f.worker.processed_local[0]);
         assert!(
             f.shared.quiescent_probe(),
@@ -2180,74 +2079,88 @@ mod tests {
     #[test]
     fn dead_receiver_lane_reclaims_into_undeliverable() {
         let mut f = fixture();
-        let targets = peer_targets(6);
+        let targets = peer_targets(8);
         for &v in &targets[..3] {
             f.worker.send_envelope(env(v));
         }
         f.worker.flush_all();
         assert_eq!(f.worker.metrics.lane_batches, 1);
-        assert!(!f.shared.quiescent_probe(), "lane batch is in flight");
-
-        // Shard 1 dies: failure recorded, channel endpoint dropped.
-        f.board.record(ShardFailure {
-            id: 1,
-            payload: "test kill".into(),
-            last_epoch: 0,
-            trace: Vec::new(),
-        });
-        drop(f.peer_rx.take());
-
-        // The idle sweep drains the dead shard's lane even with nothing
-        // further addressed to it.
-        f.worker.flush_all();
-        assert_eq!(f.worker.metrics.envelopes_undeliverable, 3);
-        assert!(f.shared.quiescent_probe());
-
-        // Later sends to the dead shard retire at flush.
-        for &v in &targets[3..] {
+        // Two more behind a lane that has since filled up: a held backlog.
+        f.fill_lane();
+        for &v in &targets[3..5] {
             f.worker.send_envelope(env(v));
         }
         f.worker.flush_all();
-        assert_eq!(f.worker.metrics.envelopes_undeliverable, 6);
+        assert_eq!(f.worker.held[1].len(), 1);
+        assert!(!f.shared.quiescent_probe(), "lane batch is in flight");
+
+        // The idle sweep drains the dead shard's lane and the backlog
+        // behind it even with nothing further addressed to it.
+        f.kill_peer();
+        f.worker.flush_all();
+        assert_eq!(f.worker.metrics.envelopes_undeliverable, 5);
+        assert!(f.shared.quiescent_probe());
+
+        // Later sends to the dead shard retire at flush.
+        for &v in &targets[5..] {
+            f.worker.send_envelope(env(v));
+        }
+        f.worker.flush_all();
+        assert_eq!(f.worker.metrics.envelopes_undeliverable, 8);
         assert!(f.shared.quiescent_probe());
     }
 
     #[test]
-    fn full_lane_falls_back_and_handshake_resumes() {
+    fn full_lane_holds_batches_and_ships_them_in_order() {
         let mut f = fixture();
+        f.worker.config.envelope_batch = 4;
         let mesh = Arc::clone(&f.worker.lanes.mesh);
-        while mesh.send(0, 1, Vec::new()).is_ok() {} // fill the pair's lane
-        let targets = peer_targets(2);
-        f.worker.send_envelope(env(targets[0]));
-        f.worker.flush_all();
-        assert_eq!(f.worker.metrics.lane_full_fallbacks, 1);
-        {
-            let rx = f.peer_rx.as_ref().expect("fixture holds shard 1's rx");
-            match rx.try_recv() {
-                Ok(Message::LaneFallback { from, batch }) => {
-                    assert_eq!(from, 0);
-                    assert_eq!(batch.len(), 1);
-                }
-                _ => panic!("expected a LaneFallback on the channel"),
-            }
+        let held = |f: &Fixture| f.worker.held[1].iter().map(Vec::len).collect::<Vec<_>>();
+        f.fill_lane();
+        let targets = peer_targets(13);
+        // Two full outboxes and a partial one meet the full lane: every
+        // flush keeps its batch here, as long as it left the outbox.
+        for &v in &targets[..9] {
+            f.worker.send_envelope(env(v));
         }
-        // Even with the lane drained, an unacknowledged fallback keeps the
-        // pair on the channel path (lane batches must not overtake it).
-        while mesh.recv(0, 1).is_some() {}
-        f.worker.send_envelope(env(targets[1]));
         f.worker.flush_all();
-        assert_eq!(f.worker.metrics.lane_full_fallbacks, 2);
-        {
-            let rx = f.peer_rx.as_ref().expect("fixture holds shard 1's rx");
-            assert!(matches!(rx.try_recv(), Ok(Message::LaneFallback { .. })));
-        }
-        // Both acknowledged: the pair resumes its data lane.
-        mesh.note_fallback_consumed(0, 1);
-        mesh.note_fallback_consumed(0, 1);
-        f.worker.send_envelope(env(targets[0]));
+        assert_eq!(held(&f), [4, 4, 1]);
+        assert_eq!(f.worker.metrics.lane_full_fallbacks, 3);
+        assert_eq!(f.worker.metrics.lane_batches, 0);
+        assert!(!f.worker.custody_clear(), "a held batch is custody");
+        assert!(!f.shared.quiescent_probe(), "held envelopes are in flight");
+
+        // Room for one: the oldest held batch ships, the rest keep their
+        // place ahead of the newer envelope.
+        assert!(mesh.recv(0, 1).is_some_and(|b| b.is_empty()));
+        f.worker.send_envelope(env(targets[9]));
         f.worker.flush_all();
+        assert_eq!(held(&f), [4, 1, 1]);
         assert_eq!(f.worker.metrics.lane_batches, 1);
-        assert_eq!(f.worker.metrics.lane_full_fallbacks, 2);
+
+        // The lane drained: the backlog ships before the new batch, in
+        // order, no batch longer than `envelope_batch`.
+        let mut got: Vec<Vec<VertexId>> = Vec::new();
+        let drain = |got: &mut Vec<Vec<VertexId>>| {
+            while let Some(b) = mesh.recv(0, 1) {
+                got.push(b.iter().map(|e| e.target).collect());
+            }
+        };
+        drain(&mut got);
+        for &v in &targets[10..] {
+            f.worker.send_envelope(env(v));
+        }
+        f.worker.flush_all();
+        drain(&mut got);
+        assert!(f.worker.custody_clear());
+        assert_eq!(f.worker.metrics.lane_batches, 5);
+        assert_eq!(f.worker.metrics.lane_full_fallbacks, 4, "no new holds");
+        got.retain(|b| !b.is_empty());
+        assert_eq!(
+            got.iter().map(Vec::len).collect::<Vec<_>>(),
+            [4, 4, 1, 1, 3]
+        );
+        assert_eq!(got.concat(), targets);
     }
 
     #[test]
@@ -2273,5 +2186,34 @@ mod tests {
             f.worker.metrics.batches_recycled, 2,
             "second flush hit the pool"
         );
+    }
+
+    /// Shards used to hold a sender to every shard's channel, their own
+    /// included, so no channel could ever disconnect. Now the controller
+    /// holds the only one: dropping it without a `Shutdown` must stop the
+    /// shard, and the shard must still hand back its report.
+    #[test]
+    fn dropped_controller_sender_stops_the_shard() {
+        use std::sync::atomic::Ordering;
+        let Fixture {
+            worker,
+            shared,
+            controller,
+            ..
+        } = fixture();
+        let shard = std::thread::spawn(move || worker.run_supervised());
+        // Work first, so the report has something to show: an edge between
+        // two of shard 0's own vertices.
+        let part = Partitioner::new(2);
+        let mine: Vec<VertexId> = (0u64..).filter(|&v| part.owner(v) == 0).take(2).collect();
+        shared.injected.fetch_add(1, Ordering::SeqCst);
+        let edge = TopoEvent::new(mine[0], mine[1]);
+        controller.send(Message::Stream(vec![edge])).unwrap();
+        while !shared.quiescent_probe() {
+            std::thread::yield_now();
+        }
+        drop(controller);
+        let report = shard.join().unwrap().expect("a clean stop still reports");
+        assert_eq!(report.num_edges, 2);
     }
 }

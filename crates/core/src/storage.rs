@@ -14,8 +14,8 @@
 //! discipline real.
 
 use crate::event::Epoch;
-use crate::vertex_state::{VertexMeta, VertexState};
-use remo_store::{Adjacency, DenseVertexTable, LocalIdx, RhhMap, VertexId, VertexRecord};
+use crate::vertex_state::VertexMeta;
+use remo_store::{Adjacency, DenseVertexTable, LocalIdx, RhhMap, VertexId};
 
 /// Split mutable borrows of one vertex's storage, assembled per event.
 ///
@@ -39,43 +39,24 @@ pub struct VertexParts<'a, S> {
 pub(crate) type RecordVisitor<'a, S> =
     dyn FnMut(VertexId, &S, Option<&S>, VertexMeta, &Adjacency) + 'a;
 
-impl<'a, S> VertexParts<'a, S> {
-    /// Assembles parts from a record-style vertex (the sequential
-    /// reference engine) for an event of `epoch`.
-    pub fn from_record(rec: &'a mut VertexRecord<VertexState<S>>, epoch: Epoch) -> Self {
-        let st = &mut rec.state;
-        let prev = if epoch < st.meta.forked_epoch {
-            st.prev.as_mut()
-        } else {
-            None
-        };
-        VertexParts {
-            live: &mut st.live,
-            prev,
-            meta: &mut st.meta,
-            adj: &mut rec.adj,
-        }
-    }
-}
-
-/// Per-vertex hot payload of the dense layout: the live state packed with
-/// the 8-byte meta word. Every envelope reads both (the fork check is on
-/// the meta, the callback is on the state), so splitting them into two
-/// slabs costs a second dependent cache line per event for nothing —
-/// packing them (and packing the pair contiguously with the adjacency,
-/// see [`remo_store::DenseVertexTable`]) keeps a fat record's locality
-/// with the slab record at `size_of::<S>() + 8 + 40` bytes instead of a
-/// fat hash slot's ~88.
+/// Per-vertex hot payload: the live state packed with the 8-byte meta
+/// word. Every envelope reads both (the fork check is on the meta, the
+/// callback is on the state), so splitting them into two slabs costs a
+/// second dependent cache line per event for nothing — packing them (and
+/// packing the pair contiguously with the adjacency, see
+/// [`remo_store::DenseVertexTable`]) makes one event's touch one
+/// `size_of::<S>() + 8 + 40`-byte slab record.
 #[derive(Clone, Default)]
 pub(crate) struct HotVertex<S> {
     live: S,
     meta: VertexMeta,
 }
 
-/// The dense layout: interning + record slab + cold fork side map.
+/// The engine's one vertex store: interning + record slab + cold fork
+/// side map.
 ///
-/// A shard owns one while it runs and hands it over untouched when it
-/// stops: `RunResult::tables` holds each shard's store, and the read-only
+/// A shard owns one while it runs (the sequential reference engine owns
+/// one too) and hands it over untouched when it stops: `RunResult::tables` holds each shard's store, and the read-only
 /// [`DenseStore::get`], [`DenseStore::iter`] and
 /// [`DenseStore::num_vertices`] are the whole surface callers outside the
 /// engine see.
@@ -83,7 +64,7 @@ pub struct DenseStore<S> {
     table: DenseVertexTable<HotVertex<S>>,
     /// Snapshot forks, keyed by dense index. Populated only between a
     /// fork and the snapshot drain that clears it — keeping `Option<S>`
-    /// out of the hot records is the point of the dense layout.
+    /// out of the hot records is the point of the side map.
     forks: RhhMap<LocalIdx, S>,
     /// One-entry intern memo: cascades and hub traffic often deliver
     /// consecutive envelopes to the same vertex, and a compare beats a
@@ -273,7 +254,8 @@ where
 mod tests {
     use super::*;
 
-    fn exercise() {
+    #[test]
+    fn dense_store_semantics() {
         let mut st: DenseStore<u64> = DenseStore::with_capacity(8);
         let h = st.intern(42);
         assert_eq!(st.num_vertices(), 1);
@@ -314,6 +296,9 @@ mod tests {
         assert!(!st.applies_to_prev(h, 0), "fork cleared by the drain");
         let live = st.collect(u32::MAX, true);
         assert_eq!(live, vec![(42, 9)]);
+        // A later epoch forks afresh, from the state the vertex has now.
+        assert!(st.fork_and_parts(h, 2).0);
+        assert_eq!(st.fork_and_parts(h, 1).1.prev.as_deref().copied(), Some(9));
 
         // Default-state vertices are omitted from snapshots but present in
         // the live collection and the read-only view.
@@ -331,29 +316,8 @@ mod tests {
         assert_eq!(seen, vec![(42, 9), (100, 0)]);
     }
 
-    fn exercise_fused() {
-        let mut st: DenseStore<u64> = DenseStore::with_capacity(0);
-        let h = st.intern(7);
-        {
-            let (forked, parts) = st.fork_and_parts(h, 0);
-            assert!(!forked, "epoch 0 never forks");
-            *parts.live = 3;
-        }
-        let (forked, _) = st.fork_and_parts(h, 1);
-        assert!(forked, "first event of a new epoch forks");
-        let (forked, parts) = st.fork_and_parts(h, 1);
-        assert!(!forked, "same epoch must not re-fork");
-        assert!(parts.prev.is_none(), "new-epoch event spares the fork");
-        let (forked, parts) = st.fork_and_parts(h, 0);
-        assert!(!forked);
-        assert_eq!(
-            parts.prev.as_deref().copied(),
-            Some(3),
-            "old-epoch event dual-applies to the fork"
-        );
-    }
-
-    fn exercise_export_restore() {
+    #[test]
+    fn export_restore_round_trips_a_fork() {
         use remo_store::EdgeMeta;
         let mut st: DenseStore<u64> = DenseStore::with_capacity(0);
         let h = st.intern(1);
@@ -437,13 +401,6 @@ mod tests {
                 .insert_weight_min(nbr, EdgeMeta::weighted(u64::MAX)));
         }
         assert!(parts.adj.insert_weight_min(0, EdgeMeta::weighted(9)));
-    }
-
-    #[test]
-    fn dense_store_semantics() {
-        exercise();
-        exercise_fused();
-        exercise_export_restore();
     }
 
     #[test]

@@ -200,7 +200,8 @@ flight_tags! {
     Process = 1,
     /// A topology event was pulled from a stream (`a` = src, `b` = dst).
     TopoIngest = 2,
-    /// An outgoing batch was flushed (`a` = destination shard, `b` = len).
+    /// A destination was flushed (`a` = destination shard, `b` = outbox
+    /// len; 0 when only a held backlog was retried).
     Flush = 3,
     /// The shard went to sleep in its idle loop.
     Park = 4,
@@ -215,20 +216,17 @@ flight_tags! {
     /// The shard answered a state collection (`a` = the epoch collected,
     /// `b` = 1 for the live view).
     Collect = 9,
-    /// A batch diverted to the channel fallback arrived (`a` = sending
-    /// shard, `b` = len).
-    Fallback = 10,
     /// The shard observed shutdown and is draining.
-    Shutdown = 11,
+    Shutdown = 10,
     /// The shard was respawned in place after a contained panic
     /// (`a` = respawn attempt number, `b` = WAL records replayed).
-    Respawn = 12,
+    Respawn = 11,
     /// A traced envelope was processed on this shard (`a` = trace id,
     /// `b` = hop depth) — lets a chaos postmortem name exactly which
     /// in-flight traced updates died with the shard. See [`crate::trace`].
-    Trace = 13,
+    Trace = 12,
     /// A durable checkpoint was published (`a` = bytes written).
-    Checkpoint = 14,
+    Checkpoint = 13,
 }
 
 /// One decoded flight-recorder entry.
@@ -296,7 +294,6 @@ impl FlightEntry {
             FlightTag::EpochAck => "epoch-ack".to_string(),
             FlightTag::Stream => format!("stream len={}", self.a),
             FlightTag::Collect => format!("collect epoch={} live={}", self.a, self.b),
-            FlightTag::Fallback => format!("lane-fallback from={} len={}", self.a, self.b),
             FlightTag::Shutdown => "shutdown".to_string(),
             FlightTag::Respawn => {
                 format!("respawn attempt={} replayed={}", self.a, self.b)
@@ -1277,7 +1274,6 @@ mod tests {
                 FlightTag::EpochAck => (7, 0, "epoch-ack"),
                 FlightTag::Stream => (4096, 1, "stream len=4096"),
                 FlightTag::Collect => (6, 1, "collect epoch=6 live=1"),
-                FlightTag::Fallback => (1, 256, "lane-fallback from=1 len=256"),
                 FlightTag::Shutdown => (0, 0, "shutdown"),
                 FlightTag::Respawn => (2, 31, "respawn attempt=2 replayed=31"),
                 FlightTag::Trace => (1 << 40, 4, "trace id=1099511627776 hop=4"),

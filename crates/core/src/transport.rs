@@ -10,9 +10,10 @@
 //! - **Recycle lanes** flow drained batch buffers back to their sender, so
 //!   steady-state batch shipping is allocation-free: `flush()` pulls the
 //!   next buffer from the pool instead of `Vec::new`.
-//! - A **full** data lane never blocks the sender: the batch falls back to
-//!   the shard's channel (see `Message::LaneFallback` and the per-pair
-//!   FIFO handshake documented on `LaneMesh::fallback_consumed`).
+//! - A **full** data lane never blocks the sender and never reroutes the
+//!   batch: `LaneMesh::send` hands it back and the sender keeps it, in
+//!   order, until the lane has room (`ShardWorker::do_flush`). The lane is
+//!   the pair's only data path, so its FIFO is the pair's FIFO.
 //! - Idle shards **park** (`ParkBoard`) instead of timeout-polling:
 //!   senders unpark the receiver after publishing into its lane, and
 //!   `IDLE_PARK` is a fallback heartbeat rather than the wake latency.
@@ -20,7 +21,7 @@
 //! Control traffic (Stream/Collect/Query/Control/Shutdown, and the
 //! controller's `Init` events) stays on the per-shard crossbeam channel —
 //! it is rare, and the channel's blocking-receive semantics are exactly
-//! right for it.
+//! right for it. Only the controller sends on it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -30,9 +31,9 @@ use crossbeam::utils::CachePadded;
 
 use crate::event::Envelope;
 
-/// Batches a data lane can hold before the sender falls back to the
-/// channel path. Bounded so a stalled receiver exerts backpressure-by-
-/// fallback instead of accumulating unbounded lane memory; kept small so
+/// Batches a data lane can hold before the sender starts holding them
+/// back. Bounded so a stalled receiver's backlog piles up at its sender,
+/// where it is visible, instead of as unbounded lane memory; kept small so
 /// the pool of circulating batch buffers (primed with `LANE_CAP` per
 /// pair, see [`LaneMesh::new`]) covers the lane's worst-case depth and
 /// steady-state flushes stay allocation-free.
@@ -302,8 +303,8 @@ impl<S> ColumnRings<S> {
     }
 }
 
-/// The P×P lane mesh: data lanes, recycle lanes, and the per-pair
-/// fallback handshake counters. One per engine, shared by every shard.
+/// The P×P lane mesh: data lanes and recycle lanes. One per engine,
+/// shared by every shard.
 ///
 /// All methods name a pair as `(from, to)` = (sending shard, receiving
 /// shard). Data lane `(from, to)` is produced by `from` and consumed by
@@ -315,24 +316,8 @@ impl<S> ColumnRings<S> {
 /// controller thread, in `Engine::build`), so a lane exists before any
 /// shard can send on it: `send` fails only when the lane is full.
 pub(crate) struct LaneMesh<S> {
-    shards: usize,
     /// `columns[to]`: receiver `to`'s inbound data + recycle rings.
     columns: Vec<ColumnRings<S>>,
-    /// `fallback_consumed[from * shards + to]`: how many of the pair's
-    /// channel-fallback batches the receiver has fully admitted.
-    ///
-    /// The per-pair FIFO handshake: when a data lane fills, the sender
-    /// ships the batch as `Message::LaneFallback` on the channel, bumps
-    /// its private `fallback_sent[to]`, and stays on the channel path for
-    /// that pair while `fallback_sent != fallback_consumed`. The receiver,
-    /// on a `LaneFallback{from}`, first drains data lane `(from, to)` —
-    /// every batch found there predates the fallback — then admits the
-    /// fallback batch, then bumps this counter (Release, strictly after
-    /// admission). The sender's later Acquire read of the equal count
-    /// therefore happens-after the fallback batch was admitted, so the
-    /// batches it subsequently pushes onto the lane are admitted after it:
-    /// the pair's FIFO survives the lane→channel→lane round trip.
-    fallback_consumed: Vec<CachePadded<AtomicU64>>,
     /// `inbound[to]`: multi-word bitmap of senders with batches parked in
     /// their data lane to `to` (bit `from` set by the sender *after* its
     /// lane push, Release; claimed wholesale by the receiver's drain). Lets
@@ -352,31 +337,14 @@ impl<S> LaneMesh<S> {
             shards <= MAX_LANE_SHARDS,
             "lane mesh is capped at {MAX_LANE_SHARDS} shards"
         );
-        let n = shards * shards;
         LaneMesh {
-            shards,
             columns: (0..shards).map(|_| ColumnRings::build(shards)).collect(),
-            fallback_consumed: (0..n)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
             inbound: (0..shards).map(|_| PendingSet::new(shards)).collect(),
         }
     }
 
-    #[inline]
-    fn column(&self, to: usize) -> &ColumnRings<S> {
-        debug_assert!(to < self.shards);
-        &self.columns[to]
-    }
-
-    #[inline]
-    fn at(&self, from: usize, to: usize) -> usize {
-        debug_assert!(from < self.shards && to < self.shards);
-        from * self.shards + to
-    }
-
     /// Sender `from`: ships a batch to `to`, or hands it back when the
-    /// lane is full (caller falls back to the channel). On success the
+    /// lane is full (the caller holds it and retries). On success the
     /// sender's bit in the receiver's pending bitmap is set *after* the
     /// push, so a receiver that observes the bit will find the batch.
     #[inline]
@@ -386,7 +354,7 @@ impl<S> LaneMesh<S> {
         to: usize,
         batch: Vec<Envelope<S>>,
     ) -> Result<(), Vec<Envelope<S>>> {
-        self.column(to).data[from].push(batch)?;
+        self.columns[to].data[from].push(batch)?;
         self.inbound[to].set(from);
         Ok(())
     }
@@ -394,14 +362,14 @@ impl<S> LaneMesh<S> {
     /// Receiver `to`: next in-flight batch from `from`, if any.
     #[inline]
     pub(crate) fn recv(&self, from: usize, to: usize) -> Option<Vec<Envelope<S>>> {
-        self.column(to).data[from].pop()
+        self.columns[to].data[from].pop()
     }
 
     /// Sender `from`: pulls one pooled buffer home from the pair's recycle
     /// lane (allocation-free steady state for `flush`).
     #[inline]
     pub(crate) fn take_recycled(&self, from: usize, to: usize) -> Option<Vec<Envelope<S>>> {
-        self.column(to).recycle[from].pop()
+        self.columns[to].recycle[from].pop()
     }
 
     /// Receiver `to`: returns a drained (cleared) batch buffer to `from`'s
@@ -410,21 +378,7 @@ impl<S> LaneMesh<S> {
     #[inline]
     pub(crate) fn give_recycled(&self, from: usize, to: usize, buf: Vec<Envelope<S>>) {
         debug_assert!(buf.is_empty());
-        let _ = self.column(to).recycle[from].push(buf);
-    }
-
-    /// Sender `from`: the pair's admitted-fallback count (Acquire — see
-    /// [`LaneMesh::fallback_consumed`] for the handshake it closes).
-    #[inline]
-    pub(crate) fn fallback_consumed(&self, from: usize, to: usize) -> u64 {
-        self.fallback_consumed[self.at(from, to)].load(Ordering::Acquire)
-    }
-
-    /// Receiver `to`: marks one of the pair's fallback batches fully
-    /// admitted. Release: must happen strictly after the admission.
-    #[inline]
-    pub(crate) fn note_fallback_consumed(&self, from: usize, to: usize) {
-        self.fallback_consumed[self.at(from, to)].fetch_add(1, Ordering::Release);
+        let _ = self.columns[to].recycle[from].push(buf);
     }
 
     /// True when any sender has flagged a batch for `to` — one load, no
@@ -450,7 +404,7 @@ impl<S> LaneMesh<S> {
     /// lane's occupancy is an independent racy probe; the sum is a
     /// point-in-time estimate, which is all a gauge needs.
     pub(crate) fn inbound_occupancy(&self, to: usize) -> usize {
-        self.column(to).data.iter().map(SpscRing::len).sum()
+        self.columns[to].data.iter().map(SpscRing::len).sum()
     }
 
     /// Sender `from`: drains its own data lane to a **dead** receiver so
@@ -460,12 +414,11 @@ impl<S> LaneMesh<S> {
     ///
     /// This is the one sanctioned breach of the SPSC role split: the
     /// producer pops its own lane. Sound only because the caller observed
-    /// the consumer's death through its channel disconnecting or the
-    /// failure board — both of which are published strictly after the
-    /// consumer thread's last pop.
+    /// the consumer's death on the failure board, whose record is
+    /// published strictly after the consumer thread's last pop.
     pub(crate) fn reclaim(&self, from: usize, to: usize) -> Vec<Vec<Envelope<S>>> {
         let mut batches = Vec::new();
-        while let Some(b) = self.column(to).data[from].pop() {
+        while let Some(b) = self.columns[to].data[from].pop() {
             batches.push(b);
         }
         self.inbound[to].clear(from);
@@ -888,16 +841,6 @@ mod tests {
     }
 
     #[test]
-    fn mesh_fallback_handshake_counts() {
-        let mesh: LaneMesh<u64> = LaneMesh::new(2);
-        assert_eq!(mesh.fallback_consumed(0, 1), 0);
-        mesh.note_fallback_consumed(0, 1);
-        mesh.note_fallback_consumed(0, 1);
-        assert_eq!(mesh.fallback_consumed(0, 1), 2);
-        assert_eq!(mesh.fallback_consumed(1, 0), 0, "pairs are independent");
-    }
-
-    #[test]
     fn mesh_reclaim_drains_own_lane() {
         let mesh: LaneMesh<u64> = LaneMesh::new(2);
         mesh.send(0, 1, vec![env(1)]).unwrap();
@@ -970,8 +913,7 @@ mod tests {
     fn engine_handles_carry_batches_before_any_shard_runs() {
         // Built exactly as `Engine::build` builds them. No shard thread
         // exists, so nothing but construction can have allocated lane
-        // (0, 1): the send must land in the ring, not be handed back for
-        // the channel fallback.
+        // (0, 1): the send must land in the ring, not be handed back.
         let lanes: LaneHandles<u64> = LaneHandles::new(2);
         assert!(lanes.mesh.send(0, 1, vec![env(9)]).is_ok());
         assert!(lanes.mesh.has_inbound(1));

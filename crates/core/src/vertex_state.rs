@@ -1,23 +1,20 @@
-//! Per-vertex engine-side state wrapper.
+//! Per-vertex engine-side metadata.
 //!
-//! Each vertex record stores the algorithm's live state plus the machinery
-//! for the continuous snapshot protocol (§III-D): when a vertex first sees
-//! an event of a newer epoch it forks `prev = live.clone()`; old-epoch
-//! events thereafter apply to *both* versions, new-epoch events only to
-//! `live`. A fired-triggers bitmask implements at-most-once trigger firing.
+//! Beside the algorithm's live state a vertex carries the machinery of the
+//! continuous snapshot protocol (§III-D): when it first sees an event of a
+//! newer epoch the store forks `prev = live.clone()`; old-epoch events
+//! thereafter apply to *both* versions, new-epoch events only to `live`. A
+//! fired-triggers bitmask implements at-most-once trigger firing.
 //!
-//! The epoch and bitmask live together in the packed [`VertexMeta`] (8
-//! bytes) so the dense storage layout can keep them in their own slab — the
-//! hot path touches meta on every event, while the fork (`prev`) is cold
-//! and lives out-of-line there (see `crate::storage`). [`VertexState`] is
-//! the record-style composition of the two plus the inline fork, used by
-//! the legacy rhh-record layout and the sequential reference engine.
+//! The epoch and the bitmask live together in the packed [`VertexMeta`] (8
+//! bytes), which `crate::storage` keeps in the slab record beside the live
+//! state — the hot path touches it on every event — while the fork itself
+//! is cold and lives out of line there.
 
 use crate::event::Epoch;
 
 /// Packed per-vertex engine metadata: the snapshot fork epoch and the
-/// fired-triggers bitmask. 8 bytes, `Copy`, no algorithm state — exactly
-/// what the dense layout stores in its meta slab.
+/// fired-triggers bitmask. 8 bytes, `Copy`, no algorithm state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VertexMeta {
     /// Epoch the vertex has forked up to: events with `epoch >
@@ -25,54 +22,6 @@ pub struct VertexMeta {
     pub forked_epoch: Epoch,
     /// Bitmask of triggers that already fired for this vertex.
     pub fired: u32,
-}
-
-/// Engine wrapper around an algorithm's vertex state `S`.
-#[derive(Debug, Clone, Default)]
-pub struct VertexState<S> {
-    /// Live algorithm state (`this.value`).
-    pub live: S,
-    /// Forked previous-epoch state, present only while a snapshot that
-    /// includes this vertex is being drained.
-    pub prev: Option<S>,
-    /// Fork epoch + fired-triggers bitmask.
-    pub meta: VertexMeta,
-}
-
-impl<S: Clone> VertexState<S> {
-    /// Ensures the vertex is forked for `event_epoch`: on the first event of
-    /// a newer epoch, capture `prev`. Returns `true` if a fork happened.
-    pub fn fork_for(&mut self, event_epoch: Epoch) -> bool {
-        if event_epoch > self.meta.forked_epoch {
-            self.prev = Some(self.live.clone());
-            self.meta.forked_epoch = event_epoch;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// True when an event of `event_epoch` must also be applied to the
-    /// forked previous state (i.e. it belongs to an epoch older than the
-    /// fork point and a fork exists).
-    pub fn applies_to_prev(&self, event_epoch: Epoch) -> bool {
-        self.prev.is_some() && event_epoch < self.meta.forked_epoch
-    }
-
-    /// The state a snapshot of `old_epoch` should report: the fork if the
-    /// vertex advanced past the boundary, otherwise the live state.
-    pub fn snapshot_view(&self, old_epoch: Epoch) -> &S {
-        if self.meta.forked_epoch > old_epoch {
-            self.prev.as_ref().unwrap_or(&self.live)
-        } else {
-            &self.live
-        }
-    }
-
-    /// Discards the fork once the snapshot has been collected.
-    pub fn clear_fork(&mut self) {
-        self.prev = None;
-    }
 }
 
 #[cfg(test)]
@@ -88,61 +37,5 @@ mod tests {
         };
         let n = m; // Copy
         assert_eq!(m, n);
-    }
-
-    #[test]
-    fn fork_happens_once_per_epoch() {
-        let mut v: VertexState<u64> = VertexState {
-            live: 7,
-            ..Default::default()
-        };
-        assert!(v.fork_for(1));
-        assert_eq!(v.prev, Some(7));
-        v.live = 3;
-        assert!(
-            !v.fork_for(1),
-            "second event of same epoch must not re-fork"
-        );
-        assert_eq!(v.prev, Some(7));
-    }
-
-    #[test]
-    fn old_events_apply_to_prev_only_after_fork() {
-        let mut v: VertexState<u64> = VertexState {
-            live: 5,
-            ..Default::default()
-        };
-        assert!(!v.applies_to_prev(0), "no fork yet");
-        v.fork_for(1);
-        assert!(v.applies_to_prev(0));
-        assert!(!v.applies_to_prev(1), "new-epoch events only touch live");
-    }
-
-    #[test]
-    fn snapshot_view_selects_correct_version() {
-        let mut v: VertexState<u64> = VertexState {
-            live: 5,
-            ..Default::default()
-        };
-        // Untouched by the new epoch: live is the snapshot state.
-        assert_eq!(*v.snapshot_view(0), 5);
-        v.fork_for(1);
-        v.live = 2;
-        assert_eq!(*v.snapshot_view(0), 5, "snapshot must see the fork");
-        v.clear_fork();
-        assert_eq!(v.prev, None);
-    }
-
-    #[test]
-    fn later_epoch_reforks() {
-        let mut v: VertexState<u64> = VertexState {
-            live: 9,
-            ..Default::default()
-        };
-        v.fork_for(1);
-        v.live = 4;
-        v.clear_fork();
-        assert!(v.fork_for(2));
-        assert_eq!(v.prev, Some(4));
     }
 }

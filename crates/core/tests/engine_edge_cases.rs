@@ -286,8 +286,7 @@ fn stream_order_survives_pull_run_boundaries() {
 }
 
 /// `Touch`, except that `init` holds its shard inside the callback — that
-/// is, inside the dispatch of a channel message — from the first barrier
-/// to the second.
+/// is, away from its lanes — from the first barrier to the second.
 struct Gated(Arc<[Barrier; 2]>);
 
 impl Algorithm for Gated {
@@ -304,17 +303,17 @@ impl Algorithm for Gated {
     }
 }
 
-/// A full data lane diverts batches onto the receiver's channel, and the
-/// receiver must admit what the lane still holds before a diverted batch
-/// or the pair's FIFO breaks. Shard 1 is held inside a channel dispatch
-/// while a hub on shard 0 adds and then removes an edge to each of 64
-/// leaves on shard 1, one envelope per batch: the first reverse-adds fill
-/// the lane, the rest — and every reverse-remove — queue on the channel
-/// behind the held message. Once released, shard 1 meets the diverted
-/// batches first; admitting one ahead of the lane would apply a leaf's
-/// reverse-remove before its reverse-add and leave that edge standing.
+/// A full data lane holds its sender's batches back, and they must reach
+/// the receiver behind what the lane already carries and in the order
+/// they were flushed, or the pair's FIFO breaks. Shard 1 is held inside a
+/// channel dispatch while a hub on shard 0 adds and then removes an edge
+/// to each of 64 leaves on shard 1, one envelope per batch: the first
+/// reverse-adds fill the lane, the rest — and every reverse-remove — pile
+/// up at shard 0, which goes idle on them. Once released, shard 1 drains
+/// the lane and shard 0 ships its backlog; a reverse-remove overtaking its
+/// leaf's reverse-add would leave that edge standing.
 #[test]
-fn full_lane_diverts_to_the_channel_in_order() {
+fn full_lane_holds_the_backlog_in_order() {
     let part = Partitioner::new(2);
     let hub = (0u64..).find(|&v| part.owner(v) == 0).unwrap();
     let mut on_shard_1 = (0u64..).filter(|&v| part.owner(v) == 1);

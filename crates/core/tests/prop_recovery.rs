@@ -271,9 +271,11 @@ fn durable_fault_free_runs_match_plain_runs() {
 /// Regression: `drain_lanes` claims (clears) the pending bitmap before
 /// draining, so a chaos panic unwinding between the claim and the drain
 /// used to strand delivered batches in the rings — invisible to the bit
-/// probe, wedging quiescence (~1 in 4 runs of this exact scenario before
-/// the full-mesh sweep in `recover`). The case is the sparse 4-shard
-/// graph that originally exposed it; iterate to give the race room.
+/// probe, wedging quiescence (~1 in 4 runs of this exact scenario on the
+/// host that found it, ~1 in 15 on a 2-core one). The claimed lane ids
+/// now outlive the unwind and the respawned worker finishes the drain.
+/// The case is the sparse 4-shard graph that originally exposed it;
+/// iterate to give the race room.
 #[test]
 fn lane_claim_unwind_does_not_strand_batches() {
     let mut rng = Rng::new(0xD15EA5E);

@@ -140,9 +140,8 @@ struct DenseRecord<S> {
 /// A dense, arena-backed vertex table: interning front-end over a record
 /// slab indexed by [`LocalIdx`].
 ///
-/// Mirrors [`crate::VertexTable`]'s vocabulary (ensure/insert_edge/degree/
-/// iterate) but exposes the dense index so hot paths intern **once** per
-/// event and use direct indexing thereafter.
+/// Exposes the dense index so hot paths intern **once** per event and use
+/// direct indexing thereafter.
 pub struct DenseVertexTable<S> {
     intern: InternTable,
     recs: Vec<DenseRecord<S>>,

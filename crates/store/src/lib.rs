@@ -8,10 +8,9 @@
 //! - [`adjacency`]: degree-aware adjacency lists — one edge slab per vertex
 //!   in insertion order, plus a hash index of 4-byte positions into it for
 //!   heavy hitters.
-//! - [`vertex_table`]: vertex records (algorithm state + edges) in one map,
-//!   the sequential reference engine's store.
-//! - [`dense`]: dense vertex interning plus structure-of-arrays slabs, the
-//!   shard hot-path layout (one probe per event, direct indexing after).
+//! - [`dense`]: dense vertex interning in front of a slab of records
+//!   (algorithm state + edges), the engine's one vertex table (one probe
+//!   per event, direct indexing after).
 //! - [`csr`]: the static Compressed Sparse Row graph the paper's baselines
 //!   run on (§V-B).
 //! - [`bitset`]: growable bitsets for multi S-T connectivity state.
@@ -26,7 +25,6 @@ pub mod csr;
 pub mod dense;
 pub mod hash;
 pub mod rhh;
-pub mod vertex_table;
 
 /// Vertex identifier. The paper uses opaque integer ids; `u64` covers every
 /// dataset in Table I (the Webgraph has 3.5B vertices).
@@ -41,4 +39,3 @@ pub use bitset::BitSet;
 pub use csr::Csr;
 pub use dense::{DenseVertexTable, InternTable, LocalIdx};
 pub use rhh::RhhMap;
-pub use vertex_table::{VertexRecord, VertexTable};

@@ -10,11 +10,10 @@
 //! with backward-shift deletion this keeps probe sequences short and scan
 //! behaviour cache-friendly.
 //!
-//! The map keys *vertices*: the shard's intern table, its snapshot-fork side
-//! map and the sequential engine's [`crate::VertexTable`]. A vertex's
-//! neighbours are not in one of these — "iterate all neighbours of a vertex",
-//! the workload's dominant operation, is a slice walk over
-//! [`crate::Adjacency`]'s edge slab.
+//! The map keys *vertices*: the store's intern table and its snapshot-fork
+//! side map. A vertex's neighbours are not in one of these — "iterate all
+//! neighbours of a vertex", the workload's dominant operation, is a slice
+//! walk over [`crate::Adjacency`]'s edge slab.
 //!
 //! The table is specialized for the integer-like keys used throughout the
 //! storage layer via [`Key64`]; values are arbitrary.
