@@ -39,10 +39,13 @@ pub trait Algorithm: Send + Sync + 'static {
 
     /// What each adjacency entry keeps beside the neighbour id: only what
     /// the callbacks read. `()` when they read neither the edge weight nor
-    /// the neighbour cache (8-byte entries; weights read as 1), [`Weight`]
-    /// when they read the weight (16 bytes), [`EdgeMeta`] when they also
-    /// read the cache [`Algorithm::encode_cache`] fills (24 bytes). The
-    /// callback surface is the same for all three (see [`EdgeData`]).
+    /// the neighbour cache (4-byte entries; weights read as 1), [`Weight`]
+    /// when they read the weight (8 bytes), [`EdgeMeta`] when they also
+    /// read the cache [`Algorithm::encode_cache`] fills (16 bytes). Those
+    /// are the narrow entries of a vertex whose neighbour ids and weights
+    /// all fit in a `u32`; its first id or weight past that widens its
+    /// entries to 8, 16 and 24 bytes. The callback surface is the same for
+    /// all three (see [`EdgeData`]).
     type Edge: EdgeData;
 
     /// Called when an `Init` event reaches a vertex (e.g. the BFS source).
@@ -401,7 +404,7 @@ impl<'a, S: Clone, E: EdgeData> AlgoCtx<S> for EventCtx<'a, S, E> {
     }
 
     fn edge_weight(&self, nbr: VertexId) -> Option<Weight> {
-        self.parts.adj.get(nbr).map(E::weight)
+        self.parts.adj.get(nbr).map(|e| e.weight())
     }
 
     fn for_each_nbr(&self, f: &mut dyn FnMut(VertexId, EdgeMeta)) {

@@ -7,9 +7,12 @@
 //! forks. Forks exist only while a snapshot is draining, so `Option<S>`
 //! does not pad every hot record; the hot working set per event is one
 //! contiguous `size_of::<S>() + 8 + 24`-byte slab record, whose adjacency
-//! header holds a low-degree vertex's first 16 bytes of edges itself. The
-//! adjacency's entries carry the algorithm's [`crate::Algorithm::Edge`]
-//! payload, so the store is typed by it as well as by the state.
+//! header holds a low-degree vertex's first 16 bytes of edges itself (four
+//! `()` entries, two `Weight` or one `EdgeMeta` while the vertex's ids and
+//! weights fit in a `u32`, half as many, rounded down, once one does not).
+//! The adjacency's entries carry the algorithm's
+//! [`crate::Algorithm::Edge`] payload, so the store is typed by it as well
+//! as by the state.
 //!
 //! A vertex is named *within the shard* by its stable [`LocalIdx`]. The
 //! shard loop interns once per envelope and performs every subsequent
@@ -403,7 +406,7 @@ mod tests {
             after.iter().eq(before.iter()),
             "edges and their order survive the trip"
         );
-        assert_eq!(after.get(31).map(E::meta), Some(E::new(2, 77).meta()));
+        assert_eq!(after.get(31).map(|e| e.meta()), Some(E::new(2, 77).meta()));
         assert!(after.get(0).is_none(), "a removed edge stays removed");
         // The rebuilt index still finds every edge, and still dedupes.
         let h = restored.lookup(1).unwrap_or_else(|| unreachable!());

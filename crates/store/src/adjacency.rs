@@ -11,35 +11,46 @@
 //! Every vertex keeps its edges the same way — one dense run of
 //! `(neighbour, payload)` entries in insertion order — and the degree
 //! decides where that run lives and what sits beside it. The 24-byte
-//! header holds the first 16 bytes of entries itself (two `()` entries or
-//! one [`Weight`] entry), so a vertex of degree ≤ 2 on an unweighted graph
-//! owns no heap block at all; past that the entries move to a heap *slab*;
-//! past [`PROMOTE_DEGREE`] entries a *position index* joins it, an
-//! open-addressing table of slots each naming a position in the slab
-//! (RisGraph's "indexed adjacency lists"). A slot is 2 bytes in an index of
-//! at most 2^14 slots — every hub below 12 288 edges — and 4 bytes above.
-//! The index holds no keys and no values, so a hub costs one entry per edge
-//! plus about 2.7–5.3 bytes of index (5.3–10.7 past the switch), and a
-//! neighbour scan is a slice walk at every degree. (DESIGN.md §11
-//! "Adjacency layout" has the measurements against the per-hub Robin Hood
-//! table this layout replaced and against 4-byte slots at every size, and
-//! "Low-degree vertices" those of the inline entries.)
+//! header holds the first 16 bytes of entries itself, so a vertex of
+//! degree ≤ 4 on an unweighted graph owns no heap block at all; past that
+//! the entries move to a heap *slab*; past [`PROMOTE_DEGREE`] entries a
+//! *position index* joins it, an open-addressing table of slots each
+//! naming a position in the slab (RisGraph's "indexed adjacency lists"). A
+//! slot is 2 bytes in an index of at most 2^14 slots — every hub below
+//! 12 288 edges — and 4 bytes above. The index holds no keys and no values,
+//! so a hub costs one entry per edge plus about 2.7–5.3 bytes of index
+//! (5.3–10.7 past the switch), and a neighbour scan is a slice walk at
+//! every degree. (DESIGN.md §11 "Adjacency layout" has the measurements
+//! against the per-hub Robin Hood table this layout replaced and against
+//! 4-byte slots at every size, and "Low-degree vertices" those of the
+//! inline entries.)
+//!
+//! An entry has one of two widths, chosen per vertex by its contents. While
+//! every neighbour id and every weight the vertex holds fits in a `u32`,
+//! its entries are *narrow*: a `u32` id and the payload in 32-bit words.
+//! The first id or weight past `u32::MAX` rewrites the vertex's entries
+//! *wide*, `(VertexId, E)`, in order and in place, and the vertex stays
+//! wide until a clone re-derives the width from its entries. The position
+//! index names positions, not ids, so it serves both widths unchanged.
+//! (DESIGN.md §11 "Narrow entries" has the measurements.)
 //!
 //! The header's two layouts share its last 16 bytes through a union, and
 //! the slab and index are raw allocations, so this module and `rhh.rs` are
 //! where the store's `unsafe` lives; both run under Miri in CI.
 //!
 //! What an entry keeps beside the neighbour id is an [`EdgeData`] payload,
-//! chosen by the algorithm that owns the store: nothing (`()`, 8-byte
-//! entries), the edge [`Weight`] (16 bytes), or an [`EdgeMeta`] — the weight
-//! plus the *cached neighbour value* the paper's programming model maintains
-//! (`nbrs.set(...)` in Algorithm 3), which algorithms read to suppress
-//! redundant update messages (24 bytes).
+//! chosen by the algorithm that owns the store: nothing (`()`, 4-byte
+//! entries, 8 wide), the edge [`Weight`] (8 bytes, 16 wide), or an
+//! [`EdgeMeta`] — the weight plus the *cached neighbour value* the paper's
+//! programming model maintains (`nbrs.set(...)` in Algorithm 3), which
+//! algorithms read to suppress redundant update messages (16 bytes, 24
+//! wide).
 
 use crate::hash::mix64;
 use crate::{VertexId, Weight};
 use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, realloc, Layout};
-use std::mem::MaybeUninit;
+use std::marker::PhantomData;
+use std::mem::{align_of, size_of, MaybeUninit};
 use std::ptr::{self, NonNull};
 
 /// Degree past which a vertex gains a position index.
@@ -57,10 +68,20 @@ const FIRST_INDEX_SLOTS: usize = 64;
 const GENTLE_GROWTH_FROM: usize = 64;
 
 /// Bits of [`Adjacency`]'s `cap` word that hold the slab capacity; the five
-/// above them hold log2 of the index's slot count. A slab of at most 2^27 - 1
-/// entries needs an index of at most 2^28 slots, so the shift fits.
-const CAP_BITS: u32 = 27;
+/// above them hold log2 of the index's slot count, and the top bit is
+/// [`WIDE`]. A slab of at most 2^26 - 1 entries needs an index of at most
+/// 2^27 slots, so the shift fits.
+const CAP_BITS: u32 = 26;
 const CAP_MASK: u32 = (1 << CAP_BITS) - 1;
+const SHIFT_MASK: u32 = 31 << CAP_BITS;
+
+/// The `cap` bit that is set once the vertex's entries are wide.
+const WIDE: u32 = 1 << 31;
+
+/// Alignment of every slab, whichever width its entries have: a slab is
+/// resized in place when its entries widen, and a resize keeps the
+/// alignment the block was allocated with.
+const SLAB_ALIGN: usize = 8;
 
 /// Slots of the largest index whose slots are `u16`. Its positions take at
 /// most 14 bits, which leaves at least two for the tag; a larger index has
@@ -157,19 +178,40 @@ impl EdgeMeta {
     }
 }
 
+mod sealed {
+    /// How a payload sits in a narrow entry: as 32-bit words, which hold it
+    /// only while its weight fits in a `u32`.
+    pub trait Narrows: Sized {
+        /// The payload's words, aligned to at most 4 so that they pack
+        /// against the entry's `u32` id.
+        type Words: Copy;
+
+        /// The words of `self`, or `None` when its weight needs more than
+        /// 32 bits.
+        fn narrow(self) -> Option<Self::Words>;
+
+        /// The payload `words` hold.
+        fn widen(words: Self::Words) -> Self;
+    }
+}
+
 /// What an adjacency entry stores beside its neighbour id. Each payload
 /// answers the full [`EdgeMeta`] question — weight and cached neighbour
-/// value — and stores only the part it keeps:
+/// value — and stores only the part it keeps, in an entry that is narrow
+/// while the vertex's ids and weights fit in a `u32` and wide after:
 ///
-/// | payload | entry | inline in the header | weight reads | cache reads |
+/// | payload | entry, narrow / wide | inline in the header, narrow / wide | weight reads | cache reads |
 /// |---|---|---|---|---|
-/// | `()` | 8 B | 2 | 1 | 0 |
-/// | [`Weight`] | 16 B | 1 | the weight | 0 |
-/// | [`EdgeMeta`] | 24 B | 0 | the weight | the cache |
+/// | `()` | 4 / 8 B | 4 / 2 | 1 | 0 |
+/// | [`Weight`] | 8 / 16 B | 2 / 1 | the weight | 0 |
+/// | [`EdgeMeta`] | 16 / 24 B | 1 / 0 | the weight | the cache |
 ///
 /// A cache of 0 is the "unknown" value an algorithm that reads the cache
-/// must already treat as "send anyway".
-pub trait EdgeData: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static {
+/// must already treat as "send anyway". The trait is sealed: these three
+/// are its payloads.
+pub trait EdgeData:
+    sealed::Narrows + Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static
+{
     /// True when the payload keeps the neighbour cache. Without it
     /// [`Adjacency::set_cached`] returns before looking the edge up.
     const CACHES: bool;
@@ -198,6 +240,18 @@ pub trait EdgeData: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     }
 }
 
+impl sealed::Narrows for () {
+    type Words = ();
+
+    #[inline]
+    fn narrow(self) -> Option<()> {
+        Some(())
+    }
+
+    #[inline]
+    fn widen(_words: ()) -> Self {}
+}
+
 impl EdgeData for () {
     const CACHES: bool = false;
 
@@ -216,6 +270,20 @@ impl EdgeData for () {
 
     #[inline]
     fn merge(&mut self, _incoming: Self) {}
+}
+
+impl sealed::Narrows for Weight {
+    type Words = u32;
+
+    #[inline]
+    fn narrow(self) -> Option<u32> {
+        u32::try_from(self).ok()
+    }
+
+    #[inline]
+    fn widen(words: u32) -> Self {
+        u64::from(words)
+    }
 }
 
 impl EdgeData for Weight {
@@ -239,6 +307,25 @@ impl EdgeData for Weight {
     #[inline]
     fn merge(&mut self, incoming: Self) {
         *self = (*self).min(incoming);
+    }
+}
+
+impl sealed::Narrows for EdgeMeta {
+    /// The weight, then the cache's low and high halves.
+    type Words = [u32; 3];
+
+    #[inline]
+    fn narrow(self) -> Option<[u32; 3]> {
+        let weight = u32::try_from(self.weight).ok()?;
+        Some([weight, self.cached as u32, (self.cached >> 32) as u32])
+    }
+
+    #[inline]
+    fn widen([weight, low, high]: [u32; 3]) -> Self {
+        EdgeMeta {
+            weight: u64::from(weight),
+            cached: u64::from(high) << 32 | u64::from(low),
+        }
     }
 }
 
@@ -267,6 +354,105 @@ impl EdgeData for EdgeMeta {
     }
 }
 
+/// A slab entry of payload `E` at one of the two widths: [`Narrow`] or the
+/// wide `(VertexId, E)`. Every slab operation is generic over it and picks
+/// the width once per call from the header's [`WIDE`] bit, as it picks the
+/// index's slot width.
+trait Entry<E>: Copy {
+    /// True for `(VertexId, E)`.
+    const WIDE: bool;
+
+    /// Entries the header's 16 bytes hold.
+    const INLINE: usize;
+
+    /// The entry of the edge `-> nbr` with `data`, or `None` when either
+    /// needs more bits than this width keeps.
+    fn pack(nbr: VertexId, data: E) -> Option<Self>;
+
+    /// The neighbour id.
+    fn nbr(self) -> VertexId;
+
+    /// The payload.
+    fn data(self) -> E;
+}
+
+/// Entries of `T` the header's 16 bytes hold, checked (where the constant
+/// is evaluated, i.e. wherever entries of `T` are compiled) to accept the
+/// header's alignment of 8.
+const fn inline_entries<T>() -> usize {
+    assert!(
+        align_of::<T>() <= 8,
+        "an adjacency entry must not need more alignment than the header's 8"
+    );
+    16 / size_of::<T>()
+}
+
+impl<E: EdgeData> Entry<E> for (VertexId, E) {
+    const WIDE: bool = true;
+    const INLINE: usize = inline_entries::<Self>();
+
+    #[inline]
+    fn pack(nbr: VertexId, data: E) -> Option<Self> {
+        Some((nbr, data))
+    }
+
+    #[inline]
+    fn nbr(self) -> VertexId {
+        self.0
+    }
+
+    #[inline]
+    fn data(self) -> E {
+        self.1
+    }
+}
+
+/// An entry whose neighbour id and weight fit in a `u32`: 4 bytes of id
+/// and the payload's words packed against it.
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct Narrow<E: EdgeData> {
+    nbr: u32,
+    words: E::Words,
+}
+
+/// Bytes of a narrow entry of `E`: the wide one less the id's high half
+/// and, for a payload that keeps a weight (every payload but `()`), the
+/// weight's. It depends on `E`'s size alone, so `Drop` frees a slab of
+/// either width with no `EdgeData` bound; [`Narrow`]'s `INLINE` checks it.
+const fn narrow_size<E>() -> usize {
+    size_of::<(VertexId, E)>() - if size_of::<E>() == 0 { 4 } else { 8 }
+}
+
+impl<E: EdgeData> Entry<E> for Narrow<E> {
+    const WIDE: bool = false;
+    const INLINE: usize = {
+        assert!(
+            size_of::<Self>() == narrow_size::<E>(),
+            "a narrow entry is the wide one less the high halves of id and weight"
+        );
+        inline_entries::<Self>()
+    };
+
+    #[inline]
+    fn pack(nbr: VertexId, data: E) -> Option<Self> {
+        Some(Narrow {
+            nbr: u32::try_from(nbr).ok()?,
+            words: data.narrow()?,
+        })
+    }
+
+    #[inline]
+    fn nbr(self) -> VertexId {
+        VertexId::from(self.nbr)
+    }
+
+    #[inline]
+    fn data(self) -> E {
+        E::widen(self.words)
+    }
+}
+
 /// Adjacency list of a single vertex: its edges in insertion order and,
 /// past [`PROMOTE_DEGREE`] entries, a hash index of positions into them.
 ///
@@ -274,7 +460,9 @@ impl EdgeData for EdgeMeta {
 /// and two words that are either the entries themselves or two pointers.
 /// While the entries fit in 16 bytes they live in those two words and the
 /// vertex owns no heap block. The first entry that does not fit moves them
-/// all to a heap slab, which is then kept for good, as the index is.
+/// all to a heap slab, which is then kept for good, as the index is. The
+/// entries are narrow until the first id or weight past `u32::MAX` widens
+/// them, which is kept for good too (see the module docs).
 ///
 /// The index is a power-of-two linear-probing table kept at a load of at
 /// most 3/4, of `u16` slots up to 2^14 of them and `u32` slots past that
@@ -290,33 +478,28 @@ pub struct Adjacency<E = EdgeMeta> {
     /// Live entries.
     len: u32,
     /// The slab's capacity in entries in the low [`CAP_BITS`] bits (0
-    /// while the entries are inline), and log2 of the index's slot count
-    /// in the bits above them (0 while there is no index).
+    /// while the entries are inline), log2 of the index's slot count in
+    /// the five bits above them (0 while there is no index), and [`WIDE`].
     cap: u32,
-    body: Body<E>,
+    body: Body,
+    entries: PhantomData<E>,
 }
 
 /// The header's last 16 bytes: the inline entries, or the two heap blocks.
-union Body<E> {
+union Body {
     inline: [MaybeUninit<u64>; 2],
-    heap: Heap<E>,
+    heap: Heap,
 }
 
-/// A slab of `cap & CAP_MASK` entries, the first `len` initialised, and an
-/// index of `1 << (cap >> CAP_BITS)` initialised slots, `u16` or `u32` as
-/// [`is_narrow`] says (dangling while there is none).
-struct Heap<E> {
-    slab: NonNull<(VertexId, E)>,
+/// A slab of `cap & CAP_MASK` entries of the width [`WIDE`] names, the
+/// first `len` initialised, and an index of `1 << shift` initialised
+/// slots, `u16` or `u32` as [`is_narrow`] says (dangling while there is
+/// none).
+#[derive(Clone, Copy)]
+struct Heap {
+    slab: NonNull<u8>,
     index: NonNull<u8>,
 }
-
-impl<E> Clone for Heap<E> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<E> Copy for Heap<E> {}
 
 // SAFETY: `len` and `cap` are plain integers, and `body` holds either
 // entries by value or the only pointers to two heap blocks this
@@ -333,6 +516,7 @@ impl<E> Default for Adjacency<E> {
             body: Body {
                 inline: [MaybeUninit::uninit(); 2],
             },
+            entries: PhantomData,
         }
     }
 }
@@ -347,7 +531,7 @@ impl<E> Drop for Adjacency<E> {
         // block is freed with the layout it was allocated with.
         unsafe {
             let heap = self.body.heap;
-            dealloc(heap.slab.as_ptr().cast(), slab_layout::<E>(slab_cap));
+            dealloc(heap.slab.as_ptr(), self.slab_layout());
             if self.index_slots() != 0 {
                 dealloc(heap.index.as_ptr(), index_layout(self.index_slots()));
             }
@@ -357,7 +541,8 @@ impl<E> Drop for Adjacency<E> {
 
 impl<E: EdgeData> Clone for Adjacency<E> {
     /// The same entries in the same order, in storage sized for the
-    /// current degree (so a drained hub's copy may have no index).
+    /// current degree (so a drained hub's copy may have no index) at the
+    /// width the entries need (so a copy narrows once no entry is wide).
     fn clone(&self) -> Self {
         let mut copy = Self::new();
         for (nbr, data) in self.iter() {
@@ -370,15 +555,21 @@ impl<E: EdgeData> Clone for Adjacency<E> {
 impl<E: EdgeData> std::fmt::Debug for Adjacency<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Adjacency")
-            .field("entries", &self.entries())
+            .field("entries", &self.iter().collect::<Vec<_>>())
+            .field("wide", &self.is_wide())
             .field("index_slots", &self.index_slots())
             .finish()
     }
 }
 
-/// Layout of a slab of `cap` entries.
-fn slab_layout<E>(cap: usize) -> Layout {
-    Layout::array::<(VertexId, E)>(cap).expect("adjacency slab size overflows")
+/// Layout of a slab of `bytes`.
+fn slab_bytes_layout(bytes: usize) -> Layout {
+    Layout::from_size_align(bytes, SLAB_ALIGN).expect("adjacency slab size overflows")
+}
+
+/// Layout of a slab of `cap` entries of `T`.
+fn slab_layout<T>(cap: usize) -> Layout {
+    slab_bytes_layout(cap * size_of::<T>())
 }
 
 /// Layout of an index of `slots` slots, each as wide as [`is_narrow`] says.
@@ -393,7 +584,7 @@ fn index_layout(slots: usize) -> Layout {
 
 /// Allocates a block of `layout`, zeroed when `zeroed`, and aborts as `Vec`
 /// does when the allocator fails.
-fn alloc_block<T>(layout: Layout, zeroed: bool) -> NonNull<T> {
+fn alloc_block(layout: Layout, zeroed: bool) -> NonNull<u8> {
     // SAFETY: every caller asks for at least one element of a type that is
     // not zero-sized, so `layout` has a nonzero size.
     let raw = unsafe {
@@ -403,7 +594,18 @@ fn alloc_block<T>(layout: Layout, zeroed: bool) -> NonNull<T> {
             alloc(layout)
         }
     };
-    NonNull::new(raw.cast()).unwrap_or_else(|| handle_alloc_error(layout))
+    NonNull::new(raw).unwrap_or_else(|| handle_alloc_error(layout))
+}
+
+/// Resizes the slab at `slab`, allocated as `old`, to `new_size` bytes,
+/// aborting as `Vec` does when the allocator fails.
+///
+/// # Safety
+/// `slab` must be a live block allocated with `old`, and `new_size` nonzero.
+unsafe fn realloc_slab(slab: NonNull<u8>, old: Layout, new_size: usize) -> NonNull<u8> {
+    // SAFETY: as the caller promises.
+    let raw = unsafe { realloc(slab.as_ptr(), old, new_size) };
+    NonNull::new(raw).unwrap_or_else(|| handle_alloc_error(slab_bytes_layout(new_size)))
 }
 
 impl<E> Adjacency<E> {
@@ -416,25 +618,31 @@ impl<E> Adjacency<E> {
     /// Slots of the index (0 while there is none).
     #[inline]
     fn index_slots(&self) -> usize {
-        match self.cap >> CAP_BITS {
+        match (self.cap & SHIFT_MASK) >> CAP_BITS {
             0 => 0,
             shift => 1 << shift,
         }
     }
+
+    /// True once the entries are `(VertexId, E)`.
+    #[inline]
+    fn is_wide(&self) -> bool {
+        self.cap & WIDE != 0
+    }
+
+    /// Layout of the slab at the entries' width (size 0 while they are
+    /// inline).
+    fn slab_layout(&self) -> Layout {
+        let entry = if self.is_wide() {
+            size_of::<(VertexId, E)>()
+        } else {
+            narrow_size::<E>()
+        };
+        slab_bytes_layout(self.slab_cap() * entry)
+    }
 }
 
 impl<E: EdgeData> Adjacency<E> {
-    /// Entries the header holds inline: as many as fit in its 16 bytes,
-    /// whose alignment of 8 every entry must accept (checked when the
-    /// constant is evaluated, i.e. wherever `entries` is compiled).
-    const INLINE: usize = {
-        assert!(
-            std::mem::align_of::<(VertexId, E)>() <= 8,
-            "an adjacency entry must not need more alignment than the header's 8"
-        );
-        16 / std::mem::size_of::<(VertexId, E)>()
-    };
-
     /// Creates an empty adjacency list (no allocation).
     pub fn new() -> Self {
         Self::default()
@@ -461,7 +669,7 @@ impl<E: EdgeData> Adjacency<E> {
     /// is new, `false` when it already existed (its payload is then
     /// replaced in place, matching the paper's attribute-update semantics).
     pub fn insert(&mut self, nbr: VertexId, data: E) -> bool {
-        self.upsert(nbr, data, |old| *old = data)
+        self.upsert(nbr, data, |_| data)
     }
 
     /// Inserts the edge `-> nbr`, folding a re-add into the stored payload
@@ -477,93 +685,101 @@ impl<E: EdgeData> Adjacency<E> {
     /// shards' streams (plain last-wins [`Adjacency::insert`] would leave
     /// whichever arrived last — an arrival-order artifact).
     pub fn insert_weight_min(&mut self, nbr: VertexId, data: E) -> bool {
-        self.upsert(nbr, data, |old| old.merge(data))
+        self.upsert(nbr, data, |mut old| {
+            old.merge(data);
+            old
+        })
     }
 
     /// Removes the edge `-> nbr`, returning its payload if it existed. The
     /// last entry takes the removed one's position.
     /// (Used by the decremental extension; the core paper is add-only.)
     pub fn remove(&mut self, nbr: VertexId) -> Option<E> {
-        let pos = self.locate(nbr).ok()?;
-        let last = self.degree() - 1;
-        Some(match self.index_slots() {
-            0 => self.swap_remove(pos, last),
-            slots if is_narrow(slots) => self.remove_indexed::<u16>(pos, last),
-            _ => self.remove_indexed::<u32>(pos, last),
-        })
+        if self.is_wide() {
+            self.remove_as::<(VertexId, E)>(nbr)
+        } else {
+            self.remove_as::<Narrow<E>>(nbr)
+        }
     }
 
     /// Payload of the edge `-> nbr`, if present.
-    pub fn get(&self, nbr: VertexId) -> Option<&E> {
-        let pos = self.locate(nbr).ok()?;
-        Some(&self.entries()[pos].1)
-    }
-
-    /// Mutable payload of the edge `-> nbr`, if present.
-    pub fn get_mut(&mut self, nbr: VertexId) -> Option<&mut E> {
-        let pos = self.locate(nbr).ok()?;
-        Some(&mut self.entries_mut()[pos].1)
+    pub fn get(&self, nbr: VertexId) -> Option<E> {
+        if self.is_wide() {
+            self.get_as::<(VertexId, E)>(nbr)
+        } else {
+            self.get_as::<Narrow<E>>(nbr)
+        }
     }
 
     /// Updates the cached neighbour value on the edge `-> nbr`, if the edge
-    /// exists and the payload keeps a cache ([`EdgeData::CACHES`]). Returns
-    /// the previous cached value; `None`, without a lookup, for a payload
-    /// that keeps none.
+    /// exists and the payload keeps a cache ([`EdgeData::CACHES`]), writing
+    /// the entry back in place. Returns the previous cached value; `None`,
+    /// without a lookup, for a payload that keeps none.
     #[inline]
     pub fn set_cached(&mut self, nbr: VertexId, value: u64) -> Option<u64> {
         if !E::CACHES {
             return None;
         }
-        let data = self.get_mut(nbr)?;
-        let old = data.cached();
-        *data = E::new(data.weight(), value);
-        Some(old)
+        let old = if self.is_wide() {
+            self.set_cached_as::<(VertexId, E)>(nbr, value)
+        } else {
+            self.set_cached_as::<Narrow<E>>(nbr, value)
+        };
+        old.map(|data| data.cached())
     }
 
     /// Iterates `(neighbour, payload)` in insertion order (a removal moves
-    /// the then-last edge into the removed one's place).
-    pub fn iter(&self) -> std::iter::Copied<std::slice::Iter<'_, (VertexId, E)>> {
-        self.entries().iter().copied()
+    /// the then-last edge into the removed one's place), by value at
+    /// either width.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (VertexId, E)> + '_ {
+        if self.is_wide() {
+            Iter::Wide(self.entries::<(VertexId, E)>().iter())
+        } else {
+            Iter::Narrow(self.entries::<Narrow<E>>().iter())
+        }
     }
 
     /// Heap footprint in bytes: the slab plus the index, exactly as
     /// allocated (0 while the entries are inline).
     pub fn heap_bytes(&self) -> usize {
-        self.slab_cap() * std::mem::size_of::<(VertexId, E)>()
-            + index_layout(self.index_slots()).size()
+        self.slab_layout().size() + index_layout(self.index_slots()).size()
     }
 
     /// Where the entries start: the header's inline words, or the slab.
+    /// They must be `T`.
     #[inline]
-    fn entries_ptr(&mut self) -> *mut (VertexId, E) {
+    fn entries_ptr<T: Entry<E>>(&mut self) -> *mut T {
+        assert!(T::WIDE == self.is_wide(), "entry width");
         if self.slab_cap() == 0 {
             (&raw mut self.body.inline).cast()
         } else {
             // SAFETY: a slab capacity means `heap` is the live field.
-            unsafe { self.body.heap.slab.as_ptr() }
+            unsafe { self.body.heap.slab.as_ptr().cast() }
         }
     }
 
-    /// The live entries, in insertion order.
+    /// The live entries, in insertion order, which must be `T`.
     #[inline]
-    fn entries(&self) -> &[(VertexId, E)] {
-        let ptr: *const (VertexId, E) = if self.slab_cap() == 0 {
-            debug_assert!(self.degree() <= Self::INLINE);
+    fn entries<T: Entry<E>>(&self) -> &[T] {
+        assert!(T::WIDE == self.is_wide(), "entry width");
+        let ptr: *const T = if self.slab_cap() == 0 {
+            debug_assert!(self.degree() <= T::INLINE);
             (&raw const self.body.inline).cast()
         } else {
             // SAFETY: a slab capacity means `heap` is the live field.
-            unsafe { self.body.heap.slab.as_ptr() }
+            unsafe { self.body.heap.slab.as_ptr().cast() }
         };
-        // SAFETY: the first `len` entries at `ptr` are initialised. Inline
-        // ones fit the header (`len <= INLINE` while there is no slab),
-        // whose alignment of 8 `INLINE` has checked the entry accepts.
+        // SAFETY: the first `len` entries at `ptr` are initialised `T`s,
+        // the width `WIDE` names. Inline ones fit the header (`len <=
+        // INLINE` while there is no slab), whose alignment of 8 `INLINE`
+        // has checked the entry accepts; a slab is aligned to 8.
         unsafe { std::slice::from_raw_parts(ptr, self.degree()) }
     }
 
-    /// The live entries, mutably.
+    /// The live entries mutably, which must be `T`.
     #[inline]
-    fn entries_mut(&mut self) -> &mut [(VertexId, E)] {
-        let (len, entries) = (self.degree(), self.entries_ptr());
+    fn entries_mut<T: Entry<E>>(&mut self) -> &mut [T] {
+        let (len, entries) = (self.degree(), self.entries_ptr::<T>());
         // SAFETY: as in `entries`.
         unsafe { std::slice::from_raw_parts_mut(entries, len) }
     }
@@ -586,12 +802,12 @@ impl<E: EdgeData> Adjacency<E> {
         unsafe { std::slice::from_raw_parts(self.body.heap.index.as_ptr().cast(), slots) }
     }
 
-    /// The live entries and the index, which must exist and be `S`,
-    /// borrowed mutably side by side.
+    /// The live entries, which must be `T`, and the index, which must exist
+    /// and be `S`, borrowed mutably side by side.
     #[inline]
-    fn parts_mut<S: Slot>(&mut self) -> (&mut [(VertexId, E)], &mut [S]) {
+    fn parts_mut<S: Slot, T: Entry<E>>(&mut self) -> (&mut [T], &mut [S]) {
         let (len, slots) = (self.degree(), self.slots_as::<S>());
-        let entries = self.entries_ptr();
+        let entries = self.entries_ptr::<T>();
         // SAFETY: as in `entries` and `index`. The two never overlap: an
         // index is its own block beside the slab.
         unsafe {
@@ -600,37 +816,149 @@ impl<E: EdgeData> Adjacency<E> {
         }
     }
 
-    /// Entries the vertex holds before its storage must grow.
+    /// Entries of `T` the vertex holds before its storage must grow.
     #[inline]
-    fn capacity(&self) -> usize {
+    fn capacity<T: Entry<E>>(&self) -> usize {
         match self.slab_cap() {
-            0 => Self::INLINE,
+            0 => T::INLINE,
             cap => cap,
         }
     }
 
+    /// [`Self::get`] among entries of `T`.
+    #[inline]
+    fn get_as<T: Entry<E>>(&self, nbr: VertexId) -> Option<E> {
+        let pos = self.locate::<T>(nbr).ok()?;
+        Some(self.entries::<T>()[pos].data())
+    }
+
+    /// [`Self::set_cached`] among entries of `T`, returning the payload the
+    /// edge had.
+    #[inline]
+    fn set_cached_as<T: Entry<E>>(&mut self, nbr: VertexId, value: u64) -> Option<E> {
+        let pos = self.locate::<T>(nbr).ok()?;
+        Some(self.rewrite::<T>(pos, |data| E::new(data.weight(), value)))
+    }
+
+    /// Replaces the payload of the entry of `T` at `pos` with `f` of it,
+    /// which must fit `T` (every caller keeps or lowers the weight of an
+    /// entry that fits, or writes one it has checked), and returns the old
+    /// payload.
+    #[inline]
+    fn rewrite<T: Entry<E>>(&mut self, pos: usize, f: impl FnOnce(E) -> E) -> E {
+        let entry = &mut self.entries_mut::<T>()[pos];
+        let old = entry.data();
+        *entry = T::pack(entry.nbr(), f(old)).expect("a rewritten payload fits its entry");
+        old
+    }
+
+    /// [`Self::remove`] among entries of `T`.
+    fn remove_as<T: Entry<E>>(&mut self, nbr: VertexId) -> Option<E> {
+        let pos = self.locate::<T>(nbr).ok()?;
+        let last = self.degree() - 1;
+        Some(match self.index_slots() {
+            0 => self.swap_remove::<T>(pos, last),
+            slots if is_narrow(slots) => self.remove_indexed::<u16, T>(pos, last),
+            _ => self.remove_indexed::<u32, T>(pos, last),
+        })
+    }
+
     /// Removes the entry at `pos`, moving the one at `last` into its place.
-    fn swap_remove(&mut self, pos: usize, last: usize) -> E {
-        let entries = self.entries_mut();
-        let data = entries[pos].1;
+    fn swap_remove<T: Entry<E>>(&mut self, pos: usize, last: usize) -> E {
+        let entries = self.entries_mut::<T>();
+        let data = entries[pos].data();
         entries[pos] = entries[last];
         self.len -= 1;
         data
     }
 
-    /// Adds the edge `-> nbr` with `data` if absent (`true`), else lets
-    /// `merge` update the payload it already has (`false`).
+    /// Adds the edge `-> nbr` with `data` if absent (`true`), else replaces
+    /// the payload it already has with `merge` of it (`false`). A narrow
+    /// vertex handed an id or weight past `u32::MAX` is widened first.
     #[inline]
-    fn upsert(&mut self, nbr: VertexId, data: E, merge: impl FnOnce(&mut E)) -> bool {
-        match self.locate(nbr) {
+    fn upsert(&mut self, nbr: VertexId, data: E, merge: impl FnOnce(E) -> E) -> bool {
+        if !self.is_wide() {
+            match Narrow::pack(nbr, data) {
+                Some(entry) => return self.upsert_as(entry, merge),
+                None => self.widen(),
+            }
+        }
+        self.upsert_as((nbr, data), merge)
+    }
+
+    /// [`Self::upsert`] of `entry` among entries of `T`.
+    #[inline]
+    fn upsert_as<T: Entry<E>>(&mut self, entry: T, merge: impl FnOnce(E) -> E) -> bool {
+        match self.locate::<T>(entry.nbr()) {
             Ok(pos) => {
-                merge(&mut self.entries_mut()[pos].1);
+                self.rewrite::<T>(pos, merge);
                 false
             }
             Err(vacancy) => {
-                self.push(nbr, data, vacancy);
+                self.push(entry, vacancy);
                 true
             }
+        }
+    }
+
+    /// Rewrites the entries wide, in order, and sets [`WIDE`]. Inline
+    /// entries the header cannot hold wide move to a slab of four; a slab is
+    /// resized in place to the same capacity of wide entries and rewritten
+    /// from the back, so no narrow entry is overwritten before it is read.
+    /// The index names positions, not ids, so it stays as it is.
+    #[cold]
+    fn widen(&mut self) {
+        let len = self.degree();
+        let cap = self.slab_cap();
+        if cap == 0 {
+            // SAFETY: no slab means `inline` is the live field.
+            let words = unsafe { self.body.inline };
+            // SAFETY: the copy is aligned to 8, which `Narrow::INLINE` has
+            // checked the entry accepts, and holds `len` initialised narrow
+            // entries.
+            let narrow: &[Narrow<E>] =
+                unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), len) };
+            if len > <(VertexId, E)>::INLINE {
+                let slab = alloc_block(slab_layout::<(VertexId, E)>(4), false);
+                self.body = Body {
+                    heap: Heap {
+                        slab,
+                        index: NonNull::dangling(),
+                    },
+                };
+                self.cap = 4;
+            }
+            self.cap |= WIDE;
+            let wide = self.entries_ptr::<(VertexId, E)>();
+            for (i, entry) in narrow.iter().enumerate() {
+                // SAFETY: the header or the fresh slab holds `len` wide
+                // entries.
+                unsafe { wide.add(i).write((entry.nbr(), entry.data())) };
+            }
+        } else {
+            let new = slab_layout::<(VertexId, E)>(cap);
+            // SAFETY: a slab capacity means `heap` is the live field; the
+            // slab was allocated as `cap` narrow entries, aligned to 8.
+            // Narrow entry `i` ends at or before wide entry `i` starts, so
+            // writing wide entries from the back only overwrites narrow ones
+            // already read.
+            unsafe {
+                let slab = realloc_slab(
+                    self.body.heap.slab,
+                    slab_layout::<Narrow<E>>(cap),
+                    new.size(),
+                );
+                let (narrow, wide) = (
+                    slab.as_ptr().cast::<Narrow<E>>(),
+                    slab.as_ptr().cast::<(VertexId, E)>(),
+                );
+                for i in (0..len).rev() {
+                    let entry = narrow.add(i).read();
+                    wide.add(i).write((entry.nbr(), entry.data()));
+                }
+                self.body.heap.slab = slab;
+            }
+            self.cap |= WIDE;
         }
     }
 
@@ -640,26 +968,26 @@ impl<E: EdgeData> Adjacency<E> {
         self.index_slots() as u32 - 1
     }
 
-    /// Finds `nbr`: `Ok(position in the entries)`, or `Err((slot, tag))` —
-    /// the empty index slot that ended the probe and the tag to write there
-    /// (both meaningless while there is no index).
+    /// Finds `nbr` among entries of `T`: `Ok(position in the entries)`, or
+    /// `Err((slot, tag))` — the empty index slot that ended the probe and
+    /// the tag to write there (both meaningless while there is no index).
     #[inline]
-    fn locate(&self, nbr: VertexId) -> Result<usize, (usize, u32)> {
+    fn locate<T: Entry<E>>(&self, nbr: VertexId) -> Result<usize, (usize, u32)> {
         match self.index_slots() {
             0 => self
-                .entries()
+                .entries::<T>()
                 .iter()
-                .position(|&(n, _)| n == nbr)
+                .position(|e| e.nbr() == nbr)
                 .ok_or((0, 0)),
-            slots if is_narrow(slots) => self.probe::<u16>(nbr),
-            _ => self.probe::<u32>(nbr),
+            slots if is_narrow(slots) => self.probe::<u16, T>(nbr),
+            _ => self.probe::<u32, T>(nbr),
         }
     }
 
     /// [`Self::locate`] through an index of `S` slots.
     #[inline]
-    fn probe<S: Slot>(&self, nbr: VertexId) -> Result<usize, (usize, u32)> {
-        let (entries, index) = (self.entries(), self.index::<S>());
+    fn probe<S: Slot, T: Entry<E>>(&self, nbr: VertexId) -> Result<usize, (usize, u32)> {
+        let (entries, index) = (self.entries::<T>(), self.index::<S>());
         let mask = index.len() as u32 - 1;
         let (mut i, tag) = home_and_tag::<S>(nbr, mask);
         // Load stays at or below 3/4, so an empty slot ends every probe.
@@ -670,7 +998,7 @@ impl<E: EdgeData> Adjacency<E> {
             }
             if slot & !mask == tag {
                 let pos = (slot & mask) as usize - 1;
-                if entries[pos].0 == nbr {
+                if entries[pos].nbr() == nbr {
                     return Ok(pos);
                 }
             }
@@ -681,42 +1009,47 @@ impl<E: EdgeData> Adjacency<E> {
     /// Appends a new edge whose absence [`Self::locate`] just established,
     /// indexing it in the `vacancy` that probe ended on.
     #[inline]
-    fn push(&mut self, nbr: VertexId, data: E, (slot, tag): (usize, u32)) {
+    fn push<T: Entry<E>>(&mut self, entry: T, (slot, tag): (usize, u32)) {
         let len = self.degree();
-        if len == self.capacity() {
-            self.grow_slab();
+        if len == self.capacity::<T>() {
+            self.grow_slab::<T>();
         }
         // SAFETY: `len < capacity()` now, so the write lands in the inline
         // words or the slab, past the initialised entries.
-        unsafe { self.entries_ptr().add(len).write((nbr, data)) };
+        unsafe { self.entries_ptr::<T>().add(len).write(entry) };
         self.len += 1;
         let degree = len + 1;
         let slots = self.index_slots();
         if degree * 4 > slots * 3 {
             if degree > PROMOTE_DEGREE {
-                self.grow_index();
+                self.grow_index::<T>();
             }
         } else if is_narrow(slots) {
-            self.fill_slot::<u16>(slot, tag | degree as u32);
+            self.index_mut::<u16>()[slot] = u16::new(tag | degree as u32);
         } else {
-            self.fill_slot::<u32>(slot, tag | degree as u32);
+            self.index_mut::<u32>()[slot] = u32::new(tag | degree as u32);
         }
     }
 
-    /// Writes `bits` into index slot `slot` of an index of `S` slots.
+    /// The index's slots mutably, which must exist and be `S`.
     #[inline]
-    fn fill_slot<S: Slot>(&mut self, slot: usize, bits: u32) {
-        self.parts_mut::<S>().1[slot] = S::new(bits);
+    fn index_mut<S: Slot>(&mut self) -> &mut [S] {
+        let slots = self.slots_as::<S>();
+        // SAFETY: as in `index`.
+        unsafe { std::slice::from_raw_parts_mut(self.body.heap.index.as_ptr().cast(), slots) }
     }
 
-    /// Makes room for one more entry: inline entries move to a slab of 4,
-    /// a slab doubles while small (8, 16, ... 64 entries), then grows by
-    /// half so a hub's unused tail stays under a third of it.
+    /// Makes room for one more entry of `T`: inline entries move to a slab
+    /// of twice as many (at least four), a slab doubles while small (8, 16,
+    /// ... 64 entries), then grows by half so a hub's unused tail stays
+    /// under a third of it.
     #[cold]
-    fn grow_slab(&mut self) {
+    fn grow_slab<T: Entry<E>>(&mut self) {
         let old = self.slab_cap();
-        let cap = if old < GENTLE_GROWTH_FROM {
-            (2 * old).max(4)
+        let cap = if old == 0 {
+            (2 * T::INLINE).max(4)
+        } else if old < GENTLE_GROWTH_FROM {
+            2 * old
         } else {
             old + old / 2
         };
@@ -724,12 +1057,14 @@ impl<E: EdgeData> Adjacency<E> {
             cap <= CAP_MASK as usize,
             "adjacency slab overflows its capacity bits"
         );
-        let layout = slab_layout::<E>(cap);
+        let layout = slab_layout::<T>(cap);
         let heap = if old == 0 {
             let slab = alloc_block(layout, false);
-            let entries = self.entries();
+            let entries = self.entries::<T>();
             // SAFETY: the fresh slab holds `cap > INLINE >= len` entries.
-            unsafe { ptr::copy_nonoverlapping(entries.as_ptr(), slab.as_ptr(), entries.len()) };
+            unsafe {
+                ptr::copy_nonoverlapping(entries.as_ptr(), slab.as_ptr().cast(), entries.len())
+            };
             Heap {
                 slab,
                 index: NonNull::dangling(),
@@ -739,13 +1074,8 @@ impl<E: EdgeData> Adjacency<E> {
             // slab is reallocated from the layout it was allocated with.
             unsafe {
                 let heap = self.body.heap;
-                let raw = realloc(
-                    heap.slab.as_ptr().cast(),
-                    slab_layout::<E>(old),
-                    layout.size(),
-                );
                 Heap {
-                    slab: NonNull::new(raw.cast()).unwrap_or_else(|| handle_alloc_error(layout)),
+                    slab: realloc_slab(heap.slab, slab_layout::<T>(old), layout.size()),
                     index: heap.index,
                 }
             }
@@ -755,70 +1085,69 @@ impl<E: EdgeData> Adjacency<E> {
     }
 
     /// Replaces the index with one of twice the slots (the first has
-    /// [`FIRST_INDEX_SLOTS`]), re-deriving every slot from the slab. This is
-    /// the one place an index changes width: past [`NARROW_SLOTS`] the new
-    /// one has `u32` slots.
+    /// [`FIRST_INDEX_SLOTS`]), re-deriving every slot from the slab of `T`.
+    /// This is the one place an index changes width: past [`NARROW_SLOTS`]
+    /// the new one has `u32` slots.
     #[cold]
-    fn grow_index(&mut self) {
+    fn grow_index<T: Entry<E>>(&mut self) {
         let old = self.index_slots();
         let slots = (old * 2).max(FIRST_INDEX_SLOTS);
         let index = if is_narrow(slots) {
-            self.build_index::<u16>(slots)
+            self.build_index::<u16, T>(slots)
         } else {
-            self.build_index::<u32>(slots)
+            self.build_index::<u32, T>(slots)
         };
         // SAFETY: an index grows only past PROMOTE_DEGREE entries, which no
         // header holds inline, so `heap` is the live field; the old index
         // is freed with the layout it was allocated with.
-        let slab = unsafe {
+        unsafe {
             if old != 0 {
                 dealloc(self.body.heap.index.as_ptr(), index_layout(old));
             }
-            self.body.heap.slab
-        };
-        self.body = Body {
-            heap: Heap { slab, index },
-        };
-        self.cap = (self.cap & CAP_MASK) | slots.trailing_zeros() << CAP_BITS;
+            self.body.heap.index = index;
+        }
+        self.cap = (self.cap & !SHIFT_MASK) | slots.trailing_zeros() << CAP_BITS;
     }
 
-    /// A fresh index of `slots` slots, which must be `S`, naming every entry.
-    fn build_index<S: Slot>(&self, slots: usize) -> NonNull<u8> {
+    /// A fresh index of `slots` slots, which must be `S`, naming every
+    /// entry of `T`.
+    fn build_index<S: Slot, T: Entry<E>>(&self, slots: usize) -> NonNull<u8> {
         assert!(S::NARROW == is_narrow(slots), "index width");
-        let index = alloc_block::<S>(index_layout(slots), true);
+        let index = alloc_block(index_layout(slots), true);
         // SAFETY: the block is fresh and zeroed, and `index_layout` sized it
         // as `slots` slots of the width `is_narrow` names, which is `S`.
-        let fresh = unsafe { std::slice::from_raw_parts_mut(index.as_ptr(), slots) };
+        let fresh = unsafe { std::slice::from_raw_parts_mut(index.as_ptr().cast::<S>(), slots) };
         let mask = slots as u32 - 1;
-        for (pos, &(nbr, _)) in self.entries().iter().enumerate() {
-            let (mut i, tag) = home_and_tag::<S>(nbr, mask);
+        for (pos, entry) in self.entries::<T>().iter().enumerate() {
+            let (mut i, tag) = home_and_tag::<S>(entry.nbr(), mask);
             while fresh[i as usize].get() != 0 {
                 i = (i + 1) & mask;
             }
             fresh[i as usize] = S::new(tag | (pos as u32 + 1));
         }
-        index.cast()
+        index
     }
 
-    /// [`Self::remove`] of the entry at `pos` from a vertex whose index has
-    /// `S` slots: the entry at `last` takes its place, and its slot follows.
-    fn remove_indexed<S: Slot>(&mut self, pos: usize, last: usize) -> E {
+    /// [`Self::remove`] of the entry of `T` at `pos` from a vertex whose
+    /// index has `S` slots: the entry at `last` takes its place, and its
+    /// slot follows.
+    fn remove_indexed<S: Slot, T: Entry<E>>(&mut self, pos: usize, last: usize) -> E {
         let mask = self.mask();
-        let hole = self.slot_of::<S>(pos);
+        let hole = self.slot_of::<S, T>(pos);
         // Re-point the last entry's slot at its new position (a rewrite of
         // `hole` itself when the removed entry is the last).
-        let moved = self.slot_of::<S>(last);
-        let index = self.parts_mut::<S>().1;
+        let moved = self.slot_of::<S, T>(last);
+        let index = self.index_mut::<S>();
         index[moved] = S::new((index[moved].get() & !mask) | (pos as u32 + 1));
-        let data = self.swap_remove(pos, last);
-        self.close_hole::<S>(hole);
+        let data = self.swap_remove::<T>(pos, last);
+        self.close_hole::<S, T>(hole);
         data
     }
 
-    /// Index slot that names entry position `pos`.
-    fn slot_of<S: Slot>(&self, pos: usize) -> usize {
-        let (entries, index, mask) = (self.entries(), self.index::<S>(), self.mask());
-        let (mut i, _) = home_and_tag::<S>(entries[pos].0, mask);
+    /// Index slot that names the position `pos` of an entry of `T`.
+    fn slot_of<S: Slot, T: Entry<E>>(&self, pos: usize) -> usize {
+        let (entries, index, mask) = (self.entries::<T>(), self.index::<S>(), self.mask());
+        let (mut i, _) = home_and_tag::<S>(entries[pos].nbr(), mask);
         while index[i as usize].get() & mask != pos as u32 + 1 {
             i = (i + 1) & mask;
         }
@@ -828,10 +1157,11 @@ impl<E: EdgeData> Adjacency<E> {
     /// Empties index slot `hole` by backward-shift deletion: each later slot
     /// of the cluster whose probe path runs through the hole moves into it,
     /// so no tombstone is left and every remaining probe still ends at the
-    /// first empty slot. The entries must already be in their final state.
-    fn close_hole<S: Slot>(&mut self, hole: usize) {
+    /// first empty slot. The entries of `T` must already be in their final
+    /// state.
+    fn close_hole<S: Slot, T: Entry<E>>(&mut self, hole: usize) {
         let mask = self.mask();
-        let (entries, index) = self.parts_mut::<S>();
+        let (entries, index) = self.parts_mut::<S, T>();
         let mut hole = hole as u32;
         let mut j = hole;
         loop {
@@ -840,7 +1170,8 @@ impl<E: EdgeData> Adjacency<E> {
             if slot.get() == 0 {
                 break;
             }
-            let (home, _) = home_and_tag::<S>(entries[(slot.get() & mask) as usize - 1].0, mask);
+            let (home, _) =
+                home_and_tag::<S>(entries[(slot.get() & mask) as usize - 1].nbr(), mask);
             if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
                 index[hole as usize] = slot;
                 hole = j;
@@ -849,6 +1180,34 @@ impl<E: EdgeData> Adjacency<E> {
         index[hole as usize] = S::new(0);
     }
 }
+
+/// [`Adjacency::iter`] at the width the vertex's entries have.
+enum Iter<'a, E: EdgeData> {
+    Narrow(std::slice::Iter<'a, Narrow<E>>),
+    Wide(std::slice::Iter<'a, (VertexId, E)>),
+}
+
+impl<E: EdgeData> Iterator for Iter<'_, E> {
+    type Item = (VertexId, E);
+
+    #[inline]
+    fn next(&mut self) -> Option<(VertexId, E)> {
+        match self {
+            Iter::Narrow(entries) => entries.next().map(|e| (e.nbr(), e.data())),
+            Iter::Wide(entries) => entries.next().copied(),
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Iter::Narrow(entries) => entries.size_hint(),
+            Iter::Wide(entries) => entries.size_hint(),
+        }
+    }
+}
+
+impl<E: EdgeData> ExactSizeIterator for Iter<'_, E> {}
 
 #[cfg(test)]
 mod tests {
@@ -1016,28 +1375,29 @@ mod tests {
             let slab = a.heap_bytes() - 2048 * 2;
             assert!(slab <= 1000 * entry * 3 / 2, "slab {slab} B for 1000 edges");
         }
-        check((), 8);
-        check::<Weight>(1, 16);
-        check(EdgeMeta::unweighted(), 24);
+        check((), 4);
+        check::<Weight>(1, 8);
+        check(EdgeMeta::unweighted(), 16);
     }
 
-    /// The header holds 16 bytes of entries; the next entry moves them all
-    /// to a slab of four, which stays when the degree falls back.
+    /// The header holds 16 bytes of narrow entries; the next entry moves
+    /// them all to a slab of twice as many (at least four), which stays when
+    /// the degree falls back.
     #[test]
     fn low_degree_entries_live_in_the_header() {
-        fn check<E: EdgeData>(inline: u64, entry: usize) {
+        fn check<E: EdgeData>(inline: u64, first_slab: usize) {
             let mut a: Adjacency<E> = Adjacency::new();
             for n in 0..inline {
                 assert!(a.insert(n + 10, E::new(n + 1, 0)));
                 assert_eq!(a.heap_bytes(), 0, "{inline} inline, edge {n}");
             }
             assert!(a.insert(99, E::new(7, 0)));
-            assert_eq!(a.heap_bytes(), 4 * entry, "the first slab");
+            assert_eq!(a.heap_bytes(), first_slab, "the first slab");
             let want: Vec<VertexId> = (0..inline).map(|n| n + 10).chain([99]).collect();
             assert_eq!(a.iter().map(|(n, _)| n).collect::<Vec<_>>(), want);
             for n in 0..inline {
                 assert_eq!(
-                    a.get(n + 10).map(E::weight),
+                    a.get(n + 10).map(|e| e.weight()),
                     Some(E::new(n + 1, 0).weight())
                 );
             }
@@ -1045,12 +1405,12 @@ mod tests {
                 a.remove(99).map(|e| e.weight()),
                 Some(E::new(7, 0).weight())
             );
-            assert_eq!(a.heap_bytes(), 4 * entry, "the slab is kept");
+            assert_eq!(a.heap_bytes(), first_slab, "the slab is kept");
             assert_eq!(a.degree(), inline as usize);
         }
-        check::<()>(2, 8);
-        check::<Weight>(1, 16);
-        check::<EdgeMeta>(0, 24);
+        check::<()>(4, 8 * 4);
+        check::<Weight>(2, 4 * 8);
+        check::<EdgeMeta>(1, 4 * 16);
     }
 
     #[test]
@@ -1063,7 +1423,7 @@ mod tests {
         assert_eq!(a.remove(2), Some(()));
         assert!(a.is_empty());
         assert!(a.insert(3, ()));
-        assert_eq!(a.get(3), Some(&()));
+        assert_eq!(a.get(3), Some(()));
         assert_eq!(a.heap_bytes(), 0);
     }
 
@@ -1106,7 +1466,7 @@ mod tests {
         /// The index's slots and the bytes each takes.
         fn index_shape(a: &Adjacency<Weight>) -> (usize, usize) {
             let slots = a.index_slots();
-            (slots, (a.heap_bytes() - a.slab_cap() * 16) / slots)
+            (slots, (a.heap_bytes() - a.slab_layout().size()) / slots)
         }
         /// Checks `a` against `mirror` and exercises each operation once at
         /// the front, the middle and the back, keeping the mirror in step;
@@ -1119,7 +1479,7 @@ mod tests {
             assert!(a.iter().eq(mirror.iter().copied()), "iter() order");
             // Under Miri, which interprets every probe, one entry in 61.
             for &(n, w) in mirror.iter().step_by(if cfg!(miri) { 61 } else { 1 }) {
-                assert_eq!(a.get(n), Some(&w), "neighbour {n}");
+                assert_eq!(a.get(n), Some(w), "neighbour {n}");
             }
             for k in 0..64 {
                 assert_eq!(a.get(id(1 << 40 | k)), None);
@@ -1128,10 +1488,10 @@ mod tests {
             for pos in [0, last / 2, last] {
                 let (n, w) = mirror[pos];
                 assert!(!a.insert_weight_min(n, w + 5), "re-add of {n}");
-                assert_eq!(a.get(n), Some(&w), "a re-add must not raise");
+                assert_eq!(a.get(n), Some(w), "a re-add must not raise");
                 assert!(!a.insert_weight_min(n, w - 1));
                 mirror[pos].1 = w - 1;
-                assert_eq!(a.get(n), Some(&(w - 1)), "a reduction applies");
+                assert_eq!(a.get(n), Some(w - 1), "a reduction applies");
             }
             for pos in [last, last / 2, 0] {
                 let (n, w) = mirror.swap_remove(pos);
@@ -1183,6 +1543,119 @@ mod tests {
         assert_eq!(index_shape(&b), (NARROW_SLOTS, 2));
         checkpoint(&mut b, &mut mirror, &mut next);
         assert_eq!(index_shape(&b), (NARROW_SLOTS, 2));
+    }
+
+    /// Four vertices, each walked through every stage — inline, slab,
+    /// `u16` index, `u32` index — with its first wide id (past `u32::MAX`)
+    /// arriving at a different one, then drained. Across the widening
+    /// `iter()` order, payloads and `remove`'s swap order agree with a
+    /// mirror, the slab keeps its capacity at the wide entry's bytes and the
+    /// index keeps its slots; the drained vertex stays wide, and its clone,
+    /// which holds no wide entry any more, is narrow again.
+    #[test]
+    fn entries_widen_at_every_stage_and_a_clone_narrows_again() {
+        /// Scattered ids below 2^32.
+        fn id(n: u64) -> VertexId {
+            mix64(n ^ 0xbeef) >> 32
+        }
+        /// Slab capacity, index slots and whether the entries are wide.
+        fn shape(a: &Adjacency<Weight>) -> (usize, usize, bool) {
+            (a.slab_cap(), a.index_slots(), a.is_wide())
+        }
+        /// Bytes `a` should own: its slab at the entry width it records,
+        /// plus its index.
+        fn bytes(a: &Adjacency<Weight>) -> usize {
+            let entry = if a.is_wide() { 16 } else { 8 };
+            a.slab_cap() * entry + index_layout(a.index_slots()).size()
+        }
+        /// Every live neighbour, sampled under Miri, has its payload.
+        fn payloads_agree(a: &Adjacency<Weight>, mirror: &[(VertexId, Weight)]) {
+            assert!(a.iter().eq(mirror.iter().copied()), "iter() order");
+            for &(n, w) in mirror.iter().step_by(if cfg!(miri) { 61 } else { 1 }) {
+                assert_eq!(a.get(n), Some(w), "neighbour {n}");
+            }
+        }
+
+        let u32_index = NARROW_SLOTS * 3 / 4 + 1;
+        // The degree at which the wide id arrives: inline (a narrow
+        // `Weight` header holds two), slab, `u16` index, `u32` index.
+        let stages = [1, 10, 40, u32_index];
+        for (stage, &at) in stages.iter().enumerate() {
+            let mut a: Adjacency<Weight> = Adjacency::new();
+            let mut mirror = Vec::new();
+            for n in 0..u32_index as u64 + 8 {
+                if mirror.len() == at {
+                    let before = shape(&a);
+                    assert!(!before.2, "stage {stage}: narrow until now");
+                    let wide = (1 << 32 | n, 1 + n % 100);
+                    assert!(a.insert(wide.0, wide.1));
+                    mirror.push(wide);
+                    let after = shape(&a);
+                    assert!(after.2, "stage {stage}: the wide id widens");
+                    if stage == 0 {
+                        // One wide entry fills the header; the second
+                        // moves both to a slab of four.
+                        assert_eq!(after, (4, 0, true));
+                    } else {
+                        assert_eq!((after.0, after.1), (before.0, before.1), "stage {stage}");
+                    }
+                    assert_eq!(a.heap_bytes(), bytes(&a));
+                    payloads_agree(&a, &mirror);
+                }
+                let entry = (id(n), 1 + n % 100);
+                assert!(a.insert(entry.0, entry.1));
+                mirror.push(entry);
+            }
+            assert_eq!(shape(&a), (a.slab_cap(), 2 * NARROW_SLOTS, true));
+            assert_eq!(a.heap_bytes(), bytes(&a));
+            payloads_agree(&a, &mirror);
+
+            // Drain: the wide entry first, then all but five of the rest in
+            // a scattered order. Each removal moves the last entry into the
+            // hole, as the mirror's `swap_remove` does.
+            let mut k = mirror
+                .iter()
+                .position(|&(n, _)| n > u32::MAX as u64)
+                .unwrap();
+            while mirror.len() > 5 {
+                let (n, w) = mirror.swap_remove(k);
+                assert_eq!(a.remove(n), Some(w), "remove {n}");
+                if mirror.len() % 4096 == 0 || mirror.len() < 8 {
+                    assert!(a.iter().eq(mirror.iter().copied()), "swap order");
+                }
+                k = (k + 7919) % mirror.len();
+            }
+            payloads_agree(&a, &mirror);
+            assert!(a.is_wide(), "a removal never narrows");
+            assert_eq!(a.heap_bytes(), bytes(&a));
+
+            let b = a.clone();
+            payloads_agree(&b, &mirror);
+            assert_eq!(shape(&b), (8, 0, false), "the clone is narrow");
+            assert_eq!(b.heap_bytes(), 8 * 8);
+        }
+    }
+
+    /// A narrow `EdgeMeta` entry keeps the whole 64-bit cache, and a weight
+    /// past `u32::MAX` widens the vertex as a wide id does.
+    #[test]
+    fn narrow_entries_keep_a_full_cache_and_widen_on_a_wide_weight() {
+        let mut a: Adjacency<EdgeMeta> = Adjacency::new();
+        for n in 0..6u64 {
+            assert!(a.insert(n, EdgeMeta::weighted(n + 1)));
+        }
+        assert_eq!(a.set_cached(3, u64::MAX - 5), Some(0));
+        assert!(!a.is_wide(), "a cache of any size fits");
+        assert_eq!(a.heap_bytes(), 8 * 16);
+        assert!(!a.insert_weight_min(4, EdgeMeta::weighted(1 << 40)));
+        assert!(a.is_wide(), "a wide weight widens, even one min() drops");
+        assert_eq!(a.heap_bytes(), 8 * 24);
+        assert_eq!(a.get(4).map(|m| m.weight), Some(5));
+        assert_eq!(a.get(3).map(|m| m.cached), Some(u64::MAX - 5));
+        assert!(!a.insert(5, EdgeMeta::weighted(1 << 40)));
+        assert_eq!(a.get(5).map(|m| m.weight), Some(1 << 40));
+        let want: Vec<u64> = (0..6).collect();
+        assert_eq!(a.iter().map(|(n, _)| n).collect::<Vec<_>>(), want);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Footprint budget: bytes of store per directed edge on a scale-free
-//! stream, for each adjacency payload. The ledger reports the same ratio
+//! stream, for each adjacency payload, with narrow entries and with wide
+//! ones. The ledger reports the same ratio
 //! for the `EdgeMeta` table as `store.bytes_per_edge`; this makes a
 //! regression fail in `cargo test` too.
 
@@ -30,14 +31,15 @@ fn skewed_edge(seed: u64, i: u64) -> (u64, u64) {
     (src, dst)
 }
 
-/// Bytes of store per directed edge once the stream is in a table whose
-/// entries carry `E`.
-fn bytes_per_edge<E: EdgeData>() -> f64 {
+/// Bytes of store per directed edge once the stream, every id plus
+/// `offset`, is in a table whose entries carry `E`.
+fn bytes_per_edge<E: EdgeData>(offset: u64) -> f64 {
     let mut table: DenseVertexTable<u64, E> = DenseVertexTable::new();
     let inserts = 2 * (EDGE_FACTOR << SCALE);
     let mut duplicates = 0u64;
     for i in 0..inserts / 2 {
         let (s, d) = skewed_edge(0x5eed, i);
+        let (s, d) = (s + offset, d + offset);
         let data = E::new(1 + i % 64, 0);
         duplicates += u64::from(!table.insert_edge(s, d, data));
         duplicates += u64::from(!table.insert_edge(d, s, data));
@@ -53,9 +55,23 @@ fn bytes_per_edge<E: EdgeData>() -> f64 {
     table.heap_bytes() as f64 / table.num_edges() as f64
 }
 
-/// An entry is the neighbour id plus what the payload keeps, and the
-/// per-vertex header does not depend on the payload: the dense slab record
-/// is state + this header, and DESIGN §11 counts on both.
+/// Inline entries and bytes per entry of an `Adjacency<E>` whose ids start
+/// at `first`, read off its first slab: twice the inline entries, and at
+/// least four.
+fn measured_layout<E: EdgeData>(first: VertexId) -> (usize, usize) {
+    let mut a: Adjacency<E> = Adjacency::new();
+    let mut inline = 0;
+    while a.insert(first + inline as u64, E::new(2, 0)) && a.heap_bytes() == 0 {
+        inline += 1;
+    }
+    (inline, a.heap_bytes() / (2 * inline).max(4))
+}
+
+/// An entry is the neighbour id plus what the payload keeps: narrow (a
+/// `u32` id and 32-bit weight) while the vertex's ids and weights fit in a
+/// `u32`, wide after. The per-vertex header does not depend on the payload:
+/// the dense slab record is state + this header, and DESIGN §11 counts on
+/// both.
 #[test]
 fn entry_layout_per_payload() {
     use std::mem::size_of;
@@ -65,20 +81,47 @@ fn entry_layout_per_payload() {
     assert_eq!(size_of::<Adjacency<()>>(), 24);
     assert_eq!(size_of::<Adjacency<Weight>>(), 24);
     assert_eq!(size_of::<Adjacency<EdgeMeta>>(), 24);
+    // (inline entries, bytes per entry), narrow then wide.
+    let wide = 1 << 32;
+    assert_eq!(measured_layout::<()>(0), (4, 4));
+    assert_eq!(measured_layout::<()>(wide), (2, 8));
+    assert_eq!(measured_layout::<Weight>(0), (2, 8));
+    assert_eq!(measured_layout::<Weight>(wide), (1, 16));
+    assert_eq!(measured_layout::<EdgeMeta>(0), (1, 16));
+    assert_eq!(measured_layout::<EdgeMeta>(wide), (0, 24));
 }
 
 /// Each budget is the figure measured on this stream plus about 5 %:
-/// 16.1, 26.5 and 37.5 B, with 2-byte slots in every hub index of at most
-/// 2^14 slots (19.0, 29.3 and 40.3 B with 4-byte slots at every size, which
-/// each budget fails; 20.3, 30.8 and 41.2 B with the 40-byte header before
-/// the 24-byte one that keeps a low-degree vertex's first 16 bytes of
-/// entries inline).
+/// 11.0, 16.1 and 26.5 B with narrow entries, since every id and weight
+/// fits in a `u32` (16.1, 26.5 and 37.5 B with the wide entries every
+/// vertex kept before narrow ones, which each budget fails; with wide
+/// entries, 19.0, 29.3 and 40.3 B with 4-byte index slots at every size,
+/// and 20.3, 30.8 and 41.2 B with the 40-byte header before the 24-byte
+/// one that keeps a low-degree vertex's first 16 bytes of entries inline).
 #[test]
 fn store_stays_within_its_bytes_per_edge_budget() {
     for (payload, per_edge, budget) in [
-        ("()", bytes_per_edge::<()>(), 16.9),
-        ("Weight", bytes_per_edge::<Weight>(), 27.8),
-        ("EdgeMeta", bytes_per_edge::<EdgeMeta>(), 39.3),
+        ("()", bytes_per_edge::<()>(0), 11.6),
+        ("Weight", bytes_per_edge::<Weight>(0), 16.9),
+        ("EdgeMeta", bytes_per_edge::<EdgeMeta>(0), 27.8),
+    ] {
+        assert!(
+            per_edge <= budget,
+            "{payload}: {per_edge:.1} B per directed edge (budget {budget})"
+        );
+    }
+}
+
+/// The same stream with every id past `u32::MAX`, so every vertex keeps
+/// wide entries: the budgets are those of the wide entries before narrow
+/// ones existed (16.1, 26.5 and 37.5 B measured, plus about 5 %), so the
+/// wide path cannot regress unseen.
+#[test]
+fn wide_ids_stay_within_the_wide_bytes_per_edge_budget() {
+    for (payload, per_edge, budget) in [
+        ("()", bytes_per_edge::<()>(1 << 32), 16.9),
+        ("Weight", bytes_per_edge::<Weight>(1 << 32), 27.8),
+        ("EdgeMeta", bytes_per_edge::<EdgeMeta>(1 << 32), 39.3),
     ] {
         assert!(
             per_edge <= budget,

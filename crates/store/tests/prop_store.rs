@@ -34,9 +34,11 @@ fn map_op() -> impl Strategy<Value = MapOp> {
 /// keys from the whole 4 096-id domain (mostly fresh, so inserts append and
 /// the index doubles 64 -> 128 -> ... as the degree passes 48, 96, 192,
 /// 384, ...), *drain* aims every op at a live key and makes most of them
-/// removals, *mixed* does half of each, and *churn* keeps to three ids, so
-/// the degree moves between 0 and 3, in and out of the header's inline
-/// entries while no slab has been needed yet.
+/// removals, *mixed* does half of each, and *churn* keeps to five ids, so
+/// the degree moves between 0 and 5, in and out of the header's inline
+/// entries while no slab has been needed yet. In every phase one fresh id
+/// in 128 is past `u32::MAX`, and so is one weight in 128, so the vertex
+/// widens inline, in a slab or indexed, wherever the first one arrives.
 type Phases = Vec<(u8, Vec<(u8, u64, u64, u64)>)>;
 
 fn adjacency_phases() -> impl Strategy<Value = Phases> {
@@ -49,41 +51,99 @@ fn adjacency_phases() -> impl Strategy<Value = Phases> {
     )
 }
 
+/// How a payload's entries are laid out, narrow then wide: the bytes of an
+/// entry and the entries the header holds.
+#[derive(Clone, Copy)]
+struct Widths {
+    entry: [usize; 2],
+    inline: [usize; 2],
+}
+
+/// The vertex's storage as the model predicts it from the ops alone.
+#[derive(Default)]
+struct Storage {
+    /// An id or weight past `u32::MAX` has been inserted.
+    wide: bool,
+    /// Entries of the first slab (0 while the entries are inline).
+    first_slab: usize,
+    /// Largest degree since the vertex was built.
+    peak: usize,
+}
+
+impl Storage {
+    /// Records an op that left `degree` entries and that inserted an id
+    /// or weight past `u32::MAX` when `widens`: the vertex takes its
+    /// first slab, of twice the inline entries and at least four, when the
+    /// degree outgrows the header at the width it now has.
+    fn record(&mut self, degree: usize, widens: bool, w: Widths) {
+        self.wide |= widens;
+        self.peak = self.peak.max(degree);
+        let inline = w.inline[usize::from(self.wide)];
+        if self.first_slab == 0 && degree > inline {
+            self.first_slab = (2 * inline).max(4);
+        }
+    }
+
+    /// The vertex's heap bytes: a slab grown from the first (doubling to
+    /// 64 entries, then by half) until it held the peak degree, at the
+    /// recorded width, plus an index of `u16` slots sized for the peak.
+    fn heap_bytes(&self, w: Widths) -> usize {
+        if self.first_slab == 0 {
+            return 0;
+        }
+        let mut cap = 4;
+        while cap < self.peak.max(self.first_slab) {
+            cap = if cap < 64 { 2 * cap } else { cap + cap / 2 };
+        }
+        let mut index = 0;
+        if self.peak > PROMOTE_DEGREE {
+            index = 64;
+            while self.peak * 4 > index * 3 {
+                index *= 2;
+            }
+        }
+        cap * w.entry[usize::from(self.wide)] + 2 * index
+    }
+}
+
 /// Runs `phases` against an `Adjacency<E>` and a model that knows only
 /// whether the payload keeps a weight (`weighted`) and a cache (`caches`),
-/// and how many entries its header holds (`inline`): what it does not keep
-/// reads as weight 1 and cache 0, a re-add keeps the minimum weight only
-/// where one is kept, `set_cached` returns `None` and changes nothing
-/// unless the payload caches, and the vertex owns heap bytes exactly when
-/// its degree has once exceeded `inline`.
+/// and its [`Widths`]: what it does not keep reads as weight 1 and cache 0,
+/// a re-add keeps the minimum weight only where one is kept, `set_cached`
+/// returns `None` and changes nothing unless the payload caches, and the
+/// vertex owns exactly the heap bytes [`Storage`] predicts — at the width
+/// set by the first id or weight past `u32::MAX` it was handed, and re-
+/// derived from the live entries by a clone.
 fn check_adjacency<E: EdgeData>(
     phases: Phases,
     weighted: bool,
     caches: bool,
-    inline: usize,
+    widths: Widths,
 ) -> Result<(), TestCaseError> {
     const DOMAIN: u64 = 4096;
     const GROW: u8 = 0;
     const DRAIN: u8 = 1;
     const CHURN: u8 = 3;
+    const PAST_U32: u64 = 1 << 32;
     // Cumulative percentages per phase: insert, insert_weight_min,
-    // remove, set_cached, get (the rest is get_mut).
+    // remove, set_cached, get (the rest, 1 %, is a clone).
     const MIX: [[u8; 5]; 4] = [
-        [40, 80, 84, 90, 95],
-        [3, 6, 86, 91, 96],
-        [20, 40, 60, 75, 90],
-        [25, 50, 80, 88, 95],
+        [40, 80, 84, 90, 99],
+        [3, 6, 86, 91, 99],
+        [20, 40, 60, 75, 99],
+        [25, 50, 80, 88, 99],
     ];
     prop_assert_eq!(E::CACHES, caches);
     let kept_weight = |w: u64| if weighted { w } else { 1 };
     let kept_cache = |c: u64| if caches { c } else { 0 };
+    let is_wide = |n: u64, w: u64| n >= PAST_U32 || w >= PAST_U32;
     let mut adj: Adjacency<E> = Adjacency::new();
     // neighbour -> (weight, cached), as the payload reports them
     let mut model: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
     // The neighbours in the order `iter()` must yield them: appended when
     // new, and a removal moves the last one into the hole (`swap_remove`).
     let mut order: Vec<u64> = Vec::new();
-    let mut peak = 0usize;
+    let mut storage = Storage::default();
     for (bias, ops) in phases {
         for (sel, pick, weight, cached) in ops {
             let live = match bias {
@@ -94,20 +154,22 @@ fn check_adjacency<E: EdgeData>(
             let nbr = if live && !model.is_empty() {
                 let k = (pick >> 1) as usize % model.len();
                 *model.keys().nth(k).unwrap()
-            } else if bias == CHURN {
-                (pick >> 1) % 3
             } else {
-                (pick >> 1) % DOMAIN
+                let past = if pick >> 57 == 0 { PAST_U32 } else { 0 };
+                past + (pick >> 1) % if bias == CHURN { 5 } else { DOMAIN }
             };
+            let weight = weight + if pick >> 57 == 1 { PAST_U32 } else { 0 };
             let mix = MIX[bias as usize];
             let data = E::new(weight, cached);
             let stored = (kept_weight(weight), kept_cache(cached));
+            let mut widens = false;
             if sel < mix[0] {
                 let new = adj.insert(nbr, data);
                 prop_assert_eq!(new, model.insert(nbr, stored).is_none());
                 if new {
                     order.push(nbr);
                 }
+                widens = is_wide(nbr, stored.0);
             } else if sel < mix[1] {
                 let new = adj.insert_weight_min(nbr, data);
                 let kept = model.get(&nbr).map_or(stored.0, |&(w, _)| w.min(stored.0));
@@ -115,6 +177,7 @@ fn check_adjacency<E: EdgeData>(
                 if new {
                     order.push(nbr);
                 }
+                widens = is_wide(nbr, stored.0);
             } else if sel < mix[2] {
                 let removed = adj.remove(nbr).map(|e| (e.weight(), e.cached()));
                 prop_assert_eq!(removed, model.remove(&nbr));
@@ -132,18 +195,27 @@ fn check_adjacency<E: EdgeData>(
                 let got = adj.get(nbr).map(|e| (e.weight(), e.cached()));
                 prop_assert_eq!(got, model.get(&nbr).copied());
             } else {
-                let slot = adj.get_mut(nbr);
-                prop_assert_eq!(slot.is_some(), model.contains_key(&nbr));
-                if let Some(e) = slot {
-                    *e = E::new(weight, e.cached());
-                    model.insert(nbr, (stored.0, e.cached()));
+                // A clone holds the same entries in the same order, in
+                // storage rebuilt by inserting them one by one.
+                let copy = adj.clone();
+                prop_assert!(copy.iter().eq(adj.iter()));
+                adj = copy;
+                storage = Storage::default();
+                for (i, n) in order.iter().enumerate() {
+                    storage.record(i + 1, is_wide(*n, model[n].0), widths);
                 }
             }
 
             prop_assert_eq!(adj.degree(), model.len());
-            peak = peak.max(adj.degree());
-            prop_assert_eq!(adj.is_promoted(), peak > PROMOTE_DEGREE);
-            prop_assert_eq!(adj.heap_bytes() == 0, peak <= inline, "peak {}", peak);
+            storage.record(adj.degree(), widens, widths);
+            prop_assert_eq!(adj.is_promoted(), storage.peak > PROMOTE_DEGREE);
+            prop_assert_eq!(
+                adj.heap_bytes(),
+                storage.heap_bytes(widths),
+                "peak {}, wide {}",
+                storage.peak,
+                storage.wide
+            );
             // `iter()` yields every live neighbour once, with its payload,
             // in the order the model kept.
             let got: Vec<(u64, (u64, u64))> = adj
@@ -156,7 +228,7 @@ fn check_adjacency<E: EdgeData>(
     }
     for (&n, &(w, c)) in &model {
         prop_assert_eq!(
-            adj.get(n).map(E::meta),
+            adj.get(n).map(|e| e.meta()),
             Some(EdgeMeta {
                 weight: w,
                 cached: c
@@ -196,29 +268,31 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// Adjacency (inline entries, edge slab, position index) agrees with a
-    /// BTreeMap model and its ordered mirror through every entry point,
-    /// across index growths, a drain back below the promotion threshold and
-    /// the regrowth after it — with the full [`EdgeMeta`] payload (weight
-    /// and neighbour cache), which never fits inline.
+    /// Adjacency (inline entries, edge slab, position index, narrow and
+    /// wide entries) agrees with a BTreeMap model and its ordered mirror
+    /// through every entry point, across index growths, the widening, a
+    /// drain back below the promotion threshold and the regrowth after it —
+    /// with the full [`EdgeMeta`] payload (weight and neighbour cache): 16
+    /// bytes narrow, one of which the header holds, and 24 wide, none.
     #[test]
     fn adjacency_matches_model(phases in adjacency_phases()) {
-        check_adjacency::<EdgeMeta>(phases, true, true, 0)?;
+        check_adjacency::<EdgeMeta>(phases, true, true, Widths { entry: [16, 24], inline: [1, 0] })?;
     }
 
     /// The same model with a weight-only payload: the minimum weight is
     /// kept, the cache reads 0, `set_cached` is a no-op, and the header
-    /// holds one entry.
+    /// holds two 8-byte narrow entries or one 16-byte wide one.
     #[test]
     fn adjacency_matches_model_weight(phases in adjacency_phases()) {
-        check_adjacency::<Weight>(phases, true, false, 1)?;
+        check_adjacency::<Weight>(phases, true, false, Widths { entry: [8, 16], inline: [2, 1] })?;
     }
 
     /// The same model with the empty payload: every weight reads 1, every
-    /// cache 0, only the neighbours are kept, and the header holds two.
+    /// cache 0, only the neighbours are kept (so only an id widens), and
+    /// the header holds four 4-byte narrow entries or two 8-byte wide ones.
     #[test]
     fn adjacency_matches_model_unit(phases in adjacency_phases()) {
-        check_adjacency::<()>(phases, false, false, 2)?;
+        check_adjacency::<()>(phases, false, false, Widths { entry: [4, 8], inline: [4, 2] })?;
     }
 
     /// BitSet agrees with a BTreeSet model, and union is the lattice join.
