@@ -19,8 +19,14 @@
 //! State changes go through [`AlgoCtx::apply`], which transparently handles
 //! the snapshot protocol (applying old-epoch events to the forked previous
 //! state as well, §III-D) and records changes for trigger evaluation.
+//!
+//! The framework's half of Algorithm 3 is written here once: `visit` applies
+//! one envelope at a vertex (topology first, then the callback, then the
+//! reverse event's value), and `dispatch` is the one match from an event's
+//! kind to its callback. The shards and the sequential reference engine
+//! call `visit`; every query of a registry is called through `dispatch`.
 
-use crate::event::{ControlKind, ControlOp, Epoch};
+use crate::event::{ControlKind, ControlOp, Envelope, Epoch, EventKind};
 use crate::storage::VertexParts;
 use crate::trigger::{TriggerDef, TriggerFire};
 use remo_store::{EdgeData, EdgeMeta, VertexId, Weight};
@@ -310,32 +316,25 @@ pub struct EventCtx<'a, S, E> {
 }
 
 impl<'a, S: Clone, E: EdgeData> EventCtx<'a, S, E> {
-    /// Builds a context for one callback invocation. The storage layout
-    /// resolved the dual-apply question when assembling `parts`:
-    /// `parts.prev` is `Some` exactly when the event's epoch predates the
-    /// vertex's fork.
+    /// Builds a context for one callback invocation on `shard` (0 without
+    /// one). The storage layout resolved the dual-apply question when
+    /// assembling `parts`: `parts.prev` is `Some` exactly when the event's
+    /// epoch predates the vertex's fork.
     pub(crate) fn new(
         vertex: VertexId,
         parts: VertexParts<'a, S, E>,
         out: &'a mut Vec<Outgoing<S>>,
         epoch: Epoch,
+        shard: usize,
     ) -> Self {
         EventCtx {
             vertex,
             parts,
             out,
             epoch,
-            shard: 0,
+            shard,
             state_changed: false,
         }
-    }
-
-    /// Stamps the executing shard id (surfaced via
-    /// [`AlgoCtx::shard_hint`]); separate from `new` so existing call
-    /// sites without a shard keep the 0 default.
-    #[inline]
-    pub(crate) fn set_shard(&mut self, shard: usize) {
-        self.shard = shard;
     }
 
     /// Trigger evaluation on state change (§III-E), run by the engine once
@@ -445,6 +444,116 @@ impl<'a, S: Clone, E: EdgeData> AlgoCtx<S> for EventCtx<'a, S, E> {
     }
 }
 
+/// Runs the callback `kind` names: the one `EventKind` → callback match in
+/// the engine. [`visit`] runs an engine's algorithm through it, and the
+/// registry each attached query.
+#[inline]
+pub(crate) fn dispatch<A: Algorithm>(
+    algo: &A,
+    ctx: &mut impl AlgoCtx<A::State>,
+    kind: EventKind,
+    visitor: VertexId,
+    value: &A::State,
+    weight: Weight,
+) {
+    match kind {
+        EventKind::Init => algo.init(ctx),
+        EventKind::Add => algo.on_add(ctx, visitor, value, weight),
+        EventKind::ReverseAdd => algo.on_reverse_add(ctx, visitor, value, weight),
+        EventKind::Update => algo.on_update(ctx, visitor, value, weight),
+        EventKind::Remove => algo.on_remove(ctx, visitor, value, weight),
+        EventKind::ReverseRemove => algo.on_reverse_remove(ctx, visitor, value, weight),
+    }
+}
+
+/// What [`visit`] did to the visited vertex's adjacency.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum EdgeChange {
+    /// Nothing inserted or removed (`Init`, `Update`, removing an edge the
+    /// vertex does not hold).
+    Kept,
+    Inserted,
+    /// An add of an edge the vertex already holds: the smaller weight stays.
+    Duplicate,
+    Removed,
+}
+
+/// The outcome of one [`visit`].
+pub(crate) struct Step<S> {
+    pub(crate) edge: EdgeChange,
+    /// The event an undirected `Add`/`Remove` sends back to its visitor: its
+    /// kind and the vertex's value *after* the callback (`this.value`).
+    pub(crate) reverse: Option<(EventKind, S)>,
+}
+
+/// Algorithm 3's framework step: applies `env` at its target, whose storage
+/// is `parts`.
+///
+/// The topology changes first, so the callback sees the graph the event
+/// describes: an add inserts the edge (a repeat keeps the smaller weight;
+/// a reverse add caches the visitor's value on it), an update writes the
+/// visitor's value into the cache of an edge the vertex holds, a remove
+/// deletes the edge. Then the callback `env.kind` names runs, queueing its
+/// updates on `out`, and `settle` sees the context last, inside the same
+/// borrow (the shards evaluate triggers there). With `undirected`, an
+/// `Add`/`Remove` returns its reverse event's value, read after both.
+#[inline]
+pub(crate) fn visit<A: Algorithm>(
+    algo: &A,
+    env: &Envelope<A::State>,
+    parts: VertexParts<'_, A::State, A::Edge>,
+    out: &mut Vec<Outgoing<A::State>>,
+    shard: usize,
+    undirected: bool,
+    settle: impl FnOnce(&mut EventCtx<'_, A::State, A::Edge>),
+) -> Step<A::State> {
+    let Envelope {
+        target,
+        visitor,
+        ref value,
+        weight,
+        kind,
+        epoch,
+        ..
+    } = *env;
+    let edge = match kind {
+        EventKind::Add | EventKind::ReverseAdd => {
+            let cached = match kind {
+                EventKind::ReverseAdd => A::encode_cache(value),
+                _ => 0,
+            };
+            if parts
+                .adj
+                .insert_weight_min(visitor, A::Edge::new(weight, cached))
+            {
+                EdgeChange::Inserted
+            } else {
+                EdgeChange::Duplicate
+            }
+        }
+        EventKind::Update => {
+            // `this.nbrs.set(vis_ID, vis_val)`: returns before the lookup
+            // when `A::Edge` keeps no cache.
+            parts.adj.set_cached(visitor, A::encode_cache(value));
+            EdgeChange::Kept
+        }
+        EventKind::Remove | EventKind::ReverseRemove => match parts.adj.remove(visitor) {
+            Some(_) => EdgeChange::Removed,
+            None => EdgeChange::Kept,
+        },
+        EventKind::Init => EdgeChange::Kept,
+    };
+    let mut ctx = EventCtx::new(target, parts, out, epoch, shard);
+    dispatch(algo, &mut ctx, kind, visitor, value, weight);
+    let reverse = match kind {
+        EventKind::Add if undirected => Some((EventKind::ReverseAdd, ctx.state().clone())),
+        EventKind::Remove if undirected => Some((EventKind::ReverseRemove, ctx.state().clone())),
+        _ => None,
+    };
+    settle(&mut ctx);
+    Step { edge, reverse }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -479,7 +588,7 @@ pub(crate) mod tests {
         E: EdgeData,
     {
         let h = st.intern(1);
-        EventCtx::new(1, st.fork_and_parts(h, epoch).1, out, epoch)
+        EventCtx::new(1, st.fork_and_parts(h, epoch).1, out, epoch, 0)
     }
 
     /// Vertex 1's live state and, if an event of epoch 0 would reach it,
@@ -599,5 +708,135 @@ pub(crate) mod tests {
         let mut count = 0;
         ctx.for_each_nbr(&mut |_, _| count += 1);
         assert_eq!(count, 5);
+    }
+
+    /// Records which callback ran and the degree it saw: its state becomes
+    /// `100 × kind + degree` (kinds 1–6: init, add, reverse add, update,
+    /// remove, reverse remove). Caches a neighbour's value `v` as `v + 1000`.
+    struct Probe;
+
+    fn seen(ctx: &mut impl AlgoCtx<u64>, kind: u64) {
+        let v = 100 * kind + ctx.degree() as u64;
+        ctx.apply(move |s| {
+            *s = v;
+            true
+        });
+    }
+
+    impl Algorithm for Probe {
+        type State = u64;
+        type Edge = EdgeMeta;
+        fn init(&self, ctx: &mut impl AlgoCtx<u64>) {
+            seen(ctx, 1);
+        }
+        fn on_add(&self, ctx: &mut impl AlgoCtx<u64>, _: VertexId, _: &u64, _: Weight) {
+            seen(ctx, 2);
+        }
+        fn on_reverse_add(&self, ctx: &mut impl AlgoCtx<u64>, _: VertexId, _: &u64, _: Weight) {
+            seen(ctx, 3);
+        }
+        fn on_update(&self, ctx: &mut impl AlgoCtx<u64>, _: VertexId, _: &u64, _: Weight) {
+            seen(ctx, 4);
+        }
+        fn on_remove(&self, ctx: &mut impl AlgoCtx<u64>, _: VertexId, _: &u64, _: Weight) {
+            seen(ctx, 5);
+        }
+        fn on_reverse_remove(&self, ctx: &mut impl AlgoCtx<u64>, _: VertexId, _: &u64, _: Weight) {
+            seen(ctx, 6);
+        }
+        fn encode_cache(state: &u64) -> u64 {
+            state + 1000
+        }
+    }
+
+    /// Applies one envelope at vertex 1 through the framework step and
+    /// returns its outcome, checking that `settle` ran last: it must see
+    /// the state the callback left.
+    fn step(
+        st: &mut DenseStore<u64, EdgeMeta>,
+        kind: EventKind,
+        (visitor, value, weight): (VertexId, u64, Weight),
+        undirected: bool,
+    ) -> Step<u64> {
+        let env = Envelope {
+            target: 1,
+            visitor,
+            value,
+            weight,
+            kind,
+            epoch: 0,
+            tag: 0,
+        };
+        let h = st.intern(1);
+        let mut out = Vec::new();
+        let mut settled = None;
+        let step = visit(
+            &Probe,
+            &env,
+            st.fork_and_parts(h, 0).1,
+            &mut out,
+            0,
+            undirected,
+            |ctx| settled = Some((*ctx.state(), ctx.state_changed)),
+        );
+        assert_eq!(settled, Some((*st.get(1).unwrap().0, true)));
+        step
+    }
+
+    /// Vertex 1's state and its edge to `nbr` as `(weight, cached)`.
+    fn at(st: &DenseStore<u64, EdgeMeta>, nbr: VertexId) -> (u64, Option<(u64, u64)>) {
+        let (state, adj) = st.get(1).unwrap();
+        (*state, adj.get(nbr).map(|e| (e.weight, e.cached)))
+    }
+
+    #[test]
+    fn visit_maintains_topology_before_the_callback() {
+        use EdgeChange::*;
+        use EventKind::*;
+        let mut st = DenseStore::with_capacity(0);
+
+        // An add inserts before `on_add`, which sees degree 1; the reverse
+        // carries the state the callback left, not the one it found.
+        let s = step(&mut st, Add, (2, 0, 7), true);
+        assert_eq!((s.edge, s.reverse), (Inserted, Some((ReverseAdd, 201))));
+        assert_eq!(at(&st, 2), (201, Some((7, 0))), "an add caches nothing");
+
+        // A repeated add is a duplicate and keeps the smaller weight.
+        assert_eq!(step(&mut st, Add, (2, 0, 3), true).edge, Duplicate);
+        assert_eq!(step(&mut st, Add, (2, 0, 9), true).edge, Duplicate);
+        assert_eq!(at(&st, 2), (201, Some((3, 0))));
+
+        // A reverse add caches the visitor's value at insert and sends
+        // nothing back.
+        let s = step(&mut st, ReverseAdd, (3, 40, 5), true);
+        assert_eq!((s.edge, s.reverse), (Inserted, None));
+        assert_eq!(at(&st, 3), (302, Some((5, 1040))));
+
+        // An update writes the cache of an edge the vertex holds, and only
+        // of one it holds: it never inserts.
+        assert_eq!(step(&mut st, Update, (3, 41, 5), true).edge, Kept);
+        assert_eq!(at(&st, 3), (402, Some((5, 1041))));
+        assert_eq!(step(&mut st, Update, (9, 50, 1), true).edge, Kept);
+        assert_eq!(at(&st, 9), (402, None));
+
+        // Removes delete before their callbacks, which see the degree
+        // after; an undirected remove sends the post-callback state back.
+        let s = step(&mut st, Remove, (2, 0, 1), true);
+        assert_eq!((s.edge, s.reverse), (Removed, Some((ReverseRemove, 501))));
+        assert_eq!(at(&st, 2), (501, None));
+        let s = step(&mut st, ReverseRemove, (3, 0, 1), true);
+        assert_eq!((s.edge, s.reverse), (Removed, None));
+        assert_eq!(at(&st, 3), (600, None));
+        assert_eq!(step(&mut st, Remove, (3, 0, 1), true).edge, Kept);
+
+        // Init touches no edge and sends nothing back.
+        let s = step(&mut st, Init, (1, 0, 1), true);
+        assert_eq!((s.edge, s.reverse, at(&st, 1).0), (Kept, None, 100));
+
+        // Directed: the same adds and removes send no reverse.
+        let s = step(&mut st, Add, (4, 0, 1), false);
+        assert_eq!((s.edge, s.reverse), (Inserted, None));
+        let s = step(&mut st, Remove, (4, 0, 1), false);
+        assert_eq!((s.edge, s.reverse), (Removed, None));
     }
 }

@@ -12,6 +12,9 @@
 //! [`ShardMetrics::COUNTER_NAMES`], in `Engine::metrics_now()`, and in the
 //! Prometheus export.
 
+use crate::algorithm::EdgeChange;
+use crate::event::EventKind;
+
 /// Declares the shard counter set exactly once.
 ///
 /// Expands to the `ShardMetrics` struct plus `merge`, `to_words`,
@@ -203,6 +206,42 @@ impl ShardMetrics {
             + self.phase_park_ns
             + self.phase_checkpoint_ns
             + self.phase_replay_ns
+    }
+
+    /// Counts one framework step (`algorithm::visit`): the edge it
+    /// inserted, found already held or removed, here and in the caller's
+    /// count of stored `edges`, and — when the envelope is an accounted
+    /// `input` — its kind. Recovery replay re-derives an envelope's effects
+    /// without re-counting it, so it counts the edge and not the kind.
+    #[inline]
+    pub(crate) fn count_step(
+        &mut self,
+        edges: &mut u64,
+        kind: EventKind,
+        edge: EdgeChange,
+        input: bool,
+    ) {
+        match edge {
+            EdgeChange::Inserted => {
+                *edges += 1;
+                self.edges_inserted += 1;
+            }
+            EdgeChange::Duplicate => self.duplicate_edges += 1,
+            EdgeChange::Removed => {
+                *edges -= 1;
+                self.edges_removed += 1;
+            }
+            EdgeChange::Kept => {}
+        }
+        if input {
+            *match kind {
+                EventKind::Init => &mut self.init_events,
+                EventKind::Add => &mut self.add_events,
+                EventKind::ReverseAdd => &mut self.reverse_add_events,
+                EventKind::Update => &mut self.update_events,
+                EventKind::Remove | EventKind::ReverseRemove => &mut self.remove_events,
+            } += 1;
+        }
     }
 }
 

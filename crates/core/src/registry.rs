@@ -52,9 +52,9 @@ use std::time::Instant;
 
 use remo_store::{EdgeMeta, VertexId, Weight};
 
-use crate::algorithm::{codec, AlgoCtx, Algorithm};
+use crate::algorithm::{codec, dispatch, AlgoCtx, Algorithm};
 use crate::engine::Engine;
-use crate::event::{ControlKind, ControlOp, Epoch};
+use crate::event::{ControlKind, ControlOp, Epoch, EventKind};
 use crate::metrics::LatencyHistogram;
 use crate::snapshot::Snapshot;
 use crate::supervision::EngineError;
@@ -250,24 +250,15 @@ impl<'a, 'b, C: Cell> AlgoCtx<C> for ShimCtx<'a, 'b, C> {
     }
 }
 
-/// Object-safe form of one registered algorithm: every callback re-expressed
-/// over `dyn CellCtx`, plus the lattice hooks reified as function pointers
-/// (trait-static `fn`s cannot live behind `dyn`; coerced items can).
+/// Object-safe form of one registered algorithm: its callbacks, reached
+/// over `dyn CellCtx` by event kind, plus the lattice hook reified as a
+/// function pointer (trait-static `fn`s cannot live behind `dyn`; coerced
+/// items can).
 trait DynQuery<C: Cell>: Send + Sync {
-    fn init(&self, ctx: &mut dyn CellCtx<C>);
-    fn on_add(&self, ctx: &mut dyn CellCtx<C>, visitor: VertexId, value: &C, weight: Weight);
-    fn on_reverse_add(
+    fn call(
         &self,
         ctx: &mut dyn CellCtx<C>,
-        visitor: VertexId,
-        value: &C,
-        weight: Weight,
-    );
-    fn on_update(&self, ctx: &mut dyn CellCtx<C>, visitor: VertexId, value: &C, weight: Weight);
-    fn on_remove(&self, ctx: &mut dyn CellCtx<C>, visitor: VertexId, value: &C, weight: Weight);
-    fn on_reverse_remove(
-        &self,
-        ctx: &mut dyn CellCtx<C>,
+        kind: EventKind,
         visitor: VertexId,
         value: &C,
         weight: Weight,
@@ -279,42 +270,15 @@ trait DynQuery<C: Cell>: Send + Sync {
 struct QueryAdapter<A>(A);
 
 impl<C: Cell, A: Algorithm<State = C>> DynQuery<C> for QueryAdapter<A> {
-    fn init(&self, ctx: &mut dyn CellCtx<C>) {
-        self.0.init(&mut ShimCtx(ctx));
-    }
-
-    fn on_add(&self, ctx: &mut dyn CellCtx<C>, visitor: VertexId, value: &C, weight: Weight) {
-        self.0.on_add(&mut ShimCtx(ctx), visitor, value, weight);
-    }
-
-    fn on_reverse_add(
+    fn call(
         &self,
         ctx: &mut dyn CellCtx<C>,
+        kind: EventKind,
         visitor: VertexId,
         value: &C,
         weight: Weight,
     ) {
-        self.0
-            .on_reverse_add(&mut ShimCtx(ctx), visitor, value, weight);
-    }
-
-    fn on_update(&self, ctx: &mut dyn CellCtx<C>, visitor: VertexId, value: &C, weight: Weight) {
-        self.0.on_update(&mut ShimCtx(ctx), visitor, value, weight);
-    }
-
-    fn on_remove(&self, ctx: &mut dyn CellCtx<C>, visitor: VertexId, value: &C, weight: Weight) {
-        self.0.on_remove(&mut ShimCtx(ctx), visitor, value, weight);
-    }
-
-    fn on_reverse_remove(
-        &self,
-        ctx: &mut dyn CellCtx<C>,
-        visitor: VertexId,
-        value: &C,
-        weight: Weight,
-    ) {
-        self.0
-            .on_reverse_remove(&mut ShimCtx(ctx), visitor, value, weight);
+        dispatch(&self.0, &mut ShimCtx(ctx), kind, visitor, value, weight);
     }
 
     fn absorbs_ptr(&self) -> CellAbsorbs<C> {
@@ -598,17 +562,6 @@ impl<C: Cell> Default for QueryRegistry<C> {
     }
 }
 
-/// Which topology callback a dispatch fans out (one body, six entry
-/// points).
-#[derive(Clone, Copy)]
-enum TopoCb {
-    Add,
-    ReverseAdd,
-    Remove,
-    ReverseRemove,
-    Update,
-}
-
 impl<C: Cell> QueryRegistry<C> {
     /// An empty registry (no queries attached).
     pub fn new() -> Self {
@@ -785,13 +738,16 @@ impl<C: Cell> QueryRegistry<C> {
         ))
     }
 
+    /// Runs the callback `kind` names for every query it reaches: a delta
+    /// feeds its own query, anything else every primed slot (an `Init` only
+    /// the slots whose sources hold this vertex).
     fn dispatch(
         &self,
         ctx: &mut impl AlgoCtx<RegPayload<C>>,
         visitor: VertexId,
         value: &RegPayload<C>,
         weight: Weight,
-        which: TopoCb,
+        kind: EventKind,
     ) {
         let table = self.shared.read_table();
         let primed = self.shared.primed(ctx.shard_hint());
@@ -804,10 +760,7 @@ impl<C: Cell> QueryRegistry<C> {
         {
             // A delta feeds exactly its own query — the structural win
             // over a fused tuple's whole-state fan-out.
-            debug_assert!(
-                matches!(which, TopoCb::Update),
-                "deltas only travel as updates"
-            );
+            debug_assert!(kind == EventKind::Update, "deltas only travel as updates");
             let idx = *slot as usize;
             if primed & (1u64 << idx) == 0 {
                 return;
@@ -817,26 +770,21 @@ impl<C: Cell> QueryRegistry<C> {
                 return; // stale: the slot was detached (and maybe reused)
             }
             let mut sc = SlotCtx::new(ctx, idx, q, false);
-            q.query.on_update(&mut sc, visitor, cell, weight);
+            q.query.call(&mut sc, kind, visitor, cell, weight);
             return;
         }
         // Columns payload (topology events, init-default values, defensive
         // post-replay updates): fan out to every primed slot with its own
         // cell — bottom where the sender had none.
         let bottom = C::default();
+        let v = ctx.vertex();
         for (idx, q) in table.occupied() {
-            if primed & (1u64 << idx) == 0 {
+            if primed & (1u64 << idx) == 0 || (kind == EventKind::Init && !q.sources.contains(&v)) {
                 continue;
             }
             let cell = value.cell(idx).unwrap_or(&bottom);
             let mut sc = SlotCtx::new(ctx, idx, q, false);
-            match which {
-                TopoCb::Add => q.query.on_add(&mut sc, visitor, cell, weight),
-                TopoCb::ReverseAdd => q.query.on_reverse_add(&mut sc, visitor, cell, weight),
-                TopoCb::Remove => q.query.on_remove(&mut sc, visitor, cell, weight),
-                TopoCb::ReverseRemove => q.query.on_reverse_remove(&mut sc, visitor, cell, weight),
-                TopoCb::Update => q.query.on_update(&mut sc, visitor, cell, weight),
-            }
+            q.query.call(&mut sc, kind, visitor, cell, weight);
         }
     }
 
@@ -914,10 +862,10 @@ impl<C: Cell> QueryRegistry<C> {
             let Some(q) = table.get(idx) else { continue };
             let mut sc = SlotCtx::new(ctx, idx, q, true);
             if q.sources.contains(&v) {
-                q.query.init(&mut sc);
+                q.query.call(&mut sc, EventKind::Init, v, &bottom, 0);
             }
             for &(nbr, w) in &edges {
-                q.query.on_add(&mut sc, nbr, &bottom, w);
+                q.query.call(&mut sc, EventKind::Add, nbr, &bottom, w);
             }
         }
         self.account_columns(ctx);
@@ -952,16 +900,8 @@ impl<C: Cell> Algorithm for QueryRegistry<C> {
     type Edge = Weight;
 
     fn init(&self, ctx: &mut impl AlgoCtx<Self::State>) {
-        let table = self.shared.read_table();
-        let primed = self.shared.primed(ctx.shard_hint());
         let v = ctx.vertex();
-        for (idx, q) in table.occupied() {
-            if primed & (1u64 << idx) == 0 || !q.sources.contains(&v) {
-                continue;
-            }
-            let mut sc = SlotCtx::new(ctx, idx, q, false);
-            q.query.init(&mut sc);
-        }
+        self.dispatch(ctx, v, &RegPayload::default(), 0, EventKind::Init);
     }
 
     fn on_add(
@@ -971,7 +911,7 @@ impl<C: Cell> Algorithm for QueryRegistry<C> {
         value: &Self::State,
         weight: Weight,
     ) {
-        self.dispatch(ctx, visitor, value, weight, TopoCb::Add);
+        self.dispatch(ctx, visitor, value, weight, EventKind::Add);
     }
 
     fn on_reverse_add(
@@ -981,7 +921,7 @@ impl<C: Cell> Algorithm for QueryRegistry<C> {
         value: &Self::State,
         weight: Weight,
     ) {
-        self.dispatch(ctx, visitor, value, weight, TopoCb::ReverseAdd);
+        self.dispatch(ctx, visitor, value, weight, EventKind::ReverseAdd);
     }
 
     fn on_update(
@@ -991,7 +931,7 @@ impl<C: Cell> Algorithm for QueryRegistry<C> {
         value: &Self::State,
         weight: Weight,
     ) {
-        self.dispatch(ctx, visitor, value, weight, TopoCb::Update);
+        self.dispatch(ctx, visitor, value, weight, EventKind::Update);
     }
 
     fn on_remove(
@@ -1001,7 +941,7 @@ impl<C: Cell> Algorithm for QueryRegistry<C> {
         value: &Self::State,
         weight: Weight,
     ) {
-        self.dispatch(ctx, visitor, value, weight, TopoCb::Remove);
+        self.dispatch(ctx, visitor, value, weight, EventKind::Remove);
     }
 
     fn on_reverse_remove(
@@ -1011,7 +951,7 @@ impl<C: Cell> Algorithm for QueryRegistry<C> {
         value: &Self::State,
         weight: Weight,
     ) {
-        self.dispatch(ctx, visitor, value, weight, TopoCb::ReverseRemove);
+        self.dispatch(ctx, visitor, value, weight, EventKind::ReverseRemove);
     }
 
     /// The dominance probe, keyed by the delta's tag: a stored `Columns`
@@ -1324,7 +1264,7 @@ mod tests {
         let q = slot_record(6);
         {
             let mut sc = SlotCtx::new(&mut ctx, 2, &q, false);
-            q.query.on_update(&mut sc, 9, &50, 4);
+            q.query.call(&mut sc, EventKind::Update, 9, &50, 4);
         }
         // Column 2 materialized (0 and 1 back-filled with bottom).
         assert_eq!(
@@ -1354,7 +1294,7 @@ mod tests {
         let q = slot_record(1);
         {
             let mut sc = SlotCtx::new(&mut ctx, 0, &q, true);
-            q.query.on_update(&mut sc, 3, &8, 1);
+            q.query.call(&mut sc, EventKind::Update, 3, &8, 1);
         }
         assert_eq!(*live(&st), RegPayload::Columns(vec![8]));
         assert!(out.is_empty(), "muted context must drop sends");

@@ -31,9 +31,9 @@ use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::Instant;
 
-use remo_store::{EdgeData, LocalIdx, VertexId};
+use remo_store::{LocalIdx, VertexId};
 
-use crate::algorithm::{AlgoCtx, Algorithm, EventCtx, Outgoing};
+use crate::algorithm::{visit, Algorithm, EventCtx, Outgoing};
 use crate::config::EngineConfig;
 use crate::event::{Chunk, ControlKind, ControlOp, Envelope, Epoch, EventKind, TopoEvent};
 use crate::metrics::ShardMetrics;
@@ -708,8 +708,7 @@ impl<A: Algorithm> ShardWorker<A> {
                 self.metrics.snapshot_forks += 1;
             }
             {
-                let mut ctx = EventCtx::new(v, parts, &mut self.out, self.cur_epoch);
-                ctx.set_shard(self.id);
+                let mut ctx = EventCtx::new(v, parts, &mut self.out, self.cur_epoch, self.id);
                 self.algo.on_sweep(&mut ctx, kind, mask);
                 // A sweep that changes state (attach backfill reaching a
                 // watched vertex) fires triggers exactly like an envelope.
@@ -847,103 +846,20 @@ impl<A: Algorithm> ShardWorker<A> {
             self.metrics.snapshot_forks += 1;
         }
 
-        // Topology maintenance is handled by the framework (Algorithm 3):
-        // Add/ReverseAdd insert the edge before the user callback runs.
-        match env.kind {
-            EventKind::Add | EventKind::ReverseAdd => {
-                let cached = if env.kind == EventKind::ReverseAdd {
-                    A::encode_cache(&env.value)
-                } else {
-                    0
-                };
-                let new_edge = parts
-                    .adj
-                    .insert_weight_min(env.visitor, A::Edge::new(env.weight, cached));
-                if new_edge {
-                    self.edges += 1;
-                    self.metrics.edges_inserted += 1;
-                } else {
-                    self.metrics.duplicate_edges += 1;
-                }
-            }
-            EventKind::Update => {
-                // Cache the visitor's value on our edge to it, if present
-                // (`this.nbrs.set(vis_ID, vis_val)`) and if `A::Edge` keeps
-                // a cache at all — otherwise this returns before the lookup.
-                parts
-                    .adj
-                    .set_cached(env.visitor, A::encode_cache(&env.value));
-            }
-            EventKind::Remove | EventKind::ReverseRemove => {
-                if parts.adj.remove(env.visitor).is_some() {
-                    self.edges -= 1;
-                    self.metrics.edges_removed += 1;
-                }
-            }
-            EventKind::Init => {}
-        }
-
-        // User callback (single store borrow: reverse-add value capture and
-        // trigger evaluation happen inside the same handle access).
-        let mut reverse_value: Option<A::State> = None;
-        {
-            let mut ctx = EventCtx::new(target, parts, &mut self.out, env.epoch);
-            ctx.set_shard(self.id);
-            // Per-kind counters sit on the accounted side of the envelope
-            // balance, so replayed inputs must not move them.
-            match env.kind {
-                EventKind::Init => {
-                    if count_input {
-                        self.metrics.init_events += 1;
-                    }
-                    self.algo.init(&mut ctx);
-                }
-                EventKind::Add => {
-                    if count_input {
-                        self.metrics.add_events += 1;
-                    }
-                    self.algo
-                        .on_add(&mut ctx, env.visitor, &env.value, env.weight);
-                }
-                EventKind::ReverseAdd => {
-                    if count_input {
-                        self.metrics.reverse_add_events += 1;
-                    }
-                    self.algo
-                        .on_reverse_add(&mut ctx, env.visitor, &env.value, env.weight);
-                }
-                EventKind::Update => {
-                    if count_input {
-                        self.metrics.update_events += 1;
-                    }
-                    self.algo
-                        .on_update(&mut ctx, env.visitor, &env.value, env.weight);
-                }
-                EventKind::Remove => {
-                    if count_input {
-                        self.metrics.remove_events += 1;
-                    }
-                    self.algo
-                        .on_remove(&mut ctx, env.visitor, &env.value, env.weight);
-                }
-                EventKind::ReverseRemove => {
-                    if count_input {
-                        self.metrics.remove_events += 1;
-                    }
-                    self.algo
-                        .on_reverse_remove(&mut ctx, env.visitor, &env.value, env.weight);
-                }
-            }
-
-            // For an undirected Add/Remove, the reverse event carries our
-            // value *after* the callback ran (Algorithm 3 sends
-            // `this.value`).
-            if self.config.undirected && matches!(env.kind, EventKind::Add | EventKind::Remove) {
-                reverse_value = Some(ctx.state().clone());
-            }
-
-            ctx.fire_triggers(&self.triggers, self.seq, &mut self.pending_fires);
-        }
+        // Algorithm 3's framework step; triggers are evaluated inside its
+        // single store borrow. Per-kind counters sit on the accounted side
+        // of the envelope balance, so replayed inputs must not move them.
+        let step = visit(
+            &*self.algo,
+            &env,
+            parts,
+            &mut self.out,
+            self.id,
+            self.config.undirected,
+            |ctx| ctx.fire_triggers(&self.triggers, self.seq, &mut self.pending_fires),
+        );
+        self.metrics
+            .count_step(&mut self.edges, env.kind, step.edge, count_input);
 
         // Tracing: one Process (live) / Replay (recovery) span per tagged
         // envelope, with the callback's fan-out before suppression trims
@@ -952,7 +868,7 @@ impl<A: Algorithm> ShardWorker<A> {
         // multi-query traces come for free.
         let ctag = trace::child(env.tag);
         if env.tag != 0 {
-            let fanout = u64::from(reverse_value.is_some()) + self.out.len() as u64;
+            let fanout = u64::from(step.reverse.is_some()) + self.out.len() as u64;
             let kind = if count_input {
                 SpanKind::Process
             } else {
@@ -961,12 +877,7 @@ impl<A: Algorithm> ShardWorker<A> {
             self.trace_span(kind, env.tag, target, fanout);
         }
 
-        if let Some(value) = reverse_value {
-            let kind = if env.kind == EventKind::Add {
-                EventKind::ReverseAdd
-            } else {
-                EventKind::ReverseRemove
-            };
+        if let Some((kind, value)) = step.reverse {
             self.send_envelope(Envelope {
                 target: env.visitor,
                 visitor: target,
