@@ -49,7 +49,7 @@ use crate::partition::Partitioner;
 use crate::shard::{Message, ShardReport, ShardWorker, INGEST_CHUNK, INGEST_WINDOW};
 use crate::snapshot::Snapshot;
 use crate::storage::DenseStore;
-use crate::supervision::{EngineError, FailureBoard, ShardFailure};
+use crate::supervision::{panic_payload_string, EngineError, FailureBoard, ShardFailure};
 use crate::telemetry::{TelemetryHub, TelemetryShared};
 use crate::termination::{Deadline, SharedCounters, HEARTBEAT};
 use crate::transport::{LaneHandles, MAX_LANE_SHARDS};
@@ -131,56 +131,156 @@ impl<A: Algorithm> EngineBuilder<A> {
         wal::claim_manifest(&config)
             .map_err(|message| EngineError::DurabilityMismatch { message })?;
 
-        let shared = Arc::new(SharedCounters::new(shards));
-        let board = Arc::new(FailureBoard::new());
-        let tele = Arc::new(TelemetryShared::new(
+        let (workers, ctl) = wire(self.algo, &config, self.triggers);
+        let handles = workers
+            .into_iter()
+            .enumerate()
+            .map(|(id, worker)| {
+                std::thread::Builder::new()
+                    .name(format!("remo-shard-{id}"))
+                    .spawn(move || worker.run_supervised())
+                    .expect("failed to spawn shard thread")
+            })
+            .collect();
+        Ok(Engine {
+            ctl,
+            handles,
+            config,
+        })
+    }
+}
+
+/// The controller's ends of the shards' world: what a wiring hands the
+/// side that feeds, asks and waits.
+pub(crate) struct Controller<S> {
+    pub(crate) shared: Arc<SharedCounters>,
+    pub(crate) board: Arc<FailureBoard>,
+    /// Shared telemetry surface (snapshot cells, histograms, span rings).
+    pub(crate) tele: Arc<TelemetryShared>,
+    /// Unpark targets after controller sends; the settle after a failure
+    /// reads the shards' sleep flags and inbound lanes.
+    pub(crate) lanes: LaneHandles<S>,
+    /// One channel per shard, and the controller keeps its only sender:
+    /// shards talk to each other over the lanes alone.
+    pub(crate) senders: Vec<Sender<Message<S>>>,
+    /// Behind a lock so that `&Engine` can be shared across threads.
+    pub(crate) trigger_rx: Mutex<Receiver<TriggerFire>>,
+    /// Cached owner map for the query paths.
+    pub(crate) part: Partitioner,
+}
+
+/// Makes `config.num_shards` workers and the controller's handles onto
+/// them: the one place shards are built. [`EngineBuilder::build`] gives
+/// each worker a thread; a test may step them all on its own.
+pub(crate) fn wire<A: Algorithm>(
+    algo: A,
+    config: &EngineConfig,
+    triggers: Vec<TriggerDef<A::State>>,
+) -> (Vec<ShardWorker<A>>, Controller<A::State>) {
+    let shards = config.num_shards;
+    let shared = Arc::new(SharedCounters::new(shards));
+    let board = Arc::new(FailureBoard::new());
+    let (trigger_tx, trigger_rx) = channel();
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..shards).map(|_| channel()).unzip();
+    let ctl = Controller {
+        tele: Arc::new(TelemetryShared::new(
             shards,
             Arc::clone(&shared),
             Arc::clone(&board),
-        ));
-        let algo = Arc::new(self.algo);
-        let triggers = Arc::new(self.triggers);
-        let (trigger_tx, trigger_rx) = channel();
+        )),
+        shared,
+        board,
+        lanes: LaneHandles::new(shards),
+        senders,
+        trigger_rx: Mutex::new(trigger_rx),
+        part: Partitioner::new(shards),
+    };
+    let (algo, triggers) = (Arc::new(algo), Arc::new(triggers));
+    let workers = (0..shards).zip(receivers).map(|(id, rx)| {
+        let (algo, triggers, tx) = (Arc::clone(&algo), Arc::clone(&triggers), trigger_tx.clone());
+        ShardWorker::new(id, algo, config.clone(), rx, triggers, tx, &ctl)
+    });
+    (workers.collect(), ctl)
+}
 
-        // One channel per shard, and the engine keeps its only sender:
-        // shards talk to each other over the lanes alone.
-        let (senders, receivers): (Vec<Sender<Message<A::State>>>, Vec<_>) =
-            (0..shards).map(|_| channel()).unzip();
-
-        let lanes = LaneHandles::new(shards);
-
-        let mut handles = Vec::with_capacity(shards);
-        for (id, rx) in receivers.into_iter().enumerate() {
-            let worker = ShardWorker::new(
-                id,
-                Arc::clone(&algo),
-                config.clone(),
-                rx,
-                Arc::clone(&shared),
-                Arc::clone(&board),
-                Arc::clone(&triggers),
-                trigger_tx.clone(),
-                lanes.clone(),
-                Arc::clone(&tele),
-            );
-            let handle = std::thread::Builder::new()
-                .name(format!("remo-shard-{id}"))
-                .spawn(move || worker.run_supervised())
-                .expect("failed to spawn shard thread");
-            handles.push(handle);
+impl<S: Clone + Default> Controller<S> {
+    /// Classifies a failed send to `shard`.
+    fn send_error(&self, shard: usize) -> EngineError {
+        if self.board.is_failed(shard) {
+            EngineError::ShardPanicked {
+                failures: self.board.snapshot(),
+            }
+        } else {
+            EngineError::ChannelClosed { shard }
         }
+    }
 
-        Ok(Engine {
-            shared,
-            board,
-            senders,
-            handles,
-            trigger_rx: Mutex::new(trigger_rx),
-            part: Partitioner::new(shards),
-            lanes,
-            tele,
-            config,
-        })
+    pub(crate) fn send_to(&self, shard: usize, msg: Message<S>) -> Result<(), EngineError> {
+        let sent = self.senders[shard]
+            .send(msg)
+            .map_err(|_| self.send_error(shard));
+        // The shard may be parked — control traffic must wake it or wait
+        // out a heartbeat.
+        if sent.is_ok() {
+            self.lanes.parks.wake(shard);
+        }
+        sent
+    }
+
+    /// Unparks every shard (after a broadcast such as a snapshot's epoch
+    /// open or the shutdown fan-out).
+    fn wake_all(&self) {
+        for id in 0..self.senders.len() {
+            self.lanes.parks.wake(id);
+        }
+    }
+
+    /// True when `n` more events fit `shard`'s ingest window.
+    fn has_room(&self, shard: usize, n: u64) -> bool {
+        let slot = self.shared.slot(shard);
+        let ingested = slot.ingested.load(Ordering::SeqCst);
+        fits_window(slot.fed.load(Ordering::SeqCst), ingested, n)
+    }
+
+    /// Counts `n` more events fed to `shard` if they fit its window;
+    /// false when they do not yet. Counting *before* the send keeps
+    /// quiescence from being observed between the send and the shard's
+    /// receipt, and doing it in one step keeps concurrent callers inside
+    /// the window as well.
+    pub(crate) fn reserve(&self, shard: usize, n: u64) -> bool {
+        let slot = self.shared.slot(shard);
+        let ingested = slot.ingested.load(Ordering::SeqCst);
+        slot.fed
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |fed| {
+                fits_window(fed, ingested, n).then_some(fed + n)
+            })
+            .is_ok()
+    }
+
+    /// Sends an `Init` event to `v`'s owner, counted in the controller's
+    /// own `sent` slot before it becomes receivable.
+    pub(crate) fn init_vertex(&self, v: VertexId) -> Result<(), EngineError> {
+        let epoch = self.shared.epoch.load(Ordering::SeqCst);
+        let parity = (epoch & 1) as usize;
+        let ctl = self.shared.controller_slot();
+        self.shared.slot(ctl).sent[parity].fetch_add(1, Ordering::SeqCst);
+        let sent = self.send_to(
+            self.part.owner(v),
+            Message::Event(Envelope {
+                target: v,
+                visitor: v,
+                value: S::default(),
+                weight: 1,
+                kind: EventKind::Init,
+                epoch,
+                tag: 0,
+            }),
+        );
+        if sent.is_err() {
+            // Uncount: the envelope never became receivable.
+            self.shared.slot(ctl).sent[parity].fetch_sub(1, Ordering::SeqCst);
+        }
+        sent
     }
 }
 
@@ -257,20 +357,8 @@ impl<S, E> RunResult<S, E> {
 ///   quiescence wait in another thread may end between two chunks of a
 ///   call still in progress: it covers what had been queued.
 pub struct Engine<A: Algorithm> {
-    shared: Arc<SharedCounters>,
-    board: Arc<FailureBoard>,
-    senders: Vec<Sender<Message<A::State>>>,
+    ctl: Controller<A::State>,
     handles: Vec<JoinHandle<Option<ShardReport<A>>>>,
-    /// Behind a lock so that `&Engine` can be shared across threads.
-    trigger_rx: Mutex<Receiver<TriggerFire>>,
-    /// Cached owner map (construction hashes nothing, but per-call
-    /// rebuilding was pure waste on the query paths).
-    part: Partitioner,
-    /// Unpark targets after controller sends; the settle after a failure
-    /// reads the shards' sleep flags and inbound lanes.
-    lanes: LaneHandles<A::State>,
-    /// Shared telemetry surface (snapshot cells, histograms, span rings).
-    tele: Arc<TelemetryShared>,
     config: EngineConfig,
 }
 
@@ -321,14 +409,15 @@ impl<A: Algorithm> Engine<A> {
     /// the guard's lifetime.
     pub fn trigger_events(&self) -> MutexGuard<'_, Receiver<TriggerFire>> {
         // A receiver has no state a panicking holder could leave half-made.
-        self.trigger_rx
+        self.ctl
+            .trigger_rx
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Failures recorded so far (empty while every shard is healthy).
     pub fn failures(&self) -> Vec<ShardFailure> {
-        self.board.snapshot()
+        self.ctl.board.snapshot()
     }
 
     /// A coherent cross-shard [`RunMetrics`] reading **right now**, without
@@ -338,7 +427,7 @@ impl<A: Algorithm> Engine<A> {
     /// histograms reflect every sample recorded so far; `lost_shards`
     /// lists shards already dead.
     pub fn metrics_now(&self) -> RunMetrics {
-        self.tele.snapshot_metrics()
+        self.ctl.tele.snapshot_metrics()
     }
 
     /// Reconstructed propagation trees for the trace-sampled external
@@ -349,7 +438,7 @@ impl<A: Algorithm> Engine<A> {
     /// discipline and the ring-overflow policy (rootless traces are
     /// dropped whole).
     pub fn traces_now(&self) -> Vec<crate::trace::PropagationTrace> {
-        self.tele.traces()
+        self.ctl.tele.traces()
     }
 
     /// Aggregate statistics over [`Engine::traces_now`]: fixpoint-latency,
@@ -364,44 +453,13 @@ impl<A: Algorithm> Engine<A> {
     /// rendering. The handle stays valid for the life of the engine
     /// (readers of an engine that has finished see its final counters).
     pub fn telemetry(&self) -> TelemetryHub {
-        TelemetryHub::new(Arc::clone(&self.tele))
+        TelemetryHub::new(Arc::clone(&self.ctl.tele))
     }
 
     /// True once any shard has died; the engine keeps serving the
     /// survivors' partitions.
     pub fn is_degraded(&self) -> bool {
-        self.board.any_failed()
-    }
-
-    /// Classifies a failed send to `shard`.
-    fn send_error(&self, shard: usize) -> EngineError {
-        if self.board.is_failed(shard) {
-            EngineError::ShardPanicked {
-                failures: self.board.snapshot(),
-            }
-        } else {
-            EngineError::ChannelClosed { shard }
-        }
-    }
-
-    fn send_to(&self, shard: usize, msg: Message<A::State>) -> Result<(), EngineError> {
-        let sent = self.senders[shard]
-            .send(msg)
-            .map_err(|_| self.send_error(shard));
-        // The shard may be parked — control traffic must wake it or wait
-        // out a heartbeat.
-        if sent.is_ok() {
-            self.lanes.parks.wake(shard);
-        }
-        sent
-    }
-
-    /// Unparks every shard (after a broadcast such as a snapshot's epoch
-    /// open or the shutdown fan-out).
-    fn wake_all(&self) {
-        for id in 0..self.config.num_shards {
-            self.lanes.parks.wake(id);
-        }
+        self.ctl.board.any_failed()
     }
 
     /// Injects pre-split event streams: stream `i` joins shard `i % P`'s
@@ -465,7 +523,7 @@ impl<A: Algorithm> Engine<A> {
             for s in 0..lens.len() {
                 while done[s] < lens[s] {
                     let n = next(s, &done);
-                    if !self.reserve(s, n) {
+                    if !self.ctl.reserve(s, n) {
                         blocked = true;
                         break;
                     }
@@ -473,12 +531,12 @@ impl<A: Algorithm> Engine<A> {
                     // (a no-op while armed, so a burst of ingests measures
                     // burst-start → quiescence; an empty ingest arms
                     // nothing).
-                    self.tele.mark_ingest();
+                    self.ctl.tele.mark_ingest();
                     let chunk = cut(s, done[s]..done[s] + n as usize);
-                    if let Err(e) = self.send_to(s, Message::Chunk(chunk)) {
+                    if let Err(e) = self.ctl.send_to(s, Message::Chunk(chunk)) {
                         // Uncount, so a degraded engine can still quiesce
                         // over the survivors.
-                        self.shared.slot(s).fed.fetch_sub(n, Ordering::SeqCst);
+                        self.ctl.shared.slot(s).fed.fetch_sub(n, Ordering::SeqCst);
                         return Err(e);
                     }
                     done[s] += n as usize;
@@ -489,31 +547,9 @@ impl<A: Algorithm> Engine<A> {
             }
             let deadline = Deadline::new(self.config.quiescence_deadline);
             self.wait_until(&deadline, || {
-                (0..lens.len()).any(|s| done[s] < lens[s] && self.has_room(s, next(s, &done)))
+                (0..lens.len()).any(|s| done[s] < lens[s] && self.ctl.has_room(s, next(s, &done)))
             })?;
         }
-    }
-
-    /// True when `n` more events fit `shard`'s ingest window.
-    fn has_room(&self, shard: usize, n: u64) -> bool {
-        let slot = self.shared.slot(shard);
-        let ingested = slot.ingested.load(Ordering::SeqCst);
-        fits_window(slot.fed.load(Ordering::SeqCst), ingested, n)
-    }
-
-    /// Counts `n` more events fed to `shard` if they fit its window;
-    /// false when they do not yet. Counting *before* the send keeps
-    /// quiescence from being observed between the send and the shard's
-    /// receipt, and doing it in one step keeps concurrent callers inside
-    /// the window as well.
-    fn reserve(&self, shard: usize, n: u64) -> bool {
-        let slot = self.shared.slot(shard);
-        let ingested = slot.ingested.load(Ordering::SeqCst);
-        slot.fed
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |fed| {
-                fits_window(fed, ingested, n).then_some(fed + n)
-            })
-            .is_ok()
     }
 
     /// Streams an unweighted pair list: pair `i` goes to shard `i % P`'s
@@ -545,33 +581,7 @@ impl<A: Algorithm> Engine<A> {
     /// an S-T connectivity source. "Can be initiated at any time" (§IV.1):
     /// before, during, or after ingestion.
     pub fn try_init_vertex(&self, v: VertexId) -> Result<(), EngineError> {
-        let epoch = self.shared.epoch.load(Ordering::SeqCst);
-        let parity = (epoch & 1) as usize;
-        // The controller publishes its own sent counter (extra slot).
-        let ctl = self.shared.controller_slot();
-        self.shared.slot(ctl).sent[parity].fetch_add(1, Ordering::SeqCst);
-        let owner_shard = self.owner(v);
-        let sent = self.send_to(
-            owner_shard,
-            Message::Event(Envelope {
-                target: v,
-                visitor: v,
-                value: A::State::default(),
-                weight: 1,
-                kind: EventKind::Init,
-                epoch,
-                tag: 0,
-            }),
-        );
-        if sent.is_err() {
-            // Uncount: the envelope never became receivable.
-            self.shared.slot(ctl).sent[parity].fetch_sub(1, Ordering::SeqCst);
-        }
-        sent
-    }
-
-    fn owner(&self, v: VertexId) -> usize {
-        self.part.owner(v)
+        self.ctl.init_vertex(v)
     }
 
     /// Broadcasts one control-plane operation (multi-query attach/detach)
@@ -586,7 +596,7 @@ impl<A: Algorithm> Engine<A> {
         let (tx, rx) = sync_channel::<usize>(n);
         let mut acked = vec![false; n];
         for (shard, shard_acked) in acked.iter_mut().enumerate() {
-            if self.board.is_failed(shard) {
+            if self.ctl.board.is_failed(shard) {
                 *shard_acked = true;
                 continue;
             }
@@ -594,6 +604,7 @@ impl<A: Algorithm> Engine<A> {
             // fine (it will be marked failed below); any other closure is
             // a real error.
             if self
+                .ctl
                 .send_to(
                     shard,
                     Message::Control {
@@ -602,12 +613,12 @@ impl<A: Algorithm> Engine<A> {
                     },
                 )
                 .is_err()
-                && !self.board.is_failed(shard)
+                && !self.ctl.board.is_failed(shard)
             {
                 return Err(EngineError::ChannelClosed { shard });
             }
         }
-        self.wake_all();
+        self.ctl.wake_all();
         let deadline = Deadline::new(self.config.quiescence_deadline);
         loop {
             if acked.iter().all(|&a| a) {
@@ -622,11 +633,11 @@ impl<A: Algorithm> Engine<A> {
                         if *shard_acked {
                             continue;
                         }
-                        if self.board.is_failed(shard) {
+                        if self.ctl.board.is_failed(shard) {
                             *shard_acked = true;
                             continue;
                         }
-                        let _ = self.send_to(
+                        let _ = self.ctl.send_to(
                             shard,
                             Message::Control {
                                 op,
@@ -643,7 +654,7 @@ impl<A: Algorithm> Engine<A> {
                 Err(RecvTimeoutError::Disconnected) => {
                     // Unreachable while we hold `tx`, but fail loudly.
                     return Err(EngineError::ShardPanicked {
-                        failures: self.board.snapshot(),
+                        failures: self.ctl.board.snapshot(),
                     });
                 }
             }
@@ -653,9 +664,9 @@ impl<A: Algorithm> Engine<A> {
     /// One supervised wait step: failure first (a dead shard must surface
     /// even with no deadline configured), then the deadline.
     fn check_liveness(&self, deadline: &Deadline) -> Result<(), EngineError> {
-        if self.board.any_failed() {
+        if self.ctl.board.any_failed() {
             return Err(EngineError::ShardPanicked {
-                failures: self.board.snapshot(),
+                failures: self.ctl.board.snapshot(),
             });
         }
         if deadline.expired() {
@@ -671,7 +682,7 @@ impl<A: Algorithm> Engine<A> {
     fn wait_until(&self, deadline: &Deadline, done: impl Fn() -> bool) -> Result<(), EngineError> {
         loop {
             self.check_liveness(deadline)?;
-            if self.shared.bell.wait(HEARTBEAT, &done) {
+            if self.ctl.shared.bell.wait(HEARTBEAT, &done) {
                 return Ok(());
             }
         }
@@ -681,7 +692,7 @@ impl<A: Algorithm> Engine<A> {
     /// not: the teardown waits, which must outlive a failure.
     fn wait_shutdown(&self, done: impl Fn() -> bool) {
         let deadline = Deadline::new(Some(SHUTDOWN_DEADLINE));
-        while !self.shared.bell.wait(HEARTBEAT, &done) && !deadline.expired() {}
+        while !self.ctl.shared.bell.wait(HEARTBEAT, &done) && !deadline.expired() {}
     }
 
     /// Blocks until every injected stream is drained and no algorithmic
@@ -689,10 +700,10 @@ impl<A: Algorithm> Engine<A> {
     /// `quiescence_deadline` cuts the wait short.
     pub fn try_await_quiescence(&self) -> Result<(), EngineError> {
         let deadline = Deadline::new(self.config.quiescence_deadline);
-        self.wait_until(&deadline, || self.shared.quiescent_probe())?;
+        self.wait_until(&deadline, || self.ctl.shared.quiescent_probe())?;
         let ns = u64::try_from(deadline.waited().as_nanos()).unwrap_or(u64::MAX);
-        self.tele.record_quiesce(ns);
-        self.tele.settle_ingest();
+        self.ctl.tele.record_quiesce(ns);
+        self.ctl.tele.settle_ingest();
         Ok(())
     }
 
@@ -702,7 +713,7 @@ impl<A: Algorithm> Engine<A> {
     /// in particular that suppressed and dominated envelopes retired
     /// without leaking `sent` or `processed` counts.
     pub fn counters_balanced(&self) -> bool {
-        self.shared.quiescent_probe()
+        self.ctl.shared.quiescent_probe()
     }
 
     /// Receives one shard reply, waiting at most the `quiescence_deadline`.
@@ -730,7 +741,7 @@ impl<A: Algorithm> Engine<A> {
         let expected = self.config.num_shards;
         let (reply_tx, reply_rx) = sync_channel(expected);
         for id in 0..expected {
-            self.send_to(
+            self.ctl.send_to(
                 id,
                 Message::Collect {
                     old_epoch: epoch,
@@ -743,11 +754,11 @@ impl<A: Algorithm> Engine<A> {
         let mut states = Vec::new();
         for answered in 0..expected {
             let degraded = || EngineError::Degraded {
-                failures: self.board.snapshot(),
+                failures: self.ctl.board.snapshot(),
                 answered,
                 expected,
             };
-            states.extend(self.recv_reply(&reply_rx, || self.board.any_failed(), degraded)?);
+            states.extend(self.recv_reply(&reply_rx, || self.ctl.board.any_failed(), degraded)?);
         }
         Ok(Snapshot::from_fragments(epoch, states))
     }
@@ -774,19 +785,19 @@ impl<A: Algorithm> Engine<A> {
     pub fn try_snapshot(&mut self) -> Result<Snapshot<A::State>, EngineError> {
         let deadline = Deadline::new(self.config.quiescence_deadline);
         self.check_liveness(&deadline)?;
-        let old = self.shared.epoch.fetch_add(1, Ordering::SeqCst);
+        let old = self.ctl.shared.epoch.fetch_add(1, Ordering::SeqCst);
         let new = old + 1;
         // Parked shards learn about the new epoch on their next wakeup —
         // unpark them all so the ack barrier doesn't wait out heartbeats.
-        self.wake_all();
+        self.ctl.wake_all();
         // Barrier: every shard must have observed the new epoch, so no
         // further old-epoch stream events can be born.
         self.wait_until(&deadline, || {
             (0..self.config.num_shards)
-                .all(|id| self.shared.slot(id).epoch_ack.load(Ordering::SeqCst) >= new)
+                .all(|id| self.ctl.shared.slot(id).epoch_ack.load(Ordering::SeqCst) >= new)
         })?;
         // Drain the old epoch (its cascades inherit its parity).
-        self.wait_until(&deadline, || self.shared.drained_probe(old))?;
+        self.wait_until(&deadline, || self.ctl.shared.drained_probe(old))?;
         self.collect(old, false)
     }
 
@@ -799,14 +810,14 @@ impl<A: Algorithm> Engine<A> {
     /// fails with [`EngineError::ShardPanicked`] instead of blocking
     /// forever on a reply that can never come.
     pub fn try_local_state(&self, v: VertexId) -> Result<Option<A::State>, EngineError> {
-        let owner_shard = self.owner(v);
-        if self.board.is_failed(owner_shard) {
+        let owner_shard = self.ctl.part.owner(v);
+        if self.ctl.board.is_failed(owner_shard) {
             return Err(EngineError::ShardPanicked {
-                failures: self.board.snapshot(),
+                failures: self.ctl.board.snapshot(),
             });
         }
         let (reply_tx, reply_rx) = sync_channel(1);
-        self.send_to(
+        self.ctl.send_to(
             owner_shard,
             Message::Query {
                 vertex: v,
@@ -817,8 +828,8 @@ impl<A: Algorithm> Engine<A> {
         // queue (holding our reply sender) is dropped and recv disconnects.
         self.recv_reply(
             &reply_rx,
-            || self.board.is_failed(owner_shard),
-            || self.send_error(owner_shard),
+            || self.ctl.board.is_failed(owner_shard),
+            || self.ctl.send_error(owner_shard),
         )
     }
 
@@ -826,7 +837,7 @@ impl<A: Algorithm> Engine<A> {
     /// (equivalent to a snapshot at the end of all injected work).
     pub fn try_collect_live(&self) -> Result<Snapshot<A::State>, EngineError> {
         self.try_await_quiescence()?;
-        self.collect(self.shared.epoch.load(Ordering::SeqCst), true)
+        self.collect(self.ctl.shared.epoch.load(Ordering::SeqCst), true)
     }
 
     /// After a shard failure, true quiescence is unreachable (the dead
@@ -839,8 +850,8 @@ impl<A: Algorithm> Engine<A> {
     fn settle_survivors(&self) {
         self.wait_shutdown(|| {
             (0..self.config.num_shards).all(|id| {
-                self.board.is_failed(id)
-                    || (self.lanes.parks.is_asleep(id) && !self.lanes.mesh.has_inbound(id))
+                self.ctl.board.is_failed(id)
+                    || (self.ctl.lanes.parks.is_asleep(id) && !self.ctl.lanes.mesh.has_inbound(id))
             })
         });
     }
@@ -863,27 +874,22 @@ impl<A: Algorithm> Engine<A> {
             // Shards died: harvest what survives.
             Err(EngineError::ShardPanicked { .. }) => {}
             Err(e @ EngineError::QuiescenceTimeout { .. }) => {
-                if !self.board.any_failed() {
+                if !self.ctl.board.any_failed() {
                     return Err(e); // Drop will tear the shards down.
                 }
             }
             Err(e) => return Err(e),
         }
-        if self.board.any_failed() {
+        if self.ctl.board.any_failed() {
             self.settle_survivors();
         }
-        for s in &self.senders {
+        for s in &self.ctl.senders {
             let _ = s.send(Message::Shutdown);
         }
-        self.wake_all();
+        self.ctl.wake_all();
 
         let shards = self.config.num_shards;
-        let mut metrics = RunMetrics::default();
-        metrics.per_shard.resize(shards, Default::default());
-        let mut num_vertices = 0;
         let mut num_edges = 0;
-        let mut adjacency_bytes = 0;
-        let mut store_bytes = 0;
         let mut tables: Vec<Option<DenseStore<_, _>>> = (0..shards).map(|_| None).collect();
 
         // Join with a deadline: a healthy shard exits promptly after
@@ -892,21 +898,19 @@ impl<A: Algorithm> Engine<A> {
         // unboundedly.
         self.wait_shutdown(|| self.handles.iter().all(JoinHandle::is_finished));
         for (id, h) in self.handles.drain(..).enumerate() {
+            let lost = |payload| ShardFailure {
+                id,
+                payload,
+                last_epoch: self.ctl.shared.slot(id).epoch_ack.load(Ordering::SeqCst),
+            };
             if !h.is_finished() {
-                self.board.record(ShardFailure {
-                    id,
-                    payload: "shard did not stop within the shutdown deadline".to_string(),
-                    last_epoch: self.shared.slot(id).epoch_ack.load(Ordering::SeqCst),
-                });
+                let payload = "shard did not stop within the shutdown deadline".to_string();
+                self.ctl.board.record(lost(payload));
                 continue; // detach: the thread ends (or not) on its own
             }
             match h.join() {
                 Ok(Some(report)) => {
-                    metrics.per_shard[report.id] = report.metrics;
-                    num_vertices += report.num_vertices;
                     num_edges += report.num_edges;
-                    adjacency_bytes += report.adjacency_bytes;
-                    store_bytes += report.store_bytes;
                     tables[report.id] = Some(report.table);
                 }
                 // A panicked shard recorded its failure on the board
@@ -914,27 +918,15 @@ impl<A: Algorithm> Engine<A> {
                 Ok(None) => {}
                 // Panic outside catch_unwind (e.g. in a Drop during
                 // unwind): synthesize the record the wrapper could not.
-                Err(payload) => self.board.record(ShardFailure {
-                    id,
-                    payload: crate::supervision::panic_payload_string(payload),
-                    last_epoch: self.shared.slot(id).epoch_ack.load(Ordering::SeqCst),
-                }),
+                Err(payload) => self.ctl.board.record(lost(panic_payload_string(payload))),
             }
         }
-        let failures = self.board.snapshot();
-        metrics.lost_shards = failures.iter().map(|f| f.id).collect();
-        // A dead shard's exact counters died with its thread, but its last
-        // snapshot-cell publish survives — fold that in (at most
-        // PUBLISH_EVERY events stale, and a chaos panic publishes a final
-        // cell on its way down) instead of under-reporting the shard as
-        // all zeros.
-        for &id in &metrics.lost_shards {
-            if id < shards {
-                metrics.per_shard[id] = self.tele.shard_snapshot(id).0;
-            }
-        }
-        metrics.controller_sent = self.tele.controller_sent();
-        self.tele.histograms_into(&mut metrics);
+        let failures = self.ctl.board.snapshot();
+        // Every shard's last cell publish is its final count: a finished
+        // shard published in `report`, a dead one on its way down (a chaos
+        // panic publishes a last cell; otherwise it is at most
+        // PUBLISH_EVERY events stale), and `lost_shards` names the dead.
+        let metrics = self.ctl.tele.snapshot_metrics();
         // Satellite invariant: on a clean, quiesced harvest every envelope
         // counted as sent was accounted for exactly once. Lost shards void
         // the equation (their in-flight envelopes retired as
@@ -949,18 +941,20 @@ impl<A: Algorithm> Engine<A> {
         }
         // The states are read once, from the stores the survivors handed
         // over, into one array of exactly their size.
+        let stores = || tables.iter().flatten();
+        let num_vertices = stores().map(DenseStore::num_vertices).sum();
         let mut states = Vec::with_capacity(num_vertices);
-        for table in tables.iter().flatten() {
+        for table in stores() {
             states.extend(table.iter().map(|(v, s, _)| (v, s.clone())));
         }
-        let epoch = self.shared.epoch.load(Ordering::SeqCst);
+        let epoch = self.ctl.shared.epoch.load(Ordering::SeqCst);
         Ok(RunResult {
             states: Snapshot::from_fragments(epoch, states),
             metrics,
             num_vertices,
             num_edges,
-            adjacency_bytes,
-            store_bytes,
+            adjacency_bytes: stores().map(DenseStore::adjacency_heap_bytes).sum(),
+            store_bytes: stores().map(DenseStore::heap_bytes).sum(),
             tables: tables
                 .into_iter()
                 .map(|t| t.unwrap_or_else(|| DenseStore::with_capacity(0)))
@@ -979,10 +973,10 @@ impl<A: Algorithm> Drop for Engine<A> {
         if self.handles.is_empty() {
             return;
         }
-        for s in &self.senders {
+        for s in &self.ctl.senders {
             let _ = s.send(Message::Shutdown);
         }
-        self.wake_all();
+        self.ctl.wake_all();
         self.wait_shutdown(|| self.handles.iter().all(JoinHandle::is_finished));
         for h in self.handles.drain(..) {
             if h.is_finished() {

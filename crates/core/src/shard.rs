@@ -3,7 +3,8 @@
 //! Each shard owns a partition of the vertices (consistent hashing,
 //! §III-C), a [`DenseStore`] holding their adjacency and live algorithm
 //! state, and one inbound FIFO lane of visitor messages per peer (HavoqGT's
-//! visitor queue, Figure 2) beside the controller's channel. The worker loop:
+//! visitor queue, Figure 2) beside the controller's channel. One pass
+//! ([`ShardWorker::step`]):
 //!
 //! 1. drains and processes all queued algorithmic events (events that
 //!    "impact the same vertex are ordered in the infrastructure layer by the
@@ -18,8 +19,9 @@
 //!    per-shard window, and a run that empties a chunk rings the
 //!    controller's bell; a shard whose backlog held for full lanes is past
 //!    its bound skips this step until its receivers catch up;
-//! 3. when fully idle, flushes its partial batches and parks until a peer
-//!    or the controller wakes it.
+//! 3. when fully idle, flushes its partial batches. The shard's thread
+//!    ([`ShardWorker::run_loop`]) then parks until a peer or the
+//!    controller wakes it; a test's scheduler steps the next shard instead.
 //!
 //! Undirected edge serialization follows §III-C exactly: the `[a, b]` event
 //! is routed to `owner(a)`, which inserts `a -> b` and then sends the
@@ -35,6 +37,7 @@ use remo_store::{LocalIdx, VertexId};
 
 use crate::algorithm::{visit, Algorithm, EventCtx, Outgoing};
 use crate::config::EngineConfig;
+use crate::engine::Controller;
 use crate::event::{Chunk, ControlKind, ControlOp, Envelope, Epoch, EventKind, TopoEvent};
 use crate::metrics::ShardMetrics;
 use crate::partition::Partitioner;
@@ -127,28 +130,27 @@ pub(crate) enum Message<S> {
     Shutdown,
 }
 
-/// How one idle wait ended (see [`ShardWorker::idle_wait`]).
-enum IdleWait<S> {
-    /// A message arrived on the channel.
-    Message(Message<S>),
-    /// Woken (or timed out) with nothing on the channel: loop around and
-    /// re-drain the lanes.
-    Heartbeat,
-    /// The controller dropped every sender without a `Shutdown`: stop and
-    /// report all the same.
-    Disconnected,
+/// What one pass of [`ShardWorker::step`] found, which tells its caller
+/// what to do before the next one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Progress {
+    /// Something was admitted, processed or pulled: step again.
+    Busy,
+    /// Nothing arrived, and partial batches wait out [`FLUSH_HYSTERESIS`]:
+    /// yield the core, then step again.
+    Spin,
+    /// Flushed, published, and checkpointed if due: wait for work.
+    Idle,
+    /// `Shutdown` arrived.
+    Stop,
 }
 
-/// What a shard hands back when it stops.
+/// What a shard hands back when it stops. Its counters are not here: the
+/// final cell publish put them where every reader finds them
+/// ([`TelemetryShared::snapshot_metrics`]).
 pub(crate) struct ShardReport<A: Algorithm> {
     pub id: usize,
-    pub metrics: ShardMetrics,
-    pub num_vertices: usize,
     pub num_edges: u64,
-    pub adjacency_bytes: usize,
-    /// Approximate total heap footprint of the shard's vertex store
-    /// (index + state/meta slab + adjacency + forks).
-    pub store_bytes: usize,
     /// The shard's store, handed over as is, for post-run static
     /// algorithms over the dynamic structure (paper Fig. 3 centre bar).
     pub table: DenseStore<A::State, A::Edge>,
@@ -243,18 +245,16 @@ struct PhaseWindow {
 }
 
 impl<A: Algorithm> ShardWorker<A> {
-    #[allow(clippy::too_many_arguments)]
+    /// Shard `id`, reading its channel at `rx`, on the world whose
+    /// controller's ends are `ctl` (see [`crate::engine::wire`]).
     pub(crate) fn new(
         id: usize,
         algo: Arc<A>,
         config: EngineConfig,
         rx: Receiver<Message<A::State>>,
-        shared: Arc<SharedCounters>,
-        board: Arc<FailureBoard>,
         triggers: Arc<Vec<TriggerDef<A::State>>>,
         trigger_tx: Sender<TriggerFire>,
-        lanes: LaneHandles<A::State>,
-        tele: Arc<TelemetryShared>,
+        ctl: &Controller<A::State>,
     ) -> Self {
         let part = Partitioner::new(config.num_shards);
         let num_shards = config.num_shards;
@@ -266,8 +266,8 @@ impl<A: Algorithm> ShardWorker<A> {
             config,
             part,
             rx,
-            shared,
-            board,
+            shared: Arc::clone(&ctl.shared),
+            board: Arc::clone(&ctl.board),
             triggers,
             trigger_tx,
             fault_armed,
@@ -277,7 +277,7 @@ impl<A: Algorithm> ShardWorker<A> {
             chunk_pos: 0,
             out: Vec::new(),
             outboxes: (0..num_shards).map(|_| Vec::new()).collect(),
-            lanes,
+            lanes: ctl.lanes.clone(),
             held: (0..num_shards).map(|_| VecDeque::new()).collect(),
             claim_buf: Vec::new(),
             idle_spins: 0,
@@ -288,7 +288,7 @@ impl<A: Algorithm> ShardWorker<A> {
             metrics: ShardMetrics::default(),
             edges: 0,
             seq: 0,
-            tele,
+            tele: Arc::clone(&ctl.tele),
             pub_ticker: 0,
             cur_epoch: 0,
             phase: PhaseWindow {
@@ -451,11 +451,11 @@ impl<A: Algorithm> ShardWorker<A> {
         self.metrics.phase_busy_ns += ns;
     }
 
-    /// The worker loop. Returns on shutdown (or when the controller's
-    /// senders are all gone); the caller then consumes `self` into the
-    /// final report.
+    /// The shard thread's loop: steps the shard until it stops, and holds the
+    /// only yield and the only park a shard makes. Returns on shutdown (or
+    /// when the controller's senders are all gone); the caller then
+    /// consumes `self` into the final report.
     pub(crate) fn run_loop(&mut self) {
-        use std::sync::atomic::Ordering;
         self.lanes.parks.register(self.id);
         // Run-merged phase accounting: one window per run of same-labeled
         // segments, a clock read only at label transitions — see
@@ -463,128 +463,18 @@ impl<A: Algorithm> ShardWorker<A> {
         // processing, therefore costs zero clock reads. Entering the loop
         // is a transition only after a replay.
         self.phase_mark(PhaseLabel::Drain);
-        'run: loop {
-            // Phase 1 — inbound: drain all queued messages (algorithm
-            // events first): alternate between the inbound lanes, the
-            // inbound channel, and the local queue until all are empty.
-            // This is also where the previous pass's pull run is
-            // processed, and the one place a pass looks at the control
-            // channel — so a point read waits for at most one run.
-            let mut did_work = false;
-            loop {
-                let mut round = false;
-                if self.drain_lanes() {
-                    round = true;
-                }
-                while let Ok(msg) = self.rx.try_recv() {
-                    round = true;
-                    if self.dispatch(msg) {
-                        break 'run;
+        loop {
+            match self.step() {
+                Progress::Busy => {}
+                // The pass marked Spin, so the yield accrues to the spin
+                // window.
+                Progress::Spin => std::thread::yield_now(),
+                Progress::Idle => {
+                    if self.idle_wait() {
+                        break;
                     }
                 }
-                while let Some(env) = self.local_q.pop_front() {
-                    round = true;
-                    self.process(env);
-                }
-                if !round {
-                    break;
-                }
-                did_work = true;
-            }
-            // A pass that admitted or processed anything is processing
-            // time; a pass that merely probed empty queues is drain
-            // overhead — the "looking for work" tax.
-            self.phase_mark(if did_work {
-                PhaseLabel::Process
-            } else {
-                PhaseLabel::Drain
-            });
-
-            // Phase 2 — epoch: read the epoch this pass's whole pull run
-            // is tagged with, and ack it when it moved (the snapshot
-            // barrier — see Engine::try_snapshot). `epoch_ack` always
-            // equals `cur_epoch`, so an unchanged epoch needs no store.
-            // One read per run keeps the barrier's promise: the ack of a
-            // new epoch is stored only after the last run tagged with the
-            // old one has published every `sent` count it owes.
-            let epoch = self.shared.epoch.load(Ordering::SeqCst);
-            if epoch != self.cur_epoch {
-                self.shared
-                    .slot(self.id)
-                    .epoch_ack
-                    .store(epoch, Ordering::SeqCst);
-                self.shared.bell.ring();
-                self.cur_epoch = epoch;
-            }
-
-            // Phase 3 — pull run: up to PULL_RUN topology events, if any
-            // and if the backlog held for full lanes is within its bound.
-            // A shard over it still drains and processes everything that
-            // arrives; it only stops adding new work until its receivers
-            // catch up, retrying the held batches at every idle flush.
-            if !self.chunks.is_empty() && self.held_batches() <= HELD_BOUND {
-                // The run is processing time from here on; the empty
-                // probes before it stay with the previous phase run.
-                self.phase_mark(PhaseLabel::Process);
-                self.pull_run(epoch);
-                self.idle_spins = 0;
-                continue;
-            }
-            if did_work {
-                self.idle_spins = 0;
-                continue;
-            }
-
-            // Phase 4 preamble — lane flush hysteresis: with partial
-            // batches buffered, give inbound work a bounded number of
-            // re-drain passes to refill them before shipping near-empty
-            // batches and waking peers (the BFS short-wave pathology).
-            // Deadlock-free: buffered envelopes are already counted sent,
-            // so quiescence cannot fire under them, and the spin budget
-            // guarantees the flush below runs before any park.
-            if self.idle_spins < FLUSH_HYSTERESIS && self.outboxes.iter().any(|b| !b.is_empty()) {
-                self.idle_spins += 1;
-                self.metrics.flush_deferrals += 1;
-                // Marked before the yield so the yield itself accrues to
-                // the spin window.
-                self.phase_mark(PhaseLabel::Spin);
-                std::thread::yield_now();
-                continue;
-            }
-            self.idle_spins = 0;
-
-            // Phase 4 — idle: flush buffered envelopes, publish the
-            // counter cell (an idle shard's snapshot is otherwise up to
-            // PUBLISH_EVERY-1 events stale), then park until woken. A
-            // backlog a full lane left behind is retried by this flush, so
-            // a shard idling on one retries at least every `IDLE_PARK`:
-            // nobody wakes a sender when its lane drains, the park's
-            // heartbeat does.
-            self.phase_mark(PhaseLabel::Flush);
-            self.flush_all();
-            self.publish_telemetry();
-            // Durability: idle with every queue drained is the one moment
-            // the store is a complete, self-consistent image — checkpoint
-            // here if the WAL has grown past the configured interval.
-            self.phase_mark(PhaseLabel::Checkpoint);
-            self.checkpoint_if_due(false);
-            // The whole wait — park, heartbeat timeout — is parked time:
-            // the clearest "this shard had nothing to do" signal in the
-            // utilization breakdown.
-            self.phase_mark(PhaseLabel::Park);
-            let waited = self.idle_wait();
-            // Waking is the processing guess: a message wake goes straight
-            // into dispatch and a lane wake into the next drain pass; a
-            // bare heartbeat mislabels only the empty probe that follows.
-            self.phase_mark(PhaseLabel::Process);
-            match waited {
-                IdleWait::Message(msg) => {
-                    if self.dispatch(msg) {
-                        break 'run;
-                    }
-                }
-                IdleWait::Heartbeat => {}
-                IdleWait::Disconnected => break 'run,
+                Progress::Stop => break,
             }
         }
         // Stopping: one last checkpoint if the WAL holds anything, and the
@@ -594,47 +484,160 @@ impl<A: Algorithm> ShardWorker<A> {
         self.phase_close();
     }
 
+    /// One pass: *inbound → epoch → pull run → idle flush, publish,
+    /// checkpoint*. It never parks, yields or waits on the channel (the
+    /// one sleep it can reach is a `FaultPlan` delay), so the shard's thread
+    /// and a test's scheduler run the same pass.
+    pub(crate) fn step(&mut self) -> Progress {
+        use std::sync::atomic::Ordering;
+        // Phase 1 — inbound: drain all queued messages (algorithm events
+        // first): alternate between the inbound lanes, the inbound channel,
+        // and the local queue until all are empty. This is also where the
+        // previous pass's pull run is processed, and the one place a pass
+        // looks at the control channel — so a point read waits for at most
+        // one run.
+        let mut did_work = false;
+        loop {
+            let mut round = self.drain_lanes();
+            while let Ok(msg) = self.rx.try_recv() {
+                round = true;
+                if self.dispatch(msg) {
+                    return Progress::Stop;
+                }
+            }
+            while let Some(env) = self.local_q.pop_front() {
+                round = true;
+                self.process(env);
+            }
+            if !round {
+                break;
+            }
+            did_work = true;
+        }
+        // A pass that admitted or processed anything is processing time; a
+        // pass that merely probed empty queues is drain overhead — the
+        // "looking for work" tax.
+        self.phase_mark(if did_work {
+            PhaseLabel::Process
+        } else {
+            PhaseLabel::Drain
+        });
+
+        // Phase 2 — epoch: read the epoch this pass's whole pull run is
+        // tagged with, and ack it when it moved (the snapshot barrier — see
+        // Engine::try_snapshot). `epoch_ack` always equals `cur_epoch`, so
+        // an unchanged epoch needs no store. One read per run keeps the
+        // barrier's promise: the ack of a new epoch is stored only after
+        // the last run tagged with the old one has published every `sent`
+        // count it owes.
+        let epoch = self.shared.epoch.load(Ordering::SeqCst);
+        if epoch != self.cur_epoch {
+            self.shared
+                .slot(self.id)
+                .epoch_ack
+                .store(epoch, Ordering::SeqCst);
+            self.shared.bell.ring();
+            self.cur_epoch = epoch;
+        }
+
+        // Phase 3 — pull run: up to PULL_RUN topology events, if any and if
+        // the backlog held for full lanes is within its bound. A shard over
+        // it still drains and processes everything that arrives; it only
+        // stops adding new work until its receivers catch up, retrying the
+        // held batches at every idle flush.
+        if !self.chunks.is_empty() && self.held_batches() <= HELD_BOUND {
+            // The run is processing time from here on; the empty probes
+            // before it stay with the previous phase run.
+            self.phase_mark(PhaseLabel::Process);
+            self.pull_run(epoch);
+            self.idle_spins = 0;
+            return Progress::Busy;
+        }
+        if did_work {
+            self.idle_spins = 0;
+            return Progress::Busy;
+        }
+
+        // Phase 4 preamble — lane flush hysteresis: with partial batches
+        // buffered, give inbound work a bounded number of re-drain passes
+        // to refill them before shipping near-empty batches and waking
+        // peers (the BFS short-wave pathology). Deadlock-free: buffered
+        // envelopes are already counted sent, so quiescence cannot fire
+        // under them, and the spin budget guarantees the flush below runs
+        // before any park.
+        if self.idle_spins < FLUSH_HYSTERESIS && self.outboxes.iter().any(|b| !b.is_empty()) {
+            self.idle_spins += 1;
+            self.metrics.flush_deferrals += 1;
+            self.phase_mark(PhaseLabel::Spin);
+            return Progress::Spin;
+        }
+        self.idle_spins = 0;
+
+        // Phase 4 — idle: flush buffered envelopes and publish the counter
+        // cell (an idle shard's snapshot is otherwise up to PUBLISH_EVERY-1
+        // events stale). A backlog a full lane left behind is retried by
+        // this flush, so a shard idling on one retries at least every
+        // `IDLE_PARK`: nobody wakes a sender when its lane drains, the
+        // park's heartbeat does.
+        self.phase_mark(PhaseLabel::Flush);
+        self.flush_all();
+        self.publish_telemetry();
+        // Durability: idle with every queue drained is the one moment the
+        // store is a complete, self-consistent image — checkpoint here if
+        // the WAL has grown past the configured interval.
+        self.phase_mark(PhaseLabel::Checkpoint);
+        self.checkpoint_if_due(false);
+        Progress::Idle
+    }
+
     /// One idle wait: the shard announces sleep, re-checks both inbound
     /// paths (the Dekker pairing with senders' post-publish
     /// [`crate::transport::ParkBoard::wake`]), rings the controller's bell
-    /// if every other live shard is asleep, and parks. [`IDLE_PARK`] only
-    /// insures against the (latency-only) missed-wake window.
-    fn idle_wait(&mut self) -> IdleWait<A::State> {
+    /// if every other live shard is asleep, parks, and dispatches the
+    /// message it woke on. [`IDLE_PARK`] only insures against the
+    /// (latency-only) missed-wake window. Returns true when the shard must
+    /// stop: a `Shutdown` woke it, or the controller dropped every sender
+    /// without one (stop and report all the same).
+    fn idle_wait(&mut self) -> bool {
+        // The whole wait — park, heartbeat timeout — is parked time: the
+        // clearest "this shard had nothing to do" signal in the
+        // utilization breakdown.
+        self.phase_mark(PhaseLabel::Park);
         let lanes = &self.lanes;
         lanes.parks.announce_sleep(self.id);
         std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
-        if lanes.mesh.has_inbound(self.id) {
-            lanes.parks.clear_sleep(self.id);
-            return IdleWait::Heartbeat;
-        }
-        match self.rx.try_recv() {
-            Ok(msg) => {
-                lanes.parks.clear_sleep(self.id);
-                IdleWait::Message(msg)
-            }
-            Err(TryRecvError::Empty) => {
-                self.metrics.idle_parks += 1;
-                // After the fence above: a waiter woken here sees every
-                // count this shard has published. Only a park that may be
-                // the last one rings: every other live shard is asleep.
-                // Of two shards parking at once, the SeqCst flags let at
-                // least one see the other asleep; a cascade's hop-by-hop
-                // parks do not wake the controller.
-                let id = self.id;
-                if (0..self.config.num_shards)
-                    .all(|p| p == id || lanes.parks.is_asleep(p) || self.board.is_failed(p))
-                {
-                    self.shared.bell.ring();
+        let mut woke_on = None;
+        if !lanes.mesh.has_inbound(self.id) {
+            match self.rx.try_recv() {
+                Ok(msg) => woke_on = Some(msg),
+                Err(TryRecvError::Empty) => {
+                    self.metrics.idle_parks += 1;
+                    // After the fence above: a waiter woken here sees every
+                    // count this shard has published. Only a park that may
+                    // be the last one rings: every other live shard is
+                    // asleep. Of two shards parking at once, the SeqCst
+                    // flags let at least one see the other asleep; a
+                    // cascade's hop-by-hop parks do not wake the controller.
+                    let id = self.id;
+                    if (0..self.config.num_shards)
+                        .all(|p| p == id || lanes.parks.is_asleep(p) || self.board.is_failed(p))
+                    {
+                        self.shared.bell.ring();
+                    }
+                    lanes.parks.park_current(IDLE_PARK);
                 }
-                lanes.parks.park_current(IDLE_PARK);
-                lanes.parks.clear_sleep(self.id);
-                IdleWait::Heartbeat
-            }
-            Err(TryRecvError::Disconnected) => {
-                lanes.parks.clear_sleep(self.id);
-                IdleWait::Disconnected
+                Err(TryRecvError::Disconnected) => {
+                    lanes.parks.clear_sleep(self.id);
+                    return true;
+                }
             }
         }
+        lanes.parks.clear_sleep(self.id);
+        // Waking is the processing guess: a message wake goes straight into
+        // dispatch and a lane wake into the next drain pass; a bare
+        // heartbeat mislabels only the empty probe that follows.
+        self.phase_mark(PhaseLabel::Process);
+        woke_on.is_some_and(|msg| self.dispatch(msg))
     }
 
     /// Handles one message; returns true on shutdown.
@@ -1384,23 +1387,19 @@ impl<A: Algorithm> ShardWorker<A> {
     }
 
     fn report(mut self) -> ShardReport<A> {
-        // Final cell publish: metrics_now observers see the exact counters
-        // this report carries, even after the thread is gone.
+        // Final cell publish: the run's counters are this cell from here on,
+        // even after the thread is gone.
         self.publish_telemetry();
-        let num_vertices = self.store.num_vertices();
-        let adjacency_bytes = self.store.adjacency_heap_bytes();
-        let store_bytes = self.store.heap_bytes();
         ShardReport {
             id: self.id,
-            metrics: self.metrics,
-            num_vertices,
             num_edges: self.edges,
-            adjacency_bytes,
-            store_bytes,
             table: self.store,
         }
     }
 }
+
+#[cfg(test)]
+mod sim;
 
 /// Direct regression coverage for the undeliverable-batch path and the
 /// lane transport's sender-side machinery: these drive one `ShardWorker`
@@ -1410,9 +1409,8 @@ impl<A: Algorithm> ShardWorker<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{wire, Controller};
     use crate::event::TopoOp;
-    use crate::transport::LaneHandles;
-    use std::sync::mpsc::channel;
 
     /// Minimal algorithm: default callbacks, `u64` state.
     struct Noop;
@@ -1423,51 +1421,21 @@ mod tests {
 
     struct Fixture {
         worker: ShardWorker<Noop>,
-        shared: Arc<SharedCounters>,
-        board: Arc<FailureBoard>,
-        /// The controller's end of shard 0's channel — the only sender.
-        controller: Sender<Message<u64>>,
-        /// Keep the trigger receiver alive for the fixture's lifetime
-        /// (the worker ignores send failures, but a live channel matches
-        /// the engine's wiring).
-        _trigger_rx: Receiver<TriggerFire>,
+        /// The controller's ends, shard 0's only channel sender among them.
+        ctl: Controller<u64>,
     }
 
-    /// A two-shard world with shard 0 driven by hand and shard 1 absent:
-    /// the test plays its part on the mesh.
+    /// A two-shard world with shard 0 driven by hand and shard 1's worker
+    /// dropped: the test plays its part on the mesh.
     fn fixture() -> Fixture {
         fixture_with(EngineConfig::undirected(2))
     }
 
     fn fixture_with(config: EngineConfig) -> Fixture {
-        let shared = Arc::new(SharedCounters::new(2));
-        let board = Arc::new(FailureBoard::new());
-        let (controller, rx) = channel();
-        let (trigger_tx, trigger_rx) = channel();
-        let tele = Arc::new(TelemetryShared::new(
-            2,
-            Arc::clone(&shared),
-            Arc::clone(&board),
-        ));
-        let worker = ShardWorker::new(
-            0,
-            Arc::new(Noop),
-            config,
-            rx,
-            Arc::clone(&shared),
-            Arc::clone(&board),
-            Arc::new(Vec::new()),
-            trigger_tx,
-            LaneHandles::new(2),
-            tele,
-        );
-        Fixture {
-            worker,
-            shared,
-            board,
-            controller,
-            _trigger_rx: trigger_rx,
-        }
+        let (mut workers, ctl) = wire(Noop, &config, Vec::new());
+        workers.truncate(1);
+        let worker = workers.pop().expect("shard 0");
+        Fixture { worker, ctl }
     }
 
     impl Fixture {
@@ -1478,7 +1446,7 @@ mod tests {
 
         /// Shard 1 dies: the failure board says so.
         fn kill_peer(&self) {
-            self.board.record(ShardFailure {
+            self.ctl.board.record(ShardFailure {
                 id: 1,
                 payload: "test kill".into(),
                 last_epoch: 0,
@@ -1514,7 +1482,7 @@ mod tests {
         // The bound a point read waits behind: one run, not the stream.
         assert_eq!(f.worker.metrics.topo_ingested, PULL_RUN as u64);
         assert_eq!(
-            f.shared.slot(0).ingested.load(Ordering::Acquire),
+            f.ctl.shared.slot(0).ingested.load(Ordering::Acquire),
             PULL_RUN as u64,
             "one publish, after the run's last route"
         );
@@ -1587,14 +1555,17 @@ mod tests {
         f.worker.flush_all();
         assert_eq!(f.worker.metrics.lane_full_fallbacks, 1);
         assert_eq!(f.worker.held[1].len(), 1);
-        assert!(!f.shared.quiescent_probe(), "held envelopes are in flight");
+        assert!(
+            !f.ctl.shared.quiescent_probe(),
+            "held envelopes are in flight"
+        );
         f.kill_peer();
         f.worker.flush_all();
         assert_eq!(f.worker.metrics.envelopes_undeliverable, 10);
         assert!(f.worker.custody_clear());
         assert_eq!(f.worker.sent_local[0], f.worker.processed_local[0]);
         assert!(
-            f.shared.quiescent_probe(),
+            f.ctl.shared.quiescent_probe(),
             "termination books balance after retirement"
         );
     }
@@ -1615,14 +1586,14 @@ mod tests {
         }
         f.worker.flush_all();
         assert_eq!(f.worker.held[1].len(), 1);
-        assert!(!f.shared.quiescent_probe(), "lane batch is in flight");
+        assert!(!f.ctl.shared.quiescent_probe(), "lane batch is in flight");
 
         // The idle sweep drains the dead shard's lane and the backlog
         // behind it even with nothing further addressed to it.
         f.kill_peer();
         f.worker.flush_all();
         assert_eq!(f.worker.metrics.envelopes_undeliverable, 5);
-        assert!(f.shared.quiescent_probe());
+        assert!(f.ctl.shared.quiescent_probe());
 
         // Later sends to the dead shard retire at flush.
         for &v in &targets[5..] {
@@ -1630,7 +1601,7 @@ mod tests {
         }
         f.worker.flush_all();
         assert_eq!(f.worker.metrics.envelopes_undeliverable, 8);
-        assert!(f.shared.quiescent_probe());
+        assert!(f.ctl.shared.quiescent_probe());
     }
 
     #[test]
@@ -1651,7 +1622,10 @@ mod tests {
         assert_eq!(f.worker.metrics.lane_full_fallbacks, 3);
         assert_eq!(f.worker.metrics.lane_batches, 0);
         assert!(!f.worker.custody_clear(), "a held batch is custody");
-        assert!(!f.shared.quiescent_probe(), "held envelopes are in flight");
+        assert!(
+            !f.ctl.shared.quiescent_probe(),
+            "held envelopes are in flight"
+        );
 
         // Room for one: the oldest held batch ships, the rest keep their
         // place ahead of the newer envelope.
@@ -1718,12 +1692,8 @@ mod tests {
     #[test]
     fn dropped_controller_sender_stops_the_shard() {
         use std::sync::atomic::Ordering;
-        let Fixture {
-            worker,
-            shared,
-            controller,
-            ..
-        } = fixture();
+        let Fixture { worker, ctl } = fixture();
+        let shared = Arc::clone(&ctl.shared);
         let shard = std::thread::spawn(move || worker.run_supervised());
         // Work first, so the report has something to show: an edge between
         // two of shard 0's own vertices.
@@ -1731,13 +1701,13 @@ mod tests {
         let mine: Vec<VertexId> = (0u64..).filter(|&v| part.owner(v) == 0).take(2).collect();
         shared.slot(0).fed.fetch_add(1, Ordering::SeqCst);
         let edge = TopoEvent::new(mine[0], mine[1]);
-        controller
+        ctl.senders[0]
             .send(Message::Chunk(Chunk::Events(vec![edge])))
             .unwrap();
         while !shared.quiescent_probe() {
             std::thread::yield_now();
         }
-        drop(controller);
+        drop(ctl);
         let report = shard.join().unwrap().expect("a clean stop still reports");
         assert_eq!(report.num_edges, 2);
     }

@@ -1,0 +1,577 @@
+//! A seeded scheduler for the shard pass. It builds `k` workers with the
+//! engine's own wiring ([`wire`]) and steps them on the test thread, in
+//! an order a seed chooses, playing the controller's part between steps:
+//! it feeds chunks where the ingest window allows ([`Controller::reserve`]),
+//! sends `Init` ([`Controller::init_vertex`]), reads the quiescence probe
+//! and opens a snapshot epoch. Nothing parks and no OS schedule is
+//! involved, so a run is a pure function of its seed, and a failing seed
+//! replays from its printed case.
+//!
+//! Every schedule is checked against five oracles:
+//! 1. the final states equal [`SequentialEngine`]'s on the same stream;
+//! 2. [`RunMetrics::verify_balance`] holds over the shards' final cells;
+//! 3. no quiescence verdict while work exists: whenever the probe holds
+//!    after a tick, every worker's custody is clear, and it holds no chunk
+//!    and no inbound lane batch;
+//! 4. liveness: once the schedule turns fair (round robin, feeding what
+//!    fits), the run quiesces within [`FAIR_BUDGET`] ticks;
+//! 5. replay: the same seed gives the same states and the same counters,
+//!    the `phase_*_ns` clock readings aside.
+//!
+//! A snapshot epoch opens at a seeded tick, either at a quiesced boundary
+//! or mid-flight. Each shard's `ingested` is read before the step in which
+//! it acks, so the cut is known, and the states are collected once
+//! `drained_probe(old)` holds. At a quiesced boundary they must equal the
+//! static solve of the cut. Mid-flight they must keep what
+//! `Engine::try_snapshot` promises: every vertex of the cut is present,
+//! and no state is past the full stream's fixpoint.
+
+use std::sync::atomic::Ordering;
+
+use proptest::prelude::*;
+use remo_gen::rng::SmallRng;
+use remo_gen::{rmat, RmatConfig};
+use remo_store::{VertexId, Weight};
+
+use super::{Message, Progress, ShardWorker, INGEST_CHUNK};
+use crate::algorithm::{AlgoCtx, Algorithm};
+use crate::config::EngineConfig;
+use crate::engine::{wire, Controller};
+use crate::event::{Chunk, Epoch, TopoOp};
+use crate::metrics::{RunMetrics, ShardMetrics};
+use crate::sequential::SequentialEngine;
+
+/// Ticks a run may take to quiesce once its schedule turns fair (oracle 4).
+const FAIR_BUDGET: u64 = 200_000;
+
+/// Min-label connected components: a vertex's label is the least id in
+/// its component, stored as `u64::MAX - id` so that labels join by `max`
+/// and 0, the default, is "unlabelled".
+#[derive(Clone, Copy)]
+struct MinCc;
+
+fn raise(s: &mut u64, to: u64) -> bool {
+    let up = to > *s;
+    if up {
+        *s = to;
+    }
+    up
+}
+
+impl Algorithm for MinCc {
+    type State = u64;
+    type Edge = ();
+
+    fn on_add(&self, ctx: &mut impl AlgoCtx<u64>, _: VertexId, _: &u64, _: Weight) {
+        let own = u64::MAX - ctx.vertex();
+        ctx.apply(|s| raise(s, own));
+    }
+
+    fn on_reverse_add(&self, ctx: &mut impl AlgoCtx<u64>, v: VertexId, value: &u64, w: Weight) {
+        self.on_add(ctx, v, value, w);
+        self.on_update(ctx, v, value, w);
+    }
+
+    fn on_update(&self, ctx: &mut impl AlgoCtx<u64>, visitor: VertexId, value: &u64, _: Weight) {
+        let (mine, theirs) = (*ctx.state(), *value);
+        if mine > theirs {
+            ctx.update_single_nbr(visitor, &mine);
+        } else if mine < theirs && ctx.apply(|s| raise(s, theirs)) {
+            ctx.update_nbrs(&theirs);
+        }
+    }
+
+    fn absorbs(live: &u64, incoming: &u64) -> bool {
+        incoming <= live
+    }
+}
+
+/// BFS levels from the `Init` source: 0, the default, is "not seen",
+/// [`UNREACHED`] a vertex with no path to the source yet, and levels join
+/// by `min`.
+#[derive(Clone, Copy)]
+struct Levels;
+
+const UNREACHED: u64 = u64::MAX;
+
+/// A level, with "not seen" read as unreached.
+fn level(s: u64) -> u64 {
+    if s == 0 {
+        UNREACHED
+    } else {
+        s
+    }
+}
+
+fn lower(s: &mut u64, to: u64) -> bool {
+    let down = to < level(*s) || *s == 0;
+    if down {
+        *s = to;
+    }
+    down
+}
+
+impl Algorithm for Levels {
+    type State = u64;
+    type Edge = ();
+
+    fn init(&self, ctx: &mut impl AlgoCtx<u64>) {
+        if ctx.apply(|s| lower(s, 1)) {
+            ctx.update_nbrs(&1);
+        }
+    }
+
+    fn on_add(&self, ctx: &mut impl AlgoCtx<u64>, _: VertexId, _: &u64, _: Weight) {
+        ctx.apply(|s| lower(s, UNREACHED));
+    }
+
+    fn on_reverse_add(&self, ctx: &mut impl AlgoCtx<u64>, v: VertexId, value: &u64, w: Weight) {
+        self.on_add(ctx, v, value, w);
+        self.on_update(ctx, v, value, w);
+    }
+
+    fn on_update(&self, ctx: &mut impl AlgoCtx<u64>, visitor: VertexId, value: &u64, _: Weight) {
+        let (mine, theirs) = (level(*ctx.state()), level(*value));
+        if mine.saturating_add(1) < theirs {
+            ctx.update_single_nbr(visitor, &mine);
+        } else if theirs.saturating_add(1) < mine && ctx.apply(|s| lower(s, theirs + 1)) {
+            ctx.update_nbrs(&(theirs + 1));
+        }
+    }
+
+    fn absorbs(live: &u64, incoming: &u64) -> bool {
+        level(*incoming) >= level(*live)
+    }
+}
+
+type States = Vec<(VertexId, u64)>;
+
+/// The static solve: [`SequentialEngine`] over `pairs`, after an `Init`
+/// of `source` if there is one.
+fn solve<A: Algorithm<State = u64>>(
+    algo: A,
+    source: Option<VertexId>,
+    pairs: &[(VertexId, VertexId)],
+) -> States {
+    let mut seq = SequentialEngine::undirected(algo);
+    if let Some(v) = source {
+        seq.init_vertex(v);
+    }
+    seq.apply_pairs(pairs);
+    seq.states()
+}
+
+/// `m` with its clock readings zeroed: the counts a schedule determines.
+fn counts(m: &ShardMetrics) -> ShardMetrics {
+    ShardMetrics {
+        phase_drain_ns: 0,
+        phase_process_ns: 0,
+        phase_flush_ns: 0,
+        phase_spin_ns: 0,
+        phase_park_ns: 0,
+        phase_checkpoint_ns: 0,
+        phase_replay_ns: 0,
+        phase_busy_ns: 0,
+        ..m.clone()
+    }
+}
+
+/// An open snapshot epoch.
+struct Snap {
+    old: Epoch,
+    /// Opened at a quiesced boundary.
+    quiesced: bool,
+    /// Each shard's cut: the events it had pulled before the step in
+    /// which it acked the new epoch.
+    cut: Vec<Option<usize>>,
+    /// The collected states, once the old epoch drained.
+    states: Option<States>,
+}
+
+/// `k` workers, the controller's ends onto them, and the stream they
+/// are fed.
+struct Sim<A: Algorithm<State = u64>> {
+    workers: Vec<ShardWorker<A>>,
+    ctl: Controller<u64>,
+    /// Each shard's share of the stream (pair `i` goes to shard `i % k`,
+    /// as the engine splits it) and how much of it was fed.
+    shares: Vec<Vec<(VertexId, VertexId)>>,
+    fed: Vec<usize>,
+    /// The most events one chunk carries.
+    chunk: usize,
+    ticks: u64,
+    snap: Option<Snap>,
+}
+
+impl<A: Algorithm<State = u64>> Sim<A> {
+    fn new(algo: A, k: usize, batch: usize, chunk: usize, pairs: &[(VertexId, VertexId)]) -> Self {
+        let mut config = EngineConfig::undirected(k);
+        config.envelope_batch = batch;
+        let (workers, ctl) = wire(algo, &config, Vec::new());
+        let shares = (0..k)
+            .map(|s| pairs.iter().skip(s).step_by(k).copied().collect())
+            .collect();
+        Sim {
+            workers,
+            ctl,
+            shares,
+            fed: vec![0; k],
+            chunk,
+            ticks: 0,
+            snap: None,
+        }
+    }
+
+    fn k(&self) -> usize {
+        self.workers.len()
+    }
+
+    fn all_fed(&self) -> bool {
+        (0..self.k()).all(|s| self.fed[s] == self.shares[s].len())
+    }
+
+    /// One tick: feeds shard `s` its next chunk if there is one and it
+    /// fits the window. False when nothing was fed.
+    fn feed(&mut self, s: usize) -> bool {
+        let n = (self.shares[s].len() - self.fed[s]).min(self.chunk);
+        if n == 0 || !self.ctl.reserve(s, n as u64) {
+            return false;
+        }
+        let pairs = self.shares[s][self.fed[s]..][..n].to_vec();
+        let chunk = Message::Chunk(Chunk::Pairs(TopoOp::Add, pairs));
+        self.ctl
+            .send_to(s, chunk)
+            .expect("the shard's channel is open");
+        self.fed[s] += n;
+        self.tick();
+        true
+    }
+
+    /// One tick: one pass of shard `s`.
+    fn step(&mut self, s: usize) -> Progress {
+        let shared = &self.ctl.shared;
+        let before = shared.slot(s).ingested.load(Ordering::SeqCst) as usize;
+        let progress = self.workers[s].step();
+        assert_ne!(progress, Progress::Stop, "nothing sent a Shutdown");
+        if let Some(snap) = &mut self.snap {
+            if snap.cut[s].is_none() && shared.slot(s).epoch_ack.load(Ordering::SeqCst) > snap.old {
+                snap.cut[s] = Some(before);
+            }
+            if snap.states.is_none()
+                && snap.cut.iter().all(Option::is_some)
+                && shared.drained_probe(snap.old)
+            {
+                let mut states: States = self
+                    .workers
+                    .iter_mut()
+                    .flat_map(|w| w.collect(snap.old, false))
+                    .collect();
+                states.sort_unstable();
+                snap.states = Some(states);
+            }
+        }
+        self.tick();
+        progress
+    }
+
+    /// Closes a tick with oracle 3: a quiescence verdict must find no work.
+    fn tick(&mut self) {
+        self.ticks += 1;
+        if !self.ctl.shared.quiescent_probe() {
+            return;
+        }
+        for w in &self.workers {
+            assert!(
+                w.custody_clear() && w.chunks.is_empty() && !self.ctl.lanes.mesh.has_inbound(w.id),
+                "tick {}: the probe says quiescent while shard {} holds work",
+                self.ticks,
+                w.id
+            );
+        }
+    }
+
+    /// The fair schedule: round robin, feeding each shard what fits before
+    /// its step (nothing with `feed` off), until the probe holds with the
+    /// stream fed and any snapshot collected. Oracle 4: within
+    /// [`FAIR_BUDGET`] ticks.
+    fn settle(&mut self, feed: bool) {
+        let start = self.ticks;
+        loop {
+            let snapped = self.snap.as_ref().is_none_or(|s| s.states.is_some());
+            if (!feed || self.all_fed()) && snapped && self.ctl.shared.quiescent_probe() {
+                return;
+            }
+            assert!(
+                self.ticks - start < FAIR_BUDGET,
+                "no quiescence within {FAIR_BUDGET} fair ticks"
+            );
+            for s in 0..self.k() {
+                while feed && self.feed(s) {}
+                self.step(s);
+            }
+        }
+    }
+
+    /// Opens a snapshot epoch, after draining what was fed when `quiesced`.
+    fn open_snapshot(&mut self, quiesced: bool) {
+        if quiesced {
+            self.settle(false);
+        }
+        let old = self.ctl.shared.epoch.fetch_add(1, Ordering::SeqCst);
+        self.snap = Some(Snap {
+            old,
+            quiesced,
+            cut: vec![None; self.k()],
+            states: None,
+        });
+    }
+
+    /// The live states of every shard, by vertex.
+    fn states(&self) -> States {
+        let mut states: States = self
+            .workers
+            .iter()
+            .flat_map(|w| w.store.iter().map(|(v, s, _)| (v, *s)))
+            .collect();
+        states.sort_unstable();
+        states
+    }
+
+    /// Oracle 2 over the cells each shard publishes when it goes idle; the
+    /// cells must also be the workers' own counters.
+    fn check_balance(&mut self) -> Vec<ShardMetrics> {
+        for w in &mut self.workers {
+            w.publish_telemetry();
+        }
+        let metrics: RunMetrics = self.ctl.tele.snapshot_metrics();
+        metrics.verify_balance().expect("the envelope balance");
+        for w in &self.workers {
+            assert_eq!(metrics.per_shard[w.id], w.metrics);
+        }
+        metrics.per_shard.iter().map(counts).collect()
+    }
+}
+
+/// What one seeded schedule did: its final states and counters (oracle 5
+/// compares two runs of it), and how many snapshot states differ from the
+/// static solve of their cut.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    states: States,
+    counts: Vec<ShardMetrics>,
+    snapshot_misses: usize,
+}
+
+/// Runs the schedule `seed` chooses and checks oracles 1–4 on it.
+fn run_seed(seed: u64) -> Outcome {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let pairs = rmat::generate(&RmatConfig {
+        scale: rng.gen_range(3..=7u64) as u32,
+        edge_factor: rng.gen_range(1..=4u64) as u32,
+        seed: rng.next_u64(),
+        ..RmatConfig::graph500(3)
+    });
+    let k = rng.gen_range(1..=3usize);
+    let batch = [1, 2, 8, 256][rng.gen_range(0..4usize)];
+    let chunk = rng.gen_range(1..=128usize);
+    if rng.next_u64() & 1 == 0 {
+        run_schedule(MinCc, None, &pairs, k, batch, chunk, rng)
+    } else {
+        run_schedule(Levels, Some(pairs[0].0), &pairs, k, batch, chunk, rng)
+    }
+}
+
+fn run_schedule<A: Algorithm<State = u64> + Copy>(
+    algo: A,
+    source: Option<VertexId>,
+    pairs: &[(VertexId, VertexId)],
+    k: usize,
+    batch: usize,
+    chunk: usize,
+    mut rng: SmallRng,
+) -> Outcome {
+    let mut sim = Sim::new(algo, k, batch, chunk, pairs);
+    if let Some(v) = source {
+        sim.ctl.init_vertex(v).expect("the owner's channel is open");
+    }
+    // The unfair stretch: each tick feeds a chunk (one time in
+    // `feed_odds`) or steps a shard drawn by weight. Weights are redrawn
+    // every `stretch` ticks, and a weight of 0 starves its shard for the
+    // stretch: its lanes fill and its peers' held backlogs form.
+    let unfair = rng.gen_range(0..4_000u64);
+    let stretch = rng.gen_range(64..=2_048u64);
+    let feed_odds = rng.gen_range(2..=16u64);
+    let snap_at = rng.gen_range(0..=unfair);
+    let quiesced = rng.next_u64() & 1 == 0;
+    let mut weights = vec![1u64; k];
+    for t in 0..unfair {
+        if t == snap_at {
+            sim.open_snapshot(quiesced);
+        }
+        if t % stretch == 0 {
+            weights = (0..k)
+                .map(|_| [0, 1, 1, 4][rng.gen_range(0..4usize)])
+                .collect();
+            weights[rng.gen_range(0..k)] += 1;
+        }
+        if !sim.all_fed() && rng.gen_range(0..feed_odds) == 0 {
+            let s = rng.gen_range(0..k);
+            sim.feed(s);
+            continue;
+        }
+        let mut pick = rng.gen_range(0..weights.iter().sum::<u64>());
+        let mut s = 0;
+        while pick >= weights[s] {
+            pick -= weights[s];
+            s += 1;
+        }
+        sim.step(s);
+    }
+    if sim.snap.is_none() {
+        sim.open_snapshot(quiesced);
+    }
+    sim.settle(true);
+
+    // Oracle 1, and the snapshot's cut.
+    let full = solve(algo, source, pairs);
+    let states = sim.states();
+    assert_eq!(states, full, "the final states are the static solve");
+    let snap = sim.snap.take().expect("a snapshot was opened");
+    let cut: Vec<_> = (0..k)
+        .flat_map(|s| sim.shares[s][..snap.cut[s].expect("every shard acked")].to_vec())
+        .collect();
+    let expect = solve(algo, source, &cut);
+    let got = snap.states.expect("the old epoch drained");
+    let snapshot_misses = if snap.quiesced {
+        assert_eq!(
+            got, expect,
+            "a quiesced snapshot is the static solve of its cut"
+        );
+        0
+    } else {
+        check_mid_flight::<A>(&got, &expect, &full);
+        expect.iter().filter(|e| !got.contains(e)).count()
+    };
+    Outcome {
+        states,
+        counts: sim.check_balance(),
+        snapshot_misses,
+    }
+}
+
+/// What `Engine::try_snapshot` promises mid-flight: every vertex of the
+/// cut is present, and no state is past the full stream's fixpoint.
+fn check_mid_flight<A: Algorithm<State = u64>>(got: &States, cut: &States, full: &States) {
+    for (v, _) in cut {
+        assert!(
+            got.binary_search_by_key(v, |e| e.0).is_ok(),
+            "cut vertex {v} is missing"
+        );
+    }
+    for (v, s) in got {
+        let i = full
+            .binary_search_by_key(v, |e| e.0)
+            .expect("a vertex of the stream");
+        assert!(
+            A::absorbs(&full[i].1, s),
+            "vertex {v}: snapshot state {s} is past the fixpoint {}",
+            full[i].1
+        );
+    }
+}
+
+proptest! {
+    /// Oracles 1–4 on every seeded schedule, and oracle 5 on a second run
+    /// of each. `PROPTEST_CASES` scales the sweep.
+    #[test]
+    fn seeded_schedules_match_the_static_solve(seed in any::<u64>()) {
+        let first = run_seed(seed);
+        prop_assert_eq!(first, run_seed(seed), "the same seed replays");
+    }
+}
+
+/// A receiver starved while its peer pulls: the lane fills, the peer
+/// holds what does not fit, and the fair schedule then delivers it all.
+#[test]
+fn starved_receiver_fills_its_lane_and_its_peer_holds() {
+    let pairs = rmat::generate(&RmatConfig {
+        seed: 7,
+        ..RmatConfig::graph500(6)
+    });
+    let mut sim = Sim::new(MinCc, 2, 1, INGEST_CHUNK, &pairs);
+    while sim.feed(0) {}
+    for _ in 0..64 {
+        sim.step(0);
+    }
+    assert!(
+        sim.workers[0].held_batches() > 0,
+        "a backlog held for the full lane"
+    );
+    assert!(sim.workers[0].metrics.lane_full_fallbacks > 0);
+    sim.settle(true);
+    assert_eq!(sim.states(), solve(MinCc, None, &pairs));
+    sim.check_balance();
+}
+
+/// The exact work of one schedule (ROADMAP item 2(c)): two shards in
+/// round robin over RMAT-10 seed 1, the window-bounded feed and the
+/// default batch. Every count is a function of the stream and the
+/// schedule, so a change that moves one changed what the engine does.
+#[test]
+fn round_robin_counts_are_exact() {
+    let pairs = rmat::generate(&RmatConfig {
+        seed: 1,
+        ..RmatConfig::graph500(10)
+    });
+    let mut sim = Sim::new(MinCc, 2, 256, INGEST_CHUNK, &pairs);
+    sim.settle(true);
+    assert_eq!(sim.states(), solve(MinCc, None, &pairs));
+    let counts = sim.check_balance();
+    let expect = [
+        ShardMetrics {
+            topo_ingested: 8_192,
+            add_events: 7_974,
+            reverse_add_events: 7_976,
+            update_events: 662,
+            envelopes_sent: 17_705,
+            edges_inserted: 10_123,
+            duplicate_edges: 5_827,
+            updates_dominated: 780,
+            updates_suppressed: 553,
+            lane_batches: 38,
+            batches_recycled: 38,
+            flush_deferrals: 64,
+            trace_roots: 128,
+            trace_spans: 651,
+            ..ShardMetrics::default()
+        },
+        ShardMetrics {
+            topo_ingested: 8_192,
+            add_events: 8_410,
+            reverse_add_events: 8_408,
+            update_events: 777,
+            envelopes_sent: 18_363,
+            edges_inserted: 10_970,
+            duplicate_edges: 5_848,
+            updates_dominated: 1_081,
+            updates_suppressed: 894,
+            lane_batches: 36,
+            batches_recycled: 36,
+            flush_deferrals: 64,
+            trace_roots: 128,
+            trace_spans: 678,
+            ..ShardMetrics::default()
+        },
+    ];
+    assert_eq!(counts, expect, "work counts moved");
+}
+
+/// ROADMAP item 6, reproduced from a seed: BFS on two shards, a snapshot
+/// opened mid-flight. Nine of its states sit above their level in the
+/// static solve of its cut. It is still the bound `Engine::try_snapshot`
+/// promises (`check_mid_flight`), not the cut's solve; exact snapshots
+/// make this count 0.
+#[test]
+fn mid_flight_snapshot_of_seed_794481089737669381_falls_short_of_its_cut() {
+    assert_eq!(run_seed(794_481_089_737_669_381).snapshot_misses, 9);
+}
