@@ -2,21 +2,25 @@
 //! run label algorithms, whose entries keep no weight, so a checkpoint that
 //! lost weights would pass them. Here an `IncSssp` engine (`Edge = Weight`)
 //! loads a quarter of its stream, starts the source and loses a shard to a
-//! panic during the rest: the shard restores its last checkpoint — every
-//! weighted entry rebuilt from the checkpoint's edge records — replays its
-//! WAL, and the run still converges to Dijkstra.
+//! panicking callback during the rest: the shard restores its last
+//! checkpoint — every weighted entry rebuilt from the checkpoint's edge
+//! records — replays its WAL, and the run still converges to Dijkstra.
 
 use remo_algos::IncSssp;
 use remo_baseline as oracle;
-use remo_core::{DurabilityConfig, Engine, EngineConfig, FaultPlan, VertexId};
+use remo_core::{DurabilityConfig, Engine, EngineConfig, VertexId};
 use remo_gen::RmatConfig;
 use remo_store::hash::mix64;
 use std::time::{Duration, Instant};
 
-/// Envelopes shard 1 processes when `edges` are ingested with no source:
-/// one add or reverse-add per edge end it owns and no update, since no
-/// cost is reached. The count does not depend on thread interleaving, and
-/// it is what the fault plan's `panic_at` counts.
+#[path = "../../core/tests/faults/mod.rs"]
+mod faults;
+use faults::Faulty;
+
+/// Callbacks shard 1 runs when `edges` are ingested with no source: one
+/// add or reverse-add per edge end it owns and no update, since no cost
+/// is reached. The count does not depend on thread interleaving, and it is
+/// what [`Faulty::panic_at`] counts.
 fn topology_events_on_shard_1(edges: &[(VertexId, VertexId, u64)]) -> u64 {
     let engine = Engine::new(IncSssp, EngineConfig::undirected(2));
     engine.try_ingest_weighted(edges).unwrap();
@@ -47,22 +51,20 @@ fn durable_sssp_respawns_and_converges_to_dijkstra() {
 
     let (first, rest) = edges.split_at(edges.len() / 4);
     // Shard 1 panics halfway through its share of the rest's topology
-    // events: after the first quarter, which it finishes before the source
-    // starts, and before the end, since the rest brings at least that many
-    // events whatever else it sends.
+    // callbacks: after the first quarter, which it finishes before the
+    // source starts, and before the end, since the rest brings at least
+    // that many callbacks whatever updates come with them.
     let loaded = topology_events_on_shard_1(first);
     let panic_at = loaded + (topology_events_on_shard_1(&edges) - loaded) / 2;
 
     let dir = std::env::temp_dir().join(format!("remo-durable-sssp-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let config = EngineConfig::undirected(2)
-        .with_durability(
-            DurabilityConfig::new(&dir)
-                .checkpoint_every(512)
-                .fsync(false),
-        )
-        .with_fault_plan(FaultPlan::panic_shard_at(1, panic_at));
-    let engine = Engine::new(IncSssp, config);
+    let config = EngineConfig::undirected(2).with_durability(
+        DurabilityConfig::new(&dir)
+            .checkpoint_every(512)
+            .fsync(false),
+    );
+    let engine = Engine::new(Faulty::on(1, IncSssp).panic_at(panic_at), config);
     engine.try_ingest_weighted(first).unwrap();
     engine.try_await_quiescence().unwrap();
     // Idle shards checkpoint, so the panic below restores weighted edges,

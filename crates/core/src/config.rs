@@ -7,7 +7,6 @@
 
 use std::time::Duration;
 
-use crate::supervision::FaultPlan;
 use crate::wal::DurabilityConfig;
 
 // Named only by the doc comments below.
@@ -30,9 +29,6 @@ pub struct EngineConfig {
     /// promptly if a shard *panics*, because every wait also checks the
     /// failure board and a dead replier disconnects its reply channel.
     pub quiescence_deadline: Option<Duration>,
-    /// Chaos-injection hook for the fault-tolerance test-suite. The
-    /// default plan injects nothing and costs one cached branch per shard.
-    pub fault_plan: FaultPlan,
     /// Envelopes buffered per destination shard before a batch ships
     /// (HavoqGT batches visitor messages the same way); partial batches
     /// flush whenever the shard goes idle, so no envelope waits for a full
@@ -56,7 +52,6 @@ impl EngineConfig {
             num_shards: shards,
             undirected: true,
             quiescence_deadline: None,
-            fault_plan: FaultPlan::default(),
             envelope_batch: 256,
             durability: None,
         }
@@ -78,12 +73,6 @@ impl EngineConfig {
     /// [`Algorithm::decode_state`]: crate::Algorithm::decode_state
     pub fn with_durability(mut self, durability: DurabilityConfig) -> Self {
         self.durability = Some(durability);
-        self
-    }
-
-    /// Same config with a chaos-injection plan (tests and fault drills).
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
         self
     }
 }

@@ -894,8 +894,8 @@ impl<A: Algorithm> Engine<A> {
 
         // Join with a deadline: a healthy shard exits promptly after
         // Shutdown, a panicked shard's thread is already gone, and a wedged
-        // shard (e.g. chaos delay) is detached and reported, never joined
-        // unboundedly.
+        // shard (a callback that never returns) is detached and reported,
+        // never joined unboundedly.
         self.wait_shutdown(|| self.handles.iter().all(JoinHandle::is_finished));
         for (id, h) in self.handles.drain(..).enumerate() {
             let lost = |payload| ShardFailure {
@@ -923,15 +923,15 @@ impl<A: Algorithm> Engine<A> {
         }
         let failures = self.ctl.board.snapshot();
         // Every shard's last cell publish is its final count: a finished
-        // shard published in `report`, a dead one on its way down (a chaos
-        // panic publishes a last cell; otherwise it is at most
-        // PUBLISH_EVERY events stale), and `lost_shards` names the dead.
+        // shard published in `report`, a dead one on its way down (its
+        // supervisor publishes before recording the failure), and
+        // `lost_shards` names the dead.
         let metrics = self.ctl.tele.snapshot_metrics();
         // Satellite invariant: on a clean, quiesced harvest every envelope
         // counted as sent was accounted for exactly once. Lost shards void
         // the equation (their in-flight envelopes retired as
-        // undeliverable on survivors, their own counters are a stale
-        // cell), as does a timed-out degraded finish.
+        // undeliverable on survivors, the ones they held at death never
+        // retired), as does a timed-out degraded finish.
         if failures.is_empty() {
             debug_assert!(
                 metrics.verify_balance().is_ok(),

@@ -123,7 +123,7 @@ pub use registry::{Cell, QueryId, QueryRegistry, RegPayload, MAX_QUERIES};
 pub use sequential::SequentialEngine;
 pub use snapshot::Snapshot;
 pub use storage::DenseStore;
-pub use supervision::{EngineError, FaultPlan, ShardFailure, CHAOS_PANIC_MARKER};
+pub use supervision::{EngineError, ShardFailure};
 pub use telemetry::{EngineGauges, QueryStatsRow, QueryStatsSource, TelemetryHub, SAMPLE_SHIFT};
 pub use trace::{HopStats, PropagationTrace, TraceSummary};
 pub use trigger::TriggerFire;

@@ -89,11 +89,6 @@ shard_metrics! {
     triggers_fired,
     /// Vertex state forks performed for snapshot epochs.
     snapshot_forks,
-    /// Faults injected on this shard by the configured
-    /// [`FaultPlan`](crate::FaultPlan) (0 outside chaos runs).
-    faults_injected,
-    /// Outbound envelopes deliberately lost by fault injection.
-    envelopes_dropped,
     /// Envelopes retired because their destination was already gone
     /// (engine teardown, or the destination shard died).
     envelopes_undeliverable,
@@ -414,8 +409,7 @@ impl RunMetrics {
     /// ```text
     /// envelopes_sent + controller_sent
     ///   == events_processed + updates_dominated
-    ///    + envelopes_undeliverable + envelopes_dropped
-    ///    + envelopes_recovered
+    ///    + envelopes_undeliverable + envelopes_recovered
     /// ```
     ///
     /// `updates_suppressed` are dropped *before* sending and never enter
@@ -427,9 +421,8 @@ impl RunMetrics {
     /// and replay-generated traffic is fresh-counted on both sides).
     ///
     /// The equation only closes on runs that reached quiescence with all
-    /// shards alive: a lost shard's last snapshot can trail its true
-    /// counters, and in-flight envelopes at the moment of death are
-    /// unaccounted. `try_finish` debug-asserts this on every clean
+    /// shards alive: the envelopes a lost shard held at the moment of
+    /// death are unaccounted. `try_finish` debug-asserts this on every clean
     /// harvest; chaos and property suites call it explicitly.
     ///
     /// Since PR 10 this also checks the phase-accounting decomposition
@@ -442,7 +435,6 @@ impl RunMetrics {
         let accounted = t.events_processed()
             + t.updates_dominated
             + t.envelopes_undeliverable
-            + t.envelopes_dropped
             + t.envelopes_recovered;
         // Phase accounting: the attributed phases must decompose the busy
         // wall they were carved out of. Each phase lap stops before the
@@ -479,7 +471,7 @@ impl RunMetrics {
             Err(format!(
                 "envelope balance violated: sent {} (shards {} + controller {}) \
                  != accounted {} (processed {} + dominated {} + undeliverable {} \
-                 + dropped {} + recovered {})",
+                 + recovered {})",
                 sent,
                 t.envelopes_sent,
                 self.controller_sent,
@@ -487,7 +479,6 @@ impl RunMetrics {
                 t.events_processed(),
                 t.updates_dominated,
                 t.envelopes_undeliverable,
-                t.envelopes_dropped,
                 t.envelopes_recovered,
             ))
         }

@@ -42,7 +42,7 @@ use crate::event::{Chunk, ControlKind, ControlOp, Envelope, Epoch, EventKind, To
 use crate::metrics::ShardMetrics;
 use crate::partition::Partitioner;
 use crate::storage::DenseStore;
-use crate::supervision::{panic_payload_string, FailureBoard, ShardFailure, CHAOS_PANIC_MARKER};
+use crate::supervision::{panic_payload_string, FailureBoard, ShardFailure};
 use crate::telemetry::{TelemetryShared, PUBLISH_EVERY, SAMPLE_SHIFT};
 use crate::termination::SharedCounters;
 use crate::trace::{self, SpanKind, TraceTag};
@@ -67,12 +67,12 @@ const FLUSH_HYSTERESIS: u32 = 32;
 /// pulls back to back before it looks up again — re-probes its lanes and
 /// control channel, re-reads the epoch, publishes `ingested`. Everything
 /// that defines an update stays per event (routing, epoch tag, trace
-/// sampling, fault injection); only the pass's fixed costs are
-/// amortised. The bound is what a point read or control sweep can wait
-/// behind (a pull is a route, not a cascade: the run's envelopes queue
-/// and are processed by the next pass), and a run holds at most this many
-/// extra envelopes. 64 sits on the flat of the 1/8/64/512 sweep (DESIGN.md
-/// §12.1); 1 pays every fixed cost once per event.
+/// sampling); only the pass's fixed costs are amortised. The bound is what
+/// a point read or control sweep can wait behind (a pull is a route, not a
+/// cascade: the run's envelopes queue and are processed by the next pass),
+/// and a run holds at most this many extra envelopes. 64 sits on the flat
+/// of the 1/8/64/512 sweep (DESIGN.md §12.1); 1 pays every fixed cost once
+/// per event.
 const PULL_RUN: usize = 64;
 
 /// Ingest chunk: the most topology events one controller hand-off
@@ -167,9 +167,6 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     triggers: Arc<Vec<TriggerDef<A::State>>>,
     trigger_tx: Sender<TriggerFire>,
 
-    /// True iff `config.fault_plan` targets this shard — precomputed so the
-    /// fault-free data path pays one predictable branch, not a plan scan.
-    fault_armed: bool,
     store: DenseStore<A::State, A::Edge>,
     /// Envelopes this shard sent to itself — the shard's one local queue:
     /// bypass the channel, preserve FIFO (a local queue is trivially
@@ -219,9 +216,6 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     /// (see [`Custody`]). `None` with durability off, which every custody
     /// point pays for with one untaken branch.
     custody: Option<Custody<A>>,
-    /// `FaultPlan::panic_at` firings so far (bounded by
-    /// `FaultPlan::panic_repeats` once respawn makes refiring possible).
-    panics_fired: u32,
 }
 
 /// Which `phase_*_ns` counter a loop segment belongs to.
@@ -258,7 +252,6 @@ impl<A: Algorithm> ShardWorker<A> {
     ) -> Self {
         let part = Partitioner::new(config.num_shards);
         let num_shards = config.num_shards;
-        let fault_armed = config.fault_plan.targets(id);
         let custody = Custody::for_shard(&config, id);
         ShardWorker {
             id,
@@ -270,7 +263,6 @@ impl<A: Algorithm> ShardWorker<A> {
             board: Arc::clone(&ctl.board),
             triggers,
             trigger_tx,
-            fault_armed,
             store: DenseStore::with_capacity(0),
             local_q: VecDeque::new(),
             chunks: VecDeque::new(),
@@ -296,7 +288,6 @@ impl<A: Algorithm> ShardWorker<A> {
                 run: PhaseLabel::Drain,
             },
             custody,
-            panics_fired: 0,
         }
     }
 
@@ -357,10 +348,13 @@ impl<A: Algorithm> ShardWorker<A> {
                 continue;
             }
             // Permanent (durability off, or budget exhausted): the counter
-            // cell and the span ring outlive the thread and describe it.
-            // Lift a pending recovery gate — nobody will finish this
-            // recovery, and the degraded paths detect the loss through the
-            // failure board, not the probe.
+            // cell and the span ring outlive the thread and describe it, so
+            // last words first — a publish before the board records the
+            // failure, or up to PUBLISH_EVERY - 1 events of counters die
+            // with the thread. Lift a pending recovery gate — nobody will
+            // finish this recovery, and the degraded paths detect the loss
+            // through the failure board, not the probe.
+            self.publish_telemetry();
             if self.custody.as_mut().is_some_and(Custody::abandon) {
                 shared.recovery_end();
             }
@@ -375,40 +369,6 @@ impl<A: Algorithm> ShardWorker<A> {
             shared.bell.ring();
             return None;
         }
-    }
-
-    /// Injects the configured faults for this shard ahead of processing one
-    /// algorithmic event. Only called when `fault_armed` is set.
-    #[cold]
-    fn inject_faults(&mut self) {
-        let plan = self.config.fault_plan.clone();
-        if let Some((shard, delay)) = plan.delay {
-            if shard == self.id {
-                self.metrics.faults_injected += 1;
-                std::thread::sleep(delay);
-            }
-        }
-        if let Some((shard, nth)) = plan.panic_at {
-            // `seq` was incremented at the top of `process`, so it is the
-            // 1-based index of the event being processed right now. A
-            // respawned shard re-arms the same fault until the plan's
-            // `panic_repeats` budget is spent (the counter moves *before*
-            // the panic, so a recovered worker remembers the firing).
-            if shard == self.id && self.seq >= nth && self.panics_fired < plan.panic_repeats {
-                self.panics_fired += 1;
-                self.chaos_panic(format!("at event {}", self.seq));
-            }
-        }
-    }
-
-    /// Chaos: the plan kills this shard `at` the named point. Last words
-    /// first: the final cell publish lets the engine fold this shard's
-    /// counters into the aggregate instead of losing them with the thread.
-    #[cold]
-    fn chaos_panic(&mut self, at: String) -> ! {
-        self.metrics.faults_injected += 1;
-        self.publish_telemetry();
-        panic!("{CHAOS_PANIC_MARKER}: shard {} {at}", self.id);
     }
 
     /// Run-merged phase attribution: closes the open window and starts a
@@ -485,9 +445,9 @@ impl<A: Algorithm> ShardWorker<A> {
     }
 
     /// One pass: *inbound → epoch → pull run → idle flush, publish,
-    /// checkpoint*. It never parks, yields or waits on the channel (the
-    /// one sleep it can reach is a `FaultPlan` delay), so the shard's thread
-    /// and a test's scheduler run the same pass.
+    /// checkpoint*. It never parks, yields or waits on the channel, so the
+    /// shard's thread and a test's scheduler run the same pass (a callback
+    /// that blocks holds either one).
     pub(crate) fn step(&mut self) -> Progress {
         use std::sync::atomic::Ordering;
         // Phase 1 — inbound: drain all queued messages (algorithm events
@@ -806,15 +766,11 @@ impl<A: Algorithm> ShardWorker<A> {
     /// accounted — its producer counted it sent, and either its original
     /// processing or the custody sweep counted it processed — so replay
     /// must re-derive its *effects* without re-counting the input
-    /// (termination parity, per-kind event metrics, dominance retires) and
-    /// without re-arming fault injection. Everything *generated* here
-    /// (cascade updates, reverse events) is fresh on either path and is
-    /// always fully counted.
+    /// (termination parity, per-kind event metrics, dominance retires).
+    /// Everything *generated* here (cascade updates, reverse events) is
+    /// fresh on either path and is always fully counted.
     fn process_inner(&mut self, env: Envelope<A::State>, count_input: bool) {
         self.seq += 1;
-        if self.fault_armed && count_input {
-            self.inject_faults();
-        }
         let target = env.target;
         // The storage probe of the hot path: one per envelope; every
         // access below is direct indexing off the handle. Only an `Update`
@@ -1029,19 +985,6 @@ impl<A: Algorithm> ShardWorker<A> {
         // `envelopes_sent`). `b` is the destination shard.
         if env.tag != 0 {
             self.trace_span(SpanKind::Send, env.tag, env.target, owner as u64);
-        }
-        // Chaos: lose this envelope "in transit" — after the sent counter
-        // was published, exactly like a message a real network ate. The
-        // imbalance is what the controller's deadline machinery must catch.
-        if self.fault_armed
-            && self
-                .config
-                .fault_plan
-                .should_drop(self.id, self.metrics.envelopes_sent)
-        {
-            self.metrics.faults_injected += 1;
-            self.metrics.envelopes_dropped += 1;
-            return;
         }
         if owner == self.id {
             self.local_q.push_back(env);
@@ -1263,21 +1206,17 @@ impl<A: Algorithm> ShardWorker<A> {
             return;
         }
         let header = (self.seq, self.cur_epoch, self.edges);
-        let written = self
-            .custody
-            .as_mut()
-            .map(|c| c.checkpoint(&self.store, header, &mut self.metrics));
-        if let Some(Err(attempt)) = written {
-            self.chaos_panic(format!("during checkpoint {attempt}"));
+        if let Some(c) = &mut self.custody {
+            c.checkpoint(&self.store, header, &mut self.metrics);
         }
     }
 
-    /// Restore + replay, inside the supervised region (a panic here —
-    /// chaos-injected or real — consumes another respawn). Replayed
-    /// records run uncounted ([`ShardWorker::process_inner`] with
-    /// `count_input = false`); the traffic they *generate* is fresh and
-    /// fully counted, which is what keeps the four-counter books balanced
-    /// over at-least-once replay.
+    /// Restore + replay, inside the supervised region (a panic here — a
+    /// replayed callback's, or a custody IO failure — consumes another
+    /// respawn). Replayed records run uncounted
+    /// ([`ShardWorker::process_inner`] with `count_input = false`); the
+    /// traffic they *generate* is fresh and fully counted, which is what
+    /// keeps the four-counter books balanced over at-least-once replay.
     #[cold]
     fn recover(&mut self) {
         let Some(c) = &mut self.custody else {
@@ -1285,10 +1224,7 @@ impl<A: Algorithm> ShardWorker<A> {
         };
         let records = c.restore(&mut self.store, &mut self.seq, &mut self.edges);
         let total = records.len() as u64;
-        for (nth, rec) in (1..).zip(records) {
-            if self.custody.as_mut().is_some_and(|c| c.replay_fault(nth)) {
-                self.chaos_panic(format!("during replay record {nth}"));
-            }
+        for rec in records {
             match rec {
                 // The tag rides the WAL frame, so a replayed envelope
                 // keeps its trace identity — process_inner records a

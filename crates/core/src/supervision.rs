@@ -1,15 +1,12 @@
-//! Engine supervision: failure taxonomy, the shard failure board, and the
-//! chaos-injection [`FaultPlan`].
+//! Engine supervision: the failure taxonomy and the shard failure board.
 //!
 //! The paper's system (and the seed reproduction) assumes every process
 //! stays alive for the whole run. This module supplies what a production
-//! deployment needs instead: a shard that panics publishes a structured
+//! deployment needs instead: a shard that panics — in an algorithm
+//! callback, or on a durable-state IO failure — publishes a structured
 //! [`ShardFailure`] to a shared [`FailureBoard`] rather than silently
 //! dying, and every controller-side wait carries a deadline so the engine
-//! surfaces [`EngineError`] instead of hanging. The [`FaultPlan`] hook lets
-//! the chaos test-suite inject panics, delivery delays, and envelope loss
-//! deterministically; with the default (empty) plan the per-shard cost is a
-//! single predictable branch off the data path.
+//! surfaces [`EngineError`] instead of hanging.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -224,117 +221,6 @@ pub(crate) fn panic_payload_string(payload: Box<dyn std::any::Any + Send>) -> St
     }
 }
 
-/// Deterministic fault injection for the chaos test-suite.
-///
-/// The default plan injects nothing, and the engine's happy path pays only
-/// one precomputed boolean branch per shard event (`ShardWorker` caches
-/// whether the plan targets it at spawn time), so the plan can stay a plain
-/// runtime field of [`EngineConfig`](crate::EngineConfig) rather than a
-/// compile-time feature.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultPlan {
-    /// Panic shard `.0` when it is about to process its `.1`-th
-    /// algorithmic event (1-based): the classic fail-stop fault.
-    pub panic_at: Option<(usize, u64)>,
-    /// Sleep `.1` before each algorithmic event processed on shard `.0`:
-    /// models a straggler / slow-delivery shard.
-    pub delay: Option<(usize, Duration)>,
-    /// On shard `.0`, silently drop outbound envelopes with probability
-    /// `.1` (decided by a deterministic hash of the shard's send sequence).
-    /// Dropped envelopes stay counted as *sent*: they model messages lost
-    /// in transit, so quiescence is never reached — exercising the
-    /// controller's deadline paths.
-    pub drop_fraction: Option<(usize, f64)>,
-    /// How many times `panic_at` fires in total (default 1): with
-    /// durability enabled a respawned shard re-arms the same fault until
-    /// this budget is spent, so a plan can kill the same shard repeatedly
-    /// across recoveries.
-    pub panic_repeats: u32,
-    /// Panic shard `.0` while it is *replaying* its `.1`-th WAL record
-    /// (1-based) during recovery: the twice-dying shard case. Fires once.
-    pub panic_in_replay: Option<(usize, u64)>,
-    /// Panic shard `.0` while writing its `.1`-th checkpoint (1-based),
-    /// after staging but before publish: exercises checkpoint atomicity.
-    /// Fires once.
-    pub panic_in_checkpoint: Option<(usize, u64)>,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan {
-            panic_at: None,
-            delay: None,
-            drop_fraction: None,
-            panic_repeats: 1,
-            panic_in_replay: None,
-            panic_in_checkpoint: None,
-        }
-    }
-}
-
-impl FaultPlan {
-    /// A plan that panics `shard` at its `nth` processed event (1-based).
-    pub fn panic_shard_at(shard: usize, nth: u64) -> Self {
-        FaultPlan {
-            panic_at: Some((shard, nth)),
-            ..Default::default()
-        }
-    }
-
-    /// A plan that delays every event on `shard` by `delay`.
-    pub fn delay_shard(shard: usize, delay: Duration) -> Self {
-        FaultPlan {
-            delay: Some((shard, delay)),
-            ..Default::default()
-        }
-    }
-
-    /// A plan that drops `fraction` (0.0–1.0) of `shard`'s outbound
-    /// envelopes.
-    pub fn drop_on_shard(shard: usize, fraction: f64) -> Self {
-        FaultPlan {
-            drop_fraction: Some((shard, fraction)),
-            ..Default::default()
-        }
-    }
-
-    /// Re-arms `panic_at` to fire `repeats` times in total instead of once
-    /// (each respawn under durability re-counts events from zero).
-    pub fn repeat_panics(mut self, repeats: u32) -> Self {
-        self.panic_repeats = repeats;
-        self
-    }
-
-    /// True when this plan injects a fault on shard `id`'s data path —
-    /// precomputed by each worker so the clean path is one branch. The
-    /// replay and checkpoint faults are the shard's custody's to fire.
-    pub(crate) fn targets(&self, id: usize) -> bool {
-        self.panic_at.is_some_and(|(s, _)| s == id)
-            || self.delay.is_some_and(|(s, _)| s == id)
-            || self.drop_fraction.is_some_and(|(s, _)| s == id)
-    }
-
-    /// Deterministic per-sequence-number drop decision.
-    pub(crate) fn should_drop(&self, id: usize, seq: u64) -> bool {
-        match self.drop_fraction {
-            Some((shard, fraction)) if shard == id => {
-                // SplitMix64-style scramble of the send sequence number:
-                // reproducible across runs, uncorrelated with batch sizes.
-                let mut x = seq.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                x ^= x >> 31;
-                ((x >> 11) as f64 / (1u64 << 53) as f64) < fraction
-            }
-            _ => false,
-        }
-    }
-}
-
-/// Marker prefix for panics injected by [`FaultPlan::panic_at`], so chaos
-/// tests can assert the failure they observed is the one they injected.
-pub const CHAOS_PANIC_MARKER: &str = "remo-chaos: injected panic";
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -370,29 +256,6 @@ mod tests {
         });
         assert!(board.is_failed(100));
         assert!(!board.is_failed(99));
-    }
-
-    #[test]
-    fn fault_plan_targets_only_chosen_shard() {
-        let plan = FaultPlan::panic_shard_at(2, 5);
-        assert!(plan.targets(2));
-        assert!(!plan.targets(0));
-        assert!(FaultPlan::default() == FaultPlan::default());
-        assert!(!FaultPlan::default().targets(0));
-    }
-
-    #[test]
-    fn drop_decision_is_deterministic_and_roughly_calibrated() {
-        let plan = FaultPlan::drop_on_shard(0, 0.25);
-        let first: Vec<bool> = (0..10_000).map(|s| plan.should_drop(0, s)).collect();
-        let second: Vec<bool> = (0..10_000).map(|s| plan.should_drop(0, s)).collect();
-        assert_eq!(first, second, "decisions must be reproducible");
-        let dropped = first.iter().filter(|&&d| d).count();
-        assert!(
-            (1_500..=3_500).contains(&dropped),
-            "~25% expected, got {dropped}/10000"
-        );
-        assert!(!plan.should_drop(1, 0), "other shards unaffected");
     }
 
     #[test]

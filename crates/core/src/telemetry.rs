@@ -12,7 +12,8 @@
 //! - **Snapshot cells** (`MetricsCell`): each shard republishes its
 //!   [`ShardMetrics`] into a per-shard seqlock-protected word array at
 //!   batch boundaries (every [`PUBLISH_EVERY`] retired envelopes, at idle
-//!   transitions, and — crucially — right before an injected panic).
+//!   transitions, and — crucially — when a shard dies, before its
+//!   failure is recorded).
 //!   `Engine::metrics_now` assembles a coherent cross-shard [`RunMetrics`]
 //!   from these cells at any time.
 //! - **Histograms** (`AtomicHistogram`): single-writer log2-bucketed

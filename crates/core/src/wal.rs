@@ -251,8 +251,8 @@ pub(crate) enum Replay<S> {
 
 /// One durable shard's custody, whole: its WAL handle and the frames not
 /// yet committed, the envelopes it logged and has not processed, the
-/// checkpoint interval, cold-start and recovery state, the respawn budget,
-/// and the fault plan's checkpoint and replay faults for this shard.
+/// checkpoint interval, cold-start and recovery state, and the respawn
+/// budget.
 pub(crate) struct Custody<A: Algorithm> {
     root: PathBuf,
     shard: usize,
@@ -283,12 +283,6 @@ pub(crate) struct Custody<A: Algorithm> {
     cold: bool,
     /// Respawns spent, of [`MAX_RESPAWNS`].
     respawns: u32,
-    /// Checkpoints attempted (the checkpoint fault counts them).
-    ckpt_attempts: u64,
-    /// `FaultPlan::panic_in_checkpoint` / `panic_in_replay` for this
-    /// shard, until it fires.
-    ckpt_fault: Option<u64>,
-    replay_fault: Option<u64>,
 }
 
 /// An algorithm's vertex store, as checkpoints write and restore it.
@@ -309,7 +303,6 @@ impl<A: Algorithm> Custody<A> {
         let d = config.durability.as_ref()?;
         let cold = fs::metadata(ckpt_path(&d.dir, shard)).is_ok()
             || fs::metadata(wal_path(&d.dir, shard)).is_ok_and(|m| m.len() > 0);
-        let mine = |fault: Option<(usize, u64)>| fault.filter(|&(s, _)| s == shard).map(|f| f.1);
         Some(Custody {
             root: d.dir.clone(),
             shard,
@@ -324,9 +317,6 @@ impl<A: Algorithm> Custody<A> {
             recovering: cold,
             cold,
             respawns: 0,
-            ckpt_attempts: 0,
-            ckpt_fault: mine(config.fault_plan.panic_in_checkpoint),
-            replay_fault: mine(config.fault_plan.panic_in_replay),
         })
     }
 
@@ -462,18 +452,15 @@ impl<A: Algorithm> Custody<A> {
     /// [`DenseStore::export_records`]) and the scalar header: stage →
     /// publish → truncate the WAL. A crash anywhere in the sequence leaves
     /// a recoverable pair: old checkpoint + full WAL, or new checkpoint +
-    /// (possibly still-full) WAL whose replay is idempotent. `Err(attempt)`
-    /// when the fault plan kills the shard between staging and publish:
-    /// the caller panics.
+    /// (possibly still-full) WAL whose replay is idempotent.
     #[cold]
     pub(crate) fn checkpoint(
         &mut self,
         store: &Store<A>,
         header: (u64, Epoch, u64),
         m: &mut ShardMetrics,
-    ) -> Result<(), u64> {
+    ) {
         let (seq, epoch, edges) = header;
-        self.ckpt_attempts += 1;
         let mut body = Vec::with_capacity(64 + store.num_vertices() * 48);
         put_u64(&mut body, seq);
         put_u32(&mut body, epoch);
@@ -504,10 +491,6 @@ impl<A: Algorithm> Custody<A> {
             "checkpoint staging",
             shard,
         );
-        if self.ckpt_fault.is_some_and(|n| self.ckpt_attempts >= n) {
-            self.ckpt_fault = None;
-            return Err(self.ckpt_attempts);
-        }
         or_die(publish_checkpoint(root, shard), "checkpoint publish", shard);
         if let Some(file) = self.wal.as_mut() {
             let reset = file
@@ -518,7 +501,6 @@ impl<A: Algorithm> Custody<A> {
         }
         self.since_ckpt = 0;
         m.checkpoints_written += 1;
-        Ok(())
     }
 
     /// Recovery, inside the supervised region: replaces `store` with the
@@ -546,16 +528,6 @@ impl<A: Algorithm> Custody<A> {
             *edges = ckpt_edges;
         }
         or_die(read_wal::<A>(&self.root, shard, cold), "WAL read", shard)
-    }
-
-    /// Chaos: true once, when the plan kills the shard while it replays
-    /// record `nth` (1-based) or a later one.
-    pub(crate) fn replay_fault(&mut self, nth: u64) -> bool {
-        let due = self.replay_fault.is_some_and(|at| nth >= at);
-        if due {
-            self.replay_fault = None;
-        }
-        due
     }
 
     /// Replay of `replayed` records ended. They are all still in the WAL
@@ -974,7 +946,7 @@ mod tests {
         let mut store: DenseStore<u64, ()> = DenseStore::with_capacity(0);
         let h = store.intern(7);
         *store.fork_and_parts(h, 0).1.live = 5;
-        c.checkpoint(&store, (11, 0, 3), &mut m).unwrap();
+        c.checkpoint(&store, (11, 0, 3), &mut m);
         assert_eq!(m.checkpoints_written, 1);
         assert!(read_wal::<Level>(&root, 0, false).unwrap().is_empty());
         let (mut restored, mut seq, mut edges) = (DenseStore::with_capacity(0), 2, 0);
@@ -1063,6 +1035,86 @@ mod tests {
             read_checkpoint(&root, 0).unwrap().as_deref(),
             Some(&b"v2"[..])
         );
+        // A crash between stage and publish leaves a staged file nobody
+        // reads; the next stage overwrites it and the publish moves it.
+        stage_checkpoint(&root, 0, b"abandoned-after-staging").unwrap();
+        assert_eq!(
+            read_checkpoint(&root, 0).unwrap().as_deref(),
+            Some(&b"v2"[..])
+        );
+        stage_checkpoint(&root, 0, b"v3").unwrap();
+        publish_checkpoint(&root, 0).unwrap();
+        assert_eq!(
+            read_checkpoint(&root, 0).unwrap().as_deref(),
+            Some(&b"v3"[..])
+        );
+        assert!(!ckpt_tmp_path(&root, 0).exists(), "nothing left staged");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+    /// Encodings [`Fragile`] has left before its next one panics.
+    static ENCODES_LEFT: AtomicU64 = AtomicU64::new(u64::MAX);
+
+    /// `Level`, whose `encode_state` panics once `ENCODES_LEFT` runs out.
+    struct Fragile;
+    impl Algorithm for Fragile {
+        type State = u64;
+        type Edge = ();
+        fn encode_state(s: &u64, out: &mut Vec<u8>) {
+            let left = ENCODES_LEFT.fetch_update(Relaxed, Relaxed, |n| n.checked_sub(1));
+            assert!(left.is_ok(), "injected encode_state failure");
+            Level::encode_state(s, out);
+        }
+        fn decode_state(b: &[u8]) -> u64 {
+            Level::decode_state(b)
+        }
+    }
+
+    /// A checkpoint that dies while it encodes the store publishes nothing
+    /// and resets nothing: recovery still reads the previous checkpoint
+    /// and the whole WAL, and the next checkpoint publishes.
+    #[test]
+    fn panic_while_checkpointing_keeps_previous_checkpoint_and_wal() {
+        let root = tmp_root("ckpt-panic");
+        let config =
+            EngineConfig::directed(1).with_durability(DurabilityConfig::new(&root).fsync(false));
+        let mut c = Custody::<Fragile>::for_shard(&config, 0).unwrap();
+        c.open();
+        let mut m = ShardMetrics::default();
+        let mut store: DenseStore<u64, ()> = DenseStore::with_capacity(0);
+        let h = store.intern(7);
+        *store.fork_and_parts(h, 0).1.live = 5;
+        c.checkpoint(&store, (1, 0, 0), &mut m);
+
+        c.admit([update(8, 0, 0)], &mut m);
+        c.take_admitted();
+        let h = store.intern(8);
+        *store.fork_and_parts(h, 0).1.live = 42;
+        ENCODES_LEFT.store(1, Relaxed);
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.checkpoint(&store, (2, 0, 0), &mut m);
+        }));
+        assert!(crashed.is_err(), "the second state's encoding panics");
+        assert_eq!(m.checkpoints_written, 1);
+        assert!(c.checkpoint_due(true), "the WAL still holds the admission");
+
+        let (mut restored, mut seq, mut edges) = (DenseStore::with_capacity(0), 0, 0);
+        let replay = c.restore(&mut restored, &mut seq, &mut edges);
+        assert_eq!((seq, restored.num_vertices()), (1, 1), "the first image");
+        assert!(
+            matches!(&replay[..], [Replay::Envelope(e)] if e.target == 8),
+            "the WAL was not reset"
+        );
+
+        ENCODES_LEFT.store(u64::MAX, Relaxed);
+        c.checkpoint(&store, (3, 0, 0), &mut m);
+        assert_eq!(m.checkpoints_written, 2);
+        let replay = c.restore(&mut restored, &mut seq, &mut edges);
+        assert!(replay.is_empty());
+        assert_eq!((seq, restored.num_vertices()), (3, 2));
+        assert_eq!(restored.get(8).map(|(s, _)| *s), Some(42));
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -1,19 +1,24 @@
-//! Chaos-injection suite: drives the engine through shard panics, delayed
-//! shards, and in-transit message loss via [`FaultPlan`], and asserts the
-//! supervised API's contract — errors within deadlines, never hangs, never
-//! aborts the process, and degraded harvests from surviving shards.
+//! Chaos suite: drives the engine through shard panics, slowed shards and
+//! a stalled shard, each one a callback of the algorithm under test (the
+//! [`faults::Faulty`] wrapper, or a gate), and asserts the supervised API's
+//! contract — errors within deadlines, never hangs, never aborts the
+//! process, and degraded harvests from surviving shards.
 //!
 //! Every test is written against wall-clock bounds well under the CI job's
 //! hard `timeout`, so a regression to the old block-forever behavior fails
 //! fast instead of wedging the suite.
 
 use std::path::PathBuf;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use remo_core::{
-    codec, AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineConfig, EngineError, FaultPlan,
-    Partitioner, QueryRegistry, RunMetrics, Snapshot, VertexId, CHAOS_PANIC_MARKER,
+    codec, AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineConfig, EngineError, Partitioner,
+    QueryRegistry, RunMetrics, Snapshot, VertexId,
 };
+
+mod faults;
+use faults::{Faulty, MARKER};
 
 /// The paper's §II-A example: count each vertex's degree. Enough to make
 /// every topology event fan out an envelope per endpoint. It sends no
@@ -73,21 +78,34 @@ fn ingest_racing_death<A: Algorithm>(engine: &Engine<A>, pairs: &[(VertexId, Ver
     }
 }
 
-fn chaos_config(plan: FaultPlan) -> EngineConfig {
+fn chaos_config() -> EngineConfig {
     EngineConfig {
         quiescence_deadline: Some(Duration::from_secs(5)),
-        fault_plan: plan,
         ..EngineConfig::undirected(2)
     }
 }
 
-/// Acceptance: with a FaultPlan that panics shard 1 at its first event,
+/// `Degree`, whose first callback on `shard` panics.
+fn dies_first(shard: usize) -> Faulty<Degree> {
+    Faulty::on(shard, Degree).panic_at(1)
+}
+
+/// `Degree` on [`cross_shard_pairs`], with shard 1 dying in its third
+/// callback. Shard 0 sends it only two reverse-adds, so by then shard 1
+/// has pulled its own stream, and it dies in the pass after that pull run,
+/// before any idle publish: only the publish a dying shard makes shows
+/// the pull in its counters.
+fn dies_after_its_pull() -> Faulty<Degree> {
+    Faulty::on(1, Degree).panic_at(3)
+}
+
+/// Acceptance: with a callback that panics on shard 1 at its first call,
 /// `try_await_quiescence` returns an error within the deadline — no hang,
 /// no process abort — and the failure report names shard 1 with the
 /// injected payload.
 #[test]
 fn await_quiescence_surfaces_shard_panic_within_deadline() {
-    let engine = Engine::new(Degree, chaos_config(FaultPlan::panic_shard_at(1, 1)));
+    let engine = Engine::new(dies_first(1), chaos_config());
     ingest_racing_death(&engine, &cross_shard_pairs());
 
     let start = Instant::now();
@@ -107,7 +125,7 @@ fn await_quiescence_surfaces_shard_panic_within_deadline() {
             );
             let f = failures.iter().find(|f| f.id == 1).unwrap();
             assert!(
-                f.payload.contains(CHAOS_PANIC_MARKER),
+                f.payload.contains(MARKER),
                 "panic payload must carry the injected marker, got: {}",
                 f.payload
             );
@@ -125,8 +143,8 @@ fn await_quiescence_surfaces_shard_panic_within_deadline() {
 /// the run is degraded, not lost.
 #[test]
 fn finish_degrades_to_surviving_shards() {
-    let engine = Engine::new(Degree, chaos_config(FaultPlan::panic_shard_at(1, 1)));
-    ingest_racing_death(&engine, &cross_shard_pairs());
+    let engine = Engine::new(dies_after_its_pull(), chaos_config());
+    engine.try_ingest_pairs(&cross_shard_pairs()).unwrap();
 
     let start = Instant::now();
     let result = engine
@@ -141,17 +159,22 @@ fn finish_degrades_to_surviving_shards() {
     assert!(result.is_degraded());
     assert_eq!(result.failures.len(), 1, "exactly one shard died");
     assert_eq!(result.failures[0].id, 1);
-    assert!(result.failures[0].payload.contains(CHAOS_PANIC_MARKER));
+    assert!(result.failures[0].payload.contains(MARKER));
     assert_eq!(result.metrics.lost_shards, vec![1]);
 
     // Lost-shard counter fold: the dead shard's final snapshot-cell
-    // publish (made just before the panic) lands in the aggregate rather
-    // than reading as zeros — the injected fault itself is proof.
+    // publish (made by its supervisor, before the failure is recorded)
+    // lands in the aggregate rather than reading as zeros — the pull of
+    // its last pass is proof.
     assert!(
-        result.metrics.per_shard[1].faults_injected >= 1,
+        result.metrics.per_shard[1].topo_ingested >= 1,
         "dead shard's last published counters must be folded in"
     );
-    assert!(result.metrics.total().faults_injected >= 1);
+    assert_eq!(
+        result.metrics.total().topo_ingested,
+        5,
+        "both streams pulled"
+    );
 
     // Every harvested state belongs to the surviving shard, and the
     // survivor did contribute state (its local pair was processed).
@@ -173,7 +196,7 @@ fn finish_degrades_to_surviving_shards() {
 /// the surviving shard keeps answering queries.
 #[test]
 fn local_state_on_dead_shard_fails_fast() {
-    let engine = Engine::new(Degree, chaos_config(FaultPlan::panic_shard_at(1, 1)));
+    let engine = Engine::new(dies_first(1), chaos_config());
     ingest_racing_death(&engine, &cross_shard_pairs());
 
     // Wait (bounded) for the failure to land on the board.
@@ -204,7 +227,7 @@ fn local_state_on_dead_shard_fails_fast() {
 /// liveness check instead of wedging at the epoch barrier.
 #[test]
 fn snapshot_on_degraded_engine_errors_not_hangs() {
-    let mut engine = Engine::new(Degree, chaos_config(FaultPlan::panic_shard_at(1, 1)));
+    let mut engine = Engine::new(dies_first(1), chaos_config());
     ingest_racing_death(&engine, &cross_shard_pairs());
 
     let start = Instant::now();
@@ -217,18 +240,42 @@ fn snapshot_on_degraded_engine_errors_not_hangs() {
     assert!(matches!(err, EngineError::ShardPanicked { .. }));
 }
 
-/// In-transit message loss (no shard dies): the four-counter imbalance is
-/// permanent, so the wait must end with `QuiescenceTimeout` once the
-/// configured deadline expires — the seed engine looped forever here.
+/// `Degree`, except that `init` holds its shard inside the callback —
+/// away from its lanes and its channel — from the first barrier to the
+/// second.
+struct Gated(Arc<[Barrier; 2]>);
+
+impl Algorithm for Gated {
+    type State = u64;
+    type Edge = ();
+    fn init(&self, _ctx: &mut impl AlgoCtx<u64>) {
+        self.0[0].wait();
+        self.0[1].wait();
+    }
+    fn on_add(&self, ctx: &mut impl AlgoCtx<u64>, v: VertexId, val: &u64, w: u64) {
+        Degree.on_add(ctx, v, val, w);
+    }
+    fn on_reverse_add(&self, ctx: &mut impl AlgoCtx<u64>, v: VertexId, val: &u64, w: u64) {
+        Degree.on_reverse_add(ctx, v, val, w);
+    }
+}
+
+/// A stalled shard (no shard dies): while a callback holds shard 0, the
+/// envelopes sent to it stay unprocessed, so the wait must end with
+/// `QuiescenceTimeout` once the configured deadline expires — the seed
+/// engine looped forever here. Released, the same engine quiesces and
+/// its books close.
 #[test]
-fn dropped_envelopes_hit_quiescence_deadline() {
+fn stalled_shard_hits_quiescence_deadline() {
     let deadline = Duration::from_millis(300);
     let config = EngineConfig {
         quiescence_deadline: Some(deadline),
-        fault_plan: FaultPlan::drop_on_shard(0, 1.0),
         ..EngineConfig::undirected(2)
     };
-    let engine = Engine::new(Degree, config);
+    let gate = Arc::new([Barrier::new(2), Barrier::new(2)]);
+    let engine = Engine::new(Gated(Arc::clone(&gate)), config);
+    engine.try_init_vertex(owned_by(0, 2)[0]).unwrap();
+    gate[0].wait();
     engine.try_ingest_pairs(&cross_shard_pairs()).unwrap();
 
     let start = Instant::now();
@@ -246,25 +293,41 @@ fn dropped_envelopes_hit_quiescence_deadline() {
     );
     assert!(
         engine.failures().is_empty(),
-        "message loss is not a shard failure"
+        "a stalled shard is not a shard failure"
     );
-    // Teardown of a non-quiescent engine must still complete (Drop path).
+
+    gate[1].wait();
+    engine
+        .try_await_quiescence()
+        .expect("the released shard catches up");
+    let result = engine.try_finish().unwrap();
+    assert!(!result.is_degraded());
+    assert_eq!(result.metrics.total().topo_ingested, 5);
+    result.metrics.verify_balance().unwrap();
 }
 
-/// Delay injection slows a shard without killing it: the run completes
-/// cleanly and the injected faults are visible in the metrics.
+/// A callback that sleeps slows its shard without killing it: the run
+/// completes cleanly and the delays are visible in the shard's phase
+/// accounting.
 #[test]
 fn delayed_shard_completes_and_reports_fault_metrics() {
-    let config = EngineConfig {
-        fault_plan: FaultPlan::delay_shard(1, Duration::from_millis(1)),
-        ..EngineConfig::undirected(2)
-    };
-    let engine = Engine::new(Degree, config);
+    let delay = Duration::from_millis(1);
+    let engine = Engine::new(
+        Faulty::on(1, Degree).delay(delay),
+        EngineConfig::undirected(2),
+    );
     engine.try_ingest_pairs(&cross_shard_pairs()).unwrap();
     let result = engine.try_finish().unwrap();
     assert!(!result.is_degraded());
+    let slow = &result.metrics.per_shard[1];
+    let delayed = slow.add_events + slow.reverse_add_events;
+    assert!(delayed >= 1, "shard 1 ran callbacks");
+    assert!(
+        u128::from(slow.phase_busy_ns) >= u128::from(delayed) * delay.as_nanos(),
+        "{delayed} delays of {delay:?} must show in {} busy ns",
+        slow.phase_busy_ns
+    );
     let total = result.metrics.total();
-    assert!(total.faults_injected >= 1, "delay faults must be counted");
     // The workload itself is fully processed despite the delays.
     assert_eq!(total.topo_ingested, 5);
     // Satellite (a): a clean (if slow) harvest closes the envelope books.
@@ -273,20 +336,18 @@ fn delayed_shard_completes_and_reports_fault_metrics() {
 
 /// A shard that dies while an ingest waits for room in its window ends the
 /// wait: `try_ingest_pairs` returns `ShardPanicked` within the deadline
-/// instead of hanging. Shard 1 is slowed (0.1 ms per event) so the first
-/// chunk it is handed is still being pulled when it dies at its 1,000th
-/// event, with more than a window of its share still to send. Even pairs
+/// instead of hanging. Shard 1's callbacks are slowed (0.1 ms each) so the
+/// first chunk it is handed is still being pulled when it dies in its
+/// 1,000th, with more than a window of its share still to send. Even pairs
 /// lie inside shard 0's partition and odd ones inside shard 1's, so the
 /// survivor exchanged nothing with the dead shard and its books must
 /// close alone.
 #[test]
 fn shard_death_ends_an_ingest_waiting_for_room() {
     let deadline = Duration::from_secs(5);
-    let config = chaos_config(FaultPlan {
-        panic_at: Some((1, 1_000)),
-        delay: Some((1, Duration::from_micros(100))),
-        ..FaultPlan::default()
-    });
+    let algo = Faulty::on(1, Degree)
+        .panic_at(1_000)
+        .delay(Duration::from_micros(100));
     let p = Partitioner::new(2);
     let own: Vec<Vec<VertexId>> = (0..2)
         .map(|s| (0u64..).filter(|&v| p.owner(v) == s).take(1_000).collect())
@@ -297,7 +358,7 @@ fn shard_death_ends_an_ingest_waiting_for_room() {
             (v[j % 1_000], v[(j * 7 + 1) % 1_000])
         })
         .collect();
-    let engine = Engine::new(Degree, config);
+    let engine = Engine::new(algo, chaos_config());
     let start = Instant::now();
     let err = engine
         .try_ingest_pairs(&pairs)
@@ -307,7 +368,7 @@ fn shard_death_ends_an_ingest_waiting_for_room() {
         EngineError::ShardPanicked { failures } => {
             assert!(failures
                 .iter()
-                .any(|f| f.id == 1 && f.payload.contains(CHAOS_PANIC_MARKER)));
+                .any(|f| f.id == 1 && f.payload.contains(MARKER)));
         }
         other => panic!("expected ShardPanicked, got: {other}"),
     }
@@ -328,7 +389,7 @@ fn shard_death_ends_an_ingest_waiting_for_room() {
 fn drop_without_finish_does_not_hang_on_dead_shard() {
     let start = Instant::now();
     {
-        let engine = Engine::new(Degree, chaos_config(FaultPlan::panic_shard_at(1, 1)));
+        let engine = Engine::new(dies_first(1), chaos_config());
         ingest_racing_death(&engine, &cross_shard_pairs());
         let probe = Instant::now();
         while !engine.is_degraded() && probe.elapsed() < Duration::from_secs(5) {
@@ -347,7 +408,7 @@ fn drop_without_finish_does_not_hang_on_dead_shard() {
 /// `try_finish` later reports, so callers can poll mid-run.
 #[test]
 fn failures_accessor_matches_finish_report() {
-    let engine = Engine::new(Degree, chaos_config(FaultPlan::panic_shard_at(0, 1)));
+    let engine = Engine::new(dies_first(0), chaos_config());
     ingest_racing_death(&engine, &cross_shard_pairs());
     let start = Instant::now();
     while !engine.is_degraded() && start.elapsed() < Duration::from_secs(5) {
@@ -379,20 +440,20 @@ fn fault_free_run_is_clean_under_supervised_api() {
     assert!(result.metrics.lost_shards.is_empty());
     assert_eq!(result.states.get(1), Some(&2));
     let total = result.metrics.total();
-    assert_eq!(total.faults_injected, 0);
-    assert_eq!(total.envelopes_dropped, 0);
-    // Satellite (a): sent = processed + dominated + undeliverable + dropped
-    // on every clean quiesced harvest.
+    assert_eq!(total.envelopes_undeliverable, 0);
+    assert_eq!(total.envelopes_recovered, 0);
+    // Satellite (a): sent = processed + dominated + undeliverable +
+    // recovered on every clean quiesced harvest.
     result.metrics.verify_balance().unwrap();
 }
 
-/// Mid-run observability composes with fault injection: `metrics_now`
+/// Mid-run observability composes with a dying shard: `metrics_now`
 /// stays readable (and coherent) while a shard is dying, and the lost
 /// shard's cell survives into post-failure readings.
 #[test]
 fn metrics_now_remains_readable_through_shard_death() {
-    let engine = Engine::new(Degree, chaos_config(FaultPlan::panic_shard_at(1, 1)));
-    ingest_racing_death(&engine, &cross_shard_pairs());
+    let engine = Engine::new(dies_after_its_pull(), chaos_config());
+    engine.try_ingest_pairs(&cross_shard_pairs()).unwrap();
     let start = Instant::now();
     while !engine.is_degraded() && start.elapsed() < Duration::from_secs(5) {
         let m = engine.metrics_now();
@@ -403,8 +464,8 @@ fn metrics_now_remains_readable_through_shard_death() {
     assert!(engine.is_degraded());
     let m = engine.metrics_now();
     assert_eq!(m.lost_shards, vec![1]);
-    // The dying shard's pre-panic publish is visible mid-run too.
-    assert!(m.per_shard[1].faults_injected >= 1);
+    // The dying shard's last publish is visible mid-run too.
+    assert!(m.per_shard[1].topo_ingested >= 1);
 }
 
 /// The postmortem of a dead shard is its payload, its last published
@@ -425,13 +486,13 @@ fn dead_shard_spans_outlive_its_thread() {
         |&(a, b): &(VertexId, VertexId)| u64::from(p.owner(a) == 1) + u64::from(p.owner(b) == 1);
     assert!(pairs.iter().skip(129).step_by(2).any(|e| on_shard_1(e) > 0));
     let last = pairs.iter().map(on_shard_1).sum();
-    let engine = Engine::new(Degree, chaos_config(FaultPlan::panic_shard_at(1, last)));
+    let engine = Engine::new(Faulty::on(1, Degree).panic_at(last), chaos_config());
     ingest_racing_death(&engine, &pairs);
     match engine.try_await_quiescence() {
         Err(EngineError::ShardPanicked { failures }) => {
             assert_eq!(failures.len(), 1);
             assert_eq!(failures[0].id, 1);
-            assert!(failures[0].payload.contains(CHAOS_PANIC_MARKER));
+            assert!(failures[0].payload.contains(MARKER));
         }
         other => panic!("shard 1 must have died, got {other:?}"),
     }
@@ -541,8 +602,8 @@ fn baseline_fixpoint(pairs: &[(VertexId, VertexId)]) -> Vec<(VertexId, u64)> {
     fixpoint(&result.states)
 }
 
-fn durable_chaos_config(plan: FaultPlan, dir: &PathBuf, checkpoint_every: u64) -> EngineConfig {
-    chaos_config(plan).with_durability(
+fn durable_chaos_config(dir: &PathBuf, checkpoint_every: u64) -> EngineConfig {
+    chaos_config().with_durability(
         DurabilityConfig::new(dir)
             .checkpoint_every(checkpoint_every)
             .fsync(false),
@@ -561,8 +622,8 @@ fn panicked_shard_respawns_and_converges_byte_identically() {
     let want = baseline_fixpoint(&pairs);
     let dir = durable_dir("respawn");
     let engine = Engine::new(
-        MaxLabel,
-        durable_chaos_config(FaultPlan::panic_shard_at(1, 5), &dir, 8),
+        Faulty::on(1, MaxLabel).panic_at(5),
+        durable_chaos_config(&dir, 8),
     );
     engine.try_ingest_pairs(&pairs).unwrap();
     let result = engine
@@ -575,11 +636,7 @@ fn panicked_shard_respawns_and_converges_byte_identically() {
     );
     let total = result.metrics.total();
     assert!(
-        total.faults_injected >= 1,
-        "the chaos panic must have fired"
-    );
-    assert!(
-        total.shard_respawns >= 1,
+        result.metrics.per_shard[1].shard_respawns >= 1,
         "shard 1 must have been respawned"
     );
     assert!(
@@ -620,18 +677,18 @@ fn respawned_shard_resumes_tracing_and_marks_replays() {
     // admitted (and custody-logged, tag included) from shard 0 before it
     // died — such as the `Add` or `ReverseAdd` a shard-0 root sends
     // across with its pull run's batch. The later the panic, the surer
-    // that is, so it is set at the last event the run is certain to
-    // reach: shard 1 processes one `Add` per chain edge whose lower end it
-    // owns and one `ReverseAdd` per edge whose upper end it owns,
-    // `Update`s aside (their number depends on the interleaving). It
+    // that is, so it is set at the last callback the run is certain to
+    // reach: shard 1 runs one `on_add` per chain edge whose lower end it
+    // owns and one `on_reverse_add` per edge whose upper end it owns,
+    // `on_update`s aside (their number depends on the interleaving). It
     // cannot get there on its own stream's work alone.
     let p = Partitioner::new(2);
     let certain = pairs
         .iter()
         .map(|&(a, b)| u64::from(p.owner(a) == 1) + u64::from(p.owner(b) == 1))
         .sum();
-    let config = durable_chaos_config(FaultPlan::panic_shard_at(1, certain), &dir, 100_000);
-    let engine = Engine::new(MaxLabel, config);
+    let config = durable_chaos_config(&dir, 100_000);
+    let engine = Engine::new(Faulty::on(1, MaxLabel).panic_at(certain), config);
     engine.try_ingest_pairs(&pairs).unwrap();
     let traces = {
         engine
@@ -647,7 +704,10 @@ fn respawned_shard_resumes_tracing_and_marks_replays() {
         "tracing + recovery must not perturb the fixpoint"
     );
     let total = result.metrics.total();
-    assert!(total.shard_respawns >= 1, "the chaos panic must respawn");
+    assert!(
+        result.metrics.per_shard[1].shard_respawns >= 1,
+        "the injected panic must respawn shard 1"
+    );
     assert_eq!(total.trace_roots, 4, "two sampled pulls per shard");
     assert!(
         result.metrics.per_shard[1].trace_spans > 0,
@@ -674,66 +734,29 @@ fn respawned_shard_resumes_tracing_and_marks_replays() {
 }
 
 /// Satellite: the twice-dying shard. The first panic hits the live event
-/// loop; the second hits *recovery itself* (mid-replay). The supervisor
-/// re-sweeps and re-replays from the checkpoint, and the run still
-/// converges byte-identically.
+/// loop; the second hits *recovery itself*: replay re-runs the callbacks,
+/// and the first of them spends the second panic of the budget. The
+/// supervisor re-sweeps and re-replays from the checkpoint, and the run
+/// still converges byte-identically.
 #[test]
 fn panic_during_replay_recovers_on_second_attempt() {
     let pairs = chain_pairs(24);
     let want = baseline_fixpoint(&pairs);
     let dir = durable_dir("replay-panic");
-    let plan = FaultPlan {
-        panic_at: Some((1, 5)),
-        panic_in_replay: Some((1, 2)),
-        ..Default::default()
-    };
     // No checkpoint before the panic: the whole history is in the WAL,
-    // guaranteeing the replay fault a record to fire on.
-    let engine = Engine::new(MaxLabel, durable_chaos_config(plan, &dir, 100_000));
+    // so replay re-runs every callback the shard ran, the fifth included.
+    let algo = Faulty::on(1, MaxLabel).panic_at(5).repeat(2);
+    let engine = Engine::new(algo, durable_chaos_config(&dir, 100_000));
     engine.try_ingest_pairs(&pairs).unwrap();
     let result = engine.try_finish().expect("second recovery must succeed");
     assert!(!result.is_degraded(), "failures: {:?}", result.failures);
     let total = result.metrics.total();
     assert!(
-        total.shard_respawns >= 2,
+        result.metrics.per_shard[1].shard_respawns >= 2,
         "one respawn for the live panic, one for the replay panic; got {}",
         total.shard_respawns
     );
     assert!(total.replayed_records >= 1);
-    assert_eq!(fixpoint(&result.states), want);
-    result.metrics.verify_balance().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Satellite: a crash in the stage→publish window of checkpointing. The
-/// staged temp file is abandoned, recovery falls back to (previous
-/// checkpoint + full WAL), and the next attempt publishes cleanly.
-#[test]
-fn panic_during_checkpoint_falls_back_to_wal() {
-    let pairs = chain_pairs(24);
-    let want = baseline_fixpoint(&pairs);
-    let dir = durable_dir("ckpt-panic");
-    let plan = FaultPlan {
-        panic_in_checkpoint: Some((1, 1)),
-        ..Default::default()
-    };
-    // Small interval so shard 1 attempts a checkpoint mid-run.
-    let engine = Engine::new(MaxLabel, durable_chaos_config(plan, &dir, 4));
-    engine.try_ingest_pairs(&pairs).unwrap();
-    let result = engine
-        .try_finish()
-        .expect("checkpoint crash must be recoverable");
-    assert!(!result.is_degraded(), "failures: {:?}", result.failures);
-    let total = result.metrics.total();
-    assert!(
-        total.faults_injected >= 1,
-        "checkpoint fault must have fired"
-    );
-    assert!(total.shard_respawns >= 1);
-    assert!(
-        total.checkpoints_written >= 1,
-        "a later attempt must publish successfully"
-    );
     assert_eq!(fixpoint(&result.states), want);
     result.metrics.verify_balance().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
@@ -747,10 +770,8 @@ fn panic_during_checkpoint_falls_back_to_wal() {
 fn exhausted_respawn_budget_degrades_cleanly() {
     let pairs = chain_pairs(24);
     let dir = durable_dir("budget");
-    let plan = FaultPlan::panic_shard_at(1, 1).repeat_panics(100);
-    let config = chaos_config(plan)
-        .with_durability(DurabilityConfig::new(&dir).checkpoint_every(8).fsync(false));
-    let engine = Engine::new(MaxLabel, config);
+    let algo = Faulty::on(1, MaxLabel).panic_at(1).repeat(100);
+    let engine = Engine::new(algo, durable_chaos_config(&dir, 8));
     // The budget burns fast (four back-to-back panics), so the permanent
     // death can race the stream handout exactly like an undurable kill.
     ingest_racing_death(&engine, &pairs);
@@ -765,7 +786,7 @@ fn exhausted_respawn_budget_degrades_cleanly() {
     );
     assert_eq!(result.failures.len(), 1);
     assert_eq!(result.failures[0].id, 1);
-    assert!(result.failures[0].payload.contains(CHAOS_PANIC_MARKER));
+    assert!(result.failures[0].payload.contains(MARKER));
     // The survivors' monotone states were still harvested.
     let p = Partitioner::new(2);
     assert!(result.states.iter().all(|(v, _)| p.owner(v) == 0));
@@ -844,7 +865,7 @@ fn open_rejects_mismatched_or_missing_durability() {
 /// degraded exactly as before — the seed contract is unchanged.
 #[test]
 fn durability_off_keeps_seed_behavior_and_zero_counters() {
-    let engine = Engine::new(MaxLabel, chaos_config(FaultPlan::default()));
+    let engine = Engine::new(MaxLabel, chaos_config());
     engine.try_ingest_pairs(&chain_pairs(8)).unwrap();
     let result = engine.try_finish().unwrap();
     let total = result.metrics.total();
@@ -940,11 +961,11 @@ fn respawned_shard_recovers_all_query_columns() {
 
     let dir = durable_dir("registry-respawn");
     let reg = QueryRegistry::<u64>::new();
-    let engine = Engine::new(
-        reg.clone(),
-        durable_chaos_config(FaultPlan::panic_shard_at(1, 5), &dir, 8),
-    );
-    let q_max = reg.attach(&engine, MaxLabel, &[], "max").unwrap();
+    let engine = Engine::new(reg.clone(), durable_chaos_config(&dir, 8));
+    // The max column's query is the one whose callback dies.
+    let q_max = reg
+        .attach(&engine, Faulty::on(1, MaxLabel).panic_at(5), &[], "max")
+        .unwrap();
     let q_min = reg.attach(&engine, MinLabel, &[], "min").unwrap();
     engine.try_ingest_pairs(&pairs).unwrap();
     engine
@@ -962,13 +983,8 @@ fn respawned_shard_recovers_all_query_columns() {
         "respawned shard must not degrade the harvest: {:?}",
         result.failures
     );
-    let total = result.metrics.total();
     assert!(
-        total.faults_injected >= 1,
-        "the chaos panic must have fired"
-    );
-    assert!(
-        total.shard_respawns >= 1,
+        result.metrics.per_shard[1].shard_respawns >= 1,
         "shard 1 must have been respawned"
     );
     assert_eq!(

@@ -1,10 +1,11 @@
 //! Randomised recovery-equivalence suite: for a spread of generated
-//! graphs, shard counts, checkpoint
-//! intervals, and mid-stream panic points, a durable run that loses a
-//! shard and recovers it (checkpoint restore + WAL replay) must be
-//! indistinguishable from an uninterrupted run — byte-identical vertex
-//! states, the same trigger-fire set, and exactly balanced termination
-//! books.
+//! graphs, shard counts, checkpoint intervals, and mid-stream panic
+//! points (the panicking shard's n-th callback, [`faults::Faulty`]), a
+//! durable run that loses a shard and recovers it (checkpoint restore +
+//! WAL replay) must be indistinguishable from an uninterrupted run —
+//! byte-identical vertex states, the same trigger-fire set, and exactly
+//! balanced termination books — and must show the respawn that proves
+//! its panic fired.
 //!
 //! Deterministic by construction: a fixed-seed xorshift generator drives
 //! every random draw, and the 8 case indices visit every shard count
@@ -20,13 +21,22 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// `(states, deduplicated fire keys, raw fire count)` from one run.
-type RunOutputs = (Vec<(VertexId, u64)>, BTreeSet<(usize, VertexId)>, u64);
+/// `(states, deduplicated fire keys, raw fire count, per-shard respawns)`
+/// from one run.
+type RunOutputs = (
+    Vec<(VertexId, u64)>,
+    BTreeSet<(usize, VertexId)>,
+    u64,
+    Vec<u64>,
+);
 
 use remo_core::{
-    codec, AlgoCtx, Algorithm, DurabilityConfig, EngineBuilder, EngineConfig, FaultPlan, Snapshot,
-    VertexId,
+    codec, AlgoCtx, Algorithm, DurabilityConfig, EngineBuilder, EngineConfig, Partitioner,
+    Snapshot, VertexId,
 };
+
+mod faults;
+use faults::Faulty;
 
 /// Max-label propagation (see `tests/chaos.rs`): the max join is
 /// idempotent under the duplicated delivery that WAL replay introduces,
@@ -126,12 +136,23 @@ fn gen_case(idx: usize, rng: &mut Rng) -> Case {
             pairs.push((a, b));
         }
     }
+    let panic_shard = rng.below(shards as u64) as usize;
+    // The panic shard runs one `on_add` per pair whose first end it owns
+    // and one `on_reverse_add` per pair whose second end it owns, updates
+    // aside: a panic point past the last of those might never be reached.
+    let part = Partitioner::new(shards);
+    let certain = pairs
+        .iter()
+        .map(|&(a, b)| {
+            u64::from(part.owner(a) == panic_shard) + u64::from(part.owner(b) == panic_shard)
+        })
+        .sum::<u64>();
     Case {
         shards,
         pairs,
         vertices,
-        panic_shard: rng.below(shards as u64) as usize,
-        panic_at: 1 + rng.below(16),
+        panic_shard,
+        panic_at: (1 + rng.below(16)).min(certain.max(1)),
         checkpoint_every: [2, 4, 16, 100_000][rng.below(4) as usize],
     }
 }
@@ -162,9 +183,14 @@ fn fixpoint(states: &Snapshot<u64>) -> Vec<(VertexId, u64)> {
 /// therefore asserted on the deduplicated key set, and the recovered run
 /// additionally asserts the duplication is bounded by what replay can
 /// regenerate.
-fn run_engine(case: &Case, config: EngineConfig, expect_clean: bool) -> RunOutputs {
+fn run_engine<A: Algorithm<State = u64>>(
+    case: &Case,
+    algo: A,
+    config: EngineConfig,
+    expect_clean: bool,
+) -> RunOutputs {
     let threshold = (case.vertices / 2).max(2);
-    let mut builder = EngineBuilder::new(MaxLabel, config);
+    let mut builder = EngineBuilder::new(algo, config);
     builder.trigger(move |_, s: &u64| *s >= threshold);
     let engine = builder.build();
     engine.try_ingest_pairs(&case.pairs).unwrap();
@@ -189,7 +215,19 @@ fn run_engine(case: &Case, config: EngineConfig, expect_clean: bool) -> RunOutpu
         );
     }
     result.metrics.verify_balance().unwrap();
-    (fixpoint(&result.states), fires.into_iter().collect(), raw)
+    let respawns = result.metrics.per_shard.iter();
+    (
+        fixpoint(&result.states),
+        fires.into_iter().collect(),
+        raw,
+        respawns.map(|m| m.shard_respawns).collect(),
+    )
+}
+
+/// `MaxLabel`, dying in the case's panicking shard's `panic_at`-th
+/// callback.
+fn faulty(case: &Case) -> Faulty<MaxLabel> {
+    Faulty::on(case.panic_shard, MaxLabel).panic_at(case.panic_at)
 }
 
 #[test]
@@ -205,7 +243,8 @@ fn recovered_runs_match_uninterrupted_runs() {
             case.panic_at,
             case.checkpoint_every
         );
-        let (want_states, want_fires, want_raw) = run_engine(&case, base_config(&case), true);
+        let (want_states, want_fires, want_raw, _) =
+            run_engine(&case, MaxLabel, base_config(&case), true);
         assert_eq!(
             want_fires.len() as u64,
             want_raw,
@@ -213,14 +252,16 @@ fn recovered_runs_match_uninterrupted_runs() {
         );
 
         let dir = durable_dir(idx);
-        let config = base_config(&case)
-            .with_durability(
-                DurabilityConfig::new(&dir)
-                    .checkpoint_every(case.checkpoint_every)
-                    .fsync(false),
-            )
-            .with_fault_plan(FaultPlan::panic_shard_at(case.panic_shard, case.panic_at));
-        let (got_states, got_fires, _) = run_engine(&case, config, true);
+        let config = base_config(&case).with_durability(
+            DurabilityConfig::new(&dir)
+                .checkpoint_every(case.checkpoint_every)
+                .fsync(false),
+        );
+        let (got_states, got_fires, _, respawns) = run_engine(&case, faulty(&case), config, true);
+        assert!(
+            respawns[case.panic_shard] >= 1,
+            "case {idx}: the panic never fired: respawns {respawns:?}"
+        );
 
         assert_eq!(
             got_states, want_states,
@@ -242,7 +283,7 @@ fn durable_fault_free_runs_match_plain_runs() {
     let mut rng = Rng::new(0xBADC0FFE);
     for idx in 0..8 {
         let case = gen_case(idx, &mut rng);
-        let (want_states, want_fires, _) = run_engine(&case, base_config(&case), true);
+        let (want_states, want_fires, _, _) = run_engine(&case, MaxLabel, base_config(&case), true);
 
         let dir = durable_dir(100 + idx);
         let config = base_config(&case).with_durability(
@@ -250,7 +291,7 @@ fn durable_fault_free_runs_match_plain_runs() {
                 .checkpoint_every(case.checkpoint_every)
                 .fsync(false),
         );
-        let (got_states, got_fires, got_raw) = run_engine(&case, config, true);
+        let (got_states, got_fires, got_raw, _) = run_engine(&case, MaxLabel, config, true);
         assert_eq!(
             got_states, want_states,
             "case {idx}: durable fixpoint diverged"
@@ -269,7 +310,7 @@ fn durable_fault_free_runs_match_plain_runs() {
 }
 
 /// Regression: `drain_lanes` claims (clears) the pending bitmap before
-/// draining, so a chaos panic unwinding between the claim and the drain
+/// draining, so a callback panic unwinding between the claim and the drain
 /// used to strand delivered batches in the rings — invisible to the bit
 /// probe, wedging quiescence (~1 in 4 runs of this exact scenario on the
 /// host that found it, ~1 in 15 on a 2-core one). The claimed lane ids
@@ -285,15 +326,13 @@ fn lane_claim_unwind_does_not_strand_batches() {
     }
     for iter in 0..20 {
         let dir = durable_dir(900 + iter);
-        let config = base_config(&case)
-            .with_durability(
-                DurabilityConfig::new(&dir)
-                    .checkpoint_every(case.checkpoint_every)
-                    .fsync(false),
-            )
-            .with_fault_plan(FaultPlan::panic_shard_at(case.panic_shard, case.panic_at));
+        let config = base_config(&case).with_durability(
+            DurabilityConfig::new(&dir)
+                .checkpoint_every(case.checkpoint_every)
+                .fsync(false),
+        );
         let threshold = (case.vertices / 2).max(2);
-        let mut builder = EngineBuilder::new(MaxLabel, config);
+        let mut builder = EngineBuilder::new(faulty(&case), config);
         builder.trigger(move |_, s: &u64| *s >= threshold);
         let engine = builder.build();
         engine.try_ingest_pairs(&case.pairs).unwrap();
@@ -307,7 +346,11 @@ fn lane_claim_unwind_does_not_strand_batches() {
             }
             panic!("hang reproduced");
         }
-        drop(engine.try_finish());
+        let result = engine.try_finish().expect("harvest must succeed");
+        assert!(
+            result.metrics.per_shard[case.panic_shard].shard_respawns >= 1,
+            "iter {iter}: the panic never fired"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

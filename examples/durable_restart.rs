@@ -20,17 +20,64 @@
 //!   replay), re-ingests the stream, prints the fixpoint. CI kills
 //!   `ingest` mid-stream and asserts this line equals `baseline`'s.
 //! - `demo` (default)   — self-contained tour: baseline, then a durable
-//!   run that loses a shard mid-stream and recovers in place, then a
-//!   cold restart over the same directory; asserts all three fixpoints
-//!   are identical.
+//!   run that loses a shard mid-stream to a panicking callback and
+//!   recovers in place, then a cold restart over the same directory;
+//!   asserts all three fixpoints are identical and that the shard was
+//!   respawned.
 //!
 //! Run with: `cargo run --release --example durable_restart [mode] [dir]`
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use remo::core::FaultPlan;
 use remo::prelude::*;
+
+/// `IncCc` whose 5,000th callback on shard 2 panics, once: a bug that
+/// kills a shard mid-stream the way a real one would.
+struct Crashing(AtomicU64);
+
+impl Crashing {
+    const SHARD: usize = 2;
+    const AT: u64 = 5_000;
+
+    fn crash_if_due(&self, ctx: &impl AlgoCtx<u64>) {
+        if ctx.shard_hint() == Self::SHARD && self.0.fetch_add(1, Ordering::Relaxed) + 1 == Self::AT
+        {
+            panic!(
+                "demo: shard {} crashes in callback {}",
+                Self::SHARD,
+                Self::AT
+            );
+        }
+    }
+}
+
+impl Algorithm for Crashing {
+    type State = u64;
+    type Edge = ();
+    fn on_add(&self, ctx: &mut impl AlgoCtx<u64>, v: VertexId, val: &u64, w: Weight) {
+        IncCc.on_add(ctx, v, val, w);
+        self.crash_if_due(ctx);
+    }
+    fn on_reverse_add(&self, ctx: &mut impl AlgoCtx<u64>, v: VertexId, val: &u64, w: Weight) {
+        IncCc.on_reverse_add(ctx, v, val, w);
+        self.crash_if_due(ctx);
+    }
+    fn on_update(&self, ctx: &mut impl AlgoCtx<u64>, v: VertexId, val: &u64, w: Weight) {
+        IncCc.on_update(ctx, v, val, w);
+        self.crash_if_due(ctx);
+    }
+    fn absorbs(live: &u64, incoming: &u64) -> bool {
+        IncCc::absorbs(live, incoming)
+    }
+    fn encode_state(state: &u64, out: &mut Vec<u8>) {
+        IncCc::encode_state(state, out);
+    }
+    fn decode_state(bytes: &[u8]) -> u64 {
+        IncCc::decode_state(bytes)
+    }
+}
 
 /// The deterministic workload every mode shares: scale-12 RMAT
 /// (Graph500 parameters), shuffled with a fixed seed. Two processes
@@ -65,8 +112,9 @@ fn fixpoint_hash(states: &Snapshot<u64>) -> u64 {
 }
 
 /// Drains the engine and prints the machine-readable fixpoint line CI
-/// greps for, plus the durability counters behind it.
-fn finish_and_report(engine: Engine<IncCc>) -> u64 {
+/// greps for, plus the durability counters behind it. Returns the
+/// fixpoint hash and the respawns.
+fn finish_and_report<A: Algorithm<State = u64>>(engine: Engine<A>) -> (u64, u64) {
     let result = engine.try_finish().expect("harvest failed");
     assert!(!result.is_degraded(), "run degraded: {:?}", result.failures);
     let total = result.metrics.total();
@@ -80,14 +128,14 @@ fn finish_and_report(engine: Engine<IncCc>) -> u64 {
         total.shard_respawns
     );
     println!("fixpoint {hash:016x} over {} vertices", result.num_vertices);
-    hash
+    (hash, total.shard_respawns)
 }
 
 fn run_baseline(edges: &[(VertexId, VertexId)]) -> u64 {
     let engine = Engine::new(IncCc, config(4));
     engine.try_ingest_pairs(edges).unwrap();
     engine.try_await_quiescence().unwrap();
-    finish_and_report(engine)
+    finish_and_report(engine).0
 }
 
 /// Slow durable ingest: chunked with short sleeps so an external
@@ -105,7 +153,7 @@ fn run_ingest(edges: &[(VertexId, VertexId)], dir: &PathBuf) -> u64 {
         std::thread::sleep(Duration::from_millis(15));
     }
     engine.try_await_quiescence().unwrap();
-    finish_and_report(engine)
+    finish_and_report(engine).0
 }
 
 /// Cold restart: reopen the directory (each shard restores its latest
@@ -117,7 +165,7 @@ fn run_resume(edges: &[(VertexId, VertexId)], dir: &PathBuf) -> u64 {
     println!("reopened {}; re-ingesting the full stream", dir.display());
     engine.try_ingest_pairs(edges).unwrap();
     engine.try_await_quiescence().unwrap();
-    finish_and_report(engine)
+    finish_and_report(engine).0
 }
 
 /// In-process tour of both recovery paths.
@@ -128,18 +176,17 @@ fn run_demo(edges: &[(VertexId, VertexId)]) {
     let dir = std::env::temp_dir().join(format!("remo-durable-restart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    println!("\n== durable run, shard 2 panics mid-stream, warm recovery ==");
-    let cfg = config(4)
-        .with_durability(
-            DurabilityConfig::new(&dir)
-                .checkpoint_every(4096)
-                .fsync(false),
-        )
-        .with_fault_plan(FaultPlan::panic_shard_at(2, 5_000));
-    let engine = Engine::open(IncCc, cfg).expect("open durable dir");
+    println!("\n== durable run, shard 2's callback panics mid-stream, warm recovery ==");
+    let cfg = config(4).with_durability(
+        DurabilityConfig::new(&dir)
+            .checkpoint_every(4096)
+            .fsync(false),
+    );
+    let engine = Engine::open(Crashing(AtomicU64::new(0)), cfg).expect("open durable dir");
     engine.try_ingest_pairs(edges).unwrap();
     engine.try_await_quiescence().unwrap();
-    let warm = finish_and_report(engine);
+    let (warm, respawns) = finish_and_report(engine);
+    assert_eq!(respawns, 1, "shard 2 must have crashed and been respawned");
     assert_eq!(warm, want, "warm recovery diverged from baseline");
 
     println!("\n== cold restart over the same directory ==");
