@@ -35,7 +35,7 @@ pub mod temporal;
 pub mod widest;
 
 pub use bfs::{IncBfs, IncBfsDeterministic, IncBfsSuppressed, LevelParent};
-pub use cc::{cc_label, IncCc};
+pub use cc::{cc_label, stream_label, IncCc};
 pub use degree::DegreeCount;
 pub use generational::{GenBfs, GenCc, GenLabel, GenLevel, GenerationHandle};
 pub use sssp::IncSssp;

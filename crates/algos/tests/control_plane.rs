@@ -14,18 +14,17 @@
 //! a new-epoch pull added. On this stream at the parent commit 8 of 4 064
 //! fork labels sat below the cut's solve and 2 vertices outside the cut
 //! held one. The sound statement is the monotone one (§IV): every vertex
-//! of the cut is present, at or above its own label and at or below its
-//! fixpoint label.
+//! of the cut is present, at or above the label its own edge gave it and
+//! at or below its fixpoint label.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use remo_algos::IncCc;
+use remo_algos::{stream_label, IncCc};
 use remo_baseline as oracle;
 use remo_core::{AlgoCtx, Algorithm, Engine, EngineConfig, VertexId, Weight};
 use remo_gen::RmatConfig;
-use remo_store::Csr;
 
 /// `IncCc`, noting every external add it sees tagged with epoch 0 — the
 /// edges on the old side of the first snapshot's cut.
@@ -49,16 +48,17 @@ impl Algorithm for CutRecorder {
     fn absorbs(live: &u64, incoming: &u64) -> bool {
         IncCc::absorbs(live, incoming)
     }
+    fn stream_value(index: u64) -> u64 {
+        IncCc::stream_value(index)
+    }
 }
 
 /// The baseline's component labels for `edges`, as a harvest lists them
 /// (`prop_dense`'s oracle).
 fn static_labels(edges: &[(VertexId, VertexId)]) -> Vec<(VertexId, u64)> {
-    let csr: Csr = oracle::build_undirected(edges).csr;
-    let solved = oracle::components_dominator_label(&csr, remo_algos::cc_label);
-    (0..csr.num_vertices() as VertexId)
-        .filter(|&v| csr.degree(v) > 0)
-        .map(|v| (v, solved[v as usize]))
+    oracle::components_earliest_edge(edges)
+        .into_iter()
+        .map(|(v, i)| (v, stream_label(i)))
         .collect()
 }
 
@@ -112,16 +112,23 @@ fn point_reads_and_a_snapshot_are_served_during_a_long_pull() {
     }
     assert_eq!(prefix_total, cut.len());
 
-    // The snapshot: every vertex of the cut, each label a monotone bound.
+    // The snapshot: every vertex of the cut, each label a monotone bound:
+    // at least the label its cut edge gave it, at most its fixpoint's.
     let fixpoint = static_labels(&edges);
     let held: HashMap<VertexId, u64> = snapshot.iter().copied().collect();
     let limit: HashMap<VertexId, u64> = fixpoint.iter().copied().collect();
     for &(v, label) in &snapshot {
         assert!(label <= limit[&v], "vertex {v} is past its fixpoint");
     }
+    let index: HashMap<(VertexId, VertexId), u64> = edges
+        .iter()
+        .enumerate()
+        .map(|(i, &e)| (e, i as u64))
+        .collect();
     for &(s, d) in &cut {
+        let own = stream_label(index[&(s, d)]);
         for v in [s, d] {
-            assert!(held.get(&v).is_some_and(|&l| l >= remo_algos::cc_label(v)));
+            assert!(held.get(&v).is_some_and(|&l| l >= own), "vertex {v}");
         }
     }
 

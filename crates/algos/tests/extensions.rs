@@ -160,6 +160,8 @@ proptest! {
     }
 }
 
+/// Without deletions `GenCc` finds plain `IncCc`'s components, labelled
+/// in Algorithm 6's hash order: the hash-dominator oracle's labels.
 #[test]
 fn gen_cc_without_deletes_matches_plain_cc() {
     use remo_algos::{cc_label, GenCc, IncCc};
@@ -175,12 +177,22 @@ fn gen_cc_without_deletes_matches_plain_cc() {
         e.try_ingest_pairs(&edges).unwrap();
         e.try_finish().unwrap().states.into_vec()
     };
+    let csr = remo_baseline::build_undirected(&edges).csr;
+    let hash = remo_baseline::components_dominator_label(&csr, cc_label);
+    let mut same = std::collections::HashMap::new();
+    assert_eq!(plain.len(), gen.len());
     for ((v1, label), (v2, (g, glabel))) in plain.iter().zip(gen.iter()) {
         assert_eq!(v1, v2);
         assert_eq!(*g, 0, "no deletions: generation stays 0");
-        assert_eq!(glabel, label, "vertex {v1}");
+        assert_eq!(*glabel, hash[*v1 as usize], "vertex {v1}");
+        assert_eq!(
+            *same.entry(*label).or_insert(*glabel),
+            *glabel,
+            "vertex {v1}: one plain component, two generational labels"
+        );
     }
-    let _ = cc_label(0);
+    let labels: std::collections::HashSet<_> = gen.iter().map(|(_, (_, l))| l).collect();
+    assert_eq!(same.len(), labels.len(), "two plain components, one label");
 }
 
 #[test]

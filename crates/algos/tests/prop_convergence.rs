@@ -8,9 +8,9 @@
 //! verified mechanically against the union-find / BFS / Dijkstra oracles.
 
 use proptest::prelude::*;
-use remo_algos::{cc_label, IncBfs, IncCc, IncSssp, IncStCon, UNREACHED};
+use remo_algos::{stream_label, IncBfs, IncCc, IncSssp, IncStCon, UNREACHED};
 use remo_baseline as oracle;
-use remo_core::{Engine, EngineConfig};
+use remo_core::{Engine, EngineConfig, VertexId};
 use remo_gen::rng::SmallRng;
 use remo_store::Csr;
 
@@ -165,7 +165,7 @@ proptest! {
         check_sssp(edges, shards, seed, wmax)?;
     }
 
-    /// Incremental CC == union-find dominator labels.
+    /// Incremental CC == union-find earliest-edge labels.
     #[test]
     fn cc_matches_oracle(
         edges in edges_strategy(),
@@ -179,11 +179,11 @@ proptest! {
         engine.try_ingest_pairs(&stream).unwrap();
         let states = engine.try_finish().unwrap().states;
 
-        let csr = undirected_csr(&edges, 24);
-        let want = oracle::components_dominator_label(&csr, cc_label);
-        for (v, &label) in states.iter() {
-            prop_assert_eq!(label, want[v as usize], "vertex {} (P={})", v, shards);
-        }
+        let want: Vec<(VertexId, u64)> = oracle::components_earliest_edge(&stream)
+            .into_iter()
+            .map(|(v, i)| (v, stream_label(i)))
+            .collect();
+        prop_assert_eq!(states.into_vec(), want, "P={}", shards);
     }
 
     /// Multi S-T == per-source reachability masks.

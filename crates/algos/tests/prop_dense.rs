@@ -108,11 +108,21 @@ where
     }
 }
 
+/// `IncCc`'s labels for `stream`, by vertex id: the earliest-edge oracle
+/// over the graph `g` that `stream` built.
+fn earliest_edge_labels(g: &Csr, stream: &[(VertexId, VertexId)]) -> Vec<u64> {
+    let mut labels = vec![0; g.num_vertices()];
+    for (v, i) in oracle::components_earliest_edge(stream) {
+        labels[v as usize] = remo_algos::stream_label(i);
+    }
+    labels
+}
+
 /// The baseline's from-scratch answer for the first `n` stream entries, as
 /// the `(vertex, state)` list a harvest of the same graph returns: every
 /// vertex an edge names, in ascending order.
 fn static_states(
-    solve: impl Fn(&Csr) -> Vec<u64>,
+    solve: impl Fn(&Csr, &[(VertexId, VertexId)]) -> Vec<u64>,
     edges: &[(VertexId, VertexId)],
     weights: Option<&[(VertexId, VertexId, Weight)]>,
     n: usize,
@@ -121,7 +131,7 @@ fn static_states(
         Some(w) => oracle::build_undirected_weighted(&w[..n]).csr,
         None => oracle::build_undirected(&edges[..n]).csr,
     };
-    let solved = solve(&csr);
+    let solved = solve(&csr, &edges[..n]);
     let states = (0..csr.num_vertices() as VertexId)
         .filter(|&v| csr.degree(v) > 0)
         .map(|v| (v, solved[v as usize]))
@@ -132,7 +142,7 @@ fn static_states(
 /// Asserts one snapshot-cut run equals the baseline solved from scratch.
 fn assert_matches_static<A, F>(
     make: F,
-    solve: impl Fn(&Csr) -> Vec<u64>,
+    solve: impl Fn(&Csr, &[(VertexId, VertexId)]) -> Vec<u64>,
     edges: &[(VertexId, VertexId)],
     weights: Option<&[(VertexId, VertexId, Weight)]>,
     init: Option<VertexId>,
@@ -190,7 +200,7 @@ proptest! {
         let edges = rmat_edges(seed);
         let source = edges[0].0;
         assert_matches_static::<remo_algos::IncBfs, _>(
-            || remo_algos::IncBfs, |g| oracle::bfs_levels(g, source),
+            || remo_algos::IncBfs, |g, _| oracle::bfs_levels(g, source),
             &edges, None, Some(source), shards)?;
     }
 
@@ -200,7 +210,7 @@ proptest! {
         let w = weighted(&edges);
         let source = edges[0].0;
         assert_matches_static::<remo_algos::IncSssp, _>(
-            || remo_algos::IncSssp, |g| oracle::sssp_costs(g, source),
+            || remo_algos::IncSssp, |g, _| oracle::sssp_costs(g, source),
             &edges, Some(&w), Some(source), shards)?;
     }
 
@@ -209,7 +219,7 @@ proptest! {
         let edges = rmat_edges(seed);
         assert_matches_static::<remo_algos::IncCc, _>(
             || remo_algos::IncCc,
-            |g| oracle::components_dominator_label(g, remo_algos::cc_label),
+            earliest_edge_labels,
             &edges, None, None, shards)?;
     }
 }
@@ -224,7 +234,7 @@ fn lanes_beyond_64_shards_match_static() {
     let source = edges[0].0;
     assert_matches_static::<remo_algos::IncBfs, _>(
         || remo_algos::IncBfs,
-        |g| oracle::bfs_levels(g, source),
+        |g, _| oracle::bfs_levels(g, source),
         &edges,
         None,
         Some(source),

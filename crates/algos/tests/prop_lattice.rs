@@ -39,13 +39,23 @@ fn weighted(edges: &[(VertexId, VertexId)]) -> Vec<(VertexId, VertexId, Weight)>
         .collect()
 }
 
+/// `IncCc`'s labels for `stream`, by vertex id: the earliest-edge oracle
+/// over the graph `g` that `stream` built.
+fn earliest_edge_labels(g: &Csr, stream: &[(VertexId, VertexId)]) -> Vec<u64> {
+    let mut labels = vec![0; g.num_vertices()];
+    for (v, i) in oracle::components_earliest_edge(stream) {
+        labels[v as usize] = remo_algos::stream_label(i);
+    }
+    labels
+}
+
 /// Runs the algorithm over the stream on the default engine and asserts
-/// the harvested states equal `solve` on the same edge set (every vertex an
-/// edge names, ascending), with balanced counters. Returns the run's
+/// the harvested states equal `solve` on the same edge set and stream
+/// (every vertex an edge names, ascending), with balanced counters. Returns the run's
 /// metrics for the callers that assert on the filter's counters.
 fn assert_matches_static<A: Algorithm<State = u64>>(
     algo: A,
-    solve: impl Fn(&Csr) -> Vec<u64>,
+    solve: impl Fn(&Csr, &[(VertexId, VertexId)]) -> Vec<u64>,
     edges: &[(VertexId, VertexId)],
     weights: Option<&[(VertexId, VertexId, Weight)]>,
     init: Option<VertexId>,
@@ -80,7 +90,7 @@ fn assert_matches_static<A: Algorithm<State = u64>>(
         Some(w) => oracle::build_undirected_weighted(w).csr,
         None => oracle::build_undirected(edges).csr,
     };
-    let solved = solve(&csr);
+    let solved = solve(&csr, edges);
     let want: Vec<(VertexId, u64)> = (0..csr.num_vertices() as VertexId)
         .filter(|&v| csr.degree(v) > 0)
         .map(|v| (v, solved[v as usize]))
@@ -107,7 +117,7 @@ proptest! {
         let edges = rmat_edges(seed);
         let source = edges[0].0;
         assert_matches_static(
-            remo_algos::IncBfs, |g| oracle::bfs_levels(g, source),
+            remo_algos::IncBfs, |g, _| oracle::bfs_levels(g, source),
             &edges, None, Some(source), shards)?;
     }
 
@@ -117,7 +127,7 @@ proptest! {
         let w = weighted(&edges);
         let source = edges[0].0;
         assert_matches_static(
-            remo_algos::IncSssp, |g| oracle::sssp_costs(g, source),
+            remo_algos::IncSssp, |g, _| oracle::sssp_costs(g, source),
             &edges, Some(&w), Some(source), shards)?;
     }
 
@@ -126,7 +136,7 @@ proptest! {
         let edges = rmat_edges(seed);
         assert_matches_static(
             remo_algos::IncCc,
-            |g| oracle::components_dominator_label(g, remo_algos::cc_label),
+            earliest_edge_labels,
             &edges, None, None, shards)?;
     }
 
@@ -136,7 +146,7 @@ proptest! {
         let w = weighted(&edges);
         let source = edges[0].0;
         assert_matches_static(
-            remo_algos::IncWidest, |g| oracle::widest_paths(g, source),
+            remo_algos::IncWidest, |g, _| oracle::widest_paths(g, source),
             &edges, Some(&w), Some(source), shards)?;
     }
 
@@ -149,7 +159,7 @@ proptest! {
         let source = edges[0].0;
         let m = assert_matches_static(
             remo_algos::IncStCon::new(vec![source]),
-            |g| oracle::st_masks(g, &[source]),
+            |g, _| oracle::st_masks(g, &[source]),
             &edges, None, Some(source), shards)?;
         let t = m.total();
         prop_assert!(t.update_events > 0, "the case needs update traffic");
@@ -167,7 +177,7 @@ fn default_engine_filters_sssp() {
     let source = edges[0].0;
     let m = assert_matches_static(
         remo_algos::IncSssp,
-        |g| oracle::sssp_costs(g, source),
+        |g, _| oracle::sssp_costs(g, source),
         &edges,
         Some(&w),
         Some(source),

@@ -1,11 +1,14 @@
-//! Static Connected Components on CSR (union-find oracle).
+//! Static Connected Components (union-find oracle).
 //!
-//! The incremental CC algorithm (Algorithm 6) labels every vertex with the
-//! *dominating* hash in its component — the maximum of `hash(id)` over
-//! members (the paper's comparison keeps the larger `value`). The oracle
-//! therefore exposes both views: the raw partition (canonical min-member
-//! label) for structural checks, and the hash-dominator labelling for exact
-//! state comparison with the dynamic engine.
+//! Three views of one partition: the raw partition (canonical min-member
+//! label) for structural checks, and the two labellings the incremental CC
+//! reaches, for exact state comparison with the dynamic engine. On a
+//! stream it labels every component by its earliest edge
+//! ([`components_earliest_edge`]); in a query registry, by Algorithm 6's
+//! *dominating* hash, the maximum of `hash(id)` over members
+//! ([`components_dominator_label`]).
+
+use std::collections::HashMap;
 
 use remo_store::{Csr, VertexId};
 
@@ -73,7 +76,8 @@ pub fn components_min_label(g: &Csr) -> Vec<VertexId> {
 /// Component label per vertex under an arbitrary "dominator" function:
 /// every vertex gets `max(dominator(u))` over the members `u` of its
 /// component. With `dominator = hash`, this is exactly the fixpoint of the
-/// paper's incremental CC. Vertices with degree 0 are labelled
+/// paper's incremental CC, which a query registry's CC column reaches.
+/// Vertices with degree 0 are labelled
 /// `dominator(v)` of themselves.
 pub fn components_dominator_label(g: &Csr, dominator: impl Fn(VertexId) -> u64) -> Vec<u64> {
     let n = g.num_vertices();
@@ -89,6 +93,42 @@ pub fn components_dominator_label(g: &Csr, dominator: impl Fn(VertexId) -> u64) 
     (0..n)
         .map(|v| max_of_root[uf.find(v as u32) as usize])
         .collect()
+}
+
+/// Earliest-edge components of an undirected edge stream: every vertex
+/// that `stream` touches, sorted by id, with the index in `stream` of the
+/// earliest edge of its component. Self-loops count as edges.
+pub fn components_earliest_edge(stream: &[(VertexId, VertexId)]) -> Vec<(VertexId, u64)> {
+    let mut dense: HashMap<VertexId, u32> = HashMap::new();
+    let mut ids: Vec<VertexId> = Vec::new();
+    // The index of each vertex's first edge: every edge's endpoints first
+    // appear at or before it, so a component's least is its earliest edge.
+    let mut first: Vec<u64> = Vec::new();
+    let mut pairs = Vec::with_capacity(stream.len());
+    for (i, &(s, d)) in stream.iter().enumerate() {
+        let mut intern = |v: VertexId| {
+            *dense.entry(v).or_insert_with(|| {
+                ids.push(v);
+                first.push(i as u64);
+                (ids.len() - 1) as u32
+            })
+        };
+        pairs.push((intern(s), intern(d)));
+    }
+    let mut uf = UnionFind::new(ids.len());
+    for (a, b) in pairs {
+        uf.union(a, b);
+    }
+    let mut earliest = vec![u64::MAX; ids.len()];
+    for v in 0..ids.len() as u32 {
+        let r = uf.find(v) as usize;
+        earliest[r] = earliest[r].min(first[v as usize]);
+    }
+    let mut labels: Vec<(VertexId, u64)> = (0..ids.len() as u32)
+        .map(|v| (ids[v as usize], earliest[uf.find(v) as usize]))
+        .collect();
+    labels.sort_unstable();
+    labels
 }
 
 /// Number of connected components among vertices that have at least one
@@ -138,6 +178,22 @@ mod tests {
         // Dominator = id*10: comp {0,1} -> 10, comp {2,3} -> 30.
         let l = components_dominator_label(&g, |v| v * 10);
         assert_eq!(l, vec![10, 10, 30, 30]);
+    }
+
+    #[test]
+    fn earliest_edge_labels_each_component_by_its_first_edge() {
+        // {7, 3, 9} forms at edge 0 and absorbs {1, 2} (edge 1) at edge 3;
+        // {5} is a self-loop at edge 2; a repeat changes nothing.
+        let stream = [(7, 3), (1, 2), (5, 5), (2, 9), (9, 3), (1, 2)];
+        assert_eq!(
+            components_earliest_edge(&stream),
+            vec![(1, 0), (2, 0), (3, 0), (5, 2), (7, 0), (9, 0)]
+        );
+        assert_eq!(
+            components_earliest_edge(&stream[1..3]),
+            vec![(1, 0), (2, 0), (5, 1)]
+        );
+        assert!(components_earliest_edge(&[]).is_empty());
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! - [`construct`] — timed edge-list → CSR pipeline (with symmetrization).
 //! - [`bfs`] — sequential level-synchronous BFS.
 //! - [`sssp`] — Dijkstra.
-//! - [`cc`] — union-find components, including the hash-dominator labelling
-//!   the incremental algorithm converges to.
+//! - [`cc`] — union-find components, including the two labellings the
+//!   incremental algorithm converges to: earliest stream edge, and (in a
+//!   query registry) the hash dominator.
 //! - [`stcon`] — multi-source reachability bitmasks.
 //!
 //! Conventions match the dynamic side exactly (source level/cost = 1,
@@ -25,7 +26,10 @@ pub mod temporal;
 pub mod widest;
 
 pub use bfs::{bfs_levels, UNREACHED};
-pub use cc::{component_count, components_dominator_label, components_min_label, UnionFind};
+pub use cc::{
+    component_count, components_dominator_label, components_earliest_edge, components_min_label,
+    UnionFind,
+};
 pub use construct::{build_undirected, build_undirected_weighted, implied_vertices, symmetrize};
 pub use sssp::sssp_costs;
 pub use stcon::st_masks;

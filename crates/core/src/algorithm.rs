@@ -59,7 +59,8 @@ pub trait Algorithm: Send + Sync + 'static {
 
     /// Called at the first endpoint of a new edge (after the engine inserted
     /// the edge into the local topology). `visitor` is the other endpoint;
-    /// no meaningful value is available yet.
+    /// `value` is what [`Algorithm::stream_value`] gave the edge's stream
+    /// index (the default state unless the algorithm implements that).
     fn on_add(
         &self,
         _ctx: &mut impl AlgoCtx<Self::State>,
@@ -111,6 +112,25 @@ pub trait Algorithm: Send + Sync + 'static {
         _value: &Self::State,
         _weight: Weight,
     ) {
+    }
+
+    /// The value an `Add` pulled from the input stream carries to
+    /// [`Algorithm::on_add`], as a function of its stream index: the
+    /// position of its pair in the engine's input, with the ingest calls
+    /// numbered back to back from 0 (see [`crate::Engine`]'s *Ingest*
+    /// section). The default is the default state, which no algorithm
+    /// reads; an algorithm that orders by arrival implements it (CC labels
+    /// a component by its earliest edge). Adds that no stream numbers, such
+    /// as a registry query's, get the default state.
+    ///
+    /// Must be a pure function of `index`: replay recomputes it from the
+    /// index the WAL logged, and the sequential reference engine numbers
+    /// its `apply`s the same way.
+    fn stream_value(_index: u64) -> Self::State
+    where
+        Self: Sized,
+    {
+        Self::State::default()
     }
 
     /// Compact encoding of a state for the per-edge neighbour cache

@@ -33,7 +33,7 @@
 //! rings.
 
 use std::ops::Range;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -43,7 +43,7 @@ use remo_store::{VertexId, Weight};
 
 use crate::algorithm::Algorithm;
 use crate::config::EngineConfig;
-use crate::event::{Chunk, ControlOp, Envelope, Epoch, EventKind, TopoEvent, TopoOp};
+use crate::event::{Chunk, ControlOp, Envelope, Epoch, EventKind, Items, TopoEvent, TopoOp};
 use crate::metrics::RunMetrics;
 use crate::partition::Partitioner;
 use crate::shard::{Message, ShardReport, ShardWorker, INGEST_CHUNK, INGEST_WINDOW};
@@ -130,8 +130,11 @@ impl<A: Algorithm> EngineBuilder<A> {
         // later cold restart can refuse a mismatched config.
         wal::claim_manifest(&config)
             .map_err(|message| EngineError::DurabilityMismatch { message })?;
+        let resume = wal::resume_index(&config)
+            .map_err(|message| EngineError::DurabilityMismatch { message })?;
 
         let (workers, ctl) = wire(self.algo, &config, self.triggers);
+        ctl.streamed.store(resume, Ordering::Relaxed);
         let handles = workers
             .into_iter()
             .enumerate()
@@ -167,6 +170,8 @@ pub(crate) struct Controller<S> {
     pub(crate) trigger_rx: Mutex<Receiver<TriggerFire>>,
     /// Cached owner map for the query paths.
     pub(crate) part: Partitioner,
+    /// The stream index the next ingest call starts at.
+    pub(crate) streamed: AtomicU64,
 }
 
 /// Makes `config.num_shards` workers and the controller's handles onto
@@ -194,6 +199,7 @@ pub(crate) fn wire<A: Algorithm>(
         senders,
         trigger_rx: Mutex::new(trigger_rx),
         part: Partitioner::new(shards),
+        streamed: AtomicU64::new(0),
     };
     let (algo, triggers) = (Arc::new(algo), Arc::new(triggers));
     let workers = (0..shards).zip(receivers).map(|(id, rx)| {
@@ -233,6 +239,11 @@ impl<S: Clone + Default> Controller<S> {
         for id in 0..self.senders.len() {
             self.lanes.parks.wake(id);
         }
+    }
+
+    /// Numbers a call's `n` events: the stream index of its first.
+    fn number(&self, n: usize) -> u64 {
+        self.streamed.fetch_add(n as u64, Ordering::Relaxed)
     }
 
     /// True when `n` more events fit `shard`'s ingest window.
@@ -338,6 +349,13 @@ impl<S, E> RunResult<S, E> {
 /// [`Engine::try_delete_pairs`], triples for
 /// [`Engine::try_ingest_weighted`].
 ///
+/// Every event also has a stream index, its position in the engine's
+/// input: calls are numbered back to back from 0 (a durable engine
+/// re-opened by [`Engine::open`] goes on after the last index its shards
+/// pulled; [`Engine::seek_stream`] moves the next call elsewhere), and a
+/// call's items in the order given. An `Add` hands its index to
+/// [`Algorithm::stream_value`].
+///
 /// - **When a call blocks.** Only when no shard with work left in the
 ///   call has room. It then sleeps on the bell, which a shard rings each
 ///   time it empties a chunk. A call that fits in every shard's window —
@@ -383,14 +401,19 @@ impl<A: Algorithm> Engine<A> {
     /// config before any shard starts. Each shard then restores its
     /// latest checkpoint and replays its WAL tail during startup, so the
     /// engine resumes from the last durable state — ingest more events,
-    /// snapshot, or [`Engine::try_finish`] as usual. A fresh (empty)
-    /// directory is also accepted, making `open` a drop-in for
-    /// [`Engine::new`] on first boot.
+    /// snapshot, or [`Engine::try_finish`] as usual. Its first ingest
+    /// call is numbered after the highest stream index any shard's
+    /// checkpoint or WAL records (a resume that re-ingests the stream from
+    /// its start calls [`Engine::seek_stream`] first). A fresh (empty)
+    /// directory is also
+    /// accepted, making `open` a drop-in for [`Engine::new`] on first
+    /// boot.
     ///
     /// Fails with [`EngineError::DurabilityMismatch`] when the config has
     /// no durability, when the directory was written by an engine of a
-    /// different shape (shard count / undirectedness), or when its
-    /// `MANIFEST` cannot be read or written.
+    /// different shape (shard count / undirectedness), when its
+    /// `MANIFEST` cannot be read or written, or when a shard's checkpoint
+    /// or WAL cannot be read.
     pub fn open(algo: A, config: EngineConfig) -> Result<Self, EngineError> {
         if config.durability.is_none() {
             return Err(EngineError::DurabilityMismatch {
@@ -398,6 +421,19 @@ impl<A: Algorithm> Engine<A> {
             });
         }
         EngineBuilder::new(algo, config).try_build()
+    }
+
+    /// Numbers the next ingest call from stream index `index` on, for a
+    /// caller that feeds again events it fed before. After a crash that
+    /// lost events no shard had pulled, a resume that re-ingests the
+    /// stream from its start seeks to 0 first: every event then gets back
+    /// the index it had, a re-ingested duplicate is absorbed by the join,
+    /// and a lost `Add` hands [`Algorithm::stream_value`] what it would
+    /// have in one uninterrupted run. New events must not reuse an index
+    /// another event had: that is why [`Engine::open`] numbers on after
+    /// every durable pull unless told otherwise.
+    pub fn seek_stream(&self, index: u64) {
+        self.ctl.streamed.store(index, Ordering::Relaxed);
     }
 
     /// Number of shard threads.
@@ -472,36 +508,48 @@ impl<A: Algorithm> Engine<A> {
     /// Fed in bounded chunks like every ingest (see [`Engine`]'s *Ingest*
     /// section): blocks only while no shard with work left has room in its
     /// window, returns once the last chunk is queued, and on `Err` each
-    /// shard has received a prefix of its share.
+    /// shard has received a prefix of its share. The events are numbered
+    /// as the streams flattened in the order given: stream 0's first, then
+    /// stream 1's, whatever the shard count.
     pub fn try_ingest(&self, streams: Vec<Vec<TopoEvent>>) -> Result<(), EngineError> {
         let k = self.config.num_shards;
-        let mut shares: Vec<Vec<TopoEvent>> = (0..k).map(|_| Vec::new()).collect();
+        let mut at = self.ctl.number(streams.iter().map(Vec::len).sum());
+        // Shard `s`'s share, each event beside its stream index: the
+        // streams are numbered in the order given, whichever shard each
+        // one joins.
+        let mut shares: Vec<Vec<(TopoEvent, u64)>> = (0..k).map(|_| Vec::new()).collect();
         for (i, stream) in streams.into_iter().enumerate() {
-            let share = &mut shares[i % k];
-            if share.is_empty() {
-                *share = stream;
-            } else {
-                share.extend(stream);
-            }
+            let n = stream.len() as u64;
+            shares[i % k].extend(stream.into_iter().zip(at..));
+            at += n;
         }
         let lens: Vec<usize> = shares.iter().map(Vec::len).collect();
-        self.feed(&lens, |s, r| Chunk::Events(shares[s][r].to_vec()))
+        self.feed(&lens, |s, r| Chunk {
+            base: 0,
+            stride: 0,
+            items: Items::Events(shares[s][r].to_vec()),
+        })
     }
 
     /// Splits `items` round-robin — item `i` goes to shard `i % P` — and
-    /// feeds each shard its share, cutting chunks with `chunk`: the shared
-    /// body of every `try_ingest_*`/`try_delete_*` convenience method
-    /// (they differ only in what a chunk carries).
+    /// feeds each shard its share, wrapping each chunk's items with
+    /// `wrap`: the shared body of every `try_ingest_*`/`try_delete_*`
+    /// convenience method (they differ only in what a chunk carries).
     fn split_and_feed<T: Copy>(
         &self,
         items: &[T],
-        chunk: impl Fn(Vec<T>) -> Chunk,
+        wrap: impl Fn(Vec<T>) -> Items,
     ) -> Result<(), EngineError> {
         let k = self.config.num_shards;
+        let first = self.ctl.number(items.len());
         let lens: Vec<usize> = (0..k)
             .map(|s| items.len().saturating_sub(s).div_ceil(k))
             .collect();
-        self.feed(&lens, |s, r| chunk(r.map(|j| items[s + j * k]).collect()))
+        self.feed(&lens, |s, r| Chunk {
+            base: first + (s + r.start * k) as u64,
+            stride: k as u64,
+            items: wrap(r.map(|j| items[s + j * k]).collect()),
+        })
     }
 
     /// Feeds shard `s` the events `0..lens[s]` of its share, in order, as
@@ -558,14 +606,14 @@ impl<A: Algorithm> Engine<A> {
     /// returns once the last chunk is queued; on `Err` each shard has
     /// received a prefix of its share. See [`Engine`]'s *Ingest* section.
     pub fn try_ingest_pairs(&self, pairs: &[(VertexId, VertexId)]) -> Result<(), EngineError> {
-        self.split_and_feed(pairs, |p| Chunk::Pairs(TopoOp::Add, p))
+        self.split_and_feed(pairs, |p| Items::Pairs(TopoOp::Add, p))
     }
 
     /// Streams edge **removals** (§VI-B extension), split and fed exactly
     /// as [`Self::try_ingest_pairs`] splits and feeds additions, with the
     /// same blocking and error behaviour.
     pub fn try_delete_pairs(&self, pairs: &[(VertexId, VertexId)]) -> Result<(), EngineError> {
-        self.split_and_feed(pairs, |p| Chunk::Pairs(TopoOp::Remove, p))
+        self.split_and_feed(pairs, |p| Items::Pairs(TopoOp::Remove, p))
     }
 
     /// Weighted variant of [`Self::try_ingest_pairs`]: the triples travel
@@ -574,7 +622,7 @@ impl<A: Algorithm> Engine<A> {
         &self,
         triples: &[(VertexId, VertexId, Weight)],
     ) -> Result<(), EngineError> {
-        self.split_and_feed(triples, Chunk::Weighted)
+        self.split_and_feed(triples, Items::Weighted)
     }
 
     /// Sends an `Init` event to `v` — e.g. designate the BFS/SSSP source or

@@ -188,27 +188,42 @@ impl TopoEvent {
 /// (`try_ingest_pairs`, `try_delete_pairs`), weighted triples
 /// (`try_ingest_weighted`), or the pre-split events of `try_ingest`.
 /// Never empty.
+///
+/// A chunk also numbers its events in the engine's input: event `i` has
+/// stream index `base + i·stride` (see [`crate::Algorithm::stream_value`]).
+/// A round-robin split puts pairs `s, s + k, s + 2k, …` of a call in shard
+/// `s`'s chunks, so their stride is the shard count `k`. `Events` carries
+/// each event's index beside it instead (`base` and `stride` are 0): a
+/// `try_ingest` share joins streams that are numbered apart.
 #[derive(Debug)]
-pub(crate) enum Chunk {
+pub(crate) struct Chunk {
+    pub(crate) base: u64,
+    pub(crate) stride: u64,
+    pub(crate) items: Items,
+}
+
+/// What a [`Chunk`] carries.
+#[derive(Debug)]
+pub(crate) enum Items {
     Pairs(TopoOp, Vec<(VertexId, VertexId)>),
     Weighted(Vec<(VertexId, VertexId, Weight)>),
-    Events(Vec<TopoEvent>),
+    Events(Vec<(TopoEvent, u64)>),
 }
 
 impl Chunk {
     pub(crate) fn len(&self) -> usize {
-        match self {
-            Chunk::Pairs(_, p) => p.len(),
-            Chunk::Weighted(t) => t.len(),
-            Chunk::Events(e) => e.len(),
+        match &self.items {
+            Items::Pairs(_, p) => p.len(),
+            Items::Weighted(t) => t.len(),
+            Items::Events(e) => e.len(),
         }
     }
 
-    /// The `i`th pull, as the WAL records it.
+    /// The `i`th pull and its stream index, as the WAL records them.
     #[inline]
-    pub(crate) fn get(&self, i: usize) -> TopoEvent {
-        match self {
-            Chunk::Pairs(op, p) => {
+    pub(crate) fn get(&self, i: usize) -> (TopoEvent, u64) {
+        let ev = match &self.items {
+            Items::Pairs(op, p) => {
                 let (src, dst) = p[i];
                 TopoEvent {
                     src,
@@ -217,18 +232,26 @@ impl Chunk {
                     op: *op,
                 }
             }
-            Chunk::Weighted(t) => {
+            Items::Weighted(t) => {
                 let (src, dst, weight) = t[i];
                 TopoEvent::weighted(src, dst, weight)
             }
-            Chunk::Events(e) => e[i],
-        }
+            Items::Events(e) => return e[i],
+        };
+        (ev, self.base + i as u64 * self.stride)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An envelope is what every lane, outbox and queue holds, so its size
+    /// is the engine's memory per event in flight. No field may grow it.
+    #[test]
+    fn envelope_of_u64_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Envelope<u64>>(), 48);
+    }
 
     #[test]
     fn topo_event_constructors() {

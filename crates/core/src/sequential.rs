@@ -53,6 +53,9 @@ pub struct SequentialEngine<A: Algorithm> {
     out: Vec<Outgoing<A::State>>,
     metrics: ShardMetrics,
     edges: u64,
+    /// The stream index of the next `apply`: events are numbered as the
+    /// engine numbers its input, one index per event, removals included.
+    streamed: u64,
 }
 
 impl<A: Algorithm> SequentialEngine<A> {
@@ -75,6 +78,7 @@ impl<A: Algorithm> SequentialEngine<A> {
             out: Vec::new(),
             metrics: ShardMetrics::default(),
             edges: 0,
+            streamed: 0,
         }
     }
 
@@ -86,14 +90,17 @@ impl<A: Algorithm> SequentialEngine<A> {
 
     /// Ingests one topology event **atomically**: the event and its entire
     /// algorithmic cascade complete before this returns (the sequential
-    /// model the paper contrasts against).
+    /// model the paper contrasts against). The `n`th event applied has
+    /// stream index `n - 1`, as the `n`th event fed to an engine does.
     pub fn apply(&mut self, ev: TopoEvent) {
         self.metrics.topo_ingested += 1;
-        let kind = match ev.op {
-            TopoOp::Add => EventKind::Add,
-            TopoOp::Remove => EventKind::Remove,
+        let index = self.streamed;
+        self.streamed += 1;
+        let (kind, value) = match ev.op {
+            TopoOp::Add => (EventKind::Add, A::stream_value(index)),
+            TopoOp::Remove => (EventKind::Remove, A::State::default()),
         };
-        self.enqueue(ev.src, ev.dst, A::State::default(), ev.weight, kind);
+        self.enqueue(ev.src, ev.dst, value, ev.weight, kind);
         self.drain();
     }
 

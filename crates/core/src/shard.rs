@@ -176,6 +176,9 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     /// one is pulled from `chunk_pos` on and dropped once it is empty.
     chunks: VecDeque<Chunk>,
     chunk_pos: usize,
+    /// One past the highest stream index this shard pulled or replayed:
+    /// its checkpoints record it, so a re-opened engine numbers on past it.
+    streamed: u64,
     out: Vec<Outgoing<A::State>>,
     /// Per-destination-shard buffers of unsent envelopes.
     outboxes: Vec<Vec<Envelope<A::State>>>,
@@ -253,6 +256,13 @@ impl<A: Algorithm> ShardWorker<A> {
         let part = Partitioner::new(config.num_shards);
         let num_shards = config.num_shards;
         let custody = Custody::for_shard(&config, id);
+        // A cold restart gates termination detection until its replay
+        // finishes (see SharedCounters::recovery_begin), from before any
+        // caller holds the engine: a quiescence wait right after
+        // `Engine::open` must not end before the shard has even started.
+        if custody.as_ref().is_some_and(Custody::recovering) {
+            ctl.shared.recovery_begin();
+        }
         ShardWorker {
             id,
             algo,
@@ -267,6 +277,7 @@ impl<A: Algorithm> ShardWorker<A> {
             local_q: VecDeque::new(),
             chunks: VecDeque::new(),
             chunk_pos: 0,
+            streamed: 0,
             out: Vec::new(),
             outboxes: (0..num_shards).map(|_| Vec::new()).collect(),
             lanes: ctl.lanes.clone(),
@@ -311,11 +322,6 @@ impl<A: Algorithm> ShardWorker<A> {
         let id = self.id;
         let shared = Arc::clone(&self.shared);
         let board = Arc::clone(&self.board);
-        // A cold restart gates termination detection until its replay
-        // finishes (see SharedCounters::recovery_begin).
-        if self.custody.as_ref().is_some_and(Custody::recovering) {
-            shared.recovery_begin();
-        }
         loop {
             // The worker owns its whole world (table, queues, channels); a
             // panic aborts this shard only, so observing no state across
@@ -936,16 +942,19 @@ impl<A: Algorithm> ShardWorker<A> {
     }
 
     /// Routes a pulled topology event as an `Add`/`Remove` at `owner(src)`,
-    /// stamped with `tag` when the ingest was trace-sampled (hop 1).
-    fn route_topo(&mut self, ev: TopoEvent, epoch: Epoch, tag: TraceTag) {
-        let kind = match ev.op {
-            crate::event::TopoOp::Add => EventKind::Add,
-            crate::event::TopoOp::Remove => EventKind::Remove,
+    /// stamped with `tag` when the ingest was trace-sampled (hop 1). An
+    /// `Add` carries the value [`Algorithm::stream_value`] gives its
+    /// stream `index`.
+    fn route_topo(&mut self, ev: TopoEvent, index: u64, epoch: Epoch, tag: TraceTag) {
+        self.streamed = self.streamed.max(index + 1);
+        let (kind, value) = match ev.op {
+            crate::event::TopoOp::Add => (EventKind::Add, A::stream_value(index)),
+            crate::event::TopoOp::Remove => (EventKind::Remove, A::State::default()),
         };
         self.send_envelope(Envelope {
             target: ev.src,
             visitor: ev.dst,
-            value: A::State::default(),
+            value,
             weight: ev.weight,
             kind,
             epoch,
@@ -1124,7 +1133,7 @@ impl<A: Algorithm> ShardWorker<A> {
             c.log_pulls(run.take(PULL_RUN), epoch, &mut self.metrics);
         }
         for _ in 0..PULL_RUN {
-            let Some(ev) = self.next_topo() else {
+            let Some((ev, index)) = self.next_topo() else {
                 break;
             };
             self.metrics.topo_ingested += 1;
@@ -1140,7 +1149,7 @@ impl<A: Algorithm> ShardWorker<A> {
                 self.trace_span(SpanKind::Root, trace::pack(id, 0), ev.src, ev.dst);
                 tag = trace::pack(id, 1);
             }
-            self.route_topo(ev, epoch, tag);
+            self.route_topo(ev, index, epoch, tag);
         }
         // Publish the run only after its last `route_topo` published the
         // spawned envelope's `sent` count. The reverse order opens a
@@ -1164,9 +1173,9 @@ impl<A: Algorithm> ShardWorker<A> {
         }
     }
 
-    /// Next topology event from the shard's input stream; a chunk is
-    /// dropped as soon as its last event is taken.
-    fn next_topo(&mut self) -> Option<TopoEvent> {
+    /// Next topology event from the shard's input stream, with its stream
+    /// index; a chunk is dropped as soon as its last event is taken.
+    fn next_topo(&mut self) -> Option<(TopoEvent, u64)> {
         let front = self.chunks.front()?;
         let ev = front.get(self.chunk_pos);
         self.chunk_pos += 1;
@@ -1205,7 +1214,7 @@ impl<A: Algorithm> ShardWorker<A> {
         if !due || !self.custody_clear() {
             return;
         }
-        let header = (self.seq, self.cur_epoch, self.edges);
+        let header = (self.seq, self.cur_epoch, self.edges, self.streamed);
         if let Some(c) = &mut self.custody {
             c.checkpoint(&self.store, header, &mut self.metrics);
         }
@@ -1222,7 +1231,12 @@ impl<A: Algorithm> ShardWorker<A> {
         let Some(c) = &mut self.custody else {
             return;
         };
-        let records = c.restore(&mut self.store, &mut self.seq, &mut self.edges);
+        let records = c.restore(
+            &mut self.store,
+            &mut self.seq,
+            &mut self.edges,
+            &mut self.streamed,
+        );
         let total = records.len() as u64;
         for rec in records {
             match rec {
@@ -1238,7 +1252,7 @@ impl<A: Algorithm> ShardWorker<A> {
                 // Untagged: the original ingest's Root span (if it was
                 // sampled) already anchors the trace, and the replayed
                 // envelope chain is re-derived below it.
-                Replay::Topo(ev, epoch) => self.route_topo(ev, epoch, 0),
+                Replay::Topo(ev, index, epoch) => self.route_topo(ev, index, epoch, 0),
                 // Re-derive the sweep's effects. Replaying a committed
                 // control record is monotone-safe: a duplicated prime
                 // rebuilds the same columns, a duplicated flood re-sends
@@ -1346,7 +1360,7 @@ mod sim;
 mod tests {
     use super::*;
     use crate::engine::{wire, Controller};
-    use crate::event::TopoOp;
+    use crate::event::{Items, TopoOp};
 
     /// Minimal algorithm: default callbacks, `u64` state.
     struct Noop;
@@ -1413,7 +1427,11 @@ mod tests {
         use std::sync::atomic::Ordering;
         let mut f = fixture();
         let pairs: Vec<(VertexId, VertexId)> = (0..100).map(|v| (v, v + 1000)).collect();
-        f.worker.chunks.push_back(Chunk::Pairs(TopoOp::Add, pairs));
+        f.worker.chunks.push_back(Chunk {
+            base: 0,
+            stride: 1,
+            items: Items::Pairs(TopoOp::Add, pairs),
+        });
         f.worker.pull_run(0);
         // The bound a point read waits behind: one run, not the stream.
         assert_eq!(f.worker.metrics.topo_ingested, PULL_RUN as u64);
@@ -1441,8 +1459,8 @@ mod tests {
     }
 
     /// A durable run logs, before it routes anything, exactly the events
-    /// it pulls: a run that crosses into the next chunk, and one that
-    /// starts inside a chunk.
+    /// it pulls, each with its stream index: a run that crosses into the
+    /// next chunk, and one that starts inside a chunk.
     #[test]
     fn durable_pull_runs_log_exactly_the_pulls_they_route() {
         let dir = std::env::temp_dir().join(format!("remo-shard-pulls-{}", std::process::id()));
@@ -1451,12 +1469,14 @@ mod tests {
             .with_durability(crate::DurabilityConfig::new(&dir).fsync(false));
         let mut f = fixture_with(config);
         let pairs = |r: std::ops::Range<u64>| r.map(|v| (v, v + 1000)).collect();
-        f.worker
-            .chunks
-            .push_back(Chunk::Pairs(TopoOp::Add, pairs(0..40)));
-        f.worker
-            .chunks
-            .push_back(Chunk::Pairs(TopoOp::Add, pairs(40..100)));
+        // Every other pair of the input, as a 2-shard split numbers it.
+        for (base, range) in [(0, 0..40), (80, 40..100)] {
+            f.worker.chunks.push_back(Chunk {
+                base,
+                stride: 2,
+                items: Items::Pairs(TopoOp::Add, pairs(range)),
+            });
+        }
         let c = f.worker.custody.as_mut().unwrap();
         c.open();
         f.worker.pull_run(3);
@@ -1464,17 +1484,36 @@ mod tests {
         assert_eq!(f.worker.chunk_pos, PULL_RUN - 40, "the run crossed a chunk");
         f.worker.pull_run(3);
         assert!(f.worker.chunks.is_empty());
-        let (mut store, mut seq, mut edges) = (DenseStore::with_capacity(0), 0, 0);
+        assert_eq!(f.worker.streamed, 199);
+        let (mut store, mut seq, mut edges, mut streamed) = (DenseStore::with_capacity(0), 0, 0, 0);
         let c = f.worker.custody.as_mut().unwrap();
-        let logged: Vec<(VertexId, Epoch)> = c
-            .restore(&mut store, &mut seq, &mut edges)
+        let logged: Vec<(VertexId, u64, Epoch)> = c
+            .restore(&mut store, &mut seq, &mut edges, &mut streamed)
             .into_iter()
             .map(|rec| match rec {
-                Replay::Topo(ev, epoch) => (ev.src, epoch),
+                Replay::Topo(ev, index, epoch) => (ev.src, index, epoch),
                 _ => panic!("a pull run logs topology records only"),
             })
             .collect();
-        assert_eq!(logged, (0..100).map(|v| (v, 3)).collect::<Vec<_>>());
+        assert_eq!(logged, (0..100).map(|v| (v, 2 * v, 3)).collect::<Vec<_>>());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A shard with durable state to replay holds quiescence off from the
+    /// moment it is built, before its thread could start: a wait right
+    /// after `Engine::open` sees its replay still to come.
+    #[test]
+    fn a_cold_shard_gates_quiescence_from_when_it_is_built() {
+        let dir = std::env::temp_dir().join(format!("remo-shard-cold-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = EngineConfig::undirected(2)
+            .with_durability(crate::DurabilityConfig::new(&dir).fsync(false));
+        let fresh = fixture_with(config.clone());
+        assert!(fresh.ctl.shared.quiescent_probe(), "nothing to replay");
+        std::fs::create_dir_all(dir.join("shard-1")).unwrap();
+        std::fs::write(dir.join("shard-1").join("wal.log"), [0u8; 8]).unwrap();
+        let cold = fixture_with(config);
+        assert!(!cold.ctl.shared.quiescent_probe(), "shard 1 has a WAL");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1638,7 +1677,11 @@ mod tests {
         shared.slot(0).fed.fetch_add(1, Ordering::SeqCst);
         let edge = TopoEvent::new(mine[0], mine[1]);
         ctl.senders[0]
-            .send(Message::Chunk(Chunk::Events(vec![edge])))
+            .send(Message::Chunk(Chunk {
+                base: 0,
+                stride: 0,
+                items: Items::Events(vec![(edge, 0)]),
+            }))
             .unwrap();
         while !shared.quiescent_probe() {
             std::thread::yield_now();

@@ -37,7 +37,7 @@ use super::{Message, Progress, ShardWorker, INGEST_CHUNK};
 use crate::algorithm::{AlgoCtx, Algorithm};
 use crate::config::EngineConfig;
 use crate::engine::{wire, Controller};
-use crate::event::{Chunk, Epoch, TopoOp};
+use crate::event::{Chunk, Epoch, Items, TopoOp};
 use crate::metrics::{RunMetrics, ShardMetrics};
 use crate::sequential::SequentialEngine;
 
@@ -238,7 +238,11 @@ impl<A: Algorithm<State = u64>> Sim<A> {
             return false;
         }
         let pairs = self.shares[s][self.fed[s]..][..n].to_vec();
-        let chunk = Message::Chunk(Chunk::Pairs(TopoOp::Add, pairs));
+        let chunk = Message::Chunk(Chunk {
+            base: (s + self.fed[s] * self.k()) as u64,
+            stride: self.k() as u64,
+            items: Items::Pairs(TopoOp::Add, pairs),
+        });
         self.ctl
             .send_to(s, chunk)
             .expect("the shard's channel is open");

@@ -75,9 +75,9 @@ pub enum EngineError {
         expected: usize,
     },
     /// The durable directory cannot back this engine: no durability in
-    /// the config, a `MANIFEST` that cannot be read, parsed or written,
-    /// or state written by an engine of a different shape (shard count,
-    /// undirectedness).
+    /// the config, a `MANIFEST` that cannot be read, parsed or written, a
+    /// shard's checkpoint or WAL that cannot be read, or state written by
+    /// an engine of a different shape (shard count, undirectedness).
     DurabilityMismatch {
         /// Human-readable description of the mismatch.
         message: String,

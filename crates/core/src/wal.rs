@@ -42,7 +42,7 @@
 
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::algorithm::Algorithm;
@@ -95,10 +95,13 @@ impl DurabilityConfig {
     }
 }
 
-// ---- CRC32 (IEEE 802.3, table-driven) --------------------------------
+// ---- CRC32 (IEEE 802.3, slicing-by-8) -------------------------------
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the bytewise table; `CRC_TABLES[k][i]` is
+/// `CRC_TABLES[k - 1][i]` advanced over one more zero byte, so one lookup
+/// in each of the eight tables consumes eight bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -111,17 +114,41 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let p = t[k - 1][i];
+            t[k][i] = t[0][(p & 0xFF) as usize] ^ (p >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 };
 
-/// IEEE CRC32 over `bytes`.
+/// IEEE CRC32 over `bytes`, eight bytes a step: a WAL frame's is taken as
+/// it is written and again by every read that walks the log.
 fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -145,6 +172,7 @@ impl<'a> ByteReader<'a> {
         ByteReader { buf, pos: 0 }
     }
 
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()
     }
@@ -241,9 +269,9 @@ pub(crate) enum Replay<S> {
     /// An envelope the shard accepted from a peer or the controller, with
     /// its trace tag, so a replayed envelope keeps its trace identity.
     Envelope(Envelope<S>),
-    /// A topology event pulled from an input stream, with the epoch it was
-    /// tagged with at ingestion.
-    Topo(TopoEvent, Epoch),
+    /// A topology event pulled from an input stream, with its stream index
+    /// and the epoch it was tagged with at ingestion.
+    Topo(TopoEvent, u64, Epoch),
     /// A claimed control sweep (registry attach/detach — see
     /// [`crate::registry`]) and the slot mask the shard claimed.
     Control(ControlKind, u64),
@@ -371,22 +399,23 @@ impl<A: Algorithm> Custody<A> {
         self.buf.clear();
     }
 
-    /// Custody point: a pull run. Logs each pull with the epoch the run is
-    /// tagged with and commits once, before the first envelope any of them
-    /// spawns exists.
+    /// Custody point: a pull run. Logs each pull with its stream index and
+    /// the epoch the run is tagged with, and commits once, before the first
+    /// envelope any of them spawns exists.
     pub(crate) fn log_pulls(
         &mut self,
-        run: impl Iterator<Item = TopoEvent>,
+        run: impl Iterator<Item = (TopoEvent, u64)>,
         epoch: Epoch,
         m: &mut ShardMetrics,
     ) {
-        for ev in run {
+        for (ev, index) in run {
             let start = self.begin_frame(TAG_TOPO);
             self.buf.push(match ev.op {
                 TopoOp::Add => 0,
                 TopoOp::Remove => 1,
             });
             put_u32(&mut self.buf, epoch);
+            put_u64(&mut self.buf, index);
             put_u64(&mut self.buf, ev.src);
             put_u64(&mut self.buf, ev.dst);
             put_u64(&mut self.buf, ev.weight);
@@ -457,14 +486,15 @@ impl<A: Algorithm> Custody<A> {
     pub(crate) fn checkpoint(
         &mut self,
         store: &Store<A>,
-        header: (u64, Epoch, u64),
+        header: (u64, Epoch, u64, u64),
         m: &mut ShardMetrics,
     ) {
-        let (seq, epoch, edges) = header;
+        let (seq, epoch, edges, streamed) = header;
         let mut body = Vec::with_capacity(64 + store.num_vertices() * 48);
         put_u64(&mut body, seq);
         put_u32(&mut body, epoch);
         put_u64(&mut body, edges);
+        put_u64(&mut body, streamed);
         put_u64(&mut body, store.num_vertices() as u64);
         let scratch = &mut self.scratch;
         store.export_records(&mut |v, live, prev, meta, adj| {
@@ -505,27 +535,29 @@ impl<A: Algorithm> Custody<A> {
 
     /// Recovery, inside the supervised region: replaces `store` with the
     /// latest published checkpoint (an empty store when none exists yet),
-    /// raises `seq` to the checkpoint's, sets `edges`, and returns the WAL
-    /// tail to replay. On a cold start the previous process's epoch
-    /// timeline is void: forks are dropped and every epoch zeroed;
-    /// fired-trigger bits survive either way so at-most-once firing spans
-    /// the restart.
+    /// raises `seq` and `streamed` to the checkpoint's, sets `edges`, and
+    /// returns the WAL tail to replay. On a cold start the previous
+    /// process's epoch timeline is void: forks are dropped and every epoch
+    /// zeroed; fired-trigger bits survive either way so at-most-once firing
+    /// spans the restart.
     #[cold]
     pub(crate) fn restore(
         &mut self,
         store: &mut Store<A>,
         seq: &mut u64,
         edges: &mut u64,
+        streamed: &mut u64,
     ) -> Vec<Replay<A::State>> {
         let (cold, shard) = (std::mem::take(&mut self.cold), self.shard);
         *store = DenseStore::with_capacity(0);
         *edges = 0;
         if let Some(body) = or_die(read_checkpoint(&self.root, shard), "checkpoint read", shard) {
             let image = decode_checkpoint::<A>(&body, cold);
-            let (ckpt_seq, ckpt_edges, image) = or_die(image, "checkpoint decode", shard);
+            let (header, image) = or_die(image, "checkpoint decode", shard);
             *store = image;
-            *seq = (*seq).max(ckpt_seq);
-            *edges = ckpt_edges;
+            *seq = (*seq).max(header.seq);
+            *edges = header.edges;
+            *streamed = (*streamed).max(header.streamed);
         }
         or_die(read_wal::<A>(&self.root, shard, cold), "WAL read", shard)
     }
@@ -571,7 +603,8 @@ impl<A: Algorithm> Custody<A> {
 // ---- WAL records -----------------------------------------------------
 
 const TAG_ENVELOPE: u8 = 1;
-const TAG_TOPO: u8 = 2;
+/// A pull with its stream index (tag 2 was a pull without one).
+const TAG_TOPO: u8 = 4;
 const TAG_CONTROL: u8 = 3;
 
 /// `<root>/shard-<id>/`.
@@ -583,26 +616,28 @@ fn wal_path(root: &Path, shard: usize) -> PathBuf {
     shard_dir(root, shard).join("wal.log")
 }
 
-/// Walks frames front-to-back, returning the byte length of the valid
-/// prefix — everything after it is a torn tail to truncate.
+/// The payloads of the valid frames at the front of `bytes`, in order,
+/// stopping at the first torn or corrupt one.
+fn frames(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut r = ByteReader::new(bytes);
+    std::iter::from_fn(move || {
+        let (len, crc) = (r.u32().ok()?, r.u32().ok()?);
+        let payload = r.take(len as usize).ok()?;
+        (crc32(payload) == crc).then_some(payload)
+    })
+}
+
+/// The byte length of the valid frames at the front of `bytes`:
+/// everything after it is a torn tail to truncate.
 fn valid_prefix(bytes: &[u8]) -> u64 {
-    let mut pos = 0usize;
-    loop {
-        let Some(header) = bytes.get(pos..pos + 8) else {
-            return pos as u64;
-        };
-        let mut w = [0u8; 4];
-        w.copy_from_slice(&header[..4]);
-        let len = u32::from_le_bytes(w) as usize;
-        w.copy_from_slice(&header[4..8]);
-        let crc = u32::from_le_bytes(w);
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
-            return pos as u64;
-        };
-        if crc32(payload) != crc {
-            return pos as u64;
-        }
-        pos += 8 + len;
+    frames(bytes).map(|payload| 8 + payload.len() as u64).sum()
+}
+
+/// A shard's whole WAL; empty when it has none yet.
+fn wal_bytes(root: &Path, shard: usize) -> io::Result<Vec<u8>> {
+    match fs::read(wal_path(root, shard)) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        read => read,
     }
 }
 
@@ -611,11 +646,7 @@ fn valid_prefix(bytes: &[u8]) -> u64 {
 fn open_wal(root: &Path, shard: usize) -> io::Result<File> {
     fs::create_dir_all(shard_dir(root, shard))?;
     let path = wal_path(root, shard);
-    let existing = match fs::read(&path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
+    let existing = wal_bytes(root, shard)?;
     let keep = valid_prefix(&existing);
     let mut file = OpenOptions::new()
         .create(true)
@@ -638,18 +669,11 @@ fn read_wal<A: Algorithm>(
     shard: usize,
     cold: bool,
 ) -> io::Result<Vec<Replay<A::State>>> {
-    let bytes = match fs::read(wal_path(root, shard)) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let valid = valid_prefix(&bytes) as usize;
+    let bytes = wal_bytes(root, shard)?;
     let at = |epoch: Epoch| if cold { 0 } else { epoch };
     let mut out = Vec::new();
-    let mut r = ByteReader::new(&bytes[..valid]);
-    while !r.is_empty() {
-        let _len = r.u32()?;
-        let _crc = r.u32()?;
+    for payload in frames(&bytes) {
+        let mut r = ByteReader::new(payload);
         out.push(match r.u8()? {
             TAG_ENVELOPE => {
                 let kind = r.u8()?;
@@ -675,7 +699,7 @@ fn read_wal<A: Algorithm>(
                     TopoOp::Remove
                 };
                 let epoch = at(r.u32()?);
-                let (src, dst, weight) = (r.u64()?, r.u64()?, r.u64()?);
+                let (index, src, dst, weight) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
                 Replay::Topo(
                     TopoEvent {
                         src,
@@ -683,6 +707,7 @@ fn read_wal<A: Algorithm>(
                         weight,
                         op,
                     },
+                    index,
                     epoch,
                 )
             }
@@ -701,7 +726,8 @@ fn read_wal<A: Algorithm>(
 // ---- checkpoints -----------------------------------------------------
 
 const CKPT_MAGIC: u32 = 0x524D_4350; // "RMCP"
-const CKPT_VERSION: u32 = 1;
+/// Version 2 added the header's stream index.
+const CKPT_VERSION: u32 = 2;
 
 fn ckpt_path(root: &Path, shard: usize) -> PathBuf {
     shard_dir(root, shard).join("checkpoint.bin")
@@ -746,14 +772,7 @@ fn read_checkpoint(root: &Path, shard: usize) -> io::Result<Option<Vec<u8>>> {
         Err(e) => return Err(e),
     };
     let mut r = ByteReader::new(&bytes);
-    if r.u32()? != CKPT_MAGIC {
-        return Err(invalid("bad checkpoint magic"));
-    }
-    if r.u32()? != CKPT_VERSION {
-        return Err(invalid("bad checkpoint version"));
-    }
-    let crc = r.u32()?;
-    let len = r.u32()? as usize;
+    let (crc, len) = ckpt_preamble(&mut r)?;
     let body = r.take(len)?;
     if crc32(body) != crc {
         return Err(invalid("checkpoint CRC mismatch"));
@@ -761,13 +780,59 @@ fn read_checkpoint(root: &Path, shard: usize) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(body.to_vec()))
 }
 
-/// Decodes a checkpoint body into `(seq, edges, store)`; on a `cold`
-/// start without forks or fork epochs.
-fn decode_checkpoint<A: Algorithm>(body: &[u8], cold: bool) -> io::Result<(u64, u64, Store<A>)> {
-    let mut r = ByteReader::new(body);
+/// Checks a checkpoint file's magic and version; returns its body's CRC
+/// and length.
+fn ckpt_preamble(r: &mut ByteReader<'_>) -> io::Result<(u32, usize)> {
+    if r.u32()? != CKPT_MAGIC {
+        return Err(invalid("bad checkpoint magic"));
+    }
+    if r.u32()? != CKPT_VERSION {
+        return Err(invalid("bad checkpoint version"));
+    }
+    Ok((r.u32()?, r.u32()? as usize))
+}
+
+/// The header's `streamed` of the shard's published checkpoint (0 when it
+/// has none), read without the body: the restore that follows reads the
+/// whole checkpoint and checks its CRC.
+fn checkpoint_streamed(root: &Path, shard: usize) -> io::Result<u64> {
+    // The preamble, then the header's seq, epoch, edges and streamed.
+    let mut head = [0u8; 16 + 28];
+    match File::open(ckpt_path(root, shard)) {
+        Ok(mut f) => f.read_exact(&mut head)?,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
+        Err(e) => return Err(e),
+    }
+    let mut r = ByteReader::new(&head);
+    ckpt_preamble(&mut r)?;
+    Ok(decode_header(&mut r)?.streamed)
+}
+
+/// The scalars a checkpoint body starts with.
+struct CkptHeader {
+    seq: u64,
+    edges: u64,
+    /// One past the highest stream index the shard had pulled.
+    streamed: u64,
+}
+
+fn decode_header(r: &mut ByteReader<'_>) -> io::Result<CkptHeader> {
     let seq = r.u64()?;
     let _epoch = r.u32()?;
     let edges = r.u64()?;
+    let streamed = r.u64()?;
+    Ok(CkptHeader {
+        seq,
+        edges,
+        streamed,
+    })
+}
+
+/// Decodes a checkpoint body into its header and store; on a `cold` start
+/// without forks or fork epochs.
+fn decode_checkpoint<A: Algorithm>(body: &[u8], cold: bool) -> io::Result<(CkptHeader, Store<A>)> {
+    let mut r = ByteReader::new(body);
+    let header = decode_header(&mut r)?;
     let vertices = r.u64()?;
     // The header counts the records that follow; each takes more than a
     // byte, so the body's length bounds the allocation.
@@ -790,7 +855,38 @@ fn decode_checkpoint<A: Algorithm>(body: &[u8], cold: bool) -> io::Result<(u64, 
         };
         store.restore_record(v, live, prev.filter(|_| !cold), meta, adj);
     }
-    Ok((seq, edges, store))
+    Ok((header, store))
+}
+
+/// The stream index a re-opened engine numbers on from: one past the
+/// highest any shard's checkpoint or WAL records it pulled (0 for a fresh
+/// directory, or with durability off). Read before any shard starts, so
+/// the first ingest call after [`crate::Engine::open`] cannot reuse an
+/// index whose label is already in the recovered state. It reads each
+/// checkpoint's header and each WAL's pull frames only: no state is
+/// decoded, so no algorithm code runs outside a shard's supervision.
+pub(crate) fn resume_index(config: &EngineConfig) -> Result<u64, String> {
+    let Some(d) = &config.durability else {
+        return Ok(0);
+    };
+    let shard_index = |shard: usize| -> io::Result<u64> {
+        let ckpt = checkpoint_streamed(&d.dir, shard)?;
+        frames(&wal_bytes(&d.dir, shard)?)
+            .filter(|payload| payload.first() == Some(&TAG_TOPO))
+            .try_fold(ckpt, |next, payload| {
+                let mut r = ByteReader::new(payload);
+                r.take(6)?; // the tag, the op and the epoch
+                Ok(next.max(r.u64()? + 1))
+            })
+    };
+    (0..config.num_shards).try_fold(0, |next, shard| {
+        shard_index(shard).map(|n| next.max(n)).map_err(|e| {
+            format!(
+                "cannot read shard {shard}'s durable state under {}: {e}",
+                d.dir.display()
+            )
+        })
+    })
 }
 
 // ---- engine manifest -------------------------------------------------
@@ -895,6 +991,34 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The eight-byte steps and the bytewise tail agree with the plain
+    /// bit-at-a-time definition at every length and offset.
+    #[test]
+    fn crc32_matches_the_bitwise_definition() {
+        let bitwise = |bytes: &[u8]| {
+            let mut c = !0u32;
+            for &b in bytes {
+                c ^= b as u32;
+                for _ in 0..8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                }
+            }
+            !c
+        };
+        let bytes: Vec<u8> = (0..200u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for start in 0..8 {
+            for end in start..bytes.len() {
+                assert_eq!(crc32(&bytes[start..end]), bitwise(&bytes[start..end]));
+            }
+        }
+    }
+
     #[test]
     fn wal_roundtrip_and_reset() {
         let root = tmp_root("roundtrip");
@@ -908,7 +1032,7 @@ mod tests {
             weight: 9,
             op: TopoOp::Remove,
         };
-        c.log_pulls([pull].into_iter(), 4, &mut m);
+        c.log_pulls([(pull, 17)].into_iter(), 4, &mut m);
         c.log_control(ControlKind::Flood, 0b101, &mut m);
         assert_eq!(m.wal_records_appended, 3);
         assert_eq!(m.wal_bytes, fs::metadata(wal_path(&root, 0)).unwrap().len());
@@ -922,8 +1046,8 @@ mod tests {
             (e.kind, e.epoch, e.target, e.visitor, e.weight, e.tag, e.value),
             (EventKind::Update, 1, 10, 20, 7, (99 << 8) | 2, 42)
         );
-        let Replay::Topo(ev, 4) = &recs[1] else {
-            panic!("expected topo record at epoch 4");
+        let Replay::Topo(ev, 17, 4) = &recs[1] else {
+            panic!("expected topo record of index 17 at epoch 4");
         };
         assert_eq!(
             (ev.src, ev.dst, ev.weight, ev.op),
@@ -936,7 +1060,7 @@ mod tests {
         // A cold read zeroes every epoch.
         let cold = read_wal::<Level>(&root, 0, true).unwrap();
         assert!(matches!(&cold[0], Replay::Envelope(e) if e.epoch == 0));
-        assert!(matches!(cold[1], Replay::Topo(_, 0)));
+        assert!(matches!(cold[1], Replay::Topo(_, 17, 0)));
 
         // A checkpoint waits for the admitted envelope, then truncates the
         // WAL; restore reads its image back.
@@ -946,13 +1070,40 @@ mod tests {
         let mut store: DenseStore<u64, ()> = DenseStore::with_capacity(0);
         let h = store.intern(7);
         *store.fork_and_parts(h, 0).1.live = 5;
-        c.checkpoint(&store, (11, 0, 3), &mut m);
+        c.checkpoint(&store, (11, 0, 3, 18), &mut m);
         assert_eq!(m.checkpoints_written, 1);
         assert!(read_wal::<Level>(&root, 0, false).unwrap().is_empty());
-        let (mut restored, mut seq, mut edges) = (DenseStore::with_capacity(0), 2, 0);
-        assert!(c.restore(&mut restored, &mut seq, &mut edges).is_empty());
-        assert_eq!((seq, edges, restored.num_vertices()), (11, 3, 1));
+        let (mut restored, mut seq, mut edges, mut streamed) =
+            (DenseStore::with_capacity(0), 2, 0, 0);
+        assert!(c
+            .restore(&mut restored, &mut seq, &mut edges, &mut streamed)
+            .is_empty());
+        assert_eq!(
+            (seq, edges, streamed, restored.num_vertices()),
+            (11, 3, 18, 1)
+        );
         assert_eq!(restored.get(7).map(|(s, _)| *s), Some(5));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A re-opened engine numbers on past every stream index a shard's
+    /// checkpoint or WAL records.
+    #[test]
+    fn resume_index_is_past_every_durable_pull() {
+        let root = tmp_root("resume");
+        let config =
+            EngineConfig::directed(2).with_durability(DurabilityConfig::new(&root).fsync(false));
+        assert_eq!(resume_index(&EngineConfig::directed(2)), Ok(0));
+        assert_eq!(resume_index(&config), Ok(0), "a fresh directory");
+        let mut m = ShardMetrics::default();
+        let pull = TopoEvent::new(1, 2);
+        let mut c = custody(&root, 0);
+        c.checkpoint(&DenseStore::with_capacity(0), (1, 0, 0, 40), &mut m);
+        c.log_pulls([(pull, 7)].into_iter(), 0, &mut m);
+        assert_eq!(resume_index(&config), Ok(40), "the checkpoint's");
+        let mut c = custody(&root, 1);
+        c.log_pulls([(pull, 52), (pull, 9)].into_iter(), 0, &mut m);
+        assert_eq!(resume_index(&config), Ok(53), "shard 1's WAL");
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -1086,7 +1237,7 @@ mod tests {
         let mut store: DenseStore<u64, ()> = DenseStore::with_capacity(0);
         let h = store.intern(7);
         *store.fork_and_parts(h, 0).1.live = 5;
-        c.checkpoint(&store, (1, 0, 0), &mut m);
+        c.checkpoint(&store, (1, 0, 0, 0), &mut m);
 
         c.admit([update(8, 0, 0)], &mut m);
         c.take_admitted();
@@ -1094,14 +1245,15 @@ mod tests {
         *store.fork_and_parts(h, 0).1.live = 42;
         ENCODES_LEFT.store(1, Relaxed);
         let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            c.checkpoint(&store, (2, 0, 0), &mut m);
+            c.checkpoint(&store, (2, 0, 0, 0), &mut m);
         }));
         assert!(crashed.is_err(), "the second state's encoding panics");
         assert_eq!(m.checkpoints_written, 1);
         assert!(c.checkpoint_due(true), "the WAL still holds the admission");
 
-        let (mut restored, mut seq, mut edges) = (DenseStore::with_capacity(0), 0, 0);
-        let replay = c.restore(&mut restored, &mut seq, &mut edges);
+        let (mut restored, mut seq, mut edges, mut streamed) =
+            (DenseStore::with_capacity(0), 0, 0, 0);
+        let replay = c.restore(&mut restored, &mut seq, &mut edges, &mut streamed);
         assert_eq!((seq, restored.num_vertices()), (1, 1), "the first image");
         assert!(
             matches!(&replay[..], [Replay::Envelope(e)] if e.target == 8),
@@ -1109,9 +1261,9 @@ mod tests {
         );
 
         ENCODES_LEFT.store(u64::MAX, Relaxed);
-        c.checkpoint(&store, (3, 0, 0), &mut m);
+        c.checkpoint(&store, (3, 0, 0, 0), &mut m);
         assert_eq!(m.checkpoints_written, 2);
-        let replay = c.restore(&mut restored, &mut seq, &mut edges);
+        let replay = c.restore(&mut restored, &mut seq, &mut edges, &mut streamed);
         assert!(replay.is_empty());
         assert_eq!((seq, restored.num_vertices()), (3, 2));
         assert_eq!(restored.get(8).map(|(s, _)| *s), Some(42));

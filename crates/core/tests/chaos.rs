@@ -657,6 +657,89 @@ fn panicked_shard_respawns_and_converges_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Greets the other end of every new edge with an `Update` stamped with
+/// its own id, and poisons a vertex that receives a stamp that is not its
+/// visitor's. Replay repeats greetings, and a repeat is harmless; an
+/// update routed under the wrong visitor is not, unlike in the label
+/// lattices above, which absorb any stale value.
+struct Stamped;
+
+impl Stamped {
+    const POISON: u64 = u64::MAX;
+
+    fn greet(ctx: &mut impl AlgoCtx<u64>, visitor: VertexId) {
+        let stamp = ctx.vertex() + 1;
+        ctx.update_single_nbr(visitor, &stamp);
+    }
+}
+
+impl Algorithm for Stamped {
+    type State = u64;
+    type Edge = ();
+    fn on_add(&self, ctx: &mut impl AlgoCtx<u64>, visitor: VertexId, _val: &u64, _w: u64) {
+        Self::greet(ctx, visitor);
+    }
+    fn on_reverse_add(&self, ctx: &mut impl AlgoCtx<u64>, visitor: VertexId, _: &u64, _: u64) {
+        Self::greet(ctx, visitor);
+    }
+    fn on_update(&self, ctx: &mut impl AlgoCtx<u64>, visitor: VertexId, value: &u64, _w: u64) {
+        let seen = if *value == visitor + 1 {
+            1
+        } else {
+            Self::POISON
+        };
+        ctx.apply(move |s| {
+            let raised = *s < seen;
+            *s = (*s).max(seen);
+            raised
+        });
+    }
+    fn encode_state(state: &u64, out: &mut Vec<u8>) {
+        codec::put_u64(*state, out);
+    }
+    fn decode_state(bytes: &[u8]) -> u64 {
+        codec::get_u64(bytes)
+    }
+}
+
+/// A callback that panics with output queued leaves that output behind:
+/// the post-panic sweep must drop it, because replay queues it again.
+/// Kept, it would go out after the first replayed callback as that
+/// vertex's — here the third pulled `Add` (at vertex 4) panics with its
+/// greeting to 5 queued, and replay's first callback is the `Add` at 0.
+#[test]
+fn a_panic_with_queued_output_routes_none_of_it_after_recovery() {
+    let pairs: Vec<(VertexId, VertexId)> = (0..8).map(|i| (2 * i, 2 * i + 1)).collect();
+    let dir = durable_dir("queued-output");
+    let config = EngineConfig {
+        quiescence_deadline: Some(Duration::from_secs(5)),
+        ..EngineConfig::undirected(1)
+    }
+    .with_durability(
+        DurabilityConfig::new(&dir)
+            .checkpoint_every(1000)
+            .fsync(false),
+    );
+    let engine = Engine::new(Faulty::on(0, Stamped).panic_at(3), config);
+    engine.try_ingest_pairs(&pairs).unwrap();
+    let result = engine.try_finish().expect("a recovered run finishes clean");
+    assert!(!result.is_degraded(), "{:?}", result.failures);
+    assert_eq!(result.metrics.total().shard_respawns, 1);
+    let poisoned: Vec<VertexId> = result
+        .states
+        .iter()
+        .filter(|(_, s)| **s == Stamped::POISON)
+        .map(|(v, _)| v)
+        .collect();
+    assert!(poisoned.is_empty(), "stale greetings reached {poisoned:?}");
+    assert_eq!(
+        fixpoint(&result.states),
+        (0..16).map(|v| (v, 1)).collect::<Vec<_>>()
+    );
+    result.metrics.verify_balance().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Chaos × tracing: a respawned shard must resume span recording into
 /// the same ring (the rings live in the telemetry plane, which survives
 /// the shard thread), replayed envelopes must surface as `Replay` spans —

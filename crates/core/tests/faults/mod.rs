@@ -134,6 +134,10 @@ impl<A: Algorithm> Algorithm for Faulty<A> {
         self.visit(ctx.shard_hint(), |a| a.on_reverse_remove(ctx, v, val, w));
     }
 
+    fn stream_value(index: u64) -> A::State {
+        A::stream_value(index)
+    }
+
     fn encode_cache(state: &A::State) -> u64 {
         A::encode_cache(state)
     }

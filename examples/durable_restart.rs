@@ -10,6 +10,13 @@
 //! is at-least-once: the resume path simply re-ingests the full stream on
 //! top of the recovered state and the fixpoint is unchanged.
 //!
+//! `IncCc` labels a component by its earliest stream edge, and a WAL
+//! record keeps its edge's stream index. The resume path seeks the
+//! engine's stream back to 0 before it re-ingests, so every edge gets
+//! back its index, and an edge the `kill -9` lost before any shard pulled
+//! it still labels its component as in the uninterrupted run: the
+//! `fixpoint` line hashes the labels themselves.
+//!
 //! Modes (first CLI argument):
 //!
 //! - `baseline`         — no durability; prints the reference fixpoint.
@@ -76,6 +83,9 @@ impl Algorithm for Crashing {
     }
     fn decode_state(bytes: &[u8]) -> u64 {
         IncCc::decode_state(bytes)
+    }
+    fn stream_value(index: u64) -> u64 {
+        IncCc::stream_value(index)
     }
 }
 
@@ -145,10 +155,10 @@ fn run_ingest(edges: &[(VertexId, VertexId)], dir: &PathBuf) -> u64 {
     let cfg = config(4).with_durability(DurabilityConfig::new(dir).checkpoint_every(4096));
     let engine = Engine::open(IncCc, cfg).expect("open durable dir");
     println!("ingesting {} events into {}", edges.len(), dir.display());
-    for (i, chunk) in edges.chunks(2048).enumerate() {
+    for (i, chunk) in edges.chunks(256).enumerate() {
         engine.try_ingest_pairs(chunk).unwrap();
-        if i % 8 == 0 {
-            println!("  chunk {i}: {} events in", (i + 1) * 2048);
+        if i % 64 == 0 {
+            println!("  chunk {i}: {} events in", (i + 1) * 256);
         }
         std::thread::sleep(Duration::from_millis(15));
     }
@@ -158,11 +168,13 @@ fn run_ingest(edges: &[(VertexId, VertexId)], dir: &PathBuf) -> u64 {
 
 /// Cold restart: reopen the directory (each shard restores its latest
 /// checkpoint and replays its WAL tail during startup), then re-ingest
-/// the whole stream — duplicates are absorbed by the monotone join.
+/// the whole stream from stream index 0 — duplicates are absorbed by the
+/// monotone join.
 fn run_resume(edges: &[(VertexId, VertexId)], dir: &PathBuf) -> u64 {
     let cfg = config(4).with_durability(DurabilityConfig::new(dir).checkpoint_every(4096));
     let engine = Engine::open(IncCc, cfg).expect("open durable dir");
     println!("reopened {}; re-ingesting the full stream", dir.display());
+    engine.seek_stream(0);
     engine.try_ingest_pairs(edges).unwrap();
     engine.try_await_quiescence().unwrap();
     finish_and_report(engine).0

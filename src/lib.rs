@@ -44,8 +44,8 @@ pub use remo_store as store;
 /// The most common imports in one place.
 pub mod prelude {
     pub use remo_algos::{
-        cc_label, DegreeCount, GenBfs, IncBfs, IncBfsDeterministic, IncBfsSuppressed, IncCc,
-        IncSssp, IncStCon, IncStConWide, IncTemporal, IncWidest,
+        cc_label, stream_label, DegreeCount, GenBfs, IncBfs, IncBfsDeterministic, IncBfsSuppressed,
+        IncCc, IncSssp, IncStCon, IncStConWide, IncTemporal, IncWidest,
     };
     pub use remo_core::{
         AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineBuilder, EngineConfig, QueryId,

@@ -56,13 +56,13 @@ fn live_cc_equals_union_find_on_every_dataset() {
         let edges = dataset_edges(ds, 0.02, 23);
         let engine = Engine::new(IncCc, EngineConfig::undirected(4));
         engine.try_ingest_pairs(&edges).unwrap();
-        let dynamic = engine.try_finish().unwrap().states;
+        let dynamic = engine.try_finish().unwrap().states.into_vec();
 
-        let csr = undirected_csr(&edges);
-        let want = oracle::components_dominator_label(&csr, cc_label);
-        for (v, &label) in dynamic.iter() {
-            assert_eq!(label, want[v as usize], "{}: vertex {v}", ds.name());
-        }
+        let want: Vec<(VertexId, u64)> = oracle::components_earliest_edge(&edges)
+            .into_iter()
+            .map(|(v, i)| (v, stream_label(i)))
+            .collect();
+        assert_eq!(dynamic, want, "{}", ds.name());
     }
 }
 
