@@ -1,6 +1,6 @@
 //! `IncCc` labels a component by its earliest stream edge, and that label
 //! must depend on the stream alone: one ingest call or several, 1–3
-//! shards, bare pairs, weighted triples or pre-split streams, a shard
+//! shards, bare pairs, weighted triples or one pair per call, a shard
 //! respawned from its WAL, an engine re-opened over its directory, or a
 //! resume that re-ingests a stream whose crash lost events. Every
 //! run must reach exactly the earliest-edge oracle's labels, and so must
@@ -9,9 +9,7 @@
 use proptest::prelude::*;
 use remo_algos::{stream_label, IncCc};
 use remo_baseline as oracle;
-use remo_core::{
-    Algorithm, DurabilityConfig, Engine, EngineConfig, SequentialEngine, TopoEvent, VertexId,
-};
+use remo_core::{Algorithm, DurabilityConfig, Engine, EngineConfig, SequentialEngine, VertexId};
 use std::time::Duration;
 
 #[path = "../../core/tests/faults/mod.rs"]
@@ -50,7 +48,8 @@ fn build_stream(draws: &[(u8, u64, u64)], vertices: u64) -> Vec<(VertexId, Verte
 }
 
 /// Hands `engine` one call: bare pairs (`mode` 0), weighted triples (1),
-/// or up to three pre-split streams (2), numbered in the order given.
+/// or one call per pair (2), which all land on shard 0 and are numbered
+/// as the one call would be.
 fn ingest<A: Algorithm>(engine: &Engine<A>, call: &[(VertexId, VertexId)], mode: u8) {
     match mode {
         0 => engine.try_ingest_pairs(call).unwrap(),
@@ -59,11 +58,9 @@ fn ingest<A: Algorithm>(engine: &Engine<A>, call: &[(VertexId, VertexId)], mode:
             engine.try_ingest_weighted(&triples).unwrap();
         }
         _ => {
-            let streams = call
-                .chunks(call.len().div_ceil(3).max(1))
-                .map(|c| c.iter().map(|&(s, d)| TopoEvent::new(s, d)).collect())
-                .collect();
-            engine.try_ingest(streams).unwrap();
+            for pair in call.chunks(1) {
+                engine.try_ingest_pairs(pair).unwrap();
+            }
         }
     }
 }

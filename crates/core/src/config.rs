@@ -13,8 +13,11 @@ use crate::wal::DurabilityConfig;
 #[cfg(doc)]
 use crate::algorithm::Algorithm;
 
-/// Immutable engine configuration shared with every shard. Telemetry and
-/// causal tracing have no field: every engine runs both.
+/// Immutable engine configuration shared with every shard, in four
+/// fields: the shard count, the edge mode, the wait deadline and
+/// durability. Telemetry and causal tracing have no field: every engine
+/// runs both. Nor does the envelope batch: every shard ships 256
+/// envelopes a batch.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Number of shard threads (the paper's "processes"/"nodes").
@@ -29,12 +32,6 @@ pub struct EngineConfig {
     /// promptly if a shard *panics*, because every wait also checks the
     /// failure board and a dead replier disconnects its reply channel.
     pub quiescence_deadline: Option<Duration>,
-    /// Envelopes buffered per destination shard before a batch ships
-    /// (HavoqGT batches visitor messages the same way); partial batches
-    /// flush whenever the shard goes idle, so no envelope waits for a full
-    /// batch. A batch from one sender preserves its internal order, so
-    /// per-pair FIFO is unaffected. Default 256.
-    pub envelope_batch: usize,
     /// Per-shard durability: a write-ahead log of every input a shard
     /// takes custody of, idle checkpoints, and in-place respawn of a
     /// panicked shard (at most three times), all kept by the shard's one
@@ -52,7 +49,6 @@ impl EngineConfig {
             num_shards: shards,
             undirected: true,
             quiescence_deadline: None,
-            envelope_batch: 256,
             durability: None,
         }
     }

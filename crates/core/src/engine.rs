@@ -32,7 +32,6 @@
 //! says when to probe again, and `HEARTBEAT` bounds the sleep when nothing
 //! rings.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -43,7 +42,7 @@ use remo_store::{VertexId, Weight};
 
 use crate::algorithm::Algorithm;
 use crate::config::EngineConfig;
-use crate::event::{Chunk, ControlOp, Envelope, Epoch, EventKind, Items, TopoEvent, TopoOp};
+use crate::event::{Chunk, ControlOp, Envelope, Epoch, EventKind, Items, TopoOp};
 use crate::metrics::RunMetrics;
 use crate::partition::Partitioner;
 use crate::shard::{Message, ShardReport, ShardWorker, INGEST_CHUNK, INGEST_WINDOW};
@@ -498,44 +497,17 @@ impl<A: Algorithm> Engine<A> {
         self.ctl.board.any_failed()
     }
 
-    /// Injects pre-split event streams: stream `i` joins shard `i % P`'s
-    /// in-order input (streams `i`, `i + P`, … in that order). Streams may
-    /// be injected at any time, including while previous streams are still
-    /// draining; an empty share is skipped outright — no message, no wake —
-    /// so an ingest of fewer streams than shards disturbs only the shards
-    /// it has work for.
-    ///
-    /// Fed in bounded chunks like every ingest (see [`Engine`]'s *Ingest*
-    /// section): blocks only while no shard with work left has room in its
-    /// window, returns once the last chunk is queued, and on `Err` each
-    /// shard has received a prefix of its share. The events are numbered
-    /// as the streams flattened in the order given: stream 0's first, then
-    /// stream 1's, whatever the shard count.
-    pub fn try_ingest(&self, streams: Vec<Vec<TopoEvent>>) -> Result<(), EngineError> {
-        let k = self.config.num_shards;
-        let mut at = self.ctl.number(streams.iter().map(Vec::len).sum());
-        // Shard `s`'s share, each event beside its stream index: the
-        // streams are numbered in the order given, whichever shard each
-        // one joins.
-        let mut shares: Vec<Vec<(TopoEvent, u64)>> = (0..k).map(|_| Vec::new()).collect();
-        for (i, stream) in streams.into_iter().enumerate() {
-            let n = stream.len() as u64;
-            shares[i % k].extend(stream.into_iter().zip(at..));
-            at += n;
-        }
-        let lens: Vec<usize> = shares.iter().map(Vec::len).collect();
-        self.feed(&lens, |s, r| Chunk {
-            base: 0,
-            stride: 0,
-            items: Items::Events(shares[s][r].to_vec()),
-        })
-    }
-
-    /// Splits `items` round-robin — item `i` goes to shard `i % P` — and
-    /// feeds each shard its share, wrapping each chunk's items with
-    /// `wrap`: the shared body of every `try_ingest_*`/`try_delete_*`
-    /// convenience method (they differ only in what a chunk carries).
-    fn split_and_feed<T: Copy>(
+    /// Splits `items` round-robin — item `i` goes to shard `i % P`, as
+    /// stream index `first + i` — and feeds shard `s` its share in order,
+    /// as chunks of at most [`INGEST_CHUNK`] whose items `wrap` builds:
+    /// the body of every `try_ingest_*`/`try_delete_*` method (they differ
+    /// only in what a chunk carries). A chunk goes out only if it fits the
+    /// shard's window (see [`Controller::reserve`]); when no shard with
+    /// work left has room, the call waits on the bell, supervised, with a
+    /// fresh `quiescence_deadline` per wait (a wait that sees room open
+    /// ends; the deadline bounds a stall, not the call). Returns once the
+    /// last chunk is queued.
+    fn feed<T: Copy>(
         &self,
         items: &[T],
         wrap: impl Fn(Vec<T>) -> Items,
@@ -545,30 +517,11 @@ impl<A: Algorithm> Engine<A> {
         let lens: Vec<usize> = (0..k)
             .map(|s| items.len().saturating_sub(s).div_ceil(k))
             .collect();
-        self.feed(&lens, |s, r| Chunk {
-            base: first + (s + r.start * k) as u64,
-            stride: k as u64,
-            items: wrap(r.map(|j| items[s + j * k]).collect()),
-        })
-    }
-
-    /// Feeds shard `s` the events `0..lens[s]` of its share, in order, as
-    /// chunks of at most [`INGEST_CHUNK`] that `cut(s, range)` builds. A
-    /// chunk goes out only if it fits the shard's window (see
-    /// [`Self::reserve`]); when no shard with work left has room, the call
-    /// waits on the bell, supervised, with a fresh `quiescence_deadline`
-    /// per wait (a wait that sees room open ends; the deadline bounds a
-    /// stall, not the call). Returns once the last chunk is queued.
-    fn feed(
-        &self,
-        lens: &[usize],
-        cut: impl Fn(usize, Range<usize>) -> Chunk,
-    ) -> Result<(), EngineError> {
-        let mut done = vec![0; lens.len()];
+        let mut done = vec![0; k];
         let next = |s: usize, done: &[usize]| (lens[s] - done[s]).min(INGEST_CHUNK) as u64;
         loop {
             let mut blocked = false;
-            for s in 0..lens.len() {
+            for s in 0..k {
                 while done[s] < lens[s] {
                     let n = next(s, &done);
                     if !self.ctl.reserve(s, n) {
@@ -580,7 +533,12 @@ impl<A: Algorithm> Engine<A> {
                     // burst-start → quiescence; an empty ingest arms
                     // nothing).
                     self.ctl.tele.mark_ingest();
-                    let chunk = cut(s, done[s]..done[s] + n as usize);
+                    let share = (done[s]..done[s] + n as usize).map(|j| items[s + j * k]);
+                    let chunk = Chunk {
+                        base: first + (s + done[s] * k) as u64,
+                        stride: k as u64,
+                        items: wrap(share.collect()),
+                    };
                     if let Err(e) = self.ctl.send_to(s, Message::Chunk(chunk)) {
                         // Uncount, so a degraded engine can still quiesce
                         // over the survivors.
@@ -595,7 +553,7 @@ impl<A: Algorithm> Engine<A> {
             }
             let deadline = Deadline::new(self.config.quiescence_deadline);
             self.wait_until(&deadline, || {
-                (0..lens.len()).any(|s| done[s] < lens[s] && self.ctl.has_room(s, next(s, &done)))
+                (0..k).any(|s| done[s] < lens[s] && self.ctl.has_room(s, next(s, &done)))
             })?;
         }
     }
@@ -606,14 +564,14 @@ impl<A: Algorithm> Engine<A> {
     /// returns once the last chunk is queued; on `Err` each shard has
     /// received a prefix of its share. See [`Engine`]'s *Ingest* section.
     pub fn try_ingest_pairs(&self, pairs: &[(VertexId, VertexId)]) -> Result<(), EngineError> {
-        self.split_and_feed(pairs, |p| Items::Pairs(TopoOp::Add, p))
+        self.feed(pairs, |p| Items::Pairs(TopoOp::Add, p))
     }
 
     /// Streams edge **removals** (§VI-B extension), split and fed exactly
     /// as [`Self::try_ingest_pairs`] splits and feeds additions, with the
     /// same blocking and error behaviour.
     pub fn try_delete_pairs(&self, pairs: &[(VertexId, VertexId)]) -> Result<(), EngineError> {
-        self.split_and_feed(pairs, |p| Items::Pairs(TopoOp::Remove, p))
+        self.feed(pairs, |p| Items::Pairs(TopoOp::Remove, p))
     }
 
     /// Weighted variant of [`Self::try_ingest_pairs`]: the triples travel
@@ -622,7 +580,7 @@ impl<A: Algorithm> Engine<A> {
         &self,
         triples: &[(VertexId, VertexId, Weight)],
     ) -> Result<(), EngineError> {
-        self.split_and_feed(triples, Items::Weighted)
+        self.feed(triples, Items::Weighted)
     }
 
     /// Sends an `Init` event to `v` — e.g. designate the BFS/SSSP source or

@@ -185,16 +185,13 @@ impl TopoEvent {
 
 /// One bounded piece of a shard's input stream, in the shape the ingest
 /// call that cut it was given: the op once and bare pairs
-/// (`try_ingest_pairs`, `try_delete_pairs`), weighted triples
-/// (`try_ingest_weighted`), or the pre-split events of `try_ingest`.
-/// Never empty.
+/// (`try_ingest_pairs`, `try_delete_pairs`) or weighted triples
+/// (`try_ingest_weighted`). Never empty.
 ///
 /// A chunk also numbers its events in the engine's input: event `i` has
 /// stream index `base + i·stride` (see [`crate::Algorithm::stream_value`]).
 /// A round-robin split puts pairs `s, s + k, s + 2k, …` of a call in shard
-/// `s`'s chunks, so their stride is the shard count `k`. `Events` carries
-/// each event's index beside it instead (`base` and `stride` are 0): a
-/// `try_ingest` share joins streams that are numbered apart.
+/// `s`'s chunks, so their stride is the shard count `k`.
 #[derive(Debug)]
 pub(crate) struct Chunk {
     pub(crate) base: u64,
@@ -207,7 +204,6 @@ pub(crate) struct Chunk {
 pub(crate) enum Items {
     Pairs(TopoOp, Vec<(VertexId, VertexId)>),
     Weighted(Vec<(VertexId, VertexId, Weight)>),
-    Events(Vec<(TopoEvent, u64)>),
 }
 
 impl Chunk {
@@ -215,7 +211,6 @@ impl Chunk {
         match &self.items {
             Items::Pairs(_, p) => p.len(),
             Items::Weighted(t) => t.len(),
-            Items::Events(e) => e.len(),
         }
     }
 
@@ -236,7 +231,6 @@ impl Chunk {
                 let (src, dst, weight) = t[i];
                 TopoEvent::weighted(src, dst, weight)
             }
-            Items::Events(e) => return e[i],
         };
         (ev, self.base + i as u64 * self.stride)
     }

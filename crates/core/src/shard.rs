@@ -95,6 +95,13 @@ pub(crate) const INGEST_WINDOW: u64 = 4 * INGEST_CHUNK as u64;
 /// workload reaches it (DESIGN.md §20).
 const HELD_BOUND: usize = 4096;
 
+/// Envelope batch: how many envelopes a shard buffers per destination
+/// before the batch ships (HavoqGT batches visitor messages the same
+/// way). Partial batches flush whenever the shard goes idle, so no
+/// envelope waits for a full batch, and a batch keeps its sender's order,
+/// so per-pair FIFO is unaffected.
+const ENVELOPE_BATCH: usize = 256;
+
 /// `count & SAMPLE_MASK == 0` selects the events that are sampled.
 const SAMPLE_MASK: u64 = (1 << SAMPLE_SHIFT) - 1;
 
@@ -182,6 +189,9 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     out: Vec<Outgoing<A::State>>,
     /// Per-destination-shard buffers of unsent envelopes.
     outboxes: Vec<Vec<Envelope<A::State>>>,
+    /// The outbox length at which a batch ships: [`ENVELOPE_BATCH`],
+    /// which only this module's tests and the simulator change.
+    batch: usize,
     /// The shared SPSC lane mesh + park board.
     lanes: LaneHandles<A::State>,
     /// Per-destination backlog: batches whose flush found the lane full,
@@ -195,7 +205,8 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     /// idle episode (bounded by [`FLUSH_HYSTERESIS`]; reset whenever
     /// work arrives or the flush finally happens).
     idle_spins: u32,
-    /// Local monotone counters, published to this shard's [`ShardSlots`].
+    /// Local monotone counters, published to this shard's
+    /// [`ShardSlots`](crate::termination::ShardSlots).
     sent_local: [u64; 2],
     processed_local: [u64; 2],
     ingested_local: u64,
@@ -280,6 +291,7 @@ impl<A: Algorithm> ShardWorker<A> {
             streamed: 0,
             out: Vec::new(),
             outboxes: (0..num_shards).map(|_| Vec::new()).collect(),
+            batch: ENVELOPE_BATCH,
             lanes: ctl.lanes.clone(),
             held: (0..num_shards).map(|_| VecDeque::new()).collect(),
             claim_buf: Vec::new(),
@@ -1000,7 +1012,7 @@ impl<A: Algorithm> ShardWorker<A> {
             return;
         }
         self.outboxes[owner].push(env);
-        if self.outboxes[owner].len() >= self.config.envelope_batch {
+        if self.outboxes[owner].len() >= self.batch {
             self.flush(owner);
         }
     }
@@ -1582,7 +1594,7 @@ mod tests {
     #[test]
     fn full_lane_holds_batches_and_ships_them_in_order() {
         let mut f = fixture();
-        f.worker.config.envelope_batch = 4;
+        f.worker.batch = 4;
         let mesh = Arc::clone(&f.worker.lanes.mesh);
         let held = |f: &Fixture| f.worker.held[1].iter().map(Vec::len).collect::<Vec<_>>();
         f.fill_lane();
@@ -1611,7 +1623,7 @@ mod tests {
         assert_eq!(f.worker.metrics.lane_batches, 1);
 
         // The lane drained: the backlog ships before the new batch, in
-        // order, no batch longer than `envelope_batch`.
+        // order, no batch longer than `batch`.
         let mut got: Vec<Vec<VertexId>> = Vec::new();
         let drain = |got: &mut Vec<Vec<VertexId>>| {
             while let Some(b) = mesh.recv(0, 1) {
@@ -1675,12 +1687,11 @@ mod tests {
         let part = Partitioner::new(2);
         let mine: Vec<VertexId> = (0u64..).filter(|&v| part.owner(v) == 0).take(2).collect();
         shared.slot(0).fed.fetch_add(1, Ordering::SeqCst);
-        let edge = TopoEvent::new(mine[0], mine[1]);
         ctl.senders[0]
             .send(Message::Chunk(Chunk {
                 base: 0,
-                stride: 0,
-                items: Items::Events(vec![(edge, 0)]),
+                stride: 1,
+                items: Items::Pairs(TopoOp::Add, vec![(mine[0], mine[1])]),
             }))
             .unwrap();
         while !shared.quiescent_probe() {

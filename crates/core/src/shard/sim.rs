@@ -33,7 +33,7 @@ use remo_gen::rng::SmallRng;
 use remo_gen::{rmat, RmatConfig};
 use remo_store::{VertexId, Weight};
 
-use super::{Message, Progress, ShardWorker, INGEST_CHUNK};
+use super::{Message, Progress, ShardWorker, HELD_BOUND, INGEST_CHUNK, PULL_RUN};
 use crate::algorithm::{AlgoCtx, Algorithm};
 use crate::config::EngineConfig;
 use crate::engine::{wire, Controller};
@@ -205,9 +205,10 @@ struct Sim<A: Algorithm<State = u64>> {
 
 impl<A: Algorithm<State = u64>> Sim<A> {
     fn new(algo: A, k: usize, batch: usize, chunk: usize, pairs: &[(VertexId, VertexId)]) -> Self {
-        let mut config = EngineConfig::undirected(k);
-        config.envelope_batch = batch;
-        let (workers, ctl) = wire(algo, &config, Vec::new());
+        let (mut workers, ctl) = wire(algo, &EngineConfig::undirected(k), Vec::new());
+        for w in &mut workers {
+            w.batch = batch;
+        }
         let shares = (0..k)
             .map(|s| pairs.iter().skip(s).step_by(k).copied().collect())
             .collect();
@@ -494,26 +495,43 @@ proptest! {
     }
 }
 
-/// A receiver starved while its peer pulls: the lane fills, the peer
-/// holds what does not fit, and the fair schedule then delivers it all.
+/// A receiver starved while its peer pulls: the lane fills, and the peer
+/// holds what does not fit until its backlog passes `HELD_BOUND`. Then it
+/// stops pulling, give or take what its last pull run sends: each pull's
+/// `Add` and the reverse-add of a local one, at most two batches per
+/// `batch` envelopes of the run, plus one partial batch. (`Levels` with
+/// no source sends nothing else.) The fair schedule then delivers it all.
 #[test]
 fn starved_receiver_fills_its_lane_and_its_peer_holds() {
     let pairs = rmat::generate(&RmatConfig {
         seed: 7,
-        ..RmatConfig::graph500(6)
+        ..RmatConfig::graph500(11)
     });
-    let mut sim = Sim::new(MinCc, 2, 1, INGEST_CHUNK, &pairs);
-    while sim.feed(0) {}
-    for _ in 0..64 {
+    let batch = 1;
+    let mut sim = Sim::new(Levels, 2, batch, INGEST_CHUNK, &pairs);
+    let pulled = |sim: &Sim<Levels>| sim.workers[0].metrics.topo_ingested;
+    let step_0 = |sim: &mut Sim<Levels>| {
+        while sim.feed(0) {}
         sim.step(0);
+    };
+    while sim.workers[0].held_batches() <= HELD_BOUND {
+        assert!(
+            pulled(&sim) < sim.shares[0].len() as u64,
+            "shard 0 pulled its share without reaching the bound"
+        );
+        step_0(&mut sim);
     }
-    assert!(
-        sim.workers[0].held_batches() > 0,
-        "a backlog held for the full lane"
-    );
     assert!(sim.workers[0].metrics.lane_full_fallbacks > 0);
+    // A plateau, not a moment: nothing grows while shard 1 is starved.
+    let at = pulled(&sim);
+    for _ in 0..1_000 {
+        step_0(&mut sim);
+        let held = sim.workers[0].held_batches();
+        assert!(held <= HELD_BOUND + 2 * PULL_RUN / batch + 1, "{held} held");
+    }
+    assert_eq!(pulled(&sim), at, "shard 0 pulled past its bound");
     sim.settle(true);
-    assert_eq!(sim.states(), solve(MinCc, None, &pairs));
+    assert_eq!(sim.states(), solve(Levels, None, &pairs));
     sim.check_balance();
 }
 

@@ -60,7 +60,7 @@ use crate::transport::CachePadded;
 pub const PUBLISH_EVERY: u32 = 256;
 
 /// Sampling shift: every `2^SAMPLE_SHIFT`-th topology pull of a shard
-/// mints a causal trace ([`PropagationTrace`](crate::PropagationTrace)).
+/// mints a causal trace ([`PropagationTrace`]).
 pub const SAMPLE_SHIFT: u32 = 6;
 
 /// Trace spans retained per shard ([`crate::trace`]).

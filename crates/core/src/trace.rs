@@ -33,7 +33,7 @@
 //!
 //! ## Ring-overflow policy
 //!
-//! Span rings hold [`SPAN_CAPACITY`](crate::SPAN_CAPACITY) spans per shard
+//! Span rings hold [`SPAN_CAPACITY`](crate::telemetry::SPAN_CAPACITY) spans per shard
 //! and overwrite oldest-first (the ring lives in [`crate::telemetry`], so
 //! a dead shard's spans stay readable); `trace_spans_dropped` counts
 //! evictions. A
@@ -45,7 +45,7 @@ use remo_store::VertexId;
 
 use crate::metrics::LatencyHistogram;
 
-/// Compact causal tag carried by every [`Envelope`](crate::Envelope):
+/// Compact causal tag carried by every [`Envelope`](crate::event::Envelope):
 /// `(trace_id << 8) | hop_depth`, or `0` for untraced envelopes (the
 /// overwhelmingly common case — the untraced hot path pays one predictable
 /// branch per observation point).

@@ -54,7 +54,7 @@ use crate::vertex_state::VertexMeta;
 use remo_store::{Adjacency, EdgeData};
 
 /// Runtime durability selection, carried by
-/// [`EngineConfig`](crate::EngineConfig). Constructed with
+/// [`EngineConfig`]. Constructed with
 /// [`DurabilityConfig::new`] and customized through the builder methods.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityConfig {

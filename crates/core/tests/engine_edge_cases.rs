@@ -8,17 +8,13 @@ use std::time::{Duration, Instant};
 
 use remo_core::{
     AlgoCtx, Algorithm, Engine, EngineConfig, EngineError, Partitioner, SequentialEngine,
-    TopoEvent, VertexId, Weight,
+    TopoEvent, TopoOp, VertexId, Weight,
 };
 use remo_gen::rng::SmallRng;
 
 /// The engine's per-shard ingest window: the most topology events it lets
 /// wait unpulled at one shard (`INGEST_WINDOW`, four 1,024-event chunks).
 const INGEST_WINDOW: u64 = 4_096;
-
-/// The engine's held bound: past this many batches held for full lanes a
-/// shard stops pulling topology (`HELD_BOUND`).
-const HELD_BOUND: u64 = 4096;
 
 #[derive(Debug, Default, Clone, Copy)]
 struct Touch;
@@ -54,9 +50,7 @@ fn self_loops_terminate_and_count_once_per_side() {
 #[test]
 fn empty_streams_quiesce_immediately() {
     let engine = Engine::new(Touch, EngineConfig::undirected(3));
-    engine
-        .try_ingest(vec![Vec::new(), Vec::new(), Vec::new()])
-        .unwrap();
+    engine.try_ingest_pairs(&[]).unwrap();
     engine.try_await_quiescence().unwrap();
     let r = engine.try_finish().unwrap();
     assert_eq!(r.num_vertices, 0);
@@ -75,7 +69,6 @@ fn empty_ingest_arms_no_fixpoint_clock() {
     engine.try_ingest_pairs(&[]).unwrap();
     engine.try_delete_pairs(&[]).unwrap();
     engine.try_ingest_weighted(&[]).unwrap();
-    engine.try_ingest(vec![Vec::new(), Vec::new()]).unwrap();
     engine.try_await_quiescence().unwrap();
     assert_eq!(engine.metrics_now().ingest_fixpoint.count, before);
     let _ = engine.try_finish().unwrap();
@@ -146,9 +139,7 @@ fn weighted_and_unweighted_batches_interleave() {
     let engine = Engine::new(Touch, EngineConfig::undirected(2));
     engine.try_ingest_pairs(&[(0, 1)]).unwrap();
     engine.try_ingest_weighted(&[(1, 2, 50)]).unwrap();
-    engine
-        .try_ingest(vec![vec![TopoEvent::weighted(2, 3, 7)]])
-        .unwrap();
+    engine.try_ingest_weighted(&[(2, 3, 7)]).unwrap();
     let r = engine.try_finish().unwrap();
     assert_eq!(r.num_edges, 6);
 }
@@ -177,11 +168,11 @@ fn many_small_ingests_accumulate() {
 
 #[test]
 fn partial_batches_flush_at_idle() {
-    // With a batch size far larger than the event count, every cross-shard
-    // envelope sits in a partial outbox; only the idle-flush path can
-    // deliver them. A deadline turns a lost-flush bug into a fast failure.
+    // Four pairs are far below the 256-envelope batch, so every
+    // cross-shard envelope sits in a partial outbox; only the idle-flush
+    // path can deliver them. A deadline turns a lost-flush bug into a fast
+    // failure.
     let config = EngineConfig {
-        envelope_batch: 1 << 20,
         quiescence_deadline: Some(std::time::Duration::from_secs(10)),
         ..EngineConfig::undirected(4)
     };
@@ -193,21 +184,6 @@ fn partial_batches_flush_at_idle() {
     let r = engine.try_finish().unwrap();
     assert_eq!(r.states.get(1), Some(&2));
     assert_eq!(r.states.get(4), Some(&1));
-}
-
-#[test]
-fn envelope_batch_of_one_streams_eagerly() {
-    // The other extreme: flush on every envelope.
-    let config = EngineConfig {
-        envelope_batch: 1,
-        ..EngineConfig::undirected(3)
-    };
-    let engine = Engine::new(Touch, config);
-    engine.try_ingest_pairs(&[(0, 1), (1, 2), (2, 0)]).unwrap();
-    let r = engine.try_finish().unwrap();
-    assert_eq!(r.states.get(0), Some(&2));
-    assert_eq!(r.states.get(1), Some(&2));
-    assert_eq!(r.states.get(2), Some(&2));
 }
 
 /// An ingest of fewer items than shards leaves the other shards' streams
@@ -275,48 +251,63 @@ fn stored_edges(r: &remo_core::RunResult<u64, ()>) -> BTreeSet<(VertexId, Vertex
         .collect()
 }
 
+/// Feeds `events` in order, one pair per call. A one-pair call always
+/// lands on shard 0, so the whole stream is shard 0's.
+fn feed_one_pair_calls<A: Algorithm>(engine: &Engine<A>, events: &[TopoEvent]) {
+    for ev in events {
+        let pair = [(ev.src, ev.dst)];
+        match ev.op {
+            TopoOp::Add => engine.try_ingest_pairs(&pair).unwrap(),
+            TopoOp::Remove => engine.try_delete_pairs(&pair).unwrap(),
+        }
+    }
+}
+
 /// Longer than two ingest windows, and not a whole number of chunks or
 /// pull runs: every boundary falls inside a stream.
 const PAST_TWO_WINDOWS: usize = 2 * INGEST_WINDOW as usize + 2_085;
 
-/// Per-stream FIFO across pull-run and chunk boundaries: a shard pulls
-/// its stream in bounded runs (64 events) out of chunks of 1,024 that the
-/// controller hands out inside a window, and a remove must never overtake
-/// the add it undoes — within a run, across two, across a chunk boundary,
-/// or across a wait for room. Two pre-split streams, each longer than two
-/// windows, toggle disjoint edge sets over the same 25 vertices; the
-/// adjacency the shards end with must be the set model applied in stream
-/// order, at every batch size and with and without cross-shard lanes.
+/// Stream FIFO across pull-run and chunk boundaries: a shard pulls its
+/// stream in bounded runs (64 events) out of the chunks the controller
+/// hands out inside a window, and a remove must never overtake the add it
+/// undoes — within a run, across two, across a chunk boundary, or across
+/// a wait for room. Two toggle streams, each longer than two windows,
+/// toggle disjoint edge sets over the same 25 vertices; they are fed
+/// interleaved as one-pair calls, which all land on shard 0. So every
+/// chunk is one event with its own op, and every run of 64 pulls crosses
+/// 64 chunks. The adjacency the shards end with must be the set model
+/// applied in stream order, with and without cross-shard lanes. (The
+/// multi-shard order across calls is checked by
+/// `pair_calls_keep_their_order_across_chunks`.)
 #[test]
 fn stream_order_survives_pull_run_boundaries() {
     let path: Vec<(VertexId, VertexId)> = (0..24).map(|k| (k, k + 1)).collect();
     let skip: Vec<(VertexId, VertexId)> = (0..23).map(|k| (k, k + 2)).collect();
     let mut model = BTreeSet::new();
-    let streams = vec![
-        toggle_stream(&path, PAST_TWO_WINDOWS, 18, &mut model),
-        toggle_stream(&skip, PAST_TWO_WINDOWS, 81, &mut model),
-    ];
-    let injected: usize = streams.iter().map(Vec::len).sum();
+    let path_stream = toggle_stream(&path, PAST_TWO_WINDOWS, 18, &mut model);
+    let skip_stream = toggle_stream(&skip, PAST_TWO_WINDOWS, 81, &mut model);
+    let stream: Vec<TopoEvent> = path_stream
+        .into_iter()
+        .zip(skip_stream)
+        .flat_map(|(a, b)| [a, b])
+        .collect();
     assert!(!model.is_empty(), "the streams must leave edges standing");
 
     for shards in [1, 3] {
-        for envelope_batch in [1, EngineConfig::undirected(1).envelope_batch] {
-            let config = EngineConfig {
-                envelope_batch,
-                quiescence_deadline: Some(Duration::from_secs(30)),
-                ..EngineConfig::undirected(shards)
-            };
-            let ctx = format!("P={shards} batch={envelope_batch}");
-            let engine = Engine::new(Touch, config);
-            engine.try_ingest(streams.clone()).unwrap();
-            engine.try_await_quiescence().unwrap();
-            assert!(engine.counters_balanced(), "{ctx}");
-            let r = engine.try_finish().unwrap();
-            r.metrics.verify_balance().unwrap();
-            assert_eq!(r.metrics.total().topo_ingested, injected as u64, "{ctx}");
-            assert_eq!(stored_edges(&r), model, "{ctx}");
-            assert_eq!(r.num_edges, model.len() as u64, "{ctx}");
-        }
+        let config = EngineConfig {
+            quiescence_deadline: Some(Duration::from_secs(30)),
+            ..EngineConfig::undirected(shards)
+        };
+        let engine = Engine::new(Touch, config);
+        feed_one_pair_calls(&engine, &stream);
+        engine.try_await_quiescence().unwrap();
+        assert!(engine.counters_balanced(), "P={shards}");
+        let r = engine.try_finish().unwrap();
+        r.metrics.verify_balance().unwrap();
+        assert_eq!(r.metrics.per_shard[0].topo_ingested, stream.len() as u64);
+        assert_eq!(r.metrics.total().topo_ingested, stream.len() as u64);
+        assert_eq!(stored_edges(&r), model, "P={shards}");
+        assert_eq!(r.num_edges, model.len() as u64, "P={shards}");
     }
 }
 
@@ -400,35 +391,40 @@ impl Algorithm for Gated {
 /// A full data lane holds its sender's batches back, and they must reach
 /// the receiver behind what the lane already carries and in the order
 /// they were flushed, or the pair's FIFO breaks. Shard 1 is held inside a
-/// channel dispatch while a hub on shard 0 adds and then removes an edge
-/// to each of 64 leaves on shard 1, one envelope per batch: the first
-/// reverse-adds fill the lane, the rest — and every reverse-remove — pile
-/// up at shard 0, which goes idle on them. Once released, shard 1 drains
-/// the lane and shard 0 ships its backlog; a reverse-remove overtaking its
-/// leaf's reverse-add would leave that edge standing.
+/// channel dispatch while a hub on shard 0 adds an edge to each of 8,448
+/// filler leaves on shard 1 (33 batches of reverse-adds, one more than
+/// the lane holds at 256 a batch), then adds and then removes an edge to
+/// each of 2,048 more. All of it is fed as one-pair calls, which land on
+/// shard 0. However shard 0 cuts its batches, the lane is full before the
+/// first of the 2,048 is flushed, so all their reverse-adds and
+/// reverse-removes wait at shard 0 — a few tens of batches, far below the
+/// held bound — and shard 0 goes idle on them. Once released, shard 1
+/// drains the lane and shard 0 ships its backlog; a reverse-remove
+/// overtaking its leaf's reverse-add would leave that edge standing.
 #[test]
 fn full_lane_holds_the_backlog_in_order() {
     let part = Partitioner::new(2);
     let hub = (0u64..).find(|&v| part.owner(v) == 0).unwrap();
     let mut on_shard_1 = (0u64..).filter(|&v| part.owner(v) == 1);
     let held = on_shard_1.next().unwrap();
-    let leaves: Vec<VertexId> = on_shard_1.take(64).collect();
-    let burst: Vec<TopoEvent> = leaves
+    let filler: Vec<VertexId> = on_shard_1.by_ref().take(33 * 256).collect();
+    let leaves: Vec<VertexId> = on_shard_1.take(2_048).collect();
+    let burst: Vec<TopoEvent> = filler
         .iter()
+        .chain(&leaves)
         .map(|&leaf| TopoEvent::new(hub, leaf))
         .chain(leaves.iter().map(|&leaf| TopoEvent::removal(hub, leaf)))
         .collect();
 
     let gate = Arc::new([Barrier::new(2), Barrier::new(2)]);
     let config = EngineConfig {
-        envelope_batch: 1,
         quiescence_deadline: Some(Duration::from_secs(10)),
         ..EngineConfig::undirected(2)
     };
     let engine = Engine::new(Gated(Arc::clone(&gate)), config);
     engine.try_init_vertex(held).unwrap();
     gate[0].wait();
-    engine.try_ingest(vec![burst.clone(), Vec::new()]).unwrap();
+    feed_one_pair_calls(&engine, &burst);
     // Shard 0 publishes its counters when it goes idle, the burst shipped.
     let patience = Instant::now() + Duration::from_secs(10);
     while engine.metrics_now().per_shard[0].topo_ingested < burst.len() as u64 {
@@ -477,18 +473,15 @@ fn wait_for(what: &str, done: impl Fn() -> bool) {
 /// A stalled receiver bounds what an ingest holds. Shard 1 is held inside
 /// a callback while another thread ingests 400 K pairs. The ingest call
 /// must not return while the gate is closed: shard 1 pulls nothing, so it
-/// is handed one window of events and no more, and shard 0 stops pulling
-/// once its backlog held for shard 1's full lane passes its bound — give
-/// or take what its last pull run sends: one run's `Add`s and the
-/// reverse-adds of its local ones, at most two batches' worth per 16
-/// envelopes of the run, plus one partial batch. (Batches of 16 reach
-/// the bound after a few tens of thousands of pulls.) Shard 0 still
-/// answers point reads. Once released, the run reaches the same fixpoint
-/// as the sequential engine, with balanced books.
+/// is handed one window of events and no more, while shard 0 takes its
+/// whole share and holds what it has for shard 1's full lane. Shard 0
+/// still answers point reads. Once released, the run reaches the same
+/// fixpoint as the sequential engine, with balanced books. (The bound on
+/// the held backlog is `shard::sim`'s
+/// `starved_receiver_fills_its_lane_and_its_peer_holds`: at 256 envelopes
+/// a batch it takes about a million held envelopes to reach.)
 #[test]
 fn stalled_receiver_bounds_the_ingest_and_the_backlog() {
-    const BATCH: u64 = 16;
-    const PULL_RUN: u64 = 64;
     let part = Partitioner::new(2);
     let held = (0u64..).find(|&v| part.owner(v) == 1).unwrap();
     let pairs = random_pairs(400_000, 50_000, 0x57a1);
@@ -500,7 +493,6 @@ fn stalled_receiver_bounds_the_ingest_and_the_backlog() {
 
     let gate = Arc::new([Barrier::new(2), Barrier::new(2)]);
     let config = EngineConfig {
-        envelope_batch: BATCH as usize,
         quiescence_deadline: Some(Duration::from_secs(60)),
         ..EngineConfig::undirected(2)
     };
@@ -508,10 +500,11 @@ fn stalled_receiver_bounds_the_ingest_and_the_backlog() {
     let hub = engine.telemetry();
     engine.try_init_vertex(held).unwrap();
     gate[0].wait();
+    let share_0 = pairs.len().div_ceil(2) as u64;
     std::thread::scope(|scope| {
         let ingest = scope.spawn(|| engine.try_ingest_pairs(&pairs));
-        wait_for("shard 0 to reach its held bound", || {
-            hub.gauges().held_backlog[0] > HELD_BOUND
+        wait_for("shard 0 to take its whole share", || {
+            engine.metrics_now().per_shard[0].topo_ingested == share_0
         });
         wait_for("shard 1's window to fill", || {
             hub.gauges().ingest_backlog[1] == INGEST_WINDOW
@@ -519,12 +512,9 @@ fn stalled_receiver_bounds_the_ingest_and_the_backlog() {
         // A plateau, not a moment: nothing grows while the gate is shut.
         for _ in 0..50 {
             let g = hub.gauges();
-            assert!(g.ingest_backlog[0] <= INGEST_WINDOW, "{g:?}");
+            assert_eq!(g.ingest_backlog[0], 0, "{g:?}");
             assert_eq!(g.ingest_backlog[1], INGEST_WINDOW, "{g:?}");
-            assert!(
-                g.held_backlog[0] <= HELD_BOUND + 2 * PULL_RUN / BATCH + 1,
-                "{g:?}"
-            );
+            assert!(g.held_backlog[0] > 0, "{g:?}");
             std::thread::sleep(Duration::from_millis(4));
         }
         assert!(!ingest.is_finished(), "the ingest returned past a stall");

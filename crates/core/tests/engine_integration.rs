@@ -4,8 +4,8 @@
 //! purpose-built algorithms, independent of the paper's headline algorithms.
 
 use remo_core::{
-    codec, AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineBuilder, EngineConfig, TopoEvent,
-    VertexId, Weight,
+    codec, AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineBuilder, EngineConfig, VertexId,
+    Weight,
 };
 
 /// Counts add/reverse-add events per vertex (monotone counter).
@@ -124,14 +124,14 @@ fn multi_stream_splits_converge_identically() {
     engine_a.try_ingest_pairs(&edges).unwrap();
     let a = engine_a.try_finish().unwrap().states.into_vec();
 
-    // Same edges, adversarial split: all edges in one stream, then reversed
-    // order in many tiny streams.
+    // Same edges, adversarial split: reversed order, in calls of three.
+    // A call has fewer pairs than there are shards, so each one restarts
+    // the round-robin split at shard 0 and shard 3 pulls nothing.
     let engine_b = Engine::new(MinLabel, EngineConfig::undirected(4));
-    let mut streams: Vec<Vec<TopoEvent>> = vec![Vec::new(); 4];
-    for (i, &(s, d)) in edges.iter().rev().enumerate() {
-        streams[(i / 5) % 4].push(TopoEvent::new(s, d));
+    let reversed: Vec<(u64, u64)> = edges.iter().rev().copied().collect();
+    for call in reversed.chunks(3) {
+        engine_b.try_ingest_pairs(call).unwrap();
     }
-    engine_b.try_ingest(streams).unwrap();
     let b = engine_b.try_finish().unwrap().states.into_vec();
     assert_eq!(a, b);
 }
