@@ -6,7 +6,7 @@
 //! checkpoint — every weighted entry rebuilt from the checkpoint's edge
 //! records — replays its WAL, and the run still converges to Dijkstra.
 
-use remo_algos::IncSssp;
+use remo_algos::{IncBfs, IncSssp};
 use remo_baseline as oracle;
 use remo_core::{DurabilityConfig, Engine, EngineConfig, VertexId};
 use remo_gen::RmatConfig;
@@ -96,4 +96,40 @@ fn durable_sssp_respawns_and_converges_to_dijkstra() {
         reached += usize::from(cost != remo_algos::UNREACHED);
     }
     assert!(reached > 500, "only {reached} vertices reached");
+}
+
+/// An init is a durable pull. Its shard dies for good in the source's
+/// `init` callback (the first panic, and one more in each of the three
+/// respawns' replays), so no checkpoint ever covers it and the WAL holds
+/// the init pull alone. A cold re-open replays it: the source is at
+/// level 1 with no second init.
+#[test]
+fn an_init_pull_alone_replays_on_a_cold_open() {
+    let source: VertexId = 7;
+    let owner = remo_core::Partitioner::new(2).owner(source);
+    let dir = std::env::temp_dir().join(format!("remo-durable-init-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config =
+        || EngineConfig::undirected(2).with_durability(DurabilityConfig::new(&dir).fsync(false));
+    let engine = Engine::new(Faulty::on(owner, IncBfs).panic_at(1).repeat(4), config());
+    engine.try_init_vertex(source).unwrap();
+    let start = Instant::now();
+    while !engine.is_degraded() {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "the owner never died"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let result = engine.try_finish().unwrap();
+    assert_eq!(result.failures.len(), 1);
+    assert_eq!(result.metrics.per_shard[owner].shard_respawns, 3);
+
+    let engine = Engine::open(IncBfs, config()).unwrap();
+    let result = engine.try_finish().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!result.is_degraded(), "{:?}", result.failures);
+    assert_eq!(result.states.get(source), Some(&1));
+    assert_eq!(result.metrics.total().topo_ingested, 0, "no new pull");
+    assert_eq!(result.metrics.per_shard[owner].replayed_records, 1);
 }

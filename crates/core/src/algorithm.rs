@@ -116,16 +116,16 @@ pub trait Algorithm: Send + Sync + 'static {
 
     /// The value an `Add` pulled from the input stream carries to
     /// [`Algorithm::on_add`], as a function of its stream index: the
-    /// position of its pair in the engine's input, with the ingest calls
-    /// numbered back to back from 0 (see [`crate::Engine`]'s *Ingest*
-    /// section). The default is the default state, which no algorithm
+    /// position of its pair in the engine's input, with the ingest calls,
+    /// inits and control ops numbered back to back from 0 (see
+    /// [`crate::Engine`]'s *Ingest* section). The default is the default state, which no algorithm
     /// reads; an algorithm that orders by arrival implements it (CC labels
     /// a component by its earliest edge). Adds that no stream numbers, such
     /// as a registry query's, get the default state.
     ///
     /// Must be a pure function of `index`: replay recomputes it from the
     /// index the WAL logged, and the sequential reference engine numbers
-    /// its `apply`s the same way.
+    /// its inputs the same way.
     fn stream_value(_index: u64) -> Self::State
     where
         Self: Sized,
@@ -195,13 +195,15 @@ pub trait Algorithm: Send + Sync + 'static {
         panic!("Algorithm::decode_state is required when durability is enabled");
     }
 
-    /// Control-plane claim: a [`ControlOp`] broadcast (see
-    /// [`QueryRegistry`](crate::QueryRegistry)) reached `shard`. Return the subset of
-    /// `op.mask` this algorithm wants swept on that shard (0 = nothing,
-    /// the default — plain algorithms ignore the control plane). When the
-    /// returned mask is non-zero the shard logs the claim durably, runs
-    /// one full-store sweep calling [`Algorithm::on_sweep`] per vertex,
-    /// and then calls [`Algorithm::on_control_commit`].
+    /// Control-plane claim: `shard` pulled a [`ControlOp`] from its input
+    /// stream (see [`QueryRegistry`](crate::QueryRegistry)). Return the
+    /// subset of `op.mask` this algorithm wants swept on that shard (0 =
+    /// nothing, the default — plain algorithms ignore the control plane).
+    /// When the returned mask is non-zero the shard runs one full-store
+    /// sweep calling [`Algorithm::on_sweep`] per vertex, and then calls
+    /// [`Algorithm::on_control_commit`]. A shard pulls each op once; the
+    /// pull is durable before this runs, and a recovering shard's replay
+    /// calls all three again.
     fn on_control(&self, _shard: usize, _op: &ControlOp) -> u64 {
         0
     }
@@ -213,7 +215,7 @@ pub trait Algorithm: Send + Sync + 'static {
 
     /// Called once per shard after a claimed sweep finished and its
     /// outgoing envelopes were routed — the point to publish per-shard
-    /// progress bits (e.g. the registry's primed/flooded masks).
+    /// progress bits (e.g. the registry's primed mask).
     fn on_control_commit(&self, _shard: usize, _kind: ControlKind, _claimed: u64) {}
 }
 

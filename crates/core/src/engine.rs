@@ -27,8 +27,9 @@
 //!
 //! Every supervised wait is one loop (`Engine::wait_until`): probe, sleep
 //! on the bell in `SharedCounters`, and let a shard ring it when it parks,
-//! acks an epoch or exits. The teardown waits sleep on the same bell under
-//! the shutdown budget. The verdict is always the probe's; a ring only
+//! acks an epoch, empties a chunk or exits. The teardown waits sleep on
+//! the same bell under the shutdown budget, and so does a registry
+//! control op (`Engine::control`), which a dead shard does not fail. The verdict is always the probe's; a ring only
 //! says when to probe again, and `HEARTBEAT` bounds the sleep when nothing
 //! rings.
 
@@ -42,7 +43,7 @@ use remo_store::{VertexId, Weight};
 
 use crate::algorithm::Algorithm;
 use crate::config::EngineConfig;
-use crate::event::{Chunk, ControlOp, Envelope, Epoch, EventKind, Items, TopoOp};
+use crate::event::{Chunk, ControlOp, Epoch, Items, TopoOp};
 use crate::metrics::RunMetrics;
 use crate::partition::Partitioner;
 use crate::shard::{Message, ShardReport, ShardWorker, INGEST_CHUNK, INGEST_WINDOW};
@@ -163,8 +164,10 @@ pub(crate) struct Controller<S> {
     /// reads the shards' sleep flags and inbound lanes.
     pub(crate) lanes: LaneHandles<S>,
     /// One channel per shard, and the controller keeps its only sender:
-    /// shards talk to each other over the lanes alone.
-    pub(crate) senders: Vec<Sender<Message<S>>>,
+    /// shards talk to each other over the lanes alone. The lock makes a
+    /// chunk's window reservation and its send one step (see
+    /// [`Controller::offer`]).
+    pub(crate) senders: Vec<Mutex<Sender<Message<S>>>>,
     /// Behind a lock so that `&Engine` can be shared across threads.
     pub(crate) trigger_rx: Mutex<Receiver<TriggerFire>>,
     /// Cached owner map for the query paths.
@@ -185,7 +188,12 @@ pub(crate) fn wire<A: Algorithm>(
     let shared = Arc::new(SharedCounters::new(shards));
     let board = Arc::new(FailureBoard::new());
     let (trigger_tx, trigger_rx) = channel();
-    let (senders, receivers): (Vec<_>, Vec<_>) = (0..shards).map(|_| channel()).unzip();
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..shards)
+        .map(|_| {
+            let (tx, rx) = channel();
+            (Mutex::new(tx), rx)
+        })
+        .unzip();
     let ctl = Controller {
         tele: Arc::new(TelemetryShared::new(
             shards,
@@ -220,8 +228,17 @@ impl<S: Clone + Default> Controller<S> {
         }
     }
 
+    /// `shard`'s sender, locked. A sender has no state a panicking holder
+    /// could leave half-made.
+    fn sender(&self, shard: usize) -> MutexGuard<'_, Sender<Message<S>>> {
+        self.senders[shard]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub(crate) fn send_to(&self, shard: usize, msg: Message<S>) -> Result<(), EngineError> {
-        let sent = self.senders[shard]
+        let sent = self
+            .sender(shard)
             .send(msg)
             .map_err(|_| self.send_error(shard));
         // The shard may be parked — control traffic must wake it or wait
@@ -240,57 +257,67 @@ impl<S: Clone + Default> Controller<S> {
         }
     }
 
-    /// Numbers a call's `n` events: the stream index of its first.
-    fn number(&self, n: usize) -> u64 {
+    /// Tells every shard to stop, dead or alive.
+    fn shutdown(&self) {
+        for id in 0..self.senders.len() {
+            let _ = self.sender(id).send(Message::Shutdown);
+        }
+        self.wake_all();
+    }
+
+    /// Numbers a call's `n` pulls: the stream index of its first.
+    pub(crate) fn number(&self, n: usize) -> u64 {
         self.streamed.fetch_add(n as u64, Ordering::Relaxed)
     }
 
-    /// True when `n` more events fit `shard`'s ingest window.
+    /// True when `n` more pulls fit `shard`'s ingest window.
     fn has_room(&self, shard: usize, n: u64) -> bool {
         let slot = self.shared.slot(shard);
         let ingested = slot.ingested.load(Ordering::SeqCst);
         fits_window(slot.fed.load(Ordering::SeqCst), ingested, n)
     }
 
-    /// Counts `n` more events fed to `shard` if they fit its window;
-    /// false when they do not yet. Counting *before* the send keeps
-    /// quiescence from being observed between the send and the shard's
-    /// receipt, and doing it in one step keeps concurrent callers inside
-    /// the window as well.
-    pub(crate) fn reserve(&self, shard: usize, n: u64) -> bool {
+    /// True when `shard` has run its pulls up to its `fed` count `mark`:
+    /// its `ingested` reaches the mark and then the recovery gate reads
+    /// down. A shard that panics in a control sweep raises the gate before
+    /// it re-publishes `ingested`, and lowers it once replay re-ran the
+    /// sweep.
+    pub(crate) fn ran(&self, shard: usize, mark: u64) -> bool {
+        self.shared.slot(shard).ingested.load(Ordering::SeqCst) >= mark && !self.shared.recovering()
+    }
+
+    /// Queues the chunk `make` builds, of `n` pulls, on `shard` if it fits
+    /// the shard's window: `Some` of the shard's `fed` count with it, which
+    /// its `ingested` reaches once the chunk is pulled; `None` when it does
+    /// not fit yet. `fed` counts the chunk *before* the send, so
+    /// quiescence cannot be observed between the send and the shard's
+    /// receipt, and under the sender's lock, so concurrent callers keep the
+    /// window and a shard pulls chunks in the order of their counts.
+    pub(crate) fn offer(
+        &self,
+        shard: usize,
+        n: u64,
+        make: impl FnOnce() -> Chunk,
+    ) -> Result<Option<u64>, EngineError> {
+        let tx = self.sender(shard);
         let slot = self.shared.slot(shard);
         let ingested = slot.ingested.load(Ordering::SeqCst);
-        slot.fed
+        let Ok(fed) = slot
+            .fed
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |fed| {
                 fits_window(fed, ingested, n).then_some(fed + n)
             })
-            .is_ok()
-    }
-
-    /// Sends an `Init` event to `v`'s owner, counted in the controller's
-    /// own `sent` slot before it becomes receivable.
-    pub(crate) fn init_vertex(&self, v: VertexId) -> Result<(), EngineError> {
-        let epoch = self.shared.epoch.load(Ordering::SeqCst);
-        let parity = (epoch & 1) as usize;
-        let ctl = self.shared.controller_slot();
-        self.shared.slot(ctl).sent[parity].fetch_add(1, Ordering::SeqCst);
-        let sent = self.send_to(
-            self.part.owner(v),
-            Message::Event(Envelope {
-                target: v,
-                visitor: v,
-                value: S::default(),
-                weight: 1,
-                kind: EventKind::Init,
-                epoch,
-                tag: 0,
-            }),
-        );
-        if sent.is_err() {
-            // Uncount: the envelope never became receivable.
-            self.shared.slot(ctl).sent[parity].fetch_sub(1, Ordering::SeqCst);
+        else {
+            return Ok(None);
+        };
+        if tx.send(Message::Chunk(make())).is_err() {
+            // Uncount, so a degraded engine can still quiesce over the
+            // survivors.
+            slot.fed.fetch_sub(n, Ordering::SeqCst);
+            return Err(self.send_error(shard));
         }
-        sent
+        self.lanes.parks.wake(shard);
+        Ok(Some(fed + n))
     }
 }
 
@@ -346,14 +373,17 @@ impl<S, E> RunResult<S, E> {
 /// its size. A chunk carries what its call was given:
 /// bare pairs for [`Engine::try_ingest_pairs`] and
 /// [`Engine::try_delete_pairs`], triples for
-/// [`Engine::try_ingest_weighted`].
+/// [`Engine::try_ingest_weighted`]. An [`Engine::try_init_vertex`] is a
+/// chunk of one `Init` on its vertex's owner, and a registry's attach or
+/// detach step one control op on every live shard: every input is a pull,
+/// in order with what was queued before it on the same shard.
 ///
 /// Every event also has a stream index, its position in the engine's
 /// input: calls are numbered back to back from 0 (a durable engine
 /// re-opened by [`Engine::open`] goes on after the last index its shards
 /// pulled; [`Engine::seek_stream`] moves the next call elsewhere), and a
-/// call's items in the order given. An `Add` hands its index to
-/// [`Algorithm::stream_value`].
+/// call's items in the order given; an init or a control op takes one
+/// index. An `Add` hands its index to [`Algorithm::stream_value`].
 ///
 /// - **When a call blocks.** Only when no shard with work left in the
 ///   call has room. It then sleeps on the bell, which a shard rings each
@@ -497,17 +527,59 @@ impl<A: Algorithm> Engine<A> {
         self.ctl.board.any_failed()
     }
 
+    /// Feeds shard `s` its `lens[s]` pulls in order, as chunks of at most
+    /// [`INGEST_CHUNK`] that `chunk(s, from, n)` builds from its pulls
+    /// `from..from + n`: the body of every `try_ingest_*`/`try_delete_*`
+    /// method and of [`Self::try_init_vertex`] (they differ only in how
+    /// a call is split and what a chunk carries). A chunk goes out only if
+    /// it fits the shard's window (see [`Controller::offer`]); when no
+    /// shard with work left has room, the call waits on the bell,
+    /// supervised, with a fresh `quiescence_deadline` per wait (a wait
+    /// that sees room open ends; the deadline bounds a stall, not the
+    /// call). Returns once the last chunk is queued.
+    fn feed(
+        &self,
+        lens: &[usize],
+        chunk: impl Fn(usize, usize, usize) -> Chunk,
+    ) -> Result<(), EngineError> {
+        let mut done = vec![0; lens.len()];
+        let next = |s: usize, done: &[usize]| (lens[s] - done[s]).min(INGEST_CHUNK);
+        loop {
+            let mut blocked = false;
+            for s in 0..lens.len() {
+                while done[s] < lens[s] {
+                    let n = next(s, &done);
+                    if self
+                        .ctl
+                        .offer(s, n as u64, || chunk(s, done[s], n))?
+                        .is_none()
+                    {
+                        blocked = true;
+                        break;
+                    }
+                    // Arm the ingest→fixpoint clock at the first chunk sent
+                    // (a no-op while armed, so a burst of ingests measures
+                    // burst-start → quiescence; an empty ingest arms
+                    // nothing).
+                    self.ctl.tele.mark_ingest();
+                    done[s] += n;
+                }
+            }
+            if !blocked {
+                return Ok(());
+            }
+            let deadline = Deadline::new(self.config.quiescence_deadline);
+            self.wait_until(&deadline, || {
+                (0..lens.len())
+                    .any(|s| done[s] < lens[s] && self.ctl.has_room(s, next(s, &done) as u64))
+            })?;
+        }
+    }
+
     /// Splits `items` round-robin — item `i` goes to shard `i % P`, as
-    /// stream index `first + i` — and feeds shard `s` its share in order,
-    /// as chunks of at most [`INGEST_CHUNK`] whose items `wrap` builds:
-    /// the body of every `try_ingest_*`/`try_delete_*` method (they differ
-    /// only in what a chunk carries). A chunk goes out only if it fits the
-    /// shard's window (see [`Controller::reserve`]); when no shard with
-    /// work left has room, the call waits on the bell, supervised, with a
-    /// fresh `quiescence_deadline` per wait (a wait that sees room open
-    /// ends; the deadline bounds a stall, not the call). Returns once the
-    /// last chunk is queued.
-    fn feed<T: Copy>(
+    /// stream index `first + i` — and feeds each shard its share, in
+    /// chunks whose items `wrap` builds.
+    fn feed_split<T: Copy>(
         &self,
         items: &[T],
         wrap: impl Fn(Vec<T>) -> Items,
@@ -517,45 +589,11 @@ impl<A: Algorithm> Engine<A> {
         let lens: Vec<usize> = (0..k)
             .map(|s| items.len().saturating_sub(s).div_ceil(k))
             .collect();
-        let mut done = vec![0; k];
-        let next = |s: usize, done: &[usize]| (lens[s] - done[s]).min(INGEST_CHUNK) as u64;
-        loop {
-            let mut blocked = false;
-            for s in 0..k {
-                while done[s] < lens[s] {
-                    let n = next(s, &done);
-                    if !self.ctl.reserve(s, n) {
-                        blocked = true;
-                        break;
-                    }
-                    // Arm the ingest→fixpoint clock at the first chunk sent
-                    // (a no-op while armed, so a burst of ingests measures
-                    // burst-start → quiescence; an empty ingest arms
-                    // nothing).
-                    self.ctl.tele.mark_ingest();
-                    let share = (done[s]..done[s] + n as usize).map(|j| items[s + j * k]);
-                    let chunk = Chunk {
-                        base: first + (s + done[s] * k) as u64,
-                        stride: k as u64,
-                        items: wrap(share.collect()),
-                    };
-                    if let Err(e) = self.ctl.send_to(s, Message::Chunk(chunk)) {
-                        // Uncount, so a degraded engine can still quiesce
-                        // over the survivors.
-                        self.ctl.shared.slot(s).fed.fetch_sub(n, Ordering::SeqCst);
-                        return Err(e);
-                    }
-                    done[s] += n as usize;
-                }
-            }
-            if !blocked {
-                return Ok(());
-            }
-            let deadline = Deadline::new(self.config.quiescence_deadline);
-            self.wait_until(&deadline, || {
-                (0..k).any(|s| done[s] < lens[s] && self.ctl.has_room(s, next(s, &done)))
-            })?;
-        }
+        self.feed(&lens, |s, from, n| Chunk {
+            base: first + (s + from * k) as u64,
+            stride: k as u64,
+            items: wrap((from..from + n).map(|j| items[s + j * k]).collect()),
+        })
     }
 
     /// Streams an unweighted pair list: pair `i` goes to shard `i % P`'s
@@ -564,14 +602,14 @@ impl<A: Algorithm> Engine<A> {
     /// returns once the last chunk is queued; on `Err` each shard has
     /// received a prefix of its share. See [`Engine`]'s *Ingest* section.
     pub fn try_ingest_pairs(&self, pairs: &[(VertexId, VertexId)]) -> Result<(), EngineError> {
-        self.feed(pairs, |p| Items::Pairs(TopoOp::Add, p))
+        self.feed_split(pairs, |p| Items::Pairs(TopoOp::Add, p))
     }
 
     /// Streams edge **removals** (§VI-B extension), split and fed exactly
     /// as [`Self::try_ingest_pairs`] splits and feeds additions, with the
     /// same blocking and error behaviour.
     pub fn try_delete_pairs(&self, pairs: &[(VertexId, VertexId)]) -> Result<(), EngineError> {
-        self.feed(pairs, |p| Items::Pairs(TopoOp::Remove, p))
+        self.feed_split(pairs, |p| Items::Pairs(TopoOp::Remove, p))
     }
 
     /// Weighted variant of [`Self::try_ingest_pairs`]: the triples travel
@@ -580,89 +618,59 @@ impl<A: Algorithm> Engine<A> {
         &self,
         triples: &[(VertexId, VertexId, Weight)],
     ) -> Result<(), EngineError> {
-        self.feed(triples, Items::Weighted)
+        self.feed_split(triples, Items::Weighted)
     }
 
-    /// Sends an `Init` event to `v` — e.g. designate the BFS/SSSP source or
-    /// an S-T connectivity source. "Can be initiated at any time" (§IV.1):
-    /// before, during, or after ingestion.
+    /// Initiates the algorithm at `v` — e.g. designate the BFS/SSSP source
+    /// or an S-T connectivity source. "Can be initiated at any time"
+    /// (§IV.1): before, during, or after ingestion. The init takes the
+    /// next stream index and is queued as one pull on `v`'s owner, which
+    /// runs it after everything queued there before it. Like an ingest
+    /// call it waits while the owner's window is full, and returns once it
+    /// is queued, not run.
     pub fn try_init_vertex(&self, v: VertexId) -> Result<(), EngineError> {
-        self.ctl.init_vertex(v)
+        let index = self.ctl.number(1);
+        let mut lens = vec![0; self.config.num_shards];
+        lens[self.ctl.part.owner(v)] = 1;
+        self.feed(&lens, |_, _, _| Chunk::one(index, Items::Init(v)))
     }
 
-    /// Broadcasts one control-plane operation (multi-query attach/detach)
-    /// to every live shard and waits for all acknowledgements. Shard-side
-    /// claims are idempotent, so the wait loop may resend the op to
-    /// laggards without double-applying; a resend after the sweep ran
-    /// simply claims an empty mask and acks immediately. Dead shards are
-    /// skipped — a degraded engine keeps serving its survivors, and a
-    /// respawned shard re-derives committed sweeps from its WAL.
+    /// Queues one control-plane operation (multi-query attach/detach) on
+    /// every live shard's stream, at one stream index, and waits until
+    /// every shard has run it ([`Controller::ran`]): each shard claims,
+    /// sweeps and commits it once, in order with its other pulls. Dead
+    /// shards are skipped — a degraded engine keeps serving its
+    /// survivors. Waits for room in a full window like an ingest, under
+    /// one `quiescence_deadline` for the whole op.
     pub(crate) fn control(&self, op: ControlOp) -> Result<(), EngineError> {
-        let n = self.config.num_shards;
-        let (tx, rx) = sync_channel::<usize>(n);
-        let mut acked = vec![false; n];
-        for (shard, shard_acked) in acked.iter_mut().enumerate() {
-            if self.ctl.board.is_failed(shard) {
-                *shard_acked = true;
-                continue;
-            }
-            // A send that fails because the shard died mid-broadcast is
-            // fine (it will be marked failed below); any other closure is
-            // a real error.
-            if self
-                .ctl
-                .send_to(
-                    shard,
-                    Message::Control {
-                        op,
-                        ack: tx.clone(),
-                    },
-                )
-                .is_err()
-                && !self.ctl.board.is_failed(shard)
-            {
-                return Err(EngineError::ChannelClosed { shard });
-            }
-        }
-        self.ctl.wake_all();
+        let k = self.config.num_shards;
+        let index = self.ctl.number(1);
         let deadline = Deadline::new(self.config.quiescence_deadline);
+        let dead = |s: usize| self.ctl.board.is_failed(s);
+        let mut marks: Vec<Option<u64>> = vec![None; k];
         loop {
-            if acked.iter().all(|&a| a) {
+            for (s, mark) in marks.iter_mut().enumerate() {
+                if mark.is_some() || dead(s) {
+                    continue;
+                }
+                match self
+                    .ctl
+                    .offer(s, 1, || Chunk::one(index, Items::Control(op)))
+                {
+                    Ok(m) => *mark = m,
+                    // Died mid-broadcast: it owes nothing.
+                    Err(_) if dead(s) => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            let pulled = |s: usize| dead(s) || marks[s].is_some_and(|m| self.ctl.ran(s, m));
+            if self.ctl.shared.bell.wait(HEARTBEAT, || (0..k).all(pulled)) {
                 return Ok(());
             }
-            match rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(shard) => acked[shard] = true,
-                Err(RecvTimeoutError::Timeout) => {
-                    // Shards that died since the broadcast stop owing an
-                    // ack; re-nudge the live laggards (idempotent claims).
-                    for (shard, shard_acked) in acked.iter_mut().enumerate() {
-                        if *shard_acked {
-                            continue;
-                        }
-                        if self.ctl.board.is_failed(shard) {
-                            *shard_acked = true;
-                            continue;
-                        }
-                        let _ = self.ctl.send_to(
-                            shard,
-                            Message::Control {
-                                op,
-                                ack: tx.clone(),
-                            },
-                        );
-                    }
-                    if deadline.expired() {
-                        return Err(EngineError::QuiescenceTimeout {
-                            waited: deadline.waited(),
-                        });
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Unreachable while we hold `tx`, but fail loudly.
-                    return Err(EngineError::ShardPanicked {
-                        failures: self.ctl.board.snapshot(),
-                    });
-                }
+            if deadline.expired() {
+                return Err(EngineError::QuiescenceTimeout {
+                    waited: deadline.waited(),
+                });
             }
         }
     }
@@ -889,10 +897,7 @@ impl<A: Algorithm> Engine<A> {
         if self.ctl.board.any_failed() {
             self.settle_survivors();
         }
-        for s in &self.ctl.senders {
-            let _ = s.send(Message::Shutdown);
-        }
-        self.ctl.wake_all();
+        self.ctl.shutdown();
 
         let shards = self.config.num_shards;
         let mut num_edges = 0;
@@ -979,10 +984,7 @@ impl<A: Algorithm> Drop for Engine<A> {
         if self.handles.is_empty() {
             return;
         }
-        for s in &self.ctl.senders {
-            let _ = s.send(Message::Shutdown);
-        }
-        self.ctl.wake_all();
+        self.ctl.shutdown();
         self.wait_shutdown(|| self.handles.iter().all(JoinHandle::is_finished));
         for h in self.handles.drain(..) {
             if h.is_finished() {

@@ -100,7 +100,7 @@ pub enum ControlKind {
 }
 
 impl ControlKind {
-    /// Stable single-byte wire encoding (WAL control records).
+    /// Stable single-byte wire encoding (WAL pull frames, after 3).
     pub(crate) fn as_u8(self) -> u8 {
         match self {
             ControlKind::Prime => 0,
@@ -183,12 +183,13 @@ impl TopoEvent {
     }
 }
 
-/// One bounded piece of a shard's input stream, in the shape the ingest
-/// call that cut it was given: the op once and bare pairs
-/// (`try_ingest_pairs`, `try_delete_pairs`) or weighted triples
-/// (`try_ingest_weighted`). Never empty.
+/// One bounded piece of a shard's input stream, in the shape the call
+/// that queued it was given: the op once and bare pairs
+/// (`try_ingest_pairs`, `try_delete_pairs`), weighted triples
+/// (`try_ingest_weighted`), or one `Init` (`try_init_vertex`) or control
+/// op (`Engine::control`). Never empty.
 ///
-/// A chunk also numbers its events in the engine's input: event `i` has
+/// A chunk also numbers its pulls in the engine's input: pull `i` has
 /// stream index `base + i·stride` (see [`crate::Algorithm::stream_value`]).
 /// A round-robin split puts pairs `s, s + k, s + 2k, …` of a call in shard
 /// `s`'s chunks, so their stride is the shard count `k`.
@@ -204,35 +205,92 @@ pub(crate) struct Chunk {
 pub(crate) enum Items {
     Pairs(TopoOp, Vec<(VertexId, VertexId)>),
     Weighted(Vec<(VertexId, VertexId, Weight)>),
+    Init(VertexId),
+    Control(ControlOp),
+}
+
+/// One pull from a shard's input stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pull {
+    /// An edge to add or remove, routed to `owner(src)`.
+    Topo(TopoEvent),
+    /// An `Init` of a vertex this shard owns.
+    Init(VertexId),
+    /// A control op, claimed, swept and committed where it is pulled.
+    Control(ControlOp),
+}
+
+impl Pull {
+    /// The fixed-width wire form of a WAL pull frame: an op byte (0 add,
+    /// 1 remove, 2 init, `3 +` [`ControlKind::as_u8`] a control op) and
+    /// three words (`src dst weight`; an init's vertex and a control op's
+    /// mask are its `src`).
+    pub(crate) fn encode(self) -> (u8, [u64; 3]) {
+        match self {
+            Pull::Topo(ev) => (
+                u8::from(ev.op == TopoOp::Remove),
+                [ev.src, ev.dst, ev.weight],
+            ),
+            Pull::Init(v) => (2, [v, v, 1]),
+            Pull::Control(op) => (3 + op.kind.as_u8(), [op.mask, 0, 0]),
+        }
+    }
+
+    /// Inverse of [`Pull::encode`]; `None` on an unknown op byte.
+    pub(crate) fn decode(op: u8, [src, dst, weight]: [u64; 3]) -> Option<Pull> {
+        Some(match op {
+            0 | 1 => Pull::Topo(TopoEvent {
+                op: if op == 0 { TopoOp::Add } else { TopoOp::Remove },
+                ..TopoEvent::weighted(src, dst, weight)
+            }),
+            2 => Pull::Init(src),
+            _ => Pull::Control(ControlOp {
+                kind: ControlKind::from_u8(op - 3)?,
+                mask: src,
+            }),
+        })
+    }
 }
 
 impl Chunk {
+    /// A one-pull chunk at stream index `index`.
+    pub(crate) fn one(index: u64, items: Items) -> Chunk {
+        Chunk {
+            base: index,
+            stride: 1,
+            items,
+        }
+    }
+
     pub(crate) fn len(&self) -> usize {
         match &self.items {
             Items::Pairs(_, p) => p.len(),
             Items::Weighted(t) => t.len(),
+            Items::Init(_) | Items::Control(_) => 1,
         }
     }
 
     /// The `i`th pull and its stream index, as the WAL records them.
     #[inline]
-    pub(crate) fn get(&self, i: usize) -> (TopoEvent, u64) {
-        let ev = match &self.items {
+    pub(crate) fn get(&self, i: usize) -> (Pull, u64) {
+        let pull = match &self.items {
             Items::Pairs(op, p) => {
                 let (src, dst) = p[i];
-                TopoEvent {
+                Pull::Topo(TopoEvent {
                     src,
                     dst,
                     weight: 1,
                     op: *op,
-                }
+                })
             }
             Items::Weighted(t) => {
                 let (src, dst, weight) = t[i];
-                TopoEvent::weighted(src, dst, weight)
+                Pull::Topo(TopoEvent::weighted(src, dst, weight))
             }
+            Items::Init(v) => Pull::Init(*v),
+            Items::Control(op) => Pull::Control(*op),
         };
-        (ev, self.base + i as u64 * self.stride)
+        (pull, self.base + i as u64 * self.stride)
     }
 }
 

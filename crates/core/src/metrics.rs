@@ -367,11 +367,6 @@ pub struct RunMetrics {
     /// runs). Their `per_shard` slots hold last-snapshot values, which may
     /// trail the truth by up to one publish interval.
     pub lost_shards: Vec<usize>,
-    /// Envelopes sent by the controller thread itself (vertex
-    /// initialization via `Engine::try_init_vertex` / algorithm seeding) —
-    /// sends that no shard's `envelopes_sent` covers, needed to close the
-    /// conservation equation in [`RunMetrics::verify_balance`].
-    pub controller_sent: u64,
     /// Lane flush latency: one `flush()` of an outgoing batch.
     pub flush: LatencyHistogram,
     /// Quiescence-detection latency: entry into
@@ -407,7 +402,7 @@ impl RunMetrics {
     /// accounted for exactly once —
     ///
     /// ```text
-    /// envelopes_sent + controller_sent
+    /// envelopes_sent
     ///   == events_processed + updates_dominated
     ///    + envelopes_undeliverable + envelopes_recovered
     /// ```
@@ -431,7 +426,6 @@ impl RunMetrics {
     /// (`trace_spans_dropped ≤ trace_spans`, `trace_roots ≤ trace_spans`).
     pub fn verify_balance(&self) -> Result<(), String> {
         let t = self.total();
-        let sent = t.envelopes_sent + self.controller_sent;
         let accounted = t.events_processed()
             + t.updates_dominated
             + t.envelopes_undeliverable
@@ -465,16 +459,13 @@ impl RunMetrics {
                 t.trace_roots, t.trace_spans,
             ));
         }
-        if sent == accounted {
+        if t.envelopes_sent == accounted {
             Ok(())
         } else {
             Err(format!(
-                "envelope balance violated: sent {} (shards {} + controller {}) \
-                 != accounted {} (processed {} + dominated {} + undeliverable {} \
-                 + recovered {})",
-                sent,
+                "envelope balance violated: sent {} != accounted {} (processed {} \
+                 + dominated {} + undeliverable {} + recovered {})",
                 t.envelopes_sent,
-                self.controller_sent,
                 accounted,
                 t.events_processed(),
                 t.updates_dominated,
@@ -615,18 +606,16 @@ mod tests {
                 updates_suppressed: 4, // suppressed pre-send: not in equation
                 ..Default::default()
             }],
-            controller_sent: 0,
             ..Default::default()
         };
         assert!(balanced.verify_balance().is_ok());
 
         let unbalanced = RunMetrics {
             per_shard: vec![ShardMetrics {
-                envelopes_sent: 10,
+                envelopes_sent: 11,
                 add_events: 6,
                 ..Default::default()
             }],
-            controller_sent: 1,
             ..Default::default()
         };
         let err = unbalanced.verify_balance().unwrap_err();

@@ -25,7 +25,8 @@
 //!
 //! Queries attach to a *running* engine without re-ingesting the stream.
 //! [`QueryRegistry::attach`] publishes the query's slot, then drives a
-//! two-phase backfill over the engine's control plane (see
+//! two-phase backfill over the engine's control plane, each phase one
+//! control op that every live shard pulls from its input stream (see
 //! [`crate::Algorithm::on_control`] and DESIGN.md §17):
 //!
 //! - **Prime** — every shard rebuilds the new column from its *stored
@@ -464,11 +465,9 @@ impl<C: Cell> QueryTable<C> {
 }
 
 /// Per-shard backfill progress, one bit per slot. `primed[s]` gates slot
-/// dispatch on shard `s`; `flooded[s]` makes the flood sweep idempotent
-/// across WAL replay and control-op resends.
+/// dispatch on shard `s`.
 struct ShardMasks {
     primed: Vec<AtomicU64>,
-    flooded: Vec<AtomicU64>,
     /// Published column-store footprint of shard `s` in bytes (capacity of
     /// every vertex's column vector), recomputed by the Prime and Clear
     /// sweeps — the only moments the whole column store is walked anyway.
@@ -482,7 +481,6 @@ impl ShardMasks {
     fn new(shards: usize) -> Self {
         ShardMasks {
             primed: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            flooded: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             col_bytes: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             col_acc: (0..shards).map(|_| AtomicU64::new(0)).collect(),
         }
@@ -583,9 +581,12 @@ impl<C: Cell> QueryRegistry<C> {
     /// Attaches `algo` as a live query on a running engine. Publishes the
     /// query's slot, then backfills its column from the shards' stored
     /// adjacency (prime + flood sweeps — no stream re-ingest), and finally
-    /// initiates `sources`. Returns once the backfill is acknowledged by
-    /// every live shard; the query converges to the same fixpoint a solo
-    /// run over the same stream would (DESIGN.md §17).
+    /// initiates `sources`. Each sweep is a control op on every live
+    /// shard's input stream, at one stream index; attach returns once
+    /// every live shard has pulled both, waiting on the engine's bell as a
+    /// blocked ingest does, and the sources' inits are queued. The query
+    /// converges to the same fixpoint a solo run over the same stream
+    /// would (DESIGN.md §17).
     pub fn attach<A>(
         &self,
         engine: &Engine<Self>,
@@ -652,9 +653,8 @@ impl<C: Cell> QueryRegistry<C> {
             // Roll back: unpublish the slot and scrub any progress bits so
             // the slot can be reused cleanly.
             self.shared.publish(|slots| slots[slot] = None);
-            for s in 0..shards {
-                masks.primed[s].fetch_and(!bit, Ordering::AcqRel);
-                masks.flooded[s].fetch_and(!bit, Ordering::AcqRel);
+            for primed in &masks.primed {
+                primed.fetch_and(!bit, Ordering::AcqRel);
             }
             return Err(e);
         }
@@ -700,12 +700,11 @@ impl<C: Cell> QueryRegistry<C> {
             mask: bit,
         });
         // Scrub progress bits controller-side too: a shard that died before
-        // acking Clear must not leave the slot poisoned for reattach (the
+        // pulling Clear must not leave the slot poisoned for reattach (the
         // next prime resets the column anyway).
         if let Some(masks) = self.shared.masks.get() {
-            for s in 0..masks.primed.len() {
-                masks.primed[s].fetch_and(!bit, Ordering::AcqRel);
-                masks.flooded[s].fetch_and(!bit, Ordering::AcqRel);
+            for primed in &masks.primed {
+                primed.fetch_and(!bit, Ordering::AcqRel);
             }
         }
         res
@@ -1045,18 +1044,15 @@ impl<C: Cell> Algorithm for QueryRegistry<C> {
         let Some(masks) = self.shared.masks.get() else {
             return 0;
         };
-        let (Some(primed), Some(flooded)) = (masks.primed.get(shard), masks.flooded.get(shard))
-        else {
+        let Some(primed) = masks.primed.get(shard) else {
             return 0;
         };
         let live = self.shared.read_table().live_mask();
-        let primed = primed.load(Ordering::Acquire);
-        let flooded = flooded.load(Ordering::Acquire);
+        // A shard pulls each op once, and its replay must redo what the
+        // run did: nothing here filters by what was already swept.
         let claimed = match op.kind {
-            // Idempotent claims: a resent or replayed op claims only what
-            // is still unswept, so duplicate delivery converges to 0 work.
-            ControlKind::Prime => op.mask & live & !primed,
-            ControlKind::Flood => op.mask & live & primed & !flooded,
+            ControlKind::Prime => op.mask & live,
+            ControlKind::Flood => op.mask & live & primed.load(Ordering::Acquire),
             ControlKind::Clear => op.mask,
         };
         // Prime and Clear sweeps double as a column-footprint recount:
@@ -1086,20 +1082,16 @@ impl<C: Cell> Algorithm for QueryRegistry<C> {
         let Some(masks) = self.shared.masks.get() else {
             return;
         };
-        let (Some(primed), Some(flooded)) = (masks.primed.get(shard), masks.flooded.get(shard))
-        else {
+        let Some(primed) = masks.primed.get(shard) else {
             return;
         };
         match kind {
             ControlKind::Prime => {
                 primed.fetch_or(claimed, Ordering::AcqRel);
             }
-            ControlKind::Flood => {
-                flooded.fetch_or(claimed, Ordering::AcqRel);
-            }
+            ControlKind::Flood => {}
             ControlKind::Clear => {
                 primed.fetch_and(!claimed, Ordering::AcqRel);
-                flooded.fetch_and(!claimed, Ordering::AcqRel);
             }
         }
         // Publish the recount taken during the sweep (Prime/Clear only).

@@ -53,8 +53,9 @@ pub struct SequentialEngine<A: Algorithm> {
     out: Vec<Outgoing<A::State>>,
     metrics: ShardMetrics,
     edges: u64,
-    /// The stream index of the next `apply`: events are numbered as the
-    /// engine numbers its input, one index per event, removals included.
+    /// The stream index of the next input: inputs are numbered as the
+    /// engine numbers them, one index per event, removals and inits
+    /// included.
     streamed: u64,
 }
 
@@ -82,16 +83,20 @@ impl<A: Algorithm> SequentialEngine<A> {
         }
     }
 
-    /// Sends an `Init` event to `v` and runs its cascade to completion.
+    /// Sends an `Init` event to `v` and runs its cascade to completion. It
+    /// takes a stream index and counts as one input, as an engine's init
+    /// pull does.
     pub fn init_vertex(&mut self, v: VertexId) {
+        self.metrics.topo_ingested += 1;
+        self.streamed += 1;
         self.enqueue(v, v, A::State::default(), 1, EventKind::Init);
         self.drain();
     }
 
     /// Ingests one topology event **atomically**: the event and its entire
     /// algorithmic cascade complete before this returns (the sequential
-    /// model the paper contrasts against). The `n`th event applied has
-    /// stream index `n - 1`, as the `n`th event fed to an engine does.
+    /// model the paper contrasts against). The `n`th input (edge or init)
+    /// has stream index `n - 1`, as the `n`th input fed to an engine does.
     pub fn apply(&mut self, ev: TopoEvent) {
         self.metrics.topo_ingested += 1;
         let index = self.streamed;

@@ -9,16 +9,18 @@
 //! 1. drains and processes all queued algorithmic events (events that
 //!    "impact the same vertex are ordered in the infrastructure layer by the
 //!    built-in visitor queue in FIFO ordering", §IV);
-//! 2. when no algorithmic work remains, pulls a **bounded run** of topology
-//!    events (at most `PULL_RUN`, 64) from its assigned input stream — the
-//!    paper's saturation-test semantics, "each rank pulling a topology
-//!    event as soon as local work is completed" (§V-A), with the loop's
-//!    fixed costs (lane and channel probes, epoch ack, phase mark, the
-//!    `ingested` publish) paid once per run instead of once per event.
-//!    The stream arrives in chunks the controller hands out inside a
-//!    per-shard window, and a run that empties a chunk rings the
-//!    controller's bell; a shard whose backlog held for full lanes is past
-//!    its bound skips this step until its receivers catch up;
+//! 2. when no algorithmic work remains, pulls a **bounded run** of its
+//!    input stream (at most `PULL_RUN`, 64 pulls) — the paper's
+//!    saturation-test semantics, "each rank pulling a topology event as
+//!    soon as local work is completed" (§V-A), with the loop's fixed costs
+//!    (lane and channel probes, epoch ack, phase mark, the `ingested`
+//!    publish) paid once per run instead of once per event. A pull is an
+//!    edge, an `Init` of a vertex the shard owns, or a control op, whose
+//!    claim, sweep and commit run in place and end the run. The stream
+//!    arrives in chunks the controller hands out inside a per-shard
+//!    window, and a run that empties a chunk rings the controller's bell;
+//!    a shard whose backlog held for full lanes is past its bound skips
+//!    this step until its receivers catch up;
 //! 3. when fully idle, flushes its partial batches. The shard's thread
 //!    ([`ShardWorker::run_loop`]) then parks until a peer or the
 //!    controller wakes it; a test's scheduler steps the next shard instead.
@@ -38,7 +40,9 @@ use remo_store::{LocalIdx, VertexId};
 use crate::algorithm::{visit, Algorithm, EventCtx, Outgoing};
 use crate::config::EngineConfig;
 use crate::engine::Controller;
-use crate::event::{Chunk, ControlKind, ControlOp, Envelope, Epoch, EventKind, TopoEvent};
+use crate::event::{
+    Chunk, ControlKind, ControlOp, Envelope, Epoch, EventKind, Items, Pull, TopoEvent, TopoOp,
+};
 use crate::metrics::ShardMetrics;
 use crate::partition::Partitioner;
 use crate::storage::DenseStore;
@@ -63,14 +67,15 @@ use crate::wal::{Custody, Replay};
 /// that produced the BFS short-wave regression (DESIGN.md §15.1).
 const FLUSH_HYSTERESIS: u32 = 32;
 
-/// Pull run: how many topology events a shard with no algorithmic work
-/// pulls back to back before it looks up again — re-probes its lanes and
-/// control channel, re-reads the epoch, publishes `ingested`. Everything
-/// that defines an update stays per event (routing, epoch tag, trace
+/// Pull run: how many pulls a shard with no algorithmic work takes back to
+/// back before it looks up again — re-probes its lanes and control
+/// channel, re-reads the epoch, publishes `ingested`. Everything that
+/// defines an update stays per event (routing, epoch tag, trace
 /// sampling); only the pass's fixed costs are amortised. The bound is what
-/// a point read or control sweep can wait behind (a pull is a route, not a
-/// cascade: the run's envelopes queue and are processed by the next pass),
-/// and a run holds at most this many extra envelopes. 64 sits on the flat
+/// a point read can wait behind (an edge or init pull is a route, not a
+/// cascade: the run's envelopes queue and are processed by the next pass;
+/// a control pull's sweep ends the run), and a run holds at most this many
+/// extra envelopes. 64 sits on the flat
 /// of the 1/8/64/512 sweep (DESIGN.md §12.1); 1 pays every fixed cost once
 /// per event.
 const PULL_RUN: usize = 64;
@@ -108,8 +113,6 @@ const SAMPLE_MASK: u64 = (1 << SAMPLE_SHIFT) - 1;
 /// Messages the controller sends a shard. Shards never send these: what
 /// one shard has for another travels the pair's lane and nothing else.
 pub(crate) enum Message<S> {
-    /// An algorithmic event (counted by termination detection).
-    Event(Envelope<S>),
     /// The next piece of this shard's input stream.
     Chunk(Chunk),
     /// Collect states: the snapshot view at `old_epoch` (or live states).
@@ -123,15 +126,6 @@ pub(crate) enum Message<S> {
     Query {
         vertex: VertexId,
         reply: SyncSender<Option<S>>,
-    },
-    /// Control-plane operation (multi-query attach/detach): the shard
-    /// claims the sub-mask it has not yet applied via
-    /// [`Algorithm::on_control`], sweeps its resident vertices with
-    /// [`Algorithm::on_sweep`], commits, and acknowledges with its id.
-    /// Idempotent — the controller may resend until acknowledged.
-    Control {
-        op: ControlOp,
-        ack: SyncSender<usize>,
     },
     /// Stop immediately and report.
     Shutdown,
@@ -621,10 +615,6 @@ impl<A: Algorithm> ShardWorker<A> {
     /// Handles one message; returns true on shutdown.
     fn dispatch(&mut self, msg: Message<A::State>) -> bool {
         match msg {
-            Message::Event(env) => {
-                self.admit([env]);
-                false
-            }
             Message::Chunk(chunk) => {
                 self.chunks.push_back(chunk);
                 false
@@ -646,32 +636,19 @@ impl<A: Algorithm> ShardWorker<A> {
                 let _ = reply.send(state);
                 false
             }
-            Message::Control { op, ack } => {
-                self.run_control(op, &ack);
-                false
-            }
             Message::Shutdown => true,
         }
     }
 
-    /// Executes one control-plane operation: claim the not-yet-applied
-    /// sub-mask, make it durable, sweep the resident vertex set, commit,
-    /// and acknowledge. The claim step makes resends idempotent — a
-    /// repeated op claims an empty mask and acks immediately.
-    fn run_control(&mut self, op: ControlOp, ack: &SyncSender<usize>) {
+    /// Runs one pulled control op: claim the sub-mask this shard sweeps,
+    /// sweep the resident vertex set, commit. The pull run logged the op
+    /// first, so replay re-runs all three.
+    fn run_control(&mut self, op: ControlOp) {
         let claimed = self.algo.on_control(self.id, &op);
         if claimed != 0 {
-            // Durable before effects: the sweep's outgoing envelopes must
-            // never escape a shard whose WAL does not yet record why they
-            // exist (recovery replays the control record to re-derive
-            // them).
-            if let Some(c) = &mut self.custody {
-                c.log_control(op.kind, claimed, &mut self.metrics);
-            }
             self.control_sweep(op.kind, claimed);
             self.algo.on_control_commit(self.id, op.kind, claimed);
         }
-        let _ = ack.send(self.id);
     }
 
     /// Walks every vertex resident in this shard's table and hands it to
@@ -695,8 +672,8 @@ impl<A: Algorithm> ShardWorker<A> {
                 // watched vertex) fires triggers exactly like an envelope.
                 ctx.fire_triggers(&self.triggers, self.seq, &mut self.pending_fires);
             }
-            // Control sweeps are engine-initiated, not caused by any one
-            // external update: never traced.
+            // A sweep's sends are never traced: they are caused by the
+            // whole store, not by one update.
             self.route_generated(v, self.cur_epoch, 0);
         }
         self.flush_all();
@@ -953,15 +930,18 @@ impl<A: Algorithm> ShardWorker<A> {
         self.shared.slot(self.id).sent[p].store(self.sent_local[p], Ordering::Release);
     }
 
-    /// Routes a pulled topology event as an `Add`/`Remove` at `owner(src)`,
-    /// stamped with `tag` when the ingest was trace-sampled (hop 1). An
-    /// `Add` carries the value [`Algorithm::stream_value`] gives its
-    /// stream `index`.
-    fn route_topo(&mut self, ev: TopoEvent, index: u64, epoch: Epoch, tag: TraceTag) {
+    /// Runs one pull at stream `index`: an edge is routed as an
+    /// `Add`/`Remove` at `owner(src)` and an init as an `Init` here, each
+    /// stamped with `tag` when the pull was trace-sampled (hop 1); a
+    /// control op runs in place. An `Add` carries the value
+    /// [`Algorithm::stream_value`] gives its index.
+    fn route_pull(&mut self, pull: Pull, index: u64, epoch: Epoch, tag: TraceTag) {
         self.streamed = self.streamed.max(index + 1);
-        let (kind, value) = match ev.op {
-            crate::event::TopoOp::Add => (EventKind::Add, A::stream_value(index)),
-            crate::event::TopoOp::Remove => (EventKind::Remove, A::State::default()),
+        let (kind, value, ev) = match pull {
+            Pull::Topo(ev) if ev.op == TopoOp::Add => (EventKind::Add, A::stream_value(index), ev),
+            Pull::Topo(ev) => (EventKind::Remove, A::State::default(), ev),
+            Pull::Init(v) => (EventKind::Init, A::State::default(), TopoEvent::new(v, v)),
+            Pull::Control(op) => return self.run_control(op),
         };
         self.send_envelope(Envelope {
             target: ev.src,
@@ -1126,51 +1106,53 @@ impl<A: Algorithm> ShardWorker<A> {
         }
     }
 
-    /// One pull run: up to `PULL_RUN` topology events, each counted,
-    /// sampled, tagged and routed exactly as a lone pull — per-stream order
-    /// in, per-pair lane order out. Only the pass's fixed costs are shared
-    /// by the run.
+    /// One pull run: up to `PULL_RUN` pulls, each counted, sampled, tagged
+    /// and routed exactly as a lone pull — per-stream order in, per-pair
+    /// lane order out. Only the pass's fixed costs are shared by the run.
     fn pull_run(&mut self, epoch: Epoch) {
         use std::sync::atomic::Ordering;
         let chunks_before = self.chunks.len();
-        // Durable before effects: the run's pulls (the next `PULL_RUN`
-        // events, exactly what the loop below takes) are logged and
-        // committed at once, before the first envelope any of them
-        // spawns exists.
+        let run = self.run_len();
+        // Durable before effects: the run's pulls (exactly what the loop
+        // below takes) are logged and committed at once, before the first
+        // envelope any of them spawns exists.
         if let Some(c) = &mut self.custody {
-            let run = self.chunks.iter().enumerate().flat_map(|(i, chunk)| {
+            let pulls = self.chunks.iter().enumerate().flat_map(|(i, chunk)| {
                 let from = if i == 0 { self.chunk_pos } else { 0 };
                 (from..chunk.len()).map(move |k| chunk.get(k))
             });
-            c.log_pulls(run.take(PULL_RUN), epoch, &mut self.metrics);
+            c.log_pulls(pulls.take(run), epoch, &mut self.metrics);
         }
-        for _ in 0..PULL_RUN {
-            let Some((ev, index)) = self.next_topo() else {
+        for _ in 0..run {
+            let Some((pull, index)) = self.next_pull() else {
                 break;
             };
             self.metrics.topo_ingested += 1;
             self.ingested_local += 1;
-            // The sampled ingest mints a causal trace.
-            // The ingest itself is hop 0 (the Root span); the envelope it
+            // The sampled pull mints a causal trace.
+            // The pull itself is hop 0 (the Root span); the envelope it
             // spawns carries hop 1 and every descendant inherits hop+1 —
             // see crate::trace.
             let mut tag: TraceTag = 0;
             if self.metrics.topo_ingested & SAMPLE_MASK == 0 {
                 self.metrics.trace_roots += 1;
                 let id = ((self.id as u64 + 1) << 40) | self.metrics.trace_roots;
-                self.trace_span(SpanKind::Root, trace::pack(id, 0), ev.src, ev.dst);
+                // The span names the pull by its first two WAL words.
+                let (_, [a, b, _]) = pull.encode();
+                self.trace_span(SpanKind::Root, trace::pack(id, 0), a, b);
                 tag = trace::pack(id, 1);
             }
-            self.route_topo(ev, index, epoch, tag);
+            self.route_pull(pull, index, epoch, tag);
         }
-        // Publish the run only after its last `route_topo` published the
+        // Publish the run only after its last `route_pull` published the
         // spawned envelope's `sent` count. The reverse order opens a
         // false-quiescence window: with `ingested == fed` satisfied and
         // an envelope of the run not yet counted, a probe between the two
         // stores reads balanced books while work is still materialising.
         // Publishing late, by up to a run, only delays the probe:
         // `ingested` lags `fed` for as long as any pull of the run is
-        // uncounted, a benign false negative.
+        // uncounted, a benign false negative. A control op's sweep ran
+        // before this store, so a count past its pull says it has run.
         self.shared
             .slot(self.id)
             .ingested
@@ -1185,17 +1167,32 @@ impl<A: Algorithm> ShardWorker<A> {
         }
     }
 
-    /// Next topology event from the shard's input stream, with its stream
-    /// index; a chunk is dropped as soon as its last event is taken.
-    fn next_topo(&mut self) -> Option<(TopoEvent, u64)> {
+    /// How many pulls the next run takes: up to `PULL_RUN`, and no further
+    /// than the first control op. Its sweep runs user code, so a panic
+    /// there must leave no logged pull behind it in `chunks`, to be pulled
+    /// a second time after the respawn's replay.
+    fn run_len(&self) -> usize {
+        let mut n = 0;
+        for (i, chunk) in self.chunks.iter().enumerate() {
+            n += chunk.len() - if i == 0 { self.chunk_pos } else { 0 };
+            if n >= PULL_RUN || matches!(chunk.items, Items::Control(_)) {
+                break;
+            }
+        }
+        n.min(PULL_RUN)
+    }
+
+    /// Next pull from the shard's input stream, with its stream index; a
+    /// chunk is dropped as soon as its last pull is taken.
+    fn next_pull(&mut self) -> Option<(Pull, u64)> {
         let front = self.chunks.front()?;
-        let ev = front.get(self.chunk_pos);
+        let pull = front.get(self.chunk_pos);
         self.chunk_pos += 1;
         if self.chunk_pos == front.len() {
             self.chunks.pop_front();
             self.chunk_pos = 0;
         }
-        Some(ev)
+        Some(pull)
     }
 
     /// Collects this shard's contribution to a snapshot (or the live view).
@@ -1261,18 +1258,15 @@ impl<A: Algorithm> ShardWorker<A> {
                 // Fresh sends (the pull itself was already counted
                 // ingested by the original run; replay must not move
                 // `ingested` or the stream books would overrun).
-                // Untagged: the original ingest's Root span (if it was
+                // Untagged: the original pull's Root span (if it was
                 // sampled) already anchors the trace, and the replayed
-                // envelope chain is re-derived below it.
-                Replay::Topo(ev, index, epoch) => self.route_topo(ev, index, epoch, 0),
-                // Re-derive the sweep's effects. Replaying a committed
-                // control record is monotone-safe: a duplicated prime
-                // rebuilds the same columns, a duplicated flood re-sends
-                // values the neighbours already dominate.
-                Replay::Control(kind, mask) => {
-                    self.control_sweep(kind, mask);
-                    self.algo.on_control_commit(self.id, kind, mask);
-                }
+                // envelope chain is re-derived below it. A control op is
+                // claimed, swept and committed again, whatever the
+                // in-memory progress bits say: the restored checkpoint may
+                // predate the sweep. That is monotone-safe: a repeated
+                // prime rebuilds the same columns, a repeated flood
+                // re-sends values the neighbours already dominate.
+                Replay::Pull(pull, index, epoch) => self.route_pull(pull, index, epoch, 0),
             }
             self.metrics.replayed_records += 1;
             // Drain the cascades each replayed record spawns before the
@@ -1372,7 +1366,6 @@ mod sim;
 mod tests {
     use super::*;
     use crate::engine::{wire, Controller};
-    use crate::event::{Items, TopoOp};
 
     /// Minimal algorithm: default callbacks, `u64` state.
     struct Noop;
@@ -1503,11 +1496,81 @@ mod tests {
             .restore(&mut store, &mut seq, &mut edges, &mut streamed)
             .into_iter()
             .map(|rec| match rec {
-                Replay::Topo(ev, index, epoch) => (ev.src, index, epoch),
-                _ => panic!("a pull run logs topology records only"),
+                Replay::Pull(Pull::Topo(ev), index, epoch) => (ev.src, index, epoch),
+                _ => panic!("this run pulled edges only"),
             })
             .collect();
         assert_eq!(logged, (0..100).map(|v| (v, 2 * v, 3)).collect::<Vec<_>>());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A control pull ends its run: the run logs and takes the pulls up to
+    /// and including it, and no further. A sweep that panicked would
+    /// otherwise leave logged pulls in `chunks`, pulled once by the
+    /// respawn's replay and once more from the stream.
+    #[test]
+    fn durable_pull_run_ends_at_its_control_pull() {
+        let dir = std::env::temp_dir().join(format!("remo-shard-control-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = EngineConfig::undirected(2)
+            .with_durability(crate::DurabilityConfig::new(&dir).fsync(false));
+        let mut f = fixture_with(config);
+        let edges = |base, v: u64| Chunk {
+            base,
+            stride: 1,
+            items: Items::Pairs(TopoOp::Add, vec![(v, v + 1000); 3]),
+        };
+        let op = ControlOp {
+            kind: ControlKind::Flood,
+            mask: 1,
+        };
+        f.worker.chunks.extend([
+            edges(0, 1),
+            Chunk::one(3, Items::Init(7)),
+            Chunk::one(4, Items::Control(op)),
+            edges(5, 2),
+        ]);
+        f.worker.custody.as_mut().unwrap().open();
+        f.worker.pull_run(0);
+        let m = &f.worker.metrics;
+        assert_eq!((m.topo_ingested, m.wal_records_appended), (5, 5));
+        assert_eq!(f.worker.streamed, 5);
+        assert_eq!(f.worker.chunks.len(), 1, "the edges behind the op wait");
+        f.worker.pull_run(0);
+        assert_eq!(f.worker.metrics.topo_ingested, 8);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A control op counts as run once the shard's `ingested` passes its
+    /// mark with the recovery gate down: a panic after the pull re-publishes
+    /// `ingested` behind a raised gate, and only the replay, which re-runs
+    /// the op, lowers it.
+    #[test]
+    fn a_control_op_runs_again_in_replay_before_it_counts() {
+        let dir = std::env::temp_dir().join(format!("remo-shard-ran-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = EngineConfig::undirected(2)
+            .with_durability(crate::DurabilityConfig::new(&dir).fsync(false));
+        let mut f = fixture_with(config);
+        f.worker.custody.as_mut().unwrap().open();
+        let op = ControlOp {
+            kind: ControlKind::Clear,
+            mask: 1,
+        };
+        let mark = f.ctl.offer(0, 1, || Chunk::one(0, Items::Control(op)));
+        let mark = mark.unwrap().expect("an empty window has room");
+        f.worker.dispatch(f.worker.rx.try_recv().unwrap());
+        assert!(!f.ctl.ran(0, mark));
+        f.worker.pull_run(0);
+        assert!(f.ctl.ran(0, mark));
+        f.worker.prepare_recovery();
+        assert!(
+            !f.ctl.ran(0, mark),
+            "counted, but its replay is still to come"
+        );
+        f.worker.recover();
+        assert!(f.ctl.ran(0, mark));
+        assert_eq!(f.worker.metrics.replayed_records, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1678,7 +1741,6 @@ mod tests {
     /// shard, and the shard must still hand back its report.
     #[test]
     fn dropped_controller_sender_stops_the_shard() {
-        use std::sync::atomic::Ordering;
         let Fixture { worker, ctl } = fixture();
         let shared = Arc::clone(&ctl.shared);
         let shard = std::thread::spawn(move || worker.run_supervised());
@@ -1686,14 +1748,8 @@ mod tests {
         // two of shard 0's own vertices.
         let part = Partitioner::new(2);
         let mine: Vec<VertexId> = (0u64..).filter(|&v| part.owner(v) == 0).take(2).collect();
-        shared.slot(0).fed.fetch_add(1, Ordering::SeqCst);
-        ctl.senders[0]
-            .send(Message::Chunk(Chunk {
-                base: 0,
-                stride: 1,
-                items: Items::Pairs(TopoOp::Add, vec![(mine[0], mine[1])]),
-            }))
-            .unwrap();
+        let edge = Items::Pairs(TopoOp::Add, vec![(mine[0], mine[1])]);
+        assert!(ctl.offer(0, 1, || Chunk::one(0, edge)).unwrap().is_some());
         while !shared.quiescent_probe() {
             std::thread::yield_now();
         }

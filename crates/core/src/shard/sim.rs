@@ -1,9 +1,9 @@
 //! A seeded scheduler for the shard pass. It builds `k` workers with the
 //! engine's own wiring ([`wire`]) and steps them on the test thread, in
 //! an order a seed chooses, playing the controller's part between steps:
-//! it feeds chunks where the ingest window allows ([`Controller::reserve`]),
-//! sends `Init` ([`Controller::init_vertex`]), reads the quiescence probe
-//! and opens a snapshot epoch. Nothing parks and no OS schedule is
+//! it queues an `Init` and feeds chunks where the ingest window allows
+//! ([`Controller::offer`]), reads the quiescence probe and opens a
+//! snapshot epoch. Nothing parks and no OS schedule is
 //! involved, so a run is a pure function of its seed, and a failing seed
 //! replays from its printed case.
 //!
@@ -20,7 +20,8 @@
 //!
 //! A snapshot epoch opens at a seeded tick, either at a quiesced boundary
 //! or mid-flight. Each shard's `ingested` is read before the step in which
-//! it acks, so the cut is known, and the states are collected once
+//! it acks, so the cut is known — the `Init` is its owner's first pull, so
+//! it is inside the cut or not like any edge — and the states are collected once
 //! `drained_probe(old)` holds. At a quiesced boundary they must equal the
 //! static solve of the cut. Mid-flight they must keep what
 //! `Engine::try_snapshot` promises: every vertex of the cut is present,
@@ -33,7 +34,7 @@ use remo_gen::rng::SmallRng;
 use remo_gen::{rmat, RmatConfig};
 use remo_store::{VertexId, Weight};
 
-use super::{Message, Progress, ShardWorker, HELD_BOUND, INGEST_CHUNK, PULL_RUN};
+use super::{Progress, ShardWorker, HELD_BOUND, INGEST_CHUNK, PULL_RUN};
 use crate::algorithm::{AlgoCtx, Algorithm};
 use crate::config::EngineConfig;
 use crate::engine::{wire, Controller};
@@ -194,7 +195,8 @@ struct Sim<A: Algorithm<State = u64>> {
     workers: Vec<ShardWorker<A>>,
     ctl: Controller<u64>,
     /// Each shard's share of the stream (pair `i` goes to shard `i % k`,
-    /// as the engine splits it) and how much of it was fed.
+    /// as the engine splits it, at stream index `i`) and how much of it
+    /// was fed.
     shares: Vec<Vec<(VertexId, VertexId)>>,
     fed: Vec<usize>,
     /// The most events one chunk carries.
@@ -212,6 +214,8 @@ impl<A: Algorithm<State = u64>> Sim<A> {
         let shares = (0..k)
             .map(|s| pairs.iter().skip(s).step_by(k).copied().collect())
             .collect();
+        // The pairs take indices `0..pairs.len()`; an init comes after.
+        ctl.number(pairs.len());
         Sim {
             workers,
             ctl,
@@ -231,22 +235,31 @@ impl<A: Algorithm<State = u64>> Sim<A> {
         (0..self.k()).all(|s| self.fed[s] == self.shares[s].len())
     }
 
+    /// Queues an `Init` of `v` on its owner's stream, before any chunk;
+    /// returns the owner.
+    fn init(&mut self, v: VertexId) -> usize {
+        let s = self.ctl.part.owner(v);
+        let index = self.ctl.number(1);
+        let queued = self.ctl.offer(s, 1, || Chunk::one(index, Items::Init(v)));
+        assert!(queued.expect("the owner's channel is open").is_some());
+        s
+    }
+
     /// One tick: feeds shard `s` its next chunk if there is one and it
     /// fits the window. False when nothing was fed.
     fn feed(&mut self, s: usize) -> bool {
-        let n = (self.shares[s].len() - self.fed[s]).min(self.chunk);
-        if n == 0 || !self.ctl.reserve(s, n as u64) {
+        let (from, k) = (self.fed[s], self.k());
+        let n = (self.shares[s].len() - from).min(self.chunk);
+        let chunk = || Chunk {
+            base: (s + from * k) as u64,
+            stride: k as u64,
+            items: Items::Pairs(TopoOp::Add, self.shares[s][from..][..n].to_vec()),
+        };
+        let open = "the shard's channel is open";
+        let queued = n > 0 && self.ctl.offer(s, n as u64, chunk).expect(open).is_some();
+        if !queued {
             return false;
         }
-        let pairs = self.shares[s][self.fed[s]..][..n].to_vec();
-        let chunk = Message::Chunk(Chunk {
-            base: (s + self.fed[s] * self.k()) as u64,
-            stride: self.k() as u64,
-            items: Items::Pairs(TopoOp::Add, pairs),
-        });
-        self.ctl
-            .send_to(s, chunk)
-            .expect("the shard's channel is open");
         self.fed[s] += n;
         self.tick();
         true
@@ -396,9 +409,7 @@ fn run_schedule<A: Algorithm<State = u64> + Copy>(
     mut rng: SmallRng,
 ) -> Outcome {
     let mut sim = Sim::new(algo, k, batch, chunk, pairs);
-    if let Some(v) = source {
-        sim.ctl.init_vertex(v).expect("the owner's channel is open");
-    }
+    let owner = source.map(|v| sim.init(v));
     // The unfair stretch: each tick feeds a chunk (one time in
     // `feed_odds`) or steps a shard drawn by weight. Weights are redrawn
     // every `stretch` ticks, and a weight of 0 starves its shard for the
@@ -442,10 +453,12 @@ fn run_schedule<A: Algorithm<State = u64> + Copy>(
     let states = sim.states();
     assert_eq!(states, full, "the final states are the static solve");
     let snap = sim.snap.take().expect("a snapshot was opened");
+    let took = |s: usize| snap.cut[s].expect("every shard acked");
+    let init_cut = owner.filter(|&s| took(s) > 0);
     let cut: Vec<_> = (0..k)
-        .flat_map(|s| sim.shares[s][..snap.cut[s].expect("every shard acked")].to_vec())
+        .flat_map(|s| sim.shares[s][..took(s) - usize::from(init_cut == Some(s))].to_vec())
         .collect();
-    let expect = solve(algo, source, &cut);
+    let expect = solve(algo, init_cut.and(source), &cut);
     let got = snap.states.expect("the old epoch drained");
     let snapshot_misses = if snap.quiesced {
         assert_eq!(
@@ -588,12 +601,12 @@ fn round_robin_counts_are_exact() {
     assert_eq!(counts, expect, "work counts moved");
 }
 
-/// ROADMAP item 6, reproduced from a seed: BFS on two shards, a snapshot
-/// opened mid-flight. Nine of its states sit above their level in the
-/// static solve of its cut. It is still the bound `Engine::try_snapshot`
+/// ROADMAP item 2(b), reproduced from a seed: BFS on two shards, a snapshot
+/// opened mid-flight. Twenty-three of its states sit above their level in
+/// the static solve of its cut. It is still the bound `Engine::try_snapshot`
 /// promises (`check_mid_flight`), not the cut's solve; exact snapshots
 /// make this count 0.
 #[test]
-fn mid_flight_snapshot_of_seed_794481089737669381_falls_short_of_its_cut() {
-    assert_eq!(run_seed(794_481_089_737_669_381).snapshot_misses, 9);
+fn mid_flight_snapshot_of_seed_343809757302082577_falls_short_of_its_cut() {
+    assert_eq!(run_seed(343_809_757_302_082_577).snapshot_misses, 23);
 }

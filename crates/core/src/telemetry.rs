@@ -455,12 +455,6 @@ impl TelemetryShared {
         (ShardMetrics::from_words(&counters), gauges)
     }
 
-    /// Envelopes the controller itself has sent (both epoch parities).
-    pub(crate) fn controller_sent(&self) -> u64 {
-        let slot = self.counters.slot(self.counters.controller_slot());
-        slot.sent[0].load(Ordering::SeqCst) + slot.sent[1].load(Ordering::SeqCst)
-    }
-
     /// Copies the latency histograms into `m` — the one place that lists
     /// them, shared by `metrics_now` and the final harvest.
     pub(crate) fn histograms_into(&self, m: &mut RunMetrics) {
@@ -482,7 +476,6 @@ impl TelemetryShared {
             lost_shards: (0..self.cells.len())
                 .filter(|&s| self.board.is_failed(s))
                 .collect(),
-            controller_sent: self.controller_sent(),
             ..Default::default()
         };
         self.histograms_into(&mut m);
@@ -583,7 +576,7 @@ impl TelemetryHub {
         // Exact in-flight/backlog from the termination counters.
         let c = &self.shared.counters;
         let (mut sent, mut proc) = (0u64, 0u64);
-        for id in 0..=c.controller_slot() {
+        for id in 0..shards {
             let slot = c.slot(id);
             sent += slot.sent[0].load(Ordering::SeqCst) + slot.sent[1].load(Ordering::SeqCst);
             proc +=

@@ -138,8 +138,8 @@ pub struct ShardSlots {
 }
 
 /// Engine-wide bookkeeping: the epoch cell and one padded [`ShardSlots`]
-/// per shard plus one extra slot
-/// (index `P`) for envelopes the controller itself creates (`init_vertex`).
+/// per shard. Every envelope is created by a shard: the controller's
+/// inputs, `Init`s included, are pulls, counted by `fed` and `ingested`.
 #[derive(Debug)]
 pub struct SharedCounters {
     /// Current snapshot epoch; stream events are tagged with this.
@@ -157,13 +157,13 @@ pub struct SharedCounters {
 }
 
 impl SharedCounters {
-    /// Counters for `shards` shards (plus the controller slot).
+    /// Counters for `shards` shards.
     pub fn new(shards: usize) -> Self {
         SharedCounters {
             epoch: AtomicU32::new(0),
             recovering: AtomicU64::new(0),
             bell: Bell::default(),
-            slots: (0..=shards)
+            slots: (0..shards)
                 .map(|_| CachePadded::new(ShardSlots::default()))
                 .collect(),
         }
@@ -184,17 +184,18 @@ impl SharedCounters {
         self.recovering.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// The slot owned by `id` (shards use their index; the controller uses
-    /// `num_shards`).
+    /// The slot owned by shard `id`.
     #[inline]
     pub fn slot(&self, id: usize) -> &ShardSlots {
         &self.slots[id]
     }
 
-    /// Index of the controller's slot.
-    #[inline]
-    pub fn controller_slot(&self) -> usize {
-        self.slots.len() - 1
+    /// True while some shard is between a custody sweep (or a cold start)
+    /// and the end of its replay. Read after a shard's `ingested`, a
+    /// lowered gate says every pull that count covers has run: a sweep
+    /// raises the gate before it re-publishes `ingested`.
+    pub(crate) fn recovering(&self) -> bool {
+        self.recovering.load(Ordering::SeqCst) != 0
     }
 
     fn sum_processed(&self, parity: usize) -> u64 {
@@ -247,7 +248,7 @@ impl SharedCounters {
         // sweeping shard's earlier `recovery_begin` visible here — so a
         // mid-recovery balance is always rejected. (A nonzero reading is
         // a false negative at worst; the probe retries.)
-        self.recovering.load(Ordering::SeqCst) == 0
+        !self.recovering()
     }
 
     /// Four-counter probe restricted to one epoch's parity class — used by
@@ -262,7 +263,7 @@ impl SharedCounters {
         // Same recovery gate as `quiescent_probe`: a sweep retires the
         // old parity's swept envelopes too, so a mid-recovery "drained"
         // reading would let a snapshot cut before replay re-derives them.
-        s == r && self.recovering.load(Ordering::SeqCst) == 0
+        s == r && !self.recovering()
     }
 }
 
@@ -388,18 +389,6 @@ mod tests {
         c.slot(0).fed.store(5, Ordering::SeqCst);
         assert!(!c.quiescent_probe(), "uningested stream events pending");
         c.slot(0).ingested.store(5, Ordering::SeqCst);
-        assert!(c.quiescent_probe());
-    }
-
-    #[test]
-    fn controller_slot_counts() {
-        let c = SharedCounters::new(2);
-        let ctl = c.controller_slot();
-        assert_eq!(ctl, 2);
-        c.slot(ctl).sent[0].store(1, Ordering::SeqCst);
-        assert!(!c.quiescent_probe());
-        let mut s1 = Sim::new(&c, 1);
-        s1.process(0); // the shard that received the init retires it
         assert!(c.quiescent_probe());
     }
 }

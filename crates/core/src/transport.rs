@@ -18,10 +18,12 @@
 //!   senders unpark the receiver after publishing into its lane, and
 //!   `IDLE_PARK` is a fallback heartbeat rather than the wake latency.
 //!
-//! Control traffic (Chunk/Collect/Query/Control/Shutdown, and the
-//! controller's `Init` events) stays on the per-shard `std::sync::mpsc`
-//! channel — it is rare, and the channel's blocking-receive semantics are
-//! exactly right for it. Only the controller sends on it.
+//! Control traffic (Chunk/Collect/Query/Shutdown) stays on the per-shard
+//! `std::sync::mpsc` channel — it is rare, and the channel's
+//! blocking-receive semantics are exactly right for it. Only the
+//! controller sends on it, and it carries no envelope: an `Init` or a
+//! registry control op reaches a shard as one more chunk of its input
+//! stream.
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -8,13 +8,12 @@
 //! shard owns one directory (`<root>/shard-<id>/`) holding:
 //!
 //! - `wal.log` — the write-ahead log of *accepted external inputs*: every
-//!   envelope the shard took custody of from a peer or the controller,
-//!   every topology event it pulled from an input stream, and every
-//!   control sweep it claimed. Self-routed cascade envelopes are
-//!   deliberately **not** logged: replaying the external inputs through
-//!   the normal event loop re-derives them (REMO callbacks are monotone
-//!   and join-idempotent, so at-least-once replay converges to the same
-//!   fixpoint — see DESIGN.md §14).
+//!   envelope the shard took custody of from a peer, and every pull from
+//!   its input stream — an edge, an `Init` or a control op. Self-routed
+//!   cascade envelopes are deliberately **not** logged: replaying the
+//!   external inputs through the normal event loop re-derives them (REMO
+//!   callbacks are monotone and join-idempotent, so at-least-once replay
+//!   converges to the same fixpoint — see DESIGN.md §14).
 //! - `checkpoint.bin` — a point-in-time image of the shard's vertex store
 //!   (states, forks, metas, adjacency), written only at *idle* (all queues
 //!   drained), so the checkpoint plus the WAL tail is always a complete
@@ -25,18 +24,23 @@
 //!   between the two merely leaves already-checkpointed records in the
 //!   WAL, which replay reapplies idempotently.
 //!
-//! The worker calls its custody at four points: a pull run is logged
+//! The worker calls its custody at three points: a pull run is logged
 //! ([`Custody::log_pulls`]), a received batch is admitted
-//! ([`Custody::admit`]), a control op commits ([`Custody::log_control`]),
-//! and a checkpoint is due ([`Custody::checkpoint`]). Each logs first and
-//! commits once, *before* any effect of what it logged can escape the
-//! shard. The supervisor adds three: [`Custody::open`] on entry, the
-//! respawn decision ([`Custody::respawn`], at most three per shard), and
-//! the post-panic [`Custody::sweep`]. Recovery reads its records back
-//! through [`Custody::restore`]; the worker replays them.
+//! ([`Custody::admit`]), and a checkpoint is due ([`Custody::checkpoint`]).
+//! Each logs first and commits once, *before* any effect of what it logged
+//! can escape the shard; a control op is one more pull, so its sweep runs
+//! after its frame is on disk. The supervisor adds three:
+//! [`Custody::open`] on entry, the respawn decision ([`Custody::respawn`],
+//! at most three per shard), and the post-panic [`Custody::sweep`].
+//! Recovery reads its records back through [`Custody::restore`]; the
+//! worker replays them.
 //!
 //! WAL records are length-prefixed frames: `len: u32 | crc32: u32 |
-//! payload`, CRC over the payload. On open the log is scanned
+//! payload`, CRC over the payload. A pull frame's payload is `tag | op:
+//! u8 | epoch: u32 | index: u64 | src | dst | weight`, and its op byte
+//! says what was pulled: 0 an edge add, 1 an edge removal, 2 an `Init` of
+//! `src`, and 3, 4, 5 a Prime, Flood or Clear control op whose mask is
+//! `src`. Any other op byte fails the read. On open the log is scanned
 //! front-to-back and truncated at the first frame whose length or CRC does
 //! not check out (torn tail from a mid-write crash).
 
@@ -47,7 +51,7 @@ use std::path::{Path, PathBuf};
 
 use crate::algorithm::Algorithm;
 use crate::config::EngineConfig;
-use crate::event::{ControlKind, Envelope, Epoch, EventKind, TopoEvent, TopoOp};
+use crate::event::{Envelope, Epoch, EventKind, Pull};
 use crate::metrics::ShardMetrics;
 use crate::storage::DenseStore;
 use crate::vertex_state::VertexMeta;
@@ -61,7 +65,7 @@ pub struct DurabilityConfig {
     /// Root directory for the engine's durable state (one subdirectory
     /// per shard plus a `MANIFEST`). Created on first use.
     pub dir: PathBuf,
-    /// Custody records (accepted envelopes + pulled topology events)
+    /// Custody records (accepted envelopes + pulls)
     /// between checkpoints. Smaller = shorter replay, more checkpoint
     /// I/O.
     pub checkpoint_every: u64,
@@ -266,15 +270,12 @@ const MAX_RESPAWNS: u32 = 3;
 /// One WAL record, decoded for replay (epochs already zeroed on a cold
 /// start).
 pub(crate) enum Replay<S> {
-    /// An envelope the shard accepted from a peer or the controller, with
-    /// its trace tag, so a replayed envelope keeps its trace identity.
+    /// An envelope the shard accepted from a peer, with its trace tag, so
+    /// a replayed envelope keeps its trace identity.
     Envelope(Envelope<S>),
-    /// A topology event pulled from an input stream, with its stream index
-    /// and the epoch it was tagged with at ingestion.
-    Topo(TopoEvent, u64, Epoch),
-    /// A claimed control sweep (registry attach/detach — see
-    /// [`crate::registry`]) and the slot mask the shard claimed.
-    Control(ControlKind, u64),
+    /// A pull from the shard's input stream, with its stream index and
+    /// the epoch it was tagged with at ingestion.
+    Pull(Pull, u64, Epoch),
 }
 
 /// One durable shard's custody, whole: its WAL handle and the frames not
@@ -401,24 +402,23 @@ impl<A: Algorithm> Custody<A> {
 
     /// Custody point: a pull run. Logs each pull with its stream index and
     /// the epoch the run is tagged with, and commits once, before the first
-    /// envelope any of them spawns exists.
+    /// envelope any of them spawns exists and before a control pull's
+    /// sweep runs.
     pub(crate) fn log_pulls(
         &mut self,
-        run: impl Iterator<Item = (TopoEvent, u64)>,
+        run: impl Iterator<Item = (Pull, u64)>,
         epoch: Epoch,
         m: &mut ShardMetrics,
     ) {
-        for (ev, index) in run {
-            let start = self.begin_frame(TAG_TOPO);
-            self.buf.push(match ev.op {
-                TopoOp::Add => 0,
-                TopoOp::Remove => 1,
-            });
+        for (pull, index) in run {
+            let (op, words) = pull.encode();
+            let start = self.begin_frame(TAG_PULL);
+            self.buf.push(op);
             put_u32(&mut self.buf, epoch);
             put_u64(&mut self.buf, index);
-            put_u64(&mut self.buf, ev.src);
-            put_u64(&mut self.buf, ev.dst);
-            put_u64(&mut self.buf, ev.weight);
+            for w in words {
+                put_u64(&mut self.buf, w);
+            }
             self.end_frame(start, m);
         }
         self.commit(m);
@@ -457,16 +457,6 @@ impl<A: Algorithm> Custody<A> {
     /// Marks the counted envelope being processed (`None` once it is).
     pub(crate) fn mark_in_process(&mut self, epoch: Option<Epoch>) {
         self.in_process = epoch;
-    }
-
-    /// Custody point: a claimed control op commits, before its sweep runs,
-    /// so replay can re-derive the sweep's effects.
-    pub(crate) fn log_control(&mut self, kind: ControlKind, mask: u64, m: &mut ShardMetrics) {
-        let start = self.begin_frame(TAG_CONTROL);
-        self.buf.push(kind.as_u8());
-        put_u64(&mut self.buf, mask);
-        self.end_frame(start, m);
-        self.commit(m);
     }
 
     /// Custody point: a checkpoint is due when the WAL has grown past the
@@ -603,9 +593,9 @@ impl<A: Algorithm> Custody<A> {
 // ---- WAL records -----------------------------------------------------
 
 const TAG_ENVELOPE: u8 = 1;
-/// A pull with its stream index (tag 2 was a pull without one).
-const TAG_TOPO: u8 = 4;
-const TAG_CONTROL: u8 = 3;
+/// A pull with its stream index (tag 2 was an edge pull without one, and
+/// tag 3 a claimed control sweep).
+const TAG_PULL: u8 = 4;
 
 /// `<root>/shard-<id>/`.
 fn shard_dir(root: &Path, shard: usize) -> PathBuf {
@@ -692,30 +682,14 @@ fn read_wal<A: Algorithm>(
                     tag,
                 })
             }
-            TAG_TOPO => {
-                let op = if r.u8()? == 0 {
-                    TopoOp::Add
-                } else {
-                    TopoOp::Remove
-                };
+            TAG_PULL => {
+                let op = r.u8()?;
                 let epoch = at(r.u32()?);
-                let (index, src, dst, weight) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
-                Replay::Topo(
-                    TopoEvent {
-                        src,
-                        dst,
-                        weight,
-                        op,
-                    },
-                    index,
-                    epoch,
-                )
-            }
-            TAG_CONTROL => {
-                let kind = r.u8()?;
-                let kind = ControlKind::from_u8(kind)
-                    .ok_or_else(|| invalid(&format!("unknown control kind {kind}")))?;
-                Replay::Control(kind, r.u64()?)
+                let index = r.u64()?;
+                let words = [r.u64()?, r.u64()?, r.u64()?];
+                let pull = Pull::decode(op, words)
+                    .ok_or_else(|| invalid(&format!("unknown pull op {op}")))?;
+                Replay::Pull(pull, index, epoch)
             }
             t => return Err(invalid(&format!("unknown WAL record tag {t}"))),
         });
@@ -872,7 +846,7 @@ pub(crate) fn resume_index(config: &EngineConfig) -> Result<u64, String> {
     let shard_index = |shard: usize| -> io::Result<u64> {
         let ckpt = checkpoint_streamed(&d.dir, shard)?;
         frames(&wal_bytes(&d.dir, shard)?)
-            .filter(|payload| payload.first() == Some(&TAG_TOPO))
+            .filter(|payload| payload.first() == Some(&TAG_PULL))
             .try_fold(ckpt, |next, payload| {
                 let mut r = ByteReader::new(payload);
                 r.take(6)?; // the tag, the op and the epoch
@@ -943,6 +917,7 @@ fn read_manifest(root: &Path) -> io::Result<Option<(usize, bool)>> {
 mod tests {
     use super::*;
     use crate::algorithm::codec;
+    use crate::event::{ControlKind, ControlOp, TopoEvent, TopoOp};
 
     fn tmp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("remo-wal-test-{}-{tag}", std::process::id()));
@@ -1026,19 +1001,23 @@ mod tests {
         let mut c = custody(&root, 0);
         assert!(!c.recovering(), "a fresh directory is no cold start");
         c.admit([update(10, 1, (99 << 8) | 2)], &mut m);
-        let pull = TopoEvent {
+        let removal = Pull::Topo(TopoEvent {
             src: 1,
             dst: 2,
             weight: 9,
             op: TopoOp::Remove,
-        };
-        c.log_pulls([(pull, 17)].into_iter(), 4, &mut m);
-        c.log_control(ControlKind::Flood, 0b101, &mut m);
-        assert_eq!(m.wal_records_appended, 3);
+        });
+        let flood = Pull::Control(ControlOp {
+            kind: ControlKind::Flood,
+            mask: 0b101,
+        });
+        let pulls = [(removal, 17), (Pull::Init(6), 18), (flood, 19)];
+        c.log_pulls(pulls.into_iter(), 4, &mut m);
+        assert_eq!(m.wal_records_appended, 4);
         assert_eq!(m.wal_bytes, fs::metadata(wal_path(&root, 0)).unwrap().len());
 
         let recs = read_wal::<Level>(&root, 0, false).unwrap();
-        assert_eq!(recs.len(), 3);
+        assert_eq!(recs.len(), 4);
         let Replay::Envelope(e) = &recs[0] else {
             panic!("expected envelope record");
         };
@@ -1046,21 +1025,18 @@ mod tests {
             (e.kind, e.epoch, e.target, e.visitor, e.weight, e.tag, e.value),
             (EventKind::Update, 1, 10, 20, 7, (99 << 8) | 2, 42)
         );
-        let Replay::Topo(ev, 17, 4) = &recs[1] else {
-            panic!("expected topo record of index 17 at epoch 4");
-        };
-        assert_eq!(
-            (ev.src, ev.dst, ev.weight, ev.op),
-            (1, 2, 9, TopoOp::Remove)
-        );
-        assert!(matches!(
-            recs[2],
-            Replay::Control(ControlKind::Flood, 0b101)
-        ));
+        let pulled: Vec<(Pull, u64, Epoch)> = recs[1..]
+            .iter()
+            .map(|rec| match rec {
+                Replay::Pull(pull, index, epoch) => (*pull, *index, *epoch),
+                Replay::Envelope(_) => panic!("expected pull records"),
+            })
+            .collect();
+        assert_eq!(pulled, pulls.map(|(pull, index)| (pull, index, 4)));
         // A cold read zeroes every epoch.
         let cold = read_wal::<Level>(&root, 0, true).unwrap();
         assert!(matches!(&cold[0], Replay::Envelope(e) if e.epoch == 0));
-        assert!(matches!(cold[1], Replay::Topo(_, 17, 0)));
+        assert!(matches!(cold[1], Replay::Pull(_, 17, 0)));
 
         // A checkpoint waits for the admitted envelope, then truncates the
         // WAL; restore reads its image back.
@@ -1096,7 +1072,7 @@ mod tests {
         assert_eq!(resume_index(&EngineConfig::directed(2)), Ok(0));
         assert_eq!(resume_index(&config), Ok(0), "a fresh directory");
         let mut m = ShardMetrics::default();
-        let pull = TopoEvent::new(1, 2);
+        let pull = Pull::Init(1);
         let mut c = custody(&root, 0);
         c.checkpoint(&DenseStore::with_capacity(0), (1, 0, 0, 40), &mut m);
         c.log_pulls([(pull, 7)].into_iter(), 0, &mut m);
@@ -1104,6 +1080,38 @@ mod tests {
         let mut c = custody(&root, 1);
         c.log_pulls([(pull, 52), (pull, 9)].into_iter(), 0, &mut m);
         assert_eq!(resume_index(&config), Ok(53), "shard 1's WAL");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A pull frame whose CRC checks out but whose op byte names no pull
+    /// is corrupt: restore fails rather than replay it as some other pull.
+    #[test]
+    fn unknown_pull_op_fails_the_restore() {
+        let root = tmp_root("pull-op");
+        let mut m = ShardMetrics::default();
+        let mut c = custody(&root, 0);
+        c.log_pulls([(Pull::Init(3), 0)].into_iter(), 0, &mut m);
+        let path = wal_path(&root, 0);
+        let mut bytes = fs::read(&path).unwrap();
+        // The op byte follows the frame header and the tag; re-seal the CRC.
+        bytes[9] = 6;
+        let crc = crc32(&bytes[8..]);
+        bytes[4..8].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let mut c = custody(&root, 0);
+        assert!(
+            c.recovering(),
+            "the frame is valid, so this is a cold start"
+        );
+        let (mut store, mut seq, mut edges, mut streamed) = (DenseStore::with_capacity(0), 0, 0, 0);
+        let restored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.restore(&mut store, &mut seq, &mut edges, &mut streamed)
+        }));
+        let Err(err) = restored else {
+            panic!("an unknown pull op must fail the restore");
+        };
+        let message = crate::supervision::panic_payload_string(err);
+        assert!(message.contains("unknown pull op 6"), "{message}");
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -1143,14 +1151,14 @@ mod tests {
         c.mark_in_process(Some(first.epoch));
         // A frame appended but never committed, as a panic mid-append
         // leaves it.
-        let start = c.begin_frame(TAG_CONTROL);
+        let start = c.begin_frame(TAG_PULL);
         c.end_frame(start, &mut m);
         let (gate, held) = c.sweep();
         assert!(gate && c.recovering());
         assert_eq!(held, [0, 1, 1], "the half-processed one, then the inbox");
         assert!(c.take_admitted().is_none());
         assert_eq!(c.sweep(), (false, Vec::new()), "one gate per recovery");
-        c.log_control(ControlKind::Clear, 1, &mut m);
+        c.log_pulls([(Pull::Init(1), 0)].into_iter(), 0, &mut m);
         assert_eq!(read_wal::<Level>(&root, 0, false).unwrap().len(), 4);
         assert!(c.abandon() && !c.abandon());
         let _ = fs::remove_dir_all(&root);

@@ -302,7 +302,8 @@ fn stalled_shard_hits_quiescence_deadline() {
         .expect("the released shard catches up");
     let result = engine.try_finish().unwrap();
     assert!(!result.is_degraded());
-    assert_eq!(result.metrics.total().topo_ingested, 5);
+    // Five pairs and the init.
+    assert_eq!(result.metrics.total().topo_ingested, 6);
     result.metrics.verify_balance().unwrap();
 }
 
@@ -1087,4 +1088,89 @@ fn respawned_shard_recovers_all_query_columns() {
     );
     result.metrics.verify_balance().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A control op skips dead shards: with durability off, the first
+/// attach's query panics in shard 1's prime sweep and kills it for good.
+/// Both attaches return over the survivor within the deadline, and the
+/// survivor's columns are primed.
+#[test]
+fn attach_on_a_degraded_engine_skips_the_dead_shard() {
+    let pairs = chain_pairs(24);
+    let reg = QueryRegistry::<u64>::new();
+    let engine = Engine::new(reg.clone(), chaos_config());
+    engine.try_ingest_pairs(&pairs).unwrap();
+    engine.try_await_quiescence().unwrap();
+    // Prime replays one muted `on_add` per stored edge end: shard 1 has
+    // some, so its first one panics.
+    let start = Instant::now();
+    reg.attach(&engine, Faulty::on(1, MaxLabel).panic_at(1), &[], "dies")
+        .unwrap();
+    let failures = engine.failures();
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert_eq!(failures[0].id, 1);
+    assert!(
+        failures[0].payload.contains(MARKER),
+        "{}",
+        failures[0].payload
+    );
+    let late = reg.attach(&engine, MaxLabel, &[], "late").unwrap();
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "the attaches took {:?}",
+        start.elapsed()
+    );
+    let result = engine.try_finish().unwrap();
+    assert!(result.is_degraded());
+    let column = reg.project(&result.states, late);
+    assert!(!column.is_empty());
+    assert!(
+        column.iter().all(|(_, &label)| label > 0),
+        "every surviving vertex holds a primed label"
+    );
+}
+
+/// Replay sweeps what the run swept. A warm respawn here restores a
+/// checkpoint older than the attach's Prime, whose primed bit is already
+/// set in memory, so the replayed Prime must sweep all the same. Shard 1
+/// panics in the first callback after its Prime sweep, when the flood
+/// reaches it; the pair `(a, b)` lives on shard 1 alone, so its label
+/// comes from shard 1's Prime and from nothing else.
+#[test]
+fn replay_reprimes_a_column_its_checkpoint_predates() {
+    let p = Partitioner::new(2);
+    let mut on_shard_1 = (100..).filter(|&v| p.owner(v) == 1);
+    let (a, b) = (on_shard_1.next().unwrap(), on_shard_1.next().unwrap());
+    let pairs: Vec<_> = std::iter::once((a, b)).chain(chain_pairs(24)).collect();
+    let want = baseline_fixpoint(&pairs);
+    let dir = durable_dir("reprime");
+    // The first engine leaves a checkpoint and an empty WAL.
+    let engine = Engine::new(
+        QueryRegistry::<u64>::new(),
+        durable_chaos_config(&dir, 1 << 20),
+    );
+    engine.try_ingest_pairs(&pairs).unwrap();
+    assert!(engine.try_finish().unwrap().metrics.per_shard[1].checkpoints_written > 0);
+
+    let reg = QueryRegistry::<u64>::new();
+    let engine = Engine::open(reg.clone(), durable_chaos_config(&dir, 1 << 20)).unwrap();
+    // The Prime sweep calls one muted `on_add` per stored edge end.
+    let primed = pairs
+        .iter()
+        .map(|&(u, v)| u64::from(p.owner(u) == 1) + u64::from(p.owner(v) == 1))
+        .sum::<u64>();
+    let q = reg
+        .attach(
+            &engine,
+            Faulty::on(1, MaxLabel).panic_at(primed + 1),
+            &[],
+            "max",
+        )
+        .unwrap();
+    engine.try_await_quiescence().unwrap();
+    let result = engine.try_finish().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!result.is_degraded(), "{:?}", result.failures);
+    assert_eq!(result.metrics.per_shard[1].shard_respawns, 1);
+    assert_eq!(fixpoint(&reg.project(&result.states, q)), want);
 }

@@ -7,8 +7,8 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use remo_core::{
-    AlgoCtx, Algorithm, Engine, EngineConfig, EngineError, Partitioner, SequentialEngine,
-    TopoEvent, TopoOp, VertexId, Weight,
+    codec, AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineConfig, EngineError, Partitioner,
+    QueryRegistry, SequentialEngine, TopoEvent, TopoOp, VertexId, Weight,
 };
 use remo_gen::rng::SmallRng;
 
@@ -579,7 +579,8 @@ fn stalled_shard_times_the_ingest_out_and_its_prefix_quiesces() {
     assert!(engine.counters_balanced());
     let r = engine.try_finish().unwrap();
     r.metrics.verify_balance().unwrap();
-    let pulled = |s: usize| r.metrics.per_shard[s].topo_ingested as usize;
+    // Shard 1's first pull was the init.
+    let pulled = |s: usize| r.metrics.per_shard[s].topo_ingested as usize - s;
     assert_eq!(pulled(0), pairs.len() / 2, "shard 0 took its whole share");
     assert!(pulled(1) as u64 <= INGEST_WINDOW, "no more than a window");
 
@@ -594,4 +595,127 @@ fn stalled_shard_times_the_ingest_out_and_its_prefix_quiesces() {
     }
     assert_eq!(r.num_edges, seq.num_edges());
     assert_eq!(r.states.into_vec(), seq.states());
+}
+
+/// An `Add` leaves its stream index at its source.
+struct Indexed;
+
+impl Algorithm for Indexed {
+    type State = u64;
+    type Edge = ();
+    fn stream_value(index: u64) -> u64 {
+        index
+    }
+    fn on_add(&self, ctx: &mut impl AlgoCtx<u64>, _v: VertexId, value: &u64, _w: Weight) {
+        let index = *value;
+        ctx.apply(|s| {
+            *s = index;
+            true
+        });
+    }
+    fn encode_state(state: &u64, out: &mut Vec<u8>) {
+        codec::put_u64(*state, out);
+    }
+    fn decode_state(bytes: &[u8]) -> u64 {
+        codec::get_u64(bytes)
+    }
+}
+
+/// An init takes a stream index like an edge: the first edge after one
+/// carries index 1, at every shard count and in the sequential engine.
+#[test]
+fn an_init_takes_a_stream_index() {
+    let want = vec![(1, 1), (3, 2), (5, 4), (100, 0), (200, 0)];
+    for shards in 1..=3 {
+        let engine = Engine::new(Indexed, EngineConfig::directed(shards));
+        engine.try_init_vertex(100).unwrap();
+        engine.try_ingest_pairs(&[(1, 2), (3, 4)]).unwrap();
+        engine.try_init_vertex(200).unwrap();
+        engine.try_ingest_pairs(&[(5, 6)]).unwrap();
+        let r = engine.try_finish().unwrap();
+        assert_eq!(r.metrics.total().topo_ingested, 5);
+        let got: Vec<_> = r
+            .states
+            .into_vec()
+            .into_iter()
+            .filter(|&(v, _)| v % 2 == 1 || v >= 100)
+            .collect();
+        assert_eq!(got, want, "{shards} shards");
+    }
+    let mut seq = SequentialEngine::directed(Indexed);
+    seq.init_vertex(100);
+    seq.apply(TopoEvent::new(1, 2));
+    seq.apply(TopoEvent::new(3, 4));
+    seq.init_vertex(200);
+    seq.apply(TopoEvent::new(5, 6));
+    let got: Vec<_> = seq
+        .states()
+        .into_iter()
+        .filter(|&(v, _)| v % 2 == 1 || v >= 100)
+        .collect();
+    assert_eq!(got, want);
+    assert_eq!(seq.metrics().topo_ingested, 5);
+}
+
+/// An init's index is durable like an edge's: a shard's checkpoint
+/// records it, so a re-opened engine numbers on past it.
+#[test]
+fn a_reopened_engine_numbers_on_past_an_init() {
+    let dir = std::env::temp_dir().join(format!("remo-init-index-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config =
+        || EngineConfig::directed(2).with_durability(DurabilityConfig::new(&dir).fsync(false));
+    let engine = Engine::new(Indexed, config());
+    engine.try_init_vertex(100).unwrap();
+    let r = engine.try_finish().unwrap();
+    assert_eq!(r.metrics.total().checkpoints_written, 1);
+    let engine = Engine::open(Indexed, config()).unwrap();
+    engine.try_ingest_pairs(&[(1, 2)]).unwrap();
+    let r = engine.try_finish().unwrap();
+    assert_eq!(
+        r.states.get(1),
+        Some(&1),
+        "the edge after the init has index 1"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An attach waits for room like an ingest: while shard 1 is held inside
+/// a query's `init` with its window full, the attach's first control op
+/// cannot be queued there, so the attach waits; released, it completes,
+/// and the run quiesces with balanced books.
+#[test]
+fn attach_waits_for_a_stalled_shards_window() {
+    let part = Partitioner::new(2);
+    let held = (0u64..).find(|&v| part.owner(v) == 1).unwrap();
+    let pairs = random_pairs(40_000, 5_000, 0xa77);
+    let gate = Arc::new([Barrier::new(2), Barrier::new(2)]);
+    let config = EngineConfig {
+        quiescence_deadline: Some(Duration::from_secs(60)),
+        ..EngineConfig::undirected(2)
+    };
+    let reg = QueryRegistry::<u64>::new();
+    let engine = Engine::new(reg.clone(), config);
+    let hub = engine.telemetry();
+    // The query's source init holds shard 1.
+    reg.attach(&engine, Gated(Arc::clone(&gate)), &[held], "gated")
+        .unwrap();
+    gate[0].wait();
+    std::thread::scope(|scope| {
+        let ingest = scope.spawn(|| engine.try_ingest_pairs(&pairs));
+        wait_for("shard 1's window to fill", || {
+            hub.gauges().ingest_backlog[1] == INGEST_WINDOW
+        });
+        let attach = scope.spawn(|| reg.attach(&engine, Touch, &[], "touch"));
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!attach.is_finished(), "the attach returned past a stall");
+        assert_eq!(hub.gauges().ingest_backlog[1], INGEST_WINDOW);
+        gate[1].wait();
+        ingest.join().unwrap().unwrap();
+        attach.join().unwrap().unwrap();
+    });
+    assert_eq!(reg.attached(), 2);
+    engine.try_await_quiescence().unwrap();
+    let r = engine.try_finish().unwrap();
+    r.metrics.verify_balance().unwrap();
 }

@@ -35,6 +35,11 @@
 //! See `examples/` for the "When" trigger workflow (fraud detection), live
 //! reachability on a growing social graph, and dynamic route costs.
 
+/// The README's code, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub use remo_algos as algos;
 pub use remo_baseline as baseline;
 pub use remo_core as core;
