@@ -196,10 +196,9 @@ mod tests {
     #[test]
     fn internal_edge_is_trivial_no_label_change() {
         // Case (i): an edge within a component must not disturb the label.
-        let engine = Engine::new(IncCc, EngineConfig::undirected(2));
+        let mut engine = Engine::new(IncCc, EngineConfig::undirected(2));
         engine.try_ingest_pairs(&[(0, 1), (1, 2)]).unwrap();
-        engine.try_await_quiescence().unwrap();
-        let before = engine.try_collect_live().unwrap();
+        let before = engine.try_snapshot().unwrap();
         engine.try_ingest_pairs(&[(0, 2)]).unwrap();
         let after = engine.try_finish().unwrap().states;
         for v in 0..3u64 {

@@ -130,11 +130,10 @@ mod tests {
 
     #[test]
     fn late_fat_edge_raises_downstream() {
-        let engine = Engine::new(IncWidest, EngineConfig::undirected(2));
+        let mut engine = Engine::new(IncWidest, EngineConfig::undirected(2));
         engine.try_init_vertex(0).unwrap();
         engine.try_ingest_weighted(&[(0, 1, 2), (1, 2, 9)]).unwrap();
-        engine.try_await_quiescence().unwrap();
-        let before = engine.try_collect_live().unwrap();
+        let before = engine.try_snapshot().unwrap();
         assert_eq!(before.get(2), Some(&2));
         engine.try_ingest_weighted(&[(0, 1, 20)]).unwrap(); // a fatter pipe appears
         let states = engine.try_finish().unwrap().states;

@@ -1,57 +1,28 @@
-//! The control plane stays live while a shard works through a long
-//! stream: a shard pulls topology events in bounded runs and looks at its
-//! control channel between runs, so a point read or a snapshot issued
-//! behind a 200 K-edge ingest is answered within the query deadline — and
-//! the snapshot it gets is still cut where §III-D says: every shard's
-//! old-epoch pulls are a prefix of its stream.
+//! The control plane and the snapshot cut.
 //!
-//! What the snapshot *holds* is checked as the bound it is. A snapshot
-//! taken at a quiesced boundary equals the static solve of the prefix
-//! (`prop_dense`); one taken while both epochs are in flight does not:
-//! callbacks compare against the live state, so a vertex whose live label
-//! already rose through a new-epoch edge ignores the old-epoch update that
-//! would have raised its fork too, and an old-epoch cascade crosses edges
-//! a new-epoch pull added. On this stream at the parent commit 8 of 4 064
-//! fork labels sat below the cut's solve and 2 vertices outside the cut
-//! held one. The sound statement is the monotone one (§IV): every vertex
-//! of the cut is present, at or above the label its own edge gave it and
-//! at or below its fixpoint label.
+//! A shard pulls topology events in bounded runs and looks at its control
+//! channel between runs, so a point read or a snapshot issued behind a
+//! 200 K-edge ingest is answered within the query deadline.
+//!
+//! A snapshot is the solve of its cut (§III-D: "a global state after a
+//! defined set of events"). `Engine::try_snapshot` names the stream index
+//! the next ingest call would take, waits until everything fed before it
+//! has been processed, and collects the live states. Fed in random-sized
+//! calls with snapshots and point reads between them, every snapshot of
+//! BFS, SSSP, CC and widest paths at 1–3 shards must equal `remo-baseline`
+//! solved from scratch on `stream[..cut]` — Liu's incremental ≡
+//! `f(x ⊕ δ)` at every cut — and every point read must be a monotone bound
+//! (§IV) on the snapshot that follows it.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use remo_algos::{stream_label, IncCc};
+use proptest::prelude::*;
+use remo_algos::{stream_label, IncBfs, IncCc, IncSssp, IncWidest};
 use remo_baseline as oracle;
-use remo_core::{AlgoCtx, Algorithm, Engine, EngineConfig, VertexId, Weight};
+use remo_core::{Algorithm, Engine, EngineConfig, Snapshot, VertexId, Weight};
 use remo_gen::RmatConfig;
-
-/// `IncCc`, noting every external add it sees tagged with epoch 0 — the
-/// edges on the old side of the first snapshot's cut.
-struct CutRecorder(Arc<Mutex<Vec<(VertexId, VertexId)>>>);
-
-impl Algorithm for CutRecorder {
-    type State = u64;
-    type Edge = ();
-    fn on_add(&self, ctx: &mut impl AlgoCtx<u64>, visitor: VertexId, value: &u64, w: Weight) {
-        if ctx.epoch() == 0 {
-            self.0.lock().unwrap().push((ctx.vertex(), visitor));
-        }
-        IncCc.on_add(ctx, visitor, value, w);
-    }
-    fn on_reverse_add(&self, ctx: &mut impl AlgoCtx<u64>, v: VertexId, val: &u64, w: Weight) {
-        IncCc.on_reverse_add(ctx, v, val, w);
-    }
-    fn on_update(&self, ctx: &mut impl AlgoCtx<u64>, v: VertexId, val: &u64, w: Weight) {
-        IncCc.on_update(ctx, v, val, w);
-    }
-    fn absorbs(live: &u64, incoming: &u64) -> bool {
-        IncCc::absorbs(live, incoming)
-    }
-    fn stream_value(index: u64) -> u64 {
-        IncCc::stream_value(index)
-    }
-}
+use remo_store::hash::mix64;
+use remo_store::Csr;
 
 /// The baseline's component labels for `edges`, as a harvest lists them
 /// (`prop_dense`'s oracle).
@@ -64,76 +35,172 @@ fn static_labels(edges: &[(VertexId, VertexId)]) -> Vec<(VertexId, u64)> {
 
 #[test]
 fn point_reads_and_a_snapshot_are_served_during_a_long_pull() {
-    const SHARDS: usize = 2;
-    // Distinct directed pairs, so an edge names one stream position and
-    // the recorded cut can be checked against the streams.
-    let mut seen = HashSet::new();
     let edges: Vec<(VertexId, VertexId)> = remo_gen::rmat::generate(&RmatConfig {
         seed: 0x18,
         ..RmatConfig::graph500(15)
     })
     .into_iter()
-    .filter(|&e| seen.insert(e))
     .take(200_000)
     .collect();
     assert_eq!(edges.len(), 200_000);
 
     let config = EngineConfig {
         quiescence_deadline: Some(Duration::from_secs(120)),
-        ..EngineConfig::undirected(SHARDS)
+        ..EngineConfig::undirected(2)
     };
-    let recorded = Arc::new(Mutex::new(Vec::new()));
-    let mut engine = Engine::new(CutRecorder(Arc::clone(&recorded)), config);
+    let mut engine = Engine::new(IncCc, config);
     engine.try_ingest_pairs(&edges).unwrap();
     for &(v, _) in &edges[..32] {
         engine.try_local_state(v).unwrap();
     }
-    let snapshot = engine.try_snapshot().unwrap().into_vec();
-    engine.try_await_quiescence().unwrap();
+    let snapshot = engine.try_snapshot().unwrap();
     assert!(engine.counters_balanced());
-
-    // The cut: the adds tagged epoch 0. (The barrier has passed, so no
-    // further epoch-0 add can be born.) They are a prefix of each shard's
-    // stream — a run is tagged with one epoch read, and the ack of the
-    // next epoch follows the run's last pull.
-    let cut = recorded.lock().unwrap().clone();
-    let old: HashSet<(VertexId, VertexId)> = cut.iter().copied().collect();
-    assert_eq!(old.len(), cut.len());
-    let mut prefix_total = 0;
-    for shard in 0..SHARDS {
-        let stream = edges.iter().skip(shard).step_by(SHARDS);
-        let flags: Vec<bool> = stream.map(|e| old.contains(e)).collect();
-        let prefix = flags.iter().take_while(|&&f| f).count();
-        assert!(
-            flags[prefix..].iter().all(|&f| !f),
-            "shard {shard}: an epoch-0 pull follows an epoch-1 pull"
-        );
-        prefix_total += prefix;
-    }
-    assert_eq!(prefix_total, cut.len());
-
-    // The snapshot: every vertex of the cut, each label a monotone bound:
-    // at least the label its cut edge gave it, at most its fixpoint's.
+    assert_eq!(snapshot.cut(), edges.len() as u64);
     let fixpoint = static_labels(&edges);
-    let held: HashMap<VertexId, u64> = snapshot.iter().copied().collect();
-    let limit: HashMap<VertexId, u64> = fixpoint.iter().copied().collect();
-    for &(v, label) in &snapshot {
-        assert!(label <= limit[&v], "vertex {v} is past its fixpoint");
-    }
-    let index: HashMap<(VertexId, VertexId), u64> = edges
-        .iter()
-        .enumerate()
-        .map(|(i, &e)| (e, i as u64))
-        .collect();
-    for &(s, d) in &cut {
-        let own = stream_label(index[&(s, d)]);
-        for v in [s, d] {
-            assert!(held.get(&v).is_some_and(|&l| l >= own), "vertex {v}");
-        }
-    }
+    assert_eq!(snapshot.into_vec(), fixpoint, "the snapshot solves its cut");
 
     let result = engine.try_finish().unwrap();
     assert!(result.failures.is_empty());
     result.metrics.verify_balance().unwrap();
     assert_eq!(result.states.into_vec(), fixpoint);
+}
+
+/// A weighted edge of the stream. The weight is a function of the
+/// unordered pair, so a repeated or reversed edge has one weight and the
+/// weighted solves are unique.
+type Edge = (VertexId, VertexId, Weight);
+
+fn rmat_stream(seed: u64) -> Vec<Edge> {
+    let mut pairs = remo_gen::rmat::generate(&RmatConfig {
+        seed,
+        ..RmatConfig::graph500(7)
+    });
+    remo_gen::stream::shuffle(&mut pairs, seed ^ 0xc07);
+    pairs
+        .into_iter()
+        .map(|(s, d)| (s, d, mix64(s ^ d) % 13 + 1))
+        .collect()
+}
+
+fn pairs(edges: &[Edge]) -> Vec<(VertexId, VertexId)> {
+    edges.iter().map(|&(s, d, _)| (s, d)).collect()
+}
+
+/// `solved` restricted to the vertices an edge of `g` names, in id order:
+/// the states a snapshot of the same stream holds.
+fn on_vertices(g: &Csr, solved: Vec<u64>) -> Vec<(VertexId, u64)> {
+    (0..g.num_vertices() as VertexId)
+        .filter(|&v| g.degree(v) > 0)
+        .map(|v| (v, solved[v as usize]))
+        .collect()
+}
+
+/// The baseline on a stream prefix, for the algorithm a test drives.
+type Solve = fn(&[Edge], VertexId) -> Vec<(VertexId, u64)>;
+
+fn bfs(edges: &[Edge], source: VertexId) -> Vec<(VertexId, u64)> {
+    let g = oracle::build_undirected(&pairs(edges)).csr;
+    on_vertices(&g, oracle::bfs_levels(&g, source))
+}
+
+fn sssp(edges: &[Edge], source: VertexId) -> Vec<(VertexId, u64)> {
+    let g = oracle::build_undirected_weighted(edges).csr;
+    on_vertices(&g, oracle::sssp_costs(&g, source))
+}
+
+fn widest(edges: &[Edge], source: VertexId) -> Vec<(VertexId, u64)> {
+    let g = oracle::build_undirected_weighted(edges).csr;
+    on_vertices(&g, oracle::widest_paths(&g, source))
+}
+
+fn cc(edges: &[Edge], _: VertexId) -> Vec<(VertexId, u64)> {
+    static_labels(&pairs(edges))
+}
+
+/// One call of a plan: how many edges it feeds, then whether a snapshot
+/// (bit 0) and a point read (bit 1) follow it.
+type Call = (usize, u8);
+
+/// Feeds `stream` in the calls `plan` sizes, with an `Init` of the first
+/// edge's source first when `sourced`, and checks every snapshot the plan
+/// asks for, and the final harvest, against `solve` on its cut.
+fn drive<A: Algorithm<State = u64>>(
+    algo: A,
+    sourced: bool,
+    weighted: bool,
+    solve: Solve,
+    stream: &[Edge],
+    plan: &[Call],
+    shards: usize,
+) -> Result<(), TestCaseError> {
+    let source = stream[0].0;
+    let mut engine = Engine::new(algo, EngineConfig::undirected(shards));
+    if sourced {
+        engine.try_init_vertex(source).unwrap();
+    }
+    let inits = u64::from(sourced);
+    // Each point read waits for the next snapshot, which must absorb it.
+    let mut reads: Vec<(VertexId, u64)> = Vec::new();
+    let check = |snap: &Snapshot<u64>, fed: usize, reads: &mut Vec<(VertexId, u64)>| {
+        prop_assert_eq!(snap.cut(), inits + fed as u64, "the cut is what was fed");
+        let expect = solve(&stream[..fed], source);
+        prop_assert_eq!(
+            snap.iter().map(|(v, &s)| (v, s)).collect::<Vec<_>>(),
+            expect
+        );
+        for (v, read) in reads.drain(..) {
+            let held = snap.get(v).copied().unwrap_or_default();
+            prop_assert!(
+                A::absorbs(&held, &read),
+                "vertex {}: read {} past {}",
+                v,
+                read,
+                held
+            );
+        }
+        Ok(())
+    };
+    let mut fed = 0;
+    for &(len, then) in plan {
+        let call = &stream[fed..(fed + len).min(stream.len())];
+        if weighted {
+            engine.try_ingest_weighted(call).unwrap();
+        } else {
+            engine.try_ingest_pairs(&pairs(call)).unwrap();
+        }
+        fed += call.len();
+        if then & 2 != 0 {
+            let v = stream[fed - 1].0;
+            if let Some(read) = engine.try_local_state(v).unwrap() {
+                reads.push((v, read));
+            }
+        }
+        if then & 1 != 0 {
+            let snap = engine.try_snapshot().unwrap();
+            check(&snap, fed, &mut reads)?;
+        }
+    }
+    let result = engine.try_finish().unwrap();
+    prop_assert!(result.failures.is_empty());
+    check(&result.states, fed, &mut reads)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn every_snapshot_is_the_static_solve_of_its_cut(
+        seed in any::<u64>(),
+        algo in 0u8..4,
+        shards in 1usize..4,
+        plan in proptest::collection::vec((1usize..160, 0u8..4), 1..10),
+    ) {
+        let stream = rmat_stream(seed);
+        match algo {
+            0 => drive(IncBfs, true, false, bfs, &stream, &plan, shards)?,
+            1 => drive(IncSssp, true, true, sssp, &stream, &plan, shards)?,
+            2 => drive(IncCc, false, false, cc, &stream, &plan, shards)?,
+            _ => drive(IncWidest, true, true, widest, &stream, &plan, shards)?,
+        }
+    }
 }

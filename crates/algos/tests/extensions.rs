@@ -200,11 +200,10 @@ fn gen_cc_bridge_deletion_splits_component() {
     use remo_algos::GenCc;
     // Two triangles joined by the bridge 2-3.
     let edges = vec![(0u64, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)];
-    let engine = Engine::new(GenCc, EngineConfig::undirected(2));
+    let mut engine = Engine::new(GenCc, EngineConfig::undirected(2));
     engine.try_ingest_pairs(&edges).unwrap();
-    engine.try_await_quiescence().unwrap();
     // One component: all states equal.
-    let before = engine.try_collect_live().unwrap();
+    let before = engine.try_snapshot().unwrap();
     let first = *before.get(0).unwrap();
     for v in 0..6u64 {
         assert_eq!(before.get(v), Some(&first), "vertex {v} before the cut");

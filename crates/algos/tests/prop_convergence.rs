@@ -252,10 +252,10 @@ proptest! {
         let split_at = ((edges.len() as f64) * cut) as usize;
         let (first, second) = edges.split_at(split_at);
 
-        let engine = Engine::new(IncBfs, EngineConfig::undirected(2));
+        let mut engine = Engine::new(IncBfs, EngineConfig::undirected(2));
         engine.try_init_vertex(0).unwrap();
         engine.try_ingest_pairs(first).unwrap();
-        let before = engine.try_collect_live().unwrap();
+        let before = engine.try_snapshot().unwrap();
         engine.try_ingest_pairs(second).unwrap();
         let after = engine.try_finish().unwrap().states;
 

@@ -1,12 +1,12 @@
 //! Property tests for the dense store against the static baseline: for
 //! every algorithm, seeded RMAT stream, and shard count, a run that takes a
-//! continuous snapshot mid-stream (exercising the cold fork side map) must
-//! agree with `remo-baseline` solved from scratch — the mid-run snapshot
-//! with the static solve of the ingested prefix; the fixpoint, the vertex
-//! count and the edge count with the static solve of the whole stream; and
-//! the trigger fire set with the vertices whose final state left bottom.
-//! Incremental ≡ from-scratch `f(x ⊕ δ)` is the one invariant; this is the
-//! only proptest that checks it across a snapshot cut.
+//! snapshot mid-stream must agree with `remo-baseline` solved from
+//! scratch — the mid-run snapshot with the static solve of the ingested
+//! prefix; the fixpoint, the vertex count and the edge count with the
+//! static solve of the whole stream; and the trigger fire set with the
+//! vertices whose final state left bottom. Incremental ≡ from-scratch
+//! `f(x ⊕ δ)` is the one invariant; `control_plane.rs` checks it at many
+//! cuts of one run.
 //!
 //! The same drive also pins the physical choice that must not change what
 //! the engine computes: the multi-word lane bitmaps past 64 shards.
@@ -49,10 +49,8 @@ struct Observed {
 }
 
 /// Runs `make()` over the stream: ingest the first half, quiesce, take a
-/// continuous snapshot (opening the epoch under which the second half
-/// forks every vertex it touches into the cold side map), ingest the rest,
-/// and harvest fixpoint + trigger fires. The mid-run quiescence pins the
-/// snapshot boundary to the prefix the baseline solves.
+/// snapshot, ingest the rest, and harvest fixpoint + trigger fires. The
+/// snapshot's cut is the prefix the baseline solves.
 fn observe<A, F>(
     make: F,
     edges: &[(VertexId, VertexId)],
@@ -190,8 +188,8 @@ where
 // Grid: algorithm (BFS, SSSP and CC are the three the ledger's workloads
 // run, and differ in source, weights and lattice direction) × 1–4 shards
 // (1 = no cross-shard traffic, 4 = every vertex's neighbours mostly
-// remote). All three implement `absorbs`, so the dominance filter's
-// snapshot-fork exemption is exercised on every case.
+// remote). All three implement `absorbs`, so the dominance filter runs
+// on every case.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 

@@ -4,11 +4,12 @@
 //! deterministic stand-in for the paper's 15-second wall-clock intervals,
 //! DESIGN.md §3.4), measures three things:
 //!
-//! 1. **Snapshot latency, mid-flight**: request-to-complete time for a
-//!    continuous snapshot issued while the interval's events are still
-//!    being ingested (includes draining the in-flight backlog, §III-D).
-//! 2. **Snapshot latency, at quiescence**: the pure protocol cost (epoch
-//!    barrier + per-shard collection) with no backlog.
+//! 1. **Snapshot latency, backlog queued**: request-to-complete time for
+//!    a snapshot issued right after the interval's ingest call returns,
+//!    while its events are still queued at the shards: the snapshot waits
+//!    for quiescence, so this includes processing the backlog (§III-D).
+//! 2. **Snapshot latency, at quiescence**: the pure collection cost (one
+//!    quiescence probe + per-shard collection) with no backlog.
 //! 3. **Static recompute**: a static BFS from scratch over the same
 //!    topology, already resident in memory (the paper grants the static
 //!    side its topology pre-loaded).
@@ -55,10 +56,10 @@ fn main() {
         };
         engine.try_ingest_pairs(&edges[lo..hi]).unwrap();
 
-        // (1) Mid-flight snapshot: the interval's events are still flowing.
+        // (1) Snapshot with the interval's backlog still queued.
         let t0 = Instant::now();
-        let _snap_mid = engine.try_snapshot().unwrap();
-        let lat_mid = t0.elapsed();
+        let _snap_queued = engine.try_snapshot().unwrap();
+        let lat_queued = t0.elapsed();
 
         // (2) Quiescent snapshot: pure collection cost at the boundary.
         engine.try_await_quiescence().unwrap();
@@ -84,7 +85,7 @@ fn main() {
         rows.push(vec![
             format!("{}", i + 1),
             hi.to_string(),
-            fmt_dur(lat_mid),
+            fmt_dur(lat_queued),
             fmt_dur(lat_quiet),
             fmt_dur(static_time),
             format!(
@@ -101,7 +102,7 @@ fn main() {
         &[
             "Interval",
             "Edges so far",
-            "Snapshot (mid-flight)",
+            "Snapshot (backlog queued)",
             "Snapshot (quiescent)",
             "Static BFS from scratch",
             "Static/quiescent",
@@ -110,8 +111,8 @@ fn main() {
     );
     println!(
         "\nShape check vs the paper: collection latency stays flat while the\n\
-         static recompute grows with |E|. (On a single-core host the\n\
-         mid-flight latency includes OS scheduling of the backlog; the\n\
-         quiescent column isolates the protocol cost.)"
+         static recompute grows with |E|. (The backlog-queued column\n\
+         includes processing the interval's backlog; the quiescent\n\
+         column isolates the collection cost.)"
     );
 }

@@ -16,9 +16,8 @@
 //! underlying dynamic data structure" vision (§I), which its prototype left
 //! as future work (§III-F).
 //!
-//! State changes go through [`AlgoCtx::apply`], which transparently handles
-//! the snapshot protocol (applying old-epoch events to the forked previous
-//! state as well, §III-D) and records changes for trigger evaluation.
+//! State changes go through [`AlgoCtx::apply`], which records them for
+//! trigger evaluation.
 //!
 //! The framework's half of Algorithm 3 is written here once: `visit` applies
 //! one envelope at a vertex (topology first, then the callback, then the
@@ -26,7 +25,7 @@
 //! kind to its callback. The shards and the sequential reference engine
 //! call `visit`; every query of a registry is called through `dispatch`.
 
-use crate::event::{ControlKind, ControlOp, Envelope, Epoch, EventKind};
+use crate::event::{ControlKind, ControlOp, Envelope, EventKind};
 use crate::storage::VertexParts;
 use crate::trigger::{TriggerDef, TriggerFire};
 use remo_store::{EdgeData, EdgeMeta, VertexId, Weight};
@@ -256,9 +255,6 @@ pub trait AlgoCtx<S: Clone> {
     /// The vertex being visited.
     fn vertex(&self) -> VertexId;
 
-    /// Snapshot epoch of the event being processed.
-    fn epoch(&self) -> Epoch;
-
     /// Shard executing this callback (0 when the context has no shard,
     /// e.g. the sequential reference engine). Composition layers forward
     /// it; the registry keys per-shard progress masks on it.
@@ -270,9 +266,8 @@ pub trait AlgoCtx<S: Clone> {
     fn state(&self) -> &S;
 
     /// Applies a monotone state transition. The closure must return whether
-    /// it changed the state; it may be invoked twice (live + snapshot
-    /// fork), so it must be a pure function of its argument — which is
-    /// exactly what a REMO monotone join is.
+    /// it changed the state, and be a pure function of its argument —
+    /// which is exactly what a REMO monotone join is.
     fn apply(&mut self, f: impl Fn(&mut S) -> bool) -> bool
     where
         Self: Sized;
@@ -323,14 +318,13 @@ pub struct Outgoing<S> {
 /// The engine's concrete callback context.
 ///
 /// Holds split borrows of the visited vertex's storage
-/// ([`VertexParts`]): live state, fork, meta word and adjacency, each
-/// reached without going back through the store. `E` is the algorithm's
+/// ([`VertexParts`]): live state, meta word and adjacency, each reached
+/// without going back through the store. `E` is the algorithm's
 /// [`Algorithm::Edge`].
 pub struct EventCtx<'a, S, E> {
     vertex: VertexId,
     parts: VertexParts<'a, S, E>,
     out: &'a mut Vec<Outgoing<S>>,
-    epoch: Epoch,
     /// Shard id surfaced through [`AlgoCtx::shard_hint`] (0 until set).
     shard: usize,
     /// Set when `apply` reported a state change (drives trigger checks).
@@ -339,21 +333,17 @@ pub struct EventCtx<'a, S, E> {
 
 impl<'a, S: Clone, E: EdgeData> EventCtx<'a, S, E> {
     /// Builds a context for one callback invocation on `shard` (0 without
-    /// one). The storage layout resolved the dual-apply question when
-    /// assembling `parts`: `parts.prev` is `Some` exactly when the event's
-    /// epoch predates the vertex's fork.
+    /// one).
     pub(crate) fn new(
         vertex: VertexId,
         parts: VertexParts<'a, S, E>,
         out: &'a mut Vec<Outgoing<S>>,
-        epoch: Epoch,
         shard: usize,
     ) -> Self {
         EventCtx {
             vertex,
             parts,
             out,
-            epoch,
             shard,
             state_changed: false,
         }
@@ -396,11 +386,6 @@ impl<'a, S: Clone, E: EdgeData> AlgoCtx<S> for EventCtx<'a, S, E> {
     }
 
     #[inline]
-    fn epoch(&self) -> Epoch {
-        self.epoch
-    }
-
-    #[inline]
     fn shard_hint(&self) -> usize {
         self.shard
     }
@@ -412,9 +397,6 @@ impl<'a, S: Clone, E: EdgeData> AlgoCtx<S> for EventCtx<'a, S, E> {
 
     fn apply(&mut self, f: impl Fn(&mut S) -> bool) -> bool {
         let changed = f(self.parts.live);
-        if let Some(prev) = self.parts.prev.as_deref_mut() {
-            f(prev);
-        }
         self.state_changed |= changed;
         changed
     }
@@ -535,7 +517,6 @@ pub(crate) fn visit<A: Algorithm>(
         ref value,
         weight,
         kind,
-        epoch,
         ..
     } = *env;
     let edge = match kind {
@@ -565,7 +546,7 @@ pub(crate) fn visit<A: Algorithm>(
         },
         EventKind::Init => EdgeChange::Kept,
     };
-    let mut ctx = EventCtx::new(target, parts, out, epoch, shard);
+    let mut ctx = EventCtx::new(target, parts, out, shard);
     dispatch(algo, &mut ctx, kind, visitor, value, weight);
     let reverse = match kind {
         EventKind::Add if undirected => Some((EventKind::ReverseAdd, ctx.state().clone())),
@@ -590,7 +571,7 @@ pub(crate) mod tests {
     {
         let mut st = DenseStore::with_capacity(0);
         let h = st.intern(1);
-        let (_, parts) = st.fork_and_parts(h, 0);
+        let parts = st.parts(h);
         *parts.live = state;
         for &(n, meta) in nbrs {
             parts.adj.insert(n, meta);
@@ -598,34 +579,24 @@ pub(crate) mod tests {
         st
     }
 
-    /// Context over vertex 1 for an event of `epoch`, built the way the
-    /// shard loop builds it.
+    /// Context over vertex 1, built the way the shard loop builds it.
     pub(crate) fn ctx<'a, S, E>(
         st: &'a mut DenseStore<S, E>,
         out: &'a mut Vec<Outgoing<S>>,
-        epoch: Epoch,
     ) -> EventCtx<'a, S, E>
     where
         S: Clone + Default + PartialEq,
         E: EdgeData,
     {
         let h = st.intern(1);
-        EventCtx::new(1, st.fork_and_parts(h, epoch).1, out, epoch, 0)
-    }
-
-    /// Vertex 1's live state and, if an event of epoch 0 would reach it,
-    /// its fork.
-    fn live_and_fork(st: &mut DenseStore<u64, ()>) -> (u64, Option<u64>) {
-        let h = st.intern(1);
-        let (_, parts) = st.fork_and_parts(h, 0);
-        (*parts.live, parts.prev.as_deref().copied())
+        EventCtx::new(1, st.parts(h), out, 0)
     }
 
     #[test]
     fn apply_tracks_changes() {
         let mut st = store::<u64, ()>(10, &[]);
         let mut out = Vec::new();
-        let mut ctx = ctx(&mut st, &mut out, 0);
+        let mut ctx = ctx(&mut st, &mut out);
         assert!(!ctx.apply(|s| {
             if *s > 20 {
                 *s = 20;
@@ -648,49 +619,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn apply_dual_applies_to_fork_for_old_events() {
-        let mut st = store::<u64, ()>(10, &[]);
-        let mut out = Vec::new();
-        // The vertex's first event of epoch 1 forks it; the event of epoch 0
-        // that follows predates the fork.
-        let _ = ctx(&mut st, &mut out, 1);
-        let mut ctx = ctx(&mut st, &mut out, 0);
-        ctx.apply(|s| {
-            if *s > 3 {
-                *s = 3;
-                true
-            } else {
-                false
-            }
-        });
-        assert_eq!(
-            live_and_fork(&mut st),
-            (3, Some(3)),
-            "old event must reach the fork"
-        );
-    }
-
-    #[test]
-    fn apply_new_epoch_spares_fork() {
-        let mut st = store::<u64, ()>(10, &[]);
-        let mut out = Vec::new();
-        let mut ctx = ctx(&mut st, &mut out, 1);
-        ctx.apply(|s| {
-            *s = 2;
-            true
-        });
-        assert_eq!(
-            live_and_fork(&mut st),
-            (2, Some(10)),
-            "new event must not touch the fork"
-        );
-    }
-
-    #[test]
     fn update_nbrs_fans_out_with_edge_weights() {
         let mut st = store::<u64, Weight>(0, &[(2, 5), (3, 7)]);
         let mut out = Vec::new();
-        let mut ctx = ctx(&mut st, &mut out, 0);
+        let mut ctx = ctx(&mut st, &mut out);
         ctx.update_nbrs(&42);
         assert_eq!(out.len(), 2);
         let mut got: Vec<(VertexId, u64, Weight)> =
@@ -703,7 +635,7 @@ pub(crate) mod tests {
     fn update_single_nbr_uses_stored_weight() {
         let mut st = store::<u64, Weight>(0, &[(9, 3)]);
         let mut out = Vec::new();
-        let mut ctx = ctx(&mut st, &mut out, 0);
+        let mut ctx = ctx(&mut st, &mut out);
         ctx.update_single_nbr(9, &1);
         ctx.update_single_nbr(100, &1); // no edge: weight defaults to 1
         assert_eq!(out[0].weight, 3);
@@ -715,7 +647,7 @@ pub(crate) mod tests {
         let nbrs: Vec<_> = (0..10u64).map(|n| (n, ())).collect();
         let mut st = store(0, &nbrs);
         let mut out = Vec::new();
-        let mut ctx = ctx(&mut st, &mut out, 0);
+        let mut ctx = ctx(&mut st, &mut out);
         ctx.update_nbrs_filtered(&7, |n, _| n % 2 == 0);
         assert_eq!(out.len(), 5);
         assert!(out.iter().all(|o| o.target % 2 == 0));
@@ -726,7 +658,7 @@ pub(crate) mod tests {
         let nbrs: Vec<_> = (0..5u64).map(|n| (n, EdgeMeta::unweighted())).collect();
         let mut st = store(0, &nbrs);
         let mut out = Vec::new();
-        let ctx = ctx(&mut st, &mut out, 0);
+        let ctx = ctx(&mut st, &mut out);
         let mut count = 0;
         ctx.for_each_nbr(&mut |_, _| count += 1);
         assert_eq!(count, 5);
@@ -786,21 +718,14 @@ pub(crate) mod tests {
             value,
             weight,
             kind,
-            epoch: 0,
             tag: 0,
         };
         let h = st.intern(1);
         let mut out = Vec::new();
         let mut settled = None;
-        let step = visit(
-            &Probe,
-            &env,
-            st.fork_and_parts(h, 0).1,
-            &mut out,
-            0,
-            undirected,
-            |ctx| settled = Some((*ctx.state(), ctx.state_changed)),
-        );
+        let step = visit(&Probe, &env, st.parts(h), &mut out, 0, undirected, |ctx| {
+            settled = Some((*ctx.state(), ctx.state_changed))
+        });
         assert_eq!(settled, Some((*st.get(1).unwrap().0, true)));
         step
     }

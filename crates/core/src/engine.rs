@@ -27,7 +27,7 @@
 //!
 //! Every supervised wait is one loop (`Engine::wait_until`): probe, sleep
 //! on the bell in `SharedCounters`, and let a shard ring it when it parks,
-//! acks an epoch, empties a chunk or exits. The teardown waits sleep on
+//! empties a chunk or exits. The teardown waits sleep on
 //! the same bell under the shutdown budget, and so does a registry
 //! control op (`Engine::control`), which a dead shard does not fail. The verdict is always the probe's; a ring only
 //! says when to probe again, and `HEARTBEAT` bounds the sleep when nothing
@@ -43,7 +43,7 @@ use remo_store::{VertexId, Weight};
 
 use crate::algorithm::Algorithm;
 use crate::config::EngineConfig;
-use crate::event::{Chunk, ControlOp, Epoch, Items, TopoOp};
+use crate::event::{Chunk, ControlOp, Items, TopoOp};
 use crate::metrics::RunMetrics;
 use crate::partition::Partitioner;
 use crate::shard::{Message, ShardReport, ShardWorker, INGEST_CHUNK, INGEST_WINDOW};
@@ -249,20 +249,12 @@ impl<S: Clone + Default> Controller<S> {
         sent
     }
 
-    /// Unparks every shard (after a broadcast such as a snapshot's epoch
-    /// open or the shutdown fan-out).
-    fn wake_all(&self) {
-        for id in 0..self.senders.len() {
-            self.lanes.parks.wake(id);
-        }
-    }
-
-    /// Tells every shard to stop, dead or alive.
+    /// Tells every shard to stop, dead or alive, and unparks them all.
     fn shutdown(&self) {
         for id in 0..self.senders.len() {
             let _ = self.sender(id).send(Message::Shutdown);
+            self.lanes.parks.wake(id);
         }
-        self.wake_all();
     }
 
     /// Numbers a call's `n` pulls: the stream index of its first.
@@ -337,7 +329,7 @@ pub struct RunResult<S, E> {
     /// Approximate heap footprint of adjacency storage.
     pub adjacency_bytes: usize,
     /// Approximate total heap footprint of the per-shard vertex stores
-    /// (interning tables, state/meta slabs, adjacency, fork side maps) —
+    /// (interning tables, state/meta slabs, adjacency) —
     /// the numerator of the bytes-per-edge metric in the store ablation.
     pub store_bytes: usize,
     /// The per-shard dynamic stores, indexed by shard id, exactly as the
@@ -749,20 +741,13 @@ impl<A: Algorithm> Engine<A> {
         })
     }
 
-    /// Gathers every shard's fragment of `epoch` (`live`: its live states
-    /// instead) into one snapshot.
-    fn collect(&self, epoch: Epoch, live: bool) -> Result<Snapshot<A::State>, EngineError> {
+    /// Gathers every shard's live states into one snapshot cut at `cut`.
+    fn collect(&self, cut: u64) -> Result<Snapshot<A::State>, EngineError> {
         let expected = self.config.num_shards;
         let (reply_tx, reply_rx) = sync_channel(expected);
         for id in 0..expected {
-            self.ctl.send_to(
-                id,
-                Message::Collect {
-                    old_epoch: epoch,
-                    live,
-                    reply: reply_tx.clone(),
-                },
-            )?;
+            let reply = reply_tx.clone();
+            self.ctl.send_to(id, Message::Collect { reply })?;
         }
         drop(reply_tx);
         let mut states = Vec::new();
@@ -774,45 +759,24 @@ impl<A: Algorithm> Engine<A> {
             };
             states.extend(self.recv_reply(&reply_rx, || self.ctl.board.any_failed(), degraded)?);
         }
-        Ok(Snapshot::from_fragments(epoch, states))
+        Ok(Snapshot::from_fragments(cut, states))
     }
 
-    /// Collects a global snapshot **without pausing ingestion** (§III-D):
-    /// opens a new epoch, waits for every shard to start tagging with it,
-    /// waits for the old epoch's events to drain (they keep draining while
-    /// new-epoch events are processed concurrently), then gathers each
-    /// vertex's previous-epoch state. A dead shard or an expired
-    /// `quiescence_deadline` aborts the collection with an error instead of
-    /// hanging at the barrier.
-    ///
-    /// What it returns (until ROADMAP item 2 lands): the *cut* is always
-    /// exact — each shard's old-epoch pulls are a prefix of its stream —
-    /// but the states equal the static solve of the cut only when the
-    /// epoch opens at a quiesced boundary (call
-    /// [`Self::try_await_quiescence`] first; ingest may resume right
-    /// after). Taken while ingest continues, the snapshot is a monotone
-    /// bound on that solve: every vertex of the cut is present and each
-    /// state lies between its first value and its fixpoint, but a state
-    /// may fall short of the cut's solve and vertices outside the cut may
-    /// appear. PR 18 measured 8 of 4,064 CC labels low and 2 extra
-    /// vertices on a 200 K-edge RMAT stream (`control_plane.rs`).
+    /// Collects the global state after a defined set of events (§III-D):
+    /// the events numbered below [`Snapshot::cut`], which is the stream
+    /// index the next ingest call would take. It waits for quiescence as
+    /// [`Self::try_await_quiescence`] does, under the same deadline and
+    /// failure checks, then collects every vertex's live state, so the
+    /// snapshot is exactly the solve of `stream[..cut]`: every `Add`,
+    /// `Remove`, `Init` and registry control op fed before the call, and
+    /// nothing after it. `&mut self` keeps every ingest call out while it
+    /// waits; ingest may resume as soon as it returns. A dead shard or an
+    /// expired `quiescence_deadline` fails it with an error, never a
+    /// partial snapshot.
     pub fn try_snapshot(&mut self) -> Result<Snapshot<A::State>, EngineError> {
-        let deadline = Deadline::new(self.config.quiescence_deadline);
-        self.check_liveness(&deadline)?;
-        let old = self.ctl.shared.epoch.fetch_add(1, Ordering::SeqCst);
-        let new = old + 1;
-        // Parked shards learn about the new epoch on their next wakeup —
-        // unpark them all so the ack barrier doesn't wait out heartbeats.
-        self.ctl.wake_all();
-        // Barrier: every shard must have observed the new epoch, so no
-        // further old-epoch stream events can be born.
-        self.wait_until(&deadline, || {
-            (0..self.config.num_shards)
-                .all(|id| self.ctl.shared.slot(id).epoch_ack.load(Ordering::SeqCst) >= new)
-        })?;
-        // Drain the old epoch (its cascades inherit its parity).
-        self.wait_until(&deadline, || self.ctl.shared.drained_probe(old))?;
-        self.collect(old, false)
+        let cut = self.ctl.streamed.load(Ordering::Relaxed);
+        self.try_await_quiescence()?;
+        self.collect(cut)
     }
 
     /// Observes one vertex's **live local state** right now (§III-E,
@@ -845,13 +809,6 @@ impl<A: Algorithm> Engine<A> {
             || self.ctl.board.is_failed(owner_shard),
             || self.ctl.send_error(owner_shard),
         )
-    }
-
-    /// Waits for quiescence, then collects every vertex's live state
-    /// (equivalent to a snapshot at the end of all injected work).
-    pub fn try_collect_live(&self) -> Result<Snapshot<A::State>, EngineError> {
-        self.try_await_quiescence()?;
-        self.collect(self.ctl.shared.epoch.load(Ordering::SeqCst), true)
     }
 
     /// After a shard failure, true quiescence is unreachable (the dead
@@ -909,11 +866,7 @@ impl<A: Algorithm> Engine<A> {
         // never joined unboundedly.
         self.wait_shutdown(|| self.handles.iter().all(JoinHandle::is_finished));
         for (id, h) in self.handles.drain(..).enumerate() {
-            let lost = |payload| ShardFailure {
-                id,
-                payload,
-                last_epoch: self.ctl.shared.slot(id).epoch_ack.load(Ordering::SeqCst),
-            };
+            let lost = |payload| ShardFailure { id, payload };
             if !h.is_finished() {
                 let payload = "shard did not stop within the shutdown deadline".to_string();
                 self.ctl.board.record(lost(payload));
@@ -958,9 +911,9 @@ impl<A: Algorithm> Engine<A> {
         for table in stores() {
             states.extend(table.iter().map(|(v, s, _)| (v, s.clone())));
         }
-        let epoch = self.ctl.shared.epoch.load(Ordering::SeqCst);
+        let cut = self.ctl.streamed.load(Ordering::Relaxed);
         Ok(RunResult {
-            states: Snapshot::from_fragments(epoch, states),
+            states: Snapshot::from_fragments(cut, states),
             metrics,
             num_vertices,
             num_edges,

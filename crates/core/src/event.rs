@@ -5,13 +5,9 @@
 //! vertex (Algorithm 4's `init()`). An [`Envelope`] is one visitor message:
 //! it identifies the vertex being visited (`target`), the vertex that
 //! created the event (`visitor`, the paper's `vis_ID`), the visitor's value
-//! at event-creation time (`vis_val`), the edge weight, and the snapshot
-//! epoch the event belongs to (§III-D's version identifier).
+//! at event-creation time (`vis_val`) and the edge weight.
 
 use remo_store::{VertexId, Weight};
-
-/// Snapshot version identifier carried by every event (§III-D).
-pub type Epoch = u32;
 
 /// The kind of an algorithmic event (Algorithm 3's `VISIT_TYPE`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,9 +71,6 @@ pub struct Envelope<S> {
     /// Weight of the edge the event travelled over (1 for unweighted).
     pub weight: Weight,
     pub kind: EventKind,
-    /// Snapshot epoch: inherited from the triggering event; stream events
-    /// are tagged at ingestion time.
-    pub epoch: Epoch,
     /// Causal trace tag (`0` = untraced, the common case): trace id plus
     /// hop depth, inherited with hop+1 by every envelope generated while
     /// processing this one. Pure cargo — never consulted by the

@@ -36,9 +36,10 @@
 //!   expressed through `update_nbrs`/`update_single_nbr`.
 //! - Quiescence is detected by a two-wave four-counter probe over
 //!   per-shard published counters (`termination.rs`).
-//! - Global state is collected *without pausing ingestion* via epoch-tagged
-//!   events and per-vertex state forks ([`Snapshot`], `vertex_state.rs`) — the
-//!   paper's Chandy–Lamport variant (§III-D).
+//! - Global state after a defined set of events (§III-D) is a
+//!   [`Snapshot`] cut at a stream index: the engine waits until everything
+//!   it was fed has been processed, then collects the live states, which
+//!   are the solve of `stream[..cut]`.
 //! - Local-state "When" queries fire user callbacks at most once per vertex
 //!   ([`EngineBuilder::trigger`], [`TriggerFire`]).
 //! - N algorithms share one engine: a [`QueryRegistry`]

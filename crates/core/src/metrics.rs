@@ -87,8 +87,6 @@ shard_metrics! {
     edges_removed,
     /// Trigger callbacks fired from this shard.
     triggers_fired,
-    /// Vertex state forks performed for snapshot epochs.
-    snapshot_forks,
     /// Envelopes retired because their destination was already gone
     /// (engine teardown, or the destination shard died).
     envelopes_undeliverable,
@@ -373,7 +371,7 @@ pub struct RunMetrics {
     /// `Engine::try_await_quiescence` until the counters balanced.
     pub quiesce: LatencyHistogram,
     /// Ingest→fixpoint latency: first ingest after a quiescent point until
-    /// the next detected quiescence (one sample per settled epoch).
+    /// the next detected quiescence (one sample per settled burst).
     pub ingest_fixpoint: LatencyHistogram,
 }
 

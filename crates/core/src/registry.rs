@@ -55,7 +55,7 @@ use remo_store::{EdgeMeta, VertexId, Weight};
 
 use crate::algorithm::{codec, dispatch, AlgoCtx, Algorithm};
 use crate::engine::Engine;
-use crate::event::{ControlKind, ControlOp, Epoch, EventKind};
+use crate::event::{ControlKind, ControlOp, EventKind};
 use crate::metrics::LatencyHistogram;
 use crate::snapshot::Snapshot;
 use crate::supervision::EngineError;
@@ -189,7 +189,6 @@ fn columns_mut<C: Cell>(s: &mut RegPayload<C>) -> &mut Vec<C> {
 /// the registry hold `dyn` queries while the shard loop stays monomorphic.
 trait CellCtx<C: Cell> {
     fn vertex(&self) -> VertexId;
-    fn epoch(&self) -> Epoch;
     fn shard(&self) -> usize;
     fn cell(&self) -> &C;
     fn apply_cell(&mut self, f: &dyn Fn(&mut C) -> bool) -> bool;
@@ -208,10 +207,6 @@ struct ShimCtx<'a, 'b, C: Cell>(&'a mut (dyn CellCtx<C> + 'b));
 impl<'a, 'b, C: Cell> AlgoCtx<C> for ShimCtx<'a, 'b, C> {
     fn vertex(&self) -> VertexId {
         self.0.vertex()
-    }
-
-    fn epoch(&self) -> Epoch {
-        self.0.epoch()
     }
 
     fn shard_hint(&self) -> usize {
@@ -336,10 +331,6 @@ impl<'a, C: Cell, X: AlgoCtx<RegPayload<C>>> SlotCtx<'a, C, X> {
 impl<'a, C: Cell, X: AlgoCtx<RegPayload<C>>> CellCtx<C> for SlotCtx<'a, C, X> {
     fn vertex(&self) -> VertexId {
         self.inner.vertex()
-    }
-
-    fn epoch(&self) -> Epoch {
-        self.inner.epoch()
     }
 
     fn shard(&self) -> usize {
@@ -720,7 +711,7 @@ impl<C: Cell> QueryRegistry<C> {
             .iter()
             .map(|(v, s)| (v, s.cell(slot).cloned().unwrap_or_default()))
             .collect();
-        Snapshot::from_fragments(snap.epoch, states)
+        Snapshot::from_fragments(snap.cut(), states)
     }
 
     /// Live counters of one attached query: `(envelopes_sent,
@@ -1252,7 +1243,7 @@ mod tests {
     fn slot_ctx_writes_its_column_and_tags_sends() {
         let mut st = store::<_, Weight>(RegPayload::default(), &[(9, 4)]);
         let mut out = Vec::new();
-        let mut ctx = ctx(&mut st, &mut out, 0);
+        let mut ctx = ctx(&mut st, &mut out);
         let q = slot_record(6);
         {
             let mut sc = SlotCtx::new(&mut ctx, 2, &q, false);
@@ -1282,7 +1273,7 @@ mod tests {
     fn muted_slot_ctx_applies_but_never_sends() {
         let mut st = store::<_, Weight>(RegPayload::default(), &[(3, 1)]);
         let mut out = Vec::new();
-        let mut ctx = ctx(&mut st, &mut out, 0);
+        let mut ctx = ctx(&mut st, &mut out);
         let q = slot_record(1);
         {
             let mut sc = SlotCtx::new(&mut ctx, 0, &q, true);
@@ -1298,7 +1289,7 @@ mod tests {
         let mut st = store::<_, Weight>(RegPayload::Columns(vec![0, 5, 0, 7, 0, 0]), &[]);
         let mut out = Vec::new();
         // Clearing slot 3 zeroes it and truncates the trailing bottom run.
-        QueryRegistry::<u64>::reset_cells(&mut ctx(&mut st, &mut out, 0), 1 << 3, true);
+        QueryRegistry::<u64>::reset_cells(&mut ctx(&mut st, &mut out), 1 << 3, true);
         assert_eq!(
             *live(&st),
             RegPayload::Columns(vec![0, 5]),
@@ -1306,7 +1297,7 @@ mod tests {
         );
         // Without compaction the length is preserved (prime's clean slate).
         let mut st = store::<_, Weight>(RegPayload::Columns(vec![0, 0, 9]), &[]);
-        QueryRegistry::<u64>::reset_cells(&mut ctx(&mut st, &mut out, 0), 1 << 2, false);
+        QueryRegistry::<u64>::reset_cells(&mut ctx(&mut st, &mut out), 1 << 2, false);
         assert_eq!(*live(&st), RegPayload::Columns(vec![0, 0, 0]));
     }
 

@@ -25,8 +25,8 @@
 //! [`Algorithm`] implementations run unchanged. What is its own is the
 //! execution model the tests compare against: one FIFO queue, each
 //! topology event's cascade run to completion before the next is admitted,
-//! no lattice filter, no shards, channels or snapshot epochs (any point
-//! between two topology events is globally consistent).
+//! no lattice filter, no shards or channels (any point between two
+//! topology events is globally consistent).
 
 use std::collections::VecDeque;
 
@@ -42,11 +42,10 @@ pub struct SequentialEngine<A: Algorithm> {
     algo: A,
     undirected: bool,
     /// The shards' store, reached the way they reach it (`intern`, then
-    /// `fork_and_parts` off the handle) and always at epoch 0: with one
-    /// event in flight there is nothing to fork.
+    /// `parts` off the handle).
     store: DenseStore<A::State, A::Edge>,
     /// `(target, visitor, value, weight, kind)`: an envelope without the
-    /// epoch and trace tag, which are always 0 here. The narrower element
+    /// trace tag, which is always 0 here. The narrower element
     /// (40 bytes against 48 for `u64` states) is worth about 15 % of
     /// sequential SSSP throughput on a long cascade's queue.
     queue: VecDeque<(VertexId, VertexId, A::State, u64, EventKind)>,
@@ -169,15 +168,13 @@ impl<A: Algorithm> SequentialEngine<A> {
                 value,
                 weight,
                 kind,
-                epoch: 0,
                 tag: 0,
             };
             let h = self.store.intern(target);
-            let (_, parts) = self.store.fork_and_parts(h, 0);
             let step = visit(
                 &self.algo,
                 &env,
-                parts,
+                self.store.parts(h),
                 &mut self.out,
                 0,
                 self.undirected,

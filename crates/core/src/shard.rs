@@ -13,8 +13,8 @@
 //!    input stream (at most `PULL_RUN`, 64 pulls) — the paper's
 //!    saturation-test semantics, "each rank pulling a topology event as
 //!    soon as local work is completed" (§V-A), with the loop's fixed costs
-//!    (lane and channel probes, epoch ack, phase mark, the `ingested`
-//!    publish) paid once per run instead of once per event. A pull is an
+//!    (lane and channel probes, phase mark, the `ingested` publish) paid
+//!    once per run instead of once per event. A pull is an
 //!    edge, an `Init` of a vertex the shard owns, or a control op, whose
 //!    claim, sweep and commit run in place and end the run. The stream
 //!    arrives in chunks the controller hands out inside a per-shard
@@ -41,7 +41,7 @@ use crate::algorithm::{visit, Algorithm, EventCtx, Outgoing};
 use crate::config::EngineConfig;
 use crate::engine::Controller;
 use crate::event::{
-    Chunk, ControlKind, ControlOp, Envelope, Epoch, EventKind, Items, Pull, TopoEvent, TopoOp,
+    Chunk, ControlKind, ControlOp, Envelope, EventKind, Items, Pull, TopoEvent, TopoOp,
 };
 use crate::metrics::ShardMetrics;
 use crate::partition::Partitioner;
@@ -69,9 +69,9 @@ const FLUSH_HYSTERESIS: u32 = 32;
 
 /// Pull run: how many pulls a shard with no algorithmic work takes back to
 /// back before it looks up again — re-probes its lanes and control
-/// channel, re-reads the epoch, publishes `ingested`. Everything that
-/// defines an update stays per event (routing, epoch tag, trace
-/// sampling); only the pass's fixed costs are amortised. The bound is what
+/// channel, publishes `ingested`. Everything that defines an update stays
+/// per event (routing, trace sampling); only the pass's fixed costs are
+/// amortised. The bound is what
 /// a point read can wait behind (an edge or init pull is a route, not a
 /// cascade: the run's envelopes queue and are processed by the next pass;
 /// a control pull's sweep ends the run), and a run holds at most this many
@@ -115,10 +115,9 @@ const SAMPLE_MASK: u64 = (1 << SAMPLE_SHIFT) - 1;
 pub(crate) enum Message<S> {
     /// The next piece of this shard's input stream.
     Chunk(Chunk),
-    /// Collect states: the snapshot view at `old_epoch` (or live states).
+    /// Collect every vertex's live state: this shard's fragment of a
+    /// snapshot, asked for once the engine is quiescent.
     Collect {
-        old_epoch: Epoch,
-        live: bool,
         reply: SyncSender<Vec<(VertexId, S)>>,
     },
     /// Point query: one vertex's live local state (§VI-A: "any vertices'
@@ -201,8 +200,8 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     idle_spins: u32,
     /// Local monotone counters, published to this shard's
     /// [`ShardSlots`](crate::termination::ShardSlots).
-    sent_local: [u64; 2],
-    processed_local: [u64; 2],
+    sent_local: u64,
+    processed_local: u64,
     ingested_local: u64,
     pending_fires: Vec<TriggerFire>,
     metrics: ShardMetrics,
@@ -213,9 +212,6 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     tele: Arc<TelemetryShared>,
     /// Events processed since the last snapshot-cell publish.
     pub_ticker: u32,
-    /// Epoch last acked in phase 2 (the epoch-ack edge detector and the
-    /// epoch of engine-initiated work).
-    cur_epoch: Epoch,
 
     /// The open phase-accounting window (see [`ShardWorker::phase_mark`]).
     phase: PhaseWindow,
@@ -290,8 +286,8 @@ impl<A: Algorithm> ShardWorker<A> {
             held: (0..num_shards).map(|_| VecDeque::new()).collect(),
             claim_buf: Vec::new(),
             idle_spins: 0,
-            sent_local: [0; 2],
-            processed_local: [0; 2],
+            sent_local: 0,
+            processed_local: 0,
             ingested_local: 0,
             pending_fires: Vec::new(),
             metrics: ShardMetrics::default(),
@@ -299,7 +295,6 @@ impl<A: Algorithm> ShardWorker<A> {
             seq: 0,
             tele: Arc::clone(&ctl.tele),
             pub_ticker: 0,
-            cur_epoch: 0,
             phase: PhaseWindow {
                 t0: Instant::now(),
                 run: PhaseLabel::Drain,
@@ -373,10 +368,6 @@ impl<A: Algorithm> ShardWorker<A> {
             board.record(ShardFailure {
                 id,
                 payload: panic_payload_string(payload),
-                last_epoch: shared
-                    .slot(id)
-                    .epoch_ack
-                    .load(std::sync::atomic::Ordering::SeqCst),
             });
             shared.bell.ring();
             return None;
@@ -456,12 +447,11 @@ impl<A: Algorithm> ShardWorker<A> {
         self.phase_close();
     }
 
-    /// One pass: *inbound → epoch → pull run → idle flush, publish,
-    /// checkpoint*. It never parks, yields or waits on the channel, so the
-    /// shard's thread and a test's scheduler run the same pass (a callback
-    /// that blocks holds either one).
+    /// One pass: *inbound → pull run → idle flush, publish, checkpoint*.
+    /// It never parks, yields or waits on the channel, so the shard's
+    /// thread and a test's scheduler run the same pass (a callback that
+    /// blocks holds either one).
     pub(crate) fn step(&mut self) -> Progress {
-        use std::sync::atomic::Ordering;
         // Phase 1 — inbound: drain all queued messages (algorithm events
         // first): alternate between the inbound lanes, the inbound channel,
         // and the local queue until all are empty. This is also where the
@@ -495,24 +485,7 @@ impl<A: Algorithm> ShardWorker<A> {
             PhaseLabel::Drain
         });
 
-        // Phase 2 — epoch: read the epoch this pass's whole pull run is
-        // tagged with, and ack it when it moved (the snapshot barrier — see
-        // Engine::try_snapshot). `epoch_ack` always equals `cur_epoch`, so
-        // an unchanged epoch needs no store. One read per run keeps the
-        // barrier's promise: the ack of a new epoch is stored only after
-        // the last run tagged with the old one has published every `sent`
-        // count it owes.
-        let epoch = self.shared.epoch.load(Ordering::SeqCst);
-        if epoch != self.cur_epoch {
-            self.shared
-                .slot(self.id)
-                .epoch_ack
-                .store(epoch, Ordering::SeqCst);
-            self.shared.bell.ring();
-            self.cur_epoch = epoch;
-        }
-
-        // Phase 3 — pull run: up to PULL_RUN topology events, if any and if
+        // Phase 2 — pull run: up to PULL_RUN topology events, if any and if
         // the backlog held for full lanes is within its bound. A shard over
         // it still drains and processes everything that arrives; it only
         // stops adding new work until its receivers catch up, retrying the
@@ -521,7 +494,7 @@ impl<A: Algorithm> ShardWorker<A> {
             // The run is processing time from here on; the empty probes
             // before it stay with the previous phase run.
             self.phase_mark(PhaseLabel::Process);
-            self.pull_run(epoch);
+            self.pull_run();
             self.idle_spins = 0;
             return Progress::Busy;
         }
@@ -530,7 +503,7 @@ impl<A: Algorithm> ShardWorker<A> {
             return Progress::Busy;
         }
 
-        // Phase 4 preamble — lane flush hysteresis: with partial batches
+        // Phase 3 preamble — lane flush hysteresis: with partial batches
         // buffered, give inbound work a bounded number of re-drain passes
         // to refill them before shipping near-empty batches and waking
         // peers (the BFS short-wave pathology). Deadlock-free: buffered
@@ -545,7 +518,7 @@ impl<A: Algorithm> ShardWorker<A> {
         }
         self.idle_spins = 0;
 
-        // Phase 4 — idle: flush buffered envelopes and publish the counter
+        // Phase 3 — idle: flush buffered envelopes and publish the counter
         // cell (an idle shard's snapshot is otherwise up to PUBLISH_EVERY-1
         // events stale). A backlog a full lane left behind is retried by
         // this flush, so a shard idling on one retries at least every
@@ -619,13 +592,8 @@ impl<A: Algorithm> ShardWorker<A> {
                 self.chunks.push_back(chunk);
                 false
             }
-            Message::Collect {
-                old_epoch,
-                live,
-                reply,
-            } => {
-                let states = self.collect(old_epoch, live);
-                let _ = reply.send(states);
+            Message::Collect { reply } => {
+                let _ = reply.send(self.store.states());
                 false
             }
             Message::Query { vertex, reply } => {
@@ -661,12 +629,8 @@ impl<A: Algorithm> ShardWorker<A> {
                 continue;
             };
             self.seq += 1;
-            let (forked, parts) = self.store.fork_and_parts(h, self.cur_epoch);
-            if forked {
-                self.metrics.snapshot_forks += 1;
-            }
             {
-                let mut ctx = EventCtx::new(v, parts, &mut self.out, self.cur_epoch, self.id);
+                let mut ctx = EventCtx::new(v, self.store.parts(h), &mut self.out, self.id);
                 self.algo.on_sweep(&mut ctx, kind, mask);
                 // A sweep that changes state (attach backfill reaching a
                 // watched vertex) fires triggers exactly like an envelope.
@@ -674,7 +638,7 @@ impl<A: Algorithm> ShardWorker<A> {
             }
             // A sweep's sends are never traced: they are caused by the
             // whole store, not by one update.
-            self.route_generated(v, self.cur_epoch, 0);
+            self.route_generated(v, 0);
         }
         self.flush_all();
     }
@@ -732,14 +696,12 @@ impl<A: Algorithm> ShardWorker<A> {
 
     /// True when an `Update` carrying `value` cannot change the live state
     /// of the vertex at `h` — the value is information the target already
-    /// holds ([`Algorithm::absorbs`]). Skipped when the event predates the
-    /// vertex's snapshot fork: those must still dual-apply to the forked
-    /// previous state. Algorithms without the hook are never filtered.
-    /// Monotone states only advance, so a dominated update stays dominated
-    /// no matter how long it waits.
+    /// holds ([`Algorithm::absorbs`]). Algorithms without the hook are
+    /// never filtered. Monotone states only advance, so a dominated update
+    /// stays dominated no matter how long it waits.
     #[inline]
-    fn is_dominated(&self, h: LocalIdx, epoch: Epoch, value: &A::State) -> bool {
-        !self.store.applies_to_prev(h, epoch) && A::absorbs(self.store.live(h), value)
+    fn is_dominated(&self, h: LocalIdx, value: &A::State) -> bool {
+        A::absorbs(self.store.live(h), value)
     }
 
     /// Processes one algorithmic envelope (live path: full accounting).
@@ -748,11 +710,11 @@ impl<A: Algorithm> ShardWorker<A> {
     /// post-panic sweep must retire it.
     fn process(&mut self, env: Envelope<A::State>) {
         if let Some(c) = &mut self.custody {
-            c.mark_in_process(Some(env.epoch));
+            c.mark_in_process(true);
         }
         self.process_inner(env, true);
         if let Some(c) = &mut self.custody {
-            c.mark_in_process(None);
+            c.mark_in_process(false);
         }
     }
 
@@ -761,7 +723,7 @@ impl<A: Algorithm> ShardWorker<A> {
     /// accounted — its producer counted it sent, and either its original
     /// processing or the custody sweep counted it processed — so replay
     /// must re-derive its *effects* without re-counting the input
-    /// (termination parity, per-kind event metrics, dominance retires).
+    /// (termination counters, per-kind event metrics, dominance retires).
     /// Everything *generated* here (cascade updates, reverse events) is
     /// fresh on either path and is always fully counted.
     fn process_inner(&mut self, env: Envelope<A::State>, count_input: bool) {
@@ -778,14 +740,13 @@ impl<A: Algorithm> ShardWorker<A> {
         };
         // Receiver-side dominance filter: an `Update` whose value the live
         // state already absorbs cannot change anything — retire it without
-        // the callback/fork/trigger machinery (see `is_dominated` for the
-        // snapshot-fork exemption). The neighbour-cache write
+        // the callback/trigger machinery. The neighbour-cache write
         // (`set_cached`) is skipped too; that is sound because a dominated
         // value is information the target already holds.
-        if known.is_some_and(|h| self.is_dominated(h, env.epoch, &env.value)) {
+        if known.is_some_and(|h| self.is_dominated(h, &env.value)) {
             if count_input {
                 self.metrics.updates_dominated += 1;
-                self.note_processed(env.epoch);
+                self.note_processed();
             }
             if env.tag != 0 {
                 // A closed branch, not silence: the trace sees where its
@@ -795,10 +756,6 @@ impl<A: Algorithm> ShardWorker<A> {
             return;
         }
         let h = known.unwrap_or_else(|| self.store.intern(target));
-        let (forked, parts) = self.store.fork_and_parts(h, env.epoch);
-        if forked {
-            self.metrics.snapshot_forks += 1;
-        }
 
         // Algorithm 3's framework step; triggers are evaluated inside its
         // single store borrow. Per-kind counters sit on the accounted side
@@ -806,7 +763,7 @@ impl<A: Algorithm> ShardWorker<A> {
         let step = visit(
             &*self.algo,
             &env,
-            parts,
+            self.store.parts(h),
             &mut self.out,
             self.id,
             self.config.undirected,
@@ -838,17 +795,16 @@ impl<A: Algorithm> ShardWorker<A> {
                 value,
                 weight: env.weight,
                 kind,
-                epoch: env.epoch,
                 tag: ctag,
             });
         }
 
-        self.route_generated(target, env.epoch, ctag);
+        self.route_generated(target, ctag);
 
         // Retire the envelope only after its children's sends were
         // published (four-counter soundness).
         if count_input {
-            self.note_processed(env.epoch);
+            self.note_processed();
         }
     }
 
@@ -858,7 +814,7 @@ impl<A: Algorithm> ShardWorker<A> {
     /// keeping the buffer's allocation for the next event. Runs once per
     /// envelope: kept in `process_inner`'s body, not behind a call.
     #[inline(always)]
-    fn route_generated(&mut self, visitor: VertexId, epoch: Epoch, tag: TraceTag) {
+    fn route_generated(&mut self, visitor: VertexId, tag: TraceTag) {
         for fire in self.pending_fires.drain(..) {
             self.metrics.triggers_fired += 1;
             let _ = self.trigger_tx.send(fire);
@@ -871,7 +827,6 @@ impl<A: Algorithm> ShardWorker<A> {
                 value: o.value,
                 weight: o.weight,
                 kind: EventKind::Update,
-                epoch,
                 tag,
             });
         }
@@ -890,13 +845,15 @@ impl<A: Algorithm> ShardWorker<A> {
         }
     }
 
-    /// Publishes one processed envelope of `epoch`'s parity.
+    /// Publishes one processed envelope.
     #[inline]
-    fn note_processed(&mut self, epoch: Epoch) {
+    fn note_processed(&mut self) {
         use std::sync::atomic::Ordering;
-        let p = (epoch & 1) as usize;
-        self.processed_local[p] += 1;
-        self.shared.slot(self.id).processed[p].store(self.processed_local[p], Ordering::Release);
+        self.processed_local += 1;
+        self.shared
+            .slot(self.id)
+            .processed
+            .store(self.processed_local, Ordering::Release);
         self.pub_ticker += 1;
         if self.pub_ticker >= PUBLISH_EVERY {
             self.publish_telemetry();
@@ -920,14 +877,16 @@ impl<A: Algorithm> ShardWorker<A> {
         self.held.iter().map(VecDeque::len).sum()
     }
 
-    /// Publishes one created envelope of `epoch`'s parity. Must happen
-    /// before the envelope becomes receivable.
+    /// Publishes one created envelope. Must happen before the envelope
+    /// becomes receivable.
     #[inline]
-    fn note_sent(&mut self, epoch: Epoch) {
+    fn note_sent(&mut self) {
         use std::sync::atomic::Ordering;
-        let p = (epoch & 1) as usize;
-        self.sent_local[p] += 1;
-        self.shared.slot(self.id).sent[p].store(self.sent_local[p], Ordering::Release);
+        self.sent_local += 1;
+        self.shared
+            .slot(self.id)
+            .sent
+            .store(self.sent_local, Ordering::Release);
     }
 
     /// Runs one pull at stream `index`: an edge is routed as an
@@ -935,7 +894,7 @@ impl<A: Algorithm> ShardWorker<A> {
     /// stamped with `tag` when the pull was trace-sampled (hop 1); a
     /// control op runs in place. An `Add` carries the value
     /// [`Algorithm::stream_value`] gives its index.
-    fn route_pull(&mut self, pull: Pull, index: u64, epoch: Epoch, tag: TraceTag) {
+    fn route_pull(&mut self, pull: Pull, index: u64, tag: TraceTag) {
         self.streamed = self.streamed.max(index + 1);
         let (kind, value, ev) = match pull {
             Pull::Topo(ev) if ev.op == TopoOp::Add => (EventKind::Add, A::stream_value(index), ev),
@@ -949,7 +908,6 @@ impl<A: Algorithm> ShardWorker<A> {
             value,
             weight: ev.weight,
             kind,
-            epoch,
             tag,
         });
     }
@@ -968,7 +926,7 @@ impl<A: Algorithm> ShardWorker<A> {
             && self
                 .store
                 .lookup(env.target)
-                .is_some_and(|h| self.is_dominated(h, env.epoch, &env.value))
+                .is_some_and(|h| self.is_dominated(h, &env.value))
         {
             // Suppressed, not dominated: the envelope was never counted
             // as sent, so it must not enter the balance equation's
@@ -979,7 +937,7 @@ impl<A: Algorithm> ShardWorker<A> {
             }
             return;
         }
-        self.note_sent(env.epoch);
+        self.note_sent();
         self.metrics.envelopes_sent += 1;
         // A tagged envelope is counted sent here exactly once, so the
         // Send span is the amplification unit (cross-checkable against
@@ -1058,8 +1016,8 @@ impl<A: Algorithm> ShardWorker<A> {
     /// and processed so the termination books stay balanced.
     fn retire_batch(&mut self, batch: Vec<Envelope<A::State>>) {
         self.metrics.envelopes_undeliverable += batch.len() as u64;
-        for env in batch {
-            self.note_processed(env.epoch);
+        for _ in batch {
+            self.note_processed();
         }
     }
 
@@ -1109,7 +1067,7 @@ impl<A: Algorithm> ShardWorker<A> {
     /// One pull run: up to `PULL_RUN` pulls, each counted, sampled, tagged
     /// and routed exactly as a lone pull — per-stream order in, per-pair
     /// lane order out. Only the pass's fixed costs are shared by the run.
-    fn pull_run(&mut self, epoch: Epoch) {
+    fn pull_run(&mut self) {
         use std::sync::atomic::Ordering;
         let chunks_before = self.chunks.len();
         let run = self.run_len();
@@ -1121,7 +1079,7 @@ impl<A: Algorithm> ShardWorker<A> {
                 let from = if i == 0 { self.chunk_pos } else { 0 };
                 (from..chunk.len()).map(move |k| chunk.get(k))
             });
-            c.log_pulls(pulls.take(run), epoch, &mut self.metrics);
+            c.log_pulls(pulls.take(run), &mut self.metrics);
         }
         for _ in 0..run {
             let Some((pull, index)) = self.next_pull() else {
@@ -1142,7 +1100,7 @@ impl<A: Algorithm> ShardWorker<A> {
                 self.trace_span(SpanKind::Root, trace::pack(id, 0), a, b);
                 tag = trace::pack(id, 1);
             }
-            self.route_pull(pull, index, epoch, tag);
+            self.route_pull(pull, index, tag);
         }
         // Publish the run only after its last `route_pull` published the
         // spawned envelope's `sent` count. The reverse order opens a
@@ -1195,11 +1153,6 @@ impl<A: Algorithm> ShardWorker<A> {
         Some(pull)
     }
 
-    /// Collects this shard's contribution to a snapshot (or the live view).
-    fn collect(&mut self, old_epoch: Epoch, live: bool) -> Vec<(VertexId, A::State)> {
-        self.store.collect(old_epoch, live)
-    }
-
     // ---- durability: the worker's side of custody ----------------------
 
     /// All custody drained? (The checkpoint-at-idle precondition: with
@@ -1223,7 +1176,7 @@ impl<A: Algorithm> ShardWorker<A> {
         if !due || !self.custody_clear() {
             return;
         }
-        let header = (self.seq, self.cur_epoch, self.edges, self.streamed);
+        let header = (self.seq, self.edges, self.streamed);
         if let Some(c) = &mut self.custody {
             c.checkpoint(&self.store, header, &mut self.metrics);
         }
@@ -1266,7 +1219,7 @@ impl<A: Algorithm> ShardWorker<A> {
                 // predate the sweep. That is monotone-safe: a repeated
                 // prime rebuilds the same columns, a repeated flood
                 // re-sends values the neighbours already dominate.
-                Replay::Pull(pull, index, epoch) => self.route_pull(pull, index, epoch, 0),
+                Replay::Pull(pull, index) => self.route_pull(pull, index, 0),
             }
             self.metrics.replayed_records += 1;
             // Drain the cascades each replayed record spawns before the
@@ -1313,18 +1266,15 @@ impl<A: Algorithm> ShardWorker<A> {
         // entered any book, just dropped (replay regenerates them).
         self.out.clear();
         self.pending_fires.clear();
-        for epoch in swept {
-            self.retire_recovered(epoch);
-        }
+        let mut retired = swept + self.local_q.len();
+        self.local_q.clear();
         for owner in 0..self.outboxes.len() {
-            let held = std::mem::take(&mut self.held[owner]);
-            let outbox = std::mem::take(&mut self.outboxes[owner]);
-            for env in held.into_iter().flatten().chain(outbox) {
-                self.retire_recovered(env.epoch);
-            }
+            retired += self.held[owner].drain(..).map(|b| b.len()).sum::<usize>();
+            retired += self.outboxes[owner].len();
+            self.outboxes[owner].clear();
         }
-        while let Some(env) = self.local_q.pop_front() {
-            self.retire_recovered(env.epoch);
+        for _ in 0..retired {
+            self.retire_recovered();
         }
         // A panic between a pull run's local increments and its slot store
         // would otherwise leave the published `ingested` permanently a run
@@ -1337,9 +1287,9 @@ impl<A: Algorithm> ShardWorker<A> {
     }
 
     /// One swept envelope.
-    fn retire_recovered(&mut self, epoch: Epoch) {
+    fn retire_recovered(&mut self) {
         self.metrics.envelopes_recovered += 1;
-        self.note_processed(epoch);
+        self.note_processed();
     }
 
     fn report(mut self) -> ShardReport<A> {
@@ -1404,7 +1354,6 @@ mod tests {
             self.ctl.board.record(ShardFailure {
                 id: 1,
                 payload: "test kill".into(),
-                last_epoch: 0,
             });
         }
     }
@@ -1422,7 +1371,6 @@ mod tests {
             value: 1,
             weight: 1,
             kind: EventKind::Update,
-            epoch: 0,
             tag: 0,
         }
     }
@@ -1437,7 +1385,7 @@ mod tests {
             stride: 1,
             items: Items::Pairs(TopoOp::Add, pairs),
         });
-        f.worker.pull_run(0);
+        f.worker.pull_run();
         // The bound a point read waits behind: one run, not the stream.
         assert_eq!(f.worker.metrics.topo_ingested, PULL_RUN as u64);
         assert_eq!(
@@ -1453,11 +1401,11 @@ mod tests {
         let mut routed = [local, remote].concat();
         routed.sort_unstable();
         assert_eq!(routed, (0..PULL_RUN as u64).collect::<Vec<_>>());
-        assert_eq!(f.worker.sent_local[0], PULL_RUN as u64);
+        assert_eq!(f.worker.sent_local, PULL_RUN as u64);
         // The next run takes what is left, stops at the stream's end and
         // drops the emptied chunk.
         assert_eq!(f.worker.chunk_pos, PULL_RUN);
-        f.worker.pull_run(0);
+        f.worker.pull_run();
         assert_eq!(f.worker.metrics.topo_ingested, 100);
         assert!(f.worker.chunks.is_empty());
         assert_eq!(f.worker.chunk_pos, 0);
@@ -1484,23 +1432,23 @@ mod tests {
         }
         let c = f.worker.custody.as_mut().unwrap();
         c.open();
-        f.worker.pull_run(3);
+        f.worker.pull_run();
         assert_eq!(f.worker.metrics.wal_records_appended, PULL_RUN as u64);
         assert_eq!(f.worker.chunk_pos, PULL_RUN - 40, "the run crossed a chunk");
-        f.worker.pull_run(3);
+        f.worker.pull_run();
         assert!(f.worker.chunks.is_empty());
         assert_eq!(f.worker.streamed, 199);
         let (mut store, mut seq, mut edges, mut streamed) = (DenseStore::with_capacity(0), 0, 0, 0);
         let c = f.worker.custody.as_mut().unwrap();
-        let logged: Vec<(VertexId, u64, Epoch)> = c
+        let logged: Vec<(VertexId, u64)> = c
             .restore(&mut store, &mut seq, &mut edges, &mut streamed)
             .into_iter()
             .map(|rec| match rec {
-                Replay::Pull(Pull::Topo(ev), index, epoch) => (ev.src, index, epoch),
+                Replay::Pull(Pull::Topo(ev), index) => (ev.src, index),
                 _ => panic!("this run pulled edges only"),
             })
             .collect();
-        assert_eq!(logged, (0..100).map(|v| (v, 2 * v, 3)).collect::<Vec<_>>());
+        assert_eq!(logged, (0..100).map(|v| (v, 2 * v)).collect::<Vec<_>>());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1531,12 +1479,12 @@ mod tests {
             edges(5, 2),
         ]);
         f.worker.custody.as_mut().unwrap().open();
-        f.worker.pull_run(0);
+        f.worker.pull_run();
         let m = &f.worker.metrics;
         assert_eq!((m.topo_ingested, m.wal_records_appended), (5, 5));
         assert_eq!(f.worker.streamed, 5);
         assert_eq!(f.worker.chunks.len(), 1, "the edges behind the op wait");
-        f.worker.pull_run(0);
+        f.worker.pull_run();
         assert_eq!(f.worker.metrics.topo_ingested, 8);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1561,7 +1509,7 @@ mod tests {
         let mark = mark.unwrap().expect("an empty window has room");
         f.worker.dispatch(f.worker.rx.try_recv().unwrap());
         assert!(!f.ctl.ran(0, mark));
-        f.worker.pull_run(0);
+        f.worker.pull_run();
         assert!(f.ctl.ran(0, mark));
         f.worker.prepare_recovery();
         assert!(
@@ -1613,7 +1561,7 @@ mod tests {
         f.worker.flush_all();
         assert_eq!(f.worker.metrics.envelopes_undeliverable, 10);
         assert!(f.worker.custody_clear());
-        assert_eq!(f.worker.sent_local[0], f.worker.processed_local[0]);
+        assert_eq!(f.worker.sent_local, f.worker.processed_local);
         assert!(
             f.ctl.shared.quiescent_probe(),
             "termination books balance after retirement"

@@ -2,10 +2,10 @@
 //! engine's own wiring ([`wire`]) and steps them on the test thread, in
 //! an order a seed chooses, playing the controller's part between steps:
 //! it queues an `Init` and feeds chunks where the ingest window allows
-//! ([`Controller::offer`]), reads the quiescence probe and opens a
-//! snapshot epoch. Nothing parks and no OS schedule is
-//! involved, so a run is a pure function of its seed, and a failing seed
-//! replays from its printed case.
+//! ([`Controller::offer`]), reads the quiescence probe and takes a
+//! snapshot. Nothing parks and no OS schedule is involved, so a run is a
+//! pure function of its seed, and a failing seed replays from its printed
+//! case.
 //!
 //! Every schedule is checked against five oracles:
 //! 1. the final states equal [`SequentialEngine`]'s on the same stream;
@@ -15,30 +15,25 @@
 //!    and no inbound lane batch;
 //! 4. liveness: once the schedule turns fair (round robin, feeding what
 //!    fits), the run quiesces within [`FAIR_BUDGET`] ticks;
-//! 5. replay: the same seed gives the same states and the same counters,
+//! 5. replay: the same seed gives the same states, snapshot and counters,
 //!    the `phase_*_ns` clock readings aside.
 //!
-//! A snapshot epoch opens at a seeded tick, either at a quiesced boundary
-//! or mid-flight. Each shard's `ingested` is read before the step in which
-//! it acks, so the cut is known — the `Init` is its owner's first pull, so
-//! it is inside the cut or not like any edge — and the states are collected once
-//! `drained_probe(old)` holds. At a quiesced boundary they must equal the
-//! static solve of the cut. Mid-flight they must keep what
-//! `Engine::try_snapshot` promises: every vertex of the cut is present,
-//! and no state is past the full stream's fixpoint.
-
-use std::sync::atomic::Ordering;
+//! A snapshot is taken at a seeded tick as `Engine::try_snapshot` takes
+//! one: the fair schedule settles what was fed (the `Init`, queued before
+//! any chunk, and each shard's chunks so far), then every shard answers a
+//! `Collect` on its channel. The states must equal the static solve of
+//! what was fed.
 
 use proptest::prelude::*;
 use remo_gen::rng::SmallRng;
 use remo_gen::{rmat, RmatConfig};
 use remo_store::{VertexId, Weight};
 
-use super::{Progress, ShardWorker, HELD_BOUND, INGEST_CHUNK, PULL_RUN};
+use super::{Message, Progress, ShardWorker, HELD_BOUND, INGEST_CHUNK, PULL_RUN};
 use crate::algorithm::{AlgoCtx, Algorithm};
 use crate::config::EngineConfig;
 use crate::engine::{wire, Controller};
-use crate::event::{Chunk, Epoch, Items, TopoOp};
+use crate::event::{Chunk, Items, TopoOp};
 use crate::metrics::{RunMetrics, ShardMetrics};
 use crate::sequential::SequentialEngine;
 
@@ -177,18 +172,6 @@ fn counts(m: &ShardMetrics) -> ShardMetrics {
     }
 }
 
-/// An open snapshot epoch.
-struct Snap {
-    old: Epoch,
-    /// Opened at a quiesced boundary.
-    quiesced: bool,
-    /// Each shard's cut: the events it had pulled before the step in
-    /// which it acked the new epoch.
-    cut: Vec<Option<usize>>,
-    /// The collected states, once the old epoch drained.
-    states: Option<States>,
-}
-
 /// `k` workers, the controller's ends onto them, and the stream they
 /// are fed.
 struct Sim<A: Algorithm<State = u64>> {
@@ -202,7 +185,6 @@ struct Sim<A: Algorithm<State = u64>> {
     /// The most events one chunk carries.
     chunk: usize,
     ticks: u64,
-    snap: Option<Snap>,
 }
 
 impl<A: Algorithm<State = u64>> Sim<A> {
@@ -223,7 +205,6 @@ impl<A: Algorithm<State = u64>> Sim<A> {
             fed: vec![0; k],
             chunk,
             ticks: 0,
-            snap: None,
         }
     }
 
@@ -267,27 +248,8 @@ impl<A: Algorithm<State = u64>> Sim<A> {
 
     /// One tick: one pass of shard `s`.
     fn step(&mut self, s: usize) -> Progress {
-        let shared = &self.ctl.shared;
-        let before = shared.slot(s).ingested.load(Ordering::SeqCst) as usize;
         let progress = self.workers[s].step();
         assert_ne!(progress, Progress::Stop, "nothing sent a Shutdown");
-        if let Some(snap) = &mut self.snap {
-            if snap.cut[s].is_none() && shared.slot(s).epoch_ack.load(Ordering::SeqCst) > snap.old {
-                snap.cut[s] = Some(before);
-            }
-            if snap.states.is_none()
-                && snap.cut.iter().all(Option::is_some)
-                && shared.drained_probe(snap.old)
-            {
-                let mut states: States = self
-                    .workers
-                    .iter_mut()
-                    .flat_map(|w| w.collect(snap.old, false))
-                    .collect();
-                states.sort_unstable();
-                snap.states = Some(states);
-            }
-        }
         self.tick();
         progress
     }
@@ -310,13 +272,11 @@ impl<A: Algorithm<State = u64>> Sim<A> {
 
     /// The fair schedule: round robin, feeding each shard what fits before
     /// its step (nothing with `feed` off), until the probe holds with the
-    /// stream fed and any snapshot collected. Oracle 4: within
-    /// [`FAIR_BUDGET`] ticks.
+    /// stream fed. Oracle 4: within [`FAIR_BUDGET`] ticks.
     fn settle(&mut self, feed: bool) {
         let start = self.ticks;
         loop {
-            let snapped = self.snap.as_ref().is_none_or(|s| s.states.is_some());
-            if (!feed || self.all_fed()) && snapped && self.ctl.shared.quiescent_probe() {
+            if (!feed || self.all_fed()) && self.ctl.shared.quiescent_probe() {
                 return;
             }
             assert!(
@@ -330,18 +290,28 @@ impl<A: Algorithm<State = u64>> Sim<A> {
         }
     }
 
-    /// Opens a snapshot epoch, after draining what was fed when `quiesced`.
-    fn open_snapshot(&mut self, quiesced: bool) {
-        if quiesced {
-            self.settle(false);
+    /// A snapshot, as `Engine::try_snapshot` takes one: settles what was
+    /// fed, then every shard answers a `Collect` on its channel in the
+    /// step after the request.
+    fn snapshot(&mut self) -> States {
+        self.settle(false);
+        let (reply, answers) = std::sync::mpsc::sync_channel(self.k());
+        for s in 0..self.k() {
+            let reply = reply.clone();
+            let sent = self.ctl.send_to(s, Message::Collect { reply });
+            assert!(sent.is_ok(), "the shard's channel is open");
+            self.step(s);
         }
-        let old = self.ctl.shared.epoch.fetch_add(1, Ordering::SeqCst);
-        self.snap = Some(Snap {
-            old,
-            quiesced,
-            cut: vec![None; self.k()],
-            states: None,
-        });
+        let mut states: States = answers.try_iter().flatten().collect();
+        states.sort_unstable();
+        states
+    }
+
+    /// The pairs fed so far: every shard's share up to its feed point.
+    fn fed_pairs(&self) -> Vec<(VertexId, VertexId)> {
+        (0..self.k())
+            .flat_map(|s| self.shares[s][..self.fed[s]].to_vec())
+            .collect()
     }
 
     /// The live states of every shard, by vertex.
@@ -370,14 +340,13 @@ impl<A: Algorithm<State = u64>> Sim<A> {
     }
 }
 
-/// What one seeded schedule did: its final states and counters (oracle 5
-/// compares two runs of it), and how many snapshot states differ from the
-/// static solve of their cut.
+/// What one seeded schedule did: its snapshot, final states and counters
+/// (oracle 5 compares two runs of it).
 #[derive(Debug, PartialEq)]
 struct Outcome {
+    snapshot: States,
     states: States,
     counts: Vec<ShardMetrics>,
-    snapshot_misses: usize,
 }
 
 /// Runs the schedule `seed` chooses and checks oracles 1–4 on it.
@@ -399,6 +368,19 @@ fn run_seed(seed: u64) -> Outcome {
     }
 }
 
+/// A snapshot of `sim`, asserted to be the static solve of what was fed:
+/// the `Init` and every chunk so far.
+fn solved_snapshot<A: Algorithm<State = u64> + Copy>(
+    sim: &mut Sim<A>,
+    algo: A,
+    source: Option<VertexId>,
+) -> States {
+    let states = sim.snapshot();
+    let cut = solve(algo, source, &sim.fed_pairs());
+    assert_eq!(states, cut, "the snapshot solves its cut");
+    states
+}
+
 fn run_schedule<A: Algorithm<State = u64> + Copy>(
     algo: A,
     source: Option<VertexId>,
@@ -409,7 +391,9 @@ fn run_schedule<A: Algorithm<State = u64> + Copy>(
     mut rng: SmallRng,
 ) -> Outcome {
     let mut sim = Sim::new(algo, k, batch, chunk, pairs);
-    let owner = source.map(|v| sim.init(v));
+    if let Some(v) = source {
+        sim.init(v);
+    }
     // The unfair stretch: each tick feeds a chunk (one time in
     // `feed_odds`) or steps a shard drawn by weight. Weights are redrawn
     // every `stretch` ticks, and a weight of 0 starves its shard for the
@@ -418,11 +402,11 @@ fn run_schedule<A: Algorithm<State = u64> + Copy>(
     let stretch = rng.gen_range(64..=2_048u64);
     let feed_odds = rng.gen_range(2..=16u64);
     let snap_at = rng.gen_range(0..=unfair);
-    let quiesced = rng.next_u64() & 1 == 0;
+    let mut snapshot = None;
     let mut weights = vec![1u64; k];
     for t in 0..unfair {
         if t == snap_at {
-            sim.open_snapshot(quiesced);
+            snapshot = Some(solved_snapshot(&mut sim, algo, source));
         }
         if t % stretch == 0 {
             weights = (0..k)
@@ -443,58 +427,20 @@ fn run_schedule<A: Algorithm<State = u64> + Copy>(
         }
         sim.step(s);
     }
-    if sim.snap.is_none() {
-        sim.open_snapshot(quiesced);
-    }
+    let snapshot = snapshot.unwrap_or_else(|| solved_snapshot(&mut sim, algo, source));
     sim.settle(true);
 
-    // Oracle 1, and the snapshot's cut.
-    let full = solve(algo, source, pairs);
+    // Oracle 1.
     let states = sim.states();
-    assert_eq!(states, full, "the final states are the static solve");
-    let snap = sim.snap.take().expect("a snapshot was opened");
-    let took = |s: usize| snap.cut[s].expect("every shard acked");
-    let init_cut = owner.filter(|&s| took(s) > 0);
-    let cut: Vec<_> = (0..k)
-        .flat_map(|s| sim.shares[s][..took(s) - usize::from(init_cut == Some(s))].to_vec())
-        .collect();
-    let expect = solve(algo, init_cut.and(source), &cut);
-    let got = snap.states.expect("the old epoch drained");
-    let snapshot_misses = if snap.quiesced {
-        assert_eq!(
-            got, expect,
-            "a quiesced snapshot is the static solve of its cut"
-        );
-        0
-    } else {
-        check_mid_flight::<A>(&got, &expect, &full);
-        expect.iter().filter(|e| !got.contains(e)).count()
-    };
+    assert_eq!(
+        states,
+        solve(algo, source, pairs),
+        "the final states are the static solve"
+    );
     Outcome {
+        snapshot,
         states,
         counts: sim.check_balance(),
-        snapshot_misses,
-    }
-}
-
-/// What `Engine::try_snapshot` promises mid-flight: every vertex of the
-/// cut is present, and no state is past the full stream's fixpoint.
-fn check_mid_flight<A: Algorithm<State = u64>>(got: &States, cut: &States, full: &States) {
-    for (v, _) in cut {
-        assert!(
-            got.binary_search_by_key(v, |e| e.0).is_ok(),
-            "cut vertex {v} is missing"
-        );
-    }
-    for (v, s) in got {
-        let i = full
-            .binary_search_by_key(v, |e| e.0)
-            .expect("a vertex of the stream");
-        assert!(
-            A::absorbs(&full[i].1, s),
-            "vertex {v}: snapshot state {s} is past the fixpoint {}",
-            full[i].1
-        );
     }
 }
 
@@ -599,14 +545,4 @@ fn round_robin_counts_are_exact() {
         },
     ];
     assert_eq!(counts, expect, "work counts moved");
-}
-
-/// ROADMAP item 2(b), reproduced from a seed: BFS on two shards, a snapshot
-/// opened mid-flight. Twenty-three of its states sit above their level in
-/// the static solve of its cut. It is still the bound `Engine::try_snapshot`
-/// promises (`check_mid_flight`), not the cut's solve; exact snapshots
-/// make this count 0.
-#[test]
-fn mid_flight_snapshot_of_seed_343809757302082577_falls_short_of_its_cut() {
-    assert_eq!(run_seed(343_809_757_302_082_577).snapshot_misses, 23);
 }

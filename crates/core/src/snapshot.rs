@@ -1,30 +1,35 @@
 //! Global state collection (§III-D).
 //!
 //! A [`Snapshot`] is "the collective vertex and edge algorithm-related state
-//! after a defined set of events have been ingested and processed": the
-//! result of discretizing the continuous run at an epoch boundary using the
-//! Chandy–Lamport-variant protocol (version-tagged events, per-vertex
-//! `S_prev`/`S_new` forks) implemented in the engine.
+//! after a defined set of events have been ingested and processed". The
+//! defined set is a prefix of the engine's input, `stream[..cut]`: the
+//! engine waits until every event it was fed has been processed, then
+//! collects each shard's live states, which are then exactly the solve of
+//! that prefix (DESIGN.md §3 says why this replaces the paper's
+//! Chandy–Lamport fork).
 
-use crate::event::Epoch;
 use remo_store::VertexId;
 
-/// A collected global state: every touched vertex's algorithm state as of
-/// the end of the snapshot's epoch.
+/// A collected global state: every vertex's algorithm state after the
+/// first [`Snapshot::cut`] stream events.
 #[derive(Debug, Clone)]
 pub struct Snapshot<S> {
-    /// The epoch this snapshot closed (events tagged `<= epoch` are
-    /// included; later events are not).
-    pub epoch: Epoch,
+    cut: u64,
     states: Vec<(VertexId, S)>,
 }
 
 impl<S> Snapshot<S> {
-    /// Assembles a snapshot from shard fragments; sorts by vertex id for
-    /// binary-search lookup and deterministic iteration.
-    pub fn from_fragments(epoch: Epoch, mut states: Vec<(VertexId, S)>) -> Self {
+    /// Assembles a snapshot of `stream[..cut]` from shard fragments; sorts
+    /// by vertex id for binary-search lookup and deterministic iteration.
+    pub fn from_fragments(cut: u64, mut states: Vec<(VertexId, S)>) -> Self {
         states.sort_unstable_by_key(|&(v, _)| v);
-        Snapshot { epoch, states }
+        Snapshot { cut, states }
+    }
+
+    /// The stream index the snapshot is cut at: its states are the solve
+    /// of the events numbered below it, and of nothing else.
+    pub fn cut(&self) -> u64 {
+        self.cut
     }
 
     /// Number of vertices captured.
@@ -63,7 +68,7 @@ mod tests {
     #[test]
     fn fragments_sorted_and_searchable() {
         let s = Snapshot::from_fragments(3, vec![(5u64, "e"), (1, "a"), (9, "i")]);
-        assert_eq!(s.epoch, 3);
+        assert_eq!(s.cut(), 3);
         assert_eq!(s.len(), 3);
         assert_eq!(s.get(5), Some(&"e"));
         assert_eq!(s.get(2), None);

@@ -3,10 +3,9 @@
 //! `DenseStore` is an interning table (`RhhMap<VertexId, u32>`, one probe
 //! per event) in front of a record slab — each entry a packed
 //! `(state, meta-word)` pair (`HotVertex`) contiguous with its
-//! `Adjacency` — plus a **cold side map** `LocalIdx -> S` for snapshot
-//! forks. Forks exist only while a snapshot is draining, so `Option<S>`
-//! does not pad every hot record; the hot working set per event is one
-//! contiguous `size_of::<S>() + 8 + 24`-byte slab record, whose adjacency
+//! `Adjacency`. The hot working set per event is one contiguous
+//! `size_of::<S>() + 4 + 24`-byte slab record (rounded up to the state's
+//! alignment), whose adjacency
 //! header holds a low-degree vertex's first 16 bytes of edges itself (four
 //! `()` entries, two `Weight` or one `EdgeMeta` while the vertex's ids and
 //! weights fit in a `u32`, half as many, rounded down, once one does not).
@@ -19,47 +18,37 @@
 //! access through that index, which is what makes the single-probe
 //! discipline real.
 
-use crate::event::Epoch;
 use crate::vertex_state::VertexMeta;
-use remo_store::{Adjacency, DenseVertexTable, EdgeData, LocalIdx, RhhMap, VertexId};
+use remo_store::{Adjacency, DenseVertexTable, EdgeData, LocalIdx, VertexId};
 
 /// Split mutable borrows of one vertex's storage, assembled per event.
-///
-/// `prev` is `Some` exactly when the event being processed must dual-apply
-/// to the snapshot fork (its epoch predates the vertex's fork point) — the
-/// store resolves `applies_to_prev` once, here, instead of every consumer
-/// re-deriving it.
 pub struct VertexParts<'a, S, E> {
     /// Live algorithm state.
     pub live: &'a mut S,
-    /// The snapshot fork, present only when this event dual-applies.
-    pub prev: Option<&'a mut S>,
-    /// Fork epoch + fired-trigger bits.
+    /// Fired-trigger bits.
     pub meta: &'a mut VertexMeta,
     /// Out-edges.
     pub adj: &'a mut Adjacency<E>,
 }
 
 /// Visitor handed to [`DenseStore::export_records`]: receives each
-/// vertex's `(id, live state, snapshot fork, meta word, adjacency)`.
-pub(crate) type RecordVisitor<'a, S, E> =
-    dyn FnMut(VertexId, &S, Option<&S>, VertexMeta, &Adjacency<E>) + 'a;
+/// vertex's `(id, live state, meta word, adjacency)`.
+pub(crate) type RecordVisitor<'a, S, E> = dyn FnMut(VertexId, &S, VertexMeta, &Adjacency<E>) + 'a;
 
-/// Per-vertex hot payload: the live state packed with the 8-byte meta
-/// word. Every envelope reads both (the fork check is on the meta, the
-/// callback is on the state), so splitting them into two slabs costs a
-/// second dependent cache line per event for nothing — packing them (and
-/// packing the pair contiguously with the adjacency, see
-/// [`remo_store::DenseVertexTable`]) makes one event's touch one
-/// `size_of::<S>() + 8 + 24`-byte slab record.
+/// Per-vertex hot payload: the live state packed with the 4-byte meta
+/// word. A state change reads both (the callback is on the state, the
+/// trigger check on the meta), so splitting them into two slabs costs a
+/// second dependent cache line for nothing — packing them (and packing
+/// the pair contiguously with the adjacency, see
+/// [`remo_store::DenseVertexTable`]) makes one event's touch one slab
+/// record.
 #[derive(Clone, Default)]
 pub(crate) struct HotVertex<S> {
     live: S,
     meta: VertexMeta,
 }
 
-/// The engine's one vertex store: interning + record slab + cold fork
-/// side map.
+/// The engine's one vertex store: interning + record slab.
 ///
 /// A shard owns one while it runs (the sequential reference engine owns
 /// one too) and hands it over untouched when it stops: `RunResult::tables` holds each shard's store, and the read-only
@@ -68,10 +57,6 @@ pub(crate) struct HotVertex<S> {
 /// engine see.
 pub struct DenseStore<S, E> {
     table: DenseVertexTable<HotVertex<S>, E>,
-    /// Snapshot forks, keyed by dense index. Populated only between a
-    /// fork and the snapshot drain that clears it — keeping `Option<S>`
-    /// out of the hot records is the point of the side map.
-    forks: RhhMap<LocalIdx, S>,
     /// One-entry intern memo: cascades and hub traffic often deliver
     /// consecutive envelopes to the same vertex, and a compare beats a
     /// probe. Sound across envelopes because dense indices are stable
@@ -94,7 +79,6 @@ where
             } else {
                 DenseVertexTable::new()
             },
-            forks: RhhMap::new(),
             last: None,
         }
     }
@@ -124,46 +108,12 @@ where
         &self.table.state(h).live
     }
 
-    /// True when an event of `epoch` at `h` must dual-apply to the fork.
+    /// Split borrows of `h`'s state, meta word and adjacency.
     #[inline]
-    pub(crate) fn applies_to_prev(&self, h: LocalIdx, epoch: Epoch) -> bool {
-        // The meta read answers "no" without touching the cold map in the
-        // common (no snapshot draining) case.
-        epoch < self.table.state(h).meta.forked_epoch && self.forks.contains(h)
-    }
-
-    /// Forks `h` for `epoch` if this is the first event of a newer epoch
-    /// (capturing the previous state), then hands out split borrows of
-    /// `h`'s state/fork/meta/adjacency. One fused call — the shard loop
-    /// needs both on every envelope, and fusing touches the vertex's meta
-    /// word once instead of twice. Returns `(forked, parts)`.
-    #[inline]
-    pub(crate) fn fork_and_parts(
-        &mut self,
-        h: LocalIdx,
-        epoch: Epoch,
-    ) -> (bool, VertexParts<'_, S, E>) {
+    pub(crate) fn parts(&mut self, h: LocalIdx) -> VertexParts<'_, S, E> {
         let (hot, adj) = self.table.state_adj_mut(h);
         let HotVertex { live, meta } = hot;
-        let forked = epoch > meta.forked_epoch;
-        if forked {
-            meta.forked_epoch = epoch;
-            self.forks.insert(h, live.clone());
-        }
-        let prev = if epoch < meta.forked_epoch {
-            self.forks.get_mut(h)
-        } else {
-            None
-        };
-        (
-            forked,
-            VertexParts {
-                live,
-                prev,
-                meta,
-                adj,
-            },
-        )
+        VertexParts { live, meta, adj }
     }
 
     /// Number of vertices present.
@@ -195,46 +145,23 @@ where
     }
 
     /// Approximate total heap footprint of the store (index + state +
-    /// meta + adjacency + forks), in bytes.
+    /// meta + adjacency), in bytes.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.table.heap_bytes() + self.forks.heap_bytes()
+        self.table.heap_bytes()
     }
 
-    /// Collects `(vertex, state)` pairs: the live view, or the snapshot
-    /// view at `old_epoch` (omitting still-default states and clearing
-    /// forks, matching the snapshot protocol's drain step).
-    pub(crate) fn collect(&mut self, old_epoch: Epoch, live: bool) -> Vec<(VertexId, S)> {
-        let default = S::default();
-        let mut states = Vec::with_capacity(self.table.num_vertices());
-        if live {
-            for (v, hot, _) in self.table.iter() {
-                states.push((v, hot.live.clone()));
-            }
-        } else {
-            // Dense-order slab walk; the cold map is probed only for
-            // vertices whose meta says they forked past the boundary.
-            for (i, (v, hot, _)) in self.table.iter().enumerate() {
-                let view = if hot.meta.forked_epoch > old_epoch {
-                    self.forks.get(i as LocalIdx).unwrap_or(&hot.live)
-                } else {
-                    &hot.live
-                };
-                if *view != default {
-                    states.push((v, view.clone()));
-                }
-            }
-            // The snapshot drain retires every outstanding fork at once.
-            self.forks.clear();
-        }
-        states
+    /// Every vertex's `(id, live state)`, in intern order: this shard's
+    /// fragment of a snapshot.
+    pub(crate) fn states(&self) -> Vec<(VertexId, S)> {
+        self.iter().map(|(v, s, _)| (v, s.clone())).collect()
     }
 
-    /// Streams every vertex record — live state, outstanding snapshot
-    /// fork, meta word, adjacency — to `f`. The checkpoint serializer's
-    /// walk (cold path; only durability-enabled shards call it).
+    /// Streams every vertex record — live state, meta word, adjacency — to
+    /// `f`. The checkpoint serializer's walk (cold path; only
+    /// durability-enabled shards call it).
     pub(crate) fn export_records(&self, f: &mut RecordVisitor<S, E>) {
-        for (i, (v, hot, adj)) in self.table.iter().enumerate() {
-            f(v, &hot.live, self.forks.get(i as LocalIdx), hot.meta, adj);
+        for (v, hot, adj) in self.table.iter() {
+            f(v, &hot.live, hot.meta, adj);
         }
     }
 
@@ -244,16 +171,12 @@ where
         &mut self,
         v: VertexId,
         live: S,
-        prev: Option<S>,
         meta: VertexMeta,
         adj: Adjacency<E>,
     ) {
         let (h, _) = self.table.intern(v);
         *self.table.state_mut(h) = HotVertex { live, meta };
         *self.table.adj_mut(h) = adj;
-        if let Some(p) = prev {
-            self.forks.insert(h, p);
-        }
     }
 }
 
@@ -268,51 +191,22 @@ mod tests {
         assert_eq!(st.num_vertices(), 1);
         assert_eq!(*st.live(h), 0);
         {
-            let (forked, parts) = st.fork_and_parts(h, 0);
-            assert!(!forked, "epoch 0 never forks");
+            let parts = st.parts(h);
             *parts.live = 7;
             parts.meta.fired |= 1;
         }
         let h = st.lookup(42).unwrap_or_else(|| unreachable!());
         assert_eq!(*st.live(h), 7);
-
-        // Fork at epoch 1, advance live, check dual-apply visibility.
         {
-            let (forked, parts) = st.fork_and_parts(h, 1);
-            assert!(forked, "first event of a new epoch forks");
+            let parts = st.parts(h);
             *parts.live = 9;
-            assert!(parts.prev.is_none(), "new-epoch event spares the fork");
-            assert_eq!(parts.meta.fired, 1, "fired bits survive the fork");
-        }
-        assert!(st.applies_to_prev(h, 0));
-        assert!(!st.applies_to_prev(h, 1));
-        {
-            let (forked, parts) = st.fork_and_parts(h, 1);
-            assert!(!forked, "same epoch must not re-fork");
-            assert!(parts.prev.is_none());
-        }
-        {
-            let (forked, parts) = st.fork_and_parts(h, 0);
-            assert!(!forked);
-            assert_eq!(parts.prev.as_deref().copied(), Some(7));
+            assert_eq!(parts.meta.fired, 1, "fired bits stay with the vertex");
         }
 
-        // Snapshot collect sees the fork, then clears it.
-        let snap = st.collect(0, false);
-        assert_eq!(snap, vec![(42, 7)]);
-        assert!(!st.applies_to_prev(h, 0), "fork cleared by the drain");
-        let live = st.collect(u32::MAX, true);
-        assert_eq!(live, vec![(42, 9)]);
-        // A later epoch forks afresh, from the state the vertex has now.
-        assert!(st.fork_and_parts(h, 2).0);
-        assert_eq!(st.fork_and_parts(h, 1).1.prev.as_deref().copied(), Some(9));
-
-        // Default-state vertices are omitted from snapshots but present in
-        // the live collection and the read-only view.
-        let h2 = st.intern(100);
-        let _ = h2;
-        let snap = st.collect(5, false);
-        assert_eq!(snap, vec![(42, 9)]);
+        // A snapshot fragment holds every vertex's live state, a vertex
+        // still in its default state too.
+        let _ = st.intern(100);
+        assert_eq!(st.states(), vec![(42, 9), (100, 0)]);
         let mut ids = st.vertex_ids();
         ids.sort_unstable();
         assert_eq!(ids, vec![42, 100]);
@@ -324,33 +218,26 @@ mod tests {
     }
 
     #[test]
-    fn export_restore_round_trips_a_fork() {
+    fn export_restore_round_trips_a_record() {
         use remo_store::EdgeMeta;
         let mut st: DenseStore<u64, EdgeMeta> = DenseStore::with_capacity(0);
         let h = st.intern(1);
         {
-            let (_, parts) = st.fork_and_parts(h, 0);
+            let parts = st.parts(h);
             *parts.live = 5;
             parts.meta.fired = 0b10;
             parts.adj.insert(2, EdgeMeta::weighted(3));
         }
-        // Fork at epoch 1 so an outstanding prev rides the checkpoint.
-        let _ = st.fork_and_parts(h, 1);
         let _ = st.intern(9);
 
         let mut restored: DenseStore<u64, EdgeMeta> = DenseStore::with_capacity(0);
-        st.export_records(&mut |v, live, prev, meta, adj| {
-            restored.restore_record(v, *live, prev.copied(), meta, adj.clone());
+        st.export_records(&mut |v, live, meta, adj| {
+            restored.restore_record(v, *live, meta, adj.clone());
         });
         assert_eq!(restored.num_vertices(), 2);
         let h = restored.lookup(1).unwrap_or_else(|| unreachable!());
         assert_eq!(*restored.live(h), 5);
-        assert!(
-            restored.applies_to_prev(h, 0),
-            "fork survives the roundtrip"
-        );
-        let (_, parts) = restored.fork_and_parts(h, 0);
-        assert_eq!(parts.prev.as_deref().copied(), Some(5));
+        let parts = restored.parts(h);
         assert_eq!(parts.meta.fired, 0b10);
         assert_eq!(parts.adj.get(2).map(|m| m.weight), Some(3));
     }
@@ -374,7 +261,7 @@ mod tests {
         let mut st: DenseStore<u64, E> = DenseStore::with_capacity(0);
         let h = st.intern(1);
         {
-            let (_, parts) = st.fork_and_parts(h, 0);
+            let parts = st.parts(h);
             for n in 0..degree + 8 {
                 parts.adj.insert_weight_min(n * 31, E::new(n + 1, 0));
             }
@@ -388,7 +275,7 @@ mod tests {
         }
 
         let mut restored: DenseStore<u64, E> = DenseStore::with_capacity(0);
-        st.export_records(&mut |v, live, prev, meta, adj| {
+        st.export_records(&mut |v, live, meta, adj| {
             let mut bytes = Vec::new();
             put_adjacency(&mut bytes, adj);
             // The format is the payload's: degree, then three words an edge.
@@ -396,7 +283,7 @@ mod tests {
             let mut r = ByteReader::new(&bytes);
             let rebuilt = get_adjacency(&mut r).unwrap_or_else(|e| panic!("{e}"));
             assert!(r.is_empty());
-            restored.restore_record(v, *live, prev.copied(), meta, rebuilt);
+            restored.restore_record(v, *live, meta, rebuilt);
         });
         let (_, before) = st.get(1).unwrap_or_else(|| unreachable!());
         let (_, after) = restored.get(1).unwrap_or_else(|| unreachable!());
@@ -410,7 +297,7 @@ mod tests {
         assert!(after.get(0).is_none(), "a removed edge stays removed");
         // The rebuilt index still finds every edge, and still dedupes.
         let h = restored.lookup(1).unwrap_or_else(|| unreachable!());
-        let (_, parts) = restored.fork_and_parts(h, 0);
+        let parts = restored.parts(h);
         for (nbr, _) in before.iter() {
             assert!(!parts.adj.insert_weight_min(nbr, E::new(u64::MAX, 0)));
         }
@@ -433,8 +320,8 @@ mod tests {
     fn dense_edges_flow_through_parts() {
         let mut st: DenseStore<u64, remo_store::Weight> = DenseStore::with_capacity(0);
         let h = st.intern(1);
-        st.fork_and_parts(h, 0).1.adj.insert(2, 4);
-        assert_eq!(st.fork_and_parts(h, 0).1.adj.degree(), 1);
+        st.parts(h).adj.insert(2, 4);
+        assert_eq!(st.parts(h).adj.degree(), 1);
         assert!(st.adjacency_heap_bytes() < st.heap_bytes());
     }
 }

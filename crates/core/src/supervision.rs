@@ -13,8 +13,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::event::Epoch;
-
 /// Structured record of one shard's death, published to the controller by
 /// the `catch_unwind` wrapper around the shard worker loop. The rest of the
 /// account outlives the thread: the shard's last published counter cell
@@ -27,18 +25,11 @@ pub struct ShardFailure {
     /// The panic payload, rendered to a string (or a synthetic description
     /// for non-panic losses such as an unresponsive shutdown).
     pub payload: String,
-    /// The last snapshot epoch the shard acknowledged before dying —
-    /// snapshots at or before this epoch were fully served by the shard.
-    pub last_epoch: Epoch,
 }
 
 impl fmt::Display for ShardFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "shard {} failed at epoch {}: {}",
-            self.id, self.last_epoch, self.payload
-        )
+        write!(f, "shard {} failed: {}", self.id, self.payload)
     }
 }
 
@@ -234,7 +225,6 @@ mod tests {
         board.record(ShardFailure {
             id: 1,
             payload: "boom".into(),
-            last_epoch: 3,
         });
         assert!(board.any_failed());
         assert!(board.is_failed(1));
@@ -243,7 +233,6 @@ mod tests {
         let snap = board.snapshot();
         assert_eq!(snap[0].id, 1);
         assert_eq!(snap[0].payload, "boom");
-        assert_eq!(snap[0].last_epoch, 3);
     }
 
     #[test]
@@ -252,7 +241,6 @@ mod tests {
         board.record(ShardFailure {
             id: 100,
             payload: "big".into(),
-            last_epoch: 0,
         });
         assert!(board.is_failed(100));
         assert!(!board.is_failed(99));
@@ -264,7 +252,6 @@ mod tests {
             failures: vec![ShardFailure {
                 id: 7,
                 payload: "oops".into(),
-                last_epoch: 2,
             }],
         };
         let s = err.to_string();

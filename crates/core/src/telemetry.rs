@@ -47,7 +47,6 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::event::Epoch;
 use crate::metrics::{LatencyHistogram, RunMetrics, ShardMetrics, HIST_BUCKETS};
 use crate::supervision::FailureBoard;
 use crate::termination::SharedCounters;
@@ -268,8 +267,6 @@ pub struct EngineGauges {
     /// Per-shard topology events handed to the shard but not yet pulled
     /// (exact at the instant of the probe). The ingest window bounds each.
     pub ingest_backlog: Vec<u64>,
-    /// Current snapshot epoch.
-    pub epoch: Epoch,
     /// Shards recorded as failed.
     pub failed_shards: u64,
 }
@@ -578,9 +575,8 @@ impl TelemetryHub {
         let (mut sent, mut proc) = (0u64, 0u64);
         for id in 0..shards {
             let slot = c.slot(id);
-            sent += slot.sent[0].load(Ordering::SeqCst) + slot.sent[1].load(Ordering::SeqCst);
-            proc +=
-                slot.processed[0].load(Ordering::SeqCst) + slot.processed[1].load(Ordering::SeqCst);
+            sent += slot.sent.load(Ordering::SeqCst);
+            proc += slot.processed.load(Ordering::SeqCst);
         }
         let ingest_backlog = (0..shards)
             .map(|s| {
@@ -597,7 +593,6 @@ impl TelemetryHub {
             held_backlog,
             in_flight: sent.saturating_sub(proc),
             ingest_backlog,
-            epoch: c.epoch.load(Ordering::SeqCst),
             failed_shards: self.shared.board.len() as u64,
         }
     }
@@ -669,12 +664,6 @@ impl TelemetryHub {
                 g.in_flight.to_string(),
             ),
             (
-                "epoch",
-                "gauge",
-                "Current snapshot epoch.",
-                g.epoch.to_string(),
-            ),
-            (
                 "failed_shards",
                 "gauge",
                 "Shards recorded as failed.",
@@ -706,7 +695,7 @@ impl TelemetryHub {
             ),
             (
                 "ingest_fixpoint_seconds",
-                "Ingest-to-fixpoint latency per settled epoch.",
+                "Ingest-to-fixpoint latency per settled burst.",
                 &m.ingest_fixpoint,
             ),
             (

@@ -4,7 +4,7 @@
 //! determined by a distributed quiescence detection algorithm" (§III-F,
 //! citing Pearce et al. \[24\]). The engine runs one detector, Mattern's
 //! *four-counter method*: every shard owns monotone `sent` / `processed`
-//! counters (per snapshot-epoch parity) on its own padded cache line,
+//! counters on its own padded cache line,
 //! published with plain atomic stores — there is **no shared
 //! read-modify-write on the data path**. The controller probes in two
 //! waves: first it sums `processed` (R), then `sent` (S); because a shard
@@ -16,24 +16,21 @@
 //! paper cites (HavoqGT's), with the controller's reads standing in for
 //! its all-reduce.
 //!
-//! The per-parity split is what the snapshot protocol (§III-D) uses to know
-//! when all events of the *previous* epoch have drained without pausing the
-//! new epoch's stream.
+//! A snapshot (§III-D) is the same probe: it waits for quiescence, then
+//! collects.
 //!
 //! The controller does not poll these counters on a timer. It waits on a
 //! [`Bell`] that shards ring at the transitions it waits for (a park, an
-//! epoch ack, a thread exit) and re-runs the same probe on every wake.
+//! emptied chunk, a thread exit) and re-runs the same probe on every wake.
 
-use crate::event::Epoch;
 use crate::transport::CachePadded;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Longest a controller wait sleeps without a ring. It bounds a deadline's
 /// overshoot and the wait for any condition that turns true without a
-/// ring (a thread that exits after its last ring, an old epoch that drains
-/// while ingest keeps every shard awake).
+/// ring (a thread that exits after its last ring).
 pub(crate) const HEARTBEAT: Duration = Duration::from_millis(1);
 
 /// A soft deadline for supervised waits. `None` never expires — the
@@ -120,38 +117,33 @@ impl Bell {
 /// reads it.
 #[derive(Debug, Default)]
 pub struct ShardSlots {
-    /// Envelopes created, by epoch parity. Published **before** the
-    /// envelope can be received anywhere (the four-counter soundness
-    /// condition).
-    pub sent: [AtomicU64; 2],
+    /// Envelopes created. Published **before** the envelope can be
+    /// received anywhere (the four-counter soundness condition).
+    pub sent: AtomicU64,
     /// Envelopes fully processed (including the publication of any derived
-    /// envelopes), by epoch parity.
-    pub processed: [AtomicU64; 2],
+    /// envelopes).
+    pub processed: AtomicU64,
     /// Topology events pulled from this shard's input streams.
     pub ingested: AtomicU64,
     /// Topology events handed to this shard (controller-written, before
     /// the chunk that carries them is sent). `fed − ingested` is what
     /// waits unpulled: the ingest window bounds it.
     pub fed: AtomicU64,
-    /// Last epoch this shard has observed (snapshot barrier ack).
-    pub epoch_ack: AtomicU32,
 }
 
-/// Engine-wide bookkeeping: the epoch cell and one padded [`ShardSlots`]
-/// per shard. Every envelope is created by a shard: the controller's
+/// Engine-wide bookkeeping: the recovery gate, the bell and one padded
+/// [`ShardSlots`] per shard. Every envelope is created by a shard: the controller's
 /// inputs, `Init`s included, are pulls, counted by `fed` and `ingested`.
 #[derive(Debug)]
 pub struct SharedCounters {
-    /// Current snapshot epoch; stream events are tagged with this.
-    pub epoch: AtomicU32,
     /// Shards currently between a custody sweep and the end of their
     /// WAL replay. The sweep retires every swept envelope against the
     /// books (they balance) *before* replay has regenerated the swept
     /// work, so the four-counter reading alone is no longer a fixpoint
     /// witness in that window — the probe refuses while this is nonzero.
     recovering: AtomicU64,
-    /// Rung by shards at a park that may be the last, an epoch ack and
-    /// an exit.
+    /// Rung by shards at a park that may be the last, an emptied chunk
+    /// and an exit.
     pub bell: Bell,
     slots: Vec<CachePadded<ShardSlots>>,
 }
@@ -160,7 +152,6 @@ impl SharedCounters {
     /// Counters for `shards` shards.
     pub fn new(shards: usize) -> Self {
         SharedCounters {
-            epoch: AtomicU32::new(0),
             recovering: AtomicU64::new(0),
             bell: Bell::default(),
             slots: (0..shards)
@@ -198,17 +189,17 @@ impl SharedCounters {
         self.recovering.load(Ordering::SeqCst) != 0
     }
 
-    fn sum_processed(&self, parity: usize) -> u64 {
+    fn sum_processed(&self) -> u64 {
         self.slots
             .iter()
-            .map(|s| s.processed[parity].load(Ordering::SeqCst))
+            .map(|s| s.processed.load(Ordering::SeqCst))
             .sum()
     }
 
-    fn sum_sent(&self, parity: usize) -> u64 {
+    fn sum_sent(&self) -> u64 {
         self.slots
             .iter()
-            .map(|s| s.sent[parity].load(Ordering::SeqCst))
+            .map(|s| s.sent.load(Ordering::SeqCst))
             .sum()
     }
 
@@ -236,9 +227,9 @@ impl SharedCounters {
             return false;
         }
         // Wave 1: received/processed counts (R).
-        let r = [self.sum_processed(0), self.sum_processed(1)];
+        let r = self.sum_processed();
         // Wave 2: sent counts (S) — strictly after wave 1.
-        let s = [self.sum_sent(0), self.sum_sent(1)];
+        let s = self.sum_sent();
         if s != r {
             return false;
         }
@@ -249,21 +240,6 @@ impl SharedCounters {
         // mid-recovery balance is always rejected. (A nonzero reading is
         // a false negative at worst; the probe retries.)
         !self.recovering()
-    }
-
-    /// Four-counter probe restricted to one epoch's parity class — used by
-    /// the snapshot protocol to wait for the old epoch to drain. Only sound
-    /// once no *new* events of that parity can be born (the epoch-ack
-    /// barrier guarantees that for stream events; cascades of the old epoch
-    /// are covered by the counters themselves).
-    pub fn drained_probe(&self, epoch: Epoch) -> bool {
-        let p = (epoch & 1) as usize;
-        let r = self.sum_processed(p);
-        let s = self.sum_sent(p);
-        // Same recovery gate as `quiescent_probe`: a sweep retires the
-        // old parity's swept envelopes too, so a mid-recovery "drained"
-        // reading would let a snapshot cut before replay re-derives them.
-        s == r && !self.recovering()
     }
 }
 
@@ -276,8 +252,8 @@ mod tests {
     struct Sim<'a> {
         c: &'a SharedCounters,
         id: usize,
-        sent: [u64; 2],
-        processed: [u64; 2],
+        sent: u64,
+        processed: u64,
     }
 
     impl<'a> Sim<'a> {
@@ -285,19 +261,20 @@ mod tests {
             Sim {
                 c,
                 id,
-                sent: [0; 2],
-                processed: [0; 2],
+                sent: 0,
+                processed: 0,
             }
         }
-        fn send(&mut self, epoch: Epoch) {
-            let p = (epoch & 1) as usize;
-            self.sent[p] += 1;
-            self.c.slot(self.id).sent[p].store(self.sent[p], Ordering::SeqCst);
+        fn send(&mut self) {
+            self.sent += 1;
+            self.c.slot(self.id).sent.store(self.sent, Ordering::SeqCst);
         }
-        fn process(&mut self, epoch: Epoch) {
-            let p = (epoch & 1) as usize;
-            self.processed[p] += 1;
-            self.c.slot(self.id).processed[p].store(self.processed[p], Ordering::SeqCst);
+        fn process(&mut self) {
+            self.processed += 1;
+            self.c
+                .slot(self.id)
+                .processed
+                .store(self.processed, Ordering::SeqCst);
         }
     }
 
@@ -362,25 +339,10 @@ mod tests {
         let c = SharedCounters::new(2);
         assert!(c.quiescent_probe(), "empty system is quiescent");
         let mut s0 = Sim::new(&c, 0);
-        s0.send(0);
+        s0.send();
         assert!(!c.quiescent_probe(), "in-flight envelope detected");
-        s0.process(0);
+        s0.process();
         assert!(c.quiescent_probe());
-    }
-
-    #[test]
-    fn parity_classes_are_independent() {
-        let c = SharedCounters::new(1);
-        let mut s = Sim::new(&c, 0);
-        s.send(2); // parity 0
-        s.send(3); // parity 1
-        assert!(!c.drained_probe(2));
-        assert!(!c.drained_probe(3));
-        s.process(2);
-        assert!(c.drained_probe(2));
-        assert!(!c.drained_probe(3));
-        s.process(3);
-        assert!(c.drained_probe(3));
     }
 
     #[test]

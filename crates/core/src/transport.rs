@@ -576,7 +576,6 @@ mod tests {
             value: 0,
             weight: 1,
             kind: EventKind::Update,
-            epoch: 0,
             tag: 0,
         }
     }

@@ -15,7 +15,7 @@
 //!   callbacks are monotone and join-idempotent, so at-least-once replay
 //!   converges to the same fixpoint — see DESIGN.md §14).
 //! - `checkpoint.bin` — a point-in-time image of the shard's vertex store
-//!   (states, forks, metas, adjacency), written only at *idle* (all queues
+//!   (states, metas, adjacency), written only at *idle* (all queues
 //!   drained), so the checkpoint plus the WAL tail is always a complete
 //!   description of the shard. Checkpoints are published atomically: body
 //!   to `checkpoint.tmp`, fsync, rename, fsync the directory — a crash at
@@ -37,10 +37,12 @@
 //!
 //! WAL records are length-prefixed frames: `len: u32 | crc32: u32 |
 //! payload`, CRC over the payload. A pull frame's payload is `tag | op:
-//! u8 | epoch: u32 | index: u64 | src | dst | weight`, and its op byte
-//! says what was pulled: 0 an edge add, 1 an edge removal, 2 an `Init` of
-//! `src`, and 3, 4, 5 a Prime, Flood or Clear control op whose mask is
-//! `src`. Any other op byte fails the read. On open the log is scanned
+//! u8 | index: u64 | src | dst | weight`, and its op byte says what was
+//! pulled: 0 an edge add, 1 an edge removal, 2 an `Init` of `src`, and 3,
+//! 4, 5 a Prime, Flood or Clear control op whose mask is `src`. An
+//! envelope frame's is `tag | kind: u8 | target | visitor | weight |
+//! trace tag | state bytes`. Any other op byte, and a frame with bytes
+//! left over after its fields, fails the read. On open the log is scanned
 //! front-to-back and truncated at the first frame whose length or CRC does
 //! not check out (torn tail from a mid-write crash).
 
@@ -51,7 +53,7 @@ use std::path::{Path, PathBuf};
 
 use crate::algorithm::Algorithm;
 use crate::config::EngineConfig;
-use crate::event::{Envelope, Epoch, EventKind, Pull};
+use crate::event::{Envelope, EventKind, Pull};
 use crate::metrics::ShardMetrics;
 use crate::storage::DenseStore;
 use crate::vertex_state::VertexMeta;
@@ -176,7 +178,6 @@ impl<'a> ByteReader<'a> {
         ByteReader { buf, pos: 0 }
     }
 
-    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()
     }
@@ -267,15 +268,13 @@ pub(crate) fn get_adjacency<E: EdgeData>(r: &mut ByteReader<'_>) -> io::Result<A
 /// degrades exactly as with durability off.
 const MAX_RESPAWNS: u32 = 3;
 
-/// One WAL record, decoded for replay (epochs already zeroed on a cold
-/// start).
+/// One WAL record, decoded for replay.
 pub(crate) enum Replay<S> {
     /// An envelope the shard accepted from a peer, with its trace tag, so
     /// a replayed envelope keeps its trace identity.
     Envelope(Envelope<S>),
-    /// A pull from the shard's input stream, with its stream index and
-    /// the epoch it was tagged with at ingestion.
-    Pull(Pull, u64, Epoch),
+    /// A pull from the shard's input stream, with its stream index.
+    Pull(Pull, u64),
 }
 
 /// One durable shard's custody, whole: its WAL handle and the frames not
@@ -299,17 +298,13 @@ pub(crate) struct Custody<A: Algorithm> {
     /// Envelopes logged and committed but not yet handed out for
     /// processing (see [`Custody::admit`]).
     inbox: VecDeque<Envelope<A::State>>,
-    /// Epoch of the counted envelope being processed right now: the
-    /// post-panic sweep must retire that half-processed envelope too.
-    in_process: Option<Epoch>,
+    /// A counted envelope is being processed right now: the post-panic
+    /// sweep must retire that half-processed envelope too.
+    in_process: bool,
     /// Custody records since the last published checkpoint.
     since_ckpt: u64,
     /// Set by cold-start detection or the sweep; cleared once replay ends.
     recovering: bool,
-    /// True for the first recovery of a re-opened engine: the previous
-    /// process's epoch timeline is meaningless here, so restore clears
-    /// forks and replays everything at epoch 0.
-    cold: bool,
     /// Respawns spent, of [`MAX_RESPAWNS`].
     respawns: u32,
 }
@@ -341,10 +336,9 @@ impl<A: Algorithm> Custody<A> {
             buf: Vec::new(),
             scratch: Vec::new(),
             inbox: VecDeque::new(),
-            in_process: None,
+            in_process: false,
             since_ckpt: 0,
             recovering: cold,
-            cold,
             respawns: 0,
         })
     }
@@ -400,21 +394,18 @@ impl<A: Algorithm> Custody<A> {
         self.buf.clear();
     }
 
-    /// Custody point: a pull run. Logs each pull with its stream index and
-    /// the epoch the run is tagged with, and commits once, before the first
-    /// envelope any of them spawns exists and before a control pull's
-    /// sweep runs.
+    /// Custody point: a pull run. Logs each pull with its stream index,
+    /// and commits once, before the first envelope any of them spawns
+    /// exists and before a control pull's sweep runs.
     pub(crate) fn log_pulls(
         &mut self,
         run: impl Iterator<Item = (Pull, u64)>,
-        epoch: Epoch,
         m: &mut ShardMetrics,
     ) {
         for (pull, index) in run {
             let (op, words) = pull.encode();
             let start = self.begin_frame(TAG_PULL);
             self.buf.push(op);
-            put_u32(&mut self.buf, epoch);
             put_u64(&mut self.buf, index);
             for w in words {
                 put_u64(&mut self.buf, w);
@@ -437,7 +428,6 @@ impl<A: Algorithm> Custody<A> {
             A::encode_state(&env.value, &mut self.scratch);
             let start = self.begin_frame(TAG_ENVELOPE);
             self.buf.push(env.kind.as_u8());
-            put_u32(&mut self.buf, env.epoch);
             put_u64(&mut self.buf, env.target);
             put_u64(&mut self.buf, env.visitor);
             put_u64(&mut self.buf, env.weight);
@@ -454,9 +444,9 @@ impl<A: Algorithm> Custody<A> {
         self.inbox.pop_front()
     }
 
-    /// Marks the counted envelope being processed (`None` once it is).
-    pub(crate) fn mark_in_process(&mut self, epoch: Option<Epoch>) {
-        self.in_process = epoch;
+    /// Marks a counted envelope in process (`false` once it is done).
+    pub(crate) fn mark_in_process(&mut self, on: bool) {
+        self.in_process = on;
     }
 
     /// Custody point: a checkpoint is due when the WAL has grown past the
@@ -476,33 +466,22 @@ impl<A: Algorithm> Custody<A> {
     pub(crate) fn checkpoint(
         &mut self,
         store: &Store<A>,
-        header: (u64, Epoch, u64, u64),
+        header: (u64, u64, u64),
         m: &mut ShardMetrics,
     ) {
-        let (seq, epoch, edges, streamed) = header;
+        let (seq, edges, streamed) = header;
         let mut body = Vec::with_capacity(64 + store.num_vertices() * 48);
         put_u64(&mut body, seq);
-        put_u32(&mut body, epoch);
         put_u64(&mut body, edges);
         put_u64(&mut body, streamed);
         put_u64(&mut body, store.num_vertices() as u64);
         let scratch = &mut self.scratch;
-        store.export_records(&mut |v, live, prev, meta, adj| {
+        store.export_records(&mut |v, live, meta, adj| {
             put_u64(&mut body, v);
-            put_u32(&mut body, meta.forked_epoch);
             put_u32(&mut body, meta.fired);
             scratch.clear();
             A::encode_state(live, scratch);
             put_bytes(&mut body, scratch);
-            match prev {
-                Some(p) => {
-                    body.push(1);
-                    scratch.clear();
-                    A::encode_state(p, scratch);
-                    put_bytes(&mut body, scratch);
-                }
-                None => body.push(0),
-            }
             put_adjacency(&mut body, adj);
         });
         let (root, shard) = (&self.root, self.shard);
@@ -526,10 +505,8 @@ impl<A: Algorithm> Custody<A> {
     /// Recovery, inside the supervised region: replaces `store` with the
     /// latest published checkpoint (an empty store when none exists yet),
     /// raises `seq` and `streamed` to the checkpoint's, sets `edges`, and
-    /// returns the WAL tail to replay. On a cold start the previous
-    /// process's epoch timeline is void: forks are dropped and every epoch
-    /// zeroed; fired-trigger bits survive either way so at-most-once firing
-    /// spans the restart.
+    /// returns the WAL tail to replay. Fired-trigger bits ride the
+    /// checkpoint, so at-most-once firing spans a restart.
     #[cold]
     pub(crate) fn restore(
         &mut self,
@@ -538,18 +515,18 @@ impl<A: Algorithm> Custody<A> {
         edges: &mut u64,
         streamed: &mut u64,
     ) -> Vec<Replay<A::State>> {
-        let (cold, shard) = (std::mem::take(&mut self.cold), self.shard);
+        let shard = self.shard;
         *store = DenseStore::with_capacity(0);
         *edges = 0;
         if let Some(body) = or_die(read_checkpoint(&self.root, shard), "checkpoint read", shard) {
-            let image = decode_checkpoint::<A>(&body, cold);
+            let image = decode_checkpoint::<A>(&body);
             let (header, image) = or_die(image, "checkpoint decode", shard);
             *store = image;
             *seq = (*seq).max(header.seq);
             *edges = header.edges;
             *streamed = (*streamed).max(header.streamed);
         }
-        or_die(read_wal::<A>(&self.root, shard, cold), "WAL read", shard)
+        or_die(read_wal::<A>(&self.root, shard), "WAL read", shard)
     }
 
     /// Replay of `replayed` records ended. They are all still in the WAL
@@ -572,14 +549,14 @@ impl<A: Algorithm> Custody<A> {
     /// IO, no user code). Marks the shard recovering — `true` when that is
     /// new, and the caller must raise the recovery gate before it retires
     /// anything — drops the frames not yet committed (they belong to
-    /// envelopes being retired; replay must not see them), and returns the
-    /// epochs of the envelopes custody still held: the half-processed one
-    /// and every admitted one not yet processed.
-    pub(crate) fn sweep(&mut self) -> (bool, Vec<Epoch>) {
+    /// envelopes being retired; replay must not see them), and returns how
+    /// many envelopes custody still held: the half-processed one and every
+    /// admitted one not yet processed.
+    pub(crate) fn sweep(&mut self) -> (bool, usize) {
         let gate = !std::mem::replace(&mut self.recovering, true);
         self.buf.clear();
-        let mut held: Vec<Epoch> = self.in_process.take().into_iter().collect();
-        held.extend(self.inbox.drain(..).map(|e| e.epoch));
+        let held = usize::from(std::mem::take(&mut self.in_process)) + self.inbox.len();
+        self.inbox.clear();
         (gate, held)
     }
 
@@ -651,57 +628,72 @@ fn open_wal(root: &Path, shard: usize) -> io::Result<File> {
     Ok(file)
 }
 
-/// Reads and decodes every valid record in a shard's WAL (bounded by the
-/// checkpoint interval, so an in-memory `Vec` is fine), at epoch 0 when
-/// `cold`. Stops cleanly at a torn tail.
-fn read_wal<A: Algorithm>(
-    root: &Path,
-    shard: usize,
-    cold: bool,
-) -> io::Result<Vec<Replay<A::State>>> {
-    let bytes = wal_bytes(root, shard)?;
-    let at = |epoch: Epoch| if cold { 0 } else { epoch };
-    let mut out = Vec::new();
-    for payload in frames(&bytes) {
-        let mut r = ByteReader::new(payload);
-        out.push(match r.u8()? {
-            TAG_ENVELOPE => {
-                let kind = r.u8()?;
-                let kind = EventKind::from_u8(kind)
-                    .ok_or_else(|| invalid(&format!("unknown envelope kind {kind}")))?;
-                let epoch = at(r.u32()?);
-                let (target, visitor, weight, tag) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
-                let value = A::decode_state(r.bytes()?);
-                Replay::Envelope(Envelope {
-                    target,
-                    visitor,
-                    value,
-                    weight,
-                    kind,
-                    epoch,
-                    tag,
-                })
-            }
-            TAG_PULL => {
-                let op = r.u8()?;
-                let epoch = at(r.u32()?);
-                let index = r.u64()?;
-                let words = [r.u64()?, r.u64()?, r.u64()?];
-                let pull = Pull::decode(op, words)
-                    .ok_or_else(|| invalid(&format!("unknown pull op {op}")))?;
-                Replay::Pull(pull, index, epoch)
-            }
-            t => return Err(invalid(&format!("unknown WAL record tag {t}"))),
-        });
+/// Parses one frame's payload, its state left encoded: no algorithm code
+/// runs, so the controller can read a WAL before any shard starts. Every
+/// field must be there and nothing after them: a frame of another layout
+/// (one written before the pull and envelope frames lost their 4-byte
+/// epoch, say) fails here instead of being misread.
+fn parse_frame(payload: &[u8]) -> io::Result<Replay<&[u8]>> {
+    let mut r = ByteReader::new(payload);
+    let record = match r.u8()? {
+        TAG_ENVELOPE => {
+            let kind = r.u8()?;
+            let kind = EventKind::from_u8(kind)
+                .ok_or_else(|| invalid(&format!("unknown envelope kind {kind}")))?;
+            let (target, visitor, weight, tag) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+            Replay::Envelope(Envelope {
+                target,
+                visitor,
+                value: r.bytes()?,
+                weight,
+                kind,
+                tag,
+            })
+        }
+        TAG_PULL => {
+            let op = r.u8()?;
+            let index = r.u64()?;
+            let words = [r.u64()?, r.u64()?, r.u64()?];
+            let pull =
+                Pull::decode(op, words).ok_or_else(|| invalid(&format!("unknown pull op {op}")))?;
+            Replay::Pull(pull, index)
+        }
+        t => return Err(invalid(&format!("unknown WAL record tag {t}"))),
+    };
+    if !r.is_empty() {
+        return Err(invalid("a WAL frame has bytes left over"));
     }
-    Ok(out)
+    Ok(record)
+}
+
+/// Reads and decodes every valid record in a shard's WAL (bounded by the
+/// checkpoint interval, so an in-memory `Vec` is fine). Stops cleanly at a
+/// torn tail.
+fn read_wal<A: Algorithm>(root: &Path, shard: usize) -> io::Result<Vec<Replay<A::State>>> {
+    let bytes = wal_bytes(root, shard)?;
+    frames(&bytes)
+        .map(|payload| {
+            Ok(match parse_frame(payload)? {
+                Replay::Envelope(e) => Replay::Envelope(Envelope {
+                    target: e.target,
+                    visitor: e.visitor,
+                    value: A::decode_state(e.value),
+                    weight: e.weight,
+                    kind: e.kind,
+                    tag: e.tag,
+                }),
+                Replay::Pull(pull, index) => Replay::Pull(pull, index),
+            })
+        })
+        .collect()
 }
 
 // ---- checkpoints -----------------------------------------------------
 
 const CKPT_MAGIC: u32 = 0x524D_4350; // "RMCP"
-/// Version 2 added the header's stream index.
-const CKPT_VERSION: u32 = 2;
+/// Version 2 added the header's stream index; version 3 dropped the
+/// header's and every record's snapshot epoch and the record's fork.
+const CKPT_VERSION: u32 = 3;
 
 fn ckpt_path(root: &Path, shard: usize) -> PathBuf {
     shard_dir(root, shard).join("checkpoint.bin")
@@ -770,8 +762,8 @@ fn ckpt_preamble(r: &mut ByteReader<'_>) -> io::Result<(u32, usize)> {
 /// has none), read without the body: the restore that follows reads the
 /// whole checkpoint and checks its CRC.
 fn checkpoint_streamed(root: &Path, shard: usize) -> io::Result<u64> {
-    // The preamble, then the header's seq, epoch, edges and streamed.
-    let mut head = [0u8; 16 + 28];
+    // The preamble, then the header's seq, edges and streamed.
+    let mut head = [0u8; 16 + 24];
     match File::open(ckpt_path(root, shard)) {
         Ok(mut f) => f.read_exact(&mut head)?,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
@@ -792,7 +784,6 @@ struct CkptHeader {
 
 fn decode_header(r: &mut ByteReader<'_>) -> io::Result<CkptHeader> {
     let seq = r.u64()?;
-    let _epoch = r.u32()?;
     let edges = r.u64()?;
     let streamed = r.u64()?;
     Ok(CkptHeader {
@@ -802,9 +793,8 @@ fn decode_header(r: &mut ByteReader<'_>) -> io::Result<CkptHeader> {
     })
 }
 
-/// Decodes a checkpoint body into its header and store; on a `cold` start
-/// without forks or fork epochs.
-fn decode_checkpoint<A: Algorithm>(body: &[u8], cold: bool) -> io::Result<(CkptHeader, Store<A>)> {
+/// Decodes a checkpoint body into its header and store.
+fn decode_checkpoint<A: Algorithm>(body: &[u8]) -> io::Result<(CkptHeader, Store<A>)> {
     let mut r = ByteReader::new(body);
     let header = decode_header(&mut r)?;
     let vertices = r.u64()?;
@@ -814,20 +804,10 @@ fn decode_checkpoint<A: Algorithm>(body: &[u8], cold: bool) -> io::Result<(CkptH
     let mut store = DenseStore::with_capacity(records.min(body.len()));
     for _ in 0..vertices {
         let v = r.u64()?;
-        let forked_epoch = r.u32()?;
         let fired = r.u32()?;
         let live = A::decode_state(r.bytes()?);
-        let prev = if r.u8()? == 1 {
-            Some(A::decode_state(r.bytes()?))
-        } else {
-            None
-        };
         let adj = get_adjacency(&mut r)?;
-        let meta = VertexMeta {
-            forked_epoch: if cold { 0 } else { forked_epoch },
-            fired,
-        };
-        store.restore_record(v, live, prev.filter(|_| !cold), meta, adj);
+        store.restore_record(v, live, VertexMeta { fired }, adj);
     }
     Ok((header, store))
 }
@@ -837,21 +817,21 @@ fn decode_checkpoint<A: Algorithm>(body: &[u8], cold: bool) -> io::Result<(CkptH
 /// directory, or with durability off). Read before any shard starts, so
 /// the first ingest call after [`crate::Engine::open`] cannot reuse an
 /// index whose label is already in the recovered state. It reads each
-/// checkpoint's header and each WAL's pull frames only: no state is
-/// decoded, so no algorithm code runs outside a shard's supervision.
+/// checkpoint's header and parses each WAL frame ([`parse_frame`]): no
+/// state is decoded, so no algorithm code runs outside a shard's
+/// supervision, and a frame that does not parse fails the open.
 pub(crate) fn resume_index(config: &EngineConfig) -> Result<u64, String> {
     let Some(d) = &config.durability else {
         return Ok(0);
     };
     let shard_index = |shard: usize| -> io::Result<u64> {
         let ckpt = checkpoint_streamed(&d.dir, shard)?;
-        frames(&wal_bytes(&d.dir, shard)?)
-            .filter(|payload| payload.first() == Some(&TAG_PULL))
-            .try_fold(ckpt, |next, payload| {
-                let mut r = ByteReader::new(payload);
-                r.take(6)?; // the tag, the op and the epoch
-                Ok(next.max(r.u64()? + 1))
+        frames(&wal_bytes(&d.dir, shard)?).try_fold(ckpt, |next, payload| {
+            Ok(match parse_frame(payload)? {
+                Replay::Pull(_, index) => next.max(index + 1),
+                Replay::Envelope(_) => next,
             })
+        })
     };
     (0..config.num_shards).try_fold(0, |next, shard| {
         shard_index(shard).map(|n| next.max(n)).map_err(|e| {
@@ -947,14 +927,13 @@ mod tests {
         c
     }
 
-    fn update(target: u64, epoch: Epoch, tag: u64) -> Envelope<u64> {
+    fn update(target: u64, tag: u64) -> Envelope<u64> {
         Envelope {
             target,
             visitor: target + 10,
             value: 42,
             weight: 7,
             kind: EventKind::Update,
-            epoch,
             tag,
         }
     }
@@ -1000,7 +979,7 @@ mod tests {
         let mut m = ShardMetrics::default();
         let mut c = custody(&root, 0);
         assert!(!c.recovering(), "a fresh directory is no cold start");
-        c.admit([update(10, 1, (99 << 8) | 2)], &mut m);
+        c.admit([update(10, (99 << 8) | 2)], &mut m);
         let removal = Pull::Topo(TopoEvent {
             src: 1,
             dst: 2,
@@ -1012,31 +991,27 @@ mod tests {
             mask: 0b101,
         });
         let pulls = [(removal, 17), (Pull::Init(6), 18), (flood, 19)];
-        c.log_pulls(pulls.into_iter(), 4, &mut m);
+        c.log_pulls(pulls.into_iter(), &mut m);
         assert_eq!(m.wal_records_appended, 4);
         assert_eq!(m.wal_bytes, fs::metadata(wal_path(&root, 0)).unwrap().len());
 
-        let recs = read_wal::<Level>(&root, 0, false).unwrap();
+        let recs = read_wal::<Level>(&root, 0).unwrap();
         assert_eq!(recs.len(), 4);
         let Replay::Envelope(e) = &recs[0] else {
             panic!("expected envelope record");
         };
         assert_eq!(
-            (e.kind, e.epoch, e.target, e.visitor, e.weight, e.tag, e.value),
-            (EventKind::Update, 1, 10, 20, 7, (99 << 8) | 2, 42)
+            (e.kind, e.target, e.visitor, e.weight, e.tag, e.value),
+            (EventKind::Update, 10, 20, 7, (99 << 8) | 2, 42)
         );
-        let pulled: Vec<(Pull, u64, Epoch)> = recs[1..]
+        let pulled: Vec<(Pull, u64)> = recs[1..]
             .iter()
             .map(|rec| match rec {
-                Replay::Pull(pull, index, epoch) => (*pull, *index, *epoch),
+                Replay::Pull(pull, index) => (*pull, *index),
                 Replay::Envelope(_) => panic!("expected pull records"),
             })
             .collect();
-        assert_eq!(pulled, pulls.map(|(pull, index)| (pull, index, 4)));
-        // A cold read zeroes every epoch.
-        let cold = read_wal::<Level>(&root, 0, true).unwrap();
-        assert!(matches!(&cold[0], Replay::Envelope(e) if e.epoch == 0));
-        assert!(matches!(cold[1], Replay::Pull(_, 17, 0)));
+        assert_eq!(pulled, pulls);
 
         // A checkpoint waits for the admitted envelope, then truncates the
         // WAL; restore reads its image back.
@@ -1045,10 +1020,10 @@ mod tests {
         assert!(c.checkpoint_due(true) && !c.checkpoint_due(false));
         let mut store: DenseStore<u64, ()> = DenseStore::with_capacity(0);
         let h = store.intern(7);
-        *store.fork_and_parts(h, 0).1.live = 5;
-        c.checkpoint(&store, (11, 0, 3, 18), &mut m);
+        *store.parts(h).live = 5;
+        c.checkpoint(&store, (11, 3, 18), &mut m);
         assert_eq!(m.checkpoints_written, 1);
-        assert!(read_wal::<Level>(&root, 0, false).unwrap().is_empty());
+        assert!(read_wal::<Level>(&root, 0).unwrap().is_empty());
         let (mut restored, mut seq, mut edges, mut streamed) =
             (DenseStore::with_capacity(0), 2, 0, 0);
         assert!(c
@@ -1074,11 +1049,11 @@ mod tests {
         let mut m = ShardMetrics::default();
         let pull = Pull::Init(1);
         let mut c = custody(&root, 0);
-        c.checkpoint(&DenseStore::with_capacity(0), (1, 0, 0, 40), &mut m);
-        c.log_pulls([(pull, 7)].into_iter(), 0, &mut m);
+        c.checkpoint(&DenseStore::with_capacity(0), (1, 0, 40), &mut m);
+        c.log_pulls([(pull, 7)].into_iter(), &mut m);
         assert_eq!(resume_index(&config), Ok(40), "the checkpoint's");
         let mut c = custody(&root, 1);
-        c.log_pulls([(pull, 52), (pull, 9)].into_iter(), 0, &mut m);
+        c.log_pulls([(pull, 52), (pull, 9)].into_iter(), &mut m);
         assert_eq!(resume_index(&config), Ok(53), "shard 1's WAL");
         let _ = fs::remove_dir_all(&root);
     }
@@ -1090,7 +1065,7 @@ mod tests {
         let root = tmp_root("pull-op");
         let mut m = ShardMetrics::default();
         let mut c = custody(&root, 0);
-        c.log_pulls([(Pull::Init(3), 0)].into_iter(), 0, &mut m);
+        c.log_pulls([(Pull::Init(3), 0)].into_iter(), &mut m);
         let path = wal_path(&root, 0);
         let mut bytes = fs::read(&path).unwrap();
         // The op byte follows the frame header and the tag; re-seal the CRC.
@@ -1115,11 +1090,46 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// A pull frame in the layout of checkpoint version 2 and before (a
+    /// 4-byte epoch between the op byte and the stream index) has four
+    /// bytes left over: the read fails, and so does the open, instead of
+    /// replaying a pull at a misread index.
+    #[test]
+    fn an_old_layout_pull_frame_fails_the_read_and_the_open() {
+        let root = tmp_root("old-pull");
+        let (op, words) = Pull::Init(3).encode();
+        let mut payload = vec![TAG_PULL, op];
+        put_u32(&mut payload, 0); // the epoch
+        put_u64(&mut payload, 5);
+        for w in words {
+            put_u64(&mut payload, w);
+        }
+        let mut frame = Vec::new();
+        put_u32(&mut frame, payload.len() as u32);
+        put_u32(&mut frame, crc32(&payload));
+        frame.extend_from_slice(&payload);
+        fs::create_dir_all(shard_dir(&root, 0)).unwrap();
+        fs::write(wal_path(&root, 0), &frame).unwrap();
+        assert_eq!(valid_prefix(&frame), frame.len() as u64, "an intact frame");
+
+        let err = read_wal::<Level>(&root, 0).err().expect("the read fails");
+        assert!(err.to_string().contains("left over"), "{err}");
+        let config =
+            EngineConfig::directed(1).with_durability(DurabilityConfig::new(&root).fsync(false));
+        assert!(resume_index(&config).is_err());
+        let opened = crate::Engine::open(Level, config);
+        assert!(
+            matches!(opened, Err(crate::EngineError::DurabilityMismatch { .. })),
+            "the open must refuse the WAL"
+        );
+        let _ = fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn torn_tail_is_truncated_on_open() {
         let root = tmp_root("torn");
         let mut m = ShardMetrics::default();
-        custody(&root, 1).admit([update(5, 0, 0)], &mut m);
+        custody(&root, 1).admit([update(5, 0)], &mut m);
         // Simulate a crash mid-append: garbage half-frame at the end.
         let path = wal_path(&root, 1);
         let mut bytes = fs::read(&path).unwrap();
@@ -1134,10 +1144,10 @@ mod tests {
             good as u64,
             "tail truncated"
         );
-        assert_eq!(read_wal::<Level>(&root, 1, false).unwrap().len(), 1);
+        assert_eq!(read_wal::<Level>(&root, 1).unwrap().len(), 1);
         // Appends after recovery land where the valid prefix ended.
-        c.admit([update(7, 0, 0)], &mut m);
-        assert_eq!(read_wal::<Level>(&root, 1, false).unwrap().len(), 2);
+        c.admit([update(7, 0)], &mut m);
+        assert_eq!(read_wal::<Level>(&root, 1).unwrap().len(), 2);
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -1146,20 +1156,20 @@ mod tests {
         let root = tmp_root("sweep");
         let mut m = ShardMetrics::default();
         let mut c = custody(&root, 0);
-        c.admit([update(1, 0, 0), update(2, 1, 0), update(3, 1, 0)], &mut m);
-        let first = c.take_admitted().unwrap();
-        c.mark_in_process(Some(first.epoch));
+        c.admit([update(1, 0), update(2, 0), update(3, 0)], &mut m);
+        assert_eq!(c.take_admitted().map(|e| e.target), Some(1));
+        c.mark_in_process(true);
         // A frame appended but never committed, as a panic mid-append
         // leaves it.
         let start = c.begin_frame(TAG_PULL);
         c.end_frame(start, &mut m);
         let (gate, held) = c.sweep();
         assert!(gate && c.recovering());
-        assert_eq!(held, [0, 1, 1], "the half-processed one, then the inbox");
+        assert_eq!(held, 3, "the half-processed one and the inbox");
         assert!(c.take_admitted().is_none());
-        assert_eq!(c.sweep(), (false, Vec::new()), "one gate per recovery");
-        c.log_pulls([(Pull::Init(1), 0)].into_iter(), 0, &mut m);
-        assert_eq!(read_wal::<Level>(&root, 0, false).unwrap().len(), 4);
+        assert_eq!(c.sweep(), (false, 0), "one gate per recovery");
+        c.log_pulls([(Pull::Init(1), 0)].into_iter(), &mut m);
+        assert_eq!(read_wal::<Level>(&root, 0).unwrap().len(), 4);
         assert!(c.abandon() && !c.abandon());
         let _ = fs::remove_dir_all(&root);
     }
@@ -1244,16 +1254,16 @@ mod tests {
         let mut m = ShardMetrics::default();
         let mut store: DenseStore<u64, ()> = DenseStore::with_capacity(0);
         let h = store.intern(7);
-        *store.fork_and_parts(h, 0).1.live = 5;
-        c.checkpoint(&store, (1, 0, 0, 0), &mut m);
+        *store.parts(h).live = 5;
+        c.checkpoint(&store, (1, 0, 0), &mut m);
 
-        c.admit([update(8, 0, 0)], &mut m);
+        c.admit([update(8, 0)], &mut m);
         c.take_admitted();
         let h = store.intern(8);
-        *store.fork_and_parts(h, 0).1.live = 42;
+        *store.parts(h).live = 42;
         ENCODES_LEFT.store(1, Relaxed);
         let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            c.checkpoint(&store, (2, 0, 0, 0), &mut m);
+            c.checkpoint(&store, (2, 0, 0), &mut m);
         }));
         assert!(crashed.is_err(), "the second state's encoding panics");
         assert_eq!(m.checkpoints_written, 1);
@@ -1269,7 +1279,7 @@ mod tests {
         );
 
         ENCODES_LEFT.store(u64::MAX, Relaxed);
-        c.checkpoint(&store, (3, 0, 0, 0), &mut m);
+        c.checkpoint(&store, (3, 0, 0), &mut m);
         assert_eq!(m.checkpoints_written, 2);
         let replay = c.restore(&mut restored, &mut seq, &mut edges, &mut streamed);
         assert!(replay.is_empty());

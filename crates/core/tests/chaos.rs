@@ -224,7 +224,7 @@ fn local_state_on_dead_shard_fails_fast() {
 }
 
 /// A snapshot attempt on a degraded engine errors immediately at the
-/// liveness check instead of wedging at the epoch barrier.
+/// liveness check instead of wedging in its quiescence wait.
 #[test]
 fn snapshot_on_degraded_engine_errors_not_hangs() {
     let mut engine = Engine::new(dies_first(1), chaos_config());

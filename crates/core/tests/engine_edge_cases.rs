@@ -99,7 +99,7 @@ fn snapshot_twice_with_no_traffic() {
     let s2 = engine.try_snapshot().unwrap();
     assert_eq!(s1.len(), s2.len());
     assert_eq!(s1.get(0), s2.get(0));
-    assert!(s2.epoch > s1.epoch);
+    assert_eq!((s1.cut(), s2.cut()), (1, 1), "no traffic, no new cut");
     let _ = engine.try_finish().unwrap();
 }
 
@@ -108,18 +108,19 @@ fn snapshot_on_fresh_engine_is_empty() {
     let mut engine = Engine::new(Touch, EngineConfig::undirected(2));
     let snap = engine.try_snapshot().unwrap();
     assert!(snap.is_empty());
+    assert_eq!(snap.cut(), 0);
     let _ = engine.try_finish().unwrap();
 }
 
 #[test]
 fn collect_live_mid_session_then_more_work() {
-    let engine = Engine::new(Touch, EngineConfig::undirected(2));
+    let mut engine = Engine::new(Touch, EngineConfig::undirected(2));
     engine.try_ingest_pairs(&[(0, 1)]).unwrap();
-    let live1 = engine.try_collect_live().unwrap();
-    assert_eq!(live1.get(0), Some(&1));
+    let live1 = engine.try_snapshot().unwrap();
+    assert_eq!((live1.cut(), live1.get(0)), (1, Some(&1)));
     engine.try_ingest_pairs(&[(0, 2)]).unwrap();
-    let live2 = engine.try_collect_live().unwrap();
-    assert_eq!(live2.get(0), Some(&2));
+    let live2 = engine.try_snapshot().unwrap();
+    assert_eq!((live2.cut(), live2.get(0)), (2, Some(&2)));
     let _ = engine.try_finish().unwrap();
 }
 

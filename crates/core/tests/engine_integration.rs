@@ -154,29 +154,20 @@ fn quiescence_then_more_work_then_quiescence() {
 
 #[test]
 fn snapshot_mid_ingest_excludes_later_epoch() {
-    // Ingest one batch; snapshot; ingest a second batch. The snapshot must
-    // reflect only the first batch even though collection overlaps batch 2.
+    // A snapshot taken while a batch is still queued covers it, and
+    // nothing ingested after the call: its cut is the stream index the
+    // next call takes.
     let mut engine = Engine::new(TouchCount, EngineConfig::undirected(2));
     engine.try_ingest_pairs(&[(0, 1), (0, 2)]).unwrap();
     engine.try_await_quiescence().unwrap();
-
-    // Start the second batch *before* snapshotting so its (new-epoch) events
-    // interleave with collection.
     engine.try_ingest_pairs(&[(0, 3), (0, 4), (0, 5)]).unwrap();
     let snap = engine.try_snapshot().unwrap();
+    engine.try_ingest_pairs(&[(0, 6)]).unwrap();
     let r = engine.try_finish().unwrap();
 
-    // Snapshot: vertex 0 had exactly 2 touches at the boundary... except the
-    // second batch may have partially landed in the old epoch: shards tag
-    // stream pulls with the epoch *at pull time*, and the bump happens
-    // inside snapshot(). What IS guaranteed: snapshot counts <= final
-    // counts, and the final state sees everything.
-    let snap0 = snap.get(0).copied().unwrap_or(0);
-    assert!(
-        (2..=5).contains(&snap0),
-        "snapshot count {snap0} out of range"
-    );
-    assert_eq!(r.states.get(0), Some(&5));
+    assert_eq!((snap.cut(), snap.get(0)), (5, Some(&5)));
+    assert_eq!(snap.get(6), None, "vertex 6 is past the cut");
+    assert_eq!((r.states.cut(), r.states.get(0)), (6, Some(&6)));
 }
 
 #[test]

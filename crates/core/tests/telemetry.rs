@@ -153,7 +153,7 @@ fn metrics_now_is_monotone_under_concurrent_ingest() {
     }
 }
 
-/// Every flush, quiescence detection and settled epoch is timed.
+/// Every flush, quiescence detection and settled burst is timed.
 /// Quantiles come out ordered, and the summary triple is exposed through
 /// the harvested `RunMetrics`.
 #[test]
@@ -168,7 +168,7 @@ fn histograms_populate_and_quantiles_are_ordered() {
     let m = &result.metrics;
     assert!(m.flush.count >= 10);
     assert!(m.quiesce.count >= 2, "one sample per await_quiescence");
-    assert!(m.ingest_fixpoint.count >= 2, "one sample per settled epoch");
+    assert!(m.ingest_fixpoint.count >= 2, "one sample per settled burst");
     for h in [&m.flush, &m.quiesce, &m.ingest_fixpoint] {
         let (p50, p99, p999) = h.quantiles_us();
         assert!(p50 <= p99 && p99 <= p999, "quantiles out of order");
@@ -202,7 +202,6 @@ fn prometheus_rendering_is_parseable_and_complete() {
         ("uptime_seconds", "gauge"),
         ("in_flight_envelopes", "gauge"),
         ("ingest_backlog", "gauge"),
-        ("epoch", "gauge"),
         ("failed_shards", "gauge"),
         ("queue_depth", "gauge"),
         ("lane_occupancy", "gauge"),

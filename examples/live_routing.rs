@@ -34,14 +34,13 @@ fn main() {
 
     // ---- Part 1: live SSSP while roads open ----
     let depot = 0u64;
-    let engine = Engine::new(IncSssp, EngineConfig::undirected(4));
+    let mut engine = Engine::new(IncSssp, EngineConfig::undirected(4));
     engine.try_init_vertex(depot).unwrap();
 
     let (phase1, phase2) = weighted.split_at(weighted.len() / 2);
     engine.try_ingest_weighted(phase1).unwrap();
-    engine.try_await_quiescence().unwrap();
     let probe = junctions / 2;
-    let before = engine.try_collect_live().unwrap().get(probe).copied();
+    let before = engine.try_snapshot().unwrap().get(probe).copied();
 
     engine.try_ingest_weighted(phase2).unwrap();
     let result = engine.try_finish().unwrap();
@@ -63,7 +62,7 @@ fn main() {
     // ---- Part 2: a closure, handled generationally ----
     println!("\n-- road closure (generational rebuild, §VI-B) --");
     let (algo, generation) = GenBfs::new();
-    let engine = Engine::new(algo, EngineConfig::undirected(4));
+    let mut engine = Engine::new(algo, EngineConfig::undirected(4));
     engine.try_init_vertex(depot).unwrap();
     // A corridor 0-1-2-3-4 plus a detour 0-10-11-12-4.
     engine
@@ -84,7 +83,7 @@ fn main() {
         s.map(|&st| level_in_generation(st, g))
             .unwrap_or(remo::algos::UNREACHED)
     };
-    let live = engine.try_collect_live().unwrap();
+    let live = engine.try_snapshot().unwrap();
     println!("junction 4 before closure: {} hops", hops(live.get(4), g0));
 
     // Close segment 1-2; bump the generation; re-flood from the depot.

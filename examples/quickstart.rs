@@ -26,24 +26,24 @@ fn main() {
     engine.try_init_vertex(source).unwrap();
     println!("BFS source: vertex {source}");
 
-    // Stream the first half, let it settle, then snapshot on the fly while
-    // the second half is already flowing — ingestion is never paused.
+    // Stream the first half and snapshot it: the snapshot waits until
+    // what was fed is processed, and is the BFS of the stream up to its
+    // cut. The second half streams in right after.
     let (first, second) = edges.split_at(edges.len() / 2);
     engine.try_ingest_pairs(first).unwrap();
-    engine.try_await_quiescence().unwrap();
-    engine.try_ingest_pairs(second).unwrap();
     let snap = engine.try_snapshot().unwrap();
     println!(
-        "mid-stream snapshot (epoch {}): {} vertices captured, no pause",
-        snap.epoch,
+        "snapshot of stream[..{}]: {} vertices captured",
+        snap.cut(),
         snap.len()
     );
+    engine.try_ingest_pairs(second).unwrap();
 
-    // Query local state at any time: how far is some vertex right now?
+    // A snapshot of the whole stream: how far is some vertex now?
     let probe = edges[42].1;
-    let live = engine.try_collect_live().unwrap();
+    let live = engine.try_snapshot().unwrap();
     println!(
-        "live query: vertex {probe} is currently at BFS level {:?}",
+        "snapshot query: vertex {probe} is at BFS level {:?}",
         live.get(probe)
     );
 

@@ -39,9 +39,8 @@ fn main() {
             lo + chunk
         };
         engine.try_ingest_pairs(&friendships[lo..hi]).unwrap();
-        engine.try_await_quiescence().unwrap(); // settle this interval for a crisp row
-                                                // Continuous global-state collection (would also work mid-flight,
-                                                // as the quickstart example shows).
+        // The global state after this interval: the snapshot waits until
+        // the interval has been processed, then collects.
         let snap = engine.try_snapshot().unwrap();
         let mut sizes: HashMap<u64, usize> = HashMap::new();
         for (_, &label) in snap.iter() {
