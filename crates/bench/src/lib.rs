@@ -13,6 +13,8 @@
 //! multiplier) and `REMO_BENCH_SHARDS` (comma-separated shard counts) to
 //! dial them.
 
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::BuildHasherDefault;
 use std::time::{Duration, Instant};
 
 use remo_core::DenseStore;
@@ -61,19 +63,73 @@ pub fn timed_run<A: Algorithm>(
     TimedRun { result, elapsed }
 }
 
+/// The bench's integer-keyed hashing: [`mix64`](remo_store::hash::mix64), the store's own integer
+/// hash, in place of std's SipHash.
+mod hash {
+    use std::hash::Hasher;
+
+    use remo_store::hash::mix64;
+
+    /// Folds each written word into its state and finishes with [`mix64`],
+    /// so a lone `u64` key hashes to `mix64(key)` and a pair hashes
+    /// differently from its swap.
+    #[derive(Default)]
+    pub(crate) struct Mix64Hasher(u64);
+
+    impl Hasher for Mix64Hasher {
+        fn finish(&self) -> u64 {
+            mix64(self.0)
+        }
+
+        fn write(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = self.0.rotate_left(8) ^ u64::from(b);
+            }
+        }
+
+        fn write_u64(&mut self, v: u64) {
+            self.0 = self.0.rotate_left(32) ^ v;
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use std::hash::{BuildHasher, BuildHasherDefault};
+
+        fn hash<T: std::hash::Hash>(key: T) -> u64 {
+            BuildHasherDefault::<Mix64Hasher>::default().hash_one(key)
+        }
+
+        #[test]
+        fn vertex_key_hashes_to_mix64() {
+            for v in [0u64, 1, 42, u64::MAX] {
+                assert_eq!(hash(v), mix64(v));
+            }
+        }
+
+        #[test]
+        fn pair_key_is_order_sensitive() {
+            assert_ne!(hash((1u64, 2u64)), hash((2u64, 1u64)));
+            assert_ne!(hash((1u64, 2u64)), hash((3u64, 2u64)));
+        }
+    }
+}
+
 /// Static top-down BFS **over the dynamic store** (the paper's Fig. 3
 /// centre bar: "running the static algorithm run-time on top of ... the
 /// graph constructed dynamically"). Every neighbour read goes through the
 /// shards' intern tables and per-vertex edge slabs instead of a flat CSR
-/// array — exactly the locality disadvantage §V-B discusses.
+/// array — exactly the locality disadvantage §V-B discusses. Returns each
+/// reached vertex's level (the source is 1), sorted by vertex.
 pub fn static_bfs_on_dynamic<S: Clone + Default + PartialEq, E: EdgeData>(
     tables: &[DenseStore<S, E>],
     source: VertexId,
 ) -> Vec<(VertexId, u64)> {
     use remo_core::Partitioner;
-    use remo_store::RhhMap;
     let part = Partitioner::new(tables.len());
-    let mut levels: RhhMap<VertexId, u64> = RhhMap::new();
+    let mut levels: HashMap<VertexId, u64, BuildHasherDefault<hash::Mix64Hasher>> =
+        HashMap::default();
     let mut frontier = vec![source];
     levels.insert(source, 1);
     let mut level = 1u64;
@@ -84,8 +140,8 @@ pub fn static_bfs_on_dynamic<S: Clone + Default + PartialEq, E: EdgeData>(
             let table = &tables[part.owner(v)];
             if let Some((_, adj)) = table.get(v) {
                 for (nbr, _) in adj.iter() {
-                    if !levels.contains(nbr) {
-                        levels.insert(nbr, level);
+                    if let Entry::Vacant(slot) = levels.entry(nbr) {
+                        slot.insert(level);
                         next.push(nbr);
                     }
                 }
@@ -93,7 +149,9 @@ pub fn static_bfs_on_dynamic<S: Clone + Default + PartialEq, E: EdgeData>(
         }
         frontier = next;
     }
-    levels.iter().map(|(v, &l)| (v, l)).collect()
+    let mut levels: Vec<(VertexId, u64)> = levels.into_iter().collect();
+    levels.sort_unstable();
+    levels
 }
 
 /// Size multiplier from `REMO_BENCH_SCALE` (default 1.0).
@@ -377,8 +435,7 @@ mod tests {
         let run = timed_run(ConstructionOnly, EngineConfig::undirected(3), &[], |e| {
             e.try_ingest_pairs(&edges)
         });
-        let mut levels = static_bfs_on_dynamic(&run.result.tables, 0);
-        levels.sort_unstable();
+        let levels = static_bfs_on_dynamic(&run.result.tables, 0);
         assert_eq!(levels, vec![(0, 1), (1, 2), (2, 3), (3, 2)]);
     }
 

@@ -1,7 +1,8 @@
 //! Shard storage: how a shard physically holds its vertices.
 //!
-//! `DenseStore` is an interning table (`RhhMap<VertexId, u32>`, one probe
-//! per event) in front of a record slab — each entry a packed
+//! `DenseStore` is an interning table (the ids in intern order plus a
+//! keyless position index over them, one probe per event) in front of a
+//! record slab — each entry a packed
 //! `(state, meta-word)` pair (`HotVertex`) contiguous with its
 //! `Adjacency`. The hot working set per event is one contiguous
 //! `size_of::<S>() + 4 + 24`-byte slab record (rounded up to the state's

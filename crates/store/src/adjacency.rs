@@ -35,8 +35,8 @@
 //! (DESIGN.md §11 "Narrow entries" has the measurements.)
 //!
 //! The header's two layouts share its last 16 bytes through a union, and
-//! the slab and index are raw allocations, so this module and `rhh.rs` are
-//! where the store's `unsafe` lives; both run under Miri in CI.
+//! the slab and index are raw allocations, so this module is where the
+//! store's `unsafe` lives; it runs under Miri in CI.
 //!
 //! What an entry keeps beside the neighbour id is an [`EdgeData`] payload,
 //! chosen by the algorithm that owns the store: nothing (`()`, 4-byte

@@ -1,15 +1,18 @@
 //! Dense vertex interning and arena-backed (structure-of-arrays) storage.
 //!
-//! The per-event cost floor of the shard hot path is one full Robin Hood
-//! probe on the 64-bit global [`VertexId`] *per table access*, into records
-//! that interleave algorithm state with adjacency headers. This module
-//! splits that into two levels, following the locality discipline the paper
-//! chose DegAwareRHH for (§III-B) and that RisGraph-style systems show is
-//! what sub-millisecond per-update analysis hinges on:
+//! A shard names its vertices by sparse 64-bit global [`VertexId`]s, and
+//! its hot path touches a vertex once per delivered event. Hashing the
+//! global id on every table access, into records that interleave algorithm
+//! state with adjacency headers, would set that path's cost floor. This
+//! module splits the access into two levels, following the locality
+//! discipline the paper chose DegAwareRHH for (§III-B) and that
+//! RisGraph-style systems show is what sub-millisecond per-update analysis
+//! hinges on:
 //!
-//! 1. an **interning table** ([`InternTable`]): `RhhMap<VertexId, u32>`,
-//!    probed once per delivered event, mapping the sparse global id to a
-//!    shard-local dense index;
+//! 1. an **interning table** ([`InternTable`]): the global ids in intern
+//!    order plus a keyless position index over them (4 bytes a slot, the
+//!    layout of a hub's adjacency index), probed once per delivered event,
+//!    mapping the sparse global id to a shard-local dense index;
 //! 2. a **record slab** indexed by that dense id ([`DenseVertexTable`]): a
 //!    `Vec` of per-vertex records, each a hot payload (a bare live state,
 //!    or a packed state + meta-word — the engine's choice) stored
@@ -31,16 +34,54 @@
 //! scan over hash slots.
 
 use crate::adjacency::{Adjacency, EdgeData, EdgeMeta};
-use crate::rhh::RhhMap;
+use crate::hash::mix64;
 use crate::VertexId;
 
-/// Shard-local dense vertex index. `u32` bounds a shard at ~4.3B vertices,
-/// which exceeds any per-shard partition of the paper's datasets (the 3.5B
-/// vertex Webgraph splits across shards) while halving the intern-table
-/// value size versus the global id.
+/// Shard-local dense vertex index. With the intern table's `u32` slots it
+/// bounds a shard at 3 * 2^30 (about 3.2B) vertices, which exceeds any
+/// per-shard partition of the paper's datasets (the 3.5B vertex Webgraph
+/// splits across shards) while halving the index's width versus the
+/// global id.
 pub type LocalIdx = u32;
 
+/// Most vertices one [`InternTable`] holds. A slot keeps `position + 1` in
+/// its low `log2(slots)` bits, so a `u32` slot names at most 2^32 - 1
+/// positions, and at a load of at most 3/4 that is an index of 2^32 slots
+/// holding 3 * 2^30 vertices, below [`LocalIdx::MAX`].
+const MAX_VERTICES: usize = 3 << 30;
+
+/// Slots of a table's first index; each later one doubles it.
+const FIRST_SLOTS: usize = 16;
+
+/// Slots an index needs to hold `vertices` ids at a load of at most 3/4.
+fn slots_for(vertices: usize) -> usize {
+    assert!(
+        vertices <= MAX_VERTICES,
+        "{vertices} vertices exceed one intern table's {MAX_VERTICES}"
+    );
+    (vertices + vertices.div_ceil(3))
+        .next_power_of_two()
+        .max(FIRST_SLOTS)
+}
+
+/// Home slot and tag of `v` in an index of `mask + 1` slots: the low bits
+/// of its hash pick the slot and the high half, above the position bits,
+/// is the tag that rules out most other ids without reading `ids`.
+#[inline]
+fn home_and_tag(v: VertexId, mask: usize) -> (usize, u32) {
+    let hash = mix64(v);
+    (hash as usize & mask, (hash >> 32) as u32 & !(mask as u32))
+}
+
 /// Global-id → dense-index interning table plus the reverse mapping.
+///
+/// The reverse mapping `ids` is the only place an id is kept. The forward
+/// direction is a keyless position index over it, the layout of a hub's
+/// index in [`Adjacency`]: a power-of-two array of `u32` slots, each 0
+/// when empty and otherwise `position + 1` in its low `log2(slots)` bits
+/// under a tag from the id's hash, probed linearly at a load of at most
+/// 3/4 and rebuilt from `ids` at each doubling. A vertex never leaves, so
+/// there is no deletion path.
 ///
 /// # Examples
 /// ```
@@ -53,7 +94,7 @@ pub type LocalIdx = u32;
 /// assert_eq!(t.id(a), 900);
 /// ```
 pub struct InternTable {
-    map: RhhMap<VertexId, LocalIdx>,
+    slots: Vec<u32>,
     ids: Vec<VertexId>,
 }
 
@@ -67,16 +108,21 @@ impl InternTable {
     /// Creates an empty table without allocating.
     pub fn new() -> Self {
         InternTable {
-            map: RhhMap::new(),
+            slots: Vec::new(),
             ids: Vec::new(),
         }
     }
 
-    /// Creates a table pre-sized for `vertices` ids (no rehash storms while
+    /// Creates a table pre-sized for `vertices` ids (no rebuild while
     /// interning up to that many).
     pub fn with_capacity(vertices: usize) -> Self {
+        let slots = if vertices == 0 {
+            Vec::new()
+        } else {
+            vec![0; slots_for(vertices)]
+        };
         InternTable {
-            map: RhhMap::with_capacity(vertices),
+            slots,
             ids: Vec::with_capacity(vertices),
         }
     }
@@ -94,22 +140,68 @@ impl InternTable {
     }
 
     /// Dense index for `v`, interning it if new. Returns `(idx, was_new)`.
-    /// One probe sequence on either path.
+    /// One probe sequence on either path, unless the index doubles.
     #[inline]
     pub fn intern(&mut self, v: VertexId) -> (LocalIdx, bool) {
-        let next = self.ids.len() as LocalIdx;
-        let (idx, new) = self.map.entry_or_insert_with(v, || next);
-        let idx = *idx;
-        if new {
-            self.ids.push(v);
+        let mut vacancy = match self.locate(v) {
+            Ok(idx) => return (idx, false),
+            Err(vacancy) => vacancy,
+        };
+        let len = self.ids.len();
+        let slots = slots_for(len + 1);
+        if slots > self.slots.len() {
+            self.rebuild(slots);
+            vacancy = self.locate(v).unwrap_err();
         }
-        (idx, new)
+        let (slot, tag) = vacancy;
+        self.slots[slot] = tag | (len as u32 + 1);
+        self.ids.push(v);
+        (len as LocalIdx, true)
     }
 
     /// Dense index for `v` if already interned.
     #[inline]
     pub fn lookup(&self, v: VertexId) -> Option<LocalIdx> {
-        self.map.get(v).copied()
+        self.locate(v).ok()
+    }
+
+    /// `v`'s dense index, or the empty slot its probe ended on and the tag
+    /// a slot naming `v` would carry.
+    #[inline]
+    fn locate(&self, v: VertexId) -> Result<LocalIdx, (usize, u32)> {
+        if self.slots.is_empty() {
+            return Err((0, 0));
+        }
+        let mask = self.slots.len() - 1;
+        let (mut i, tag) = home_and_tag(v, mask);
+        // Load stays at or below 3/4, so an empty slot ends every probe.
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                return Err((i, tag));
+            }
+            if slot & !(mask as u32) == tag {
+                let pos = (slot & mask as u32) - 1;
+                if self.ids[pos as usize] == v {
+                    return Ok(pos);
+                }
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Replaces the index with one of `slots` slots naming every id.
+    fn rebuild(&mut self, slots: usize) {
+        let mut fresh = vec![0u32; slots];
+        let mask = slots - 1;
+        for (pos, &v) in self.ids.iter().enumerate() {
+            let (mut i, tag) = home_and_tag(v, mask);
+            while fresh[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            fresh[i] = tag | (pos as u32 + 1);
+        }
+        self.slots = fresh;
     }
 
     /// Global id of a dense index (panics on an index never handed out).
@@ -124,9 +216,10 @@ impl InternTable {
         &self.ids
     }
 
-    /// Actual heap footprint: intern slots + reverse map.
+    /// Actual heap footprint: index slots + reverse map.
     pub fn heap_bytes(&self) -> usize {
-        self.map.heap_bytes() + self.ids.capacity() * std::mem::size_of::<VertexId>()
+        self.slots.capacity() * std::mem::size_of::<u32>()
+            + self.ids.capacity() * std::mem::size_of::<VertexId>()
     }
 }
 
@@ -330,6 +423,84 @@ mod tests {
         assert_eq!(t.intern(42), (0, true));
         assert_eq!(t.intern(42), (0, false));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn colliding_homes_probe_past_each_other_and_wrap() {
+        // Twelve ids whose home is the last of 16 slots fill the index to
+        // its 3/4 load, wrapping to slots 0..=10; a thirteenth probes the
+        // whole run to the one empty slot past it.
+        let last: Vec<VertexId> = (0u64..)
+            .filter(|&v| home_and_tag(v, FIRST_SLOTS - 1).0 == FIRST_SLOTS - 1)
+            .take(13)
+            .collect();
+        let mut t = InternTable::with_capacity(12);
+        for (i, &v) in last[..12].iter().enumerate() {
+            assert_eq!(t.intern(v), (i as LocalIdx, true));
+        }
+        assert_eq!(t.slots.len(), FIRST_SLOTS);
+        assert_eq!(t.slots.iter().filter(|&&s| s == 0).count(), 4);
+        assert_eq!(t.slots[11..15], [0; 4]);
+        for (i, &v) in last[..12].iter().enumerate() {
+            assert_eq!(t.lookup(v), Some(i as LocalIdx));
+        }
+        assert_eq!(t.lookup(last[12]), None);
+        // The thirteenth id passes 3/4 and doubles the index.
+        assert_eq!(t.intern(last[12]), (12, true));
+        assert_eq!(t.slots.len(), 2 * FIRST_SLOTS);
+        assert!(last
+            .iter()
+            .enumerate()
+            .all(|(i, &v)| t.id(i as LocalIdx) == v));
+    }
+
+    #[test]
+    fn index_doubles_at_three_quarters_load() {
+        let mut t = InternTable::new();
+        assert_eq!(t.heap_bytes(), 0);
+        for v in 0..1000u64 {
+            t.intern(mix64(v));
+            let slots = t.slots.len();
+            assert!(slots.is_power_of_two() && slots >= FIRST_SLOTS);
+            assert!(4 * t.len() <= 3 * slots, "{} ids in {slots} slots", t.len());
+            assert!(slots == FIRST_SLOTS || 8 * t.len() > 3 * slots);
+            assert_eq!(t.slots.iter().filter(|&&s| s != 0).count(), t.len());
+        }
+    }
+
+    #[test]
+    fn with_capacity_never_rebuilds() {
+        for n in [1, 12, 13, 768, 769, 1000] {
+            let mut t = InternTable::with_capacity(n);
+            let before = t.heap_bytes();
+            for v in 0..n as u64 {
+                t.intern(v * 3);
+            }
+            assert_eq!(t.heap_bytes(), before, "{n} ids");
+        }
+        assert_eq!(InternTable::with_capacity(0).heap_bytes(), 0);
+    }
+
+    #[test]
+    fn slot_layout_bounds_a_table_at_three_quarters_of_2_pow_32() {
+        // The bound's index is 2^32 slots, whose `u32` slots still hold
+        // every `position + 1` beside an empty tag, and each of its
+        // positions is a `LocalIdx`.
+        assert_eq!(slots_for(MAX_VERTICES), 1 << 32);
+        assert_eq!(slots_for(MAX_VERTICES / 2 + 1), 1 << 32);
+        assert_eq!(slots_for(MAX_VERTICES / 2), 1 << 31);
+        assert!(MAX_VERTICES <= u32::MAX as usize);
+        assert!(MAX_VERTICES - 1 <= LocalIdx::MAX as usize);
+        assert_eq!(home_and_tag(u64::MAX, (1 << 32) - 1).1, 0);
+        assert_eq!(slots_for(0), FIRST_SLOTS);
+        assert_eq!(slots_for(12), FIRST_SLOTS);
+        assert_eq!(slots_for(13), 2 * FIRST_SLOTS);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed one intern table")]
+    fn slot_layout_refuses_a_table_past_its_bound() {
+        slots_for(MAX_VERTICES + 1);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Hashing primitives shared by the storage layer and the partitioner.
 //!
 //! The paper's infrastructure assigns a vertex `V` to a process via
-//! `hash(V) mod P` (consistent hashing, §III-C) and its DegAwareRHH store
-//! uses open addressing with Robin Hood hashing (§III-B). Both need a fast,
-//! well-mixing integer hash. We use the finalizer of SplitMix64 / Murmur3's
+//! `hash(V) mod P` (consistent hashing, §III-C), and the store's
+//! open-addressing position indexes (the intern table's and a hub's) pick
+//! a home slot and a tag from a vertex id. Both need a fast, well-mixing
+//! integer hash. We use the finalizer of SplitMix64 / Murmur3's
 //! 64-bit avalanche, which passes standard avalanche tests and is effectively
 //! free compared to SipHash for integer keys (see the Rust Performance Book's
 //! guidance on hashing integer keys).
@@ -28,38 +29,6 @@ pub fn partition_hash(x: u64) -> u64 {
     // xor with a distinct odd constant before mixing de-correlates the two
     // hash streams.
     mix64(x ^ 0x9e37_79b9_7f4a_7c15)
-}
-
-/// Trait for keys usable in the Robin Hood table.
-///
-/// The storage layer only ever keys by integer identifiers (vertex ids,
-/// neighbour ids), so a dedicated trait with a direct `hash64` beats going
-/// through `std::hash::Hasher` machinery.
-pub trait Key64: Copy + Eq {
-    /// Full-width hash of the key.
-    fn hash64(self) -> u64;
-}
-
-impl Key64 for u64 {
-    #[inline(always)]
-    fn hash64(self) -> u64 {
-        mix64(self)
-    }
-}
-
-impl Key64 for u32 {
-    #[inline(always)]
-    fn hash64(self) -> u64 {
-        mix64(self as u64)
-    }
-}
-
-impl Key64 for (u64, u64) {
-    #[inline(always)]
-    fn hash64(self) -> u64 {
-        // Combine with a rotation so (a, b) and (b, a) hash differently.
-        mix64(self.0 ^ self.1.rotate_left(32) ^ 0xd6e8_feb8_6659_fd93)
-    }
 }
 
 #[cfg(test)]
@@ -108,11 +77,6 @@ mod tests {
             }
         }
         assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn pair_key_is_order_sensitive() {
-        assert_ne!((1u64, 2u64).hash64(), (2u64, 1u64).hash64());
     }
 
     #[test]

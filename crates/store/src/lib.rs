@@ -2,9 +2,6 @@
 //!
 //! Storage substrate for the REMO reproduction, built from scratch:
 //!
-//! - [`rhh`]: an open-addressing hash map with Robin Hood hashing and
-//!   backward-shift deletion, the engine behind every vertex-keyed table
-//!   (the paper's DegAwareRHH store, §III-B).
 //! - [`adjacency`]: degree-aware adjacency lists — a vertex's edges in
 //!   insertion order, inside its 24-byte header while they fit in 16 bytes
 //!   and in a heap slab after, plus a hash index of positions into the slab
@@ -12,9 +9,11 @@
 //!   about 2.7–5.3 B per hub entry below 12 288 entries); each entry keeps
 //!   only the [`EdgeData`] payload its algorithm reads (nothing, a weight,
 //!   or weight + neighbour cache).
-//! - [`dense`]: dense vertex interning in front of a slab of records
-//!   (algorithm state + edges), the engine's one vertex table (one probe
-//!   per event, direct indexing after).
+//! - [`dense`]: dense vertex interning (the ids in intern order plus a
+//!   keyless position index over them, 4 bytes a slot) in front of a slab
+//!   of records (algorithm state + edges), the engine's one vertex table
+//!   (one probe per event, direct indexing after). With the adjacency it
+//!   is the crate's take on the paper's DegAwareRHH store (§III-B).
 //! - [`csr`]: the static Compressed Sparse Row graph the paper's baselines
 //!   run on (§V-B).
 //! - [`bitset`]: growable bitsets for multi S-T connectivity state.
@@ -28,7 +27,6 @@ pub mod bitset;
 pub mod csr;
 pub mod dense;
 pub mod hash;
-pub mod rhh;
 
 /// Vertex identifier. The paper uses opaque integer ids; `u64` covers every
 /// dataset in Table I (the Webgraph has 3.5B vertices).
@@ -42,4 +40,3 @@ pub use adjacency::{Adjacency, EdgeData, EdgeMeta, PROMOTE_DEGREE};
 pub use bitset::BitSet;
 pub use csr::Csr;
 pub use dense::{DenseVertexTable, InternTable, LocalIdx};
-pub use rhh::RhhMap;

@@ -92,18 +92,20 @@ fn entry_layout_per_payload() {
 }
 
 /// Each budget is the figure measured on this stream plus about 5 %:
-/// 11.0, 16.1 and 26.5 B with narrow entries, since every id and weight
-/// fits in a `u32` (16.1, 26.5 and 37.5 B with the wide entries every
-/// vertex kept before narrow ones, which each budget fails; with wide
-/// entries, 19.0, 29.3 and 40.3 B with 4-byte index slots at every size,
-/// and 20.3, 30.8 and 41.2 B with the 40-byte header before the 24-byte
-/// one that keeps a low-degree vertex's first 16 bytes of entries inline).
+/// 10.3, 15.4 and 25.8 B with narrow entries, since every id and weight
+/// fits in a `u32` (15.4, 25.8 and 36.8 B with the wide entries every
+/// vertex kept before narrow ones, which each budget fails). Each figure
+/// was 0.7 B higher with the Robin Hood intern table before the keyless
+/// index; with it and wide entries, 19.0, 29.3 and 40.3 B were measured
+/// with 4-byte adjacency index slots at every size, and 20.3, 30.8 and
+/// 41.2 B with the 40-byte header before the 24-byte one that keeps a
+/// low-degree vertex's first 16 bytes of entries inline.
 #[test]
 fn store_stays_within_its_bytes_per_edge_budget() {
     for (payload, per_edge, budget) in [
-        ("()", bytes_per_edge::<()>(0), 11.6),
-        ("Weight", bytes_per_edge::<Weight>(0), 16.9),
-        ("EdgeMeta", bytes_per_edge::<EdgeMeta>(0), 27.8),
+        ("()", bytes_per_edge::<()>(0), 10.8),
+        ("Weight", bytes_per_edge::<Weight>(0), 16.2),
+        ("EdgeMeta", bytes_per_edge::<EdgeMeta>(0), 27.1),
     ] {
         assert!(
             per_edge <= budget,
@@ -113,15 +115,14 @@ fn store_stays_within_its_bytes_per_edge_budget() {
 }
 
 /// The same stream with every id past `u32::MAX`, so every vertex keeps
-/// wide entries: the budgets are those of the wide entries before narrow
-/// ones existed (16.1, 26.5 and 37.5 B measured, plus about 5 %), so the
-/// wide path cannot regress unseen.
+/// wide entries: the budgets are the 15.4, 25.8 and 36.8 B measured plus
+/// about 5 %, so the wide path cannot regress unseen.
 #[test]
 fn wide_ids_stay_within_the_wide_bytes_per_edge_budget() {
     for (payload, per_edge, budget) in [
-        ("()", bytes_per_edge::<()>(1 << 32), 16.9),
-        ("Weight", bytes_per_edge::<Weight>(1 << 32), 27.8),
-        ("EdgeMeta", bytes_per_edge::<EdgeMeta>(1 << 32), 39.3),
+        ("()", bytes_per_edge::<()>(1 << 32), 16.2),
+        ("Weight", bytes_per_edge::<Weight>(1 << 32), 27.1),
+        ("EdgeMeta", bytes_per_edge::<EdgeMeta>(1 << 32), 38.6),
     ] {
         assert!(
             per_edge <= budget,
@@ -133,11 +134,13 @@ fn wide_ids_stay_within_the_wide_bytes_per_edge_budget() {
 /// Bytes of store per vertex on a path of `n` vertices with scattered ids:
 /// every vertex but the two ends has degree 2, the shape of the ledger's
 /// `chain_bfs_cascade`. An unweighted path keeps every edge in its vertex
-/// record, so no adjacency owns a heap block. The budget is the 73.4 B
-/// measured plus about 5 %: 21 B of intern slots, 10.5 B of reverse ids
-/// and 42 B of 32-byte records, each at the 131 072 entries a doubling
-/// array reaches for 100 000 (126.4 B with the 40-byte header and a heap
-/// slab of four entries per vertex before it).
+/// record, so no adjacency owns a heap block. The budget is the 62.9 B
+/// measured plus about 5 %: 10.5 B of reverse ids and 42 B of 32-byte
+/// records, each at the 131 072 entries a doubling array reaches for
+/// 100 000, and 10.5 B of 4-byte intern index slots, 262 144 of them to
+/// keep the load at or below 3/4 (73.4 B with the 16-byte slots of the
+/// Robin Hood intern table before it, and 126.4 B with the 40-byte header
+/// and a heap slab of four entries per vertex before that).
 #[test]
 fn path_vertices_stay_within_their_bytes_per_vertex_budget() {
     let n = 100_000u64;
@@ -155,7 +158,7 @@ fn path_vertices_stay_within_their_bytes_per_vertex_budget() {
     assert_eq!(table.adjacency_heap_bytes(), 0);
     let per_vertex = table.heap_bytes() as f64 / n as f64;
     assert!(
-        per_vertex <= 77.0,
-        "{per_vertex:.1} B per path vertex (budget 77)"
+        per_vertex <= 66.0,
+        "{per_vertex:.1} B per path vertex (budget 66)"
     );
 }

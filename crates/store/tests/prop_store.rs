@@ -1,4 +1,4 @@
-//! Property-based tests for the storage layer: the Robin Hood map and the
+//! Property-based tests for the storage layer: the intern table and the
 //! indexed adjacency must behave exactly like their obvious model
 //! implementations under arbitrary operation sequences.
 
@@ -6,26 +6,78 @@ use proptest::prelude::*;
 use remo_store::adjacency::{Adjacency, EdgeData, EdgeMeta, PROMOTE_DEGREE};
 use remo_store::bitset::BitSet;
 use remo_store::csr::Csr;
-use remo_store::rhh::RhhMap;
+use remo_store::dense::{InternTable, LocalIdx};
+use remo_store::hash::mix64;
 use remo_store::Weight;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 #[derive(Debug, Clone)]
-enum MapOp {
-    Insert(u64, u64),
-    Remove(u64),
-    Get(u64),
-    Clear,
+enum InternOp {
+    Intern(u64),
+    Lookup(u64),
 }
 
-fn map_op() -> impl Strategy<Value = MapOp> {
-    // Keys from a small domain so inserts/removes collide often.
-    let key = 0u64..64;
+/// Inverse of [`mix64`]: the id whose hash is `h`, so a test can choose
+/// where an id lands in an index.
+fn unmix64(mut h: u64) -> u64 {
+    // Newton's iteration doubles the correct low bits of an odd number's
+    // inverse mod 2^64; `c` itself is its inverse mod 8.
+    fn inverse(c: u64) -> u64 {
+        let mut x = c;
+        for _ in 0..5 {
+            x = x.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(x)));
+        }
+        x
+    }
+    h ^= h >> 31 ^ h >> 62;
+    h = h.wrapping_mul(inverse(0x94d0_49bb_1331_11eb));
+    h ^= h >> 27 ^ h >> 54;
+    h = h.wrapping_mul(inverse(0xbf58_476d_1ce4_e5b9));
+    h ^= h >> 30 ^ h >> 60;
+    h
+}
+
+/// The `j`-th of ids whose hashes agree on their low 10 bits and their
+/// high half, so in any index of up to 1 024 slots they share the last slot
+/// as home and their tag.
+fn collider(j: u64) -> u64 {
+    unmix64(0xdead_beef << 32 | j << 10 | 0x3ff)
+}
+
+/// Ids for [`InternOp`]s: a small pool, so most ops repeat an id;
+/// [`collider`]s, which only the key check in `ids` tells apart while their
+/// probe wraps around to slot 0; ids that share that home under distinct
+/// tags; and fresh ids, which make the index double past the pool's size.
+fn intern_id() -> impl Strategy<Value = u64> {
     prop_oneof![
-        4 => (key.clone(), any::<u64>()).prop_map(|(k, v)| MapOp::Insert(k, v)),
-        2 => key.clone().prop_map(MapOp::Remove),
-        2 => key.prop_map(MapOp::Get),
-        1 => Just(MapOp::Clear),
+        4 => 0u64..64,
+        2 => (0u64..24).prop_map(collider),
+        1 => (0u64..24).prop_map(|j| unmix64(j << 56 | 0x3ff)),
+        1 => any::<u64>(),
+    ]
+}
+
+/// The premise of [`intern_id`]'s colliding ids, checked at every index
+/// size they are built for.
+#[test]
+fn colliding_ids_share_home_and_tag() {
+    let hashes: Vec<u64> = (0u64..24).map(|j| mix64(collider(j))).collect();
+    for bits in 4..=10 {
+        let mask = (1u64 << bits) - 1;
+        assert!(hashes.iter().all(|&h| h & mask == mask));
+        assert!(hashes
+            .iter()
+            .all(|&h| h >> (32 + bits) == hashes[0] >> (32 + bits)));
+    }
+    for h in [0, 1, 0x3ff, u64::MAX, 23 << 56 | 0x3ff] {
+        assert_eq!(mix64(unmix64(h)), h);
+    }
+}
+
+fn intern_op() -> impl Strategy<Value = InternOp> {
+    prop_oneof![
+        3 => intern_id().prop_map(InternOp::Intern),
+        1 => intern_id().prop_map(InternOp::Lookup),
     ]
 }
 
@@ -239,33 +291,58 @@ fn check_adjacency<E: EdgeData>(
 }
 
 proptest! {
-    /// The Robin Hood map agrees with `HashMap` under arbitrary op sequences.
+    /// The intern table agrees with a `HashMap` + `Vec` model: a new id
+    /// takes the next dense index, a known one keeps its index across every
+    /// doubling of the index, and `ids()` is the first-intern order, for a
+    /// table started empty or pre-sized (which then never reallocates
+    /// within its capacity).
     #[test]
-    fn rhh_matches_model(ops in proptest::collection::vec(map_op(), 0..400)) {
-        let mut rhh: RhhMap<u64, u64> = RhhMap::new();
-        let mut model: HashMap<u64, u64> = HashMap::new();
+    fn intern_matches_model(
+        capacity in prop_oneof![1 => Just(None), 1 => (0usize..300).prop_map(Some)],
+        ops in proptest::collection::vec(intern_op(), 0..400),
+    ) {
+        let mut table = capacity.map_or_else(InternTable::new, InternTable::with_capacity);
+        let mut model: HashMap<u64, LocalIdx> = HashMap::new();
+        let mut order: Vec<u64> = Vec::new();
+        let mut bytes = table.heap_bytes();
         for op in ops {
             match op {
-                MapOp::Insert(k, v) => {
-                    prop_assert_eq!(rhh.insert(k, v), model.insert(k, v));
+                InternOp::Intern(v) => {
+                    let (idx, new) = table.intern(v);
+                    let want = match model.get(&v) {
+                        Some(&idx) => (idx, false),
+                        None => {
+                            model.insert(v, order.len() as LocalIdx);
+                            order.push(v);
+                            (order.len() as LocalIdx - 1, true)
+                        }
+                    };
+                    prop_assert_eq!((idx, new), want, "intern({})", v);
+                    prop_assert_eq!(table.id(idx), v);
                 }
-                MapOp::Remove(k) => {
-                    prop_assert_eq!(rhh.remove(k), model.remove(&k));
-                }
-                MapOp::Get(k) => {
-                    prop_assert_eq!(rhh.get(k), model.get(&k));
-                }
-                MapOp::Clear => {
-                    rhh.clear();
-                    model.clear();
+                InternOp::Lookup(v) => {
+                    prop_assert_eq!(table.lookup(v), model.get(&v).copied(), "lookup({})", v);
                 }
             }
-            prop_assert_eq!(rhh.len(), model.len());
+            prop_assert_eq!(table.len(), order.len());
+            if table.heap_bytes() != bytes {
+                prop_assert!(
+                    capacity.is_none_or(|c| order.len() > c),
+                    "{} ids reallocated a table pre-sized for {:?}",
+                    order.len(),
+                    capacity
+                );
+                bytes = table.heap_bytes();
+                for (&v, &idx) in &model {
+                    prop_assert_eq!(table.lookup(v), Some(idx), "lookup({}) after a doubling", v);
+                }
+            }
         }
-        // Final full-content comparison.
-        let got: BTreeMap<u64, u64> = rhh.iter().map(|(k, v)| (k, *v)).collect();
-        let want: BTreeMap<u64, u64> = model.into_iter().collect();
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(table.ids(), &order[..]);
+        for (idx, &v) in order.iter().enumerate() {
+            prop_assert_eq!(table.lookup(v), Some(idx as LocalIdx));
+            prop_assert_eq!(table.id(idx as LocalIdx), v);
+        }
     }
 
     /// Adjacency (inline entries, edge slab, position index, narrow and

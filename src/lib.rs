@@ -11,8 +11,8 @@
 //! - [`core`]: the engine — shards, visitor events, consistent-hash
 //!   partitioning, quiescence detection, continuous snapshots,
 //!   local-state triggers.
-//! - [`store`]: storage — Robin Hood hashing, degree-aware adjacency,
-//!   dense vertex interning, CSR.
+//! - [`store`]: storage — dense vertex interning, degree-aware indexed
+//!   adjacency, CSR.
 //! - [`algos`]: the REMO algorithms — BFS, SSSP, CC, multi S-T, degree
 //!   tracking, generational (delete-capable) BFS.
 //! - [`baseline`]: static comparators and correctness oracles.
