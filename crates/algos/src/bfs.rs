@@ -11,7 +11,6 @@
 //! that exposes a shorter path (case (iii) of §II-B), the update event
 //! repairs the tree downstream; cases (i) and (ii) generate no work.
 
-use remo_core::codec;
 use remo_core::{AlgoCtx, Algorithm, EdgeMeta, VertexId, Weight};
 
 /// Level value for vertices that exist but are not (yet) reached.
@@ -48,13 +47,6 @@ fn effective(level: u64) -> u64 {
 impl Algorithm for IncBfs {
     type State = u64;
     type Edge = ();
-    fn encode_state(state: &u64, out: &mut Vec<u8>) {
-        codec::put_u64(*state, out);
-    }
-
-    fn decode_state(bytes: &[u8]) -> u64 {
-        codec::get_u64(bytes)
-    }
 
     /// `init()`: begin the traversal from this vertex (Algorithm 4 line 2).
     fn init(&self, ctx: &mut impl AlgoCtx<u64>) {
@@ -121,13 +113,6 @@ impl Algorithm for IncBfsSuppressed {
     type State = u64;
     /// The one algorithm that reads the neighbour cache.
     type Edge = EdgeMeta;
-    fn encode_state(state: &u64, out: &mut Vec<u8>) {
-        codec::put_u64(*state, out);
-    }
-
-    fn decode_state(bytes: &[u8]) -> u64 {
-        codec::get_u64(bytes)
-    }
 
     fn init(&self, ctx: &mut impl AlgoCtx<u64>) {
         if ctx.apply(lower_to(1)) {
@@ -209,14 +194,6 @@ fn lp_lower_to(candidate: LevelParent) -> impl Fn(&mut LevelParent) -> bool {
 impl Algorithm for IncBfsDeterministic {
     type State = LevelParent;
     type Edge = ();
-    fn encode_state(state: &LevelParent, out: &mut Vec<u8>) {
-        codec::put_u64(state.0, out);
-        codec::put_u64(state.1, out);
-    }
-
-    fn decode_state(bytes: &[u8]) -> LevelParent {
-        (codec::get_u64(&bytes[..8]), codec::get_u64(&bytes[8..]))
-    }
 
     fn init(&self, ctx: &mut impl AlgoCtx<LevelParent>) {
         let me = ctx.vertex();

@@ -31,7 +31,6 @@
 //! self-labels" order-dependent. The fixpoint is then exactly
 //! `remo_baseline::components_dominator_label` over [`cc_label`].
 
-use remo_core::codec;
 use remo_core::{AlgoCtx, Algorithm, VertexId, Weight};
 use remo_store::hash::mix64;
 
@@ -71,13 +70,6 @@ fn raise_to(candidate: u64) -> impl Fn(&mut u64) -> bool {
 impl Algorithm for IncCc {
     type State = u64;
     type Edge = ();
-    fn encode_state(state: &u64, out: &mut Vec<u8>) {
-        codec::put_u64(*state, out);
-    }
-
-    fn decode_state(bytes: &[u8]) -> u64 {
-        codec::get_u64(bytes)
-    }
 
     fn stream_value(index: u64) -> u64 {
         stream_label(index)

@@ -7,7 +7,6 @@
 //! a certain threshold." State is a plain counter — monotone increasing in
 //! an add-only world.
 
-use remo_core::codec;
 use remo_core::{AlgoCtx, Algorithm, VertexId, Weight};
 
 /// Tracks total degree on undirected graphs, out-degree on directed ones.
@@ -17,13 +16,6 @@ pub struct DegreeCount;
 impl Algorithm for DegreeCount {
     type State = u64;
     type Edge = ();
-    fn encode_state(state: &u64, out: &mut Vec<u8>) {
-        codec::put_u64(*state, out);
-    }
-
-    fn decode_state(bytes: &[u8]) -> u64 {
-        codec::get_u64(bytes)
-    }
 
     fn on_add(&self, ctx: &mut impl AlgoCtx<u64>, _visitor: VertexId, _value: &u64, _w: Weight) {
         ctx.apply(|d| {

@@ -25,7 +25,6 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use remo_core::codec;
 use remo_core::{AlgoCtx, Algorithm, VertexId, Weight};
 
 /// Level value for unreached vertices.
@@ -103,14 +102,6 @@ fn adopt(candidate: GenLevel) -> impl Fn(&mut GenLevel) -> bool {
 impl Algorithm for GenBfs {
     type State = GenLevel;
     type Edge = ();
-    fn encode_state(state: &GenLevel, out: &mut Vec<u8>) {
-        codec::put_u32(state.0, out);
-        codec::put_u64(state.1, out);
-    }
-
-    fn decode_state(bytes: &[u8]) -> GenLevel {
-        (codec::get_u32(&bytes[..4]), codec::get_u64(&bytes[4..]))
-    }
 
     /// Initiates (or re-initiates, after a bump) the source at the current
     /// generation.
@@ -328,14 +319,6 @@ fn gcc_join(me: remo_core::VertexId, incoming: GenLabel) -> impl Fn(&mut GenLabe
 impl Algorithm for GenCc {
     type State = GenLabel;
     type Edge = ();
-    fn encode_state(state: &GenLabel, out: &mut Vec<u8>) {
-        codec::put_u32(state.0, out);
-        codec::put_u64(state.1, out);
-    }
-
-    fn decode_state(bytes: &[u8]) -> GenLabel {
-        (codec::get_u32(&bytes[..4]), codec::get_u64(&bytes[4..]))
-    }
 
     /// Label any new vertex (Algorithm 6's add behaviour, generation-aware:
     /// the self-label joins within whatever generation the vertex is in).

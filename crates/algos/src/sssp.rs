@@ -11,7 +11,6 @@
 //! dependant [than BFS], as the edge weights play a key role" — the fig5
 //! bench shows exactly that: identical code, different amplification.
 
-use remo_core::codec;
 use remo_core::{AlgoCtx, Algorithm, VertexId, Weight};
 
 /// Cost for vertices that exist but are not (yet) reached.
@@ -46,13 +45,6 @@ fn effective(cost: u64) -> u64 {
 impl Algorithm for IncSssp {
     type State = u64;
     type Edge = Weight;
-    fn encode_state(state: &u64, out: &mut Vec<u8>) {
-        codec::put_u64(*state, out);
-    }
-
-    fn decode_state(bytes: &[u8]) -> u64 {
-        codec::get_u64(bytes)
-    }
 
     /// Begin the traversal from this vertex (cost 1, Algorithm 5 line 3).
     fn init(&self, ctx: &mut impl AlgoCtx<u64>) {

@@ -12,7 +12,6 @@
 //! (the configuration of the paper's Fig. 7, which sweeps 0..64 sources),
 //! and [`IncStConWide`] uses a growable [`BitSet`] for arbitrarily many.
 
-use remo_core::codec;
 use remo_core::{AlgoCtx, Algorithm, VertexId, Weight};
 use remo_store::BitSet;
 
@@ -51,13 +50,6 @@ fn union_mask(bits: u64) -> impl Fn(&mut u64) -> bool {
 impl Algorithm for IncStCon {
     type State = u64;
     type Edge = ();
-    fn encode_state(state: &u64, out: &mut Vec<u8>) {
-        codec::put_u64(*state, out);
-    }
-
-    fn decode_state(bytes: &[u8]) -> u64 {
-        codec::get_u64(bytes)
-    }
 
     /// Begin a source flow from this vertex (Algorithm 7 lines 2-4).
     fn init(&self, ctx: &mut impl AlgoCtx<u64>) {
@@ -124,15 +116,6 @@ impl IncStConWide {
 impl Algorithm for IncStConWide {
     type State = BitSet;
     type Edge = ();
-    fn encode_state(state: &BitSet, out: &mut Vec<u8>) {
-        for &w in state.as_words() {
-            codec::put_u64(w, out);
-        }
-    }
-
-    fn decode_state(bytes: &[u8]) -> BitSet {
-        BitSet::from_words(bytes.chunks_exact(8).map(codec::get_u64).collect())
-    }
 
     fn init(&self, ctx: &mut impl AlgoCtx<BitSet>) {
         if let Some(bit) = self.source_bit(ctx.vertex()) {

@@ -17,7 +17,6 @@
 //! non-source vertex becomes `UNREACHED` on its add event, as in the
 //! paper's Algorithm 4/5 pattern).
 
-use remo_core::codec;
 use remo_core::{AlgoCtx, Algorithm, VertexId, Weight};
 
 /// Arrival time of unreached vertices.
@@ -58,13 +57,6 @@ fn lower_to(candidate: u64) -> impl Fn(&mut u64) -> bool {
 impl Algorithm for IncTemporal {
     type State = u64;
     type Edge = Weight;
-    fn encode_state(state: &u64, out: &mut Vec<u8>) {
-        codec::put_u64(*state, out);
-    }
-
-    fn decode_state(bytes: &[u8]) -> u64 {
-        codec::get_u64(bytes)
-    }
 
     fn init(&self, ctx: &mut impl AlgoCtx<u64>) {
         if ctx.apply(lower_to(SOURCE_ARRIVAL)) {

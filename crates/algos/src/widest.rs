@@ -10,7 +10,6 @@
 //! and everything else, right now?* — a natural on-line analytics question
 //! for communication or payment networks.
 
-use remo_core::codec;
 use remo_core::{AlgoCtx, Algorithm, VertexId, Weight};
 
 /// Bottleneck value of the source itself (an "infinite" pipe).
@@ -40,13 +39,6 @@ fn raise_to(candidate: u64) -> impl Fn(&mut u64) -> bool {
 impl Algorithm for IncWidest {
     type State = u64;
     type Edge = Weight;
-    fn encode_state(state: &u64, out: &mut Vec<u8>) {
-        codec::put_u64(*state, out);
-    }
-
-    fn decode_state(bytes: &[u8]) -> u64 {
-        codec::get_u64(bytes)
-    }
 
     /// The source has unbounded capacity to itself.
     fn init(&self, ctx: &mut impl AlgoCtx<u64>) {

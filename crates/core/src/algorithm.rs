@@ -25,6 +25,7 @@
 //! kind to its callback. The shards and the sequential reference engine
 //! call `visit`; every query of a registry is called through `dispatch`.
 
+use crate::encoding::Codec;
 use crate::event::{ControlKind, ControlOp, Envelope, EventKind};
 use crate::storage::VertexParts;
 use crate::trigger::{TriggerDef, TriggerFire};
@@ -37,10 +38,16 @@ use remo_store::{EdgeData, EdgeMeta, VertexId, Weight};
 /// the recursive step) and *monotonic* convergence (every state change moves
 /// in one direction toward a bound). The engine does not — cannot — check
 /// monotonicity; the algorithm crate's property tests do.
+///
+/// How a state becomes bytes is not the algorithm's to say: it belongs to
+/// the state's type, through the [`Codec`] bound on
+/// [`Algorithm::State`], so every algorithm can run durable.
 pub trait Algorithm: Send + Sync + 'static {
     /// Vertex-local state (`this.value`). `Default` must be the lattice
-    /// bottom: the state of a vertex that has seen no events.
-    type State: Clone + Default + Send + PartialEq + std::fmt::Debug + 'static;
+    /// bottom: the state of a vertex that has seen no events. Its
+    /// [`Codec`] is what a durable engine writes to the WAL and its
+    /// checkpoints; recovery asserts byte-identical fixpoints on it.
+    type State: Codec + Clone + Default + Send + PartialEq + std::fmt::Debug + 'static;
 
     /// What each adjacency entry keeps beside the neighbour id: only what
     /// the callbacks read. `()` when they read neither the edge weight nor
@@ -169,31 +176,6 @@ pub trait Algorithm: Send + Sync + 'static {
         false
     }
 
-    /// Serializes one vertex state for the durability layer (WAL envelope
-    /// records and checkpoint images; see `wal.rs`). Must be the
-    /// exact inverse of [`Algorithm::decode_state`] — recovery asserts
-    /// byte-identical fixpoints on it. The default panics: implement both
-    /// codec hooks before enabling
-    /// [`EngineConfig::with_durability`](crate::EngineConfig::with_durability).
-    /// Durability-off engines never call either hook.
-    fn encode_state(_state: &Self::State, _out: &mut Vec<u8>)
-    where
-        Self: Sized,
-    {
-        panic!("Algorithm::encode_state is required when durability is enabled");
-    }
-
-    /// Deserializes one vertex state previously written by
-    /// [`Algorithm::encode_state`]. May panic on corrupt input (the WAL
-    /// and checkpoint layers CRC-validate frames before decoding, so this
-    /// only sees bytes the same algorithm produced).
-    fn decode_state(_bytes: &[u8]) -> Self::State
-    where
-        Self: Sized,
-    {
-        panic!("Algorithm::decode_state is required when durability is enabled");
-    }
-
     /// Control-plane claim: `shard` pulled a [`ControlOp`] from its input
     /// stream (see [`QueryRegistry`](crate::QueryRegistry)). Return the
     /// subset of `op.mask` this algorithm wants swept on that shard (0 =
@@ -216,36 +198,6 @@ pub trait Algorithm: Send + Sync + 'static {
     /// outgoing envelopes were routed — the point to publish per-shard
     /// progress bits (e.g. the registry's primed mask).
     fn on_control_commit(&self, _shard: usize, _kind: ControlKind, _claimed: u64) {}
-}
-
-/// Little-endian `u64` state codec helpers for the common `State = u64`
-/// case — most REMO lattice states (levels, distances, component labels)
-/// encode this way.
-pub mod codec {
-    /// Appends `v` little-endian.
-    pub fn put_u64(v: u64, out: &mut Vec<u8>) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Reads a little-endian `u64` from the front of `bytes`. Panics on
-    /// short input (corrupt durable data).
-    pub fn get_u64(bytes: &[u8]) -> u64 {
-        let mut w = [0u8; 8];
-        w.copy_from_slice(&bytes[..8]);
-        u64::from_le_bytes(w)
-    }
-
-    /// Appends `v` little-endian.
-    pub fn put_u32(v: u32, out: &mut Vec<u8>) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Reads a little-endian `u32` from the front of `bytes`.
-    pub fn get_u32(bytes: &[u8]) -> u32 {
-        let mut w = [0u8; 4];
-        w.copy_from_slice(&bytes[..4]);
-        u32::from_le_bytes(w)
-    }
 }
 
 /// Callback context: the visited vertex's state, adjacency, and propagation

@@ -62,11 +62,10 @@ impl EngineConfig {
     }
 
     /// Same config with durability enabled (WAL + checkpoints + in-place
-    /// shard respawn). Requires the algorithm to implement
-    /// [`Algorithm::encode_state`] / [`Algorithm::decode_state`].
+    /// shard respawn). States are written through their
+    /// [`Codec`](crate::Codec), which every [`Algorithm::State`] has.
     ///
-    /// [`Algorithm::encode_state`]: crate::Algorithm::encode_state
-    /// [`Algorithm::decode_state`]: crate::Algorithm::decode_state
+    /// [`Algorithm::State`]: crate::Algorithm::State
     pub fn with_durability(mut self, durability: DurabilityConfig) -> Self {
         self.durability = Some(durability);
         self

@@ -186,7 +186,7 @@ pub(crate) fn wire<A: Algorithm>(
 ) -> (Vec<ShardWorker<A>>, Controller<A::State>) {
     let shards = config.num_shards;
     let shared = Arc::new(SharedCounters::new(shards));
-    let board = Arc::new(FailureBoard::new());
+    let board = Arc::new(FailureBoard::new(shards));
     let (trigger_tx, trigger_rx) = channel();
     let (senders, receivers): (Vec<_>, Vec<_>) = (0..shards)
         .map(|_| {

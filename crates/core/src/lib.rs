@@ -96,6 +96,7 @@
 
 mod algorithm;
 mod config;
+mod encoding;
 mod engine;
 mod event;
 mod metrics;
@@ -114,8 +115,9 @@ mod trigger;
 mod vertex_state;
 mod wal;
 
-pub use algorithm::{codec, AlgoCtx, Algorithm};
+pub use algorithm::{AlgoCtx, Algorithm};
 pub use config::EngineConfig;
+pub use encoding::Codec;
 pub use engine::{Engine, EngineBuilder, RunResult};
 pub use event::{ControlKind, ControlOp, TopoEvent, TopoOp};
 pub use metrics::{LatencyHistogram, RunMetrics, ShardMetrics};

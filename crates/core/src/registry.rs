@@ -47,13 +47,15 @@
 //! in-flight deltas of the old query die on a generation check.
 
 use std::fmt;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 use remo_store::{EdgeMeta, VertexId, Weight};
 
-use crate::algorithm::{codec, dispatch, AlgoCtx, Algorithm};
+use crate::algorithm::{dispatch, AlgoCtx, Algorithm};
+use crate::encoding::{decode_framed, get_frame, invalid, put_framed, Codec};
 use crate::engine::Engine;
 use crate::event::{ControlKind, ControlOp, EventKind};
 use crate::metrics::LatencyHistogram;
@@ -75,31 +77,11 @@ fn stub_absorbs<C>(_live: &C, _incoming: &C) -> bool {
 
 /// One query's per-vertex state inside a registry — the element type of the
 /// column store. `Default` must be the lattice bottom, exactly as for
-/// [`Algorithm::State`]. The codec hooks mirror
-/// [`Algorithm::encode_state`]: required only under durability.
-pub trait Cell: Clone + Default + Send + Sync + PartialEq + fmt::Debug + 'static {
-    /// Serializes one cell (durability only; default panics).
-    fn encode(_cell: &Self, _out: &mut Vec<u8>) {
-        panic!("Cell::encode is required when durability is enabled");
-    }
+/// [`Algorithm::State`]. Implemented for every type with these bounds:
+/// any `Sync` algorithm state is a cell, durable through its [`Codec`].
+pub trait Cell: Codec + Clone + Default + Send + Sync + PartialEq + fmt::Debug + 'static {}
 
-    /// Inverse of [`Cell::encode`] (durability only; default panics).
-    fn decode(_bytes: &[u8]) -> Self {
-        panic!("Cell::decode is required when durability is enabled");
-    }
-}
-
-/// The common case: every core REMO lattice state (BFS level, CC label,
-/// SSSP distance, reachability bitmask, degree count) is a `u64`.
-impl Cell for u64 {
-    fn encode(cell: &Self, out: &mut Vec<u8>) {
-        codec::put_u64(*cell, out);
-    }
-
-    fn decode(bytes: &[u8]) -> Self {
-        codec::get_u64(bytes)
-    }
-}
+impl<T: Codec + Clone + Default + Send + Sync + PartialEq + fmt::Debug + 'static> Cell for T {}
 
 /// The registry's vertex state / envelope payload.
 ///
@@ -168,6 +150,52 @@ impl<C: Cell> RegPayload<C> {
         match self {
             RegPayload::Columns(cols) => cols.get(slot),
             RegPayload::Delta { .. } => None,
+        }
+    }
+}
+
+/// Tag 0, the column count and each cell in its own `u32`-length frame;
+/// or tag 1, the slot, the generation and the framed cell. A decoded
+/// delta carries a stub `absorbs` that never filters: a replayed delta
+/// loses the work-saving hint, never information (the hook only skips
+/// redundant work, so the monotone fixpoint is the same).
+impl<C: Cell> Codec for RegPayload<C> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            RegPayload::Columns(cols) => {
+                out.push(0);
+                (cols.len() as u32).encode(out);
+                for c in cols {
+                    put_framed(out, c);
+                }
+            }
+            RegPayload::Delta {
+                slot, gen, cell, ..
+            } => {
+                out.push(1);
+                (*slot, *gen).encode(out);
+                put_framed(out, cell);
+            }
+        }
+    }
+
+    fn decode(bytes: &mut &[u8]) -> io::Result<Self> {
+        match u8::decode(bytes)? {
+            0 => {
+                let n = u32::decode(bytes)?;
+                let cols = (0..n).map(|_| decode_framed(get_frame(bytes)?));
+                Ok(RegPayload::Columns(cols.collect::<io::Result<_>>()?))
+            }
+            1 => {
+                let (slot, gen) = <(u32, u32)>::decode(bytes)?;
+                Ok(RegPayload::Delta {
+                    slot,
+                    gen,
+                    cell: decode_framed(get_frame(bytes)?)?,
+                    absorbs: stub_absorbs::<C>,
+                })
+            }
+            t => Err(invalid(&format!("unknown registry payload tag {t}"))),
         }
     }
 }
@@ -346,9 +374,8 @@ impl<'a, C: Cell, X: AlgoCtx<RegPayload<C>>> CellCtx<C> for SlotCtx<'a, C, X> {
 
     fn apply_cell(&mut self, f: &dyn Fn(&mut C) -> bool) -> bool {
         let slot = self.slot;
-        // The closure may run twice (live + snapshot fork) and must stay a
-        // pure function of its argument — growing the column vector to
-        // `slot` is deterministic, so the contract holds.
+        // The closure must stay a pure function of its argument (the
+        // `apply` contract): growing the column vector to `slot` is.
         let changed = self.inner.apply(|s| {
             let cols = columns_mut(s);
             if cols.len() <= slot {
@@ -785,8 +812,7 @@ impl<C: Cell> QueryRegistry<C> {
     /// forever. Missing tail slots read as bottom everywhere
     /// ([`RegPayload::cell`] returns `None` → callers substitute bottom),
     /// so truncation is value-preserving. Pure in the `apply` sense: the
-    /// same input vector always compacts to the same output, so
-    /// dual-applying to a snapshot fork converges.
+    /// same input vector always compacts to the same output.
     fn reset_cells(ctx: &mut impl AlgoCtx<RegPayload<C>>, mask: u64, compact: bool) {
         ctx.apply(|s| {
             let cols = columns_mut(s);
@@ -964,70 +990,6 @@ impl<C: Cell> Algorithm for QueryRegistry<C> {
                 None => absorbs(&C::default(), cell),
             },
             _ => false,
-        }
-    }
-
-    fn encode_state(state: &Self::State, out: &mut Vec<u8>) {
-        let mut buf = Vec::new();
-        match state {
-            RegPayload::Columns(cols) => {
-                out.push(0);
-                codec::put_u32(cols.len() as u32, out);
-                for c in cols {
-                    buf.clear();
-                    C::encode(c, &mut buf);
-                    codec::put_u32(buf.len() as u32, out);
-                    out.extend_from_slice(&buf);
-                }
-            }
-            RegPayload::Delta {
-                slot, gen, cell, ..
-            } => {
-                out.push(1);
-                codec::put_u32(*slot, out);
-                codec::put_u32(*gen, out);
-                C::encode(cell, &mut buf);
-                codec::put_u32(buf.len() as u32, out);
-                out.extend_from_slice(&buf);
-            }
-        }
-    }
-
-    /// Inverse of [`QueryRegistry::encode_state`][Algorithm::encode_state].
-    /// Replayed deltas carry a stub `absorbs` that never filters — they
-    /// lose the work-saving *hint*, never information: the monotone
-    /// fixpoint is unaffected (the hook only skips redundant work).
-    fn decode_state(bytes: &[u8]) -> Self::State {
-        let tag = bytes[0];
-        let mut off = 1usize;
-        match tag {
-            0 => {
-                let n = codec::get_u32(&bytes[off..]) as usize;
-                off += 4;
-                let mut cols = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let len = codec::get_u32(&bytes[off..]) as usize;
-                    off += 4;
-                    cols.push(C::decode(&bytes[off..off + len]));
-                    off += len;
-                }
-                RegPayload::Columns(cols)
-            }
-            1 => {
-                let slot = codec::get_u32(&bytes[off..]);
-                off += 4;
-                let gen = codec::get_u32(&bytes[off..]);
-                off += 4;
-                let len = codec::get_u32(&bytes[off..]) as usize;
-                off += 4;
-                RegPayload::Delta {
-                    slot,
-                    gen,
-                    cell: C::decode(&bytes[off..off + len]),
-                    absorbs: stub_absorbs::<C>,
-                }
-            }
-            t => panic!("registry: unknown durable payload tag {t}"),
         }
     }
 
@@ -1214,22 +1176,26 @@ mod tests {
         assert!(!Reg::absorbs(&delta(2, 1, 9), &delta(2, 1, 4)));
         // Replayed deltas decode with the stub hook: never filtered.
         let mut bytes = Vec::new();
-        Reg::encode_state(&delta(2, 1, 4), &mut bytes);
-        assert!(!Reg::absorbs(&cols, &Reg::decode_state(&bytes)));
+        delta(2, 1, 4).encode(&mut bytes);
+        assert!(!Reg::absorbs(&cols, &decode_framed(&bytes).unwrap()));
     }
 
     #[test]
     fn payload_codec_roundtrips() {
         let cols: RegPayload<u64> = RegPayload::Columns(vec![3, 0, 77]);
         let mut bytes = Vec::new();
-        QueryRegistry::<u64>::encode_state(&cols, &mut bytes);
-        assert_eq!(QueryRegistry::<u64>::decode_state(&bytes), cols);
+        cols.encode(&mut bytes);
+        assert_eq!(decode_framed::<RegPayload<u64>>(&bytes).unwrap(), cols);
+        // A short cell, or a cut-off column list, is an error.
+        assert!(decode_framed::<RegPayload<u64>>(&bytes[..bytes.len() - 1]).is_err());
+        bytes[5] = 7;
+        assert!(decode_framed::<RegPayload<u64>>(&bytes).is_err());
 
         let d = delta(5, 3, 42);
         bytes.clear();
-        QueryRegistry::<u64>::encode_state(&d, &mut bytes);
+        d.encode(&mut bytes);
         // Decoded deltas carry stub hooks, so compare fields not the enum.
-        match QueryRegistry::<u64>::decode_state(&bytes) {
+        match decode_framed::<RegPayload<u64>>(&bytes).unwrap() {
             RegPayload::Delta {
                 slot, gen, cell, ..
             } => {
@@ -1237,6 +1203,12 @@ mod tests {
             }
             other => panic!("expected delta, got {other:?}"),
         }
+        bytes[0] = 2;
+        let err = decode_framed::<RegPayload<u64>>(&bytes).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown registry payload tag 2"),
+            "{err}"
+        );
     }
 
     #[test]

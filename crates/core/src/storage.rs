@@ -256,7 +256,7 @@ mod tests {
     }
 
     fn round_trip_promoted<E: EdgeData>() {
-        use crate::wal::{get_adjacency, put_adjacency, ByteReader};
+        use crate::wal::{get_adjacency, put_adjacency};
         use remo_store::PROMOTE_DEGREE;
         let degree = 4 * PROMOTE_DEGREE as u64;
         let mut st: DenseStore<u64, E> = DenseStore::with_capacity(0);
@@ -281,7 +281,7 @@ mod tests {
             put_adjacency(&mut bytes, adj);
             // The format is the payload's: degree, then three words an edge.
             assert_eq!(bytes.len(), 4 + 24 * adj.degree());
-            let mut r = ByteReader::new(&bytes);
+            let mut r = &bytes[..];
             let rebuilt = get_adjacency(&mut r).unwrap_or_else(|e| panic!("{e}"));
             assert!(r.is_empty());
             restored.restore_record(v, *live, meta, rebuilt);

@@ -9,7 +9,7 @@
 //! surfaces [`EngineError`] instead of hanging.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -134,22 +134,29 @@ impl EngineError {
 /// Shared controller-visible record of dead shards.
 ///
 /// Writers are the per-shard `catch_unwind` wrappers (and the teardown path
-/// for unresponsive shards); the reader is the controller, which probes
-/// [`FailureBoard::any_failed`] inside every supervised wait loop. The
-/// count is published *after* the failure record, so a reader that observes
-/// a non-zero count always finds at least that many records.
-#[derive(Debug, Default)]
+/// for unresponsive shards). Readers are the controller, which probes
+/// [`FailureBoard::any_failed`] inside every supervised wait loop, and the
+/// shards, which ask [`FailureBoard::is_failed`] of a peer on every flush
+/// and park: one flag per shard makes that one atomic load, with no lock,
+/// at any shard count. The flag and the count are published *after* the
+/// failure record, so a reader that observes a non-zero count always finds
+/// at least that many records.
+#[derive(Debug)]
 pub struct FailureBoard {
     failures: Mutex<Vec<ShardFailure>>,
-    /// Bit per shard id < 64 for O(1) `is_failed` on the query path.
-    mask: AtomicU64,
+    /// One flag per shard id.
+    failed: Box<[AtomicBool]>,
     count: AtomicUsize,
 }
 
 impl FailureBoard {
-    /// An empty board.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty board for shards `0..shards`.
+    pub fn new(shards: usize) -> Self {
+        FailureBoard {
+            failures: Mutex::default(),
+            failed: (0..shards).map(|_| AtomicBool::new(false)).collect(),
+            count: AtomicUsize::new(0),
+        }
     }
 
     /// Records one shard failure. Idempotence is not required: a shard dies
@@ -161,8 +168,8 @@ impl FailureBoard {
             let mut guard = self.failures.lock().unwrap_or_else(|p| p.into_inner());
             guard.push(failure);
         }
-        if id < 64 {
-            self.mask.fetch_or(1 << id, Ordering::SeqCst);
+        if let Some(flag) = self.failed.get(id) {
+            flag.store(true, Ordering::SeqCst);
         }
         self.count.fetch_add(1, Ordering::SeqCst);
     }
@@ -174,17 +181,12 @@ impl FailureBoard {
         self.count.load(Ordering::SeqCst) > 0
     }
 
-    /// True if shard `id` has failed.
+    /// True if shard `id` has failed. One atomic load.
+    #[inline]
     pub fn is_failed(&self, id: usize) -> bool {
-        if id < 64 {
-            self.mask.load(Ordering::SeqCst) & (1 << id) != 0
-        } else {
-            self.failures
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .iter()
-                .any(|f| f.id == id)
-        }
+        self.failed
+            .get(id)
+            .is_some_and(|flag| flag.load(Ordering::SeqCst))
     }
 
     /// Number of recorded failures.
@@ -219,7 +221,7 @@ mod tests {
 
     #[test]
     fn board_records_and_reports() {
-        let board = FailureBoard::new();
+        let board = FailureBoard::new(2);
         assert!(!board.any_failed());
         assert!(!board.is_failed(1));
         board.record(ShardFailure {
@@ -237,13 +239,16 @@ mod tests {
 
     #[test]
     fn board_handles_large_shard_ids() {
-        let board = FailureBoard::new();
-        board.record(ShardFailure {
-            id: 100,
-            payload: "big".into(),
-        });
-        assert!(board.is_failed(100));
-        assert!(!board.is_failed(99));
+        let board = FailureBoard::new(128);
+        for id in [63, 64, 100, 127] {
+            board.record(ShardFailure {
+                id,
+                payload: "big".into(),
+            });
+        }
+        let failed: Vec<usize> = (0..130).filter(|&id| board.is_failed(id)).collect();
+        assert_eq!(failed, [63, 64, 100, 127], "the flags on both sides of 64");
+        assert_eq!(board.len(), 4);
     }
 
     #[test]

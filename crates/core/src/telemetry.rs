@@ -848,7 +848,7 @@ mod tests {
     #[test]
     fn shared_snapshot_assembles_run_metrics() {
         let counters = Arc::new(SharedCounters::new(2));
-        let board = Arc::new(FailureBoard::new());
+        let board = Arc::new(FailureBoard::new(2));
         let tele = TelemetryShared::new(2, Arc::clone(&counters), Arc::clone(&board));
         let m = ShardMetrics {
             add_events: 7,
@@ -870,7 +870,7 @@ mod tests {
     #[test]
     fn hub_renders_prometheus() {
         let counters = Arc::new(SharedCounters::new(1));
-        let board = Arc::new(FailureBoard::new());
+        let board = Arc::new(FailureBoard::new(1));
         let tele = Arc::new(TelemetryShared::new(1, counters, board));
         let m = ShardMetrics {
             add_events: 3,

@@ -41,10 +41,12 @@
 //! pulled: 0 an edge add, 1 an edge removal, 2 an `Init` of `src`, and 3,
 //! 4, 5 a Prime, Flood or Clear control op whose mask is `src`. An
 //! envelope frame's is `tag | kind: u8 | target | visitor | weight |
-//! trace tag | state bytes`. Any other op byte, and a frame with bytes
-//! left over after its fields, fails the read. On open the log is scanned
-//! front-to-back and truncated at the first frame whose length or CRC does
-//! not check out (torn tail from a mid-write crash).
+//! trace tag | state bytes`, the state's [`Codec`] bytes in a `u32`-length
+//! frame. Any other op byte, a frame with bytes left over after its
+//! fields, and state bytes that do not decode to exactly one state fail
+//! the read. On open the log is scanned front-to-back and truncated at
+//! the first frame whose length or CRC does not check out (torn tail from
+//! a mid-write crash).
 
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
@@ -53,6 +55,7 @@ use std::path::{Path, PathBuf};
 
 use crate::algorithm::Algorithm;
 use crate::config::EngineConfig;
+use crate::encoding::{decode_framed, get_frame, invalid, put_framed, take, Codec};
 use crate::event::{Envelope, EventKind, Pull};
 use crate::metrics::ShardMetrics;
 use crate::storage::DenseStore;
@@ -159,103 +162,27 @@ fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-// ---- little-endian byte cursor ---------------------------------------
-
-/// Corrupt durable data.
-fn invalid(what: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("durability: {what}"))
-}
-
-/// Bounds-checked little-endian reader over a byte slice, used by both the
-/// WAL record and checkpoint decoders.
-pub(crate) struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| invalid("truncated length"))?;
-        if end > self.buf.len() {
-            return Err(invalid("truncated payload"));
-        }
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        let b = self.take(4)?;
-        let mut w = [0u8; 4];
-        w.copy_from_slice(b);
-        Ok(u32::from_le_bytes(w))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        let b = self.take(8)?;
-        let mut w = [0u8; 8];
-        w.copy_from_slice(b);
-        Ok(u64::from_le_bytes(w))
-    }
-
-    /// A `u32`-length-prefixed byte run.
-    fn bytes(&mut self) -> io::Result<&'a [u8]> {
-        let n = self.u32()? as usize;
-        self.take(n)
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-
 /// Appends one vertex's out-edges in the checkpoint format: the degree,
 /// then `neighbour | weight | cached` per edge. Every [`EdgeData`] payload
 /// writes all three words (what it does not store reads as weight 1,
 /// cache 0), so the format does not depend on the algorithm's payload.
 pub(crate) fn put_adjacency<E: EdgeData>(out: &mut Vec<u8>, adj: &Adjacency<E>) {
-    put_u32(out, adj.degree() as u32);
+    (adj.degree() as u32).encode(out);
     for (nbr, e) in adj.iter() {
-        put_u64(out, nbr);
-        put_u64(out, e.weight());
-        put_u64(out, e.cached());
+        for w in [nbr, e.weight(), e.cached()] {
+            w.encode(out);
+        }
     }
 }
 
 /// Reads back what [`put_adjacency`] wrote, rebuilding each entry with
 /// [`EdgeData::new`] — the slab and its position index are rebuilt, not
 /// copied.
-pub(crate) fn get_adjacency<E: EdgeData>(r: &mut ByteReader<'_>) -> io::Result<Adjacency<E>> {
-    let degree = r.u32()?;
+pub(crate) fn get_adjacency<E: EdgeData>(r: &mut &[u8]) -> io::Result<Adjacency<E>> {
+    let degree = u32::decode(r)?;
     let mut adj = Adjacency::new();
     for _ in 0..degree {
-        let nbr = r.u64()?;
-        let weight = r.u64()?;
-        let cached = r.u64()?;
+        let (nbr, weight, cached) = (u64::decode(r)?, u64::decode(r)?, u64::decode(r)?);
         adj.insert(nbr, E::new(weight, cached));
     }
     Ok(adj)
@@ -293,8 +220,6 @@ pub(crate) struct Custody<A: Algorithm> {
     /// Frames appended since the last commit; nothing in here is visible
     /// to recovery yet.
     buf: Vec<u8>,
-    /// Scratch for [`Algorithm::encode_state`].
-    scratch: Vec<u8>,
     /// Envelopes logged and committed but not yet handed out for
     /// processing (see [`Custody::admit`]).
     inbox: VecDeque<Envelope<A::State>>,
@@ -334,7 +259,6 @@ impl<A: Algorithm> Custody<A> {
             fsync: d.fsync,
             wal: None,
             buf: Vec::new(),
-            scratch: Vec::new(),
             inbox: VecDeque::new(),
             in_process: false,
             since_ckpt: 0,
@@ -406,9 +330,9 @@ impl<A: Algorithm> Custody<A> {
             let (op, words) = pull.encode();
             let start = self.begin_frame(TAG_PULL);
             self.buf.push(op);
-            put_u64(&mut self.buf, index);
+            index.encode(&mut self.buf);
             for w in words {
-                put_u64(&mut self.buf, w);
+                w.encode(&mut self.buf);
             }
             self.end_frame(start, m);
         }
@@ -424,15 +348,12 @@ impl<A: Algorithm> Custody<A> {
         m: &mut ShardMetrics,
     ) {
         for env in envs {
-            self.scratch.clear();
-            A::encode_state(&env.value, &mut self.scratch);
             let start = self.begin_frame(TAG_ENVELOPE);
             self.buf.push(env.kind.as_u8());
-            put_u64(&mut self.buf, env.target);
-            put_u64(&mut self.buf, env.visitor);
-            put_u64(&mut self.buf, env.weight);
-            put_u64(&mut self.buf, env.tag);
-            put_bytes(&mut self.buf, &self.scratch);
+            for w in [env.target, env.visitor, env.weight, env.tag] {
+                w.encode(&mut self.buf);
+            }
+            put_framed(&mut self.buf, &env.value);
             self.end_frame(start, m);
             self.inbox.push_back(env);
         }
@@ -471,17 +392,12 @@ impl<A: Algorithm> Custody<A> {
     ) {
         let (seq, edges, streamed) = header;
         let mut body = Vec::with_capacity(64 + store.num_vertices() * 48);
-        put_u64(&mut body, seq);
-        put_u64(&mut body, edges);
-        put_u64(&mut body, streamed);
-        put_u64(&mut body, store.num_vertices() as u64);
-        let scratch = &mut self.scratch;
+        for w in [seq, edges, streamed, store.num_vertices() as u64] {
+            w.encode(&mut body);
+        }
         store.export_records(&mut |v, live, meta, adj| {
-            put_u64(&mut body, v);
-            put_u32(&mut body, meta.fired);
-            scratch.clear();
-            A::encode_state(live, scratch);
-            put_bytes(&mut body, scratch);
+            (v, meta.fired).encode(&mut body);
+            put_framed(&mut body, live);
             put_adjacency(&mut body, adj);
         });
         let (root, shard) = (&self.root, self.shard);
@@ -585,11 +501,10 @@ fn wal_path(root: &Path, shard: usize) -> PathBuf {
 
 /// The payloads of the valid frames at the front of `bytes`, in order,
 /// stopping at the first torn or corrupt one.
-fn frames(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
-    let mut r = ByteReader::new(bytes);
+fn frames(mut bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
     std::iter::from_fn(move || {
-        let (len, crc) = (r.u32().ok()?, r.u32().ok()?);
-        let payload = r.take(len as usize).ok()?;
+        let (len, crc) = (u32::decode(&mut bytes).ok()?, u32::decode(&mut bytes).ok()?);
+        let payload = take(&mut bytes, len as usize).ok()?;
         (crc32(payload) == crc).then_some(payload)
     })
 }
@@ -633,27 +548,27 @@ fn open_wal(root: &Path, shard: usize) -> io::Result<File> {
 /// field must be there and nothing after them: a frame of another layout
 /// (one written before the pull and envelope frames lost their 4-byte
 /// epoch, say) fails here instead of being misread.
-fn parse_frame(payload: &[u8]) -> io::Result<Replay<&[u8]>> {
-    let mut r = ByteReader::new(payload);
-    let record = match r.u8()? {
+fn parse_frame(mut payload: &[u8]) -> io::Result<Replay<&[u8]>> {
+    let r = &mut payload;
+    let record = match u8::decode(r)? {
         TAG_ENVELOPE => {
-            let kind = r.u8()?;
+            let kind = u8::decode(r)?;
             let kind = EventKind::from_u8(kind)
                 .ok_or_else(|| invalid(&format!("unknown envelope kind {kind}")))?;
-            let (target, visitor, weight, tag) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+            let (target, visitor) = (u64::decode(r)?, u64::decode(r)?);
+            let (weight, tag) = (u64::decode(r)?, u64::decode(r)?);
             Replay::Envelope(Envelope {
                 target,
                 visitor,
-                value: r.bytes()?,
+                value: get_frame(r)?,
                 weight,
                 kind,
                 tag,
             })
         }
         TAG_PULL => {
-            let op = r.u8()?;
-            let index = r.u64()?;
-            let words = [r.u64()?, r.u64()?, r.u64()?];
+            let (op, index) = (u8::decode(r)?, u64::decode(r)?);
+            let words = [u64::decode(r)?, u64::decode(r)?, u64::decode(r)?];
             let pull =
                 Pull::decode(op, words).ok_or_else(|| invalid(&format!("unknown pull op {op}")))?;
             Replay::Pull(pull, index)
@@ -677,7 +592,7 @@ fn read_wal<A: Algorithm>(root: &Path, shard: usize) -> io::Result<Vec<Replay<A:
                 Replay::Envelope(e) => Replay::Envelope(Envelope {
                     target: e.target,
                     visitor: e.visitor,
-                    value: A::decode_state(e.value),
+                    value: decode_framed(e.value)?,
                     weight: e.weight,
                     kind: e.kind,
                     tag: e.tag,
@@ -708,10 +623,9 @@ fn ckpt_tmp_path(root: &Path, shard: usize) -> PathBuf {
 fn stage_checkpoint(root: &Path, shard: usize, body: &[u8]) -> io::Result<()> {
     fs::create_dir_all(shard_dir(root, shard))?;
     let mut header = Vec::with_capacity(16);
-    put_u32(&mut header, CKPT_MAGIC);
-    put_u32(&mut header, CKPT_VERSION);
-    put_u32(&mut header, crc32(body));
-    put_u32(&mut header, body.len() as u32);
+    for w in [CKPT_MAGIC, CKPT_VERSION, crc32(body), body.len() as u32] {
+        w.encode(&mut header);
+    }
     let mut f = File::create(ckpt_tmp_path(root, shard))?;
     f.write_all(&header)?;
     f.write_all(body)?;
@@ -737,9 +651,9 @@ fn read_checkpoint(root: &Path, shard: usize) -> io::Result<Option<Vec<u8>>> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    let mut r = ByteReader::new(&bytes);
+    let mut r = &bytes[..];
     let (crc, len) = ckpt_preamble(&mut r)?;
-    let body = r.take(len)?;
+    let body = take(&mut r, len)?;
     if crc32(body) != crc {
         return Err(invalid("checkpoint CRC mismatch"));
     }
@@ -748,14 +662,14 @@ fn read_checkpoint(root: &Path, shard: usize) -> io::Result<Option<Vec<u8>>> {
 
 /// Checks a checkpoint file's magic and version; returns its body's CRC
 /// and length.
-fn ckpt_preamble(r: &mut ByteReader<'_>) -> io::Result<(u32, usize)> {
-    if r.u32()? != CKPT_MAGIC {
+fn ckpt_preamble(r: &mut &[u8]) -> io::Result<(u32, usize)> {
+    if u32::decode(r)? != CKPT_MAGIC {
         return Err(invalid("bad checkpoint magic"));
     }
-    if r.u32()? != CKPT_VERSION {
+    if u32::decode(r)? != CKPT_VERSION {
         return Err(invalid("bad checkpoint version"));
     }
-    Ok((r.u32()?, r.u32()? as usize))
+    Ok((u32::decode(r)?, u32::decode(r)? as usize))
 }
 
 /// The header's `streamed` of the shard's published checkpoint (0 when it
@@ -769,7 +683,7 @@ fn checkpoint_streamed(root: &Path, shard: usize) -> io::Result<u64> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
         Err(e) => return Err(e),
     }
-    let mut r = ByteReader::new(&head);
+    let mut r = &head[..];
     ckpt_preamble(&mut r)?;
     Ok(decode_header(&mut r)?.streamed)
 }
@@ -782,10 +696,8 @@ struct CkptHeader {
     streamed: u64,
 }
 
-fn decode_header(r: &mut ByteReader<'_>) -> io::Result<CkptHeader> {
-    let seq = r.u64()?;
-    let edges = r.u64()?;
-    let streamed = r.u64()?;
+fn decode_header(r: &mut &[u8]) -> io::Result<CkptHeader> {
+    let (seq, edges, streamed) = (u64::decode(r)?, u64::decode(r)?, u64::decode(r)?);
     Ok(CkptHeader {
         seq,
         edges,
@@ -795,17 +707,16 @@ fn decode_header(r: &mut ByteReader<'_>) -> io::Result<CkptHeader> {
 
 /// Decodes a checkpoint body into its header and store.
 fn decode_checkpoint<A: Algorithm>(body: &[u8]) -> io::Result<(CkptHeader, Store<A>)> {
-    let mut r = ByteReader::new(body);
+    let mut r = body;
     let header = decode_header(&mut r)?;
-    let vertices = r.u64()?;
+    let vertices = u64::decode(&mut r)?;
     // The header counts the records that follow; each takes more than a
     // byte, so the body's length bounds the allocation.
     let records = usize::try_from(vertices).unwrap_or(usize::MAX);
     let mut store = DenseStore::with_capacity(records.min(body.len()));
     for _ in 0..vertices {
-        let v = r.u64()?;
-        let fired = r.u32()?;
-        let live = A::decode_state(r.bytes()?);
+        let (v, fired) = (u64::decode(&mut r)?, u32::decode(&mut r)?);
+        let live = decode_framed(get_frame(&mut r)?)?;
         let adj = get_adjacency(&mut r)?;
         store.restore_record(v, live, VertexMeta { fired }, adj);
     }
@@ -896,7 +807,6 @@ fn read_manifest(root: &Path) -> io::Result<Option<(usize, bool)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::codec;
     use crate::event::{ControlKind, ControlOp, TopoEvent, TopoOp};
 
     fn tmp_root(tag: &str) -> PathBuf {
@@ -905,17 +815,11 @@ mod tests {
         dir
     }
 
-    /// `u64` states with the little-endian codec.
+    /// `u64` states.
     struct Level;
     impl Algorithm for Level {
         type State = u64;
         type Edge = ();
-        fn encode_state(s: &u64, out: &mut Vec<u8>) {
-            codec::put_u64(*s, out);
-        }
-        fn decode_state(b: &[u8]) -> u64 {
-            codec::get_u64(b)
-        }
     }
 
     /// Shard `shard`'s custody under `root`, opened.
@@ -927,11 +831,11 @@ mod tests {
         c
     }
 
-    fn update(target: u64, tag: u64) -> Envelope<u64> {
+    fn update<S: From<u64>>(target: u64, tag: u64) -> Envelope<S> {
         Envelope {
             target,
             visitor: target + 10,
-            value: 42,
+            value: S::from(42),
             weight: 7,
             kind: EventKind::Update,
             tag,
@@ -1073,21 +977,58 @@ mod tests {
         let crc = crc32(&bytes[8..]);
         bytes[4..8].copy_from_slice(&crc.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
-        let mut c = custody(&root, 0);
         assert!(
-            c.recovering(),
+            custody(&root, 0).recovering(),
             "the frame is valid, so this is a cold start"
         );
+        let message = restore_failure(&root);
+        assert!(message.contains("unknown pull op 6"), "{message}");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// `payload` as one WAL frame whose length and CRC check out.
+    fn seal(payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        (payload.len() as u32, crc32(payload)).encode(&mut frame);
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    /// The panic message of shard 0's restore under `root`, which must fail.
+    fn restore_failure(root: &Path) -> String {
+        let mut c = custody(root, 0);
         let (mut store, mut seq, mut edges, mut streamed) = (DenseStore::with_capacity(0), 0, 0, 0);
         let restored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             c.restore(&mut store, &mut seq, &mut edges, &mut streamed)
         }));
         let Err(err) = restored else {
-            panic!("an unknown pull op must fail the restore");
+            panic!("the restore must fail");
         };
-        let message = crate::supervision::panic_payload_string(err);
-        assert!(message.contains("unknown pull op 6"), "{message}");
-        let _ = fs::remove_dir_all(&root);
+        crate::supervision::panic_payload_string(err)
+    }
+
+    /// An envelope frame that checks out but whose state bytes are short,
+    /// or have bytes left over, fails the restore with a decode error that
+    /// names the shard, instead of replaying a misread state.
+    #[test]
+    fn state_bytes_of_the_wrong_length_fail_the_restore() {
+        for (len, what) in [(4u32, "truncated payload"), (12, "state bytes left over")] {
+            let root = tmp_root("state-len");
+            let mut payload = vec![TAG_ENVELOPE, EventKind::Update.as_u8()];
+            for w in [1u64, 2, 3, 0] {
+                w.encode(&mut payload);
+            }
+            len.encode(&mut payload);
+            payload.resize(payload.len() + len as usize, 7);
+            fs::create_dir_all(shard_dir(&root, 0)).unwrap();
+            fs::write(wal_path(&root, 0), seal(&payload)).unwrap();
+            let message = restore_failure(&root);
+            assert!(
+                message.contains("WAL read failed on shard 0") && message.contains(what),
+                "{message}"
+            );
+            let _ = fs::remove_dir_all(&root);
+        }
     }
 
     /// A pull frame in the layout of checkpoint version 2 and before (a
@@ -1099,15 +1040,12 @@ mod tests {
         let root = tmp_root("old-pull");
         let (op, words) = Pull::Init(3).encode();
         let mut payload = vec![TAG_PULL, op];
-        put_u32(&mut payload, 0); // the epoch
-        put_u64(&mut payload, 5);
+        0u32.encode(&mut payload); // the epoch
+        5u64.encode(&mut payload);
         for w in words {
-            put_u64(&mut payload, w);
+            w.encode(&mut payload);
         }
-        let mut frame = Vec::new();
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        frame.extend_from_slice(&payload);
+        let frame = seal(&payload);
         fs::create_dir_all(shard_dir(&root, 0)).unwrap();
         fs::write(wal_path(&root, 0), &frame).unwrap();
         assert_eq!(valid_prefix(&frame), frame.len() as u64, "an intact frame");
@@ -1226,19 +1164,32 @@ mod tests {
     /// Encodings [`Fragile`] has left before its next one panics.
     static ENCODES_LEFT: AtomicU64 = AtomicU64::new(u64::MAX);
 
-    /// `Level`, whose `encode_state` panics once `ENCODES_LEFT` runs out.
-    struct Fragile;
-    impl Algorithm for Fragile {
-        type State = u64;
-        type Edge = ();
-        fn encode_state(s: &u64, out: &mut Vec<u8>) {
+    /// A `u64` whose encoding panics once `ENCODES_LEFT` runs out.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    struct Fragile(u64);
+
+    impl From<u64> for Fragile {
+        fn from(v: u64) -> Self {
+            Fragile(v)
+        }
+    }
+
+    impl Codec for Fragile {
+        fn encode(&self, out: &mut Vec<u8>) {
             let left = ENCODES_LEFT.fetch_update(Relaxed, Relaxed, |n| n.checked_sub(1));
-            assert!(left.is_ok(), "injected encode_state failure");
-            Level::encode_state(s, out);
+            assert!(left.is_ok(), "injected encode failure");
+            self.0.encode(out);
         }
-        fn decode_state(b: &[u8]) -> u64 {
-            Level::decode_state(b)
+        fn decode(bytes: &mut &[u8]) -> io::Result<Self> {
+            u64::decode(bytes).map(Fragile)
         }
+    }
+
+    /// `Level` over [`Fragile`] states.
+    struct FragileLevel;
+    impl Algorithm for FragileLevel {
+        type State = Fragile;
+        type Edge = ();
     }
 
     /// A checkpoint that dies while it encodes the store publishes nothing
@@ -1249,18 +1200,18 @@ mod tests {
         let root = tmp_root("ckpt-panic");
         let config =
             EngineConfig::directed(1).with_durability(DurabilityConfig::new(&root).fsync(false));
-        let mut c = Custody::<Fragile>::for_shard(&config, 0).unwrap();
+        let mut c = Custody::<FragileLevel>::for_shard(&config, 0).unwrap();
         c.open();
         let mut m = ShardMetrics::default();
-        let mut store: DenseStore<u64, ()> = DenseStore::with_capacity(0);
+        let mut store: DenseStore<Fragile, ()> = DenseStore::with_capacity(0);
         let h = store.intern(7);
-        *store.parts(h).live = 5;
+        *store.parts(h).live = Fragile(5);
         c.checkpoint(&store, (1, 0, 0), &mut m);
 
         c.admit([update(8, 0)], &mut m);
         c.take_admitted();
         let h = store.intern(8);
-        *store.parts(h).live = 42;
+        *store.parts(h).live = Fragile(42);
         ENCODES_LEFT.store(1, Relaxed);
         let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             c.checkpoint(&store, (2, 0, 0), &mut m);
@@ -1284,7 +1235,7 @@ mod tests {
         let replay = c.restore(&mut restored, &mut seq, &mut edges, &mut streamed);
         assert!(replay.is_empty());
         assert_eq!((seq, restored.num_vertices()), (3, 2));
-        assert_eq!(restored.get(8).map(|(s, _)| *s), Some(42));
+        assert_eq!(restored.get(8).map(|(s, _)| *s), Some(Fragile(42)));
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -13,12 +13,14 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use remo_core::{
-    codec, AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineConfig, EngineError, Partitioner,
+    AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineConfig, EngineError, Partitioner,
     QueryRegistry, RunMetrics, Snapshot, VertexId,
 };
 
 mod faults;
+mod max_label;
 use faults::{Faulty, MARKER};
+use max_label::MaxLabel;
 
 /// The paper's §II-A example: count each vertex's degree. Enough to make
 /// every topology event fan out an envelope per endpoint. It sends no
@@ -512,63 +514,6 @@ fn dead_shard_spans_outlive_its_thread() {
 
 // ---- durability: WAL + checkpoint recovery ---------------------------
 
-/// Max-label propagation (connected components by max id; labels offset
-/// by one so the lattice bottom `0` reads "unlabelled"). Unlike `Degree`,
-/// whose increments observe *how many* events arrived, the max join is
-/// idempotent under duplicated delivery — which is exactly what WAL
-/// replay provides (at-least-once), so a recovered run must land on the
-/// same fixpoint byte for byte.
-struct MaxLabel;
-
-impl MaxLabel {
-    fn absorb(ctx: &mut impl AlgoCtx<u64>, cand: u64) {
-        let changed = ctx.apply(|s| {
-            if cand > *s {
-                *s = cand;
-                true
-            } else {
-                false
-            }
-        });
-        if changed {
-            let label = *ctx.state();
-            ctx.update_nbrs(&label);
-        }
-    }
-}
-
-impl Algorithm for MaxLabel {
-    type State = u64;
-    type Edge = ();
-    fn on_add(&self, ctx: &mut impl AlgoCtx<u64>, visitor: VertexId, _val: &u64, _w: u64) {
-        let cand = (ctx.vertex() + 1).max(visitor + 1);
-        Self::absorb(ctx, cand);
-        // A new edge must carry my label to the other endpoint even when
-        // nothing changed here — otherwise the fixpoint depends on edge
-        // arrival order and the byte-identical assertions are vacuous.
-        let label = *ctx.state();
-        ctx.update_single_nbr(visitor, &label);
-    }
-    fn on_reverse_add(&self, ctx: &mut impl AlgoCtx<u64>, visitor: VertexId, value: &u64, _w: u64) {
-        let cand = (ctx.vertex() + 1).max(visitor + 1).max(*value);
-        Self::absorb(ctx, cand);
-        let label = *ctx.state();
-        ctx.update_single_nbr(visitor, &label);
-    }
-    fn on_update(&self, ctx: &mut impl AlgoCtx<u64>, _visitor: VertexId, value: &u64, _w: u64) {
-        Self::absorb(ctx, *value);
-    }
-    fn absorbs(live: &u64, incoming: &u64) -> bool {
-        incoming <= live
-    }
-    fn encode_state(state: &u64, out: &mut Vec<u8>) {
-        codec::put_u64(*state, out);
-    }
-    fn decode_state(bytes: &[u8]) -> u64 {
-        codec::get_u64(bytes)
-    }
-}
-
 /// Fresh per-test durable root under the OS temp dir.
 fn durable_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("remo-chaos-{}-{tag}", std::process::id()));
@@ -694,12 +639,6 @@ impl Algorithm for Stamped {
             *s = (*s).max(seen);
             raised
         });
-    }
-    fn encode_state(state: &u64, out: &mut Vec<u8>) {
-        codec::put_u64(*state, out);
-    }
-    fn decode_state(bytes: &[u8]) -> u64 {
-        codec::get_u64(bytes)
     }
 }
 
@@ -1014,12 +953,6 @@ impl Algorithm for MinLabel {
     }
     fn absorbs(live: &u64, incoming: &u64) -> bool {
         *incoming == 0 || (*live != 0 && incoming >= live)
-    }
-    fn encode_state(state: &u64, out: &mut Vec<u8>) {
-        codec::put_u64(*state, out);
-    }
-    fn decode_state(bytes: &[u8]) -> u64 {
-        codec::get_u64(bytes)
     }
 }
 

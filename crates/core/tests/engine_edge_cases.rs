@@ -7,7 +7,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use remo_core::{
-    codec, AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineConfig, EngineError, Partitioner,
+    AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineConfig, EngineError, Partitioner,
     QueryRegistry, SequentialEngine, TopoEvent, TopoOp, VertexId, Weight,
 };
 use remo_gen::rng::SmallRng;
@@ -613,12 +613,6 @@ impl Algorithm for Indexed {
             *s = index;
             true
         });
-    }
-    fn encode_state(state: &u64, out: &mut Vec<u8>) {
-        codec::put_u64(*state, out);
-    }
-    fn decode_state(bytes: &[u8]) -> u64 {
-        codec::get_u64(bytes)
     }
 }
 

@@ -4,8 +4,7 @@
 //! purpose-built algorithms, independent of the paper's headline algorithms.
 
 use remo_core::{
-    codec, AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineBuilder, EngineConfig, VertexId,
-    Weight,
+    AlgoCtx, Algorithm, DurabilityConfig, Engine, EngineBuilder, EngineConfig, VertexId, Weight,
 };
 
 /// Counts add/reverse-add events per vertex (monotone counter).
@@ -153,7 +152,7 @@ fn quiescence_then_more_work_then_quiescence() {
 }
 
 #[test]
-fn snapshot_mid_ingest_excludes_later_epoch() {
+fn snapshot_mid_ingest_excludes_later_ingests() {
     // A snapshot taken while a batch is still queued covers it, and
     // nothing ingested after the call: its cut is the stream index the
     // next call takes.
@@ -319,12 +318,6 @@ fn build_refuses_a_durable_directory_of_another_shape() {
     impl Algorithm for Durable {
         type State = u64;
         type Edge = ();
-        fn encode_state(state: &u64, out: &mut Vec<u8>) {
-            codec::put_u64(*state, out);
-        }
-        fn decode_state(bytes: &[u8]) -> u64 {
-            codec::get_u64(bytes)
-        }
     }
     let dir = std::env::temp_dir().join(format!("remo-build-refusal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

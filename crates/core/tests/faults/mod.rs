@@ -145,12 +145,4 @@ impl<A: Algorithm> Algorithm for Faulty<A> {
     fn absorbs(live: &A::State, incoming: &A::State) -> bool {
         A::absorbs(live, incoming)
     }
-
-    fn encode_state(state: &A::State, out: &mut Vec<u8>) {
-        A::encode_state(state, out);
-    }
-
-    fn decode_state(bytes: &[u8]) -> A::State {
-        A::decode_state(bytes)
-    }
 }

@@ -31,65 +31,13 @@ type RunOutputs = (
 );
 
 use remo_core::{
-    codec, AlgoCtx, Algorithm, DurabilityConfig, EngineBuilder, EngineConfig, Partitioner,
-    Snapshot, VertexId,
+    Algorithm, DurabilityConfig, EngineBuilder, EngineConfig, Partitioner, Snapshot, VertexId,
 };
 
 mod faults;
+mod max_label;
 use faults::Faulty;
-
-/// Max-label propagation (see `tests/chaos.rs`): the max join is
-/// idempotent under the duplicated delivery that WAL replay introduces,
-/// and — because `on_add` always pushes the local label across a new
-/// edge — its fixpoint is independent of event interleaving, which is
-/// what makes byte-identical assertions meaningful.
-struct MaxLabel;
-
-impl MaxLabel {
-    fn absorb(ctx: &mut impl AlgoCtx<u64>, cand: u64) {
-        let changed = ctx.apply(|s| {
-            if cand > *s {
-                *s = cand;
-                true
-            } else {
-                false
-            }
-        });
-        if changed {
-            let label = *ctx.state();
-            ctx.update_nbrs(&label);
-        }
-    }
-}
-
-impl Algorithm for MaxLabel {
-    type State = u64;
-    type Edge = ();
-    fn on_add(&self, ctx: &mut impl AlgoCtx<u64>, visitor: VertexId, _val: &u64, _w: u64) {
-        let cand = (ctx.vertex() + 1).max(visitor + 1);
-        Self::absorb(ctx, cand);
-        let label = *ctx.state();
-        ctx.update_single_nbr(visitor, &label);
-    }
-    fn on_reverse_add(&self, ctx: &mut impl AlgoCtx<u64>, visitor: VertexId, value: &u64, _w: u64) {
-        let cand = (ctx.vertex() + 1).max(visitor + 1).max(*value);
-        Self::absorb(ctx, cand);
-        let label = *ctx.state();
-        ctx.update_single_nbr(visitor, &label);
-    }
-    fn on_update(&self, ctx: &mut impl AlgoCtx<u64>, _visitor: VertexId, value: &u64, _w: u64) {
-        Self::absorb(ctx, *value);
-    }
-    fn absorbs(live: &u64, incoming: &u64) -> bool {
-        incoming <= live
-    }
-    fn encode_state(state: &u64, out: &mut Vec<u8>) {
-        codec::put_u64(*state, out);
-    }
-    fn decode_state(bytes: &[u8]) -> u64 {
-        codec::get_u64(bytes)
-    }
-}
+use max_label::MaxLabel;
 
 /// xorshift64* — deterministic, dependency-free, good enough to spread
 /// draws across the case grid.

@@ -22,52 +22,8 @@ use remo_core::{
     SAMPLE_SHIFT,
 };
 
-/// Max-label propagation (see `tests/prop_recovery.rs`): the monotone max
-/// join makes the fixpoint interleaving-independent — `on_add` always
-/// pushes the local label across the new edge, so no cascade depends on
-/// adjacency-at-processing-time. Multi-hop cascades with real fan-out
-/// exercise dominance and suppression — every span kind.
-struct MaxLabel;
-
-impl MaxLabel {
-    fn absorb(ctx: &mut impl AlgoCtx<u64>, cand: u64) {
-        let changed = ctx.apply(|s| {
-            if cand > *s {
-                *s = cand;
-                true
-            } else {
-                false
-            }
-        });
-        if changed {
-            let label = *ctx.state();
-            ctx.update_nbrs(&label);
-        }
-    }
-}
-
-impl Algorithm for MaxLabel {
-    type State = u64;
-    type Edge = ();
-    fn on_add(&self, ctx: &mut impl AlgoCtx<u64>, visitor: VertexId, _val: &u64, _w: u64) {
-        let cand = (ctx.vertex() + 1).max(visitor + 1);
-        Self::absorb(ctx, cand);
-        let label = *ctx.state();
-        ctx.update_single_nbr(visitor, &label);
-    }
-    fn on_reverse_add(&self, ctx: &mut impl AlgoCtx<u64>, visitor: VertexId, value: &u64, _w: u64) {
-        let cand = (ctx.vertex() + 1).max(visitor + 1).max(*value);
-        Self::absorb(ctx, cand);
-        let label = *ctx.state();
-        ctx.update_single_nbr(visitor, &label);
-    }
-    fn on_update(&self, ctx: &mut impl AlgoCtx<u64>, _visitor: VertexId, value: &u64, _w: u64) {
-        Self::absorb(ctx, *value);
-    }
-    fn absorbs(live: &u64, incoming: &u64) -> bool {
-        incoming <= live
-    }
-}
+mod max_label;
+use max_label::MaxLabel;
 
 /// Deterministic xorshift edge stream over a small vertex range.
 fn edge_stream(n: usize, vertices: u64, seed: u64) -> Vec<(VertexId, VertexId)> {

@@ -78,12 +78,6 @@ impl Algorithm for Crashing {
     fn absorbs(live: &u64, incoming: &u64) -> bool {
         IncCc::absorbs(live, incoming)
     }
-    fn encode_state(state: &u64, out: &mut Vec<u8>) {
-        IncCc::encode_state(state, out);
-    }
-    fn decode_state(bytes: &[u8]) -> u64 {
-        IncCc::decode_state(bytes)
-    }
     fn stream_value(index: u64) -> u64 {
         IncCc::stream_value(index)
     }
