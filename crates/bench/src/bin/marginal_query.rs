@@ -8,7 +8,10 @@
 //! (BFS / CC / SSSP / degree, rotating sources), with three checks:
 //!
 //! 1. **Identity** (asserted every cell, every rep): each query's
-//!    projected column equals its solo-run fixpoint byte for byte.
+//!    projected column equals its solo-run fixpoint byte for byte — CC's
+//!    equals the static hash-order labelling instead, since a solo `IncCc`
+//!    labels a component by its earliest stream edge and a registry
+//!    column, which no stream numbers, by [`cc_label`] (DESIGN.md §17).
 //! 2. **Marginal cost**: the wall cost of adding the 2nd query
 //!    (`reg-2` − `reg-1`) must be ≤ 40% of that query's solo wall — the
 //!    shared topology work is not paid twice.
@@ -34,7 +37,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use remo_algos::{DegreeCount, IncBfs, IncCc, IncSssp};
+use remo_algos::{cc_label, DegreeCount, IncBfs, IncCc, IncSssp};
 use remo_bench::*;
 use remo_core::{Algorithm, Engine, EngineConfig, QueryId, QueryRegistry, VertexId as Vid, Weight};
 use remo_gen::rmat::{self, RmatConfig};
@@ -116,14 +119,26 @@ fn solo_spec(
     }
 }
 
+/// The registry's CC column over `edges`: every vertex an edge names with
+/// the largest [`cc_label`] in its component.
+fn hash_cc(edges: &[(Vid, Vid, Weight)]) -> Vec<(Vid, u64)> {
+    let pairs: Vec<(Vid, Vid)> = edges.iter().map(|&(a, b, _)| (a, b)).collect();
+    let csr = remo_baseline::build_undirected(&pairs).csr;
+    let labels = remo_baseline::components_dominator_label(&csr, cc_label);
+    (0..csr.num_vertices() as Vid)
+        .filter(|&v| csr.degree(v) > 0)
+        .map(|v| (v, labels[v as usize]))
+        .collect()
+}
+
 /// One registry run with `specs` attached up front. Returns the
-/// ingest-to-fixpoint wall and every query's projected fixpoint, asserted
-/// against the solo references by the caller.
+/// ingest-to-fixpoint wall; every query's projected fixpoint is asserted
+/// against `columns`, the solo fixpoints with CC's in hash order.
 fn run_registry(
     specs: &[Spec],
     shards: usize,
     edges: &[(Vid, Vid, Weight)],
-    solos: &HashMap<Spec, Vec<(Vid, u64)>>,
+    columns: &HashMap<Spec, Vec<(Vid, u64)>>,
 ) -> Duration {
     let reg = QueryRegistry::<u64>::new();
     let engine = Engine::new(reg.clone(), EngineConfig::undirected(shards));
@@ -140,7 +155,7 @@ fn run_registry(
     for (spec, id) in specs.iter().zip(&ids) {
         assert_eq!(
             reg.project(&result.states, *id).into_vec(),
-            solos[spec],
+            columns[spec],
             "{} diverged from its solo fixpoint in a {}-query registry",
             spec.label(),
             specs.len()
@@ -159,7 +174,7 @@ fn run_attach(
     specs: &[Spec],
     shards: usize,
     edges: &[(Vid, Vid, Weight)],
-    solos: &HashMap<Spec, Vec<(Vid, u64)>>,
+    columns: &HashMap<Spec, Vec<(Vid, u64)>>,
 ) -> Duration {
     let (late_spec, residents) = specs.split_last().unwrap();
     let reg = QueryRegistry::<u64>::new();
@@ -176,7 +191,7 @@ fn run_attach(
     let result = engine.try_finish().unwrap();
     assert_eq!(
         reg.project(&result.states, late).into_vec(),
-        solos[late_spec],
+        columns[late_spec],
         "live-attached {} diverged from its solo fixpoint",
         late_spec.label()
     );
@@ -216,6 +231,8 @@ fn main() {
             solos.insert(*spec, solo_spec(*spec, shards, &edges).1);
         }
     }
+    let mut columns = solos.clone();
+    columns.insert(Spec::Cc, hash_cc(&edges));
 
     // Rep-major interleaved sweep, min wall per cell. Cell order:
     // 4 timed solos, the 1→2→4→8 registry ladder, the live-attach cell.
@@ -236,10 +253,10 @@ fn main() {
             *slot = Some(slot.map_or(wall, |p: Duration| p.min(wall)));
         }
         for (slot, &n) in reg_wall.iter_mut().zip(&counts) {
-            let wall = run_registry(&full_mix[..n], shards, &edges, &solos);
+            let wall = run_registry(&full_mix[..n], shards, &edges, &columns);
             *slot = Some(slot.map_or(wall, |p: Duration| p.min(wall)));
         }
-        let wall = run_attach(&full_mix, shards, &edges, &solos);
+        let wall = run_attach(&full_mix, shards, &edges, &columns);
         attach_wall = Some(attach_wall.map_or(wall, |p| p.min(wall)));
     }
     let solo_wall: Vec<Duration> = solo_wall.into_iter().map(|w| w.unwrap()).collect();

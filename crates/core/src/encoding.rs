@@ -50,9 +50,10 @@ pub trait Codec: Sized {
     fn decode(bytes: &mut &[u8]) -> io::Result<Self>;
 }
 
-/// Corrupt durable data.
+/// Corrupt durable data. The message is `what` alone: the caller that
+/// reports the error names the step and the shard it failed in.
 pub(crate) fn invalid(what: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("durability: {what}"))
+    io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
 /// The first `n` bytes of `bytes`, which advances past them.

@@ -243,11 +243,11 @@ mod tests {
         assert_eq!(parts.adj.get(2).map(|m| m.weight), Some(3));
     }
 
-    /// A checkpoint round trip through a vertex past `PROMOTE_DEGREE`, for
-    /// each edge payload: the adjacency goes through the checkpoint's edge
-    /// codec and the decoder re-inserts the edges one by one (as
-    /// `restore_checkpoint` does), so the restored slab and its position
-    /// index are rebuilt, not copied.
+    /// A checkpoint round trip through a vertex past `PROMOTE_BYTES` of
+    /// entries, for each edge payload: the adjacency goes through the
+    /// checkpoint's edge codec and the decoder re-inserts the edges one by
+    /// one (as `restore_checkpoint` does), so the restored slab and its
+    /// position index are rebuilt, not copied.
     #[test]
     fn export_restore_round_trips_a_promoted_vertex() {
         round_trip_promoted::<()>();
@@ -257,8 +257,10 @@ mod tests {
 
     fn round_trip_promoted<E: EdgeData>() {
         use crate::wal::{get_adjacency, put_adjacency};
-        use remo_store::PROMOTE_DEGREE;
-        let degree = 4 * PROMOTE_DEGREE as u64;
+        use remo_store::adjacency::PROMOTE_BYTES;
+        // Twice the entries of the narrowest kind (a 4-byte `()` entry)
+        // that fill `PROMOTE_BYTES`, so every payload builds its index.
+        let degree = 2 * PROMOTE_BYTES as u64 / 4;
         let mut st: DenseStore<u64, E> = DenseStore::with_capacity(0);
         let h = st.intern(1);
         {

@@ -1009,7 +1009,8 @@ mod tests {
 
     /// An envelope frame that checks out but whose state bytes are short,
     /// or have bytes left over, fails the restore with a decode error that
-    /// names the shard, instead of replaying a misread state.
+    /// names the shard under one `durability:` prefix, instead of replaying
+    /// a misread state.
     #[test]
     fn state_bytes_of_the_wrong_length_fail_the_restore() {
         for (len, what) in [(4u32, "truncated payload"), (12, "state bytes left over")] {
@@ -1027,6 +1028,7 @@ mod tests {
                 message.contains("WAL read failed on shard 0") && message.contains(what),
                 "{message}"
             );
+            assert_eq!(message.matches("durability:").count(), 1, "{message}");
             let _ = fs::remove_dir_all(&root);
         }
     }

@@ -13,17 +13,18 @@
 //! decides where that run lives and what sits beside it. The 24-byte
 //! header holds the first 16 bytes of entries itself, so a vertex of
 //! degree ≤ 4 on an unweighted graph owns no heap block at all; past that
-//! the entries move to a heap *slab*; past [`PROMOTE_DEGREE`] entries a
-//! *position index* joins it, an open-addressing table of slots each
-//! naming a position in the slab (RisGraph's "indexed adjacency lists"). A
-//! slot is 2 bytes in an index of at most 2^14 slots — every hub below
-//! 12 288 edges — and 4 bytes above. The index holds no keys and no values,
-//! so a hub costs one entry per edge plus about 2.7–5.3 bytes of index
-//! (5.3–10.7 past the switch), and a neighbour scan is a slice walk at
-//! every degree. (DESIGN.md §11 "Adjacency layout" has the measurements
-//! against the per-hub Robin Hood table this layout replaced and against
-//! 4-byte slots at every size, and "Low-degree vertices" those of the
-//! inline entries.)
+//! the entries move to a heap *slab*; past [`PROMOTE_BYTES`] (1 KiB) of
+//! entries a *position index* joins it, an open-addressing table of slots
+//! each naming a position in the slab (RisGraph's "indexed adjacency
+//! lists"). A slot is 2 bytes in an index of at most 2^14 slots — every
+//! hub below 12 288 edges — and 4 bytes above. The index holds no keys
+//! and no values, so a hub costs one entry per edge plus about 2.7–5.3
+//! bytes of index (5.3–10.7 past the switch), and a neighbour scan is a
+//! slice walk at every degree. (DESIGN.md §11 "Adjacency layout" has the
+//! measurements against the per-hub Robin Hood table this layout replaced
+//! and against 4-byte slots at every size, "Low-degree vertices" those of
+//! the inline entries, and "Index threshold in bytes" those of the
+//! threshold.)
 //!
 //! An entry has one of two widths, chosen per vertex by its contents. While
 //! every neighbour id and every weight the vertex holds fits in a `u32`,
@@ -53,16 +54,13 @@ use std::marker::PhantomData;
 use std::mem::{align_of, size_of, MaybeUninit};
 use std::ptr::{self, NonNull};
 
-/// Degree past which a vertex gains a position index.
-///
-/// 32 entries of at most 24 bytes each stay within a few cache lines and
-/// keep the linear scan cheaper than hashing; beyond that the O(d)
-/// duplicate check on insert starts to lose.
-pub const PROMOTE_DEGREE: usize = 32;
-
-/// Slots of a vertex's first index; each later one doubles it. 33 entries
-/// in 64 slots is a load of about 1/2.
-const FIRST_INDEX_SLOTS: usize = 64;
+/// Bytes of entries past which a vertex gains a position index, counted at
+/// the width its entries have: past 256 narrow `()` entries, 128 [`Weight`]
+/// and 64 [`EdgeMeta`] ones (128, 64 and 42 wide). The count is in bytes
+/// because what a scan reads is bytes: up to 16 cache lines the scan's
+/// O(d) duplicate check costs less than an index costs memory (DESIGN.md
+/// §11 "Index threshold in bytes" has the measurements).
+pub const PROMOTE_BYTES: usize = 1024;
 
 /// Slab capacity from which growth is by half instead of doubling.
 const GENTLE_GROWTH_FROM: usize = 64;
@@ -454,7 +452,7 @@ impl<E: EdgeData> Entry<E> for Narrow<E> {
 }
 
 /// Adjacency list of a single vertex: its edges in insertion order and,
-/// past [`PROMOTE_DEGREE`] entries, a hash index of positions into them.
+/// past [`PROMOTE_BYTES`] of entries, a hash index of positions into them.
 ///
 /// The header is 24 bytes for every payload: the degree, a capacity word,
 /// and two words that are either the entries themselves or two pointers.
@@ -658,8 +656,9 @@ impl<E: EdgeData> Adjacency<E> {
         self.len == 0
     }
 
-    /// True when the position index exists, i.e. the degree has exceeded
-    /// [`PROMOTE_DEGREE`] at some point (removals never drop the index).
+    /// True when the position index exists, i.e. an insert has left more
+    /// than [`PROMOTE_BYTES`] of entries at some point (removals never
+    /// drop the index).
     /// Exposed for tests and benches.
     pub fn is_promoted(&self) -> bool {
         self.index_slots() != 0
@@ -1021,7 +1020,9 @@ impl<E: EdgeData> Adjacency<E> {
         let degree = len + 1;
         let slots = self.index_slots();
         if degree * 4 > slots * 3 {
-            if degree > PROMOTE_DEGREE {
+            // An index fills past 3/4 only beyond the degree it was built
+            // at, so past `PROMOTE_BYTES` too: entries never narrow.
+            if degree * size_of::<T>() > PROMOTE_BYTES {
                 self.grow_index::<T>();
             }
         } else if is_narrow(slots) {
@@ -1084,21 +1085,22 @@ impl<E: EdgeData> Adjacency<E> {
         self.cap = (self.cap & !CAP_MASK) | cap as u32;
     }
 
-    /// Replaces the index with one of twice the slots (the first has
-    /// [`FIRST_INDEX_SLOTS`]), re-deriving every slot from the slab of `T`.
-    /// This is the one place an index changes width: past [`NARROW_SLOTS`]
-    /// the new one has `u32` slots.
+    /// Replaces the index with the smallest power of two of slots that
+    /// holds the degree at a load of at most 3/4 — twice the slots of an
+    /// index that just passed 3/4 — re-deriving every slot from the slab of
+    /// `T`. This is the one place an index changes width: past
+    /// [`NARROW_SLOTS`] the new one has `u32` slots.
     #[cold]
     fn grow_index<T: Entry<E>>(&mut self) {
         let old = self.index_slots();
-        let slots = (old * 2).max(FIRST_INDEX_SLOTS);
+        let slots = (self.degree() * 4).div_ceil(3).next_power_of_two();
         let index = if is_narrow(slots) {
             self.build_index::<u16, T>(slots)
         } else {
             self.build_index::<u32, T>(slots)
         };
-        // SAFETY: an index grows only past PROMOTE_DEGREE entries, which no
-        // header holds inline, so `heap` is the live field; the old index
+        // SAFETY: an index grows only past PROMOTE_BYTES of entries, which
+        // no header holds inline, so `heap` is the live field; the old index
         // is freed with the layout it was allocated with.
         unsafe {
             if old != 0 {
@@ -1254,7 +1256,7 @@ mod tests {
     #[test]
     fn insert_weight_min_through_the_index() {
         let mut a = Adjacency::new();
-        for n in 0..(PROMOTE_DEGREE as u64 + 4) {
+        for n in 0..(PROMOTE_BYTES as u64 / 16 + 4) {
             a.insert_weight_min(n, EdgeMeta::weighted(n + 10));
         }
         assert!(a.is_promoted());
@@ -1266,14 +1268,66 @@ mod tests {
 
     #[test]
     fn promotes_past_threshold_and_preserves_contents() {
+        // Narrow `EdgeMeta` entries are 16 bytes: 64 fill `PROMOTE_BYTES`.
+        let past = PROMOTE_BYTES as u64 / 16;
         let mut a = Adjacency::new();
-        for i in 0..=(PROMOTE_DEGREE as u64) {
+        for i in 0..past {
             a.insert(i, EdgeMeta::weighted(i + 100));
         }
-        assert!(a.is_promoted());
-        assert_eq!(a.degree(), PROMOTE_DEGREE + 1);
-        for i in 0..=(PROMOTE_DEGREE as u64) {
+        assert!(!a.is_promoted());
+        a.insert(past, EdgeMeta::weighted(past + 100));
+        assert_eq!(a.index_slots(), 128);
+        assert_eq!(a.degree(), past as usize + 1);
+        for i in 0..=past {
             assert_eq!(a.get(i).unwrap().weight, i + 100, "neighbour {i}");
+        }
+    }
+
+    /// A vertex gains its index at the insert that takes its entries past
+    /// `PROMOTE_BYTES` at the width they have, and the first index is sized
+    /// for that degree: 257 narrow `()` entries take 512 slots, where the
+    /// 64 of a fixed first size would fill up and never end a probe.
+    #[test]
+    fn promotes_past_a_kilobyte_of_entries() {
+        fn fill<E: EdgeData>(a: &mut Adjacency<E>, ids: std::ops::Range<u64>) {
+            for n in ids {
+                assert!(a.insert(n * 3, E::new(n + 1, 0)));
+            }
+        }
+        fn all_found<E: EdgeData>(a: &Adjacency<E>, degree: u64) {
+            assert_eq!(a.degree(), degree as usize);
+            for n in 0..degree {
+                assert_eq!(a.get(n * 3), Some(E::new(n + 1, 0)), "neighbour {n}");
+            }
+            assert_eq!(a.get(1), None);
+        }
+        // Narrow `()`: 4 bytes an entry, so 256 of them fill 1 KiB.
+        let mut unit: Adjacency<()> = Adjacency::new();
+        fill(&mut unit, 0..256);
+        assert!(!unit.is_promoted());
+        fill(&mut unit, 256..257);
+        assert_eq!(unit.index_slots(), 512);
+        all_found(&unit, 257);
+        // Narrow `Weight`: 8 bytes an entry.
+        let mut weight: Adjacency<Weight> = Adjacency::new();
+        fill(&mut weight, 0..128);
+        assert!(!weight.is_promoted());
+        fill(&mut weight, 128..129);
+        assert_eq!(weight.index_slots(), 256);
+        all_found(&weight, 129);
+        // 100 narrow `Weight` entries are 800 bytes. A re-add with a weight
+        // past `u32::MAX` widens them to 1 600 without adding one, and the
+        // next insert builds the index.
+        let mut widened: Adjacency<Weight> = Adjacency::new();
+        fill(&mut widened, 0..100);
+        assert!(!widened.insert(15, 1 << 40));
+        assert!(widened.is_wide() && !widened.is_promoted());
+        assert!(widened.insert(1, 7));
+        assert_eq!(widened.index_slots(), 256);
+        assert_eq!(widened.get(15), Some(1 << 40));
+        assert_eq!(widened.get(1), Some(7));
+        for n in (0..100).filter(|&n| n != 5) {
+            assert_eq!(widened.get(n * 3), Some(n + 1), "neighbour {n}");
         }
     }
 
@@ -1318,19 +1372,21 @@ mod tests {
     #[test]
     fn indexed_remove_keeps_every_other_edge_reachable() {
         // Removing each edge in turn from an index at its 3/4 ceiling
-        // (48 of 64 slots) runs the backward shift over clusters of every
+        // (48 of 64 slots: wide `EdgeMeta` entries are 24 bytes, so 43 of
+        // them promote) runs the backward shift over clusters of every
         // shape, wrap-around included.
         let n = 48u64;
+        let id = |i: u64| (1 << 32) + i * 7919;
         for victim in 0..n {
             let mut a = Adjacency::new();
             for i in 0..n {
-                a.insert(i * 7919, EdgeMeta::weighted(i));
+                a.insert(id(i), EdgeMeta::weighted(i));
             }
-            assert!(a.is_promoted());
-            assert_eq!(a.remove(victim * 7919).map(|m| m.weight), Some(victim));
-            assert_eq!(a.remove(victim * 7919), None);
+            assert_eq!(a.index_slots(), 64);
+            assert_eq!(a.remove(id(victim)).map(|m| m.weight), Some(victim));
+            assert_eq!(a.remove(id(victim)), None);
             for i in (0..n).filter(|&i| i != victim) {
-                assert_eq!(a.get(i * 7919).map(|m| m.weight), Some(i), "lost {i}");
+                assert_eq!(a.get(id(i)).map(|m| m.weight), Some(i), "lost {i}");
             }
             assert_eq!(a.degree(), n as usize - 1);
         }
@@ -1359,25 +1415,27 @@ mod tests {
 
     #[test]
     fn footprint_is_the_two_allocations() {
-        fn check<E: EdgeData>(data: E, entry: usize) {
+        /// `entry` bytes an entry, so the index comes at `promoted`
+        /// entries, in a slab of `slab` (4, 8, ... 64, then by half).
+        fn check<E: EdgeData>(data: E, entry: usize, promoted: u64, slab: usize, slots: usize) {
             let mut a = Adjacency::new();
             assert_eq!(a.heap_bytes(), 0);
-            for i in 0..=(PROMOTE_DEGREE as u64) {
+            for i in 0..promoted {
                 a.insert(i, data);
             }
             // The index's slots are two bytes up to 2^14 of them.
-            assert_eq!(a.heap_bytes(), 64 * entry + FIRST_INDEX_SLOTS * 2);
+            assert_eq!(a.heap_bytes(), slab * entry + slots * 2);
             // Past 64 entries the slab grows by half, not by doubling.
             for i in 0..1000u64 {
                 a.insert(i, data);
             }
-            // (1000 edges: the index has doubled five times, to 2048 slots.)
+            // (1000 edges: the index has doubled to 2048 slots.)
             let slab = a.heap_bytes() - 2048 * 2;
             assert!(slab <= 1000 * entry * 3 / 2, "slab {slab} B for 1000 edges");
         }
-        check((), 4);
-        check::<Weight>(1, 8);
-        check(EdgeMeta::unweighted(), 16);
+        check((), 4, 257, 324, 512);
+        check::<Weight>(1, 8, 129, 144, 256);
+        check(EdgeMeta::unweighted(), 16, 65, 96, 128);
     }
 
     /// The header holds 16 bytes of narrow entries; the next entry moves
@@ -1444,7 +1502,7 @@ mod tests {
             assert_eq!(a.degree(), degree as usize);
             assert!(a.get(1).is_none());
         }
-        for degree in [0, 1, 2, 3, 40] {
+        for degree in [0, 1, 2, 3, 40, 300] {
             check::<()>(degree);
             check::<Weight>(degree);
             check::<EdgeMeta>(degree);
@@ -1578,8 +1636,9 @@ mod tests {
 
         let u32_index = NARROW_SLOTS * 3 / 4 + 1;
         // The degree at which the wide id arrives: inline (a narrow
-        // `Weight` header holds two), slab, `u16` index, `u32` index.
-        let stages = [1, 10, 40, u32_index];
+        // `Weight` header holds two), slab, `u16` index (past 128 narrow
+        // entries), `u32` index.
+        let stages = [1, 10, 200, u32_index];
         for (stage, &at) in stages.iter().enumerate() {
             let mut a: Adjacency<Weight> = Adjacency::new();
             let mut mirror = Vec::new();

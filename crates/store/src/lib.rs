@@ -36,7 +36,7 @@ pub type VertexId = u64;
 /// algorithms.
 pub type Weight = u64;
 
-pub use adjacency::{Adjacency, EdgeData, EdgeMeta, PROMOTE_DEGREE};
+pub use adjacency::{Adjacency, EdgeData, EdgeMeta};
 pub use bitset::BitSet;
 pub use csr::Csr;
 pub use dense::{DenseVertexTable, InternTable, LocalIdx};

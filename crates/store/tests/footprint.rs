@@ -92,8 +92,10 @@ fn entry_layout_per_payload() {
 }
 
 /// Each budget is the figure measured on this stream plus about 5 %:
-/// 10.3, 15.4 and 25.8 B with narrow entries, since every id and weight
-/// fits in a `u32` (15.4, 25.8 and 36.8 B with the wide entries every
+/// 8.4, 14.5 and 25.4 B with narrow entries, since every id and weight
+/// fits in a `u32`, and an index only past 1 KiB of entries (10.3, 15.4
+/// and 25.8 B with one past 32 entries at every width, which the first
+/// two budgets fail; 15.4, 25.8 and 36.8 B with the wide entries every
 /// vertex kept before narrow ones, which each budget fails). Each figure
 /// was 0.7 B higher with the Robin Hood intern table before the keyless
 /// index; with it and wide entries, 19.0, 29.3 and 40.3 B were measured
@@ -103,9 +105,9 @@ fn entry_layout_per_payload() {
 #[test]
 fn store_stays_within_its_bytes_per_edge_budget() {
     for (payload, per_edge, budget) in [
-        ("()", bytes_per_edge::<()>(0), 10.8),
-        ("Weight", bytes_per_edge::<Weight>(0), 16.2),
-        ("EdgeMeta", bytes_per_edge::<EdgeMeta>(0), 27.1),
+        ("()", bytes_per_edge::<()>(0), 8.8),
+        ("Weight", bytes_per_edge::<Weight>(0), 15.2),
+        ("EdgeMeta", bytes_per_edge::<EdgeMeta>(0), 26.6),
     ] {
         assert!(
             per_edge <= budget,
@@ -115,13 +117,14 @@ fn store_stays_within_its_bytes_per_edge_budget() {
 }
 
 /// The same stream with every id past `u32::MAX`, so every vertex keeps
-/// wide entries: the budgets are the 15.4, 25.8 and 36.8 B measured plus
-/// about 5 %, so the wide path cannot regress unseen.
+/// wide entries: the budgets are the 14.5, 25.4 and 36.7 B measured plus
+/// about 5 % (15.4, 25.8 and 36.8 B with an index past 32 entries), so
+/// the wide path cannot regress unseen.
 #[test]
 fn wide_ids_stay_within_the_wide_bytes_per_edge_budget() {
     for (payload, per_edge, budget) in [
-        ("()", bytes_per_edge::<()>(1 << 32), 16.2),
-        ("Weight", bytes_per_edge::<Weight>(1 << 32), 27.1),
+        ("()", bytes_per_edge::<()>(1 << 32), 15.2),
+        ("Weight", bytes_per_edge::<Weight>(1 << 32), 26.6),
         ("EdgeMeta", bytes_per_edge::<EdgeMeta>(1 << 32), 38.6),
     ] {
         assert!(

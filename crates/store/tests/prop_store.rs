@@ -3,7 +3,7 @@
 //! implementations under arbitrary operation sequences.
 
 use proptest::prelude::*;
-use remo_store::adjacency::{Adjacency, EdgeData, EdgeMeta, PROMOTE_DEGREE};
+use remo_store::adjacency::{Adjacency, EdgeData, EdgeMeta, PROMOTE_BYTES};
 use remo_store::bitset::BitSet;
 use remo_store::csr::Csr;
 use remo_store::dense::{InternTable, LocalIdx};
@@ -83,12 +83,13 @@ fn intern_op() -> impl Strategy<Value = InternOp> {
 
 /// Phases of adjacency operations for [`check_adjacency`]: a run is a few
 /// phases, each biased one way so the degree actually travels: *grow* draws
-/// keys from the whole 4 096-id domain (mostly fresh, so inserts append and
-/// the index doubles 64 -> 128 -> ... as the degree passes 48, 96, 192,
-/// 384, ...), *drain* aims every op at a live key and makes most of them
-/// removals, *mixed* does half of each, and *churn* keeps to five ids, so
-/// the degree moves between 0 and 5, in and out of the header's inline
-/// entries while no slab has been needed yet. In every phase one fresh id
+/// keys from the whole 4 096-id domain (mostly fresh, so inserts append,
+/// the index comes once the entries pass 1 KiB and doubles each time the
+/// degree passes 3/4 of its slots), *drain* aims every op at a live key
+/// and makes most of them removals, *mixed* does half of each, and
+/// *churn* keeps to five ids, so the degree moves between 0 and 5, in and
+/// out of the header's inline entries while no slab has been needed yet.
+/// In every phase one fresh id
 /// in 128 is past `u32::MAX`, and so is one weight in 128, so the vertex
 /// widens inline, in a slab or indexed, wherever the first one arrives.
 type Phases = Vec<(u8, Vec<(u8, u64, u64, u64)>)>;
@@ -111,6 +112,27 @@ struct Widths {
     inline: [usize; 2],
 }
 
+/// [`EdgeMeta`]: 16 bytes narrow, one of which the header holds, and 24
+/// wide, none.
+const META: Widths = Widths {
+    entry: [16, 24],
+    inline: [1, 0],
+};
+
+/// [`Weight`]: two 8-byte narrow entries in the header, or one 16-byte
+/// wide one.
+const WEIGHT: Widths = Widths {
+    entry: [8, 16],
+    inline: [2, 1],
+};
+
+/// `()`: four 4-byte narrow entries in the header, or two 8-byte wide
+/// ones.
+const UNIT: Widths = Widths {
+    entry: [4, 8],
+    inline: [4, 2],
+};
+
 /// The vertex's storage as the model predicts it from the ops alone.
 #[derive(Default)]
 struct Storage {
@@ -120,13 +142,21 @@ struct Storage {
     first_slab: usize,
     /// Largest degree since the vertex was built.
     peak: usize,
+    /// Degree after the last op.
+    degree: usize,
+    /// Slots of the position index (0 while there is none).
+    index: usize,
 }
 
 impl Storage {
     /// Records an op that left `degree` entries and that inserted an id
     /// or weight past `u32::MAX` when `widens`: the vertex takes its
     /// first slab, of twice the inline entries and at least four, when the
-    /// degree outgrows the header at the width it now has.
+    /// degree outgrows the header at the width it now has. An op that
+    /// added an entry builds the index once the entries pass
+    /// [`PROMOTE_BYTES`] at that width (after any widening the op made),
+    /// sized to the next power of two of 4/3 of the degree, and doubles an
+    /// index the degree has filled past 3/4.
     fn record(&mut self, degree: usize, widens: bool, w: Widths) {
         self.wide |= widens;
         self.peak = self.peak.max(degree);
@@ -134,11 +164,19 @@ impl Storage {
         if self.first_slab == 0 && degree > inline {
             self.first_slab = (2 * inline).max(4);
         }
+        let added = degree > self.degree;
+        self.degree = degree;
+        let bytes = degree * w.entry[usize::from(self.wide)];
+        if added && self.index == 0 && bytes > PROMOTE_BYTES {
+            self.index = (degree * 4).div_ceil(3).next_power_of_two();
+        } else if added && self.index != 0 && degree * 4 > self.index * 3 {
+            self.index *= 2;
+        }
     }
 
     /// The vertex's heap bytes: a slab grown from the first (doubling to
     /// 64 entries, then by half) until it held the peak degree, at the
-    /// recorded width, plus an index of `u16` slots sized for the peak.
+    /// recorded width, plus the index in `u16` slots.
     fn heap_bytes(&self, w: Widths) -> usize {
         if self.first_slab == 0 {
             return 0;
@@ -147,14 +185,7 @@ impl Storage {
         while cap < self.peak.max(self.first_slab) {
             cap = if cap < 64 { 2 * cap } else { cap + cap / 2 };
         }
-        let mut index = 0;
-        if self.peak > PROMOTE_DEGREE {
-            index = 64;
-            while self.peak * 4 > index * 3 {
-                index *= 2;
-            }
-        }
-        cap * w.entry[usize::from(self.wide)] + 2 * index
+        cap * w.entry[usize::from(self.wide)] + 2 * self.index
     }
 }
 
@@ -260,13 +291,14 @@ fn check_adjacency<E: EdgeData>(
 
             prop_assert_eq!(adj.degree(), model.len());
             storage.record(adj.degree(), widens, widths);
-            prop_assert_eq!(adj.is_promoted(), storage.peak > PROMOTE_DEGREE);
+            prop_assert_eq!(adj.is_promoted(), storage.index != 0);
             prop_assert_eq!(
                 adj.heap_bytes(),
                 storage.heap_bytes(widths),
-                "peak {}, wide {}",
+                "peak {}, wide {}, index {}",
                 storage.peak,
-                storage.wide
+                storage.wide,
+                storage.index
             );
             // `iter()` yields every live neighbour once, with its payload,
             // in the order the model kept.
@@ -288,6 +320,37 @@ fn check_adjacency<E: EdgeData>(
         );
     }
     Ok(())
+}
+
+/// One grow phase that crosses 1 KiB by widening, for each payload:
+/// `narrow` narrow ids (at most 1 KiB of narrow entries), a re-add of a
+/// live edge with a weight past `u32::MAX` (which widens a payload that
+/// keeps the weight past 1 KiB without adding an entry, so without an
+/// index), a new id past `u32::MAX` (which widens `()` and adds the entry
+/// that builds the index), then 20 more narrow ids. The model predicts
+/// `is_promoted()` and `heap_bytes()` after each op.
+#[test]
+fn widening_across_a_kilobyte_matches_the_model() {
+    /// A grow-phase insert of id `n` below 4 096: the op's `pick` puts it
+    /// past `u32::MAX` when `wide_id`, and its weight when `wide_weight`.
+    fn insert(n: u64, wide_id: bool, wide_weight: bool) -> (u8, u64, u64, u64) {
+        let top = match (wide_id, wide_weight) {
+            (true, _) => 0,
+            (false, true) => 1,
+            (false, false) => 2,
+        };
+        (0, top << 57 | n << 1, 5, 9)
+    }
+    fn phases(narrow: u64) -> Phases {
+        let mut ops: Vec<_> = (0..narrow).map(|n| insert(n, false, false)).collect();
+        ops.push(insert(3, false, true));
+        ops.push(insert(narrow, true, false));
+        ops.extend((narrow + 1..narrow + 21).map(|n| insert(n, false, false)));
+        vec![(0, ops)]
+    }
+    check_adjacency::<EdgeMeta>(phases(50), true, true, META).unwrap();
+    check_adjacency::<Weight>(phases(100), true, false, WEIGHT).unwrap();
+    check_adjacency::<()>(phases(200), false, false, UNIT).unwrap();
 }
 
 proptest! {
@@ -353,7 +416,7 @@ proptest! {
     /// bytes narrow, one of which the header holds, and 24 wide, none.
     #[test]
     fn adjacency_matches_model(phases in adjacency_phases()) {
-        check_adjacency::<EdgeMeta>(phases, true, true, Widths { entry: [16, 24], inline: [1, 0] })?;
+        check_adjacency::<EdgeMeta>(phases, true, true, META)?;
     }
 
     /// The same model with a weight-only payload: the minimum weight is
@@ -361,7 +424,7 @@ proptest! {
     /// holds two 8-byte narrow entries or one 16-byte wide one.
     #[test]
     fn adjacency_matches_model_weight(phases in adjacency_phases()) {
-        check_adjacency::<Weight>(phases, true, false, Widths { entry: [8, 16], inline: [2, 1] })?;
+        check_adjacency::<Weight>(phases, true, false, WEIGHT)?;
     }
 
     /// The same model with the empty payload: every weight reads 1, every
@@ -369,7 +432,7 @@ proptest! {
     /// the header holds four 4-byte narrow entries or two 8-byte wide ones.
     #[test]
     fn adjacency_matches_model_unit(phases in adjacency_phases()) {
-        check_adjacency::<()>(phases, false, false, Widths { entry: [4, 8], inline: [4, 2] })?;
+        check_adjacency::<()>(phases, false, false, UNIT)?;
     }
 
     /// BitSet agrees with a BTreeSet model, and union is the lattice join.
