@@ -11,7 +11,7 @@
 //! that exposes a shorter path (case (iii) of §II-B), the update event
 //! repairs the tree downstream; cases (i) and (ii) generate no work.
 
-use remo_core::{AlgoCtx, Algorithm, EdgeMeta, VertexId, Weight};
+use remo_core::{AlgoCtx, Algorithm, VertexId, Weight};
 
 /// Level value for vertices that exist but are not (yet) reached.
 pub const UNREACHED: u64 = u64::MAX;
@@ -98,63 +98,6 @@ impl Algorithm for IncBfs {
     /// out when we took our level (or rides the edge's reverse-add).
     fn absorbs(live: &u64, incoming: &u64) -> bool {
         effective(*incoming) >= effective(*live)
-    }
-}
-
-/// Cache-suppressing BFS: identical semantics to [`IncBfs`], but when
-/// propagating it skips neighbours whose cached level already proves they
-/// cannot improve (they are at most `new_level + 1`... i.e. their cached
-/// value is `<= new_level + 1`). This is the optimization the per-edge
-/// neighbour cache of Algorithm 3 enables.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IncBfsSuppressed;
-
-impl Algorithm for IncBfsSuppressed {
-    type State = u64;
-    /// The one algorithm that reads the neighbour cache.
-    type Edge = EdgeMeta;
-
-    fn init(&self, ctx: &mut impl AlgoCtx<u64>) {
-        if ctx.apply(lower_to(1)) {
-            ctx.update_nbrs(&1);
-        }
-    }
-
-    fn on_add(&self, ctx: &mut impl AlgoCtx<u64>, _visitor: VertexId, _value: &u64, _w: Weight) {
-        ctx.apply(lower_to(UNREACHED));
-    }
-
-    fn on_reverse_add(
-        &self,
-        ctx: &mut impl AlgoCtx<u64>,
-        visitor: VertexId,
-        value: &u64,
-        w: Weight,
-    ) {
-        ctx.apply(lower_to(UNREACHED));
-        self.on_update(ctx, visitor, value, w);
-    }
-
-    fn on_update(&self, ctx: &mut impl AlgoCtx<u64>, visitor: VertexId, value: &u64, _w: Weight) {
-        let mine = effective(*ctx.state());
-        let theirs = effective(*value);
-        if mine.saturating_add(1) < theirs {
-            let state = *ctx.state();
-            ctx.update_single_nbr(visitor, &state);
-        } else if theirs.saturating_add(1) < mine {
-            let new_level = theirs + 1;
-            if ctx.apply(lower_to(new_level)) {
-                // Suppress sends to neighbours whose cached level shows they
-                // already have a level <= ours + 1 (cache 0 = unknown).
-                ctx.update_nbrs_filtered(&new_level, |_, meta| {
-                    meta.cached == 0 || effective(meta.cached) > new_level + 1
-                });
-            }
-        }
-    }
-
-    fn encode_cache(state: &u64) -> u64 {
-        *state
     }
 }
 
@@ -364,59 +307,5 @@ mod tests {
         fifo.init_vertex(0);
         fifo.apply_pairs(&edges);
         assert_eq!(fifo.states(), run_bfs(&edges, 0, 4));
-    }
-
-    /// The neighbour cache still works where it is declared: the variant
-    /// that keeps it (`Edge = EdgeMeta`) reaches the plain levels in both
-    /// orders of source and graph, and its edges hold levels.
-    /// - Source first: every reverse-add carries a real level, cached at
-    ///   insert time, and the neighbour filter reads those entries while
-    ///   propagation is still running.
-    /// - Graph first: every reverse-add cached an unreached endpoint, so
-    ///   any level an edge holds at the end was written by an update
-    ///   (`set_cached`). On this stream, where every edge lies on a cycle,
-    ///   the cache also saves updates (185 against 248; FIFO makes the
-    ///   sequential counts exact).
-    #[test]
-    fn suppressed_variant_matches_plain() {
-        // A ring with chords: one component, every edge on a cycle.
-        let edges: Vec<(u64, u64)> = (0..64u64)
-            .flat_map(|i| [(i, (i + 1) % 64), (i, (i * 7 + 3) % 64)])
-            .collect();
-        let mut plain = SequentialEngine::undirected(IncBfs);
-        plain.apply_pairs(&edges);
-        plain.init_vertex(0);
-        let mut supp = SequentialEngine::undirected(IncBfsSuppressed);
-        supp.apply_pairs(&edges);
-        supp.init_vertex(0);
-        assert_eq!(supp.states(), plain.states());
-        let (with, without) = (supp.metrics().update_events, plain.metrics().update_events);
-        assert!(
-            with < without,
-            "{with} updates with the cache, {without} without"
-        );
-
-        for (shards, source_first) in [1, 2, 4].into_iter().flat_map(|s| [(s, true), (s, false)]) {
-            let engine = Engine::new(IncBfsSuppressed, EngineConfig::undirected(shards));
-            if source_first {
-                engine.try_init_vertex(0).unwrap();
-                engine.try_ingest_pairs(&edges).unwrap();
-            } else {
-                engine.try_ingest_pairs(&edges).unwrap();
-                engine.try_await_quiescence().unwrap();
-                engine.try_init_vertex(0).unwrap();
-            }
-            let r = engine.try_finish().unwrap();
-            let levels = r
-                .tables
-                .iter()
-                .flat_map(|t| t.iter())
-                .flat_map(|(_, _, adj)| adj.iter())
-                .filter(|(_, e)| (1..UNREACHED).contains(&e.cached))
-                .count();
-            let case = format!("{shards} shards, source first: {source_first}");
-            assert!(levels > 0, "no edge caches a level ({case})");
-            assert_eq!(r.states.into_vec(), plain.states(), "{case}");
-        }
     }
 }

@@ -88,7 +88,7 @@ impl Algorithm for IncCc {
             *value
         };
         if ctx.apply(raise_to(label)) && ctx.degree() > 1 {
-            ctx.update_nbrs_filtered(&label, |n, _| n != visitor);
+            ctx.update_nbrs_filtered(&label, |n| n != visitor);
         }
     }
 

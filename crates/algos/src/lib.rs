@@ -7,7 +7,7 @@
 //!
 //! | Module | Paper | What |
 //! |---|---|---|
-//! | [`bfs`] | Algorithm 4 | incremental BFS (+ deterministic-tree and cache-suppressing variants) |
+//! | [`bfs`] | Algorithm 4 | incremental BFS (+ deterministic-tree variant) |
 //! | [`sssp`] | Algorithm 5 | incremental single-source shortest path |
 //! | [`cc`] | Algorithm 6 | incremental connected components (label domination) |
 //! | [`stcon`] | Algorithm 7 | multi S-T connectivity (u64 bitmap + wide BitSet) |
@@ -21,9 +21,10 @@
 //! shard count — the integration and property tests assert exactly that
 //! against the static oracles in `remo-baseline`.
 //!
-//! Three variants stay for a paper feature each: [`IncBfsDeterministic`]
-//! (§II-D tie-breaking), [`IncStConWide`] (Alg. 7 past 64 sources) and
-//! [`IncBfsSuppressed`] (Alg. 3's `this.nbrs.set`; the benchmark stores `EdgeMeta` too).
+//! Two variants stay for a paper feature each: [`IncBfsDeterministic`]
+//! (§II-D tie-breaking) and [`IncStConWide`] (Alg. 7 past 64 sources).
+//! Alg. 3's per-edge neighbour cache (`this.nbrs.set`) has no variant: it
+//! cost more than it saved (DESIGN.md §3).
 
 pub mod bfs;
 pub mod cc;
@@ -34,7 +35,7 @@ pub mod stcon;
 pub mod temporal;
 pub mod widest;
 
-pub use bfs::{IncBfs, IncBfsDeterministic, IncBfsSuppressed, LevelParent};
+pub use bfs::{IncBfs, IncBfsDeterministic, LevelParent};
 pub use cc::{cc_label, stream_label, IncCc};
 pub use degree::DegreeCount;
 pub use generational::{GenBfs, GenCc, GenLabel, GenLevel, GenerationHandle};

@@ -7,7 +7,7 @@
 //! on the dense ids: BFS and SSSP must match exactly, CC as a partition.
 //! A durable restart must restore every widened vertex's entries in order.
 
-use remo_algos::{IncBfs, IncBfsSuppressed, IncCc, IncSssp};
+use remo_algos::{IncBfs, IncCc, IncSssp};
 use remo_baseline as oracle;
 use remo_core::{DurabilityConfig, Engine, EngineConfig, VertexId};
 use remo_gen::RmatConfig;
@@ -95,22 +95,6 @@ fn bfs_on_wide_ids_equals_the_oracle_on_dense_ones() {
         for (v, &level) in states.iter() {
             assert_eq!(level, want[dense(v)], "vertex {v:#x} at P={shards}");
         }
-    }
-}
-
-/// The cache-suppressing BFS keeps `EdgeMeta` entries, whose narrow form
-/// packs the 64-bit neighbour cache into two words.
-#[test]
-fn suppressed_bfs_on_wide_ids_equals_the_oracle_on_dense_ones() {
-    let edges = stream();
-    let csr = oracle::build_undirected(&pairs(&edges)).csr;
-    let source = edges[0].0;
-    let want = oracle::bfs_levels(&csr, source);
-    let engine = Engine::new(IncBfsSuppressed, EngineConfig::undirected(2));
-    engine.try_init_vertex(relabel(source)).unwrap();
-    engine.try_ingest_pairs(&pairs(&wide(&edges))).unwrap();
-    for (v, &level) in engine.try_finish().unwrap().states.iter() {
-        assert_eq!(level, want[dense(v)], "vertex {v:#x}");
     }
 }
 

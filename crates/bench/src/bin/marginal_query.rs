@@ -14,7 +14,8 @@
 //!    column, which no stream numbers, by [`cc_label`] (DESIGN.md §17).
 //! 2. **Marginal cost**: the wall cost of adding the 2nd query
 //!    (`reg-2` − `reg-1`) must be ≤ 40% of that query's solo wall — the
-//!    shared topology work is not paid twice.
+//!    shared topology work is not paid twice. A difference ≤ 0 is noise,
+//!    not a free query: the row reads unresolved and the armed gate fails.
 //! 3. **Attach vs re-ingest**: with 7 queries live and the stream fully
 //!    ingested, attaching the 8th query live (prime + flood backfill
 //!    inside the shards, DESIGN.md §17) must reach its fixpoint ≥ 2×
@@ -265,13 +266,21 @@ fn main() {
 
     // Gates (wall deltas need full scale).
     let gates_on = bench_scale() >= 1.0;
-    let marginal_2nd = reg_wall[1].saturating_sub(reg_wall[0]);
+    // Signed: a `reg-2` below `reg-1` measures noise, not a free query.
+    let marginal_2nd = reg_wall[1].as_secs_f64() - reg_wall[0].as_secs_f64();
+    let resolved = marginal_2nd > 0.0;
     let solo_2nd = solo_wall[1]; // the 2nd query in the mix is CC
-    let marginal_pct = 100.0 * marginal_2nd.as_secs_f64() / solo_2nd.as_secs_f64().max(1e-9);
+    let marginal_pct = 100.0 * marginal_2nd / solo_2nd.as_secs_f64().max(1e-9);
     // Re-ingest = rebuild with all 8 queries and replay the stream: reg-8.
     let reingest = reg_wall[counts.len() - 1];
     let attach_speedup = reingest.as_secs_f64() / attach_wall.as_secs_f64().max(1e-9);
     if gates_on {
+        assert!(
+            resolved,
+            "2nd query's marginal wall is unresolved: reg-2 {} <= reg-1 {}",
+            fmt_dur(reg_wall[1]),
+            fmt_dur(reg_wall[0])
+        );
         assert!(
             marginal_pct <= 40.0,
             "2nd query's marginal wall is {marginal_pct:.1}% of its solo run (ceiling 40%)"
@@ -305,11 +314,19 @@ fn main() {
             "ok".to_string(),
         ]);
     }
+    let (marginal_wall, marginal_delta) = if resolved {
+        (
+            fmt_dur(Duration::from_secs_f64(marginal_2nd)),
+            format!("{marginal_pct:.1}% of solo"),
+        )
+    } else {
+        ("-".to_string(), "unresolved (reg-2 ≤ reg-1)".to_string())
+    };
     rows.push(vec![
         "marginal-2nd".to_string(),
         "2".to_string(),
-        fmt_dur(marginal_2nd),
-        format!("{marginal_pct:.1}% of solo"),
+        marginal_wall,
+        marginal_delta,
         if gates_on { "gated<=40%" } else { "ungated" }.to_string(),
     ]);
     rows.push(vec![

@@ -29,7 +29,7 @@ use crate::encoding::Codec;
 use crate::event::{ControlKind, ControlOp, Envelope, EventKind};
 use crate::storage::VertexParts;
 use crate::trigger::{TriggerDef, TriggerFire};
-use remo_store::{EdgeData, EdgeMeta, VertexId, Weight};
+use remo_store::{EdgeData, VertexId, Weight};
 
 /// A REMO algorithm: user callbacks over the engine's events.
 ///
@@ -50,14 +50,12 @@ pub trait Algorithm: Send + Sync + 'static {
     type State: Codec + Clone + Default + Send + PartialEq + std::fmt::Debug + 'static;
 
     /// What each adjacency entry keeps beside the neighbour id: only what
-    /// the callbacks read. `()` when they read neither the edge weight nor
-    /// the neighbour cache (4-byte entries; weights read as 1), [`Weight`]
-    /// when they read the weight (8 bytes), [`EdgeMeta`] when they also
-    /// read the cache [`Algorithm::encode_cache`] fills (16 bytes). Those
-    /// are the narrow entries of a vertex whose neighbour ids and weights
-    /// all fit in a `u32`; its first id or weight past that widens its
-    /// entries to 8, 16 and 24 bytes. The callback surface is the same for
-    /// all three (see [`EdgeData`]).
+    /// the callbacks read. `()` when they do not read the edge weight
+    /// (4-byte entries; weights read as 1), [`Weight`] when they do (8
+    /// bytes). Those are the narrow entries of a vertex whose neighbour ids
+    /// and weights all fit in a `u32`; its first id or weight past that
+    /// widens its entries to 8 and 16 bytes. The callback surface is the
+    /// same for both (see [`EdgeData`]).
     type Edge: EdgeData;
 
     /// Called when an `Init` event reaches a vertex (e.g. the BFS source).
@@ -139,19 +137,6 @@ pub trait Algorithm: Send + Sync + 'static {
         Self::State::default()
     }
 
-    /// Compact encoding of a state for the per-edge neighbour cache
-    /// (`this.nbrs.set(vis_ID, vis_val)` in Algorithm 3). Where
-    /// [`Algorithm::Edge`] keeps a cache ([`EdgeMeta`]) the engine stores
-    /// this on the incoming edge whenever a neighbour's value arrives;
-    /// algorithms may read it back to suppress redundant sends. 0 means
-    /// "unknown"; the default, for algorithms that keep no cache.
-    fn encode_cache(_state: &Self::State) -> u64
-    where
-        Self: Sized,
-    {
-        0
-    }
-
     /// The lattice filter's one question: does `live` — the target's
     /// current state — already hold everything an `Update` carrying
     /// `incoming` could tell it? When it does, the engine retires the
@@ -230,18 +215,17 @@ pub trait AlgoCtx<S: Clone> {
     /// Weight of the edge to `nbr`, if present.
     fn edge_weight(&self, nbr: VertexId) -> Option<Weight>;
 
-    /// Invokes `f` for every `(neighbour, edge metadata)` pair (a full
-    /// [`EdgeMeta`] view, whatever [`Algorithm::Edge`] stores).
-    fn for_each_nbr(&self, f: &mut dyn FnMut(VertexId, EdgeMeta));
+    /// Invokes `f` for every `(neighbour, edge weight)` pair (weight 1
+    /// where [`Algorithm::Edge`] stores none).
+    fn for_each_nbr(&self, f: &mut dyn FnMut(VertexId, Weight));
 
     /// Sends an update event carrying `value` to every neighbour, each over
     /// its own edge weight (Algorithm 3's `update_nbrs`).
     fn update_nbrs(&mut self, value: &S);
 
     /// Sends an update event to the neighbours for which `keep` returns
-    /// true — the cache-suppression variant (see
-    /// [`Algorithm::encode_cache`]).
-    fn update_nbrs_filtered(&mut self, value: &S, keep: impl Fn(VertexId, &EdgeMeta) -> bool)
+    /// true, each over its own edge weight.
+    fn update_nbrs_filtered(&mut self, value: &S, keep: impl Fn(VertexId) -> bool)
     where
         Self: Sized;
 
@@ -362,9 +346,9 @@ impl<'a, S: Clone, E: EdgeData> AlgoCtx<S> for EventCtx<'a, S, E> {
         self.parts.adj.get(nbr).map(|e| e.weight())
     }
 
-    fn for_each_nbr(&self, f: &mut dyn FnMut(VertexId, EdgeMeta)) {
+    fn for_each_nbr(&self, f: &mut dyn FnMut(VertexId, Weight)) {
         for (n, e) in self.parts.adj.iter() {
-            f(n, e.meta());
+            f(n, e.weight());
         }
     }
 
@@ -378,14 +362,13 @@ impl<'a, S: Clone, E: EdgeData> AlgoCtx<S> for EventCtx<'a, S, E> {
         }
     }
 
-    fn update_nbrs_filtered(&mut self, value: &S, keep: impl Fn(VertexId, &EdgeMeta) -> bool) {
+    fn update_nbrs_filtered(&mut self, value: &S, keep: impl Fn(VertexId) -> bool) {
         for (nbr, e) in self.parts.adj.iter() {
-            let meta = e.meta();
-            if keep(nbr, &meta) {
+            if keep(nbr) {
                 self.out.push(Outgoing {
                     target: nbr,
                     value: value.clone(),
-                    weight: meta.weight,
+                    weight: e.weight(),
                 });
             }
         }
@@ -446,12 +429,11 @@ pub(crate) struct Step<S> {
 /// is `parts`.
 ///
 /// The topology changes first, so the callback sees the graph the event
-/// describes: an add inserts the edge (a repeat keeps the smaller weight;
-/// a reverse add caches the visitor's value on it), an update writes the
-/// visitor's value into the cache of an edge the vertex holds, a remove
-/// deletes the edge. Then the callback `env.kind` names runs, queueing its
-/// updates on `out`, and `settle` sees the context last, inside the same
-/// borrow (the shards evaluate triggers there). With `undirected`, an
+/// describes: an add inserts the edge (a repeat keeps the smaller weight),
+/// a remove deletes the edge, an update leaves the edges as they are.
+/// Then the callback `env.kind` names runs, queueing its updates on
+/// `out`, and `settle` sees the context last, inside the same borrow (the
+/// shards evaluate triggers there). With `undirected`, an
 /// `Add`/`Remove` returns its reverse event's value, read after both.
 #[inline]
 pub(crate) fn visit<A: Algorithm>(
@@ -473,30 +455,17 @@ pub(crate) fn visit<A: Algorithm>(
     } = *env;
     let edge = match kind {
         EventKind::Add | EventKind::ReverseAdd => {
-            let cached = match kind {
-                EventKind::ReverseAdd => A::encode_cache(value),
-                _ => 0,
-            };
-            if parts
-                .adj
-                .insert_weight_min(visitor, A::Edge::new(weight, cached))
-            {
+            if parts.adj.insert_weight_min(visitor, A::Edge::new(weight)) {
                 EdgeChange::Inserted
             } else {
                 EdgeChange::Duplicate
             }
         }
-        EventKind::Update => {
-            // `this.nbrs.set(vis_ID, vis_val)`: returns before the lookup
-            // when `A::Edge` keeps no cache.
-            parts.adj.set_cached(visitor, A::encode_cache(value));
-            EdgeChange::Kept
-        }
         EventKind::Remove | EventKind::ReverseRemove => match parts.adj.remove(visitor) {
             Some(_) => EdgeChange::Removed,
             None => EdgeChange::Kept,
         },
-        EventKind::Init => EdgeChange::Kept,
+        EventKind::Update | EventKind::Init => EdgeChange::Kept,
     };
     let mut ctx = EventCtx::new(target, parts, out, shard);
     dispatch(algo, &mut ctx, kind, visitor, value, weight);
@@ -600,25 +569,25 @@ pub(crate) mod tests {
         let mut st = store(0, &nbrs);
         let mut out = Vec::new();
         let mut ctx = ctx(&mut st, &mut out);
-        ctx.update_nbrs_filtered(&7, |n, _| n % 2 == 0);
+        ctx.update_nbrs_filtered(&7, |n| n % 2 == 0);
         assert_eq!(out.len(), 5);
         assert!(out.iter().all(|o| o.target % 2 == 0));
     }
 
     #[test]
     fn for_each_nbr_visits_all() {
-        let nbrs: Vec<_> = (0..5u64).map(|n| (n, EdgeMeta::unweighted())).collect();
+        let nbrs: Vec<(VertexId, Weight)> = (0..5u64).map(|n| (n, n + 1)).collect();
         let mut st = store(0, &nbrs);
         let mut out = Vec::new();
         let ctx = ctx(&mut st, &mut out);
-        let mut count = 0;
-        ctx.for_each_nbr(&mut |_, _| count += 1);
-        assert_eq!(count, 5);
+        let mut seen = Vec::new();
+        ctx.for_each_nbr(&mut |n, w| seen.push((n, w)));
+        assert_eq!(seen, nbrs);
     }
 
     /// Records which callback ran and the degree it saw: its state becomes
     /// `100 × kind + degree` (kinds 1–6: init, add, reverse add, update,
-    /// remove, reverse remove). Caches a neighbour's value `v` as `v + 1000`.
+    /// remove, reverse remove).
     struct Probe;
 
     fn seen(ctx: &mut impl AlgoCtx<u64>, kind: u64) {
@@ -631,7 +600,7 @@ pub(crate) mod tests {
 
     impl Algorithm for Probe {
         type State = u64;
-        type Edge = EdgeMeta;
+        type Edge = Weight;
         fn init(&self, ctx: &mut impl AlgoCtx<u64>) {
             seen(ctx, 1);
         }
@@ -650,16 +619,13 @@ pub(crate) mod tests {
         fn on_reverse_remove(&self, ctx: &mut impl AlgoCtx<u64>, _: VertexId, _: &u64, _: Weight) {
             seen(ctx, 6);
         }
-        fn encode_cache(state: &u64) -> u64 {
-            state + 1000
-        }
     }
 
     /// Applies one envelope at vertex 1 through the framework step and
     /// returns its outcome, checking that `settle` ran last: it must see
     /// the state the callback left.
     fn step(
-        st: &mut DenseStore<u64, EdgeMeta>,
+        st: &mut DenseStore<u64, Weight>,
         kind: EventKind,
         (visitor, value, weight): (VertexId, u64, Weight),
         undirected: bool,
@@ -682,10 +648,10 @@ pub(crate) mod tests {
         step
     }
 
-    /// Vertex 1's state and its edge to `nbr` as `(weight, cached)`.
-    fn at(st: &DenseStore<u64, EdgeMeta>, nbr: VertexId) -> (u64, Option<(u64, u64)>) {
+    /// Vertex 1's state and the weight of its edge to `nbr`.
+    fn at(st: &DenseStore<u64, Weight>, nbr: VertexId) -> (u64, Option<Weight>) {
         let (state, adj) = st.get(1).unwrap();
-        (*state, adj.get(nbr).map(|e| (e.weight, e.cached)))
+        (*state, adj.get(nbr))
     }
 
     #[test]
@@ -698,23 +664,22 @@ pub(crate) mod tests {
         // carries the state the callback left, not the one it found.
         let s = step(&mut st, Add, (2, 0, 7), true);
         assert_eq!((s.edge, s.reverse), (Inserted, Some((ReverseAdd, 201))));
-        assert_eq!(at(&st, 2), (201, Some((7, 0))), "an add caches nothing");
+        assert_eq!(at(&st, 2), (201, Some(7)));
 
         // A repeated add is a duplicate and keeps the smaller weight.
         assert_eq!(step(&mut st, Add, (2, 0, 3), true).edge, Duplicate);
         assert_eq!(step(&mut st, Add, (2, 0, 9), true).edge, Duplicate);
-        assert_eq!(at(&st, 2), (201, Some((3, 0))));
+        assert_eq!(at(&st, 2), (201, Some(3)));
 
-        // A reverse add caches the visitor's value at insert and sends
-        // nothing back.
+        // A reverse add inserts and sends nothing back.
         let s = step(&mut st, ReverseAdd, (3, 40, 5), true);
         assert_eq!((s.edge, s.reverse), (Inserted, None));
-        assert_eq!(at(&st, 3), (302, Some((5, 1040))));
+        assert_eq!(at(&st, 3), (302, Some(5)));
 
-        // An update writes the cache of an edge the vertex holds, and only
-        // of one it holds: it never inserts.
-        assert_eq!(step(&mut st, Update, (3, 41, 5), true).edge, Kept);
-        assert_eq!(at(&st, 3), (402, Some((5, 1041))));
+        // An update leaves the edges as they are, the weight of one the
+        // vertex holds too, and never inserts.
+        assert_eq!(step(&mut st, Update, (3, 41, 1), true).edge, Kept);
+        assert_eq!(at(&st, 3), (402, Some(5)));
         assert_eq!(step(&mut st, Update, (9, 50, 1), true).edge, Kept);
         assert_eq!(at(&st, 9), (402, None));
 

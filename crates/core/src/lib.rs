@@ -78,7 +78,7 @@
 //! struct Degree;
 //! impl Algorithm for Degree {
 //!     type State = u64;
-//!     type Edge = (); // reads neither edge weights nor the neighbour cache
+//!     type Edge = (); // reads no edge weight
 //!     fn on_add(&self, ctx: &mut impl AlgoCtx<u64>, _v: VertexId, _val: &u64, _w: u64) {
 //!         ctx.apply(|d| { *d += 1; true });
 //!     }
@@ -133,4 +133,4 @@ pub use trigger::TriggerFire;
 pub use wal::DurabilityConfig;
 
 /// Re-exports of the storage layer's core identifiers.
-pub use remo_store::{EdgeData, EdgeMeta, VertexId, Weight};
+pub use remo_store::{EdgeData, VertexId, Weight};

@@ -52,7 +52,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
-use remo_store::{EdgeMeta, VertexId, Weight};
+use remo_store::{VertexId, Weight};
 
 use crate::algorithm::{dispatch, AlgoCtx, Algorithm};
 use crate::encoding::{decode_framed, get_frame, invalid, put_framed, Codec};
@@ -222,9 +222,9 @@ trait CellCtx<C: Cell> {
     fn apply_cell(&mut self, f: &dyn Fn(&mut C) -> bool) -> bool;
     fn degree(&self) -> usize;
     fn edge_weight(&self, nbr: VertexId) -> Option<Weight>;
-    fn for_each_nbr(&self, f: &mut dyn FnMut(VertexId, EdgeMeta));
+    fn for_each_nbr(&self, f: &mut dyn FnMut(VertexId, Weight));
     fn send_cells(&mut self, value: &C);
-    fn send_cells_filtered(&mut self, value: &C, keep: &dyn Fn(VertexId, &EdgeMeta) -> bool);
+    fn send_cells_filtered(&mut self, value: &C, keep: &dyn Fn(VertexId) -> bool);
     fn send_cell(&mut self, target: VertexId, value: &C, weight: Weight);
 }
 
@@ -257,7 +257,7 @@ impl<'a, 'b, C: Cell> AlgoCtx<C> for ShimCtx<'a, 'b, C> {
         self.0.edge_weight(nbr)
     }
 
-    fn for_each_nbr(&self, f: &mut dyn FnMut(VertexId, EdgeMeta)) {
+    fn for_each_nbr(&self, f: &mut dyn FnMut(VertexId, Weight)) {
         self.0.for_each_nbr(f)
     }
 
@@ -265,7 +265,7 @@ impl<'a, 'b, C: Cell> AlgoCtx<C> for ShimCtx<'a, 'b, C> {
         self.0.send_cells(value)
     }
 
-    fn update_nbrs_filtered(&mut self, value: &C, keep: impl Fn(VertexId, &EdgeMeta) -> bool) {
+    fn update_nbrs_filtered(&mut self, value: &C, keep: impl Fn(VertexId) -> bool) {
         self.0.send_cells_filtered(value, &keep)
     }
 
@@ -397,7 +397,7 @@ impl<'a, C: Cell, X: AlgoCtx<RegPayload<C>>> CellCtx<C> for SlotCtx<'a, C, X> {
         self.inner.edge_weight(nbr)
     }
 
-    fn for_each_nbr(&self, f: &mut dyn FnMut(VertexId, EdgeMeta)) {
+    fn for_each_nbr(&self, f: &mut dyn FnMut(VertexId, Weight)) {
         self.inner.for_each_nbr(f)
     }
 
@@ -411,14 +411,14 @@ impl<'a, C: Cell, X: AlgoCtx<RegPayload<C>>> CellCtx<C> for SlotCtx<'a, C, X> {
         self.stats.envelopes_sent.fetch_add(deg, Ordering::Relaxed);
     }
 
-    fn send_cells_filtered(&mut self, value: &C, keep: &dyn Fn(VertexId, &EdgeMeta) -> bool) {
+    fn send_cells_filtered(&mut self, value: &C, keep: &dyn Fn(VertexId) -> bool) {
         if self.muted {
             return;
         }
         let mut targets: Vec<(VertexId, Weight)> = Vec::new();
-        self.inner.for_each_nbr(&mut |n, m| {
-            if keep(n, &m) {
-                targets.push((n, m.weight));
+        self.inner.for_each_nbr(&mut |n, w| {
+            if keep(n) {
+                targets.push((n, w));
             }
         });
         let d = self.delta(value);
@@ -866,7 +866,7 @@ impl<C: Cell> QueryRegistry<C> {
         // stored edge reconstructs the topology-derived part of the cell
         // (degree counts, self-labels) exactly once per edge.
         let mut edges: Vec<(VertexId, Weight)> = Vec::new();
-        ctx.for_each_nbr(&mut |n, m| edges.push((n, m.weight)));
+        ctx.for_each_nbr(&mut |n, w| edges.push((n, w)));
         let v = ctx.vertex();
         let bottom = C::default();
         let mut m = mask;
@@ -910,9 +910,7 @@ impl<C: Cell> QueryRegistry<C> {
 
 impl<C: Cell> Algorithm for QueryRegistry<C> {
     type State = RegPayload<C>;
-    /// Any attached query may read the weight. A shared per-edge cache
-    /// would be written by *every* attached query (whichever value arrived
-    /// last), so no single query could trust it, and none is kept.
+    /// Any attached query may read the weight.
     type Edge = Weight;
 
     fn init(&self, ctx: &mut impl AlgoCtx<Self::State>) {
@@ -1239,6 +1237,33 @@ mod tests {
         }
         assert_eq!(q.stats.updates_applied.load(Ordering::Relaxed), 1);
         assert_eq!(q.stats.envelopes_sent.load(Ordering::Relaxed), 1);
+    }
+
+    /// A filtered send goes out over each kept edge alone, as a slot-tagged
+    /// delta carrying that edge's weight, and counts only what it sent.
+    #[test]
+    fn slot_ctx_filtered_send_skips_dropped_targets() {
+        let nbrs = [(7, 3), (8, 5), (9, 11)];
+        let mut st = store::<_, Weight>(RegPayload::default(), &nbrs);
+        let mut out = Vec::new();
+        let mut ctx = ctx(&mut st, &mut out);
+        let q = slot_record(6);
+        {
+            let mut sc = SlotCtx::new(&mut ctx, 1, &q, false);
+            ShimCtx(&mut sc).update_nbrs_filtered(&50, |n| n != 8);
+        }
+        let mut got: Vec<_> = out
+            .iter()
+            .map(|o| match &o.value {
+                RegPayload::Delta {
+                    slot, gen, cell, ..
+                } => (o.target, o.weight, *slot, *gen, *cell),
+                other => panic!("expected delta, got {other:?}"),
+            })
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![(7, 3, 1, 6, 50), (9, 11, 1, 6, 50)]);
+        assert_eq!(q.stats.envelopes_sent.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -740,9 +740,7 @@ impl<A: Algorithm> ShardWorker<A> {
         };
         // Receiver-side dominance filter: an `Update` whose value the live
         // state already absorbs cannot change anything — retire it without
-        // the callback/trigger machinery. The neighbour-cache write
-        // (`set_cached`) is skipped too; that is sound because a dominated
-        // value is information the target already holds.
+        // the callback/trigger machinery.
         if known.is_some_and(|h| self.is_dominated(h, &env.value)) {
             if count_input {
                 self.metrics.updates_dominated += 1;

@@ -8,8 +8,8 @@
 //! `size_of::<S>() + 4 + 24`-byte slab record (rounded up to the state's
 //! alignment), whose adjacency
 //! header holds a low-degree vertex's first 16 bytes of edges itself (four
-//! `()` entries, two `Weight` or one `EdgeMeta` while the vertex's ids and
-//! weights fit in a `u32`, half as many, rounded down, once one does not).
+//! `()` entries or two `Weight` while the vertex's ids and weights fit in
+//! a `u32`, half as many once one does not).
 //! The adjacency's entries carry the algorithm's
 //! [`crate::Algorithm::Edge`] payload, so the store is typed by it as well
 //! as by the state.
@@ -220,18 +220,18 @@ mod tests {
 
     #[test]
     fn export_restore_round_trips_a_record() {
-        use remo_store::EdgeMeta;
-        let mut st: DenseStore<u64, EdgeMeta> = DenseStore::with_capacity(0);
+        use remo_store::Weight;
+        let mut st: DenseStore<u64, Weight> = DenseStore::with_capacity(0);
         let h = st.intern(1);
         {
             let parts = st.parts(h);
             *parts.live = 5;
             parts.meta.fired = 0b10;
-            parts.adj.insert(2, EdgeMeta::weighted(3));
+            parts.adj.insert(2, 3);
         }
         let _ = st.intern(9);
 
-        let mut restored: DenseStore<u64, EdgeMeta> = DenseStore::with_capacity(0);
+        let mut restored: DenseStore<u64, Weight> = DenseStore::with_capacity(0);
         st.export_records(&mut |v, live, meta, adj| {
             restored.restore_record(v, *live, meta, adj.clone());
         });
@@ -240,7 +240,7 @@ mod tests {
         assert_eq!(*restored.live(h), 5);
         let parts = restored.parts(h);
         assert_eq!(parts.meta.fired, 0b10);
-        assert_eq!(parts.adj.get(2).map(|m| m.weight), Some(3));
+        assert_eq!(parts.adj.get(2), Some(3));
     }
 
     /// A checkpoint round trip through a vertex past `PROMOTE_BYTES` of
@@ -252,7 +252,6 @@ mod tests {
     fn export_restore_round_trips_a_promoted_vertex() {
         round_trip_promoted::<()>();
         round_trip_promoted::<remo_store::Weight>();
-        round_trip_promoted::<remo_store::EdgeMeta>();
     }
 
     fn round_trip_promoted<E: EdgeData>() {
@@ -266,14 +265,13 @@ mod tests {
         {
             let parts = st.parts(h);
             for n in 0..degree + 8 {
-                parts.adj.insert_weight_min(n * 31, E::new(n + 1, 0));
+                parts.adj.insert_weight_min(n * 31, E::new(n + 1));
             }
             // Removals before the checkpoint: the exported order is no
             // longer plain arrival order, and the index has closed holes.
             for n in 0..8 {
                 assert!(parts.adj.remove(n * 31 * 5).is_some());
             }
-            assert_eq!(parts.adj.set_cached(31, 77).is_some(), E::CACHES);
             assert!(parts.adj.is_promoted());
         }
 
@@ -281,8 +279,8 @@ mod tests {
         st.export_records(&mut |v, live, meta, adj| {
             let mut bytes = Vec::new();
             put_adjacency(&mut bytes, adj);
-            // The format is the payload's: degree, then three words an edge.
-            assert_eq!(bytes.len(), 4 + 24 * adj.degree());
+            // The format is the payload's: degree, then two words an edge.
+            assert_eq!(bytes.len(), 4 + 16 * adj.degree());
             let mut r = &bytes[..];
             let rebuilt = get_adjacency(&mut r).unwrap_or_else(|e| panic!("{e}"));
             assert!(r.is_empty());
@@ -296,15 +294,15 @@ mod tests {
             after.iter().eq(before.iter()),
             "edges and their order survive the trip"
         );
-        assert_eq!(after.get(31).map(|e| e.meta()), Some(E::new(2, 77).meta()));
+        assert_eq!(after.get(31).map(|e| e.weight()), Some(E::new(2).weight()));
         assert!(after.get(0).is_none(), "a removed edge stays removed");
         // The rebuilt index still finds every edge, and still dedupes.
         let h = restored.lookup(1).unwrap_or_else(|| unreachable!());
         let parts = restored.parts(h);
         for (nbr, _) in before.iter() {
-            assert!(!parts.adj.insert_weight_min(nbr, E::new(u64::MAX, 0)));
+            assert!(!parts.adj.insert_weight_min(nbr, E::new(u64::MAX)));
         }
-        assert!(parts.adj.insert_weight_min(0, E::new(9, 0)));
+        assert!(parts.adj.insert_weight_min(0, E::new(9)));
     }
 
     #[test]

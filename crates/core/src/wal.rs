@@ -163,15 +163,14 @@ fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Appends one vertex's out-edges in the checkpoint format: the degree,
-/// then `neighbour | weight | cached` per edge. Every [`EdgeData`] payload
-/// writes all three words (what it does not store reads as weight 1,
-/// cache 0), so the format does not depend on the algorithm's payload.
+/// then `neighbour | weight` per edge. Every [`EdgeData`] payload writes
+/// both words (a payload that stores no weight writes 1), so the format
+/// does not depend on the algorithm's payload.
 pub(crate) fn put_adjacency<E: EdgeData>(out: &mut Vec<u8>, adj: &Adjacency<E>) {
     (adj.degree() as u32).encode(out);
     for (nbr, e) in adj.iter() {
-        for w in [nbr, e.weight(), e.cached()] {
-            w.encode(out);
-        }
+        nbr.encode(out);
+        e.weight().encode(out);
     }
 }
 
@@ -182,8 +181,8 @@ pub(crate) fn get_adjacency<E: EdgeData>(r: &mut &[u8]) -> io::Result<Adjacency<
     let degree = u32::decode(r)?;
     let mut adj = Adjacency::new();
     for _ in 0..degree {
-        let (nbr, weight, cached) = (u64::decode(r)?, u64::decode(r)?, u64::decode(r)?);
-        adj.insert(nbr, E::new(weight, cached));
+        let (nbr, weight) = (u64::decode(r)?, u64::decode(r)?);
+        adj.insert(nbr, E::new(weight));
     }
     Ok(adj)
 }
@@ -607,8 +606,9 @@ fn read_wal<A: Algorithm>(root: &Path, shard: usize) -> io::Result<Vec<Replay<A:
 
 const CKPT_MAGIC: u32 = 0x524D_4350; // "RMCP"
 /// Version 2 added the header's stream index; version 3 dropped the
-/// header's and every record's snapshot epoch and the record's fork.
-const CKPT_VERSION: u32 = 3;
+/// header's and every record's snapshot epoch and the record's fork;
+/// version 4 dropped the neighbour-cache word of every edge.
+const CKPT_VERSION: u32 = 4;
 
 fn ckpt_path(root: &Path, shard: usize) -> PathBuf {
     shard_dir(root, shard).join("checkpoint.bin")
@@ -666,8 +666,11 @@ fn ckpt_preamble(r: &mut &[u8]) -> io::Result<(u32, usize)> {
     if u32::decode(r)? != CKPT_MAGIC {
         return Err(invalid("bad checkpoint magic"));
     }
-    if u32::decode(r)? != CKPT_VERSION {
-        return Err(invalid("bad checkpoint version"));
+    let version = u32::decode(r)?;
+    if version != CKPT_VERSION {
+        return Err(invalid(&format!(
+            "bad checkpoint version {version}, expected {CKPT_VERSION}"
+        )));
     }
     Ok((u32::decode(r)?, u32::decode(r)? as usize))
 }
@@ -1238,6 +1241,38 @@ mod tests {
         assert!(replay.is_empty());
         assert_eq!((seq, restored.num_vertices()), (3, 2));
         assert_eq!(restored.get(8).map(|(s, _)| *s), Some(Fragile(42)));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A checkpoint of the version before this one (three words an edge)
+    /// is refused by its version word, before any of its body is decoded:
+    /// the read names both versions, and the open fails with it.
+    #[test]
+    fn an_old_version_checkpoint_fails_the_read_and_the_open() {
+        let root = tmp_root("ckpt-v3");
+        let mut body = Vec::new();
+        for w in [1u64, 0, 7] {
+            w.encode(&mut body); // seq, edges, streamed
+        }
+        stage_checkpoint(&root, 0, &body).unwrap();
+        publish_checkpoint(&root, 0).unwrap();
+        let path = ckpt_path(&root, 0);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+
+        let want = format!("bad checkpoint version 3, expected {CKPT_VERSION}");
+        let err = read_checkpoint(&root, 0).unwrap_err();
+        assert_eq!(err.to_string(), want);
+        let config =
+            EngineConfig::directed(1).with_durability(DurabilityConfig::new(&root).fsync(false));
+        match crate::Engine::open(Level, config) {
+            Err(crate::EngineError::DurabilityMismatch { message }) => {
+                assert!(message.contains(&want), "{message}")
+            }
+            Err(other) => panic!("the open failed for another reason: {other:?}"),
+            Ok(_) => panic!("the open must refuse a version-3 checkpoint"),
+        }
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -138,10 +138,6 @@ impl<A: Algorithm> Algorithm for Faulty<A> {
         A::stream_value(index)
     }
 
-    fn encode_cache(state: &A::State) -> u64 {
-        A::encode_cache(state)
-    }
-
     fn absorbs(live: &A::State, incoming: &A::State) -> bool {
         A::absorbs(live, incoming)
     }

@@ -41,11 +41,10 @@
 //!
 //! What an entry keeps beside the neighbour id is an [`EdgeData`] payload,
 //! chosen by the algorithm that owns the store: nothing (`()`, 4-byte
-//! entries, 8 wide), the edge [`Weight`] (8 bytes, 16 wide), or an
-//! [`EdgeMeta`] — the weight plus the *cached neighbour value* the paper's
-//! programming model maintains (`nbrs.set(...)` in Algorithm 3), which
-//! algorithms read to suppress redundant update messages (16 bytes, 24
-//! wide).
+//! entries, 8 wide) or the edge [`Weight`] (8 bytes, 16 wide). The paper's
+//! per-edge copy of the neighbour's last value (`nbrs.set(...)` in
+//! Algorithm 3) is not kept: measured against plain BFS it cost more than
+//! the updates it suppressed (DESIGN.md §3).
 
 use crate::hash::mix64;
 use crate::{VertexId, Weight};
@@ -55,8 +54,8 @@ use std::mem::{align_of, size_of, MaybeUninit};
 use std::ptr::{self, NonNull};
 
 /// Bytes of entries past which a vertex gains a position index, counted at
-/// the width its entries have: past 256 narrow `()` entries, 128 [`Weight`]
-/// and 64 [`EdgeMeta`] ones (128, 64 and 42 wide). The count is in bytes
+/// the width its entries have: past 256 narrow `()` entries and 128
+/// [`Weight`] ones (128 and 64 wide). The count is in bytes
 /// because what a scan reads is bytes: up to 16 cache lines the scan's
 /// O(d) duplicate check costs less than an index costs memory (DESIGN.md
 /// §11 "Index threshold in bytes" has the measurements).
@@ -150,32 +149,6 @@ fn home_and_tag<S: Slot>(nbr: VertexId, mask: u32) -> (u32, u32) {
     (hash as u32 & mask, (hash >> 32) as u32 & !mask & S::ONES)
 }
 
-/// Per-edge metadata: the edge weight and the last value the neighbour
-/// reported (used by algorithms as a local cache of remote state).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EdgeMeta {
-    /// Edge weight. Algorithms that ignore weights treat this as 1.
-    pub weight: u64,
-    /// Cached last-known value of the neighbour's algorithm state, updated
-    /// whenever the neighbour sends us an event (Algorithm 3 line 18/21).
-    pub cached: u64,
-}
-
-impl EdgeMeta {
-    /// Metadata for an unweighted edge with no cached neighbour value yet.
-    pub fn unweighted() -> Self {
-        EdgeMeta {
-            weight: 1,
-            cached: 0,
-        }
-    }
-
-    /// Metadata for a weighted edge.
-    pub fn weighted(weight: u64) -> Self {
-        EdgeMeta { weight, cached: 0 }
-    }
-}
-
 mod sealed {
     /// How a payload sits in a narrow entry: as 32-bit words, which hold it
     /// only while its weight fits in a `u32`.
@@ -193,49 +166,24 @@ mod sealed {
     }
 }
 
-/// What an adjacency entry stores beside its neighbour id. Each payload
-/// answers the full [`EdgeMeta`] question — weight and cached neighbour
-/// value — and stores only the part it keeps, in an entry that is narrow
-/// while the vertex's ids and weights fit in a `u32` and wide after:
+/// What an adjacency entry stores beside its neighbour id, in an entry
+/// that is narrow while the vertex's ids and weights fit in a `u32` and
+/// wide after:
 ///
-/// | payload | entry, narrow / wide | inline in the header, narrow / wide | weight reads | cache reads |
-/// |---|---|---|---|---|
-/// | `()` | 4 / 8 B | 4 / 2 | 1 | 0 |
-/// | [`Weight`] | 8 / 16 B | 2 / 1 | the weight | 0 |
-/// | [`EdgeMeta`] | 16 / 24 B | 1 / 0 | the weight | the cache |
+/// | payload | entry, narrow / wide | inline in the header, narrow / wide | weight reads |
+/// |---|---|---|---|
+/// | `()` | 4 / 8 B | 4 / 2 | 1 |
+/// | [`Weight`] | 8 / 16 B | 2 / 1 | the weight |
 ///
-/// A cache of 0 is the "unknown" value an algorithm that reads the cache
-/// must already treat as "send anyway". The trait is sealed: these three
-/// are its payloads.
+/// The trait is sealed: these two are its payloads.
 pub trait EdgeData:
     sealed::Narrows + Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static
 {
-    /// True when the payload keeps the neighbour cache. Without it
-    /// [`Adjacency::set_cached`] returns before looking the edge up.
-    const CACHES: bool;
-
-    /// The payload of an edge of `weight` whose neighbour last reported
-    /// `cached`, dropping whatever it does not keep.
-    fn new(weight: Weight, cached: u64) -> Self;
+    /// The payload of an edge of `weight`, dropping it where none is kept.
+    fn new(weight: Weight) -> Self;
 
     /// Edge weight (1 where none is stored).
     fn weight(&self) -> Weight;
-
-    /// Cached neighbour value (0 where none is stored).
-    fn cached(&self) -> u64;
-
-    /// Folds a re-add of the edge into the stored payload: the weight
-    /// keeps the minimum of the two, the cache takes `incoming`'s value.
-    fn merge(&mut self, incoming: Self);
-
-    /// The payload as a full [`EdgeMeta`].
-    #[inline]
-    fn meta(&self) -> EdgeMeta {
-        EdgeMeta {
-            weight: self.weight(),
-            cached: self.cached(),
-        }
-    }
 }
 
 impl sealed::Narrows for () {
@@ -251,23 +199,13 @@ impl sealed::Narrows for () {
 }
 
 impl EdgeData for () {
-    const CACHES: bool = false;
-
     #[inline]
-    fn new(_weight: Weight, _cached: u64) -> Self {}
+    fn new(_weight: Weight) -> Self {}
 
     #[inline]
     fn weight(&self) -> Weight {
         1
     }
-
-    #[inline]
-    fn cached(&self) -> u64 {
-        0
-    }
-
-    #[inline]
-    fn merge(&mut self, _incoming: Self) {}
 }
 
 impl sealed::Narrows for Weight {
@@ -285,70 +223,14 @@ impl sealed::Narrows for Weight {
 }
 
 impl EdgeData for Weight {
-    const CACHES: bool = false;
-
     #[inline]
-    fn new(weight: Weight, _cached: u64) -> Self {
+    fn new(weight: Weight) -> Self {
         weight
     }
 
     #[inline]
     fn weight(&self) -> Weight {
         *self
-    }
-
-    #[inline]
-    fn cached(&self) -> u64 {
-        0
-    }
-
-    #[inline]
-    fn merge(&mut self, incoming: Self) {
-        *self = (*self).min(incoming);
-    }
-}
-
-impl sealed::Narrows for EdgeMeta {
-    /// The weight, then the cache's low and high halves.
-    type Words = [u32; 3];
-
-    #[inline]
-    fn narrow(self) -> Option<[u32; 3]> {
-        let weight = u32::try_from(self.weight).ok()?;
-        Some([weight, self.cached as u32, (self.cached >> 32) as u32])
-    }
-
-    #[inline]
-    fn widen([weight, low, high]: [u32; 3]) -> Self {
-        EdgeMeta {
-            weight: u64::from(weight),
-            cached: u64::from(high) << 32 | u64::from(low),
-        }
-    }
-}
-
-impl EdgeData for EdgeMeta {
-    const CACHES: bool = true;
-
-    #[inline]
-    fn new(weight: Weight, cached: u64) -> Self {
-        EdgeMeta { weight, cached }
-    }
-
-    #[inline]
-    fn weight(&self) -> Weight {
-        self.weight
-    }
-
-    #[inline]
-    fn cached(&self) -> u64 {
-        self.cached
-    }
-
-    #[inline]
-    fn merge(&mut self, incoming: Self) {
-        self.weight = self.weight.min(incoming.weight);
-        self.cached = incoming.cached;
     }
 }
 
@@ -472,7 +354,7 @@ impl<E: EdgeData> Entry<E> for Narrow<E> {
 /// tags happen to collide. The width changes only when the index grows,
 /// which rebuilds every slot; removals never shrink an index, so a drained
 /// hub keeps its width until it is cloned.
-pub struct Adjacency<E = EdgeMeta> {
+pub struct Adjacency<E = Weight> {
     /// Live entries.
     len: u32,
     /// The slab's capacity in entries in the low [`CAP_BITS`] bits (0
@@ -671,10 +553,9 @@ impl<E: EdgeData> Adjacency<E> {
         self.upsert(nbr, data, |_| data)
     }
 
-    /// Inserts the edge `-> nbr`, folding a re-add into the stored payload
-    /// with [`EdgeData::merge`]: the **minimum** weight is kept (where a
-    /// weight is stored) and the cached value refreshed (where a cache is).
-    /// Returns `true` when the edge is new.
+    /// Inserts the edge `-> nbr`; a re-add keeps the **minimum** of the
+    /// stored and the new weight (where a weight is stored). Returns
+    /// `true` when the edge is new.
     ///
     /// This is the engine's topology-maintenance entry point: §II-B only
     /// supports edge updates "limited to reducing edge weight", and making
@@ -684,10 +565,7 @@ impl<E: EdgeData> Adjacency<E> {
     /// shards' streams (plain last-wins [`Adjacency::insert`] would leave
     /// whichever arrived last — an arrival-order artifact).
     pub fn insert_weight_min(&mut self, nbr: VertexId, data: E) -> bool {
-        self.upsert(nbr, data, |mut old| {
-            old.merge(data);
-            old
-        })
+        self.upsert(nbr, data, |old| E::new(old.weight().min(data.weight())))
     }
 
     /// Removes the edge `-> nbr`, returning its payload if it existed. The
@@ -708,23 +586,6 @@ impl<E: EdgeData> Adjacency<E> {
         } else {
             self.get_as::<Narrow<E>>(nbr)
         }
-    }
-
-    /// Updates the cached neighbour value on the edge `-> nbr`, if the edge
-    /// exists and the payload keeps a cache ([`EdgeData::CACHES`]), writing
-    /// the entry back in place. Returns the previous cached value; `None`,
-    /// without a lookup, for a payload that keeps none.
-    #[inline]
-    pub fn set_cached(&mut self, nbr: VertexId, value: u64) -> Option<u64> {
-        if !E::CACHES {
-            return None;
-        }
-        let old = if self.is_wide() {
-            self.set_cached_as::<(VertexId, E)>(nbr, value)
-        } else {
-            self.set_cached_as::<Narrow<E>>(nbr, value)
-        };
-        old.map(|data| data.cached())
     }
 
     /// Iterates `(neighbour, payload)` in insertion order (a removal moves
@@ -831,24 +692,13 @@ impl<E: EdgeData> Adjacency<E> {
         Some(self.entries::<T>()[pos].data())
     }
 
-    /// [`Self::set_cached`] among entries of `T`, returning the payload the
-    /// edge had.
-    #[inline]
-    fn set_cached_as<T: Entry<E>>(&mut self, nbr: VertexId, value: u64) -> Option<E> {
-        let pos = self.locate::<T>(nbr).ok()?;
-        Some(self.rewrite::<T>(pos, |data| E::new(data.weight(), value)))
-    }
-
     /// Replaces the payload of the entry of `T` at `pos` with `f` of it,
     /// which must fit `T` (every caller keeps or lowers the weight of an
-    /// entry that fits, or writes one it has checked), and returns the old
-    /// payload.
+    /// entry that fits, or writes one it has checked).
     #[inline]
-    fn rewrite<T: Entry<E>>(&mut self, pos: usize, f: impl FnOnce(E) -> E) -> E {
+    fn rewrite<T: Entry<E>>(&mut self, pos: usize, f: impl FnOnce(E) -> E) {
         let entry = &mut self.entries_mut::<T>()[pos];
-        let old = entry.data();
-        *entry = T::pack(entry.nbr(), f(old)).expect("a rewritten payload fits its entry");
-        old
+        *entry = T::pack(entry.nbr(), f(entry.data())).expect("a rewritten payload fits its entry");
     }
 
     /// [`Self::remove`] among entries of `T`.
@@ -1227,59 +1077,49 @@ mod tests {
     #[test]
     fn insert_dedupes_and_updates_meta() {
         let mut a = Adjacency::new();
-        assert!(a.insert(7, EdgeMeta::weighted(3)));
-        assert!(!a.insert(7, EdgeMeta::weighted(9)));
+        assert!(a.insert(7, 3));
+        assert!(!a.insert(7, 9));
         assert_eq!(a.degree(), 1);
-        assert_eq!(a.get(7).unwrap().weight, 9);
+        assert_eq!(a.get(7), Some(9));
     }
 
     #[test]
     fn insert_weight_min_keeps_cheapest_weight() {
         let mut a = Adjacency::new();
-        assert!(a.insert_weight_min(7, EdgeMeta::weighted(5)));
-        assert!(!a.insert_weight_min(7, EdgeMeta::weighted(9)));
-        assert_eq!(a.get(7).unwrap().weight, 5, "re-add must not raise");
-        assert!(!a.insert_weight_min(7, EdgeMeta::weighted(2)));
-        assert_eq!(a.get(7).unwrap().weight, 2, "reduction applies");
-        // The cached value still refreshes on every re-add.
-        assert!(!a.insert_weight_min(
-            7,
-            EdgeMeta {
-                weight: 8,
-                cached: 42
-            }
-        ));
-        let m = a.get(7).unwrap();
-        assert_eq!((m.weight, m.cached), (2, 42));
+        assert!(a.insert_weight_min(7, 5));
+        assert!(!a.insert_weight_min(7, 9));
+        assert_eq!(a.get(7), Some(5), "re-add must not raise");
+        assert!(!a.insert_weight_min(7, 2));
+        assert_eq!(a.get(7), Some(2), "reduction applies");
     }
 
     #[test]
     fn insert_weight_min_through_the_index() {
         let mut a = Adjacency::new();
-        for n in 0..(PROMOTE_BYTES as u64 / 16 + 4) {
-            a.insert_weight_min(n, EdgeMeta::weighted(n + 10));
+        for n in 0..(PROMOTE_BYTES as u64 / 8 + 4) {
+            a.insert_weight_min(n, n + 10);
         }
         assert!(a.is_promoted());
-        assert!(!a.insert_weight_min(3, EdgeMeta::weighted(1)));
-        assert_eq!(a.get(3).unwrap().weight, 1);
-        assert!(!a.insert_weight_min(3, EdgeMeta::weighted(100)));
-        assert_eq!(a.get(3).unwrap().weight, 1);
+        assert!(!a.insert_weight_min(3, 1));
+        assert_eq!(a.get(3), Some(1));
+        assert!(!a.insert_weight_min(3, 100));
+        assert_eq!(a.get(3), Some(1));
     }
 
     #[test]
     fn promotes_past_threshold_and_preserves_contents() {
-        // Narrow `EdgeMeta` entries are 16 bytes: 64 fill `PROMOTE_BYTES`.
-        let past = PROMOTE_BYTES as u64 / 16;
+        // Narrow `Weight` entries are 8 bytes: 128 fill `PROMOTE_BYTES`.
+        let past = PROMOTE_BYTES as u64 / 8;
         let mut a = Adjacency::new();
         for i in 0..past {
-            a.insert(i, EdgeMeta::weighted(i + 100));
+            a.insert(i, i + 100);
         }
         assert!(!a.is_promoted());
-        a.insert(past, EdgeMeta::weighted(past + 100));
-        assert_eq!(a.index_slots(), 128);
+        a.insert(past, past + 100);
+        assert_eq!(a.index_slots(), 256);
         assert_eq!(a.degree(), past as usize + 1);
         for i in 0..=past {
-            assert_eq!(a.get(i).unwrap().weight, i + 100, "neighbour {i}");
+            assert_eq!(a.get(i), Some(i + 100), "neighbour {i}");
         }
     }
 
@@ -1291,13 +1131,13 @@ mod tests {
     fn promotes_past_a_kilobyte_of_entries() {
         fn fill<E: EdgeData>(a: &mut Adjacency<E>, ids: std::ops::Range<u64>) {
             for n in ids {
-                assert!(a.insert(n * 3, E::new(n + 1, 0)));
+                assert!(a.insert(n * 3, E::new(n + 1)));
             }
         }
         fn all_found<E: EdgeData>(a: &Adjacency<E>, degree: u64) {
             assert_eq!(a.degree(), degree as usize);
             for n in 0..degree {
-                assert_eq!(a.get(n * 3), Some(E::new(n + 1, 0)), "neighbour {n}");
+                assert_eq!(a.get(n * 3), Some(E::new(n + 1)), "neighbour {n}");
             }
             assert_eq!(a.get(1), None);
         }
@@ -1335,35 +1175,19 @@ mod tests {
     fn dedupe_survives_promotion() {
         let mut a = Adjacency::new();
         for i in 0..200u64 {
-            a.insert(i, EdgeMeta::unweighted());
+            a.insert(i, 1);
         }
         for i in 0..200u64 {
-            assert!(!a.insert(i, EdgeMeta::unweighted()), "dup {i} accepted");
+            assert!(!a.insert(i, 1), "dup {i} accepted");
         }
         assert_eq!(a.degree(), 200);
-    }
-
-    #[test]
-    fn set_cached_roundtrip_below_and_above_threshold() {
-        let mut a = Adjacency::new();
-        a.insert(1, EdgeMeta::unweighted());
-        assert_eq!(a.set_cached(1, 42), Some(0));
-        assert_eq!(a.get(1).unwrap().cached, 42);
-        assert_eq!(a.set_cached(99, 1), None);
-
-        for i in 0..100u64 {
-            a.insert(i, EdgeMeta::unweighted());
-        }
-        assert!(a.is_promoted());
-        assert_eq!(a.set_cached(50, 7), Some(0));
-        assert_eq!(a.get(50).unwrap().cached, 7);
     }
 
     #[test]
     fn iter_is_insertion_order() {
         let mut a = Adjacency::new();
         for i in (0..100u64).rev() {
-            a.insert(i, EdgeMeta::weighted(i));
+            a.insert(i, i);
         }
         let seen: Vec<VertexId> = a.iter().map(|(n, _)| n).collect();
         assert_eq!(seen, (0u64..100).rev().collect::<Vec<_>>());
@@ -1372,21 +1196,21 @@ mod tests {
     #[test]
     fn indexed_remove_keeps_every_other_edge_reachable() {
         // Removing each edge in turn from an index at its 3/4 ceiling
-        // (48 of 64 slots: wide `EdgeMeta` entries are 24 bytes, so 43 of
+        // (96 of 128 slots: wide `Weight` entries are 16 bytes, so 65 of
         // them promote) runs the backward shift over clusters of every
         // shape, wrap-around included.
-        let n = 48u64;
+        let n = 96u64;
         let id = |i: u64| (1 << 32) + i * 7919;
         for victim in 0..n {
             let mut a = Adjacency::new();
             for i in 0..n {
-                a.insert(id(i), EdgeMeta::weighted(i));
+                a.insert(id(i), i);
             }
-            assert_eq!(a.index_slots(), 64);
-            assert_eq!(a.remove(id(victim)).map(|m| m.weight), Some(victim));
+            assert_eq!(a.index_slots(), 128);
+            assert_eq!(a.remove(id(victim)), Some(victim));
             assert_eq!(a.remove(id(victim)), None);
             for i in (0..n).filter(|&i| i != victim) {
-                assert_eq!(a.get(id(i)).map(|m| m.weight), Some(i), "lost {i}");
+                assert_eq!(a.get(id(i)), Some(i), "lost {i}");
             }
             assert_eq!(a.degree(), n as usize - 1);
         }
@@ -1396,20 +1220,20 @@ mod tests {
     fn drains_below_threshold_and_regrows() {
         let mut a = Adjacency::new();
         for i in 0..500u64 {
-            a.insert(i, EdgeMeta::weighted(i));
+            a.insert(i, i);
         }
         for i in 0..495u64 {
-            assert_eq!(a.remove(i).map(|m| m.weight), Some(i));
+            assert_eq!(a.remove(i), Some(i));
         }
         assert_eq!(a.degree(), 5);
         assert!(a.is_promoted(), "the index is kept once built");
         for i in 0..2000u64 {
             let survivor = (495..500).contains(&i);
-            assert_eq!(a.insert(i, EdgeMeta::weighted(i + 1)), !survivor);
+            assert_eq!(a.insert(i, i + 1), !survivor);
         }
         assert_eq!(a.degree(), 2000);
         for i in 0..2000u64 {
-            assert_eq!(a.get(i).unwrap().weight, i + 1);
+            assert_eq!(a.get(i), Some(i + 1));
         }
     }
 
@@ -1435,7 +1259,6 @@ mod tests {
         }
         check((), 4, 257, 324, 512);
         check::<Weight>(1, 8, 129, 144, 256);
-        check(EdgeMeta::unweighted(), 16, 65, 96, 128);
     }
 
     /// The header holds 16 bytes of narrow entries; the next entry moves
@@ -1446,29 +1269,25 @@ mod tests {
         fn check<E: EdgeData>(inline: u64, first_slab: usize) {
             let mut a: Adjacency<E> = Adjacency::new();
             for n in 0..inline {
-                assert!(a.insert(n + 10, E::new(n + 1, 0)));
+                assert!(a.insert(n + 10, E::new(n + 1)));
                 assert_eq!(a.heap_bytes(), 0, "{inline} inline, edge {n}");
             }
-            assert!(a.insert(99, E::new(7, 0)));
+            assert!(a.insert(99, E::new(7)));
             assert_eq!(a.heap_bytes(), first_slab, "the first slab");
             let want: Vec<VertexId> = (0..inline).map(|n| n + 10).chain([99]).collect();
             assert_eq!(a.iter().map(|(n, _)| n).collect::<Vec<_>>(), want);
             for n in 0..inline {
                 assert_eq!(
                     a.get(n + 10).map(|e| e.weight()),
-                    Some(E::new(n + 1, 0).weight())
+                    Some(E::new(n + 1).weight())
                 );
             }
-            assert_eq!(
-                a.remove(99).map(|e| e.weight()),
-                Some(E::new(7, 0).weight())
-            );
+            assert_eq!(a.remove(99).map(|e| e.weight()), Some(E::new(7).weight()));
             assert_eq!(a.heap_bytes(), first_slab, "the slab is kept");
             assert_eq!(a.degree(), inline as usize);
         }
         check::<()>(4, 8 * 4);
         check::<Weight>(2, 4 * 8);
-        check::<EdgeMeta>(1, 4 * 16);
     }
 
     #[test]
@@ -1490,14 +1309,14 @@ mod tests {
         fn check<E: EdgeData>(degree: u64) {
             let mut a: Adjacency<E> = Adjacency::new();
             for n in 0..degree {
-                a.insert(n * 3, E::new(n + 1, n));
+                a.insert(n * 3, E::new(n + 1));
             }
             let mut b = a.clone();
             assert!(b.iter().eq(a.iter()), "degree {degree}");
             assert_eq!(b.heap_bytes(), a.heap_bytes());
             assert_eq!(b.is_promoted(), a.is_promoted());
             // The copy owns its storage.
-            assert!(b.insert(1, E::new(1, 0)));
+            assert!(b.insert(1, E::new(1)));
             assert_eq!(b.remove(0).is_some(), degree > 0);
             assert_eq!(a.degree(), degree as usize);
             assert!(a.get(1).is_none());
@@ -1505,7 +1324,6 @@ mod tests {
         for degree in [0, 1, 2, 3, 40, 300] {
             check::<()>(degree);
             check::<Weight>(degree);
-            check::<EdgeMeta>(degree);
         }
     }
 
@@ -1695,24 +1513,21 @@ mod tests {
         }
     }
 
-    /// A narrow `EdgeMeta` entry keeps the whole 64-bit cache, and a weight
-    /// past `u32::MAX` widens the vertex as a wide id does.
+    /// A weight past `u32::MAX` widens the vertex as a wide id does.
     #[test]
-    fn narrow_entries_keep_a_full_cache_and_widen_on_a_wide_weight() {
-        let mut a: Adjacency<EdgeMeta> = Adjacency::new();
+    fn narrow_entries_widen_on_a_wide_weight() {
+        let mut a: Adjacency<Weight> = Adjacency::new();
         for n in 0..6u64 {
-            assert!(a.insert(n, EdgeMeta::weighted(n + 1)));
+            assert!(a.insert(n, n + 1));
         }
-        assert_eq!(a.set_cached(3, u64::MAX - 5), Some(0));
-        assert!(!a.is_wide(), "a cache of any size fits");
-        assert_eq!(a.heap_bytes(), 8 * 16);
-        assert!(!a.insert_weight_min(4, EdgeMeta::weighted(1 << 40)));
+        assert!(!a.is_wide());
+        assert_eq!(a.heap_bytes(), 8 * 8);
+        assert!(!a.insert_weight_min(4, 1 << 40));
         assert!(a.is_wide(), "a wide weight widens, even one min() drops");
-        assert_eq!(a.heap_bytes(), 8 * 24);
-        assert_eq!(a.get(4).map(|m| m.weight), Some(5));
-        assert_eq!(a.get(3).map(|m| m.cached), Some(u64::MAX - 5));
-        assert!(!a.insert(5, EdgeMeta::weighted(1 << 40)));
-        assert_eq!(a.get(5).map(|m| m.weight), Some(1 << 40));
+        assert_eq!(a.heap_bytes(), 8 * 16);
+        assert_eq!(a.get(4), Some(5));
+        assert!(!a.insert(5, 1 << 40));
+        assert_eq!(a.get(5), Some(1 << 40));
         let want: Vec<u64> = (0..6).collect();
         assert_eq!(a.iter().map(|(n, _)| n).collect::<Vec<_>>(), want);
     }
@@ -1720,16 +1535,17 @@ mod tests {
     #[test]
     fn remove_below_and_above_threshold() {
         let mut a: Adjacency = Adjacency::new();
-        a.insert(1, EdgeMeta::weighted(5));
-        assert_eq!(a.remove(1).unwrap().weight, 5);
+        a.insert(1, 5);
+        assert_eq!(a.remove(1), Some(5));
         assert_eq!(a.remove(1), None);
         assert!(a.is_empty());
 
-        for i in 0..100u64 {
-            a.insert(i, EdgeMeta::unweighted());
+        for i in 0..200u64 {
+            a.insert(i, 1);
         }
+        assert!(a.is_promoted());
         assert!(a.remove(3).is_some());
-        assert_eq!(a.degree(), 99);
+        assert_eq!(a.degree(), 199);
         assert!(a.get(3).is_none());
     }
 }

@@ -33,9 +33,9 @@
 //! and iteration is a linear slab walk in intern order instead of a sparse
 //! scan over hash slots.
 
-use crate::adjacency::{Adjacency, EdgeData, EdgeMeta};
+use crate::adjacency::{Adjacency, EdgeData};
 use crate::hash::mix64;
-use crate::VertexId;
+use crate::{VertexId, Weight};
 
 /// Shard-local dense vertex index. With the intern table's `u32` slots it
 /// bounds a shard at 3 * 2^30 (about 3.2B) vertices, which exceeds any
@@ -246,7 +246,7 @@ impl<S: Default, E> Default for DenseRecord<S, E> {
 ///
 /// Exposes the dense index so hot paths intern **once** per event and use
 /// direct indexing thereafter.
-pub struct DenseVertexTable<S, E = EdgeMeta> {
+pub struct DenseVertexTable<S, E = Weight> {
     intern: InternTable,
     recs: Vec<DenseRecord<S, E>>,
     edges: usize,
@@ -517,9 +517,9 @@ mod tests {
     #[test]
     fn insert_edge_counts_distinct_edges() {
         let mut t: DenseVertexTable<u64> = DenseVertexTable::new();
-        assert!(t.insert_edge(1, 2, EdgeMeta::unweighted()));
-        assert!(t.insert_edge(1, 3, EdgeMeta::unweighted()));
-        assert!(!t.insert_edge(1, 2, EdgeMeta::unweighted()));
+        assert!(t.insert_edge(1, 2, 1));
+        assert!(t.insert_edge(1, 3, 1));
+        assert!(!t.insert_edge(1, 2, 1));
         assert_eq!(t.num_edges(), 2);
         assert_eq!(t.degree(1), 2);
         assert_eq!(t.degree(2), 0);
@@ -530,7 +530,7 @@ mod tests {
         let mut t: DenseVertexTable<u64> = DenseVertexTable::new();
         let (i, _) = t.intern(1);
         *t.state_mut(i) = 42;
-        t.insert_edge(1, 2, EdgeMeta::unweighted());
+        t.insert_edge(1, 2, 1);
         assert_eq!(*t.state(i), 42);
         assert_eq!(*t.state(t.lookup(1).unwrap()), 42);
     }
@@ -538,8 +538,8 @@ mod tests {
     #[test]
     fn remove_edge_updates_count() {
         let mut t: DenseVertexTable<u64> = DenseVertexTable::new();
-        t.insert_edge(1, 2, EdgeMeta::weighted(9));
-        assert_eq!(t.remove_edge(1, 2).unwrap().weight, 9);
+        t.insert_edge(1, 2, 9);
+        assert_eq!(t.remove_edge(1, 2), Some(9));
         assert_eq!(t.remove_edge(1, 2), None);
         assert_eq!(t.num_edges(), 0);
     }
@@ -565,7 +565,7 @@ mod tests {
         let (i, _) = t.intern(7);
         let (s, a) = t.state_adj_mut(i);
         *s = 9;
-        a.insert(8, EdgeMeta::unweighted());
+        a.insert(8, 1);
         assert_eq!(*t.state(i), 9);
         assert_eq!(t.adj(i).degree(), 1);
     }
@@ -587,7 +587,7 @@ mod tests {
         let mut t: DenseVertexTable<u64> = DenseVertexTable::new();
         let empty = t.heap_bytes();
         for v in 0..1000u64 {
-            t.insert_edge(v, v + 1, EdgeMeta::unweighted());
+            t.insert_edge(v, v + 1, 1);
         }
         assert!(t.heap_bytes() > empty);
     }

@@ -7,8 +7,8 @@
 //!   and in a heap slab after, plus a hash index of positions into the slab
 //!   for heavy hitters (2-byte slots up to 2^14 of them, 4-byte above:
 //!   about 2.7–5.3 B per hub entry below 12 288 entries); each entry keeps
-//!   only the [`EdgeData`] payload its algorithm reads (nothing, a weight,
-//!   or weight + neighbour cache).
+//!   only the [`EdgeData`] payload its algorithm reads (nothing or a
+//!   weight).
 //! - [`dense`]: dense vertex interning (the ids in intern order plus a
 //!   keyless position index over them, 4 bytes a slot) in front of a slab
 //!   of records (algorithm state + edges), the engine's one vertex table
@@ -36,7 +36,18 @@ pub type VertexId = u64;
 /// algorithms.
 pub type Weight = u64;
 
-pub use adjacency::{Adjacency, EdgeData, EdgeMeta};
+pub use adjacency::{Adjacency, EdgeData};
 pub use bitset::BitSet;
 pub use csr::Csr;
 pub use dense::{DenseVertexTable, InternTable, LocalIdx};
+
+/// Ledger shim, not part of the API: the frozen ledger's store layer
+/// builds its edges with `weighted`. ROADMAP item 10(b) deletes it.
+#[doc(hidden)]
+pub struct EdgeMeta;
+
+impl EdgeMeta {
+    pub fn weighted(w: Weight) -> Weight {
+        w
+    }
+}

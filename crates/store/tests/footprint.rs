@@ -1,11 +1,11 @@
 //! Footprint budget: bytes of store per directed edge on a scale-free
 //! stream, for each adjacency payload, with narrow entries and with wide
-//! ones. The ledger reports the same ratio
-//! for the `EdgeMeta` table as `store.bytes_per_edge`; this makes a
-//! regression fail in `cargo test` too.
+//! ones. The ledger reports the same ratio for a `Weight` table as
+//! `store.bytes_per_edge`; this makes a regression fail in `cargo test`
+//! too.
 
 use remo_store::hash::mix64;
-use remo_store::{Adjacency, DenseVertexTable, EdgeData, EdgeMeta, VertexId, Weight};
+use remo_store::{Adjacency, DenseVertexTable, EdgeData, VertexId, Weight};
 
 /// 2^SCALE vertex ids, EDGE_FACTOR undirected edges per id: the Graph500
 /// shape the ledger's RMAT workloads use, two scales down and thinned so
@@ -40,7 +40,7 @@ fn bytes_per_edge<E: EdgeData>(offset: u64) -> f64 {
     for i in 0..inserts / 2 {
         let (s, d) = skewed_edge(0x5eed, i);
         let (s, d) = (s + offset, d + offset);
-        let data = E::new(1 + i % 64, 0);
+        let data = E::new(1 + i % 64);
         duplicates += u64::from(!table.insert_edge(s, d, data));
         duplicates += u64::from(!table.insert_edge(d, s, data));
     }
@@ -61,7 +61,7 @@ fn bytes_per_edge<E: EdgeData>(offset: u64) -> f64 {
 fn measured_layout<E: EdgeData>(first: VertexId) -> (usize, usize) {
     let mut a: Adjacency<E> = Adjacency::new();
     let mut inline = 0;
-    while a.insert(first + inline as u64, E::new(2, 0)) && a.heap_bytes() == 0 {
+    while a.insert(first + inline as u64, E::new(2)) && a.heap_bytes() == 0 {
         inline += 1;
     }
     (inline, a.heap_bytes() / (2 * inline).max(4))
@@ -77,37 +77,31 @@ fn entry_layout_per_payload() {
     use std::mem::size_of;
     assert_eq!(size_of::<(VertexId, ())>(), 8);
     assert_eq!(size_of::<(VertexId, Weight)>(), 16);
-    assert_eq!(size_of::<(VertexId, EdgeMeta)>(), 24);
     assert_eq!(size_of::<Adjacency<()>>(), 24);
     assert_eq!(size_of::<Adjacency<Weight>>(), 24);
-    assert_eq!(size_of::<Adjacency<EdgeMeta>>(), 24);
     // (inline entries, bytes per entry), narrow then wide.
     let wide = 1 << 32;
     assert_eq!(measured_layout::<()>(0), (4, 4));
     assert_eq!(measured_layout::<()>(wide), (2, 8));
     assert_eq!(measured_layout::<Weight>(0), (2, 8));
     assert_eq!(measured_layout::<Weight>(wide), (1, 16));
-    assert_eq!(measured_layout::<EdgeMeta>(0), (1, 16));
-    assert_eq!(measured_layout::<EdgeMeta>(wide), (0, 24));
 }
 
 /// Each budget is the figure measured on this stream plus about 5 %:
-/// 8.4, 14.5 and 25.4 B with narrow entries, since every id and weight
-/// fits in a `u32`, and an index only past 1 KiB of entries (10.3, 15.4
-/// and 25.8 B with one past 32 entries at every width, which the first
-/// two budgets fail; 15.4, 25.8 and 36.8 B with the wide entries every
-/// vertex kept before narrow ones, which each budget fails). Each figure
-/// was 0.7 B higher with the Robin Hood intern table before the keyless
-/// index; with it and wide entries, 19.0, 29.3 and 40.3 B were measured
-/// with 4-byte adjacency index slots at every size, and 20.3, 30.8 and
-/// 41.2 B with the 40-byte header before the 24-byte one that keeps a
+/// 8.4 and 14.5 B with narrow entries, since every id and weight fits in a
+/// `u32`, and an index only past 1 KiB of entries (10.3 and 15.4 B with
+/// one past 32 entries at every width, which both budgets fail; 15.4 and
+/// 25.8 B with the wide entries every vertex kept before narrow ones).
+/// Each figure was 0.7 B higher with the Robin Hood intern table before
+/// the keyless index; with it and wide entries, 19.0 and 29.3 B were
+/// measured with 4-byte adjacency index slots at every size, and 20.3 and
+/// 30.8 B with the 40-byte header before the 24-byte one that keeps a
 /// low-degree vertex's first 16 bytes of entries inline.
 #[test]
 fn store_stays_within_its_bytes_per_edge_budget() {
     for (payload, per_edge, budget) in [
         ("()", bytes_per_edge::<()>(0), 8.8),
         ("Weight", bytes_per_edge::<Weight>(0), 15.2),
-        ("EdgeMeta", bytes_per_edge::<EdgeMeta>(0), 26.6),
     ] {
         assert!(
             per_edge <= budget,
@@ -117,15 +111,14 @@ fn store_stays_within_its_bytes_per_edge_budget() {
 }
 
 /// The same stream with every id past `u32::MAX`, so every vertex keeps
-/// wide entries: the budgets are the 14.5, 25.4 and 36.7 B measured plus
-/// about 5 % (15.4, 25.8 and 36.8 B with an index past 32 entries), so
-/// the wide path cannot regress unseen.
+/// wide entries: the budgets are the 14.5 and 25.4 B measured plus about
+/// 5 % (15.4 and 25.8 B with an index past 32 entries), so the wide path
+/// cannot regress unseen.
 #[test]
 fn wide_ids_stay_within_the_wide_bytes_per_edge_budget() {
     for (payload, per_edge, budget) in [
         ("()", bytes_per_edge::<()>(1 << 32), 15.2),
         ("Weight", bytes_per_edge::<Weight>(1 << 32), 26.6),
-        ("EdgeMeta", bytes_per_edge::<EdgeMeta>(1 << 32), 38.6),
     ] {
         assert!(
             per_edge <= budget,

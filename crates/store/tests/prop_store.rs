@@ -3,7 +3,7 @@
 //! implementations under arbitrary operation sequences.
 
 use proptest::prelude::*;
-use remo_store::adjacency::{Adjacency, EdgeData, EdgeMeta, PROMOTE_BYTES};
+use remo_store::adjacency::{Adjacency, EdgeData, PROMOTE_BYTES};
 use remo_store::bitset::BitSet;
 use remo_store::csr::Csr;
 use remo_store::dense::{InternTable, LocalIdx};
@@ -92,13 +92,13 @@ fn intern_op() -> impl Strategy<Value = InternOp> {
 /// In every phase one fresh id
 /// in 128 is past `u32::MAX`, and so is one weight in 128, so the vertex
 /// widens inline, in a slab or indexed, wherever the first one arrives.
-type Phases = Vec<(u8, Vec<(u8, u64, u64, u64)>)>;
+type Phases = Vec<(u8, Vec<(u8, u64, u64)>)>;
 
 fn adjacency_phases() -> impl Strategy<Value = Phases> {
     proptest::collection::vec(
         (
             0u8..4,
-            proptest::collection::vec((0u8..100, any::<u64>(), 1u64..1000, any::<u64>()), 0..700),
+            proptest::collection::vec((0u8..100, any::<u64>(), 1u64..1000), 0..700),
         ),
         1..8,
     )
@@ -111,13 +111,6 @@ struct Widths {
     entry: [usize; 2],
     inline: [usize; 2],
 }
-
-/// [`EdgeMeta`]: 16 bytes narrow, one of which the header holds, and 24
-/// wide, none.
-const META: Widths = Widths {
-    entry: [16, 24],
-    inline: [1, 0],
-};
 
 /// [`Weight`]: two 8-byte narrow entries in the header, or one 16-byte
 /// wide one.
@@ -190,17 +183,14 @@ impl Storage {
 }
 
 /// Runs `phases` against an `Adjacency<E>` and a model that knows only
-/// whether the payload keeps a weight (`weighted`) and a cache (`caches`),
-/// and its [`Widths`]: what it does not keep reads as weight 1 and cache 0,
-/// a re-add keeps the minimum weight only where one is kept, `set_cached`
-/// returns `None` and changes nothing unless the payload caches, and the
-/// vertex owns exactly the heap bytes [`Storage`] predicts — at the width
-/// set by the first id or weight past `u32::MAX` it was handed, and re-
-/// derived from the live entries by a clone.
+/// whether the payload keeps a weight (`weighted`) and its [`Widths`]: an
+/// unkept weight reads as 1, a re-add keeps the minimum weight only where
+/// one is kept, and the vertex owns exactly the heap bytes [`Storage`]
+/// predicts — at the width set by the first id or weight past `u32::MAX`
+/// it was handed, and re-derived from the live entries by a clone.
 fn check_adjacency<E: EdgeData>(
     phases: Phases,
     weighted: bool,
-    caches: bool,
     widths: Widths,
 ) -> Result<(), TestCaseError> {
     const DOMAIN: u64 = 4096;
@@ -209,26 +199,24 @@ fn check_adjacency<E: EdgeData>(
     const CHURN: u8 = 3;
     const PAST_U32: u64 = 1 << 32;
     // Cumulative percentages per phase: insert, insert_weight_min,
-    // remove, set_cached, get (the rest, 1 %, is a clone).
-    const MIX: [[u8; 5]; 4] = [
-        [40, 80, 84, 90, 99],
-        [3, 6, 86, 91, 99],
-        [20, 40, 60, 75, 99],
-        [25, 50, 80, 88, 99],
+    // remove, get (the rest, 1 %, is a clone).
+    const MIX: [[u8; 4]; 4] = [
+        [40, 80, 84, 99],
+        [3, 6, 86, 99],
+        [20, 40, 60, 99],
+        [25, 50, 80, 99],
     ];
-    prop_assert_eq!(E::CACHES, caches);
     let kept_weight = |w: u64| if weighted { w } else { 1 };
-    let kept_cache = |c: u64| if caches { c } else { 0 };
     let is_wide = |n: u64, w: u64| n >= PAST_U32 || w >= PAST_U32;
     let mut adj: Adjacency<E> = Adjacency::new();
-    // neighbour -> (weight, cached), as the payload reports them
-    let mut model: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+    // neighbour -> weight, as the payload reports it
+    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     // The neighbours in the order `iter()` must yield them: appended when
     // new, and a removal moves the last one into the hole (`swap_remove`).
     let mut order: Vec<u64> = Vec::new();
     let mut storage = Storage::default();
     for (bias, ops) in phases {
-        for (sel, pick, weight, cached) in ops {
+        for (sel, pick, weight) in ops {
             let live = match bias {
                 GROW | CHURN => false,
                 DRAIN => true,
@@ -243,8 +231,8 @@ fn check_adjacency<E: EdgeData>(
             };
             let weight = weight + if pick >> 57 == 1 { PAST_U32 } else { 0 };
             let mix = MIX[bias as usize];
-            let data = E::new(weight, cached);
-            let stored = (kept_weight(weight), kept_cache(cached));
+            let data = E::new(weight);
+            let stored = kept_weight(weight);
             let mut widens = false;
             if sel < mix[0] {
                 let new = adj.insert(nbr, data);
@@ -252,30 +240,23 @@ fn check_adjacency<E: EdgeData>(
                 if new {
                     order.push(nbr);
                 }
-                widens = is_wide(nbr, stored.0);
+                widens = is_wide(nbr, stored);
             } else if sel < mix[1] {
                 let new = adj.insert_weight_min(nbr, data);
-                let kept = model.get(&nbr).map_or(stored.0, |&(w, _)| w.min(stored.0));
-                prop_assert_eq!(new, model.insert(nbr, (kept, stored.1)).is_none());
+                let kept = model.get(&nbr).map_or(stored, |&w| w.min(stored));
+                prop_assert_eq!(new, model.insert(nbr, kept).is_none());
                 if new {
                     order.push(nbr);
                 }
-                widens = is_wide(nbr, stored.0);
+                widens = is_wide(nbr, stored);
             } else if sel < mix[2] {
-                let removed = adj.remove(nbr).map(|e| (e.weight(), e.cached()));
+                let removed = adj.remove(nbr).map(|e| e.weight());
                 prop_assert_eq!(removed, model.remove(&nbr));
                 if let Some(pos) = order.iter().position(|&n| n == nbr) {
                     order.swap_remove(pos);
                 }
             } else if sel < mix[3] {
-                let before = adj.set_cached(nbr, cached);
-                let slot = model.get_mut(&nbr).filter(|_| caches);
-                prop_assert_eq!(before, slot.as_ref().map(|s| s.1));
-                if let Some(s) = slot {
-                    s.1 = cached;
-                }
-            } else if sel < mix[4] {
-                let got = adj.get(nbr).map(|e| (e.weight(), e.cached()));
+                let got = adj.get(nbr).map(|e| e.weight());
                 prop_assert_eq!(got, model.get(&nbr).copied());
             } else {
                 // A clone holds the same entries in the same order, in
@@ -285,7 +266,7 @@ fn check_adjacency<E: EdgeData>(
                 adj = copy;
                 storage = Storage::default();
                 for (i, n) in order.iter().enumerate() {
-                    storage.record(i + 1, is_wide(*n, model[n].0), widths);
+                    storage.record(i + 1, is_wide(*n, model[n]), widths);
                 }
             }
 
@@ -302,22 +283,13 @@ fn check_adjacency<E: EdgeData>(
             );
             // `iter()` yields every live neighbour once, with its payload,
             // in the order the model kept.
-            let got: Vec<(u64, (u64, u64))> = adj
-                .iter()
-                .map(|(n, e)| (n, (e.weight(), e.cached())))
-                .collect();
-            let want: Vec<(u64, (u64, u64))> = order.iter().map(|&n| (n, model[&n])).collect();
+            let got: Vec<(u64, u64)> = adj.iter().map(|(n, e)| (n, e.weight())).collect();
+            let want: Vec<(u64, u64)> = order.iter().map(|&n| (n, model[&n])).collect();
             prop_assert_eq!(got, want);
         }
     }
-    for (&n, &(w, c)) in &model {
-        prop_assert_eq!(
-            adj.get(n).map(|e| e.meta()),
-            Some(EdgeMeta {
-                weight: w,
-                cached: c
-            })
-        );
+    for (&n, &w) in &model {
+        prop_assert_eq!(adj.get(n).map(|e| e.weight()), Some(w));
     }
     Ok(())
 }
@@ -333,13 +305,13 @@ fn check_adjacency<E: EdgeData>(
 fn widening_across_a_kilobyte_matches_the_model() {
     /// A grow-phase insert of id `n` below 4 096: the op's `pick` puts it
     /// past `u32::MAX` when `wide_id`, and its weight when `wide_weight`.
-    fn insert(n: u64, wide_id: bool, wide_weight: bool) -> (u8, u64, u64, u64) {
+    fn insert(n: u64, wide_id: bool, wide_weight: bool) -> (u8, u64, u64) {
         let top = match (wide_id, wide_weight) {
             (true, _) => 0,
             (false, true) => 1,
             (false, false) => 2,
         };
-        (0, top << 57 | n << 1, 5, 9)
+        (0, top << 57 | n << 1, 5)
     }
     fn phases(narrow: u64) -> Phases {
         let mut ops: Vec<_> = (0..narrow).map(|n| insert(n, false, false)).collect();
@@ -348,9 +320,8 @@ fn widening_across_a_kilobyte_matches_the_model() {
         ops.extend((narrow + 1..narrow + 21).map(|n| insert(n, false, false)));
         vec![(0, ops)]
     }
-    check_adjacency::<EdgeMeta>(phases(50), true, true, META).unwrap();
-    check_adjacency::<Weight>(phases(100), true, false, WEIGHT).unwrap();
-    check_adjacency::<()>(phases(200), false, false, UNIT).unwrap();
+    check_adjacency::<Weight>(phases(100), true, WEIGHT).unwrap();
+    check_adjacency::<()>(phases(200), false, UNIT).unwrap();
 }
 
 proptest! {
@@ -412,27 +383,19 @@ proptest! {
     /// wide entries) agrees with a BTreeMap model and its ordered mirror
     /// through every entry point, across index growths, the widening, a
     /// drain back below the promotion threshold and the regrowth after it —
-    /// with the full [`EdgeMeta`] payload (weight and neighbour cache): 16
-    /// bytes narrow, one of which the header holds, and 24 wide, none.
-    #[test]
-    fn adjacency_matches_model(phases in adjacency_phases()) {
-        check_adjacency::<EdgeMeta>(phases, true, true, META)?;
-    }
-
-    /// The same model with a weight-only payload: the minimum weight is
-    /// kept, the cache reads 0, `set_cached` is a no-op, and the header
+    /// with the weight payload: the minimum weight is kept, and the header
     /// holds two 8-byte narrow entries or one 16-byte wide one.
     #[test]
     fn adjacency_matches_model_weight(phases in adjacency_phases()) {
-        check_adjacency::<Weight>(phases, true, false, WEIGHT)?;
+        check_adjacency::<Weight>(phases, true, WEIGHT)?;
     }
 
-    /// The same model with the empty payload: every weight reads 1, every
-    /// cache 0, only the neighbours are kept (so only an id widens), and
-    /// the header holds four 4-byte narrow entries or two 8-byte wide ones.
+    /// The same model with the empty payload: every weight reads 1, only
+    /// the neighbours are kept (so only an id widens), and the header holds
+    /// four 4-byte narrow entries or two 8-byte wide ones.
     #[test]
     fn adjacency_matches_model_unit(phases in adjacency_phases()) {
-        check_adjacency::<()>(phases, false, false, UNIT)?;
+        check_adjacency::<()>(phases, false, UNIT)?;
     }
 
     /// BitSet agrees with a BTreeSet model, and union is the lattice join.
