@@ -254,8 +254,8 @@ pub struct Outgoing<S> {
 /// The engine's concrete callback context.
 ///
 /// Holds split borrows of the visited vertex's storage
-/// ([`VertexParts`]): live state, meta word and adjacency, each reached
-/// without going back through the store. `E` is the algorithm's
+/// ([`VertexParts`]): live state, adjacency and fired-trigger bits, each
+/// reached without going back through the store. `E` is the algorithm's
 /// [`Algorithm::Edge`].
 pub struct EventCtx<'a, S, E> {
     vertex: VertexId,
@@ -302,8 +302,8 @@ impl<'a, S: Clone, E: EdgeData> EventCtx<'a, S, E> {
         }
         for (i, t) in triggers.iter().enumerate() {
             let bit = 1u32 << i;
-            if self.parts.meta.fired & bit == 0 && (t.predicate)(self.vertex, self.parts.live) {
-                self.parts.meta.fired |= bit;
+            if self.parts.fired.get() & bit == 0 && (t.predicate)(self.vertex, self.parts.live) {
+                self.parts.fired.set(bit);
                 fires.push(TriggerFire {
                     trigger: i,
                     vertex: self.vertex,

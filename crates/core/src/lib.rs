@@ -112,7 +112,6 @@ mod termination;
 mod trace;
 mod transport;
 mod trigger;
-mod vertex_state;
 mod wal;
 
 pub use algorithm::{AlgoCtx, Algorithm};

@@ -2,14 +2,15 @@
 //!
 //! `DenseStore` is an interning table (the ids in intern order plus a
 //! keyless position index over them, one probe per event) in front of a
-//! record slab — each entry a packed
-//! `(state, meta-word)` pair (`HotVertex`) contiguous with its
+//! record slab — each entry the live state contiguous with its
 //! `Adjacency`. The hot working set per event is one contiguous
-//! `size_of::<S>() + 4 + 24`-byte slab record (rounded up to the state's
-//! alignment), whose adjacency
+//! `size_of::<S>() + 24`-byte slab record (rounded up to the state's
+//! alignment; 32 bytes for a `u64` state), whose adjacency
 //! header holds a low-degree vertex's first 16 bytes of edges itself (four
 //! `()` entries or two `Weight` while the vertex's ids and weights fit in
-//! a `u32`, half as many once one does not).
+//! a `u32`, half as many once one does not). The fired-trigger bits live
+//! beside the slab in a side table that only trigger evaluation touches,
+//! so an engine without triggers never allocates it.
 //! The adjacency's entries carry the algorithm's
 //! [`crate::Algorithm::Edge`] payload, so the store is typed by it as well
 //! as by the state.
@@ -19,35 +20,52 @@
 //! access through that index, which is what makes the single-probe
 //! discipline real.
 
-use crate::vertex_state::VertexMeta;
 use remo_store::{Adjacency, DenseVertexTable, EdgeData, LocalIdx, VertexId};
 
 /// Split mutable borrows of one vertex's storage, assembled per event.
 pub struct VertexParts<'a, S, E> {
     /// Live algorithm state.
     pub live: &'a mut S,
-    /// Fired-trigger bits.
-    pub meta: &'a mut VertexMeta,
     /// Out-edges.
     pub adj: &'a mut Adjacency<E>,
+    /// Fired-trigger bits.
+    pub fired: Fired<'a>,
+}
+
+/// One vertex's fired-trigger bits (bit `i` set once trigger `i` fired for
+/// it, at most once each), reached through the store's side table. The
+/// table grows only when a bit is set, so a vertex past its end has none.
+pub struct Fired<'a> {
+    table: &'a mut Vec<u32>,
+    h: LocalIdx,
+}
+
+impl Fired<'_> {
+    /// The vertex's bits.
+    #[inline]
+    pub fn get(&self) -> u32 {
+        fired_bits(self.table, self.h)
+    }
+
+    /// Sets `bits` for the vertex.
+    pub fn set(&mut self, bits: u32) {
+        let i = self.h as usize;
+        if i >= self.table.len() {
+            self.table.resize(i + 1, 0);
+        }
+        self.table[i] |= bits;
+    }
+}
+
+/// Bits of the vertex at `h` in a fired-trigger side table.
+#[inline]
+fn fired_bits(table: &[u32], h: LocalIdx) -> u32 {
+    table.get(h as usize).copied().unwrap_or(0)
 }
 
 /// Visitor handed to [`DenseStore::export_records`]: receives each
-/// vertex's `(id, live state, meta word, adjacency)`.
-pub(crate) type RecordVisitor<'a, S, E> = dyn FnMut(VertexId, &S, VertexMeta, &Adjacency<E>) + 'a;
-
-/// Per-vertex hot payload: the live state packed with the 4-byte meta
-/// word. A state change reads both (the callback is on the state, the
-/// trigger check on the meta), so splitting them into two slabs costs a
-/// second dependent cache line for nothing — packing them (and packing
-/// the pair contiguously with the adjacency, see
-/// [`remo_store::DenseVertexTable`]) makes one event's touch one slab
-/// record.
-#[derive(Clone, Default)]
-pub(crate) struct HotVertex<S> {
-    live: S,
-    meta: VertexMeta,
-}
+/// vertex's `(id, live state, fired-trigger bits, adjacency)`.
+pub(crate) type RecordVisitor<'a, S, E> = dyn FnMut(VertexId, &S, u32, &Adjacency<E>) + 'a;
 
 /// The engine's one vertex store: interning + record slab.
 ///
@@ -57,7 +75,10 @@ pub(crate) struct HotVertex<S> {
 /// [`DenseStore::num_vertices`] are the whole surface callers outside the
 /// engine see.
 pub struct DenseStore<S, E> {
-    table: DenseVertexTable<HotVertex<S>, E>,
+    table: DenseVertexTable<S, E>,
+    /// Fired-trigger bits by [`LocalIdx`], as long as the highest vertex
+    /// any trigger fired for: empty while none has.
+    fired: Vec<u32>,
     /// One-entry intern memo: cascades and hub traffic often deliver
     /// consecutive envelopes to the same vertex, and a compare beats a
     /// probe. Sound across envelopes because dense indices are stable
@@ -80,11 +101,12 @@ where
             } else {
                 DenseVertexTable::new()
             },
+            fired: Vec::new(),
             last: None,
         }
     }
 
-    /// Index for `v`, creating default state/meta/adjacency if absent.
+    /// Index for `v`, creating default state and adjacency if absent.
     #[inline]
     pub(crate) fn intern(&mut self, v: VertexId) -> LocalIdx {
         if let Some((id, h)) = self.last {
@@ -106,15 +128,21 @@ where
     /// Live state at `h`.
     #[inline]
     pub(crate) fn live(&self, h: LocalIdx) -> &S {
-        &self.table.state(h).live
+        self.table.state(h)
     }
 
-    /// Split borrows of `h`'s state, meta word and adjacency.
+    /// Split borrows of `h`'s state, adjacency and fired-trigger bits.
     #[inline]
     pub(crate) fn parts(&mut self, h: LocalIdx) -> VertexParts<'_, S, E> {
-        let (hot, adj) = self.table.state_adj_mut(h);
-        let HotVertex { live, meta } = hot;
-        VertexParts { live, meta, adj }
+        let (live, adj) = self.table.state_adj_mut(h);
+        VertexParts {
+            live,
+            adj,
+            fired: Fired {
+                table: &mut self.fired,
+                h,
+            },
+        }
     }
 
     /// Number of vertices present.
@@ -125,12 +153,12 @@ where
     /// Live state and out-edges of `v`, if it has a record.
     pub fn get(&self, v: VertexId) -> Option<(&S, &Adjacency<E>)> {
         let h = self.table.lookup(v)?;
-        Some((&self.table.state(h).live, self.table.adj(h)))
+        Some((self.table.state(h), self.table.adj(h)))
     }
 
     /// Iterates `(vertex, live state, out-edges)` in intern order.
     pub fn iter(&self) -> impl Iterator<Item = (VertexId, &S, &Adjacency<E>)> + '_ {
-        self.table.iter().map(|(v, hot, adj)| (v, &hot.live, adj))
+        self.table.iter()
     }
 
     /// Snapshot of every vertex id present, in iteration order. Cold path:
@@ -146,9 +174,9 @@ where
     }
 
     /// Approximate total heap footprint of the store (index + state +
-    /// meta + adjacency), in bytes.
+    /// adjacency + fired-trigger bits), in bytes.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.table.heap_bytes()
+        self.table.heap_bytes() + self.fired.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Every vertex's `(id, live state)`, in intern order: this shard's
@@ -157,27 +185,25 @@ where
         self.iter().map(|(v, s, _)| (v, s.clone())).collect()
     }
 
-    /// Streams every vertex record — live state, meta word, adjacency — to
-    /// `f`. The checkpoint serializer's walk (cold path; only
-    /// durability-enabled shards call it).
+    /// Streams every vertex record — live state, fired-trigger bits,
+    /// adjacency — to `f`. The checkpoint serializer's walk (cold path;
+    /// only durability-enabled shards call it).
     pub(crate) fn export_records(&self, f: &mut RecordVisitor<S, E>) {
-        for (v, hot, adj) in self.table.iter() {
-            f(v, &hot.live, hot.meta, adj);
+        for (h, (v, live, adj)) in self.table.iter().enumerate() {
+            f(v, live, fired_bits(&self.fired, h as LocalIdx), adj);
         }
     }
 
     /// Reinstates one checkpointed vertex record. The store must be
     /// freshly constructed — restore never merges into existing records.
-    pub(crate) fn restore_record(
-        &mut self,
-        v: VertexId,
-        live: S,
-        meta: VertexMeta,
-        adj: Adjacency<E>,
-    ) {
-        let (h, _) = self.table.intern(v);
-        *self.table.state_mut(h) = HotVertex { live, meta };
-        *self.table.adj_mut(h) = adj;
+    pub(crate) fn restore_record(&mut self, v: VertexId, live: S, fired: u32, adj: Adjacency<E>) {
+        let h = self.intern(v);
+        let mut parts = self.parts(h);
+        *parts.live = live;
+        *parts.adj = adj;
+        if fired != 0 {
+            parts.fired.set(fired);
+        }
     }
 }
 
@@ -192,16 +218,16 @@ mod tests {
         assert_eq!(st.num_vertices(), 1);
         assert_eq!(*st.live(h), 0);
         {
-            let parts = st.parts(h);
+            let mut parts = st.parts(h);
             *parts.live = 7;
-            parts.meta.fired |= 1;
+            parts.fired.set(1);
         }
         let h = st.lookup(42).unwrap_or_else(|| unreachable!());
         assert_eq!(*st.live(h), 7);
         {
             let parts = st.parts(h);
             *parts.live = 9;
-            assert_eq!(parts.meta.fired, 1, "fired bits stay with the vertex");
+            assert_eq!(parts.fired.get(), 1, "fired bits stay with the vertex");
         }
 
         // A snapshot fragment holds every vertex's live state, a vertex
@@ -224,23 +250,25 @@ mod tests {
         let mut st: DenseStore<u64, Weight> = DenseStore::with_capacity(0);
         let h = st.intern(1);
         {
-            let parts = st.parts(h);
+            let mut parts = st.parts(h);
             *parts.live = 5;
-            parts.meta.fired = 0b10;
+            parts.fired.set(0b10);
             parts.adj.insert(2, 3);
         }
         let _ = st.intern(9);
 
         let mut restored: DenseStore<u64, Weight> = DenseStore::with_capacity(0);
-        st.export_records(&mut |v, live, meta, adj| {
-            restored.restore_record(v, *live, meta, adj.clone());
+        st.export_records(&mut |v, live, fired, adj| {
+            restored.restore_record(v, *live, fired, adj.clone());
         });
         assert_eq!(restored.num_vertices(), 2);
         let h = restored.lookup(1).unwrap_or_else(|| unreachable!());
         assert_eq!(*restored.live(h), 5);
         let parts = restored.parts(h);
-        assert_eq!(parts.meta.fired, 0b10);
+        assert_eq!(parts.fired.get(), 0b10);
         assert_eq!(parts.adj.get(2), Some(3));
+        let h = restored.lookup(9).unwrap_or_else(|| unreachable!());
+        assert_eq!(restored.parts(h).fired.get(), 0);
     }
 
     /// A checkpoint round trip through a vertex past `PROMOTE_BYTES` of
@@ -276,7 +304,7 @@ mod tests {
         }
 
         let mut restored: DenseStore<u64, E> = DenseStore::with_capacity(0);
-        st.export_records(&mut |v, live, meta, adj| {
+        st.export_records(&mut |v, live, fired, adj| {
             let mut bytes = Vec::new();
             put_adjacency(&mut bytes, adj);
             // The format is the payload's: degree, then two words an edge.
@@ -284,7 +312,7 @@ mod tests {
             let mut r = &bytes[..];
             let rebuilt = get_adjacency(&mut r).unwrap_or_else(|e| panic!("{e}"));
             assert!(r.is_empty());
-            restored.restore_record(v, *live, meta, rebuilt);
+            restored.restore_record(v, *live, fired, rebuilt);
         });
         let (_, before) = st.get(1).unwrap_or_else(|| unreachable!());
         let (_, after) = restored.get(1).unwrap_or_else(|| unreachable!());
@@ -315,6 +343,38 @@ mod tests {
         assert_eq!(st.intern(5), a, "probe after memo miss");
         assert_eq!(st.intern(9), b);
         assert_eq!(st.num_vertices(), 2);
+    }
+
+    /// A vertex record is the live state beside its 24-byte adjacency
+    /// header and nothing else: 32 bytes for a `u64` state at either
+    /// payload, since the fired-trigger bits live in the side table.
+    #[test]
+    fn a_vertex_record_is_its_state_and_its_adjacency_header() {
+        fn record_bytes<S, E>(_: &DenseVertexTable<S, E>) -> usize {
+            DenseVertexTable::<S, E>::RECORD_BYTES
+        }
+        let unit: DenseStore<u64, ()> = DenseStore::with_capacity(0);
+        let weight: DenseStore<u64, remo_store::Weight> = DenseStore::with_capacity(0);
+        assert_eq!(record_bytes(&unit.table), 32);
+        assert_eq!(record_bytes(&weight.table), 32);
+    }
+
+    /// The fired-trigger side table stays empty until a bit is set, then
+    /// reaches only as far as the highest vertex with one.
+    #[test]
+    fn fired_bits_grow_their_side_table_only_when_set() {
+        let mut st: DenseStore<u64, ()> = DenseStore::with_capacity(0);
+        let hs: Vec<LocalIdx> = (0..10).map(|v| st.intern(v)).collect();
+        for &h in &hs {
+            assert_eq!(st.parts(h).fired.get(), 0);
+        }
+        assert!(st.fired.is_empty());
+        st.parts(hs[3]).fired.set(0b100);
+        st.parts(hs[3]).fired.set(0b001);
+        assert_eq!(st.fired.len(), 4);
+        assert_eq!(st.parts(hs[3]).fired.get(), 0b101);
+        assert_eq!(st.parts(hs[9]).fired.get(), 0);
+        assert_eq!(st.parts(hs[2]).fired.get(), 0);
     }
 
     #[test]

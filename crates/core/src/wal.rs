@@ -59,7 +59,6 @@ use crate::encoding::{decode_framed, get_frame, invalid, put_framed, take, Codec
 use crate::event::{Envelope, EventKind, Pull};
 use crate::metrics::ShardMetrics;
 use crate::storage::DenseStore;
-use crate::vertex_state::VertexMeta;
 use remo_store::{Adjacency, EdgeData};
 
 /// Runtime durability selection, carried by
@@ -394,8 +393,8 @@ impl<A: Algorithm> Custody<A> {
         for w in [seq, edges, streamed, store.num_vertices() as u64] {
             w.encode(&mut body);
         }
-        store.export_records(&mut |v, live, meta, adj| {
-            (v, meta.fired).encode(&mut body);
+        store.export_records(&mut |v, live, fired, adj| {
+            (v, fired).encode(&mut body);
             put_framed(&mut body, live);
             put_adjacency(&mut body, adj);
         });
@@ -721,7 +720,7 @@ fn decode_checkpoint<A: Algorithm>(body: &[u8]) -> io::Result<(CkptHeader, Store
         let (v, fired) = (u64::decode(&mut r)?, u32::decode(&mut r)?);
         let live = decode_framed(get_frame(&mut r)?)?;
         let adj = get_adjacency(&mut r)?;
-        store.restore_record(v, live, VertexMeta { fired }, adj);
+        store.restore_record(v, live, fired, adj);
     }
     Ok((header, store))
 }

@@ -14,17 +14,16 @@
 //!    layout of a hub's adjacency index), probed once per delivered event,
 //!    mapping the sparse global id to a shard-local dense index;
 //! 2. a **record slab** indexed by that dense id ([`DenseVertexTable`]): a
-//!    `Vec` of per-vertex records, each a hot payload (a bare live state,
-//!    or a packed state + meta-word — the engine's choice) stored
+//!    `Vec` of per-vertex records, each the live state stored
 //!    *contiguously with* its [`Adjacency`]. Every subsequent access
 //!    within the event is a direct array index, and because nearly every
 //!    event that changes state also scans the adjacency (`update_nbrs`),
 //!    keeping the two in one record means that touch is a single
-//!    contiguous 40-byte region (the engine's `u64` state and meta word
-//!    beside a 24-byte adjacency header, which holds a low-degree
-//!    vertex's edges too) instead of two slab loads in distinct cache
-//!    lines. (An earlier structure-of-arrays split of state and adjacency
-//!    into separate `Vec`s measured ~20% slower per event end-to-end for
+//!    contiguous 32-byte region (the engine's `u64` state beside a
+//!    24-byte adjacency header, which holds a low-degree vertex's edges
+//!    too) instead of two slab loads in distinct cache lines. (An
+//!    earlier structure-of-arrays split of state and adjacency into
+//!    separate `Vec`s measured ~20% slower per event end-to-end for
 //!    exactly this reason.)
 //!
 //! Dense indices are *stable for the lifetime of the table* (vertices are
@@ -256,6 +255,12 @@ impl<S: Default, E: EdgeData> Default for DenseVertexTable<S, E> {
     fn default() -> Self {
         Self::new()
     }
+}
+
+impl<S, E> DenseVertexTable<S, E> {
+    /// Bytes of one vertex record in the slab: the state beside its
+    /// 24-byte adjacency header, padded to the state's alignment.
+    pub const RECORD_BYTES: usize = std::mem::size_of::<DenseRecord<S, E>>();
 }
 
 impl<S: Default, E: EdgeData> DenseVertexTable<S, E> {

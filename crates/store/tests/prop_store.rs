@@ -84,7 +84,7 @@ fn intern_op() -> impl Strategy<Value = InternOp> {
 /// Phases of adjacency operations for [`check_adjacency`]: a run is a few
 /// phases, each biased one way so the degree actually travels: *grow* draws
 /// keys from the whole 4 096-id domain (mostly fresh, so inserts append,
-/// the index comes once the entries pass 1 KiB and doubles each time the
+/// the index comes once the ids pass 1 KiB and doubles each time the
 /// degree passes 3/4 of its slots), *drain* aims every op at a live key
 /// and makes most of them removals, *mixed* does half of each, and
 /// *churn* keeps to five ids, so the degree moves between 0 and 5, in and
@@ -105,7 +105,8 @@ fn adjacency_phases() -> impl Strategy<Value = Phases> {
 }
 
 /// How a payload's entries are laid out, narrow then wide: the bytes of an
-/// entry and the entries the header holds.
+/// entry and the entries the header holds. An id takes [`ID_BYTES`]
+/// whatever the payload.
 #[derive(Clone, Copy)]
 struct Widths {
     entry: [usize; 2],
@@ -125,6 +126,10 @@ const UNIT: Widths = Widths {
     entry: [4, 8],
     inline: [4, 2],
 };
+
+/// Bytes of a neighbour id, narrow then wide: what [`PROMOTE_BYTES`]
+/// counts.
+const ID_BYTES: [usize; 2] = [4, 8];
 
 /// The vertex's storage as the model predicts it from the ops alone.
 #[derive(Default)]
@@ -146,8 +151,8 @@ impl Storage {
     /// or weight past `u32::MAX` when `widens`: the vertex takes its
     /// first slab, of twice the inline entries and at least four, when the
     /// degree outgrows the header at the width it now has. An op that
-    /// added an entry builds the index once the entries pass
-    /// [`PROMOTE_BYTES`] at that width (after any widening the op made),
+    /// added an entry builds the index once the ids pass [`PROMOTE_BYTES`]
+    /// at that width (after any widening the op made), whatever the payload,
     /// sized to the next power of two of 4/3 of the degree, and doubles an
     /// index the degree has filled past 3/4.
     fn record(&mut self, degree: usize, widens: bool, w: Widths) {
@@ -159,7 +164,7 @@ impl Storage {
         }
         let added = degree > self.degree;
         self.degree = degree;
-        let bytes = degree * w.entry[usize::from(self.wide)];
+        let bytes = degree * ID_BYTES[usize::from(self.wide)];
         if added && self.index == 0 && bytes > PROMOTE_BYTES {
             self.index = (degree * 4).div_ceil(3).next_power_of_two();
         } else if added && self.index != 0 && degree * 4 > self.index * 3 {
@@ -168,15 +173,16 @@ impl Storage {
     }
 
     /// The vertex's heap bytes: a slab grown from the first (doubling to
-    /// 64 entries, then by half) until it held the peak degree, at the
-    /// recorded width, plus the index in `u16` slots.
+    /// 64 entries, then by an eighth) until it held the peak degree, at
+    /// the recorded width — its ids and its payload words alike — plus the
+    /// index in `u16` slots.
     fn heap_bytes(&self, w: Widths) -> usize {
         if self.first_slab == 0 {
             return 0;
         }
         let mut cap = 4;
         while cap < self.peak.max(self.first_slab) {
-            cap = if cap < 64 { 2 * cap } else { cap + cap / 2 };
+            cap = if cap < 64 { 2 * cap } else { cap + cap / 8 };
         }
         cap * w.entry[usize::from(self.wide)] + 2 * self.index
     }
@@ -294,10 +300,10 @@ fn check_adjacency<E: EdgeData>(
     Ok(())
 }
 
-/// One grow phase that crosses 1 KiB by widening, for each payload:
-/// `narrow` narrow ids (at most 1 KiB of narrow entries), a re-add of a
-/// live edge with a weight past `u32::MAX` (which widens a payload that
-/// keeps the weight past 1 KiB without adding an entry, so without an
+/// One grow phase that crosses 1 KiB of ids by widening, for each payload:
+/// `narrow` narrow ids (at most 1 KiB of them), a re-add of a live edge
+/// with a weight past `u32::MAX` (which widens a payload that keeps the
+/// weight past 1 KiB of ids without adding an entry, so without an
 /// index), a new id past `u32::MAX` (which widens `()` and adds the entry
 /// that builds the index), then 20 more narrow ids. The model predicts
 /// `is_promoted()` and `heap_bytes()` after each op.
@@ -320,7 +326,7 @@ fn widening_across_a_kilobyte_matches_the_model() {
         ops.extend((narrow + 1..narrow + 21).map(|n| insert(n, false, false)));
         vec![(0, ops)]
     }
-    check_adjacency::<Weight>(phases(100), true, WEIGHT).unwrap();
+    check_adjacency::<Weight>(phases(200), true, WEIGHT).unwrap();
     check_adjacency::<()>(phases(200), false, UNIT).unwrap();
 }
 
