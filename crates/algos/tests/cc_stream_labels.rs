@@ -1,7 +1,7 @@
 //! `IncCc` labels a component by its earliest stream edge, and that label
 //! must depend on the stream alone: one ingest call or several, 1–3
 //! shards, bare pairs, weighted triples or one pair per call, a shard
-//! respawned from its WAL, an engine re-opened over its directory, or a
+//! rolled back to its last cut, an engine re-opened over its directory, or a
 //! resume that re-ingests a stream whose crash lost events. Every
 //! run must reach exactly the earliest-edge oracle's labels, and so must
 //! the sequential reference engine.
@@ -126,8 +126,9 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// A shard that dies mid-stream replays its pulls with the stream indices
-/// the WAL logged, so its recovery lands on the uninterrupted labels.
+/// A shard that dies mid-stream rolls the engine back, and every shard
+/// re-runs its pulls with the stream indices the WAL logged, so the
+/// recovery lands on the uninterrupted labels.
 #[test]
 fn a_respawned_shard_reproduces_the_uninterrupted_labels() {
     let stream = long_stream(0xcc1);
@@ -141,7 +142,7 @@ fn a_respawned_shard_reproduces_the_uninterrupted_labels() {
         }
         let result = engine.try_finish().unwrap();
         assert!(!result.is_degraded(), "{:?}", result.failures);
-        assert_eq!(result.metrics.per_shard[1].shard_respawns, 1, "mode {mode}");
+        assert_eq!(result.metrics.total().rollbacks, 1, "mode {mode}");
         assert_eq!(result.states.into_vec(), want, "mode {mode}");
         let _ = std::fs::remove_dir_all(&dir);
     }

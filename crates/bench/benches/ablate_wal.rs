@@ -1,22 +1,26 @@
-//! Ablation — durability: WAL + checkpoints off / on / on-with-fsync.
+//! Ablation — durability: pull log + cuts off / on / on-with-fsync.
 //!
 //! Durability is runtime-selectable (`EngineConfig::with_durability`) and
 //! the default is off, so the data path must not pay for a feature nobody
 //! asked for: with durability off the only added cost is one predictable
-//! untaken branch per event. This harness prices the whole spectrum on
-//! RMAT-14 SSSP at the largest of `shard_counts()` (one shard per core):
+//! untaken branch per chunk and per pass. This harness prices the whole
+//! spectrum on RMAT-14 SSSP at the largest of `shard_counts()` (one shard
+//! per core):
 //!
 //! - `off`       — the engine default (`durability: None`), the base row.
-//! - `wal`       — per-shard CRC-framed WAL + periodic dense-arena
-//!   checkpoints, OS page cache only (`fsync(false)`).
+//! - `wal`       — per-shard CRC-framed pull log + a checkpoint cut every
+//!   4,096 fed pulls, OS page cache only (`fsync(false)`).
 //! - `wal-fsync` — the same with fsync batching on: the honest
 //!   crash-consistent configuration `examples/durable_restart.rs` ships.
 //!
-//! Every cell must converge to the byte-identical SSSP fixpoint, and the
-//! off cell must record zero WAL records / bytes / checkpoints (durability
-//! off does no durability work, not merely cheap work). Wall clock is the
-//! minimum over interleaved reps; the on-cells' overhead is reported, not
-//! gated — it prices an fsync policy choice, not a regression.
+//! Every cell must converge to the byte-identical SSSP fixpoint, the off
+//! cell must record zero WAL records / bytes / checkpoints (durability
+//! off does no durability work, not merely cheap work), and each durable
+//! cell must write exactly one WAL record per pull: the log holds pulls
+//! and nothing else. Those counts are exact at any scale; the walls are
+//! not. Wall clock is the minimum over interleaved reps; the on-cells'
+//! overhead is reported, not gated — it prices an fsync policy choice,
+//! not a regression.
 //!
 //! Run: `cargo bench -p remo-bench --bench ablate_wal`
 
@@ -43,6 +47,7 @@ enum Durability {
 struct Cell {
     elapsed: Duration,
     events: u64,
+    pulls: u64,
     wal_records: u64,
     wal_bytes: u64,
     checkpoints: u64,
@@ -78,6 +83,7 @@ fn run_once(
     Cell {
         elapsed: run.elapsed,
         events: total.events_processed(),
+        pulls: total.topo_ingested,
         wal_records: total.wal_records_appended,
         wal_bytes: total.wal_bytes,
         checkpoints: total.checkpoints_written,
@@ -131,10 +137,11 @@ fn main() {
                 "{tag}: durability off must do zero durability work"
             ),
             Durability::Wal { .. } => {
-                assert!(
-                    cell.wal_records > 0 && cell.checkpoints > 0,
-                    "{tag}: durable cell wrote no WAL/checkpoints"
+                assert_eq!(
+                    cell.wal_records, cell.pulls,
+                    "{tag}: a durable cell logs exactly one WAL record per pull"
                 );
+                assert!(cell.checkpoints > 0, "{tag}: durable cell took no cut");
             }
         }
     }
@@ -151,13 +158,17 @@ fn main() {
             )
         };
         let eps = cell.events as f64 / cell.elapsed.as_secs_f64().max(1e-9);
+        let per_pull = |n: u64| n as f64 / cell.pulls.max(1) as f64;
         rows.push(vec![
             tag.to_string(),
             fmt_dur(cell.elapsed),
             wall_delta,
             format!("{:.0}", eps),
+            cell.pulls.to_string(),
             cell.wal_records.to_string(),
+            format!("{:.2}", per_pull(cell.wal_records)),
             format!("{:.2}", cell.wal_bytes as f64 / 1e6),
+            format!("{:.1}", per_pull(cell.wal_bytes)),
             cell.checkpoints.to_string(),
         ]);
     }
@@ -165,16 +176,20 @@ fn main() {
     report(
         "ablate_wal",
         &format!(
-            "Ablation: durability (per-shard WAL + checkpoints) on RMAT{rmat_scale} \
-             SSSP ({shards} shards, identical fixpoints verified per cell)"
+            "Ablation: durability (per-shard pull log + checkpoint cuts) on RMAT{rmat_scale} \
+             SSSP ({shards} shards, identical fixpoints and one WAL record per pull \
+             verified per cell)"
         ),
         &[
             "Durability",
             "Wall",
             "dWall",
             "Events/s",
+            "Pulls",
             "WalRecs",
+            "Recs/pull",
             "WalMB",
+            "WalB/pull",
             "Ckpts",
         ],
         &rows,

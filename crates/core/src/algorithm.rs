@@ -45,8 +45,8 @@ use remo_store::{EdgeData, VertexId, Weight};
 pub trait Algorithm: Send + Sync + 'static {
     /// Vertex-local state (`this.value`). `Default` must be the lattice
     /// bottom: the state of a vertex that has seen no events. Its
-    /// [`Codec`] is what a durable engine writes to the WAL and its
-    /// checkpoints; recovery asserts byte-identical fixpoints on it.
+    /// [`Codec`] is what a durable engine writes to its checkpoints;
+    /// recovery asserts byte-identical fixpoints on it.
     type State: Codec + Clone + Default + Send + PartialEq + std::fmt::Debug + 'static;
 
     /// What each adjacency entry keeps beside the neighbour id: only what
@@ -127,7 +127,7 @@ pub trait Algorithm: Send + Sync + 'static {
     /// a component by its earliest edge). Adds that no stream numbers, such
     /// as a registry query's, get the default state.
     ///
-    /// Must be a pure function of `index`: replay recomputes it from the
+    /// Must be a pure function of `index`: recovery recomputes it from the
     /// index the WAL logged, and the sequential reference engine numbers
     /// its inputs the same way.
     fn stream_value(_index: u64) -> Self::State
@@ -168,8 +168,8 @@ pub trait Algorithm: Send + Sync + 'static {
     /// When the returned mask is non-zero the shard runs one full-store
     /// sweep calling [`Algorithm::on_sweep`] per vertex, and then calls
     /// [`Algorithm::on_control_commit`]. A shard pulls each op once; the
-    /// pull is durable before this runs, and a recovering shard's replay
-    /// calls all three again.
+    /// pull is durable before this runs, and a recovery's re-run of the
+    /// log calls all three again.
     fn on_control(&self, _shard: usize, _op: &ControlOp) -> u64 {
         0
     }

@@ -32,13 +32,13 @@ pub struct EngineConfig {
     /// promptly if a shard *panics*, because every wait also checks the
     /// failure board and a dead replier disconnects its reply channel.
     pub quiescence_deadline: Option<Duration>,
-    /// Per-shard durability: a write-ahead log of every input a shard
-    /// takes custody of, idle checkpoints, and in-place respawn of a
-    /// panicked shard (at most three times), all kept by the shard's one
-    /// custody value. `None` (the default) leaves every shard without
-    /// one: no file is touched, and each of the shard's four custody
-    /// points (a pull run, an admitted batch, a control op, a due
-    /// checkpoint) is one untaken branch. See DESIGN.md §14.
+    /// Durability: each shard logs the pulls it takes, the engine
+    /// checkpoints every shard at a quiescent cut every
+    /// `checkpoint_every` fed pulls, and a cold open or a panicked shard
+    /// (at most three rollbacks per engine) restores the cut and re-runs
+    /// the logged pulls once each. `None` (the default) touches no file:
+    /// the feed path checks it once per chunk, a shard once per pass and
+    /// once per pull run. See DESIGN.md §14.
     pub durability: Option<DurabilityConfig>,
 }
 
@@ -61,8 +61,8 @@ impl EngineConfig {
         }
     }
 
-    /// Same config with durability enabled (WAL + checkpoints + in-place
-    /// shard respawn). States are written through their
+    /// Same config with durability enabled (pull log, cut checkpoints and
+    /// rollback). States are written through their
     /// [`Codec`](crate::Codec), which every [`Algorithm::State`] has.
     ///
     /// [`Algorithm::State`]: crate::Algorithm::State

@@ -54,7 +54,7 @@ use crate::telemetry::{TelemetryHub, TelemetryShared};
 use crate::termination::{Deadline, SharedCounters, HEARTBEAT};
 use crate::transport::{LaneHandles, MAX_LANE_SHARDS};
 use crate::trigger::{TriggerDef, TriggerFire, MAX_TRIGGERS};
-use crate::wal;
+use crate::wal::{self, CkptHeader};
 
 /// Best-effort budget for joining shard threads during `Drop` and at the
 /// end of `try_finish`, and for letting survivors settle after a failure;
@@ -128,13 +128,17 @@ impl<A: Algorithm> EngineBuilder<A> {
         );
         // Durable engines stamp their shape into the root directory, so a
         // later cold restart can refuse a mismatched config.
-        wal::claim_manifest(&config)
-            .map_err(|message| EngineError::DurabilityMismatch { message })?;
-        let resume = wal::resume_index(&config)
-            .map_err(|message| EngineError::DurabilityMismatch { message })?;
+        let mismatch = |message| EngineError::DurabilityMismatch { message };
+        let cut = wal::claim_manifest(&config).map_err(mismatch)?;
+        let resume = wal::resume_index(&config, cut).map_err(mismatch)?;
 
         let (workers, ctl) = wire(self.algo, &config, self.triggers);
         ctl.streamed.store(resume, Ordering::Relaxed);
+        if config.durability.is_some() {
+            // Every shard recovers before it takes new work, and a wait
+            // right after `Engine::open` sees that still to come.
+            ctl.shared.rollback.start(cut);
+        }
         let handles = workers
             .into_iter()
             .enumerate()
@@ -174,6 +178,8 @@ pub(crate) struct Controller<S> {
     pub(crate) part: Partitioner,
     /// The stream index the next ingest call starts at.
     pub(crate) streamed: AtomicU64,
+    /// Pulls fed (summed over shards) when the last cut was taken.
+    cut_fed: AtomicU64,
 }
 
 /// Makes `config.num_shards` workers and the controller's handles onto
@@ -207,6 +213,7 @@ pub(crate) fn wire<A: Algorithm>(
         trigger_rx: Mutex::new(trigger_rx),
         part: Partitioner::new(shards),
         streamed: AtomicU64::new(0),
+        cut_fed: AtomicU64::new(0),
     };
     let (algo, triggers) = (Arc::new(algo), Arc::new(triggers));
     let workers = (0..shards).zip(receivers).map(|(id, rx)| {
@@ -251,6 +258,7 @@ impl<S: Clone + Default> Controller<S> {
 
     /// Tells every shard to stop, dead or alive, and unparks them all.
     fn shutdown(&self) {
+        self.shared.rollback.halt();
         for id in 0..self.senders.len() {
             let _ = self.sender(id).send(Message::Shutdown);
             self.lanes.parks.wake(id);
@@ -262,6 +270,17 @@ impl<S: Clone + Default> Controller<S> {
         self.streamed.fetch_add(n as u64, Ordering::Relaxed)
     }
 
+    /// Pulls fed, summed over shards.
+    fn fed(&self) -> u64 {
+        let slots = (0..self.senders.len()).map(|s| self.shared.slot(s));
+        slots.map(|slot| slot.fed.load(Ordering::SeqCst)).sum()
+    }
+
+    /// Pulls fed since the last cut.
+    fn fed_since_cut(&self) -> u64 {
+        self.fed() - self.cut_fed.load(Ordering::SeqCst)
+    }
+
     /// True when `n` more pulls fit `shard`'s ingest window.
     fn has_room(&self, shard: usize, n: u64) -> bool {
         let slot = self.shared.slot(shard);
@@ -270,12 +289,13 @@ impl<S: Clone + Default> Controller<S> {
     }
 
     /// True when `shard` has run its pulls up to its `fed` count `mark`:
-    /// its `ingested` reaches the mark and then the recovery gate reads
+    /// its `ingested` reaches the mark and then the rollback gate reads
     /// down. A shard that panics in a control sweep raises the gate before
-    /// it re-publishes `ingested`, and lowers it once replay re-ran the
-    /// sweep.
+    /// it re-publishes `ingested`, and the gate comes down once every shard
+    /// re-ran its log, the sweep among it.
     pub(crate) fn ran(&self, shard: usize, mark: u64) -> bool {
-        self.shared.slot(shard).ingested.load(Ordering::SeqCst) >= mark && !self.shared.recovering()
+        self.shared.slot(shard).ingested.load(Ordering::SeqCst) >= mark
+            && !self.shared.rollback.raised()
     }
 
     /// Queues the chunk `make` builds, of `n` pulls, on `shard` if it fits
@@ -420,13 +440,13 @@ impl<A: Algorithm> Engine<A> {
     /// Cold restart: opens an engine over an existing durable directory
     /// (`config.durability.dir`), validating its `MANIFEST` against the
     /// config before any shard starts. Each shard then restores its
-    /// latest checkpoint and replays its WAL tail during startup, so the
-    /// engine resumes from the last durable state — ingest more events,
-    /// snapshot, or [`Engine::try_finish`] as usual. Its first ingest
-    /// call is numbered after the highest stream index any shard's
-    /// checkpoint or WAL records (a resume that re-ingests the stream from
-    /// its start calls [`Engine::seek_stream`] first). A fresh (empty)
-    /// directory is also
+    /// checkpoint of the cut the MANIFEST names and re-runs the pulls its
+    /// WAL logged since, once each, so the engine resumes from the last
+    /// durable state — ingest more events, snapshot, or
+    /// [`Engine::try_finish`] as usual. Its first ingest call is numbered
+    /// after the cut's stream index and every index a WAL records (a
+    /// resume that re-ingests the stream from its start calls
+    /// [`Engine::seek_stream`] first). A fresh (empty) directory is also
     /// accepted, making `open` a drop-in for [`Engine::new`] on first
     /// boot.
     ///
@@ -528,7 +548,9 @@ impl<A: Algorithm> Engine<A> {
     /// shard with work left has room, the call waits on the bell,
     /// supervised, with a fresh `quiescence_deadline` per wait (a wait
     /// that sees room open ends; the deadline bounds a stall, not the
-    /// call). Returns once the last chunk is queued.
+    /// call). Returns once the last chunk is queued. A durable engine that
+    /// has fed `checkpoint_every` pulls since its last cut takes the next
+    /// one at a chunk boundary ([`Self::cut`]).
     fn feed(
         &self,
         lens: &[usize],
@@ -555,6 +577,14 @@ impl<A: Algorithm> Engine<A> {
                     // nothing).
                     self.ctl.tele.mark_ingest();
                     done[s] += n;
+                    if self
+                        .config
+                        .durability
+                        .as_ref()
+                        .is_some_and(|d| self.ctl.fed_since_cut() >= d.checkpoint_every)
+                    {
+                        self.cut()?;
+                    }
                 }
             }
             if !blocked {
@@ -665,6 +695,49 @@ impl<A: Algorithm> Engine<A> {
                 });
             }
         }
+    }
+
+    /// Takes a cut (DESIGN.md §14): holds every shard's sender, so no
+    /// ingest call can offer a chunk, waits for quiescence as
+    /// [`Self::try_snapshot`] does, has every shard write its checkpoint of
+    /// the next cut, and then names that cut in the MANIFEST. False when a
+    /// rollback began meanwhile: the cut is abandoned and the MANIFEST
+    /// still names the previous one.
+    fn cut(&self) -> Result<bool, EngineError> {
+        let senders: Vec<_> = (0..self.config.num_shards)
+            .map(|s| self.ctl.sender(s))
+            .collect();
+        let deadline = Deadline::new(self.config.quiescence_deadline);
+        self.wait_until(&deadline, || self.ctl.shared.quiescent_probe())?;
+        let rollback = &self.ctl.shared.rollback;
+        let (epoch, cut) = (rollback.epoch(), rollback.cut() + 1);
+        let fed = self.ctl.fed();
+        let header = CkptHeader {
+            cut,
+            next: self.ctl.streamed.load(Ordering::Relaxed),
+            ..CkptHeader::default()
+        };
+        let (reply, written) = channel();
+        for (s, tx) in senders.iter().enumerate() {
+            let reply = reply.clone();
+            tx.send(Message::Checkpoint { header, reply })
+                .map_err(|_| self.ctl.send_error(s))?;
+            self.ctl.lanes.parks.wake(s);
+        }
+        drop(reply);
+        // Every shard replies once it has written, or drops its reply
+        // unsent when it panics while it writes.
+        if written.iter().count() < senders.len() {
+            return Ok(false);
+        }
+        let named = rollback.publish_cut(epoch, cut, || wal::write_manifest(&self.config, cut));
+        let named = named.map_err(|e| EngineError::DurabilityMismatch {
+            message: format!("cannot write the MANIFEST of cut {cut}: {e}"),
+        })?;
+        if named {
+            self.ctl.cut_fed.store(fed, Ordering::SeqCst);
+        }
+        Ok(named)
     }
 
     /// One supervised wait step: failure first (a dead shard must surface
@@ -839,8 +912,19 @@ impl<A: Algorithm> Engine<A> {
     /// every shard still alive but the system not quiescent (e.g. lost
     /// messages), where partial state would be silently wrong rather than
     /// merely partial.
+    /// A durable engine that fed pulls since its last cut takes one more
+    /// first, so a reopen restores it instead of re-running the pulls.
     pub fn try_finish(mut self) -> Result<RunResult<A::State, A::Edge>, EngineError> {
-        match self.try_await_quiescence() {
+        let settled = self.try_await_quiescence().and_then(|()| {
+            while self.config.durability.is_some() && self.ctl.fed_since_cut() > 0 {
+                // An abandoned cut spent a rollback: the budget bounds this.
+                if !self.cut()? {
+                    self.try_await_quiescence()?;
+                }
+            }
+            Ok(())
+        });
+        match settled {
             Ok(()) => {}
             // Shards died: harvest what survives.
             Err(EngineError::ShardPanicked { .. }) => {}

@@ -30,34 +30,6 @@ pub enum EventKind {
     ReverseRemove,
 }
 
-impl EventKind {
-    /// Stable single-byte wire encoding (WAL envelope records).
-    pub(crate) fn as_u8(self) -> u8 {
-        match self {
-            EventKind::Init => 0,
-            EventKind::Add => 1,
-            EventKind::ReverseAdd => 2,
-            EventKind::Update => 3,
-            EventKind::Remove => 4,
-            EventKind::ReverseRemove => 5,
-        }
-    }
-
-    /// Inverse of [`EventKind::as_u8`]; `None` on an unknown byte (WAL
-    /// from a future format version).
-    pub(crate) fn from_u8(b: u8) -> Option<EventKind> {
-        Some(match b {
-            0 => EventKind::Init,
-            1 => EventKind::Add,
-            2 => EventKind::ReverseAdd,
-            3 => EventKind::Update,
-            4 => EventKind::Remove,
-            5 => EventKind::ReverseRemove,
-            _ => return None,
-        })
-    }
-}
-
 /// One visitor message.
 #[derive(Debug, Clone)]
 pub struct Envelope<S> {

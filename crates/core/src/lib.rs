@@ -63,7 +63,7 @@
 //! - Sampled causal tracing: one external ingest in
 //!   `2^`[`SAMPLE_SHIFT`] per shard stamps the envelopes it causes with a
 //!   compact trace tag that survives dominance filtering, registry fan-out,
-//!   and WAL replay; [`Engine::traces_now`] reconstructs per-update propagation
+//!   and rollback; [`Engine::traces_now`] reconstructs per-update propagation
 //!   trees (hops to fixpoint, amplification, cross-shard hops), and
 //!   per-shard phase accounting attributes every busy nanosecond to
 //!   drain/process/flush/spin/park/checkpoint/replay.

@@ -120,21 +120,20 @@ shard_metrics! {
     /// Times this shard went to sleep in its idle loop (parked on the
     /// `ParkBoard`).
     idle_parks,
-    /// WAL records appended (accepted external envelopes + pulled topology
-    /// events). 0 when durability is off.
+    /// WAL records appended: one per pull (an edge, an `Init` or a control
+    /// op). 0 when durability is off.
     wal_records_appended,
-    /// Bytes fsynced into the WAL, framing included.
+    /// Bytes written into the WAL, framing included.
     wal_bytes,
-    /// Checkpoints staged *and* published by this shard.
+    /// Checkpoints this shard wrote for a cut.
     checkpoints_written,
-    /// WAL records re-processed during recovery replay (warm respawn or
-    /// cold restart).
+    /// Logged pulls re-run by recovery (a rollback or a cold open).
     replayed_records,
-    /// Times this shard was respawned in place after a contained panic.
-    shard_respawns,
-    /// Envelopes retired unprocessed by the post-panic custody sweep so the
-    /// termination books stay balanced; replay re-derives their effects.
-    envelopes_recovered,
+    /// Rollbacks this shard began with a contained panic.
+    rollbacks,
+    /// Envelopes a rollback dropped unprocessed, so the termination books
+    /// stay balanced; re-running the log derives their effects again.
+    envelopes_discarded,
     /// Idle passes where the shard deferred a partial-batch flush and
     /// re-drained its inbound paths instead (lane flush hysteresis).
     /// Bounded per idle episode, so
@@ -157,10 +156,10 @@ shard_metrics! {
     phase_spin_ns,
     /// Nanoseconds spent parked waiting for work.
     phase_park_ns,
-    /// Nanoseconds spent staging and publishing durable checkpoints.
+    /// Nanoseconds spent writing checkpoints.
     phase_checkpoint_ns,
-    /// Nanoseconds spent in WAL recovery replay (respawn or cold
-    /// restart).
+    /// Nanoseconds spent rolling back and re-running the WAL (a rollback
+    /// or a cold open).
     phase_replay_ns,
     /// Total nanoseconds this shard's run loop was alive (the wall the
     /// other `phase_*_ns` counters decompose; park time included). The
@@ -171,7 +170,7 @@ shard_metrics! {
     /// `topo_ingested >> SAMPLE_SHIFT`.
     trace_roots,
     /// Span records appended to this shard's trace ring (root, send,
-    /// process, dominate, suppress, replay).
+    /// process, dominate, suppress).
     trace_spans,
     /// Span records that evicted an older span because the bounded trace
     /// ring wrapped (see the ring-overflow policy on
@@ -201,19 +200,11 @@ impl ShardMetrics {
             + self.phase_replay_ns
     }
 
-    /// Counts one framework step (`algorithm::visit`): the edge it
-    /// inserted, found already held or removed, here and in the caller's
-    /// count of stored `edges`, and — when the envelope is an accounted
-    /// `input` — its kind. Recovery replay re-derives an envelope's effects
-    /// without re-counting it, so it counts the edge and not the kind.
+    /// Counts one framework step (`algorithm::visit`): the envelope's
+    /// kind, and the edge it inserted, found already held or removed, here
+    /// and in the caller's count of stored `edges`.
     #[inline]
-    pub(crate) fn count_step(
-        &mut self,
-        edges: &mut u64,
-        kind: EventKind,
-        edge: EdgeChange,
-        input: bool,
-    ) {
+    pub(crate) fn count_step(&mut self, edges: &mut u64, kind: EventKind, edge: EdgeChange) {
         match edge {
             EdgeChange::Inserted => {
                 *edges += 1;
@@ -226,15 +217,13 @@ impl ShardMetrics {
             }
             EdgeChange::Kept => {}
         }
-        if input {
-            *match kind {
-                EventKind::Init => &mut self.init_events,
-                EventKind::Add => &mut self.add_events,
-                EventKind::ReverseAdd => &mut self.reverse_add_events,
-                EventKind::Update => &mut self.update_events,
-                EventKind::Remove | EventKind::ReverseRemove => &mut self.remove_events,
-            } += 1;
-        }
+        *match kind {
+            EventKind::Init => &mut self.init_events,
+            EventKind::Add => &mut self.add_events,
+            EventKind::ReverseAdd => &mut self.reverse_add_events,
+            EventKind::Update => &mut self.update_events,
+            EventKind::Remove | EventKind::ReverseRemove => &mut self.remove_events,
+        } += 1;
     }
 }
 
@@ -402,16 +391,15 @@ impl RunMetrics {
     /// ```text
     /// envelopes_sent
     ///   == events_processed + updates_dominated
-    ///    + envelopes_undeliverable + envelopes_recovered
+    ///    + envelopes_undeliverable + envelopes_discarded
     /// ```
     ///
     /// `updates_suppressed` are dropped *before* sending and never enter
     /// the sent side. Dominance-retired envelopes were sent, so they
-    /// appear on the right. Envelopes swept out of a panicked shard's
-    /// queues before an in-place respawn were sent but never serviced;
-    /// the custody sweep retires them under
-    /// `envelopes_recovered` (their effects are re-derived from the WAL,
-    /// and replay-generated traffic is fresh-counted on both sides).
+    /// appear on the right. A rollback drops every envelope in flight
+    /// unprocessed and counts it under `envelopes_discarded` (re-running
+    /// the log derives its effects again, as fresh traffic counted on both
+    /// sides).
     ///
     /// The equation only closes on runs that reached quiescence with all
     /// shards alive: the envelopes a lost shard held at the moment of
@@ -427,7 +415,7 @@ impl RunMetrics {
         let accounted = t.events_processed()
             + t.updates_dominated
             + t.envelopes_undeliverable
-            + t.envelopes_recovered;
+            + t.envelopes_discarded;
         // Phase accounting: the attributed phases must decompose the busy
         // wall they were carved out of. Each phase lap stops before the
         // busy charge, so per shard sum(phases) ≤ busy up to `Instant`
@@ -462,13 +450,13 @@ impl RunMetrics {
         } else {
             Err(format!(
                 "envelope balance violated: sent {} != accounted {} (processed {} \
-                 + dominated {} + undeliverable {} + recovered {})",
+                 + dominated {} + undeliverable {} + discarded {})",
                 t.envelopes_sent,
                 accounted,
                 t.events_processed(),
                 t.updates_dominated,
                 t.envelopes_undeliverable,
-                t.envelopes_recovered,
+                t.envelopes_discarded,
             ))
         }
     }

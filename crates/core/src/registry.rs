@@ -999,8 +999,8 @@ impl<C: Cell> Algorithm for QueryRegistry<C> {
             return 0;
         };
         let live = self.shared.read_table().live_mask();
-        // A shard pulls each op once, and its replay must redo what the
-        // run did: nothing here filters by what was already swept.
+        // A shard pulls each op once, and a recovery's re-run must redo what
+        // the run did: nothing here filters by what was already swept.
         let claimed = match op.kind {
             ControlKind::Prime => op.mask & live,
             ControlKind::Flood => op.mask & live & primed.load(Ordering::Acquire),

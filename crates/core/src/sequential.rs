@@ -180,8 +180,7 @@ impl<A: Algorithm> SequentialEngine<A> {
                 self.undirected,
                 |_| {},
             );
-            self.metrics
-                .count_step(&mut self.edges, kind, step.edge, true);
+            self.metrics.count_step(&mut self.edges, kind, step.edge);
             if let Some((rkind, rvalue)) = step.reverse {
                 self.enqueue(visitor, target, rvalue, weight, rkind);
             }

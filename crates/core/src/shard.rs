@@ -48,11 +48,11 @@ use crate::partition::Partitioner;
 use crate::storage::DenseStore;
 use crate::supervision::{panic_payload_string, FailureBoard, ShardFailure};
 use crate::telemetry::{TelemetryShared, PUBLISH_EVERY, SAMPLE_SHIFT};
-use crate::termination::SharedCounters;
+use crate::termination::{Arrival, SharedCounters};
 use crate::trace::{self, SpanKind, TraceTag};
 use crate::transport::{LaneHandles, IDLE_PARK};
 use crate::trigger::{TriggerDef, TriggerFire};
-use crate::wal::{Custody, Replay};
+use crate::wal::{CkptHeader, Log};
 
 /// Flush hysteresis: how many idle passes a shard with buffered partial
 /// batches re-drains its inbound paths (yielding the core between passes)
@@ -120,6 +120,13 @@ pub(crate) enum Message<S> {
     Collect {
         reply: SyncSender<Vec<(VertexId, S)>>,
     },
+    /// Write this shard's store as its checkpoint of `header`'s cut (the
+    /// shard fills in `seq` and `edges`), then reply: the controller sends
+    /// it to every shard at a quiescent point, holding every sender.
+    Checkpoint {
+        header: CkptHeader,
+        reply: Sender<()>,
+    },
     /// Point query: one vertex's live local state (§VI-A: "any vertices'
     /// local state can be observed in constant time").
     Query {
@@ -139,7 +146,7 @@ pub(crate) enum Progress {
     /// Nothing arrived, and partial batches wait out [`FLUSH_HYSTERESIS`]:
     /// yield the core, then step again.
     Spin,
-    /// Flushed, published, and checkpointed if due: wait for work.
+    /// Flushed and published: wait for work.
     Idle,
     /// `Shutdown` arrived.
     Stop,
@@ -176,9 +183,6 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     /// one is pulled from `chunk_pos` on and dropped once it is empty.
     chunks: VecDeque<Chunk>,
     chunk_pos: usize,
-    /// One past the highest stream index this shard pulled or replayed:
-    /// its checkpoints record it, so a re-opened engine numbers on past it.
-    streamed: u64,
     out: Vec<Outgoing<A::State>>,
     /// Per-destination-shard buffers of unsent envelopes.
     outboxes: Vec<Vec<Envelope<A::State>>>,
@@ -216,10 +220,12 @@ pub(crate) struct ShardWorker<A: Algorithm> {
     /// The open phase-accounting window (see [`ShardWorker::phase_mark`]).
     phase: PhaseWindow,
 
-    /// Durability: the WAL, checkpoints, recovery and the respawn budget
-    /// (see [`Custody`]). `None` with durability off, which every custody
-    /// point pays for with one untaken branch.
-    custody: Option<Custody<A>>,
+    /// Durability: the pull log and checkpoint writer (see [`Log`]).
+    /// `None` with durability off.
+    log: Option<Log>,
+    /// The rollback epoch this shard last rolled back in (see
+    /// [`ShardWorker::roll_back`]).
+    epoch: u64,
 }
 
 /// Which `phase_*_ns` counter a loop segment belongs to.
@@ -256,14 +262,7 @@ impl<A: Algorithm> ShardWorker<A> {
     ) -> Self {
         let part = Partitioner::new(config.num_shards);
         let num_shards = config.num_shards;
-        let custody = Custody::for_shard(&config, id);
-        // A cold restart gates termination detection until its replay
-        // finishes (see SharedCounters::recovery_begin), from before any
-        // caller holds the engine: a quiescence wait right after
-        // `Engine::open` must not end before the shard has even started.
-        if custody.as_ref().is_some_and(Custody::recovering) {
-            ctl.shared.recovery_begin();
-        }
+        let log = Log::for_shard(&config, id);
         ShardWorker {
             id,
             algo,
@@ -278,7 +277,6 @@ impl<A: Algorithm> ShardWorker<A> {
             local_q: VecDeque::new(),
             chunks: VecDeque::new(),
             chunk_pos: 0,
-            streamed: 0,
             out: Vec::new(),
             outboxes: (0..num_shards).map(|_| Vec::new()).collect(),
             batch: ENVELOPE_BATCH,
@@ -299,26 +297,24 @@ impl<A: Algorithm> ShardWorker<A> {
                 t0: Instant::now(),
                 run: PhaseLabel::Drain,
             },
-            custody,
+            log,
+            epoch: 0,
         }
     }
 
     /// Supervised entry point: runs the worker loop under `catch_unwind`.
     ///
-    /// Without durability this is the seed behaviour: a panicking shard
-    /// publishes a structured [`ShardFailure`] to the engine's failure
-    /// board (the run degrades to the survivors) and returns `None`.
+    /// Without durability a panicking shard publishes a structured
+    /// [`ShardFailure`] to the engine's failure board (the run degrades to
+    /// the survivors) and returns `None`.
     ///
-    /// With durability on, a contained panic is *recoverable*: the worker
-    /// sweeps the envelopes still in its custody (retiring them against
-    /// the termination books), re-enters the supervised region, restores
-    /// its latest checkpoint, replays the WAL tail, and resumes — same
-    /// thread, same transport endpoints, nothing on the failure board, so
-    /// peers never reclaim its lanes and supervised waits stay clean.
-    /// Recovery itself runs *inside* `catch_unwind`, so a panic during
-    /// replay or checkpointing consumes another respawn instead of
-    /// wedging. Only an exhausted respawn budget records the permanent
-    /// failure and degrades exactly as with durability off.
+    /// With durability on, a contained panic begins a rollback of the
+    /// whole engine while the budget lasts (see
+    /// [`ShardWorker::roll_back`]): the worker re-enters the supervised
+    /// region on the same thread and transport endpoints, with nothing on
+    /// the failure board, so a panic during the rollback begins another.
+    /// Only an exhausted budget records the permanent failure and degrades
+    /// exactly as with durability off.
     pub(crate) fn run_supervised(mut self) -> Option<ShardReport<A>> {
         let id = self.id;
         let shared = Arc::clone(&self.shared);
@@ -327,43 +323,31 @@ impl<A: Algorithm> ShardWorker<A> {
             // The worker owns its whole world (table, queues, channels); a
             // panic aborts this shard only, so observing no state across
             // the unwind boundary is exactly right — hence
-            // AssertUnwindSafe. On a recoverable panic the same `self`
-            // re-enters here, recovering.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if let Some(c) = &mut self.custody {
-                    c.open();
-                    if c.recovering() {
-                        // Replay is attributed wholesale: restore + WAL
-                        // replay + the backlog it spawns, one window that
-                        // the loop's first mark closes.
-                        self.phase_mark(PhaseLabel::Replay);
-                        self.recover();
-                    }
-                }
-                self.run_loop()
-            }));
+            // AssertUnwindSafe. After a rollback begins the same `self`
+            // re-enters here, and its loop rolls back first.
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_loop()));
             let Err(payload) = outcome else {
                 let report = self.report();
                 shared.bell.ring();
                 return Some(report);
             };
-            if self.custody.as_mut().is_some_and(Custody::respawn) {
-                // Transient: sweep custody, then loop back into the
-                // supervised region to restore + replay. The failure stays
-                // OFF the board — the shard is coming back.
-                self.prepare_recovery();
+            if self.log.is_some() && shared.rollback.begin() {
+                self.metrics.rollbacks += 1;
+                for p in 0..self.config.num_shards {
+                    self.lanes.parks.wake(p);
+                }
                 continue;
             }
             // Permanent (durability off, or budget exhausted): the counter
             // cell and the span ring outlive the thread and describe it, so
             // last words first — a publish before the board records the
             // failure, or up to PUBLISH_EVERY - 1 events of counters die
-            // with the thread. Lift a pending recovery gate — nobody will
-            // finish this recovery, and the degraded paths detect the loss
-            // through the failure board, not the probe.
+            // with the thread. A rollback under way halts: the degraded
+            // paths detect the loss through the failure board.
             self.publish_telemetry();
-            if self.custody.as_mut().is_some_and(Custody::abandon) {
-                shared.recovery_end();
+            if self.log.is_some() {
+                shared.rollback.halt();
             }
             board.record(ShardFailure {
                 id,
@@ -427,6 +411,9 @@ impl<A: Algorithm> ShardWorker<A> {
         // is a transition only after a replay.
         self.phase_mark(PhaseLabel::Drain);
         loop {
+            if self.rollback_due() {
+                self.roll_back();
+            }
             match self.step() {
                 Progress::Busy => {}
                 // The pass marked Spin, so the yield accrues to the spin
@@ -440,14 +427,12 @@ impl<A: Algorithm> ShardWorker<A> {
                 Progress::Stop => break,
             }
         }
-        // Stopping: one last checkpoint if the WAL holds anything, and the
-        // tail of the final phase run attributed rather than dropped.
-        self.phase_mark(PhaseLabel::Checkpoint);
-        self.checkpoint_if_due(true);
+        // Stopping: the tail of the final phase run attributed rather than
+        // dropped.
         self.phase_close();
     }
 
-    /// One pass: *inbound → pull run → idle flush, publish, checkpoint*.
+    /// One pass: *inbound → pull run → idle flush and publish*.
     /// It never parks, yields or waits on the channel, so the shard's
     /// thread and a test's scheduler run the same pass (a callback that
     /// blocks holds either one).
@@ -527,11 +512,6 @@ impl<A: Algorithm> ShardWorker<A> {
         self.phase_mark(PhaseLabel::Flush);
         self.flush_all();
         self.publish_telemetry();
-        // Durability: idle with every queue drained is the one moment the
-        // store is a complete, self-consistent image — checkpoint here if
-        // the WAL has grown past the configured interval.
-        self.phase_mark(PhaseLabel::Checkpoint);
-        self.checkpoint_if_due(false);
         Progress::Idle
     }
 
@@ -596,6 +576,20 @@ impl<A: Algorithm> ShardWorker<A> {
                 let _ = reply.send(self.store.states());
                 false
             }
+            Message::Checkpoint { header, reply } => {
+                self.phase_mark(PhaseLabel::Checkpoint);
+                if let Some(log) = &self.log {
+                    let (seq, edges) = (self.seq, self.edges);
+                    let header = CkptHeader {
+                        seq,
+                        edges,
+                        ..header
+                    };
+                    log.checkpoint::<A>(header, &self.store, &mut self.metrics);
+                }
+                let _ = reply.send(());
+                false
+            }
             Message::Query { vertex, reply } => {
                 let state = self
                     .store
@@ -610,7 +604,7 @@ impl<A: Algorithm> ShardWorker<A> {
 
     /// Runs one pulled control op: claim the sub-mask this shard sweeps,
     /// sweep the resident vertex set, commit. The pull run logged the op
-    /// first, so replay re-runs all three.
+    /// first, so a rollback re-runs all three.
     fn run_control(&mut self, op: ControlOp) {
         let claimed = self.algo.on_control(self.id, &op);
         if claimed != 0 {
@@ -652,11 +646,8 @@ impl<A: Algorithm> ShardWorker<A> {
     /// whether anything was admitted.
     ///
     /// The claim clears the pending bits, so until the pass ends
-    /// `claim_buf` alone says which lanes hold delivered batches. A panic
-    /// unwinding out of the pass leaves it intact and the respawned
-    /// worker's first pass drains those lanes again (an already emptied one
-    /// yields nothing) — otherwise batches nobody pushes behind would sit
-    /// in their rings unflagged and their senders' books stay open.
+    /// `claim_buf` alone says which lanes hold delivered batches; a
+    /// rollback drains every lane whatever the bits say.
     fn drain_lanes(&mut self) -> bool {
         if self.claim_buf.is_empty() && !self.lanes.mesh.has_inbound(self.id) {
             return false;
@@ -669,29 +660,14 @@ impl<A: Algorithm> ShardWorker<A> {
             let from = self.claim_buf[i];
             while let Some(mut batch) = self.lanes.mesh.recv(from, self.id) {
                 any = true;
-                self.admit(batch.drain(..));
+                for env in batch.drain(..) {
+                    self.process(env);
+                }
                 self.lanes.mesh.give_recycled(from, self.id, batch);
             }
         }
         self.claim_buf.clear();
         any
-    }
-
-    /// Takes custody of received envelopes and processes them. Under
-    /// durability the whole run is logged first, committed once, and only
-    /// *then* processed: a record is on disk before any of its effects can
-    /// escape this shard.
-    fn admit(&mut self, envs: impl IntoIterator<Item = Envelope<A::State>>) {
-        let Some(c) = &mut self.custody else {
-            for env in envs {
-                self.process(env);
-            }
-            return;
-        };
-        c.admit(envs, &mut self.metrics);
-        while let Some(env) = self.custody.as_mut().and_then(Custody::take_admitted) {
-            self.process(env);
-        }
     }
 
     /// True when an `Update` carrying `value` cannot change the live state
@@ -704,29 +680,8 @@ impl<A: Algorithm> ShardWorker<A> {
         A::absorbs(self.store.live(h), value)
     }
 
-    /// Processes one algorithmic envelope (live path: full accounting).
-    /// Under durability custody marks it in process meanwhile: from here
-    /// until it is retired it is held by nobody but this frame, so the
-    /// post-panic sweep must retire it.
+    /// Processes one algorithmic envelope.
     fn process(&mut self, env: Envelope<A::State>) {
-        if let Some(c) = &mut self.custody {
-            c.mark_in_process(true);
-        }
-        self.process_inner(env, true);
-        if let Some(c) = &mut self.custody {
-            c.mark_in_process(false);
-        }
-    }
-
-    /// The envelope-processing body. `count_input` is true on the live
-    /// path. Recovery replay passes false: a replayed record was already
-    /// accounted — its producer counted it sent, and either its original
-    /// processing or the custody sweep counted it processed — so replay
-    /// must re-derive its *effects* without re-counting the input
-    /// (termination counters, per-kind event metrics, dominance retires).
-    /// Everything *generated* here (cascade updates, reverse events) is
-    /// fresh on either path and is always fully counted.
-    fn process_inner(&mut self, env: Envelope<A::State>, count_input: bool) {
         self.seq += 1;
         let target = env.target;
         // The storage probe of the hot path: one per envelope; every
@@ -742,10 +697,8 @@ impl<A: Algorithm> ShardWorker<A> {
         // state already absorbs cannot change anything — retire it without
         // the callback/trigger machinery.
         if known.is_some_and(|h| self.is_dominated(h, &env.value)) {
-            if count_input {
-                self.metrics.updates_dominated += 1;
-                self.note_processed();
-            }
+            self.metrics.updates_dominated += 1;
+            self.note_processed();
             if env.tag != 0 {
                 // A closed branch, not silence: the trace sees where its
                 // cascade was cut off.
@@ -756,8 +709,7 @@ impl<A: Algorithm> ShardWorker<A> {
         let h = known.unwrap_or_else(|| self.store.intern(target));
 
         // Algorithm 3's framework step; triggers are evaluated inside its
-        // single store borrow. Per-kind counters sit on the accounted side
-        // of the envelope balance, so replayed inputs must not move them.
+        // single store borrow.
         let step = visit(
             &*self.algo,
             &env,
@@ -768,22 +720,17 @@ impl<A: Algorithm> ShardWorker<A> {
             |ctx| ctx.fire_triggers(&self.triggers, self.seq, &mut self.pending_fires),
         );
         self.metrics
-            .count_step(&mut self.edges, env.kind, step.edge, count_input);
+            .count_step(&mut self.edges, env.kind, step.edge);
 
-        // Tracing: one Process (live) / Replay (recovery) span per tagged
-        // envelope, with the callback's fan-out before suppression trims
-        // it. Every generated envelope below inherits the tag at hop+1 —
-        // the registry's Delta fan-out rides the same outgoing path, so
-        // multi-query traces come for free.
+        // Tracing: one Process span per tagged envelope, with the
+        // callback's fan-out before suppression trims it. Every generated
+        // envelope below inherits the tag at hop+1 — the registry's Delta
+        // fan-out rides the same outgoing path, so multi-query traces come
+        // for free.
         let ctag = trace::child(env.tag);
         if env.tag != 0 {
             let fanout = u64::from(step.reverse.is_some()) + self.out.len() as u64;
-            let kind = if count_input {
-                SpanKind::Process
-            } else {
-                SpanKind::Replay
-            };
-            self.trace_span(kind, env.tag, target, fanout);
+            self.trace_span(SpanKind::Process, env.tag, target, fanout);
         }
 
         if let Some((kind, value)) = step.reverse {
@@ -801,16 +748,14 @@ impl<A: Algorithm> ShardWorker<A> {
 
         // Retire the envelope only after its children's sends were
         // published (four-counter soundness).
-        if count_input {
-            self.note_processed();
-        }
+        self.note_processed();
     }
 
     /// Tail of every callback: hands the trigger fires it raised to the
     /// controller and routes the updates it generated as ordinary `Update`
     /// envelopes from `visitor` (fully accounted by termination detection),
     /// keeping the buffer's allocation for the next event. Runs once per
-    /// envelope: kept in `process_inner`'s body, not behind a call.
+    /// envelope: kept in `process`'s body, not behind a call.
     #[inline(always)]
     fn route_generated(&mut self, visitor: VertexId, tag: TraceTag) {
         for fire in self.pending_fires.drain(..) {
@@ -893,7 +838,6 @@ impl<A: Algorithm> ShardWorker<A> {
     /// control op runs in place. An `Add` carries the value
     /// [`Algorithm::stream_value`] gives its index.
     fn route_pull(&mut self, pull: Pull, index: u64, tag: TraceTag) {
-        self.streamed = self.streamed.max(index + 1);
         let (kind, value, ev) = match pull {
             Pull::Topo(ev) if ev.op == TopoOp::Add => (EventKind::Add, A::stream_value(index), ev),
             Pull::Topo(ev) => (EventKind::Remove, A::State::default(), ev),
@@ -971,8 +915,8 @@ impl<A: Algorithm> ShardWorker<A> {
     /// ahead of everything newer. One queue per pair, drained from the
     /// front, is the pair's FIFO; the receiver never learns a lane was
     /// full, and a slow receiver's backlog sits where its sender counts it
-    /// (`custody_clear`, the custody sweeps; held envelopes are sent and
-    /// not yet processed, so quiescence cannot fire over them).
+    /// (a rollback discards it there; held envelopes are sent and not yet
+    /// processed, so quiescence cannot fire over them).
     ///
     /// A held batch keeps the length it left the outbox with, so the
     /// buffers circulating through the recycle pool stay ordinary sized
@@ -1072,12 +1016,13 @@ impl<A: Algorithm> ShardWorker<A> {
         // Durable before effects: the run's pulls (exactly what the loop
         // below takes) are logged and committed at once, before the first
         // envelope any of them spawns exists.
-        if let Some(c) = &mut self.custody {
+        if let Some(log) = &mut self.log {
             let pulls = self.chunks.iter().enumerate().flat_map(|(i, chunk)| {
                 let from = if i == 0 { self.chunk_pos } else { 0 };
                 (from..chunk.len()).map(move |k| chunk.get(k))
             });
-            c.log_pulls(pulls.take(run), &mut self.metrics);
+            let cut = self.shared.rollback.cut();
+            log.log_pulls(cut, pulls.take(run), &mut self.metrics);
         }
         for _ in 0..run {
             let Some((pull, index)) = self.next_pull() else {
@@ -1126,7 +1071,7 @@ impl<A: Algorithm> ShardWorker<A> {
     /// How many pulls the next run takes: up to `PULL_RUN`, and no further
     /// than the first control op. Its sweep runs user code, so a panic
     /// there must leave no logged pull behind it in `chunks`, to be pulled
-    /// a second time after the respawn's replay.
+    /// a second time after the rollback re-ran the log.
     fn run_len(&self) -> usize {
         let mut n = 0;
         for (i, chunk) in self.chunks.iter().enumerate() {
@@ -1151,143 +1096,123 @@ impl<A: Algorithm> ShardWorker<A> {
         Some(pull)
     }
 
-    // ---- durability: the worker's side of custody ----------------------
+    // ---- durability: rollback and recovery -----------------------------
 
-    /// All custody drained? (The checkpoint-at-idle precondition: with
-    /// every queue empty the store is a complete description of this
-    /// shard, so checkpoint + empty WAL ≡ current state.)
-    fn custody_clear(&self) -> bool {
-        self.local_q.is_empty()
-            && self.out.is_empty()
-            && self.outboxes.iter().all(|b| b.is_empty())
-            && self.held.iter().all(|q| q.is_empty())
+    /// True when a rollback began that this shard has not run: a durable
+    /// shard's one check per pass (a durable engine's start is epoch 1).
+    #[inline]
+    fn rollback_due(&self) -> bool {
+        self.log.is_some() && self.shared.rollback.epoch() != self.epoch
     }
 
-    /// Checkpoints when custody says one is due (past the interval, or
-    /// anything logged at all on `force`, the shutdown path) — but only
-    /// from a fully drained state.
-    fn checkpoint_if_due(&mut self, force: bool) {
-        let due = self
-            .custody
-            .as_ref()
-            .is_some_and(|c| c.checkpoint_due(force));
-        if !due || !self.custody_clear() {
-            return;
-        }
-        let header = (self.seq, self.edges, self.streamed);
-        if let Some(c) = &mut self.custody {
-            c.checkpoint(&self.store, header, &mut self.metrics);
+    /// This shard's part of a rollback (DESIGN.md §14), attributed to the
+    /// replay phase. Stage 0: drop everything it holds, meet the others.
+    /// Stage 1: drain its inbound lanes, which nobody fills any more, meet
+    /// them again. Stage 2: restore the cut the MANIFEST names and re-run
+    /// that cut's WAL through the pull path. Chunks not yet pulled stay
+    /// where they are. A newer rollback starts this one over at its epoch;
+    /// a permanent failure ends it, and the run degrades.
+    #[cold]
+    fn roll_back(&mut self) {
+        self.phase_mark(PhaseLabel::Replay);
+        while self.rollback_due() {
+            let epoch = self.shared.rollback.epoch();
+            self.epoch = epoch;
+            // Every envelope held here was counted sent and is received
+            // nowhere; callback output and trigger fires never entered
+            // the books.
+            let mut dropped = self.local_q.len();
+            self.local_q.clear();
+            for (outbox, held) in self.outboxes.iter_mut().zip(&mut self.held) {
+                dropped += outbox.len() + held.iter().map(Vec::len).sum::<usize>();
+                outbox.clear();
+                held.clear();
+            }
+            self.out.clear();
+            self.pending_fires.clear();
+            self.discard(dropped);
+            if !self.meet(epoch, 0) {
+                continue;
+            }
+            let mut inbound = 0;
+            self.lanes
+                .mesh
+                .claim_pending_into(self.id, &mut self.claim_buf);
+            self.claim_buf.clear();
+            for from in 0..self.config.num_shards {
+                while let Some(mut batch) = self.lanes.mesh.recv(from, self.id) {
+                    inbound += batch.len();
+                    batch.clear();
+                    self.lanes.mesh.give_recycled(from, self.id, batch);
+                }
+            }
+            self.discard(inbound);
+            if !self.meet(epoch, 1) {
+                continue;
+            }
+            self.recover();
+            self.shared.rollback.finish(epoch);
         }
     }
 
-    /// Restore + replay, inside the supervised region (a panic here — a
-    /// replayed callback's, or a custody IO failure — consumes another
-    /// respawn). Replayed records run uncounted
-    /// ([`ShardWorker::process_inner`] with `count_input = false`); the
-    /// traffic they *generate* is fresh and fully counted, which is what
-    /// keeps the four-counter books balanced over at-least-once replay.
+    /// Counts `n` envelopes processed that a rollback dropped unprocessed.
+    fn discard(&mut self, n: usize) {
+        self.metrics.envelopes_discarded += n as u64;
+        for _ in 0..n {
+            self.note_processed();
+        }
+    }
+
+    /// Meets the other shards at rollback barrier `stage` of `epoch`,
+    /// every count published. The last to arrive at stage 1, when no
+    /// envelope is anywhere, counts the ones a panic unwound out of a
+    /// callback or a half-drained batch: all that is still in flight.
+    /// False when the rollback is over for this shard.
+    fn meet(&mut self, epoch: u64, stage: u32) -> bool {
+        use std::sync::atomic::Ordering;
+        // A panic between a pull run's increments and its publish would
+        // leave `ingested` a run behind for good.
+        let slot = self.shared.slot(self.id);
+        slot.ingested.store(self.ingested_local, Ordering::Release);
+        self.publish_telemetry();
+        match self.shared.rollback.arrive(epoch, stage) {
+            Arrival::Leader => {
+                if stage == 1 {
+                    self.discard(self.shared.in_flight() as usize);
+                }
+                self.shared.rollback.release(epoch);
+                true
+            }
+            Arrival::Passed => true,
+            Arrival::Aborted => false,
+        }
+    }
+
+    /// Restores the named cut's checkpoint and re-runs that cut's WAL, each
+    /// pull through [`ShardWorker::route_pull`] and its local cascade
+    /// drained before the next, as the live loop runs a pull: its envelopes
+    /// are derived again and fully counted, and `ingested` does not move (the
+    /// pulls were counted when first pulled). Untagged: the original pull's
+    /// Root span, if it was sampled, already anchors its trace. A control op
+    /// is claimed, swept and committed again, whatever the in-memory
+    /// progress bits say.
     #[cold]
     fn recover(&mut self) {
-        let Some(c) = &mut self.custody else {
+        let Some(log) = &mut self.log else {
             return;
         };
-        let records = c.restore(
-            &mut self.store,
-            &mut self.seq,
-            &mut self.edges,
-            &mut self.streamed,
-        );
-        let total = records.len() as u64;
-        for rec in records {
-            match rec {
-                // The tag rides the WAL frame, so a replayed envelope
-                // keeps its trace identity — process_inner records a
-                // Replay span for it (count_input = false), never a
-                // Process span, so replay is visible in the tree without
-                // inflating amplification.
-                Replay::Envelope(env) => self.process_inner(env, false),
-                // Fresh sends (the pull itself was already counted
-                // ingested by the original run; replay must not move
-                // `ingested` or the stream books would overrun).
-                // Untagged: the original pull's Root span (if it was
-                // sampled) already anchors the trace, and the replayed
-                // envelope chain is re-derived below it. A control op is
-                // claimed, swept and committed again, whatever the
-                // in-memory progress bits say: the restored checkpoint may
-                // predate the sweep. That is monotone-safe: a repeated
-                // prime rebuilds the same columns, a repeated flood
-                // re-sends values the neighbours already dominate.
-                Replay::Pull(pull, index) => self.route_pull(pull, index, 0),
-            }
+        let cut = self.shared.rollback.cut();
+        let (header, pulls) = log.restore::<A>(cut, &mut self.store);
+        (self.seq, self.edges) = (self.seq.max(header.seq), header.edges);
+        for (pull, index) in pulls {
+            self.route_pull(pull, index, 0);
             self.metrics.replayed_records += 1;
-            // Drain the cascades each replayed record spawns before the
-            // next record, preserving the WAL's custody order the same
-            // way the live loop drains local work between admissions.
             while let Some(env) = self.local_q.pop_front() {
                 self.process(env);
             }
         }
-        if let Some(c) = &mut self.custody {
-            c.recovered(total);
-        }
-        // Replay is complete: every swept envelope's effects are
-        // re-derived and re-counted, so lift the termination gate.
-        self.shared.recovery_end();
         self.flush_all();
         self.publish_telemetry();
-    }
-
-    /// Post-panic custody sweep, run *outside* the supervised region — it
-    /// must be panic-free (queue drains, counter stores, no IO, no user
-    /// code). Every envelope still held by this worker is retired against
-    /// the termination books exactly once, mirroring
-    /// [`ShardWorker::retire_batch`]'s counter motion: whether this shard
-    /// *sent* it and never received it (backlogs, outboxes, local queue)
-    /// or took custody of it from a peer (admitted, or the half-processed
-    /// one), it was counted sent and owes a processed mark. Replay
-    /// re-derives all of their effects from the WAL.
-    fn prepare_recovery(&mut self) {
-        use std::sync::atomic::Ordering;
-        let Some(c) = &mut self.custody else {
-            return;
-        };
-        let (gate, swept) = c.sweep();
-        // Gate termination detection BEFORE the first retirement below:
-        // the sweep balances the books without having re-derived the
-        // swept work, and the probe must be able to tell. Raised once per
-        // recovery, across a panic during replay too.
-        if gate {
-            self.shared.recovery_begin();
-        }
-        self.metrics.shard_respawns += 1;
-        // Un-routed callback output and un-sent trigger fires: never
-        // entered any book, just dropped (replay regenerates them).
-        self.out.clear();
-        self.pending_fires.clear();
-        let mut retired = swept + self.local_q.len();
-        self.local_q.clear();
-        for owner in 0..self.outboxes.len() {
-            retired += self.held[owner].drain(..).map(|b| b.len()).sum::<usize>();
-            retired += self.outboxes[owner].len();
-            self.outboxes[owner].clear();
-        }
-        for _ in 0..retired {
-            self.retire_recovered();
-        }
-        // A panic between a pull run's local increments and its slot store
-        // would otherwise leave the published `ingested` permanently a run
-        // behind — re-publish it.
-        self.shared
-            .slot(self.id)
-            .ingested
-            .store(self.ingested_local, Ordering::Release);
-        self.publish_telemetry();
-    }
-
-    /// One swept envelope.
-    fn retire_recovered(&mut self) {
-        self.metrics.envelopes_recovered += 1;
-        self.note_processed();
     }
 
     fn report(mut self) -> ShardReport<A> {
@@ -1428,21 +1353,17 @@ mod tests {
                 items: Items::Pairs(TopoOp::Add, pairs(range)),
             });
         }
-        let c = f.worker.custody.as_mut().unwrap();
-        c.open();
         f.worker.pull_run();
         assert_eq!(f.worker.metrics.wal_records_appended, PULL_RUN as u64);
         assert_eq!(f.worker.chunk_pos, PULL_RUN - 40, "the run crossed a chunk");
         f.worker.pull_run();
         assert!(f.worker.chunks.is_empty());
-        assert_eq!(f.worker.streamed, 199);
-        let (mut store, mut seq, mut edges, mut streamed) = (DenseStore::with_capacity(0), 0, 0, 0);
-        let c = f.worker.custody.as_mut().unwrap();
-        let logged: Vec<(VertexId, u64)> = c
-            .restore(&mut store, &mut seq, &mut edges, &mut streamed)
+        let mut store = DenseStore::with_capacity(0);
+        let log = f.worker.log.as_mut().unwrap();
+        let logged: Vec<(VertexId, u64)> = (log.restore::<Noop>(0, &mut store).1)
             .into_iter()
             .map(|rec| match rec {
-                Replay::Pull(Pull::Topo(ev), index) => (ev.src, index),
+                (Pull::Topo(ev), index) => (ev.src, index),
                 _ => panic!("this run pulled edges only"),
             })
             .collect();
@@ -1452,8 +1373,8 @@ mod tests {
 
     /// A control pull ends its run: the run logs and takes the pulls up to
     /// and including it, and no further. A sweep that panicked would
-    /// otherwise leave logged pulls in `chunks`, pulled once by the
-    /// respawn's replay and once more from the stream.
+    /// otherwise leave logged pulls in `chunks`, run once by the rollback
+    /// and once more from the stream.
     #[test]
     fn durable_pull_run_ends_at_its_control_pull() {
         let dir = std::env::temp_dir().join(format!("remo-shard-control-{}", std::process::id()));
@@ -1476,11 +1397,9 @@ mod tests {
             Chunk::one(4, Items::Control(op)),
             edges(5, 2),
         ]);
-        f.worker.custody.as_mut().unwrap().open();
         f.worker.pull_run();
         let m = &f.worker.metrics;
         assert_eq!((m.topo_ingested, m.wal_records_appended), (5, 5));
-        assert_eq!(f.worker.streamed, 5);
         assert_eq!(f.worker.chunks.len(), 1, "the edges behind the op wait");
         f.worker.pull_run();
         assert_eq!(f.worker.metrics.topo_ingested, 8);
@@ -1488,17 +1407,16 @@ mod tests {
     }
 
     /// A control op counts as run once the shard's `ingested` passes its
-    /// mark with the recovery gate down: a panic after the pull re-publishes
-    /// `ingested` behind a raised gate, and only the replay, which re-runs
-    /// the op, lowers it.
+    /// mark with the gate down: a rollback after the pull raises the gate,
+    /// and only the rollback's re-run of the log, which runs the op again,
+    /// lowers it.
     #[test]
     fn a_control_op_runs_again_in_replay_before_it_counts() {
         let dir = std::env::temp_dir().join(format!("remo-shard-ran-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let config = EngineConfig::undirected(2)
+        let config = EngineConfig::undirected(1)
             .with_durability(crate::DurabilityConfig::new(&dir).fsync(false));
         let mut f = fixture_with(config);
-        f.worker.custody.as_mut().unwrap().open();
         let op = ControlOp {
             kind: ControlKind::Clear,
             mask: 1,
@@ -1509,32 +1427,58 @@ mod tests {
         assert!(!f.ctl.ran(0, mark));
         f.worker.pull_run();
         assert!(f.ctl.ran(0, mark));
-        f.worker.prepare_recovery();
+        assert!(f.ctl.shared.rollback.begin());
         assert!(
             !f.ctl.ran(0, mark),
-            "counted, but its replay is still to come"
+            "counted, but its re-run is still to come"
         );
-        f.worker.recover();
+        f.worker.roll_back();
         assert!(f.ctl.ran(0, mark));
         assert_eq!(f.worker.metrics.replayed_records, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A shard with durable state to replay holds quiescence off from the
-    /// moment it is built, before its thread could start: a wait right
-    /// after `Engine::open` sees its replay still to come.
+    /// `Init` at `v` is held until the barrier lets it through, when the
+    /// algorithm has one.
+    struct Held(Option<Arc<std::sync::Barrier>>);
+    impl Algorithm for Held {
+        type State = u64;
+        type Edge = ();
+        fn init(&self, _: &mut impl crate::AlgoCtx<u64>) {
+            if let Some(b) = &self.0 {
+                b.wait();
+            }
+        }
+    }
+
+    /// A durable engine holds quiescence off from the moment it is built,
+    /// before its shards' threads could start: a wait right after
+    /// `Engine::open` sees their recovery still to come. Here the one
+    /// shard re-runs a logged `Init` whose callback waits on the test.
     #[test]
     fn a_cold_shard_gates_quiescence_from_when_it_is_built() {
         let dir = std::env::temp_dir().join(format!("remo-shard-cold-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let config = EngineConfig::undirected(2)
+        let config = EngineConfig::undirected(1)
             .with_durability(crate::DurabilityConfig::new(&dir).fsync(false));
-        let fresh = fixture_with(config.clone());
-        assert!(fresh.ctl.shared.quiescent_probe(), "nothing to replay");
-        std::fs::create_dir_all(dir.join("shard-1")).unwrap();
-        std::fs::write(dir.join("shard-1").join("wal.log"), [0u8; 8]).unwrap();
-        let cold = fixture_with(config);
-        assert!(!cold.ctl.shared.quiescent_probe(), "shard 1 has a WAL");
+        let engine = crate::Engine::new(Held(None), config.clone());
+        engine.try_init_vertex(3).unwrap();
+        engine.try_await_quiescence().unwrap();
+        drop(engine); // no final cut: the WAL holds the init
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let engine = crate::Engine::open(Held(Some(Arc::clone(&barrier))), config).unwrap();
+        assert!(!engine.counters_balanced(), "the init is still to re-run");
+        barrier.wait();
+        engine.try_await_quiescence().unwrap();
+        assert_eq!(
+            engine
+                .try_finish()
+                .unwrap()
+                .metrics
+                .total()
+                .replayed_records,
+            1
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1558,7 +1502,7 @@ mod tests {
         f.kill_peer();
         f.worker.flush_all();
         assert_eq!(f.worker.metrics.envelopes_undeliverable, 10);
-        assert!(f.worker.custody_clear());
+        assert!(f.worker.holds_nothing());
         assert_eq!(f.worker.sent_local, f.worker.processed_local);
         assert!(
             f.ctl.shared.quiescent_probe(),
@@ -1617,7 +1561,7 @@ mod tests {
         assert_eq!(held(&f), [4, 4, 1]);
         assert_eq!(f.worker.metrics.lane_full_fallbacks, 3);
         assert_eq!(f.worker.metrics.lane_batches, 0);
-        assert!(!f.worker.custody_clear(), "a held batch is custody");
+        assert!(!f.worker.holds_nothing(), "a held batch is held");
         assert!(
             !f.ctl.shared.quiescent_probe(),
             "held envelopes are in flight"
@@ -1645,7 +1589,7 @@ mod tests {
         }
         f.worker.flush_all();
         drain(&mut got);
-        assert!(f.worker.custody_clear());
+        assert!(f.worker.holds_nothing());
         assert_eq!(f.worker.metrics.lane_batches, 5);
         assert_eq!(f.worker.metrics.lane_full_fallbacks, 4, "no new holds");
         got.retain(|b| !b.is_empty());

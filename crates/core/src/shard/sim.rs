@@ -11,8 +11,8 @@
 //! 1. the final states equal [`SequentialEngine`]'s on the same stream;
 //! 2. [`RunMetrics::verify_balance`] holds over the shards' final cells;
 //! 3. no quiescence verdict while work exists: whenever the probe holds
-//!    after a tick, every worker's custody is clear, and it holds no chunk
-//!    and no inbound lane batch;
+//!    after a tick, every worker holds no envelope, no chunk and no
+//!    inbound lane batch;
 //! 4. liveness: once the schedule turns fair (round robin, feeding what
 //!    fits), the run quiesces within [`FAIR_BUDGET`] ticks;
 //! 5. replay: the same seed gives the same states, snapshot and counters,
@@ -28,6 +28,17 @@ use proptest::prelude::*;
 use remo_gen::rng::SmallRng;
 use remo_gen::{rmat, RmatConfig};
 use remo_store::{VertexId, Weight};
+
+impl<A: Algorithm> ShardWorker<A> {
+    /// True when this worker holds no envelope: none queued, buffered for
+    /// a peer, or held for a full lane.
+    pub(super) fn holds_nothing(&self) -> bool {
+        self.local_q.is_empty()
+            && self.out.is_empty()
+            && self.outboxes.iter().all(Vec::is_empty)
+            && self.held.iter().all(|q| q.is_empty())
+    }
+}
 
 use super::{Message, Progress, ShardWorker, HELD_BOUND, INGEST_CHUNK, PULL_RUN};
 use crate::algorithm::{AlgoCtx, Algorithm};
@@ -262,7 +273,7 @@ impl<A: Algorithm<State = u64>> Sim<A> {
         }
         for w in &self.workers {
             assert!(
-                w.custody_clear() && w.chunks.is_empty() && !self.ctl.lanes.mesh.has_inbound(w.id),
+                w.holds_nothing() && w.chunks.is_empty() && !self.ctl.lanes.mesh.has_inbound(w.id),
                 "tick {}: the probe says quiescent while shard {} holds work",
                 self.ticks,
                 w.id

@@ -25,7 +25,7 @@
 
 use crate::transport::CachePadded;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Longest a controller wait sleeps without a ring. It bounds a deadline's
@@ -131,17 +131,208 @@ pub struct ShardSlots {
     pub fed: AtomicU64,
 }
 
-/// Engine-wide bookkeeping: the recovery gate, the bell and one padded
+/// Rollbacks a durable engine takes after contained panics; the next
+/// panic records a permanent [`ShardFailure`](crate::ShardFailure) and the
+/// run degrades exactly as with durability off.
+pub(crate) const MAX_ROLLBACKS: u32 = 3;
+
+/// How a shard's wait at a rollback stage ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Arrival {
+    /// Every shard has arrived and this one came last: it does the
+    /// stage's one-shard work, then [`Rollback::release`]s the others.
+    Leader,
+    /// The leader released the stage.
+    Passed,
+    /// A newer rollback began, or the rollback halted: this one is over.
+    Aborted,
+}
+
+/// A durable engine's rollback, whole: the epoch shards poll, the gate
+/// quiescence waits behind, the cut recovery restores, and the stages
+/// every shard meets at. A rollback (DESIGN.md §14) runs in three stages:
+/// 0, each shard drops what it holds; 1, each drains its inbound lanes;
+/// 2, each re-runs the WAL of the cut. Stages 0 and 1 are barriers; stage
+/// 2 counts shards down and lowers the gate when the last one is done.
+#[derive(Debug)]
+pub(crate) struct Rollback {
+    shards: usize,
+    /// The epoch of the latest rollback; a shard whose own epoch is
+    /// behind it rolls back before its next pass.
+    epoch: AtomicU64,
+    /// Odd while a rollback is under way: bumped when one begins and when
+    /// its last shard has re-run its tail, so a probe that reads it even
+    /// before and unchanged after its counters saw no rollback between.
+    gate: AtomicU64,
+    /// The cut the MANIFEST names (0: none yet).
+    cut: AtomicU64,
+    /// Set when a shard is lost for good or the controller stops the
+    /// shards: one that has stopped arrives nowhere, so nobody waits.
+    halted: AtomicBool,
+    stages: Mutex<Stages>,
+    moved: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Stages {
+    epoch: u64,
+    stage: u32,
+    arrived: usize,
+    spent: u32,
+}
+
+impl Rollback {
+    fn new(shards: usize) -> Self {
+        Rollback {
+            shards,
+            epoch: AtomicU64::new(0),
+            gate: AtomicU64::new(0),
+            cut: AtomicU64::new(0),
+            halted: AtomicBool::new(false),
+            stages: Mutex::default(),
+            moved: Condvar::new(),
+        }
+    }
+
+    fn stages(&self) -> MutexGuard<'_, Stages> {
+        self.stages.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Starts epoch `epoch + 1` under the lock, gate raised.
+    fn bump(&self, st: &mut Stages) {
+        st.epoch += 1;
+        (st.stage, st.arrived) = (0, 0);
+        self.gate.fetch_or(1, Ordering::SeqCst);
+        self.epoch.store(st.epoch, Ordering::SeqCst);
+        self.moved.notify_all();
+    }
+
+    /// A durable engine's start: every shard runs the recovery path once
+    /// (restore cut `cut`, re-run its WAL), behind the gate, before it
+    /// takes any new work. Spends no budget.
+    pub(crate) fn start(&self, cut: u64) {
+        self.cut.store(cut, Ordering::SeqCst);
+        self.bump(&mut self.stages());
+    }
+
+    /// The panicking shard: begins a rollback while the budget lasts.
+    pub(crate) fn begin(&self) -> bool {
+        let mut st = self.stages();
+        let granted = st.spent < MAX_ROLLBACKS;
+        if granted {
+            st.spent += 1;
+            self.bump(&mut st);
+        }
+        granted
+    }
+
+    /// The epoch of the latest rollback.
+    #[inline]
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
+    }
+
+    /// The cut the MANIFEST names.
+    pub(crate) fn cut(&self) -> u64 {
+        self.cut.load(Ordering::SeqCst)
+    }
+
+    /// True while a rollback is under way.
+    pub(crate) fn raised(&self) -> bool {
+        self.gate.load(Ordering::SeqCst) & 1 != 0
+    }
+
+    /// Shard arrival at barrier `stage` of `epoch`: waits for every shard,
+    /// unless a newer rollback begins or the rollback halts.
+    pub(crate) fn arrive(&self, epoch: u64, stage: u32) -> Arrival {
+        let mut st = self.stages();
+        if st.epoch != epoch {
+            return Arrival::Aborted;
+        }
+        st.arrived += 1;
+        if st.arrived == self.shards {
+            return Arrival::Leader;
+        }
+        loop {
+            st = self
+                .moved
+                .wait_timeout(st, HEARTBEAT)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            if st.epoch != epoch || self.halted.load(Ordering::SeqCst) {
+                return Arrival::Aborted;
+            }
+            if st.stage > stage {
+                return Arrival::Passed;
+            }
+        }
+    }
+
+    /// The leader of a barrier stage: lets the others past it.
+    pub(crate) fn release(&self, epoch: u64) {
+        let mut st = self.stages();
+        if st.epoch == epoch {
+            (st.stage, st.arrived) = (st.stage + 1, 0);
+            self.moved.notify_all();
+        }
+    }
+
+    /// A shard has re-run its tail (stage 2): the last one lowers the gate.
+    pub(crate) fn finish(&self, epoch: u64) {
+        let mut st = self.stages();
+        if st.epoch == epoch && st.stage == 2 {
+            st.arrived += 1;
+            if st.arrived == self.shards {
+                st.stage = 3;
+                self.lower();
+            }
+        }
+    }
+
+    /// A shard is lost for good, or the controller stops every shard:
+    /// nobody will finish a rollback under way, so no barrier waits any
+    /// more and the gate comes down (the degraded paths read the failure
+    /// board).
+    pub(crate) fn halt(&self) {
+        let _st = self.stages();
+        self.halted.store(true, Ordering::SeqCst);
+        self.lower();
+    }
+
+    fn lower(&self) {
+        if self.raised() {
+            self.gate.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Names cut `cut` once `publish` (the MANIFEST write) succeeds — if
+    /// no rollback began since `epoch`, under the lock a rollback begins
+    /// under, so every shard of one rollback restores the same cut.
+    pub(crate) fn publish_cut<E>(
+        &self,
+        epoch: u64,
+        cut: u64,
+        publish: impl FnOnce() -> Result<(), E>,
+    ) -> Result<bool, E> {
+        let st = self.stages();
+        if st.epoch != epoch || self.raised() {
+            return Ok(false);
+        }
+        publish()?;
+        self.cut.store(cut, Ordering::SeqCst);
+        Ok(true)
+    }
+}
+
+/// Engine-wide bookkeeping: the rollback, the bell and one padded
 /// [`ShardSlots`] per shard. Every envelope is created by a shard: the controller's
 /// inputs, `Init`s included, are pulls, counted by `fed` and `ingested`.
 #[derive(Debug)]
 pub struct SharedCounters {
-    /// Shards currently between a custody sweep and the end of their
-    /// WAL replay. The sweep retires every swept envelope against the
-    /// books (they balance) *before* replay has regenerated the swept
-    /// work, so the four-counter reading alone is no longer a fixpoint
-    /// witness in that window — the probe refuses while this is nonzero.
-    recovering: AtomicU64,
+    /// A durable engine's rollback and its gate: the four-counter reading
+    /// is no fixpoint witness while shards discard and re-run work, so
+    /// the probe refuses while the gate is raised.
+    pub(crate) rollback: Rollback,
     /// Rung by shards at a park that may be the last, an emptied chunk
     /// and an exit.
     pub bell: Bell,
@@ -152,27 +343,12 @@ impl SharedCounters {
     /// Counters for `shards` shards.
     pub fn new(shards: usize) -> Self {
         SharedCounters {
-            recovering: AtomicU64::new(0),
+            rollback: Rollback::new(shards),
             bell: Bell::default(),
             slots: (0..shards)
                 .map(|_| CachePadded::new(ShardSlots::default()))
                 .collect(),
         }
-    }
-
-    /// A shard enters recovery (custody sweep about to retire envelopes,
-    /// or a cold start about to replay). Must be published before the
-    /// first sweep retirement so a probe that observes swept-balanced
-    /// books also observes the gate (the increment is sequenced before
-    /// the sweep's counter stores).
-    pub fn recovery_begin(&self) {
-        self.recovering.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// The shard finished replay; every swept envelope's effects have
-    /// been re-derived and re-counted, so the books are trustworthy again.
-    pub fn recovery_end(&self) {
-        self.recovering.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// The slot owned by shard `id`.
@@ -181,12 +357,10 @@ impl SharedCounters {
         &self.slots[id]
     }
 
-    /// True while some shard is between a custody sweep (or a cold start)
-    /// and the end of its replay. Read after a shard's `ingested`, a
-    /// lowered gate says every pull that count covers has run: a sweep
-    /// raises the gate before it re-publishes `ingested`.
-    pub(crate) fn recovering(&self) -> bool {
-        self.recovering.load(Ordering::SeqCst) != 0
+    /// Envelopes sent and not processed, as published. With every shard
+    /// stopped at a rollback barrier, these are the ones a panic lost.
+    pub(crate) fn in_flight(&self) -> u64 {
+        self.sum_sent() - self.sum_processed()
     }
 
     fn sum_processed(&self) -> u64 {
@@ -223,23 +397,17 @@ impl SharedCounters {
     /// envelope is unprocessed; `ingested == fed` implies no stream event
     /// is pending. May return false negatives (probe again).
     pub fn quiescent_probe(&self) -> bool {
-        if self.sum_ingested() != self.sum_fed() {
+        // The gate, read before and after the counters: even and unchanged
+        // means no rollback discarded or re-ran work in between.
+        let gate = self.rollback.gate.load(Ordering::SeqCst);
+        if gate & 1 != 0 || self.sum_ingested() != self.sum_fed() {
             return false;
         }
         // Wave 1: received/processed counts (R).
         let r = self.sum_processed();
         // Wave 2: sent counts (S) — strictly after wave 1.
         let s = self.sum_sent();
-        if s != r {
-            return false;
-        }
-        // Recovery gate, read strictly after the counters: if the balance
-        // we just read includes a custody sweep's retirements, that
-        // sweep's stores synchronize-with our reads, which makes the
-        // sweeping shard's earlier `recovery_begin` visible here — so a
-        // mid-recovery balance is always rejected. (A nonzero reading is
-        // a false negative at worst; the probe retries.)
-        !self.recovering()
+        s == r && self.rollback.gate.load(Ordering::SeqCst) == gate
     }
 }
 
@@ -342,6 +510,37 @@ mod tests {
         s0.send();
         assert!(!c.quiescent_probe(), "in-flight envelope detected");
         s0.process();
+        assert!(c.quiescent_probe());
+    }
+
+    #[test]
+    fn rollback_budget_is_three() {
+        let c = SharedCounters::new(1);
+        let granted = (0..5).filter(|_| c.rollback.begin()).count();
+        assert_eq!(granted, MAX_ROLLBACKS as usize);
+    }
+
+    /// The gate is up from a rollback's start until its last shard re-ran
+    /// its tail: balanced books do not read quiescent meanwhile. A stage
+    /// of an overtaken epoch aborts.
+    #[test]
+    fn a_rollback_holds_the_probe_off_until_every_shard_re_ran() {
+        let c = SharedCounters::new(1);
+        let r = &c.rollback;
+        r.start(4);
+        assert_eq!((r.epoch(), r.cut()), (1, 4));
+        assert!(r.raised() && !c.quiescent_probe());
+        for stage in 0..2 {
+            assert_eq!(r.arrive(1, stage), Arrival::Leader);
+            r.release(1);
+        }
+        assert!(!c.quiescent_probe(), "the re-run is still to come");
+        r.finish(1);
+        assert!(!r.raised() && c.quiescent_probe());
+        assert!(r.begin());
+        assert_eq!(r.arrive(1, 0), Arrival::Aborted, "epoch 2 now");
+        assert_eq!(r.publish_cut(2, 5, || Ok::<(), ()>(())), Ok(false));
+        r.halt();
         assert!(c.quiescent_probe());
     }
 

@@ -24,12 +24,8 @@
 //!   routed through the same outgoing path.
 //! - Dominance retirement and sender-side suppression close a branch
 //!   with a `Dominate` / `Suppress` span instead of silence.
-//! - WAL envelope records carry the tag, so replay after a shard respawn
-//!   re-processes the envelope under its original identity but records a
-//!   `Replay` span — replayed work is visible without being double
-//!   counted as fresh processing (amplification counts `Send` spans, and
-//!   a replayed envelope's *re-derived* children are genuinely new
-//!   traffic).
+//! - Work a rollback re-runs from the WAL is untraced: its pulls carry no
+//!   tag, and the original pull's `Root` span already anchors its trace.
 //!
 //! ## Ring-overflow policy
 //!
@@ -101,9 +97,6 @@ pub enum SpanKind {
     /// A tagged self-routed envelope was suppressed before sending
     /// (`a` = target).
     Suppress = 5,
-    /// A tagged envelope was re-processed during WAL replay
-    /// (`a` = target, `b` = children emitted).
-    Replay = 6,
 }
 
 impl SpanKind {
@@ -114,7 +107,6 @@ impl SpanKind {
             3 => SpanKind::Process,
             4 => SpanKind::Dominate,
             5 => SpanKind::Suppress,
-            6 => SpanKind::Replay,
             _ => return None,
         })
     }
@@ -170,8 +162,6 @@ pub struct HopStats {
     pub dominated: u64,
     /// Tagged envelopes suppressed before sending.
     pub suppressed: u64,
-    /// Tagged envelopes re-processed during WAL replay.
-    pub replayed: u64,
     /// Earliest send timestamp at this depth (ns since engine start; 0
     /// when no send was observed).
     pub first_send_ns: u64,
@@ -208,9 +198,6 @@ pub struct PropagationTrace {
     pub dominated: u64,
     /// Branches closed by sender-side suppression.
     pub suppressed: u64,
-    /// Envelopes re-processed during WAL replay (marked, not
-    /// double-counted in `amplification`).
-    pub replayed: u64,
     /// Sends whose destination was a different shard.
     pub cross_shard_hops: u64,
     /// Root ingest → last observed span (ns): the update's propagation
@@ -245,7 +232,6 @@ pub(crate) fn reconstruct(spans: &[TraceSpan]) -> Vec<PropagationTrace> {
             processed: 0,
             dominated: 0,
             suppressed: 0,
-            replayed: 0,
             cross_shard_hops: 0,
             fixpoint_ns: 0,
         };
@@ -287,13 +273,6 @@ pub(crate) fn reconstruct(spans: &[TraceSpan]) -> Vec<PropagationTrace> {
                 SpanKind::Suppress => {
                     t.suppressed += 1;
                     h.suppressed += 1;
-                }
-                SpanKind::Replay => {
-                    t.replayed += 1;
-                    h.replayed += 1;
-                    if h.first_process_ns == 0 || s.t_ns < h.first_process_ns {
-                        h.first_process_ns = s.t_ns;
-                    }
                 }
                 SpanKind::Root => unreachable!("filtered above"),
             }

@@ -1,54 +1,40 @@
-//! Per-shard durability: the [`Custody`] a durable shard keeps, and the
-//! formats it writes — CRC-framed write-ahead log, atomic checkpoints, and
-//! the engine manifest.
+//! Durability: the pull log a durable shard keeps ([`Log`]), and the
+//! files of a durable directory — a CRC-framed write-ahead log of pulls,
+//! checkpoints of a global cut, and the engine MANIFEST that names the
+//! cut.
 //!
-//! Durability is opt-in ([`crate::EngineConfig::with_durability`]). A
-//! shard holds `Option<Custody>`; with durability off it is `None` and the
-//! worker takes one untaken branch at each custody point. With it on, each
-//! shard owns one directory (`<root>/shard-<id>/`) holding:
+//! Durability is opt-in ([`crate::EngineConfig::with_durability`]). Each
+//! shard owns one directory (`<root>/shard-<id>/`) holding, for the cut
+//! `g` the MANIFEST names:
 //!
-//! - `wal.log` — the write-ahead log of *accepted external inputs*: every
-//!   envelope the shard took custody of from a peer, and every pull from
-//!   its input stream — an edge, an `Init` or a control op. Self-routed
-//!   cascade envelopes are deliberately **not** logged: replaying the
-//!   external inputs through the normal event loop re-derives them (REMO
-//!   callbacks are monotone and join-idempotent, so at-least-once replay
-//!   converges to the same fixpoint — see DESIGN.md §14).
-//! - `checkpoint.bin` — a point-in-time image of the shard's vertex store
-//!   (states, metas, adjacency), written only at *idle* (all queues
-//!   drained), so the checkpoint plus the WAL tail is always a complete
-//!   description of the shard. Checkpoints are published atomically: body
-//!   to `checkpoint.tmp`, fsync, rename, fsync the directory — a crash at
-//!   any point leaves either the old checkpoint or the new one, never a
-//!   torn file. After a successful publish the WAL is truncated; a crash
-//!   between the two merely leaves already-checkpointed records in the
-//!   WAL, which replay reapplies idempotently.
+//! - `wal-<g>.log` — every pull the shard took since the cut: an edge, an
+//!   `Init` or a control op, with its stream index. Nothing else is
+//!   logged: the envelopes the pulls spawn are derived again when the
+//!   pulls re-run, so each pull takes effect exactly once (DESIGN.md §14).
+//! - `checkpoint-<g>.bin` — the shard's vertex store (states, fired
+//!   bits, adjacency) at cut `g`, when every shard was quiescent. The
+//!   controller takes a cut every `checkpoint_every` fed pulls: every
+//!   shard stages its store (`.tmp`, fsync, rename); then the MANIFEST
+//!   names `g`, written the same way. A set of checkpoints the MANIFEST
+//!   does not name is ignored. The first pull run after a new cut starts
+//!   its WAL and deletes the older cut's files, and a checkpoint deletes
+//!   those of the cuts before the named one. A crash at any step leaves
+//!   the files of one named cut whole.
 //!
-//! The worker calls its custody at three points: a pull run is logged
-//! ([`Custody::log_pulls`]), a received batch is admitted
-//! ([`Custody::admit`]), and a checkpoint is due ([`Custody::checkpoint`]).
-//! Each logs first and commits once, *before* any effect of what it logged
-//! can escape the shard; a control op is one more pull, so its sweep runs
-//! after its frame is on disk. The supervisor adds three:
-//! [`Custody::open`] on entry, the respawn decision ([`Custody::respawn`],
-//! at most three per shard), and the post-panic [`Custody::sweep`].
-//! Recovery reads its records back through [`Custody::restore`]; the
-//! worker replays them.
+//! Recovery, a cold [`crate::Engine::open`] and a rollback after a panic
+//! alike, restores every shard's checkpoint of the named cut and re-runs
+//! its WAL through the pull path.
 //!
 //! WAL records are length-prefixed frames: `len: u32 | crc32: u32 |
 //! payload`, CRC over the payload. A pull frame's payload is `tag | op:
 //! u8 | index: u64 | src | dst | weight`, and its op byte says what was
 //! pulled: 0 an edge add, 1 an edge removal, 2 an `Init` of `src`, and 3,
-//! 4, 5 a Prime, Flood or Clear control op whose mask is `src`. An
-//! envelope frame's is `tag | kind: u8 | target | visitor | weight |
-//! trace tag | state bytes`, the state's [`Codec`] bytes in a `u32`-length
-//! frame. Any other op byte, a frame with bytes left over after its
-//! fields, and state bytes that do not decode to exactly one state fail
-//! the read. On open the log is scanned front-to-back and truncated at
-//! the first frame whose length or CRC does not check out (torn tail from
-//! a mid-write crash).
+//! 4, 5 a Prime, Flood or Clear control op whose mask is `src`. Any other
+//! tag or op byte, and a frame with bytes left over after its fields,
+//! fail the read. A read stops at the first frame whose length or CRC
+//! does not check out (a torn tail from a mid-write crash), and the next
+//! append truncates it.
 
-use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -56,7 +42,7 @@ use std::path::{Path, PathBuf};
 use crate::algorithm::Algorithm;
 use crate::config::EngineConfig;
 use crate::encoding::{decode_framed, get_frame, invalid, put_framed, take, Codec};
-use crate::event::{Envelope, EventKind, Pull};
+use crate::event::Pull;
 use crate::metrics::ShardMetrics;
 use crate::storage::DenseStore;
 use remo_store::{Adjacency, EdgeData};
@@ -69,19 +55,18 @@ pub struct DurabilityConfig {
     /// Root directory for the engine's durable state (one subdirectory
     /// per shard plus a `MANIFEST`). Created on first use.
     pub dir: PathBuf,
-    /// Custody records (accepted envelopes + pulls)
-    /// between checkpoints. Smaller = shorter replay, more checkpoint
-    /// I/O.
+    /// Pulls fed between cuts. Smaller = shorter re-run after a crash,
+    /// more checkpoint I/O and more quiescent pauses of ingest.
     pub checkpoint_every: u64,
-    /// Fsync the WAL at each batch-boundary commit. Off trades crash
+    /// Fsync the WAL at each pull run's commit. Off trades crash
     /// durability (a `kill -9` may lose the un-synced tail) for speed;
     /// panic recovery within a live process is unaffected either way.
     pub fsync: bool,
 }
 
 impl DurabilityConfig {
-    /// Durability rooted at `dir` with defaults: checkpoint every 4096
-    /// custody records, fsync on.
+    /// Durability rooted at `dir` with defaults: a cut every 4096 pulls,
+    /// fsync on.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
@@ -90,9 +75,9 @@ impl DurabilityConfig {
         }
     }
 
-    /// Sets the checkpoint interval in custody records (minimum 1).
-    pub fn checkpoint_every(mut self, records: u64) -> Self {
-        self.checkpoint_every = records.max(1);
+    /// Sets the cut interval in fed pulls (minimum 1).
+    pub fn checkpoint_every(mut self, pulls: u64) -> Self {
+        self.checkpoint_every = pulls.max(1);
         self
     }
 
@@ -186,50 +171,21 @@ pub(crate) fn get_adjacency<E: EdgeData>(r: &mut &[u8]) -> io::Result<Adjacency<
     Ok(adj)
 }
 
-// ---- custody ---------------------------------------------------------
+// ---- the pull log ----------------------------------------------------
 
-/// In-place respawns one shard gets after contained panics; the next panic
-/// records a permanent [`ShardFailure`](crate::ShardFailure) and the run
-/// degrades exactly as with durability off.
-const MAX_RESPAWNS: u32 = 3;
-
-/// One WAL record, decoded for replay.
-pub(crate) enum Replay<S> {
-    /// An envelope the shard accepted from a peer, with its trace tag, so
-    /// a replayed envelope keeps its trace identity.
-    Envelope(Envelope<S>),
-    /// A pull from the shard's input stream, with its stream index.
-    Pull(Pull, u64),
-}
-
-/// One durable shard's custody, whole: its WAL handle and the frames not
-/// yet committed, the envelopes it logged and has not processed, the
-/// checkpoint interval, cold-start and recovery state, and the respawn
-/// budget.
-pub(crate) struct Custody<A: Algorithm> {
+/// One durable shard's log, whole: its WAL handle, the cut that WAL
+/// belongs to, and the frames not yet committed.
+pub(crate) struct Log {
     root: PathBuf,
     shard: usize,
-    every: u64,
     fsync: bool,
-    /// `wal.log`, positioned after its valid prefix; opened by
-    /// [`Custody::open`] inside the supervised region, so an open failure
-    /// is a recorded shard failure, not an engine-thread panic.
-    wal: Option<File>,
+    /// `wal-<cut>.log` and its cut, positioned after its valid prefix;
+    /// opened by the first pull run after a restore or a new cut, inside
+    /// the supervised region, so an open failure is a shard panic.
+    wal: Option<(u64, File)>,
     /// Frames appended since the last commit; nothing in here is visible
     /// to recovery yet.
     buf: Vec<u8>,
-    /// Envelopes logged and committed but not yet handed out for
-    /// processing (see [`Custody::admit`]).
-    inbox: VecDeque<Envelope<A::State>>,
-    /// A counted envelope is being processed right now: the post-panic
-    /// sweep must retire that half-processed envelope too.
-    in_process: bool,
-    /// Custody records since the last published checkpoint.
-    since_ckpt: u64,
-    /// Set by cold-start detection or the sweep; cleared once replay ends.
-    recovering: bool,
-    /// Respawns spent, of [`MAX_RESPAWNS`].
-    respawns: u32,
 }
 
 /// An algorithm's vertex store, as checkpoints write and restore it.
@@ -241,74 +197,58 @@ fn or_die<T>(r: io::Result<T>, what: &str, shard: usize) -> T {
     r.unwrap_or_else(|e| panic!("durability: {what} failed on shard {shard}: {e}"))
 }
 
-impl<A: Algorithm> Custody<A> {
-    /// Shard `shard`'s custody under `config`; `None` when durability is
-    /// off. Durable state a previous process left behind (a published
-    /// checkpoint, or a non-empty WAL) means the engine is re-opening: the
-    /// shard starts recovering, cold, before it takes any new work.
+impl Log {
+    /// Shard `shard`'s log under `config`; `None` when durability is off.
     pub(crate) fn for_shard(config: &EngineConfig, shard: usize) -> Option<Self> {
         let d = config.durability.as_ref()?;
-        let cold = fs::metadata(ckpt_path(&d.dir, shard)).is_ok()
-            || fs::metadata(wal_path(&d.dir, shard)).is_ok_and(|m| m.len() > 0);
-        Some(Custody {
+        Some(Log {
             root: d.dir.clone(),
             shard,
-            every: d.checkpoint_every,
             fsync: d.fsync,
             wal: None,
             buf: Vec::new(),
-            inbox: VecDeque::new(),
-            in_process: false,
-            since_ckpt: 0,
-            recovering: cold,
-            respawns: 0,
         })
     }
 
-    /// Supervisor, on entry: opens (creating if needed) the WAL, truncating
-    /// any torn tail a crash mid-append left. A respawn keeps the handle.
-    pub(crate) fn open(&mut self) {
-        if self.wal.is_none() {
-            let wal = open_wal(&self.root, self.shard);
-            self.wal = Some(or_die(wal, "WAL open", self.shard));
-        }
-    }
-
-    /// True from cold-start detection or a sweep until replay ends.
-    pub(crate) fn recovering(&self) -> bool {
-        self.recovering
-    }
-
-    /// Starts one frame: an 8-byte header placeholder, then the tag.
-    fn begin_frame(&mut self, tag: u8) -> usize {
-        self.buf.extend_from_slice(&[0u8; 8]);
-        let start = self.buf.len();
-        self.buf.push(tag);
-        start
-    }
-
-    /// Backfills the header of the frame whose payload starts at `start`.
-    fn end_frame(&mut self, start: usize, m: &mut ShardMetrics) {
-        let len = (self.buf.len() - start) as u32;
-        let crc = crc32(&self.buf[start..]);
-        self.buf[start - 8..start - 4].copy_from_slice(&len.to_le_bytes());
-        self.buf[start - 4..start].copy_from_slice(&crc.to_le_bytes());
-        m.wal_records_appended += 1;
-        self.since_ckpt += 1;
-    }
-
-    /// Writes the buffered frames to the log (and to stable storage under
-    /// [`DurabilityConfig::fsync`]).
-    fn commit(&mut self, m: &mut ShardMetrics) {
-        if self.buf.is_empty() {
-            return;
-        }
-        let (shard, fsync) = (self.shard, self.fsync);
-        let Some(file) = self.wal.as_mut() else {
-            panic!("durability: shard {shard} logged before its WAL was opened");
+    /// Logs a pull run, each pull with its stream index, in the WAL of
+    /// `cut`, and commits it once, before the first envelope any of them
+    /// spawns exists and before a control pull's sweep runs. The first run
+    /// after a new cut opens its WAL and deletes the older cut's files.
+    pub(crate) fn log_pulls(
+        &mut self,
+        cut: u64,
+        run: impl Iterator<Item = (Pull, u64)>,
+        m: &mut ShardMetrics,
+    ) {
+        let shard = self.shard;
+        let file = match &mut self.wal {
+            Some((open, file)) if *open == cut => file,
+            wal => {
+                &mut wal
+                    .insert((
+                        cut,
+                        or_die(open_wal(&self.root, shard, cut), "WAL open", shard),
+                    ))
+                    .1
+            }
         };
+        for (pull, index) in run {
+            self.buf.extend_from_slice(&[0u8; 8]);
+            let start = self.buf.len();
+            let (op, words) = pull.encode();
+            self.buf.extend_from_slice(&[TAG_PULL, op]);
+            index.encode(&mut self.buf);
+            for w in words {
+                w.encode(&mut self.buf);
+            }
+            let len = (self.buf.len() - start) as u32;
+            let crc = crc32(&self.buf[start..]);
+            self.buf[start - 8..start - 4].copy_from_slice(&len.to_le_bytes());
+            self.buf[start - 4..start].copy_from_slice(&crc.to_le_bytes());
+            m.wal_records_appended += 1;
+        }
         let mut written = file.write_all(&self.buf);
-        if fsync {
+        if self.fsync {
             written = written.and_then(|()| file.sync_data());
         }
         or_die(written, "WAL commit", shard);
@@ -316,176 +256,70 @@ impl<A: Algorithm> Custody<A> {
         self.buf.clear();
     }
 
-    /// Custody point: a pull run. Logs each pull with its stream index,
-    /// and commits once, before the first envelope any of them spawns
-    /// exists and before a control pull's sweep runs.
-    pub(crate) fn log_pulls(
-        &mut self,
-        run: impl Iterator<Item = (Pull, u64)>,
-        m: &mut ShardMetrics,
-    ) {
-        for (pull, index) in run {
-            let (op, words) = pull.encode();
-            let start = self.begin_frame(TAG_PULL);
-            self.buf.push(op);
-            index.encode(&mut self.buf);
-            for w in words {
-                w.encode(&mut self.buf);
-            }
-            self.end_frame(start, m);
-        }
-        self.commit(m);
-    }
-
-    /// Custody point: a received batch. Logs every envelope, commits once,
-    /// and keeps them until [`Custody::take_admitted`] hands them out, so a
-    /// record is on disk before any of its effects can escape the shard.
-    pub(crate) fn admit(
-        &mut self,
-        envs: impl IntoIterator<Item = Envelope<A::State>>,
-        m: &mut ShardMetrics,
-    ) {
-        for env in envs {
-            let start = self.begin_frame(TAG_ENVELOPE);
-            self.buf.push(env.kind.as_u8());
-            for w in [env.target, env.visitor, env.weight, env.tag] {
-                w.encode(&mut self.buf);
-            }
-            put_framed(&mut self.buf, &env.value);
-            self.end_frame(start, m);
-            self.inbox.push_back(env);
-        }
-        self.commit(m);
-    }
-
-    /// The next admitted envelope, oldest first.
-    pub(crate) fn take_admitted(&mut self) -> Option<Envelope<A::State>> {
-        self.inbox.pop_front()
-    }
-
-    /// Marks a counted envelope in process (`false` once it is done).
-    pub(crate) fn mark_in_process(&mut self, on: bool) {
-        self.in_process = on;
-    }
-
-    /// Custody point: a checkpoint is due when the WAL has grown past the
-    /// interval (or holds anything at all on `force`, the shutdown path)
-    /// and every admitted envelope was processed. The caller adds its own
-    /// queues: only a fully drained shard is a complete image.
-    pub(crate) fn checkpoint_due(&self, force: bool) -> bool {
-        self.since_ckpt > 0 && (force || self.since_ckpt >= self.every) && self.inbox.is_empty()
-    }
-
-    /// Writes a checkpoint of `store` (streamed through
-    /// [`DenseStore::export_records`]) and the scalar header: stage →
-    /// publish → truncate the WAL. A crash anywhere in the sequence leaves
-    /// a recoverable pair: old checkpoint + full WAL, or new checkpoint +
-    /// (possibly still-full) WAL whose replay is idempotent.
+    /// Writes `store` as this shard's checkpoint of cut `cut`, headed by
+    /// the cut, the stream index `next` the engine numbers on from, and
+    /// the shard's `seq` and stored `edges`: staged, fsynced, renamed. Not
+    /// part of any recovery until the MANIFEST names the cut. The files of
+    /// cuts before `cut - 1`, the one the MANIFEST names now, go.
     #[cold]
-    pub(crate) fn checkpoint(
-        &mut self,
+    pub(crate) fn checkpoint<A: Algorithm>(
+        &self,
+        header: CkptHeader,
         store: &Store<A>,
-        header: (u64, u64, u64),
         m: &mut ShardMetrics,
     ) {
-        let (seq, edges, streamed) = header;
         let mut body = Vec::with_capacity(64 + store.num_vertices() * 48);
-        for w in [seq, edges, streamed, store.num_vertices() as u64] {
+        for w in [header.cut, header.next, header.seq, header.edges] {
             w.encode(&mut body);
         }
+        (store.num_vertices() as u64).encode(&mut body);
         store.export_records(&mut |v, live, fired, adj| {
             (v, fired).encode(&mut body);
             put_framed(&mut body, live);
             put_adjacency(&mut body, adj);
         });
-        let (root, shard) = (&self.root, self.shard);
-        or_die(
-            stage_checkpoint(root, shard, &body),
-            "checkpoint staging",
-            shard,
-        );
-        or_die(publish_checkpoint(root, shard), "checkpoint publish", shard);
-        if let Some(file) = self.wal.as_mut() {
-            let reset = file
-                .set_len(0)
-                .and_then(|()| file.seek(SeekFrom::Start(0)))
-                .and_then(|_| if self.fsync { file.sync_data() } else { Ok(()) });
-            or_die(reset, "WAL reset", shard);
-        }
-        self.since_ckpt = 0;
+        let (root, shard, cut) = (&self.root, self.shard, header.cut);
+        let path = ckpt_path(root, shard, cut);
+        or_die(publish(&path, &ckpt_file(&body)), "checkpoint write", shard);
         m.checkpoints_written += 1;
+        let retired = retire(root, shard, |n| n + 1 >= cut);
+        or_die(retired, "checkpoint retire", shard);
     }
 
     /// Recovery, inside the supervised region: replaces `store` with the
-    /// latest published checkpoint (an empty store when none exists yet),
-    /// raises `seq` and `streamed` to the checkpoint's, sets `edges`, and
-    /// returns the WAL tail to replay. Fired-trigger bits ride the
-    /// checkpoint, so at-most-once firing spans a restart.
+    /// checkpoint of cut `cut` (an empty store at cut 0), and returns its
+    /// header (zeros at cut 0) and the pulls of that cut's WAL, to re-run.
+    /// Frames not committed are dropped; the next pull run reopens the WAL
+    /// and truncates any torn tail.
     #[cold]
-    pub(crate) fn restore(
+    pub(crate) fn restore<A: Algorithm>(
         &mut self,
+        cut: u64,
         store: &mut Store<A>,
-        seq: &mut u64,
-        edges: &mut u64,
-        streamed: &mut u64,
-    ) -> Vec<Replay<A::State>> {
+    ) -> (CkptHeader, Vec<(Pull, u64)>) {
         let shard = self.shard;
-        *store = DenseStore::with_capacity(0);
-        *edges = 0;
-        if let Some(body) = or_die(read_checkpoint(&self.root, shard), "checkpoint read", shard) {
-            let image = decode_checkpoint::<A>(&body);
-            let (header, image) = or_die(image, "checkpoint decode", shard);
-            *store = image;
-            *seq = (*seq).max(header.seq);
-            *edges = header.edges;
-            *streamed = (*streamed).max(header.streamed);
-        }
-        or_die(read_wal::<A>(&self.root, shard), "WAL read", shard)
-    }
-
-    /// Replay of `replayed` records ended. They are all still in the WAL
-    /// (it is truncated only at a checkpoint publish), so the next idle
-    /// checkpoint covers them.
-    pub(crate) fn recovered(&mut self, replayed: u64) {
-        self.since_ckpt = replayed;
-        self.recovering = false;
-    }
-
-    /// Supervisor, after a panic: the respawn decision. True, with one
-    /// respawn spent, while the budget lasts.
-    pub(crate) fn respawn(&mut self) -> bool {
-        let granted = self.respawns < MAX_RESPAWNS;
-        self.respawns += u32::from(granted);
-        granted
-    }
-
-    /// Supervisor: the custody half of the post-panic sweep, panic-free (no
-    /// IO, no user code). Marks the shard recovering — `true` when that is
-    /// new, and the caller must raise the recovery gate before it retires
-    /// anything — drops the frames not yet committed (they belong to
-    /// envelopes being retired; replay must not see them), and returns how
-    /// many envelopes custody still held: the half-processed one and every
-    /// admitted one not yet processed.
-    pub(crate) fn sweep(&mut self) -> (bool, usize) {
-        let gate = !std::mem::replace(&mut self.recovering, true);
+        (self.wal, *store) = (None, DenseStore::with_capacity(0));
         self.buf.clear();
-        let held = usize::from(std::mem::take(&mut self.in_process)) + self.inbox.len();
-        self.inbox.clear();
-        (gate, held)
-    }
-
-    /// Supervisor: the shard is lost for good. True when a recovery was
-    /// pending, whose gate the caller must lift: nobody will finish it.
-    pub(crate) fn abandon(&mut self) -> bool {
-        std::mem::take(&mut self.recovering)
+        let mut header = CkptHeader::default();
+        if cut > 0 {
+            let image = read_checkpoint(&self.root, shard, cut)
+                .and_then(|b| decode_checkpoint::<A>(&b, cut));
+            (header, *store) = or_die(image, "checkpoint read", shard);
+        }
+        (
+            header,
+            or_die(read_wal(&self.root, shard, cut), "WAL read", shard),
+        )
     }
 }
 
 // ---- WAL records -----------------------------------------------------
 
+/// Tag 1 was an envelope frame, logged by the envelope-custody layout
+/// (checkpoint version 4 and before); tag 2 an edge pull without a stream
+/// index, and tag 3 a claimed control sweep.
 const TAG_ENVELOPE: u8 = 1;
-/// A pull with its stream index (tag 2 was an edge pull without one, and
-/// tag 3 a claimed control sweep).
+/// A pull with its stream index.
 const TAG_PULL: u8 = 4;
 
 /// `<root>/shard-<id>/`.
@@ -493,8 +327,8 @@ fn shard_dir(root: &Path, shard: usize) -> PathBuf {
     root.join(format!("shard-{shard}"))
 }
 
-fn wal_path(root: &Path, shard: usize) -> PathBuf {
-    shard_dir(root, shard).join("wal.log")
+fn wal_path(root: &Path, shard: usize, cut: u64) -> PathBuf {
+    shard_dir(root, shard).join(format!("wal-{cut}.log"))
 }
 
 /// The payloads of the valid frames at the front of `bytes`, in order,
@@ -507,97 +341,86 @@ fn frames(mut bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
     })
 }
 
-/// The byte length of the valid frames at the front of `bytes`:
-/// everything after it is a torn tail to truncate.
-fn valid_prefix(bytes: &[u8]) -> u64 {
-    frames(bytes).map(|payload| 8 + payload.len() as u64).sum()
-}
-
-/// A shard's whole WAL; empty when it has none yet.
-fn wal_bytes(root: &Path, shard: usize) -> io::Result<Vec<u8>> {
-    match fs::read(wal_path(root, shard)) {
+/// A file's bytes; empty when it does not exist.
+fn read_or_empty(path: &Path) -> io::Result<Vec<u8>> {
+    match fs::read(path) {
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
         read => read,
     }
 }
 
-/// Opens (creating if needed) a shard's WAL for appending, truncated to
-/// its valid prefix.
-fn open_wal(root: &Path, shard: usize) -> io::Result<File> {
+/// Deletes every WAL and checkpoint file in a shard's directory whose cut
+/// `keep` refuses.
+fn retire(root: &Path, shard: usize, keep: impl Fn(u64) -> bool) -> io::Result<()> {
+    let dir = shard_dir(root, shard);
+    for entry in fs::read_dir(&dir)? {
+        let name = entry?.file_name();
+        let name = name.to_string_lossy();
+        let of_cut = |stem: &str| {
+            let (n, _) = name.strip_prefix(stem)?.split_once('.')?;
+            n.parse::<u64>().ok()
+        };
+        if of_cut("wal-")
+            .or_else(|| of_cut("checkpoint-"))
+            .is_some_and(|n| !keep(n))
+        {
+            fs::remove_file(dir.join(&*name))?;
+        }
+    }
+    Ok(())
+}
+
+/// Opens (creating if needed) a shard's WAL of cut `cut` for appending,
+/// truncated to its valid prefix, and deletes every file of another cut
+/// in the shard's directory.
+fn open_wal(root: &Path, shard: usize, cut: u64) -> io::Result<File> {
     fs::create_dir_all(shard_dir(root, shard))?;
-    let path = wal_path(root, shard);
-    let existing = wal_bytes(root, shard)?;
-    let keep = valid_prefix(&existing);
+    retire(root, shard, |n| n == cut)?;
+    let path = wal_path(root, shard, cut);
+    let keep: u64 = frames(&read_or_empty(&path)?)
+        .map(|p| 8 + p.len() as u64)
+        .sum();
     let mut file = OpenOptions::new()
         .create(true)
-        .truncate(false) // the valid prefix is the whole point
+        .truncate(false)
         .read(true)
         .write(true)
         .open(&path)?;
-    if keep < existing.len() as u64 {
-        file.set_len(keep)?;
-    }
+    file.set_len(keep)?;
     file.seek(SeekFrom::Start(keep))?;
     Ok(file)
 }
 
-/// Parses one frame's payload, its state left encoded: no algorithm code
-/// runs, so the controller can read a WAL before any shard starts. Every
-/// field must be there and nothing after them: a frame of another layout
-/// (one written before the pull and envelope frames lost their 4-byte
-/// epoch, say) fails here instead of being misread.
-fn parse_frame(mut payload: &[u8]) -> io::Result<Replay<&[u8]>> {
+/// Parses one frame's payload. Every field must be there and nothing after
+/// them: a frame of another layout (one written before the pull frame lost
+/// its 4-byte epoch, say) fails here instead of being misread.
+fn parse_frame(mut payload: &[u8]) -> io::Result<(Pull, u64)> {
     let r = &mut payload;
-    let record = match u8::decode(r)? {
+    match u8::decode(r)? {
+        TAG_PULL => {}
         TAG_ENVELOPE => {
-            let kind = u8::decode(r)?;
-            let kind = EventKind::from_u8(kind)
-                .ok_or_else(|| invalid(&format!("unknown envelope kind {kind}")))?;
-            let (target, visitor) = (u64::decode(r)?, u64::decode(r)?);
-            let (weight, tag) = (u64::decode(r)?, u64::decode(r)?);
-            Replay::Envelope(Envelope {
-                target,
-                visitor,
-                value: get_frame(r)?,
-                weight,
-                kind,
-                tag,
-            })
-        }
-        TAG_PULL => {
-            let (op, index) = (u8::decode(r)?, u64::decode(r)?);
-            let words = [u64::decode(r)?, u64::decode(r)?, u64::decode(r)?];
-            let pull =
-                Pull::decode(op, words).ok_or_else(|| invalid(&format!("unknown pull op {op}")))?;
-            Replay::Pull(pull, index)
+            return Err(invalid(
+                "WAL frame tag 1 is an envelope frame of the custody layout; \
+                 this layout logs pull frames only (tag 4)",
+            ))
         }
         t => return Err(invalid(&format!("unknown WAL record tag {t}"))),
-    };
+    }
+    let (op, index) = (u8::decode(r)?, u64::decode(r)?);
+    let words = [u64::decode(r)?, u64::decode(r)?, u64::decode(r)?];
+    let pull = Pull::decode(op, words).ok_or_else(|| invalid(&format!("unknown pull op {op}")))?;
     if !r.is_empty() {
         return Err(invalid("a WAL frame has bytes left over"));
     }
-    Ok(record)
+    Ok((pull, index))
 }
 
-/// Reads and decodes every valid record in a shard's WAL (bounded by the
-/// checkpoint interval, so an in-memory `Vec` is fine). Stops cleanly at a
-/// torn tail.
-fn read_wal<A: Algorithm>(root: &Path, shard: usize) -> io::Result<Vec<Replay<A::State>>> {
-    let bytes = wal_bytes(root, shard)?;
-    frames(&bytes)
-        .map(|payload| {
-            Ok(match parse_frame(payload)? {
-                Replay::Envelope(e) => Replay::Envelope(Envelope {
-                    target: e.target,
-                    visitor: e.visitor,
-                    value: decode_framed(e.value)?,
-                    weight: e.weight,
-                    kind: e.kind,
-                    tag: e.tag,
-                }),
-                Replay::Pull(pull, index) => Replay::Pull(pull, index),
-            })
-        })
+/// Reads every valid pull in a shard's WAL of cut `cut` (bounded by the
+/// cut interval, so an in-memory `Vec` is fine). Stops cleanly at a torn
+/// tail.
+fn read_wal(root: &Path, shard: usize, cut: u64) -> io::Result<Vec<(Pull, u64)>> {
+    frames(&read_or_empty(&wal_path(root, shard, cut))?)
+        .map(parse_frame)
         .collect()
 }
 
@@ -606,57 +429,54 @@ fn read_wal<A: Algorithm>(root: &Path, shard: usize) -> io::Result<Vec<Replay<A:
 const CKPT_MAGIC: u32 = 0x524D_4350; // "RMCP"
 /// Version 2 added the header's stream index; version 3 dropped the
 /// header's and every record's snapshot epoch and the record's fork;
-/// version 4 dropped the neighbour-cache word of every edge.
-const CKPT_VERSION: u32 = 4;
+/// version 4 dropped the neighbour-cache word of every edge; version 5
+/// heads the body with the cut and names the file after it.
+const CKPT_VERSION: u32 = 5;
 
-fn ckpt_path(root: &Path, shard: usize) -> PathBuf {
-    shard_dir(root, shard).join("checkpoint.bin")
+fn ckpt_path(root: &Path, shard: usize, cut: u64) -> PathBuf {
+    shard_dir(root, shard).join(format!("checkpoint-{cut}.bin"))
 }
 
-fn ckpt_tmp_path(root: &Path, shard: usize) -> PathBuf {
-    shard_dir(root, shard).join("checkpoint.tmp")
-}
-
-/// Stage one: write `body` to the shard's `checkpoint.tmp` and fsync it.
-/// Not yet visible to recovery — a crash here abandons the temp file.
-fn stage_checkpoint(root: &Path, shard: usize, body: &[u8]) -> io::Result<()> {
-    fs::create_dir_all(shard_dir(root, shard))?;
-    let mut header = Vec::with_capacity(16);
+/// A checkpoint file: magic, version, the body's CRC and length, the
+/// body.
+fn ckpt_file(body: &[u8]) -> Vec<u8> {
+    let mut file = Vec::with_capacity(16 + body.len());
     for w in [CKPT_MAGIC, CKPT_VERSION, crc32(body), body.len() as u32] {
-        w.encode(&mut header);
+        w.encode(&mut file);
     }
-    let mut f = File::create(ckpt_tmp_path(root, shard))?;
-    f.write_all(&header)?;
-    f.write_all(body)?;
-    f.sync_all()
+    file.extend_from_slice(body);
+    file
 }
 
-/// Stage two: atomically publish the staged checkpoint via rename, then
-/// fsync the directory so the rename itself is durable.
-fn publish_checkpoint(root: &Path, shard: usize) -> io::Result<()> {
-    fs::rename(ckpt_tmp_path(root, shard), ckpt_path(root, shard))?;
-    if let Ok(d) = File::open(shard_dir(root, shard)) {
+/// Writes `bytes` to `path` atomically: to `<path>.tmp`, fsync, rename,
+/// fsync the directory. A crash at any point leaves the old file or the
+/// new one, never a torn one.
+fn publish(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let dir = path.parent().unwrap_or(Path::new("."));
+    fs::create_dir_all(dir)?;
+    let tmp = path.with_extension("tmp");
+    let mut f = File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    fs::rename(&tmp, path)?;
+    if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
     }
     Ok(())
 }
 
-/// Reads the shard's published checkpoint body. `Ok(None)` when no
-/// checkpoint has ever been published; `Err` on corruption (the atomic
-/// publish protocol should make that impossible short of disk damage).
-fn read_checkpoint(root: &Path, shard: usize) -> io::Result<Option<Vec<u8>>> {
-    let bytes = match fs::read(ckpt_path(root, shard)) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
+/// Reads a shard's checkpoint body of cut `cut`, checking its preamble
+/// and CRC. A cut the MANIFEST names has one on every shard: a missing one
+/// is an error.
+fn read_checkpoint(root: &Path, shard: usize, cut: u64) -> io::Result<Vec<u8>> {
+    let bytes = fs::read(ckpt_path(root, shard, cut))?;
     let mut r = &bytes[..];
     let (crc, len) = ckpt_preamble(&mut r)?;
     let body = take(&mut r, len)?;
     if crc32(body) != crc {
         return Err(invalid("checkpoint CRC mismatch"));
     }
-    Ok(Some(body.to_vec()))
+    Ok(body.to_vec())
 }
 
 /// Checks a checkpoint file's magic and version; returns its body's CRC
@@ -674,43 +494,45 @@ fn ckpt_preamble(r: &mut &[u8]) -> io::Result<(u32, usize)> {
     Ok((u32::decode(r)?, u32::decode(r)? as usize))
 }
 
-/// The header's `streamed` of the shard's published checkpoint (0 when it
-/// has none), read without the body: the restore that follows reads the
-/// whole checkpoint and checks its CRC.
-fn checkpoint_streamed(root: &Path, shard: usize) -> io::Result<u64> {
-    // The preamble, then the header's seq, edges and streamed.
-    let mut head = [0u8; 16 + 24];
-    match File::open(ckpt_path(root, shard)) {
-        Ok(mut f) => f.read_exact(&mut head)?,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(e),
-    }
-    let mut r = &head[..];
-    ckpt_preamble(&mut r)?;
-    Ok(decode_header(&mut r)?.streamed)
-}
-
 /// The scalars a checkpoint body starts with.
-struct CkptHeader {
-    seq: u64,
-    edges: u64,
-    /// One past the highest stream index the shard had pulled.
-    streamed: u64,
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CkptHeader {
+    /// The cut this checkpoint belongs to.
+    pub(crate) cut: u64,
+    /// The stream index the engine numbered on from at the cut.
+    pub(crate) next: u64,
+    /// The shard's trigger sequence number.
+    pub(crate) seq: u64,
+    /// Directed edges stored on the shard.
+    pub(crate) edges: u64,
 }
 
-fn decode_header(r: &mut &[u8]) -> io::Result<CkptHeader> {
-    let (seq, edges, streamed) = (u64::decode(r)?, u64::decode(r)?, u64::decode(r)?);
-    Ok(CkptHeader {
+fn decode_header(r: &mut &[u8], cut: u64) -> io::Result<CkptHeader> {
+    let [c, next, seq, edges] = [
+        u64::decode(r)?,
+        u64::decode(r)?,
+        u64::decode(r)?,
+        u64::decode(r)?,
+    ];
+    let header = CkptHeader {
+        cut: c,
+        next,
         seq,
         edges,
-        streamed,
-    })
+    };
+    if header.cut != cut {
+        return Err(invalid(&format!(
+            "checkpoint of cut {} under cut {cut}",
+            header.cut
+        )));
+    }
+    Ok(header)
 }
 
-/// Decodes a checkpoint body into its header and store.
-fn decode_checkpoint<A: Algorithm>(body: &[u8]) -> io::Result<(CkptHeader, Store<A>)> {
+/// Decodes a checkpoint body of cut `cut` into its header and store.
+fn decode_checkpoint<A: Algorithm>(body: &[u8], cut: u64) -> io::Result<(CkptHeader, Store<A>)> {
     let mut r = body;
-    let header = decode_header(&mut r)?;
+    let header = decode_header(&mut r, cut)?;
     let vertices = u64::decode(&mut r)?;
     // The header counts the records that follow; each takes more than a
     // byte, so the body's length bounds the allocation.
@@ -725,26 +547,28 @@ fn decode_checkpoint<A: Algorithm>(body: &[u8]) -> io::Result<(CkptHeader, Store
     Ok((header, store))
 }
 
-/// The stream index a re-opened engine numbers on from: one past the
-/// highest any shard's checkpoint or WAL records it pulled (0 for a fresh
-/// directory, or with durability off). Read before any shard starts, so
-/// the first ingest call after [`crate::Engine::open`] cannot reuse an
-/// index whose label is already in the recovered state. It reads each
-/// checkpoint's header and parses each WAL frame ([`parse_frame`]): no
-/// state is decoded, so no algorithm code runs outside a shard's
-/// supervision, and a frame that does not parse fails the open.
-pub(crate) fn resume_index(config: &EngineConfig) -> Result<u64, String> {
+/// The stream index a re-opened engine numbers on from: the named cut's
+/// `next`, or one past the highest index a WAL of that cut records,
+/// whichever is later (0 for a fresh directory). Read before any shard
+/// starts: it reads each checkpoint's header and parses each WAL frame, no
+/// state is decoded, and a file that does not parse fails the open.
+pub(crate) fn resume_index(config: &EngineConfig, cut: u64) -> Result<u64, String> {
     let Some(d) = &config.durability else {
         return Ok(0);
     };
     let shard_index = |shard: usize| -> io::Result<u64> {
-        let ckpt = checkpoint_streamed(&d.dir, shard)?;
-        frames(&wal_bytes(&d.dir, shard)?).try_fold(ckpt, |next, payload| {
-            Ok(match parse_frame(payload)? {
-                Replay::Pull(_, index) => next.max(index + 1),
-                Replay::Envelope(_) => next,
-            })
-        })
+        let mut next = 0;
+        if cut > 0 {
+            // The preamble, then the header.
+            let mut head = [0u8; 16 + 32];
+            File::open(ckpt_path(&d.dir, shard, cut))?.read_exact(&mut head)?;
+            let mut r = &head[..];
+            ckpt_preamble(&mut r)?;
+            next = decode_header(&mut r, cut)?.next;
+        }
+        Ok(read_wal(&d.dir, shard, cut)?
+            .into_iter()
+            .fold(next, |next, (_, index)| next.max(index + 1)))
     };
     (0..config.num_shards).try_fold(0, |next, shard| {
         shard_index(shard).map(|n| next.max(n)).map_err(|e| {
@@ -758,50 +582,69 @@ pub(crate) fn resume_index(config: &EngineConfig) -> Result<u64, String> {
 
 // ---- engine manifest -------------------------------------------------
 
+/// The MANIFEST's first line. Layout v1 had no `cut=` line.
+const MANIFEST_V2: &str = "remo-manifest v2";
+
 /// The one MANIFEST check, made before any shard starts: reads
 /// `<root>/MANIFEST`, refuses a directory an engine of another shape wrote
 /// (vertex ownership is a function of the shard count — a different count
-/// would silently misassign recovered vertices), and stamps this engine's
-/// shape. `Ok` without touching the disk when durability is off; the
-/// `Err` names the directory and, on a mismatch, both shapes.
-pub(crate) fn claim_manifest(config: &EngineConfig) -> Result<(), String> {
+/// would silently misassign recovered vertices) or an older layout, and
+/// stamps this engine's shape at cut 0 into a fresh directory. Returns the
+/// cut the MANIFEST names; `Ok(0)` without touching the disk when
+/// durability is off. The `Err` names the directory and, on a mismatch,
+/// both shapes or both layouts.
+pub(crate) fn claim_manifest(config: &EngineConfig) -> Result<u64, String> {
     let Some(d) = &config.durability else {
-        return Ok(());
+        return Ok(0);
     };
     let (dir, shards, undirected) = (d.dir.display(), config.num_shards, config.undirected);
     match read_manifest(&d.dir) {
-        Ok(Some((s, u))) if (s, u) != (shards, undirected) => Err(format!(
+        Ok(Some((s, u, _))) if (s, u) != (shards, undirected) => Err(format!(
             "{dir} holds state from a {s}-shard undirected={u} engine, \
              but the config asks for {shards} shards undirected={undirected}"
         )),
+        Ok(Some((_, _, cut))) => Ok(cut),
         Err(e) => Err(format!("cannot read MANIFEST under {dir}: {e}")),
-        _ => fs::create_dir_all(&d.dir)
-            .and_then(|()| {
-                let body = format!("remo-manifest v1\nshards={shards}\nundirected={undirected}\n");
-                fs::write(d.dir.join("MANIFEST"), body)
-            })
+        Ok(None) => write_manifest(config, 0)
+            .map(|()| 0)
             .map_err(|e| format!("cannot write MANIFEST under {dir}: {e}")),
     }
 }
 
-/// Reads `<root>/MANIFEST`: `Ok(None)` when absent (fresh directory).
-fn read_manifest(root: &Path) -> io::Result<Option<(usize, bool)>> {
+/// Names cut `cut` in the MANIFEST of `config`'s directory, atomically.
+pub(crate) fn write_manifest(config: &EngineConfig, cut: u64) -> io::Result<()> {
+    let Some(d) = &config.durability else {
+        return Ok(());
+    };
+    let (shards, undirected) = (config.num_shards, config.undirected);
+    let body = format!("{MANIFEST_V2}\nshards={shards}\nundirected={undirected}\ncut={cut}\n");
+    publish(&d.dir.join("MANIFEST"), body.as_bytes())
+}
+
+/// Reads `<root>/MANIFEST` as `(shards, undirected, cut)`: `Ok(None)` when
+/// absent (fresh directory).
+fn read_manifest(root: &Path) -> io::Result<Option<(usize, bool, u64)>> {
     let text = match fs::read_to_string(root.join("MANIFEST")) {
         Ok(t) => t,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    let mut shards = None;
-    let mut undirected = None;
-    for line in text.lines() {
-        if let Some(v) = line.strip_prefix("shards=") {
-            shards = v.trim().parse::<usize>().ok();
-        } else if let Some(v) = line.strip_prefix("undirected=") {
-            undirected = v.trim().parse::<bool>().ok();
-        }
+    let layout = text.lines().next().unwrap_or_default();
+    if layout != MANIFEST_V2 {
+        return Err(invalid(&format!(
+            "MANIFEST layout {layout:?}, expected {MANIFEST_V2:?}"
+        )));
     }
-    match (shards, undirected) {
-        (Some(s), Some(u)) => Ok(Some((s, u))),
+    let field = |key: &str| {
+        let prefix = format!("{key}=");
+        text.lines()
+            .find_map(|l| l.strip_prefix(&prefix).map(str::trim))
+    };
+    let shards = field("shards").and_then(|v| v.parse().ok());
+    let undirected = field("undirected").and_then(|v| v.parse().ok());
+    let cut = field("cut").and_then(|v| v.parse().ok());
+    match (shards, undirected, cut) {
+        (Some(s), Some(u), Some(c)) => Ok(Some((s, u, c))),
         _ => Err(invalid("malformed MANIFEST")),
     }
 }
@@ -824,23 +667,21 @@ mod tests {
         type Edge = ();
     }
 
-    /// Shard `shard`'s custody under `root`, opened.
-    fn custody(root: &Path, shard: usize) -> Custody<Level> {
-        let config = EngineConfig::directed(shard + 1)
-            .with_durability(DurabilityConfig::new(root).fsync(false));
-        let mut c = Custody::for_shard(&config, shard).unwrap();
-        c.open();
-        c
+    fn config(root: &Path, shards: usize) -> EngineConfig {
+        EngineConfig::directed(shards).with_durability(DurabilityConfig::new(root).fsync(false))
     }
 
-    fn update<S: From<u64>>(target: u64, tag: u64) -> Envelope<S> {
-        Envelope {
-            target,
-            visitor: target + 10,
-            value: S::from(42),
-            weight: 7,
-            kind: EventKind::Update,
-            tag,
+    /// Shard `shard`'s log under `root`.
+    fn log(root: &Path, shard: usize) -> Log {
+        Log::for_shard(&config(root, shard + 1), shard).unwrap()
+    }
+
+    fn header(cut: u64, next: u64) -> CkptHeader {
+        CkptHeader {
+            cut,
+            next,
+            seq: 11,
+            edges: 3,
         }
     }
 
@@ -879,13 +720,14 @@ mod tests {
         }
     }
 
+    /// Pulls log one frame each and read back as logged; a checkpoint of
+    /// the next cut restores its store and header, and the first pull run
+    /// of that cut starts an empty WAL and deletes the older cut's files.
     #[test]
     fn wal_roundtrip_and_reset() {
         let root = tmp_root("roundtrip");
         let mut m = ShardMetrics::default();
-        let mut c = custody(&root, 0);
-        assert!(!c.recovering(), "a fresh directory is no cold start");
-        c.admit([update(10, (99 << 8) | 2)], &mut m);
+        let mut c = log(&root, 0);
         let removal = Pull::Topo(TopoEvent {
             src: 1,
             dst: 2,
@@ -897,93 +739,92 @@ mod tests {
             mask: 0b101,
         });
         let pulls = [(removal, 17), (Pull::Init(6), 18), (flood, 19)];
-        c.log_pulls(pulls.into_iter(), &mut m);
-        assert_eq!(m.wal_records_appended, 4);
-        assert_eq!(m.wal_bytes, fs::metadata(wal_path(&root, 0)).unwrap().len());
-
-        let recs = read_wal::<Level>(&root, 0).unwrap();
-        assert_eq!(recs.len(), 4);
-        let Replay::Envelope(e) = &recs[0] else {
-            panic!("expected envelope record");
-        };
+        c.log_pulls(0, pulls.into_iter(), &mut m);
+        assert_eq!(m.wal_records_appended, 3);
         assert_eq!(
-            (e.kind, e.target, e.visitor, e.weight, e.tag, e.value),
-            (EventKind::Update, 10, 20, 7, (99 << 8) | 2, 42)
+            m.wal_bytes,
+            fs::metadata(wal_path(&root, 0, 0)).unwrap().len()
         );
-        let pulled: Vec<(Pull, u64)> = recs[1..]
-            .iter()
-            .map(|rec| match rec {
-                Replay::Pull(pull, index) => (*pull, *index),
-                Replay::Envelope(_) => panic!("expected pull records"),
-            })
-            .collect();
-        assert_eq!(pulled, pulls);
+        assert_eq!(read_wal(&root, 0, 0).unwrap(), pulls);
 
-        // A checkpoint waits for the admitted envelope, then truncates the
-        // WAL; restore reads its image back.
-        assert!(!c.checkpoint_due(true), "an admitted envelope is custody");
-        assert_eq!(c.take_admitted().map(|e| e.target), Some(10));
-        assert!(c.checkpoint_due(true) && !c.checkpoint_due(false));
         let mut store: DenseStore<u64, ()> = DenseStore::with_capacity(0);
         let h = store.intern(7);
         *store.parts(h).live = 5;
-        c.checkpoint(&store, (11, 3, 18), &mut m);
+        c.checkpoint::<Level>(header(1, 20), &store, &mut m);
         assert_eq!(m.checkpoints_written, 1);
-        assert!(read_wal::<Level>(&root, 0).unwrap().is_empty());
-        let (mut restored, mut seq, mut edges, mut streamed) =
-            (DenseStore::with_capacity(0), 2, 0, 0);
-        assert!(c
-            .restore(&mut restored, &mut seq, &mut edges, &mut streamed)
-            .is_empty());
-        assert_eq!(
-            (seq, edges, streamed, restored.num_vertices()),
-            (11, 3, 18, 1)
-        );
+        let mut restored = DenseStore::with_capacity(0);
+        let (head, replay) = c.restore::<Level>(1, &mut restored);
+        assert_eq!(head, header(1, 20));
+        assert!(replay.is_empty(), "cut 1 has no WAL yet");
         assert_eq!(restored.get(7).map(|(s, _)| *s), Some(5));
+        let (_, replay) = c.restore::<Level>(0, &mut restored);
+        assert_eq!((replay.len(), restored.num_vertices()), (3, 0), "cut 0");
+
+        c.log_pulls(1, [(Pull::Init(8), 20)].into_iter(), &mut m);
+        assert_eq!(read_wal(&root, 0, 1).unwrap(), [(Pull::Init(8), 20)]);
+        assert!(!wal_path(&root, 0, 0).exists(), "cut 0's WAL is gone");
+        assert!(ckpt_path(&root, 0, 1).exists());
+        // A shard that pulls nothing more keeps at most the named cut's
+        // files and the new one's: a checkpoint of cut 3 retires cut 1's.
+        c.checkpoint::<Level>(header(2, 20), &store, &mut m);
+        assert!(ckpt_path(&root, 0, 1).exists() && wal_path(&root, 0, 1).exists());
+        c.checkpoint::<Level>(header(3, 20), &store, &mut m);
+        let left: Vec<_> = fs::read_dir(shard_dir(&root, 0)).unwrap().collect();
+        assert_eq!(left.len(), 2, "checkpoint-2.bin and checkpoint-3.bin");
+        assert!(ckpt_path(&root, 0, 2).exists() && ckpt_path(&root, 0, 3).exists());
         let _ = fs::remove_dir_all(&root);
     }
 
-    /// A re-opened engine numbers on past every stream index a shard's
-    /// checkpoint or WAL records.
+    /// A re-opened engine numbers on past the named cut's stream index and
+    /// every stream index a WAL of that cut records.
     #[test]
     fn resume_index_is_past_every_durable_pull() {
         let root = tmp_root("resume");
-        let config =
-            EngineConfig::directed(2).with_durability(DurabilityConfig::new(&root).fsync(false));
-        assert_eq!(resume_index(&EngineConfig::directed(2)), Ok(0));
-        assert_eq!(resume_index(&config), Ok(0), "a fresh directory");
+        let config = config(&root, 2);
+        assert_eq!(resume_index(&EngineConfig::directed(2), 0), Ok(0));
+        assert_eq!(resume_index(&config, 0), Ok(0), "a fresh directory");
         let mut m = ShardMetrics::default();
         let pull = Pull::Init(1);
-        let mut c = custody(&root, 0);
-        c.checkpoint(&DenseStore::with_capacity(0), (1, 0, 40), &mut m);
-        c.log_pulls([(pull, 7)].into_iter(), &mut m);
-        assert_eq!(resume_index(&config), Ok(40), "the checkpoint's");
-        let mut c = custody(&root, 1);
-        c.log_pulls([(pull, 52), (pull, 9)].into_iter(), &mut m);
-        assert_eq!(resume_index(&config), Ok(53), "shard 1's WAL");
+        let store = DenseStore::with_capacity(0);
+        for shard in 0..2 {
+            log(&root, shard).checkpoint::<Level>(header(1, 40), &store, &mut m);
+        }
+        log(&root, 0).log_pulls(1, [(pull, 7)].into_iter(), &mut m);
+        assert_eq!(resume_index(&config, 1), Ok(40), "the cut's");
+        log(&root, 1).log_pulls(1, [(pull, 52), (pull, 9)].into_iter(), &mut m);
+        assert_eq!(resume_index(&config, 1), Ok(53), "shard 1's WAL");
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// The panic message of shard 0's restore of cut `cut` under `root`,
+    /// which must fail.
+    fn restore_failure(root: &Path, cut: u64) -> String {
+        let mut c = log(root, 0);
+        let mut store = DenseStore::with_capacity(0);
+        let restored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.restore::<Level>(cut, &mut store)
+        }));
+        let Err(err) = restored else {
+            panic!("the restore must fail");
+        };
+        crate::supervision::panic_payload_string(err)
+    }
+
     /// A pull frame whose CRC checks out but whose op byte names no pull
-    /// is corrupt: restore fails rather than replay it as some other pull.
+    /// is corrupt: restore fails rather than re-run it as some other pull.
     #[test]
     fn unknown_pull_op_fails_the_restore() {
         let root = tmp_root("pull-op");
         let mut m = ShardMetrics::default();
-        let mut c = custody(&root, 0);
-        c.log_pulls([(Pull::Init(3), 0)].into_iter(), &mut m);
-        let path = wal_path(&root, 0);
+        log(&root, 0).log_pulls(0, [(Pull::Init(3), 0)].into_iter(), &mut m);
+        let path = wal_path(&root, 0, 0);
         let mut bytes = fs::read(&path).unwrap();
         // The op byte follows the frame header and the tag; re-seal the CRC.
         bytes[9] = 6;
         let crc = crc32(&bytes[8..]);
         bytes[4..8].copy_from_slice(&crc.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
-        assert!(
-            custody(&root, 0).recovering(),
-            "the frame is valid, so this is a cold start"
-        );
-        let message = restore_failure(&root);
+        let message = restore_failure(&root, 0);
         assert!(message.contains("unknown pull op 6"), "{message}");
         let _ = fs::remove_dir_all(&root);
     }
@@ -996,38 +837,26 @@ mod tests {
         frame
     }
 
-    /// The panic message of shard 0's restore under `root`, which must fail.
-    fn restore_failure(root: &Path) -> String {
-        let mut c = custody(root, 0);
-        let (mut store, mut seq, mut edges, mut streamed) = (DenseStore::with_capacity(0), 0, 0, 0);
-        let restored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            c.restore(&mut store, &mut seq, &mut edges, &mut streamed)
-        }));
-        let Err(err) = restored else {
-            panic!("the restore must fail");
-        };
-        crate::supervision::panic_payload_string(err)
-    }
-
-    /// An envelope frame that checks out but whose state bytes are short,
-    /// or have bytes left over, fails the restore with a decode error that
-    /// names the shard under one `durability:` prefix, instead of replaying
-    /// a misread state.
+    /// A checkpoint record whose CRC checks out but whose state bytes are
+    /// short, or have bytes left over, fails the restore with a decode
+    /// error that names the shard under one `durability:` prefix, instead
+    /// of restoring a misread state.
     #[test]
     fn state_bytes_of_the_wrong_length_fail_the_restore() {
         for (len, what) in [(4u32, "truncated payload"), (12, "state bytes left over")] {
             let root = tmp_root("state-len");
-            let mut payload = vec![TAG_ENVELOPE, EventKind::Update.as_u8()];
-            for w in [1u64, 2, 3, 0] {
-                w.encode(&mut payload);
+            let mut body = Vec::new();
+            for w in [1u64, 0, 0, 0, 1, 7] {
+                w.encode(&mut body); // the header, one vertex: 7
             }
-            len.encode(&mut payload);
-            payload.resize(payload.len() + len as usize, 7);
-            fs::create_dir_all(shard_dir(&root, 0)).unwrap();
-            fs::write(wal_path(&root, 0), seal(&payload)).unwrap();
-            let message = restore_failure(&root);
+            0u32.encode(&mut body); // its fired bits
+            len.encode(&mut body);
+            body.resize(body.len() + len as usize, 7);
+            0u32.encode(&mut body); // its degree
+            publish(&ckpt_path(&root, 0, 1), &ckpt_file(&body)).unwrap();
+            let message = restore_failure(&root, 1);
             assert!(
-                message.contains("WAL read failed on shard 0") && message.contains(what),
+                message.contains("checkpoint read failed on shard 0") && message.contains(what),
                 "{message}"
             );
             assert_eq!(message.matches("durability:").count(), 1, "{message}");
@@ -1035,131 +864,87 @@ mod tests {
         }
     }
 
-    /// A pull frame in the layout of checkpoint version 2 and before (a
-    /// 4-byte epoch between the op byte and the stream index) has four
-    /// bytes left over: the read fails, and so does the open, instead of
-    /// replaying a pull at a misread index.
+    /// A WAL of an older layout fails the read, and so does the open,
+    /// instead of re-running a misread pull: a pull frame of checkpoint
+    /// version 2 and before (a 4-byte epoch between the op byte and the
+    /// stream index has four bytes left over), and an envelope frame of
+    /// the custody layout (tag 1, version 4 and before).
     #[test]
     fn an_old_layout_pull_frame_fails_the_read_and_the_open() {
-        let root = tmp_root("old-pull");
         let (op, words) = Pull::Init(3).encode();
-        let mut payload = vec![TAG_PULL, op];
-        0u32.encode(&mut payload); // the epoch
-        5u64.encode(&mut payload);
+        let mut epoch_pull = vec![TAG_PULL, op];
+        0u32.encode(&mut epoch_pull); // the epoch
+        5u64.encode(&mut epoch_pull);
         for w in words {
-            w.encode(&mut payload);
+            w.encode(&mut epoch_pull);
         }
-        let frame = seal(&payload);
-        fs::create_dir_all(shard_dir(&root, 0)).unwrap();
-        fs::write(wal_path(&root, 0), &frame).unwrap();
-        assert_eq!(valid_prefix(&frame), frame.len() as u64, "an intact frame");
-
-        let err = read_wal::<Level>(&root, 0).err().expect("the read fails");
-        assert!(err.to_string().contains("left over"), "{err}");
-        let config =
-            EngineConfig::directed(1).with_durability(DurabilityConfig::new(&root).fsync(false));
-        assert!(resume_index(&config).is_err());
-        let opened = crate::Engine::open(Level, config);
-        assert!(
-            matches!(opened, Err(crate::EngineError::DurabilityMismatch { .. })),
-            "the open must refuse the WAL"
-        );
-        let _ = fs::remove_dir_all(&root);
+        let mut envelope = vec![TAG_ENVELOPE, 3];
+        for w in [1u64, 2, 3, 0] {
+            w.encode(&mut envelope); // target, visitor, weight, trace tag
+        }
+        put_framed(&mut envelope, &42u64);
+        let cases = [
+            (epoch_pull, "left over"),
+            (envelope, "tag 1 is an envelope frame of the custody layout"),
+        ];
+        for (payload, want) in cases {
+            let root = tmp_root("old-frame");
+            let frame = seal(&payload);
+            fs::create_dir_all(shard_dir(&root, 0)).unwrap();
+            fs::write(wal_path(&root, 0, 0), &frame).unwrap();
+            assert_eq!(frames(&frame).count(), 1, "an intact frame");
+            let err = read_wal(&root, 0, 0).expect_err("the read fails");
+            assert!(err.to_string().contains(want), "{err}");
+            match crate::Engine::open(Level, config(&root, 1)) {
+                Err(crate::EngineError::DurabilityMismatch { message }) => {
+                    assert!(message.contains(want), "{message}")
+                }
+                Err(other) => panic!("the open failed for another reason: {other:?}"),
+                Ok(_) => panic!("the open must refuse the WAL"),
+            }
+            let _ = fs::remove_dir_all(&root);
+        }
     }
 
     #[test]
     fn torn_tail_is_truncated_on_open() {
         let root = tmp_root("torn");
         let mut m = ShardMetrics::default();
-        custody(&root, 1).admit([update(5, 0)], &mut m);
+        log(&root, 1).log_pulls(0, [(Pull::Init(5), 0)].into_iter(), &mut m);
         // Simulate a crash mid-append: garbage half-frame at the end.
-        let path = wal_path(&root, 1);
+        let path = wal_path(&root, 1, 0);
         let mut bytes = fs::read(&path).unwrap();
         let good = bytes.len();
         bytes.extend_from_slice(&[0x55; 11]);
         fs::write(&path, &bytes).unwrap();
+        assert_eq!(read_wal(&root, 1, 0).unwrap().len(), 1, "the read stops");
 
-        let mut c = custody(&root, 1);
-        assert!(c.recovering(), "a non-empty WAL is a cold start");
-        assert_eq!(
-            fs::metadata(&path).unwrap().len(),
-            good as u64,
-            "tail truncated"
-        );
-        assert_eq!(read_wal::<Level>(&root, 1).unwrap().len(), 1);
-        // Appends after recovery land where the valid prefix ended.
-        c.admit([update(7, 0)], &mut m);
-        assert_eq!(read_wal::<Level>(&root, 1).unwrap().len(), 2);
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn sweep_retires_held_envelopes_and_drops_uncommitted_frames() {
-        let root = tmp_root("sweep");
-        let mut m = ShardMetrics::default();
-        let mut c = custody(&root, 0);
-        c.admit([update(1, 0), update(2, 0), update(3, 0)], &mut m);
-        assert_eq!(c.take_admitted().map(|e| e.target), Some(1));
-        c.mark_in_process(true);
-        // A frame appended but never committed, as a panic mid-append
-        // leaves it.
-        let start = c.begin_frame(TAG_PULL);
-        c.end_frame(start, &mut m);
-        let (gate, held) = c.sweep();
-        assert!(gate && c.recovering());
-        assert_eq!(held, 3, "the half-processed one and the inbox");
-        assert!(c.take_admitted().is_none());
-        assert_eq!(c.sweep(), (false, 0), "one gate per recovery");
-        c.log_pulls([(Pull::Init(1), 0)].into_iter(), &mut m);
-        assert_eq!(read_wal::<Level>(&root, 0).unwrap().len(), 4);
-        assert!(c.abandon() && !c.abandon());
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn respawn_budget_is_three() {
-        let root = tmp_root("budget");
-        let mut c = custody(&root, 0);
-        assert_eq!(
-            (0..5).filter(|_| c.respawn()).count(),
-            MAX_RESPAWNS as usize
-        );
+        // The next append truncates the tail and lands after the prefix.
+        let mut c = log(&root, 1);
+        c.log_pulls(0, [(Pull::Init(7), 1)].into_iter(), &mut m);
+        assert_eq!(fs::metadata(&path).unwrap().len(), 2 * good as u64);
+        assert_eq!(read_wal(&root, 1, 0).unwrap().len(), 2);
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn checkpoint_staged_then_published_atomically() {
         let root = tmp_root("ckpt");
-        assert_eq!(read_checkpoint(&root, 0).unwrap(), None);
-        stage_checkpoint(&root, 0, b"hello-checkpoint").unwrap();
-        // Staged but unpublished: recovery still sees nothing.
-        assert_eq!(read_checkpoint(&root, 0).unwrap(), None);
-        publish_checkpoint(&root, 0).unwrap();
-        assert_eq!(
-            read_checkpoint(&root, 0).unwrap().as_deref(),
-            Some(&b"hello-checkpoint"[..])
-        );
-        // Re-stage overwrites cleanly.
-        stage_checkpoint(&root, 0, b"v2").unwrap();
-        publish_checkpoint(&root, 0).unwrap();
-        assert_eq!(
-            read_checkpoint(&root, 0).unwrap().as_deref(),
-            Some(&b"v2"[..])
-        );
-        // A crash between stage and publish leaves a staged file nobody
-        // reads; the next stage overwrites it and the publish moves it.
-        stage_checkpoint(&root, 0, b"abandoned-after-staging").unwrap();
-        assert_eq!(
-            read_checkpoint(&root, 0).unwrap().as_deref(),
-            Some(&b"v2"[..])
-        );
-        stage_checkpoint(&root, 0, b"v3").unwrap();
-        publish_checkpoint(&root, 0).unwrap();
-        assert_eq!(
-            read_checkpoint(&root, 0).unwrap().as_deref(),
-            Some(&b"v3"[..])
-        );
-        assert!(!ckpt_tmp_path(&root, 0).exists(), "nothing left staged");
+        let path = ckpt_path(&root, 0, 1);
+        let read = || read_checkpoint(&root, 0, 1).ok();
+        assert_eq!(read(), None);
+        publish(&path, &ckpt_file(b"hello-checkpoint")).unwrap();
+        assert_eq!(read().as_deref(), Some(&b"hello-checkpoint"[..]));
+        // Re-publishing replaces the file whole.
+        publish(&path, &ckpt_file(b"v2")).unwrap();
+        assert_eq!(read().as_deref(), Some(&b"v2"[..]));
+        // A crash between staging and the rename leaves a staged file
+        // nobody reads; the next publish overwrites and moves it.
+        fs::write(path.with_extension("tmp"), b"abandoned-after-staging").unwrap();
+        assert_eq!(read().as_deref(), Some(&b"v2"[..]));
+        publish(&path, &ckpt_file(b"v3")).unwrap();
+        assert_eq!(read().as_deref(), Some(&b"v3"[..]));
+        assert!(!path.with_extension("tmp").exists(), "nothing left staged");
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -1171,12 +956,6 @@ mod tests {
     /// A `u64` whose encoding panics once `ENCODES_LEFT` runs out.
     #[derive(Clone, Copy, Debug, Default, PartialEq)]
     struct Fragile(u64);
-
-    impl From<u64> for Fragile {
-        fn from(v: u64) -> Self {
-            Fragile(v)
-        }
-    }
 
     impl Codec for Fragile {
         fn encode(&self, out: &mut Vec<u8>) {
@@ -1196,96 +975,90 @@ mod tests {
         type Edge = ();
     }
 
-    /// A checkpoint that dies while it encodes the store publishes nothing
-    /// and resets nothing: recovery still reads the previous checkpoint
-    /// and the whole WAL, and the next checkpoint publishes.
+    /// A checkpoint that dies while it encodes the store writes nothing:
+    /// the previous cut's checkpoint and WAL still restore, and the next
+    /// attempt at the cut writes it.
     #[test]
     fn panic_while_checkpointing_keeps_previous_checkpoint_and_wal() {
         let root = tmp_root("ckpt-panic");
-        let config =
-            EngineConfig::directed(1).with_durability(DurabilityConfig::new(&root).fsync(false));
-        let mut c = Custody::<FragileLevel>::for_shard(&config, 0).unwrap();
-        c.open();
+        let mut c = log(&root, 0);
         let mut m = ShardMetrics::default();
         let mut store: DenseStore<Fragile, ()> = DenseStore::with_capacity(0);
         let h = store.intern(7);
         *store.parts(h).live = Fragile(5);
-        c.checkpoint(&store, (1, 0, 0), &mut m);
+        c.checkpoint::<FragileLevel>(header(1, 0), &store, &mut m);
+        c.log_pulls(1, [(Pull::Init(8), 0)].into_iter(), &mut m);
 
-        c.admit([update(8, 0)], &mut m);
-        c.take_admitted();
         let h = store.intern(8);
         *store.parts(h).live = Fragile(42);
         ENCODES_LEFT.store(1, Relaxed);
         let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            c.checkpoint(&store, (2, 0, 0), &mut m);
+            c.checkpoint::<FragileLevel>(header(2, 0), &store, &mut m);
         }));
         assert!(crashed.is_err(), "the second state's encoding panics");
         assert_eq!(m.checkpoints_written, 1);
-        assert!(c.checkpoint_due(true), "the WAL still holds the admission");
+        assert!(!ckpt_path(&root, 0, 2).exists());
 
-        let (mut restored, mut seq, mut edges, mut streamed) =
-            (DenseStore::with_capacity(0), 0, 0, 0);
-        let replay = c.restore(&mut restored, &mut seq, &mut edges, &mut streamed);
-        assert_eq!((seq, restored.num_vertices()), (1, 1), "the first image");
-        assert!(
-            matches!(&replay[..], [Replay::Envelope(e)] if e.target == 8),
-            "the WAL was not reset"
-        );
+        let mut restored = DenseStore::with_capacity(0);
+        let (_, replay) = c.restore::<FragileLevel>(1, &mut restored);
+        assert_eq!(restored.num_vertices(), 1, "the first image");
+        assert_eq!(replay, [(Pull::Init(8), 0)], "and its WAL");
 
         ENCODES_LEFT.store(u64::MAX, Relaxed);
-        c.checkpoint(&store, (3, 0, 0), &mut m);
+        c.checkpoint::<FragileLevel>(header(2, 0), &store, &mut m);
         assert_eq!(m.checkpoints_written, 2);
-        let replay = c.restore(&mut restored, &mut seq, &mut edges, &mut streamed);
+        let (_, replay) = c.restore::<FragileLevel>(2, &mut restored);
         assert!(replay.is_empty());
-        assert_eq!((seq, restored.num_vertices()), (3, 2));
         assert_eq!(restored.get(8).map(|(s, _)| *s), Some(Fragile(42)));
         let _ = fs::remove_dir_all(&root);
     }
 
-    /// A checkpoint of the version before this one (three words an edge)
-    /// is refused by its version word, before any of its body is decoded:
-    /// the read names both versions, and the open fails with it.
+    /// A checkpoint of the version before this one, and a MANIFEST of the
+    /// layout before this one, are refused before anything is decoded: the
+    /// read names the version or layout found and the one expected, and
+    /// the open fails with it.
     #[test]
     fn an_old_version_checkpoint_fails_the_read_and_the_open() {
-        let root = tmp_root("ckpt-v3");
-        let mut body = Vec::new();
-        for w in [1u64, 0, 7] {
-            w.encode(&mut body); // seq, edges, streamed
-        }
-        stage_checkpoint(&root, 0, &body).unwrap();
-        publish_checkpoint(&root, 0).unwrap();
-        let path = ckpt_path(&root, 0);
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
-
-        let want = format!("bad checkpoint version 3, expected {CKPT_VERSION}");
-        let err = read_checkpoint(&root, 0).unwrap_err();
-        assert_eq!(err.to_string(), want);
-        let config =
-            EngineConfig::directed(1).with_durability(DurabilityConfig::new(&root).fsync(false));
-        match crate::Engine::open(Level, config) {
-            Err(crate::EngineError::DurabilityMismatch { message }) => {
-                assert!(message.contains(&want), "{message}")
-            }
+        let refusal = |root: &Path| match crate::Engine::open(Level, config(root, 1)) {
+            Err(crate::EngineError::DurabilityMismatch { message }) => message,
             Err(other) => panic!("the open failed for another reason: {other:?}"),
-            Ok(_) => panic!("the open must refuse a version-3 checkpoint"),
+            Ok(_) => panic!("the open must refuse the directory"),
+        };
+        let root = tmp_root("ckpt-v4");
+        write_manifest(&config(&root, 1), 1).unwrap();
+        let mut body = Vec::new();
+        for w in [1u64, 7, 1, 0, 0] {
+            w.encode(&mut body); // cut, next, seq, edges, vertices
         }
+        let mut file = ckpt_file(&body);
+        file[4..8].copy_from_slice(&4u32.to_le_bytes());
+        fs::create_dir_all(shard_dir(&root, 0)).unwrap();
+        fs::write(ckpt_path(&root, 0, 1), &file).unwrap();
+        let want = format!("bad checkpoint version 4, expected {CKPT_VERSION}");
+        let err = read_checkpoint(&root, 0, 1).unwrap_err();
+        assert_eq!(err.to_string(), want);
+        let message = refusal(&root);
+        assert!(message.contains(&want), "{message}");
+
+        let v1 = "remo-manifest v1\nshards=1\nundirected=false\n";
+        fs::write(root.join("MANIFEST"), v1).unwrap();
+        let want = r#"MANIFEST layout "remo-manifest v1", expected "remo-manifest v2""#;
+        assert_eq!(read_manifest(&root).unwrap_err().to_string(), want);
+        let message = refusal(&root);
+        assert!(message.contains(want), "{message}");
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn corrupt_checkpoint_is_an_error() {
         let root = tmp_root("ckpt-corrupt");
-        stage_checkpoint(&root, 2, b"payload").unwrap();
-        publish_checkpoint(&root, 2).unwrap();
-        let path = shard_dir(&root, 2).join("checkpoint.bin");
+        let path = ckpt_path(&root, 2, 3);
+        publish(&path, &ckpt_file(b"payload")).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
-        assert!(read_checkpoint(&root, 2).is_err());
+        assert!(read_checkpoint(&root, 2, 3).is_err());
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -1294,16 +1067,21 @@ mod tests {
         let root = tmp_root("manifest");
         let durable =
             |shards| EngineConfig::undirected(shards).with_durability(DurabilityConfig::new(&root));
-        assert_eq!(claim_manifest(&EngineConfig::undirected(4)), Ok(()));
+        assert_eq!(claim_manifest(&EngineConfig::undirected(4)), Ok(0));
         assert_eq!(read_manifest(&root).unwrap(), None);
-        assert_eq!(claim_manifest(&durable(4)), Ok(()));
-        assert_eq!(read_manifest(&root).unwrap(), Some((4, true)));
-        assert_eq!(claim_manifest(&durable(4)), Ok(()));
+        assert_eq!(claim_manifest(&durable(4)), Ok(0));
+        assert_eq!(read_manifest(&root).unwrap(), Some((4, true, 0)));
+        write_manifest(&durable(4), 6).unwrap();
+        assert_eq!(
+            claim_manifest(&durable(4)),
+            Ok(6),
+            "the claim keeps the cut"
+        );
         let err = claim_manifest(&durable(3)).unwrap_err();
         assert!(err.contains("4-shard undirected=true") && err.contains("3 shards"));
         assert_eq!(
             read_manifest(&root).unwrap(),
-            Some((4, true)),
+            Some((4, true, 6)),
             "not overwritten"
         );
         let _ = fs::remove_dir_all(&root);

@@ -444,9 +444,9 @@ fn fault_free_run_is_clean_under_supervised_api() {
     assert_eq!(result.states.get(1), Some(&2));
     let total = result.metrics.total();
     assert_eq!(total.envelopes_undeliverable, 0);
-    assert_eq!(total.envelopes_recovered, 0);
+    assert_eq!(total.envelopes_discarded, 0);
     // Satellite (a): sent = processed + dominated + undeliverable +
-    // recovered on every clean quiesced harvest.
+    // discarded on every clean quiesced harvest.
     result.metrics.verify_balance().unwrap();
 }
 
@@ -538,7 +538,7 @@ fn baseline_fixpoint(pairs: &[(VertexId, VertexId)]) -> Vec<(VertexId, u64)> {
     let result = engine.try_finish().unwrap();
     assert!(!result.is_degraded());
     // `MaxLabel` implements `absorbs`, so every run in this suite retires
-    // envelopes unprocessed: containment, respawn and the balance
+    // envelopes unprocessed: containment, rollback and the balance
     // equation are exercised with the filter doing real work.
     let total = result.metrics.total();
     assert!(
@@ -556,12 +556,12 @@ fn durable_chaos_config(dir: &PathBuf, checkpoint_every: u64) -> EngineConfig {
     )
 }
 
-/// Tentpole acceptance: a shard that panics mid-run is respawned in
-/// place — checkpoint restore + WAL replay — and the run finishes
+/// A shard that panics mid-run rolls the engine back — every shard
+/// restores the last cut and re-runs its WAL — and the run finishes
 /// *clean*: no degraded harvest, no failure report, and a fixpoint
 /// byte-identical to an uninterrupted run. The old behavior (harvest
 /// survivors, lose the shard) now applies only when durability is off or
-/// the respawn budget is exhausted.
+/// the rollback budget is exhausted.
 #[test]
 fn panicked_shard_respawns_and_converges_byte_identically() {
     let pairs = chain_pairs(24);
@@ -577,35 +577,32 @@ fn panicked_shard_respawns_and_converges_byte_identically() {
         .expect("recovered run must finish clean");
     assert!(
         !result.is_degraded(),
-        "respawned shard must not degrade the harvest: {:?}",
+        "a rolled-back engine must not degrade the harvest: {:?}",
         result.failures
     );
     let total = result.metrics.total();
-    assert!(
-        result.metrics.per_shard[1].shard_respawns >= 1,
-        "shard 1 must have been respawned"
+    assert_eq!(total.rollbacks, 1, "shard 1 must have rolled back");
+    assert_eq!(
+        total.wal_records_appended, total.topo_ingested,
+        "one per pull"
     );
     assert!(
-        total.wal_records_appended > 0,
-        "custody must have been logged"
-    );
-    assert!(
-        total.envelopes_recovered >= 1,
-        "the panicked envelope is swept"
+        total.envelopes_discarded >= 1,
+        "the panicked envelope is discarded"
     );
     assert_eq!(
         fixpoint(&result.states),
         want,
         "recovery must converge to the byte-identical fixpoint"
     );
-    // The books close exactly even across the sweep/replay cycle.
+    // The books close exactly even across the rollback.
     result.metrics.verify_balance().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Greets the other end of every new edge with an `Update` stamped with
 /// its own id, and poisons a vertex that receives a stamp that is not its
-/// visitor's. Replay repeats greetings, and a repeat is harmless; an
+/// visitor's. A re-run repeats greetings, and a repeat is harmless; an
 /// update routed under the wrong visitor is not, unlike in the label
 /// lattices above, which absorb any stale value.
 struct Stamped;
@@ -643,10 +640,10 @@ impl Algorithm for Stamped {
 }
 
 /// A callback that panics with output queued leaves that output behind:
-/// the post-panic sweep must drop it, because replay queues it again.
-/// Kept, it would go out after the first replayed callback as that
-/// vertex's — here the third pulled `Add` (at vertex 4) panics with its
-/// greeting to 5 queued, and replay's first callback is the `Add` at 0.
+/// the rollback must drop it, because the re-run queues it again. Kept,
+/// it would go out after the first re-run callback as that vertex's —
+/// here the third pulled `Add` (at vertex 4) panics with its greeting to
+/// 5 queued, and the re-run's first callback is the `Add` at 0.
 #[test]
 fn a_panic_with_queued_output_routes_none_of_it_after_recovery() {
     let pairs: Vec<(VertexId, VertexId)> = (0..8).map(|i| (2 * i, 2 * i + 1)).collect();
@@ -664,7 +661,7 @@ fn a_panic_with_queued_output_routes_none_of_it_after_recovery() {
     engine.try_ingest_pairs(&pairs).unwrap();
     let result = engine.try_finish().expect("a recovered run finishes clean");
     assert!(!result.is_degraded(), "{:?}", result.failures);
-    assert_eq!(result.metrics.total().shard_respawns, 1);
+    assert_eq!(result.metrics.total().rollbacks, 1);
     let poisoned: Vec<VertexId> = result
         .states
         .iter()
@@ -680,31 +677,22 @@ fn a_panic_with_queued_output_routes_none_of_it_after_recovery() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Chaos × tracing: a respawned shard must resume span recording into
-/// the same ring (the rings live in the telemetry plane, which survives
-/// the shard thread), replayed envelopes must surface as `Replay` spans —
-/// marked, never double-counted as fresh amplification — and the traced,
-/// recovered fixpoint must stay byte-identical to an unfaulted run. Every
-/// chaos engine traces; this test is the one that makes a replay carry
-/// tags.
+/// Chaos × tracing: a rolled-back engine resumes span recording into the
+/// same rings (they live in the telemetry plane, which survives the
+/// unwind), and the traced, recovered fixpoint stays byte-identical to an
+/// unfaulted run. The re-run is untraced: it mints no root and no span of
+/// a sampled pull's tree, so the roots are exactly the live run's.
 #[test]
-fn respawned_shard_resumes_tracing_and_marks_replays() {
+fn a_rolled_back_engine_resumes_tracing() {
     // Each shard's stream is 128 pulls, so each mints two roots: the last
     // pull of each of its two pull runs.
     let pairs = chain_pairs(256);
     let want = baseline_fixpoint(&pairs);
-    let dir = durable_dir("trace-respawn");
-    // No checkpoint before the panic: everything shard 1 accepted is
-    // replayed from the WAL, and its own topology pulls replay untagged
-    // by design, so a Replay span needs a tagged envelope that shard 1
-    // admitted (and custody-logged, tag included) from shard 0 before it
-    // died — such as the `Add` or `ReverseAdd` a shard-0 root sends
-    // across with its pull run's batch. The later the panic, the surer
-    // that is, so it is set at the last callback the run is certain to
-    // reach: shard 1 runs one `on_add` per chain edge whose lower end it
-    // owns and one `on_reverse_add` per edge whose upper end it owns,
-    // `on_update`s aside (their number depends on the interleaving). It
-    // cannot get there on its own stream's work alone.
+    let dir = durable_dir("trace-rollback");
+    // The panic is set at the last callback the run is certain to reach:
+    // shard 1 runs one `on_add` per chain edge whose lower end it owns and
+    // one `on_reverse_add` per edge whose upper end it owns, `on_update`s
+    // aside (their number depends on the interleaving).
     let p = Partitioner::new(2);
     let certain = pairs
         .iter()
@@ -727,29 +715,20 @@ fn respawned_shard_resumes_tracing_and_marks_replays() {
         "tracing + recovery must not perturb the fixpoint"
     );
     let total = result.metrics.total();
-    assert!(
-        result.metrics.per_shard[1].shard_respawns >= 1,
-        "the injected panic must respawn shard 1"
-    );
+    assert_eq!(total.rollbacks, 1, "the injected panic must roll back");
     assert_eq!(total.trace_roots, 4, "two sampled pulls per shard");
     assert!(
         result.metrics.per_shard[1].trace_spans > 0,
-        "the respawned shard must have resumed span recording"
+        "the panicked shard must have resumed span recording"
     );
     assert!(
         !traces.is_empty(),
-        "the trace plane must survive the respawn"
-    );
-    let replayed: u64 = traces.iter().map(|t| t.replayed).sum();
-    assert!(
-        replayed >= 1,
-        "WAL replay of tagged envelopes must surface as Replay spans"
+        "the trace plane must survive the rollback"
     );
     let amplification: u64 = traces.iter().map(|t| t.amplification).sum();
     assert!(
         amplification <= total.envelopes_sent,
-        "replays must not inflate amplification past the engine's own send count \
-         ({amplification} traced sends vs {} total)",
+        "traced sends ({amplification}) must be a subset of the engine's ({})",
         total.envelopes_sent
     );
     result.metrics.verify_balance().unwrap();
@@ -757,27 +736,26 @@ fn respawned_shard_resumes_tracing_and_marks_replays() {
 }
 
 /// Satellite: the twice-dying shard. The first panic hits the live event
-/// loop; the second hits *recovery itself*: replay re-runs the callbacks,
-/// and the first of them spends the second panic of the budget. The
-/// supervisor re-sweeps and re-replays from the checkpoint, and the run
-/// still converges byte-identically.
+/// loop; the second hits *recovery itself*: the re-run repeats the
+/// callbacks, and the first of them past the fault spends its second
+/// panic. A second rollback re-runs the log again, and the run still
+/// converges byte-identically.
 #[test]
 fn panic_during_replay_recovers_on_second_attempt() {
     let pairs = chain_pairs(24);
     let want = baseline_fixpoint(&pairs);
     let dir = durable_dir("replay-panic");
-    // No checkpoint before the panic: the whole history is in the WAL,
-    // so replay re-runs every callback the shard ran, the fifth included.
+    // No cut before the panic: the whole history is in the WAL, so the
+    // re-run repeats every callback the shard ran, the fifth included.
     let algo = Faulty::on(1, MaxLabel).panic_at(5).repeat(2);
     let engine = Engine::new(algo, durable_chaos_config(&dir, 100_000));
     engine.try_ingest_pairs(&pairs).unwrap();
     let result = engine.try_finish().expect("second recovery must succeed");
     assert!(!result.is_degraded(), "failures: {:?}", result.failures);
     let total = result.metrics.total();
-    assert!(
-        result.metrics.per_shard[1].shard_respawns >= 2,
-        "one respawn for the live panic, one for the replay panic; got {}",
-        total.shard_respawns
+    assert_eq!(
+        total.rollbacks, 2,
+        "one rollback for the live panic, one for the re-run's"
     );
     assert!(total.replayed_records >= 1);
     assert_eq!(fixpoint(&result.states), want);
@@ -785,7 +763,7 @@ fn panic_during_replay_recovers_on_second_attempt() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Satellite: when the respawn budget is exhausted (a deterministic
+/// Satellite: when the rollback budget is exhausted (a deterministic
 /// poison-pill fault that re-fires after every recovery), the shard
 /// degrades exactly as the pre-durability engine did: permanent failure
 /// on the board, survivors harvested.
@@ -835,8 +813,8 @@ fn cold_restart_resumes_and_matches_uninterrupted_run() {
         engine.try_ingest_pairs(first).unwrap();
         let result = engine.try_finish().unwrap();
         assert!(!result.is_degraded());
-        // Shutdown force-checkpointed: every shard's durable image is
-        // complete and its WAL is empty.
+        // `try_finish` took a final cut: every shard's checkpoint holds
+        // everything, and the reopen re-runs no pull.
         assert!(result.metrics.total().checkpoints_written >= 1);
     }
     let engine = Engine::open(MaxLabel, config()).expect("manifest must validate");
@@ -896,19 +874,18 @@ fn durability_off_keeps_seed_behavior_and_zero_counters() {
     assert_eq!(total.wal_bytes, 0);
     assert_eq!(total.checkpoints_written, 0);
     assert_eq!(total.replayed_records, 0);
-    assert_eq!(total.shard_respawns, 0);
-    assert_eq!(total.envelopes_recovered, 0);
+    assert_eq!(total.rollbacks, 0);
+    assert_eq!(total.envelopes_discarded, 0);
 }
 
-// ---- registry: multi-query columns across respawn --------------------
+// ---- registry: multi-query columns across a rollback -----------------
 
 /// Min-label propagation (components by min id, labels offset by one so
 /// the bottom `0` reads "unlabelled"). A second idempotent lattice with a
 /// *different* join direction from [`MaxLabel`]: the registry recovery
-/// test runs both as live columns of one engine, so a respawn that mixed
-/// columns up — or replayed one query's WAL records into the other's
-/// slot — would push a max-flavored label into the min lattice and break
-/// the byte-identity assertion.
+/// test runs both as live columns of one engine, so a rollback that mixed
+/// columns up would push a max-flavored label into the min lattice and
+/// break the byte-identity assertion.
 struct MinLabel;
 
 impl MinLabel {
@@ -957,12 +934,12 @@ impl Algorithm for MinLabel {
 }
 
 /// Registry × durability × chaos: a shard that panics while N queries are
-/// live must come back with **every** query column intact — checkpoint
-/// restore and WAL replay recover the whole multi-column vertex state,
-/// and the attach control sweeps logged before the crash replay
-/// idempotently. After recovery the registry must still be fully alive:
-/// a *late* attach backfills from the respawned shard's restored
-/// adjacency and lands on the watched-whole-stream fixpoint.
+/// live must come back with **every** query column intact — the
+/// rollback's restore and re-run recover the whole multi-column vertex
+/// state, the attach control sweeps logged before the crash among it.
+/// After recovery the registry must still be fully alive: a *late* attach
+/// backfills from the restored adjacency and lands on the
+/// watched-whole-stream fixpoint.
 #[test]
 fn respawned_shard_recovers_all_query_columns() {
     let pairs = chain_pairs(24);
@@ -988,31 +965,32 @@ fn respawned_shard_recovers_all_query_columns() {
     engine
         .try_await_quiescence()
         .expect("recovered multi-query run must quiesce clean");
-    // Live attach *after* the panic + respawn: the prime sweep reads the
-    // respawned shard's recovered adjacency, so a hole in its store would
-    // surface here as a short column.
+    // Live attach *after* the panic and rollback: the prime sweep reads the
+    // recovered adjacency, so a hole in a store would surface here as a
+    // short column.
     let q_late = reg.attach(&engine, MaxLabel, &[], "max-late").unwrap();
     let result = engine
         .try_finish()
         .expect("recovered multi-query run must finish clean");
     assert!(
         !result.is_degraded(),
-        "respawned shard must not degrade the harvest: {:?}",
+        "a rolled-back engine must not degrade the harvest: {:?}",
         result.failures
     );
-    assert!(
-        result.metrics.per_shard[1].shard_respawns >= 1,
-        "shard 1 must have been respawned"
+    assert_eq!(
+        result.metrics.total().rollbacks,
+        1,
+        "shard 1 must have rolled back"
     );
     assert_eq!(
         fixpoint(&reg.project(&result.states, q_max)),
         want_max,
-        "max column must survive the respawn byte-identically"
+        "max column must survive the rollback byte-identically"
     );
     assert_eq!(
         fixpoint(&reg.project(&result.states, q_min)),
         want_min,
-        "min column must survive the respawn byte-identically"
+        "min column must survive the rollback byte-identically"
     );
     assert_eq!(
         fixpoint(&reg.project(&result.states, q_late)),
@@ -1063,9 +1041,9 @@ fn attach_on_a_degraded_engine_skips_the_dead_shard() {
     );
 }
 
-/// Replay sweeps what the run swept. A warm respawn here restores a
-/// checkpoint older than the attach's Prime, whose primed bit is already
-/// set in memory, so the replayed Prime must sweep all the same. Shard 1
+/// The re-run sweeps what the run swept. A rollback here restores a cut
+/// older than the attach's Prime, whose primed bit is already set in
+/// memory, so the re-run Prime must sweep all the same. Shard 1
 /// panics in the first callback after its Prime sweep, when the flood
 /// reaches it; the pair `(a, b)` lives on shard 1 alone, so its label
 /// comes from shard 1's Prime and from nothing else.
@@ -1077,7 +1055,7 @@ fn replay_reprimes_a_column_its_checkpoint_predates() {
     let pairs: Vec<_> = std::iter::once((a, b)).chain(chain_pairs(24)).collect();
     let want = baseline_fixpoint(&pairs);
     let dir = durable_dir("reprime");
-    // The first engine leaves a checkpoint and an empty WAL.
+    // The first engine's final cut leaves a checkpoint and an empty WAL.
     let engine = Engine::new(
         QueryRegistry::<u64>::new(),
         durable_chaos_config(&dir, 1 << 20),
@@ -1104,6 +1082,6 @@ fn replay_reprimes_a_column_its_checkpoint_predates() {
     let result = engine.try_finish().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
     assert!(!result.is_degraded(), "{:?}", result.failures);
-    assert_eq!(result.metrics.per_shard[1].shard_respawns, 1);
+    assert_eq!(result.metrics.total().rollbacks, 1);
     assert_eq!(fixpoint(&reg.project(&result.states, q)), want);
 }

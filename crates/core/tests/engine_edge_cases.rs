@@ -652,8 +652,8 @@ fn an_init_takes_a_stream_index() {
     assert_eq!(seq.metrics().topo_ingested, 5);
 }
 
-/// An init's index is durable like an edge's: a shard's checkpoint
-/// records it, so a re-opened engine numbers on past it.
+/// An init's index is durable like an edge's: the final cut records the
+/// stream index after it, so a re-opened engine numbers on past it.
 #[test]
 fn a_reopened_engine_numbers_on_past_an_init() {
     let dir = std::env::temp_dir().join(format!("remo-init-index-{}", std::process::id()));
@@ -663,7 +663,7 @@ fn a_reopened_engine_numbers_on_past_an_init() {
     let engine = Engine::new(Indexed, config());
     engine.try_init_vertex(100).unwrap();
     let r = engine.try_finish().unwrap();
-    assert_eq!(r.metrics.total().checkpoints_written, 1);
+    assert_eq!(r.metrics.total().checkpoints_written, 2, "one per shard");
     let engine = Engine::open(Indexed, config()).unwrap();
     engine.try_ingest_pairs(&[(1, 2)]).unwrap();
     let r = engine.try_finish().unwrap();

@@ -1,34 +1,29 @@
 //! Randomised recovery-equivalence suite: for a spread of generated
 //! graphs, shard counts, checkpoint intervals, and mid-stream panic
 //! points (the panicking shard's n-th callback, [`faults::Faulty`]), a
-//! durable run that loses a shard and recovers it (checkpoint restore +
-//! WAL replay) must be indistinguishable from an uninterrupted run —
-//! byte-identical vertex states, the same trigger-fire set, and exactly
-//! balanced termination books — and must show the respawn that proves
-//! its panic fired.
+//! durable run whose shard panics and rolls the engine back (every shard
+//! restores the last cut and re-runs its WAL) must be indistinguishable
+//! from an uninterrupted run — byte-identical vertex states, the same
+//! trigger-fire set, and exactly balanced termination books — and must
+//! show the one rollback that proves its panic fired.
 //!
 //! Deterministic by construction: a fixed-seed xorshift generator drives
 //! every random draw, and the 8 case indices visit every shard count
 //! twice, so failures reproduce by case number with no shrinking
 //! machinery needed.
 //!
-//! Grid: 1–4 shards (1 = the recovering shard is the whole engine, so no
-//! peer holds custody of anything; 4 = replay races live peers, and the
-//! respawned shard must re-attach to its lanes) × two drawn scenarios
-//! (graph, panic point, checkpoint interval) per shard count.
+//! Grid: 1–4 shards (1 = the panicking shard is the whole engine; 4 =
+//! every shard discards its lanes and re-runs its log at once) × two
+//! drawn scenarios (graph, panic point, checkpoint interval) per shard
+//! count.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// `(states, deduplicated fire keys, raw fire count, per-shard respawns)`
-/// from one run.
-type RunOutputs = (
-    Vec<(VertexId, u64)>,
-    BTreeSet<(usize, VertexId)>,
-    u64,
-    Vec<u64>,
-);
+/// `(states, deduplicated fire keys, raw fire count, rollbacks)` from one
+/// run.
+type RunOutputs = (Vec<(VertexId, u64)>, BTreeSet<(usize, VertexId)>, u64, u64);
 
 use remo_core::{
     Algorithm, DurabilityConfig, EngineBuilder, EngineConfig, Partitioner, Snapshot, VertexId,
@@ -126,11 +121,9 @@ fn fixpoint(states: &Snapshot<u64>) -> Vec<(VertexId, u64)> {
 /// Runs one engine to its fixpoint and returns `(states, fire keys)`.
 /// Trigger delivery across a crash is at-least-once with dedup key
 /// `(trigger, vertex)` (see DESIGN.md §14): a fire delivered between the
-/// last checkpoint and a panic is regenerated by replay because the
-/// per-vertex fired bit only persists at checkpoints. Equivalence is
-/// therefore asserted on the deduplicated key set, and the recovered run
-/// additionally asserts the duplication is bounded by what replay can
-/// regenerate.
+/// last cut and a panic fires again when the rollback re-runs the log,
+/// because the per-vertex fired bit only persists at cuts. Equivalence is
+/// therefore asserted on the deduplicated key set.
 fn run_engine<A: Algorithm<State = u64>>(
     case: &Case,
     algo: A,
@@ -163,12 +156,11 @@ fn run_engine<A: Algorithm<State = u64>>(
         );
     }
     result.metrics.verify_balance().unwrap();
-    let respawns = result.metrics.per_shard.iter();
     (
         fixpoint(&result.states),
         fires.into_iter().collect(),
         raw,
-        respawns.map(|m| m.shard_respawns).collect(),
+        result.metrics.total().rollbacks,
     )
 }
 
@@ -205,11 +197,8 @@ fn recovered_runs_match_uninterrupted_runs() {
                 .checkpoint_every(case.checkpoint_every)
                 .fsync(false),
         );
-        let (got_states, got_fires, _, respawns) = run_engine(&case, faulty(&case), config, true);
-        assert!(
-            respawns[case.panic_shard] >= 1,
-            "case {idx}: the panic never fired: respawns {respawns:?}"
-        );
+        let (got_states, got_fires, _, rollbacks) = run_engine(&case, faulty(&case), config, true);
+        assert_eq!(rollbacks, 1, "case {idx}: one panic, one rollback");
 
         assert_eq!(
             got_states, want_states,
@@ -224,8 +213,8 @@ fn recovered_runs_match_uninterrupted_runs() {
     }
 }
 
-/// The same grid without faults: durability alone (WAL + checkpoints, no
-/// panic, no replay) must be invisible in every observable output.
+/// The same grid without faults: durability alone (WAL + cuts, no panic,
+/// no rollback) must be invisible in every observable output.
 #[test]
 fn durable_fault_free_runs_match_plain_runs() {
     let mut rng = Rng::new(0xBADC0FFE);
@@ -239,7 +228,8 @@ fn durable_fault_free_runs_match_plain_runs() {
                 .checkpoint_every(case.checkpoint_every)
                 .fsync(false),
         );
-        let (got_states, got_fires, got_raw, _) = run_engine(&case, MaxLabel, config, true);
+        let (got_states, got_fires, got_raw, rollbacks) = run_engine(&case, MaxLabel, config, true);
+        assert_eq!(rollbacks, 0, "case {idx}");
         assert_eq!(
             got_states, want_states,
             "case {idx}: durable fixpoint diverged"
@@ -251,7 +241,7 @@ fn durable_fault_free_runs_match_plain_runs() {
         assert_eq!(
             got_fires.len() as u64,
             got_raw,
-            "case {idx}: no replay happened, so no duplicate fires are admissible"
+            "case {idx}: nothing re-ran, so no duplicate fires are admissible"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -261,10 +251,10 @@ fn durable_fault_free_runs_match_plain_runs() {
 /// draining, so a callback panic unwinding between the claim and the drain
 /// used to strand delivered batches in the rings — invisible to the bit
 /// probe, wedging quiescence (~1 in 4 runs of this exact scenario on the
-/// host that found it, ~1 in 15 on a 2-core one). The claimed lane ids
-/// now outlive the unwind and the respawned worker finishes the drain.
-/// The case is the sparse 4-shard graph that originally exposed it;
-/// iterate to give the race room.
+/// host that found it, ~1 in 15 on a 2-core one). A rollback now drains
+/// every inbound lane, whatever the bits say. The case is the sparse
+/// 4-shard graph that originally exposed it; iterate to give the race
+/// room.
 #[test]
 fn lane_claim_unwind_does_not_strand_batches() {
     let mut rng = Rng::new(0xD15EA5E);
@@ -295,9 +285,10 @@ fn lane_claim_unwind_does_not_strand_batches() {
             panic!("hang reproduced");
         }
         let result = engine.try_finish().expect("harvest must succeed");
-        assert!(
-            result.metrics.per_shard[case.panic_shard].shard_respawns >= 1,
-            "iter {iter}: the panic never fired"
+        assert_eq!(
+            result.metrics.total().rollbacks,
+            1,
+            "iter {iter}: one panic, one rollback"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -144,7 +144,6 @@ fn propagation_trees_are_sane() {
             t.suppressed,
             t.hops.iter().map(|h| h.suppressed).sum::<u64>()
         );
-        assert_eq!(t.replayed, 0, "no shard died, nothing may be replayed");
         assert!(
             t.cross_shard_hops <= t.amplification,
             "trace {}: cross-shard hops are a subset of sends",

@@ -185,13 +185,12 @@ fn drive<A: Algorithm>(engine: Engine<A>, edges: &[(u64, u64)], ticks: usize) {
             for h in &t.hops {
                 println!(
                     "  hop {:>2}: sent {:>4}  processed {:>4}  dominated {:>3}  \
-                     suppressed {:>3}  replayed {:>3}  transit {:.1} us",
+                     suppressed {:>3}  transit {:.1} us",
                     h.hop,
                     h.sent,
                     h.processed,
                     h.dominated,
                     h.suppressed,
-                    h.replayed,
                     h.transit_ns as f64 / 1_000.0
                 );
             }
@@ -221,13 +220,13 @@ fn drive<A: Algorithm>(engine: Engine<A>, edges: &[(u64, u64)], ticks: usize) {
     if t.wal_records_appended > 0 {
         println!(
             "durability: {} WAL records / {} bytes, {} checkpoints \
-             (mean {:.0} us), {} replayed, {} respawns",
+             (mean {:.0} us), {} replayed, {} rollbacks",
             t.wal_records_appended,
             t.wal_bytes,
             t.checkpoints_written,
             t.phase_checkpoint_ns as f64 / 1e3 / t.checkpoints_written.max(1) as f64,
             t.replayed_records,
-            t.shard_respawns
+            t.rollbacks
         );
     }
 
