@@ -11,8 +11,9 @@
 //! dense run in insertion order, and the payloads in a second run of the
 //! same order behind it — and the degree decides where the two runs live
 //! and what sits beside them. The 24-byte header holds the first 16 bytes
-//! of entries itself, so a vertex of degree ≤ 4 on an unweighted graph owns
-//! no heap block at all; past that the runs move to a heap *slab*; past
+//! of entries itself, so a vertex of degree ≤ 4 on an unweighted graph (≤ 3
+//! on a weighted one whose weights fit in a byte) owns no heap block at
+//! all; past that the runs move to a heap *slab*; past
 //! [`PROMOTE_BYTES`] (1 KiB) of ids a *position index* joins it, an
 //! open-addressing table of slots each naming a position in the slab
 //! (RisGraph's "indexed adjacency lists"). A slot is 2 bytes in an index of
@@ -21,11 +22,11 @@
 //! plus about 2.7–5.3 bytes of index (5.3–10.7 past the switch), and a
 //! neighbour scan is a walk of two slices at every degree.
 //!
-//! | where the entries live | degree, `()` / [`Weight`] (narrow) | extra bytes per entry |
+//! | where the entries live | degree, `()` / [`Weight`] byte / [`Weight`] narrow | extra bytes per entry |
 //! |---|---|---|
-//! | the header | ≤ 4 / ≤ 2 | none |
-//! | a slab | ≤ 256 / ≤ 256 | the slab's unused tail: past 64 entries, at most an eighth of one |
-//! | a slab and an index | > 256 / > 256 | 2.7–5.3 B of index, plus the tail |
+//! | the header | ≤ 4 / ≤ 3 / ≤ 2 | none |
+//! | a slab | ≤ 256 / ≤ 256 / ≤ 256 | the slab's unused tail: past 64 entries, at most an eighth of one |
+//! | a slab and an index | > 256 / > 256 / > 256 | 2.7–5.3 B of index, plus the tail |
 //!
 //! Without an index the duplicate check, [`Adjacency::get`] and
 //! [`Adjacency::remove`] read the run of ids alone, 16 ids a step with no
@@ -38,26 +39,32 @@
 //! threshold in bytes" those of the threshold and "Id scan" those of the
 //! split runs.)
 //!
-//! An entry has one of two widths, chosen per vertex by its contents. While
-//! every neighbour id and every weight the vertex holds fits in a `u32`,
-//! its entries are *narrow*: `u32` ids and the payload in 32-bit words.
-//! The first id or weight past `u32::MAX` rewrites the vertex's entries
-//! *wide*, `u64` ids and the payload itself, in order and in place, and
-//! the vertex stays wide until a clone re-derives the width from its
-//! entries. The position index names positions, not ids, so it serves both
-//! widths unchanged. (DESIGN.md §11 "Narrow entries" has the
-//! measurements.)
+//! An entry has one of three widths ([`EntryWidth`]), chosen per vertex by
+//! its contents:
+//!
+//! | width | a [`Weight`] vertex keeps it while | `()` entry | [`Weight`] entry |
+//! |---|---|---|---|
+//! | *byte* | every id fits in a `u32` and every weight in a `u8` | — | 5 B: `u32` id, `u8` weight |
+//! | *narrow* | every id and weight fits in a `u32` | 4 B: `u32` id | 8 B: `u32` id, `u32` weight |
+//! | *wide* | always | 8 B: `u64` id | 16 B: `u64` id, `u64` weight |
+//!
+//! A `Weight` vertex starts with byte entries and a `()` one with narrow
+//! ones. The first weight past `u8::MAX` rewrites a vertex's byte entries
+//! narrow, and the first id or weight past `u32::MAX` rewrites its entries
+//! wide, each in order and in place; the vertex keeps the wider width
+//! until a clone re-derives the width from its entries. The position index
+//! names positions, not ids, so it serves every width unchanged. (DESIGN.md
+//! §11 "Narrow entries" and "Byte entries" have the measurements.)
 //!
 //! The header's two layouts share its last 16 bytes through a union, and
 //! the slab and index are raw allocations, so this module is where the
 //! store's `unsafe` lives; it runs under Miri in CI.
 //!
 //! What an entry keeps beside the neighbour id is an [`EdgeData`] payload,
-//! chosen by the algorithm that owns the store: nothing (`()`, 4-byte
-//! entries, 8 wide) or the edge [`Weight`] (8 bytes, 16 wide). The paper's
-//! per-edge copy of the neighbour's last value (`nbrs.set(...)` in
-//! Algorithm 3) is not kept: measured against plain BFS it cost more than
-//! the updates it suppressed (DESIGN.md §3).
+//! chosen by the algorithm that owns the store: nothing (`()`) or the edge
+//! [`Weight`]. The paper's per-edge copy of the neighbour's last value
+//! (`nbrs.set(...)` in Algorithm 3) is not kept: measured against plain BFS
+//! it cost more than the updates it suppressed (DESIGN.md §3).
 
 use crate::hash::mix64;
 use crate::{VertexId, Weight};
@@ -81,12 +88,16 @@ const GENTLE_GROWTH_FROM: usize = 64;
 const SCAN_BLOCK: usize = 16;
 
 /// Bits of [`Adjacency`]'s `cap` word that hold the slab capacity; the five
-/// above them hold log2 of the index's slot count, and the top bit is
-/// [`WIDE`]. A slab of at most 2^26 - 1 entries needs an index of at most
-/// 2^27 slots, so the shift fits.
-const CAP_BITS: u32 = 26;
+/// above them hold log2 of the index's slot count, and the top two are
+/// [`WORDS`] and [`WIDE`]. A slab of at most 2^25 - 1 entries needs an
+/// index of at most 2^26 slots, so the shift fits.
+const CAP_BITS: u32 = 25;
 const CAP_MASK: u32 = (1 << CAP_BITS) - 1;
 const SHIFT_MASK: u32 = 31 << CAP_BITS;
+
+/// The `cap` bit that is set once a weight past a byte has made the
+/// vertex's entries narrow. A payload with no byte width never sets it.
+const WORDS: u32 = 1 << 30;
 
 /// The `cap` bit that is set once the vertex's entries are wide.
 const WIDE: u32 = 1 << 31;
@@ -195,12 +206,20 @@ fn first_in_block<I: Copy + Eq>(block: &[I; SCAN_BLOCK], key: I) -> usize {
 }
 
 mod sealed {
-    /// How a payload sits in a narrow entry: as 32-bit words, which hold it
-    /// only while its weight fits in a `u32`.
+    /// How a payload sits in a narrow entry, as 32-bit words, which hold it
+    /// only while its weight fits in a `u32`, and, for a payload that has
+    /// a byte width, in a byte entry, which holds it only while its weight
+    /// fits in a `u8`.
     pub trait Narrows: Sized {
+        /// True when entries of the payload have a byte width.
+        const BYTE: bool;
+
         /// The payload's words, half the payload's size and aligned to at
         /// most 4, as a `u32` id is.
         type Words: Copy;
+
+        /// The payload's byte, an eighth of the payload's size.
+        type Byte: Copy;
 
         /// The words of `self`, or `None` when its weight needs more than
         /// 32 bits.
@@ -208,17 +227,25 @@ mod sealed {
 
         /// The payload `words` hold.
         fn widen(words: Self::Words) -> Self;
+
+        /// The byte of `self`, or `None` when its weight needs more than 8
+        /// bits.
+        fn to_byte(self) -> Option<Self::Byte>;
+
+        /// The payload `byte` holds.
+        fn from_byte(byte: Self::Byte) -> Self;
     }
 }
 
 /// What an adjacency entry stores beside its neighbour id, in an entry
 /// that is narrow while the vertex's ids and weights fit in a `u32` and
-/// wide after:
+/// wide after; a [`Weight`] entry is a byte entry, narrower still, while
+/// the vertex's ids fit in a `u32` and its weights in a `u8`:
 ///
-/// | payload | entry, narrow / wide | inline in the header, narrow / wide | weight reads |
+/// | payload | entry, byte / narrow / wide | inline in the header, byte / narrow / wide | weight reads |
 /// |---|---|---|---|
-/// | `()` | 4 / 8 B | 4 / 2 | 1 |
-/// | [`Weight`] | 8 / 16 B | 2 / 1 | the weight |
+/// | `()` | — / 4 / 8 B | — / 4 / 2 | 1 |
+/// | [`Weight`] | 5 / 8 / 16 B | 3 / 2 / 1 | the weight |
 ///
 /// The trait is sealed: these two are its payloads.
 pub trait EdgeData:
@@ -232,7 +259,9 @@ pub trait EdgeData:
 }
 
 impl sealed::Narrows for () {
+    const BYTE: bool = false;
     type Words = ();
+    type Byte = ();
 
     #[inline]
     fn narrow(self) -> Option<()> {
@@ -241,6 +270,14 @@ impl sealed::Narrows for () {
 
     #[inline]
     fn widen(_words: ()) -> Self {}
+
+    #[inline]
+    fn to_byte(self) -> Option<()> {
+        Some(())
+    }
+
+    #[inline]
+    fn from_byte(_byte: ()) -> Self {}
 }
 
 impl EdgeData for () {
@@ -254,7 +291,9 @@ impl EdgeData for () {
 }
 
 impl sealed::Narrows for Weight {
+    const BYTE: bool = true;
     type Words = u32;
+    type Byte = u8;
 
     #[inline]
     fn narrow(self) -> Option<u32> {
@@ -264,6 +303,16 @@ impl sealed::Narrows for Weight {
     #[inline]
     fn widen(words: u32) -> Self {
         u64::from(words)
+    }
+
+    #[inline]
+    fn to_byte(self) -> Option<u8> {
+        u8::try_from(self).ok()
+    }
+
+    #[inline]
+    fn from_byte(byte: u8) -> Self {
+        u64::from(byte)
     }
 }
 
@@ -279,15 +328,30 @@ impl EdgeData for Weight {
     }
 }
 
-/// One of the two widths at which a vertex keeps entries of payload `E`:
-/// [`Narrow`] or [`Wide`]. Storage of capacity `cap` at a width holds
-/// `cap` ids of [`Width::Id`], then `cap` payload words of
+/// The width a vertex's entries have (see [`EdgeData`]'s table), ordered
+/// narrowest first. Only a [`Weight`] vertex has byte entries.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum EntryWidth {
+    /// A `u32` id and the weight in a `u8`.
+    Byte,
+    /// A `u32` id and the payload's 32-bit words.
+    Narrow,
+    /// A `u64` id and the payload itself.
+    Wide,
+}
+
+/// One of the widths at which a vertex keeps entries of payload `E`:
+/// [`Byte`], [`Narrow`] or [`Wide`]. Storage of capacity `cap` at a width
+/// holds `cap` ids of [`Width::Id`], then `cap` payload words of
 /// [`Width::Word`]. Every slab operation is generic over it and picks the
-/// width once per call from the header's [`WIDE`] bit, as it picks the
-/// index's slot width.
+/// width once per call from the header's bits, as it picks the index's
+/// slot width.
 trait Width<E: EdgeData> {
-    /// True for [`Wide`].
-    const WIDE: bool;
+    /// The [`EntryWidth`] this is.
+    const WIDTH: EntryWidth;
+
+    /// The header's width bits while the entries are at this width.
+    const BITS: u32;
 
     /// A neighbour id at this width.
     type Id: Copy + Eq;
@@ -323,17 +387,26 @@ const fn inline_entries<I, W>() -> usize {
     16 / (size_of::<I>() + size_of::<W>())
 }
 
-/// Bytes of a narrow entry of `E`: a `u32` id and the low half of the
-/// payload. It depends on `E`'s size alone, so `Drop` frees a slab of
-/// either width with no `EdgeData` bound; [`Narrow`]'s `INLINE` checks it.
-const fn narrow_size<E>() -> usize {
-    4 + size_of::<E>() / 2
+/// Bytes of an entry of `E` at the width the [`WORDS`] and [`WIDE`] bits of
+/// `cap` name: a `u32` id and an eighth of the payload (its byte) while
+/// neither is set, a `u32` id and half the payload (its 32-bit words) once
+/// `WORDS` is, a `u64` id and the payload once `WIDE` is. A payload with no
+/// byte width is empty, so its entries take the narrow 4 bytes with or
+/// without `WORDS`. The size depends on `E`'s alone, so `Drop` frees a slab
+/// of any width with no `EdgeData` bound; each width's `INLINE` checks it.
+const fn entry_bytes<E>(cap: u32) -> usize {
+    if cap & WIDE != 0 {
+        8 + size_of::<E>()
+    } else if cap & WORDS != 0 {
+        4 + size_of::<E>() / 2
+    } else {
+        4 + size_of::<E>() / 8
+    }
 }
 
-/// Bytes of a wide entry of `E`: a `u64` id and the payload.
-const fn wide_size<E>() -> usize {
-    8 + size_of::<E>()
-}
+/// Entries whose neighbour ids fit in a `u32` and whose weights fit in a
+/// `u8`: `u32` ids and the payload's byte. Only [`Weight`] has them.
+enum Byte {}
 
 /// Entries whose neighbour ids and weights fit in a `u32`: `u32` ids and
 /// the payload's 32-bit words.
@@ -342,14 +415,53 @@ enum Narrow {}
 /// Entries of any id and weight: `u64` ids and the payload itself.
 enum Wide {}
 
+impl<E: EdgeData> Width<E> for Byte {
+    const WIDTH: EntryWidth = EntryWidth::Byte;
+    const BITS: u32 = 0;
+    type Id = u32;
+    type Word = E::Byte;
+    const INLINE: usize = {
+        assert!(
+            4 + size_of::<E::Byte>() == entry_bytes::<E>(0),
+            "a byte entry is a u32 id and an eighth of the payload"
+        );
+        inline_entries::<u32, E::Byte>()
+    };
+
+    #[inline]
+    fn id(nbr: VertexId) -> Option<u32> {
+        u32::try_from(nbr).ok()
+    }
+
+    #[inline]
+    fn word(data: E) -> Option<E::Byte> {
+        data.to_byte()
+    }
+
+    #[inline]
+    fn nbr(id: u32) -> VertexId {
+        VertexId::from(id)
+    }
+
+    #[inline]
+    fn data(word: E::Byte) -> E {
+        E::from_byte(word)
+    }
+}
+
 impl<E: EdgeData> Width<E> for Narrow {
-    const WIDE: bool = false;
+    const WIDTH: EntryWidth = EntryWidth::Narrow;
+    const BITS: u32 = WORDS;
     type Id = u32;
     type Word = E::Words;
     const INLINE: usize = {
         assert!(
-            4 + size_of::<E::Words>() == narrow_size::<E>(),
+            4 + size_of::<E::Words>() == entry_bytes::<E>(WORDS),
             "a narrow entry is a u32 id and half the payload"
+        );
+        assert!(
+            E::BYTE || entry_bytes::<E>(0) == entry_bytes::<E>(WORDS),
+            "a payload with no byte width keeps narrow entries without WORDS"
         );
         inline_entries::<u32, E::Words>()
     };
@@ -376,10 +488,17 @@ impl<E: EdgeData> Width<E> for Narrow {
 }
 
 impl<E: EdgeData> Width<E> for Wide {
-    const WIDE: bool = true;
+    const WIDTH: EntryWidth = EntryWidth::Wide;
+    const BITS: u32 = WIDE;
     type Id = VertexId;
     type Word = E;
-    const INLINE: usize = inline_entries::<VertexId, E>();
+    const INLINE: usize = {
+        assert!(
+            8 + size_of::<E>() == entry_bytes::<E>(WIDE),
+            "a wide entry is a u64 id and the payload"
+        );
+        inline_entries::<VertexId, E>()
+    };
 
     #[inline]
     fn id(nbr: VertexId) -> Option<VertexId> {
@@ -416,9 +535,10 @@ const fn entry_size<E: EdgeData, W: Width<E>>() -> usize {
 /// vertex owns no heap block. The first entry that does not fit moves them
 /// all to a heap slab, which is then kept for good, as the index is. In
 /// the header and in a slab alike the ids come first and the payload words
-/// follow, each run as long as the capacity. The entries are narrow until
-/// the first id or weight past `u32::MAX` widens them, which is kept for
-/// good too (see the module docs).
+/// follow, each run as long as the capacity. A [`Weight`] vertex's entries
+/// are byte entries until the first weight past `u8::MAX` makes them
+/// narrow, and any vertex's are narrow until the first id or weight past
+/// `u32::MAX` widens them, each kept for good too (see the module docs).
 ///
 /// The index is a power-of-two linear-probing table kept at a load of at
 /// most 3/4, of `u16` slots up to 2^14 of them and `u32` slots past that
@@ -435,7 +555,8 @@ pub struct Adjacency<E = Weight> {
     len: u32,
     /// The slab's capacity in entries in the low [`CAP_BITS`] bits (0
     /// while the entries are inline), log2 of the index's slot count in
-    /// the five bits above them (0 while there is no index), and [`WIDE`].
+    /// the five bits above them (0 while there is no index), then
+    /// [`WORDS`] and [`WIDE`].
     cap: u32,
     body: Body,
     entries: PhantomData<E>,
@@ -447,10 +568,10 @@ union Body {
     heap: Heap,
 }
 
-/// A slab of `cap & CAP_MASK` entries of the width [`WIDE`] names — that
-/// many ids, then that many payload words, the first `len` of each
-/// initialised — and an index of `1 << shift` initialised slots, `u16` or
-/// `u32` as [`is_narrow`] says (dangling while there is none).
+/// A slab of `cap & CAP_MASK` entries of the width [`WORDS`] and [`WIDE`]
+/// name — that many ids, then that many payload words, the first `len` of
+/// each initialised — and an index of `1 << shift` initialised slots, `u16`
+/// or `u32` as [`is_narrow`] says (dangling while there is none).
 #[derive(Clone, Copy)]
 struct Heap {
     slab: NonNull<u8>,
@@ -498,7 +619,8 @@ impl<E> Drop for Adjacency<E> {
 impl<E: EdgeData> Clone for Adjacency<E> {
     /// The same entries in the same order, in storage sized for the
     /// current degree (so a drained hub's copy may have no index) at the
-    /// width the entries need (so a copy narrows once no entry is wide).
+    /// width the entries need (so a copy narrows once no entry is wide, and
+    /// keeps byte entries once no weight is past a byte).
     fn clone(&self) -> Self {
         let mut copy = Self::new();
         for (nbr, data) in self.iter() {
@@ -512,7 +634,7 @@ impl<E: EdgeData> std::fmt::Debug for Adjacency<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Adjacency")
             .field("entries", &self.iter().collect::<Vec<_>>())
-            .field("wide", &self.is_wide())
+            .field("width", &self.entry_width())
             .field("index_slots", &self.index_slots())
             .finish()
     }
@@ -575,21 +697,10 @@ impl<E> Adjacency<E> {
         }
     }
 
-    /// True once the entries are wide.
-    #[inline]
-    fn is_wide(&self) -> bool {
-        self.cap & WIDE != 0
-    }
-
     /// Layout of the slab at the entries' width (size 0 while they are
     /// inline).
     fn slab_layout(&self) -> Layout {
-        let entry = if self.is_wide() {
-            wide_size::<E>()
-        } else {
-            narrow_size::<E>()
-        };
-        slab_bytes_layout(self.slab_cap() * entry)
+        slab_bytes_layout(self.slab_cap() * entry_bytes::<E>(self.cap))
     }
 }
 
@@ -607,6 +718,20 @@ impl<E: EdgeData> Adjacency<E> {
     /// True when this vertex has no out-edges.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The width of the entries, from two bits of the header: a payload
+    /// with no byte width is narrow until it is wide.
+    /// Exposed for tests and benches.
+    #[inline]
+    pub fn entry_width(&self) -> EntryWidth {
+        if self.cap & WIDE != 0 {
+            EntryWidth::Wide
+        } else if E::BYTE && self.cap & WORDS == 0 {
+            EntryWidth::Byte
+        } else {
+            EntryWidth::Narrow
+        }
     }
 
     /// True when the position index exists, i.e. an insert has left more
@@ -643,32 +768,39 @@ impl<E: EdgeData> Adjacency<E> {
     /// last entry takes the removed one's position.
     /// (Used by the decremental extension; the core paper is add-only.)
     pub fn remove(&mut self, nbr: VertexId) -> Option<E> {
-        if self.is_wide() {
-            self.remove_as::<Wide>(nbr)
-        } else {
-            self.remove_as::<Narrow>(nbr)
+        match self.entry_width() {
+            EntryWidth::Byte => self.remove_as::<Byte>(nbr),
+            EntryWidth::Narrow => self.remove_as::<Narrow>(nbr),
+            EntryWidth::Wide => self.remove_as::<Wide>(nbr),
         }
     }
 
     /// Payload of the edge `-> nbr`, if present.
     pub fn get(&self, nbr: VertexId) -> Option<E> {
-        if self.is_wide() {
-            self.get_as::<Wide>(nbr)
-        } else {
-            self.get_as::<Narrow>(nbr)
+        match self.entry_width() {
+            EntryWidth::Byte => self.get_as::<Byte>(nbr),
+            EntryWidth::Narrow => self.get_as::<Narrow>(nbr),
+            EntryWidth::Wide => self.get_as::<Wide>(nbr),
         }
     }
 
     /// Iterates `(neighbour, payload)` in insertion order (a removal moves
     /// the then-last edge into the removed one's place), by value at
-    /// either width.
+    /// any width.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (VertexId, E)> + '_ {
-        if self.is_wide() {
-            let (ids, words) = self.runs::<Wide>();
-            Iter::Wide(ids.iter().zip(words))
-        } else {
-            let (ids, words) = self.runs::<Narrow>();
-            Iter::Narrow(ids.iter().zip(words))
+        match self.entry_width() {
+            EntryWidth::Byte => {
+                let (ids, words) = self.runs::<Byte>();
+                Iter::Byte(ids.iter().zip(words))
+            }
+            EntryWidth::Narrow => {
+                let (ids, words) = self.runs::<Narrow>();
+                Iter::Narrow(ids.iter().zip(words))
+            }
+            EntryWidth::Wide => {
+                let (ids, words) = self.runs::<Wide>();
+                Iter::Wide(ids.iter().zip(words))
+            }
         }
     }
 
@@ -707,7 +839,7 @@ impl<E: EdgeData> Adjacency<E> {
     /// inline words or the slab, and the byte offset of its words.
     #[inline]
     fn storage<W: Width<E>>(&self) -> (*const u8, usize) {
-        assert!(W::WIDE == self.is_wide(), "entry width");
+        assert!(W::WIDTH == self.entry_width(), "entry width");
         let base: *const u8 = if self.slab_cap() == 0 {
             debug_assert!(self.degree() <= W::INLINE);
             (&raw const self.body.inline).cast()
@@ -721,7 +853,7 @@ impl<E: EdgeData> Adjacency<E> {
     /// [`Self::storage`] for writing.
     #[inline]
     fn storage_mut<W: Width<E>>(&mut self) -> (*mut u8, usize) {
-        assert!(W::WIDE == self.is_wide(), "entry width");
+        assert!(W::WIDTH == self.entry_width(), "entry width");
         let base: *mut u8 = if self.slab_cap() == 0 {
             (&raw mut self.body.inline).cast()
         } else {
@@ -843,16 +975,16 @@ impl<E: EdgeData> Adjacency<E> {
         }
     }
 
-    /// Position of the edge `-> nbr`, if present, at either width.
+    /// Position of the edge `-> nbr`, if present, at any width.
     #[cfg(test)]
     fn position(&self, nbr: VertexId) -> Option<usize> {
         fn at<E: EdgeData, W: Width<E>>(a: &Adjacency<E>, nbr: VertexId) -> Option<usize> {
             a.locate::<W>(W::id(nbr)?).ok()
         }
-        if self.is_wide() {
-            at::<E, Wide>(self, nbr)
-        } else {
-            at::<E, Narrow>(self, nbr)
+        match self.entry_width() {
+            EntryWidth::Byte => at::<E, Byte>(self, nbr),
+            EntryWidth::Narrow => at::<E, Narrow>(self, nbr),
+            EntryWidth::Wide => at::<E, Wide>(self, nbr),
         }
     }
 
@@ -885,18 +1017,27 @@ impl<E: EdgeData> Adjacency<E> {
     }
 
     /// Adds the edge `-> nbr` with `data` if absent (`true`), else replaces
-    /// the payload it already has with `merge` of it (`false`). A narrow
-    /// vertex handed an id or weight past `u32::MAX` is widened first.
+    /// the payload it already has with `merge` of it (`false`). A vertex of
+    /// byte entries handed a weight past `u8::MAX` is made narrow first, and
+    /// a narrow one handed an id or weight past `u32::MAX` is widened.
     #[inline]
     fn upsert(&mut self, nbr: VertexId, data: E, merge: impl FnOnce(E) -> E) -> bool {
-        if !self.is_wide() {
+        if self.entry_width() == EntryWidth::Byte {
+            if let (Some(id), Some(word)) =
+                (<Byte as Width<E>>::id(nbr), <Byte as Width<E>>::word(data))
+            {
+                return self.upsert_as::<Byte>(id, word, merge);
+            }
+            self.widen::<Byte, Narrow>();
+        }
+        if self.entry_width() == EntryWidth::Narrow {
             if let (Some(id), Some(word)) = (
                 <Narrow as Width<E>>::id(nbr),
                 <Narrow as Width<E>>::word(data),
             ) {
                 return self.upsert_as::<Narrow>(id, word, merge);
             }
-            self.widen();
+            self.widen::<Narrow, Wide>();
         }
         self.upsert_as::<Wide>(nbr, data, merge)
     }
@@ -924,54 +1065,65 @@ impl<E: EdgeData> Adjacency<E> {
         }
     }
 
-    /// Rewrites the entries wide, in order, and sets [`WIDE`]. Inline
-    /// entries are re-pushed wide, so those the header cannot hold wide
-    /// move to a slab of four; a slab is resized in place to the same
-    /// capacity of wide entries and rewritten, words first, since they land
-    /// past every narrow entry, then ids from the back, so no narrow entry
-    /// is overwritten before it is read. The index names positions, not
-    /// ids, so it stays as it is.
+    /// Rewrites the entries from width `F` at the wider `T`, in order, and
+    /// records `T`. Inline entries are re-pushed at `T`, so those the
+    /// header cannot hold at `T` move to a slab of twice its inline entries
+    /// (at least four); a slab is resized in place to the same capacity at
+    /// `T` and rewritten from the back, words first, then ids. Entry `i`'s
+    /// word and id start no earlier at `T` than at `F`, and every entry
+    /// before it ends no later at `F` than `i` starts at `T`, so no entry
+    /// is overwritten before it is read, and no word at `T` reaches the ids
+    /// at `F`. The index names positions, not ids, so it stays as it is.
     #[cold]
-    fn widen(&mut self) {
+    fn widen<F: Width<E>, T: Width<E>>(&mut self) {
+        const {
+            assert!(
+                size_of::<T::Id>() >= size_of::<F::Id>()
+                    && size_of::<T::Word>() >= size_of::<F::Word>(),
+                "entries widen, never narrow"
+            );
+        }
+        // Neither conversion can fail: `T` holds every id and word `F` does.
+        let id = |id: F::Id| T::id(F::nbr(id)).expect("a wider id holds a narrower one");
+        let word =
+            |word: F::Word| T::word(F::data(word)).expect("a wider word holds a narrower one");
         let (len, cap) = (self.degree(), self.slab_cap());
         if cap == 0 {
-            let narrow = std::mem::take(self);
-            self.cap = WIDE;
-            for (nbr, data) in narrow.iter() {
-                self.push::<Wide>(nbr, data, (0, 0));
+            let from = std::mem::take(self);
+            self.cap = T::BITS;
+            let (ids, words) = from.runs::<F>();
+            for (&i, &w) in ids.iter().zip(words) {
+                self.push::<T>(id(i), word(w), (0, 0));
             }
             return;
         }
         // SAFETY: a slab capacity means `heap` is the live field; the slab
-        // was allocated as `cap` narrow entries, aligned to 8, and is
-        // resized to `cap` wide ones. The wide words start at byte `8 * cap`,
-        // where the narrow entries (at most 8 bytes each) have ended; wide
-        // id `i` starts at byte `8 * i`, where narrow id `i - 1` has ended,
-        // and the narrow words are all read by then.
+        // was allocated as `cap` entries at `F`, aligned to 8, and is
+        // resized to `cap` at `T` and recorded so before any entry moves, so
+        // `Drop` frees it with the layout it has. Ids at `T` start at byte
+        // 0 and words at `T` at `cap` ids at `T`, a whole number of ids of
+        // either width from the slab's start, so both are aligned. The
+        // order of the two loops is the one the doc comment proves safe.
         unsafe {
             let slab = realloc_slab(
                 self.body.heap.slab,
                 self.slab_layout(),
-                cap * wide_size::<E>(),
+                cap * entry_size::<E, T>(),
             );
+            self.body.heap.slab = slab;
+            self.cap = (self.cap & !(WORDS | WIDE)) | T::BITS;
             let base = slab.as_ptr();
-            let narrow_ids = base.cast::<u32>();
-            let narrow_words = base.add(cap * 4).cast::<E::Words>();
-            let wide_ids = base.cast::<VertexId>();
-            let wide_words = base.add(cap * 8).cast::<E>();
-            for i in 0..len {
-                wide_words
-                    .add(i)
-                    .write(E::widen(narrow_words.add(i).read()));
+            let from_ids = base.cast::<F::Id>();
+            let from_words = base.add(cap * size_of::<F::Id>()).cast::<F::Word>();
+            let to_ids = base.cast::<T::Id>();
+            let to_words = base.add(cap * size_of::<T::Id>()).cast::<T::Word>();
+            for i in (0..len).rev() {
+                to_words.add(i).write(word(from_words.add(i).read()));
             }
             for i in (0..len).rev() {
-                wide_ids
-                    .add(i)
-                    .write(VertexId::from(narrow_ids.add(i).read()));
+                to_ids.add(i).write(id(from_ids.add(i).read()));
             }
-            self.body.heap.slab = slab;
         }
-        self.cap |= WIDE;
     }
 
     /// Position mask of a non-empty index; its complement selects the tag.
@@ -1164,6 +1316,7 @@ impl<E: EdgeData> Adjacency<E> {
 
 /// [`Adjacency::iter`] at the width the vertex's entries have.
 enum Iter<'a, E: EdgeData> {
+    Byte(std::iter::Zip<std::slice::Iter<'a, u32>, std::slice::Iter<'a, E::Byte>>),
     Narrow(std::iter::Zip<std::slice::Iter<'a, u32>, std::slice::Iter<'a, E::Words>>),
     Wide(std::iter::Zip<std::slice::Iter<'a, VertexId>, std::slice::Iter<'a, E>>),
 }
@@ -1174,6 +1327,9 @@ impl<E: EdgeData> Iterator for Iter<'_, E> {
     #[inline]
     fn next(&mut self) -> Option<(VertexId, E)> {
         match self {
+            Iter::Byte(entries) => entries
+                .next()
+                .map(|(&id, &byte)| (VertexId::from(id), E::from_byte(byte))),
             Iter::Narrow(entries) => entries
                 .next()
                 .map(|(&id, &words)| (VertexId::from(id), E::widen(words))),
@@ -1184,6 +1340,7 @@ impl<E: EdgeData> Iterator for Iter<'_, E> {
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
         match self {
+            Iter::Byte(entries) => entries.size_hint(),
             Iter::Narrow(entries) => entries.size_hint(),
             Iter::Wide(entries) => entries.size_hint(),
         }
@@ -1293,7 +1450,8 @@ mod tests {
         let mut widened: Adjacency<Weight> = Adjacency::new();
         fill(&mut widened, 0..200);
         assert!(!widened.insert(15, 1 << 40));
-        assert!(widened.is_wide() && !widened.is_promoted());
+        assert_eq!(widened.entry_width(), EntryWidth::Wide);
+        assert!(!widened.is_promoted());
         assert!(widened.insert(1, 7));
         assert_eq!(widened.index_slots(), 512);
         assert_eq!(widened.get(15), Some(1 << 40));
@@ -1318,7 +1476,8 @@ mod tests {
                     assert!(a.insert(base + 3 * n + 1, E::new(n + 1)));
                 }
                 assert!(!a.is_promoted());
-                assert_eq!(a.is_wide(), len > 0 && base > u32::MAX as u64);
+                let wide = len > 0 && base > u32::MAX as u64;
+                assert_eq!(a.entry_width() == EntryWidth::Wide, wide);
                 let ids: Vec<VertexId> = a.iter().map(|(n, _)| n).collect();
                 let shadows = ids.iter().map(|&n| n ^ 1 << 32);
                 let misses = [base, base + 3 * len + 1];
@@ -1424,36 +1583,48 @@ mod tests {
         }
         // 64, 72, 81, 91, 102, 114, 128, 144, 162, 182, 204, 229, 257.
         check((), 4, 257, 257, 512);
-        check::<Weight>(1, 8, 257, 257, 512);
+        // Byte entries start at a slab of six: 6, 12, 24, 48, 96, then
+        // 108, 121, 136, 153, 172, 193, 217, 244, 274.
+        check::<Weight>(1, 5, 257, 274, 512);
+        check::<Weight>(255, 5, 257, 274, 512);
+        // A weight past a byte keeps narrow entries from the first insert.
+        check::<Weight>(256, 8, 257, 257, 512);
     }
 
-    /// The header holds 16 bytes of narrow entries; the next entry moves
-    /// them all to a slab of twice as many (at least four), which stays when
-    /// the degree falls back.
+    /// The header holds 16 bytes of entries at their width; the next entry
+    /// moves them all to a slab of twice as many (at least four), which
+    /// stays when the degree falls back. Weights from `weight` on.
     #[test]
     fn low_degree_entries_live_in_the_header() {
-        fn check<E: EdgeData>(inline: u64, first_slab: usize) {
+        fn check<E: EdgeData>(weight: u64, inline: u64, first_slab: usize) {
             let mut a: Adjacency<E> = Adjacency::new();
             for n in 0..inline {
-                assert!(a.insert(n + 10, E::new(n + 1)));
+                assert!(a.insert(n + 10, E::new(weight + n)));
                 assert_eq!(a.heap_bytes(), 0, "{inline} inline, edge {n}");
             }
-            assert!(a.insert(99, E::new(7)));
+            assert!(a.insert(99, E::new(weight + 7)));
             assert_eq!(a.heap_bytes(), first_slab, "the first slab");
             let want: Vec<VertexId> = (0..inline).map(|n| n + 10).chain([99]).collect();
             assert_eq!(a.iter().map(|(n, _)| n).collect::<Vec<_>>(), want);
             for n in 0..inline {
                 assert_eq!(
                     a.get(n + 10).map(|e| e.weight()),
-                    Some(E::new(n + 1).weight())
+                    Some(E::new(weight + n).weight())
                 );
             }
-            assert_eq!(a.remove(99).map(|e| e.weight()), Some(E::new(7).weight()));
+            assert_eq!(
+                a.remove(99).map(|e| e.weight()),
+                Some(E::new(weight + 7).weight())
+            );
             assert_eq!(a.heap_bytes(), first_slab, "the slab is kept");
             assert_eq!(a.degree(), inline as usize);
         }
-        check::<()>(4, 8 * 4);
-        check::<Weight>(2, 4 * 8);
+        check::<()>(1, 4, 8 * 4);
+        // Byte entries: three 5-byte entries, then a slab of six.
+        check::<Weight>(1, 3, 6 * 5);
+        check::<Weight>(248, 3, 6 * 5);
+        // Narrow entries: two 8-byte entries, then a slab of four.
+        check::<Weight>(256, 2, 4 * 8);
     }
 
     #[test]
@@ -1587,28 +1758,51 @@ mod tests {
         assert_eq!(index_shape(&b), (NARROW_SLOTS, 2));
     }
 
-    /// Four vertices, each walked through every stage — inline, slab,
-    /// `u16` index, `u32` index — with its first wide id (past `u32::MAX`)
-    /// arriving at a different one, then drained. Across the widening
-    /// `iter()` order, payloads and `remove`'s swap order agree with a
-    /// mirror, the slab keeps its capacity at the wide entry's bytes and the
-    /// index keeps its slots; the drained vertex stays wide, and its clone,
-    /// which holds no wide entry any more, is narrow again.
+    /// Vertices walked through every stage — inline, slab, `u16` index,
+    /// `u32` index — each with its entries made wider at one stage by a
+    /// weight of 256 (byte to narrow), a weight past `u32::MAX` or an id
+    /// past it (either to wide), alone or two in a row, in both orders,
+    /// then drained. Across each widening `iter()` order, payloads and
+    /// `remove`'s swap order agree with a mirror, the slab keeps its
+    /// capacity at the new entry's bytes and the index keeps its slots; the
+    /// drained vertex keeps its width, and its clone, which holds no entry
+    /// past a byte any more, has byte entries again, while a clone of one
+    /// that holds a weight of 256 is narrow.
     #[test]
     fn entries_widen_at_every_stage_and_a_clone_narrows_again() {
+        /// What arrives at the stage: a re-add of a live edge with a weight
+        /// of 256 or of 2^32, or a new id past `u32::MAX` (weight 255).
+        #[derive(Clone, Copy, Debug)]
+        enum Event {
+            Word,
+            WideWeight,
+            WideId,
+        }
         /// Scattered ids below 2^32.
         fn id(n: u64) -> VertexId {
             mix64(n ^ 0xbeef) >> 32
         }
-        /// Slab capacity, index slots and whether the entries are wide.
-        fn shape(a: &Adjacency<Weight>) -> (usize, usize, bool) {
-            (a.slab_cap(), a.index_slots(), a.is_wide())
+        /// Slab capacity, index slots and the entries' width.
+        fn shape(a: &Adjacency<Weight>) -> (usize, usize, EntryWidth) {
+            (a.slab_cap(), a.index_slots(), a.entry_width())
         }
         /// Bytes `a` should own: its slab at the entry width it records,
         /// plus its index.
         fn bytes(a: &Adjacency<Weight>) -> usize {
-            let entry = if a.is_wide() { 16 } else { 8 };
+            let entry = match a.entry_width() {
+                EntryWidth::Byte => 5,
+                EntryWidth::Narrow => 8,
+                EntryWidth::Wide => 16,
+            };
             a.slab_cap() * entry + index_layout(a.index_slots()).size()
+        }
+        /// Entries the header holds at `width`.
+        fn inline(width: EntryWidth) -> usize {
+            match width {
+                EntryWidth::Byte => 3,
+                EntryWidth::Narrow => 2,
+                EntryWidth::Wide => 1,
+            }
         }
         /// Every live neighbour, sampled under Miri, has its payload.
         fn payloads_agree(a: &Adjacency<Weight>, mirror: &[(VertexId, Weight)]) {
@@ -1618,64 +1812,123 @@ mod tests {
             }
         }
 
+        use Event::*;
         let u32_index = NARROW_SLOTS * 3 / 4 + 1;
-        // The degree at which the wide id arrives: inline (a narrow
-        // `Weight` header holds two), slab, `u16` index (past 256 narrow
-        // ids), `u32` index.
-        let stages = [1, 10, 300, u32_index];
-        for (stage, &at) in stages.iter().enumerate() {
-            let mut a: Adjacency<Weight> = Adjacency::new();
-            let mut mirror = Vec::new();
-            for n in 0..u32_index as u64 + 8 {
-                if mirror.len() == at {
-                    let before = shape(&a);
-                    assert!(!before.2, "stage {stage}: narrow until now");
-                    let wide = (1 << 32 | n, 1 + n % 100);
-                    assert!(a.insert(wide.0, wide.1));
-                    mirror.push(wide);
-                    let after = shape(&a);
-                    assert!(after.2, "stage {stage}: the wide id widens");
-                    if stage == 0 {
-                        // One wide entry fills the header; the second
-                        // moves both to a slab of four.
-                        assert_eq!(after, (4, 0, true));
-                    } else {
-                        assert_eq!((after.0, after.1), (before.0, before.1), "stage {stage}");
+        // The degree at which the events arrive: inline (a `Weight` header
+        // holds three byte entries), slab, `u16` index (past 256 narrow
+        // ids), `u32` index. Under Miri only the first sequence reaches
+        // the `u32` index.
+        let stages = [2, 10, 300, u32_index];
+        let sequences: [&[Event]; 7] = [
+            &[WideId],
+            &[Word],
+            &[WideWeight],
+            &[Word, WideId],
+            &[Word, WideWeight],
+            &[WideId, Word],
+            &[WideWeight, Word],
+        ];
+        for (k, events) in sequences.iter().enumerate() {
+            let reached = if cfg!(miri) && k > 0 { 3 } else { 4 };
+            for (stage, &at) in stages[..reached].iter().enumerate() {
+                let case = format!("{events:?} at stage {stage}");
+                let mut a: Adjacency<Weight> = Adjacency::new();
+                let mut mirror: Vec<(VertexId, Weight)> = Vec::new();
+                let mut want = EntryWidth::Byte;
+                for n in 0..u32_index as u64 + 8 {
+                    if mirror.len() == at {
+                        for (e, &event) in events.iter().enumerate() {
+                            let before = shape(&a);
+                            let (width, new) = match event {
+                                Word => (EntryWidth::Narrow, None),
+                                WideWeight => (EntryWidth::Wide, None),
+                                WideId => (EntryWidth::Wide, Some((1 << 32 | n, 255))),
+                            };
+                            if let Some(entry) = new {
+                                assert!(a.insert(entry.0, entry.1), "{case}");
+                                mirror.push(entry);
+                            } else {
+                                // Re-add the edge the stage's first event
+                                // reaches, at the event's weight.
+                                let pos = e * mirror.len() / 2;
+                                mirror[pos].1 = if width == EntryWidth::Narrow {
+                                    256
+                                } else {
+                                    1 << 32
+                                };
+                                assert!(!a.insert(mirror[pos].0, mirror[pos].1), "{case}");
+                            }
+                            want = want.max(width);
+                            let after = shape(&a);
+                            assert_eq!(after.2, want, "{case}: event {e}");
+                            if stage == 0 && before.0 == 0 {
+                                // Past the header at the new width, the
+                                // entries move to a slab of four.
+                                let slab = if mirror.len() > inline(want) { 4 } else { 0 };
+                                assert_eq!((after.0, after.1), (slab, 0), "{case}: event {e}");
+                            } else {
+                                assert_eq!((after.0, after.1), (before.0, before.1), "{case}");
+                            }
+                            assert_eq!(a.heap_bytes(), bytes(&a), "{case}");
+                            payloads_agree(&a, &mirror);
+                        }
                     }
-                    assert_eq!(a.heap_bytes(), bytes(&a));
-                    payloads_agree(&a, &mirror);
+                    let entry = (id(n), 1 + n % 255);
+                    assert!(a.insert(entry.0, entry.1));
+                    mirror.push(entry);
                 }
-                let entry = (id(n), 1 + n % 100);
-                assert!(a.insert(entry.0, entry.1));
-                mirror.push(entry);
-            }
-            assert_eq!(shape(&a), (a.slab_cap(), 2 * NARROW_SLOTS, true));
-            assert_eq!(a.heap_bytes(), bytes(&a));
-            payloads_agree(&a, &mirror);
-
-            // Drain: the wide entry first, then all but five of the rest in
-            // a scattered order. Each removal moves the last entry into the
-            // hole, as the mirror's `swap_remove` does.
-            let mut k = mirror
-                .iter()
-                .position(|&(n, _)| n > u32::MAX as u64)
-                .unwrap();
-            while mirror.len() > 5 {
-                let (n, w) = mirror.swap_remove(k);
-                assert_eq!(a.remove(n), Some(w), "remove {n}");
-                if mirror.len() % 4096 == 0 || mirror.len() < 8 {
-                    assert!(a.iter().eq(mirror.iter().copied()), "swap order");
+                assert_eq!(shape(&a).2, want, "{case}");
+                if reached == 4 {
+                    assert_eq!(a.index_slots(), 2 * NARROW_SLOTS, "{case}");
                 }
-                k = (k + 7919) % mirror.len();
-            }
-            payloads_agree(&a, &mirror);
-            assert!(a.is_wide(), "a removal never narrows");
-            assert_eq!(a.heap_bytes(), bytes(&a));
+                assert_eq!(a.heap_bytes(), bytes(&a), "{case}");
+                payloads_agree(&a, &mirror);
 
-            let b = a.clone();
-            payloads_agree(&b, &mirror);
-            assert_eq!(shape(&b), (8, 0, false), "the clone is narrow");
-            assert_eq!(b.heap_bytes(), 8 * 8);
+                // Drain: every entry past a byte first, then all but five
+                // of the rest in a scattered order. Each removal moves the
+                // last entry into the hole, as the mirror's `swap_remove`
+                // does.
+                while let Some(k) = mirror
+                    .iter()
+                    .position(|&(n, w)| n > u32::MAX as u64 || w > 255)
+                {
+                    let (n, w) = mirror.swap_remove(k);
+                    assert_eq!(a.remove(n), Some(w), "remove {n}");
+                }
+                let mut k = 0;
+                while mirror.len() > 5 {
+                    let (n, w) = mirror.swap_remove(k);
+                    assert_eq!(a.remove(n), Some(w), "remove {n}");
+                    if mirror.len().is_multiple_of(4096) || mirror.len() < 8 {
+                        assert!(a.iter().eq(mirror.iter().copied()), "swap order");
+                    }
+                    k = (k + 7919) % mirror.len();
+                }
+                payloads_agree(&a, &mirror);
+                assert_eq!(a.entry_width(), want, "{case}: a removal never narrows");
+                assert_eq!(a.heap_bytes(), bytes(&a));
+
+                // Five byte entries: three in the header, then a slab of
+                // six. A weight of 256 makes them narrow in place, and a
+                // clone of that is narrow too: two in the header, then
+                // four, then eight.
+                let mut b = a.clone();
+                payloads_agree(&b, &mirror);
+                assert_eq!(
+                    shape(&b),
+                    (6, 0, EntryWidth::Byte),
+                    "{case}: the clone narrows"
+                );
+                assert_eq!(b.heap_bytes(), 6 * 5);
+                assert!(!b.insert(mirror[2].0, 256));
+                mirror[2].1 = 256;
+                assert_eq!(shape(&b), (6, 0, EntryWidth::Narrow), "{case}");
+                assert_eq!(b.heap_bytes(), 6 * 8);
+                let c = b.clone();
+                payloads_agree(&c, &mirror);
+                assert_eq!(shape(&c), (8, 0, EntryWidth::Narrow), "{case}");
+                assert_eq!(c.heap_bytes(), 8 * 8);
+            }
         }
     }
 
@@ -1684,14 +1937,18 @@ mod tests {
     fn narrow_entries_widen_on_a_wide_weight() {
         let mut a: Adjacency<Weight> = Adjacency::new();
         for n in 0..6u64 {
-            assert!(a.insert(n, n + 1));
+            assert!(a.insert(n, n + 300));
         }
-        assert!(!a.is_wide());
+        assert_eq!(a.entry_width(), EntryWidth::Narrow);
         assert_eq!(a.heap_bytes(), 8 * 8);
         assert!(!a.insert_weight_min(4, 1 << 40));
-        assert!(a.is_wide(), "a wide weight widens, even one min() drops");
+        assert_eq!(
+            a.entry_width(),
+            EntryWidth::Wide,
+            "a wide weight widens, even one min() drops"
+        );
         assert_eq!(a.heap_bytes(), 8 * 16);
-        assert_eq!(a.get(4), Some(5));
+        assert_eq!(a.get(4), Some(304));
         assert!(!a.insert(5, 1 << 40));
         assert_eq!(a.get(5), Some(1 << 40));
         let want: Vec<u64> = (0..6).collect();

@@ -8,7 +8,8 @@
 //!   for heavy hitters (2-byte slots up to 2^14 of them, 4-byte above:
 //!   about 2.7–5.3 B per hub entry below 12 288 entries); each entry keeps
 //!   only the [`EdgeData`] payload its algorithm reads (nothing or a
-//!   weight).
+//!   weight), at the narrowest [`EntryWidth`] the vertex's ids and weights
+//!   fit (a weight in one byte while they all fit in one).
 //! - [`dense`]: dense vertex interning (the ids in intern order plus a
 //!   keyless position index over them, 4 bytes a slot) in front of a slab
 //!   of records (algorithm state + edges), the engine's one vertex table
@@ -36,7 +37,7 @@ pub type VertexId = u64;
 /// algorithms.
 pub type Weight = u64;
 
-pub use adjacency::{Adjacency, EdgeData};
+pub use adjacency::{Adjacency, EdgeData, EntryWidth};
 pub use bitset::BitSet;
 pub use csr::Csr;
 pub use dense::{DenseVertexTable, InternTable, LocalIdx};

@@ -32,15 +32,16 @@ fn skewed_edge(seed: u64, i: u64) -> (u64, u64) {
 }
 
 /// Bytes of store per directed edge once the stream, every id plus
-/// `offset`, is in a table whose entries carry `E`.
-fn bytes_per_edge<E: EdgeData>(offset: u64) -> f64 {
+/// `offset`, is in a table whose entries carry `E`, of weights 1..=64 plus
+/// `heavier`.
+fn bytes_per_edge<E: EdgeData>(offset: u64, heavier: u64) -> f64 {
     let mut table: DenseVertexTable<u64, E> = DenseVertexTable::new();
     let inserts = 2 * (EDGE_FACTOR << SCALE);
     let mut duplicates = 0u64;
     for i in 0..inserts / 2 {
         let (s, d) = skewed_edge(0x5eed, i);
         let (s, d) = (s + offset, d + offset);
-        let data = E::new(1 + i % 64);
+        let data = E::new(1 + i % 64 + heavier);
         duplicates += u64::from(!table.insert_edge(s, d, data));
         duplicates += u64::from(!table.insert_edge(d, s, data));
     }
@@ -56,29 +57,31 @@ fn bytes_per_edge<E: EdgeData>(offset: u64) -> f64 {
 }
 
 /// Inline entries and bytes per entry of an `Adjacency<E>` whose ids start
-/// at `first`, read off its first slab: twice the inline entries, and at
-/// least four.
-fn measured_layout<E: EdgeData>(first: VertexId) -> (usize, usize) {
+/// at `first` and whose weights are `weight`, read off its first slab:
+/// twice the inline entries, and at least four.
+fn measured_layout<E: EdgeData>(first: VertexId, weight: Weight) -> (usize, usize) {
     let mut a: Adjacency<E> = Adjacency::new();
     let mut inline = 0;
-    while a.insert(first + inline as u64, E::new(2)) && a.heap_bytes() == 0 {
+    while a.insert(first + inline as u64, E::new(weight)) && a.heap_bytes() == 0 {
         inline += 1;
     }
     (inline, a.heap_bytes() / (2 * inline).max(4))
 }
 
-/// Entries an `Adjacency<E>` whose ids start at `first` holds before its
-/// position index comes.
-fn entries_before_the_index<E: EdgeData>(first: VertexId) -> usize {
+/// Entries an `Adjacency<E>` whose ids start at `first` and whose weights
+/// are `weight` holds before its position index comes.
+fn entries_before_the_index<E: EdgeData>(first: VertexId, weight: Weight) -> usize {
     let mut a: Adjacency<E> = Adjacency::new();
-    while a.insert(first + a.degree() as u64, E::new(2)) && !a.is_promoted() {}
+    while a.insert(first + a.degree() as u64, E::new(weight)) && !a.is_promoted() {}
     a.degree() - 1
 }
 
-/// An entry is the neighbour id plus what the payload keeps: narrow (a
-/// `u32` id and 32-bit weight) while the vertex's ids and weights fit in a
-/// `u32`, wide after. The index comes past 1 KiB of ids, so at the same
-/// degree for every payload. The per-vertex header does not depend on the
+/// An entry is the neighbour id plus what the payload keeps: for a weight,
+/// a byte entry (a `u32` id and an 8-bit weight) while the vertex's ids
+/// fit in a `u32` and its weights in a `u8`; for either payload, narrow (a
+/// `u32` id and 32-bit weight) while its ids and weights fit in a `u32`,
+/// wide after. The index comes past 1 KiB of ids, so at the same degree
+/// for every payload and width but wide. The per-vertex header does not depend on the
 /// payload: the dense slab record is state + this header, and DESIGN §11
 /// counts on both.
 #[test]
@@ -88,36 +91,44 @@ fn entry_layout_per_payload() {
     assert_eq!(size_of::<Adjacency<Weight>>(), 24);
     assert_eq!(DenseVertexTable::<u64, ()>::RECORD_BYTES, 32);
     assert_eq!(DenseVertexTable::<u64, Weight>::RECORD_BYTES, 32);
-    // (inline entries, bytes per entry), narrow then wide.
+    // (inline entries, bytes per entry): byte, narrow, then wide.
     let wide = 1 << 32;
-    assert_eq!(measured_layout::<()>(0), (4, 4));
-    assert_eq!(measured_layout::<()>(wide), (2, 8));
-    assert_eq!(measured_layout::<Weight>(0), (2, 8));
-    assert_eq!(measured_layout::<Weight>(wide), (1, 16));
+    assert_eq!(measured_layout::<()>(0, 2), (4, 4));
+    assert_eq!(measured_layout::<()>(wide, 2), (2, 8));
+    assert_eq!(measured_layout::<Weight>(0, 255), (3, 5));
+    assert_eq!(measured_layout::<Weight>(0, 256), (2, 8));
+    assert_eq!(measured_layout::<Weight>(0, wide), (1, 16));
+    assert_eq!(measured_layout::<Weight>(wide, 2), (1, 16));
     // 256 narrow ids or 128 wide ones fill 1 KiB, whatever rides beside.
-    assert_eq!(entries_before_the_index::<()>(0), 256);
-    assert_eq!(entries_before_the_index::<()>(wide), 128);
-    assert_eq!(entries_before_the_index::<Weight>(0), 256);
-    assert_eq!(entries_before_the_index::<Weight>(wide), 128);
+    assert_eq!(entries_before_the_index::<()>(0, 2), 256);
+    assert_eq!(entries_before_the_index::<()>(wide, 2), 128);
+    assert_eq!(entries_before_the_index::<Weight>(0, 255), 256);
+    assert_eq!(entries_before_the_index::<Weight>(0, 256), 256);
+    assert_eq!(entries_before_the_index::<Weight>(0, wide), 128);
+    assert_eq!(entries_before_the_index::<Weight>(wide, 2), 128);
 }
 
 /// Each budget is the figure measured on this stream plus about 5 %:
-/// 7.9 and 12.4 B with narrow entries, since every id and weight fits in a
-/// `u32`, an index only past 1 KiB of ids and a slab that grows by an
-/// eighth past 64 entries (8.4 and 14.5 B with an index past 1 KiB of
-/// whole entries and growth by half, which both budgets fail; 10.3 and
-/// 15.4 B with an index past 32 entries at every width; 15.4 and 25.8 B
-/// with the wide entries every vertex kept before narrow ones).
-/// Each figure was 0.7 B higher with the Robin Hood intern table before
-/// the keyless index; with it and wide entries, 19.0 and 29.3 B were
-/// measured with 4-byte adjacency index slots at every size, and 20.3 and
-/// 30.8 B with the 40-byte header before the 24-byte one that keeps a
-/// low-degree vertex's first 16 bytes of entries inline.
+/// 7.9 B for `()` and 9.5 B for `Weight` with byte entries, since every id
+/// fits in a `u32` and every weight in a `u8`, and 12.4 B for `Weight`
+/// with narrow entries, on the same stream with every weight past a byte
+/// (the figure every `Weight` stream gave before byte entries came). All
+/// three keep an index only past 1 KiB of ids and a slab that grows by an
+/// eighth past 64 entries. The `()` and narrow figures were 8.4 and
+/// 14.5 B with an index past 1 KiB of whole entries and growth by half,
+/// which both budgets fail; 10.3 and 15.4 B with an index past 32 entries
+/// at every width; 15.4 and 25.8 B with the wide entries every vertex kept
+/// before narrow ones. Each was 0.7 B higher with the Robin Hood intern
+/// table before the keyless index; with it and wide entries, 19.0 and
+/// 29.3 B were measured with 4-byte adjacency index slots at every size,
+/// and 20.3 and 30.8 B with the 40-byte header before the 24-byte one that
+/// keeps a low-degree vertex's first 16 bytes of entries inline.
 #[test]
 fn store_stays_within_its_bytes_per_edge_budget() {
     for (payload, per_edge, budget) in [
-        ("()", bytes_per_edge::<()>(0), 8.3),
-        ("Weight", bytes_per_edge::<Weight>(0), 13.1),
+        ("()", bytes_per_edge::<()>(0, 0), 8.3),
+        ("Weight", bytes_per_edge::<Weight>(0, 0), 9.9),
+        ("Weight, narrow", bytes_per_edge::<Weight>(0, 255), 13.1),
     ] {
         assert!(
             per_edge <= budget,
@@ -134,8 +145,8 @@ fn store_stays_within_its_bytes_per_edge_budget() {
 #[test]
 fn wide_ids_stay_within_the_wide_bytes_per_edge_budget() {
     for (payload, per_edge, budget) in [
-        ("()", bytes_per_edge::<()>(1 << 32), 14.1),
-        ("Weight", bytes_per_edge::<Weight>(1 << 32), 23.8),
+        ("()", bytes_per_edge::<()>(1 << 32, 0), 14.1),
+        ("Weight", bytes_per_edge::<Weight>(1 << 32, 0), 23.8),
     ] {
         assert!(
             per_edge <= budget,

@@ -89,53 +89,65 @@ fn intern_op() -> impl Strategy<Value = InternOp> {
 /// and makes most of them removals, *mixed* does half of each, and
 /// *churn* keeps to five ids, so the degree moves between 0 and 5, in and
 /// out of the header's inline entries while no slab has been needed yet.
-/// In every phase one fresh id
-/// in 128 is past `u32::MAX`, and so is one weight in 128, so the vertex
-/// widens inline, in a slab or indexed, wherever the first one arrives.
+/// Weights are 1..=255, which a byte holds. In every phase one fresh id in
+/// 128 is past `u32::MAX`, one weight in 128 is past it too, and one in
+/// 128 is 256..=510, past a byte, so the vertex widens inline, in a slab
+/// or indexed, wherever the first one arrives, and one of byte entries
+/// goes narrow first or straight to wide.
 type Phases = Vec<(u8, Vec<(u8, u64, u64)>)>;
 
 fn adjacency_phases() -> impl Strategy<Value = Phases> {
     proptest::collection::vec(
         (
             0u8..4,
-            proptest::collection::vec((0u8..100, any::<u64>(), 1u64..1000), 0..700),
+            proptest::collection::vec((0u8..100, any::<u64>(), 1u64..256), 0..700),
         ),
         1..8,
     )
 }
 
-/// How a payload's entries are laid out, narrow then wide: the bytes of an
-/// entry and the entries the header holds. An id takes [`ID_BYTES`]
-/// whatever the payload.
+/// How a payload's entries are laid out at each tier — byte, narrow,
+/// wide: the bytes of an entry and the entries the header holds. An id
+/// takes [`ID_BYTES`] whatever the payload.
 #[derive(Clone, Copy)]
 struct Widths {
-    entry: [usize; 2],
-    inline: [usize; 2],
+    entry: [usize; 3],
+    inline: [usize; 3],
 }
 
-/// [`Weight`]: two 8-byte narrow entries in the header, or one 16-byte
-/// wide one.
+/// [`Weight`]: three 5-byte byte entries in the header, two 8-byte narrow
+/// ones or one 16-byte wide one.
 const WEIGHT: Widths = Widths {
-    entry: [8, 16],
-    inline: [2, 1],
+    entry: [5, 8, 16],
+    inline: [3, 2, 1],
 };
 
 /// `()`: four 4-byte narrow entries in the header, or two 8-byte wide
-/// ones.
+/// ones. It has no byte width: its weight always reads 1, so it never
+/// leaves tier 0 but for wide, and tier 0 is its narrow width.
 const UNIT: Widths = Widths {
-    entry: [4, 8],
-    inline: [4, 2],
+    entry: [4, 4, 8],
+    inline: [4, 4, 2],
 };
 
-/// Bytes of a neighbour id, narrow then wide: what [`PROMOTE_BYTES`]
-/// counts.
-const ID_BYTES: [usize; 2] = [4, 8];
+/// Bytes of a neighbour id at each tier: what [`PROMOTE_BYTES`] counts.
+const ID_BYTES: [usize; 3] = [4, 4, 8];
+
+/// The tier an entry of neighbour `n` and weight `w` needs: 0 while the
+/// weight fits in a byte, 1 while both fit in a `u32`, 2 after.
+fn tier(n: u64, w: u64) -> usize {
+    if n > u64::from(u32::MAX) || w > u64::from(u32::MAX) {
+        2
+    } else {
+        usize::from(w > 255)
+    }
+}
 
 /// The vertex's storage as the model predicts it from the ops alone.
 #[derive(Default)]
 struct Storage {
-    /// An id or weight past `u32::MAX` has been inserted.
-    wide: bool,
+    /// The widest [`tier`] of any entry inserted.
+    tier: usize,
     /// Entries of the first slab (0 while the entries are inline).
     first_slab: usize,
     /// Largest degree since the vertex was built.
@@ -147,24 +159,24 @@ struct Storage {
 }
 
 impl Storage {
-    /// Records an op that left `degree` entries and that inserted an id
-    /// or weight past `u32::MAX` when `widens`: the vertex takes its
-    /// first slab, of twice the inline entries and at least four, when the
-    /// degree outgrows the header at the width it now has. An op that
-    /// added an entry builds the index once the ids pass [`PROMOTE_BYTES`]
-    /// at that width (after any widening the op made), whatever the payload,
-    /// sized to the next power of two of 4/3 of the degree, and doubles an
-    /// index the degree has filled past 3/4.
-    fn record(&mut self, degree: usize, widens: bool, w: Widths) {
-        self.wide |= widens;
+    /// Records an op that left `degree` entries and that inserted an
+    /// entry of [`tier`] `tier`: the vertex takes its first slab, of twice
+    /// the inline entries and at least four, when the degree outgrows the
+    /// header at the width it now has. An op that added an entry builds the
+    /// index once the ids pass [`PROMOTE_BYTES`] at that width (after any
+    /// widening the op made), whatever the payload, sized to the next power
+    /// of two of 4/3 of the degree, and doubles an index the degree has
+    /// filled past 3/4.
+    fn record(&mut self, degree: usize, tier: usize, w: Widths) {
+        self.tier = self.tier.max(tier);
         self.peak = self.peak.max(degree);
-        let inline = w.inline[usize::from(self.wide)];
+        let inline = w.inline[self.tier];
         if self.first_slab == 0 && degree > inline {
             self.first_slab = (2 * inline).max(4);
         }
         let added = degree > self.degree;
         self.degree = degree;
-        let bytes = degree * ID_BYTES[usize::from(self.wide)];
+        let bytes = degree * ID_BYTES[self.tier];
         if added && self.index == 0 && bytes > PROMOTE_BYTES {
             self.index = (degree * 4).div_ceil(3).next_power_of_two();
         } else if added && self.index != 0 && degree * 4 > self.index * 3 {
@@ -180,11 +192,11 @@ impl Storage {
         if self.first_slab == 0 {
             return 0;
         }
-        let mut cap = 4;
-        while cap < self.peak.max(self.first_slab) {
+        let mut cap = self.first_slab;
+        while cap < self.peak {
             cap = if cap < 64 { 2 * cap } else { cap + cap / 8 };
         }
-        cap * w.entry[usize::from(self.wide)] + 2 * self.index
+        cap * w.entry[self.tier] + 2 * self.index
     }
 }
 
@@ -192,8 +204,8 @@ impl Storage {
 /// whether the payload keeps a weight (`weighted`) and its [`Widths`]: an
 /// unkept weight reads as 1, a re-add keeps the minimum weight only where
 /// one is kept, and the vertex owns exactly the heap bytes [`Storage`]
-/// predicts — at the width set by the first id or weight past `u32::MAX`
-/// it was handed, and re-derived from the live entries by a clone.
+/// predicts — at the width set by the widest id or weight it was handed,
+/// and re-derived from the live entries by a clone.
 fn check_adjacency<E: EdgeData>(
     phases: Phases,
     weighted: bool,
@@ -204,6 +216,7 @@ fn check_adjacency<E: EdgeData>(
     const DRAIN: u8 = 1;
     const CHURN: u8 = 3;
     const PAST_U32: u64 = 1 << 32;
+    const PAST_BYTE: u64 = 255;
     // Cumulative percentages per phase: insert, insert_weight_min,
     // remove, get (the rest, 1 %, is a clone).
     const MIX: [[u8; 4]; 4] = [
@@ -213,7 +226,6 @@ fn check_adjacency<E: EdgeData>(
         [25, 50, 80, 99],
     ];
     let kept_weight = |w: u64| if weighted { w } else { 1 };
-    let is_wide = |n: u64, w: u64| n >= PAST_U32 || w >= PAST_U32;
     let mut adj: Adjacency<E> = Adjacency::new();
     // neighbour -> weight, as the payload reports it
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
@@ -235,18 +247,23 @@ fn check_adjacency<E: EdgeData>(
                 let past = if pick >> 57 == 0 { PAST_U32 } else { 0 };
                 past + (pick >> 1) % if bias == CHURN { 5 } else { DOMAIN }
             };
-            let weight = weight + if pick >> 57 == 1 { PAST_U32 } else { 0 };
+            let weight = weight
+                + match pick >> 57 {
+                    1 => PAST_U32,
+                    2 => PAST_BYTE,
+                    _ => 0,
+                };
             let mix = MIX[bias as usize];
             let data = E::new(weight);
             let stored = kept_weight(weight);
-            let mut widens = false;
+            let mut widens = 0;
             if sel < mix[0] {
                 let new = adj.insert(nbr, data);
                 prop_assert_eq!(new, model.insert(nbr, stored).is_none());
                 if new {
                     order.push(nbr);
                 }
-                widens = is_wide(nbr, stored);
+                widens = tier(nbr, stored);
             } else if sel < mix[1] {
                 let new = adj.insert_weight_min(nbr, data);
                 let kept = model.get(&nbr).map_or(stored, |&w| w.min(stored));
@@ -254,7 +271,7 @@ fn check_adjacency<E: EdgeData>(
                 if new {
                     order.push(nbr);
                 }
-                widens = is_wide(nbr, stored);
+                widens = tier(nbr, stored);
             } else if sel < mix[2] {
                 let removed = adj.remove(nbr).map(|e| e.weight());
                 prop_assert_eq!(removed, model.remove(&nbr));
@@ -272,7 +289,7 @@ fn check_adjacency<E: EdgeData>(
                 adj = copy;
                 storage = Storage::default();
                 for (i, n) in order.iter().enumerate() {
-                    storage.record(i + 1, is_wide(*n, model[n]), widths);
+                    storage.record(i + 1, tier(*n, model[n]), widths);
                 }
             }
 
@@ -282,9 +299,9 @@ fn check_adjacency<E: EdgeData>(
             prop_assert_eq!(
                 adj.heap_bytes(),
                 storage.heap_bytes(widths),
-                "peak {}, wide {}, index {}",
+                "peak {}, tier {}, index {}",
                 storage.peak,
-                storage.wide,
+                storage.tier,
                 storage.index
             );
             // `iter()` yields every live neighbour once, with its payload,
@@ -301,29 +318,28 @@ fn check_adjacency<E: EdgeData>(
 }
 
 /// One grow phase that crosses 1 KiB of ids by widening, for each payload:
-/// `narrow` narrow ids (at most 1 KiB of them), a re-add of a live edge
-/// with a weight past `u32::MAX` (which widens a payload that keeps the
-/// weight past 1 KiB of ids without adding an entry, so without an
-/// index), a new id past `u32::MAX` (which widens `()` and adds the entry
-/// that builds the index), then 20 more narrow ids. The model predicts
-/// `is_promoted()` and `heap_bytes()` after each op.
+/// `narrow` narrow ids of byte weights (at most 1 KiB of them), a re-add of
+/// a live edge with a weight past a byte (which makes a payload that keeps
+/// the weight narrow, with ids as wide as before), a re-add with a weight
+/// past `u32::MAX` (which widens it past 1 KiB of ids without adding an
+/// entry, so without an index), a new id past `u32::MAX` (which widens
+/// `()` and adds the entry that builds the index), then 20 more narrow
+/// ids. The model predicts `is_promoted()` and `heap_bytes()` after each
+/// op.
 #[test]
 fn widening_across_a_kilobyte_matches_the_model() {
-    /// A grow-phase insert of id `n` below 4 096: the op's `pick` puts it
-    /// past `u32::MAX` when `wide_id`, and its weight when `wide_weight`.
-    fn insert(n: u64, wide_id: bool, wide_weight: bool) -> (u8, u64, u64) {
-        let top = match (wide_id, wide_weight) {
-            (true, _) => 0,
-            (false, true) => 1,
-            (false, false) => 2,
-        };
+    /// A grow-phase insert of id `n` below 4 096 whose `pick` has `top` in
+    /// its top bits: 0 puts the id past `u32::MAX`, 1 the weight, 2 puts
+    /// the weight past a byte, and 3 neither.
+    fn insert(n: u64, top: u64) -> (u8, u64, u64) {
         (0, top << 57 | n << 1, 5)
     }
     fn phases(narrow: u64) -> Phases {
-        let mut ops: Vec<_> = (0..narrow).map(|n| insert(n, false, false)).collect();
-        ops.push(insert(3, false, true));
-        ops.push(insert(narrow, true, false));
-        ops.extend((narrow + 1..narrow + 21).map(|n| insert(n, false, false)));
+        let mut ops: Vec<_> = (0..narrow).map(|n| insert(n, 3)).collect();
+        ops.push(insert(7, 2));
+        ops.push(insert(3, 1));
+        ops.push(insert(narrow, 0));
+        ops.extend((narrow + 1..narrow + 21).map(|n| insert(n, 3)));
         vec![(0, ops)]
     }
     check_adjacency::<Weight>(phases(200), true, WEIGHT).unwrap();
@@ -385,12 +401,13 @@ proptest! {
         }
     }
 
-    /// Adjacency (inline entries, edge slab, position index, narrow and
-    /// wide entries) agrees with a BTreeMap model and its ordered mirror
-    /// through every entry point, across index growths, the widening, a
-    /// drain back below the promotion threshold and the regrowth after it —
-    /// with the weight payload: the minimum weight is kept, and the header
-    /// holds two 8-byte narrow entries or one 16-byte wide one.
+    /// Adjacency (inline entries, edge slab, position index, byte, narrow
+    /// and wide entries) agrees with a BTreeMap model and its ordered
+    /// mirror through every entry point, across index growths, each
+    /// widening, a drain back below the promotion threshold and the
+    /// regrowth after it — with the weight payload: the minimum weight is
+    /// kept, and the header holds three 5-byte byte entries, two 8-byte
+    /// narrow ones or one 16-byte wide one.
     #[test]
     fn adjacency_matches_model_weight(phases in adjacency_phases()) {
         check_adjacency::<Weight>(phases, true, WEIGHT)?;
