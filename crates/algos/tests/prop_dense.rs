@@ -222,8 +222,7 @@ proptest! {
     }
 }
 
-/// At 96 shards the multi-word pending-senders bitmaps carry the lane
-/// mesh, and the run must still equal the static BFS solve. (Plain test,
+/// At 96 shards each receiver's pending-senders bitmap spans two words, and the run must still equal the static BFS solve. (Plain test,
 /// one deterministic stream — 96 threads per case is too heavy for a
 /// proptest axis.)
 #[test]
@@ -242,7 +241,7 @@ fn lanes_beyond_64_shards_match_static() {
 }
 
 /// A config the engine cannot honour is an error at build, never a silent
-/// downgrade: a shard count past the lane mesh's 4096-shard bitmap.
+/// downgrade: a shard count past the engine's 4096-shard cap.
 #[test]
 fn misconfiguration_fails_engine_build() {
     let config = EngineConfig::undirected(4097);

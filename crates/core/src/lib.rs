@@ -16,7 +16,7 @@
 //!   ([`Partitioner`]); each shard owns its vertex table exclusively and
 //!   communicates only via per-sender FIFO batches of visitor messages
 //!   (`shard.rs`). The data plane (`transport.rs`) is a lane mesh: batches
-//!   move over lock-free SPSC rings with pooled buffer recycling and
+//!   move over lock-free SPSC rings, one per ordered shard pair, with
 //!   event-driven parking, and a batch a full lane has no room for waits
 //!   at its sender; each shard's channel carries the controller's traffic
 //!   and nothing else. Where a shard thread runs is the

@@ -104,11 +104,6 @@ shard_metrics! {
     updates_suppressed,
     /// Envelope batches shipped over an SPSC data lane.
     lane_batches,
-    /// `flush()` calls that reused a pooled batch buffer from a recycle
-    /// lane instead of allocating — `batches_recycled / lane_batches` is
-    /// the pool hit rate (a held batch finds the pool empty: every pooled
-    /// buffer is in the full lane ahead of it).
-    batches_recycled,
     /// Flushes that found their pair's data lane full: the batch stayed
     /// in its sender's backlog and shipped, in order, once the lane had
     /// room. `lane_full_fallbacks / lane_batches` is the share of batches
@@ -293,15 +288,6 @@ impl LatencyHistogram {
         }
         self.count += other.count;
         self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-    }
-
-    /// Mean sample in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
     }
 
     /// Quantile estimate in nanoseconds, linearly interpolated inside the
@@ -501,7 +487,6 @@ mod tests {
     fn merge_adds_transport_counters() {
         let mut a = ShardMetrics {
             lane_batches: 10,
-            batches_recycled: 9,
             lane_full_fallbacks: 2,
             unparks: 7,
             idle_parks: 3,
@@ -510,7 +495,6 @@ mod tests {
         let b = a.clone();
         a.merge(&b);
         assert_eq!(a.lane_batches, 20);
-        assert_eq!(a.batches_recycled, 18);
         assert_eq!(a.lane_full_fallbacks, 4);
         assert_eq!(a.unparks, 14);
         assert_eq!(a.idle_parks, 6);
@@ -699,6 +683,6 @@ mod tests {
         assert_eq!(b.buckets[1], 1);
         assert_eq!(b.buckets[3], 1); // 7 has bit length 3
         assert_eq!(b.buckets[HIST_BUCKETS - 1], 1);
-        assert!(b.mean_ns() > 0.0);
+        assert_eq!(b.sum_ns, u64::MAX, "the sum saturates");
     }
 }

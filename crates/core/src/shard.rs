@@ -618,10 +618,10 @@ impl<A: Algorithm> ShardWorker<A> {
     /// ordinary `Update` envelopes (fully accounted by termination
     /// detection).
     fn control_sweep(&mut self, kind: ControlKind, mask: u64) {
-        for v in self.store.vertex_ids() {
-            let Some(h) = self.store.lookup(v) else {
-                continue;
-            };
+        // A sweep interns nothing (its sends only queue), so the positions
+        // stay put while it walks them.
+        for h in 0..self.store.num_vertices() as LocalIdx {
+            let v = self.store.id(h);
             self.seq += 1;
             {
                 let mut ctx = EventCtx::new(v, self.store.parts(h), &mut self.out, self.id);
@@ -637,9 +637,9 @@ impl<A: Algorithm> ShardWorker<A> {
         self.flush_all();
     }
 
-    /// Drains every flagged inbound data lane, returning each emptied batch
-    /// buffer to its sender's pool. One bitmap probe covers the empty case
-    /// — the hot loop never scans P lanes to find nothing. Mesh calls here
+    /// Drains every flagged inbound data lane, dropping each emptied batch
+    /// buffer. One bitmap probe covers the empty case — the hot loop
+    /// never scans P lanes to find nothing. Mesh calls here
     /// and below go through the `self.lanes` borrow (each ends before the
     /// `&mut self` work after it): cloning the `Arc` instead would put two
     /// locked RMWs on a line every shard shares into every pass. Returns
@@ -658,12 +658,11 @@ impl<A: Algorithm> ShardWorker<A> {
         let mut any = false;
         for i in 0..self.claim_buf.len() {
             let from = self.claim_buf[i];
-            while let Some(mut batch) = self.lanes.mesh.recv(from, self.id) {
+            while let Some(batch) = self.lanes.mesh.recv(from, self.id) {
                 any = true;
-                for env in batch.drain(..) {
+                for env in batch {
                     self.process(env);
                 }
-                self.lanes.mesh.give_recycled(from, self.id, batch);
             }
         }
         self.claim_buf.clear();
@@ -918,20 +917,18 @@ impl<A: Algorithm> ShardWorker<A> {
     /// (a rollback discards it there; held envelopes are sent and not yet
     /// processed, so quiescence cannot fire over them).
     ///
-    /// A held batch keeps the length it left the outbox with, so the
-    /// buffers circulating through the recycle pool stay ordinary sized
-    /// however long the receiver stalls. The lane is tried again when the
+    /// A held batch keeps the length it left the outbox with, however
+    /// long the receiver stalls. The lane is tried again when the
     /// outbox has filled once more and at every `flush_all`, not per
     /// envelope: until then a held batch waits as a partial outbox does,
     /// for its sender to fill a batch or go idle.
     fn do_flush(&mut self, owner: usize) {
         let fresh = !self.outboxes[owner].is_empty();
         if fresh {
-            // Pool a drained buffer for the next fill — steady-state
-            // flushes allocate nothing.
-            let next = self.lanes.mesh.take_recycled(self.id, owner);
-            self.metrics.batches_recycled += u64::from(next.is_some());
-            let batch = std::mem::replace(&mut self.outboxes[owner], next.unwrap_or_default());
+            let batch = std::mem::replace(
+                &mut self.outboxes[owner],
+                Vec::with_capacity(ENVELOPE_BATCH),
+            );
             self.held[owner].push_back(batch);
         }
         if self.board.is_failed(owner) {
@@ -1140,10 +1137,8 @@ impl<A: Algorithm> ShardWorker<A> {
                 .claim_pending_into(self.id, &mut self.claim_buf);
             self.claim_buf.clear();
             for from in 0..self.config.num_shards {
-                while let Some(mut batch) = self.lanes.mesh.recv(from, self.id) {
+                while let Some(batch) = self.lanes.mesh.recv(from, self.id) {
                     inbound += batch.len();
-                    batch.clear();
-                    self.lanes.mesh.give_recycled(from, self.id, batch);
                 }
             }
             self.discard(inbound);
@@ -1598,31 +1593,6 @@ mod tests {
             [4, 4, 1, 1, 3]
         );
         assert_eq!(got.concat(), targets);
-    }
-
-    #[test]
-    fn flush_reuses_recycled_buffers() {
-        let mut f = fixture();
-        let mesh = Arc::clone(&f.worker.lanes.mesh);
-        let targets = peer_targets(2);
-        f.worker.send_envelope(env(targets[0]));
-        f.worker.flush_all();
-        assert_eq!(f.worker.metrics.lane_batches, 1);
-        assert_eq!(
-            f.worker.metrics.batches_recycled, 1,
-            "the primed pool feeds the very first flush"
-        );
-        // Play the receiver: drain the batch, return the buffer home.
-        let mut b = mesh.recv(0, 1).expect("batch was shipped on the lane");
-        b.clear();
-        mesh.give_recycled(0, 1, b);
-        f.worker.send_envelope(env(targets[1]));
-        f.worker.flush_all();
-        assert_eq!(f.worker.metrics.lane_batches, 2);
-        assert_eq!(
-            f.worker.metrics.batches_recycled, 2,
-            "second flush hit the pool"
-        );
     }
 
     /// Shards used to hold a sender to every shard's channel, their own

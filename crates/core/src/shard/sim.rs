@@ -531,7 +531,6 @@ fn round_robin_counts_are_exact() {
             updates_dominated: 780,
             updates_suppressed: 553,
             lane_batches: 38,
-            batches_recycled: 38,
             flush_deferrals: 64,
             trace_roots: 128,
             trace_spans: 651,
@@ -548,7 +547,6 @@ fn round_robin_counts_are_exact() {
             updates_dominated: 1_081,
             updates_suppressed: 894,
             lane_batches: 36,
-            batches_recycled: 36,
             flush_deferrals: 64,
             trace_roots: 128,
             trace_spans: 678,

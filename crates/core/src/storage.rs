@@ -161,11 +161,10 @@ where
         self.table.iter()
     }
 
-    /// Snapshot of every vertex id present, in iteration order. Cold path:
-    /// the control-sweep driver (see [`crate::registry`]) materializes the
-    /// id list once, then interns per id.
-    pub(crate) fn vertex_ids(&self) -> Vec<VertexId> {
-        self.table.ids().to_vec()
+    /// Global id of the vertex at `h`: positions `0..num_vertices` walk
+    /// the store in intern order (the control sweep's walk).
+    pub(crate) fn id(&self, h: LocalIdx) -> VertexId {
+        self.table.vertex_id(h)
     }
 
     /// Approximate heap footprint of adjacency storage, in bytes.
@@ -234,9 +233,7 @@ mod tests {
         // still in its default state too.
         let _ = st.intern(100);
         assert_eq!(st.states(), vec![(42, 9), (100, 0)]);
-        let mut ids = st.vertex_ids();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![42, 100]);
+        assert_eq!((st.id(0), st.id(1)), (42, 100));
         // The read-only view handed to `RunResult::tables`.
         assert_eq!(st.get(42).map(|(s, a)| (*s, a.degree())), Some((9, 0)));
         assert!(st.get(7).is_none());

@@ -1,15 +1,13 @@
 //! The data plane: how visitor-message batches move between shards.
 //!
-//! A P×P mesh of bounded lock-free SPSC rings (`LaneMesh`), so that no
-//! batch crosses a queue contended by the other P−1 peers and the
-//! controller:
+//! A P×P mesh of bounded lock-free SPSC rings (`LaneMesh`), one ring per
+//! ordered pair, so that no batch crosses a queue contended by the other
+//! P−1 peers and the controller:
 //!
 //! - **Data lanes** carry `Vec<Envelope>` batches from one sender to one
 //!   receiver, so the receive path is an uncontended per-lane poll — no
-//!   MPMC dequeue, no lock, two atomic words per lane.
-//! - **Recycle lanes** flow drained batch buffers back to their sender, so
-//!   steady-state batch shipping is allocation-free: `flush()` pulls the
-//!   next buffer from the pool instead of `Vec::new`.
+//!   MPMC dequeue, no lock, two atomic words per lane. A batch's buffer
+//!   lives from its sender's flush to its receiver's drain.
 //! - A **full** data lane never blocks the sender and never reroutes the
 //!   batch: `LaneMesh::send` hands it back and the sender keeps it, in
 //!   order, until the lane has room (`ShardWorker::do_flush`). The lane is
@@ -55,44 +53,29 @@ impl<T> Deref for CachePadded<T> {
 
 /// Batches a data lane can hold before the sender starts holding them
 /// back. Bounded so a stalled receiver's backlog piles up at its sender,
-/// where it is visible, instead of as unbounded lane memory; kept small so
-/// the pool of circulating batch buffers (primed with `LANE_CAP` per
-/// pair, see [`LaneMesh::new`]) covers the lane's worst-case depth and
-/// steady-state flushes stay allocation-free.
+/// where it is visible, instead of as unbounded lane memory.
 const LANE_CAP: usize = 32;
 
-/// Bits per word of a [`PendingSet`] (and of its summary word).
+/// Bits per word of a [`PendingSet`].
 const PENDING_WORD_BITS: usize = 64;
 
-/// The pending-senders set is a multi-word bitmap with one hierarchical
-/// `u64` summary word (bit `w` of the summary covers word `w`), so the
-/// lane mesh scales to `64 × 64 = 4096` shards — far past any engine this
-/// crate will ever spawn as threads. A config beyond even that is
-/// rejected at engine build (see `EngineBuilder::build`).
+/// The engine's shard cap: 4,096, far past any engine this crate will
+/// ever spawn as threads, with a receiver's pending set at 64 words. A
+/// config beyond it is rejected at engine build (see
+/// `EngineBuilder::build`).
 pub(crate) const MAX_LANE_SHARDS: usize = PENDING_WORD_BITS * PENDING_WORD_BITS;
 
-/// A multi-word pending-senders bitmap with a hierarchical summary word.
+/// One receiver's pending-senders bitmap: one word per 64 senders.
 ///
 /// Bit `from` (word `from / 64`, bit `from % 64`) says "sender `from` has
-/// published work for this receiver". With more than one word, a `u64`
-/// summary keeps the receiver's empty-probe to a single load: bit `w` of
-/// the summary means "word `w` may be non-zero". Senders set word first,
-/// then summary (both Release); the receiver claims summary first, then
-/// the flagged words (both `swap(0, Acquire)`). A sender racing a claim
-/// either lands its word bit before the word swap (the claim takes it) or
-/// after (its subsequent summary `fetch_or` re-arms the summary, so the
-/// next claim finds it) — a flag is never stranded. A stale summary bit
-/// over an already-claimed word is harmless: the claim finds the word
-/// zero and moves on.
-///
-/// The single-word case (≤ 64 shards) skips the summary entirely, so the
-/// small-engine hot path is exactly the one-word bitmap it was before the
-/// cap was lifted.
+/// published work for this receiver". A sender sets its bit after its
+/// lane push (Release); the receiver claims each non-zero word with
+/// `swap(0, Acquire)`. A sender racing a claim lands its bit either
+/// before the swap (the claim takes it) or after (the next claim does),
+/// so a flag is never stranded. Up to 64 shards every probe is one load.
 pub(crate) struct PendingSet {
     /// One bit per potential sender, `ceil(shards / 64)` words.
     words: Box<[CachePadded<AtomicU64>]>,
-    /// Hierarchical "word may be non-zero" bits; unused when `words.len() == 1`.
-    summary: CachePadded<AtomicU64>,
 }
 
 impl PendingSet {
@@ -103,60 +86,37 @@ impl PendingSet {
             words: (0..nwords)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
-            summary: CachePadded::new(AtomicU64::new(0)),
         }
     }
 
-    /// Sender side: flags `from` as pending. Release on both levels so a
-    /// receiver that observes the flag (Acquire) also observes the lane
-    /// push that preceded this call.
+    /// Sender side: flags `from` as pending. Release, so a receiver that
+    /// observes the flag (Acquire) also observes the lane push that
+    /// preceded this call.
     #[inline]
     pub(crate) fn set(&self, from: usize) {
         let (w, b) = (from / PENDING_WORD_BITS, from % PENDING_WORD_BITS);
         self.words[w].fetch_or(1 << b, Ordering::Release);
-        if self.words.len() > 1 {
-            self.summary.fetch_or(1 << w, Ordering::Release);
-        }
     }
 
     /// Receiver/observer probe: true when no sender is flagged. One load
-    /// in both layouts (the summary may be stale-set, never stale-clear,
-    /// so "empty" answers are exact and "non-empty" answers at worst cost
-    /// one wasted claim).
+    /// per word.
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
-        if self.words.len() == 1 {
-            self.words[0].load(Ordering::Acquire) == 0
-        } else {
-            self.summary.load(Ordering::Acquire) == 0
-        }
+        self.words.iter().all(|w| w.load(Ordering::Acquire) == 0)
     }
 
     /// Receiver side: claims every flagged sender (clearing the flags),
-    /// appending their ids to `out` in ascending order. The cheap Relaxed
-    /// probe keeps the empty case to a single load. Returns how many
-    /// senders were claimed.
+    /// appending their ids to `out` in ascending order. A Relaxed probe
+    /// skips the swap on an empty word. Returns how many senders were
+    /// claimed.
     #[inline]
     pub(crate) fn claim_into(&self, out: &mut Vec<usize>) -> usize {
         let before = out.len();
-        if self.words.len() == 1 {
-            if self.words[0].load(Ordering::Relaxed) != 0 {
-                let mut bits = self.words[0].swap(0, Ordering::Acquire);
-                while bits != 0 {
-                    out.push(bits.trailing_zeros() as usize);
-                    bits &= bits - 1;
-                }
+        for (w, word) in self.words.iter().enumerate() {
+            if word.load(Ordering::Relaxed) == 0 {
+                continue;
             }
-            return out.len() - before;
-        }
-        if self.summary.load(Ordering::Relaxed) == 0 {
-            return 0;
-        }
-        let mut sum = self.summary.swap(0, Ordering::Acquire);
-        while sum != 0 {
-            let w = sum.trailing_zeros() as usize;
-            sum &= sum - 1;
-            let mut bits = self.words[w].swap(0, Ordering::Acquire);
+            let mut bits = word.swap(0, Ordering::Acquire);
             while bits != 0 {
                 out.push(w * PENDING_WORD_BITS + bits.trailing_zeros() as usize);
                 bits &= bits - 1;
@@ -166,8 +126,7 @@ impl PendingSet {
     }
 
     /// Clears `from`'s flag without claiming the rest (dead-receiver lane
-    /// reclaim). The possibly-stale summary bit is left alone — the next
-    /// claim finds the word empty and moves on.
+    /// reclaim).
     #[inline]
     pub(crate) fn clear(&self, from: usize) {
         let (w, b) = (from / PENDING_WORD_BITS, from % PENDING_WORD_BITS);
@@ -291,76 +250,46 @@ mod ring {
 
 use ring::SpscRing;
 
-/// One receiver's inbound lane column: its data and recycle rings for
-/// every potential sender.
-struct ColumnRings<S> {
-    /// `data[from]`: envelope batches in flight from `from` to the
-    /// column's owner.
-    data: Box<[SpscRing<Vec<Envelope<S>>>]>,
-    /// `recycle[from]`: empty buffers returning to `from`.
-    recycle: Box<[SpscRing<Vec<Envelope<S>>>]>,
-}
+/// One pair's data lane: envelope batches from one sender to one receiver.
+type Lane<S> = SpscRing<Vec<Envelope<S>>>;
 
-impl<S> ColumnRings<S> {
-    fn build(shards: usize) -> Self {
-        ColumnRings {
-            data: (0..shards)
-                .map(|_| SpscRing::with_capacity(LANE_CAP))
-                .collect(),
-            // Recycle lanes are primed with `LANE_CAP` empty buffers so the
-            // pool feeds `flush()` from the first batch (each buffer grows
-            // to its working capacity once, then circulates), and get 2×
-            // headroom so a burst of returns is never dropped while the
-            // primed stock still sits unconsumed.
-            recycle: (0..shards)
-                .map(|_| {
-                    let ring = SpscRing::with_capacity(LANE_CAP * 2);
-                    for _ in 0..LANE_CAP {
-                        let _ = ring.push(Vec::new());
-                    }
-                    ring
-                })
-                .collect(),
-        }
-    }
-}
-
-/// The P×P lane mesh: data lanes and recycle lanes. One per engine,
+/// The P×P lane mesh: one data lane per ordered pair. One per engine,
 /// shared by every shard.
 ///
 /// All methods name a pair as `(from, to)` = (sending shard, receiving
-/// shard). Data lane `(from, to)` is produced by `from` and consumed by
-/// `to`; the recycle lane of the same pair flows the *opposite* way
-/// (produced by `to`, consumed by `from`) carrying drained batch buffers
-/// home for reuse.
+/// shard). Lane `(from, to)` is produced by `from` and consumed by `to`.
 ///
 /// Every ring is allocated up front by whoever builds the mesh (the
 /// controller thread, in `Engine::build`), so a lane exists before any
 /// shard can send on it: `send` fails only when the lane is full.
 pub(crate) struct LaneMesh<S> {
-    /// `columns[to]`: receiver `to`'s inbound data + recycle rings.
-    columns: Vec<ColumnRings<S>>,
-    /// `inbound[to]`: multi-word bitmap of senders with batches parked in
-    /// their data lane to `to` (bit `from` set by the sender *after* its
-    /// lane push, Release; claimed wholesale by the receiver's drain). Lets
-    /// the receiver's hot loop probe "anything for me?" with one load
-    /// instead of scanning P lanes, and tells it exactly which lanes to
-    /// drain. A stale set bit over an already-drained lane is harmless (the
-    /// drain finds it empty); a cleared bit is always re-set by the next
-    /// push. See [`PendingSet`] for the word/summary protocol.
+    /// `columns[to][from]`: envelope batches in flight from `from` to `to`.
+    columns: Vec<Box<[Lane<S>]>>,
+    /// `inbound[to]`: bitmap of senders with batches parked in their lane
+    /// to `to` (bit `from` set by the sender *after* its lane push,
+    /// Release; claimed wholesale by the receiver's drain). Lets the
+    /// receiver's hot loop probe "anything for me?" without scanning P
+    /// lanes, and tells it exactly which lanes to drain. A stale set bit
+    /// over an already-drained lane is harmless (the drain finds it
+    /// empty); a cleared bit is always re-set by the next push.
     inbound: Vec<PendingSet>,
 }
 
 impl<S> LaneMesh<S> {
-    /// Mesh with every column (data rings + primed recycle pools)
-    /// allocated by the calling thread.
+    /// Mesh with every lane allocated by the calling thread.
     pub(crate) fn new(shards: usize) -> Self {
         assert!(
             shards <= MAX_LANE_SHARDS,
             "lane mesh is capped at {MAX_LANE_SHARDS} shards"
         );
         LaneMesh {
-            columns: (0..shards).map(|_| ColumnRings::build(shards)).collect(),
+            columns: (0..shards)
+                .map(|_| {
+                    (0..shards)
+                        .map(|_| SpscRing::with_capacity(LANE_CAP))
+                        .collect()
+                })
+                .collect(),
             inbound: (0..shards).map(|_| PendingSet::new(shards)).collect(),
         }
     }
@@ -376,7 +305,7 @@ impl<S> LaneMesh<S> {
         to: usize,
         batch: Vec<Envelope<S>>,
     ) -> Result<(), Vec<Envelope<S>>> {
-        self.columns[to].data[from].push(batch)?;
+        self.columns[to][from].push(batch)?;
         self.inbound[to].set(from);
         Ok(())
     }
@@ -384,29 +313,13 @@ impl<S> LaneMesh<S> {
     /// Receiver `to`: next in-flight batch from `from`, if any.
     #[inline]
     pub(crate) fn recv(&self, from: usize, to: usize) -> Option<Vec<Envelope<S>>> {
-        self.columns[to].data[from].pop()
+        self.columns[to][from].pop()
     }
 
-    /// Sender `from`: pulls one pooled buffer home from the pair's recycle
-    /// lane (allocation-free steady state for `flush`).
-    #[inline]
-    pub(crate) fn take_recycled(&self, from: usize, to: usize) -> Option<Vec<Envelope<S>>> {
-        self.columns[to].recycle[from].pop()
-    }
-
-    /// Receiver `to`: returns a drained (cleared) batch buffer to `from`'s
-    /// pool. A full recycle lane just drops the buffer — the pool is an
-    /// optimization, never a liveness dependency.
-    #[inline]
-    pub(crate) fn give_recycled(&self, from: usize, to: usize, buf: Vec<Envelope<S>>) {
-        debug_assert!(buf.is_empty());
-        let _ = self.columns[to].recycle[from].push(buf);
-    }
-
-    /// True when any sender has flagged a batch for `to` — one load, no
-    /// lane scan. May briefly lag a push whose flag is not yet set; the
-    /// Dekker parking protocol covers that window (the sender's `wake`
-    /// comes after the flag).
+    /// True when any sender has flagged a batch for `to` — no lane scan.
+    /// May briefly lag a push whose flag is not yet set; the Dekker
+    /// parking protocol covers that window (the sender's `wake` comes
+    /// after the flag).
     #[inline]
     pub(crate) fn has_inbound(&self, to: usize) -> bool {
         !self.inbound[to].is_empty()
@@ -415,7 +328,7 @@ impl<S> LaneMesh<S> {
     /// Receiver `to`: claims the current pending-senders set (clearing
     /// it), appending the flagged sender ids to `out` in ascending order —
     /// the caller drains exactly those lanes. Returns how many senders
-    /// were claimed; the empty case stays a single Relaxed load.
+    /// were claimed.
     #[inline]
     pub(crate) fn claim_pending_into(&self, to: usize, out: &mut Vec<usize>) -> usize {
         self.inbound[to].claim_into(out)
@@ -426,7 +339,7 @@ impl<S> LaneMesh<S> {
     /// lane's occupancy is an independent racy probe; the sum is a
     /// point-in-time estimate, which is all a gauge needs.
     pub(crate) fn inbound_occupancy(&self, to: usize) -> usize {
-        self.columns[to].data.iter().map(SpscRing::len).sum()
+        self.columns[to].iter().map(SpscRing::len).sum()
     }
 
     /// Sender `from`: drains its own data lane to a **dead** receiver so
@@ -440,7 +353,7 @@ impl<S> LaneMesh<S> {
     /// published strictly after the consumer thread's last pop.
     pub(crate) fn reclaim(&self, from: usize, to: usize) -> Vec<Vec<Envelope<S>>> {
         let mut batches = Vec::new();
-        while let Some(b) = self.columns[to].data[from].pop() {
+        while let Some(b) = self.columns[to][from].pop() {
             batches.push(b);
         }
         self.inbound[to].clear(from);
@@ -667,22 +580,9 @@ mod tests {
         assert!(!mesh.has_inbound(0));
         assert!(!mesh.has_inbound(2));
 
-        let mut batch = mesh.recv(0, 1).unwrap();
+        let batch = mesh.recv(0, 1).unwrap();
         assert_eq!(batch.len(), 2);
         assert!(mesh.recv(0, 1).is_none());
-        // The pool is primed: LANE_CAP buffers are ready before any ever
-        // flowed home, and a returned buffer lands behind them.
-        for _ in 0..LANE_CAP {
-            assert!(
-                mesh.take_recycled(0, 1).is_some(),
-                "primed pool feeds flush"
-            );
-        }
-        assert!(mesh.take_recycled(0, 1).is_none());
-        batch.clear();
-        mesh.give_recycled(0, 1, batch);
-        assert!(mesh.take_recycled(0, 1).is_some(), "buffer flowed home");
-        assert!(mesh.take_recycled(0, 1).is_none());
     }
 
     #[test]
@@ -722,7 +622,7 @@ mod tests {
         assert_eq!(got, vec![0, 63, 64, 65, 127, 128, 129]);
         assert!(set.is_empty());
         got.clear();
-        assert_eq!(set.claim_into(&mut got), 0, "claim cleared every level");
+        assert_eq!(set.claim_into(&mut got), 0, "claim cleared every word");
 
         // Re-arming after a claim works across words too.
         set.set(70);
@@ -743,18 +643,16 @@ mod tests {
     }
 
     #[test]
-    fn pending_set_stale_summary_bit_is_harmless() {
-        // `clear` leaves the summary bit set over a now-empty word; the
-        // next claim must cope (find the word empty) and still deliver
-        // flags from other words.
-        let set = PendingSet::new(96);
-        set.set(70);
-        set.clear(70);
-        assert!(!set.is_empty(), "summary is stale-set by design");
+    fn pending_set_sees_a_flag_past_word_zero() {
+        // Only the last of 130 senders is flagged: the empty probe and the
+        // claim must both read past the first word.
+        let set = PendingSet::new(130);
+        set.set(129);
+        assert!(!set.is_empty());
         let mut got = Vec::new();
-        assert_eq!(set.claim_into(&mut got), 0);
-        assert!(got.is_empty());
-        assert!(set.is_empty(), "claim swept the stale summary");
+        assert_eq!(set.claim_into(&mut got), 1);
+        assert_eq!(got, vec![129]);
+        assert!(set.is_empty());
     }
 
     #[test]
@@ -927,9 +825,5 @@ mod tests {
         let got = lanes.mesh.recv(0, 1).expect("batch is in the lane");
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].target, 9);
-        assert!(
-            lanes.mesh.take_recycled(0, 1).is_some(),
-            "pool primed at build"
-        );
     }
 }

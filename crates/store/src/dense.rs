@@ -317,8 +317,7 @@ impl<S: Default, E: EdgeData> DenseVertexTable<S, E> {
         self.intern.id(idx)
     }
 
-    /// Global ids in dense (intern) order — the whole-store walk used by
-    /// control sweeps, without materializing states or adjacencies.
+    /// Global ids in dense (intern) order.
     #[inline]
     pub fn ids(&self) -> &[VertexId] {
         self.intern.ids()
@@ -330,22 +329,10 @@ impl<S: Default, E: EdgeData> DenseVertexTable<S, E> {
         &self.recs[idx as usize].state
     }
 
-    /// Mutable live state at `idx`.
-    #[inline]
-    pub fn state_mut(&mut self, idx: LocalIdx) -> &mut S {
-        &mut self.recs[idx as usize].state
-    }
-
     /// Adjacency at `idx`.
     #[inline]
     pub fn adj(&self, idx: LocalIdx) -> &Adjacency<E> {
         &self.recs[idx as usize].adj
-    }
-
-    /// Mutable adjacency at `idx`.
-    #[inline]
-    pub fn adj_mut(&mut self, idx: LocalIdx) -> &mut Adjacency<E> {
-        &mut self.recs[idx as usize].adj
     }
 
     /// Simultaneous mutable access to the state and adjacency of the record
@@ -366,14 +353,6 @@ impl<S: Default, E: EdgeData> DenseVertexTable<S, E> {
             self.edges += 1;
         }
         new
-    }
-
-    /// Removes the directed edge `src -> dst`, returning its payload.
-    pub fn remove_edge(&mut self, src: VertexId, dst: VertexId) -> Option<E> {
-        let idx = self.lookup(src)?;
-        let data = self.recs[idx as usize].adj.remove(dst)?;
-        self.edges -= 1;
-        Some(data)
     }
 
     /// Out-degree of `v` (0 when absent).
@@ -534,19 +513,10 @@ mod tests {
     fn state_persists_across_edge_inserts() {
         let mut t: DenseVertexTable<u64> = DenseVertexTable::new();
         let (i, _) = t.intern(1);
-        *t.state_mut(i) = 42;
+        *t.state_adj_mut(i).0 = 42;
         t.insert_edge(1, 2, 1);
         assert_eq!(*t.state(i), 42);
         assert_eq!(*t.state(t.lookup(1).unwrap()), 42);
-    }
-
-    #[test]
-    fn remove_edge_updates_count() {
-        let mut t: DenseVertexTable<u64> = DenseVertexTable::new();
-        t.insert_edge(1, 2, 9);
-        assert_eq!(t.remove_edge(1, 2), Some(9));
-        assert_eq!(t.remove_edge(1, 2), None);
-        assert_eq!(t.num_edges(), 0);
     }
 
     #[test]
@@ -554,7 +524,7 @@ mod tests {
         let mut t: DenseVertexTable<u64> = DenseVertexTable::new();
         for v in (0..50u64).rev() {
             let (i, _) = t.intern(v);
-            *t.state_mut(i) = v;
+            *t.state_adj_mut(i).0 = v;
         }
         let ids: Vec<VertexId> = t.iter().map(|(v, _, _)| v).collect();
         assert_eq!(ids, (0u64..50).rev().collect::<Vec<_>>());
